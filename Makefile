@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race defrag-race tier-race cluster-race fault-campaign cluster-campaign serve-smoke profile
+.PHONY: all build test check race vet bench bench-engine bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
 
 all: build
 
@@ -117,20 +117,17 @@ cache-race:
 mmap-race:
 	$(GO) test -race -run 'TestMmap|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/
 
-# The online defragmenter under the race detector: the 8-thread suite
-# racing the defragmenter against foreground writers, truncates and live
-# mmaps (TestDefragRace8Threads), crash-mid-defrag recovery, the
-# rewrite-queue regression tests, the vmm re-promotion test and the
-# runner convergence test.
-defrag-race:
-	$(GO) test -race -run 'TestDefrag|TestRepromote|TestRewriteQueue|TestRunner' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/
-
-# The tier subsystem under the race detector: the migration-vs-mmap
-# race (a demotion relocating blocks under a live mapping must drain
-# in-flight accesses before freeing), the crash-mid-migration sweeps,
-# spill/ENOSPC behaviour, and the slow-device/pool unit tests.
-tier-race:
-	$(GO) test -race -run 'TestTier|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/tier/
+# Background maintenance under the race detector, one target for the one
+# mechanism: the relocate crash sweep (every caller torn at every fence
+# epoch), the 8-thread suite racing the defragmenter against foreground
+# writers, truncates and live mmaps (TestDefragRace8Threads), the
+# migration-vs-mmap race (a demotion relocating blocks under a live
+# mapping must drain in-flight accesses before freeing), the rewrite
+# tests, spill/ENOSPC behaviour, the vmm re-promotion test, the
+# slow-device/pool unit tests and the runner tests (one Step = defrag +
+# rewriter + tier pass on one pacer, scraped concurrently).
+maint-race:
+	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,
@@ -147,9 +144,10 @@ serve-smoke:
 # The 1000-seed media-fault campaign (runs spread across host cores by
 # sim.ParallelRunner; every other run mounts tiered and tears migration
 # transactions) plus every poison/torn-write test, including the
-# page-cache revoke-flush EIO path and the tier crash-consistency sweeps.
+# page-cache revoke-flush EIO path and the relocate crash sweep (defrag,
+# tier and rewrite movers torn at every fence epoch).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent
@@ -165,3 +163,10 @@ cluster-campaign:
 profile:
 	$(GO) run ./cmd/winebench -scaling -cpuprofile cpu.pprof -memprofile mem.pprof -blockprofile block.pprof
 	$(GO) tool pprof -top -nodecount=10 cpu.pprof
+
+# Non-test Go lines per package, and in total: "net-negative" as a number
+# CI prints, not a claim in a PR body.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2

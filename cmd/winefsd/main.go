@@ -7,6 +7,7 @@
 //	winefsd [-img wine.img] [-size 1g] [-cpus 8] [-relaxed]
 //	        [-addr 127.0.0.1:7070] [-stats 127.0.0.1:7071] [-window 32]
 //	        [-replicas host:port,...] [-replica-of primary] [-epoch 1]
+//	        [-maint-budget 0.1] [-slow-size 4g]
 //
 // Replication: a primary started with -replicas streams its committed
 // write log to each listed replica daemon; replicas are winefsd processes
@@ -228,12 +229,10 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a replica of this primary: apply its stream on -addr instead of serving clients")
 	epoch := flag.Uint64("epoch", 1, "primary epoch announced to clients and replicas (bump after promoting a replica)")
 	syncRepl := flag.Bool("sync-repl", false, "acknowledged writes wait for replica durability")
-	doDefrag := flag.Bool("defrag", false, "run the online background defragmenter (§3.5)")
-	defragBudget := flag.Float64("defrag-budget", 0.1, "defragmenter duty-cycle fraction of device bandwidth (1 = unthrottled)")
+	maintBudget := flag.Float64("maint-budget", 0.1, "background maintenance (defrag, rewrite, tier migration) duty-cycle fraction of device bandwidth (0 = off, 1 = unthrottled)")
 	slowSize := flag.String("slow-size", "", "attach a simulated slow (SSD) tier of this size; new data spills to it when PM fills (empty: untiered)")
 	tierHigh := flag.Float64("tier-high", 0.90, "PM occupancy fraction above which allocations spill and passes demote")
 	tierLow := flag.Float64("tier-low", 0.80, "PM occupancy fraction demotion passes drain down to")
-	tierInterval := flag.Duration("tier-interval", 250*time.Millisecond, "wall-clock period of the background tier-migration pass")
 	flag.Parse()
 
 	if *replicaOf != "" && *replicas != "" {
@@ -347,70 +346,37 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Online background defragmenter (§3.5): a maintenance goroutine runs
-	// throttled passes on its own simulated thread, pinned to the last
-	// CPU. Each pass interleaves with client operations through the
-	// ordinary lock table; the pacer bounds its share of device bandwidth.
-	var defragRunner *defrag.Runner
-	var defragStop chan struct{}
-	var defragDone chan struct{}
-	if *doDefrag {
-		defragRunner = defrag.New(fs, defrag.Config{Budget: *defragBudget})
-		defragStop = make(chan struct{})
-		defragDone = make(chan struct{})
-		dctx := sim.NewCtx(3, *cpus-1)
+	// Background maintenance (§3.5): one goroutine steps one runner — a
+	// defrag pass, the rewrite-queue drain, and on a tiered mount a
+	// tier-migration pass — on its own simulated thread, pinned to the last
+	// CPU. Each round interleaves with client operations through the
+	// ordinary lock table; the runner's one pacer bounds the thread's share
+	// of device bandwidth, whichever mover is copying.
+	maint := defrag.New(fs, defrag.Config{Budget: *maintBudget})
+	var maintStop, maintDone chan struct{}
+	if *maintBudget > 0 {
+		maintStop, maintDone = make(chan struct{}), make(chan struct{})
+		mctx := sim.NewCtx(3, *cpus-1)
 		go func() {
-			defer close(defragDone)
+			defer close(maintDone)
 			tick := time.NewTicker(250 * time.Millisecond)
 			defer tick.Stop()
 			for {
 				select {
-				case <-defragStop:
+				case <-maintStop:
 					return
 				case <-tick.C:
-					if _, err := defragRunner.Step(dctx); err != nil {
+					if _, err := maint.Step(mctx); err != nil {
 						// Read-only (degraded) or unmounted: nothing left
-						// for a defragmenter to do.
+						// for maintenance to do.
 						return
 					}
 				}
 			}
 		}()
-		fmt.Printf("winefsd: online defrag enabled (budget %.0f%%)\n", 100**defragBudget)
+		fmt.Printf("winefsd: background maintenance enabled (budget %.0f%%)\n", 100**maintBudget)
 	}
-
-	// Tier migration: a maintenance goroutine runs periodic TierPass calls
-	// on its own simulated thread — demoting cold extents when PM is above
-	// the high-water mark, promoting reheated ones back. Its counters are
-	// snapshotted under a mutex after each pass so the metrics registry
-	// never races the migration thread.
-	var tierCtrMu sync.Mutex
-	var tierCounters perf.Counters
-	var tierStop, tierDone chan struct{}
 	if slowDev != nil {
-		tierStop = make(chan struct{})
-		tierDone = make(chan struct{})
-		tctx := sim.NewCtx(4, *cpus-1)
-		go func() {
-			defer close(tierDone)
-			tick := time.NewTicker(*tierInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tierStop:
-					return
-				case <-tick.C:
-					if _, err := fs.TierPass(tctx, winefs.TierPassOptions{}); err != nil {
-						// Read-only (degraded) or unmounted: migration has
-						// nothing left to do.
-						return
-					}
-					tierCtrMu.Lock()
-					tierCounters = *tctx.Counters
-					tierCtrMu.Unlock()
-				}
-			}
-		}()
 		fmt.Printf("winefsd: slow tier %s attached (high water %.2f, low water %.2f)\n",
 			*slowSize, *tierHigh, *tierLow)
 	}
@@ -420,12 +386,10 @@ func main() {
 		if repl != nil {
 			extra = append(extra, cluster.MetricsCollector(replStatsSource{repl}))
 		}
-		if defragRunner != nil {
-			extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
-				c := defragRunner.Counters()
-				return metrics.DefragFamilies(&c)
-			}))
-		}
+		extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
+			c := maint.Counters()
+			return metrics.DefragFamilies(&c)
+		}))
 		if slowDev != nil {
 			extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
 				// Session counters carry the allocation-spill and slow-device
@@ -434,18 +398,14 @@ func main() {
 				// story at one scrape point.
 				st := srv.Stats()
 				c := st.Counters
-				tierCtrMu.Lock()
-				c.Add(&tierCounters)
-				tierCtrMu.Unlock()
-				fams := metrics.TierFamilies(&c)
-				if ts, ok := fs.TierStats(); ok {
-					fams = append(fams,
-						metrics.Gauge("tier_pm_free_blocks", "Free 4KiB blocks on the PM tier.", float64(ts.PMFreeBlocks)),
-						metrics.Gauge("tier_pm_total_blocks", "Total data blocks on the PM tier.", float64(ts.PMTotalBlocks)),
-						metrics.Gauge("tier_slow_free_blocks", "Free 4KiB blocks on the slow tier.", float64(ts.SlowFreeBlocks)),
-						metrics.Gauge("tier_slow_total_blocks", "Total blocks on the slow tier.", float64(ts.SlowTotalBlocks)))
-				}
-				return fams
+				mc := maint.Counters()
+				c.Add(&mc)
+				ts, _ := fs.TierStats()
+				return append(metrics.TierFamilies(&c),
+					metrics.Gauge("tier_pm_free_blocks", "Free 4KiB blocks on the PM tier.", float64(ts.PMFreeBlocks)),
+					metrics.Gauge("tier_pm_total_blocks", "Total data blocks on the PM tier.", float64(ts.PMTotalBlocks)),
+					metrics.Gauge("tier_slow_free_blocks", "Free 4KiB blocks on the slow tier.", float64(ts.SlowFreeBlocks)),
+					metrics.Gauge("tier_slow_total_blocks", "Total blocks on the slow tier.", float64(ts.SlowTotalBlocks)))
 			}))
 		}
 		bound, serr := serveStats(srv, *stats, extra...)
@@ -476,13 +436,9 @@ func main() {
 		if repl != nil {
 			repl.Close()
 		}
-		if defragStop != nil {
-			close(defragStop)
-			<-defragDone
-		}
-		if tierStop != nil {
-			close(tierStop)
-			<-tierDone
+		if maintStop != nil {
+			close(maintStop)
+			<-maintDone
 		}
 		closeTracer()
 		uctx := sim.NewCtx(2, 0)

@@ -1,10 +1,12 @@
-// Package defrag is the online background defragmenter's driver (§3.5):
-// it owns the pacing policy and pass loop around winefs.DefragPass, and
+// Package defrag is the background maintenance driver (§3.5): it owns
+// the one duty-cycle pacer and the pass loop around the file system's
+// three relocation policies — winefs.DefragPass (which also drains the
+// reactive-rewrite queue) and, on a tiered mount, winefs.TierPass — and
 // exposes a race-free counter snapshot for the daemon's metrics
 // endpoint. The heavy lifting — candidate scanning, holds, migrations,
-// rewrite draining, re-promotion — lives in the file system itself,
-// because it needs the allocator's and the journal's locks; this
-// package decides when and how hard to run it.
+// re-promotion — lives in the file system itself, because it needs the
+// allocator's and the journal's locks; this package decides when and how
+// hard to run it.
 package defrag
 
 import (
@@ -17,36 +19,31 @@ import (
 
 // Config tunes the runner.
 type Config struct {
-	// Budget is the duty-cycle fraction of device time the defragmenter
+	// Budget is the duty-cycle fraction of device time maintenance
 	// may consume (§4: unthrottled it steals 25-40% of foreground mmap
 	// bandwidth). <= 0 selects the 0.1 default; >= 1 runs unthrottled.
 	Budget float64
-	// MaxChunks caps candidate chunks per pass (0 = winefs default).
-	MaxChunks int
-	// MaxMigrateBlocks caps blocks migrated per pass (0 = winefs default).
-	MaxMigrateBlocks int64
 	// MaxPasses bounds Run's pass loop (0 = 16). Aged images converge
 	// over several passes: each migration can split a hole elsewhere,
 	// leaving small stragglers for the next pass to sweep up.
 	MaxPasses int
 }
 
-// Runner drives repeated defragmentation passes over one file system.
-// It is safe for one goroutine to Step/Run while others read Totals or
-// Counters (the daemon's metrics scrape).
+// Runner drives repeated maintenance passes over one file system. It is
+// safe for one goroutine to Step/Run while others read Counters or
+// ThrottledNS (the daemon's metrics scrape).
 type Runner struct {
 	fs    *winefs.FS
 	cfg   Config
 	pacer *sim.Pacer
 
 	mu       sync.Mutex
-	last     winefs.DefragStats
-	passes   int64
-	counters perf.Counters // snapshot of the defrag thread's counters
+	counters perf.Counters // snapshot of the maintenance thread's counters
 }
 
-// New builds a Runner; the Pacer is shared across passes so the duty
-// cycle is enforced over the thread's lifetime, not reset per pass.
+// New builds a Runner; the Pacer is shared across passes and across the
+// movers, so the duty cycle is enforced over the thread's lifetime, not
+// reset per pass or per subsystem.
 func New(fs *winefs.FS, cfg Config) *Runner {
 	var p *sim.Pacer
 	if cfg.Budget < 1 {
@@ -55,16 +52,16 @@ func New(fs *winefs.FS, cfg Config) *Runner {
 	return &Runner{fs: fs, cfg: cfg, pacer: p}
 }
 
-// Step runs one defragmentation pass on the given thread context.
+// Step runs one maintenance round on the given thread context: a
+// defragmentation pass, the rewrite-queue drain inside it, and — when the
+// mount is tiered — a tier-migration pass, all on the one pacer.
 func (r *Runner) Step(ctx *sim.Ctx) (winefs.DefragStats, error) {
-	st, err := r.fs.DefragPass(ctx, winefs.DefragOptions{
-		Pacer:            r.pacer,
-		MaxChunks:        r.cfg.MaxChunks,
-		MaxMigrateBlocks: r.cfg.MaxMigrateBlocks,
-	})
+	st, err := r.fs.DefragPass(ctx, winefs.DefragOptions{Pacer: r.pacer})
+	if err == nil {
+		// A no-op on an untiered mount.
+		_, err = r.fs.TierPass(ctx, winefs.TierPassOptions{Pacer: r.pacer})
+	}
 	r.mu.Lock()
-	r.last = st
-	r.passes++
 	r.counters = *ctx.Counters
 	r.mu.Unlock()
 	return st, err
@@ -99,26 +96,18 @@ func (r *Runner) Run(ctx *sim.Ctx) (winefs.DefragStats, error) {
 	return sum, nil
 }
 
-// Last returns the most recent pass's stats and the total pass count.
-func (r *Runner) Last() (winefs.DefragStats, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last, r.passes
-}
-
-// Counters returns a copy of the defrag thread's perf counters as of
-// the last completed pass — the daemon's registry reads defrag_* metric
-// families from this without racing the maintenance goroutine.
+// Counters returns a copy of the maintenance thread's perf counters as
+// of the last completed round — the daemon's registry reads the defrag_*
+// and tier_* metric families from this without racing the maintenance
+// goroutine.
 func (r *Runner) Counters() perf.Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters
 }
 
-// ThrottledNS reports the idle time the pacer has injected so far.
+// ThrottledNS reports the idle time the pacer had injected — into
+// defrag, rewrite and tier copies alike — as of the last completed round.
 func (r *Runner) ThrottledNS() int64 {
-	if r.pacer == nil {
-		return 0
-	}
-	return r.pacer.PausedNS
+	return r.Counters().DefragThrottleNS
 }

@@ -257,12 +257,11 @@ func (a *allocator) allocAligned(ctx *sim.Ctx, cpu int) (int64, bool) {
 	return 0, false
 }
 
-// allocSmall obtains `need` blocks of unaligned space, possibly as several
-// extents: local holes first, then the remote pool with the most hole
-// space, finally by breaking an aligned extent (counted as an AllocSplit).
-func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	var out []alloc.Extent
-	remaining := need
+// takeHoles gathers up to `need` blocks of hole space, possibly as
+// several extents: local holes first, then the remote pools in order of
+// most hole space. It returns what it got and how much is still missing.
+func (a *allocator) takeHoles(ctx *sim.Ctx, cpu int, need int64) (out []alloc.Extent, remaining int64) {
+	remaining = need
 	tryGroup := func(g *group, steal bool) {
 		for remaining > 0 {
 			g.mu.Lock()
@@ -282,14 +281,18 @@ func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Exten
 	tryGroup(a.groups[cpu], false)
 	for remaining > 0 {
 		rg := a.mostHoles(cpu)
-		if rg == nil {
-			break
-		}
-		if rg.holeBlocks.Load() == 0 {
+		if rg == nil || rg.holeBlocks.Load() == 0 {
 			break
 		}
 		tryGroup(rg, true)
 	}
+	return out, remaining
+}
+
+// allocSmall obtains `need` blocks of unaligned space: hole space first,
+// finally by breaking an aligned extent (counted as an AllocSplit).
+func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
+	out, remaining := a.takeHoles(ctx, cpu, need)
 	// Last resort: break an aligned extent; the remainder becomes a hole.
 	for remaining > 0 {
 		b, ok := a.allocAligned(ctx, cpu)
@@ -322,35 +325,7 @@ func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Exten
 // existing holes only — breaking an aligned extent to vacate another
 // would churn forever at net-zero recovery.
 func (a *allocator) allocHoles(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	var out []alloc.Extent
-	remaining := need
-	tryGroup := func(g *group, steal bool) {
-		for remaining > 0 {
-			g.mu.Lock()
-			start, got, ok := g.takeHoleLocked(remaining)
-			g.mu.Unlock()
-			ctx.Advance(allocCost)
-			if !ok {
-				return
-			}
-			out = append(out, alloc.Extent{Start: start, Len: got})
-			remaining -= got
-			if steal {
-				ctx.Counters.AllocSteals++
-			}
-		}
-	}
-	tryGroup(a.groups[cpu], false)
-	for remaining > 0 {
-		rg := a.mostHoles(cpu)
-		if rg == nil {
-			break
-		}
-		if rg.holeBlocks.Load() == 0 {
-			break
-		}
-		tryGroup(rg, true)
-	}
+	out, remaining := a.takeHoles(ctx, cpu, need)
 	if remaining > 0 {
 		for _, e := range out {
 			a.free(ctx, e)
@@ -668,13 +643,4 @@ func (g *group) releaseHoldLocked() bool {
 		g.addHoleLocked(p.Start, p.Len)
 	}
 	return total == BlocksPerHuge
-}
-
-// heldBlocks sums the blocks parked in holdParts (caller holds g.mu).
-func (g *group) heldBlocksLocked() int64 {
-	var n int64
-	for _, p := range g.holdParts {
-		n += p.Len
-	}
-	return n
 }

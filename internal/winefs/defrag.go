@@ -10,9 +10,9 @@ import (
 // which fixes one fragmented file because somebody mmapped it — the
 // defragmenter works from the allocator's point of view. It scans the
 // per-CPU hole pools for hugepage chunks that are only partially free,
-// migrates the remaining live blocks elsewhere (copy-on-write through
-// the journal, exactly like a rewrite), and lets the hole-merge path
-// promote the emptied chunk back into the aligned FIFO. A held chunk is
+// migrates the remaining live blocks elsewhere (through relocate, exactly
+// like a rewrite), and lets the hole-merge path promote the emptied
+// chunk back into the aligned FIFO. A held chunk is
 // invisible to foreground allocation for the duration, so the re-formed
 // extent cannot be re-fragmented under the defragmenter's feet.
 //
@@ -63,7 +63,7 @@ type defragCand struct {
 }
 
 // DefragPass runs one bounded pass of the online defragmenter. Passes
-// serialise on fs.defragMu; foreground operations interleave freely —
+// serialise on fs.maintMu; foreground operations interleave freely —
 // each migration takes the same per-inode locks a writer would. The
 // per-group cursor checkpoints scan progress in DRAM; a crash mid-pass
 // loses only the cursor (each migration is individually journaled), and
@@ -73,8 +73,8 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 	if err := fs.writable(); err != nil {
 		return st, err
 	}
-	fs.defragMu.Lock()
-	defer fs.defragMu.Unlock()
+	fs.maintMu.Lock()
+	defer fs.maintMu.Unlock()
 	if fs.unmounted.Load() {
 		return st, nil
 	}
@@ -211,7 +211,7 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	// Owner scan — AFTER the hold, so no new allocation can land inside
 	// the chunk and the owner set is frozen. Metadata blocks (directory
 	// extents, indirect extent blocks) are position-dependent on PM and
-	// cannot be migrated by replaceRange: they pin the chunk.
+	// cannot be relocated: they pin the chunk.
 	var owners []*inode
 	meta := false
 	for _, ino := range fs.snapshotInodes() {
@@ -285,10 +285,11 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	}
 }
 
-// migrateOut copies ino's blocks that live inside [base, end) to freshly
-// allocated space outside the chunk and swaps the extent map, one
-// journaled replaceRange per run. Returns false if the chunk could not
-// be fully vacated (allocation failure or media fault).
+// migrateOut is the defragmenter's policy over relocate: every run of
+// ino that lives inside [base, end) moves to hole space outside the held
+// chunk (the displaced blocks, once freed, are diverted into the hold,
+// never back into the pools). Returns false if the chunk could not be
+// fully vacated (allocation failure or media fault).
 func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.Pacer, st *DefragStats) bool {
 	h := fs.locks.Lock(ctx, ino.ino)
 	ok := func() bool {
@@ -311,37 +312,13 @@ func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.P
 		}
 		for _, r := range runs {
 			burst := ctx.Now()
-			newExts, got := fs.alloc.allocHoles(ctx, fs.g.cpuOfBlock(base), r.n)
+			dst, got := fs.alloc.allocHoles(ctx, fs.g.cpuOfBlock(base), r.n)
 			if !got {
 				return false // no hole space to migrate into
 			}
-			buf := make([]byte, r.n*BlockSize)
-			if err := fs.readRangeLocked(ctx, ino, buf, r.fileLo*BlockSize); err != nil {
-				for _, e := range newExts {
-					fs.alloc.free(ctx, e)
-				}
+			if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag") != nil {
 				return false
 			}
-			var off int64
-			for _, ne := range newExts {
-				fs.dev.Write(ctx, buf[off:off+ne.Len*BlockSize], ne.StartByte())
-				fs.dev.Flush(ctx, ne.StartByte(), ne.Len*BlockSize)
-				off += ne.Len * BlockSize
-			}
-			fs.dev.Fence(ctx)
-			tx := fs.begin(ctx)
-			f := &File{fs: fs, ino: ino}
-			// replaceRange shoots down live translations, swaps the map,
-			// and frees the displaced blocks — which the allocator
-			// diverts into the hold, never back into the pools.
-			if err := f.replaceRange(ctx, tx, r.fileLo, r.fileLo+r.n, newExts); err != nil {
-				_ = fs.failTx(tx, "defrag", err)
-				for _, e := range newExts {
-					fs.alloc.free(ctx, e)
-				}
-				return false
-			}
-			tx.commit()
 			st.MigratedBlocks += r.n
 			st.MigratedBytes += r.n * BlockSize
 			ctx.Counters.DefragMigratedBlocks += r.n

@@ -458,72 +458,3 @@ func TestDefragRace8Threads(t *testing.T) {
 		t.Fatalf("fsck after race: %v", rep.Errors)
 	}
 }
-
-// TestDefragCrashRecovery: crash at every fence boundary of a defrag
-// pass and remount. Each migration is one journal transaction, so every
-// crash state must mount clean, pass fsck + audit, and show every live
-// file's bytes either fully migrated or fully in place — never torn.
-func TestDefragCrashRecovery(t *testing.T) {
-	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(256 << 20)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := fragmentFS(t, ctx, fs, 8)
-	if err := fs.Unmount(ctx); err != nil {
-		t.Fatal(err)
-	}
-	fs, err = winefs.Mount(ctx, dev, winefs.Options{CPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base := dev.Snapshot()
-	dev.StartTrace()
-	bg := sim.NewCtx(2, 1)
-	st, err := fs.DefragPass(bg, winefs.DefragOptions{})
-	trace := dev.StopTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Recovered2M == 0 {
-		t.Fatal("pass recovered nothing; crash exploration would be vacuous")
-	}
-	maxEpoch := 0
-	for _, s := range trace {
-		if s.Epoch > maxEpoch {
-			maxEpoch = s.Epoch
-		}
-	}
-	// Crash at every fence boundary (prefix of whole epochs): the
-	// journal must make each boundary a consistent state.
-	step := 1
-	if maxEpoch > 64 {
-		step = maxEpoch / 64
-	}
-	for e := 0; e <= maxEpoch+1; e += step {
-		var durable []pmem.Store
-		for _, s := range trace {
-			if s.Epoch < e {
-				durable = append(durable, s)
-			}
-		}
-		img := base.Clone()
-		img.Apply(durable)
-		scratch := pmem.New(256 << 20)
-		scratch.Restore(img)
-		rctx := sim.NewCtx(3, 0)
-		rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: 2})
-		if err != nil {
-			t.Fatalf("epoch %d: mount after crash: %v", e, err)
-		}
-		if rep := winefs.Check(scratch); !rep.OK() {
-			t.Fatalf("epoch %d: fsck after crash: %v", e, rep.Errors)
-		}
-		if err := rfs.Audit(rctx); err != nil {
-			t.Fatalf("epoch %d: audit after crash recovery: %v", e, err)
-		}
-		checkLive(t, rctx, rfs, live)
-	}
-}

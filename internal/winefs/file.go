@@ -2,6 +2,7 @@ package winefs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/alloc"
@@ -41,15 +42,25 @@ func (f *File) Close(ctx *sim.Ctx) error {
 // fileBlk, via binary search over the sorted extent list. Caller holds
 // ino.mu.
 func (ino *inode) findRun(fileBlk int64) (phys int64, run int64, ok bool) {
+	i := ino.extentAt(fileBlk)
+	if i < 0 {
+		return 0, 0, false
+	}
+	e := ino.extents[i]
+	return e.blk + (fileBlk - e.fileBlk), e.length - (fileBlk - e.fileBlk), true
+}
+
+// extentAt returns the index of the extent covering fileBlk, or -1, by
+// binary search over the sorted extent list. Caller holds ino.mu.
+func (ino *inode) extentAt(fileBlk int64) int {
 	exts := ino.extents
 	i := sort.Search(len(exts), func(i int) bool {
 		return exts[i].fileBlk+exts[i].length > fileBlk
 	})
 	if i == len(exts) || exts[i].fileBlk > fileBlk {
-		return 0, 0, false
+		return -1
 	}
-	e := exts[i]
-	return e.blk + (fileBlk - e.fileBlk), e.length - (fileBlk - e.fileBlk), true
+	return i
 }
 
 // nextExtentStart returns the first extent fileBlk strictly greater than
@@ -80,6 +91,20 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > ino.size {
 		p = p[:ino.size-off]
 	}
+	read, err := f.fs.readRange(ctx, ino, p, off, true)
+	if err != nil {
+		err = mapDevErr(err) // not on the hot path: its errors.As targets escape
+	}
+	return read, err
+}
+
+// readRange reads file bytes [off, off+len(p)) through the extent map and
+// returns how many it read (caller holds ino.mu at least shared). Holes
+// read as zeros. A corrupt extent record can point anywhere and a
+// poisoned line fails the read: either way the caller gets an error,
+// never garbage. touch bumps the heat of every extent read — a foreground
+// read is an access, a mover's copy (relocate) is not.
+func (fs *FS) readRange(ctx *sim.Ctx, ino *inode, p []byte, off int64, touch bool) (int, error) {
 	read := 0
 	for read < len(p) {
 		pos := off + int64(read)
@@ -104,15 +129,15 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		if n > int64(len(p)-read) {
 			n = int64(len(p) - read)
 		}
-		// A corrupt extent record can point anywhere; a poisoned line fails
-		// the read. Either way the application gets EIO, never garbage.
-		if err := f.fs.dataCheckRange(phys*BlockSize+in, n); err != nil {
-			return read, mapDevErr(err)
+		if err := fs.dataCheckRange(phys*BlockSize+in, n); err != nil {
+			return read, err
 		}
-		if err := f.fs.dataReadChecked(ctx, p[read:read+int(n)], phys*BlockSize+in); err != nil {
-			return read, mapDevErr(err)
+		if err := fs.dataReadChecked(ctx, p[read:read+int(n)], phys*BlockSize+in); err != nil {
+			return read, err
 		}
-		f.fs.touchExtent(ino, blk)
+		if touch {
+			fs.touchExtent(ino, blk)
+		}
 		read += int(n)
 	}
 	return read, nil
@@ -469,7 +494,7 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize
 			if ovEnd > overwriteEnd {
 				ovEnd = overwriteEnd
 			}
-			if f.extentAlignedAt(blk) {
+			if ino.extentAlignedAtLocked(blk) {
 				// Data journaling: old contents logged, then updated in
 				// place — the layout (and hence hugepages) is preserved.
 				fs.chargeDataJournal(ctx, ovEnd-pos)
@@ -507,22 +532,15 @@ const dataJournalMinBlocks = 64
 // be updated via data journaling (aligned hugepage extent, or a large
 // contiguous run whose layout is worth preserving).
 func (ino *inode) extentAlignedAtLocked(fileBlk int64) bool {
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	if i == len(exts) || exts[i].fileBlk > fileBlk {
+	i := ino.extentAt(fileBlk)
+	if i < 0 {
 		return false
 	}
-	e := exts[i]
+	e := ino.extents[i]
 	if e.blk%BlocksPerHuge == 0 && e.length >= BlocksPerHuge {
 		return true
 	}
 	return e.length >= dataJournalMinBlocks
-}
-
-func (f *File) extentAlignedAt(fileBlk int64) bool {
-	return f.ino.extentAlignedAtLocked(fileBlk)
 }
 
 // chargeDataJournal accounts the extra journal write data journaling costs
@@ -589,25 +607,18 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 	fs.dev.Fence(ctx)
 
 	// Atomically swap the extent map for [startBlk, endBlk).
-	if err := f.replaceRange(ctx, tx, startBlk, endBlk, newExts); err != nil {
-		return err
-	}
-	return nil
+	return fs.replaceRange(ctx, tx, ino, startBlk, endBlk, newExts)
 }
 
-// replaceRange rewrites the extent map so [startBlk, endBlk) is backed by
-// newExts (in order), freeing the displaced blocks. Caller holds ino.mu.
-func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newExts []alloc.Extent) error {
-	fs := f.fs
-	ino := f.ino
-	// Shoot down mapped translations before the displaced blocks return
-	// to the allocator: a mapping that kept them would read recycled
-	// memory. Refaults resolve through the new extents.
-	for _, m := range ino.mappings {
-		m.Invalidate()
-	}
-	// 1. Detach the old mapping over the range.
-	var freed []alloc.Extent
+// detachRange unmaps file blocks [startBlk, endBlk) in the transaction and
+// returns the displaced physical extents. This is where the
+// invalidate-before-free rule lives: live mappings are shot down here,
+// under ino.mu, so no translation survives to the point where the caller
+// — once the rest of its update is journaled — hands the blocks back to
+// the allocator; refaults resolve through the new layout (or, past a new
+// EOF, get vfs.ErrMapFault). The extents are appended to freed (nil, or
+// a stack-backed slice to spare the allocation). Caller holds ino.mu.
+func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64, freed []alloc.Extent) ([]alloc.Extent, error) {
 	for i := 0; i < len(ino.extents); {
 		e := ino.extents[i]
 		eEnd := e.fileBlk + e.length
@@ -621,20 +632,20 @@ func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newEx
 		switch {
 		case ovS == e.fileBlk && ovE == eEnd:
 			if err := fs.recRemove(ctx, tx, ino, i); err != nil {
-				return err
+				return nil, err
 			}
 		case ovS == e.fileBlk:
 			ino.extents[i].fileBlk = ovE
 			ino.extents[i].blk += ovE - e.fileBlk
 			ino.extents[i].length = eEnd - ovE
 			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
+				return nil, err
 			}
 			i++
 		case ovE == eEnd:
 			ino.extents[i].length = ovS - e.fileBlk
 			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
+				return nil, err
 			}
 			i++
 		default:
@@ -642,15 +653,30 @@ func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newEx
 			tail := wextent{fileBlk: ovE, blk: e.blk + (ovE - e.fileBlk), length: eEnd - ovE}
 			ino.extents[i].length = ovS - e.fileBlk
 			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
+				return nil, err
 			}
 			if err := fs.recAppend(ctx, tx, ino, tail); err != nil {
-				return err
+				return nil, err
 			}
 			i++
 		}
 	}
-	// 2. Attach the new mapping.
+	if len(freed) > 0 {
+		for _, m := range ino.mappings {
+			m.Invalidate()
+		}
+	}
+	return freed, nil
+}
+
+// replaceRange rewrites the extent map so [startBlk, endBlk) is backed by
+// newExts (in order), freeing the displaced blocks. Caller holds ino.mu.
+func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64, newExts []alloc.Extent) error {
+	var backing [relocateMaxExtents]alloc.Extent
+	freed, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk, backing[:0])
+	if err != nil {
+		return err
+	}
 	fileBlk := startBlk
 	for _, e := range newExts {
 		l := e.Len
@@ -665,7 +691,6 @@ func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newEx
 	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
 		return err
 	}
-	// 3. Free the displaced blocks.
 	for _, e := range freed {
 		fs.alloc.free(ctx, e)
 	}
@@ -710,38 +735,9 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 				fs.dataZero(ctx, phys*BlockSize+size%BlockSize, tail)
 			}
 		}
-		keepBlks := (size + BlockSize - 1) / BlockSize
-		var freed []alloc.Extent
-		for i := 0; i < len(ino.extents); {
-			e := ino.extents[i]
-			eEnd := e.fileBlk + e.length
-			if eEnd <= keepBlks {
-				i++
-				continue
-			}
-			if e.fileBlk >= keepBlks {
-				freed = append(freed, alloc.Extent{Start: e.blk, Len: e.length})
-				if err := fs.recRemove(ctx, tx, ino, i); err != nil {
-					return fs.failTx(tx, "truncate", err)
-				}
-				continue
-			}
-			cut := keepBlks - e.fileBlk
-			freed = append(freed, alloc.Extent{Start: e.blk + cut, Len: e.length - cut})
-			ino.extents[i].length = cut
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return fs.failTx(tx, "truncate", err)
-			}
-			i++
-		}
-		if len(freed) > 0 {
-			// Shoot down live mapping translations covering the freed
-			// blocks before they can be reallocated: later faults re-read
-			// the layout and the new size, so an access past the new EOF
-			// gets vfs.ErrMapFault, never a recycled extent.
-			for _, m := range ino.mappings {
-				m.Invalidate()
-			}
+		freed, err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64, nil)
+		if err != nil {
+			return fs.failTx(tx, "truncate", err)
 		}
 		for _, e := range freed {
 			fs.alloc.free(ctx, e)
@@ -869,19 +865,7 @@ func (fs *FS) SetPathXattr(ctx *sim.Ctx, path, name string, value []byte) error 
 	if err != nil {
 		return err
 	}
-	h := fs.locks.Lock(ctx, ino.ino)
-	defer h.Unlock(ctx)
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
-	tx := fs.begin(ctx)
-	oldFlags := ino.flags
-	ino.flags |= flagAligned
-	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
-		ino.flags = oldFlags
-		return fs.failTx(tx, "setxattr", err)
-	}
-	tx.commit()
-	return nil
+	return fs.setAligned(ctx, ino)
 }
 
 // SetXattr implements vfs.File. Setting XattrAligned persists the
@@ -894,8 +878,11 @@ func (f *File) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
 	if err := f.fs.writable(); err != nil {
 		return err
 	}
-	fs := f.fs
-	ino := f.ino
+	return f.fs.setAligned(ctx, f.ino)
+}
+
+// setAligned journals the alignment flag into the inode header.
+func (fs *FS) setAligned(ctx *sim.Ctx, ino *inode) error {
 	h := fs.locks.Lock(ctx, ino.ino)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()

@@ -83,15 +83,14 @@ type FS struct {
 	rewriteQ      []*inode
 	rewriteQueued map[*inode]bool
 
-	// Tiered storage (tier.go): nil on pure-PM mounts. tierMu serialises
-	// migration passes the way defragMu serialises defrag passes.
-	tier   *tierState
-	tierMu sync.Mutex
+	// Tiered storage (tier.go): nil on pure-PM mounts.
+	tier *tierState
 
-	// Online defrag state (defrag.go): per-group scan cursors (DRAM-only —
-	// crash recovery restarts the scan; each migration is already crash-
-	// atomic through the journal) and the pass serialisation lock.
-	defragMu     sync.Mutex
+	// maintMu serialises the maintenance passes (DefragPass, TierPass).
+	// defragCursor holds the defragmenter's per-group scan cursors
+	// (DRAM-only — crash recovery restarts the scan; each migration is
+	// already crash-atomic through the journal).
+	maintMu      sync.Mutex
 	defragCursor []int64
 
 	// unmounted gates the background maintenance threads (rewriter,
@@ -375,12 +374,12 @@ func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 	if ino.typ == typeFree {
 		di.magic = 0
 	}
-	b := di.encodeHeader()[:32]
 	if tx != nil {
 		if err := tx.undo(addr, 32); err != nil {
 			return err
 		}
 	}
+	b := di.encodeHeader(tx.scratch(inoOffExtents))[:32]
 	fs.dev.Write(ctx, b, addr)
 	fs.dev.Flush(ctx, addr, 32)
 	return nil
@@ -445,14 +444,14 @@ func (fs *FS) writeExtentSlot(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 	if err != nil {
 		return err
 	}
-	var b [extentSize]byte
-	encodeExtent(b[:], ino.extents[i])
 	if tx != nil {
 		if err := tx.undo(addr, extentSize); err != nil {
 			return err
 		}
 	}
-	fs.dev.Write(ctx, b[:], addr)
+	b := tx.scratch(extentSize)
+	encodeExtent(b, ino.extents[i])
+	fs.dev.Write(ctx, b, addr)
 	fs.dev.Flush(ctx, addr, extentSize)
 	return nil
 }
@@ -497,6 +496,17 @@ func (m *mtx) undo(addr int64, n int) error {
 		m.tx = m.fs.beginTx(m.ctx, m.cpu)
 	}
 	return m.tx.undo(m.ctx, addr, n)
+}
+
+// scratch returns an n-byte buffer for encoding an in-place update whose
+// undo is already logged: the transaction's entry scratch, idle between
+// undo calls (a device write makes its buffer escape, so a local array
+// would allocate per record). Unjournaled paths (nil m) allocate.
+func (m *mtx) scratch(n int) []byte {
+	if m == nil {
+		return make([]byte, n)
+	}
+	return m.tx.scratch[:n]
 }
 
 func (m *mtx) commit() {

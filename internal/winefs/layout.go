@@ -281,11 +281,12 @@ const (
 	inoOffExtents  = 64
 )
 
-func (di *dinode) encodeHeader() []byte {
-	b := make([]byte, inoOffExtents)
+// encodeHeader encodes into a caller-owned buffer of at least
+// inoOffExtents bytes and returns it.
+func (di *dinode) encodeHeader(b []byte) []byte {
 	le := binary.LittleEndian
 	le.PutUint16(b[inoOffMagic:], di.magic)
-	b[inoOffType] = di.typ
+	b[inoOffType], b[inoOffType+1] = di.typ, 0 // the pad byte too: b may be reused scratch
 	le.PutUint32(b[inoOffFlags:], di.flags)
 	le.PutUint64(b[inoOffSize:], uint64(di.size))
 	le.PutUint32(b[inoOffNlink:], di.nlink)

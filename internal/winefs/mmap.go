@@ -119,12 +119,17 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	if startBlk >= endBlk {
 		return nil
 	}
-	// replaceRange shoots down live translations before the blocks return
-	// to the allocator (same rule as truncate); refaults block on ino.mu
-	// until the new layout is in place.
+	// Refaults block on ino.mu until the new layout is in place.
 	tx := fs.begin(ctx)
-	if err := f.replaceRange(ctx, tx, startBlk, endBlk, nil); err != nil {
+	freed, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk, nil)
+	if err == nil {
+		err = fs.writeInodeHeader(ctx, tx, ino)
+	}
+	if err != nil {
 		return fs.failTx(tx, "punch", err)
+	}
+	for _, e := range freed {
+		fs.alloc.free(ctx, e)
 	}
 	tx.commit()
 	return nil

@@ -102,14 +102,11 @@ func (fs *FS) Unmount(ctx *sim.Ctx) error {
 	fs.rewriteQ = nil
 	fs.rewriteQueued = nil
 	fs.rewriteMu.Unlock()
-	// Wait out an in-flight defrag pass (it checks unmounted between
+	// Wait out an in-flight maintenance pass (it checks unmounted between
 	// candidates): a chunk still held during serialisation would leave
 	// its free blocks out of the saved allocator state.
-	fs.defragMu.Lock()
-	fs.defragMu.Unlock()
-	// Same for an in-flight tier migration pass.
-	fs.tierMu.Lock()
-	fs.tierMu.Unlock()
+	fs.maintMu.Lock()
+	fs.maintMu.Unlock()
 	fs.saveFreeState(ctx)
 	fs.writeSuper(ctx, true)
 	return nil

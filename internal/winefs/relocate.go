@@ -1,0 +1,73 @@
+package winefs
+
+import (
+	"repro/internal/alloc"
+	"repro/internal/sim"
+)
+
+// Extent relocation: the one mechanism behind every background data
+// mover. The defragmenter (defrag.go), the tier migrator (tier.go) and
+// the reactive rewriter (rewrite.go) are policies — which run to move,
+// where to put it, how much per call, how hard to pace — over relocate,
+// which owns the ordering rule they share:
+//
+//	copy durable → journaled swap → invalidate before free
+//
+// The destination holds a flushed, fenced copy before the transaction
+// opens; the extent-map swap is the only decision point (a crash before
+// the commit rolls back to the old blocks, and the next mount's extent
+// scan reclaims the copy); and detachRange shoots down live mappings
+// before the displaced blocks return to the allocator. cowRange is not a
+// relocation — it lays down new user bytes — and calls replaceRange
+// itself.
+
+// relocateChunkBlocks caps one copy of the tier migrator and the rewriter
+// (one journal transaction, one inode-lock hold in the tier paths, one
+// stretch of device occupation foreground transfers must wait out): 128
+// blocks = 512KiB. It is the migration tail-latency knob: the slow device
+// charges ~50us per 4KiB page, so a full-hugepage copy would pin the lock
+// and the device ports for ~26ms per promotion — and promotions, by
+// definition, target the files readers are hammering right now. The
+// defragmenter moves whole runs, which one hugepage chunk bounds already.
+const relocateChunkBlocks = 128
+
+// relocateMaxExtents is how many extents one relocate may displace and
+// still swap in a single journal transaction: one undo entry per
+// displaced extent, one for the attach, one for an indirect-block link,
+// one for the inode header — MaxTxEntries less START and COMMIT.
+const relocateMaxExtents = MaxTxEntries - 2 - 3
+
+// relocate moves file blocks [fileLo, fileLo+n) of ino onto dst, which
+// the caller allocated and which totals exactly n blocks. The caller
+// holds the inode lock and ino.mu exclusively, and picks a range that
+// displaces at most relocateMaxExtents extents, or the swap chains journal
+// transactions and is atomic only link by link. On error dst has been
+// freed and the file still reads through its old blocks.
+func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Extent, tag string) (err error) {
+	defer func() {
+		if err != nil {
+			for _, e := range dst {
+				fs.alloc.free(ctx, e) // routed: slow blocks return to the tier pool
+			}
+		}
+	}()
+	buf := make([]byte, n*BlockSize)
+	// A media fault on the source aborts the move: the old layout stays and
+	// the application keeps getting EIO only for the poisoned bytes.
+	if _, err = fs.readRange(ctx, ino, buf, fileLo*BlockSize, false); err != nil {
+		return err
+	}
+	var off int64
+	for _, e := range dst {
+		fs.dataWrite(ctx, buf[off:off+e.Len*BlockSize], e.StartByte())
+		fs.dataFlush(ctx, e.StartByte(), e.Len*BlockSize)
+		off += e.Len * BlockSize
+	}
+	fs.dev.Fence(ctx)
+	tx := fs.begin(ctx)
+	if err = fs.replaceRange(ctx, tx, ino, fileLo, fileLo+n, dst); err != nil {
+		return fs.failTx(tx, tag, err)
+	}
+	tx.commit()
+	return nil
+}

@@ -387,7 +387,7 @@ func writeRnodeHeader(dev *pmem.Device, g geometry, node *rnode) {
 		extCount: uint32(node.extCount),
 		indirect: node.indirect,
 	}
-	dev.WriteAt(di.encodeHeader(), g.inodeAddr(node.ino))
+	dev.WriteAt(di.encodeHeader(make([]byte, inoOffExtents)), g.inodeAddr(node.ino))
 }
 
 // quarantine links every orphan under /lost+found, creating the directory

@@ -1,36 +1,44 @@
 package winefs
 
 import (
+	"errors"
+
 	"repro/internal/alloc"
 	"repro/internal/mmu"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // Reactive rewriting (§3.6, "Reactively rewriting a file"): when a file is
 // memory-mapped and found fragmented — allocated from unaligned holes even
 // though it is large enough to use hugepages — it is queued, and a
 // background thread later reads it and rewrites it with big (aligned)
-// allocations, switching the directory's view to the new layout in one
-// journal transaction. The paper notes this is an extremely rare path for
-// well-behaved mmap applications.
+// allocations, switching the file's view to the new layout chunk by chunk
+// through relocate (relocate.go). The paper notes this is an extremely
+// rare path for well-behaved mmap applications.
+
+// fragmentedAt reports whether the full 2MiB chunk at file block lo has
+// backing that cannot be hugepage-mapped (exts is the inode's extent list
+// in mmu form). A wholly unbacked chunk is not fragmented: the fault path
+// backs it with an aligned extent on first touch. Caller holds ino.mu.
+func (ino *inode) fragmentedAt(exts []mmu.Extent, lo int64) bool {
+	if _, ok := mmu.HugeEligible(exts, lo*BlockSize); ok {
+		return false
+	}
+	_, _, backed := ino.findRun(lo)
+	return backed || ino.nextExtentStart(lo, lo+BlocksPerHuge) < lo+BlocksPerHuge
+}
 
 // maybeQueueRewrite checks a file's layout at mmap time and queues it for
-// rewriting if any full 2MiB chunk of it cannot be hugepage-mapped.
+// rewriting if any full 2MiB chunk of it is fragmented.
 func (fs *FS) maybeQueueRewrite(ino *inode) {
 	ino.mu.RLock()
-	size := ino.size
 	exts := ino.mmuExtentsRLocked()
-	ino.mu.RUnlock()
-	if size < mmu.HugePage {
-		return
-	}
 	fragmented := false
-	for chunk := int64(0); chunk+mmu.HugePage <= size; chunk += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunk); !ok {
-			fragmented = true
-			break
-		}
+	for lo := int64(0); (lo+BlocksPerHuge)*BlockSize <= ino.size && !fragmented; lo += BlocksPerHuge {
+		fragmented = ino.fragmentedAt(exts, lo)
 	}
+	ino.mu.RUnlock()
 	if !fragmented {
 		return
 	}
@@ -50,7 +58,7 @@ func (fs *FS) maybeQueueRewrite(ino *inode) {
 
 // dropRewrite removes a dying inode from the rewrite queue (unlink/rmdir
 // while queued). If the inode is mid-rewrite (marked but already popped),
-// only the guard is cleared; rewriteFile itself re-checks the inode type
+// only the guard is cleared; rewriteChunk itself re-checks the inode type
 // and size under the lock and backs out.
 func (fs *FS) dropRewrite(ino *inode) {
 	fs.rewriteMu.Lock()
@@ -99,29 +107,22 @@ func (fs *FS) runRewriter(ctx *sim.Ctx, pacer *sim.Pacer) int {
 		ino := fs.rewriteQ[0]
 		fs.rewriteQ = fs.rewriteQ[1:]
 		fs.rewriteMu.Unlock()
-		// Identity check: the inode may have been freed — and its number
-		// reused by a new file — while queued. The shard map holds the
-		// live object for the number; rewriting anything else would churn
-		// a file that was never mmapped fragmented.
-		var retry bool
-		if fs.getInode(ino.ino) == ino {
-			var ok bool
-			ok, retry = fs.rewriteFile(ctx, ino, pacer)
-			if ok {
-				done++
-				ctx.Counters.Rewrites++
-				// Live mappings were shot down by the rewrite; re-promote
-				// them now instead of waiting for refaults (must run
-				// without ino.mu held — the hook probes back through
-				// ProbeHuge).
-				fs.notifyPromote(ctx, ino)
-			}
+		ok, retry := fs.rewriteFile(ctx, ino, pacer)
+		if ok {
+			done++
+			ctx.Counters.Rewrites++
+			// Live mappings were shot down by the rewrite; re-promote
+			// them now instead of waiting for refaults (must run
+			// without ino.mu held — the hook probes back through
+			// ProbeHuge).
+			fs.notifyPromote(ctx, ino)
 		}
 		fs.rewriteMu.Lock()
 		if retry && !fs.unmounted.Load() {
 			// Aligned space ran out mid-drain: push the file back (guard
-			// stays set) and stop — the next defrag pass re-forms more
-			// aligned extents before retrying.
+			// stays set; the chunks already fixed stay fixed) and stop —
+			// the next defrag pass re-forms more aligned extents before
+			// retrying.
 			fs.rewriteQ = append(fs.rewriteQ, ino)
 			fs.rewriteMu.Unlock()
 			return done
@@ -131,177 +132,84 @@ func (fs *FS) runRewriter(ctx *sim.Ctx, pacer *sim.Pacer) int {
 	}
 }
 
-// rewriteFile re-allocates the whole file from aligned extents, copies the
-// data across, and swaps the extent map in one transaction. A non-nil
-// pacer throttles the copy to its duty-cycle budget, burst by burst.
-// retry=true means the rewrite failed only for lack of space — worth
-// retrying after the defragmenter re-forms aligned extents.
+// rewriteFile is the rewriter's policy over relocate: move each
+// fragmented full chunk of the file onto a fresh aligned hugepage, taking
+// the inode lock chunk by chunk so foreground operations interleave, and
+// pacing each chunk. done: this call moved data and left every full chunk
+// hugepage-mappable (a file already in that state costs no copy and is
+// not a rewrite). retry: aligned space ran out — the chunks fixed so far
+// stay fixed, the rest waits for the defragmenter to re-form extents.
 func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, retry bool) {
-	if fs.writable() != nil {
+	// Identity check: the inode may have been freed — and its number
+	// reused by a new file — while queued. The shard map holds the live
+	// object for the number; rewriting anything else would churn a file
+	// that was never mmapped fragmented.
+	if fs.writable() != nil || fs.getInode(ino.ino) != ino {
 		return false, false
 	}
+	for lo := int64(0); !fs.unmounted.Load(); lo += BlocksPerHuge {
+		burst := ctx.Now()
+		moved, more, err := fs.rewriteChunk(ctx, ino, lo)
+		if err != nil {
+			return false, errors.Is(err, vfs.ErrNoSpace)
+		}
+		if !more {
+			return done, false
+		}
+		if moved {
+			done = true
+			pacer.Pace(ctx, ctx.Now()-burst)
+		}
+	}
+	return false, false
+}
+
+// rewriteChunk moves file blocks [lo, lo+BlocksPerHuge) onto one aligned
+// hugepage if they are fragmented. more=false: lo lies past the last
+// full chunk (or the file is gone). vfs.ErrNoSpace: no aligned extent was
+// free — hole space would burn a copy and still not be hugepage-mappable,
+// so there is no fallback. Any other error is a media fault that left the
+// old layout in place.
+func (fs *FS) rewriteChunk(ctx *sim.Ctx, ino *inode, lo int64) (moved, more bool, err error) {
 	h := fs.locks.Lock(ctx, ino.ino)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
-	if ino.typ != typeFile || ino.size < mmu.HugePage {
-		return false, false
+	end := lo + BlocksPerHuge
+	if ino.typ != typeFile || end*BlockSize > ino.size {
+		return false, false, nil
 	}
-	blocks := (ino.size + BlockSize - 1) / BlockSize
-	tx := fs.begin(ctx)
-	newExts, err := fs.alloc.alloc(ctx, tx.cpu, blocks, true)
-	if err != nil {
-		tx.commit()
-		return false, true
+	if !ino.fragmentedAt(ino.mmuExtentsLocked(), lo) {
+		return false, true, nil
 	}
-	// The allocator quietly falls back to hole space when the aligned
-	// pools run dry — fine for ordinary writes, useless here: a rewrite
-	// that lands on unaligned holes burns a full copy of the file and
-	// still cannot be hugepage-mapped. Insist on a hugepage-pure layout
-	// and otherwise put the file back in the queue for after the
-	// defragmenter has re-formed aligned extents.
-	if !hugePure(newExts) {
-		for _, e := range newExts {
-			fs.alloc.free(ctx, e)
-		}
-		tx.commit()
-		return false, true
+	huge, ok := fs.alloc.allocAligned(ctx, fs.txCPU(ctx))
+	if !ok {
+		return false, true, vfs.ErrNoSpace
 	}
-	// Copy old contents (reading through the old map) into the new blocks.
-	// A media fault here aborts the rewrite: the old (fragmented but intact)
-	// layout stays in place and the application keeps getting EIO only for
-	// the genuinely poisoned bytes.
-	buf := make([]byte, alloc.HugeBytes)
-	var copied int64
-	for _, ne := range newExts {
-		remaining := ne.Len
-		dst := ne.Start
-		for remaining > 0 && copied < blocks {
-			n := remaining
-			if n > int64(len(buf))/BlockSize {
-				n = int64(len(buf)) / BlockSize
+	// Piece by piece: each relocate copies at most relocateChunkBlocks and
+	// displaces at most relocateMaxExtents extents (a hole, which the move
+	// fills, counts as one), so every swap is a single journal transaction
+	// and a crash anywhere inside the chunk leaves every block mapped to an
+	// intact copy.
+	for cur := lo; cur < end; {
+		limit := min64(end-cur, relocateChunkBlocks)
+		var n int64
+		for t := 0; t < relocateMaxExtents && n < limit; t++ {
+			if _, run, backed := ino.findRun(cur + n); backed {
+				n += run
+			} else {
+				n = ino.nextExtentStart(cur+n, cur+limit) - cur
 			}
-			if copied+n > blocks {
-				n = blocks - copied
-			}
-			burst := ctx.Now()
-			if err := fs.readRangeLocked(ctx, ino, buf[:n*BlockSize], copied*BlockSize); err != nil {
-				tx.abort()
-				for _, e := range newExts {
-					fs.alloc.free(ctx, e)
-				}
-				return false, false
-			}
-			fs.dev.Write(ctx, buf[:n*BlockSize], dst*BlockSize)
-			dst += n
-			copied += n
-			remaining -= n
-			pacer.Pace(ctx, ctx.Now()-burst)
 		}
+		n = min64(n, limit)
+		piece := alloc.Extent{Start: huge + cur - lo, Len: n}
+		if err := fs.relocate(ctx, ino, cur, n, []alloc.Extent{piece}, "rewrite"); err != nil {
+			// relocate freed its own piece; the rest of the hugepage was
+			// never mapped.
+			fs.alloc.free(ctx, alloc.Extent{Start: piece.End(), Len: end - cur - n})
+			return false, true, err
+		}
+		cur += n
 	}
-	// Swap the extent map: free the old layout, install the new.
-	old := ino.extents
-	oldSlots := ino.slots
-	ino.extents = nil
-	ino.slots = nil
-	fileBlk := int64(0)
-	for _, ne := range newExts {
-		l := ne.Len
-		if fileBlk+l > blocks {
-			l = blocks - fileBlk
-		}
-		if l <= 0 {
-			fs.alloc.free(ctx, ne)
-			continue
-		}
-		ino.extents = append(ino.extents, wextent{fileBlk: fileBlk, blk: ne.Start, length: l})
-		ino.slots = append(ino.slots, len(ino.slots))
-		fileBlk += l
-		if l < ne.Len {
-			fs.alloc.free(ctx, alloc.Extent{Start: ne.Start + l, Len: ne.Len - l})
-		}
-	}
-	ino.gen++
-	err = nil
-	for i := range ino.extents {
-		if err = fs.writeExtentSlot(ctx, tx, ino, i); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = fs.writeInodeHeader(ctx, tx, ino)
-	}
-	if err != nil {
-		// The DRAM map has already been swapped; roll back PM and restore it.
-		_ = fs.failTx(tx, "rewrite", err)
-		for _, ne := range newExts {
-			fs.alloc.free(ctx, ne)
-		}
-		ino.extents = old
-		ino.slots = oldSlots
-		ino.gen++
-		return false, false
-	}
-	tx.commit()
-	// Shoot down any live mappings before the old blocks are freed:
-	// subsequent accesses re-fault against the new (aligned) layout.
-	for _, m := range ino.mappings {
-		m.Invalidate()
-	}
-	fs.alloc.freeAll(ctx, old)
-	return true, false
-}
-
-// hugePure reports whether an aligned-requested allocation actually came
-// out hugepage-pure: every extent starts on a 2MiB boundary and, except
-// for the final one, covers whole 2MiB chunks. Any hole-space fallback
-// extent breaks one of the two.
-func hugePure(exts []alloc.Extent) bool {
-	for i, e := range exts {
-		if e.Start%BlocksPerHuge != 0 {
-			return false
-		}
-		if i < len(exts)-1 && e.Len%BlocksPerHuge != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// readRangeLocked reads file bytes through the extent map (caller holds
-// ino.mu). Holes read as zero; poisoned lines or corrupt extent pointers
-// surface as an error.
-func (fs *FS) readRangeLocked(ctx *sim.Ctx, ino *inode, p []byte, off int64) error {
-	read := 0
-	for read < len(p) {
-		pos := off + int64(read)
-		blk := pos / BlockSize
-		in := pos % BlockSize
-		phys, run, ok := ino.findRun(blk)
-		if !ok {
-			holeEnd := ino.nextExtentStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
-			n := holeEnd - pos
-			if n > int64(len(p)-read) {
-				n = int64(len(p) - read)
-			}
-			z := p[read : read+int(n)]
-			for i := range z {
-				z[i] = 0
-			}
-			read += int(n)
-			continue
-		}
-		n := run*BlockSize - in
-		if n > int64(len(p)-read) {
-			n = int64(len(p) - read)
-		}
-		if err := fs.dataCheckRange(phys*BlockSize+in, n); err != nil {
-			return err
-		}
-		if err := fs.dataReadChecked(ctx, p[read:read+int(n)], phys*BlockSize+in); err != nil {
-			return err
-		}
-		read += int(n)
-	}
-	return nil
+	return true, true, nil
 }

@@ -26,9 +26,9 @@ import (
 // prefer PM and spill to the slow tier when PM is past its high-water
 // mark or out of space (allocData); per-extent heat counters track
 // re-access, and TierPass migrates cold extents down / hot extents up
-// through the same journaled CoW replaceRange machinery the defragmenter
-// uses. An mmap fault on a slow extent promotes it synchronously — DAX
-// mappings can only ever point at PM.
+// through the same relocate primitive the defragmenter uses
+// (relocate.go). An mmap fault on a slow extent promotes it
+// synchronously — DAX mappings can only ever point at PM.
 //
 // Crash consistency: the slow pool is DRAM-only and rebuilt from the
 // inode extent scan at every mount, so a crash mid-migration needs no
@@ -48,10 +48,6 @@ const tierSwapFactor = 4
 // pay for itself — a fixed bar lets background noise on big extents
 // masquerade as heat.
 const tierPromoteDensityShift = 4
-
-// tierChunkBlocks bounds one migration copy (and thus one inode-lock
-// hold and journal transaction): 128 blocks = 512KiB.
-const tierChunkBlocks = 128
 
 // TierOptions attaches a slow tier to a Mkfs/Mount.
 type TierOptions struct {
@@ -100,19 +96,9 @@ func (fs *FS) initTier(opts *TierOptions) error {
 		blocks:     blocks,
 		baseByte:   base * BlockSize,
 		pool:       tier.NewPool(base, blocks),
-		highWater:  opts.HighWater,
-		lowWater:   opts.LowWater,
 		promoteMin: opts.PromoteMin,
 	}
-	if t.highWater <= 0 || t.highWater > 1 {
-		t.highWater = 0.90
-	}
-	if t.lowWater <= 0 || t.lowWater >= t.highWater {
-		t.lowWater = t.highWater - 0.10
-		if t.lowWater <= 0 {
-			t.lowWater = t.highWater / 2
-		}
-	}
+	t.setWaterMarks(opts.HighWater, opts.LowWater)
 	if t.promoteMin <= 0 {
 		t.promoteMin = 2
 	}
@@ -121,15 +107,18 @@ func (fs *FS) initTier(opts *TierOptions) error {
 }
 
 // SetTierWaterMarks adjusts the spill/demotion thresholds of a live
-// tiered mount (no-op when untiered). Out-of-range values fall back to
-// the same defaults Mount applies. Callers serialise with their own
+// tiered mount (no-op when untiered). Callers serialise with their own
 // TierPass invocations — the marks steer the next pass and the next
 // allocation, they are not a synchronisation point.
 func (fs *FS) SetTierWaterMarks(high, low float64) {
-	t := fs.tier
-	if t == nil {
-		return
+	if t := fs.tier; t != nil {
+		t.setWaterMarks(high, low)
 	}
+}
+
+// setWaterMarks installs the marks; out-of-range values fall back to the
+// defaults (0.90, and 0.10 below the high mark).
+func (t *tierState) setWaterMarks(high, low float64) {
 	if high <= 0 || high > 1 {
 		high = 0.90
 	}
@@ -294,14 +283,9 @@ func (fs *FS) touchExtent(ino *inode, fileBlk int64) {
 	if fs.tier == nil {
 		return
 	}
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	if i == len(exts) || exts[i].fileBlk > fileBlk {
-		return
+	if i := ino.extentAt(fileBlk); i >= 0 {
+		atomic.AddInt64(&ino.extents[i].heat, 1)
 	}
-	atomic.AddInt64(&exts[i].heat, 1)
 }
 
 // --- migration ---------------------------------------------------------------
@@ -338,7 +322,7 @@ type tierCand struct {
 // high-water mark, the coldest PM extents move down until occupancy
 // reaches the low-water mark. Extent heat is halved afterwards so the
 // policy tracks the current working set rather than all of history.
-// Passes serialise on fs.tierMu; each migration is individually
+// Passes serialise on fs.maintMu; each migration is individually
 // journaled, so a crash mid-pass loses no data.
 func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error) {
 	var st TierPassStats
@@ -349,8 +333,8 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	if err := fs.writable(); err != nil {
 		return st, err
 	}
-	fs.tierMu.Lock()
-	defer fs.tierMu.Unlock()
+	fs.maintMu.Lock()
+	defer fs.maintMu.Unlock()
 	if fs.unmounted.Load() {
 		return st, nil
 	}
@@ -384,25 +368,19 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	// Sort both candidate lists once: promotion candidates hottest-first,
 	// demotion victims coldest-first (ino/offset tiebreaks keep passes
 	// deterministic for a given heat snapshot).
-	sort.Slice(slowCands, func(i, j int) bool {
-		a, b := slowCands[i], slowCands[j]
-		if a.heat != b.heat {
-			return a.heat > b.heat
-		}
+	tiebreak := func(a, b tierCand) bool {
 		if a.ino.ino != b.ino.ino {
 			return a.ino.ino < b.ino.ino
 		}
 		return a.fileBlk < b.fileBlk
+	}
+	sort.Slice(slowCands, func(i, j int) bool {
+		a, b := slowCands[i], slowCands[j]
+		return a.heat > b.heat || a.heat == b.heat && tiebreak(a, b)
 	})
 	sort.Slice(pmCands, func(i, j int) bool {
 		a, b := pmCands[i], pmCands[j]
-		if a.heat != b.heat {
-			return a.heat < b.heat
-		}
-		if a.ino.ino != b.ino.ino {
-			return a.ino.ino < b.ino.ino
-		}
-		return a.fileBlk < b.fileBlk
+		return a.heat < b.heat || a.heat == b.heat && tiebreak(a, b)
 	})
 
 	used, total := fs.pmUsedBlocks()
@@ -481,36 +459,26 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 		}
 	}
 	swapOnly := used <= hwBlocks
-	if target > 0 {
-		for _, c := range pmCands {
-			if target <= 0 || budget <= 0 {
-				break
+	for _, c := range pmCands {
+		if target <= 0 || budget <= 0 {
+			break
+		}
+		if swapOnly && c.heat > victimHeatCap {
+			break
+		}
+		moved := fs.migrateExtent(ctx, c, true, opt.Pacer, func(moved int64) int64 {
+			if fs.unmounted.Load() || fs.writable() != nil {
+				return 0
 			}
-			if swapOnly && c.heat > victimHeatCap {
-				break
-			}
-			fileLo, remaining := c.fileBlk, c.length
-			counted := false
-			for remaining > 0 && target > 0 && budget > 0 {
-				if fs.unmounted.Load() || fs.writable() != nil {
-					break
-				}
-				moved := fs.migrateRun(ctx, c.ino, fileLo, min64(remaining, min64(target, budget)), true, opt.Pacer)
-				if moved == 0 {
-					break
-				}
-				if !counted {
-					st.Demotions++
-					ctx.Counters.TierDemotions++
-					counted = true
-				}
-				st.DemotedBlocks += moved
-				target -= moved
-				budget -= moved
-				ctx.Counters.TierDemotedBlocks += moved
-				fileLo += moved
-				remaining -= moved
-			}
+			return min64(target, budget) - moved
+		})
+		if moved > 0 {
+			st.Demotions++
+			ctx.Counters.TierDemotions++
+			st.DemotedBlocks += moved
+			ctx.Counters.TierDemotedBlocks += moved
+			target -= moved
+			budget -= moved
 		}
 	}
 
@@ -521,40 +489,24 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 		if budget <= 0 {
 			break
 		}
-		// migrateRun moves at most one hugepage per call: walk the whole
-		// candidate extent in chunks.
-		fileLo, remaining := c.fileBlk, c.length
-		counted := false
-		for remaining > 0 && budget > 0 {
-			// Promote only what fits below the LOW water mark right now —
-			// not the high one. Filling to the high mark would leave the
-			// very next organic allocation to tip occupancy over it, and
-			// the following pass would demote the whole high-low band
-			// right back: a 10%-of-PM oscillation on every pass. Promoted
-			// data stops at the low mark and the band stays a dead zone
-			// that organic growth fills gradually. A partially promoted
-			// extent is still a win (the hot pages move, the cold tail
-			// follows on a later pass).
+		// Promote only what fits below the LOW water mark right now — not
+		// the high one. Filling to the high mark would leave the very next
+		// organic allocation to tip occupancy over it, and the following
+		// pass would demote the whole high-low band right back: a
+		// 10%-of-PM oscillation on every pass. Promoted data stops at the
+		// low mark and the band stays a dead zone that organic growth
+		// fills gradually. A partially promoted extent is still a win (the
+		// hot pages move, the cold tail follows on a later pass).
+		moved := fs.migrateExtent(ctx, c, false, opt.Pacer, func(moved int64) int64 {
 			usedNow, totalNow := fs.pmUsedBlocks()
-			room := int64(t.lowWater*float64(totalNow)) - usedNow
-			want := min64(min64(remaining, budget), room)
-			if want <= 0 {
-				break
-			}
-			moved := fs.migrateRun(ctx, c.ino, fileLo, want, false, opt.Pacer)
-			if moved == 0 {
-				break
-			}
-			if !counted {
-				st.Promotions++
-				ctx.Counters.TierPromotions++
-				counted = true
-			}
+			return min64(budget-moved, int64(t.lowWater*float64(totalNow))-usedNow)
+		})
+		if moved > 0 {
+			st.Promotions++
+			ctx.Counters.TierPromotions++
 			st.PromotedBlocks += moved
-			budget -= moved
 			ctx.Counters.TierPromotedBlocks += moved
-			fileLo += moved
-			remaining -= moved
+			budget -= moved
 		}
 	}
 
@@ -574,6 +526,25 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	return st, nil
 }
 
+// migrateExtent walks one candidate extent toward the other tier, one
+// migrateRun step at a time, for as long as limit — given the blocks
+// moved so far — still allows some. Returns the blocks moved.
+func (fs *FS) migrateExtent(ctx *sim.Ctx, c tierCand, toSlow bool, pacer *sim.Pacer, limit func(moved int64) int64) int64 {
+	var moved int64
+	for moved < c.length {
+		want := min64(c.length-moved, limit(moved))
+		if want <= 0 {
+			break
+		}
+		n := fs.migrateRun(ctx, c.ino, c.fileBlk+moved, want, toSlow, pacer)
+		if n == 0 {
+			break
+		}
+		moved += n
+	}
+	return moved
+}
+
 // migrateRun takes the per-inode locks and migrates up to `want` blocks
 // of the run starting at fileLo to the other tier. Returns blocks moved
 // (0 when the layout changed underneath, the run is already on the
@@ -589,80 +560,41 @@ func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bo
 	if ino.typ != typeFile {
 		return 0
 	}
-	moved, _ := fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow, pacer)
-	return moved
+	return fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow, pacer)
 }
 
-// migrateRunLocked is the core migration step: copy the run's data to
-// freshly allocated space on the target tier, then swap the extent map in
-// one journaled replaceRange (which shoots down live vmm mappings before
-// the displaced blocks are freed). Caller holds the inode lock and
-// ino.mu exclusively. One call moves at most tierChunkBlocks — larger
-// runs migrate over several calls, so the lock is dropped and re-taken
-// between chunks. That bound is the migration tail-latency knob: the
-// slow device charges ~50us per 4KiB page either way, so a full-hugepage
-// chunk would pin the inode lock (and the slow device ports) for ~26ms
-// per promotion — and promotions, by definition, target the files
-// readers are hammering right now.
-func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) (int64, error) {
-	t := fs.tier
+// migrateRunLocked is the tier policy over relocate: pick the run's
+// destination on the other tier (the slow pool, or any PM space), cap the
+// move at relocateChunkBlocks — larger runs migrate over several calls,
+// the lock dropped and re-taken between them — and pace it. Caller holds
+// the inode lock and ino.mu exclusively. Returns the blocks moved.
+func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) int64 {
 	phys, run, found := ino.findRun(fileLo)
 	if !found || fs.isSlow(phys) == toSlow {
-		return 0, nil
+		return 0
 	}
-	n := min64(want, run)
-	if n > tierChunkBlocks {
-		n = tierChunkBlocks
-	}
+	n := min64(min64(want, run), relocateChunkBlocks)
 	if n <= 0 {
-		return 0, nil
+		return 0
 	}
-	var newExts []alloc.Extent
+	var dst []alloc.Extent
 	if toSlow {
-		newExts = t.pool.Alloc(n)
-		if newExts == nil {
-			return 0, nil
+		if dst = fs.tier.pool.Alloc(n); dst == nil {
+			return 0
 		}
 		ctx.Advance(allocCost)
 	} else {
 		var err error
-		newExts, err = fs.alloc.alloc(ctx, fs.txCPU(ctx), n, false)
-		if err != nil {
-			return 0, nil
+		if dst, err = fs.alloc.alloc(ctx, fs.txCPU(ctx), n, false); err != nil {
+			return 0
 		}
 	}
 	burst := ctx.Now()
-	rollback := func() {
-		for _, e := range newExts {
-			fs.alloc.free(ctx, e) // routed: returns slow blocks to the pool
-		}
+	if fs.relocate(ctx, ino, fileLo, n, dst, "tier-migrate") != nil {
+		return 0
 	}
-	buf := make([]byte, n*BlockSize)
-	if err := fs.readRangeLocked(ctx, ino, buf, fileLo*BlockSize); err != nil {
-		rollback()
-		return 0, err
-	}
-	var off int64
-	for _, ne := range newExts {
-		fs.dataWrite(ctx, buf[off:off+ne.Len*BlockSize], ne.StartByte())
-		fs.dataFlush(ctx, ne.StartByte(), ne.Len*BlockSize)
-		off += ne.Len * BlockSize
-	}
-	fs.dev.Fence(ctx)
-	// The copy is durable on the target tier; only now does the journaled
-	// extent-map swap decide which copy the file reads from. A crash
-	// before the commit rolls back to the old mapping and the next mount
-	// reclaims the copy's blocks via the extent-scan pool rebuild.
-	tx := fs.begin(ctx)
-	f := &File{fs: fs, ino: ino}
-	if err := f.replaceRange(ctx, tx, fileLo, fileLo+n, newExts); err != nil {
-		_ = fs.failTx(tx, "tier-migrate", err)
-		rollback()
-		return 0, err
-	}
-	tx.commit()
 	pacer.Pace(ctx, ctx.Now()-burst)
-	return n, nil
+	return n
 }
 
 // promoteRunLocked pulls the slow run covering fileBlk up to PM — the
@@ -677,11 +609,7 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	// Walk back to the start of the slow extent so the whole extent (up
 	// to one hugepage) promotes at once; faulting page by page would
 	// shred it.
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	e := exts[i]
+	e := ino.extents[ino.extentAt(fileBlk)]
 	lo := e.fileBlk
 	if fileBlk-lo >= BlocksPerHuge {
 		// Huge extent: promote the hugepage-sized piece containing fileBlk.
@@ -691,11 +619,11 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	if end > lo+BlocksPerHuge {
 		end = lo + BlocksPerHuge
 	}
-	// migrateRunLocked moves at most tierChunkBlocks per call; walk the
+	// migrateRunLocked moves at most relocateChunkBlocks per call; walk the
 	// piece so the faulting block is covered whatever its offset.
 	for cur := lo; cur < end; {
-		moved, err := fs.migrateRunLocked(ctx, ino, cur, end-cur, false, nil)
-		if err != nil || moved == 0 {
+		moved := fs.migrateRunLocked(ctx, ino, cur, end-cur, false, nil)
+		if moved == 0 {
 			return false
 		}
 		cur += moved
@@ -741,10 +669,10 @@ func (fs *FS) TierStats() (TierStats, bool) {
 	if t == nil {
 		return TierStats{}, false
 	}
-	free, _ := fs.alloc.stats()
+	used, total := fs.pmUsedBlocks()
 	return TierStats{
-		PMTotalBlocks:   fs.g.poolBlocks * int64(fs.g.cpus),
-		PMFreeBlocks:    free,
+		PMTotalBlocks:   total,
+		PMFreeBlocks:    total - used,
 		SlowTotalBlocks: t.blocks,
 		SlowFreeBlocks:  t.pool.FreeBlocks(),
 	}, true

@@ -1,119 +1,12 @@
 package winefs
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/tier"
 )
-
-// TestTierCrashMidMigration is the crashmonkey-style tier scenario: crash
-// the PM image at every fence epoch of a demotion pass — including the
-// window after the data has been copied to the slow tier but before the
-// journaled extent-map commit — and verify each recovered state serves the
-// exact file content with a clean audit and fsck. The slow device is NOT
-// rolled back (its writes are durable on completion), which is precisely
-// what makes the journal commit the single decision point: before it the
-// file reads from the still-intact PM copy, after it from the slow copy.
-func TestTierCrashMidMigration(t *testing.T) {
-	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(64 << 20)
-	slow := tier.NewSlow(tier.DefaultSlowConfig(32 << 20))
-	defer slow.Release()
-	topts := &TierOptions{Slow: slow}
-	fs, err := Mkfs(ctx, dev, Options{CPUs: 1, InodesPerCPU: 512, Tier: topts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fileBytes = 2 << 20
-	data := patternBuf(fileBytes, 0x5a)
-	f, err := fs.Create(ctx, "/victim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(ctx, data, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	base := dev.Snapshot()
-	dev.StartTrace()
-	fs.tier.highWater = 0.01
-	fs.tier.lowWater = 0.005
-	st, err := fs.TierPass(ctx, TierPassOptions{MaxMigrateBlocks: fileBytes / BlockSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := dev.StopTrace()
-	if st.DemotedBlocks == 0 {
-		t.Fatal("setup: pass demoted nothing")
-	}
-	if len(trace) == 0 {
-		t.Fatal("migration produced no PM stores")
-	}
-
-	maxEpoch := trace[len(trace)-1].Epoch
-	slowBlocks := slow.Size() / BlockSize
-	var sawPMBacked, sawSlowBacked bool
-	for cut := 0; cut <= maxEpoch+1; cut++ {
-		img := base.Clone()
-		var applied []pmem.Store
-		for _, s := range trace {
-			if s.Epoch < cut {
-				applied = append(applied, s)
-			}
-		}
-		img.Apply(applied)
-		dev.Restore(img)
-		rctx := sim.NewCtx(10+cut, 0)
-		rfs, err := Mount(rctx, dev, Options{CPUs: 1, InodesPerCPU: 512, Tier: topts})
-		if err != nil {
-			t.Fatalf("cut %d: mount: %v", cut, err)
-		}
-		if reason, degraded := rfs.Degraded(); degraded {
-			t.Fatalf("cut %d: degraded: %s", cut, reason)
-		}
-		// Content oracle: whichever copy the recovered extent map picked,
-		// the bytes must be exactly the pre-crash file.
-		rf, err := rfs.Open(rctx, "/victim")
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		got := make([]byte, fileBytes)
-		if _, err := rf.ReadAt(rctx, got, 0); err != nil {
-			t.Fatalf("cut %d: read: %v", cut, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("cut %d: silent corruption (content mismatch)", cut)
-		}
-		// Both-tier invariants hold in every recovered state.
-		if err := rfs.Audit(rctx); err != nil {
-			t.Fatalf("cut %d: audit: %v", cut, err)
-		}
-		if rep := CheckTiered(dev, slowBlocks); !rep.OK() {
-			t.Fatalf("cut %d: fsck: %v", cut, rep.Errors)
-		}
-		ino := inoOf(t, rctx, rfs, "/victim")
-		s, p := slowBlocksOf(rfs, ino)
-		if s+p != fileBytes/BlockSize {
-			t.Fatalf("cut %d: extent map covers %d blocks, want %d", cut, s+p, fileBytes/BlockSize)
-		}
-		if s == 0 {
-			sawPMBacked = true
-		}
-		if s > 0 {
-			sawSlowBacked = true
-		}
-	}
-	// The sweep must actually cover both sides of a commit point: early
-	// cuts recover to the all-PM layout, later cuts to a layout with
-	// demoted extents (the pass stops at the low-water mark, so the final
-	// state is mixed rather than all-slow).
-	if !sawPMBacked || !sawSlowBacked {
-		t.Fatalf("crash sweep did not straddle the commit point: pm=%v slow=%v", sawPMBacked, sawSlowBacked)
-	}
-}
 
 // TestTierCrashRolledBackDemotionReclaimsSlowBlocks: a demotion that
 // crashed before its commit leaves its slow-side copy orphaned; the
