@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
+.PHONY: all build test check race vet bench bench-engine bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
 
 all: build
 
@@ -33,77 +33,42 @@ bench-engine:
 	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/
 
-# Machine-readable serving baseline: runs the -server bench, writes
-# BENCH_server.json, and regression-checks it against the committed
-# BENCH_baseline.json (work counters exact, contention timings within
-# tolerance). Refresh the baseline by copying BENCH_server.json over it.
-bench-json:
-	$(GO) run ./cmd/winebench -server -quick -clients 4 -json BENCH_server.json -check-against BENCH_baseline.json
+# The seven regression gates, one table: target, winebench flags, committed
+# baseline. Each runs its bench, enforces the mode's hard gates (see the
+# top of cmd/winebench/<mode>.go), then diffs the run against the baseline
+# through internal/bench: work counters exact, contention-derived timings
+# within tolerance (DESIGN.md "Bench reports" has the field classes and why
+# each rule exists). None writes a file; refresh one baseline by running
+# its line with `-json BENCH_x.json` in place of `-check-against BENCH_x.json`.
+#   json        4-client ServerMix serving baseline
+#   scaling     fxmark sharing cases x 1→128 threads, direct and via winefsd;
+#               timings and allocator placement compared only at ≤16 threads
+#   cache       CachedMix uncached vs cached; cached re-reads ≥5x cheaper
+#   mmap        mapped reads unaged vs aged (Figure 1): ≥90% unaged hugepage
+#               coverage, aged ext4-DAX ≥3x slower
+#   defrag      §3.5 defragmenter: ≥90% coverage recovered on a live mapping,
+#               25-40% interference unthrottled (§4), ≤10% paced
+#   tier        PM+SSD at 0.5-2x PM working sets vs all-PM: ≥75% when it
+#               fits, ≥25% at 2x, cold misses charged at slow-device cost
+#   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
+#               replicas byte-identical
+GATE = $(GO) run ./cmd/winebench $(1) -check-against $(2)
+bench-json:       ; $(call GATE,-server -quick -clients 4,BENCH_server.json)
+bench-scaling:    ; $(call GATE,-scaling,BENCH_scaling.json)
+bench-cache:      ; $(call GATE,-cache -quick -clients 4,BENCH_cache.json)
+bench-mmap:       ; $(call GATE,-mmap,BENCH_mmap.json)
+bench-defrag:     ; $(call GATE,-defrag,BENCH_defrag.json)
+bench-tier:       ; $(call GATE,-tier,BENCH_tier.json)
+bench-replicated: ; $(call GATE,-replicated -clients 8,BENCH_replicated.json)
+GATES = bench-json bench-cache bench-mmap bench-defrag bench-tier bench-replicated bench-scaling
 
-# fxmark-style scalability sweep: every sharing case (shared-read,
-# disjoint-write, overlap-write, private-append, meta-contended) over
-# 1→128 threads, direct and through winefsd, regression-checked against the
-# committed BENCH_scaling.json. Work counters are exact at every scale;
-# contention timings and allocator-placement counters are tolerance-checked
-# only at ≤16 threads, where the host can keep their distribution tight
-# (see strictTimingThreads in cmd/winebench/scaling.go). Refresh the
-# baseline with `go run ./cmd/winebench -scaling -json BENCH_scaling.json`.
-bench-scaling:
-	$(GO) run ./cmd/winebench -scaling -check-against BENCH_scaling.json
-
-# Client page-cache effectiveness sweep: the CachedMix workload uncached
-# vs cached (internal/pagecache), hard-gated on the cached re-read phase
-# being ≥5x cheaper per read, and regression-checked against the committed
-# BENCH_cache.json (work counters and cache hit/miss counts exact, virtual
-# timings within tolerance). Refresh the baseline with
-# `go run ./cmd/winebench -cache -quick -clients 4 -json BENCH_cache.json`.
-bench-cache:
-	$(GO) run ./cmd/winebench -cache -quick -clients 4 -check-against BENCH_cache.json
-
-# Zero-copy mapped-read sweep: a 32MiB file mapped through internal/vmm
-# on unaged vs Geriatrix-aged images for WineFS and ext4-DAX, hard-gated
-# on ≥90% unaged hugepage coverage and on aged ext4-DAX mapped reads
-# costing ≥3x the unaged ones, then regression-checked against the
-# committed BENCH_mmap.json (work and fault counters exact, virtual
-# timings within tolerance). Refresh the baseline with
-# `go run ./cmd/winebench -mmap -json BENCH_mmap.json`.
-bench-mmap:
-	$(GO) run ./cmd/winebench -mmap -check-against BENCH_mmap.json
-
-# Online-defragmenter bench (§3.5): an adversarially aged image (zero
-# free aligned extents) is mapped and the background defragmenter must
-# recover ≥90% of the unaged hugepage coverage on the live mapping
-# without refaults; the interference phase must land in the paper's
-# 25-40% unthrottled band (§4) and stay ≤10% under the duty-cycle pacer.
-# Regression-checked against the committed BENCH_defrag.json (coverage
-# and migration work exact, virtual timings within tolerance). Refresh
-# the baseline with `go run ./cmd/winebench -defrag -json BENCH_defrag.json`.
-bench-defrag:
-	$(GO) run ./cmd/winebench -defrag -check-against BENCH_defrag.json
-
-# Tiered-storage graceful-degradation sweep: working sets of
-# {0.5, 1, 1.5, 2}x PM capacity over a PM+SSD mount vs an all-in-PM
-# control, 90/10 hotspot mix with interleaved migration passes.
-# Hard gates: working sets that fit keep ≥75% of control throughput, a
-# 2x working set keeps ≥25% (the heat-driven placement must hold the hot
-# set in PM) and must have spilled at setup, and cold misses must show
-# slow-device traffic charged at slow-device cost. Regression-checked
-# against the committed BENCH_tier.json (work/migration counters exact,
-# virtual timings within tolerance). Refresh the baseline with
-# `go run ./cmd/winebench -tier -json BENCH_tier.json`.
-bench-tier:
-	$(GO) run ./cmd/winebench -tier -check-against BENCH_tier.json
-
-# Replication overhead on the ServerMix baseline: the same fan-out runs
-# plain and against a synchronous 2-replica cluster, hard-gated at ≤65%
-# overhead on the summed client spans (the sync charge model itself costs
-# ≈55%) and on the replicas ending byte-identical to the primary,
-# then regression-checked against the committed BENCH_replicated.json
-# (op counts and resyncs exact, record stream and spans within tolerance).
-# Refresh the baseline with
-# `go run ./cmd/winebench -replicated -clients 8 -json BENCH_replicated.json`.
-bench-replicated:
-	$(GO) run ./cmd/winebench -replicated -clients 8 -check-against BENCH_replicated.json
+# All seven gates, each followed by its wall time (the CI job budget as a
+# tracked number); every gate runs even after one fails.
+bench-gates:
+	@fail=0; for g in $(GATES); do \
+		s=$$(date +%s%N); $(MAKE) --no-print-directory $$g || fail=1; \
+		echo "== $$g: $$(( ($$(date +%s%N) - s) / 1000000 ))ms wall"; \
+	done; exit $$fail
 
 # The page-cache + lease coherence suite under the race detector,
 # including the 8-concurrent-session storm (TestCacheRace8Sessions).

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/pagecache"
@@ -37,51 +36,35 @@ type cacheVariant struct {
 	ReadBytes    int64
 	BytesWritten int64
 	ServerOps    int64
-	// Contention-derived virtual timings (tolerance-checked).
+	// Contention-derived virtual timings (toleranced in the report).
 	ReadNS        int64
 	PopulateNS    int64
 	RewriteNS     int64
 	ReadNSPerRead float64
 	// Counters merges the client threads' perf counters; the cache hit and
 	// miss counts in it are exactly reproducible.
-	HitRatio float64
 	Counters perf.Counters
 }
 
-// cacheReport is the machine-readable BENCH_cache.json schema.
-type cacheReport struct {
-	Bench       string // report schema tag, "cache/v1"
-	Clients     int
-	Files       int
-	FileKB      int
-	Rounds      int
-	CPUs        int
-	Seed        uint64
-	Uncached    cacheVariant
-	Cached      cacheVariant
-	ReadSpeedup float64 // uncached per-read cost / cached per-read cost
-}
-
 // runCacheBench runs both variants, prints the comparison, enforces the
-// speedup gate and optionally writes/checks the JSON report.
-func runCacheBench(clients, cpus int, quick bool, seed uint64, jsonOut, baseline string) error {
-	cfg := workloads.CachedMixConfig{Files: 24, FileKB: 8, Rounds: 3, Seed: seed}
-	if quick {
+// speedup gate and packs the report.
+func runCacheBench(o options) (*bench.Report, error) {
+	clients, cpus := o.clients, o.cpus
+	cfg := workloads.CachedMixConfig{Files: 24, FileKB: 8, Rounds: 3, Seed: o.seed}
+	if o.quick {
 		cfg.Files = 12
 	}
-	rep := cacheReport{
-		Bench: "cache/v1", Clients: clients, Files: cfg.Files, FileKB: cfg.FileKB,
-		Rounds: cfg.Rounds, CPUs: cpus, Seed: seed,
+	uncached, err := runCacheVariant(false, clients, cpus, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("uncached: %w", err)
 	}
-	var err error
-	if rep.Uncached, err = runCacheVariant(false, clients, cpus, cfg); err != nil {
-		return fmt.Errorf("uncached: %w", err)
+	cached, err := runCacheVariant(true, clients, cpus, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("cached: %w", err)
 	}
-	if rep.Cached, err = runCacheVariant(true, clients, cpus, cfg); err != nil {
-		return fmt.Errorf("cached: %w", err)
-	}
-	if rep.Cached.ReadNSPerRead > 0 {
-		rep.ReadSpeedup = rep.Uncached.ReadNSPerRead / rep.Cached.ReadNSPerRead
+	speedup := 0.0 // uncached per-read cost / cached per-read cost
+	if cached.ReadNSPerRead > 0 {
+		speedup = uncached.ReadNSPerRead / cached.ReadNSPerRead
 	}
 
 	t := &experiments.Table{
@@ -90,36 +73,40 @@ func runCacheBench(clients, cpus int, quick bool, seed uint64, jsonOut, baseline
 		Header: []string{"metric", "uncached", "cached"},
 	}
 	row := func(name string, f func(v *cacheVariant) string) {
-		t.Rows = append(t.Rows, []string{name, f(&rep.Uncached), f(&rep.Cached)})
+		t.Rows = append(t.Rows, []string{name, f(&uncached), f(&cached)})
 	}
 	row("re-reads", func(v *cacheVariant) string { return fmt.Sprintf("%d", v.Reads) })
 	row("read cost", func(v *cacheVariant) string { return fmt.Sprintf("%.0fns/read", v.ReadNSPerRead) })
 	row("cache hit ratio", func(v *cacheVariant) string { return fmtHitRatio(&v.Counters) })
 	row("server ops", func(v *cacheVariant) string { return fmt.Sprintf("%d", v.ServerOps) })
 	row("flushed", func(v *cacheVariant) string { return fmt.Sprintf("%dB", v.Counters.CacheFlushBytes) })
-	t.Rows = append(t.Rows, []string{"re-read speedup", fmt.Sprintf("%.1fx", rep.ReadSpeedup), ""})
+	t.Rows = append(t.Rows, []string{"re-read speedup", fmt.Sprintf("%.1fx", speedup), ""})
 	t.Print(os.Stdout)
 
-	if rep.ReadSpeedup < cacheMinSpeedup {
-		return fmt.Errorf("re-read speedup %.2fx below required %.1fx", rep.ReadSpeedup, cacheMinSpeedup)
+	if speedup < cacheMinSpeedup {
+		return nil, fmt.Errorf("re-read speedup %.2fx below required %.1fx", speedup, cacheMinSpeedup)
 	}
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	rep := bench.New("cache/v1", map[string]float64{
+		"Clients": float64(clients), "Files": float64(cfg.Files), "FileKB": float64(cfg.FileKB),
+		"Rounds": float64(cfg.Rounds), "CPUs": float64(cpus), "Seed": float64(o.seed)})
+	for _, v := range []struct {
+		name string
+		*cacheVariant
+	}{{"Uncached", &uncached}, {"Cached", &cached}} {
+		p := rep.Point(map[string]string{"Variant": v.name}, 0)
+		p.Ints(map[string]int64{"Reads": v.Reads, "ReadBytes": v.ReadBytes, "BytesWritten": v.BytesWritten,
+			"ServerOps": v.ServerOps, "ReadNS": v.ReadNS, "PopulateNS": v.PopulateNS, "RewriteNS": v.RewriteNS})
+		hitRatio := 0.0
+		if n := v.Counters.CacheHits + v.Counters.CacheMisses; n > 0 {
+			hitRatio = float64(v.Counters.CacheHits) / float64(n)
 		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
+		p.Floats(map[string]float64{"ReadNSPerRead": v.ReadNSPerRead, "HitRatio": hitRatio})
+		if v.name == "Cached" {
+			p.Floats(map[string]float64{"ReadSpeedup": speedup})
 		}
-		fmt.Printf("wrote cache report to %s\n", jsonOut)
+		p.AddCounters("Counters.", &v.Counters)
 	}
-	if baseline != "" {
-		if err := checkCacheBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
+	return rep, nil
 }
 
 // runCacheVariant boots a fresh strict-mode server over the in-memory
@@ -203,10 +190,6 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 		}
 		v.ReadNSPerRead = float64(sumNS) / float64(v.Reads)
 	}
-	hits, misses := v.Counters.CacheHits, v.Counters.CacheMisses
-	if hits+misses > 0 {
-		v.HitRatio = float64(hits) / float64(hits+misses)
-	}
 	v.ServerOps = srv.Stats().Ops
 	return v, nil
 }
@@ -219,64 +202,4 @@ func fmtHitRatio(c *perf.Counters) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(c.CacheHits)/float64(total))
-}
-
-// checkCacheBaseline compares a finished sweep against the committed
-// BENCH_cache.json: configuration and work counters exact, virtual
-// timings within lockWaitTolerance.
-func checkCacheBaseline(rep cacheReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base cacheReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.Clients != base.Clients || rep.Files != base.Files ||
-		rep.FileKB != base.FileKB || rep.Rounds != base.Rounds || rep.CPUs != base.CPUs ||
-		rep.Seed != base.Seed {
-		return fmt.Errorf("configuration mismatch: run (%s %d clients x %d files x %dKiB x %d rounds, %d cpus, seed %d) vs baseline (%s %d x %d x %d x %d, %d cpus, seed %d)",
-			rep.Bench, rep.Clients, rep.Files, rep.FileKB, rep.Rounds, rep.CPUs, rep.Seed,
-			base.Bench, base.Clients, base.Files, base.FileKB, base.Rounds, base.CPUs, base.Seed)
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	variant := func(name string, got, want *cacheVariant) {
-		exact(name+".Reads", got.Reads, want.Reads)
-		exact(name+".ReadBytes", got.ReadBytes, want.ReadBytes)
-		exact(name+".BytesWritten", got.BytesWritten, want.BytesWritten)
-		exact(name+".ServerOps", got.ServerOps, want.ServerOps)
-		within(name+".ReadNS", float64(got.ReadNS), float64(want.ReadNS))
-		within(name+".PopulateNS", float64(got.PopulateNS), float64(want.PopulateNS))
-		within(name+".RewriteNS", float64(got.RewriteNS), float64(want.RewriteNS))
-		within(name+".ReadNSPerRead", got.ReadNSPerRead, want.ReadNSPerRead)
-		gotFields, wantFields := got.Counters.Fields(), want.Counters.Fields()
-		for i, f := range gotFields {
-			if f.Name == "LockWaitNS" {
-				within(name+".Counters.LockWaitNS", float64(f.Value), float64(wantFields[i].Value))
-				continue
-			}
-			exact(name+".Counters."+f.Name, f.Value, wantFields[i].Value)
-		}
-	}
-	variant("Uncached", &rep.Uncached, &base.Uncached)
-	variant("Cached", &rep.Cached, &base.Cached)
-	within("ReadSpeedup", rep.ReadSpeedup, base.ReadSpeedup)
-	if len(bad) > 0 {
-		return fmt.Errorf("%d regressions:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
 }

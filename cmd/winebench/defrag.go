@@ -1,14 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
+	"repro/internal/bench"
 	"repro/internal/defrag"
 	"repro/internal/experiments"
 	"repro/internal/fstest"
-	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/winefs"
@@ -46,28 +46,6 @@ const defragThrottledMax = 10.0
 // interference variant runs at.
 const defragThrottleBudget = 0.08
 
-// defragSoakOut is the recovery half of the report.
-type defragSoakOut struct {
-	// Coverage per condition (exact).
-	UnagedHuge, UnagedTotal int
-	AgedHuge, AgedTotal     int
-	DefragHuge, DefragTotal int
-	RecoveredCoverage       float64
-
-	// Defrag work done (exact).
-	Passes         int64
-	MigratedBlocks int64
-	Recovered2M    int64
-	Rewrites       int64
-	Repromoted     int64
-
-	// Virtual timings (tolerance-checked).
-	SetupNS  int64
-	DefragNS int64
-
-	Counters perf.Counters
-}
-
 // defragInterfVariant is one interference run at a given budget.
 type defragInterfVariant struct {
 	// Budget is the defragmenter duty cycle (1 = unthrottled).
@@ -77,49 +55,32 @@ type defragInterfVariant struct {
 	Rewrites       int64
 	MigratedBlocks int64
 
-	// Bandwidths in bytes per virtual ns (tolerance-checked) and the
-	// derived slowdown percentage.
+	// Bandwidths in bytes per virtual ns (toleranced) and the derived
+	// slowdown percentage.
 	BaselineBW  float64
 	ContendedBW float64
 	SlowdownPct float64
 }
 
-// defragReport is the machine-readable BENCH_defrag.json schema.
-type defragReport struct {
-	Bench        string // report schema tag, "defrag/v1"
-	SoakFileMB   int
-	FgMB         int
-	VictimMB     int
-	CPUs         int
-	Seed         uint64
-	Soak         defragSoakOut
-	Interference []defragInterfVariant
-}
-
 // runDefragBench runs the soak and both interference variants, prints
-// the comparison, enforces the gates and optionally writes/checks the
-// JSON report.
-func runDefragBench(cpus int, quick bool, seed uint64, jsonOut, baseline string) error {
+// the comparison, enforces the gates and packs the report.
+func runDefragBench(o options) (*bench.Report, error) {
+	cpus := o.cpus
 	soakFile := int64(32 << 20)
 	fgSize := int64(64 << 20)
 	vicSize := int64(160 << 20)
 	devSize := int64(512 << 20)
-	if quick {
+	if o.quick {
 		soakFile = 16 << 20
 		fgSize = 16 << 20
 		vicSize = 32 << 20
 		devSize = 256 << 20
 	}
-	rep := defragReport{
-		Bench: "defrag/v1", SoakFileMB: int(soakFile >> 20),
-		FgMB: int(fgSize >> 20), VictimMB: int(vicSize >> 20),
-		CPUs: cpus, Seed: seed,
-	}
 
 	// Part A: aged-image coverage recovery.
 	maker, ok := fstest.ByName("WineFS", cpus)
 	if !ok {
-		return fmt.Errorf("WineFS maker not registered")
+		return nil, fmt.Errorf("WineFS maker not registered")
 	}
 	mk := func(ctx *sim.Ctx) (*winefs.FS, error) {
 		fs, err := maker.Make(ctx, pmem.New(devSize))
@@ -129,53 +90,40 @@ func runDefragBench(cpus int, quick bool, seed uint64, jsonOut, baseline string)
 		return fs.(*winefs.FS), nil
 	}
 	soak, err := workloads.RunDefragSoak(mk, cpus, workloads.DefragSoakConfig{
-		FileBytes: soakFile, Seed: seed,
+		FileBytes: soakFile, Seed: o.seed,
 	})
 	if err != nil {
-		return fmt.Errorf("soak: %w", err)
-	}
-	rep.Soak = defragSoakOut{
-		UnagedHuge: soak.UnagedHuge, UnagedTotal: soak.UnagedTotal,
-		AgedHuge: soak.AgedHuge, AgedTotal: soak.AgedTotal,
-		DefragHuge: soak.DefragHuge, DefragTotal: soak.DefragTotal,
-		RecoveredCoverage: soak.RecoveredCoverage(),
-		Passes:            soak.Passes,
-		MigratedBlocks:    soak.MigratedBlocks,
-		Recovered2M:       soak.Recovered2M,
-		Rewrites:          soak.Rewrites,
-		Repromoted:        soak.Repromoted,
-		SetupNS:           soak.SetupNS,
-		DefragNS:          soak.DefragNS,
-		Counters:          soak.Counters,
+		return nil, fmt.Errorf("soak: %w", err)
 	}
 
 	// Part B: foreground interference, unthrottled then paced.
+	var interference []defragInterfVariant
 	for _, budget := range []float64{1, defragThrottleBudget} {
 		v, err := runDefragInterference(maker, cpus, devSize, fgSize, vicSize, budget)
 		if err != nil {
-			return fmt.Errorf("interference budget=%g: %w", budget, err)
+			return nil, fmt.Errorf("interference budget=%g: %w", budget, err)
 		}
-		rep.Interference = append(rep.Interference, v)
+		interference = append(interference, v)
 	}
 
 	t := &experiments.Table{
 		Title: fmt.Sprintf("Online defrag: %dMiB mapped file on an aged image, %dMiB foreground vs %dMiB victim",
-			rep.SoakFileMB, rep.FgMB, rep.VictimMB),
+			soakFile>>20, fgSize>>20, vicSize>>20),
 		Header: []string{"metric", "value"},
 	}
 	cover := func(h, t int) string { return fmt.Sprintf("%d/%d chunks", h, t) }
 	t.Rows = append(t.Rows,
-		[]string{"unaged hugepage coverage", cover(rep.Soak.UnagedHuge, rep.Soak.UnagedTotal)},
-		[]string{"aged hugepage coverage", cover(rep.Soak.AgedHuge, rep.Soak.AgedTotal)},
-		[]string{"after defrag", cover(rep.Soak.DefragHuge, rep.Soak.DefragTotal)},
-		[]string{"recovered coverage", fmt.Sprintf("%.0f%%", 100*rep.Soak.RecoveredCoverage)},
-		[]string{"defrag passes", fmt.Sprintf("%d", rep.Soak.Passes)},
-		[]string{"2MiB extents re-formed", fmt.Sprintf("%d", rep.Soak.Recovered2M)},
-		[]string{"blocks migrated", fmt.Sprintf("%d", rep.Soak.MigratedBlocks)},
-		[]string{"files rewritten", fmt.Sprintf("%d", rep.Soak.Rewrites)},
-		[]string{"chunks re-promoted live", fmt.Sprintf("%d", rep.Soak.Repromoted)},
+		[]string{"unaged hugepage coverage", cover(soak.UnagedHuge, soak.UnagedTotal)},
+		[]string{"aged hugepage coverage", cover(soak.AgedHuge, soak.AgedTotal)},
+		[]string{"after defrag", cover(soak.DefragHuge, soak.DefragTotal)},
+		[]string{"recovered coverage", fmt.Sprintf("%.0f%%", 100*soak.RecoveredCoverage())},
+		[]string{"defrag passes", fmt.Sprintf("%d", soak.Passes)},
+		[]string{"2MiB extents re-formed", fmt.Sprintf("%d", soak.Recovered2M)},
+		[]string{"blocks migrated", fmt.Sprintf("%d", soak.MigratedBlocks)},
+		[]string{"files rewritten", fmt.Sprintf("%d", soak.Rewrites)},
+		[]string{"chunks re-promoted live", fmt.Sprintf("%d", soak.Repromoted)},
 	)
-	for _, v := range rep.Interference {
+	for _, v := range interference {
 		name := "unthrottled"
 		if v.Budget < 1 {
 			name = fmt.Sprintf("throttled (budget %.0f%%)", 100*v.Budget)
@@ -186,40 +134,42 @@ func runDefragBench(cpus int, quick bool, seed uint64, jsonOut, baseline string)
 	t.Print(os.Stdout)
 
 	// Gates.
-	unaged := rep.Soak.RecoveredCoverage / covOr1(rep.Soak.UnagedHuge, rep.Soak.UnagedTotal)
+	unaged := soak.RecoveredCoverage() / covOr1(soak.UnagedHuge, soak.UnagedTotal)
 	if unaged < defragMinRecovery {
-		return fmt.Errorf("defrag recovered %.0f%% of unaged hugepage coverage, below required %.0f%%",
+		return nil, fmt.Errorf("defrag recovered %.0f%% of unaged hugepage coverage, below required %.0f%%",
 			100*unaged, 100*defragMinRecovery)
 	}
-	for _, v := range rep.Interference {
+	for _, v := range interference {
 		if v.Budget >= 1 {
 			if v.SlowdownPct < defragUnthrottledMin || v.SlowdownPct > defragUnthrottledMax {
-				return fmt.Errorf("unthrottled defrag slowdown %.1f%% outside the paper's %g-%g%% band",
+				return nil, fmt.Errorf("unthrottled defrag slowdown %.1f%% outside the paper's %g-%g%% band",
 					v.SlowdownPct, defragUnthrottledMin, defragUnthrottledMax)
 			}
 		} else if v.SlowdownPct > defragThrottledMax {
-			return fmt.Errorf("throttled defrag slowdown %.1f%% above the %.0f%% bound",
+			return nil, fmt.Errorf("throttled defrag slowdown %.1f%% above the %.0f%% bound",
 				v.SlowdownPct, defragThrottledMax)
 		}
 	}
 
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote defrag report to %s\n", jsonOut)
+	rep := bench.New("defrag/v1", map[string]float64{
+		"SoakFileMB": float64(soakFile >> 20), "FgMB": float64(fgSize >> 20), "VictimMB": float64(vicSize >> 20),
+		"CPUs": float64(cpus), "Seed": float64(o.seed)})
+	p := rep.Point(map[string]string{"Part": "Soak"}, 0)
+	p.Ints(map[string]int64{
+		"UnagedHuge": int64(soak.UnagedHuge), "UnagedTotal": int64(soak.UnagedTotal),
+		"AgedHuge": int64(soak.AgedHuge), "AgedTotal": int64(soak.AgedTotal),
+		"DefragHuge": int64(soak.DefragHuge), "DefragTotal": int64(soak.DefragTotal),
+		"Passes": soak.Passes, "MigratedBlocks": soak.MigratedBlocks, "Recovered2M": soak.Recovered2M,
+		"Rewrites": soak.Rewrites, "Repromoted": soak.Repromoted,
+		"SetupNS": soak.SetupNS, "DefragNS": soak.DefragNS})
+	p.Floats(map[string]float64{"RecoveredCoverage": soak.RecoveredCoverage()})
+	p.AddCounters("Counters.", &soak.Counters)
+	for _, v := range interference {
+		p := rep.Point(map[string]string{"Part": "Interference", "Budget": strconv.FormatFloat(v.Budget, 'g', -1, 64)}, 0)
+		p.Ints(map[string]int64{"Rewrites": v.Rewrites, "MigratedBlocks": v.MigratedBlocks})
+		p.Floats(map[string]float64{"BaselineBW": v.BaselineBW, "ContendedBW": v.ContendedBW, "SlowdownPct": v.SlowdownPct})
 	}
-	if baseline != "" {
-		if err := checkDefragBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
+	return rep, nil
 }
 
 func covOr1(huge, total int) float64 {
@@ -321,81 +271,4 @@ func runDefragInterference(maker fstest.Maker, cpus int, devSize, fgSize, vicSiz
 		v.SlowdownPct = (1 - cont/base) * 100
 	}
 	return v, nil
-}
-
-// checkDefragBaseline compares a finished run against the committed
-// BENCH_defrag.json: configuration and work counters exact, virtual
-// timings and bandwidths within lockWaitTolerance.
-func checkDefragBaseline(rep defragReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base defragReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.SoakFileMB != base.SoakFileMB || rep.FgMB != base.FgMB ||
-		rep.VictimMB != base.VictimMB || rep.CPUs != base.CPUs || rep.Seed != base.Seed ||
-		len(rep.Interference) != len(base.Interference) {
-		return fmt.Errorf("configuration mismatch: run (%s soak %dMiB, fg %dMiB, victim %dMiB, %d cpus, seed %d, %d interference variants) vs baseline (%s %dMiB/%dMiB/%dMiB, %d cpus, seed %d, %d variants)",
-			rep.Bench, rep.SoakFileMB, rep.FgMB, rep.VictimMB, rep.CPUs, rep.Seed, len(rep.Interference),
-			base.Bench, base.SoakFileMB, base.FgMB, base.VictimMB, base.CPUs, base.Seed, len(base.Interference))
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	g, w := &rep.Soak, &base.Soak
-	exact("Soak.UnagedHuge", int64(g.UnagedHuge), int64(w.UnagedHuge))
-	exact("Soak.UnagedTotal", int64(g.UnagedTotal), int64(w.UnagedTotal))
-	exact("Soak.AgedHuge", int64(g.AgedHuge), int64(w.AgedHuge))
-	exact("Soak.AgedTotal", int64(g.AgedTotal), int64(w.AgedTotal))
-	exact("Soak.DefragHuge", int64(g.DefragHuge), int64(w.DefragHuge))
-	exact("Soak.DefragTotal", int64(g.DefragTotal), int64(w.DefragTotal))
-	exact("Soak.Passes", g.Passes, w.Passes)
-	exact("Soak.MigratedBlocks", g.MigratedBlocks, w.MigratedBlocks)
-	exact("Soak.Recovered2M", g.Recovered2M, w.Recovered2M)
-	exact("Soak.Rewrites", g.Rewrites, w.Rewrites)
-	exact("Soak.Repromoted", g.Repromoted, w.Repromoted)
-	within("Soak.SetupNS", float64(g.SetupNS), float64(w.SetupNS))
-	within("Soak.DefragNS", float64(g.DefragNS), float64(w.DefragNS))
-	gotFields, wantFields := g.Counters.Fields(), w.Counters.Fields()
-	for j, f := range gotFields {
-		if f.Name == "LockWaitNS" {
-			within("Soak.Counters.LockWaitNS", float64(f.Value), float64(wantFields[j].Value))
-			continue
-		}
-		exact("Soak.Counters."+f.Name, f.Value, wantFields[j].Value)
-	}
-	for i := range rep.Interference {
-		gv, wv := &rep.Interference[i], &base.Interference[i]
-		name := fmt.Sprintf("Interference[budget=%g]", gv.Budget)
-		if gv.Budget != wv.Budget {
-			bad = append(bad, fmt.Sprintf("interference %d budget %g, baseline %g", i, gv.Budget, wv.Budget))
-			continue
-		}
-		exact(name+".Rewrites", gv.Rewrites, wv.Rewrites)
-		exact(name+".MigratedBlocks", gv.MigratedBlocks, wv.MigratedBlocks)
-		within(name+".BaselineBW", gv.BaselineBW, wv.BaselineBW)
-		within(name+".ContendedBW", gv.ContendedBW, wv.ContendedBW)
-		within(name+".SlowdownPct", gv.SlowdownPct, wv.SlowdownPct)
-	}
-	if len(bad) > 0 {
-		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "  regression: %s\n", b)
-		}
-		return fmt.Errorf("%d regressions vs baseline", len(bad))
-	}
-	return nil
 }

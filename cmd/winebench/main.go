@@ -1,78 +1,36 @@
 // Command winebench runs the paper's evaluation (§4–§5) and prints each
 // table and figure as text, in the same rows/series the paper reports.
 //
-// Usage:
-//
 //	winebench [-quick] [-cpus N] [-size BYTES] [-seed N] [-run fig1,fig3,...]
-//	winebench -server [-clients N] [-server-ops N]
-//	          [-json FILE] [-trace FILE] [-metrics-out FILE]
-//	winebench -scaling [-scaling-ops N] [-json FILE] [-check-against FILE]
-//	winebench -cache [-clients N] [-json FILE] [-check-against FILE]
-//	winebench -mmap [-quick] [-json FILE] [-check-against FILE]
-//	winebench -defrag [-quick] [-json FILE] [-check-against FILE]
+//	winebench -<mode> [mode flags] [-json FILE] [-check-against FILE]
 //
 // -run selects experiments (comma-separated from: fig1 fig2 fig3 fig4 fig6
 // fig7 table2 fig8 fig9 fig10 recovery defrag hpc crashmonkey; default all).
 //
-// -server runs the serving-throughput baseline instead: N concurrent
-// clients drive one winefsd-style server through the deterministic
-// in-memory transport and the merged latency digest plus virtual ops/s are
-// reported. In this mode three machine-readable outputs are available:
-// -json writes the run as a BENCH report (throughput, latency summary and
-// the full merged perf counter set — everything is virtual time, so the
-// file is bit-identical across runs with the same seed and makes a
-// committable regression baseline); -trace captures every request span as
-// a Chrome trace-event file loadable in chrome://tracing or Perfetto;
+// A -<mode> flag runs one regression-gated bench instead: it prints its
+// table, enforces its hard gates, and ends in bench.Finish — -json writes
+// the run as a BENCH report (internal/bench; everything is virtual time,
+// so the file is a committable baseline) and -check-against diffs the run
+// against a committed one. `winebench -h` prints one usage line per mode,
+// generated from the modes table below, which is also where each mode is
+// described; what each gate enforces is at the top of its file.
+//
+// -server has three more outputs: -trace captures every request span as a
+// Chrome trace-event file loadable in chrome://tracing or Perfetto;
 // -metrics-out dumps the final server counters in the Prometheus text
-// format, exactly as a live winefsd /metrics scrape would render them.
-//
-// -scaling runs the fxmark-style concurrency scalability suite instead:
-// each sharing case (shared-read, disjoint-write, overlap-write,
-// private-append, meta-contended) sweeps 1→128 threads on a fresh 128-CPU
-// file system, both with direct calls and through the winefsd transport.
-// -json writes the committable BENCH_scaling.json report; -check-against
-// regression-checks a run against one (work counters exact, contention
-// timings with tolerance).
-//
-// -cache runs the client page-cache effectiveness sweep instead: the
-// CachedMix workload (populate, re-read, rewrite-in-place) runs once with
-// bare clients and once with every client wrapped in internal/pagecache,
-// and the re-read phase's virtual cost per read is compared. The run
-// fails unless the cached configuration is at least 5x cheaper per
-// re-read. -json writes the committable BENCH_cache.json report;
-//
-// -mmap runs the zero-copy mapped-read sweep instead: a 32MiB file is
-// mapped through internal/vmm on a freshly filled (unaged) image and on a
-// Geriatrix-aged image at the same utilisation, for both WineFS and
-// ext4-DAX, and the per-access cost plus hugepage coverage are compared.
-// The run fails unless unaged hugepage coverage is at least 90% and aged
-// ext4-DAX mapped reads cost at least 3x the unaged ones (the paper's
-// Figure 1 aging gap at the mmap API). -json writes the committable
-// BENCH_mmap.json report; -check-against regression-checks a run.
-//
-// -defrag runs the online-defragmenter bench (§3.5) instead: an
-// adversarially aged image (zero free aligned extents) is mapped, the
-// background defragmenter re-forms 2MiB extents and re-promotes the live
-// mapping, and recovered hugepage coverage is gated at >=90% of the
-// unaged control. A second phase measures foreground mmap interference
-// while the defragmenter runs, unthrottled (must land in the paper's
-// 25-40% band, §4) and duty-cycle paced (must stay <=10%). -json writes
-// the committable BENCH_defrag.json report; -check-against
-// regression-checks a run.
-//
-// -check-against regression-checks a run against one. In -server mode the
-// -cached flag wraps each client in the page cache too (incompatible with
+// format, exactly as a live winefsd /metrics scrape would render them; and
+// -cached wraps each client in the page cache (incompatible with
 // -check-against, since the committed server baseline is uncached).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"sync"
 
+	"repro/internal/bench"
 	"repro/internal/crashmonkey"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
@@ -87,30 +45,67 @@ import (
 	"repro/internal/workloads"
 )
 
+// options carries the flag values the bench modes read.
+type options struct {
+	quick    bool
+	cpus     int
+	clients  int
+	size     int64
+	seed     uint64
+	cached   bool   // -server: wrap clients in internal/pagecache
+	trace    string // -server: Chrome trace-event file
+	metrics  string // -server: Prometheus text dump
+	baseline string // -check-against, for modes that must refuse it
+}
+
+// modes is the table of regression-gated benches: the flag that selects
+// each, the flags it reads (for the usage line) and its help text. A mode
+// prints its table, enforces its hard gates and returns its report;
+// bench.Finish does the rest. With several mode flags the first listed wins.
+var modes = []struct {
+	name, args, help string
+	run              func(o options) (*bench.Report, error)
+}{
+	{"mmap", "[-quick] [-cpus N]", "zero-copy mapped-read sweep (unaged vs aged)", runMmapBench},
+	{"tier", "[-quick] [-cpus N]", "tiered-storage working-set sweep (PM+SSD vs all-PM)", runTierBench},
+	{"defrag", "[-quick] [-cpus N]", "online-defragmenter recovery and interference bench", runDefragBench},
+	{"cache", "[-quick] [-clients N] [-cpus N]", "client page-cache effectiveness sweep", runCacheBench},
+	{"scaling", "[-quick]", "fxmark-style scalability suite", runScalingBench},
+	{"replicated", "[-quick] [-clients N] [-cpus N] [-size BYTES]", "replication-overhead benchmark", runReplicatedBench},
+	{"server", "[-quick] [-clients N] [-cpus N] [-size BYTES] [-cached] [-trace FILE] [-metrics-out FILE]",
+		"serving-throughput baseline", runServerBench},
+}
+
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "Usage:\n  winebench [-quick] [-cpus N] [-size BYTES] [-seed N] [-run fig1,fig3,...]")
+	for _, m := range modes {
+		fmt.Fprintf(w, "  winebench -%s %s [-seed N] [-json FILE] [-check-against FILE]\n", m.name, m.args)
+	}
+	flag.PrintDefaults()
+}
+
 func main() {
-	quick := flag.Bool("quick", false, "reduced workload sizes (seconds instead of minutes)")
-	cpus := flag.Int("cpus", 8, "logical CPUs per file system")
-	size := flag.Int64("size", 0, "device size in bytes (0 = default)")
-	seed := flag.Uint64("seed", 42, "random seed")
+	var o options
+	flag.BoolVar(&o.quick, "quick", false, "reduced workload sizes (seconds instead of minutes)")
+	flag.IntVar(&o.cpus, "cpus", 8, "logical CPUs per file system")
+	flag.Int64Var(&o.size, "size", 0, "device size in bytes (0 = default)")
+	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
 	run := flag.String("run", "all", "comma-separated experiment list")
-	server := flag.Bool("server", false, "run the serving-throughput baseline and exit")
-	replicated := flag.Bool("replicated", false, "run the replication-overhead benchmark and exit")
-	scaling := flag.Bool("scaling", false, "run the fxmark-style scalability suite and exit")
-	cache := flag.Bool("cache", false, "run the client page-cache effectiveness sweep and exit")
-	mmap := flag.Bool("mmap", false, "run the zero-copy mapped-read sweep (unaged vs aged) and exit")
-	tierBench := flag.Bool("tier", false, "run the tiered-storage working-set sweep (PM+SSD vs all-PM) and exit")
-	defragBench := flag.Bool("defrag", false, "run the online-defragmenter recovery and interference bench and exit")
-	cached := flag.Bool("cached", false, "-server: wrap every client in the internal/pagecache client cache")
-	scalingOps := flag.Int("scaling-ops", 0, "loop iterations per thread in -scaling mode (0 = 200, 64 with -quick)")
-	clients := flag.Int("clients", 8, "concurrent clients in -server mode")
-	serverOps := flag.Int("server-ops", 0, "loop iterations per client in -server mode (0 = 200, 50 with -quick)")
-	jsonOut := flag.String("json", "", "-server: write the BENCH report as JSON to this file")
-	traceOut := flag.String("trace", "", "-server: write request spans as a Chrome trace-event file")
-	metricsOut := flag.String("metrics-out", "", "-server: dump final counters in Prometheus text format to this file")
-	baseline := flag.String("check-against", "", "-server: compare the run against this BENCH report and fail on regression")
+	selected := make([]*bool, len(modes))
+	for i, m := range modes {
+		selected[i] = flag.Bool(m.name, false, "run the "+m.help+" and exit")
+	}
+	flag.BoolVar(&o.cached, "cached", false, "-server: wrap every client in the internal/pagecache client cache")
+	flag.IntVar(&o.clients, "clients", 8, "concurrent clients in -server, -cache and -replicated modes")
+	jsonOut := flag.String("json", "", "bench modes: write the BENCH report as JSON to this file")
+	flag.StringVar(&o.trace, "trace", "", "-server: write request spans as a Chrome trace-event file")
+	flag.StringVar(&o.metrics, "metrics-out", "", "-server: dump final counters in Prometheus text format to this file")
+	flag.StringVar(&o.baseline, "check-against", "", "bench modes: compare the run against this BENCH report and fail on regression")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile at exit to this file")
+	flag.Usage = usage
 	flag.Parse()
 
 	if err := startProfiles(*cpuProfile, *memProfile, *blockProfile); err != nil {
@@ -119,62 +114,26 @@ func main() {
 	}
 	defer stopProfiles()
 
-	if *mmap {
-		if err := runMmapBench(*cpus, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: mmap: %v\n", err)
-			exit(1)
+	for i, m := range modes {
+		if !*selected[i] {
+			continue
 		}
-		return
-	}
-	if *tierBench {
-		if err := runTierBench(*cpus, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: tier: %v\n", err)
-			exit(1)
+		rep, err := m.run(o)
+		if err == nil {
+			err = bench.Finish(rep, *jsonOut, o.baseline)
 		}
-		return
-	}
-	if *defragBench {
-		if err := runDefragBench(*cpus, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: defrag: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-	if *cache {
-		if err := runCacheBench(*clients, *cpus, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: cache: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-	if *scaling {
-		if err := runScalingBench(*scalingOps, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: scaling: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-	if *replicated {
-		if err := runReplicatedBench(*clients, *cpus, *size, *serverOps, *quick, *seed, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: replicated: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-	if *server {
-		out := benchOutputs{JSON: *jsonOut, Trace: *traceOut, Metrics: *metricsOut, Baseline: *baseline}
-		if err := runServerBench(*clients, *cpus, *size, *serverOps, *quick, *cached, *seed, out); err != nil {
-			fmt.Fprintf(os.Stderr, "winebench: server: %v\n", err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "winebench: %s: %v\n", m.name, err)
 			exit(1)
 		}
 		return
 	}
 
 	cfg := experiments.Config{
-		Quick:      *quick,
-		CPUs:       *cpus,
-		DeviceSize: *size,
-		Seed:       *seed,
+		Quick:      o.quick,
+		CPUs:       o.cpus,
+		DeviceSize: o.size,
+		Seed:       o.seed,
 	}.Defaults()
 
 	want := map[string]bool{}
@@ -381,7 +340,7 @@ func main() {
 	if sel("crashmonkey") {
 		total, failures := 0, 0
 		for _, w := range append(crashmonkey.GenerateSeq1(), crashmonkey.GenerateSeq2()...) {
-			res := crashmonkey.Run(w, crashmonkey.Config{Seed: *seed})
+			res := crashmonkey.Run(w, crashmonkey.Config{Seed: o.seed})
 			total += res.CrashStates
 			failures += len(res.Failures)
 			for _, f := range res.Failures {
@@ -395,56 +354,28 @@ func main() {
 	}
 }
 
-// benchOutputs names the optional machine-readable artifacts of a -server
-// run; empty fields are skipped.
-type benchOutputs struct {
-	JSON     string // BENCH report
-	Trace    string // Chrome trace-event file
-	Metrics  string // Prometheus text dump
-	Baseline string // committed BENCH report to regression-check against
-}
-
-// benchReport is the machine-readable BENCH_*.json schema. For a given
-// (clients, ops, cpus, seed) tuple every work counter — ops, bytes moved,
-// journal commits, faults — is exactly reproducible; only the
-// contention-derived timings (SpanNS, the latency digest, LockWaitNS) wobble
-// about a percent with host goroutine scheduling, because tied virtual-time
-// lock arrivals are booked in real arrival order. checkAgainstBaseline
-// encodes exactly that split when diffing a run against a committed
-// baseline.
-type benchReport struct {
-	Bench        string // report schema tag, "server-mix/v1"
-	Clients      int
-	OpsPerClient int
-	CPUs         int
-	Seed         uint64
-	ClientOps    int64
-	ServerOps    int64
-	// SpanNS is the virtual makespan (slowest client); OpsPerSec is
-	// ClientOps/SpanNS in virtual seconds.
-	SpanNS    int64
-	OpsPerSec float64
-	Latency   perf.LatencySummary
-	Counters  perf.Counters
-	// ClientCounters merges the client threads' perf counters; with -cached
-	// this is where the page-cache hit/miss/flush activity lands. It is not
-	// baseline-checked.
-	ClientCounters perf.Counters
-}
+// Loop iterations per ServerMix client (-server, -replicated) and per
+// fxmark thread (-scaling); the committed baselines pin these.
+const (
+	serverMixOps, serverMixOpsQuick = 200, 50
+	scalingOps, scalingOpsQuick     = 200, 64
+)
 
 // runServerBench is winebench -server: the serving-throughput baseline.
 // It boots one server over the in-memory transport, fans out `clients`
 // concurrent ServerMix clients, and reports virtual ops/s plus the merged
-// latency digest — the numbers ROADMAP's serving milestone tracks.
-func runServerBench(clients, cpus int, size int64, ops int, quick, cached bool, seed uint64, out benchOutputs) error {
-	if cached && out.Baseline != "" {
-		return fmt.Errorf("-cached changes the op mix seen by the server; it cannot be combined with -check-against")
+// latency digest — the numbers ROADMAP's serving milestone tracks. For a
+// given (clients, ops, cpus, seed) every work counter is meant to be
+// reproducible; the span, the latency digest and LockWaitNS wobble with
+// host goroutine scheduling and are toleranced in the report.
+func runServerBench(o options) (*bench.Report, error) {
+	clients, cpus, size, cached, seed := o.clients, o.cpus, o.size, o.cached, o.seed
+	if cached && o.baseline != "" {
+		return nil, fmt.Errorf("-cached changes the op mix seen by the server; it cannot be combined with -check-against")
 	}
-	if ops <= 0 {
-		ops = 200
-		if quick {
-			ops = 50
-		}
+	ops := serverMixOps
+	if o.quick {
+		ops = serverMixOpsQuick
 	}
 	if size == 0 {
 		size = 2 << 30
@@ -453,13 +384,13 @@ func runServerBench(clients, cpus int, size int64, ops int, quick, cached bool, 
 	ctx := sim.NewCtx(1, 0)
 	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, Mode: vfs.Strict})
 	if err != nil {
-		return fmt.Errorf("mkfs: %w", err)
+		return nil, fmt.Errorf("mkfs: %w", err)
 	}
 	var tracer *trace.Tracer
-	if out.Trace != "" {
-		f, err := os.Create(out.Trace)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+			return nil, fmt.Errorf("trace: %w", err)
 		}
 		// The sink owns f: Tracer.Close writes the document and closes it.
 		tracer = trace.New(trace.NewChrome(f))
@@ -503,18 +434,18 @@ func runServerBench(clients, cpus int, size int64, ops int, quick, cached bool, 
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("client %d: %w", i, err)
+			return nil, fmt.Errorf("client %d: %w", i, err)
 		}
 	}
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {
-		return fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("trace close: %w", err)
+			return nil, fmt.Errorf("trace close: %w", err)
 		}
-		fmt.Printf("wrote Chrome trace to %s\n", out.Trace)
+		fmt.Printf("wrote Chrome trace to %s\n", o.trace)
 	}
 
 	var lat perf.Histogram
@@ -553,31 +484,7 @@ func runServerBench(clients, cpus int, size int64, ops int, quick, cached bool, 
 	)
 	t.Print(os.Stdout)
 
-	rep := benchReport{
-		Bench:          "server-mix/v1",
-		Clients:        clients,
-		OpsPerClient:   ops,
-		CPUs:           cpus,
-		Seed:           seed,
-		ClientOps:      totalOps,
-		ServerOps:      st.Ops,
-		SpanNS:         spanNS,
-		OpsPerSec:      opsPerSec,
-		Latency:        sum,
-		Counters:       st.Counters,
-		ClientCounters: clientCounters,
-	}
-	if out.JSON != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out.JSON, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote BENCH report to %s\n", out.JSON)
-	}
-	if out.Metrics != "" {
+	if o.metrics != "" {
 		reg := metrics.NewRegistry()
 		reg.Register(metrics.CollectorFunc(func() []metrics.Family {
 			fams := []metrics.Family{
@@ -587,84 +494,28 @@ func runServerBench(clients, cpus int, size int64, ops int, quick, cached bool, 
 			}
 			return append(fams, metrics.CountersFamilies("winebench_perf", &st.Counters)...)
 		}))
-		f, err := os.Create(out.Metrics)
+		f, err := os.Create(o.metrics)
 		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
+			return nil, fmt.Errorf("metrics: %w", err)
 		}
 		if err := reg.WritePrometheus(f); err != nil {
 			f.Close()
-			return fmt.Errorf("metrics: %w", err)
+			return nil, fmt.Errorf("metrics: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			return fmt.Errorf("metrics: %w", err)
+			return nil, fmt.Errorf("metrics: %w", err)
 		}
-		fmt.Printf("wrote Prometheus dump to %s\n", out.Metrics)
+		fmt.Printf("wrote Prometheus dump to %s\n", o.metrics)
 	}
-	if out.Baseline != "" {
-		if err := checkAgainstBaseline(rep, out.Baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", out.Baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", out.Baseline)
-	}
-	return nil
-}
-
-// lockWaitTolerance bounds how far the contention-derived numbers (span,
-// latency digest, LockWaitNS) may drift from the baseline: tied virtual-time
-// lock arrivals are booked in real arrival order, so these wobble about a
-// percent run to run. Everything else must match exactly.
-const lockWaitTolerance = 0.25
-
-// checkAgainstBaseline compares a finished run against a committed BENCH
-// report: configuration and every work counter must match exactly, while
-// contention-derived timings get lockWaitTolerance of slack.
-func checkAgainstBaseline(rep benchReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base benchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.Clients != base.Clients ||
-		rep.OpsPerClient != base.OpsPerClient || rep.CPUs != base.CPUs || rep.Seed != base.Seed {
-		return fmt.Errorf("configuration mismatch: run (%s %d clients x %d ops, %d cpus, seed %d) vs baseline (%s %d x %d, %d cpus, seed %d)",
-			rep.Bench, rep.Clients, rep.OpsPerClient, rep.CPUs, rep.Seed,
-			base.Bench, base.Clients, base.OpsPerClient, base.CPUs, base.Seed)
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	exact("ClientOps", rep.ClientOps, base.ClientOps)
-	exact("ServerOps", rep.ServerOps, base.ServerOps)
-	exact("Latency.Count", rep.Latency.Count, base.Latency.Count)
-	within("SpanNS", float64(rep.SpanNS), float64(base.SpanNS))
-	within("OpsPerSec", rep.OpsPerSec, base.OpsPerSec)
-	within("Latency.MeanNS", rep.Latency.MeanNS, base.Latency.MeanNS)
-	within("Latency.P50NS", float64(rep.Latency.P50NS), float64(base.Latency.P50NS))
-	within("Latency.P99NS", float64(rep.Latency.P99NS), float64(base.Latency.P99NS))
-	gotFields, wantFields := rep.Counters.Fields(), base.Counters.Fields()
-	for i, f := range gotFields {
-		if f.Name == "LockWaitNS" {
-			within("Counters.LockWaitNS", float64(f.Value), float64(wantFields[i].Value))
-			continue
-		}
-		exact("Counters."+f.Name, f.Value, wantFields[i].Value)
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("%d regressions:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
+	rep := bench.New("server-mix/v1", map[string]float64{
+		"Clients": float64(clients), "OpsPerClient": float64(ops), "CPUs": float64(cpus), "Seed": float64(seed)})
+	p := rep.Point(nil, 0)
+	p.Ints(map[string]int64{"ClientOps": totalOps, "ServerOps": st.Ops, "SpanNS": spanNS,
+		"Latency.Count": sum.Count, "Latency.P50NS": sum.P50NS, "Latency.P90NS": sum.P90NS,
+		"Latency.P99NS": sum.P99NS, "Latency.MaxNS": sum.MaxNS})
+	p.Floats(map[string]float64{"OpsPerSec": opsPerSec, "Latency.MeanNS": sum.MeanNS})
+	p.AddCounters("Counters.", &st.Counters)
+	// With -cached this is where the page-cache hit/miss/flush activity lands.
+	p.AddCounters("ClientCounters.", &clientCounters)
+	return rep, nil
 }

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/fstest"
-	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -33,226 +33,102 @@ const mmapMinAgedSlowdown = 3.0
 type mmapVariant struct {
 	FS   string
 	Aged bool
-
-	// Work done (baseline-gated exactly).
-	Reads       int64
-	ReadBytes   int64
-	HugeChunks  int
-	TotalChunks int
-
-	// Contention-free virtual timings (tolerance-checked).
-	SetupNS   int64
-	MapNS     int64
-	SweepNS   int64
-	WriteNS   int64
-	NSPerRead float64
-
-	HugeCoverage float64
-	Counters     perf.Counters
-}
-
-// mmapReport is the machine-readable BENCH_mmap.json schema.
-type mmapReport struct {
-	Bench    string // report schema tag, "mmap/v1"
-	FileMB   int
-	Reads    int
-	ReadSize int
-	Util     float64
-	CPUs     int
-	Seed     uint64
-	Variants []mmapVariant
-	// AgedSlowdown is ext4-DAX aged NSPerRead / unaged NSPerRead.
-	AgedSlowdown float64
+	workloads.MmapSweepResult
 }
 
 // runMmapBench sweeps the four variants, prints the comparison, enforces
-// the coverage and slowdown gates and optionally writes/checks the JSON
-// report.
-func runMmapBench(cpus int, quick bool, seed uint64, jsonOut, baseline string) error {
+// the coverage and slowdown gates and packs the report.
+func runMmapBench(o options) (*bench.Report, error) {
 	cfg := workloads.MmapSweepConfig{
 		FileBytes:  32 << 20,
 		Reads:      10000,
 		Util:       0.6,
 		WritePhase: true,
-		Seed:       seed,
+		Seed:       o.seed,
 	}
 	devSize := int64(512 << 20)
-	if quick {
+	if o.quick {
 		cfg.FileBytes = 16 << 20
 		cfg.Reads = 5000
 		devSize = 256 << 20
 	}
-	rep := mmapReport{
-		Bench: "mmap/v1", FileMB: int(cfg.FileBytes >> 20), Reads: cfg.Reads,
-		ReadSize: 64, Util: cfg.Util, CPUs: cpus, Seed: seed,
-	}
+	fileMB, readSize := int(cfg.FileBytes>>20), 64
 
+	var variants []mmapVariant
 	for _, fsName := range []string{"WineFS", "ext4-DAX"} {
 		for _, aged := range []bool{false, true} {
-			v, err := runMmapVariant(fsName, aged, cpus, devSize, cfg)
+			res, err := runMmapVariant(fsName, aged, o.cpus, devSize, cfg)
 			if err != nil {
-				return fmt.Errorf("%s aged=%v: %w", fsName, aged, err)
+				return nil, fmt.Errorf("%s aged=%v: %w", fsName, aged, err)
 			}
-			rep.Variants = append(rep.Variants, v)
+			variants = append(variants, mmapVariant{fsName, aged, res})
 		}
 	}
-	if ext4Unaged, ok := rep.variant("ext4-DAX", false); ok {
-		if ext4Aged, ok := rep.variant("ext4-DAX", true); ok && ext4Unaged.NSPerRead > 0 {
-			rep.AgedSlowdown = ext4Aged.NSPerRead / ext4Unaged.NSPerRead
-		}
+	// ext4-DAX aged NSPerRead / unaged NSPerRead.
+	agedSlowdown := 0.0
+	if ext4Unaged, ext4Aged := variants[2], variants[3]; ext4Unaged.NSPerRead > 0 {
+		agedSlowdown = ext4Aged.NSPerRead / ext4Unaged.NSPerRead
 	}
 
 	t := &experiments.Table{
 		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
-			100*rep.Util, rep.FileMB, rep.Reads, rep.ReadSize),
+			100*cfg.Util, fileMB, cfg.Reads, readSize),
 		Header: []string{"metric", "winefs", "winefs-aged", "ext4-dax", "ext4-dax-aged"},
 	}
 	row := func(name string, f func(v *mmapVariant) string) {
 		r := []string{name}
-		for i := range rep.Variants {
-			r = append(r, f(&rep.Variants[i]))
+		for i := range variants {
+			r = append(r, f(&variants[i]))
 		}
 		t.Rows = append(t.Rows, r)
 	}
 	row("read cost", func(v *mmapVariant) string { return fmt.Sprintf("%.0fns/read", v.NSPerRead) })
-	row("hugepage coverage", func(v *mmapVariant) string { return fmt.Sprintf("%.0f%%", 100*v.HugeCoverage) })
+	row("hugepage coverage", func(v *mmapVariant) string { return fmt.Sprintf("%.0f%%", 100*v.HugeCoverage()) })
 	row("huge faults", func(v *mmapVariant) string { return fmt.Sprintf("%d", v.Counters.VMMHugeFaults) })
 	row("base faults", func(v *mmapVariant) string { return fmt.Sprintf("%d", v.Counters.VMMBaseFaults) })
 	row("msync bytes", func(v *mmapVariant) string { return fmt.Sprintf("%dB", v.Counters.VMMMsyncBytes) })
-	t.Rows = append(t.Rows, []string{"ext4 aged slowdown", "", "", fmt.Sprintf("%.1fx", rep.AgedSlowdown), ""})
+	t.Rows = append(t.Rows, []string{"ext4 aged slowdown", "", "", fmt.Sprintf("%.1fx", agedSlowdown), ""})
 	t.Print(os.Stdout)
 
-	for i := range rep.Variants {
-		v := &rep.Variants[i]
-		if !v.Aged && v.HugeCoverage < mmapMinUnagedCoverage {
-			return fmt.Errorf("%s unaged hugepage coverage %.0f%% below required %.0f%%",
-				v.FS, 100*v.HugeCoverage, 100*mmapMinUnagedCoverage)
+	for _, v := range variants {
+		if !v.Aged && v.HugeCoverage() < mmapMinUnagedCoverage {
+			return nil, fmt.Errorf("%s unaged hugepage coverage %.0f%% below required %.0f%%",
+				v.FS, 100*v.HugeCoverage(), 100*mmapMinUnagedCoverage)
 		}
 	}
-	if rep.AgedSlowdown < mmapMinAgedSlowdown {
-		return fmt.Errorf("ext4-DAX aged slowdown %.2fx below required %.1fx",
-			rep.AgedSlowdown, mmapMinAgedSlowdown)
+	if agedSlowdown < mmapMinAgedSlowdown {
+		return nil, fmt.Errorf("ext4-DAX aged slowdown %.2fx below required %.1fx",
+			agedSlowdown, mmapMinAgedSlowdown)
 	}
 
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	rep := bench.New("mmap/v1", map[string]float64{
+		"FileMB": float64(fileMB), "Reads": float64(cfg.Reads), "ReadSize": float64(readSize),
+		"Util": cfg.Util, "CPUs": float64(o.cpus), "Seed": float64(o.seed)})
+	for _, v := range variants {
+		p := rep.Point(map[string]string{"FS": v.FS, "Aged": strconv.FormatBool(v.Aged)}, 0)
+		p.Ints(map[string]int64{"Reads": v.Reads, "ReadBytes": v.ReadBytes,
+			"HugeChunks": int64(v.HugeChunks), "TotalChunks": int64(v.TotalChunks),
+			"SetupNS": v.SetupNS, "MapNS": v.MapNS, "SweepNS": v.SweepNS, "WriteNS": v.WriteNS})
+		p.Floats(map[string]float64{"NSPerRead": v.NSPerRead, "HugeCoverage": v.HugeCoverage()})
+		if v.FS == "ext4-DAX" && v.Aged {
+			p.Floats(map[string]float64{"AgedSlowdown": agedSlowdown})
 		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote mmap report to %s\n", jsonOut)
+		p.AddCounters("Counters.", &v.Counters)
 	}
-	if baseline != "" {
-		if err := checkMmapBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
-}
-
-func (r *mmapReport) variant(fs string, aged bool) (*mmapVariant, bool) {
-	for i := range r.Variants {
-		if r.Variants[i].FS == fs && r.Variants[i].Aged == aged {
-			return &r.Variants[i], true
-		}
-	}
-	return nil, false
+	return rep, nil
 }
 
 // runMmapVariant makes a fresh file system and runs one sweep on it.
-func runMmapVariant(fsName string, aged bool, cpus int, devSize int64, cfg workloads.MmapSweepConfig) (mmapVariant, error) {
-	v := mmapVariant{FS: fsName, Aged: aged}
+func runMmapVariant(fsName string, aged bool, cpus int, devSize int64, cfg workloads.MmapSweepConfig) (workloads.MmapSweepResult, error) {
 	maker, ok := fstest.ByName(fsName, cpus)
 	if !ok {
-		return v, fmt.Errorf("unknown file system %q", fsName)
+		return workloads.MmapSweepResult{}, fmt.Errorf("unknown file system %q", fsName)
 	}
-	dev := pmem.New(devSize)
 	ctx := sim.NewCtx(1, 0)
-	fs, err := maker.Make(ctx, dev)
+	fs, err := maker.Make(ctx, pmem.New(devSize))
 	if err != nil {
-		return v, err
+		return workloads.MmapSweepResult{}, err
 	}
 	cfg.Aged = aged
-	res, err := workloads.RunMmapSweep(ctx, fs, cfg)
-	if err != nil {
-		return v, err
-	}
-	v.Reads, v.ReadBytes = res.Reads, res.ReadBytes
-	v.HugeChunks, v.TotalChunks = res.HugeChunks, res.TotalChunks
-	v.SetupNS, v.MapNS, v.SweepNS, v.WriteNS = res.SetupNS, res.MapNS, res.SweepNS, res.WriteNS
-	v.NSPerRead = res.NSPerRead
-	v.HugeCoverage = res.HugeCoverage()
-	v.Counters = res.Counters
-	return v, nil
-}
-
-// checkMmapBaseline compares a finished sweep against the committed
-// BENCH_mmap.json: configuration and work counters exact, virtual timings
-// within lockWaitTolerance.
-func checkMmapBaseline(rep mmapReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base mmapReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.FileMB != base.FileMB || rep.Reads != base.Reads ||
-		rep.ReadSize != base.ReadSize || rep.Util != base.Util || rep.CPUs != base.CPUs ||
-		rep.Seed != base.Seed || len(rep.Variants) != len(base.Variants) {
-		return fmt.Errorf("configuration mismatch: run (%s %dMiB x %d reads, util %.2f, %d cpus, seed %d, %d variants) vs baseline (%s %dMiB x %d, util %.2f, %d cpus, seed %d, %d variants)",
-			rep.Bench, rep.FileMB, rep.Reads, rep.Util, rep.CPUs, rep.Seed, len(rep.Variants),
-			base.Bench, base.FileMB, base.Reads, base.Util, base.CPUs, base.Seed, len(base.Variants))
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	for i := range rep.Variants {
-		got, want := &rep.Variants[i], &base.Variants[i]
-		name := fmt.Sprintf("%s/aged=%v", got.FS, got.Aged)
-		if got.FS != want.FS || got.Aged != want.Aged {
-			bad = append(bad, fmt.Sprintf("variant %d is %s/aged=%v, baseline %s/aged=%v",
-				i, got.FS, got.Aged, want.FS, want.Aged))
-			continue
-		}
-		exact(name+".Reads", got.Reads, want.Reads)
-		exact(name+".ReadBytes", got.ReadBytes, want.ReadBytes)
-		exact(name+".HugeChunks", int64(got.HugeChunks), int64(want.HugeChunks))
-		exact(name+".TotalChunks", int64(got.TotalChunks), int64(want.TotalChunks))
-		within(name+".SetupNS", float64(got.SetupNS), float64(want.SetupNS))
-		within(name+".MapNS", float64(got.MapNS), float64(want.MapNS))
-		within(name+".SweepNS", float64(got.SweepNS), float64(want.SweepNS))
-		within(name+".WriteNS", float64(got.WriteNS), float64(want.WriteNS))
-		within(name+".NSPerRead", got.NSPerRead, want.NSPerRead)
-		gotFields, wantFields := got.Counters.Fields(), want.Counters.Fields()
-		for j, f := range gotFields {
-			if f.Name == "LockWaitNS" {
-				within(name+".Counters.LockWaitNS", float64(f.Value), float64(wantFields[j].Value))
-				continue
-			}
-			exact(name+".Counters."+f.Name, f.Value, wantFields[j].Value)
-		}
-	}
-	if len(bad) > 0 {
-		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "  regression: %s\n", b)
-		}
-		return fmt.Errorf("%d regressions vs baseline", len(bad))
-	}
-	return nil
+	return workloads.RunMmapSweep(ctx, fs, cfg)
 }

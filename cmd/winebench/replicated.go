@@ -11,13 +11,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
@@ -45,36 +44,6 @@ import (
 // fabricates. 65% gates real regressions (a charge-model or batching
 // slip) without re-burying the cost.
 const replicatedOverheadLimit = 65.0
-
-// replicatedReport is the BENCH_replicated.json schema.
-type replicatedReport struct {
-	Bench        string // "server-mix-replicated/v1"
-	Clients      int
-	OpsPerClient int
-	CPUs         int
-	Replicas     int
-	Seed         uint64
-	ClientOps    int64
-	// PlainSpanNS / ReplicatedSpanNS are the virtual makespans (slowest
-	// client) of the unreplicated and replicated runs; PlainSumNS /
-	// ReplicatedSumNS are the summed per-client spans, and OverheadPct —
-	// the relative cost of synchronous replication — is computed on the
-	// sums (see replicatedOverheadLimit for why).
-	PlainSpanNS      int64
-	ReplicatedSpanNS int64
-	PlainSumNS       int64
-	ReplicatedSumNS  int64
-	OverheadPct      float64
-	// RecordsLogged/BytesLogged/Commits track the workload's write stream
-	// closely but not exactly: journal group-commit batching follows real
-	// scheduler interleaving, so they wobble a fraction of a percent and
-	// are gated with the contention tolerance. Resyncs is the per-replica
-	// baseline image transfer (== Replicas), gated exactly.
-	RecordsLogged int64
-	BytesLogged   int64
-	Commits       int64
-	Resyncs       int64
-}
 
 // mixFanout drives `clients` concurrent ServerMix clients against dial and
 // returns (total client ops, virtual makespan, summed client spans).
@@ -123,13 +92,12 @@ func mixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, see
 
 // runReplicatedBench measures synchronous-replication overhead on the
 // ServerMix serving baseline and gates it at replicatedOverheadLimit.
-func runReplicatedBench(clients, cpus int, size int64, ops int, quick bool, seed uint64, jsonOut, baseline string) error {
+func runReplicatedBench(o options) (*bench.Report, error) {
 	const nReplicas = 2
-	if ops <= 0 {
-		ops = 200
-		if quick {
-			ops = 50
-		}
+	clients, cpus, size, seed := o.clients, o.cpus, o.size, o.seed
+	ops := serverMixOps
+	if o.quick {
+		ops = serverMixOpsQuick
 	}
 	if size == 0 {
 		size = 1 << 30
@@ -140,7 +108,7 @@ func runReplicatedBench(clients, cpus int, size int64, ops int, quick bool, seed
 	ctx := sim.NewCtx(1, 0)
 	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, Mode: vfs.Strict})
 	if err != nil {
-		return fmt.Errorf("mkfs: %w", err)
+		return nil, fmt.Errorf("mkfs: %w", err)
 	}
 	srv := fileserver.New(fs, fileserver.Config{CPUs: cpus})
 	pl := fileserver.NewPipeListener()
@@ -148,11 +116,11 @@ func runReplicatedBench(clients, cpus int, size int64, ops int, quick bool, seed
 	go func() { serveErr <- srv.Serve(pl) }()
 	plainOps, plainSpan, plainSum, err := mixFanout(pl.Dial, clients, cpus, ops, seed)
 	if err != nil {
-		return fmt.Errorf("plain run: %w", err)
+		return nil, fmt.Errorf("plain run: %w", err)
 	}
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {
-		return fmt.Errorf("plain serve: %w", err)
+		return nil, fmt.Errorf("plain serve: %w", err)
 	}
 
 	// Replicated run: same workload through a synchronous 2-replica
@@ -166,20 +134,20 @@ func runReplicatedBench(clients, cpus int, size int64, ops int, quick bool, seed
 		Repl:       cluster.ReplicatorConfig{Sync: true, Seed: seed},
 	})
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	defer cl.Shutdown()
 	replOps, replSpan, replSum, err := mixFanout(cl.DialPrimary, clients, cpus, ops, seed)
 	if err != nil {
-		return fmt.Errorf("replicated run: %w", err)
+		return nil, fmt.Errorf("replicated run: %w", err)
 	}
 	if replOps != plainOps {
-		return fmt.Errorf("op-count mismatch: plain %d vs replicated %d", plainOps, replOps)
+		return nil, fmt.Errorf("op-count mismatch: plain %d vs replicated %d", plainOps, replOps)
 	}
 	// Integrity before performance: every replica must end byte-identical
 	// to the primary, or the overhead number is meaningless.
 	if !cl.AwaitConverged(30 * time.Second) {
-		return fmt.Errorf("replicas did not converge with the primary after the run")
+		return nil, fmt.Errorf("replicas did not converge with the primary after the run")
 	}
 	st := cl.Stats()
 
@@ -205,100 +173,29 @@ func runReplicatedBench(clients, cpus int, size int64, ops int, quick bool, seed
 	t.Print(os.Stdout)
 
 	if overhead > replicatedOverheadLimit {
-		return fmt.Errorf("synchronous replication costs %.2f%% on summed ServerMix spans, limit %.0f%%", overhead, replicatedOverheadLimit)
+		return nil, fmt.Errorf("synchronous replication costs %.2f%% on summed ServerMix spans, limit %.0f%%", overhead, replicatedOverheadLimit)
 	}
 	if st.Repl.Resyncs != nReplicas {
-		return fmt.Errorf("resyncs = %d, want exactly the %d baseline transfers", st.Repl.Resyncs, nReplicas)
+		return nil, fmt.Errorf("resyncs = %d, want exactly the %d baseline transfers", st.Repl.Resyncs, nReplicas)
 	}
 	for _, rs := range st.ReplicaSide {
 		if rs.BadRecords != 0 || rs.Gaps != 0 {
-			return fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
+			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
 		}
 	}
 
-	rep := replicatedReport{
-		Bench:            "server-mix-replicated/v1",
-		Clients:          clients,
-		OpsPerClient:     ops,
-		CPUs:             cpus,
-		Replicas:         nReplicas,
-		Seed:             seed,
-		ClientOps:        plainOps,
-		PlainSpanNS:      plainSpan,
-		ReplicatedSpanNS: replSpan,
-		PlainSumNS:       plainSum,
-		ReplicatedSumNS:  replSum,
-		OverheadPct:      overhead,
-		RecordsLogged:    st.Repl.RecordsLogged,
-		BytesLogged:      st.Repl.BytesLogged,
-		Commits:          st.Repl.Commits,
-		Resyncs:          st.Repl.Resyncs,
-	}
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote BENCH report to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		if err := checkReplicatedBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
-}
-
-// checkReplicatedBaseline diffs a run against the committed
-// BENCH_replicated.json: configuration and work counters exactly, spans
-// and the overhead ratio with the usual contention tolerance.
-func checkReplicatedBaseline(rep replicatedReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base replicatedReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.Clients != base.Clients ||
-		rep.OpsPerClient != base.OpsPerClient || rep.CPUs != base.CPUs ||
-		rep.Replicas != base.Replicas || rep.Seed != base.Seed {
-		return fmt.Errorf("configuration mismatch: run (%d clients x %d ops, %d cpus, %d replicas, seed %d) vs baseline (%d x %d, %d cpus, %d replicas, seed %d)",
-			rep.Clients, rep.OpsPerClient, rep.CPUs, rep.Replicas, rep.Seed,
-			base.Clients, base.OpsPerClient, base.CPUs, base.Replicas, base.Seed)
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	exact("ClientOps", rep.ClientOps, base.ClientOps)
-	exact("Resyncs", rep.Resyncs, base.Resyncs)
-	// The record stream tracks the workload but group-commit batching
-	// follows real scheduler interleaving — tolerance, not exact.
-	within("RecordsLogged", float64(rep.RecordsLogged), float64(base.RecordsLogged))
-	within("BytesLogged", float64(rep.BytesLogged), float64(base.BytesLogged))
-	within("Commits", float64(rep.Commits), float64(base.Commits))
-	within("PlainSpanNS", float64(rep.PlainSpanNS), float64(base.PlainSpanNS))
-	within("ReplicatedSpanNS", float64(rep.ReplicatedSpanNS), float64(base.ReplicatedSpanNS))
-	within("PlainSumNS", float64(rep.PlainSumNS), float64(base.PlainSumNS))
-	within("ReplicatedSumNS", float64(rep.ReplicatedSumNS), float64(base.ReplicatedSumNS))
-	if len(bad) > 0 {
-		return fmt.Errorf("%d regressions:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
+	// PlainSpanNS / ReplicatedSpanNS are the virtual makespans (slowest
+	// client), PlainSumNS / ReplicatedSumNS the summed per-client spans that
+	// OverheadPct is computed on. Resyncs is the per-replica baseline image
+	// transfer (== Replicas), exact; the record stream is toleranced.
+	rep := bench.New("server-mix-replicated/v1", map[string]float64{
+		"Clients": float64(clients), "OpsPerClient": float64(ops), "CPUs": float64(cpus),
+		"Replicas": nReplicas, "Seed": float64(seed)})
+	p := rep.Point(nil, 0)
+	p.Ints(map[string]int64{"ClientOps": plainOps,
+		"PlainSpanNS": plainSpan, "ReplicatedSpanNS": replSpan, "PlainSumNS": plainSum, "ReplicatedSumNS": replSum,
+		"RecordsLogged": st.Repl.RecordsLogged, "BytesLogged": st.Repl.BytesLogged,
+		"Commits": st.Repl.Commits, "Resyncs": st.Repl.Resyncs})
+	p.Floats(map[string]float64{"OverheadPct": overhead})
+	return rep, nil
 }

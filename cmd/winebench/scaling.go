@@ -1,13 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/perf"
@@ -32,45 +31,29 @@ const scalingCPUs = 128
 
 func scalingThreadCounts() []int { return []int{1, 2, 4, 8, 16, 32, 64, 128} }
 
-// scalingPoint is one (case, transport, threads) measurement.
+// scalingPoint aggregates one (case, transport, threads) cell over its
+// threads.
 type scalingPoint struct {
-	Case      string
-	Transport string // "local" (direct calls) or "server" (through winefsd)
-	Threads   int
 	// Ops and Bytes are summed over threads and exactly reproducible.
-	Ops   int64
-	Bytes int64
-	// SpanNS is the slowest thread's virtual time; OpsPerSec is
-	// Ops/SpanNS in virtual seconds. Contention-derived, so
-	// baseline-checked with tolerance rather than exactly.
-	SpanNS     int64
-	OpsPerSec  float64
-	LockWaitNS int64
+	Ops, Bytes int64
+	// SpanNS is the slowest thread's virtual time; OpsPerSec is Ops/SpanNS
+	// in virtual seconds. Contention-derived, so toleranced in the report.
+	SpanNS    int64
+	OpsPerSec float64
 	// Counters merges the worker threads' counters (local) or the server
 	// sessions' (server). Setup work is excluded in both transports.
 	Counters perf.Counters
 }
 
-// scalingReport is the machine-readable BENCH_scaling.json schema.
-type scalingReport struct {
-	Bench        string // report schema tag, "scaling/v1"
-	CPUs         int
-	OpsPerThread int
-	Seed         uint64
-	Points       []scalingPoint
-}
-
 // runScalingBench sweeps every fxmark case over both transports and all
-// thread counts, prints ops/s tables, and optionally writes/checks the
-// JSON report.
-func runScalingBench(ops int, quick bool, seed uint64, jsonOut, baseline string) error {
-	if ops <= 0 {
-		ops = 200
-		if quick {
-			ops = 64
-		}
+// thread counts, prints ops/s tables and packs the report. Work counters
+// are exact at every scale; timings and allocator placement are compared
+// only up to bench's strict-timing thread count.
+func runScalingBench(o options) (*bench.Report, error) {
+	ops := scalingOps
+	if o.quick {
+		ops = scalingOpsQuick
 	}
-	rep := scalingReport{Bench: "scaling/v1", CPUs: scalingCPUs, OpsPerThread: ops, Seed: seed}
 	// Points are independent — each boots a fresh device and file system —
 	// so they run concurrently via sim.ParallelRunner into per-index slots;
 	// the report order is the job-list order regardless of host scheduling,
@@ -95,14 +78,21 @@ func runScalingBench(ops int, quick bool, seed uint64, jsonOut, baseline string)
 	pr := sim.ParallelRunner{Workers: min(runtime.GOMAXPROCS(0), 4)}
 	pr.Run(len(jobs), func(i int) {
 		j := jobs[i]
-		pts[i], errs[i] = runScalingPoint(j.c, j.transport, j.threads, ops, seed)
+		pts[i], errs[i] = runScalingPoint(j.c, j.transport, j.threads, ops, o.seed)
 	})
+	rep := bench.New("scaling/v1", map[string]float64{
+		"CPUs": scalingCPUs, "OpsPerThread": float64(ops), "Seed": float64(o.seed)})
 	for i, err := range errs {
+		j, pt := jobs[i], &pts[i]
 		if err != nil {
-			return fmt.Errorf("%s/%s/%d threads: %w", jobs[i].c, jobs[i].transport, jobs[i].threads, err)
+			return nil, fmt.Errorf("%s/%s/%d threads: %w", j.c, j.transport, j.threads, err)
 		}
+		p := rep.Point(map[string]string{"Case": string(j.c), "Transport": j.transport}, j.threads)
+		p.Ints(map[string]int64{"Ops": pt.Ops, "Bytes": pt.Bytes, "SpanNS": pt.SpanNS,
+			"LockWaitNS": pt.Counters.LockWaitNS})
+		p.Floats(map[string]float64{"OpsPerSec": pt.OpsPerSec})
+		p.AddCounters("Counters.", &pt.Counters)
 	}
-	rep.Points = pts
 
 	for _, transport := range []string{"local", "server"} {
 		t := &experiments.Table{
@@ -119,13 +109,10 @@ func runScalingBench(ops int, quick bool, seed uint64, jsonOut, baseline string)
 			// ratio over the case's points; plain fileserver clients take no
 			// leases, so it renders "-" unless a cache sits in the stack.
 			var caseCounters perf.Counters
-			for _, n := range scalingThreadCounts() {
-				for i := range rep.Points {
-					pt := &rep.Points[i]
-					if pt.Case == string(c) && pt.Transport == transport && pt.Threads == n {
-						row = append(row, fmt.Sprintf("%.1f", pt.OpsPerSec/1e3))
-						caseCounters.Add(&pt.Counters)
-					}
+			for i, j := range jobs {
+				if j.c == c && j.transport == transport {
+					row = append(row, fmt.Sprintf("%.1f", pts[i].OpsPerSec/1e3))
+					caseCounters.Add(&pts[i].Counters)
 				}
 			}
 			row = append(row, fmtHitRatio(&caseCounters))
@@ -133,31 +120,14 @@ func runScalingBench(ops int, quick bool, seed uint64, jsonOut, baseline string)
 		}
 		t.Print(os.Stdout)
 	}
-
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote scaling report to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		if err := checkScalingBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
+	return rep, nil
 }
 
 // runScalingPoint measures one (case, transport, threads) cell on a fresh
 // file system. Setup always runs single-threaded directly against the FS;
 // only the measured loops go through the transport under test.
 func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int, seed uint64) (scalingPoint, error) {
-	pt := scalingPoint{Case: string(c), Transport: transport, Threads: threads}
+	var pt scalingPoint
 	cfg := workloads.FxmarkConfig{Ops: ops, Seed: seed}
 	// The sweep never snapshots its devices; NoSnapshot drops the
 	// snapshot-lock round trip from every store on the measured path.
@@ -245,7 +215,6 @@ func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int,
 		st := srv.Stats()
 		pt.Counters.Add(&st.Counters)
 	}
-	pt.LockWaitNS = pt.Counters.LockWaitNS
 	if pt.SpanNS > 0 {
 		pt.OpsPerSec = float64(pt.Ops) / (float64(pt.SpanNS) / 1e9)
 	}
@@ -255,98 +224,4 @@ func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int,
 	// a live server writing.
 	dev.Release()
 	return pt, nil
-}
-
-// lockWaitFloorNS exempts tiny LockWaitNS values from the relative
-// tolerance: a single displaced lock booking shifts the total by a few
-// hundred virtual ns, which is a huge relative error on a near-zero
-// baseline but means nothing.
-const lockWaitFloorNS = 20000
-
-// strictTimingThreads bounds the regime where contention-derived numbers
-// (SpanNS, OpsPerSec, LockWaitNS, allocation-placement counters) are gated
-// with tolerance. They are deterministic in distribution, and up to this
-// thread count the distribution is tight enough for lockWaitTolerance to
-// hold across runs. Beyond it — 32+ virtual threads multiplexed onto a
-// handful of host cores — which thread wins each calendar slot varies
-// enough run-to-run that the span of the slowest thread is bimodal; there
-// the gate keeps every exact work counter (ops, bytes, faults, journal
-// traffic are interleaving-independent at every scale) and lets the
-// timing distribution float.
-const strictTimingThreads = 16
-
-// checkScalingBaseline compares a finished sweep against a committed
-// scaling report: configuration, point set and every work counter must
-// match exactly; contention-derived timings get lockWaitTolerance slack.
-func checkScalingBaseline(rep scalingReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base scalingReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.CPUs != base.CPUs ||
-		rep.OpsPerThread != base.OpsPerThread || rep.Seed != base.Seed {
-		return fmt.Errorf("configuration mismatch: run (%s, %d cpus, %d ops, seed %d) vs baseline (%s, %d cpus, %d ops, seed %d)",
-			rep.Bench, rep.CPUs, rep.OpsPerThread, rep.Seed,
-			base.Bench, base.CPUs, base.OpsPerThread, base.Seed)
-	}
-	if len(rep.Points) != len(base.Points) {
-		return fmt.Errorf("point count mismatch: %d vs baseline %d", len(rep.Points), len(base.Points))
-	}
-	var bad []string
-	for i := range rep.Points {
-		got, want := rep.Points[i], base.Points[i]
-		id := fmt.Sprintf("%s/%s/%d", got.Case, got.Transport, got.Threads)
-		if got.Case != want.Case || got.Transport != want.Transport || got.Threads != want.Threads {
-			return fmt.Errorf("point %d is %s, baseline has %s/%s/%d", i, id, want.Case, want.Transport, want.Threads)
-		}
-		exact := func(name string, g, w int64) {
-			if g != w {
-				bad = append(bad, fmt.Sprintf("%s: %s = %d, baseline %d", id, name, g, w))
-			}
-		}
-		within := func(name string, g, w float64) {
-			if w == 0 && g == 0 {
-				return
-			}
-			if w == 0 || g < w*(1-lockWaitTolerance) || g > w*(1+lockWaitTolerance) {
-				bad = append(bad, fmt.Sprintf("%s: %s = %g, baseline %g (>%.0f%% off)", id, name, g, w, lockWaitTolerance*100))
-			}
-		}
-		exact("Ops", got.Ops, want.Ops)
-		exact("Bytes", got.Bytes, want.Bytes)
-		strict := got.Threads <= strictTimingThreads
-		if strict {
-			within("SpanNS", float64(got.SpanNS), float64(want.SpanNS))
-			within("OpsPerSec", got.OpsPerSec, want.OpsPerSec)
-			if got.LockWaitNS > lockWaitFloorNS || want.LockWaitNS > lockWaitFloorNS {
-				within("LockWaitNS", float64(got.LockWaitNS), float64(want.LockWaitNS))
-			}
-		}
-		gotFields, wantFields := got.Counters.Fields(), want.Counters.Fields()
-		for j, f := range gotFields {
-			switch f.Name {
-			case "LockWaitNS":
-				// Checked above, with tolerance, in the strict regime.
-			case "AllocSteals", "AllocSplits":
-				// Placement counters: WHERE an allocation lands (local pool,
-				// remote steal, broken hugepage) depends on which group has
-				// the most free space at that instant, which shifts with
-				// host-order ties exactly like lock waits. The amounts
-				// allocated stay exact (Bytes and the byte counters above).
-				if strict && (f.Value > 16 || wantFields[j].Value > 16) {
-					within("Counters."+f.Name, float64(f.Value), float64(wantFields[j].Value))
-				}
-			default:
-				exact("Counters."+f.Name, f.Value, wantFields[j].Value)
-			}
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("%d regressions:\n  %s", len(bad), strings.Join(bad, "\n  "))
-	}
-	return nil
 }

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/tier"
@@ -36,105 +36,53 @@ const tierMinDegradedRatio = 0.25
 // 1x is judged as the first degraded point instead.
 const tierMinFitRatio = 0.75
 
-// tierVariant is one {working-set fraction, tiered?} sweep.
-type tierVariant struct {
-	Frac   float64
-	Tiered bool
-
-	// Work done (baseline-gated exactly).
-	Files           int
-	WorkingSetBytes int64
-	Ops             int64
-	Bytes           int64
-	Passes          int64
-
-	// Contention-free virtual timings (tolerance-checked).
-	SetupNS int64
-	SweepNS int64
-	NSPerOp float64
-
-	// GBps is Bytes/SweepNS — the headline curve.
-	GBps float64
-
-	// End-of-sweep occupancy (tiered variants only).
-	PMFreeBlocks   int64
-	SlowFreeBlocks int64
-
-	// SetupCounters covers laying out the working set (allocation spill
-	// lives here); Counters covers the measured sweep thread (cold-miss
-	// slow-device traffic, faults); MigrCounters covers the background
-	// migration thread (demotions/promotions and their copy traffic).
-	SetupCounters perf.Counters
-	Counters      perf.Counters
-	MigrCounters  perf.Counters
-}
-
-// tierReport is the machine-readable BENCH_tier.json schema.
-type tierReport struct {
-	Bench     string // report schema tag, "tier/v1"
-	PMMB      int    // tiered variants' PM device size
-	SlowMB    int    // slow device size
-	ControlMB int    // all-in-PM control device size
-	Ops       int
-	OpSize    int
-	ReadFrac  float64
-	HotData   float64
-	HotAccess float64
-	PassEvery int
-	CPUs      int
-	Seed      uint64
-	Variants  []tierVariant
-	// Ratios[i] is tiered GBps / control GBps at Fracs[i].
-	Fracs  []float64
-	Ratios []float64
-}
-
 // runTierBench sweeps the working-set fractions, prints the degradation
-// curve, enforces the gates and optionally writes/checks the JSON report.
-func runTierBench(cpus int, quick bool, seed uint64, jsonOut, baseline string) error {
+// curve, enforces the gates and packs the report. In each point
+// SetupCounters covers laying out the working set (allocation spill lives
+// here), Counters the measured sweep thread (cold-miss slow-device
+// traffic, faults) and MigrCounters the background migration thread
+// (demotions/promotions and their copy traffic).
+func runTierBench(o options) (*bench.Report, error) {
+	cpus := o.cpus
 	devSize := int64(256 << 20)
-	cfg := workloads.TieredSweepConfig{Ops: 20000, Seed: seed}
-	if quick {
+	cfg := workloads.TieredSweepConfig{Ops: 20000, Seed: o.seed}
+	if o.quick {
 		devSize = 128 << 20
 		cfg.Ops = 8000
 	}
 	slowSize := 2 * devSize
 	controlSize := 3 * devSize
 	fracs := []float64{0.5, 1.0, 1.5, 2.0}
+	const opSize, readFrac = 4096, 0.9
 
-	rep := tierReport{
-		Bench: "tier/v1",
-		PMMB:  int(devSize >> 20), SlowMB: int(slowSize >> 20), ControlMB: int(controlSize >> 20),
-		Ops: cfg.Ops, OpSize: 4096, ReadFrac: 0.9, HotData: 0.1, HotAccess: 0.9, PassEvery: 2000,
-		CPUs: cpus, Seed: seed, Fracs: fracs,
-	}
-
+	// tiered[i] and control[i] ran working set fracs[i]; ratios[i] is
+	// tiered GBps / control GBps — the headline curve.
+	var tiered, control []workloads.TieredSweepResult
+	var ratios []float64
 	for _, frac := range fracs {
 		tv, cv, err := runTierPair(frac, cpus, devSize, slowSize, controlSize, cfg)
 		if err != nil {
-			return fmt.Errorf("frac %.1f: %w", frac, err)
+			return nil, fmt.Errorf("frac %.1f: %w", frac, err)
 		}
-		rep.Variants = append(rep.Variants, tv, cv)
 		ratio := 0.0
-		if cv.GBps > 0 {
-			ratio = tv.GBps / cv.GBps
+		if cv.GBps() > 0 {
+			ratio = tv.GBps() / cv.GBps()
 		}
-		rep.Ratios = append(rep.Ratios, ratio)
+		tiered, control, ratios = append(tiered, tv), append(control, cv), append(ratios, ratio)
 	}
 
 	t := &experiments.Table{
 		Title: fmt.Sprintf("Tiered PM+SSD vs all-in-PM: 90/10 hotspot, %d ops x %dB, %d%% reads, PM %dMiB + slow %dMiB",
-			rep.Ops, rep.OpSize, int(100*rep.ReadFrac), rep.PMMB, rep.SlowMB),
+			cfg.Ops, opSize, int(100*readFrac), devSize>>20, slowSize>>20),
 		Header: []string{"working set", "tiered GB/s", "all-PM GB/s", "ratio", "spilled blks", "slow reads", "demoted", "promoted"},
 	}
 	for i, frac := range fracs {
-		tv := &rep.Variants[2*i]
-		cv := &rep.Variants[2*i+1]
+		tv, cv := &tiered[i], &control[i]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1fx PM", frac),
-			fmt.Sprintf("%.3f", tv.GBps),
-			fmt.Sprintf("%.3f", cv.GBps),
-			fmt.Sprintf("%.0f%%", 100*rep.Ratios[i]),
+			fmt.Sprintf("%.3f", tv.GBps()),
+			fmt.Sprintf("%.3f", cv.GBps()),
+			fmt.Sprintf("%.0f%%", 100*ratios[i]),
 			fmt.Sprintf("%d", tv.SetupCounters.AllocSpillBlocks+tv.Counters.AllocSpillBlocks),
 			fmt.Sprintf("%d", tv.Counters.SlowReads),
 			fmt.Sprintf("%d", tv.MigrCounters.TierDemotedBlocks),
@@ -148,60 +96,63 @@ func runTierBench(cpus int, quick bool, seed uint64, jsonOut, baseline string) e
 	// to be served at PM speed.
 	readLat := tier.DefaultSlowConfig(1).ReadLatNS
 	for i, frac := range fracs {
-		tv := &rep.Variants[2*i]
-		ratio := rep.Ratios[i]
+		tv, ratio := &tiered[i], ratios[i]
 		if frac < 1.0 && ratio < tierMinFitRatio {
-			return fmt.Errorf("working set %.1fx PM fits, but tiered throughput is %.0f%% of all-PM (want >= %.0f%%)",
+			return nil, fmt.Errorf("working set %.1fx PM fits, but tiered throughput is %.0f%% of all-PM (want >= %.0f%%)",
 				frac, 100*ratio, 100*tierMinFitRatio)
 		}
 		if frac >= 1.0 && ratio < tierMinDegradedRatio {
-			return fmt.Errorf("graceful degradation gate: at %.1fx PM tiered throughput is %.0f%% of all-PM (want >= %.0f%%)",
+			return nil, fmt.Errorf("graceful degradation gate: at %.1fx PM tiered throughput is %.0f%% of all-PM (want >= %.0f%%)",
 				frac, 100*ratio, 100*tierMinDegradedRatio)
 		}
 		if frac >= 2.0 && tv.SetupCounters.AllocSpillBlocks == 0 {
-			return fmt.Errorf("at %.1fx PM no allocation spilled to the slow tier", frac)
+			return nil, fmt.Errorf("at %.1fx PM no allocation spilled to the slow tier", frac)
 		}
 		if frac > 1.0 {
 			if tv.Counters.SlowReadBytes == 0 {
-				return fmt.Errorf("at %.1fx PM the sweep never read the slow tier (cold misses uncharged?)", frac)
+				return nil, fmt.Errorf("at %.1fx PM the sweep never read the slow tier (cold misses uncharged?)", frac)
 			}
 			// Every slow-tier read advances the accessing thread's clock by
 			// at least the device's command latency, so the sweep time must
 			// cover SlowReads * ReadLatNS — the "cold reads really pay
 			// slow-tier costs" invariant.
 			if minNS := tv.Counters.SlowReads * readLat; tv.SweepNS < minNS {
-				return fmt.Errorf("at %.1fx PM sweep took %dns but %d slow reads cost at least %dns — slow tier undercharged",
+				return nil, fmt.Errorf("at %.1fx PM sweep took %dns but %d slow reads cost at least %dns — slow tier undercharged",
 					frac, tv.SweepNS, tv.Counters.SlowReads, minNS)
 			}
 		}
 	}
 
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	rep := bench.New("tier/v1", map[string]float64{
+		"PMMB": float64(devSize >> 20), "SlowMB": float64(slowSize >> 20), "ControlMB": float64(controlSize >> 20),
+		"Ops": float64(cfg.Ops), "OpSize": opSize, "ReadFrac": readFrac, "HotData": 0.1, "HotAccess": 0.9,
+		"PassEvery": 2000, "CPUs": float64(cpus), "Seed": float64(o.seed)})
+	for i, frac := range fracs {
+		for _, res := range []*workloads.TieredSweepResult{&tiered[i], &control[i]} {
+			p := rep.Point(map[string]string{"Frac": strconv.FormatFloat(frac, 'g', -1, 64),
+				"Tiered": strconv.FormatBool(res.TierOK)}, 0)
+			// End-of-sweep occupancy is zero on the untiered control.
+			p.Ints(map[string]int64{"Files": int64(res.Files), "WorkingSetBytes": res.WorkingSetBytes,
+				"Ops": res.Ops, "Bytes": res.Bytes, "Passes": res.Passes,
+				"PMFreeBlocks": res.Tier.PMFreeBlocks, "SlowFreeBlocks": res.Tier.SlowFreeBlocks,
+				"SetupNS": res.SetupNS, "SweepNS": res.SweepNS})
+			p.Floats(map[string]float64{"NSPerOp": res.NSPerOp, "GBps": res.GBps()})
+			if res.TierOK {
+				p.Floats(map[string]float64{"Ratio": ratios[i]})
+			}
+			p.AddCounters("SetupCounters.", &res.SetupCounters)
+			p.AddCounters("Counters.", &res.Counters)
+			p.AddCounters("MigrCounters.", &res.MigrCounters)
 		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Printf("wrote tier report to %s\n", jsonOut)
 	}
-	if baseline != "" {
-		if err := checkTierBaseline(rep, baseline); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		fmt.Printf("baseline check OK against %s\n", baseline)
-	}
-	return nil
+	return rep, nil
 }
 
 // runTierPair runs one working-set fraction on a fresh tiered mount and a
 // fresh all-in-PM control. The working set is derived from the tiered
 // mount's PM data capacity and reused verbatim for the control, so both
 // sweeps touch exactly the same bytes.
-func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, cfg workloads.TieredSweepConfig) (tierVariant, tierVariant, error) {
-	var tv, cv tierVariant
-
+func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, cfg workloads.TieredSweepConfig) (tv, cv workloads.TieredSweepResult, err error) {
 	dev := pmem.New(devSize)
 	slow := tier.NewSlow(tier.DefaultSlowConfig(slowSize))
 	defer slow.Release()
@@ -213,11 +164,9 @@ func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, c
 	st, _ := fs.TierStats()
 	cfg.WorkingSetBytes = int64(frac * float64(st.PMTotalBlocks*winefs.BlockSize))
 
-	res, err := workloads.RunTieredSweep(ctx, fs, cfg)
-	if err != nil {
+	if tv, err = workloads.RunTieredSweep(ctx, fs, cfg); err != nil {
 		return tv, cv, fmt.Errorf("tiered sweep: %w", err)
 	}
-	tv = tierVariantFrom(frac, true, res)
 
 	cdev := pmem.New(controlSize)
 	cctx := sim.NewCtx(1, 0)
@@ -225,103 +174,8 @@ func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, c
 	if err != nil {
 		return tv, cv, fmt.Errorf("control mkfs: %w", err)
 	}
-	cres, err := workloads.RunTieredSweep(cctx, cfs, cfg)
-	if err != nil {
+	if cv, err = workloads.RunTieredSweep(cctx, cfs, cfg); err != nil {
 		return tv, cv, fmt.Errorf("control sweep: %w", err)
 	}
-	cv = tierVariantFrom(frac, false, cres)
 	return tv, cv, nil
-}
-
-func tierVariantFrom(frac float64, tiered bool, res workloads.TieredSweepResult) tierVariant {
-	v := tierVariant{
-		Frac: frac, Tiered: tiered,
-		Files: res.Files, WorkingSetBytes: res.WorkingSetBytes,
-		Ops: res.Ops, Bytes: res.Bytes, Passes: res.Passes,
-		SetupNS: res.SetupNS, SweepNS: res.SweepNS, NSPerOp: res.NSPerOp,
-		GBps:          res.GBps(),
-		SetupCounters: res.SetupCounters, Counters: res.Counters, MigrCounters: res.MigrCounters,
-	}
-	if res.TierOK {
-		v.PMFreeBlocks = res.Tier.PMFreeBlocks
-		v.SlowFreeBlocks = res.Tier.SlowFreeBlocks
-	}
-	return v
-}
-
-// checkTierBaseline compares a finished sweep against the committed
-// BENCH_tier.json: configuration and work counters exact, virtual timings
-// within lockWaitTolerance.
-func checkTierBaseline(rep tierReport, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base tierReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if rep.Bench != base.Bench || rep.PMMB != base.PMMB || rep.SlowMB != base.SlowMB ||
-		rep.ControlMB != base.ControlMB || rep.Ops != base.Ops || rep.OpSize != base.OpSize ||
-		rep.ReadFrac != base.ReadFrac || rep.HotData != base.HotData || rep.HotAccess != base.HotAccess ||
-		rep.PassEvery != base.PassEvery ||
-		rep.CPUs != base.CPUs || rep.Seed != base.Seed || len(rep.Variants) != len(base.Variants) {
-		return fmt.Errorf("configuration mismatch: run (%s PM %dMiB + slow %dMiB, %d ops, %d cpus, seed %d, %d variants) vs baseline (%s PM %dMiB + slow %dMiB, %d ops, %d cpus, seed %d, %d variants)",
-			rep.Bench, rep.PMMB, rep.SlowMB, rep.Ops, rep.CPUs, rep.Seed, len(rep.Variants),
-			base.Bench, base.PMMB, base.SlowMB, base.Ops, base.CPUs, base.Seed, len(base.Variants))
-	}
-	var bad []string
-	exact := func(name string, got, want int64) {
-		if got != want {
-			bad = append(bad, fmt.Sprintf("%s = %d, baseline %d", name, got, want))
-		}
-	}
-	within := func(name string, got, want float64) {
-		if want == 0 && got == 0 {
-			return
-		}
-		if want == 0 || got < want*(1-lockWaitTolerance) || got > want*(1+lockWaitTolerance) {
-			bad = append(bad, fmt.Sprintf("%s = %g, baseline %g (>%.0f%% off)", name, got, want, lockWaitTolerance*100))
-		}
-	}
-	for i := range rep.Variants {
-		got, want := &rep.Variants[i], &base.Variants[i]
-		name := fmt.Sprintf("%.1fx/tiered=%v", got.Frac, got.Tiered)
-		if got.Frac != want.Frac || got.Tiered != want.Tiered {
-			bad = append(bad, fmt.Sprintf("variant %d is %.1fx/tiered=%v, baseline %.1fx/tiered=%v",
-				i, got.Frac, got.Tiered, want.Frac, want.Tiered))
-			continue
-		}
-		exact(name+".Files", int64(got.Files), int64(want.Files))
-		exact(name+".WorkingSetBytes", got.WorkingSetBytes, want.WorkingSetBytes)
-		exact(name+".Ops", got.Ops, want.Ops)
-		exact(name+".Bytes", got.Bytes, want.Bytes)
-		exact(name+".Passes", got.Passes, want.Passes)
-		exact(name+".PMFreeBlocks", got.PMFreeBlocks, want.PMFreeBlocks)
-		exact(name+".SlowFreeBlocks", got.SlowFreeBlocks, want.SlowFreeBlocks)
-		within(name+".SetupNS", float64(got.SetupNS), float64(want.SetupNS))
-		within(name+".SweepNS", float64(got.SweepNS), float64(want.SweepNS))
-		within(name+".NSPerOp", got.NSPerOp, want.NSPerOp)
-		for _, pair := range []struct {
-			label string
-			g, w  *perf.Counters
-		}{{".Setup.", &got.SetupCounters, &want.SetupCounters}, {".Sweep.", &got.Counters, &want.Counters},
-			{".Migr.", &got.MigrCounters, &want.MigrCounters}} {
-			gf, wf := pair.g.Fields(), pair.w.Fields()
-			for j, f := range gf {
-				if f.Name == "LockWaitNS" {
-					within(name+pair.label+f.Name, float64(f.Value), float64(wf[j].Value))
-					continue
-				}
-				exact(name+pair.label+f.Name, f.Value, wf[j].Value)
-			}
-		}
-	}
-	if len(bad) > 0 {
-		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "  regression: %s\n", b)
-		}
-		return fmt.Errorf("%d regressions vs baseline", len(bad))
-	}
-	return nil
 }
