@@ -89,10 +89,13 @@ mmap-race:
 # migration-vs-mmap race (a demotion relocating blocks under a live
 # mapping must drain in-flight accesses before freeing), the rewrite
 # tests, spill/ENOSPC behaviour, the vmm re-promotion test, the
-# slow-device/pool unit tests and the runner tests (one Step = defrag +
-# rewriter + tier pass on one pacer, scraped concurrently).
+# slow-device/pool unit tests, the runner tests (one Step = defrag +
+# rewriter + tier pass on one pacer, scraped concurrently) and the
+# free-extent index every allocator in the tree runs on (internal/alloc:
+# the differential against the bitmap model, the strictness and Check
+# tests).
 maint-race:
-	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/
+	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,

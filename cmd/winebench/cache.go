@@ -3,12 +3,10 @@ package main
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
-	"repro/internal/pagecache"
 	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -125,40 +123,11 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	results := make([]workloads.CachedMixResult, clients)
-	ctxs := make([]*sim.Ctx, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := pl.Dial()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			cl, err := fileserver.Dial(conn)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var target vfs.FS = cl
-			if cached {
-				target = pagecache.New(cl, pagecache.Config{})
-			}
-			ctxs[i] = sim.NewCtx(5000+i, i%cpus)
-			results[i], errs[i] = workloads.CachedMixClient(ctxs[i], target, i, cfg)
-			if errs[i] == nil {
-				errs[i] = target.Unmount(ctxs[i])
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return v, fmt.Errorf("client %d: %w", i, err)
-		}
+	results, ctxs, err := mixFanout(pl.Dial, clients, cpus, cached, func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.CachedMixResult, error) {
+		return workloads.CachedMixClient(ctx, target, i, cfg)
+	})
+	if err != nil {
+		return v, err
 	}
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {

@@ -28,21 +28,18 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/crashmonkey"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/metrics"
-	"repro/internal/pagecache"
 	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 	"repro/internal/winefs"
-	"repro/internal/workloads"
 )
 
 // options carries the flag values the bench modes read.
@@ -400,42 +397,9 @@ func runServerBench(o options) (*bench.Report, error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	results := make([]workloads.ServerMixResult, clients)
-	ctxs := make([]*sim.Ctx, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := pl.Dial()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			cl, err := fileserver.Dial(conn)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var target vfs.FS = cl
-			if cached {
-				target = pagecache.New(cl, pagecache.Config{})
-			}
-			cctx := sim.NewCtx(5000+i, i%cpus)
-			ctxs[i] = cctx
-			results[i], errs[i] = workloads.ServerMixClient(cctx, target, i,
-				workloads.ServerMixConfig{Ops: ops, Seed: seed})
-			if errs[i] == nil {
-				errs[i] = target.Unmount(cctx)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("client %d: %w", i, err)
-		}
+	results, ctxs, err := serverMixFanout(pl.Dial, clients, cpus, ops, cached, seed)
+	if err != nil {
+		return nil, err
 	}
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
+	"repro/internal/pagecache"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -45,12 +46,17 @@ import (
 // slip) without re-burying the cost.
 const replicatedOverheadLimit = 65.0
 
-// mixFanout drives `clients` concurrent ServerMix clients against dial and
-// returns (total client ops, virtual makespan, summed client spans).
-func mixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, seed uint64) (int64, int64, int64, error) {
+// mixFanout is the one client fan-out loop (-server, -cache, -replicated):
+// each of `clients` goroutines dials, handshakes, wraps its client in the
+// page cache when cached is set, runs body on its own Ctx and unmounts.
+// It returns every client's result and Ctx (for the counters), or the
+// lowest-numbered failing client's error.
+func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, cached bool,
+	body func(ctx *sim.Ctx, target vfs.FS, i int) (R, error)) ([]R, []*sim.Ctx, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
-	results := make([]workloads.ServerMixResult, clients)
+	results := make([]R, clients)
+	ctxs := make([]*sim.Ctx, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -65,21 +71,36 @@ func mixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, see
 				errs[i] = err
 				return
 			}
-			cctx := sim.NewCtx(5000+i, i%cpus)
-			results[i], errs[i] = workloads.ServerMixClient(cctx, cl, i,
-				workloads.ServerMixConfig{Ops: ops, Seed: seed})
+			var target vfs.FS = cl
+			if cached {
+				target = pagecache.New(cl, pagecache.Config{})
+			}
+			ctxs[i] = sim.NewCtx(5000+i, i%cpus)
+			results[i], errs[i] = body(ctxs[i], target, i)
 			if errs[i] == nil {
-				errs[i] = cl.Unmount(cctx)
+				errs[i] = target.Unmount(ctxs[i])
 			}
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("client %d: %w", i, err)
+			return nil, nil, fmt.Errorf("client %d: %w", i, err)
 		}
 	}
-	var totalOps, spanNS, sumNS int64
+	return results, ctxs, nil
+}
+
+// serverMixFanout runs the ServerMix workload on every client of a fan-out.
+func serverMixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, cached bool, seed uint64) ([]workloads.ServerMixResult, []*sim.Ctx, error) {
+	return mixFanout(dial, clients, cpus, cached, func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.ServerMixResult, error) {
+		return workloads.ServerMixClient(ctx, target, i, workloads.ServerMixConfig{Ops: ops, Seed: seed})
+	})
+}
+
+// mixSpans totals a ServerMix fan-out: (client ops, virtual makespan,
+// summed client spans).
+func mixSpans(results []workloads.ServerMixResult) (totalOps, spanNS, sumNS int64) {
 	for _, r := range results {
 		totalOps += r.Ops
 		sumNS += r.VirtualNS
@@ -87,7 +108,7 @@ func mixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, see
 			spanNS = r.VirtualNS
 		}
 	}
-	return totalOps, spanNS, sumNS, nil
+	return
 }
 
 // runReplicatedBench measures synchronous-replication overhead on the
@@ -114,10 +135,11 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	pl := fileserver.NewPipeListener()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
-	plainOps, plainSpan, plainSum, err := mixFanout(pl.Dial, clients, cpus, ops, seed)
+	plain, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("plain run: %w", err)
 	}
+	plainOps, plainSpan, plainSum := mixSpans(plain)
 	srv.Shutdown()
 	if err := <-serveErr; err != nil {
 		return nil, fmt.Errorf("plain serve: %w", err)
@@ -137,10 +159,11 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	defer cl.Shutdown()
-	replOps, replSpan, replSum, err := mixFanout(cl.DialPrimary, clients, cpus, ops, seed)
+	repl, _, err := serverMixFanout(cl.DialPrimary, clients, cpus, ops, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("replicated run: %w", err)
 	}
+	replOps, replSpan, replSum := mixSpans(repl)
 	if replOps != plainOps {
 		return nil, fmt.Errorf("op-count mismatch: plain %d vs replicated %d", plainOps, replOps)
 	}

@@ -1,12 +1,21 @@
 package alloc
 
-import "repro/internal/rbtree"
+import (
+	"fmt"
 
-// Pool is a free-space extent pool with merge-on-free, used by the baseline
-// file systems' allocators (the WineFS allocator keeps its own structure
-// because it segregates aligned extents into a FIFO). Two red-black
-// indexes: by start (for merging and goal extension) and by (size, start)
-// (for best-fit queries). Not safe for concurrent use; callers lock.
+	"repro/internal/rbtree"
+)
+
+// Pool is the free-extent index with merge-on-free: the one mechanism
+// under every allocator in the tree. Two red-black indexes: by start
+// (merging, goal extension, first/next-fit) and by (size, start) (best-fit
+// and largest, ties on the lowest start). Its users differ in policy only:
+// a WineFS group (winefs/allocator.go) keeps an aligned FIFO beside one
+// Pool of holes — best-fit then largest, promotion out of the range Add
+// reports, the defrag hold over Carve; the slow tier (tier.Pool) is
+// first-fit then gather-from-the-lowest; the six baselines
+// (fsbase.LockedPool) mix goal extension, alignment, next-fit and
+// best-fit. Not safe for concurrent use; callers lock.
 type Pool struct {
 	byStart *rbtree.Tree[int64, int64]
 	bySize  *rbtree.Tree[sizeKey, struct{}]
@@ -49,20 +58,54 @@ func (p *Pool) remove(start, length int64) {
 	p.blocks -= length
 }
 
-// Add returns a free range to the pool, merging with adjacent extents.
-func (p *Pool) Add(start, length int64) {
+// neighbours returns the free extents on either side of the range (Len 0
+// where there is none). A range overlapping free space is a double free —
+// it would shadow a by-start entry, strand a by-size one and inflate
+// FreeBlocks — so it panics before anything is touched.
+func (p *Pool) neighbours(start, length int64) (prev, next Extent) {
+	ps, pl, _ := p.byStart.Floor(start)
+	ns, nl, _ := p.byStart.Ceiling(start)
+	if pl > 0 && ps+pl > start || nl > 0 && ns < start+length {
+		panic(fmt.Sprintf("alloc: double free: [%d,%d) overlaps a free extent", start, start+length))
+	}
+	return Extent{Start: ps, Len: pl}, Extent{Start: ns, Len: nl}
+}
+
+// Add returns a free range to the pool, merging with adjacent extents, and
+// reports the merged extent it is now part of (a caller with a promotion
+// rule carves aligned chunks back out of it). Panics on a double free.
+func (p *Pool) Add(start, length int64) Extent {
 	if length <= 0 {
-		return
+		return Extent{}
 	}
-	if ps, pl, ok := p.byStart.Floor(start); ok && ps+pl == start {
-		p.remove(ps, pl)
-		start, length = ps, pl+length
+	prev, next := p.neighbours(start, length)
+	if prev.Len > 0 && prev.End() == start {
+		p.remove(prev.Start, prev.Len)
+		start, length = prev.Start, prev.Len+length
 	}
-	if ns, nl, ok := p.byStart.Ceiling(start); ok && start+length == ns {
-		p.remove(ns, nl)
-		length += nl
+	if next.Len > 0 && start+length == next.Start {
+		p.remove(next.Start, next.Len)
+		length += next.Len
 	}
 	p.insert(start, length)
+	return Extent{Start: start, Len: length}
+}
+
+// Insert adds a free range as an extent of its own, NOT merged with
+// adjacent ones: for restoring an index exactly as it was cut (a saved
+// free list; the pieces a rebuild leaves of a partly used hugepage chunk).
+// Later Adds merge with it normally. Panics on a double free.
+func (p *Pool) Insert(start, length int64) {
+	if length > 0 {
+		p.neighbours(start, length)
+		p.insert(start, length)
+	}
+}
+
+// First returns the lowest-addressed free extent without removing it.
+func (p *Pool) First() (Extent, bool) {
+	s, l, ok := p.byStart.Min()
+	return Extent{Start: s, Len: l}, ok
 }
 
 // TakeAt carves exactly [start, start+length) if it is entirely free
@@ -123,15 +166,8 @@ func (p *Pool) TakeAligned(need int64) (Extent, bool) {
 	if found == nil {
 		return Extent{}, false
 	}
-	k := *found
-	first := (k.start + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
-	p.remove(k.start, k.length)
-	if first > k.start {
-		p.insert(k.start, first-k.start)
-	}
-	if first+need < k.start+k.length {
-		p.insert(first+need, k.start+k.length-(first+need))
-	}
+	first := (found.start + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
+	p.TakeAt(first, need)
 	return Extent{Start: first, Len: need}, true
 }
 
@@ -158,10 +194,7 @@ func (p *Pool) TakeNextFit(from, need int64) (Extent, bool) {
 	if !scan(from, -1) && !scan(0, from) {
 		return Extent{}, false
 	}
-	p.remove(hit.Start, hit.Len)
-	if hit.Len > need {
-		p.insert(hit.Start+need, hit.Len-need)
-	}
+	p.TakeAt(hit.Start, need)
 	return Extent{Start: hit.Start, Len: need}, true
 }
 
@@ -195,25 +228,19 @@ func (p *Pool) TakeAlignedInRange(lo, hi, need int64) (Extent, bool) {
 	if found == nil {
 		return Extent{}, false
 	}
-	s, l := found.Start, found.Len
-	first := s
+	first := found.Start
 	if first < lo {
 		first = lo
 	}
 	first = (first + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
-	p.remove(s, l)
-	if first > s {
-		p.insert(s, first-s)
-	}
-	if first+need < s+l {
-		p.insert(first+need, s+l-(first+need))
-	}
+	p.TakeAt(first, need)
 	return Extent{Start: first, Len: need}, true
 }
 
 // Carve removes [start, start+length) from the pool wherever it overlaps
-// free extents (used-state reconstruction).
-func (p *Pool) Carve(start, length int64) {
+// free extents (used-state reconstruction, the defrag hold) and reports
+// the parts it removed, in address order.
+func (p *Pool) Carve(start, length int64) []Extent {
 	end := start + length
 	from := start
 	if fs, _, ok := p.byStart.Floor(start); ok {
@@ -230,15 +257,21 @@ func (p *Pool) Carve(start, length int64) {
 		}
 		return true
 	})
+	var removed []Extent
 	for _, c := range cuts {
 		p.remove(c.s, c.l)
-		if c.s < start {
-			p.insert(c.s, start-c.s)
+		lo, hi := c.s, c.s+c.l
+		if lo < start {
+			p.insert(lo, start-lo)
+			lo = start
 		}
-		if c.s+c.l > end {
-			p.insert(end, c.s+c.l-end)
+		if hi > end {
+			p.insert(end, hi-end)
+			hi = end
 		}
+		removed = append(removed, Extent{Start: lo, Len: hi - lo})
 	}
+	return removed
 }
 
 // Extents snapshots the pool's free extents in address order.
@@ -249,4 +282,28 @@ func (p *Pool) Extents() []Extent {
 		return true
 	})
 	return out
+}
+
+// Check verifies the two indexes and the cached count against each other:
+// every extent non-empty, past its predecessor and in the by-size index,
+// no stray by-size entries, FreeBlocks the true sum.
+func (p *Pool) Check() error {
+	var sum, prevEnd int64
+	var err error
+	p.byStart.Ascend(func(s, l int64) bool {
+		if _, ok := p.bySize.Get(sizeKey{l, s}); !ok {
+			err = fmt.Errorf("extent [%d,+%d) missing from by-size index", s, l)
+		} else if l <= 0 || sum > 0 && s < prevEnd {
+			err = fmt.Errorf("extent [%d,+%d) is empty or overlaps its predecessor (ends at %d)", s, l, prevEnd)
+		}
+		sum, prevEnd = sum+l, s+l
+		return err == nil
+	})
+	if err == nil && p.bySize.Len() != p.byStart.Len() {
+		err = fmt.Errorf("%d extents but %d by-size entries", p.byStart.Len(), p.bySize.Len())
+	}
+	if err == nil && sum != p.blocks {
+		err = fmt.Errorf("cached free count %d but extents sum to %d", p.blocks, sum)
+	}
+	return err
 }

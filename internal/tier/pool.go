@@ -2,196 +2,89 @@ package tier
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/alloc"
 )
 
-// Pool is the slow tier's free-space allocator. Unlike the PM allocator it
-// has no alignment tiers, per-CPU pools or hugepage promotion: the slow
-// device has no TLB, so the only goals are contiguity (fewer extents per
-// file) and O(log n) operations. It is a sorted free list with first-fit
-// allocation and coalescing free, addressing blocks in the file system's
-// global block space [start, start+blocks).
-//
-// The pool is volatile: it is rebuilt from the inode extent scan at every
-// mount (see winefs rebuildSlowPool), so there is no on-device free-state
-// record to keep crash-consistent.
+// Pool is the slow tier's free-space allocator, a policy over the shared
+// alloc.Pool index: first-fit from the region start, else gather from the
+// lowest extents (no TLB behind it, so contiguity is the only goal). Its
+// own are the lock, the region [start, end) of the file system's global
+// block space, and strictness: out-of-region, double free and mark-used of
+// non-free blocks all panic. Volatile — rebuilt from the inode extent scan
+// at every mount (winefs rebuildSlowPool), so no on-device free state.
 type Pool struct {
-	mu    sync.Mutex
-	start int64 // first block of the slow region (global block space)
-	end   int64 // one past the last block
-	free  []alloc.Extent
-	freeN int64 // total free blocks, maintained incrementally
+	mu         sync.Mutex
+	start, end int64
+	free       *alloc.Pool
 }
 
 // NewPool creates a pool covering [start, start+blocks), all free.
 func NewPool(start, blocks int64) *Pool {
-	if blocks < 0 {
-		blocks = 0
-	}
-	p := &Pool{start: start, end: start + blocks, freeN: blocks}
-	if blocks > 0 {
-		p.free = []alloc.Extent{{Start: start, Len: blocks}}
-	}
+	p := &Pool{start: start, end: start + blocks, free: alloc.NewPool()}
+	p.free.Add(start, blocks)
 	return p
 }
 
-// Start returns the first block of the slow region.
-func (p *Pool) Start() int64 { return p.start }
-
-// Blocks returns the region's total size in blocks.
-func (p *Pool) Blocks() int64 { return p.end - p.start }
-
-// Contains reports whether the global block number falls in this region.
-func (p *Pool) Contains(blk int64) bool { return blk >= p.start && blk < p.end }
-
-// FreeBlocks returns the number of free blocks.
-func (p *Pool) FreeBlocks() int64 {
+// locked reads the index under the pool lock.
+func locked[T any](p *Pool, read func(*alloc.Pool) T) T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.freeN
+	return read(p.free)
 }
 
-// Alloc carves n blocks from the pool, preferring a single first-fit
-// extent and falling back to gathering smaller ones. Returns nil when the
-// pool cannot cover the request (nothing is allocated in that case).
+// FreeBlocks returns the number of free blocks.
+func (p *Pool) FreeBlocks() int64 { return locked(p, (*alloc.Pool).FreeBlocks) }
+
+// FreeExtents returns the free extents in address order (Audit, stats).
+func (p *Pool) FreeExtents() []alloc.Extent { return locked(p, (*alloc.Pool).Extents) }
+
+// Check is the index's self-check (alloc.Pool.Check), for Audit.
+func (p *Pool) Check() error { return locked(p, (*alloc.Pool).Check) }
+
+// Alloc carves n blocks: one first-fit extent when any is large enough,
+// else whole extents front to back. Returns nil, with nothing allocated,
+// when the pool cannot cover the request.
 func (p *Pool) Alloc(n int64) []alloc.Extent {
-	if n <= 0 {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n > p.freeN {
+	if n <= 0 || n > p.free.FreeBlocks() {
 		return nil
 	}
-	// First fit: a single extent large enough.
-	for i := range p.free {
-		if p.free[i].Len >= n {
-			out := []alloc.Extent{{Start: p.free[i].Start, Len: n}}
-			p.free[i].Start += n
-			p.free[i].Len -= n
-			if p.free[i].Len == 0 {
-				p.free = append(p.free[:i], p.free[i+1:]...)
-			}
-			p.freeN -= n
-			return out
-		}
+	if e, ok := p.free.TakeNextFit(p.start, n); ok {
+		return []alloc.Extent{e}
 	}
-	// Gather: take whole extents front to back until covered.
 	var out []alloc.Extent
-	remain := n
-	for remain > 0 {
-		e := p.free[0]
-		take := e.Len
-		if take > remain {
-			take = remain
-		}
-		out = append(out, alloc.Extent{Start: e.Start, Len: take})
-		p.free[0].Start += take
-		p.free[0].Len -= take
-		if p.free[0].Len == 0 {
-			p.free = p.free[1:]
-		}
-		remain -= take
+	for n > 0 {
+		e, _ := p.free.First()
+		e.Len = min(e.Len, n)
+		p.free.TakeAt(e.Start, e.Len)
+		out = append(out, e)
+		n -= e.Len
 	}
-	p.freeN -= n
 	return out
 }
 
-// Free returns [start, start+length) to the pool, coalescing with
-// neighbours. Freeing blocks outside the region or already free is a
-// caller bug and panics — the same invariant style the PM allocator uses.
+// Free returns [start, start+length) to the pool, merging with its
+// neighbours. Blocks outside the region or already free (alloc.Pool.Add)
+// are a caller bug and panic.
 func (p *Pool) Free(start, length int64) {
-	if length <= 0 {
-		return
-	}
-	if start < p.start || start+length > p.end {
+	if length > 0 && (start < p.start || start+length > p.end) {
 		panic(fmt.Sprintf("tier: free [%d,%d) outside slow region [%d,%d)", start, start+length, p.start, p.end))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := sort.Search(len(p.free), func(i int) bool { return p.free[i].Start >= start })
-	if i > 0 && p.free[i-1].End() > start {
-		panic(fmt.Sprintf("tier: double free at block %d", start))
-	}
-	if i < len(p.free) && start+length > p.free[i].Start {
-		panic(fmt.Sprintf("tier: double free at block %d", start))
-	}
-	// Try to merge with the left and/or right neighbour.
-	mergeLeft := i > 0 && p.free[i-1].End() == start
-	mergeRight := i < len(p.free) && p.free[i].Start == start+length
-	switch {
-	case mergeLeft && mergeRight:
-		p.free[i-1].Len += length + p.free[i].Len
-		p.free = append(p.free[:i], p.free[i+1:]...)
-	case mergeLeft:
-		p.free[i-1].Len += length
-	case mergeRight:
-		p.free[i].Start = start
-		p.free[i].Len += length
-	default:
-		p.free = append(p.free, alloc.Extent{})
-		copy(p.free[i+1:], p.free[i:])
-		p.free[i] = alloc.Extent{Start: start, Len: length}
-	}
-	p.freeN += length
+	p.free.Add(start, length)
 }
 
-// MarkUsed removes [start, start+length) from the free space; used by the
-// mount-time rebuild that replays the inode extent scan. Panics if any of
-// the range is not currently free (two inodes claiming the same slow
-// blocks — the corruption Audit exists to catch).
+// MarkUsed removes [start, start+length) from the free space (the mount's
+// replay of the inode extent scan). Panics unless all of it is free: out of
+// region, or two inodes claiming the same blocks — what Audit is for.
 func (p *Pool) MarkUsed(start, length int64) {
-	if length <= 0 {
-		return
-	}
-	if start < p.start || start+length > p.end {
-		panic(fmt.Sprintf("tier: markUsed [%d,%d) outside slow region [%d,%d)", start, start+length, p.start, p.end))
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := sort.Search(len(p.free), func(i int) bool { return p.free[i].End() > start })
-	if i == len(p.free) || p.free[i].Start > start || p.free[i].End() < start+length {
-		panic(fmt.Sprintf("tier: markUsed [%d,%d) not free", start, start+length))
+	if length > 0 && !p.free.TakeAt(start, length) {
+		panic(fmt.Sprintf("tier: markUsed [%d,%d) not free in slow region [%d,%d)", start, start+length, p.start, p.end))
 	}
-	e := p.free[i]
-	leftLen := start - e.Start
-	rightLen := e.End() - (start + length)
-	switch {
-	case leftLen == 0 && rightLen == 0:
-		p.free = append(p.free[:i], p.free[i+1:]...)
-	case leftLen == 0:
-		p.free[i] = alloc.Extent{Start: start + length, Len: rightLen}
-	case rightLen == 0:
-		p.free[i].Len = leftLen
-	default:
-		p.free[i].Len = leftLen
-		p.free = append(p.free, alloc.Extent{})
-		copy(p.free[i+2:], p.free[i+1:])
-		p.free[i+1] = alloc.Extent{Start: start + length, Len: rightLen}
-	}
-	p.freeN -= length
-}
-
-// FreeExtents returns a sorted copy of the free list (for Audit and
-// stats).
-func (p *Pool) FreeExtents() []alloc.Extent {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]alloc.Extent, len(p.free))
-	copy(out, p.free)
-	return out
-}
-
-// Reset returns the pool to the all-free state (mount-time rebuild).
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = p.free[:0]
-	if p.end > p.start {
-		p.free = append(p.free, alloc.Extent{Start: p.start, Len: p.end - p.start})
-	}
-	p.freeN = p.end - p.start
 }

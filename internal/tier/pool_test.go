@@ -73,7 +73,7 @@ func TestPoolGatherAndMarkUsed(t *testing.T) {
 	}
 
 	// Rebuild-style MarkUsed: reset then replay the allocation.
-	p.Reset()
+	p = NewPool(0, 30)
 	for _, e := range got {
 		p.MarkUsed(e.Start, e.Len)
 	}

@@ -5,28 +5,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/rbtree"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
-// holeKey orders the by-size index of the hole pool: smallest adequate
-// hole first, ties broken by lowest address.
-type holeKey struct {
-	length int64
-	start  int64
-}
-
-func holeLess(a, b holeKey) bool {
-	if a.length != b.length {
-		return a.length < b.length
-	}
-	return a.start < b.start
-}
-
 // group is one per-CPU allocation group (Figure 5): a FIFO list of free
-// aligned 2MiB extents and a red-black tree of free unaligned holes, plus
-// the CPU's inode free list. DRAM-only; rebuilt at mount.
+// aligned 2MiB extents and a pool of free unaligned holes, plus the CPU's
+// inode free list. DRAM-only; rebuilt at mount. The hole index is the
+// shared alloc.Pool; what is the group's own is policy — the FIFO,
+// best-fit-then-largest, promote-on-merge and the defrag hold.
 type group struct {
 	cpu int
 	mu  sync.Mutex
@@ -39,13 +26,12 @@ type group struct {
 	// aligned is the FIFO of free hugepage extents: allocation removes
 	// from the head, frees append at the tail (§3.6, "Aligned extent pool").
 	aligned []int64
-	// holes indexes free unaligned extents by start block; holesBySize is
-	// the companion index used to find an adequate hole in O(log n).
-	holes       *rbtree.Tree[int64, int64]
-	holesBySize *rbtree.Tree[holeKey, struct{}]
-	// holeBlocks is atomic so the cross-CPU steal scan (mostHoles) can
-	// read every group's count without taking every group's mutex;
-	// mutations still happen under g.mu.
+	// holes is the unaligned extent pool (§3.6), mutated under g.mu.
+	holes *alloc.Pool
+	// holeBlocks publishes holes.FreeBlocks() so the cross-CPU steal scan
+	// (mostHoles) can read every group's count without taking every
+	// group's mutex; every mutation of holes re-publishes it (publishLocked)
+	// before g.mu is released.
 	holeBlocks atomic.Int64
 
 	inodeFree []int64 // free inode slots in this CPU's table
@@ -63,13 +49,10 @@ type group struct {
 }
 
 func newGroup(cpu int) *group {
-	return &group{
-		cpu:         cpu,
-		holes:       rbtree.New[int64, int64](func(a, b int64) bool { return a < b }),
-		holesBySize: rbtree.New[holeKey, struct{}](holeLess),
-		holdBase:    -1,
-	}
+	return &group{cpu: cpu, holes: alloc.NewPool(), holdBase: -1}
 }
+
+func (g *group) publishLocked() { g.holeBlocks.Store(g.holes.FreeBlocks()) }
 
 // freeBlocks returns the group's total free block count.
 func (g *group) freeBlocks() int64 {
@@ -82,51 +65,16 @@ func (g *group) freeBlocks() int64 {
 // an aligned extent, it is merged and tracked in the aligned extent pool").
 // Invariant: no hole ever fully contains an aligned hugepage chunk.
 func (g *group) addHoleLocked(start, length int64) {
-	if length <= 0 {
-		return
-	}
-	// Merge with the predecessor if adjacent.
-	if ps, pl, ok := g.holes.Floor(start); ok && ps+pl == start {
-		g.removeHoleLocked(ps, pl)
-		start, length = ps, pl+length
-	}
-	// Merge with the successor if adjacent.
-	if ns, nl, ok := g.holes.Ceiling(start); ok && start+length == ns {
-		g.removeHoleLocked(ns, nl)
-		length += nl
-	}
-	// Promote aligned chunks.
-	if g.noPromote {
-		g.insertHoleLocked(start, length)
-		return
-	}
-	first := (start + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
-	last := (start + length) / BlocksPerHuge * BlocksPerHuge
-	if first < last {
+	m := g.holes.Add(start, length)
+	first := (m.Start + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
+	last := m.End() / BlocksPerHuge * BlocksPerHuge
+	if !g.noPromote && first < last {
+		g.holes.TakeAt(first, last-first)
 		for b := first; b < last; b += BlocksPerHuge {
 			g.aligned = append(g.aligned, b) // tail of the FIFO
 		}
-		if start < first {
-			g.insertHoleLocked(start, first-start)
-		}
-		if last < start+length {
-			g.insertHoleLocked(last, start+length-last)
-		}
-		return
 	}
-	g.insertHoleLocked(start, length)
-}
-
-func (g *group) insertHoleLocked(start, length int64) {
-	g.holes.Set(start, length)
-	g.holesBySize.Set(holeKey{length, start}, struct{}{})
-	g.holeBlocks.Add(length)
-}
-
-func (g *group) removeHoleLocked(start, length int64) {
-	g.holes.Delete(start)
-	g.holesBySize.Delete(holeKey{length, start})
-	g.holeBlocks.Add(-length)
+	g.publishLocked()
 }
 
 // takeAlignedLocked pops the FIFO head, or returns false.
@@ -137,25 +85,6 @@ func (g *group) takeAlignedLocked() (int64, bool) {
 	b := g.aligned[0]
 	g.aligned = g.aligned[1:]
 	return b, true
-}
-
-// takeHoleLocked carves `need` blocks from the smallest adequate hole. If
-// no hole is large enough it returns the largest available hole whole (the
-// caller loops). Returns (start, got, ok).
-func (g *group) takeHoleLocked(need int64) (int64, int64, bool) {
-	if k, _, ok := g.holesBySize.Ceiling(holeKey{need, 0}); ok {
-		g.removeHoleLocked(k.start, k.length)
-		if k.length > need {
-			g.insertHoleLocked(k.start+need, k.length-need)
-		}
-		return k.start, need, true
-	}
-	// No single hole fits: take the largest one entirely.
-	if k, _, ok := g.holesBySize.Max(); ok {
-		g.removeHoleLocked(k.start, k.length)
-		return k.start, k.length, true
-	}
-	return 0, 0, false
 }
 
 // allocator is WineFS's alignment-aware allocator (§3.4). The partition is
@@ -184,7 +113,7 @@ func (a *allocator) initEmpty() {
 		g.noPromote = a.noAlignment
 		start, end := a.fs.g.poolRange(c)
 		if a.noAlignment {
-			g.insertHoleLocked(start, end-start)
+			g.addHoleLocked(start, end-start)
 			continue
 		}
 		for b := start; b < end; b += BlocksPerHuge {
@@ -259,20 +188,26 @@ func (a *allocator) allocAligned(ctx *sim.Ctx, cpu int) (int64, bool) {
 
 // takeHoles gathers up to `need` blocks of hole space, possibly as
 // several extents: local holes first, then the remote pools in order of
-// most hole space. It returns what it got and how much is still missing.
+// most hole space; within a group, the smallest adequate hole (lowest
+// address on ties) or, when none fits, the largest one whole. It returns
+// what it got and how much is still missing.
 func (a *allocator) takeHoles(ctx *sim.Ctx, cpu int, need int64) (out []alloc.Extent, remaining int64) {
 	remaining = need
 	tryGroup := func(g *group, steal bool) {
 		for remaining > 0 {
 			g.mu.Lock()
-			start, got, ok := g.takeHoleLocked(remaining)
+			e, ok := g.holes.TakeBestFit(remaining)
+			if !ok {
+				e, ok = g.holes.TakeLargest()
+			}
+			g.publishLocked()
 			g.mu.Unlock()
 			ctx.Advance(allocCost)
 			if !ok {
 				return
 			}
-			out = append(out, alloc.Extent{Start: start, Len: got})
-			remaining -= got
+			out = append(out, e)
+			remaining -= e.Len
 			if steal {
 				ctx.Counters.AllocSteals++
 			}
@@ -345,6 +280,7 @@ func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool)
 		return nil, nil
 	}
 	var out []alloc.Extent
+	var got int64 // blocks in out so far
 	fail := func() ([]alloc.Extent, error) {
 		for _, e := range out {
 			a.free(ctx, e)
@@ -364,20 +300,16 @@ func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool)
 		b, ok := a.allocAligned(ctx, cpu)
 		if !ok {
 			// Aligned space exhausted: fall back to hole space for the rest.
-			left := blocks - totalLen(out)
-			small, ok2 := a.allocSmall(ctx, cpu, left)
+			small, ok2 := a.allocSmall(ctx, cpu, blocks-got)
 			if !ok2 {
 				return fail()
 			}
 			out = append(out, small...)
 			return coalesce(out), nil
 		}
-		need := blocks - totalLen(out)
-		take := int64(BlocksPerHuge)
-		if take > need {
-			take = need
-		}
+		take := min64(BlocksPerHuge, blocks-got)
 		out = append(out, alloc.Extent{Start: b, Len: take})
+		got += take
 		if take < BlocksPerHuge {
 			// Slack from the rounded-up tail extent returns as a hole.
 			og := a.groups[a.fs.g.cpuOfBlock(b)]
@@ -394,14 +326,6 @@ func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool)
 		out = append(out, small...)
 	}
 	return coalesce(out), nil
-}
-
-func totalLen(ex []alloc.Extent) int64 {
-	var n int64
-	for _, e := range ex {
-		n += e.Len
-	}
-	return n
 }
 
 // coalesce merges physically adjacent extents in allocation order.
@@ -473,10 +397,7 @@ func (a *allocator) freeExtents() []alloc.Extent {
 		for _, b := range g.aligned {
 			out = append(out, alloc.Extent{Start: b, Len: BlocksPerHuge})
 		}
-		g.holes.Ascend(func(start, length int64) bool {
-			out = append(out, alloc.Extent{Start: start, Len: length})
-			return true
-		})
+		out = append(out, g.holes.Extents()...)
 		g.mu.Unlock()
 	}
 	return alloc.Merge(out)
@@ -521,48 +442,23 @@ func (a *allocator) markUsed(start, length int64) {
 // carveLocked removes [start, start+length) from this group's free space.
 func (g *group) carveLocked(start, length int64) {
 	end := start + length
-	// From aligned extents overlapping the range.
+	// From aligned extents overlapping the range: the uncovered parts of a
+	// partly covered chunk (an empty part is ignored) become holes as they
+	// are cut — Insert, not Add: a piece is not merged into a hole of the
+	// neighbouring chunk, which is how a scan rebuild has always cut them,
+	// and best-fit placement after a crash mount depends on it.
 	keep := g.aligned[:0]
 	for _, b := range g.aligned {
 		if b+BlocksPerHuge <= start || b >= end {
 			keep = append(keep, b)
 			continue
 		}
-		// Partially or fully covered: the uncovered parts become holes.
-		if b < start {
-			g.insertHoleLocked(b, start-b)
-		}
-		if b+BlocksPerHuge > end {
-			g.insertHoleLocked(end, b+BlocksPerHuge-end)
-		}
+		g.holes.Insert(b, start-b)
+		g.holes.Insert(end, b+BlocksPerHuge-end)
 	}
 	g.aligned = keep
-	// From holes overlapping the range: a hole beginning before `start`
-	// may still overlap, so begin at the floor predecessor.
-	type cut struct{ s, l int64 }
-	var cuts []cut
-	from := start
-	if fs, _, ok := g.holes.Floor(start); ok {
-		from = fs
-	}
-	g.holes.AscendFrom(from, func(hs, hl int64) bool {
-		if hs >= end {
-			return false
-		}
-		if hs+hl > start {
-			cuts = append(cuts, cut{hs, hl})
-		}
-		return true
-	})
-	for _, c := range cuts {
-		g.removeHoleLocked(c.s, c.l)
-		if c.s < start {
-			g.insertHoleLocked(c.s, start-c.s)
-		}
-		if c.s+c.l > end {
-			g.insertHoleLocked(end, c.s+c.l-end)
-		}
-	}
+	g.holes.Carve(start, length)
+	g.publishLocked()
 }
 
 // freeRangeLocked is the hold-aware form of addHoleLocked: the part of
@@ -594,37 +490,9 @@ func (g *group) freeRangeLocked(start, length int64) {
 // holes are carved. Returns the number of blocks captured.
 func (g *group) holdChunkLocked(base int64) int64 {
 	g.holdBase = base
-	g.holdParts = g.holdParts[:0]
-	end := base + BlocksPerHuge
-	type cut struct{ s, l int64 }
-	var cuts []cut
-	from := base
-	if fs, _, ok := g.holes.Floor(base); ok {
-		from = fs
-	}
-	g.holes.AscendFrom(from, func(hs, hl int64) bool {
-		if hs >= end {
-			return false
-		}
-		if hs+hl > base {
-			cuts = append(cuts, cut{hs, hl})
-		}
-		return true
-	})
-	var held int64
-	for _, c := range cuts {
-		g.removeHoleLocked(c.s, c.l)
-		if c.s < base {
-			g.insertHoleLocked(c.s, base-c.s)
-		}
-		if c.s+c.l > end {
-			g.insertHoleLocked(end, c.s+c.l-end)
-		}
-		s, e := max64(c.s, base), min64(c.s+c.l, end)
-		g.holdParts = append(g.holdParts, alloc.Extent{Start: s, Len: e - s})
-		held += e - s
-	}
-	return held
+	g.holdParts = g.holes.Carve(base, BlocksPerHuge)
+	g.publishLocked()
+	return alloc.TotalBlocks(g.holdParts)
 }
 
 // releaseHoldLocked ends the reclamation: held ranges return to the
@@ -633,10 +501,7 @@ func (g *group) holdChunkLocked(base int64) int64 {
 // chunk came back free (the pass re-formed a 2MiB extent).
 func (g *group) releaseHoldLocked() bool {
 	parts := g.holdParts
-	var total int64
-	for _, p := range parts {
-		total += p.Len
-	}
+	total := alloc.TotalBlocks(parts)
 	g.holdParts = nil
 	g.holdBase = -1
 	for _, p := range parts {

@@ -43,20 +43,18 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 	for _, g := range fs.alloc.groups {
 		poolStart, poolEnd := fs.g.poolRange(g.cpu)
 
-		// Cached holeBlocks vs the sum over the by-start tree.
-		var recomputed int64
-		nHoles := 0
-		g.holes.Ascend(func(start, length int64) bool {
-			recomputed += length
-			nHoles++
-			if length <= 0 {
-				addf("group %d: hole [%d,+%d) has non-positive length", g.cpu, start, length)
-			}
+		// The hole index checks itself (both trees and its count agree);
+		// the group's published count must agree with it in turn.
+		if err := g.holes.Check(); err != nil {
+			addf("group %d: hole pool: %v", g.cpu, err)
+		}
+		if pub, n := g.holeBlocks.Load(), g.holes.FreeBlocks(); pub != n {
+			addf("group %d: published holeBlocks=%d but the pool holds %d", g.cpu, pub, n)
+		}
+		for _, h := range g.holes.Extents() {
+			start, length := h.Start, h.Len
 			if start < poolStart || start+length > poolEnd {
 				addf("group %d: hole [%d,+%d) outside pool [%d,%d)", g.cpu, start, length, poolStart, poolEnd)
-			}
-			if _, ok := g.holesBySize.Get(holeKey{length, start}); !ok {
-				addf("group %d: hole [%d,+%d) missing from by-size index", g.cpu, start, length)
 			}
 			if !g.noPromote {
 				// Promotion invariant: the first aligned chunk boundary at or
@@ -68,13 +66,6 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 				}
 			}
 			free = append(free, freeExt{start, length, false, false, g.cpu})
-			return true
-		})
-		if recomputed != g.holeBlocks.Load() {
-			addf("group %d: cached holeBlocks=%d but tree sums to %d", g.cpu, g.holeBlocks.Load(), recomputed)
-		}
-		if bySize := g.holesBySize.Len(); bySize != nHoles {
-			addf("group %d: %d holes but %d by-size entries", g.cpu, nHoles, bySize)
 		}
 
 		seen := make(map[int64]bool, len(g.aligned))
@@ -193,6 +184,9 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 	// slow extents must be pairwise disjoint, inside the region, and tile
 	// it exactly against the tier pool's free list.
 	if t := fs.tier; t != nil {
+		if err := t.pool.Check(); err != nil {
+			addf("slow pool: %v", err)
+		}
 		slowFree := t.pool.FreeBlocks()
 		if slowFree+usedSlow != t.blocks {
 			addf("slow tiling: free=%d + used=%d = %d, want %d (leak of %d blocks)",

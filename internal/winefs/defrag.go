@@ -140,15 +140,14 @@ func (g *group) defragCandidates(cursor int64, limit int) ([]defragCand, int64) 
 	// contains an aligned chunk) means every chunk a hole touches is
 	// partially free — exactly the §3.5 targets.
 	free := make(map[int64]int64)
-	g.holes.Ascend(func(hs, hl int64) bool {
-		for b := hs / BlocksPerHuge * BlocksPerHuge; b < hs+hl; b += BlocksPerHuge {
-			lo, hi := max64(hs, b), min64(hs+hl, b+BlocksPerHuge)
+	for _, h := range g.holes.Extents() {
+		for b := h.Start / BlocksPerHuge * BlocksPerHuge; b < h.End(); b += BlocksPerHuge {
+			lo, hi := max64(h.Start, b), min64(h.End(), b+BlocksPerHuge)
 			if lo < hi {
 				free[b] += hi - lo
 			}
 		}
-		return true
-	})
+	}
 	if len(free) == 0 {
 		return nil, 0
 	}
@@ -258,9 +257,7 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	// allocations can still race the migration), exact when quiescent.
 	var avail int64
 	for _, og := range fs.alloc.groups {
-		og.mu.Lock()
 		avail += og.holeBlocks.Load()
-		og.mu.Unlock()
 	}
 	if avail < BlocksPerHuge-held {
 		release()

@@ -6,8 +6,8 @@
 //   - the partition is split per logical CPU; each CPU owns a journal, an
 //     inode table, and a data pool (Figure 5);
 //   - a novel alignment-aware allocator keeps two pools per CPU — aligned
-//     2MiB extents in a FIFO list and unaligned "holes" in a red-black tree
-//     with first-fit allocation;
+//     2MiB extents in a FIFO list and unaligned "holes" in red-black trees
+//     (alloc.Pool) with best-fit allocation;
 //   - crash consistency uses per-CPU fine-grained undo journals with
 //     64-byte entries, a shared atomic transaction ID, and per-journal
 //     wraparound counters;

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -327,16 +328,11 @@ func (fs *FS) saveFreeState(ctx *sim.Ctx) {
 		for _, b := range g.aligned {
 			u64(uint64(b))
 		}
-		type hole struct{ s, l int64 }
-		var holes []hole
-		g.holes.Ascend(func(s, l int64) bool {
-			holes = append(holes, hole{s, l})
-			return true
-		})
+		holes := g.holes.Extents()
 		u64(uint64(len(holes)))
 		for _, h := range holes {
-			u64(uint64(h.s))
-			u64(uint64(h.l))
+			u64(uint64(h.Start))
+			u64(uint64(h.Len))
 		}
 	}
 	for i := len(fs.alloc.groups) - 1; i >= 0; i-- {
@@ -357,7 +353,10 @@ func (fs *FS) saveFreeState(ctx *sim.Ctx) {
 }
 
 // loadFreeState deserialises the allocator pools; returns false if the
-// area is invalid.
+// area is invalid. The area is on-media input: every record is validated
+// (inside the group's pool, FIFO entries hugepage-aligned, nothing
+// overlapping) and a bad one sends Mount to the scan, like a bad magic —
+// loading it would hand out blocks twice or outside the partition.
 func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 	area := fs.g.unmountStart * BlockSize
 	limit := fs.g.unmountBlocks * BlockSize
@@ -385,15 +384,28 @@ func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 		return false
 	}
 	var totalRead int64 = 16
-	for _, g := range fs.alloc.groups {
+	// Decoded into fresh groups: only a fully valid area replaces the
+	// allocator's (still empty) free state.
+	loaded := make([]*group, len(fs.alloc.groups))
+	for c := range loaded {
+		g := newGroup(c)
+		loaded[c] = g
+		lo, hi := fs.g.poolRange(c)
+		// unclaimed is the pool range minus the records seen so far, so a
+		// record overlapping an earlier one fails its TakeAt.
+		unclaimed := alloc.NewPool()
+		unclaimed.Add(lo, hi-lo)
+		claim := func(s, l uint64) bool {
+			start, length := int64(s), int64(l)
+			return start >= lo && length > 0 && length <= hi-start && unclaimed.TakeAt(start, length)
+		}
 		na, ok := u64()
 		if !ok {
 			return false
 		}
-		g.aligned = g.aligned[:0]
 		for i := uint64(0); i < na; i++ {
 			b, ok := u64()
-			if !ok {
+			if !ok || b%BlocksPerHuge != 0 || !claim(b, BlocksPerHuge) {
 				return false
 			}
 			g.aligned = append(g.aligned, int64(b))
@@ -405,12 +417,17 @@ func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 		for i := uint64(0); i < nh; i++ {
 			s, ok1 := u64()
 			l, ok2 := u64()
-			if !ok1 || !ok2 {
+			if !ok1 || !ok2 || !claim(s, l) {
 				return false
 			}
-			g.insertHoleLocked(int64(s), int64(l))
+			// Insert, not Add: the index is restored hole for hole as saved.
+			g.holes.Insert(int64(s), int64(l))
 		}
 		totalRead += int64(8 + na*8 + 8 + nh*16)
+	}
+	for c, g := range fs.alloc.groups {
+		g.aligned, g.holes = loaded[c].aligned, loaded[c].holes
+		g.publishLocked()
 	}
 	// Charge the freelist read (this is what makes clean mounts fast).
 	fs.dev.Read(ctx, make([]byte, min64(totalRead, 4096)), area)

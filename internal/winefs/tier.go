@@ -1,7 +1,6 @@
 package winefs
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -222,55 +221,57 @@ func (fs *FS) pmAboveHighWater(extra int64) bool {
 	return float64(used+extra) > t.highWater*float64(total)
 }
 
-// allocData serves a file-data allocation with tier placement: PM first,
-// spilling to the slow tier when PM is past the high-water mark or
-// genuinely out of space. ErrNoSpace surfaces only when BOTH tiers are
-// exhausted — PM-full with slow headroom is a spill, never an ENOSPC
+// allocSpill is the tier placement policy, written once: PM first (pm is
+// how the caller asks PM), spilling to the slow tier when PM is past the
+// high-water mark or genuinely out of space. It fails only when BOTH tiers
+// are exhausted — PM-full with slow headroom is a spill, never an ENOSPC
 // (the alloc_spill_* counters make the fallback visible in /metrics).
-func (fs *FS) allocData(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool) ([]alloc.Extent, error) {
-	t := fs.tier
-	if t == nil {
-		return fs.alloc.alloc(ctx, cpu, blocks, wantAligned)
+func (fs *FS) allocSpill(ctx *sim.Ctx, blocks int64, pm func() ([]alloc.Extent, bool)) ([]alloc.Extent, bool) {
+	if fs.tier == nil {
+		return pm()
 	}
 	if !fs.pmAboveHighWater(blocks) {
-		exts, err := fs.alloc.alloc(ctx, cpu, blocks, wantAligned)
-		if err == nil {
-			return exts, nil
-		}
-		if !errors.Is(err, vfs.ErrNoSpace) {
-			return nil, err
+		if exts, ok := pm(); ok {
+			return exts, true
 		}
 	}
-	if exts := t.pool.Alloc(blocks); exts != nil {
-		ctx.Advance(allocCost)
+	if exts := fs.allocSlow(ctx, blocks); exts != nil {
 		ctx.Counters.AllocSpillExtents += int64(len(exts))
 		ctx.Counters.AllocSpillBlocks += blocks
-		return exts, nil
+		return exts, true
 	}
 	// Slow tier full: PM may still have room (we skipped it above the
 	// high-water mark — better some PM pressure than a spurious ENOSPC).
-	return fs.alloc.alloc(ctx, cpu, blocks, wantAligned)
+	return pm()
+}
+
+// allocSlow carves n blocks from the slow pool (nil when it cannot cover
+// them), charging the allocator invocation when it does.
+func (fs *FS) allocSlow(ctx *sim.Ctx, n int64) []alloc.Extent {
+	exts := fs.tier.pool.Alloc(n)
+	if exts != nil {
+		ctx.Advance(allocCost)
+	}
+	return exts
+}
+
+// allocData serves a file-data allocation (the extent path) with tier
+// placement; allocator.alloc fails with ErrNoSpace and nothing else.
+func (fs *FS) allocData(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool) ([]alloc.Extent, error) {
+	exts, ok := fs.allocSpill(ctx, blocks, func() ([]alloc.Extent, bool) {
+		exts, err := fs.alloc.alloc(ctx, cpu, blocks, wantAligned)
+		return exts, err == nil
+	})
+	if !ok {
+		return nil, vfs.ErrNoSpace
+	}
+	return exts, nil
 }
 
 // allocDataSmall is allocData for the copy-on-write path (hole-sized
 // pieces, bool result like allocSmall).
 func (fs *FS) allocDataSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	t := fs.tier
-	if t == nil {
-		return fs.alloc.allocSmall(ctx, cpu, need)
-	}
-	if !fs.pmAboveHighWater(need) {
-		if exts, ok := fs.alloc.allocSmall(ctx, cpu, need); ok {
-			return exts, true
-		}
-	}
-	if exts := t.pool.Alloc(need); exts != nil {
-		ctx.Advance(allocCost)
-		ctx.Counters.AllocSpillExtents += int64(len(exts))
-		ctx.Counters.AllocSpillBlocks += need
-		return exts, true
-	}
-	return fs.alloc.allocSmall(ctx, cpu, need)
+	return fs.allocSpill(ctx, need, func() ([]alloc.Extent, bool) { return fs.alloc.allocSmall(ctx, cpu, need) })
 }
 
 // --- heat tracking -----------------------------------------------------------
@@ -579,10 +580,9 @@ func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toS
 	}
 	var dst []alloc.Extent
 	if toSlow {
-		if dst = fs.tier.pool.Alloc(n); dst == nil {
+		if dst = fs.allocSlow(ctx, n); dst == nil {
 			return 0
 		}
-		ctx.Advance(allocCost)
 	} else {
 		var err error
 		if dst, err = fs.alloc.alloc(ctx, fs.txCPU(ctx), n, false); err != nil {
@@ -633,7 +633,7 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	return found && !fs.isSlow(phys)
 }
 
-// rebuildSlowPool resets the slow pool to all-free and replays every
+// rebuildSlowPool starts the slow pool over all-free and replays every
 // slow extent from the DRAM inode cache — the clean-mount counterpart of
 // the crash path's routed markUsed (the PM freelist area only serialises
 // the PM pools; the slow pool is always rebuilt from the extent scan).
@@ -642,7 +642,7 @@ func (fs *FS) rebuildSlowPool() {
 	if t == nil {
 		return
 	}
-	t.pool.Reset()
+	t.pool = tier.NewPool(t.base, t.blocks)
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
 		for _, e := range ino.extents {
