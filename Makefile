@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
 
 all: build
 
@@ -26,12 +26,43 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine microbenchmarks + the determinism golden test: the booking,
-# charging and MMU fast paths (ns/op and allocs/op — the hot paths must
-# stay allocation-free), the exact-vs-batched-vs-parallel golden test
-# under the race detector, and the charge-amount table.
+# charging and MMU fast paths and the cached serving path (ns/op and
+# allocs/op — the hot paths must stay allocation-free, and the pins say so:
+# a cached hit, an evicting miss and a threshold flush at 0 allocations, a
+# 4KiB miss through cache, client and server at ≤2, a write at the dirty
+# bound no dearer in a 16x larger cache), the exact-vs-batched-vs-parallel
+# golden test under the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestDirectReadMissAllocs' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/
+	$(GO) test -run TestWriteAtDirtyBoundIsO1 ./internal/pagecache/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/
+
+# benchmark/README.md "Claiming a gain", step 3, as one command: PAIRS
+# alternating runs of one benchmark workload at BASE and at the working
+# tree, then the before/after table of `benchmark -compare`. BASE is
+# exported (git archive) into a throw-away directory under PAIR_OUT and
+# each side builds into its own .bench_build, as the driver's runs do; the
+# result lines stay in PAIR_OUT for the record.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=srv_cached [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+PAIR_OUT ?= .bench_pair
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] [PAIR_OUT=dir]"; exit 2; }
+	@set -e; here=$$PWD; rm -rf $(PAIR_OUT); mkdir -p $(PAIR_OUT)/base; out=$$(cd $(PAIR_OUT) && pwd); \
+	git archive $(BASE) | tar -x -C $$out/base; \
+	run() { \
+		(cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace 0 -out $$2) >$$out/last.log 2>&1 || { cat $$out/last.log; exit 1; }; \
+		grep -m1 host_kops_per_s $$out/last.log; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			printf 'pair %2d %-6s' $$i $$side; \
+			if [ $$side = base ]; then run $$out/base $$out/base.jsonl; else run $$here $$out/change.jsonl; fi; \
+		done; \
+	done; \
+	$(GO) run ./benchmark -compare $$out/base.jsonl $$out/change.jsonl
 
 # The seven regression gates, one table: target, winebench flags, committed
 # baseline. Each runs its bench, enforces the mode's hard gates (see the
@@ -71,9 +102,12 @@ bench-gates:
 	done; exit $$fail
 
 # The page-cache + lease coherence suite under the race detector,
-# including the 8-concurrent-session storm (TestCacheRace8Sessions).
+# including the 8-concurrent-session storm (TestCacheRace8Sessions, which
+# audits each cache with CheckInvariant every round), the stale-lease
+# regression (TestLeaseRefusedWhileWriteInFlight) and the 10⁵-operation
+# replay against the scanning reference cache (TestModelEquivalence).
 cache-race:
-	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose' ./internal/pagecache/ ./internal/fileserver/
+	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose|TestModel|TestCheckInvariant' ./internal/pagecache/ ./internal/fileserver/
 
 # The mmap subsystem under the race detector: the 8-thread shared-mapping
 # storm with concurrent truncation (TestMmapRace8Threads), the
@@ -135,6 +169,6 @@ profile:
 # Non-test Go lines per package, and in total: "net-negative" as a number
 # CI prints, not a claim in a PR body.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './.bench_pair/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2

@@ -43,6 +43,60 @@ type Client struct {
 	// here.
 	revokeMu sync.Mutex
 	onRevoke func(ino uint64)
+
+	// bufs is the stack of idle call buffers (getBuf/putBuf): as many as
+	// the most calls this client ever had in flight at once.
+	bufMu sync.Mutex
+	bufs  []*callBuf
+}
+
+// callBuf is the wire memory of one call: the request frame its caller
+// encodes (through the embedded enc; the frame header is reserved in front
+// for writeOwnedFrame) and, on direct dispatch, the response frame the
+// server encodes for it. The goroutine that took it with getBuf owns both
+// until it hands it back with putBuf: through call, and for as long as it
+// reads the dec call returned, which points into resp. Every client
+// goroutine with a call in flight holds its own.
+type callBuf struct {
+	enc
+	resp []byte
+}
+
+// reset empties the request, keeping its memory.
+func (cb *callBuf) reset() {
+	if cb.b == nil {
+		cb.b = make([]byte, frameHdrLen, frameHdrLen+64)
+	}
+	cb.b = cb.b[:frameHdrLen]
+}
+
+// getBuf returns a call buffer with an empty request.
+func (c *Client) getBuf() *callBuf {
+	var cb *callBuf
+	c.bufMu.Lock()
+	if n := len(c.bufs); n > 0 {
+		cb, c.bufs = c.bufs[n-1], c.bufs[:n-1]
+	}
+	c.bufMu.Unlock()
+	if cb == nil {
+		cb = new(callBuf)
+	}
+	cb.reset()
+	return cb
+}
+
+// putBuf ends the caller's ownership of cb. Nothing decoded from the
+// response may still point into it: dec.str copies, dec.bytes does not.
+func (c *Client) putBuf(cb *callBuf) {
+	if cap(cb.b) > maxKeptBuf {
+		cb.b = nil
+	}
+	if cap(cb.resp) > maxKeptBuf {
+		cb.resp = nil
+	}
+	c.bufMu.Lock()
+	c.bufs = append(c.bufs, cb)
+	c.bufMu.Unlock()
 }
 
 type respFrame struct {
@@ -62,9 +116,10 @@ func Dial(conn Conn) (*Client, error) {
 	c := &Client{conn: conn, pending: make(map[uint64]chan respFrame)}
 	c.dc, _ = conn.(directConn)
 	go c.readLoop()
-	e := reqEnc(0)
-	e.u32(ProtoVersion)
-	d, err := c.call(nil, opHello, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.u32(ProtoVersion)
+	d, err := c.call(nil, opHello, cb)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -161,39 +216,31 @@ func (c *Client) handleRevoke(ino uint64) {
 	if h != nil {
 		h(ino)
 	}
-	e := reqEnc(0)
-	e.u64(ino)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.u64(ino)
 	// Best effort: if the connection died the server's teardown drops the
 	// lease anyway.
-	c.call(nil, opLeaseAck, e.b)
+	c.call(nil, opLeaseAck, cb)
 }
 
-// call issues one request and blocks for its response. ctx (nil for the
-// handshake) is advanced by the server-charged virtual cost whether the
-// request succeeded or not — failed syscalls cost time too. The request
-// is built by reqEnc (frame header pre-reserved) and
-// blocks for its response. A nil payload sends an empty request.
-func (c *Client) call(ctx *sim.Ctx, o op, payload []byte) (*dec, error) {
-	if payload == nil {
-		payload = make([]byte, frameHdrLen)
-	}
+// call issues the request encoded in cb and blocks for its response. ctx
+// (nil for the handshake and revoke acks) is advanced by the server-charged
+// virtual cost whether the request succeeded or not — failed syscalls cost
+// time too. The returned dec reads the response payload; on direct dispatch
+// it points into cb, so the caller decodes before putBuf (see callBuf).
+func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 	if c.dc != nil {
 		// Direct dispatch (in-process transports): run the server's
 		// request path on this goroutine and get the response frame back
-		// synchronously — no framing, no demux, no goroutine handoffs. A
-		// client that closed (or lost) its connection must keep failing
-		// like one, even while the server session is still tearing down.
+		// synchronously, encoded into this call's own buffer — no framing,
+		// no demux, no goroutine handoffs. A client that closed (or lost)
+		// its connection must keep failing like one, even while the server
+		// session is still tearing down.
 		if sd := c.dc.getDirect(); sd != nil && !c.dead() {
-			if st, body, ok := sd.call(o, payload[frameHdrLen:]); ok {
-				d := newDec(body)
-				cost := d.u64()
-				if ctx != nil {
-					ctx.Advance(int64(cost))
-				}
-				if st != statusOK {
-					return nil, errFor(st, d.str())
-				}
-				return d, nil
+			if st, frame, ok := sd.call(o, cb.b[frameHdrLen:], cb.resp); ok {
+				cb.resp = frame
+				return finishCall(ctx, st, frame[frameHdrLen:])
 			}
 		}
 	}
@@ -206,7 +253,7 @@ func (c *Client) call(ctx *sim.Ctx, o op, payload []byte) (*dec, error) {
 	if c.closed {
 		c.mu.Unlock()
 		respChanPool.Put(ch)
-		return nil, c.transportErr()
+		return dec{}, c.transportErr()
 	}
 	id := c.nextID
 	c.nextID++
@@ -214,8 +261,11 @@ func (c *Client) call(ctx *sim.Ctx, o op, payload []byte) (*dec, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeOwnedFrame(c.conn, id, uint8(o), payload)
+	kept, err := writeOwnedFrame(c.conn, id, uint8(o), cb.b)
 	c.wmu.Unlock()
+	if !kept {
+		cb.b = nil // the transport owns the request frame now
+	}
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -226,37 +276,37 @@ func (c *Client) call(ctx *sim.Ctx, o op, payload []byte) (*dec, error) {
 		if reusable {
 			respChanPool.Put(ch)
 		}
-		return nil, c.transportErr()
+		return dec{}, c.transportErr()
 	}
 
 	f, ok := <-ch
 	if !ok {
-		return nil, c.transportErr()
+		return dec{}, c.transportErr()
 	}
 	respChanPool.Put(ch)
-	d := newDec(f.payload)
+	return finishCall(ctx, f.st, f.payload)
+}
+
+// finishCall charges ctx the cost a response body leads with and turns its
+// status into the call's result.
+func finishCall(ctx *sim.Ctx, st status, body []byte) (dec, error) {
+	d := dec{b: body}
 	cost := d.u64()
 	if ctx != nil {
 		ctx.Advance(int64(cost))
 	}
-	if f.st != statusOK {
-		return nil, errFor(f.st, d.str())
+	if st != statusOK {
+		return dec{}, errFor(st, d.str())
 	}
 	return d, nil
 }
 
-// reqEnc returns an encoder with the frame header pre-reserved, so call
-// can finish the request frame in place (see writeOwnedFrame). extra
-// hints the payload size beyond the fixed span.
-func reqEnc(extra int) enc {
-	return enc{b: make([]byte, frameHdrLen, frameHdrLen+24+extra)}
-}
-
 // pathCall is the shape shared by Mkdir/Unlink/Rmdir.
 func (c *Client) pathCall(ctx *sim.Ctx, o op, path string) error {
-	e := reqEnc(0)
-	e.str(path)
-	_, err := c.call(ctx, o, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.str(path)
+	_, err := c.call(ctx, o, cb)
 	return err
 }
 
@@ -267,9 +317,10 @@ func (c *Client) Name() string { return c.name }
 func (c *Client) Mode() vfs.ConsistencyMode { return c.mode }
 
 func (c *Client) openLike(ctx *sim.Ctx, o op, path string) (vfs.File, error) {
-	e := reqEnc(0)
-	e.str(path)
-	d, err := c.call(ctx, o, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.str(path)
+	d, err := c.call(ctx, o, cb)
 	if err != nil {
 		return nil, err
 	}
@@ -307,18 +358,20 @@ func (c *Client) Rmdir(ctx *sim.Ctx, path string) error {
 
 // Rename implements vfs.FS.
 func (c *Client) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
-	e := reqEnc(0)
-	e.str(oldPath)
-	e.str(newPath)
-	_, err := c.call(ctx, opRename, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.str(oldPath)
+	cb.str(newPath)
+	_, err := c.call(ctx, opRename, cb)
 	return err
 }
 
 // Stat implements vfs.FS.
 func (c *Client) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
-	e := reqEnc(0)
-	e.str(path)
-	d, err := c.call(ctx, opStat, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.str(path)
+	d, err := c.call(ctx, opStat, cb)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -336,9 +389,10 @@ func (c *Client) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
 
 // ReadDir implements vfs.FS.
 func (c *Client) ReadDir(ctx *sim.Ctx, path string) ([]vfs.DirEntry, error) {
-	e := reqEnc(0)
-	e.str(path)
-	d, err := c.call(ctx, opReadDir, e.b)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	cb.str(path)
+	d, err := c.call(ctx, opReadDir, cb)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +414,9 @@ func (c *Client) ReadDir(ctx *sim.Ctx, path string) ([]vfs.DirEntry, error) {
 // StatFS implements vfs.FS. A dead connection reports a zero StatFS (the
 // interface has no error return).
 func (c *Client) StatFS(ctx *sim.Ctx) vfs.StatFS {
-	d, err := c.call(ctx, opStatFS, nil)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	d, err := c.call(ctx, opStatFS, cb)
 	if err != nil {
 		return vfs.StatFS{}
 	}
@@ -380,7 +436,9 @@ func (c *Client) FreeExtents() []alloc.Extent { return nil }
 // session's handles server-side) and closes the connection. The served
 // file system itself stays mounted for other clients.
 func (c *Client) Unmount(ctx *sim.Ctx) error {
-	_, err := c.call(ctx, opDetach, nil)
+	cb := c.getBuf()
+	defer c.putBuf(cb)
+	_, err := c.call(ctx, opDetach, cb)
 	c.Close()
 	return err
 }
@@ -427,17 +485,19 @@ func (f *remoteFile) setSize(s int64) {
 // Like the local file systems it truncates reads past EOF and returns
 // (0, nil) at EOF.
 func (f *remoteFile) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
 	total := 0
 	for total < len(p) {
 		chunk := len(p) - total
 		if chunk > maxIO {
 			chunk = maxIO
 		}
-		e := reqEnc(0)
-		e.u64(f.handle)
-		e.i64(off + int64(total))
-		e.u32(uint32(chunk))
-		d, err := f.c.call(ctx, opRead, e.b)
+		cb.reset()
+		cb.u64(f.handle)
+		cb.i64(off + int64(total))
+		cb.u32(uint32(chunk))
+		d, err := f.c.call(ctx, opRead, cb)
 		if err != nil {
 			return total, err
 		}
@@ -456,19 +516,21 @@ func (f *remoteFile) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 
 // writeLike shares the chunking loop between WriteAt and Append.
 func (f *remoteFile) writeLike(ctx *sim.Ctx, o op, p []byte, off int64) (int, error) {
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
 	total := 0
 	for {
 		chunk := len(p) - total
 		if chunk > maxIO {
 			chunk = maxIO
 		}
-		e := reqEnc(4 + chunk)
-		e.u64(f.handle)
+		cb.reset()
+		cb.u64(f.handle)
 		if o == opWrite {
-			e.i64(off + int64(total))
+			cb.i64(off + int64(total))
 		}
-		e.bytes(p[total : total+chunk])
-		d, err := f.c.call(ctx, o, e.b)
+		cb.bytes(p[total : total+chunk])
+		d, err := f.c.call(ctx, o, cb)
 		if err != nil {
 			return total, err
 		}
@@ -497,10 +559,11 @@ func (f *remoteFile) Append(ctx *sim.Ctx, p []byte) (int, error) {
 
 // Truncate implements vfs.File.
 func (f *remoteFile) Truncate(ctx *sim.Ctx, size int64) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.i64(size)
-	d, err := f.c.call(ctx, opTruncate, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.i64(size)
+	d, err := f.c.call(ctx, opTruncate, cb)
 	if err != nil {
 		return err
 	}
@@ -510,11 +573,12 @@ func (f *remoteFile) Truncate(ctx *sim.Ctx, size int64) error {
 
 // Fallocate implements vfs.File.
 func (f *remoteFile) Fallocate(ctx *sim.Ctx, off, n int64) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.i64(off)
-	e.i64(n)
-	d, err := f.c.call(ctx, opFallocate, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.i64(off)
+	cb.i64(n)
+	d, err := f.c.call(ctx, opFallocate, cb)
 	if err != nil {
 		return err
 	}
@@ -532,10 +596,11 @@ func (f *remoteFile) Lease(ctx *sim.Ctx, write bool) (bool, error) {
 	if write {
 		mode = leaseWrite
 	}
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.u8(mode)
-	d, err := f.c.call(ctx, opLease, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.u8(mode)
+	d, err := f.c.call(ctx, opLease, cb)
 	if err != nil {
 		return false, err
 	}
@@ -548,18 +613,20 @@ func (f *remoteFile) Lease(ctx *sim.Ctx, write bool) (bool, error) {
 
 // Unlease voluntarily releases any lease held through this handle.
 func (f *remoteFile) Unlease(ctx *sim.Ctx) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.u8(leaseNone)
-	_, err := f.c.call(ctx, opLease, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.u8(leaseNone)
+	_, err := f.c.call(ctx, opLease, cb)
 	return err
 }
 
 // Fsync implements vfs.File.
 func (f *remoteFile) Fsync(ctx *sim.Ctx) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	_, err := f.c.call(ctx, opFsync, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	_, err := f.c.call(ctx, opFsync, cb)
 	return err
 }
 
@@ -576,20 +643,22 @@ func (f *remoteFile) Extents() []mmu.Extent { return nil }
 
 // SetXattr implements vfs.File.
 func (f *remoteFile) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.str(name)
-	e.bytes(value)
-	_, err := f.c.call(ctx, opSetXattr, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.str(name)
+	cb.bytes(value)
+	_, err := f.c.call(ctx, opSetXattr, cb)
 	return err
 }
 
 // GetXattr implements vfs.File.
 func (f *remoteFile) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	e.str(name)
-	d, err := f.c.call(ctx, opGetXattr, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	cb.str(name)
+	d, err := f.c.call(ctx, opGetXattr, cb)
 	if err != nil {
 		return nil, false
 	}
@@ -603,8 +672,9 @@ func (f *remoteFile) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 
 // Close implements vfs.File.
 func (f *remoteFile) Close(ctx *sim.Ctx) error {
-	e := reqEnc(0)
-	e.u64(f.handle)
-	_, err := f.c.call(ctx, opCloseHandle, e.b)
+	cb := f.c.getBuf()
+	defer f.c.putBuf(cb)
+	cb.u64(f.handle)
+	_, err := f.c.call(ctx, opCloseHandle, cb)
 	return err
 }

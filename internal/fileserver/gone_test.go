@@ -89,8 +89,9 @@ func TestShutdownCtxBoundedByWedgedClient(t *testing.T) {
 	if err != nil || len(resp) < 16 {
 		t.Fatalf("create ack: %d bytes, %v", len(resp), err)
 	}
-	h := newDec(resp[8:]).u64() // skip costNS, take the handle
-	const big = 2 << 20         // 2MiB response >> bufPipeMax
+	d := dec{b: resp[8:]} // skip costNS
+	h := d.u64()          // the handle
+	const big = 2 << 20   // 2MiB response >> bufPipeMax
 	e = enc{}
 	e.u64(h)
 	e.i64(0)

@@ -55,6 +55,30 @@ func (l *fileLease) conflictsWith(sess *session, write bool) []*session {
 	return out
 }
 
+// beginWrite brackets a mutation of ino that sess is about to apply to the
+// FS: it marks the ino write-in-flight — acquireLease grants nothing on it
+// until the matching endWrite — and then revokes every conflicting lease.
+// Without the mark a session could be granted a read lease after the
+// revoke and before the FS call, cache the old bytes, and keep them under
+// a lease nobody will ever revoke. The mark is set first, so no lease can
+// slip in behind the revoke either; it is a count because several
+// sessions may be writing one file.
+func (s *Server) beginWrite(sess *session, ino uint64) {
+	s.leaseMu.Lock()
+	s.writing[ino]++
+	s.leaseMu.Unlock()
+	s.revokeConflicting(sess, ino, true)
+}
+
+// endWrite clears beginWrite's mark once the FS call has returned.
+func (s *Server) endWrite(ino uint64) {
+	s.leaseMu.Lock()
+	if s.writing[ino]--; s.writing[ino] <= 0 {
+		delete(s.writing, ino)
+	}
+	s.leaseMu.Unlock()
+}
+
 // revokeConflicting revokes every lease on ino that conflicts with the
 // given access from sess and blocks until each victim acks (or times out
 // and is drained). It returns how many leases were revoked. Must be called
@@ -170,6 +194,12 @@ func (s *Server) acquireLease(sess *session, ino uint64, write bool) bool {
 	for tries := 0; tries < 8; tries++ {
 		s.revokeConflicting(sess, ino, write)
 		s.leaseMu.Lock()
+		if s.writing[ino] > 0 {
+			// A write is between its revoke and its FS call (beginWrite):
+			// bytes cached now could be stale the moment it lands.
+			s.leaseMu.Unlock()
+			return false
+		}
 		l := s.leases[ino]
 		if l == nil {
 			l = &fileLease{readers: make(map[*session]struct{})}

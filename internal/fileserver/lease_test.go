@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fstest"
 	"repro/internal/pagecache"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -24,20 +26,18 @@ func newServerFS(t *testing.T, dev *pmem.Device, cfg Config) (*Server, *PipeList
 	if err != nil {
 		t.Fatalf("mkfs: %v", err)
 	}
-	if cfg.CPUs == 0 {
-		cfg.CPUs = testCPUs
-	}
-	srv := New(fs, cfg)
-	pl := NewPipeListener()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(pl) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve returned %v after shutdown", err)
-		}
-	})
+	srv, pl := serveT(t, fs, cfg)
 	return srv, pl, fs
+}
+
+// cacheStats snapshots a cache's counters after checking its structure
+// (the two page lists, the dirty counts, the free list).
+func cacheStats(t *testing.T, c *pagecache.Cache) pagecache.Stats {
+	t.Helper()
+	if err := c.CheckInvariant(); err != nil {
+		t.Error(err)
+	}
+	return c.Stats()
 }
 
 func leasePattern(p []byte, gen int) {
@@ -75,7 +75,7 @@ func TestTwoSessionWriteCoherence(t *testing.T) {
 	if _, err := fA.WriteAt(ctxA, gen1, 0); err != nil {
 		t.Fatalf("A rewrite: %v", err)
 	}
-	if st := cacheA.Stats(); st.DirtyPages != 2 {
+	if st := cacheStats(t, cacheA); st.DirtyPages != 2 {
 		t.Fatalf("A DirtyPages = %d, want 2 buffered pages", st.DirtyPages)
 	}
 	if err := srv.CheckLeaseInvariant(); err != nil {
@@ -90,7 +90,7 @@ func TestTwoSessionWriteCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("B open: %v", err)
 	}
-	if st := cacheA.Stats(); st.Revokes != 1 || st.DirtyPages != 0 {
+	if st := cacheStats(t, cacheA); st.Revokes != 1 || st.DirtyPages != 0 {
 		t.Fatalf("after B's open: A stats %+v, want 1 revoke and 0 dirty", st)
 	}
 	got := make([]byte, size)
@@ -126,6 +126,83 @@ func TestTwoSessionWriteCoherence(t *testing.T) {
 	}
 	if err := clB.Unmount(ctxB); err != nil {
 		t.Fatalf("B unmount: %v", err)
+	}
+}
+
+// TestLeaseRefusedWhileWriteInFlight is the stale-read-lease regression.
+// The server revokes conflicting leases and then applies a pass-through
+// write; a session granted a read lease in between used to cache the old
+// bytes under a lease nobody would ever revoke. Here the stub FS holds A's
+// write inside WriteAt while B opens and reads — the old bytes are the
+// right answer at that point — and once the write has returned B must read
+// the new ones.
+func TestLeaseRefusedWhileWriteInFlight(t *testing.T) {
+	mem := fstest.NewMemFS()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	mem.OnData = func(op fstest.DataOp, ino uint64, off int64, n int) error {
+		if op == fstest.DataWrite && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // a failing test must not leave the server wedged
+	srv, pl := serveT(t, mem, Config{})
+
+	const size = pagecache.PageSize
+	gen0, gen1 := make([]byte, size), make([]byte, size)
+	leasePattern(gen0, 0)
+	leasePattern(gen1, 1)
+
+	clA := dialT(t, pl)
+	ctxA := sim.NewCtx(380, 0)
+	fA, err := clA.Create(ctxA, "/f")
+	if err != nil {
+		t.Fatalf("A create: %v", err)
+	}
+	if _, err := fA.Append(ctxA, gen0); err != nil {
+		t.Fatalf("A append: %v", err)
+	}
+	armed.Store(true)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := fA.WriteAt(ctxA, gen1, 0)
+		wrote <- err
+	}()
+	<-entered // A's write is past its revoke and inside the FS call
+
+	cacheB := pagecache.New(dialT(t, pl), pagecache.Config{})
+	ctxB := sim.NewCtx(381, 1)
+	fB, err := cacheB.Open(ctxB, "/f")
+	if err != nil {
+		t.Fatalf("B open: %v", err)
+	}
+	got := make([]byte, size)
+	if n, err := fB.ReadAt(ctxB, got, 0); err != nil || n != size || !bytes.Equal(got, gen0) {
+		t.Fatalf("B read during the write: n=%d err=%v, want the old generation", n, err)
+	}
+
+	unblock()
+	if err := <-wrote; err != nil {
+		t.Fatalf("A write: %v", err)
+	}
+	if n, err := fB.ReadAt(ctxB, got, 0); err != nil || n != size {
+		t.Fatalf("B read after the write: n=%d err=%v", n, err)
+	}
+	if !bytes.Equal(got, gen1) {
+		t.Fatalf("B read the old generation after A's write returned: a lease granted mid-write served stale bytes")
+	}
+	if st := cacheStats(t, cacheB); st.Pages != 0 {
+		t.Fatalf("B cached %d pages of a file with a write in flight", st.Pages)
+	}
+	if err := srv.CheckLeaseInvariant(); err != nil {
+		t.Fatalf("invariant: %v", err)
+	}
+	if err := fB.Close(ctxB); err != nil {
+		t.Fatalf("B close: %v", err)
 	}
 }
 
@@ -230,7 +307,7 @@ func TestCachedAuditNoLostWriteback(t *testing.T) {
 		}
 	}
 
-	st := cache.Stats()
+	st := cacheStats(t, cache)
 	if st.DirtyPages != 0 {
 		t.Fatalf("DirtyPages = %d after all closes, want 0", st.DirtyPages)
 	}
@@ -335,6 +412,11 @@ func TestCacheRace8Sessions(t *testing.T) {
 				}
 				if err := f.Close(ctx); err != nil {
 					return
+				}
+				// Revoke handlers of this cache may be running right now;
+				// the structure must hold at every instant mu is free.
+				if err := cache.CheckInvariant(); err != nil {
+					t.Errorf("session %d round %d: %v", i, j, err)
 				}
 				okRounds[i]++
 			}

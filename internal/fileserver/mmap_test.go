@@ -40,7 +40,7 @@ func TestServerMapRevokesClientLease(t *testing.T) {
 	if _, err := fA.WriteAt(ctxA, gen1, 0); err != nil {
 		t.Fatalf("A rewrite: %v", err)
 	}
-	if st := cacheA.Stats(); st.DirtyPages != 2 {
+	if st := cacheStats(t, cacheA); st.DirtyPages != 2 {
 		t.Fatalf("A DirtyPages = %d, want 2 buffered pages", st.DirtyPages)
 	}
 
@@ -55,7 +55,7 @@ func TestServerMapRevokesClientLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server map: %v", err)
 	}
-	if st := cacheA.Stats(); st.Revokes != 1 || st.DirtyPages != 0 {
+	if st := cacheStats(t, cacheA); st.Revokes != 1 || st.DirtyPages != 0 {
 		t.Fatalf("after map attach: A stats %+v, want 1 revoke and 0 dirty", st)
 	}
 	got := make([]byte, size)
@@ -99,7 +99,7 @@ func TestServerMapRevokesClientLease(t *testing.T) {
 	if !bytes.Equal(rd, gen2) {
 		t.Fatal("B read stale bytes while the ino was mapped (a lease was granted over a live mapping)")
 	}
-	if hits := cacheB.Stats().Hits; hits != 0 {
+	if hits := cacheStats(t, cacheB).Hits; hits != 0 {
 		t.Fatalf("B cache hits = %d while ino mapped, want pure pass-through", hits)
 	}
 
@@ -120,7 +120,7 @@ func TestServerMapRevokesClientLease(t *testing.T) {
 	if _, err := fC.ReadAt(ctxB, rd, 0); err != nil {
 		t.Fatalf("reread after unmap: %v", err)
 	}
-	if hits := cacheB.Stats().Hits; hits == 0 {
+	if hits := cacheStats(t, cacheB).Hits; hits == 0 {
 		t.Fatal("no cache hits after unmap: lease still refused?")
 	}
 	fC.Close(ctxB)

@@ -107,10 +107,11 @@ type Server struct {
 	doneLat      perf.Histogram
 	doneOps      int64
 
-	// leaseMu guards the per-ino lease table and every session's
-	// revokeWaiters (lease.go).
+	// leaseMu guards the per-ino lease table, the write-in-flight marks
+	// and every session's revokeWaiters (lease.go).
 	leaseMu sync.Mutex
 	leases  map[uint64]*fileLease
+	writing map[uint64]int // ino → writes between beginWrite and endWrite
 
 	// mapped, when the exported FS tracks memory mappings, gates lease
 	// grants: a locally mapped inode is never leased (DAX stores bypass
@@ -127,6 +128,7 @@ func New(fs vfs.FS, cfg Config) *Server {
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[uint64]*session),
 		leases:   make(map[uint64]*fileLease),
+		writing:  make(map[uint64]int),
 	}
 	if mt, ok := fs.(vfs.MapTracker); ok {
 		s.mapped = mt
@@ -385,13 +387,20 @@ func (sess *session) ackLease(id uint64, payload []byte) {
 // worker processes requests in arrival order and writes every response.
 func (sess *session) worker() {
 	defer sess.teardown()
+	// buf is the session's response buffer: the worker writes every queued
+	// request's response, one at a time, so it owns one buffer for all of
+	// them — whenever the transport gives it back.
+	var buf []byte
 	for req := range sess.reqs {
 		sess.dmu.Lock()
-		st, frame, stop := sess.serveReq(req)
+		st, frame, stop := sess.serveReq(req, buf)
 		sess.dmu.Unlock()
 		sess.wmu.Lock()
-		err := writeOwnedFrame(sess.conn, req.id, uint8(st), frame)
+		kept, err := writeOwnedFrame(sess.conn, req.id, uint8(st), frame)
 		sess.wmu.Unlock()
+		if buf = nil; kept && cap(frame) <= maxKeptBuf {
+			buf = frame
+		}
 		if stop || err != nil {
 			return
 		}
@@ -399,13 +408,15 @@ func (sess *session) worker() {
 }
 
 // serveReq executes one request with full per-request accounting and
-// returns the finished response frame (header and cost slot filled in).
+// returns the finished response frame (header reserved, cost slot filled
+// in), encoded into buf when it has the room. buf belongs to the caller:
+// the worker's own buffer, or the calling client's on direct dispatch.
 // Caller holds sess.dmu.
-func (sess *session) serveReq(req request) (st status, frame []byte, stop bool) {
+func (sess *session) serveReq(req request, buf []byte) (st status, frame []byte, stop bool) {
 	start := sess.ctx.Now()
 	sp := sess.ctx.StartSpan(rpcSpanName(req.op))
 	pmw := sess.ctx.Counters.PMWriteBytes
-	st, resp, stop := sess.dispatch(req)
+	st, resp, stop := sess.dispatch(req, buf)
 	if pm := sess.srv.cfg.PostMutate; pm != nil {
 		if delta := sess.ctx.Counters.PMWriteBytes - pmw; delta > 0 {
 			// The replication hook runs inside the cost window so the
@@ -426,7 +437,7 @@ func (sess *session) serveReq(req request) (st status, frame []byte, stop bool) 
 	// place: one buffer from dispatch to transport, no reassembly.
 	frame = resp
 	if st != statusOK || frame == nil {
-		out := respEnc(0)
+		out := respEnc(buf, 0)
 		if st != statusOK {
 			out.str(resp2msg(resp))
 		}
@@ -450,11 +461,14 @@ func (sess *session) serveReq(req request) (st status, frame []byte, stop bool) 
 // pushes in the other direction.
 type sessionDirect struct{ sess *session }
 
-// call executes one request synchronously. The returned payload is the
-// response frame's body (cost u64 first), exactly what ReadFrame would
-// have yielded. ok=false means the direct path is gone (session tore
-// down); the caller must fall back to the wire.
-func (sd *sessionDirect) call(o op, payload []byte) (status, []byte, bool) {
+// call executes one request synchronously and returns the response frame,
+// encoded into the caller's buf when it has the room: past the reserved
+// header it holds exactly what ReadFrame would have yielded (cost u64
+// first). The session keeps no reference to payload or frame, so several
+// client goroutines may be in flight, each on its own buffers. ok=false
+// means the direct path is gone (session tore down); the caller must fall
+// back to the wire.
+func (sd *sessionDirect) call(o op, payload, buf []byte) (st status, frame []byte, ok bool) {
 	sess := sd.sess
 	if o == opLeaseAck {
 		// Acks stay out of band, exactly like the reader path: a request
@@ -462,35 +476,31 @@ func (sd *sessionDirect) call(o op, payload []byte) (status, []byte, bool) {
 		// unblocks it may come from this very client's revoke handler.
 		d := dec{b: payload}
 		ino := d.u64()
-		st := statusOK
-		out := respEnc(0)
+		out := respEnc(buf, 0)
+		binary.LittleEndian.PutUint64(out.b[frameHdrLen:], 0)
 		if !d.ok() {
 			st = statusBadRequest
 			out.str("bad leaseack payload")
 		} else {
 			sess.srv.leaseAcked(sess, ino)
 		}
-		binary.LittleEndian.PutUint64(out.b[frameHdrLen:], 0)
-		return st, out.b[frameHdrLen:], true
+		return st, out.b, true
 	}
 	sess.dmu.Lock()
 	if sess.directStopped {
 		sess.dmu.Unlock()
 		return 0, nil, false
 	}
-	st, frame, stop := sess.serveReq(request{op: o, payload: payload})
-	if stop {
-		// A detach over the direct path must tear the session down just
-		// like one over the wire: kill the pipe so reader and worker
-		// exit and run teardown. The response still returns to the
-		// caller synchronously.
-		sess.directStopped = true
-		sess.dmu.Unlock()
-		sess.conn.Close()
-		return st, frame[frameHdrLen:], true
-	}
+	st, frame, stop := sess.serveReq(request{op: o, payload: payload}, buf)
+	// A detach over the direct path must tear the session down just like
+	// one over the wire: kill the pipe so reader and worker exit and run
+	// teardown. The response still returns to the caller synchronously.
+	sess.directStopped = stop
 	sess.dmu.Unlock()
-	return st, frame[frameHdrLen:], true
+	if stop {
+		sess.conn.Close()
+	}
+	return st, frame, true
 }
 
 // resp2msg interprets the dispatch payload of a failed request as its
@@ -544,11 +554,16 @@ func (sess *session) teardown() {
 	s.wg.Done()
 }
 
-// respEnc returns an encoder whose buffer reserves the frame header and
-// the u64 cost slot, so the worker can finish the frame without copying
-// the payload again. extra hints the payload size beyond the fixed span.
-func respEnc(extra int) enc {
-	return enc{b: make([]byte, frameHdrLen+8, frameHdrLen+8+16+extra)}
+// respEnc starts a response in buf — a fresh buffer if buf cannot hold the
+// fixed span plus extra payload bytes — with the frame header and the u64
+// cost slot reserved, so the frame is finished in place without copying
+// the payload again. The reserved bytes are stale until serveReq and
+// writeOwnedFrame fill them in.
+func respEnc(buf []byte, extra int) enc {
+	if need := frameHdrLen + 8 + extra; cap(buf) < need {
+		buf = make([]byte, need+16)
+	}
+	return enc{b: buf[:frameHdrLen+8]}
 }
 
 // rpcSpanNames pre-concatenates trace span labels per opcode; building
@@ -577,10 +592,11 @@ func fail(err error) (status, []byte, bool) {
 }
 
 // dispatch executes one request against the exported FS. It returns the
-// wire status, the response payload (message text when the status is not
-// OK), and whether the session should stop (client detach).
-func (sess *session) dispatch(req request) (status, []byte, bool) {
-	d := newDec(req.payload)
+// wire status, the response frame started with respEnc(buf, …) (nil for an
+// empty response; message text when the status is not OK), and whether the
+// session should stop (client detach).
+func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
+	d := dec{b: req.payload}
 	fs := sess.srv.fs
 	ctx := sess.ctx
 
@@ -590,7 +606,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		if !d.ok() || ver != ProtoVersion {
 			return statusBadRequest, []byte("protocol version mismatch"), false
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u32(ProtoVersion)
 		e.str(fs.Name())
 		e.u8(uint8(fs.Mode()))
@@ -621,7 +637,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		h := sess.nextHandle
 		sess.nextHandle++
 		sess.handles[h] = f
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u64(h)
 		e.u64(f.Ino())
 		e.i64(f.Size())
@@ -672,7 +688,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 				fi = fi2
 			}
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u64(fi.Ino)
 		e.i64(fi.Size)
 		e.u8(b2u8(fi.IsDir))
@@ -688,7 +704,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		if err != nil {
 			return fail(err)
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u32(uint32(len(ents)))
 		for _, ent := range ents {
 			e.str(ent.Name)
@@ -699,7 +715,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 
 	case opStatFS:
 		sfs := fs.StatFS(ctx)
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.i64(sfs.TotalBlocks)
 		e.i64(sfs.FreeBlocks)
 		e.i64(sfs.FreeAligned2M)
@@ -719,10 +735,9 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		// Read straight into the response frame: the length prefix slot
 		// is filled in after the read, so the data is never copied
 		// between a scratch buffer and the payload.
-		e := respEnc(4 + int(n))
+		e := respEnc(buf, 4+int(n))
 		hdr := len(e.b)
-		buf := e.b[hdr+4 : hdr+4+int(n)]
-		got, err := f.ReadAt(ctx, buf, off)
+		got, err := f.ReadAt(ctx, e.b[hdr+4:hdr+4+int(n)], off)
 		if err != nil {
 			return fail(err)
 		}
@@ -744,7 +759,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		if f == nil {
 			return statusBadHandle, nil, false
 		}
-		sess.srv.revokeConflicting(sess, f.Ino(), true)
+		sess.srv.beginWrite(sess, f.Ino())
 		var n int
 		var err error
 		if req.op == opWrite {
@@ -752,10 +767,11 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		} else {
 			n, err = f.Append(ctx, data)
 		}
+		sess.srv.endWrite(f.Ino())
 		if err != nil {
 			return fail(err)
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u32(uint32(n))
 		e.i64(f.Size())
 		return statusOK, e.b, false
@@ -769,11 +785,13 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		if f == nil {
 			return statusBadHandle, nil, false
 		}
-		sess.srv.revokeConflicting(sess, f.Ino(), true)
-		if err := f.Truncate(ctx, size); err != nil {
+		sess.srv.beginWrite(sess, f.Ino())
+		err := f.Truncate(ctx, size)
+		sess.srv.endWrite(f.Ino())
+		if err != nil {
 			return fail(err)
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.i64(f.Size())
 		return statusOK, e.b, false
 
@@ -786,11 +804,13 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		if f == nil {
 			return statusBadHandle, nil, false
 		}
-		sess.srv.revokeConflicting(sess, f.Ino(), true)
-		if err := f.Fallocate(ctx, off, n); err != nil {
+		sess.srv.beginWrite(sess, f.Ino())
+		err := f.Fallocate(ctx, off, n)
+		sess.srv.endWrite(f.Ino())
+		if err != nil {
 			return fail(err)
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.i64(f.Size())
 		return statusOK, e.b, false
 
@@ -847,7 +867,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 			return statusBadHandle, nil, false
 		}
 		val, ok := f.GetXattr(ctx, name)
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u8(b2u8(ok))
 		e.bytes(val)
 		return statusOK, e.b, false
@@ -867,7 +887,7 @@ func (sess *session) dispatch(req request) (status, []byte, bool) {
 		} else {
 			granted = sess.srv.acquireLease(sess, f.Ino(), mode == leaseWrite)
 		}
-		e := respEnc(0)
+		e := respEnc(buf, 0)
 		e.u8(b2u8(granted))
 		return statusOK, e.b, false
 

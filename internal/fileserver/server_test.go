@@ -23,11 +23,13 @@ const testCPUs = 8
 // listener, and tears everything down when the test ends.
 func newServer(t *testing.T, dev *pmem.Device, cfg Config) (*Server, *PipeListener) {
 	t.Helper()
-	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: testCPUs, Mode: vfs.Strict})
-	if err != nil {
-		t.Fatalf("mkfs: %v", err)
-	}
+	srv, pl, _ := newServerFS(t, dev, cfg)
+	return srv, pl
+}
+
+// serveT serves fs on an in-memory listener until the test ends.
+func serveT(t testing.TB, fs vfs.FS, cfg Config) (*Server, *PipeListener) {
+	t.Helper()
 	if cfg.CPUs == 0 {
 		cfg.CPUs = testCPUs
 	}
@@ -44,7 +46,7 @@ func newServer(t *testing.T, dev *pmem.Device, cfg Config) (*Server, *PipeListen
 	return srv, pl
 }
 
-func dialT(t *testing.T, pl *PipeListener) *Client {
+func dialT(t testing.TB, pl *PipeListener) *Client {
 	t.Helper()
 	conn, err := pl.Dial()
 	if err != nil {
@@ -58,7 +60,7 @@ func dialT(t *testing.T, pl *PipeListener) *Client {
 }
 
 // waitFor polls cond (wall-clock, for cross-goroutine teardown) briefly.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -222,19 +222,26 @@ func errFor(st status, msg string) error {
 // u64 id, u8 code.
 const frameHdrLen = 13
 
+// maxKeptBuf is the largest frame buffer a client or a session keeps for
+// its next call; a bigger one (bulk I/O, up to maxIO) is left to the
+// collector, so an idle connection holds kilobytes, not megabytes.
+const maxKeptBuf = 64 << 10
+
 // writeOwnedFrame finishes an in-place frame whose first frameHdrLen
-// bytes were reserved by the encoder (see reqEnc/respEnc) and writes it
-// with zero re-assembly copies. On the pipe fast path ownership of buf
-// passes to the transport; the caller must not touch it afterwards.
-func writeOwnedFrame(w io.Writer, id uint64, code uint8, buf []byte) error {
+// bytes were reserved by the encoder (see callBuf/respEnc) and writes it
+// with zero re-assembly copies. kept reports who owns buf afterwards: a
+// stream transport copied the bytes out during Write and the caller may
+// reuse it; the pipe's message queue took the slice itself, and the caller
+// must not touch it again.
+func writeOwnedFrame(w io.Writer, id uint64, code uint8, buf []byte) (kept bool, err error) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(9+len(buf)-frameHdrLen))
 	binary.LittleEndian.PutUint64(buf[4:], id)
 	buf[12] = code
 	if mw, ok := w.(msgWriter); ok {
-		return mw.writeMsg(buf)
+		return false, mw.writeMsg(buf)
 	}
-	_, err := w.Write(buf)
-	return err
+	_, err = w.Write(buf)
+	return true, err
 }
 
 // msgWriter and msgReader are the optional frame-granular transport
@@ -361,8 +368,6 @@ type dec struct {
 	pos int
 	bad bool
 }
-
-func newDec(b []byte) *dec { return &dec{b: b} }
 
 func (d *dec) take(n int) []byte {
 	if d.bad || n < 0 || d.pos+n > len(d.b) {

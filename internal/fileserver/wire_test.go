@@ -45,7 +45,7 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.i64(-5)
 	e.str("päth/σ")
 	e.bytes([]byte{1, 2, 3})
-	d := newDec(e.b)
+	d := dec{b: e.b}
 	if d.u8() != 7 || d.u32() != 1<<20 || d.u64() != 1<<40 || d.i64() != -5 {
 		t.Fatal("numeric round trip failed")
 	}
@@ -64,7 +64,7 @@ func TestEncDecRoundTrip(t *testing.T) {
 func TestDecTruncated(t *testing.T) {
 	var e enc
 	e.str("abcdef")
-	d := newDec(e.b[:5]) // length says 6, payload holds 1
+	d := dec{b: e.b[:5]} // length says 6, payload holds 1
 	if d.str() != "" || d.ok() {
 		t.Fatal("truncated string not flagged")
 	}

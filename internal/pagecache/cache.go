@@ -28,8 +28,8 @@
 package pagecache
 
 import (
-	"container/list"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,11 +133,23 @@ type Cache struct {
 	// Lock order: flushMu before mu; mu is never held across an RPC.
 	flushMu  sync.Mutex
 	flushCtx *sim.Ctx // clock for revoke-driven flushes; guarded by flushMu
+	// flushBuf carries a threshold-flush victim's bytes across the RPC.
+	// Guarded by flushMu, so one buffer serves every threshold flush. The
+	// RPC cannot read the frame itself: with mu released a concurrent
+	// writer may change it, or eviction may hand it to another page.
+	flushBuf [PageSize]byte
 
-	mu         sync.Mutex
-	files      map[uint64]*fileState
-	lru        *list.List // of *page; front = most recently used
-	dirtyTotal int
+	mu    sync.Mutex
+	files map[uint64]*fileState
+	// lru holds every cached page, most recently used first. dirty holds
+	// the dirty ones in the same relative order (see markDirtyLocked), so
+	// its back is the page a scan of lru from the back would reach first.
+	lru, dirty pageList
+	// free holds unlinked frames for reuse, chained through their lru next
+	// link; releaseLocked bounds it so free + cached frames stay within
+	// MaxPages.
+	free       *page
+	nfree      int
 	attrs      map[string]vfs.FileInfo
 	attrsByIno map[uint64]map[string]struct{}
 	// mapped counts live memory mappings per ino (mmap.go): while
@@ -158,7 +170,8 @@ func New(inner vfs.FS, cfg Config) *Cache {
 		cfg:        cfg.withDefaults(),
 		flushCtx:   sim.NewCtx(flusherThreadBase+int(flusherSeq.Add(1)), 0),
 		files:      make(map[uint64]*fileState),
-		lru:        list.New(),
+		lru:        pageList{k: lruLink},
+		dirty:      pageList{k: dirtyLink},
 		attrs:      make(map[string]vfs.FileInfo),
 		attrsByIno: make(map[uint64]map[string]struct{}),
 		mapped:     make(map[uint64]int),
@@ -174,8 +187,8 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Pages = c.lru.Len()
-	st.DirtyPages = c.dirtyTotal
+	st.Pages = c.lru.n
+	st.DirtyPages = c.dirty.n
 	st.AttrEntries = len(c.attrs)
 	return st
 }
@@ -212,13 +225,64 @@ func (st *fileState) takeErrLocked() error {
 
 // page is one cached 4KiB-aligned granule. Bytes past the file size are
 // zero, matching hole semantics, and the valid length is governed by the
-// fileState's size at read time.
+// fileState's size at read time. The struct is also the frame: an evicted
+// or dropped page waits on the cache's free list and is linked again under
+// another (st, idx), so a miss in a full cache allocates nothing.
 type page struct {
-	st    *fileState
+	st    *fileState // nil while the frame is unlinked
 	idx   int64
 	dirty bool
-	elem  *list.Element
+	link  [2]struct{ prev, next *page } // indexed by lruLink, dirtyLink
 	data  [PageSize]byte
+}
+
+const (
+	lruLink = iota
+	dirtyLink
+)
+
+// pageList is an intrusive doubly linked list threaded through link[k] of
+// its pages: front is the most recently used end, and next leads towards
+// the back.
+type pageList struct {
+	k           int
+	front, back *page
+	n           int
+}
+
+func (l *pageList) pushFront(pg *page) {
+	ln := &pg.link[l.k]
+	ln.prev, ln.next = nil, l.front
+	if l.front != nil {
+		l.front.link[l.k].prev = pg
+	} else {
+		l.back = pg
+	}
+	l.front = pg
+	l.n++
+}
+
+func (l *pageList) remove(pg *page) {
+	ln := &pg.link[l.k]
+	if ln.prev != nil {
+		ln.prev.link[l.k].next = ln.next
+	} else {
+		l.front = ln.next
+	}
+	if ln.next != nil {
+		ln.next.link[l.k].prev = ln.prev
+	} else {
+		l.back = ln.prev
+	}
+	ln.prev, ln.next = nil, nil
+	l.n--
+}
+
+func (l *pageList) moveToFront(pg *page) {
+	if l.front != pg {
+		l.remove(pg)
+		l.pushFront(pg)
+	}
 }
 
 func (c *Cache) hitCost(n int) int64 {
@@ -471,28 +535,93 @@ func (c *Cache) attrDropInoLocked(ino uint64) {
 
 // --- page LRU (guarded by mu) ---
 
-func (c *Cache) touchLocked(pg *page) { c.lru.MoveToFront(pg.elem) }
+// touchLocked makes pg the most recently used page, on both lists if it is
+// dirty: the dirty list must keep the LRU's relative order.
+func (c *Cache) touchLocked(pg *page) {
+	c.lru.moveToFront(pg)
+	if pg.dirty {
+		c.dirty.moveToFront(pg)
+	}
+}
 
-// insertPageLocked adds a page for (st, idx), evicting the least recently
-// used clean pages when over MaxPages. Dirty pages are never evicted —
-// the dirty bound plus synchronous threshold flushing keeps their count
-// bounded separately. Evictions are charged to the inserting thread's
-// counters.
-func (c *Cache) insertPageLocked(ctx *sim.Ctx, st *fileState, idx int64) *page {
-	for c.lru.Len() >= c.cfg.MaxPages {
+// markDirtyLocked puts a clean page on the dirty list. The page must be at
+// the LRU front — just linked or just touched — which is what keeps the
+// dirty list a subsequence of the LRU in the same order: a page enters
+// both at the front, touchLocked moves it in both, and removing a page
+// from either leaves the order of the rest alone.
+func (c *Cache) markDirtyLocked(pg *page) {
+	if !pg.dirty {
+		pg.dirty = true
+		pg.st.dirty++
+		c.dirty.pushFront(pg)
+	}
+}
+
+func (c *Cache) markCleanLocked(pg *page) {
+	if pg.dirty {
+		pg.dirty = false
+		pg.st.dirty--
+		c.dirty.remove(pg)
+	}
+}
+
+// frameLocked returns an unlinked frame the caller owns until it links or
+// releases it. A recycled frame holds stale bytes: the caller overwrites
+// or clears all of data before linking.
+func (c *Cache) frameLocked() *page {
+	pg := c.free
+	if pg == nil {
+		return new(page)
+	}
+	c.free = pg.link[lruLink].next
+	pg.link[lruLink].next = nil
+	c.nfree--
+	return pg
+}
+
+// releaseLocked takes back an unlinked frame. Frames beyond what the cache
+// could link again without evicting are left to the collector, so the free
+// list never holds memory a full cache would not have held anyway.
+func (c *Cache) releaseLocked(pg *page) {
+	pg.st = nil
+	if c.nfree+c.lru.n < c.cfg.MaxPages {
+		pg.link[lruLink].next = c.free
+		c.free = pg
+		c.nfree++
+	}
+}
+
+// linkLocked makes the frame pg the cached page (st, idx), most recently
+// used, evicting the least recently used clean pages when over MaxPages.
+// Dirty pages are never evicted — the dirty bound plus synchronous
+// threshold flushing keeps their count bounded separately. Evictions are
+// charged to the inserting thread's counters.
+func (c *Cache) linkLocked(ctx *sim.Ctx, st *fileState, idx int64, pg *page) {
+	for c.lru.n >= c.cfg.MaxPages {
 		if !c.evictOneLocked(ctx) {
 			break
 		}
 	}
-	pg := &page{st: st, idx: idx}
-	pg.elem = c.lru.PushFront(pg)
+	pg.st, pg.idx = st, idx
+	c.lru.pushFront(pg)
 	st.pages[idx] = pg
+}
+
+// insertPageLocked links an all-zero page for (st, idx): one born from a
+// write or an append rather than a fetch.
+func (c *Cache) insertPageLocked(ctx *sim.Ctx, st *fileState, idx int64) *page {
+	pg := c.frameLocked()
+	clear(pg.data[:])
+	c.linkLocked(ctx, st, idx, pg)
 	return pg
 }
 
+// evictOneLocked evicts the least recently used clean page. The dirty pages
+// it steps over are those older than every clean page: at most MaxDirty,
+// and none in steady state, because the threshold flush cleans from the
+// same end.
 func (c *Cache) evictOneLocked(ctx *sim.Ctx) bool {
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*page)
+	for pg := c.lru.back; pg != nil; pg = pg.link[lruLink].prev {
 		if pg.dirty {
 			continue
 		}
@@ -504,26 +633,22 @@ func (c *Cache) evictOneLocked(ctx *sim.Ctx) bool {
 	return false
 }
 
+func (c *Cache) unlinkLocked(pg *page) {
+	c.markCleanLocked(pg)
+	c.lru.remove(pg)
+	c.releaseLocked(pg)
+}
+
 func (c *Cache) removePageLocked(pg *page) {
-	if pg.dirty {
-		pg.dirty = false
-		pg.st.dirty--
-		c.dirtyTotal--
-	}
-	c.lru.Remove(pg.elem)
 	delete(pg.st.pages, pg.idx)
+	c.unlinkLocked(pg)
 }
 
 func (c *Cache) dropPagesLocked(st *fileState) {
 	for _, pg := range st.pages {
-		if pg.dirty {
-			pg.dirty = false
-			st.dirty--
-			c.dirtyTotal--
-		}
-		c.lru.Remove(pg.elem)
+		c.unlinkLocked(pg)
 	}
-	st.pages = make(map[int64]*page)
+	clear(st.pages)
 }
 
 // --- write-back ---
@@ -547,26 +672,22 @@ func (c *Cache) collectDirtyLocked(st *fileState) []writeback {
 		if !pg.dirty {
 			continue
 		}
-		pg.dirty = false
-		st.dirty--
-		c.dirtyTotal--
-		out = append(out, c.extractLocked(pg))
+		c.markCleanLocked(pg)
+		out = append(out, c.extractLocked(pg, nil))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
+	slices.SortFunc(out, func(a, b writeback) int { return cmp.Compare(a.off, b.off) })
 	return out
 }
 
-// extractLocked copies a page's valid range for write-back. The caller has
-// already cleared the dirty bookkeeping.
-func (c *Cache) extractLocked(pg *page) writeback {
+// extractLocked copies a page's valid range for write-back, into buf when
+// it has the room. The caller has already cleared the dirty bookkeeping.
+func (c *Cache) extractLocked(pg *page, buf []byte) writeback {
 	off := pg.idx * PageSize
 	n := int64(PageSize)
 	if off+n > pg.st.size {
 		n = pg.st.size - off
 	}
-	data := make([]byte, n)
-	copy(data, pg.data[:n])
-	return writeback{st: pg.st, wf: pg.st.flushFile, off: off, data: data}
+	return writeback{st: pg.st, wf: pg.st.flushFile, off: off, data: append(buf[:0], pg.data[:n]...)}
 }
 
 // writeBack pushes a batch to the server on ctx's clock. Failures stick to
@@ -613,32 +734,22 @@ func (c *Cache) writeBack(ctx *sim.Ctx, batch []writeback) error {
 
 // flushExcess flushes oldest-first until the dirty set is back under
 // MaxDirty. Runs on the writer's clock: exceeding the dirty bound is what
-// makes write-back caching pay its device cost.
+// makes write-back caching pay its device cost. The oldest dirty page is
+// the back of the dirty list — the page a scan of the LRU from its back
+// would meet first.
 func (c *Cache) flushExcess(ctx *sim.Ctx) error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	var first error
 	for {
 		c.mu.Lock()
-		if c.dirtyTotal <= c.cfg.MaxDirty {
+		victim := c.dirty.back
+		if c.dirty.n <= c.cfg.MaxDirty || victim == nil {
 			c.mu.Unlock()
 			return first
 		}
-		var victim *page
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			if pg := e.Value.(*page); pg.dirty {
-				victim = pg
-				break
-			}
-		}
-		if victim == nil {
-			c.mu.Unlock()
-			return first
-		}
-		victim.dirty = false
-		victim.st.dirty--
-		c.dirtyTotal--
-		b := c.extractLocked(victim)
+		c.markCleanLocked(victim)
+		b := c.extractLocked(victim, c.flushBuf[:])
 		c.mu.Unlock()
 		if err := c.writeBack(ctx, []writeback{b}); err != nil && first == nil {
 			first = err

@@ -102,6 +102,17 @@ func (f *leaseFile) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 var _ pagecache.Leasable = (*leaseFile)(nil)
 var _ pagecache.RevokeSource = (*leaseFS)(nil)
 
+// stats snapshots the cache's counters after checking its structure, so
+// every point where a test inspects the cache also audits the two lists,
+// the dirty counts and the free list.
+func stats(t *testing.T, c *pagecache.Cache) pagecache.Stats {
+	t.Helper()
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats()
+}
+
 func pattern(p []byte, salt int) {
 	for i := range p {
 		p[i] = byte(salt*37 + i*13 + 5)
@@ -156,7 +167,7 @@ func TestHitServesFromCacheCheaper(t *testing.T) {
 	if hitNS*5 > missNS {
 		t.Fatalf("hit cost %dns is not ≥5x cheaper than miss cost %dns", hitNS, missNS)
 	}
-	st := c.Stats()
+	st := stats(t, c)
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("stats did not record both hits and misses: %+v", st)
 	}
@@ -189,7 +200,7 @@ func TestDeniedLeaseIsPassThrough(t *testing.T) {
 	if err := f.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Pages != 0 {
+	if st := stats(t, c); st.Hits != 0 || st.Pages != 0 {
 		t.Fatalf("unleased file left cache state behind: %+v", st)
 	}
 }
@@ -217,12 +228,12 @@ func TestCanonicalPathKeying(t *testing.T) {
 	if _, err := c.Stat(ctx, "/d/f"); err != nil { // miss, fills the entry
 		t.Fatalf("stat clean: %v", err)
 	}
-	before := c.Stats()
+	before := stats(t, c)
 	fi, err := c.Stat(ctx, "/d//f") // must hit the same entry
 	if err != nil {
 		t.Fatalf("stat messy: %v", err)
 	}
-	after := c.Stats()
+	after := stats(t, c)
 	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("messy spelling missed: before %+v after %+v", before, after)
 	}
@@ -262,7 +273,7 @@ func TestLRUEvictsCleanPages(t *testing.T) {
 			t.Fatalf("read round %d returned wrong bytes", round)
 		}
 	}
-	st := c.Stats()
+	st := stats(t, c)
 	if st.Pages > 4 {
 		t.Fatalf("Pages = %d, exceeds MaxPages 4", st.Pages)
 	}
@@ -292,7 +303,7 @@ func TestDirtyBoundFlushes(t *testing.T) {
 			t.Fatalf("write page %d: %v", i, err)
 		}
 	}
-	st := c.Stats()
+	st := stats(t, c)
 	if st.DirtyPages > 2 {
 		t.Fatalf("DirtyPages = %d, exceeds MaxDirty 2", st.DirtyPages)
 	}
@@ -303,7 +314,7 @@ func TestDirtyBoundFlushes(t *testing.T) {
 	if err := f.Fsync(ctx); err != nil {
 		t.Fatalf("fsync: %v", err)
 	}
-	if st := c.Stats(); st.DirtyPages != 0 || st.FlushedBytes != pages*pagecache.PageSize {
+	if st := stats(t, c); st.DirtyPages != 0 || st.FlushedBytes != pages*pagecache.PageSize {
 		t.Fatalf("after fsync: %+v, want 0 dirty and %d flushed", st, pages*pagecache.PageSize)
 	}
 	if err := f.Close(ctx); err != nil {
@@ -344,7 +355,7 @@ func TestPoisonedRevokeFlushSurfacesEIO(t *testing.T) {
 	if _, err := f.WriteAt(ctx, buf, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if st := c.Stats(); st.DirtyPages != 1 {
+	if st := stats(t, c); st.DirtyPages != 1 {
 		t.Fatalf("DirtyPages = %d, want 1 before the revoke", st.DirtyPages)
 	}
 
@@ -354,7 +365,7 @@ func TestPoisonedRevokeFlushSurfacesEIO(t *testing.T) {
 	lfs.failWith(fmt.Errorf("%w: %v", vfs.ErrIO, media))
 	lfs.Revoke(f.Ino())
 
-	st := c.Stats()
+	st := stats(t, c)
 	if st.FlushErrors != 1 {
 		t.Fatalf("FlushErrors = %d, want 1", st.FlushErrors)
 	}
@@ -394,7 +405,7 @@ func TestCloseFlushesAndReleases(t *testing.T) {
 	if err := f.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if st := c.Stats(); st.Pages != 0 || st.DirtyPages != 0 || st.AttrEntries != 0 {
+	if st := stats(t, c); st.Pages != 0 || st.DirtyPages != 0 || st.AttrEntries != 0 {
 		t.Fatalf("close left state behind: %+v", st)
 	}
 

@@ -86,27 +86,46 @@ func (f *cachedFile) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 			total += chunk
 			continue
 		}
+		fr := c.frameLocked()
 		c.mu.Unlock()
 
-		var buf [PageSize]byte
-		m, err := f.inner.ReadAt(ctx, buf[:], idx*PageSize)
+		m, err := f.fetch(ctx, fr, idx)
 		if err != nil {
 			return total, err
 		}
 		ctx.Counters.CacheMisses++
 		ctx.Counters.CacheMissBytes += int64(m)
+		// Copy out while the frame is still private: once linked, another
+		// goroutine of the session may write the page.
+		copy(p[total:total+chunk], fr.data[pgOff:pgOff+chunk])
 		c.mu.Lock()
 		c.stats.Misses++
 		c.stats.MissBytes += int64(m)
 		if f.st.mode != modeNone && f.st.pages[idx] == nil {
-			pg := c.insertPageLocked(ctx, f.st, idx)
-			copy(pg.data[:], buf[:])
+			c.linkLocked(ctx, f.st, idx, fr)
+		} else {
+			c.releaseLocked(fr)
 		}
 		c.mu.Unlock()
-		copy(p[total:total+chunk], buf[pgOff:pgOff+chunk])
 		total += chunk
 	}
 	return total, nil
+}
+
+// fetch fills fr, a frame the caller owns, with page idx from the server:
+// the page is read straight into the memory it will be cached in. Bytes the
+// server did not return are zeroed, as in a hole. On error the frame goes
+// back to the free list. Called without mu.
+func (f *cachedFile) fetch(ctx *sim.Ctx, fr *page, idx int64) (int, error) {
+	m, err := f.inner.ReadAt(ctx, fr.data[:], idx*PageSize)
+	if err != nil {
+		f.c.mu.Lock()
+		f.c.releaseLocked(fr)
+		f.c.mu.Unlock()
+		return 0, err
+	}
+	clear(fr.data[m:])
+	return m, nil
 }
 
 // WriteAt implements vfs.File: write-back under a write lease. The first
@@ -176,42 +195,47 @@ func (f *cachedFile) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 				validEnd = pageEnd
 			}
 			covers := cur <= pageStart && cur+int64(chunk) >= validEnd
-			if !covers {
+			fr := c.frameLocked()
+			if covers {
+				// The write supplies every live byte; the rest is hole.
+				clear(fr.data[:pgOff])
+				clear(fr.data[pgOff+chunk:])
+			} else {
 				// Fetch the page's live bytes before overlaying.
 				c.mu.Unlock()
-				var buf [PageSize]byte
-				if _, err := f.inner.ReadAt(ctx, buf[:], pageStart); err != nil {
+				if _, err := f.fetch(ctx, fr, idx); err != nil {
 					return total, err
 				}
 				ctx.Counters.CacheMisses++
 				c.mu.Lock()
 				c.stats.Misses++
 				if f.st.mode != modeWrite {
+					c.releaseLocked(fr)
 					c.mu.Unlock()
 					m, err := f.writeThrough(ctx, p[total:], cur)
 					return total + m, err
 				}
 				pg = f.st.pages[idx]
-				if pg == nil {
-					pg = c.insertPageLocked(ctx, f.st, idx)
-					copy(pg.data[:], buf[:])
-				}
+			}
+			if pg == nil {
+				pg = fr
+				c.linkLocked(ctx, f.st, idx, pg)
 			} else {
-				pg = c.insertPageLocked(ctx, f.st, idx)
+				// Another goroutine of the session cached the page during
+				// the fetch. It is about to be dirtied, so it moves to the
+				// LRU front like any page written in place.
+				c.releaseLocked(fr)
+				c.touchLocked(pg)
 			}
 		} else {
 			c.touchLocked(pg)
 		}
 		copy(pg.data[pgOff:pgOff+chunk], p[total:total+chunk])
-		if !pg.dirty {
-			pg.dirty = true
-			f.st.dirty++
-			c.dirtyTotal++
-		}
+		c.markDirtyLocked(pg)
 		if cur+int64(chunk) > f.st.size {
 			f.st.size = cur + int64(chunk)
 		}
-		over := c.dirtyTotal > c.cfg.MaxDirty
+		over := c.dirty.n > c.cfg.MaxDirty
 		c.mu.Unlock()
 		ctx.Advance(c.hitCost(chunk))
 		total += chunk

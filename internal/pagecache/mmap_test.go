@@ -101,7 +101,7 @@ func TestMmapBypassesLease(t *testing.T) {
 	}
 	defer m.Close(ctx)
 
-	if got := c.Stats().MapBypasses; got < 1 {
+	if got := stats(t, c).MapBypasses; got < 1 {
 		t.Fatalf("MapBypasses = %d, want >= 1", got)
 	}
 	if got := lfs.unleases.Load(); got < 1 {
@@ -151,14 +151,14 @@ func TestMmapBypassesLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open while mapped: %v", err)
 	}
-	hitsBefore := c.Stats().Hits
+	hitsBefore := stats(t, c).Hits
 	if _, err := g.ReadAt(ctx, rd, 0); err != nil {
 		t.Fatalf("second handle read: %v", err)
 	}
 	if _, err := g.ReadAt(ctx, rd, 0); err != nil {
 		t.Fatalf("second handle reread: %v", err)
 	}
-	if hits := c.Stats().Hits; hits != hitsBefore {
+	if hits := stats(t, c).Hits; hits != hitsBefore {
 		t.Fatalf("cache hits grew %d -> %d for a mapped ino, want pass-through", hitsBefore, hits)
 	}
 	g.Close(ctx)
