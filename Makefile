@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile loc
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc
 
 all: build
 
@@ -26,16 +26,20 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine microbenchmarks + the determinism golden test: the booking,
-# charging and MMU fast paths and the cached serving path (ns/op and
-# allocs/op — the hot paths must stay allocation-free, and the pins say so:
-# a cached hit, an evicting miss and a threshold flush at 0 allocations, a
-# 4KiB miss through cache, client and server at ≤2, a write at the dirty
-# bound no dearer in a 16x larger cache), the exact-vs-batched-vs-parallel
-# golden test under the race detector, and the charge-amount table.
+# charging and MMU fast paths, the cached serving path and the journaled
+# POSIX path (ns/op and allocs/op — the hot paths must stay allocation-free,
+# and the pins say so: a cached hit, an evicting miss and a threshold flush
+# at 0 allocations, a 4KiB miss through cache, client and server at ≤2, a
+# write at the dirty bound no dearer in a 16x larger cache; stat, read,
+# in-place and copy-on-write overwrite, append and rename on a fragmented
+# mount at 0, create+append+close+unlink at 7, the three lock modes at 0, a
+# recycling tree at a steady size at 0), the exact-vs-batched-vs-parallel
+# golden test and the calendars, range locks and extent list against their
+# obvious models, all under the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestDirectReadMissAllocs' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/
-	$(GO) test -run TestWriteAtDirtyBoundIsO1 ./internal/pagecache/
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
+	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 
 # benchmark/README.md "Claiming a gain", step 3, as one command: PAIRS
 # alternating runs of one benchmark workload at BASE and at the working
@@ -165,6 +169,15 @@ cluster-campaign:
 profile:
 	$(GO) run ./cmd/winebench -scaling -cpuprofile cpu.pprof -memprofile mem.pprof -blockprofile block.pprof
 	$(GO) tool pprof -top -nodecount=10 cpu.pprof
+
+# Profile the journaled POSIX path: BenchmarkPosixMix (the posix_aged
+# operation mix on a fragmented strict mount, internal/winefs/bench_test.go)
+# under the CPU and the allocation profiler, top 20 of each. Start here
+# before optimising that path further; DESIGN.md §13 has the last tables.
+profile-posix:
+	$(GO) test -run xxx -bench BenchmarkPosixMix -benchtime 1000000x -cpuprofile posix_cpu.pprof -memprofile posix_mem.pprof -memprofilerate 64 -o winefs.test ./internal/winefs/
+	$(GO) tool pprof -top -nodecount=20 winefs.test posix_cpu.pprof
+	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects winefs.test posix_mem.pprof
 
 # Non-test Go lines per package, and in total: "net-negative" as a number
 # CI prints, not a claim in a PR body.

@@ -197,3 +197,21 @@ func TestPoolNoOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkPoolTakeAdd is the hole pool's steady churn: carve three blocks
+// best-fit out of a pool of 4,096 four-block holes, give them back.
+func BenchmarkPoolTakeAdd(b *testing.B) {
+	p := NewPool()
+	for i := int64(0); i < 4096; i++ {
+		p.Add(i*8, 4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, ok := p.TakeBestFit(3)
+		if !ok {
+			b.Fatal("pool empty")
+		}
+		p.Add(e.Start, e.Len)
+	}
+}

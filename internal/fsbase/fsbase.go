@@ -411,16 +411,11 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 		first, second = second, first
 	}
 	h1 := fs.locks.Lock(ctx, first.Ino)
-	var h2 *vfs.LockHandle
+	defer h1.Unlock(ctx)
 	if second.Ino != first.Ino {
-		h2 = fs.locks.Lock(ctx, second.Ino)
+		h2 := fs.locks.Lock(ctx, second.Ino)
+		defer h2.Unlock(ctx) // runs first: released in reverse order
 	}
-	defer func() {
-		if h2 != nil {
-			h2.Unlock(ctx)
-		}
-		h1.Unlock(ctx)
-	}()
 
 	oldParent.mu.Lock()
 	moved, ok := oldParent.children.Get(oldName)

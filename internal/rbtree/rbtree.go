@@ -7,6 +7,12 @@
 // directory entries in DRAM. The implementation is a textbook CLRS
 // red-black tree with parent pointers so deletion and neighbour queries
 // (Floor/Ceiling/Prev/Next) are O(log n) without allocation.
+//
+// Deleted nodes are recycled: Delete scrubs the node and chains it on the
+// tree's own free list, and Set takes from that list before it allocates.
+// A tree that churns at a steady size — the hole pool under allocate/free,
+// a directory under create/unlink — therefore stops allocating; the list
+// never holds more nodes than the tree's peak size less its current one.
 package rbtree
 
 // Tree is an ordered map from K to V. The zero value is not usable; build
@@ -15,6 +21,10 @@ type Tree[K any, V any] struct {
 	root *node[K, V]
 	size int
 	less func(a, b K) bool
+	// free chains the recycled nodes through their right pointers; every
+	// other field of a node on it is zero, so a dead key or value is not
+	// kept reachable and nothing stale can leak into the node's next life.
+	free *node[K, V]
 }
 
 type color bool
@@ -81,7 +91,13 @@ func (t *Tree[K, V]) Set(key K, val V) bool {
 			return false
 		}
 	}
-	n := &node[K, V]{key: key, val: val, parent: parent, color: red}
+	n := t.free
+	if n != nil {
+		t.free = n.right
+	} else {
+		n = new(node[K, V])
+	}
+	*n = node[K, V]{key: key, val: val, parent: parent, color: red}
 	*link = n
 	t.size++
 	t.insertFixup(n)
@@ -356,6 +372,9 @@ func (t *Tree[K, V]) deleteNode(z *node[K, V]) {
 	if yColor == black {
 		t.deleteFixup(x, xParent)
 	}
+	// z is out of the tree (y, where there was one, took its place).
+	*z = node[K, V]{right: t.free}
+	t.free = z
 }
 
 func (t *Tree[K, V]) deleteFixup(x *node[K, V], parent *node[K, V]) {

@@ -10,8 +10,32 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
-func TestBasicOps(t *testing.T) {
-	tr := rbtree.New[int, string](intLess)
+// Every test below runs on a fresh tree and on a recycled one: a tree that
+// has held `recycled` entries and lost them all, so that its first inserts
+// are served from the free list. Recycling must be invisible.
+const recycled = 300
+
+func trees[V any](t *testing.T, run func(t *testing.T, tr *rbtree.Tree[int, V])) {
+	t.Run("fresh", func(t *testing.T) { run(t, rbtree.New[int, V](intLess)) })
+	t.Run("recycled", func(t *testing.T) {
+		tr := rbtree.New[int, V](intLess)
+		var v V
+		for k := 0; k < recycled; k++ {
+			tr.Set(k*7919%recycled, v)
+		}
+		for k := 0; k < recycled; k++ {
+			tr.Delete(k)
+		}
+		if n, _ := tr.FreeNodes(func(int, V) bool { return true }); tr.Len() != 0 || n != recycled {
+			t.Fatalf("emptied tree: len %d, %d nodes on the free list, want 0 and %d", tr.Len(), n, recycled)
+		}
+		run(t, tr)
+	})
+}
+
+func TestBasicOps(t *testing.T) { trees(t, testBasicOps) }
+
+func testBasicOps(t *testing.T, tr *rbtree.Tree[int, string]) {
 	if tr.Len() != 0 {
 		t.Fatal("new tree not empty")
 	}
@@ -36,8 +60,9 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-func TestOrderedIteration(t *testing.T) {
-	tr := rbtree.New[int, int](intLess)
+func TestOrderedIteration(t *testing.T) { trees(t, testOrderedIteration) }
+
+func testOrderedIteration(t *testing.T, tr *rbtree.Tree[int, int]) {
 	vals := []int{5, 3, 9, 1, 7, 2, 8, 6, 4, 0}
 	for _, v := range vals {
 		tr.Set(v, v*10)
@@ -55,8 +80,9 @@ func TestOrderedIteration(t *testing.T) {
 	}
 }
 
-func TestMinMaxFloorCeiling(t *testing.T) {
-	tr := rbtree.New[int, int](intLess)
+func TestMinMaxFloorCeiling(t *testing.T) { trees(t, testMinMaxFloorCeiling) }
+
+func testMinMaxFloorCeiling(t *testing.T, tr *rbtree.Tree[int, int]) {
 	for _, v := range []int{10, 20, 30, 40} {
 		tr.Set(v, v)
 	}
@@ -83,8 +109,9 @@ func TestMinMaxFloorCeiling(t *testing.T) {
 	}
 }
 
-func TestAscendFrom(t *testing.T) {
-	tr := rbtree.New[int, int](intLess)
+func TestAscendFrom(t *testing.T) { trees(t, testAscendFrom) }
+
+func testAscendFrom(t *testing.T, tr *rbtree.Tree[int, int]) {
 	for i := 0; i < 100; i += 10 {
 		tr.Set(i, i)
 	}
@@ -99,8 +126,9 @@ func TestAscendFrom(t *testing.T) {
 	}
 }
 
-func TestInvariantsUnderChurn(t *testing.T) {
-	tr := rbtree.New[int, int](intLess)
+func TestInvariantsUnderChurn(t *testing.T) { trees(t, testInvariantsUnderChurn) }
+
+func testInvariantsUnderChurn(t *testing.T, tr *rbtree.Tree[int, int]) {
 	present := make(map[int]bool)
 	rng := uint64(12345)
 	next := func() int {
@@ -142,8 +170,14 @@ func TestInvariantsUnderChurn(t *testing.T) {
 func TestPropertySortedIteration(t *testing.T) {
 	// Property: for any input sequence, iteration visits exactly the set of
 	// distinct keys in sorted order and invariants hold.
+	trees(t, testPropertySortedIteration)
+}
+
+func testPropertySortedIteration(t *testing.T, tr *rbtree.Tree[int, bool]) {
 	f := func(keys []int16) bool {
-		tr := rbtree.New[int, bool](intLess)
+		for k, _, ok := tr.Min(); ok; k, _, ok = tr.Min() {
+			tr.Delete(k) // the last round's entries: every round starts empty, its nodes recycled
+		}
 		set := make(map[int]bool)
 		for _, k16 := range keys {
 			k := int(k16)
@@ -176,8 +210,14 @@ func TestPropertySortedIteration(t *testing.T) {
 func TestPropertyDeleteHalf(t *testing.T) {
 	// Property: deleting any subset leaves exactly the complement, with
 	// invariants intact.
+	trees(t, testPropertyDeleteHalf)
+}
+
+func testPropertyDeleteHalf(t *testing.T, tr *rbtree.Tree[int, int]) {
 	f := func(keys []uint8) bool {
-		tr := rbtree.New[int, int](intLess)
+		for k, _, ok := tr.Min(); ok; k, _, ok = tr.Min() {
+			tr.Delete(k)
+		}
 		set := make(map[int]bool)
 		for _, k := range keys {
 			tr.Set(int(k), int(k))
@@ -205,5 +245,100 @@ func TestPropertyDeleteHalf(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNodeRecycling churns a tree through ten times its peak size in
+// inserts and deletes. Throughout: the red-black invariants and the
+// contents hold; the free list is exactly the nodes the tree has shed from
+// its peak, so a tree at a steady size allocates nothing and the list
+// cannot outgrow the tree; and every node waiting on it is scrubbed — no
+// key, no value, no child or parent pointer from its last life, which a
+// reuse could otherwise resurrect (and which would keep dead strings
+// reachable in a directory index).
+func TestNodeRecycling(t *testing.T) {
+	const peak = 500
+	tr := rbtree.New[int, string](intLess)
+	present := make(map[int]string)
+	rng := uint64(99)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	scrubbed := func(k int, v string) bool { return k == 0 && v == "" }
+	high := 0 // the most entries the tree has held
+	check := func(step int) {
+		t.Helper()
+		if tr.CheckInvariants() < 0 {
+			t.Fatalf("step %d: red-black invariants violated", step)
+		}
+		if tr.Len() != len(present) {
+			t.Fatalf("step %d: tree holds %d entries, want %d", step, tr.Len(), len(present))
+		}
+		n, clean := tr.FreeNodes(scrubbed)
+		if !clean {
+			t.Fatalf("step %d: a node on the free list kept a key, value, colour or pointer", step)
+		}
+		if n != high-tr.Len() {
+			t.Fatalf("step %d: %d nodes on the free list, want peak %d - size %d", step, n, high, tr.Len())
+		}
+	}
+	for step := 0; step < 10*peak; step++ {
+		// Drift between a third of the peak and the peak, so nodes are shed
+		// and taken back in long runs as well as one by one.
+		grow := len(present) < peak/3 || len(present) < peak && (step/peak)%2 == 0
+		if k := next(4 * peak); grow {
+			v := string(rune('a' + k%26))
+			tr.Set(k, v)
+			present[k] = v
+		} else {
+			for k := range present { // any one
+				tr.Delete(k)
+				delete(present, k)
+				break
+			}
+		}
+		high = max(high, tr.Len())
+		if step%97 == 0 {
+			check(step)
+		}
+	}
+	check(10 * peak)
+	tr.Ascend(func(k int, v string) bool {
+		if present[k] != v {
+			t.Fatalf("key %d holds %q, want %q: a recycled node kept a stale value", k, v, present[k])
+		}
+		return true
+	})
+	for k := range present {
+		tr.Delete(k)
+	}
+	if n, clean := tr.FreeNodes(scrubbed); n != high || !clean {
+		t.Fatalf("emptied: %d scrubbed=%v nodes on the free list, want all %d the tree ever held", n, clean, high)
+	}
+	// A tree at a steady size allocates nothing.
+	for k := 0; k < high; k++ {
+		tr.Set(k, "x")
+	}
+	k := 0
+	if a := testing.AllocsPerRun(1000, func() { tr.Delete(k); tr.Set(k+high, "y"); k++ }); a != 0 {
+		t.Fatalf("delete+insert at a steady size: %v allocs, want 0", a)
+	}
+}
+
+// BenchmarkSteadyChurn deletes and inserts at a steady size of 4,096
+// entries — the hole pool under allocate/free: the node the delete sheds is
+// the node the insert takes.
+func BenchmarkSteadyChurn(b *testing.B) {
+	const size = 4096
+	tr := rbtree.New[int, int](intLess)
+	for k := 0; k < size; k++ {
+		tr.Set(k*7919%size, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Delete(i % size)
+		tr.Set(i%size, i)
 	}
 }

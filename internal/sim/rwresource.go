@@ -30,8 +30,8 @@ type RWResource struct {
 	mu sync.Mutex // guards the calendars
 	// wr and rd are merged unions of past exclusive and shared occupation
 	// intervals. Writers skip past both; readers skip past wr only.
-	wr     []span
-	rd     []span
+	wr     calendar
+	rd     calendar
 	wstart int64 // booked start of the in-progress exclusive occupation
 }
 
@@ -43,8 +43,8 @@ func (r *RWResource) Lock(ctx *Ctx) {
 	r.mu.Lock()
 	t := ctx.now
 	for {
-		t2 := skipBusy(r.wr, t)
-		t2 = skipBusy(r.rd, t2)
+		t2 := skipBusy(r.wr.live(), t)
+		t2 = skipBusy(r.rd.live(), t2)
 		if t2 == t {
 			break
 		}
@@ -63,7 +63,7 @@ func (r *RWResource) Lock(ctx *Ctx) {
 func (r *RWResource) Unlock(ctx *Ctx) {
 	r.mu.Lock()
 	if ctx.now > r.wstart {
-		r.wr = insertUnion(r.wr, span{r.wstart, ctx.now})
+		r.wr.insertUnion(span{r.wstart, ctx.now})
 	}
 	r.mu.Unlock()
 	r.host.Unlock()
@@ -78,7 +78,7 @@ func (r *RWResource) RLock(ctx *Ctx) (start int64) {
 	r.mu.Lock()
 	t := ctx.now
 	for {
-		t2 := skipBusy(r.wr, t)
+		t2 := skipBusy(r.wr.live(), t)
 		if t2 == t {
 			break
 		}
@@ -97,7 +97,7 @@ func (r *RWResource) RLock(ctx *Ctx) (start int64) {
 func (r *RWResource) RUnlock(ctx *Ctx, start int64) {
 	r.mu.Lock()
 	if ctx.now > start {
-		r.rd = insertUnion(r.rd, span{start, ctx.now})
+		r.rd.insertUnion(span{start, ctx.now})
 	}
 	r.mu.Unlock()
 	r.host.RUnlock()
@@ -108,31 +108,35 @@ func (r *RWResource) RUnlock(ctx *Ctx, start int64) {
 func (r *RWResource) BusyUntil() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var max int64
-	if n := len(r.wr); n > 0 && r.wr[n-1].end > max {
-		max = r.wr[n-1].end
-	}
-	if n := len(r.rd); n > 0 && r.rd[n-1].end > max {
-		max = r.rd[n-1].end
-	}
-	return max
+	return max(r.wr.end(), r.rd.end())
 }
 
 // skipBusy returns the end of the span containing t, or t if no span does.
 // spans must be sorted and disjoint.
 func skipBusy(spans []span, t int64) int64 {
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].end > t })
-	if i < len(spans) && spans[i].start <= t {
+	n := len(spans)
+	if n == 0 || t >= spans[n-1].end {
+		// At or past the last booking: clocks move forward, so this is the
+		// common case, and it costs no search of a calendar that may hold
+		// maxSpans intervals the caller is already beyond.
+		return t
+	}
+	i := sort.Search(n, func(i int) bool { return spans[i].end > t })
+	if spans[i].start <= t {
 		return spans[i].end
 	}
 	return t
 }
 
-// insertUnion inserts s into a sorted, disjoint span list, merging with any
-// overlapping or adjacent neighbours, and bounds the list length by
-// dropping the oldest intervals (clocks only move forward, so the distant
-// past is never consulted again).
-func insertUnion(spans []span, s span) []span {
+// insertUnion inserts s into the calendar, merging it with any overlapping
+// or adjacent intervals.
+func (c *calendar) insertUnion(s span) {
+	spans := c.live()
+	if n := len(spans); n == 0 || spans[n-1].end < s.start {
+		// Past the frontier — the common case, since clocks move forward.
+		c.insertAt(n, s)
+		return
+	}
 	// First span whose end reaches s.start: everything before it is
 	// strictly earlier and untouched.
 	lo := sort.Search(len(spans), func(i int) bool { return spans[i].end >= s.start })
@@ -146,25 +150,11 @@ func insertUnion(spans []span, s span) []span {
 		}
 		hi++
 	}
-	var out []span
-	switch {
-	case hi > lo:
+	if hi > lo {
 		// s swallows spans[lo:hi]; overwrite the first and close the gap.
 		spans[lo] = s
-		out = append(spans[:lo+1], spans[hi:]...)
-	case lo == len(spans):
-		// Past the frontier — the common case, since clocks move forward.
-		out = append(spans, s)
-	default:
-		spans = append(spans, span{})
-		copy(spans[lo+1:], spans[lo:])
-		spans[lo] = s
-		out = spans
+		c.remove(lo+1, hi)
+		return
 	}
-	if len(out) > maxSpans {
-		// Reslice rather than copy: append reallocates when the array's
-		// tail room runs out, amortising the trim to O(1) per insert.
-		out = out[len(out)-maxSpans:]
-	}
-	return out
+	c.insertAt(lo, s) // into a gap
 }

@@ -121,18 +121,19 @@ func TestRWResourceWriterStarvationBound(t *testing.T) {
 }
 
 func TestInsertUnion(t *testing.T) {
-	var s []span
-	s = insertUnion(s, span{10, 20})
-	s = insertUnion(s, span{30, 40})
-	s = insertUnion(s, span{15, 35}) // bridges both
-	if len(s) != 1 || s[0] != (span{10, 40}) {
+	var c calendar
+	c.insertUnion(span{10, 20})
+	c.insertUnion(span{30, 40})
+	c.insertUnion(span{15, 35}) // bridges both
+	if s := c.live(); len(s) != 1 || s[0] != (span{10, 40}) {
 		t.Fatalf("union = %v, want [{10 40}]", s)
 	}
-	s = insertUnion(s, span{40, 50}) // adjacent merges
-	if len(s) != 1 || s[0] != (span{10, 50}) {
+	c.insertUnion(span{40, 50}) // adjacent merges
+	if s := c.live(); len(s) != 1 || s[0] != (span{10, 50}) {
 		t.Fatalf("adjacent union = %v, want [{10 50}]", s)
 	}
-	s = insertUnion(s, span{60, 70})
+	c.insertUnion(span{60, 70})
+	s := c.live()
 	if len(s) != 2 {
 		t.Fatalf("disjoint union = %v, want 2 spans", s)
 	}

@@ -140,8 +140,8 @@ func (c *Ctx) EndSpan(sp *trace.Span) {
 //
 // Resource is safe for concurrent use by multiple goroutines.
 type Resource struct {
-	mu    sync.Mutex
-	spans []span // sorted, disjoint busy intervals
+	mu  sync.Mutex
+	cal calendar // busy intervals
 	// acquireStart is the booked start of an in-progress Acquire/Release
 	// occupation (the real mutex stays locked in between).
 	acquireStart int64
@@ -154,55 +154,89 @@ type span struct{ start, end int64 }
 // booked again in practice).
 const maxSpans = 1024
 
+// calendar is a sorted list of disjoint busy intervals that keeps the
+// newest maxSpans of them. The live intervals are buf[head:]: dropping the
+// oldest advances head, and when the backing array fills the live part
+// slides back to its front — so a calendar at its bound settles in one
+// array of up to 2×maxSpans spans and neither copies per insert nor
+// allocates again. The zero value is an empty calendar.
+type calendar struct {
+	buf  []span
+	head int
+}
+
+func (c *calendar) live() []span { return c.buf[c.head:] }
+
+// end returns the end of the last interval, 0 for an empty calendar.
+func (c *calendar) end() int64 {
+	if n := len(c.buf); n > c.head {
+		return c.buf[n-1].end
+	}
+	return 0
+}
+
+// insertAt puts s at index i of live() — len(live()) appends — and drops
+// the oldest interval if that takes the calendar over its bound.
+func (c *calendar) insertAt(i int, s span) {
+	if len(c.buf) == cap(c.buf) && c.head > 0 {
+		c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
+		c.head = 0
+	}
+	c.buf = append(c.buf, s)
+	if live := c.buf[c.head:]; i < len(live)-1 {
+		copy(live[i+1:], live[i:])
+		live[i] = s
+	}
+	if len(c.buf)-c.head > maxSpans {
+		c.head = len(c.buf) - maxSpans
+	}
+}
+
+// remove drops live()[lo:hi].
+func (c *calendar) remove(lo, hi int) {
+	c.buf = append(c.buf[:c.head+lo], c.buf[c.head+hi:]...)
+}
+
 // bookLocked finds the earliest t >= from such that [t, t+hold) is free,
 // inserts the interval, and returns t. Caller holds r.mu.
 func (r *Resource) bookLocked(from, hold int64) int64 {
 	t := from
+	spans := r.cal.live()
 	// Fast path: booking at or past the calendar frontier. Threads' clocks
 	// mostly move forward, so the overwhelmingly common case appends to (or
 	// extends) the final span without a binary search or a copy.
-	if n := len(r.spans); n == 0 || t >= r.spans[n-1].end {
-		if n > 0 && r.spans[n-1].end == t {
-			r.spans[n-1].end = t + hold
+	if n := len(spans); n == 0 || t >= spans[n-1].end {
+		if n > 0 && spans[n-1].end == t {
+			spans[n-1].end = t + hold
 		} else {
-			r.spans = append(r.spans, span{t, t + hold})
-			if len(r.spans) > maxSpans {
-				// Reslice rather than copy-back: append reallocates once
-				// the array tail fills, amortising the trim to O(1).
-				r.spans = r.spans[len(r.spans)-maxSpans:]
-			}
+			r.cal.insertAt(n, span{t, t + hold})
 		}
 		return t
 	}
 	// Find the first span that ends after t.
-	i := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].end > t })
-	for i < len(r.spans) {
-		if t+hold <= r.spans[i].start {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].end > t })
+	for i < len(spans) {
+		if t+hold <= spans[i].start {
 			break // fits in the gap before span i
 		}
-		if r.spans[i].end > t {
-			t = r.spans[i].end
+		if spans[i].end > t {
+			t = spans[i].end
 		}
 		i++
 	}
 	// Insert [t, t+hold) before index i, merging with neighbours.
-	mergePrev := i > 0 && r.spans[i-1].end == t
-	mergeNext := i < len(r.spans) && t+hold == r.spans[i].start
+	mergePrev := i > 0 && spans[i-1].end == t
+	mergeNext := i < len(spans) && t+hold == spans[i].start
 	switch {
 	case mergePrev && mergeNext:
-		r.spans[i-1].end = r.spans[i].end
-		r.spans = append(r.spans[:i], r.spans[i+1:]...)
+		spans[i-1].end = spans[i].end
+		r.cal.remove(i, i+1)
 	case mergePrev:
-		r.spans[i-1].end = t + hold
+		spans[i-1].end = t + hold
 	case mergeNext:
-		r.spans[i].start = t
+		spans[i].start = t
 	default:
-		r.spans = append(r.spans, span{})
-		copy(r.spans[i+1:], r.spans[i:])
-		r.spans[i] = span{t, t + hold}
-	}
-	if len(r.spans) > maxSpans {
-		r.spans = r.spans[len(r.spans)-maxSpans:]
+		r.cal.insertAt(i, span{t, t + hold})
 	}
 	return t
 }
@@ -263,11 +297,19 @@ func (r *Resource) UseQuanta(ctx *Ctx, hold, quantum int64) {
 // goroutines so the calendar stays consistent.
 func (r *Resource) Acquire(ctx *Ctx) {
 	r.mu.Lock()
+	r.acquireLocked(ctx)
+}
+
+func (r *Resource) acquireLocked(ctx *Ctx) {
 	t := ctx.now
-	i := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].end > t })
-	for i < len(r.spans) && r.spans[i].start <= t {
-		t = r.spans[i].end
-		i++
+	// At or past the frontier — the common case — nothing can be in the way.
+	if t < r.cal.end() {
+		spans := r.cal.live()
+		i := sort.Search(len(spans), func(i int) bool { return spans[i].end > t })
+		for i < len(spans) && spans[i].start <= t {
+			t = spans[i].end
+			i++
+		}
 	}
 	if waited := t - ctx.now; waited > 0 && ctx.Counters != nil {
 		ctx.Counters.LockWaitNS += waited
@@ -279,20 +321,31 @@ func (r *Resource) Acquire(ctx *Ctx) {
 // Release ends an occupation started with Acquire: the interval from the
 // acquire instant to the thread's current time is booked busy.
 func (r *Resource) Release(ctx *Ctx) {
+	r.bookHeldLocked(ctx)
+	r.mu.Unlock()
+}
+
+func (r *Resource) bookHeldLocked(ctx *Ctx) {
 	if ctx.now > r.acquireStart {
 		r.bookLocked(r.acquireStart, ctx.now-r.acquireStart)
 	}
-	r.mu.Unlock()
+}
+
+// Reacquire ends the occupation in progress and begins the next at once.
+// The calendar and the clock move exactly as under Release followed by
+// Acquire, but no other goroutine gets the resource in between: for a
+// holder that keeps state beside the resource which must survive the seam
+// (a journal operation chaining into its next transaction).
+func (r *Resource) Reacquire(ctx *Ctx) {
+	r.bookHeldLocked(ctx)
+	r.acquireLocked(ctx)
 }
 
 // BusyUntil reports the end of the last booked interval (tests).
 func (r *Resource) BusyUntil() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.spans) == 0 {
-		return 0
-	}
-	return r.spans[len(r.spans)-1].end
+	return r.cal.end()
 }
 
 // Bandwidth models a shared channel with a fixed byte rate (e.g. the

@@ -189,85 +189,101 @@ func (a *allocator) allocAligned(ctx *sim.Ctx, cpu int) (int64, bool) {
 // takeHoles gathers up to `need` blocks of hole space, possibly as
 // several extents: local holes first, then the remote pools in order of
 // most hole space; within a group, the smallest adequate hole (lowest
-// address on ties) or, when none fits, the largest one whole. It returns
-// what it got and how much is still missing.
-func (a *allocator) takeHoles(ctx *sim.Ctx, cpu int, need int64) (out []alloc.Extent, remaining int64) {
-	remaining = need
-	tryGroup := func(g *group, steal bool) {
-		for remaining > 0 {
-			g.mu.Lock()
-			e, ok := g.holes.TakeBestFit(remaining)
-			if !ok {
-				e, ok = g.holes.TakeLargest()
-			}
-			g.publishLocked()
-			g.mu.Unlock()
-			ctx.Advance(allocCost)
-			if !ok {
-				return
-			}
-			out = append(out, e)
-			remaining -= e.Len
-			if steal {
-				ctx.Counters.AllocSteals++
-			}
-		}
-	}
-	tryGroup(a.groups[cpu], false)
-	for remaining > 0 {
+// address on ties) or, when none fits, the largest one whole. It appends
+// what it got to out and reports how much is still missing.
+//
+// Like every allocation below, it appends to a caller-owned slice: an
+// operation passes its transaction's took list (mtx), so the hot paths
+// allocate no result slices and an abort knows what to give back; nil asks
+// for a fresh slice.
+func (a *allocator) takeHoles(ctx *sim.Ctx, cpu int, need int64, out []alloc.Extent) ([]alloc.Extent, int64) {
+	out, need = a.groups[cpu].takeHoles(ctx, need, out, false)
+	for need > 0 {
 		rg := a.mostHoles(cpu)
 		if rg == nil || rg.holeBlocks.Load() == 0 {
 			break
 		}
-		tryGroup(rg, true)
+		out, need = rg.takeHoles(ctx, need, out, true)
 	}
-	return out, remaining
+	return out, need
 }
 
-// allocSmall obtains `need` blocks of unaligned space: hole space first,
-// finally by breaking an aligned extent (counted as an AllocSplit).
-func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	out, remaining := a.takeHoles(ctx, cpu, need)
+// takeHoles serves takeHoles from one group until the need is met or the
+// group has no hole left.
+func (g *group) takeHoles(ctx *sim.Ctx, need int64, out []alloc.Extent, steal bool) ([]alloc.Extent, int64) {
+	for need > 0 {
+		g.mu.Lock()
+		e, ok := g.holes.TakeBestFit(need)
+		if !ok {
+			e, ok = g.holes.TakeLargest()
+		}
+		g.publishLocked()
+		g.mu.Unlock()
+		ctx.Advance(allocCost)
+		if !ok {
+			break
+		}
+		out = append(out, e)
+		need -= e.Len
+		if steal {
+			ctx.Counters.AllocSteals++
+		}
+	}
+	return out, need
+}
+
+// freeFrom rolls a failed allocation back: everything it appended to out
+// past n0 returns to the pools.
+func (a *allocator) freeFrom(ctx *sim.Ctx, out []alloc.Extent, n0 int) []alloc.Extent {
+	for _, e := range out[n0:] {
+		a.free(ctx, e)
+	}
+	return out[:n0]
+}
+
+// allocSmallTo obtains `need` blocks of unaligned space: hole space first,
+// finally by breaking an aligned extent (counted as an AllocSplit). It
+// appends to out (unchanged on failure).
+func (a *allocator) allocSmallTo(ctx *sim.Ctx, cpu int, need int64, out []alloc.Extent) ([]alloc.Extent, bool) {
+	n0 := len(out)
+	out, remaining := a.takeHoles(ctx, cpu, need, out)
 	// Last resort: break an aligned extent; the remainder becomes a hole.
 	for remaining > 0 {
 		b, ok := a.allocAligned(ctx, cpu)
 		if !ok {
-			// Roll back partial allocations.
-			for _, e := range out {
-				a.free(ctx, e)
-			}
-			return nil, false
+			return a.freeFrom(ctx, out, n0), false
 		}
 		ctx.Counters.AllocSplits++
-		take := remaining
-		if take > BlocksPerHuge {
-			take = BlocksPerHuge
-		}
+		take := min64(remaining, BlocksPerHuge)
 		out = append(out, alloc.Extent{Start: b, Len: take})
-		if take < BlocksPerHuge {
-			og := a.groups[a.fs.g.cpuOfBlock(b)]
-			og.mu.Lock()
-			og.addHoleLocked(b+take, BlocksPerHuge-take)
-			og.mu.Unlock()
-		}
+		a.returnSlack(b, take)
 		remaining -= take
 	}
 	return out, true
 }
 
-// allocHoles is allocSmall restricted to hole space (no aligned-extent
+// returnSlack gives the unused tail of the aligned extent at b, of which
+// the caller keeps `take` blocks, back to its group as a hole.
+func (a *allocator) returnSlack(b, take int64) {
+	if take < BlocksPerHuge {
+		og := a.groups[a.fs.g.cpuOfBlock(b)]
+		og.mu.Lock()
+		og.addHoleLocked(b+take, BlocksPerHuge-take)
+		og.mu.Unlock()
+	}
+}
+
+// allocHoles is allocSmallTo restricted to hole space (no aligned-extent
 // splitting): the online defragmenter migrates displaced blocks into
 // existing holes only — breaking an aligned extent to vacate another
 // would churn forever at net-zero recovery.
 func (a *allocator) allocHoles(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	out, remaining := a.takeHoles(ctx, cpu, need)
+	out, remaining := a.takeHoles(ctx, cpu, need, nil)
 	if remaining > 0 {
-		for _, e := range out {
-			a.free(ctx, e)
-		}
+		a.freeFrom(ctx, out, 0)
 		return nil, false
 	}
-	return coalesce(out), true
+	return coalesceFrom(out, 0), true
 }
 
 // alloc satisfies a request of `blocks` blocks (§3.4, "Allocation"):
@@ -276,17 +292,17 @@ func (a *allocator) allocHoles(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Exten
 // or files carrying the alignment xattr — the remainder is rounded up to a
 // full aligned extent so the file stays hugepage-mappable.
 func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool) ([]alloc.Extent, error) {
+	return a.allocTo(ctx, cpu, blocks, wantAligned, nil)
+}
+
+// allocTo is alloc appending to out (unchanged on failure, which is
+// always vfs.ErrNoSpace).
+func (a *allocator) allocTo(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool, out []alloc.Extent) ([]alloc.Extent, error) {
 	if blocks <= 0 {
-		return nil, nil
+		return out, nil
 	}
-	var out []alloc.Extent
-	var got int64 // blocks in out so far
-	fail := func() ([]alloc.Extent, error) {
-		for _, e := range out {
-			a.free(ctx, e)
-		}
-		return nil, vfs.ErrNoSpace
-	}
+	n0 := len(out)
+	var got int64 // blocks appended so far
 	hugePieces := blocks / BlocksPerHuge
 	rem := blocks % BlocksPerHuge
 	if wantAligned && rem > 0 {
@@ -299,42 +315,32 @@ func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool)
 	for i := int64(0); i < hugePieces; i++ {
 		b, ok := a.allocAligned(ctx, cpu)
 		if !ok {
-			// Aligned space exhausted: fall back to hole space for the rest.
-			small, ok2 := a.allocSmall(ctx, cpu, blocks-got)
-			if !ok2 {
-				return fail()
-			}
-			out = append(out, small...)
-			return coalesce(out), nil
+			// Aligned space exhausted: hole space serves all of the rest.
+			rem = blocks - got
+			break
 		}
 		take := min64(BlocksPerHuge, blocks-got)
 		out = append(out, alloc.Extent{Start: b, Len: take})
 		got += take
-		if take < BlocksPerHuge {
-			// Slack from the rounded-up tail extent returns as a hole.
-			og := a.groups[a.fs.g.cpuOfBlock(b)]
-			og.mu.Lock()
-			og.addHoleLocked(b+take, BlocksPerHuge-take)
-			og.mu.Unlock()
-		}
+		a.returnSlack(b, take) // of the rounded-up tail extent
 	}
 	if rem > 0 {
-		small, ok := a.allocSmall(ctx, cpu, rem)
-		if !ok {
-			return fail()
+		var ok bool
+		if out, ok = a.allocSmallTo(ctx, cpu, rem, out); !ok {
+			return a.freeFrom(ctx, out, n0), vfs.ErrNoSpace
 		}
-		out = append(out, small...)
 	}
-	return coalesce(out), nil
+	return coalesceFrom(out, n0), nil
 }
 
-// coalesce merges physically adjacent extents in allocation order.
-func coalesce(ex []alloc.Extent) []alloc.Extent {
-	if len(ex) < 2 {
+// coalesceFrom merges physically adjacent extents of ex[n0:] in allocation
+// order, in place.
+func coalesceFrom(ex []alloc.Extent, n0 int) []alloc.Extent {
+	if len(ex)-n0 < 2 {
 		return ex
 	}
-	out := ex[:1]
-	for _, e := range ex[1:] {
+	out := ex[:n0+1]
+	for _, e := range ex[n0+1:] {
 		last := &out[len(out)-1]
 		if last.End() == e.Start {
 			last.Len += e.Len

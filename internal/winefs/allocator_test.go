@@ -10,6 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
+// allocSmall is allocSmallTo into a fresh slice: the form the tests here
+// and the placement golden trace were written against.
+func (a *allocator) allocSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
+	return a.allocSmallTo(ctx, cpu, need, nil)
+}
+
 // TestAllocatorInvariants drives the alignment-aware allocator with random
 // mixed-size allocations and frees, and checks after every step:
 //

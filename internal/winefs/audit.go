@@ -14,7 +14,12 @@ import (
 // contains an aligned hugepage chunk", §3.6), checks every free extent for
 // bounds and overlap, and reconciles the totals against both StatFS and the
 // sum of every inode's extents — so a leak or double-free anywhere in the
-// FS shows up as a named violation instead of silent drift.
+// FS shows up as a named violation instead of silent drift. Last, it reads
+// every live inode's size and extent records back from the media and
+// compares them with the DRAM image the file system is running on
+// (auditMedia): the two are written by different code on every operation,
+// and an error path that rolls back one and not the other is otherwise
+// invisible until the next mount.
 //
 // Audit assumes a quiescent file system (no in-flight operations); the
 // soak test and the fault campaign call it between phases. It returns nil
@@ -162,6 +167,7 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 	var slowUsed []alloc.Extent
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
+		fs.auditMedia(ino, addf) // phase 6, under the same hold
 		for _, e := range ino.extents {
 			if fs.isSlow(e.blk) {
 				usedSlow += e.length
@@ -216,6 +222,58 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 		return nil
 	}
 	return &AuditError{Violations: violations}
+}
+
+// auditMedia is Audit's phase 6, DRAM against media, for one inode: the
+// size in its header, and for every extent in the DRAM list the PM record
+// its slot names, decoded afresh, must say what DRAM says; the slots must
+// be a permutation of the record indexes. What the media cannot return —
+// a poisoned line; on a degraded mount, the part of a chain that never
+// loaded — is skipped, not reported: the checked reads already turn those
+// into EIO and a read-only mount, and a fault campaign's verdict must not
+// depend on whether Audit happened to look. For the same reason the reads
+// are not checked loads: a scripted fault rule counts those, and may fire
+// on one. Caller holds ino.mu.
+func (fs *FS) auditMedia(ino *inode, addf func(format string, args ...interface{})) {
+	// peek fills buf from the media unless a line of it is poisoned, without
+	// issuing a load the fault plan can see.
+	peek := func(buf []byte, addr int64) bool {
+		n := int64(len(buf))
+		if fs.dev.CheckRange(addr, n) != nil || len(fs.dev.PoisonedLines(addr, n)) > 0 {
+			return false
+		}
+		fs.dev.ReadAt(buf, addr)
+		return true
+	}
+	var hdr [inoOffExtents]byte
+	if peek(hdr[:], fs.g.inodeAddr(ino.ino)) {
+		if di := decodeInodeHeader(hdr[:]); di.size != ino.size {
+			addf("DRAM/media skew: ino %d has size %d in DRAM, %d on media", ino.ino, ino.size, di.size)
+		}
+	}
+	if len(ino.slots) != len(ino.extents) {
+		addf("DRAM/media skew: ino %d has %d extents but %d record slots", ino.ino, len(ino.extents), len(ino.slots))
+		return
+	}
+	seen := make([]bool, len(ino.slots))
+	var rec [extentSize]byte
+	for i, e := range ino.extents {
+		slot := ino.slots[i]
+		if slot < 0 || slot >= len(seen) || seen[slot] {
+			addf("DRAM/media skew: ino %d extent %d holds record slot %d: the slots are not a permutation of 0..%d",
+				ino.ino, i, slot, len(seen)-1)
+			continue
+		}
+		seen[slot] = true
+		addr, err := fs.extSlotAddr(nil, nil, ino, slot)
+		if err != nil || !peek(rec[:], addr) {
+			continue
+		}
+		if m := decodeExtent(rec[:]); m.fileBlk != e.fileBlk || m.blk != e.blk || m.length != e.length {
+			addf("DRAM/media skew: ino %d extent %d is (file %d, blk %d, +%d) in DRAM but record %d on media says (file %d, blk %d, +%d)",
+				ino.ino, i, e.fileBlk, e.blk, e.length, slot, m.fileBlk, m.blk, m.length)
+		}
+	}
 }
 
 // AuditError reports every invariant violation an Audit pass found.

@@ -169,3 +169,76 @@ func TestAuditDetectsPromotionViolation(t *testing.T) {
 		t.Fatalf("promotion violation not named: %v", ae.Violations)
 	}
 }
+
+// TestAuditDetectsDramMediaSkew: the DRAM image drifting from the media —
+// what an error path that rolls back one side and not the other leaves —
+// must be named, whichever part drifts; a record the media cannot return
+// is passed over.
+func TestAuditDetectsDramMediaSkew(t *testing.T) {
+	fs, ctx := auditFS(t)
+	f, err := fs.Create(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append(ctx, make([]byte, 3*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	ino := f.(*File).ino
+	skewed := func(what string) {
+		t.Helper()
+		var ae *AuditError
+		if err := fs.Audit(ctx); !errors.As(err, &ae) {
+			t.Fatalf("%s: audit missed the skew: %v", what, err)
+		}
+		for _, v := range ae.Violations {
+			if strings.Contains(v, "DRAM/media skew") {
+				return
+			}
+		}
+		t.Fatalf("%s: skew not named: %v", what, ae.Violations)
+	}
+
+	// An extent attached behind the file system's back: in DRAM, with a
+	// slot, and nothing on the media.
+	blk, ok := fs.alloc.allocAligned(ctx, 0)
+	if !ok {
+		t.Fatal("allocAligned failed")
+	}
+	ino.extents = append(ino.extents, wextent{fileBlk: 1000, blk: blk, length: BlocksPerHuge})
+	ino.slots = append(ino.slots, len(ino.slots))
+	skewed("extent without a record")
+
+	// With the record's line poisoned the media cannot say either way.
+	addr, err := fs.extSlotAddr(ctx, nil, ino, len(ino.slots)-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.dev.Poison(addr, extentSize)
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatalf("audit reported a record the media cannot return: %v", err)
+	}
+	fs.dev.ClearPoison(addr, extentSize)
+
+	// Persisted, the same extent is no skew at all.
+	if err := fs.writeExtentSlot(ctx, nil, ino, len(ino.extents)-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatalf("audit after persisting the record: %v", err)
+	}
+
+	ino.slots[0], ino.slots[1] = ino.slots[1], ino.slots[0]
+	skewed("slots swapped")
+	ino.slots[0], ino.slots[1] = ino.slots[1], ino.slots[0]
+
+	ino.slots[1] = ino.slots[0]
+	skewed("slot named twice")
+	ino.slots[1] = 1
+
+	ino.size++
+	skewed("size")
+	ino.size--
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatalf("audit after undoing the mutations: %v", err)
+	}
+}

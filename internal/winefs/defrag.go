@@ -288,7 +288,7 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 // never back into the pools). Returns false if the chunk could not be
 // fully vacated (allocation failure or media fault).
 func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.Pacer, st *DefragStats) bool {
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	ok := func() bool {
 		ino.mu.Lock()
 		defer ino.mu.Unlock()

@@ -409,3 +409,167 @@ func TestRepairTruncatesBadExtents(t *testing.T) {
 		t.Fatalf("/b damaged: size=%d err=%v", bfi.Size, err)
 	}
 }
+
+// fileState is what a failed call must leave exactly as it found it: the
+// file's extent list (heat apart — DRAM-only), its record slots and size,
+// and the allocator's free counts.
+type fileState struct {
+	exts, slots         string
+	size, free, aligned int64
+}
+
+func stateOf(t *testing.T, ctx *sim.Ctx, fs *FS, path string) fileState {
+	t.Helper()
+	ino, err := fs.resolve(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino.mu.RLock()
+	defer ino.mu.RUnlock()
+	var exts []string
+	for _, e := range ino.extents {
+		exts = append(exts, fmt.Sprintf("%d:%d+%d", e.fileBlk, e.blk, e.length))
+	}
+	st := fs.StatFS(ctx)
+	return fileState{exts: strings.Join(exts, " "), slots: fmt.Sprint(ino.slots),
+		size: ino.size, free: st.FreeBlocks, aligned: st.FreeAligned2M}
+}
+
+// TestFailedWriteLeavesNoTrace: a write, fallocate or truncate that fails
+// half-way aborts its journal transaction, and the DRAM image — the extent
+// list, the allocator — must go back with the media. Before the abort path
+// restored it, the extents the call had already attached stayed in DRAM
+// (and their blocks allocated) until the next mount, while the media had
+// been rolled back: a leak, and a later in-place write into those blocks
+// was acknowledged and then lost. Each case compares the file and the free
+// counts before the failed call, after it, and after a mount of the same
+// bytes, and audits DRAM against the media.
+func TestFailedWriteLeavesNoTrace(t *testing.T) {
+	opts := Options{CPUs: 1, Mode: vfs.Strict}
+	// image is a 48MiB strict image with `files` 12KiB files, every other
+	// one unlinked, and /victim: one block far enough out that a write from 0
+	// past it spans two gaps, of which the free space covers only the first.
+	// With no files the first gap is a few large extents and the failed call
+	// one journal transaction; with 200, the tail of the gap is gathered
+	// from three-block holes, some twenty extents, and the call has chained
+	// through several transactions — committed ones — when it fails.
+	image := func(t *testing.T, files int) (fs *FS, ctx *sim.Ctx, dev *pmem.Device, victim vfs.File, gapBlks int64) {
+		ctx = sim.NewCtx(1, 0)
+		dev = pmem.New(48 << 20)
+		fs, err := Mkfs(ctx, dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < files; i++ {
+			f, err := fs.Create(ctx, fmt.Sprintf("/f%03d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Append(ctx, make([]byte, 12<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < files; i += 2 {
+			if err := fs.Unlink(ctx, fmt.Sprintf("/f%03d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		victim, err = fs.Create(ctx, "/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gapBlks = fs.StatFS(ctx).FreeBlocks * 2 / 3
+		if _, err := victim.WriteAt(ctx, make([]byte, BlockSize), gapBlks*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		return fs, ctx, dev, victim, gapBlks
+	}
+	// check compares the three states and audits the live mount.
+	check := func(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, path string, before fileState) {
+		t.Helper()
+		if after := stateOf(t, ctx, fs, path); after != before {
+			t.Errorf("the failed call left a trace in DRAM:\nbefore %+v\nafter  %+v", before, after)
+		}
+		if err := fs.Audit(ctx); err != nil {
+			t.Errorf("audit after the failed call: %v", err)
+		}
+		rfs, err := Mount(ctx, dev, opts) // not unmounted: recovery + scan of the same bytes
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, deg := rfs.Degraded(); deg {
+			t.Fatalf("remount degraded: %v", rfs.DegradedReasons())
+		}
+		if re := stateOf(t, ctx, rfs, path); re != before {
+			t.Errorf("the media disagrees with the state before the failed call:\nbefore  %+v\nremount %+v", before, re)
+		}
+	}
+
+	for _, files := range []int{0, 200} {
+		t.Run(fmt.Sprintf("write spanning two gaps, %d files", files), func(t *testing.T) {
+			fs, ctx, dev, victim, gap := image(t, files)
+			before := stateOf(t, ctx, fs, "/victim")
+			// The first gap allocates and attaches; the second finds no space.
+			if _, err := victim.WriteAt(ctx, make([]byte, 2*gap*BlockSize), 0); !errors.Is(err, vfs.ErrNoSpace) {
+				t.Fatalf("write = %v, want ErrNoSpace", err)
+			}
+			check(t, ctx, fs, dev, "/victim", before)
+			// The file system is still writable, and the space is really back.
+			if _, err := victim.WriteAt(ctx, make([]byte, gap*BlockSize), 0); err != nil {
+				t.Fatalf("write of the first gap alone after the failure: %v", err)
+			}
+		})
+		t.Run(fmt.Sprintf("fallocate spanning two gaps, %d files", files), func(t *testing.T) {
+			fs, ctx, dev, victim, gap := image(t, files)
+			before := stateOf(t, ctx, fs, "/victim")
+			if err := victim.Fallocate(ctx, 0, 2*gap*BlockSize); !errors.Is(err, vfs.ErrNoSpace) {
+				t.Fatalf("fallocate = %v, want ErrNoSpace", err)
+			}
+			check(t, ctx, fs, dev, "/victim", before)
+		})
+	}
+
+	// Truncate cannot run out of space; it fails when the media does. Every
+	// checked read of the call is failed in turn (a transient fault, so the
+	// remount can read the image): the undo reads of the records detachRange
+	// moves, and the header's — the last one, after the whole range is
+	// detached.
+	t.Run("truncate with a read fault", func(t *testing.T) {
+		for nth := 1; ; nth++ {
+			ctx := sim.NewCtx(1, 0)
+			dev := pmem.New(48 << 20)
+			fs, err := Mkfs(ctx, dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := fs.Create(ctx, "/a")
+			b, _ := fs.Create(ctx, "/b")
+			for i := 0; i < 6; i++ { // interleaved, so /a's extents cannot merge
+				if _, err := a.Append(ctx, make([]byte, 8<<10)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Append(ctx, make([]byte, 8<<10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := stateOf(t, ctx, fs, "/a")
+			if n := len(a.Extents()); n < 4 {
+				t.Fatalf("/a has %d extents; the interleave did not fragment it", n)
+			}
+			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Nth: nth, Transient: true}}})
+			err = a.Truncate(ctx, BlockSize)
+			dev.SetFaultPlan(nil)
+			if err == nil {
+				if nth < 3 {
+					t.Fatalf("truncate issued only %d checked reads; the sweep covers nothing", nth-1)
+				}
+				return // the call has fewer than nth checked reads: all covered
+			}
+			if !errors.Is(err, vfs.ErrIO) {
+				t.Fatalf("read %d failed: truncate = %v, want ErrIO", nth, err)
+			}
+			t.Logf("read %d failed", nth)
+			check(t, ctx, fs, dev, "/a", before)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package winefs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/alloc"
@@ -81,7 +82,7 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	ino := f.ino
 	// Shared inode lock: concurrent readers (and disjoint range writers)
 	// overlap in virtual time; only exclusive metadata ops are waited for.
-	h := f.fs.locks.RLock(ctx, ino.ino)
+	h := ino.lock().RLock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
@@ -148,13 +149,16 @@ func (fs *FS) readRange(ctx *sim.Ctx, ino *inode, p []byte, off int64, touch boo
 // contiguous space from the same hole, so merging keeps appended files in
 // a few large extents — without it every 4KiB append would add a record).
 func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
-	// Try to extend the predecessor covering fileBlk-1.
+	// i is where e belongs in the sorted list: past every extent that
+	// starts at or before it.
 	i := sort.Search(len(ino.extents), func(i int) bool {
 		return ino.extents[i].fileBlk > e.fileBlk
 	})
+	// Try to extend the predecessor covering fileBlk-1.
 	if i > 0 {
 		p := &ino.extents[i-1]
 		if p.fileBlk+p.length == e.fileBlk && p.blk+p.length == e.blk {
+			tx.note(ino, undoSet, i-1)
 			p.length += e.length
 			ino.gen++
 			return fs.writeExtentSlot(ctx, tx, ino, i-1)
@@ -164,6 +168,7 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 	if i < len(ino.extents) {
 		nx := &ino.extents[i]
 		if e.fileBlk+e.length == nx.fileBlk && e.blk+e.length == nx.blk {
+			tx.note(ino, undoSet, i)
 			nx.fileBlk = e.fileBlk
 			nx.blk = e.blk
 			nx.length += e.length
@@ -171,18 +176,19 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 			return fs.writeExtentSlot(ctx, tx, ino, i)
 		}
 	}
-	ino.extents = append(ino.extents, e)
-	ino.slots = append(ino.slots, len(ino.extents)-1)
+	// A record of its own: the next PM slot (records stay dense), list
+	// position i.
+	tx.note(ino, undoInsert, i)
+	ino.slots = slices.Insert(ino.slots, i, len(ino.slots))
+	ino.extents = slices.Insert(ino.extents, i, e)
 	ino.gen++
-	if err := fs.writeExtentSlot(ctx, tx, ino, len(ino.extents)-1); err != nil {
-		return err
-	}
-	sortExtents(ino)
-	return nil
+	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
 
-// recUpdate persists DRAM extent i to its PM record.
-func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
+// recUpdate replaces DRAM extent i with e and persists it to its PM record.
+func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int, e wextent) error {
+	tx.note(ino, undoSet, i)
+	ino.extents[i] = e
 	ino.gen++
 	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
@@ -192,22 +198,18 @@ func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 func (fs *FS) recRemove(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 	ino.gen++
 	r := ino.slots[i]
-	last := len(ino.extents) - 1
-	lastRec := last // record count-1
-	if r != lastRec {
+	if lastRec := len(ino.extents) - 1; r != lastRec {
 		// Find the DRAM entry occupying the last record and move it to r.
-		for k := range ino.slots {
-			if ino.slots[k] == lastRec {
-				ino.slots[k] = r
-				if err := fs.writeExtentSlot(ctx, tx, ino, k); err != nil {
-					return err
-				}
-				break
-			}
+		k := slices.Index(ino.slots, lastRec)
+		tx.note(ino, undoSet, k)
+		ino.slots[k] = r
+		if err := fs.writeExtentSlot(ctx, tx, ino, k); err != nil {
+			return err
 		}
 	}
-	ino.extents = append(ino.extents[:i], ino.extents[i+1:]...)
-	ino.slots = append(ino.slots[:i], ino.slots[i+1:]...)
+	tx.note(ino, undoRemove, i)
+	ino.extents = slices.Delete(ino.extents, i, i+1)
+	ino.slots = slices.Delete(ino.slots, i, i+1)
 	return nil
 }
 
@@ -230,12 +232,15 @@ func (f *File) allocRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, wantAli
 		// alloc); round the tail up to a full aligned extent only for
 		// xattr-hinted files starting at an aligned file offset.
 		roundUp := wantAligned && b%BlocksPerHuge == 0
-		exts, err := fs.allocData(ctx, tx.cpu, need, roundUp)
-		if err != nil {
+		n0 := len(tx.took)
+		var err error
+		if tx.took, err = fs.allocData(ctx, tx.cpu, need, roundUp, tx.took); err != nil {
 			return err
 		}
 		fileBlk := b
-		for _, e := range exts {
+		// Ranging over the new tail of took is safe though recAppend may
+		// append to it (an indirect block): the range holds its own slice.
+		for _, e := range tx.took[n0:] {
 			// Zero the parts of the new blocks the caller won't overwrite.
 			zs := fileBlk * BlockSize
 			ze := (fileBlk + e.Len) * BlockSize
@@ -328,7 +333,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		}
 	}
 
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -346,7 +351,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	var tx *mtx
 	getTx := func() *mtx {
 		if tx == nil {
-			tx = fs.begin(ctx)
+			tx = fs.begin(ctx, ino)
 		}
 		return tx
 	}
@@ -425,7 +430,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 func (f *File) writeRange(ctx *sim.Ctx, p []byte, off int64) (n int, ok bool, err error) {
 	fs := f.fs
 	ino := f.ino
-	h := fs.locks.LockRange(ctx, ino.ino, off, int64(len(p)))
+	h := ino.lock().LockRange(ctx, off, int64(len(p)))
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -568,41 +573,33 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 	endBlk := (end + BlockSize - 1) / BlockSize
 	nBlks := endBlk - startBlk
 
-	newExts, ok := fs.allocDataSmall(ctx, tx.cpu, nBlks)
-	if !ok {
+	n0 := len(tx.took)
+	var ok bool
+	if tx.took, ok = fs.allocDataSmall(ctx, tx.cpu, nBlks, tx.took); !ok {
 		return vfs.ErrNoSpace
 	}
+	newExts := tx.took[n0:] // its own slice: replaceRange may append to took
 	ctx.Counters.CoWCopies += nBlks
 
 	// Copy edge bytes the write doesn't cover, then lay down the new data.
-	var newBlks []int64
+	buf := tx.blk[:]
+	fileBlk := startBlk
 	for _, e := range newExts {
-		for b := e.Start; b < e.End(); b++ {
-			newBlks = append(newBlks, b)
-		}
-	}
-	buf := make([]byte, BlockSize)
-	for i, nb := range newBlks {
-		fileBlk := startBlk + int64(i)
-		oldPhys, _, okOld := ino.findRun(fileBlk)
-		bs := fileBlk * BlockSize
-		be := bs + BlockSize
-		ws := off
-		if ws < bs {
-			ws = bs
-		}
-		we := end
-		if we > be {
-			we = be
-		}
-		if okOld && (ws > bs || we < be) {
-			if err := fs.dataReadChecked(ctx, buf, oldPhys*BlockSize); err != nil {
-				return err
+		for nb := e.Start; nb < e.End(); nb, fileBlk = nb+1, fileBlk+1 {
+			oldPhys, _, okOld := ino.findRun(fileBlk)
+			bs := fileBlk * BlockSize
+			be := bs + BlockSize
+			ws := max64(off, bs)
+			we := min64(end, be)
+			if okOld && (ws > bs || we < be) {
+				if err := fs.dataReadChecked(ctx, buf, oldPhys*BlockSize); err != nil {
+					return err
+				}
+				fs.dataWrite(ctx, buf, nb*BlockSize)
 			}
-			fs.dataWrite(ctx, buf, nb*BlockSize)
+			fs.dataWrite(ctx, p[ws-off:we-off], nb*BlockSize+(ws-bs))
+			fs.dataFlush(ctx, nb*BlockSize, BlockSize)
 		}
-		fs.dataWrite(ctx, p[ws-off:we-off], nb*BlockSize+(ws-bs))
-		fs.dataFlush(ctx, nb*BlockSize, BlockSize)
 	}
 	fs.dev.Fence(ctx)
 
@@ -610,71 +607,64 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 	return fs.replaceRange(ctx, tx, ino, startBlk, endBlk, newExts)
 }
 
-// detachRange unmaps file blocks [startBlk, endBlk) in the transaction and
-// returns the displaced physical extents. This is where the
-// invalidate-before-free rule lives: live mappings are shot down here,
-// under ino.mu, so no translation survives to the point where the caller
-// — once the rest of its update is journaled — hands the blocks back to
-// the allocator; refaults resolve through the new layout (or, past a new
-// EOF, get vfs.ErrMapFault). The extents are appended to freed (nil, or
-// a stack-backed slice to spare the allocation). Caller holds ino.mu.
-func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64, freed []alloc.Extent) ([]alloc.Extent, error) {
-	for i := 0; i < len(ino.extents); {
+// detachRange unmaps file blocks [startBlk, endBlk) in the transaction;
+// the displaced physical extents go on tx.dropped, which commit frees. This
+// is where the invalidate-before-free rule lives: live mappings are shot
+// down here, under ino.mu, so no translation survives to the point where
+// the blocks go back to the allocator; refaults resolve through the new
+// layout (or, past a new EOF, get vfs.ErrMapFault). Caller holds ino.mu.
+func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64) error {
+	n0 := len(tx.dropped)
+	// The extents are sorted and disjoint: those that overlap the range
+	// are consecutive, from the first that ends past startBlk.
+	i := sort.Search(len(ino.extents), func(i int) bool {
+		return ino.extents[i].fileBlk+ino.extents[i].length > startBlk
+	})
+	for i < len(ino.extents) && ino.extents[i].fileBlk < endBlk {
 		e := ino.extents[i]
 		eEnd := e.fileBlk + e.length
-		if eEnd <= startBlk || e.fileBlk >= endBlk {
-			i++
-			continue
-		}
 		ovS := max64(e.fileBlk, startBlk)
 		ovE := min64(eEnd, endBlk)
-		freed = append(freed, alloc.Extent{Start: e.blk + (ovS - e.fileBlk), Len: ovE - ovS})
+		tx.dropped = append(tx.dropped, alloc.Extent{Start: e.blk + (ovS - e.fileBlk), Len: ovE - ovS})
+		head, tail := e, e // what stays of e before and after the overlap
+		head.length = ovS - e.fileBlk
+		tail.fileBlk, tail.blk, tail.length = ovE, e.blk+(ovE-e.fileBlk), eEnd-ovE
+		var err error
 		switch {
-		case ovS == e.fileBlk && ovE == eEnd:
-			if err := fs.recRemove(ctx, tx, ino, i); err != nil {
-				return nil, err
-			}
-		case ovS == e.fileBlk:
-			ino.extents[i].fileBlk = ovE
-			ino.extents[i].blk += ovE - e.fileBlk
-			ino.extents[i].length = eEnd - ovE
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return nil, err
-			}
+		case head.length == 0 && tail.length == 0:
+			err = fs.recRemove(ctx, tx, ino, i) // the next extent is at i now
+		case head.length == 0:
+			err = fs.recUpdate(ctx, tx, ino, i, tail)
 			i++
-		case ovE == eEnd:
-			ino.extents[i].length = ovS - e.fileBlk
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return nil, err
-			}
+		case tail.length == 0:
+			err = fs.recUpdate(ctx, tx, ino, i, head)
 			i++
 		default:
-			// Split: head stays, tail appended.
-			tail := wextent{fileBlk: ovE, blk: e.blk + (ovE - e.fileBlk), length: eEnd - ovE}
-			ino.extents[i].length = ovS - e.fileBlk
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return nil, err
-			}
-			if err := fs.recAppend(ctx, tx, ino, tail); err != nil {
-				return nil, err
+			// Split: the head keeps the record, the tail gets its own (and
+			// lands at i+1: it starts at endBlk, which ends the walk).
+			if err = fs.recUpdate(ctx, tx, ino, i, head); err == nil {
+				tail.heat = 0
+				err = fs.recAppend(ctx, tx, ino, tail)
 			}
 			i++
 		}
+		if err != nil {
+			return err
+		}
 	}
-	if len(freed) > 0 {
+	if len(tx.dropped) > n0 {
 		for _, m := range ino.mappings {
 			m.Invalidate()
 		}
 	}
-	return freed, nil
+	return nil
 }
 
 // replaceRange rewrites the extent map so [startBlk, endBlk) is backed by
-// newExts (in order), freeing the displaced blocks. Caller holds ino.mu.
+// newExts (in order); the displaced blocks are freed at commit. Caller
+// holds ino.mu.
 func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64, newExts []alloc.Extent) error {
-	var backing [relocateMaxExtents]alloc.Extent
-	freed, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk, backing[:0])
-	if err != nil {
+	if err := fs.detachRange(ctx, tx, ino, startBlk, endBlk); err != nil {
 		return err
 	}
 	fileBlk := startBlk
@@ -688,13 +678,7 @@ func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk i
 		}
 		fileBlk += l
 	}
-	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
-		return err
-	}
-	for _, e := range freed {
-		fs.alloc.free(ctx, e)
-	}
-	return nil
+	return fs.writeInodeHeader(ctx, tx, ino)
 }
 
 func max64(a, b int64) int64 {
@@ -720,12 +704,12 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 	}
 	fs := f.fs
 	ino := f.ino
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, ino)
 	if size < ino.size {
 		// POSIX: if the file grows again later, bytes past the new EOF must
 		// read as zero — zero the stale tail of the last kept block now.
@@ -735,12 +719,8 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 				fs.dataZero(ctx, phys*BlockSize+size%BlockSize, tail)
 			}
 		}
-		freed, err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64, nil)
-		if err != nil {
+		if err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64); err != nil {
 			return fs.failTx(tx, "truncate", err)
-		}
-		for _, e := range freed {
-			fs.alloc.free(ctx, e)
 		}
 	}
 	old := ino.size
@@ -763,14 +743,14 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, n int64) error {
 	}
 	fs := f.fs
 	ino := f.ino
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
 
 	startBlk := off / BlockSize
 	endBlk := (off + n + BlockSize - 1) / BlockSize
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, ino)
 	wantAligned := ino.flags&flagAligned != 0
 	// skip-zero range is empty: zero everything newly allocated.
 	if err := f.allocRange(ctx, tx, startBlk, endBlk, wantAligned, -1, -1); err != nil {
@@ -883,11 +863,11 @@ func (f *File) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
 
 // setAligned journals the alignment flag into the inode header.
 func (fs *FS) setAligned(ctx *sim.Ctx, ino *inode) error {
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	oldFlags := ino.flags
 	ino.flags |= flagAligned
 	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
@@ -904,7 +884,7 @@ func (f *File) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 	if name != vfs.XattrAligned {
 		return nil, false
 	}
-	h := f.fs.locks.RLock(ctx, f.ino.ino)
+	h := f.ino.lock().RLock(ctx)
 	defer h.Unlock(ctx)
 	f.ino.mu.RLock()
 	defer f.ino.mu.RUnlock()
@@ -959,7 +939,7 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	if err := fs.writable(); err != nil {
 		return mmu.FaultResult{}, err
 	}
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -1003,7 +983,7 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		return mmu.FaultResult{}, fmt.Errorf("winefs: fault at %d beyond eof %d: %w", pageOff, size, vfs.ErrMapFault)
 	}
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, ino)
 	chunkBlk := chunkOff / BlockSize
 	chunkFree := true
 	for b := chunkBlk; b < chunkBlk+BlocksPerHuge; b++ {
@@ -1016,6 +996,7 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		// The whole chunk is unbacked and within the file: allocate one
 		// aligned extent and serve a hugepage fault.
 		if blk, ok := fs.alloc.allocAligned(ctx, tx.cpu); ok {
+			tx.took = append(tx.took, alloc.Extent{Start: blk, Len: BlocksPerHuge})
 			fs.dev.Zero(ctx, blk*BlockSize, alloc.HugeBytes)
 			if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: chunkBlk, blk: blk, length: BlocksPerHuge}); err != nil {
 				return mmu.FaultResult{}, fs.failTx(tx, "fault", err)
@@ -1025,12 +1006,12 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		}
 	}
 	// Fall back to a single base page from the hole pool.
-	small, ok := fs.alloc.allocSmall(ctx, tx.cpu, 1)
-	if !ok {
+	var ok bool
+	if tx.took, ok = fs.alloc.allocSmallTo(ctx, tx.cpu, 1, tx.took); !ok {
 		tx.commit()
 		return mmu.FaultResult{}, vfs.ErrNoSpace
 	}
-	blk := small[0].Start
+	blk := tx.took[len(tx.took)-1].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
 	if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: pageOff / BlockSize, blk: blk, length: 1}); err != nil {
 		return mmu.FaultResult{}, fs.failTx(tx, "fault", err)

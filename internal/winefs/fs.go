@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -174,13 +175,14 @@ func isMediaErr(err error) bool {
 	return errors.As(err, &me) || errors.As(err, &re)
 }
 
-// failTx handles an error raised in the middle of a journal transaction: the
-// transaction is rolled back via its undo log, and if the failure was a media
-// fault the file system degrades to read-only — DRAM bookkeeping touched
-// before the fault (free-slot lists, extent growth) may no longer match the
-// rolled-back PM state, so further mutation is unsafe.
+// failTx handles an error raised in the middle of a journal transaction:
+// the transaction is rolled back via its undo log and the DRAM image of
+// the file it was changing goes back with it (mtx.abort), so the failed
+// call leaves no trace on either side. If the failure was a media fault
+// the file system also degrades to read-only: what else the fault made
+// unreadable is unknown, so further mutation is unsafe.
 func (fs *FS) failTx(tx *mtx, op string, err error) error {
-	tx.abort()
+	tx.abort(op)
 	if isMediaErr(err) {
 		fs.degrade("media error during %s: %v", op, err)
 	}
@@ -191,6 +193,8 @@ func (fs *FS) failTx(tx *mtx, op string, err error) error {
 type inode struct {
 	fs  *FS
 	ino uint64
+	// ilock is the inode's lock in fs.locks, asked for once (lock).
+	ilock atomic.Pointer[vfs.InodeLock]
 
 	mu       sync.RWMutex // host-level consistency of the fields below
 	typ      uint8
@@ -210,6 +214,21 @@ type inode struct {
 	// mappings are the live mmaps of this file; the reactive rewriter
 	// shoots them down after swapping the extent map.
 	mappings []*mmu.Mapping
+}
+
+// lock returns the inode's virtual-time lock. The table is consulted on
+// first use only; from then on the inode locks through the object it was
+// given, which Drop (destroyInode) orphans rather than invalidates — a new
+// inode reusing the number is a new object and asks the table afresh.
+func (ino *inode) lock() *vfs.InodeLock {
+	if l := ino.ilock.Load(); l != nil {
+		return l
+	}
+	l := ino.fs.locks.Inode(ino.ino)
+	if !ino.ilock.CompareAndSwap(nil, l) {
+		l = ino.ilock.Load() // a concurrent first locker won; all use its object
+	}
+	return l
 }
 
 // typNow reads the inode type under its lock: namespace pre-checks race
@@ -275,7 +294,8 @@ func Mkfs(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
 	root := &inode{fs: fs, ino: 1, typ: typeDir, nlink: 2, dir: newDirIndex()}
 	fs.putInode(root)
 	fs.removeFreeIno(0, 0)
-	fs.persistInodeRaw(ctx, root)
+	_ = fs.persistInode(ctx, nil, root) // nil tx: cannot fail
+	fs.dev.Fence(ctx)
 	fs.writeSuper(ctx, false)
 	return fs, nil
 }
@@ -385,14 +405,15 @@ func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 	return nil
 }
 
-// persistInodeRaw writes a full inode image without journaling (mkfs /
-// rebuild paths).
-func (fs *FS) persistInodeRaw(ctx *sim.Ctx, ino *inode) {
-	_ = fs.writeInodeHeader(ctx, nil, ino) // nil tx: cannot fail
-	for i := range ino.extents {
-		_ = fs.writeExtentSlot(ctx, nil, ino, i)
+// persistInode writes the inode's whole image — header and every extent
+// record — journaled in tx, or raw when tx is nil (mkfs, which fences after
+// and cannot fail).
+func (fs *FS) persistInode(ctx *sim.Ctx, tx *mtx, ino *inode) error {
+	err := fs.writeInodeHeader(ctx, tx, ino)
+	for i := 0; i < len(ino.extents) && err == nil; i++ {
+		err = fs.writeExtentSlot(ctx, tx, ino, i)
 	}
-	fs.dev.Fence(ctx)
+	return err
 }
 
 // extSlotAddr returns the PM address of extent record `slot`, following
@@ -408,27 +429,26 @@ func (fs *FS) extSlotAddr(ctx *sim.Ctx, tx *mtx, ino *inode, slot int) (int64, e
 			return 0, fmt.Errorf("winefs: missing indirect block %d for ino %d", chain, ino.ino)
 		}
 		// Extend the chain with a fresh metadata block from the hole pool.
-		ext, ok := fs.alloc.allocSmall(ctx, tx.cpu, 1)
-		if !ok {
+		var ok bool
+		if tx.took, ok = fs.alloc.allocSmallTo(ctx, tx.cpu, 1, tx.took); !ok {
 			return 0, vfs.ErrNoSpace
 		}
-		blk := ext[0].Start
+		blk := tx.took[len(tx.took)-1].Start
 		fs.dev.ZeroRange(blk*BlockSize, BlockSize)
-		if len(ino.indirect) == 0 {
-			// Linked from the inode header (journaled with the header).
-			ino.indirect = append(ino.indirect, blk)
-		} else {
-			prev := ino.indirect[len(ino.indirect)-1]
-			ptrAddr := prev * BlockSize
+		if len(ino.indirect) > 0 {
+			// Linked from the previous block (the first is linked from the
+			// inode header and journaled with it).
+			ptrAddr := ino.indirect[len(ino.indirect)-1] * BlockSize
 			if err := tx.undo(ptrAddr, 8); err != nil {
 				return 0, err
 			}
-			var pb [8]byte
-			binary.LittleEndian.PutUint64(pb[:], uint64(blk))
-			fs.dev.Write(ctx, pb[:], ptrAddr)
+			pb := tx.scratch(8)
+			binary.LittleEndian.PutUint64(pb, uint64(blk))
+			fs.dev.Write(ctx, pb, ptrAddr)
 			fs.dev.Flush(ctx, ptrAddr, 8)
-			ino.indirect = append(ino.indirect, blk)
 		}
+		tx.note(ino, undoIndirect, 0)
+		ino.indirect = append(ino.indirect, blk)
 	}
 	base := ino.indirect[chain] * BlockSize
 	return base + 8 + int64(idx%extPerIndirect)*extentSize, nil
@@ -461,16 +481,68 @@ func (fs *FS) writeExtentSlot(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 // transaction exceed its reserved MaxTxEntries (the rare oversized
 // operation — e.g. a copy-on-write spanning many extents — is split into
 // consecutive journal transactions, each individually atomic).
+//
+// It is also the operation's memory: the one mtx a journal embeds (see the
+// ownership rule on journal), handed out by begin and dead at commit or
+// abort. What it holds beside the transaction is the DRAM half of a
+// rollback. The journal undoes the media; log, took and dropped undo what
+// the same operation did to the in-memory image of ino and to the
+// allocator, so that a failed call leaves DRAM where the rolled-back media
+// is (abort).
 type mtx struct {
 	fs  *FS
 	ctx *sim.Ctx
 	cpu int
 	tx  *txn
+
+	// ino is the file whose extent map the operation may change; nil for a
+	// namespace operation, which tracks nothing.
+	ino *inode
+	// log is the inverse of every change made to ino's extent list and
+	// indirect chain, oldest first (note).
+	log []extUndo
+	// took holds the blocks the operation took from the allocator — it is
+	// the scratch the allocators append their results to — and so what an
+	// abort gives back.
+	took []alloc.Extent
+	// dropped holds the blocks detached from ino (detachRange). They go
+	// back to the allocator at commit, not before: until then the media
+	// the journal would roll back to still owns them, and so does the file
+	// again after an abort.
+	dropped []alloc.Extent
+	// chained: a link has committed (undo), so rolling the journal back no
+	// longer takes the media all the way to where the operation began.
+	chained bool
+	// blk bounces one block's old bytes into its copy (cowRange).
+	blk [BlockSize]byte
 }
 
-func (fs *FS) begin(ctx *sim.Ctx) *mtx {
+// extUndo is one step of the DRAM undo log: how to take back one change to
+// an inode's extent list.
+type extUndo struct {
+	op   uint8
+	i    int     // index in ino.extents
+	e    wextent // the extent (and its record slot) at i before the change
+	slot int
+}
+
+const (
+	undoSet      = iota // extents[i] and slots[i] were overwritten
+	undoInsert          // an extent was inserted at i
+	undoRemove          // the extent at i was removed
+	undoIndirect        // a block was appended to the indirect chain
+)
+
+// begin opens an operation on the caller's journal. ino is the file whose
+// extent map it may change (the caller holds ino.mu exclusively until
+// commit or failTx), or nil.
+func (fs *FS) begin(ctx *sim.Ctx, ino *inode) *mtx {
 	cpu := fs.txCPU(ctx)
-	return &mtx{fs: fs, ctx: ctx, cpu: cpu, tx: fs.beginTx(ctx, cpu)}
+	tx := fs.beginTx(ctx, cpu)
+	m := &tx.j.op
+	m.fs, m.ctx, m.cpu, m.tx, m.ino, m.chained = fs, ctx, cpu, tx, ino, false
+	m.log, m.took, m.dropped = m.log[:0], m.took[:0], m.dropped[:0]
+	return m
 }
 
 // txCPU picks the journal for a new transaction: the thread's current CPU,
@@ -492,16 +564,17 @@ func (fs *FS) txCPU(ctx *sim.Ctx) int {
 func (m *mtx) undo(addr int64, n int) error {
 	need := (n + undoBytes - 1) / undoBytes
 	if m.tx.wrote+need > MaxTxEntries-1 {
-		m.tx.commit(m.ctx)
-		m.tx = m.fs.beginTx(m.ctx, m.cpu)
+		m.tx.relink(m.ctx)
+		m.chained = true
 	}
 	return m.tx.undo(m.ctx, addr, n)
 }
 
-// scratch returns an n-byte buffer for encoding an in-place update whose
-// undo is already logged: the transaction's entry scratch, idle between
-// undo calls (a device write makes its buffer escape, so a local array
-// would allocate per record). Unjournaled paths (nil m) allocate.
+// scratch returns an n-byte buffer (n ≤ EntrySize) for encoding an
+// in-place update whose undo is already logged: the transaction's entry
+// scratch (a device write makes its buffer escape, so a local array would
+// allocate per record). Unjournaled paths (nil m: mkfs, raw rebuild)
+// allocate.
 func (m *mtx) scratch(n int) []byte {
 	if m == nil {
 		return make([]byte, n)
@@ -509,15 +582,86 @@ func (m *mtx) scratch(n int) []byte {
 	return m.tx.scratch[:n]
 }
 
+// note logs the inverse of a change about to be made to ino's extent list
+// at index i (or, for undoIndirect, to its chain), if ino is the file this
+// operation tracks. Call it before the change: it reads the old value.
+func (m *mtx) note(ino *inode, op uint8, i int) {
+	if m == nil || m.ino != ino {
+		return
+	}
+	u := extUndo{op: op, i: i}
+	if op == undoSet || op == undoRemove {
+		u.e, u.slot = ino.extents[i], ino.slots[i]
+	}
+	m.log = append(m.log, u)
+}
+
+// commit returns the detached blocks to the allocator and commits.
 func (m *mtx) commit() {
+	for _, e := range m.dropped {
+		m.fs.alloc.free(m.ctx, e)
+	}
 	m.tx.commit(m.ctx)
 }
 
-// abort rolls back the current journal transaction of the chain (earlier
-// chained transactions have already committed; each link is individually
-// atomic) and releases the journal.
-func (m *mtx) abort() {
-	m.tx.abort(m.ctx)
+// abort rolls back the current journal transaction, takes the tracked
+// inode's DRAM image back with it (restore) and releases the journal: a
+// failed call leaves no trace on either side.
+func (m *mtx) abort(op string) {
+	m.tx.rollback(m.ctx)
+	if m.ino != nil {
+		m.restore(op)
+	}
+	m.tx.j.res.Release(m.ctx)
+}
+
+// restore is the DRAM half of abort: the extent list and the indirect
+// chain return, from the log, to what they were when the operation began,
+// the blocks it took go back to the allocator, and the blocks it detached
+// are the file's again (they were never freed). Size, flags and link count
+// are restored by the callers, which change them only around the one
+// header write that can fail.
+//
+// If the operation had chained, earlier links have committed and the
+// journal rollback stopped at the last seam (a chained operation is atomic
+// only link by link, ROADMAP item 6), so the media is brought the rest of
+// the way here: the restored image is written over it, in a transaction of
+// its own, before the taken blocks are freed. A crash in between finds
+// what a crash in the middle of the operation itself would have found. If
+// the media refuses that too, the mount degrades to read-only.
+func (m *mtx) restore(op string) {
+	fs, ctx, ino := m.fs, m.ctx, m.ino
+	for k := len(m.log) - 1; k >= 0; k-- {
+		u := m.log[k]
+		switch u.op {
+		case undoSet:
+			ino.extents[u.i], ino.slots[u.i] = u.e, u.slot
+		case undoInsert:
+			ino.extents = slices.Delete(ino.extents, u.i, u.i+1)
+			ino.slots = slices.Delete(ino.slots, u.i, u.i+1)
+		case undoRemove:
+			ino.extents = slices.Insert(ino.extents, u.i, u.e)
+			ino.slots = slices.Insert(ino.slots, u.i, u.slot)
+		case undoIndirect:
+			ino.indirect = ino.indirect[:len(ino.indirect)-1]
+		}
+	}
+	ino.gen++
+	if m.chained {
+		m.ino = nil // what follows is the undoing, not more to undo
+		m.tx.j.start(ctx)
+		if err := fs.persistInode(ctx, m, ino); err != nil {
+			// The records the committed links wrote may still name the
+			// taken blocks: they stay allocated.
+			m.tx.rollback(ctx)
+			fs.degrade("%s of ino %d failed after a chained journal transaction had committed, and the media could not be taken back: %v", op, ino.ino, err)
+			return
+		}
+		m.tx.seal(ctx)
+	}
+	for _, e := range m.took {
+		fs.alloc.free(ctx, e)
+	}
 }
 
 // --- path resolution -------------------------------------------------------
@@ -526,7 +670,9 @@ func (m *mtx) abort() {
 // component.
 func (fs *FS) resolve(ctx *sim.Ctx, path string) (*inode, error) {
 	cur := fs.getInode(1)
-	for _, comp := range vfs.Components(path) {
+	// A clean path is "/" or "/a/b/c": walk it in place, no component slice.
+	for comp, rest := "", vfs.Clean(path)[1:]; rest != ""; {
+		comp, rest, _ = strings.Cut(rest, "/")
 		ctx.Advance(dirLookupCost)
 		cur.mu.RLock()
 		if cur.typ != typeDir {
@@ -578,18 +724,18 @@ func (fs *FS) direntSlot(ctx *sim.Ctx, tx *mtx, dir *inode) (int64, error) {
 	}
 	// Grow the directory: dirent blocks come from the hole pool so that
 	// metadata never consumes aligned extents ("controlled fragmentation").
-	ext, ok := fs.alloc.allocSmall(ctx, tx.cpu, 1)
-	if !ok {
+	var ok bool
+	if tx.took, ok = fs.alloc.allocSmallTo(ctx, tx.cpu, 1, tx.took); !ok {
 		return 0, vfs.ErrNoSpace
 	}
-	blk := ext[0].Start
+	blk := tx.took[len(tx.took)-1].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
 	fileBlk := int64(0)
 	if n := len(dir.extents); n > 0 {
 		last := dir.extents[n-1]
 		fileBlk = last.fileBlk + last.length
 	}
-	if err := fs.appendExtent(ctx, tx, dir, wextent{fileBlk: fileBlk, blk: blk, length: 1}); err != nil {
+	if err := fs.recAppend(ctx, tx, dir, wextent{fileBlk: fileBlk, blk: blk, length: 1}); err != nil {
 		return 0, err
 	}
 	base := blk * BlockSize
@@ -601,12 +747,12 @@ func (fs *FS) direntSlot(ctx *sim.Ctx, tx *mtx, dir *inode) (int64, error) {
 
 // writeDirent journals and persists a dirent at addr.
 func (fs *FS) writeDirent(ctx *sim.Ctx, tx *mtx, addr int64, ino uint64, name string) error {
-	var b [DirentSize]byte
-	encodeDirent(b[:], ino, name)
 	if err := tx.undo(addr, DirentSize); err != nil {
 		return err
 	}
-	fs.dev.Write(ctx, b[:], addr)
+	b := tx.scratch(DirentSize)
+	encodeDirent(b, ino, name)
+	fs.dev.Write(ctx, b, addr)
 	fs.dev.Flush(ctx, addr, DirentSize)
 	return nil
 }
@@ -616,26 +762,11 @@ func (fs *FS) clearDirent(ctx *sim.Ctx, tx *mtx, addr int64) error {
 	if err := tx.undo(addr+8, 1); err != nil { // the valid byte
 		return err
 	}
-	fs.dev.Write(ctx, []byte{0}, addr+8)
+	b := tx.scratch(1)
+	b[0] = 0
+	fs.dev.Write(ctx, b, addr+8)
 	fs.dev.Flush(ctx, addr+8, 1)
 	return nil
-}
-
-// appendExtent adds a record to the inode's extent list, merging with the
-// last record when physically and logically contiguous.
-func (fs *FS) appendExtent(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
-	if n := len(ino.extents); n > 0 {
-		last := &ino.extents[n-1]
-		if last.fileBlk+last.length == e.fileBlk && last.blk+last.length == e.blk {
-			last.length += e.length
-			ino.gen++
-			return fs.writeExtentSlot(ctx, tx, ino, n-1)
-		}
-	}
-	ino.extents = append(ino.extents, e)
-	ino.slots = append(ino.slots, len(ino.slots))
-	ino.gen++
-	return fs.writeExtentSlot(ctx, tx, ino, len(ino.extents)-1)
 }
 
 // --- vfs.FS implementation --------------------------------------------------
@@ -661,7 +792,7 @@ func (fs *FS) Create(ctx *sim.Ctx, path string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := fs.locks.Lock(ctx, parent.ino)
+	h := parent.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 
 	parent.mu.Lock()
@@ -686,7 +817,7 @@ func (fs *FS) Create(ctx *sim.Ctx, path string) (vfs.File, error) {
 	child.flags |= parent.flags & flagAligned
 	parent.mu.RUnlock()
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	parent.mu.Lock()
 	slotAddr, err := fs.direntSlot(ctx, tx, parent)
 	if err == nil {
@@ -734,7 +865,7 @@ func (fs *FS) Mkdir(ctx *sim.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
-	h := fs.locks.Lock(ctx, parent.ino)
+	h := parent.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 
 	parent.mu.Lock()
@@ -750,7 +881,7 @@ func (fs *FS) Mkdir(ctx *sim.Ctx, path string) error {
 	}
 	child := &inode{fs: fs, ino: inoNum, typ: typeDir, nlink: 2, dir: newDirIndex()}
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	parent.mu.Lock()
 	slotAddr, err := fs.direntSlot(ctx, tx, parent)
 	if err == nil {
@@ -788,7 +919,7 @@ func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
-	h := fs.locks.Lock(ctx, parent.ino)
+	h := parent.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 
 	parent.mu.Lock()
@@ -804,10 +935,10 @@ func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
 	if target.typNow() == typeDir {
 		return vfs.ErrIsDir
 	}
-	ht := fs.locks.Lock(ctx, target.ino)
+	ht := target.lock().Lock(ctx)
 	defer ht.Unlock(ctx)
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
 		return fs.failTx(tx, "unlink", err)
 	}
@@ -888,7 +1019,7 @@ func (fs *FS) Rmdir(ctx *sim.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
-	h := fs.locks.Lock(ctx, parent.ino)
+	h := parent.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 
 	parent.mu.Lock()
@@ -911,7 +1042,7 @@ func (fs *FS) Rmdir(ctx *sim.Ctx, path string) error {
 		return vfs.ErrNotEmpty
 	}
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
 		return fs.failTx(tx, "rmdir", err)
 	}
@@ -959,17 +1090,12 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	if first.ino > second.ino {
 		first, second = second, first
 	}
-	h1 := fs.locks.Lock(ctx, first.ino)
-	var h2 *vfs.LockHandle
+	h1 := first.lock().Lock(ctx)
+	defer h1.Unlock(ctx)
 	if second.ino != first.ino {
-		h2 = fs.locks.Lock(ctx, second.ino)
+		h2 := second.lock().Lock(ctx)
+		defer h2.Unlock(ctx) // runs first: released in reverse order
 	}
-	defer func() {
-		if h2 != nil {
-			h2.Unlock(ctx)
-		}
-		h1.Unlock(ctx)
-	}()
 
 	oldParent.mu.Lock()
 	de, ok := oldParent.dir.tree.Get(oldName)
@@ -999,7 +1125,7 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 		}
 	}
 
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, nil)
 	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
 		return fs.failTx(tx, "rename", err)
 	}
@@ -1056,7 +1182,7 @@ func (fs *FS) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	h := fs.locks.RLock(ctx, ino.ino)
+	h := ino.lock().RLock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
@@ -1078,7 +1204,7 @@ func (fs *FS) ReadDir(ctx *sim.Ctx, path string) ([]vfs.DirEntry, error) {
 	if dir.typNow() != typeDir {
 		return nil, vfs.ErrNotDir
 	}
-	h := fs.locks.RLock(ctx, dir.ino)
+	h := dir.lock().RLock(ctx)
 	defer h.Unlock(ctx)
 	dir.mu.RLock()
 	defer dir.mu.RUnlock()
@@ -1114,21 +1240,3 @@ func (fs *FS) AddressSpace() *mmu.AddressSpace { return fs.as }
 
 // Journals returns the number of per-CPU journals (for tests).
 func (fs *FS) Journals() int { return len(fs.journals) }
-
-// sortExtents re-sorts an inode's extent list by file offset, keeping the
-// slot mapping attached.
-func sortExtents(ino *inode) {
-	type pair struct {
-		e wextent
-		s int
-	}
-	ps := make([]pair, len(ino.extents))
-	for i := range ino.extents {
-		ps[i] = pair{ino.extents[i], ino.slots[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].e.fileBlk < ps[j].e.fileBlk })
-	for i := range ps {
-		ino.extents[i] = ps[i].e
-		ino.slots[i] = ps[i].s
-	}
-}

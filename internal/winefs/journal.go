@@ -37,6 +37,21 @@ const (
 // The header records (tail, wraparound counter, last committed TxID); a
 // transaction never straddles the wraparound point, so recovery examines at
 // most one contiguous run of entries per journal.
+//
+// Scratch ownership. res is held from beginTx to commit or abort — and
+// across the seam of a chained operation (mtx.undo, Resource.Reacquire) —
+// so whatever is embedded in the journal has exactly one owner at a time,
+// the thread inside the transaction, and beginning the next transaction
+// resets it in place: nothing is allocated per transaction, and nothing a
+// transaction owns may be kept past its commit or abort. tx is the journal
+// transaction (undo log and entry scratch); op is the operation around it
+// (fs.go, mtx: the DRAM undo log, the blocks taken and detached, the CoW
+// bounce block). tx.scratch, one cache line, is busy only for the length of
+// one device write — a journal entry (append), the in-place update whose
+// undo was just logged (extent record, inode header, dirent, chain
+// pointer: mtx.scratch), the header at wrap — each user fills the bytes it
+// writes and the device has copied them when Write returns, so the uses
+// never overlap.
 type journal struct {
 	fs   *FS
 	cpu  int
@@ -46,11 +61,17 @@ type journal struct {
 	// DRAM cursor state (rebuilt from the header at mount).
 	tail int64 // next entry slot to write, in [1, entries]
 	wrap uint32
+
+	tx txn
+	op mtx
 }
 
 // journal header layout: magic u32 | wrap u32 | tail u64 | lastCommitted u64.
+// No transaction is open when it is written (format, recovery, the wrap at
+// the top of start), so the entry scratch is free.
 func (j *journal) writeHeader(ctx *sim.Ctx, lastCommitted uint64) {
-	b := make([]byte, EntrySize)
+	b := j.tx.scratch[:]
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], entryMagic)
 	le.PutUint32(b[4:], j.wrap)
@@ -127,9 +148,10 @@ func decodeEntry(b []byte) (jentry, bool) {
 	return e, e.typ >= entryStart && e.typ <= entryData
 }
 
-// txn is an in-progress journal transaction. It is bound to the per-CPU
-// journal it was created in even if the simulated thread migrates (§3.6,
-// "Handling thread migrations").
+// txn is an in-progress journal transaction: the one its journal embeds,
+// reset by start. It is bound to the per-CPU journal it was created in
+// even if the simulated thread migrates (§3.6, "Handling thread
+// migrations").
 type txn struct {
 	j         *journal
 	id        uint64
@@ -143,11 +165,12 @@ type txn struct {
 	// never allocates.
 	undoLog []jentry
 	undoBuf [MaxTxEntries - 2]jentry
-	// scratch is the wire-encoding buffer reused by every append.
+	// scratch is the one-cache-line encoding buffer (see the ownership
+	// rule on journal).
 	scratch [EntrySize]byte
 }
 
-// begin starts a transaction in cpu's journal, reserving MaxTxEntries
+// beginTx starts a transaction in cpu's journal, reserving MaxTxEntries
 // entries (§3.6: "every journal transaction reserves the maximum number of
 // log entries that it requires ... before starting").
 func (fs *FS) beginTx(ctx *sim.Ctx, cpu int) *txn {
@@ -155,6 +178,13 @@ func (fs *FS) beginTx(ctx *sim.Ctx, cpu int) *txn {
 	// Serialise transactions on this journal: holds both the host mutex
 	// and the virtual-time resource until commit.
 	j.res.Acquire(ctx)
+	return j.start(ctx)
+}
+
+// start opens the journal's transaction — the one txn it owns, reset.
+// Caller holds j.res.
+func (j *journal) start(ctx *sim.Ctx) *txn {
+	fs := j.fs
 	entries := fs.g.journalEntries()
 	if j.tail+MaxTxEntries > entries {
 		// Not enough contiguous room: wrap to the start. Transactions never
@@ -169,7 +199,8 @@ func (fs *FS) beginTx(ctx *sim.Ctx, cpu int) *txn {
 	// §3.6: the shared transaction ID is an atomic counter incremented on
 	// every transaction create, unique across all per-CPU journals.
 	id := atomic.AddUint64(&fs.nextTxID, 1)
-	tx := &txn{j: j, id: id, opened: ctx.Now()}
+	tx := &j.tx
+	tx.j, tx.id, tx.opened, tx.wrote, tx.unflushed = j, id, ctx.Now(), 0, 0
 	tx.undoLog = tx.undoBuf[:0]
 	// The START entry is the first of a fresh reservation; it cannot
 	// overflow.
@@ -253,6 +284,25 @@ func (tx *txn) undo(ctx *sim.Ctx, addr int64, n int) error {
 // ignores committed transactions).
 func (tx *txn) commit(ctx *sim.Ctx) {
 	sp := ctx.StartSpan("journal.commit")
+	tx.seal(ctx)
+	tx.j.res.Release(ctx)
+	ctx.EndSpan(sp)
+}
+
+// relink commits the transaction and opens the next in the same journal
+// without letting go of it in between — the seam of a chained operation,
+// whose state (j.op) must not be handed to another thread half-way. The
+// clock and the calendar move as under commit followed by beginTx.
+func (tx *txn) relink(ctx *sim.Ctx) {
+	sp := ctx.StartSpan("journal.commit")
+	tx.seal(ctx)
+	ctx.EndSpan(sp)
+	tx.j.res.Reacquire(ctx)
+	tx.j.start(ctx)
+}
+
+// seal is commit up to the point the journal would be released.
+func (tx *txn) seal(ctx *sim.Ctx) {
 	t0 := ctx.Now()
 	j := tx.j
 	j.fs.dev.Fence(ctx) // order in-place updates before COMMIT
@@ -263,16 +313,14 @@ func (tx *txn) commit(ctx *sim.Ctx) {
 	ctx.Counters.JournalCommits++
 	ctx.Counters.JournalNS += ctx.Now() - t0
 	j.fs.notifyCommit(tx.id)
-	j.res.Release(ctx)
-	ctx.EndSpan(sp)
 }
 
-// abort rolls the transaction back: every journaled region is restored
-// from the in-DRAM undo log in reverse order, then a COMMIT entry marks
-// the transaction resolved (its net effect is nothing, so recovery must
-// not roll it back again — the journaled regions may be rewritten by later
-// transactions).
-func (tx *txn) abort(ctx *sim.Ctx) {
+// rollback restores every journaled region from the in-DRAM undo log in
+// reverse order, then a COMMIT entry marks the transaction resolved (its
+// net effect is nothing, so recovery must not roll it back again — the
+// journaled regions may be rewritten by later transactions). The journal
+// stays held: mtx.abort restores the DRAM image before it lets go.
+func (tx *txn) rollback(ctx *sim.Ctx) {
 	t0 := ctx.Now()
 	defer func() { ctx.Counters.JournalNS += ctx.Now() - t0 }()
 	j := tx.j
@@ -287,7 +335,6 @@ func (tx *txn) abort(ctx *sim.Ctx) {
 	j.fs.dev.Fence(ctx)
 	ctx.Counters.JournalAborts++
 	j.fs.notifyCommit(tx.id)
-	j.res.Release(ctx)
 }
 
 // uncommittedTx describes one in-flight transaction found during recovery.

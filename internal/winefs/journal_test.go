@@ -20,6 +20,13 @@ func mk(t *testing.T) (*FS, *sim.Ctx, *pmem.Device) {
 	return fs, ctx, dev
 }
 
+// abort is a raw transaction's whole abort: roll back, release the journal
+// (mtx.abort puts the DRAM restore between the two).
+func (tx *txn) abort(ctx *sim.Ctx) {
+	tx.rollback(ctx)
+	tx.j.res.Release(ctx)
+}
+
 func TestJournalEntryCodec(t *testing.T) {
 	e := jentry{typ: entryData, n: 17, wrap: 3, txid: 42, addr: 0xdeadbeef}
 	copy(e.data[:], "old-bytes")

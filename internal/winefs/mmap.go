@@ -90,7 +90,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	}
 	fs := f.fs
 	ino := f.ino
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -120,16 +120,13 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 		return nil
 	}
 	// Refaults block on ino.mu until the new layout is in place.
-	tx := fs.begin(ctx)
-	freed, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk, nil)
+	tx := fs.begin(ctx, ino)
+	err := fs.detachRange(ctx, tx, ino, startBlk, endBlk)
 	if err == nil {
 		err = fs.writeInodeHeader(ctx, tx, ino)
 	}
 	if err != nil {
 		return fs.failTx(tx, "punch", err)
-	}
-	for _, e := range freed {
-		fs.alloc.free(ctx, e)
 	}
 	tx.commit()
 	return nil

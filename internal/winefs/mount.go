@@ -1,8 +1,10 @@
 package winefs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/mmu"
@@ -265,6 +267,25 @@ func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
 	}
 	sortExtents(ino)
 	return cost
+}
+
+// sortExtents sorts a bulk-loaded extent list by file offset, keeping the
+// slot mapping attached. Only the mount path needs it: a live list is kept
+// sorted by insertion (recAppend).
+func sortExtents(ino *inode) {
+	type pair struct {
+		e wextent
+		s int
+	}
+	ps := make([]pair, len(ino.extents))
+	for i := range ino.extents {
+		ps[i] = pair{ino.extents[i], ino.slots[i]}
+	}
+	slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.e.fileBlk, b.e.fileBlk) })
+	for i := range ps {
+		ino.extents[i] = ps[i].e
+		ino.slots[i] = ps[i].s
+	}
 }
 
 // loadDirIndex rebuilds a directory's DRAM red-black tree from its dirent

@@ -64,7 +64,7 @@ func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Ex
 		off += e.Len * BlockSize
 	}
 	fs.dev.Fence(ctx)
-	tx := fs.begin(ctx)
+	tx := fs.begin(ctx, ino)
 	if err = fs.replaceRange(ctx, tx, ino, fileLo, fileLo+n, dst); err != nil {
 		return fs.failTx(tx, tag, err)
 	}

@@ -171,7 +171,7 @@ func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, ret
 // so there is no fallback. Any other error is a media fault that left the
 // old layout in place.
 func (fs *FS) rewriteChunk(ctx *sim.Ctx, ino *inode, lo int64) (moved, more bool, err error) {
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()

@@ -225,24 +225,25 @@ func (fs *FS) pmAboveHighWater(extra int64) bool {
 // how the caller asks PM), spilling to the slow tier when PM is past the
 // high-water mark or genuinely out of space. It fails only when BOTH tiers
 // are exhausted — PM-full with slow headroom is a spill, never an ENOSPC
-// (the alloc_spill_* counters make the fallback visible in /metrics).
-func (fs *FS) allocSpill(ctx *sim.Ctx, blocks int64, pm func() ([]alloc.Extent, bool)) ([]alloc.Extent, bool) {
+// (the alloc_spill_* counters make the fallback visible in /metrics). The
+// extents are appended to out, which comes back unchanged on failure.
+func (fs *FS) allocSpill(ctx *sim.Ctx, blocks int64, out []alloc.Extent, pm func(out []alloc.Extent) ([]alloc.Extent, bool)) ([]alloc.Extent, bool) {
 	if fs.tier == nil {
-		return pm()
+		return pm(out)
 	}
 	if !fs.pmAboveHighWater(blocks) {
-		if exts, ok := pm(); ok {
-			return exts, true
+		if out, ok := pm(out); ok {
+			return out, true
 		}
 	}
 	if exts := fs.allocSlow(ctx, blocks); exts != nil {
 		ctx.Counters.AllocSpillExtents += int64(len(exts))
 		ctx.Counters.AllocSpillBlocks += blocks
-		return exts, true
+		return append(out, exts...), true
 	}
 	// Slow tier full: PM may still have room (we skipped it above the
 	// high-water mark — better some PM pressure than a spurious ENOSPC).
-	return pm()
+	return pm(out)
 }
 
 // allocSlow carves n blocks from the slow pool (nil when it cannot cover
@@ -256,22 +257,25 @@ func (fs *FS) allocSlow(ctx *sim.Ctx, n int64) []alloc.Extent {
 }
 
 // allocData serves a file-data allocation (the extent path) with tier
-// placement; allocator.alloc fails with ErrNoSpace and nothing else.
-func (fs *FS) allocData(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool) ([]alloc.Extent, error) {
-	exts, ok := fs.allocSpill(ctx, blocks, func() ([]alloc.Extent, bool) {
-		exts, err := fs.alloc.alloc(ctx, cpu, blocks, wantAligned)
-		return exts, err == nil
+// placement, appending to out; allocator.allocTo fails with ErrNoSpace and
+// nothing else.
+func (fs *FS) allocData(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool, out []alloc.Extent) ([]alloc.Extent, error) {
+	out, ok := fs.allocSpill(ctx, blocks, out, func(out []alloc.Extent) ([]alloc.Extent, bool) {
+		out, err := fs.alloc.allocTo(ctx, cpu, blocks, wantAligned, out)
+		return out, err == nil
 	})
 	if !ok {
-		return nil, vfs.ErrNoSpace
+		return out, vfs.ErrNoSpace
 	}
-	return exts, nil
+	return out, nil
 }
 
 // allocDataSmall is allocData for the copy-on-write path (hole-sized
-// pieces, bool result like allocSmall).
-func (fs *FS) allocDataSmall(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Extent, bool) {
-	return fs.allocSpill(ctx, need, func() ([]alloc.Extent, bool) { return fs.alloc.allocSmall(ctx, cpu, need) })
+// pieces, bool result like allocSmallTo).
+func (fs *FS) allocDataSmall(ctx *sim.Ctx, cpu int, need int64, out []alloc.Extent) ([]alloc.Extent, bool) {
+	return fs.allocSpill(ctx, need, out, func(out []alloc.Extent) ([]alloc.Extent, bool) {
+		return fs.alloc.allocSmallTo(ctx, cpu, need, out)
+	})
 }
 
 // --- heat tracking -----------------------------------------------------------
@@ -554,7 +558,7 @@ func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bo
 	if fs.getInode(ino.ino) != ino { // unlinked and number reused
 		return 0
 	}
-	h := fs.locks.Lock(ctx, ino.ino)
+	h := ino.lock().Lock(ctx)
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()

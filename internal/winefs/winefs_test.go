@@ -774,13 +774,23 @@ func TestDeepDirectoryTree(t *testing.T) {
 func TestNoSpace(t *testing.T) {
 	fs, ctx := newFS(t, 32<<20, winefs.Options{CPUs: 1})
 	f, _ := fs.Create(ctx, "/fill")
+	before := fs.StatFS(ctx)
 	err := f.Fallocate(ctx, 0, 64<<20)
 	if err != vfs.ErrNoSpace {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
-	// Failed allocation must not leak space permanently.
-	st := fs.StatFS(ctx)
-	if st.FreeBlocks == 0 {
-		t.Fatal("failed allocation leaked all space")
+	// A failed allocation leaks nothing and attaches nothing.
+	if st := fs.StatFS(ctx); st != before {
+		t.Fatalf("StatFS after the failed fallocate = %+v, want %+v", st, before)
+	}
+	if n := len(f.Extents()); n != 0 || f.Size() != 0 {
+		t.Fatalf("the failed fallocate left %d extents and size %d", n, f.Size())
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// All of it is still there to be had.
+	if err := f.Fallocate(ctx, 0, before.FreeBlocks*winefs.BlockSize); err != nil {
+		t.Fatalf("fallocate of exactly the free space: %v", err)
 	}
 }
