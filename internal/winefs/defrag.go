@@ -288,43 +288,8 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 // never back into the pools). Returns false if the chunk could not be
 // fully vacated (allocation failure or media fault).
 func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.Pacer, st *DefragStats) bool {
-	h := ino.lock().Lock(ctx)
-	ok := func() bool {
-		ino.mu.Lock()
-		defer ino.mu.Unlock()
-		if ino.typ != typeFile {
-			// Unlinked (or retyped) since the scan: its blocks were
-			// freed — and diverted into the hold — already.
-			return true
-		}
-		// Re-verify the overlap under the lock: a concurrent truncate or
-		// CoW may have vacated some or all of the chunk on its own.
-		type runSpan struct{ fileLo, n int64 }
-		var runs []runSpan
-		for _, e := range ino.extents {
-			lo, hi := max64(e.blk, base), min64(e.blk+e.length, end)
-			if lo < hi {
-				runs = append(runs, runSpan{fileLo: e.fileBlk + lo - e.blk, n: hi - lo})
-			}
-		}
-		for _, r := range runs {
-			burst := ctx.Now()
-			dst, got := fs.alloc.allocHoles(ctx, fs.g.cpuOfBlock(base), r.n)
-			if !got {
-				return false // no hole space to migrate into
-			}
-			if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag") != nil {
-				return false
-			}
-			st.MigratedBlocks += r.n
-			st.MigratedBytes += r.n * BlockSize
-			ctx.Counters.DefragMigratedBlocks += r.n
-			ctx.Counters.DefragMigratedBytes += r.n * BlockSize
-			pacer.Pace(ctx, ctx.Now()-burst)
-		}
-		return true
-	}()
-	h.Unlock(ctx)
+	ok := false
+	fs.moverHold(ctx, ino, pacer, func() { ok = fs.migrateOutLocked(ctx, ino, base, end, st) })
 	// A mapped file the migration just touched may still be fragmented:
 	// hand it to the reactive rewriter so phase 2 fixes the whole layout
 	// and re-promotes the mapping (must not hold ino.mu here).
@@ -335,4 +300,38 @@ func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.P
 		fs.maybeQueueRewrite(ino)
 	}
 	return ok
+}
+
+// migrateOutLocked is migrateOut's locked body: caller holds the inode lock
+// and ino.mu exclusively.
+func (fs *FS) migrateOutLocked(ctx *sim.Ctx, ino *inode, base, end int64, st *DefragStats) bool {
+	if ino.typ != typeFile {
+		// Unlinked (or retyped) since the scan: its blocks were
+		// freed — and diverted into the hold — already.
+		return true
+	}
+	// Re-verify the overlap under the lock: a concurrent truncate or
+	// CoW may have vacated some or all of the chunk on its own.
+	type runSpan struct{ fileLo, n int64 }
+	var runs []runSpan
+	for _, e := range ino.extents {
+		lo, hi := max64(e.blk, base), min64(e.blk+e.length, end)
+		if lo < hi {
+			runs = append(runs, runSpan{fileLo: e.fileBlk + lo - e.blk, n: hi - lo})
+		}
+	}
+	for _, r := range runs {
+		dst, got := fs.alloc.allocHoles(ctx, fs.g.cpuOfBlock(base), r.n)
+		if !got {
+			return false // no hole space to migrate into
+		}
+		if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag") != nil {
+			return false
+		}
+		st.MigratedBlocks += r.n
+		st.MigratedBytes += r.n * BlockSize
+		ctx.Counters.DefragMigratedBlocks += r.n
+		ctx.Counters.DefragMigratedBytes += r.n * BlockSize
+	}
+	return true
 }

@@ -8,8 +8,9 @@ import (
 // Extent relocation: the one mechanism behind every background data
 // mover. The defragmenter (defrag.go), the tier migrator (tier.go) and
 // the reactive rewriter (rewrite.go) are policies — which run to move,
-// where to put it, how much per call, how hard to pace — over relocate,
-// which owns the ordering rule they share:
+// where to put it, how much per call, how hard to pace — over moverHold,
+// which owns the locking rule they share (hold for the move, sleep after
+// the release), and relocate, which owns the ordering rule:
 //
 //	copy durable → journaled swap → invalidate before free
 //
@@ -22,9 +23,10 @@ import (
 // itself.
 
 // relocateChunkBlocks caps one copy of the tier migrator and the rewriter
-// (one journal transaction, one inode-lock hold in the tier paths, one
-// stretch of device occupation foreground transfers must wait out): 128
-// blocks = 512KiB. It is the migration tail-latency knob: the slow device
+// (one journal transaction, one stretch of device occupation foreground
+// transfers must wait out and, in the tier paths, one inode-lock hold: the
+// copy and the swap, never the throttle — see moverHold): 128 blocks =
+// 512KiB. It is the migration tail-latency knob: the slow device
 // charges ~50us per 4KiB page, so a full-hugepage copy would pin the lock
 // and the device ports for ~26ms per promotion — and promotions, by
 // definition, target the files readers are hammering right now. The
@@ -36,6 +38,26 @@ const relocateChunkBlocks = 128
 // displaced extent, one for the attach, one for an indirect-block link,
 // one for the inode header — MaxTxEntries less START and COMMIT.
 const relocateMaxExtents = MaxTxEntries - 2 - 3
+
+// moverHold is how every paced mover takes an inode, and the rule it
+// keeps is that a mover never sleeps holding a lock: body runs under the
+// exclusive inode lock and ino.mu, both are released, and only then is the
+// pacer paid for the virtual time body worked. The duty cycle bounds the
+// maintenance thread; the lock hold is what bounds the foreground — paced
+// inside the hold, a budget of 0.1 keeps every reader of the file waiting
+// out ten times the copy.
+func (fs *FS) moverHold(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer, body func()) {
+	work := func() int64 {
+		h := ino.lock().Lock(ctx)
+		defer h.Unlock(ctx)
+		ino.mu.Lock()
+		defer ino.mu.Unlock()
+		start := ctx.Now()
+		body()
+		return ctx.Now() - start
+	}()
+	pacer.Pace(ctx, work)
+}
 
 // relocate moves file blocks [fileLo, fileLo+n) of ino onto dst, which
 // the caller allocated and which totals exactly n blocks. The caller

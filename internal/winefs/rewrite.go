@@ -58,7 +58,7 @@ func (fs *FS) maybeQueueRewrite(ino *inode) {
 
 // dropRewrite removes a dying inode from the rewrite queue (unlink/rmdir
 // while queued). If the inode is mid-rewrite (marked but already popped),
-// only the guard is cleared; rewriteChunk itself re-checks the inode type
+// only the guard is cleared; rewriteChunkLocked re-checks the inode type
 // and size under the lock and backs out.
 func (fs *FS) dropRewrite(ino *inode) {
 	fs.rewriteMu.Lock()
@@ -133,11 +133,11 @@ func (fs *FS) runRewriter(ctx *sim.Ctx, pacer *sim.Pacer) int {
 }
 
 // rewriteFile is the rewriter's policy over relocate: move each
-// fragmented full chunk of the file onto a fresh aligned hugepage, taking
-// the inode lock chunk by chunk so foreground operations interleave, and
-// pacing each chunk. done: this call moved data and left every full chunk
-// hugepage-mappable (a file already in that state costs no copy and is
-// not a rewrite). retry: aligned space ran out — the chunks fixed so far
+// fragmented full chunk of the file onto a fresh aligned hugepage, one
+// moverHold per chunk so foreground operations interleave and the pacing
+// falls between the holds. done: this call moved data and left every full
+// chunk hugepage-mappable (a file already in that state costs no copy and
+// is not a rewrite). retry: aligned space ran out — the chunks fixed so far
 // stay fixed, the rest waits for the defragmenter to re-form extents.
 func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, retry bool) {
 	// Identity check: the inode may have been freed — and its number
@@ -148,33 +148,28 @@ func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, ret
 		return false, false
 	}
 	for lo := int64(0); !fs.unmounted.Load(); lo += BlocksPerHuge {
-		burst := ctx.Now()
-		moved, more, err := fs.rewriteChunk(ctx, ino, lo)
+		var moved, more bool
+		var err error
+		fs.moverHold(ctx, ino, pacer, func() { moved, more, err = fs.rewriteChunkLocked(ctx, ino, lo) })
 		if err != nil {
 			return false, errors.Is(err, vfs.ErrNoSpace)
 		}
 		if !more {
 			return done, false
 		}
-		if moved {
-			done = true
-			pacer.Pace(ctx, ctx.Now()-burst)
-		}
+		done = done || moved
 	}
 	return false, false
 }
 
-// rewriteChunk moves file blocks [lo, lo+BlocksPerHuge) onto one aligned
-// hugepage if they are fragmented. more=false: lo lies past the last
-// full chunk (or the file is gone). vfs.ErrNoSpace: no aligned extent was
-// free — hole space would burn a copy and still not be hugepage-mappable,
-// so there is no fallback. Any other error is a media fault that left the
-// old layout in place.
-func (fs *FS) rewriteChunk(ctx *sim.Ctx, ino *inode, lo int64) (moved, more bool, err error) {
-	h := ino.lock().Lock(ctx)
-	defer h.Unlock(ctx)
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
+// rewriteChunkLocked moves file blocks [lo, lo+BlocksPerHuge) onto one
+// aligned hugepage if they are fragmented. Caller holds the inode lock and
+// ino.mu exclusively. more=false: lo lies past the last full chunk (or the
+// file is gone). vfs.ErrNoSpace: no aligned extent was free — hole space
+// would burn a copy and still not be hugepage-mappable, so there is no
+// fallback. Any other error is a media fault that left the old layout in
+// place.
+func (fs *FS) rewriteChunkLocked(ctx *sim.Ctx, ino *inode, lo int64) (moved, more bool, err error) {
 	end := lo + BlocksPerHuge
 	if ino.typ != typeFile || end*BlockSize > ino.size {
 		return false, false, nil

@@ -310,6 +310,7 @@ type TierPassStats struct {
 	PromotedBlocks int64
 	Demotions      int64 // extent migrations PM -> slow
 	DemotedBlocks  int64
+	PinnedBlocks   int64 // PM blocks of mapped files, left out of the victim scan
 	PMFree         int64 // PM free blocks after the pass
 	SlowFree       int64 // slow free blocks after the pass
 }
@@ -325,10 +326,17 @@ type tierCand struct {
 // TierPass runs one bounded migration pass: hot slow extents (heat >=
 // PromoteMin) move up while PM has headroom; if PM is above the
 // high-water mark, the coldest PM extents move down until occupancy
-// reaches the low-water mark. Extent heat is halved afterwards so the
-// policy tracks the current working set rather than all of history.
-// Passes serialise on fs.maintMu; each migration is individually
-// journaled, so a crash mid-pass loses no data.
+// reaches the low-water mark. What is mapped is not a demotion victim: the
+// PM extents of a file with a live mapping are pinned (PinnedBlocks) until
+// the last mapping closes — a DAX mapping can only point at PM, loads and
+// stores through it never reach the heat counters, so the file always
+// looks coldest, and its next access would fault the data straight back
+// up at the foreground's expense. The policy stops choosing such files;
+// the mechanism (migrateRun under a live mapping, invalidate before free)
+// is unchanged. Extent heat is halved afterwards so the policy tracks the
+// current working set rather than all of history. Passes serialise on
+// fs.maintMu; each migration is individually journaled, so a crash
+// mid-pass loses no data.
 func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error) {
 	var st TierPassStats
 	t := fs.tier
@@ -352,17 +360,22 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	}
 
 	// Candidate snapshot: every data extent of every regular file, split
-	// by tier. Heat reads are atomic (concurrent readers bump them).
+	// by tier; the PM extents of a mapped file are pinned, not candidates.
+	// Heat reads are atomic (concurrent readers bump them).
 	var pmCands, slowCands []tierCand
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
 		if ino.typ == typeFile {
+			pinned := len(ino.mappings) > 0
 			for i := range ino.extents {
 				e := &ino.extents[i]
 				c := tierCand{ino: ino, fileBlk: e.fileBlk, length: e.length, heat: atomic.LoadInt64(&e.heat)}
-				if fs.isSlow(e.blk) {
+				switch {
+				case fs.isSlow(e.blk):
 					slowCands = append(slowCands, c)
-				} else {
+				case pinned:
+					st.PinnedBlocks += e.length
+				default:
 					pmCands = append(pmCands, c)
 				}
 			}
@@ -550,30 +563,29 @@ func (fs *FS) migrateExtent(ctx *sim.Ctx, c tierCand, toSlow bool, pacer *sim.Pa
 	return moved
 }
 
-// migrateRun takes the per-inode locks and migrates up to `want` blocks
-// of the run starting at fileLo to the other tier. Returns blocks moved
-// (0 when the layout changed underneath, the run is already on the
-// target tier, or destination space ran out).
-func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) int64 {
+// migrateRun migrates up to `want` blocks of the run starting at fileLo to
+// the other tier under one moverHold. Returns blocks moved (0 when the
+// layout changed underneath, the run is already on the target tier, or
+// destination space ran out).
+func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) (moved int64) {
 	if fs.getInode(ino.ino) != ino { // unlinked and number reused
 		return 0
 	}
-	h := ino.lock().Lock(ctx)
-	defer h.Unlock(ctx)
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
-	if ino.typ != typeFile {
-		return 0
-	}
-	return fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow, pacer)
+	fs.moverHold(ctx, ino, pacer, func() {
+		if ino.typ == typeFile {
+			moved = fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow)
+		}
+	})
+	return moved
 }
 
 // migrateRunLocked is the tier policy over relocate: pick the run's
-// destination on the other tier (the slow pool, or any PM space), cap the
-// move at relocateChunkBlocks — larger runs migrate over several calls,
-// the lock dropped and re-taken between them — and pace it. Caller holds
-// the inode lock and ino.mu exclusively. Returns the blocks moved.
-func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) int64 {
+// destination on the other tier (the slow pool, or any PM space) and cap
+// the move at relocateChunkBlocks — larger runs migrate over several calls,
+// and a paced caller drops the lock and sleeps between them (migrateRun).
+// Caller holds the inode lock and ino.mu exclusively. Returns the blocks
+// moved.
+func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool) int64 {
 	phys, run, found := ino.findRun(fileLo)
 	if !found || fs.isSlow(phys) == toSlow {
 		return 0
@@ -593,11 +605,9 @@ func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toS
 			return 0
 		}
 	}
-	burst := ctx.Now()
 	if fs.relocate(ctx, ino, fileLo, n, dst, "tier-migrate") != nil {
 		return 0
 	}
-	pacer.Pace(ctx, ctx.Now()-burst)
 	return n
 }
 
@@ -626,7 +636,7 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	// migrateRunLocked moves at most relocateChunkBlocks per call; walk the
 	// piece so the faulting block is covered whatever its offset.
 	for cur := lo; cur < end; {
-		moved := fs.migrateRunLocked(ctx, ino, cur, end-cur, false, nil)
+		moved := fs.migrateRunLocked(ctx, ino, cur, end-cur, false)
 		if moved == 0 {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pmem"
@@ -13,13 +14,17 @@ import (
 	"repro/internal/vmm"
 )
 
-// TestTierMigrationVsMmapRace is the `make tier-race` workload: threads
-// hammer a live DAX mapping while migration passes demote and promote the
-// extents underneath. The invalidate-before-free ordering in replaceRange
-// means every mapped access either resolves through a current PM
-// translation (refaulting promotes demoted extents back up) or fails with
-// the typed fault error — never reads freed or slow-tier memory. Run under
-// -race it also checks the heat counters and the tier pool locking.
+// TestTierMigrationVsMmapRace is the `make maint-race` storm: threads
+// hammer a live DAX mapping while a mover demotes the extents underneath
+// and the readers' faults promote them back. TierPass pins mapped files, so
+// the policy never produces this; the mechanism has to stay right anyway
+// (a file can be mapped between a pass's scan and its move), and the mover
+// here drives it directly through migrateRun. The invalidate-before-free
+// ordering in replaceRange means every mapped access either resolves
+// through a current PM translation (refaulting promotes demoted extents
+// back up) or fails with the typed fault error — never reads freed or
+// slow-tier memory. Run under -race it also checks the heat counters, the
+// pass's candidate scan and the tier pool locking.
 func TestTierMigrationVsMmapRace(t *testing.T) {
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(128 << 20)
@@ -47,24 +52,30 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive migration from one thread while others read the mapping.
+	// Drive migration from one thread while others read the mapping: even
+	// rounds demote half the mapped file, run by run, under the readers'
+	// feet; odd rounds run the policy pass beside their fault promotions.
+	ino := inoOf(t, ctx, fs, "/mapped")
+	var demoted int64                // the mover's tally
+	var faultPromotions atomic.Int64 // the readers' sum
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		mctx := sim.NewCtx(50, 1)
 		for i := 0; i < 12; i++ {
-			if i%2 == 0 {
-				// Demote: drop the water marks so the pass sheds extents.
-				fs.tier.highWater = 0.001
-				fs.tier.lowWater = 0.0005
-			} else {
-				// Promote: raise them back so refaulted extents return.
-				fs.tier.highWater = 0.95
-				fs.tier.lowWater = 0.85
+			if i%2 == 1 {
+				if _, err := fs.TierPass(mctx, TierPassOptions{MaxMigrateBlocks: 1024}); err != nil {
+					t.Errorf("tier pass %d: %v", i, err)
+				}
+				continue
 			}
-			if _, err := fs.TierPass(mctx, TierPassOptions{MaxMigrateBlocks: 1024}); err != nil {
-				t.Errorf("tier pass %d: %v", i, err)
+			const half = size / 2 / BlockSize
+			lo := int64(i/2%2) * half
+			for blk := lo; blk < lo+half; {
+				n := fs.migrateRun(mctx, ino, blk, lo+half-blk, true, nil)
+				demoted += n
+				blk += max64(n, 1) // 0: this block is on the slow tier already
 			}
 		}
 	}()
@@ -73,6 +84,7 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 		go func(th int) {
 			defer wg.Done()
 			tctx := sim.NewCtx(100+th, th%2)
+			defer func() { faultPromotions.Add(tctx.Counters.TierFaultPromotions) }()
 			rng := sim.NewRand(uint64(th)*524287 + 1)
 			buf := make([]byte, 256)
 			for i := 0; i < 300; i++ {
@@ -96,10 +108,11 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 		}(th)
 	}
 	wg.Wait()
+	if demoted == 0 || faultPromotions.Load() == 0 {
+		t.Fatalf("storm demoted %d blocks and fault-promoted %d extents; the race would be vacuous", demoted, faultPromotions.Load())
+	}
 
-	// Quiesce: promote everything back and verify end-state integrity.
-	fs.tier.highWater = 0.95
-	fs.tier.lowWater = 0.85
+	// End-state integrity, wherever the storm left each extent.
 	rctx := sim.NewCtx(200, 0)
 	got := make([]byte, size)
 	if _, err := f.ReadAt(rctx, got, 0); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tier"
 	"repro/internal/vfs"
+	"repro/internal/vmm"
 )
 
 // mkTiered builds a tiered FS: pmSize of PM plus slowSize of simulated SSD.
@@ -387,5 +388,200 @@ func TestTierUntieredUnchanged(t *testing.T) {
 	}
 	if ctx.Counters.SlowReads != 0 || ctx.Counters.AllocSpillBlocks != 0 || ctx.Counters.TierPasses != 0 {
 		t.Fatalf("untiered mount touched tier counters: %+v", ctx.Counters)
+	}
+}
+
+// lockWaitAt reads the first block of f on a fresh foreground context whose
+// clock stands at virtual instant `at`, and returns how long the read
+// waited for locks.
+func lockWaitAt(t *testing.T, f vfs.File, at int64) int64 {
+	t.Helper()
+	fg := sim.NewCtx(99, 0)
+	fg.AdvanceTo(at)
+	if _, err := f.ReadAt(fg, make([]byte, BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	return fg.Counters.LockWaitNS
+}
+
+// TestTierThrottleNeverHoldsTheLock pins the movers' locking rule
+// (moverHold): the pacer's sleep falls after the inode lock is released,
+// so a foreground reader arriving mid-move waits out the copy, not the
+// throttle. One goroutine, two contexts, like the benchmark's interleaving:
+// the paced pass runs to completion on the maintenance clock, then a
+// foreground clock placed inside the pass reads the moved file. At budget
+// 0.1 a sleep under the lock makes that wait ten times the work.
+func TestTierThrottleNeverHoldsTheLock(t *testing.T) {
+	// paced runs pass on a maintenance context starting at ctx's instant and
+	// returns that instant and the virtual time the pass worked (its span less
+	// the injected idle).
+	paced := func(t *testing.T, ctx *sim.Ctx, pass func(mctx *sim.Ctx, pacer *sim.Pacer)) (t0, work int64) {
+		mctx := sim.NewCtx(2, 0)
+		mctx.AdvanceTo(ctx.Now())
+		pacer := sim.NewPacer(0.1)
+		t0 = mctx.Now()
+		pass(mctx, pacer)
+		paused := pacer.PausedNS
+		work = mctx.Now() - t0 - paused
+		if work <= 0 || paused < work*89/10 || paused > work*9 {
+			t.Fatalf("pass worked %d vns and slept %d: a budget of 0.1 owes 9x the work", work, paused)
+		}
+		return t0, work
+	}
+
+	t.Run("tier pass", func(t *testing.T) {
+		fs, ctx, _, _ := mkTiered(t, 64<<20, 64<<20)
+		writeFile(t, ctx, fs, "/x", patternBuf(2<<20, 0x17))
+		f, err := fs.Open(ctx, "/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetTierWaterMarks(0.001, 0.0005)
+		// Two holds of relocateChunkBlocks each, a sleep after either.
+		var st TierPassStats
+		t0, work := paced(t, ctx, func(mctx *sim.Ctx, pacer *sim.Pacer) {
+			if st, err = fs.TierPass(mctx, TierPassOptions{Pacer: pacer, MaxMigrateBlocks: 2 * relocateChunkBlocks}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if slow, _ := slowBlocksOf(fs, inoOf(t, ctx, fs, "/x")); st.DemotedBlocks != 2*relocateChunkBlocks || slow != st.DemotedBlocks {
+			t.Fatalf("pass demoted %d blocks, %d of them /x's; want %d", st.DemotedBlocks, slow, 2*relocateChunkBlocks)
+		}
+		// Arriving as the first move starts: wait out that one relocate.
+		oneMove := work * 6 / 10 // the two moves are the same size; leave slack
+		if w := lockWaitAt(t, f, t0+1); w == 0 || w > oneMove {
+			t.Fatalf("a read arriving inside the first move waited %d vns; one relocate of %d blocks is ~%d", w, relocateChunkBlocks, work/2)
+		}
+		// Arriving while the mover sleeps between its two holds: no wait.
+		if w := lockWaitAt(t, f, t0+work); w != 0 {
+			t.Fatalf("a read arriving while the mover slept waited %d vns for the lock", w)
+		}
+		if err := fs.Audit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("defrag pass", func(t *testing.T) {
+		fs, ctx, _, _ := mkTiered(t, 64<<20, 64<<20)
+		// One half-live chunk, owned by /x alone: an aligned 2MiB file cut
+		// back to 1MiB. /a leaves behind the hole space the move lands in.
+		writeFile(t, ctx, fs, "/a", patternBuf(1<<20, 1))
+		writeFile(t, ctx, fs, "/x", patternBuf(2<<20, 2))
+		f, err := fs.Open(ctx, "/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(ctx, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Unlink(ctx, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		var st DefragStats
+		t0, work := paced(t, ctx, func(mctx *sim.Ctx, pacer *sim.Pacer) {
+			if st, err = fs.DefragPass(mctx, DefragOptions{Pacer: pacer}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st.MigratedBlocks != (1<<20)/BlockSize || st.Recovered2M != 1 {
+			t.Fatalf("pass migrated %d blocks and recovered %d chunks; want /x's %d blocks out of one chunk", st.MigratedBlocks, st.Recovered2M, (1<<20)/BlockSize)
+		}
+		// The whole pass is one hold of /x: a reader arriving as it starts
+		// waits at most the pass's work.
+		if w := lockWaitAt(t, f, t0+1); w == 0 || w > work {
+			t.Fatalf("a read arriving inside the migration waited %d vns; the pass worked %d", w, work)
+		}
+		if err := fs.Audit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTierPassPinsMappedFiles: what is mapped is not a demotion victim. A
+// DAX mapping can only point at PM and its loads and stores never reach the
+// heat counters, so a mapped file always looks coldest — and every block a
+// pass took from it would be faulted straight back. With the water marks
+// forced to the floor a pass must leave the mapped file's PM extents alone
+// (and say how many it pinned), the mapping must keep its translations and
+// its hugepages, and the file becomes an ordinary victim again the moment
+// the last mapping closes.
+func TestTierPassPinsMappedFiles(t *testing.T) {
+	fs, ctx, _, _ := mkTiered(t, 64<<20, 64<<20)
+	const size = 4 << 20
+	data := patternBuf(size, 0x2b)
+	writeFile(t, ctx, fs, "/mapped", data)
+	writeFile(t, ctx, fs, "/plain", patternBuf(size, 0x4d))
+	f, err := fs.Open(ctx, "/mapped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vmm.Map(ctx, f, size, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, size)
+	if err := m.Read(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	mapped, plain := inoOf(t, ctx, fs, "/mapped"), inoOf(t, ctx, fs, "/plain")
+	_, pmBefore := slowBlocksOf(fs, mapped)
+	hugeBefore, totalBefore := m.FaultedChunks()
+	if pmBefore != size/BlockSize || hugeBefore == 0 {
+		t.Fatalf("setup: %d PM blocks, %d of %d chunks huge; want the file in PM on hugepages", pmBefore, hugeBefore, totalBefore)
+	}
+
+	fs.SetTierWaterMarks(0.001, 0.0005)
+	st, err := fs.TierPass(ctx, TierPassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow, pm := slowBlocksOf(fs, mapped); slow != 0 || pm != pmBefore {
+		t.Fatalf("pass demoted %d blocks of a mapped file", slow)
+	}
+	if st.PinnedBlocks != pmBefore {
+		t.Fatalf("PinnedBlocks = %d, want the mapped file's %d PM blocks", st.PinnedBlocks, pmBefore)
+	}
+	if slow, _ := slowBlocksOf(fs, plain); slow == 0 || st.DemotedBlocks != slow {
+		t.Fatalf("pass demoted %d blocks, %d of them the unmapped file's; the pin must not stop the pass", st.DemotedBlocks, slow)
+	}
+	if huge, total := m.FaultedChunks(); huge != hugeBefore || total != totalBefore {
+		t.Fatalf("faulted chunks %d/%d -> %d/%d across the pass", hugeBefore, totalBefore, huge, total)
+	}
+	// The translations survived: a full re-read takes no fault.
+	rctx := sim.NewCtx(2, 0)
+	rctx.AdvanceTo(ctx.Now())
+	if err := m.Read(rctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("mapped read returned wrong bytes after the pass")
+	}
+	if n := rctx.Counters.TotalFaults() + rctx.Counters.SoftFaults + rctx.Counters.TierFaultPromotions; n != 0 {
+		t.Fatalf("re-read through the mapping took %d faults", n)
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatalf("audit with the file pinned: %v", err)
+	}
+
+	// Unmapped, it is a victim like any other.
+	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err = fs.TierPass(ctx, TierPassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (All of it but the few blocks the low-water mark lets PM keep.)
+	if slow, pm := slowBlocksOf(fs, mapped); pm > 16 || st.PinnedBlocks != 0 || st.DemotedBlocks != slow {
+		t.Fatalf("after Close: %d blocks still in PM, %d pinned, %d demoted; want the file demoted", pm, st.PinnedBlocks, st.DemotedBlocks)
+	}
+	if _, err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("file content wrong after demotion")
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatalf("audit after demotion: %v", err)
 	}
 }
