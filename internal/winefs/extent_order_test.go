@@ -160,7 +160,7 @@ func TestExtentListOrderProperty(t *testing.T) {
 			s := int64(rng.Intn(fileSpace))
 			e := s + int64(1+rng.Intn(40))
 			what = fmt.Sprintf("detach [%d,%d)", s, e)
-			err = fs.detachRange(ctx, tx, ino, s, e)
+			_, err = fs.detachRange(ctx, tx, ino, s, e)
 			model.detach(s, e)
 		case len(ino.extents) > 0:
 			i := rng.Intn(len(ino.extents))

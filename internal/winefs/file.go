@@ -160,6 +160,7 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 		if p.fileBlk+p.length == e.fileBlk && p.blk+p.length == e.blk {
 			tx.note(ino, undoSet, i-1)
 			p.length += e.length
+			p.heat = max64(p.heat, e.heat)
 			ino.gen++
 			return fs.writeExtentSlot(ctx, tx, ino, i-1)
 		}
@@ -172,6 +173,7 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 			nx.fileBlk = e.fileBlk
 			nx.blk = e.blk
 			nx.length += e.length
+			nx.heat = max64(nx.heat, e.heat)
 			ino.gen++
 			return fs.writeExtentSlot(ctx, tx, ino, i)
 		}
@@ -508,6 +510,7 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize
 				if err := f.cowRange(ctx, getTx(), p[written:written+int(chunk)], pos); err != nil {
 					return err
 				}
+				fs.touchExtent(ino, blk) // an access like the in-place write below
 				written += int(chunk)
 				continue
 			}
@@ -612,8 +615,10 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 // is where the invalidate-before-free rule lives: live mappings are shot
 // down here, under ino.mu, so no translation survives to the point where
 // the blocks go back to the allocator; refaults resolve through the new
-// layout (or, past a new EOF, get vfs.ErrMapFault). Caller holds ino.mu.
-func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64) error {
+// layout (or, past a new EOF, get vfs.ErrMapFault). Returns the heat of the
+// hottest extent the range overlapped, for a caller that puts the data
+// back (replaceRange). Caller holds ino.mu.
+func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64) (heat int64, err error) {
 	n0 := len(tx.dropped)
 	// The extents are sorted and disjoint: those that overlap the range
 	// are consecutive, from the first that ends past startBlk.
@@ -622,6 +627,7 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 	})
 	for i < len(ino.extents) && ino.extents[i].fileBlk < endBlk {
 		e := ino.extents[i]
+		heat = max64(heat, e.heat)
 		eEnd := e.fileBlk + e.length
 		ovS := max64(e.fileBlk, startBlk)
 		ovE := min64(eEnd, endBlk)
@@ -629,7 +635,6 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 		head, tail := e, e // what stays of e before and after the overlap
 		head.length = ovS - e.fileBlk
 		tail.fileBlk, tail.blk, tail.length = ovE, e.blk+(ovE-e.fileBlk), eEnd-ovE
-		var err error
 		switch {
 		case head.length == 0 && tail.length == 0:
 			err = fs.recRemove(ctx, tx, ino, i) // the next extent is at i now
@@ -641,15 +646,15 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 			i++
 		default:
 			// Split: the head keeps the record, the tail gets its own (and
-			// lands at i+1: it starts at endBlk, which ends the walk).
+			// lands at i+1: it starts at endBlk, which ends the walk). Both
+			// keep e's heat — the data was as hot on either side of the cut.
 			if err = fs.recUpdate(ctx, tx, ino, i, head); err == nil {
-				tail.heat = 0
 				err = fs.recAppend(ctx, tx, ino, tail)
 			}
 			i++
 		}
 		if err != nil {
-			return err
+			return heat, err
 		}
 	}
 	if len(tx.dropped) > n0 {
@@ -657,14 +662,18 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 			m.Invalidate()
 		}
 	}
-	return nil
+	return heat, nil
 }
 
 // replaceRange rewrites the extent map so [startBlk, endBlk) is backed by
-// newExts (in order); the displaced blocks are freed at commit. Caller
-// holds ino.mu.
+// newExts (in order); the displaced blocks are freed at commit. Heat
+// follows the data, not the extent record: what is attached starts as hot
+// as the hottest extent it displaces, so a copy-on-write or a relocation
+// does not make a hot range look never-touched to the next TierPass.
+// Caller holds ino.mu.
 func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk int64, newExts []alloc.Extent) error {
-	if err := fs.detachRange(ctx, tx, ino, startBlk, endBlk); err != nil {
+	heat, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk)
+	if err != nil {
 		return err
 	}
 	fileBlk := startBlk
@@ -673,7 +682,7 @@ func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk i
 		if fileBlk+l > endBlk {
 			l = endBlk - fileBlk
 		}
-		if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: fileBlk, blk: e.Start, length: l}); err != nil {
+		if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: fileBlk, blk: e.Start, length: l, heat: heat}); err != nil {
 			return err
 		}
 		fileBlk += l
@@ -719,7 +728,7 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 				fs.dataZero(ctx, phys*BlockSize+size%BlockSize, tail)
 			}
 		}
-		if err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64); err != nil {
+		if _, err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64); err != nil {
 			return fs.failTx(tx, "truncate", err)
 		}
 	}

@@ -121,7 +121,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	}
 	// Refaults block on ino.mu until the new layout is in place.
 	tx := fs.begin(ctx, ino)
-	err := fs.detachRange(ctx, tx, ino, startBlk, endBlk)
+	_, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk)
 	if err == nil {
 		err = fs.writeInodeHeader(ctx, tx, ino)
 	}

@@ -585,3 +585,129 @@ func TestTierPassPinsMappedFiles(t *testing.T) {
 		t.Fatalf("audit after demotion: %v", err)
 	}
 }
+
+// TestHeatFollowsData: heat belongs to the data, not to the extent record
+// that happens to describe it. A relocation (either direction) and a strict
+// copy-on-write both re-describe a range with new records; a split leaves a
+// tail with a record of its own. None of them may make a hot range look
+// never-touched, or the next pass demotes exactly the data the foreground
+// is working on.
+func TestHeatFollowsData(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	dev := pmem.New(64 << 20)
+	slow := tier.NewSlow(tier.DefaultSlowConfig(64 << 20))
+	t.Cleanup(func() { slow.Release() })
+	fs, err := Mkfs(ctx, dev, Options{CPUs: 1, InodesPerCPU: 512, Mode: vfs.Strict, Tier: &TierOptions{Slow: slow}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 256
+	data := patternBuf(blocks*BlockSize, 0x3c)
+	writeFile(t, ctx, fs, "/hot", data)
+	writeFile(t, ctx, fs, "/cold", patternBuf(blocks*BlockSize, 0x77)) // written once, never touched again
+	f, err := fs.Open(ctx, "/hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino := inoOf(t, ctx, fs, "/hot")
+	if len(ino.extents) != 1 || ino.extents[0].length != blocks {
+		t.Fatalf("setup: /hot is %+v, want one %d-block extent", ino.extents, blocks)
+	}
+	blk := make([]byte, BlockSize)
+	for i := 0; i < 40; i++ {
+		if _, err := f.ReadAt(ctx, blk, int64(i)*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// minHeat is the coldest extent covering /hot; every layout change
+	// below must leave it at or above the heat the source extent had.
+	minHeat := func() int64 {
+		ino.mu.RLock()
+		defer ino.mu.RUnlock()
+		var covered int64
+		coldest := ino.extents[0].heat
+		for _, e := range ino.extents {
+			covered += e.length
+			coldest = min64(coldest, e.heat)
+		}
+		if covered != blocks {
+			t.Fatalf("/hot covers %d blocks, want %d", covered, blocks)
+		}
+		return coldest
+	}
+	source := minHeat()
+	if source < 40 {
+		t.Fatalf("setup: 40 reads left heat %d", source)
+	}
+
+	// A relocation out of the middle (a demotion) splits the extent in
+	// three: head, moved run, tail.
+	const lo, n = 100, 40
+	if moved := fs.migrateRun(ctx, ino, lo, n, true, nil); moved != n {
+		t.Fatalf("demoted %d blocks, want %d", moved, n)
+	}
+	if got := minHeat(); len(ino.extents) != 3 || got < source {
+		t.Fatalf("after the demotion: %+v; every piece must carry heat >= %d", ino.extents, source)
+	}
+
+	// A strict overwrite of one block of the moved run is a copy-on-write
+	// (the run is too short to be worth journaling in place): the new block
+	// inherits the run's heat, and the write itself is a touch, as an
+	// in-place write is.
+	const cowBlk = lo + n/2
+	if e := ino.extents[ino.extentAt(cowBlk)]; e.length >= dataJournalMinBlocks {
+		t.Fatalf("setup: block %d sits in a %d-block extent, which is journaled in place, not copied", cowBlk, e.length)
+	}
+	cows := ctx.Counters.CoWCopies
+	fresh := patternBuf(BlockSize, 0x91)
+	copy(data[cowBlk*BlockSize:], fresh)
+	if _, err := f.WriteAt(ctx, fresh, cowBlk*BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Counters.CoWCopies != cows+1 {
+		t.Fatalf("the overwrite copied %d blocks, want 1", ctx.Counters.CoWCopies-cows)
+	}
+	if got := minHeat(); got < source {
+		t.Fatalf("after the copy-on-write: %+v; every piece must carry heat >= %d", ino.extents, source)
+	}
+	if e := ino.extents[ino.extentAt(cowBlk)]; e.length != 1 || e.heat != source+1 {
+		t.Fatalf("the copied block is %+v, want a 1-block extent of heat %d (inherited, plus the write)", e, source+1)
+	}
+
+	// The promotion back, of what the copy left on the slow tier.
+	for _, r := range [][2]int64{{lo, cowBlk - lo}, {cowBlk + 1, lo + n - cowBlk - 1}} {
+		if moved := fs.migrateRun(ctx, ino, r[0], r[1], false, nil); moved != r[1] {
+			t.Fatalf("promoted %d blocks at %d, want %d", moved, r[0], r[1])
+		}
+	}
+	if got := minHeat(); got < source {
+		t.Fatalf("after the promotion: %+v; every piece must carry heat >= %d", ino.extents, source)
+	}
+	if slowHot, _ := slowBlocksOf(fs, ino); slowHot != 0 {
+		t.Fatalf("setup: %d blocks of /hot still on the slow tier", slowHot)
+	}
+
+	// The policy sees it the same way: a pass that must shed one file's
+	// worth of blocks takes the file nobody touched, and no piece of /hot.
+	fs.SetTierWaterMarks(0.001, 0.0005)
+	st, err := fs.TierPass(ctx, TierPassOptions{MaxMigrateBlocks: blocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slowHot, _ := slowBlocksOf(fs, ino); slowHot != 0 {
+		t.Fatalf("pass demoted %d blocks of the hot file (%+v)", slowHot, ino.extents)
+	}
+	if slowCold, _ := slowBlocksOf(fs, inoOf(t, ctx, fs, "/cold")); slowCold != blocks || st.DemotedBlocks != blocks {
+		t.Fatalf("pass demoted %d blocks, %d of /cold; want all %d of /cold", st.DemotedBlocks, slowCold, blocks)
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("/hot content wrong after the layout changes")
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
