@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc
 
 all: build
 
@@ -98,12 +98,27 @@ bench-replicated: ; $(call GATE,-replicated -clients 8,BENCH_replicated.json)
 GATES = bench-json bench-cache bench-mmap bench-defrag bench-tier bench-replicated bench-scaling
 
 # All seven gates, each followed by its wall time (the CI job budget as a
-# tracked number); every gate runs even after one fails.
+# tracked number), then the trajectory check; every gate runs even after
+# one fails.
 bench-gates:
 	@fail=0; for g in $(GATES); do \
 		s=$$(date +%s%N); $(MAKE) --no-print-directory $$g || fail=1; \
 		echo "== $$g: $$(( ($$(date +%s%N) - s) / 1000000 ))ms wall"; \
-	done; exit $$fail
+	done; $(MAKE) --no-print-directory trajectory-check || fail=1; exit $$fail
+
+# The per-PR tables of EXPERIMENTS.md (header row "| PR | ...": the two
+# "Host clock" tables and the virtual-clock maint_tiered one) cannot
+# silently stop: the newest ISSUE N that CHANGES.md names must have a row
+# "| N |" in every one of them.
+trajectory-check:
+	@n=$$(grep -o 'ISSUE [0-9][0-9]*' CHANGES.md | sort -k2 -n | tail -1 | cut -d' ' -f2); \
+	awk -v n="$$n" 'function close_table() { if (open && !seen) bad++; open = 0 } \
+		/^\| PR \|/ { close_table(); open = 1; seen = 0; tables++; next } \
+		open && /^\|/ { if (index($$0, "| " n " |") == 1) seen = 1; next } \
+		{ close_table() } \
+		END { close_table(); if (!tables || bad) { \
+			printf "trajectory-check: %d of %d per-PR tables in EXPERIMENTS.md have no row for PR %s, the newest ISSUE in CHANGES.md\n", bad, tables, n; exit 1 } \
+			printf "trajectory-check: PR %s has its row in all %d per-PR tables of EXPERIMENTS.md\n", n, tables }' EXPERIMENTS.md
 
 # The page-cache + lease coherence suite under the race detector,
 # including the 8-concurrent-session storm (TestCacheRace8Sessions, which
@@ -125,7 +140,10 @@ mmap-race:
 # epoch), the 8-thread suite racing the defragmenter against foreground
 # writers, truncates and live mmaps (TestDefragRace8Threads), the
 # migration-vs-mmap race (a demotion relocating blocks under a live
-# mapping must drain in-flight accesses before freeing), the rewrite
+# mapping must drain in-flight accesses before freeing; driven through
+# migrateRun, since the pass itself pins mapped files), the three mover
+# rules (TestTierThrottleNeverHoldsTheLock, TestTierPassPinsMappedFiles,
+# TestHeatFollowsData), the rewrite
 # tests, spill/ENOSPC behaviour, the vmm re-promotion test, the
 # slow-device/pool unit tests, the runner tests (one Step = defrag +
 # rewriter + tier pass on one pacer, scraped concurrently) and the
@@ -133,7 +151,7 @@ mmap-race:
 # the differential against the bitmap model, the strictness and Check
 # tests).
 maint-race:
-	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
+	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestHeat|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,
