@@ -28,16 +28,18 @@ bench:
 # Engine microbenchmarks + the determinism golden test: the booking,
 # charging and MMU fast paths, the cached serving path and the journaled
 # POSIX path (ns/op and allocs/op — the hot paths must stay allocation-free,
-# and the pins say so: a cached hit, an evicting miss and a threshold flush
-# at 0 allocations, a 4KiB miss through cache, client and server at ≤2, a
-# write at the dirty bound no dearer in a 16x larger cache; stat, read,
+# and the pins say so: a cached hit, an evicting miss, a threshold flush and
+# an fsync of eight dirty pages at 0 allocations, a 4KiB miss through cache,
+# client and server at ≤2, a write at the dirty bound no dearer in a 16x
+# larger cache — flush and eviction victims come off the backs of the
+# active/inactive lists and their dirty lists, never from a scan; stat, read,
 # in-place and copy-on-write overwrite, append and rename on a fragmented
 # mount at 0, create+append+close+unlink at 7, the three lock modes at 0, a
 # recycling tree at a steady size at 0), the exact-vs-batched-vs-parallel
 # golden test and the calendars, range locks and extent list against their
 # obvious models, all under the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
 	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 
@@ -78,7 +80,8 @@ bench-pair:
 #   json        4-client ServerMix serving baseline
 #   scaling     fxmark sharing cases x 1→128 threads, direct and via winefsd;
 #               timings and allocator placement compared only at ≤16 threads
-#   cache       CachedMix uncached vs cached; cached re-reads ≥5x cheaper
+#   cache       CachedMix uncached vs cached; cached re-reads ≥5x cheaper;
+#               HotScan: ≥95% of hot re-reads hit through a 4-cache scan
 #   mmap        mapped reads unaged vs aged (Figure 1): ≥90% unaged hugepage
 #               coverage, aged ext4-DAX ≥3x slower
 #   defrag      §3.5 defragmenter: ≥90% coverage recovered on a live mapping,
@@ -107,8 +110,8 @@ bench-gates:
 	done; $(MAKE) --no-print-directory trajectory-check || fail=1; exit $$fail
 
 # The per-PR tables of EXPERIMENTS.md (header row "| PR | ...": the two
-# "Host clock" tables and the virtual-clock maint_tiered one) cannot
-# silently stop: the newest ISSUE N that CHANGES.md names must have a row
+# "Host clock" tables and the virtual-clock maint_tiered and srv_cached
+# ones) cannot silently stop: the newest ISSUE N that CHANGES.md names must have a row
 # "| N |" in every one of them.
 trajectory-check:
 	@n=$$(grep -o 'ISSUE [0-9][0-9]*' CHANGES.md | sort -k2 -n | tail -1 | cut -d' ' -f2); \
@@ -123,10 +126,13 @@ trajectory-check:
 # The page-cache + lease coherence suite under the race detector,
 # including the 8-concurrent-session storm (TestCacheRace8Sessions, which
 # audits each cache with CheckInvariant every round), the stale-lease
-# regression (TestLeaseRefusedWhileWriteInFlight) and the 10⁵-operation
-# replay against the scanning reference cache (TestModelEquivalence).
+# regression (TestLeaseRefusedWhileWriteInFlight), the replacement policy's
+# two bounds (TestScan*: a hot set of ¾ of the cache survives any scan, a
+# set that fits is never evicted) and the 10⁵-operation replay against the
+# two-slice reference policy (TestModelEquivalence: both lists' order,
+# dirty marks, stub-FS calls, Stats and clocks after every operation).
 cache-race:
-	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose|TestModel|TestCheckInvariant' ./internal/pagecache/ ./internal/fileserver/
+	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose|TestModel|TestCheckInvariant|TestScan' ./internal/pagecache/ ./internal/fileserver/
 
 # The mmap subsystem under the race detector: the 8-thread shared-mapping
 # storm with concurrent truncation (TestMmapRace8Threads), the

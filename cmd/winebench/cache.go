@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
+	"repro/internal/pagecache"
 	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -19,13 +20,25 @@ import (
 // workload (populate, re-read rounds, in-place rewrite) runs twice on
 // identical fresh servers — once with bare fileserver clients, once with
 // each client wrapped in internal/pagecache — and the re-read phase's
-// virtual cost per read is compared. The acceptance gate is hard-coded:
-// the cached configuration must serve re-reads at least cacheMinSpeedup
-// times cheaper, on top of whatever the committed BENCH_cache.json
-// baseline pins.
+// virtual cost per read is compared. Then the HotScan workload (a hot set
+// of half the cache re-read between slices of a cold scan four times the
+// cache) runs through small caches on a third server. Two acceptance gates
+// are hard-coded, on top of whatever the committed BENCH_cache.json
+// baseline pins: the cached configuration must serve re-reads at least
+// cacheMinSpeedup times cheaper, and the hot set must survive the scan.
 
-// cacheMinSpeedup is the required uncached/cached per-read cost ratio.
-const cacheMinSpeedup = 5.0
+const (
+	// cacheMinSpeedup is the required uncached/cached per-read cost ratio.
+	cacheMinSpeedup = 5.0
+	// hotScanMinHitRatio is the share of HotScan's hot-set re-reads the
+	// cache must serve. Each scan slice is a whole cache of pages read
+	// once, so plain LRU replacement scores 0 here; keeping the hot set
+	// through it is what the active/inactive policy is for.
+	hotScanMinHitRatio = 0.95
+	// hotScanCachePages sizes HotScan's caches: small, so that a scan of
+	// four caches per client stays a few MiB.
+	hotScanCachePages = 256
+)
 
 // cacheVariant is one configuration's aggregate over all clients.
 type cacheVariant struct {
@@ -42,6 +55,9 @@ type cacheVariant struct {
 	// Counters merges the client threads' perf counters; the cache hit and
 	// miss counts in it are exactly reproducible.
 	Counters perf.Counters
+	// Cache sums the clients' replacement statistics as they stood before
+	// the unmounts (printed, not part of the report); zero when uncached.
+	Cache pagecache.Stats
 }
 
 // runCacheBench runs both variants, prints the comparison, enforces the
@@ -77,12 +93,17 @@ func runCacheBench(o options) (*bench.Report, error) {
 	row("read cost", func(v *cacheVariant) string { return fmt.Sprintf("%.0fns/read", v.ReadNSPerRead) })
 	row("cache hit ratio", func(v *cacheVariant) string { return fmtHitRatio(&v.Counters) })
 	row("server ops", func(v *cacheVariant) string { return fmt.Sprintf("%d", v.ServerOps) })
+	row("cache replacement", func(v *cacheVariant) string { return fmtReplacement(v.Cache) })
 	row("flushed", func(v *cacheVariant) string { return fmt.Sprintf("%dB", v.Counters.CacheFlushBytes) })
 	t.Rows = append(t.Rows, []string{"re-read speedup", fmt.Sprintf("%.1fx", speedup), ""})
 	t.Print(os.Stdout)
 
 	if speedup < cacheMinSpeedup {
 		return nil, fmt.Errorf("re-read speedup %.2fx below required %.1fx", speedup, cacheMinSpeedup)
+	}
+	hs, err := runHotScan(clients, cpus)
+	if err != nil {
+		return nil, fmt.Errorf("hotscan: %w", err)
 	}
 	rep := bench.New("cache/v1", map[string]float64{
 		"Clients": float64(clients), "Files": float64(cfg.Files), "FileKB": float64(cfg.FileKB),
@@ -104,34 +125,119 @@ func runCacheBench(o options) (*bench.Report, error) {
 		}
 		p.AddCounters("Counters.", &v.Counters)
 	}
+	p := rep.Point(map[string]string{"Variant": "HotScan"}, 0)
+	p.Ints(map[string]int64{"HotReads": hs.HotReads, "HotHits": hs.HotHits, "ScanReads": hs.ScanReads,
+		"ReadBytes": hs.ReadBytes, "ServerOps": hs.ServerOps, "CachePages": hotScanCachePages,
+		"Promotions": hs.Cache.Promotions, "Demotions": hs.Cache.Demotions})
+	p.Floats(map[string]float64{"HotHitRatio": hs.hotHitRatio()})
+	p.AddCounters("Counters.", &hs.Counters)
 	return rep, nil
 }
 
-// runCacheVariant boots a fresh strict-mode server over the in-memory
-// transport and fans out `clients` concurrent CachedMix clients, cached or
-// not.
-func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConfig) (cacheVariant, error) {
-	var v cacheVariant
+// hotScanRun is the HotScan point: the clients' results, counters and cache
+// Stats summed. Each client works alone on its own files through its own
+// cache, so every number is exactly reproducible.
+type hotScanRun struct {
+	workloads.HotScanResult
+	ServerOps int64
+	Counters  perf.Counters
+	Cache     pagecache.Stats
+}
+
+func (h *hotScanRun) hotHitRatio() float64 {
+	if h.HotReads == 0 {
+		return 0
+	}
+	return float64(h.HotHits) / float64(h.HotReads)
+}
+
+// runHotScan fans HotScan clients out over a fresh server, each through a
+// cache of hotScanCachePages, prints the point and enforces its gate.
+func runHotScan(clients, cpus int) (hotScanRun, error) {
+	var h hotScanRun
+	cfg := workloads.HotScanConfig{CachePages: hotScanCachePages}
+	var err error
+	h.ServerOps, err = withFreshServer(cpus, func(pl *fileserver.PipeListener) error {
+		results, ctxs, cs, err := mixFanout(pl.Dial, clients, cpus, &pagecache.Config{MaxPages: cfg.CachePages},
+			func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.HotScanResult, error) {
+				return workloads.HotScanClient(ctx, target, i, cfg)
+			})
+		if err != nil {
+			return err
+		}
+		h.Cache = sumReplacement(cs)
+		for i, r := range results {
+			h.Ops += r.Ops
+			h.HotReads += r.HotReads
+			h.HotHits += r.HotHits
+			h.ScanReads += r.ScanReads
+			h.ReadBytes += r.ReadBytes
+			h.Counters.Add(ctxs[i].Counters)
+		}
+		return nil
+	})
+	if err != nil {
+		return h, err
+	}
+	t := &experiments.Table{
+		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices",
+			clients, cfg.CachePages, cfg.CachePages/2, h.ScanReads/int64(clients*cfg.CachePages)),
+		Header: []string{"metric", "value"},
+	}
+	t.Rows = append(t.Rows,
+		[]string{"hot-set re-reads", fmt.Sprintf("%d", h.HotReads)},
+		[]string{"hot-set hit ratio", fmt.Sprintf("%.1f%% (gate %.0f%%)", 100*h.hotHitRatio(), 100*hotScanMinHitRatio)},
+		[]string{"scan reads", fmt.Sprintf("%d", h.ScanReads)},
+		[]string{"cache hit ratio", fmtHitRatio(&h.Counters)},
+		[]string{"cache replacement", fmtReplacement(h.Cache)},
+		[]string{"evictions", fmt.Sprintf("%d", h.Counters.CacheEvictions)},
+		[]string{"server ops", fmt.Sprintf("%d", h.ServerOps)},
+	)
+	t.Print(os.Stdout)
+	if r := h.hotHitRatio(); r < hotScanMinHitRatio {
+		return h, fmt.Errorf("hot-set hit ratio %.3f below required %.2f: the scan evicted the hot set", r, hotScanMinHitRatio)
+	}
+	return h, nil
+}
+
+// withFreshServer boots a strict-mode server on a fresh image over the
+// in-memory transport, runs body against its listener, shuts the server
+// down and returns the requests it dispatched.
+func withFreshServer(cpus int, body func(pl *fileserver.PipeListener) error) (serverOps int64, err error) {
 	dev := pmem.New(1 << 30)
 	ctx := sim.NewCtx(1, 0)
 	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, Mode: vfs.Strict})
 	if err != nil {
-		return v, fmt.Errorf("mkfs: %w", err)
+		return 0, fmt.Errorf("mkfs: %w", err)
 	}
 	srv := fileserver.New(fs, fileserver.Config{CPUs: cpus})
 	pl := fileserver.NewPipeListener()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
+	err = body(pl)
+	srv.Shutdown()
+	if serr := <-serveErr; err == nil && serr != nil {
+		err = fmt.Errorf("serve: %w", serr)
+	}
+	return srv.Stats().Ops, err
+}
 
-	results, ctxs, err := mixFanout(pl.Dial, clients, cpus, cached, func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.CachedMixResult, error) {
-		return workloads.CachedMixClient(ctx, target, i, cfg)
+// runCacheVariant fans out `clients` concurrent CachedMix clients over a
+// fresh server, through default-sized caches or bare.
+func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConfig) (cacheVariant, error) {
+	var v cacheVariant
+	var results []workloads.CachedMixResult
+	var ctxs []*sim.Ctx
+	serverOps, err := withFreshServer(cpus, func(pl *fileserver.PipeListener) (err error) {
+		var cs []pagecache.Stats
+		results, ctxs, cs, err = mixFanout(pl.Dial, clients, cpus, defaultCache(cached), func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.CachedMixResult, error) {
+			return workloads.CachedMixClient(ctx, target, i, cfg)
+		})
+		v.Cache = sumReplacement(cs)
+		return err
 	})
 	if err != nil {
 		return v, err
-	}
-	srv.Shutdown()
-	if err := <-serveErr; err != nil {
-		return v, fmt.Errorf("serve: %w", err)
 	}
 
 	for i, r := range results {
@@ -159,8 +265,31 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 		}
 		v.ReadNSPerRead = float64(sumNS) / float64(v.Reads)
 	}
-	v.ServerOps = srv.Stats().Ops
+	v.ServerOps = serverOps
 	return v, nil
+}
+
+// sumReplacement adds up the clients' page counts and replacement counters.
+func sumReplacement(cstats []pagecache.Stats) (sum pagecache.Stats) {
+	for _, st := range cstats {
+		sum.Pages += st.Pages
+		sum.ActivePages += st.ActivePages
+		sum.Promotions += st.Promotions
+		sum.Demotions += st.Demotions
+	}
+	return sum
+}
+
+// fmtReplacement renders the replacement lists' work for human tables:
+// pages promoted to the active lists on their second touch, pages demoted
+// back by eviction, and what is on the active lists at the end of the run
+// (nothing, when the workload closed its files); "-" when nothing was
+// cached.
+func fmtReplacement(st pagecache.Stats) string {
+	if st.Pages == 0 && st.Promotions == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%d promoted, %d demoted, %d of %d pages active at the end", st.Promotions, st.Demotions, st.ActivePages, st.Pages)
 }
 
 // fmtHitRatio renders a counter set's cache hit ratio for human tables;

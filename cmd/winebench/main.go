@@ -397,7 +397,7 @@ func runServerBench(o options) (*bench.Report, error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
 
-	results, ctxs, err := serverMixFanout(pl.Dial, clients, cpus, ops, cached, seed)
+	results, ctxs, cstats, err := serverMixFanout(pl.Dial, clients, cpus, ops, cached, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -445,6 +445,7 @@ func runServerBench(o options) (*bench.Report, error) {
 		[]string{"latency max", fmt.Sprintf("%dns", sum.MaxNS)},
 		[]string{"sessions", fmt.Sprintf("%d", st.TotalSessions)},
 		[]string{"cache hit ratio", fmtHitRatio(&clientCounters)},
+		[]string{"cache replacement", fmtReplacement(sumReplacement(cstats))},
 	)
 	t.Print(os.Stdout)
 

@@ -47,16 +47,18 @@ import (
 const replicatedOverheadLimit = 65.0
 
 // mixFanout is the one client fan-out loop (-server, -cache, -replicated):
-// each of `clients` goroutines dials, handshakes, wraps its client in the
-// page cache when cached is set, runs body on its own Ctx and unmounts.
-// It returns every client's result and Ctx (for the counters), or the
-// lowest-numbered failing client's error.
-func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, cached bool,
-	body func(ctx *sim.Ctx, target vfs.FS, i int) (R, error)) ([]R, []*sim.Ctx, error) {
+// each of `clients` goroutines dials, handshakes, wraps its client in a
+// page cache configured by cache unless that is nil, runs body on its own
+// Ctx and unmounts. It returns every client's result, Ctx (for the
+// counters) and cache Stats as they stood before the unmount (zero without
+// a cache), or the lowest-numbered failing client's error.
+func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, cache *pagecache.Config,
+	body func(ctx *sim.Ctx, target vfs.FS, i int) (R, error)) ([]R, []*sim.Ctx, []pagecache.Stats, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	results := make([]R, clients)
 	ctxs := make([]*sim.Ctx, clients)
+	cstats := make([]pagecache.Stats, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -72,11 +74,16 @@ func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, c
 				return
 			}
 			var target vfs.FS = cl
-			if cached {
-				target = pagecache.New(cl, pagecache.Config{})
+			var pc *pagecache.Cache
+			if cache != nil {
+				pc = pagecache.New(cl, *cache)
+				target = pc
 			}
 			ctxs[i] = sim.NewCtx(5000+i, i%cpus)
 			results[i], errs[i] = body(ctxs[i], target, i)
+			if pc != nil {
+				cstats[i] = pc.Stats()
+			}
 			if errs[i] == nil {
 				errs[i] = target.Unmount(ctxs[i])
 			}
@@ -85,15 +92,25 @@ func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, c
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("client %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("client %d: %w", i, err)
 		}
 	}
-	return results, ctxs, nil
+	return results, ctxs, cstats, nil
 }
 
-// serverMixFanout runs the ServerMix workload on every client of a fan-out.
-func serverMixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, cached bool, seed uint64) ([]workloads.ServerMixResult, []*sim.Ctx, error) {
-	return mixFanout(dial, clients, cpus, cached, func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.ServerMixResult, error) {
+// defaultCache is mixFanout's cache argument for a cached-or-not switch:
+// the default-sized page cache, or none.
+func defaultCache(cached bool) *pagecache.Config {
+	if cached {
+		return &pagecache.Config{}
+	}
+	return nil
+}
+
+// serverMixFanout runs the ServerMix workload on every client of a fan-out,
+// through default-sized page caches when cached is set.
+func serverMixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, cached bool, seed uint64) ([]workloads.ServerMixResult, []*sim.Ctx, []pagecache.Stats, error) {
+	return mixFanout(dial, clients, cpus, defaultCache(cached), func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.ServerMixResult, error) {
 		return workloads.ServerMixClient(ctx, target, i, workloads.ServerMixConfig{Ops: ops, Seed: seed})
 	})
 }
@@ -135,7 +152,7 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	pl := fileserver.NewPipeListener()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
-	plain, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
+	plain, _, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("plain run: %w", err)
 	}
@@ -159,7 +176,7 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	defer cl.Shutdown()
-	repl, _, err := serverMixFanout(cl.DialPrimary, clients, cpus, ops, false, seed)
+	repl, _, _, err := serverMixFanout(cl.DialPrimary, clients, cpus, ops, false, seed)
 	if err != nil {
 		return nil, fmt.Errorf("replicated run: %w", err)
 	}

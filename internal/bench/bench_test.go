@@ -216,8 +216,10 @@ func TestClassPins(t *testing.T) {
 		"cache/v1": {
 			"Reads": e, "ReadBytes": e, "BytesWritten": e, "ServerOps": e,
 			"ReadNS": tol, "PopulateNS": tol, "RewriteNS": tol, "ReadNSPerRead": tol, "ReadSpeedup": tol,
-			"HitRatio":   info,
-			"Counters.*": e, "Counters.LockWaitNS": tol,
+			"HitRatio": info,
+			"HotReads": e, "HotHits": e, "ScanReads": e, "CachePages": e, "Promotions": e, "Demotions": e,
+			"HotHitRatio": info,
+			"Counters.*":  e, "Counters.LockWaitNS": tol,
 		},
 		"mmap/v1": {
 			"Reads": e, "ReadBytes": e, "HugeChunks": e, "TotalChunks": e,

@@ -78,6 +78,36 @@ func TestCachedHitsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestFsyncDoesNotAllocate pins batch write-back — fsync, and with it
+// close, revoke, mapping and unmount, which collect through the same
+// function — at zero allocations once the cache's batch scratch has grown
+// to the batch's size: the dirty pages are copied into memory the cache
+// keeps, not into a fresh slice per page.
+func TestFsyncDoesNotAllocate(t *testing.T) {
+	const dirty = 8
+	c, f, ctx := memCache(t, pagecache.Config{MaxPages: 32, MaxDirty: 16}, dirty)
+	buf := make([]byte, pagecache.PageSize)
+	run := func() {
+		for p := 0; p < dirty; p++ {
+			if _, err := f.WriteAt(ctx, buf, int64(p)*pagecache.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Fsync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	before := c.Stats().FlushedBytes
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("fsync of %d dirty pages: %v allocs, want 0", dirty, n)
+	}
+	st := stats(t, c)
+	if got := st.FlushedBytes - before; got != 101*dirty*pagecache.PageSize || st.DirtyPages != 0 {
+		t.Fatalf("101 fsyncs flushed %d bytes, want %d pages each: %+v", got, dirty, st)
+	}
+}
+
 func BenchmarkCachedReadHit(b *testing.B) {
 	const pages = 1024
 	_, f, ctx := memCache(b, pagecache.Config{}, pages)

@@ -1,10 +1,13 @@
 // Package pagecache is the client-side caching subsystem of the serving
 // stack: it wraps any vfs.FS — in practice a fileserver.Client — and keeps
-// 4KiB-aligned data pages plus attribute entries in one bounded LRU, so a
+// 4KiB-aligned data pages plus attribute entries in a bounded cache, so a
 // hot working set is served at DRAM cost instead of paying the full
 // RPC + device cost on every access (the SplitFS observation: route the
 // data path around the server, keep the server authoritative for
-// metadata).
+// metadata). Replacement is scan-resistant: a page enters an inactive
+// FIFO and only a second touch moves it to the active LRU, so pages read
+// once pass through without pushing out the pages read often (DESIGN.md
+// §9, Replacement).
 //
 // Coherence comes from server leases, not timeouts. A cached file holds a
 // read or write lease granted through the wrapped file's Lease method; the
@@ -67,12 +70,12 @@ type RevokeSource interface {
 
 // Config bounds and prices the cache.
 type Config struct {
-	// MaxPages bounds cached pages (LRU evicts clean pages beyond it).
-	// Default 4096 (16MiB).
+	// MaxPages bounds cached pages (clean pages are evicted beyond it,
+	// inactive ones first). Default 4096 (16MiB).
 	MaxPages int
 	// MaxDirty bounds the dirty set across all files; exceeding it flushes
-	// the oldest dirty pages synchronously on the writer's clock. Default
-	// MaxPages/8.
+	// dirty pages synchronously on the writer's clock, in the order
+	// eviction would take them. Default MaxPages/8.
 	MaxDirty int
 	// HitLatNS and HitNSPerByte price a cache hit (DRAM-class: no syscall,
 	// no device). Defaults 60ns + 0.025ns/B.
@@ -115,6 +118,11 @@ type Stats struct {
 	MapBypasses       int64
 	Pages, DirtyPages int
 	AttrEntries       int
+	// ActivePages is how many of Pages sit on the active list. Promotions
+	// counts second touches (inactive to active), Demotions the pages
+	// eviction moved back to keep the inactive list at its share.
+	ActivePages           int
+	Promotions, Demotions int64
 }
 
 // maxAttrs bounds the attribute map; overflowing clears it (attribute
@@ -138,13 +146,23 @@ type Cache struct {
 	// RPC cannot read the frame itself: with mu released a concurrent
 	// writer may change it, or eviction may hand it to another page.
 	flushBuf [PageSize]byte
+	// wbBatch and wbData are the memory of a batch write-back (fsync,
+	// close, revoke, mapping, unmount): the entries and the page bytes
+	// they point at. Guarded by flushMu, which the caller holds from
+	// collectDirtyLocked until writeBack returns; writeBack lets go of
+	// either once it has outgrown maxKeptBatch pages.
+	wbBatch []writeback
+	wbData  []byte
 
 	mu    sync.Mutex
 	files map[uint64]*fileState
-	// lru holds every cached page, most recently used first. dirty holds
-	// the dirty ones in the same relative order (see markDirtyLocked), so
-	// its back is the page a scan of lru from the back would reach first.
-	lru, dirty pageList
+	// inactive and active hold every cached page between them (DESIGN.md
+	// §9, Replacement). A page is linked at the inactive front by the
+	// access that brought it in and leaves from the inactive back unless a
+	// second touch promoted it first; active is an LRU of the promoted
+	// pages, and eviction demotes its back to the inactive front whenever
+	// inactive is under a quarter of MaxPages.
+	inactive, active queue
 	// free holds unlinked frames for reuse, chained through their lru next
 	// link; releaseLocked bounds it so free + cached frames stay within
 	// MaxPages.
@@ -158,6 +176,11 @@ type Cache struct {
 	stats  Stats
 }
 
+// maxKeptBatch is the largest batch write-back, in pages, whose memory the
+// cache keeps for the next one; a bigger one (a file rewritten whole, an
+// unmount) is left to the collector, so an idle cache holds kilobytes.
+const maxKeptBatch = 64
+
 var _ vfs.FS = (*Cache)(nil)
 
 // New wraps inner. When inner can deliver revocations (fileserver.Client),
@@ -170,8 +193,8 @@ func New(inner vfs.FS, cfg Config) *Cache {
 		cfg:        cfg.withDefaults(),
 		flushCtx:   sim.NewCtx(flusherThreadBase+int(flusherSeq.Add(1)), 0),
 		files:      make(map[uint64]*fileState),
-		lru:        pageList{k: lruLink},
-		dirty:      pageList{k: dirtyLink},
+		inactive:   newQueue(),
+		active:     newQueue(),
 		attrs:      make(map[string]vfs.FileInfo),
 		attrsByIno: make(map[uint64]map[string]struct{}),
 		mapped:     make(map[uint64]int),
@@ -187,8 +210,9 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Pages = c.lru.n
-	st.DirtyPages = c.dirty.n
+	st.Pages = c.pagesLocked()
+	st.DirtyPages = c.dirtyLocked()
+	st.ActivePages = c.active.pages.n
 	st.AttrEntries = len(c.attrs)
 	return st
 }
@@ -229,11 +253,12 @@ func (st *fileState) takeErrLocked() error {
 // or dropped page waits on the cache's free list and is linked again under
 // another (st, idx), so a miss in a full cache allocates nothing.
 type page struct {
-	st    *fileState // nil while the frame is unlinked
-	idx   int64
-	dirty bool
-	link  [2]struct{ prev, next *page } // indexed by lruLink, dirtyLink
-	data  [PageSize]byte
+	st     *fileState // nil while the frame is unlinked
+	idx    int64
+	dirty  bool
+	active bool                          // on the active queue, not the inactive one
+	link   [2]struct{ prev, next *page } // indexed by lruLink, dirtyLink
+	data   [PageSize]byte
 }
 
 const (
@@ -283,6 +308,54 @@ func (l *pageList) moveToFront(pg *page) {
 		l.remove(pg)
 		l.pushFront(pg)
 	}
+}
+
+// queue is one replacement list: its pages through their lruLink, most
+// recently linked or used first, and the dirty ones among them through
+// their dirtyLink in the same relative order. That order is the invariant
+// the O(1) victim choices rest on — the back of dirty is the page a scan of
+// pages from the back would reach first — and it holds because every
+// method moves a dirty page on both lists at once, always to the front,
+// and removing a page from either leaves the order of the rest alone.
+type queue struct {
+	pages, dirty pageList
+}
+
+func newQueue() queue {
+	return queue{pages: pageList{k: lruLink}, dirty: pageList{k: dirtyLink}}
+}
+
+func (q *queue) pushFront(pg *page) {
+	q.pages.pushFront(pg)
+	if pg.dirty {
+		q.dirty.pushFront(pg)
+	}
+}
+
+func (q *queue) remove(pg *page) {
+	q.pages.remove(pg)
+	if pg.dirty {
+		q.dirty.remove(pg)
+	}
+}
+
+func (q *queue) moveToFront(pg *page) {
+	q.pages.moveToFront(pg)
+	if pg.dirty {
+		q.dirty.moveToFront(pg)
+	}
+}
+
+// oldestClean returns the page nearest the back that is not dirty. The
+// dirty pages it steps over are those older than every clean page: at most
+// MaxDirty, and none in steady state, because the threshold flush cleans
+// from the same end.
+func (q *queue) oldestClean() *page {
+	pg := q.pages.back
+	for pg != nil && pg.dirty {
+		pg = pg.link[lruLink].prev
+	}
+	return pg
 }
 
 func (c *Cache) hitCost(n int) int64 {
@@ -462,7 +535,7 @@ func (c *Cache) Unmount(ctx *sim.Ctx) error {
 	var batch []writeback
 	var ferr error
 	for _, st := range c.files {
-		batch = append(batch, c.collectDirtyLocked(st)...)
+		batch = c.collectDirtyLocked(st, batch)
 		if st.flushErr != nil && ferr == nil {
 			ferr = st.takeErrLocked()
 		}
@@ -533,27 +606,41 @@ func (c *Cache) attrDropInoLocked(ino uint64) {
 	delete(c.attrsByIno, ino)
 }
 
-// --- page LRU (guarded by mu) ---
+// --- replacement (guarded by mu) ---
 
-// touchLocked makes pg the most recently used page, on both lists if it is
-// dirty: the dirty list must keep the LRU's relative order.
-func (c *Cache) touchLocked(pg *page) {
-	c.lru.moveToFront(pg)
-	if pg.dirty {
-		c.dirty.moveToFront(pg)
+func (c *Cache) queueOf(pg *page) *queue {
+	if pg.active {
+		return &c.active
 	}
+	return &c.inactive
 }
 
-// markDirtyLocked puts a clean page on the dirty list. The page must be at
-// the LRU front — just linked or just touched — which is what keeps the
-// dirty list a subsequence of the LRU in the same order: a page enters
-// both at the front, touchLocked moves it in both, and removing a page
-// from either leaves the order of the rest alone.
+func (c *Cache) pagesLocked() int { return c.inactive.pages.n + c.active.pages.n }
+func (c *Cache) dirtyLocked() int { return c.inactive.dirty.n + c.active.dirty.n }
+
+// touchLocked records a use of a cached page. The touch after the access
+// that linked it promotes an inactive page to the active front — a second
+// use is the evidence that a page is not part of a scan — and an active
+// page just becomes the most recently used one.
+func (c *Cache) touchLocked(pg *page) {
+	if pg.active {
+		c.active.moveToFront(pg)
+		return
+	}
+	c.inactive.remove(pg)
+	pg.active = true
+	c.active.pushFront(pg)
+	c.stats.Promotions++
+}
+
+// markDirtyLocked puts a clean page on its queue's dirty list. The page
+// must be at the front of that queue — just linked or just touched — or the
+// dirty list would stop being in the queue's order.
 func (c *Cache) markDirtyLocked(pg *page) {
 	if !pg.dirty {
 		pg.dirty = true
 		pg.st.dirty++
-		c.dirty.pushFront(pg)
+		c.queueOf(pg).dirty.pushFront(pg)
 	}
 }
 
@@ -561,7 +648,7 @@ func (c *Cache) markCleanLocked(pg *page) {
 	if pg.dirty {
 		pg.dirty = false
 		pg.st.dirty--
-		c.dirty.remove(pg)
+		c.queueOf(pg).dirty.remove(pg)
 	}
 }
 
@@ -584,26 +671,26 @@ func (c *Cache) frameLocked() *page {
 // list never holds memory a full cache would not have held anyway.
 func (c *Cache) releaseLocked(pg *page) {
 	pg.st = nil
-	if c.nfree+c.lru.n < c.cfg.MaxPages {
+	if c.nfree+c.pagesLocked() < c.cfg.MaxPages {
 		pg.link[lruLink].next = c.free
 		c.free = pg
 		c.nfree++
 	}
 }
 
-// linkLocked makes the frame pg the cached page (st, idx), most recently
-// used, evicting the least recently used clean pages when over MaxPages.
-// Dirty pages are never evicted — the dirty bound plus synchronous
-// threshold flushing keeps their count bounded separately. Evictions are
-// charged to the inserting thread's counters.
+// linkLocked makes the frame pg the cached page (st, idx) at the inactive
+// front — the one way a page enters the cache — evicting clean pages when
+// over MaxPages. Dirty pages are never evicted — the dirty bound plus
+// synchronous threshold flushing keeps their count bounded separately.
+// Evictions are charged to the inserting thread's counters.
 func (c *Cache) linkLocked(ctx *sim.Ctx, st *fileState, idx int64, pg *page) {
-	for c.lru.n >= c.cfg.MaxPages {
+	for c.pagesLocked() >= c.cfg.MaxPages {
 		if !c.evictOneLocked(ctx) {
 			break
 		}
 	}
 	pg.st, pg.idx = st, idx
-	c.lru.pushFront(pg)
+	c.inactive.pushFront(pg)
 	st.pages[idx] = pg
 }
 
@@ -616,26 +703,37 @@ func (c *Cache) insertPageLocked(ctx *sim.Ctx, st *fileState, idx int64) *page {
 	return pg
 }
 
-// evictOneLocked evicts the least recently used clean page. The dirty pages
-// it steps over are those older than every clean page: at most MaxDirty,
-// and none in steady state, because the threshold flush cleans from the
-// same end.
+// evictOneLocked evicts the oldest clean inactive page, or the least
+// recently used clean active page when every inactive page is dirty. First
+// it tops the inactive list up: under a quarter of MaxPages (2Q's share for
+// its probation queue) the least recently used active page is demoted to
+// the inactive front, where it has a quarter of the cache's insertions to
+// be touched again before it is the one to go. An active set that leaves
+// the inactive list its quarter is never demoted, so never evicted.
 func (c *Cache) evictOneLocked(ctx *sim.Ctx) bool {
-	for pg := c.lru.back; pg != nil; pg = pg.link[lruLink].prev {
-		if pg.dirty {
-			continue
-		}
-		c.removePageLocked(pg)
-		c.stats.Evictions++
-		ctx.Counters.CacheEvictions++
-		return true
+	if pg := c.active.pages.back; pg != nil && c.inactive.pages.n < c.cfg.MaxPages/4 {
+		c.active.remove(pg)
+		pg.active = false
+		c.inactive.pushFront(pg)
+		c.stats.Demotions++
 	}
-	return false
+	pg := c.inactive.oldestClean()
+	if pg == nil {
+		pg = c.active.oldestClean()
+	}
+	if pg == nil {
+		return false
+	}
+	c.removePageLocked(pg)
+	c.stats.Evictions++
+	ctx.Counters.CacheEvictions++
+	return true
 }
 
 func (c *Cache) unlinkLocked(pg *page) {
 	c.markCleanLocked(pg)
-	c.lru.remove(pg)
+	c.queueOf(pg).pages.remove(pg)
+	pg.active = false
 	c.releaseLocked(pg)
 }
 
@@ -663,20 +761,33 @@ type writeback struct {
 }
 
 // collectDirtyLocked clears the dirty mark on every dirty page of st and
-// returns their valid ranges in ascending offset order (so any holes the
-// server materialises match what direct pass-through writes would have
-// produced). Pages stay cached as clean copies.
-func (c *Cache) collectDirtyLocked(st *fileState) []writeback {
-	var out []writeback
+// appends their valid ranges to batch in ascending offset order (so any
+// holes the server materialises match what direct pass-through writes
+// would have produced). Pages stay cached as clean copies. A nil batch
+// starts a new one in the cache's scratch, so the caller holds flushMu
+// until the batch is written back; passing an earlier result back adds
+// another file's pages to the same write-back.
+func (c *Cache) collectDirtyLocked(st *fileState, batch []writeback) []writeback {
+	if batch == nil {
+		batch, c.wbData = c.wbBatch[:0], c.wbData[:0]
+	}
+	if room := st.dirty * PageSize; cap(c.wbData)-len(c.wbData) < room {
+		// Entries collected so far keep the array they point into.
+		c.wbData = make([]byte, 0, room)
+	}
+	first := len(batch)
 	for _, pg := range st.pages {
 		if !pg.dirty {
 			continue
 		}
 		c.markCleanLocked(pg)
-		out = append(out, c.extractLocked(pg, nil))
+		b := c.extractLocked(pg, c.wbData[len(c.wbData):])
+		c.wbData = c.wbData[:len(c.wbData)+len(b.data)]
+		batch = append(batch, b)
 	}
-	slices.SortFunc(out, func(a, b writeback) int { return cmp.Compare(a.off, b.off) })
-	return out
+	slices.SortFunc(batch[first:], func(a, b writeback) int { return cmp.Compare(a.off, b.off) })
+	c.wbBatch = batch
+	return batch
 }
 
 // extractLocked copies a page's valid range for write-back, into buf when
@@ -729,22 +840,33 @@ func (c *Cache) writeBack(ctx *sim.Ctx, batch []writeback) error {
 	if len(batch) > 0 {
 		ctx.Counters.CacheFlushes++
 	}
+	if cap(c.wbBatch) > maxKeptBatch {
+		c.wbBatch = nil
+	}
+	if cap(c.wbData) > maxKeptBatch*PageSize {
+		c.wbData = nil
+	}
 	return first
 }
 
-// flushExcess flushes oldest-first until the dirty set is back under
-// MaxDirty. Runs on the writer's clock: exceeding the dirty bound is what
-// makes write-back caching pay its device cost. The oldest dirty page is
-// the back of the dirty list — the page a scan of the LRU from its back
-// would meet first.
+// flushExcess flushes until the dirty set is back under MaxDirty. Runs on
+// the writer's clock: exceeding the dirty bound is what makes write-back
+// caching pay its device cost. Victims go in eviction's order — the oldest
+// dirty inactive page, which is the back of that queue's dirty list, and
+// the least recently used dirty active page only when no inactive page is
+// dirty — so a page written once leaves first and a page that is written
+// again and again stays dirty to absorb the next write.
 func (c *Cache) flushExcess(ctx *sim.Ctx) error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	var first error
 	for {
 		c.mu.Lock()
-		victim := c.dirty.back
-		if c.dirty.n <= c.cfg.MaxDirty || victim == nil {
+		victim := c.inactive.dirty.back
+		if victim == nil {
+			victim = c.active.dirty.back
+		}
+		if c.dirtyLocked() <= c.cfg.MaxDirty || victim == nil {
 			c.mu.Unlock()
 			return first
 		}
@@ -762,7 +884,7 @@ func (c *Cache) flushFile(ctx *sim.Ctx, st *fileState) error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.mu.Lock()
-	batch := c.collectDirtyLocked(st)
+	batch := c.collectDirtyLocked(st, nil)
 	c.mu.Unlock()
 	return c.writeBack(ctx, batch)
 }
@@ -784,7 +906,7 @@ func (c *Cache) revoked(ino uint64) {
 		return
 	}
 	st.mode = modeNone
-	batch := c.collectDirtyLocked(st)
+	batch := c.collectDirtyLocked(st, nil)
 	c.attrDropInoLocked(ino)
 	c.stats.Revokes++
 	c.flushCtx.Counters.CacheRevokes++

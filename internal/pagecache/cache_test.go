@@ -340,49 +340,65 @@ func TestDirtyBoundFlushes(t *testing.T) {
 // of the fault-campaign make target): a revoke arrives while the client
 // holds dirty pages, the write-back hits an uncorrectable media error, and
 // the failure must surface to the writer as EIO on its next operation —
-// never a silent drop.
+// never a silent drop — whichever operation that is: a write, or one the
+// cache otherwise passes straight through, like a Fallocate, which must
+// not move the size before the writer has seen the error.
 func TestPoisonedRevokeFlushSurfacesEIO(t *testing.T) {
 	lfs := newLeaseFS(t)
 	c := pagecache.New(lfs, pagecache.Config{})
 	ctx := sim.NewCtx(100, 0)
-
-	f, err := c.Create(ctx, "/f")
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
 	buf := make([]byte, pagecache.PageSize)
 	pattern(buf, 5)
-	if _, err := f.WriteAt(ctx, buf, 0); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if st := stats(t, c); st.DirtyPages != 1 {
-		t.Fatalf("DirtyPages = %d, want 1 before the revoke", st.DirtyPages)
-	}
 
-	// The file's media goes bad, then the server revokes the lease: the
-	// flush-and-invalidate write-back fails.
-	media := &pmem.MediaError{Off: 0, Len: pagecache.PageSize, Line: 0}
-	lfs.failWith(fmt.Errorf("%w: %v", vfs.ErrIO, media))
-	lfs.Revoke(f.Ino())
+	for round, next := range []struct {
+		name string
+		op   func(f vfs.File) error
+	}{
+		{"write", func(f vfs.File) error { _, err := f.WriteAt(ctx, buf, 0); return err }},
+		{"fallocate", func(f vfs.File) error { return f.Fallocate(ctx, 0, 8*pagecache.PageSize) }},
+		{"setxattr", func(f vfs.File) error { return f.SetXattr(ctx, "user.k", []byte("v")) }},
+	} {
+		f, err := c.Create(ctx, "/f")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if _, err := f.WriteAt(ctx, buf, 0); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if st := stats(t, c); st.DirtyPages != 1 {
+			t.Fatalf("DirtyPages = %d, want 1 before the revoke", st.DirtyPages)
+		}
 
-	st := stats(t, c)
-	if st.FlushErrors != 1 {
-		t.Fatalf("FlushErrors = %d, want 1", st.FlushErrors)
-	}
-	if st.DirtyPages != 0 || st.Pages != 0 {
-		t.Fatalf("revoke left cached pages behind: %+v", st)
-	}
-	// The writer's next operation observes EIO; it is not dropped.
-	if _, err := f.WriteAt(ctx, buf, 0); !errors.Is(err, vfs.ErrIO) {
-		t.Fatalf("write after failed revoke flush: err = %v, want EIO", err)
-	}
-	lfs.failWith(nil)
-	// The error was consumed; the file keeps working (pass-through now).
-	if _, err := f.WriteAt(ctx, buf, 0); err != nil {
-		t.Fatalf("write after surfacing the error: %v", err)
-	}
-	if err := f.Close(ctx); err != nil {
-		t.Fatalf("close: %v", err)
+		// The file's media goes bad, then the server revokes the lease: the
+		// flush-and-invalidate write-back fails.
+		media := &pmem.MediaError{Off: 0, Len: pagecache.PageSize, Line: 0}
+		lfs.failWith(fmt.Errorf("%w: %v", vfs.ErrIO, media))
+		lfs.Revoke(f.Ino())
+
+		st := stats(t, c)
+		if st.FlushErrors != int64(round+1) {
+			t.Fatalf("FlushErrors = %d, want %d", st.FlushErrors, round+1)
+		}
+		if st.DirtyPages != 0 || st.Pages != 0 {
+			t.Fatalf("revoke left cached pages behind: %+v", st)
+		}
+		// The writer's next operation observes EIO; it is not dropped, and
+		// the operation itself did not happen.
+		size := f.Size()
+		if err := next.op(f); !errors.Is(err, vfs.ErrIO) {
+			t.Fatalf("%s after failed revoke flush: err = %v, want EIO", next.name, err)
+		}
+		if f.Size() != size {
+			t.Fatalf("the refused %s moved the size from %d to %d", next.name, size, f.Size())
+		}
+		lfs.failWith(nil)
+		// The error was consumed; the file keeps working (pass-through now).
+		if err := next.op(f); err != nil {
+			t.Fatalf("%s after surfacing the error: %v", next.name, err)
+		}
+		if err := f.Close(ctx); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 	}
 }
 

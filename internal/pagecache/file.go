@@ -222,8 +222,8 @@ func (f *cachedFile) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 				c.linkLocked(ctx, f.st, idx, pg)
 			} else {
 				// Another goroutine of the session cached the page during
-				// the fetch. It is about to be dirtied, so it moves to the
-				// LRU front like any page written in place.
+				// the fetch. It is about to be dirtied, so it is touched
+				// like any page written in place.
 				c.releaseLocked(fr)
 				c.touchLocked(pg)
 			}
@@ -235,7 +235,7 @@ func (f *cachedFile) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		if cur+int64(chunk) > f.st.size {
 			f.st.size = cur + int64(chunk)
 		}
-		over := c.dirty.n > c.cfg.MaxDirty
+		over := c.dirtyLocked() > c.cfg.MaxDirty
 		c.mu.Unlock()
 		ctx.Advance(c.hitCost(chunk))
 		total += chunk
@@ -389,9 +389,21 @@ func (f *cachedFile) Truncate(ctx *sim.Ctx, size int64) error {
 	return nil
 }
 
+// takeErr surfaces the file's sticky write-back error, once.
+func (f *cachedFile) takeErr() error {
+	f.c.mu.Lock()
+	defer f.c.mu.Unlock()
+	return f.st.takeErrLocked()
+}
+
 // Fallocate implements vfs.File (pass-through; preallocation is a
-// server-side concern).
+// server-side concern). Like every call that changes the file it reports a
+// failed write-back first: the size must not move before the writer has
+// seen EIO.
 func (f *cachedFile) Fallocate(ctx *sim.Ctx, off, n int64) error {
+	if err := f.takeErr(); err != nil {
+		return err
+	}
 	if err := f.inner.Fallocate(ctx, off, n); err != nil {
 		return err
 	}
@@ -407,14 +419,10 @@ func (f *cachedFile) Fallocate(ctx *sim.Ctx, off, n int64) error {
 // Fsync implements vfs.File: every dirty page reaches the server, then the
 // server persists. A prior failed write-back surfaces here.
 func (f *cachedFile) Fsync(ctx *sim.Ctx) error {
-	c := f.c
-	c.mu.Lock()
-	err0 := f.st.takeErrLocked()
-	c.mu.Unlock()
-	if err0 != nil {
-		return err0
+	if err := f.takeErr(); err != nil {
+		return err
 	}
-	if err := c.flushFile(ctx, f.st); err != nil {
+	if err := f.c.flushFile(ctx, f.st); err != nil {
 		return err
 	}
 	return f.inner.Fsync(ctx)
@@ -428,8 +436,11 @@ func (f *cachedFile) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
 // Extents implements vfs.File.
 func (f *cachedFile) Extents() []mmu.Extent { return f.inner.Extents() }
 
-// SetXattr implements vfs.File.
+// SetXattr implements vfs.File; a failed write-back surfaces first.
 func (f *cachedFile) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
+	if err := f.takeErr(); err != nil {
+		return err
+	}
 	return f.inner.SetXattr(ctx, name, value)
 }
 
@@ -453,7 +464,7 @@ func (f *cachedFile) Close(ctx *sim.Ctx) error {
 	var batch []writeback
 	hadLease := st.mode != modeNone
 	if last {
-		batch = c.collectDirtyLocked(st)
+		batch = c.collectDirtyLocked(st, nil)
 		// Flush through this handle: it is the one still open.
 		for i := range batch {
 			batch[i].wf = f.inner

@@ -82,7 +82,7 @@ func (c *Cache) mapAttach(f *cachedFile) {
 	st := f.st
 	wasLeased := st.mode != modeNone
 	st.mode = modeNone
-	batch := c.collectDirtyLocked(st)
+	batch := c.collectDirtyLocked(st, nil)
 	c.attrDropInoLocked(st.ino)
 	c.mapped[st.ino]++
 	c.stats.MapBypasses++

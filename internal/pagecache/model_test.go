@@ -11,19 +11,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// refCache is the page cache as it was before the dirty list and the frame
-// free list: one slice in LRU order, most recently used first, and linear
-// scans from its tail — for the eviction victim and for the oldest dirty
-// page. It is single-threaded, has one handle per file and no attribute
-// cache; everything that decides which page is fetched, flushed or evicted
-// is kept. TestModelEquivalence replays one operation stream through it and
-// through the real cache and requires that they never differ.
+// refCache is the replacement policy written the obvious way: two slices,
+// inactive and active, each most recent first, and linear scans — to find a
+// page, for the eviction victim, for the oldest dirty page. It is
+// single-threaded, has one handle per file and no attribute cache;
+// everything that decides which page is fetched, promoted, demoted, flushed
+// or evicted is kept. TestModelEquivalence replays one operation stream
+// through it and through the real cache and requires that they never
+// differ.
 type refCache struct {
-	cfg      Config
-	flushCtx *sim.Ctx
-	lru      []*refPage
-	stats    Stats
-	evicted  []pageKey
+	cfg              Config
+	flushCtx         *sim.Ctx
+	inactive, active []*refPage
+	stats            Stats
 }
 
 type pageKey struct {
@@ -57,8 +57,12 @@ func (c *refCache) hitCost(n int) int64 {
 	return c.cfg.HitLatNS + int64(float64(n)*c.cfg.HitNSPerByte)
 }
 
+// all lists every cached page, inactive first; the order within a list is
+// what the scans below rely on, the order of the lists never matters.
+func (c *refCache) all() []*refPage { return slices.Concat(c.inactive, c.active) }
+
 func (c *refCache) find(ino uint64, idx int64) *refPage {
-	for _, pg := range c.lru {
+	for _, pg := range c.all() {
 		if pg.ino == ino && pg.idx == idx {
 			return pg
 		}
@@ -66,39 +70,62 @@ func (c *refCache) find(ino uint64, idx int64) *refPage {
 	return nil
 }
 
+// touch is the second-touch rule: an inactive page moves to the active
+// front, an active one to the front of its own list.
 func (c *refCache) touch(pg *refPage) {
-	i := slices.Index(c.lru, pg)
-	copy(c.lru[1:i+1], c.lru[:i])
-	c.lru[0] = pg
+	if i := slices.Index(c.active, pg); i >= 0 {
+		c.active = slices.Delete(c.active, i, i+1)
+	} else {
+		i := slices.Index(c.inactive, pg)
+		c.inactive = slices.Delete(c.inactive, i, i+1)
+		c.stats.Promotions++
+	}
+	c.active = slices.Insert(c.active, 0, pg)
 }
 
 func (c *refCache) insert(ctx *sim.Ctx, ino uint64, idx int64) *refPage {
-	for len(c.lru) >= c.cfg.MaxPages {
+	for len(c.inactive)+len(c.active) >= c.cfg.MaxPages {
 		if !c.evictOne(ctx) {
 			break
 		}
 	}
 	pg := &refPage{pageKey: pageKey{ino: ino, idx: idx}}
-	c.lru = slices.Insert(c.lru, 0, pg)
+	c.inactive = slices.Insert(c.inactive, 0, pg)
 	return pg
 }
 
-func (c *refCache) evictOne(ctx *sim.Ctx) bool {
-	for i := len(c.lru) - 1; i >= 0; i-- {
-		if pg := c.lru[i]; !pg.dirty {
-			c.lru = slices.Delete(c.lru, i, i+1)
-			c.evicted = append(c.evicted, pg.pageKey)
-			c.stats.Evictions++
-			ctx.Counters.CacheEvictions++
-			return true
+// oldest returns the position nearest the tail of the first list that
+// holds a page of the wanted dirtiness, inactive before active.
+func (c *refCache) oldest(dirty bool) (*[]*refPage, int) {
+	for _, list := range []*[]*refPage{&c.inactive, &c.active} {
+		for i := len(*list) - 1; i >= 0; i-- {
+			if (*list)[i].dirty == dirty {
+				return list, i
+			}
 		}
 	}
-	return false
+	return nil, -1
+}
+
+func (c *refCache) evictOne(ctx *sim.Ctx) bool {
+	if n := len(c.active); n > 0 && len(c.inactive) < c.cfg.MaxPages/4 {
+		c.inactive = slices.Insert(c.inactive, 0, c.active[n-1])
+		c.active = c.active[:n-1]
+		c.stats.Demotions++
+	}
+	list, i := c.oldest(false)
+	if list == nil {
+		return false
+	}
+	*list = slices.Delete(*list, i, i+1)
+	c.stats.Evictions++
+	ctx.Counters.CacheEvictions++
+	return true
 }
 
 func (c *refCache) dirtyTotal() int {
 	n := 0
-	for _, pg := range c.lru {
+	for _, pg := range c.all() {
 		if pg.dirty {
 			n++
 		}
@@ -107,7 +134,9 @@ func (c *refCache) dirtyTotal() int {
 }
 
 func (c *refCache) dropPages(ino uint64) {
-	c.lru = slices.DeleteFunc(c.lru, func(pg *refPage) bool { return pg.ino == ino })
+	gone := func(pg *refPage) bool { return pg.ino == ino }
+	c.inactive = slices.DeleteFunc(c.inactive, gone)
+	c.active = slices.DeleteFunc(c.active, gone)
 }
 
 type refWriteback struct {
@@ -123,7 +152,7 @@ func (f *refFile) extract(pg *refPage) refWriteback {
 
 func (f *refFile) collectDirty() []refWriteback {
 	var out []refWriteback
-	for _, pg := range f.c.lru {
+	for _, pg := range f.c.all() {
 		if pg.ino == f.ino && pg.dirty {
 			pg.dirty = false
 			out = append(out, f.extract(pg))
@@ -150,17 +179,13 @@ func (f *refFile) writeBack(ctx *sim.Ctx, batch []refWriteback) error {
 	return nil
 }
 
-// flushExcess is the scan the dirty list replaced: from the LRU tail,
-// through however many clean pages, to the oldest dirty one.
+// flushExcess is the scan the dirty lists replace: from the inactive tail,
+// through however many clean pages, to the oldest dirty one, and on to the
+// active list only when no inactive page is dirty.
 func (c *refCache) flushExcess(ctx *sim.Ctx, files map[uint64]*refFile) error {
 	for c.dirtyTotal() > c.cfg.MaxDirty {
-		var victim *refPage
-		for i := len(c.lru) - 1; i >= 0; i-- {
-			if c.lru[i].dirty {
-				victim = c.lru[i]
-				break
-			}
-		}
+		list, i := c.oldest(true)
+		victim := (*list)[i]
 		victim.dirty = false
 		f := files[victim.ino]
 		if err := f.writeBack(ctx, []refWriteback{f.extract(victim)}); err != nil {
@@ -379,13 +404,21 @@ func newModelSide(t *testing.T, files int, fileBytes int) *modelSide {
 	return s
 }
 
-// lruKeys lists the real cache's pages in LRU order, most recent first.
-func (c *Cache) lruKeys() []pageKey {
+// keys lists one of the real cache's queues, most recent first.
+func (c *Cache) keys(q *queue) []pageKey {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]pageKey, 0, c.lru.n)
-	for pg := c.lru.front; pg != nil; pg = pg.link[lruLink].next {
+	keys := make([]pageKey, 0, q.pages.n)
+	for pg := q.pages.front; pg != nil; pg = pg.link[lruLink].next {
 		keys = append(keys, pageKey{pg.st.ino, pg.idx, pg.dirty})
+	}
+	return keys
+}
+
+func refKeys(list []*refPage) []pageKey {
+	keys := make([]pageKey, len(list))
+	for i, pg := range list {
+		keys[i] = pg.pageKey
 	}
 	return keys
 }
@@ -399,18 +432,21 @@ func (c *Cache) lruKeys() []pageKey {
 //   - the same calls on the stub FS, in the same order — every fetch and,
 //     since a flush is a WriteAt, the same sequence of flushed (ino, page)
 //     pairs;
-//   - the same sequence of evicted (ino, page) pairs — the real cache's are
-//     the pages that left its LRU, oldest first — and the same number of
-//     evictions;
-//   - the same LRU order with the same dirty marks, the same Stats and
-//     virtual clock, and a clean CheckInvariant.
+//   - the same pages in the same order, with the same dirty marks, on the
+//     inactive and on the active list — so the same promotions, demotions
+//     and eviction victims;
+//   - the same Stats, the same virtual clock and counters, and a clean
+//     CheckInvariant.
 //
 // The cache is small enough (96 pages, 12 dirty) against the working set
-// (384 pages) that eviction and the threshold flush run all the time.
+// (384 pages) that eviction and the threshold flush run all the time, and
+// half the accesses go to a hot set the size of the cache, so that pages
+// are promoted, demoted and promoted again.
 func TestModelEquivalence(t *testing.T) {
 	const (
 		nFiles    = 6
 		filePages = 64
+		hotPages  = 16 // at the head of every file: 96 in all, the cache's size
 		ops       = 100_000
 	)
 	cfg := Config{MaxPages: 96, MaxDirty: 12}
@@ -442,22 +478,22 @@ func TestModelEquivalence(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		i := rng.Intn(nFiles)
 		rf, mf := realFiles[i], refFiles[i]
-		before := rc.lruKeys()
-		mc.evicted = mc.evicted[:0]
-		inserts := false // the operation may link pages, so may evict
 		var what string
 		var n1, n2 int
 		var err1, err2 error
 		switch k := rng.Intn(1000); {
 		case k < 500:
 			off, n := rng.Int63n(filePages*PageSize), 1+rng.Intn(maxIO)
-			what, inserts = fmt.Sprintf("read f%d [%d,+%d)", i, off, n), true
+			if rng.Intn(2) == 0 {
+				off %= hotPages * PageSize
+			}
+			what = fmt.Sprintf("read f%d [%d,+%d)", i, off, n)
 			n1, err1 = rf.ReadAt(real.ctx, rbuf1[:n], off)
 			n2, err2 = mf.readAt(ref.ctx, rbuf2[:n], off)
 			if !bytes.Equal(rbuf1[:n1], rbuf2[:n2]) {
 				t.Fatalf("op %d %s: bytes differ", op, what)
 			}
-		case k < 900:
+		case k < 930:
 			off, n := rng.Int63n((filePages-3)*PageSize), 1+rng.Intn(maxIO)
 			if rng.Intn(2) == 0 { // whole pages: the path that fetches nothing
 				off, n = off/PageSize*PageSize, PageSize
@@ -465,10 +501,13 @@ func TestModelEquivalence(t *testing.T) {
 			for j := range wbuf[:n] {
 				wbuf[j] = byte(op + j*3)
 			}
-			what, inserts = fmt.Sprintf("write f%d [%d,+%d)", i, off, n), true
+			if rng.Intn(2) == 0 {
+				off %= hotPages * PageSize
+			}
+			what = fmt.Sprintf("write f%d [%d,+%d)", i, off, n)
 			n1, err1 = rf.WriteAt(real.ctx, wbuf[:n], off)
 			n2, err2 = mf.writeAt(ref.ctx, wbuf[:n], off, refByIno)
-		case k < 920:
+		case k < 950:
 			n := 1 + rng.Intn(PageSize+PageSize/2)
 			if mf.inner.Size()+int64(n) > filePages*PageSize {
 				continue
@@ -476,17 +515,17 @@ func TestModelEquivalence(t *testing.T) {
 			for j := range wbuf[:n] {
 				wbuf[j] = byte(op*5 + j)
 			}
-			what, inserts = fmt.Sprintf("append f%d +%d", i, n), true
+			what = fmt.Sprintf("append f%d +%d", i, n)
 			n1, err1 = rf.Append(real.ctx, wbuf[:n])
 			n2, err2 = mf.append(ref.ctx, wbuf[:n])
-		case k < 960:
+		case k < 988:
 			what = fmt.Sprintf("fsync f%d", i)
 			err1, err2 = rf.Fsync(real.ctx), mf.fsync(ref.ctx)
-		case k < 970:
+		case k < 993:
 			what = fmt.Sprintf("revoke f%d", i)
 			real.fs.Revoke(mf.ino)
 			mf.revoked()
-		case k < 990:
+		case k < 998:
 			what = fmt.Sprintf("close+reopen f%d", i)
 			err1, err2 = rf.Close(real.ctx), mf.close(ref.ctx)
 			reopen(i)
@@ -503,85 +542,92 @@ func TestModelEquivalence(t *testing.T) {
 		}
 		logged = len(real.log)
 
-		after := rc.lruKeys()
-		if len(after) != len(mc.lru) {
-			t.Fatalf("op %d %s: real cache holds %d pages, model %d", op, what, len(after), len(mc.lru))
-		}
-		for j, pg := range mc.lru {
-			if after[j] != pg.pageKey {
-				t.Fatalf("op %d %s: LRU position %d: real %+v, model %+v", op, what, j, after[j], pg.pageKey)
-			}
-		}
-		if inserts {
-			// Pages leave the LRU of such an operation only by eviction,
-			// and eviction takes them from the back. A page evicted by one
-			// chunk of the operation and linked again by a later one is in
-			// both snapshots; it is covered by the eviction count in Stats
-			// and by the LRU comparison above.
-			gone := func(k pageKey) bool {
-				return !slices.ContainsFunc(after, func(a pageKey) bool { return a.ino == k.ino && a.idx == k.idx })
-			}
-			var evicted, modelEvicted []pageKey
-			for j := len(before) - 1; j >= 0; j-- {
-				if k := before[j]; gone(k) {
-					k.dirty = false // dirty before the operation, flushed within it
-					evicted = append(evicted, k)
-				}
-			}
-			for _, k := range mc.evicted {
-				if gone(k) {
-					modelEvicted = append(modelEvicted, k)
-				}
-			}
-			if !slices.Equal(evicted, modelEvicted) {
-				t.Fatalf("op %d %s: real evicted %v, model %v", op, what, evicted, modelEvicted)
+		for _, l := range []struct {
+			name        string
+			real, model []pageKey
+		}{
+			{"inactive", rc.keys(&rc.inactive), refKeys(mc.inactive)},
+			{"active", rc.keys(&rc.active), refKeys(mc.active)},
+		} {
+			if !slices.Equal(l.real, l.model) {
+				t.Fatalf("op %d %s: %s list differs:\nreal  %+v\nmodel %+v", op, what, l.name, l.real, l.model)
 			}
 		}
 		if err := rc.CheckInvariant(); err != nil {
 			t.Fatalf("op %d %s: %v", op, what, err)
 		}
-		mc.stats.Pages, mc.stats.DirtyPages = len(mc.lru), mc.dirtyTotal()
+		mc.stats.Pages, mc.stats.ActivePages, mc.stats.DirtyPages = len(mc.inactive)+len(mc.active), len(mc.active), mc.dirtyTotal()
 		if got := rc.Stats(); got != mc.stats {
 			t.Fatalf("op %d %s: stats differ:\nreal  %+v\nmodel %+v", op, what, got, mc.stats)
 		}
 		if real.ctx.Now() != ref.ctx.Now() || *real.ctx.Counters != *ref.ctx.Counters {
 			t.Fatalf("op %d %s: virtual clock or counters differ: %d vs %d", op, what, real.ctx.Now(), ref.ctx.Now())
 		}
-	}
-	if *rc.flushCtx.Counters != *mc.flushCtx.Counters {
-		t.Fatalf("revoke-flush counters differ")
-	}
-	st := rc.Stats()
-	if st.Evictions < 10_000 || st.FlushedBytes < 10_000*PageSize/2 || st.Revokes < 500 {
-		t.Fatalf("stream exercised too little: %+v", st)
-	}
-	t.Logf("%d ops: %d hits, %d misses, %d evictions, %d KiB flushed, %d revokes, %d stub FS calls",
-		ops, st.Hits, st.Misses, st.Evictions, st.FlushedBytes>>10, st.Revokes, len(real.log))
-}
-
-// TestCheckInvariantDetectsDisorder breaks the one property the O(1)
-// threshold flush rests on — dirty list in LRU order — and expects the
-// checker to say so.
-func TestCheckInvariantDetectsDisorder(t *testing.T) {
-	s := newModelSide(t, 1, 4*PageSize)
-	c := New(s.fs, Config{})
-	f, err := c.Open(s.ctx, "/f0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, PageSize)
-	for i := int64(0); i < 3; i++ {
-		if _, err := f.WriteAt(s.ctx, page, i*PageSize); err != nil {
-			t.Fatal(err)
+		if rc.flushCtx.Now() != mc.flushCtx.Now() || *rc.flushCtx.Counters != *mc.flushCtx.Counters {
+			t.Fatalf("op %d %s: revoke-flush clock or counters differ: %d vs %d", op, what, rc.flushCtx.Now(), mc.flushCtx.Now())
 		}
 	}
-	if err := c.CheckInvariant(); err != nil {
-		t.Fatalf("intact cache: %v", err)
+	st := rc.Stats()
+	if st.Evictions < 10_000 || st.FlushedBytes < 10_000*PageSize/2 || st.Revokes < 300 || st.Promotions < 10_000 || st.Demotions < 1_000 {
+		t.Fatalf("stream exercised too little: %+v", st)
 	}
-	c.mu.Lock()
-	c.dirty.moveToFront(c.dirty.back) // the oldest dirty page now claims to be the newest
-	c.mu.Unlock()
-	if err := c.CheckInvariant(); err == nil {
-		t.Fatal("dirty list out of LRU order went undetected")
+	t.Logf("%d ops: %d hits, %d misses, %d promotions, %d demotions, %d evictions, %d KiB flushed, %d revokes, %d stub FS calls",
+		ops, st.Hits, st.Misses, st.Promotions, st.Demotions, st.Evictions, st.FlushedBytes>>10, st.Revokes, len(real.log))
+}
+
+// TestCheckInvariantDetectsDisorder breaks, one at a time, the properties
+// the O(1) victim choices rest on and expects the checker to name each: a
+// dirty list out of its queue's order, a page filed on the queue its flag
+// does not name, and a dirty page on the other queue's dirty list.
+func TestCheckInvariantDetectsDisorder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		harm func(c *Cache)
+	}{
+		{"dirty list out of order", func(c *Cache) {
+			c.inactive.dirty.moveToFront(c.inactive.dirty.back) // the oldest dirty page now claims to be the newest
+		}},
+		{"misfiled page", func(c *Cache) {
+			pg := c.inactive.pages.back
+			c.markCleanLocked(pg)
+			c.inactive.pages.remove(pg) // on the active queue, still flagged inactive
+			c.active.pages.pushFront(pg)
+		}},
+		{"dirty page on the other queue's dirty list", func(c *Cache) {
+			pg := c.active.dirty.back
+			c.active.dirty.remove(pg)
+			c.inactive.dirty.pushFront(pg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newModelSide(t, 1, 4*PageSize)
+			c := New(s.fs, Config{})
+			f, err := c.Open(s.ctx, "/f0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pages 0-2 dirty on the inactive queue, page 3 dirty on the
+			// active one.
+			page := make([]byte, PageSize)
+			for _, i := range []int64{0, 1, 2, 3, 3} {
+				if _, err := f.WriteAt(s.ctx, page, i*PageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.CheckInvariant(); err != nil {
+				t.Fatalf("intact cache: %v", err)
+			}
+			if st := c.Stats(); st.ActivePages != 1 || st.DirtyPages != 4 {
+				t.Fatalf("set-up: %+v, want 1 active page and 4 dirty", st)
+			}
+			c.mu.Lock()
+			tc.harm(c)
+			c.mu.Unlock()
+			err = c.CheckInvariant()
+			if err == nil {
+				t.Fatal("went undetected")
+			}
+			t.Log(err)
+		})
 	}
 }
