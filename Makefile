@@ -174,10 +174,13 @@ serve-smoke:
 # The 1000-seed media-fault campaign (runs spread across host cores by
 # sim.ParallelRunner; every other run mounts tiered and tears migration
 # transactions) plus every poison/torn-write test, including the
-# page-cache revoke-flush EIO path and the relocate crash sweep (defrag,
-# tier and rewrite movers torn at every fence epoch).
+# page-cache revoke-flush EIO path, the relocate crash sweep (defrag,
+# tier and rewrite movers torn at every fence epoch) and the one-reader
+# verdict tests (TestImageVerdictsAgree: one corruption per on-media
+# structure, Mount, Check and Repair held to one verdict;
+# TestImageFuzzVerdictsAgree: the same over 600 seeded byte flips).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

@@ -44,7 +44,6 @@ func main() {
 	doRecover := flag.Bool("recover", false, "run journal recovery before checking")
 	doRepair := flag.Bool("repair", false, "run the offline repairing fsck before checking")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	cpus := flag.Int("cpus", 8, "CPUs the image was formatted with")
 	flag.Parse()
 	if *img == "" {
 		flag.Usage()
@@ -70,7 +69,7 @@ func main() {
 	degradedReason := ""
 	if *doRecover {
 		ctx := sim.NewCtx(1, 0)
-		fs, err := winefs.Mount(ctx, dev, winefs.Options{CPUs: *cpus})
+		fs, err := winefs.Mount(ctx, dev, winefs.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fsck: recovery mount failed: %v\n", err)
 			os.Exit(1)

@@ -179,8 +179,8 @@ func covOr1(huge, total int) float64 {
 	return float64(huge) / float64(total)
 }
 
-// runDefragInterference mirrors the §4 experiment (internal/experiments
-// Defrag) with the full online defragmenter as the background thread: a
+// runDefragInterference is the §4 experiment (workloads.RunInterference)
+// with the full online defragmenter as the background thread: a
 // pre-faulted foreground mapping sweeps while the maintenance thread
 // migrates and rewrites a fragmented victim, and the foreground's
 // bandwidth loss is measured against an uncontended baseline.
@@ -191,84 +191,11 @@ func runDefragInterference(maker fstest.Maker, cpus int, devSize, fgSize, vicSiz
 	if err != nil {
 		return v, err
 	}
-	wfs := fs.(*winefs.FS)
-
-	// Foreground file: aligned, mapped, pre-faulted.
-	fg, err := fs.Create(ctx, "/foreground")
-	if err != nil {
-		return v, err
-	}
-	if err := fg.Fallocate(ctx, 0, fgSize); err != nil {
-		return v, err
-	}
-	fgMap, err := fg.Mmap(ctx, fgSize)
-	if err != nil {
-		return v, err
-	}
-	if err := fgMap.Prefault(ctx); err != nil {
-		return v, err
-	}
-
-	// Victim file: fragmented (built from small writes), large; mapping
-	// it queues the reactive rewrite the defragmenter will drain.
-	vic, err := fs.Create(ctx, "/victim")
-	if err != nil {
-		return v, err
-	}
-	chunk := make([]byte, 64<<10)
-	for off := int64(0); off < vicSize; off += int64(len(chunk)) {
-		if _, err := vic.WriteAt(ctx, chunk, off); err != nil {
-			return v, err
-		}
-	}
-	if _, err := vic.Mmap(ctx, vicSize); err != nil {
-		return v, err
-	}
-
-	read := func(c *sim.Ctx) (float64, error) {
-		start := c.Now()
-		passes := int64(3)
-		for p := int64(0); p < passes; p++ {
-			if err := fgMap.Touch(c, 0, fgSize, false); err != nil {
-				return 0, err
-			}
-		}
-		return float64(fgSize*passes) / float64(c.Now()-start), nil
-	}
-
-	// Baseline: foreground alone, starting after every setup booking.
-	bctx := sim.NewCtx(100, 0)
-	bctx.AdvanceTo(ctx.Now())
-	base, err := read(bctx)
-	if err != nil {
-		return v, err
-	}
-
-	// Contended: the defragmenter and the foreground reads share the
-	// same virtual-time window, starting together. The maintenance
-	// thread's device-port occupations are booked first; the foreground
-	// reads weave into the remaining gaps — unthrottled those gaps are
-	// the §4 25-40% loss, paced they are bounded by the duty cycle.
-	bg := sim.NewCtx(101, cpus-1)
-	bg.AdvanceTo(bctx.Now())
-	r := defrag.New(wfs, defrag.Config{Budget: budget, MaxPasses: 1})
-	st, err := r.Run(bg)
-	if err != nil {
-		return v, err
-	}
-	fgc := sim.NewCtx(102, 0)
-	fgc.AdvanceTo(bctx.Now())
-	cont, err := read(fgc)
-	if err != nil {
-		return v, err
-	}
-
-	v.Rewrites = int64(st.Rewrites)
-	v.MigratedBlocks = st.MigratedBlocks
-	v.BaselineBW = base
-	v.ContendedBW = cont
-	if base > 0 {
-		v.SlowdownPct = (1 - cont/base) * 100
-	}
-	return v, nil
+	r, err := workloads.RunInterference(ctx, fs, cpus, fgSize, vicSize, func(bg *sim.Ctx) error {
+		st, err := defrag.New(fs.(*winefs.FS), defrag.Config{Budget: budget, MaxPasses: 1}).Run(bg)
+		v.Rewrites, v.MigratedBlocks = int64(st.Rewrites), st.MigratedBlocks
+		return err
+	})
+	v.BaselineBW, v.ContendedBW, v.SlowdownPct = r.BaselineBW, r.ContendedBW, r.SlowdownPct
+	return v, err
 }

@@ -242,7 +242,11 @@ func main() {
 			Title:  "Figure 8: P-ART lookup latency (ns), pre-faulted pool",
 			Header: []string{"fs", "median", "p90", "p99"},
 		}
-		for fs, h := range res.Hist {
+		for _, fs := range experiments.MmapGroup() {
+			h, ok := res.Hist[fs]
+			if !ok {
+				continue
+			}
 			t.Rows = append(t.Rows, []string{fs,
 				fmt.Sprintf("%d", h.Median()),
 				fmt.Sprintf("%d", h.Quantile(0.9)),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/winefs"
+	"repro/internal/workloads"
 )
 
 // RecoveryResult is one point of the §5.2 recovery-time experiment.
@@ -86,95 +87,25 @@ type DefragResult struct {
 	FilesRewritten int
 }
 
-// Defrag reproduces the §4 experiment: "we read a fragmented 5GB file and
-// rewrote it with aligned extents. In parallel, we also ran a foreground
-// workload that performed memory-mapped reads on another file. We observed
-// a slowdown of 25-40%". Here the rewriter is WineFS's reactive-rewrite
-// background thread, competing for device bandwidth with a foreground
-// mmap reader in virtual time.
+// Defrag reproduces the §4 experiment (workloads.RunInterference) with
+// WineFS's reactive-rewrite background thread as the rewriter, competing
+// for device bandwidth with a foreground mmap reader in virtual time.
 func Defrag(cfg Config) (*DefragResult, error) {
 	cfg = cfg.Defaults()
 	fs, _, ctx, err := cfg.newFS("WineFS")
 	if err != nil {
 		return nil, err
 	}
-	wfs := fs.(*winefs.FS)
-
-	// Foreground file: aligned, mapped, pre-faulted.
-	fgSize := cfg.scale(16<<20, 64<<20)
-	fg, err := fs.Create(ctx, "/foreground")
+	res := &DefragResult{}
+	r, err := workloads.RunInterference(ctx, fs, cfg.CPUs, cfg.scale(16<<20, 64<<20), cfg.scale(32<<20, 160<<20),
+		func(bg *sim.Ctx) error {
+			res.FilesRewritten = fs.(*winefs.FS).RunRewriter(bg)
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	if err := fg.Fallocate(ctx, 0, fgSize); err != nil {
-		return nil, err
-	}
-	fgMap, err := fg.Mmap(ctx, fgSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := fgMap.Prefault(ctx); err != nil {
-		return nil, err
-	}
-
-	// Victim file: fragmented (built from small writes), large.
-	vicSize := cfg.scale(32<<20, 160<<20)
-	vic, err := fs.Create(ctx, "/victim")
-	if err != nil {
-		return nil, err
-	}
-	chunk := make([]byte, 64<<10)
-	for off := int64(0); off < vicSize; off += int64(len(chunk)) {
-		if _, err := vic.WriteAt(ctx, chunk, off); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := vic.Mmap(ctx, vicSize); err != nil { // queues the rewrite
-		return nil, err
-	}
-
-	read := func(c *sim.Ctx) (float64, error) {
-		start := c.Now()
-		passes := int64(3)
-		for p := int64(0); p < passes; p++ {
-			if err := fgMap.Touch(c, 0, fgSize, false); err != nil {
-				return 0, err
-			}
-		}
-		return float64(fgSize*passes) / float64(c.Now()-start), nil
-	}
-
-	// Baseline: foreground alone, starting after every setup booking.
-	bctx := sim.NewCtx(100, 0)
-	bctx.AdvanceTo(ctx.Now())
-	base, err := read(bctx)
-	if err != nil {
-		return nil, err
-	}
-
-	// Contended: the rewriter (background thread) and the foreground reads
-	// share the same virtual-time window, starting together. The rewriter's
-	// device-port occupations are booked first; the foreground reads then
-	// weave into the remaining gaps — i.e. the background defragmentation
-	// steals bandwidth from the foreground, as in §4.
-	bg := sim.NewCtx(101, cfg.CPUs-1)
-	bg.AdvanceTo(bctx.Now())
-	rewritten := wfs.RunRewriter(bg)
-	fgc := sim.NewCtx(102, 0)
-	fgc.AdvanceTo(bctx.Now())
-	cont, err := read(fgc)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &DefragResult{
-		BaselineGBs:    base,
-		WithDefragGBs:  cont,
-		FilesRewritten: rewritten,
-	}
-	if base > 0 {
-		res.SlowdownPct = (1 - cont/base) * 100
-	}
+	res.BaselineGBs, res.WithDefragGBs, res.SlowdownPct = r.BaselineBW, r.ContendedBW, r.SlowdownPct
 	return res, nil
 }
 

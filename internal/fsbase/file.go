@@ -2,6 +2,7 @@ package fsbase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alloc"
@@ -551,15 +552,25 @@ func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
 		return false
 	}
 	n := f.node
+	// Only the extents overlapping the range can change: the list is sorted
+	// and disjoint, so they are one run [i, j), found by binary search, and
+	// the rest of a list of thousands is left where it is.
+	i := sort.Search(len(n.extents), func(k int) bool { return n.extents[k].FileBlk+n.extents[k].Len > blk })
+	j := i
 	zero := false
+	for ; j < len(n.extents) && n.extents[j].FileBlk < blk+count; j++ {
+		zero = zero || n.extents[j].Unwritten
+	}
+	if !zero {
+		return false
+	}
 	var out []Ext
-	for _, e := range n.extents {
+	for _, e := range n.extents[i:j] {
 		eEnd := e.FileBlk + e.Len
-		if !e.Unwritten || eEnd <= blk || e.FileBlk >= blk+count {
+		if !e.Unwritten {
 			out = append(out, e)
 			continue
 		}
-		zero = true
 		ovS, ovE := max64(e.FileBlk, blk), min64(eEnd, blk+count)
 		if e.FileBlk < ovS {
 			out = append(out, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: ovS - e.FileBlk, Unwritten: true})
@@ -569,11 +580,9 @@ func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
 			out = append(out, Ext{FileBlk: ovE, Blk: e.Blk + (ovE - e.FileBlk), Len: eEnd - ovE, Unwritten: true})
 		}
 	}
-	if zero {
-		n.extents = out
-		n.gen++
-	}
-	return zero
+	n.extents = slices.Replace(n.extents, i, j, out...)
+	n.gen++
+	return true
 }
 
 func max64(a, b int64) int64 {

@@ -398,6 +398,9 @@ func (fs *FS) Rmdir(ctx *sim.Ctx, path string) error {
 // Rename implements vfs.FS.
 func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	ctx.Syscall(fs.model.SyscallNS)
+	if vfs.IntoOwnSubtree(oldPath, newPath) {
+		return vfs.ErrInvalid
+	}
 	oldParent, oldName, err := fs.resolveParent(ctx, oldPath)
 	if err != nil {
 		return err

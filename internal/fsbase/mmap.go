@@ -1,6 +1,8 @@
 package fsbase
 
 import (
+	"sort"
+
 	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -48,16 +50,20 @@ func (f *File) MsyncRange(ctx *sim.Ctx, off, n int64) error {
 	startBlk := off / BlockSize
 	endBlk := (off + n + BlockSize - 1) / BlockSize
 	node.mu.RLock()
-	for _, e := range node.extents {
+	// The list is sorted and disjoint: start at the first extent that ends
+	// past startBlk, stop at the first that begins at or past endBlk.
+	exts := node.extents
+	first := sort.Search(len(exts), func(i int) bool { return exts[i].FileBlk+exts[i].Len > startBlk })
+	for _, e := range exts[first:] {
+		if e.FileBlk >= endBlk {
+			break
+		}
 		lo, hi := e.FileBlk, e.FileBlk+e.Len
 		if lo < startBlk {
 			lo = startBlk
 		}
 		if hi > endBlk {
 			hi = endBlk
-		}
-		if lo >= hi {
-			continue
 		}
 		fs.dev.Flush(ctx, (e.Blk+lo-e.FileBlk)*BlockSize, (hi-lo)*BlockSize)
 	}

@@ -2,6 +2,7 @@ package fstest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/winefs"
 )
 
 // forAll runs fn against every file system implementation.
@@ -110,6 +112,31 @@ func TestConformanceNamespace(t *testing.T) {
 		}
 		if _, err := fs.Stat(ctx, "/a/b/c"); err != vfs.ErrNotExist {
 			t.Fatalf("stat moved: %v", err)
+		}
+		// A rename onto itself succeeds and changes nothing; one of a
+		// directory into its own subtree is refused and detaches nothing.
+		if err := fs.Rename(ctx, "/a/c2", "/a/c2"); err != nil {
+			t.Fatalf("rename onto itself: %v", err)
+		}
+		if fi, err := fs.Stat(ctx, "/a/c2"); err != nil || fi.IsDir {
+			t.Fatalf("stat after rename onto itself: %+v, %v", fi, err)
+		}
+		if err := fs.Rename(ctx, "/a/missing", "/a/missing"); err != vfs.ErrNotExist {
+			t.Fatalf("rename of a missing file onto itself: %v", err)
+		}
+		if err := fs.Rename(ctx, "/a", "/a/b/a2"); !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("rename into own subtree: %v, want ErrInvalid", err)
+		}
+		if _, err := fs.Stat(ctx, "/a/b"); err != nil {
+			t.Fatalf("subtree after the refused rename: %v", err)
+		}
+		if w, ok := fs.(*winefs.FS); ok {
+			if err := w.Audit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if rep := winefs.Check(w.Device()); !rep.OK() {
+				t.Fatalf("fsck: %v", rep.Errors)
+			}
 		}
 		if err := fs.Rmdir(ctx, "/a/b"); err != nil {
 			t.Fatal(err)

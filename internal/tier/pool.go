@@ -11,9 +11,9 @@ import (
 // alloc.Pool index: first-fit from the region start, else gather from the
 // lowest extents (no TLB behind it, so contiguity is the only goal). Its
 // own are the lock, the region [start, end) of the file system's global
-// block space, and strictness: out-of-region, double free and mark-used of
-// non-free blocks all panic. Volatile — rebuilt from the inode extent scan
-// at every mount (winefs rebuildSlowPool), so no on-device free state.
+// block space, and strictness: out-of-region and double free panic.
+// Volatile — rebuilt from the inode extent scan at every mount (winefs
+// rebuildFromScan), so no on-device free state.
 type Pool struct {
 	mu         sync.Mutex
 	start, end int64
@@ -79,12 +79,13 @@ func (p *Pool) Free(start, length int64) {
 }
 
 // MarkUsed removes [start, start+length) from the free space (the mount's
-// replay of the inode extent scan). Panics unless all of it is free: out of
-// region, or two inodes claiming the same blocks — what Audit is for.
+// replay of the inode extent scan). The records come off the media: blocks
+// a second record claims are already gone and stay gone, as on the PM side
+// (alloc.Pool.Carve) — a cross-link is fsck's finding, and Audit's, not a
+// reason for a mount to panic. The mount's validator keeps records inside
+// the region.
 func (p *Pool) MarkUsed(start, length int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if length > 0 && !p.free.TakeAt(start, length) {
-		panic(fmt.Sprintf("tier: markUsed [%d,%d) not free in slow region [%d,%d)", start, start+length, p.start, p.end))
-	}
+	p.free.Carve(start, length)
 }

@@ -20,6 +20,9 @@ var (
 	ErrNotDir   = errors.New("vfs: not a directory")
 	ErrIsDir    = errors.New("vfs: is a directory")
 	ErrNotEmpty = errors.New("vfs: directory not empty")
+	// ErrInvalid is the EINVAL analogue: the arguments name something the
+	// operation cannot do, such as moving a directory into its own subtree.
+	ErrInvalid  = errors.New("vfs: invalid argument")
 	ErrNoSpace  = errors.New("vfs: no space left on device")
 	ErrClosed   = errors.New("vfs: file closed")
 	ErrReadOnly = errors.New("vfs: read-only")
@@ -223,6 +226,15 @@ func SplitParent(path string) (dir, name string, err error) {
 		return dir, name, ErrExist
 	}
 	return dir, name, nil
+}
+
+// IntoOwnSubtree reports whether newPath lies strictly below oldPath. A
+// rename of a directory to such a path would detach it from the root;
+// implementations refuse it with ErrInvalid. There are no symbolic links
+// and no hard links to directories, so the lexical test is exact.
+func IntoOwnSubtree(oldPath, newPath string) bool {
+	old := Clean(oldPath)
+	return old != "/" && strings.HasPrefix(Clean(newPath), old+"/")
 }
 
 // Clean normalises a path: ensures a leading slash, strips trailing

@@ -424,7 +424,7 @@ func (a *allocator) stats() (freeBlocks, alignedExtents int64) {
 // rebuild. The range must currently be free. Used-block reconstruction
 // feeds file extents back in via this.
 func (a *allocator) markUsed(start, length int64) {
-	// Slow-tier extents replay into the tier pool (crash-path rebuild).
+	// Slow-tier extents replay into the tier pool.
 	if t := a.fs.tier; t != nil && start >= t.base {
 		t.pool.MarkUsed(start, length)
 		return

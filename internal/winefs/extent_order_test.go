@@ -138,6 +138,10 @@ func TestExtentListOrderProperty(t *testing.T) {
 		}
 		return fmt.Sprint(s)
 	}
+	im, err := openImage(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var maxExtents int
 	for step := 0; step < steps; step++ {
 		tx := fs.begin(ctx, ino)
@@ -195,8 +199,12 @@ func TestExtentListOrderProperty(t *testing.T) {
 		}
 		var hdr [inoOffExtents]byte
 		dev.ReadAt(hdr[:], fs.g.inodeAddr(ino.ino))
-		loaded := &inode{fs: fs, ino: ino.ino}
-		fs.loadExtents(loaded, decodeInodeHeader(hdr[:]))
+		n := imageInode{ino: ino.ino, di: decodeInodeHeader(hdr[:])}
+		im.readExtents(&n)
+		if n.fault != nil {
+			t.Fatalf("step %d (%s): the walker faults on the media: %s", step, what, n.fault)
+		}
+		loaded := fs.loadInode(&n)
 		if onMedia := list(loaded.extents, loaded.slots); onMedia != got {
 			t.Fatalf("step %d (%s): the media decodes to a different list\nmedia %s\n DRAM %s", step, what, onMedia, got)
 		}

@@ -420,7 +420,7 @@ func (fs *FS) persistInode(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 // (and if tx != nil, extending) the indirect chain as needed.
 func (fs *FS) extSlotAddr(ctx *sim.Ctx, tx *mtx, ino *inode, slot int) (int64, error) {
 	if slot < InlineExtents {
-		return fs.g.inodeAddr(ino.ino) + inoOffExtents + int64(slot)*extentSize, nil
+		return fs.g.inlineExtentAddr(ino.ino, slot), nil
 	}
 	idx := slot - InlineExtents
 	chain := idx / extPerIndirect
@@ -624,7 +624,7 @@ func (m *mtx) abort(op string) {
 //
 // If the operation had chained, earlier links have committed and the
 // journal rollback stopped at the last seam (a chained operation is atomic
-// only link by link, ROADMAP item 6), so the media is brought the rest of
+// only link by link, ROADMAP item 5), so the media is brought the rest of
 // the way here: the restored image is written over it, in a transaction of
 // its own, before the taken blocks are freed. A crash in between finds
 // what a crash in the middle of the operation itself would have found. If
@@ -1077,6 +1077,9 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	if err := fs.writable(); err != nil {
 		return err
 	}
+	if vfs.IntoOwnSubtree(oldPath, newPath) {
+		return vfs.ErrInvalid
+	}
 	oldParent, oldName, err := fs.resolveParent(ctx, oldPath)
 	if err != nil {
 		return err
@@ -1106,6 +1109,9 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	moved := fs.getInode(de.ino)
 	if moved == nil {
 		return vfs.ErrNotExist
+	}
+	if oldParent == newParent && oldName == newName {
+		return nil // POSIX: renaming a file onto itself does nothing
 	}
 
 	// An existing target is replaced atomically (POSIX rename).

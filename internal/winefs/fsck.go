@@ -1,7 +1,6 @@
 package winefs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/pmem"
@@ -18,207 +17,127 @@ type CheckReport struct {
 	Dirs  int
 	// UsedBlocks is the number of data blocks referenced by live inodes.
 	UsedBlocks int64
+
+	// faults counts the errors that are walker faults (image.go): the ones
+	// a mount of the same image fails or degrades on.
+	faults int
 }
 
 func (r *CheckReport) errf(format string, args ...interface{}) {
 	r.Errors = append(r.Errors, fmt.Sprintf(format, args...))
 }
 
+// faultf records a walker fault.
+func (r *CheckReport) faultf(format string, args ...interface{}) {
+	r.faults++
+	r.errf(format, args...)
+}
+
 // OK reports whether the image passed all checks.
 func (r *CheckReport) OK() bool { return len(r.Errors) == 0 }
 
 // Check verifies the on-PM invariants of a WineFS image without mounting
-// it (the journal must already be quiescent or recovered):
+// it (the journal must already be quiescent or recovered). It is the
+// reporting policy over the image walker (image.go): every fault the walker
+// finds — the faults a mount degrades on — is an error, and so is what only
+// a whole-image view can see:
 //
-//   - the superblock is sane;
-//   - every live inode's extents lie inside the data area and no block is
-//     referenced twice;
-//   - directory entries reference live inodes;
-//   - every live non-root inode is referenced by at least one dirent, and
-//     link counts are consistent for files;
-//   - file sizes are consistent with the extent map (size covers at most
-//     the mapped range plus sparse holes).
+//   - a block referenced twice, by extents or indirect chains;
+//   - a directory entry that references no live inode;
+//   - a live non-root inode no dirent references, or a file whose link
+//     count differs from its references.
+//
+// An inode's list ends at its first fault, as it does for Mount and Repair:
+// the records past it are not examined.
 func Check(dev *pmem.Device) *CheckReport {
 	return CheckTiered(dev, 0)
 }
 
-// CheckTiered is Check for a tiered image: extent records may additionally
-// point into the slow region [slowBase, slowBase+slowBlocks), where
-// slowBase is totalBlocks rounded up to a hugepage boundary — the same
-// placement Mount computes. slowBlocks = 0 checks a pure-PM image.
+// CheckTiered is Check for a tiered image: the extent records of regular
+// files may additionally point into the slow region
+// [slowBase, slowBase+slowBlocks), where slowBase is totalBlocks rounded up
+// to a hugepage boundary — the same placement Mount computes. slowBlocks = 0
+// checks a pure-PM image.
 func CheckTiered(dev *pmem.Device, slowBlocks int64) *CheckReport {
 	r := &CheckReport{}
-	sbBuf := make([]byte, sbSize)
-	if err := dev.ReadAtChecked(sbBuf, 0); err != nil {
-		r.errf("superblock unreadable: %v", err)
+	im, err := openImage(dev, slowBlocks)
+	if err != nil {
+		r.faultf("%v", err)
 		return r
-	}
-	sb := decodeSuperblock(sbBuf)
-	if sb.magic != Magic {
-		r.errf("bad superblock magic %#x", sb.magic)
-		return r
-	}
-	if sb.totalBlocks*BlockSize > dev.Size() || sb.cpus <= 0 {
-		r.errf("superblock geometry invalid: blocks=%d cpus=%d", sb.totalBlocks, sb.cpus)
-		return r
-	}
-	g := makeGeometry(sb.totalBlocks, int(sb.cpus), sb.inodesPerCPU)
-	slowBase := (g.totalBlocks + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
-	inSlow := func(blk, length int64) bool {
-		return slowBlocks > 0 && blk >= slowBase && blk+length <= slowBase+slowBlocks
 	}
 
-	type inodeInfo struct {
-		ino     uint64
-		typ     uint8
-		size    int64
-		nlink   uint32
-		extents []wextent
-	}
-	inodes := map[uint64]*inodeInfo{}
+	inodes := map[uint64]*imageInode{}
 	blockOwner := map[int64]uint64{}
-
-	// Pass 1: inode tables.
-	for c := 0; c < int(sb.cpus); c++ {
-		base := g.inodeTableBase(c)
-		for s := int64(0); s < g.inodesPerCPU; s++ {
-			hdr := make([]byte, inoOffExtents)
-			if err := dev.ReadAtChecked(hdr, base+s*InodeSize); err != nil {
-				r.errf("ino cpu=%d slot=%d: unreadable: %v", c, s, err)
-				continue
-			}
-			di := decodeInodeHeader(hdr)
-			if di.magic != inodeMagic || di.typ == typeFree {
-				continue
-			}
-			if di.typ != typeFile && di.typ != typeDir {
-				r.errf("ino cpu=%d slot=%d: invalid type %d", c, s, di.typ)
-				continue
-			}
-			ino := g.inoFor(c, s)
-			info := &inodeInfo{ino: ino, typ: di.typ, size: di.size, nlink: di.nlink}
-			// Read extents (inline + indirect chain).
-			indirect := []int64{}
-			if di.indirect != 0 {
-				indirect = append(indirect, di.indirect)
-			}
-			buf := make([]byte, extentSize)
-			for i := 0; i < int(di.extCount); i++ {
-				var addr int64
-				if i < InlineExtents {
-					addr = g.inodeAddr(ino) + inoOffExtents + int64(i)*extentSize
-				} else {
-					idx := i - InlineExtents
-					chain := idx / extPerIndirect
-					for len(indirect) <= chain {
-						var pb [8]byte
-						last := indirect[len(indirect)-1]
-						if err := dev.CheckRange(last*BlockSize, 8); err != nil {
-							r.errf("ino %d: indirect pointer %d out of range", ino, last)
-							break
-						}
-						if err := dev.ReadAtChecked(pb[:], last*BlockSize); err != nil {
-							r.errf("ino %d: indirect block %d unreadable: %v", ino, last, err)
-							break
-						}
-						next := int64(binary.LittleEndian.Uint64(pb[:]))
-						if next == 0 {
-							r.errf("ino %d: broken indirect chain at record %d", ino, i)
-							break
-						}
-						indirect = append(indirect, next)
-					}
-					if len(indirect) <= chain {
-						break
-					}
-					addr = indirect[chain]*BlockSize + 8 + int64(idx%extPerIndirect)*extentSize
-				}
-				if err := dev.CheckRange(addr, extentSize); err != nil {
-					r.errf("ino %d: extent record %d out of range", ino, i)
-					break
-				}
-				if err := dev.ReadAtChecked(buf, addr); err != nil {
-					r.errf("ino %d: extent record %d unreadable: %v", ino, i, err)
-					break
-				}
-				e := decodeExtent(buf)
-				if e.length <= 0 {
-					r.errf("ino %d: extent %d has non-positive length %d", ino, i, e.length)
-					continue
-				}
-				if (e.blk < g.dataStart || e.blk+e.length > g.totalBlocks) && !inSlow(e.blk, e.length) {
-					r.errf("ino %d: extent %d [%d,%d) outside data area", ino, i, e.blk, e.blk+e.length)
-					continue
-				}
-				for b := e.blk; b < e.blk+e.length; b++ {
-					if owner, dup := blockOwner[b]; dup {
-						r.errf("block %d referenced by both ino %d and ino %d", b, owner, ino)
-					} else {
-						blockOwner[b] = ino
-						r.UsedBlocks++
-					}
-				}
-				info.extents = append(info.extents, e)
-			}
-			// Indirect blocks are owned storage too.
-			for _, ib := range indirect {
-				if owner, dup := blockOwner[ib]; dup {
-					r.errf("indirect block %d double-owned (also ino %d)", ib, owner)
-				} else {
-					blockOwner[ib] = ino
-					r.UsedBlocks++
-				}
-			}
-			inodes[ino] = info
-			if di.typ == typeDir {
-				r.Dirs++
+	claim := func(what string, ino uint64, blk, length int64) {
+		for b := blk; b < blk+length; b++ {
+			if owner, dup := blockOwner[b]; dup {
+				r.errf("%s %d referenced by both ino %d and ino %d", what, b, owner, ino)
 			} else {
-				r.Files++
+				blockOwner[b] = ino
+				r.UsedBlocks++
 			}
 		}
 	}
-	if inodes[1] == nil || inodes[1].typ != typeDir {
+
+	// Pass 1: inode tables.
+	im.walkInodes(func(n *imageInode) {
+		if n.fault != nil {
+			r.faultf("ino %d: %s", n.ino, n.fault)
+			if n.lost() {
+				return
+			}
+		}
+		for _, e := range n.extents {
+			claim("block", n.ino, e.blk, e.length)
+		}
+		// Indirect blocks are owned storage too.
+		for _, ib := range n.chain {
+			claim("indirect block", n.ino, ib, 1)
+		}
+		inodes[n.ino] = n
+		if n.di.typ == typeDir {
+			r.Dirs++
+		} else {
+			r.Files++
+		}
+	})
+	if inodes[1] == nil || inodes[1].di.typ != typeDir {
 		r.errf("root inode missing or not a directory")
 		return r
 	}
 
 	// Pass 2: directory entries.
 	refcount := map[uint64]int{}
-	for _, info := range inodes {
-		if info.typ != typeDir {
+	for _, dir := range inodes {
+		if dir.di.typ != typeDir {
 			continue
 		}
-		buf := make([]byte, BlockSize)
-		for _, e := range info.extents {
-			for b := e.blk; b < e.blk+e.length; b++ {
-				if err := dev.ReadAtChecked(buf, b*BlockSize); err != nil {
-					r.errf("dir %d: dirent block %d unreadable: %v", info.ino, b, err)
+		im.walkDirents(dir.extents, func(blk int64, ents []imageDirent, fault *imageFault) {
+			if fault != nil {
+				r.faultf("dir %d: %s", dir.ino, fault)
+				return
+			}
+			for _, de := range ents {
+				if !de.live {
 					continue
 				}
-				for off := int64(0); off < BlockSize; off += DirentSize {
-					child, name, valid := decodeDirent(buf[off : off+DirentSize])
-					if !valid || child == 0 {
-						continue
-					}
-					ci := inodes[child]
-					if ci == nil {
-						r.errf("dir %d: entry %q references dead ino %d", info.ino, name, child)
-						continue
-					}
-					refcount[child]++
+				if inodes[de.ino] == nil {
+					r.errf("dir %d: entry %q references dead ino %d", dir.ino, de.name, de.ino)
+					continue
 				}
+				refcount[de.ino]++
 			}
-		}
+		})
 	}
-	for ino, info := range inodes {
+	for ino, n := range inodes {
 		if ino == 1 {
 			continue
 		}
 		if refcount[ino] == 0 {
-			r.errf("ino %d (%s, size=%d) is orphaned", ino, typeName(info.typ), info.size)
+			r.errf("ino %d (%s, size=%d) is orphaned", ino, typeName(n.di.typ), n.di.size)
 		}
-		if info.typ == typeFile && refcount[ino] != int(info.nlink) {
-			r.errf("ino %d: nlink=%d but %d references", ino, info.nlink, refcount[ino])
+		if n.di.typ == typeFile && refcount[ino] != int(n.di.nlink) {
+			r.errf("ino %d: nlink=%d but %d references", ino, n.di.nlink, refcount[ino])
 		}
 	}
 	return r

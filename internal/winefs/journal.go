@@ -70,16 +70,22 @@ type journal struct {
 // No transaction is open when it is written (format, recovery, the wrap at
 // the top of start), so the entry scratch is free.
 func (j *journal) writeHeader(ctx *sim.Ctx, lastCommitted uint64) {
-	b := j.tx.scratch[:]
-	clear(b)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], entryMagic)
-	le.PutUint32(b[4:], j.wrap)
-	le.PutUint64(b[8:], uint64(j.tail))
-	le.PutUint64(b[16:], lastCommitted)
+	b := encodeJournalHeader(j.tx.scratch[:], j.wrap, j.tail, lastCommitted)
 	j.fs.dev.Write(ctx, b, j.base)
 	j.fs.dev.Flush(ctx, j.base, EntrySize)
 	ctx.Counters.JournalBytes += EntrySize
+}
+
+// encodeJournalHeader encodes into a caller-owned EntrySize buffer and
+// returns it.
+func encodeJournalHeader(b []byte, wrap uint32, tail int64, lastCommitted uint64) []byte {
+	clear(b)
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], entryMagic)
+	le.PutUint32(b[4:], wrap)
+	le.PutUint64(b[8:], uint64(tail))
+	le.PutUint64(b[16:], lastCommitted)
+	return b
 }
 
 func (j *journal) readHeader() (wrap uint32, tail int64, lastCommitted uint64, err error) {

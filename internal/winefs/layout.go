@@ -152,6 +152,12 @@ func (g *geometry) inodeAddr(ino uint64) int64 {
 	return g.inodeTableBase(cpu) + slot*InodeSize
 }
 
+// inlineExtentAddr returns the byte address of extent record slot (below
+// InlineExtents) inside ino's inode slot.
+func (g *geometry) inlineExtentAddr(ino uint64, slot int) int64 {
+	return g.inodeAddr(ino) + inoOffExtents + int64(slot)*extentSize
+}
+
 // inoFor composes an inode number from CPU and slot.
 func (g *geometry) inoFor(cpu int, slot int64) uint64 {
 	return uint64(int64(cpu)*g.inodesPerCPU+slot) + 1

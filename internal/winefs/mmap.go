@@ -1,6 +1,8 @@
 package winefs
 
 import (
+	"sort"
+
 	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -61,12 +63,16 @@ func (f *File) MsyncRange(ctx *sim.Ctx, off, n int64) error {
 	startBlk := off / BlockSize
 	endBlk := (off + n + BlockSize - 1) / BlockSize
 	ino.mu.RLock()
-	for _, e := range ino.extents {
+	// The list is sorted and disjoint: start at the first extent that ends
+	// past startBlk, stop at the first that begins at or past endBlk.
+	exts := ino.extents
+	first := sort.Search(len(exts), func(i int) bool { return exts[i].fileBlk+exts[i].length > startBlk })
+	for _, e := range exts[first:] {
+		if e.fileBlk >= endBlk {
+			break
+		}
 		lo := max64(e.fileBlk, startBlk)
 		hi := min64(e.fileBlk+e.length, endBlk)
-		if lo >= hi {
-			continue
-		}
 		fs.dev.Flush(ctx, (e.blk+lo-e.fileBlk)*BlockSize, (hi-lo)*BlockSize)
 	}
 	ino.mu.RUnlock()

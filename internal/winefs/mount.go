@@ -3,7 +3,6 @@ package winefs
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/alloc"
@@ -19,24 +18,25 @@ import (
 // the allocator is rebuilt by scanning the per-CPU inode tables in
 // parallel (§3.6, "Crash Recovery and unmount").
 func Mount(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
-	sbBuf := make([]byte, sbSize)
-	// A poisoned superblock is not survivable: without the geometry nothing
-	// else on the device can be located. Mount fails with EIO.
-	if err := dev.ReadAtChecked(sbBuf, 0); err != nil {
+	var slowBlocks int64
+	if opts.Tier != nil && opts.Tier.Slow != nil {
+		slowBlocks = opts.Tier.Slow.Size() / BlockSize
+	}
+	// A poisoned or invalid superblock is not survivable: without the
+	// geometry nothing else on the device can be located. Mount fails, with
+	// EIO if the media did.
+	im, err := openImage(dev, slowBlocks)
+	if err != nil {
 		return nil, mapDevErr(err)
 	}
-	sb := decodeSuperblock(sbBuf)
-	if sb.magic != Magic {
-		return nil, fmt.Errorf("winefs: bad superblock magic %#x", sb.magic)
-	}
-	dev.Read(ctx, sbBuf, 0) // charge the superblock read
+	dev.Read(ctx, make([]byte, sbSize), 0) // charge the superblock read
 
 	fs := &FS{
 		dev:    dev,
 		as:     mmu.NewAddressSpace(dev),
 		model:  dev.Model(),
 		mode:   opts.Mode,
-		g:      makeGeometry(sb.totalBlocks, int(sb.cpus), sb.inodesPerCPU),
+		g:      im.g,
 		locks:  vfs.NewLockTable(),
 		numaOn: opts.NUMAAware && dev.Nodes() > 1,
 		homes:  make(map[int]int),
@@ -45,7 +45,7 @@ func Mount(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs.shards = newShards(fs.g.cpus)
-	fs.nextTxID = sb.nextTxID
+	fs.nextTxID = im.sb.nextTxID
 	fs.alloc = newAllocator(fs)
 	for c := 0; c < fs.g.cpus; c++ {
 		j := &journal{fs: fs, cpu: c, base: fs.g.journalBase(c)}
@@ -55,30 +55,17 @@ func Mount(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
 		}
 	}
 
-	rebuiltFree := false
-	if !sb.clean {
+	if !im.sb.clean {
 		// Crash path: roll back in-flight transactions first, then rebuild
 		// everything from the (now consistent) inode tables.
 		fs.recoverJournals(ctx)
-		fs.rebuildFromScan(ctx, true)
-		rebuiltFree = true
+		fs.rebuildFromScan(ctx, im, true)
 	} else {
 		// Clean path: the DRAM structures are deserialised from the
 		// unmount area. (The host still walks the inode tables to build
 		// its in-memory namespace, but the virtual-time cost charged is
 		// the cheap freelist read — matching a real clean mount.)
-		if !fs.loadFreeState(ctx) {
-			fs.rebuildFromScan(ctx, true)
-			rebuiltFree = true
-		} else {
-			fs.rebuildFromScan(ctx, false)
-		}
-	}
-	// The slow-tier pool is DRAM-only: the free-rebuild path already
-	// replayed slow extents through the routed markUsed; a clean mount
-	// (PM freelist loaded, no free rebuild) replays them here.
-	if fs.tier != nil && !rebuiltFree {
-		fs.rebuildSlowPool()
+		fs.rebuildFromScan(ctx, im, !fs.loadFreeState(ctx))
 	}
 	// The mount is live: mark the superblock dirty so a crash triggers
 	// recovery. A degraded mount never writes — it serves reads only.
@@ -119,78 +106,81 @@ func (fs *FS) Unmount(ctx *sim.Ctx) error {
 // during the recovery scan.
 const inodeScanCost = 180
 
-// rebuildFromScan walks every per-CPU inode table, reconstructing the
-// DRAM inode cache, the directory indexes, and (when rebuildFree is true)
-// the allocator free lists and inode free lists. The per-CPU scans run in
-// parallel in virtual time: the charged cost is the maximum over CPUs.
-func (fs *FS) rebuildFromScan(ctx *sim.Ctx, rebuildFree bool) {
+// rebuildFromScan is the mount's policy over the image walker (image.go):
+// from what the walker reads it reconstructs the DRAM inode cache, the
+// directory indexes, and (when rebuildFree is true) the allocator free
+// lists and inode free lists. A fault degrades the mount to read-only:
+// what the walker did read stays usable — a file keeps the head of its
+// list and reads the lost tail as holes, a lost slot's inode is simply
+// absent — but what the fault hid is unknown, so nothing more is written.
+// The walker's reads cost no virtual time; the scan is priced here, per
+// slot examined, chain hop and record read, and the per-CPU scans run in
+// parallel: the charged cost is the maximum over CPUs.
+func (fs *FS) rebuildFromScan(ctx *sim.Ctx, im *image, rebuildFree bool) {
 	if rebuildFree {
 		fs.alloc.initEmpty()
 	}
 	fs.initInodeFree()
 
 	start := ctx.Now()
-	var maxCPUCost int64
-	for c := 0; c < fs.g.cpus; c++ {
-		var cpuCost int64
-		base := fs.g.inodeTableBase(c)
-		g := fs.alloc.groups[c]
-		for s := int64(0); s < fs.g.inodesPerCPU; s++ {
-			cpuCost += inodeScanCost
-			hdr := make([]byte, inoOffExtents)
-			if err := fs.dev.ReadAtChecked(hdr, base+s*InodeSize); err != nil {
+	cpuCost := make([]int64, fs.g.cpus)
+	for c := range cpuCost {
+		cpuCost[c] = fs.g.inodesPerCPU * inodeScanCost
+	}
+	im.walkInodes(func(n *imageInode) {
+		if n.fault != nil {
+			fs.degrade("ino %d: %s", n.ino, n.fault)
+			if n.lost() {
 				// The slot may hold a live inode we can no longer prove
 				// anything about: degrade rather than guess.
-				fs.degrade("inode table cpu %d slot %d unreadable: %v", c, s, err)
-				continue
+				return
 			}
-			di := decodeInodeHeader(hdr)
-			if di.magic != inodeMagic || di.typ == typeFree {
-				continue
-			}
-			// Live inode: remove the slot from the free list.
-			for i, fslot := range g.inodeFree {
-				if fslot == s {
-					g.inodeFree = append(g.inodeFree[:i], g.inodeFree[i+1:]...)
-					break
-				}
-			}
-			inoNum := fs.g.inoFor(c, s)
-			ino := &inode{
-				fs:    fs,
-				ino:   inoNum,
-				typ:   di.typ,
-				flags: di.flags,
-				size:  di.size,
-				nlink: di.nlink,
-			}
-			if di.typ == typeDir {
-				ino.dir = newDirIndex()
-			}
-			cpuCost += fs.loadExtents(ino, di)
-			if rebuildFree {
-				for _, e := range ino.extents {
-					fs.alloc.markUsed(e.blk, e.length)
-				}
-				for _, blk := range ino.indirect {
-					fs.alloc.markUsed(blk, 1)
-				}
-			}
-			fs.putInode(ino)
 		}
-		if cpuCost > maxCPUCost {
-			maxCPUCost = cpuCost
+		fs.removeFreeIno(n.cpu, int64(n.ino-1)%fs.g.inodesPerCPU)
+		ino := fs.loadInode(n)
+		cpuCost[n.cpu] += int64(max(len(n.chain)-1, 0))*int64(fs.model.ReadLat64) +
+			int64(len(n.extents))*(int64(fs.model.ReadLat64)/4)
+		// The slow-tier pool is DRAM-only and starts every mount all free:
+		// slow extents replay into it (markUsed routes by tier) even when
+		// the PM free lists came from the unmount area.
+		for _, e := range ino.extents {
+			if rebuildFree || fs.isSlow(e.blk) {
+				fs.alloc.markUsed(e.blk, e.length)
+			}
 		}
-	}
+		if rebuildFree {
+			for _, blk := range ino.indirect {
+				fs.alloc.markUsed(blk, 1)
+			}
+		}
+		fs.putInode(ino)
+	})
 	// Parallel scan: total time = slowest CPU.
-	ctx.AdvanceTo(start + maxCPUCost)
+	ctx.AdvanceTo(start + slices.Max(cpuCost))
 
-	// Second pass: rebuild directory indexes from dirent blocks.
-	for _, ino := range fs.snapshotInodes() {
-		if ino.typ != typeDir {
+	// Second pass: rebuild each directory's DRAM red-black tree from its
+	// dirent blocks.
+	for _, dir := range fs.snapshotInodes() {
+		if dir.typ != typeDir {
 			continue
 		}
-		fs.loadDirIndex(ctx, ino)
+		im.walkDirents(dir.extents, func(blk int64, ents []imageDirent, fault *imageFault) {
+			ctx.Advance(int64(fs.model.ReadLat64))
+			if fault != nil {
+				// The entries in this block are unknowable: the namespace may
+				// be missing files, so the mount is read-only from here on.
+				fs.degrade("dir %d: %s", dir.ino, fault)
+				return
+			}
+			for _, de := range ents {
+				if !de.live || !im.inTable(de.ino) || fs.getInode(de.ino) == nil {
+					// Free, or dangling (target rolled back): reusable.
+					dir.dir.freeSlots = append(dir.dir.freeSlots, de.addr)
+					continue
+				}
+				dir.dir.tree.Set(de.name, dentry{ino: de.ino, addr: de.addr})
+			}
+		})
 	}
 	if fs.getInode(1) == nil {
 		// A formatted FS always has a root; restore a fresh one if the
@@ -201,123 +191,32 @@ func (fs *FS) rebuildFromScan(ctx *sim.Ctx, rebuildFree bool) {
 	}
 }
 
-// loadExtents reads an inode's extent records (inline + indirect chain)
-// into DRAM; returns the virtual-time cost of the reads. A poisoned record
-// or a corrupt chain pointer stops the walk and degrades the mount: the
-// records already loaded stay usable, the rest of the file reads as EIO-free
-// holes but the file system goes read-only.
-func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
-	var cost int64
-	n := int(di.extCount)
-	ino.extents = make([]wextent, 0, n)
-	ino.slots = make([]int, 0, n)
-	if di.indirect != 0 {
-		ino.indirect = []int64{di.indirect}
+// loadInode builds the DRAM image of an inode the walker read: the live
+// list is sorted by file offset (a mounted one is kept so by insertion,
+// recAppend), and record i sits in PM slot i.
+func (fs *FS) loadInode(n *imageInode) *inode {
+	ino := &inode{
+		fs:       fs,
+		ino:      n.ino,
+		typ:      n.di.typ,
+		flags:    n.di.flags,
+		size:     n.di.size,
+		nlink:    n.di.nlink,
+		extents:  make([]wextent, len(n.extents)),
+		slots:    make([]int, len(n.extents)),
+		indirect: n.chain,
 	}
-	buf := make([]byte, extentSize)
-	for i := 0; i < n; i++ {
-		var addr int64
-		if i < InlineExtents {
-			addr = fs.g.inodeAddr(ino.ino) + inoOffExtents + int64(i)*extentSize
-		} else {
-			idx := i - InlineExtents
-			chain := idx / extPerIndirect
-			for len(ino.indirect) <= chain {
-				// Follow the chain pointer at the start of the last block.
-				last := ino.indirect[len(ino.indirect)-1]
-				if err := fs.dev.CheckRange(last*BlockSize, 8); err != nil {
-					fs.degrade("ino %d: corrupt indirect chain: %v", ino.ino, err)
-					sortExtents(ino)
-					return cost
-				}
-				var pb [8]byte
-				if err := fs.dev.ReadAtChecked(pb[:], last*BlockSize); err != nil {
-					fs.degrade("ino %d: indirect block unreadable: %v", ino.ino, err)
-					sortExtents(ino)
-					return cost
-				}
-				next := int64(binary.LittleEndian.Uint64(pb[:]))
-				if next == 0 {
-					sortExtents(ino)
-					return cost
-				}
-				ino.indirect = append(ino.indirect, next)
-				cost += int64(fs.model.ReadLat64)
-			}
-			addr = ino.indirect[chain]*BlockSize + 8 + int64(idx%extPerIndirect)*extentSize
-		}
-		if err := fs.dev.CheckRange(addr, extentSize); err != nil {
-			fs.degrade("ino %d: extent record %d out of range: %v", ino.ino, i, err)
-			break
-		}
-		if err := fs.dev.ReadAtChecked(buf, addr); err != nil {
-			fs.degrade("ino %d: extent record %d unreadable: %v", ino.ino, i, err)
-			break
-		}
-		cost += int64(fs.model.ReadLat64) / 4
-		e := decodeExtent(buf)
-		// Validate the decoded record before trusting it: a torn or stale
-		// record can point anywhere.
-		if e.length <= 0 || e.blk < 0 || fs.dataCheckRange(e.blk*BlockSize, e.length*BlockSize) != nil {
-			fs.degrade("ino %d: extent record %d corrupt (blk=%d len=%d)", ino.ino, i, e.blk, e.length)
-			break
-		}
-		ino.extents = append(ino.extents, wextent{fileBlk: e.fileBlk, blk: e.blk, length: e.length})
-		ino.slots = append(ino.slots, i)
+	for i := range ino.slots {
+		ino.slots[i] = i
 	}
-	sortExtents(ino)
-	return cost
-}
-
-// sortExtents sorts a bulk-loaded extent list by file offset, keeping the
-// slot mapping attached. Only the mount path needs it: a live list is kept
-// sorted by insertion (recAppend).
-func sortExtents(ino *inode) {
-	type pair struct {
-		e wextent
-		s int
+	slices.SortFunc(ino.slots, func(a, b int) int { return cmp.Compare(n.extents[a].fileBlk, n.extents[b].fileBlk) })
+	for i, slot := range ino.slots {
+		ino.extents[i] = n.extents[slot]
 	}
-	ps := make([]pair, len(ino.extents))
-	for i := range ino.extents {
-		ps[i] = pair{ino.extents[i], ino.slots[i]}
+	if n.di.typ == typeDir {
+		ino.dir = newDirIndex()
 	}
-	slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.e.fileBlk, b.e.fileBlk) })
-	for i := range ps {
-		ino.extents[i] = ps[i].e
-		ino.slots[i] = ps[i].s
-	}
-}
-
-// loadDirIndex rebuilds a directory's DRAM red-black tree from its dirent
-// blocks.
-func (fs *FS) loadDirIndex(ctx *sim.Ctx, dir *inode) {
-	buf := make([]byte, BlockSize)
-	for _, e := range dir.extents {
-		for b := e.blk; b < e.blk+e.length; b++ {
-			if err := fs.dev.ReadAtChecked(buf, b*BlockSize); err != nil {
-				// The entries in this block are unknowable: the namespace may
-				// be missing files, so the mount is read-only from here on.
-				fs.degrade("dir %d: dirent block %d unreadable: %v", dir.ino, b, err)
-				ctx.Advance(int64(fs.model.ReadLat64))
-				continue
-			}
-			ctx.Advance(int64(fs.model.ReadLat64))
-			for off := int64(0); off < BlockSize; off += DirentSize {
-				addr := b*BlockSize + off
-				ino, name, valid := decodeDirent(buf[off : off+DirentSize])
-				if !valid || ino == 0 {
-					dir.dir.freeSlots = append(dir.dir.freeSlots, addr)
-					continue
-				}
-				if fs.getInode(ino) == nil {
-					// Dangling entry (target rolled back): treat as free.
-					dir.dir.freeSlots = append(dir.dir.freeSlots, addr)
-					continue
-				}
-				dir.dir.tree.Set(name, dentry{ino: ino, addr: addr})
-			}
-		}
-	}
+	return ino
 }
 
 // --- free-state serialisation ----------------------------------------------

@@ -1,7 +1,6 @@
 package winefs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -58,18 +57,6 @@ func (r *RepairReport) notef(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// rnode is Repair's view of one live inode.
-type rnode struct {
-	ino      uint64
-	typ      uint8
-	flags    uint32
-	size     int64
-	nlink    uint32
-	extents  []wextent
-	extCount int   // surviving record count (== len(extents) slots on PM)
-	indirect int64 // first indirect block, 0 = none
-}
-
 // Repair fixes dev in place and reports what it did. See the package-level
 // policy comment above.
 func Repair(dev *pmem.Device) (*RepairReport, error) {
@@ -83,24 +70,17 @@ func Repair(dev *pmem.Device) (*RepairReport, error) {
 // writes are durable and unpoisonable in this model); only the PM-side
 // metadata referencing it is mended. slowBlocks = 0 repairs a pure-PM
 // image.
+//
+// It is the mending policy over the image walker (image.go): what the
+// walker calls a fault is what gets zeroed or truncated here, so the image
+// Repair leaves is one Check passes and Mount takes undegraded.
 func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 	rep := &RepairReport{}
-	sbBuf := make([]byte, sbSize)
-	if err := dev.ReadAtChecked(sbBuf, 0); err != nil {
-		return nil, fmt.Errorf("winefs: superblock unreadable, cannot repair: %w", err)
+	im, err := openImage(dev, slowBlocks)
+	if err != nil {
+		return nil, fmt.Errorf("cannot repair: %w", err)
 	}
-	sb := decodeSuperblock(sbBuf)
-	if sb.magic != Magic {
-		return nil, fmt.Errorf("winefs: bad superblock magic %#x, cannot repair", sb.magic)
-	}
-	if sb.totalBlocks*BlockSize > dev.Size() || sb.cpus <= 0 {
-		return nil, fmt.Errorf("winefs: superblock geometry invalid (blocks=%d cpus=%d)", sb.totalBlocks, sb.cpus)
-	}
-	g := makeGeometry(sb.totalBlocks, int(sb.cpus), sb.inodesPerCPU)
-	slowBase := (g.totalBlocks + BlocksPerHuge - 1) / BlocksPerHuge * BlocksPerHuge
-	inSlow := func(blk, length int64) bool {
-		return slowBlocks > 0 && blk >= slowBase && blk+length <= slowBase+slowBlocks
-	}
+	g, sb := im.g, im.sb
 
 	// Skeleton FS: just enough for the journal scan helpers. Never mounted,
 	// never charged virtual time.
@@ -132,155 +112,85 @@ func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 			rep.JournalsRolledBack++
 		}
 		dev.ZeroRange(j.base, JournalBlocks*BlockSize)
-		hdr := make([]byte, EntrySize)
-		le := binary.LittleEndian
-		le.PutUint32(hdr[0:], entryMagic)
-		le.PutUint32(hdr[4:], 1) // wrap
-		le.PutUint64(hdr[8:], 1) // tail
-		le.PutUint64(hdr[16:], maxTxID)
-		dev.WriteAt(hdr, j.base)
+		dev.WriteAt(encodeJournalHeader(make([]byte, EntrySize), 1, 1, maxTxID), j.base)
 	}
 
-	// Pass 2: inode tables. Zero unreadable slots, truncate extent lists at
-	// the first bad record, and collect the survivors.
-	inodes := map[uint64]*rnode{}
-	blockOwner := map[int64]bool{}
-	for c := 0; c < g.cpus; c++ {
-		base := g.inodeTableBase(c)
-		for s := int64(0); s < g.inodesPerCPU; s++ {
-			slotAddr := base + s*InodeSize
-			hdr := make([]byte, inoOffExtents)
-			if err := dev.ReadAtChecked(hdr, slotAddr); err != nil {
-				dev.ZeroRange(slotAddr, InodeSize)
-				rep.InodesZeroed = append(rep.InodesZeroed, g.inoFor(c, s))
-				continue
-			}
-			di := decodeInodeHeader(hdr)
-			if di.magic != inodeMagic || di.typ == typeFree {
-				continue
-			}
-			if di.typ != typeFile && di.typ != typeDir {
-				dev.ZeroRange(slotAddr, InodeSize)
-				rep.InodesZeroed = append(rep.InodesZeroed, g.inoFor(c, s))
-				continue
-			}
-			ino := g.inoFor(c, s)
-			node := &rnode{ino: ino, typ: di.typ, flags: di.flags, size: di.size, nlink: di.nlink, indirect: di.indirect}
-			truncated := false
-			indirect := []int64{}
-			if di.indirect != 0 {
-				if dev.CheckRange(di.indirect*BlockSize, BlockSize) != nil {
-					truncated = true
-					node.indirect = 0
-				} else {
-					indirect = append(indirect, di.indirect)
-				}
-			}
-			buf := make([]byte, extentSize)
-			n := int(di.extCount)
-			for i := 0; i < n && !truncated; i++ {
-				var addr int64
-				if i < InlineExtents {
-					addr = g.inodeAddr(ino) + inoOffExtents + int64(i)*extentSize
-				} else {
-					idx := i - InlineExtents
-					chain := idx / extPerIndirect
-					for len(indirect) <= chain && !truncated {
-						last := indirect[len(indirect)-1]
-						var pb [8]byte
-						if err := dev.ReadAtChecked(pb[:], last*BlockSize); err != nil {
-							truncated = true
-							break
-						}
-						next := int64(binary.LittleEndian.Uint64(pb[:]))
-						if next == 0 || dev.CheckRange(next*BlockSize, BlockSize) != nil {
-							truncated = true
-							break
-						}
-						indirect = append(indirect, next)
-					}
-					if truncated {
-						break
-					}
-					addr = indirect[chain]*BlockSize + 8 + int64(idx%extPerIndirect)*extentSize
-				}
-				if err := dev.ReadAtChecked(buf, addr); err != nil {
-					truncated = true
-					break
-				}
-				e := decodeExtent(buf)
-				pmOK := e.blk >= g.dataStart && e.blk+e.length <= g.totalBlocks
-				// Slow-tier extents are legal for files only; directory and
-				// indirect blocks are PM by construction, so a dir record
-				// pointing past the device is corruption like any other.
-				slowOK := di.typ == typeFile && inSlow(e.blk, e.length)
-				if e.length <= 0 || (!pmOK && !slowOK) {
-					truncated = true
-					break
-				}
-				node.extents = append(node.extents, e)
-				node.extCount++
-			}
-			if truncated {
-				rep.ExtentsTruncated = append(rep.ExtentsTruncated, ino)
-				// Clamp the size to the mapped range that survived.
-				var maxByte int64
-				for _, e := range node.extents {
-					if end := (e.fileBlk + e.length) * BlockSize; end > maxByte {
-						maxByte = end
-					}
-				}
-				if node.size > maxByte {
-					node.size = maxByte
-				}
-			}
-			for _, e := range node.extents {
-				for b := e.blk; b < e.blk+e.length; b++ {
-					blockOwner[b] = true
-				}
-			}
-			for _, ib := range indirect {
-				blockOwner[ib] = true
-			}
-			inodes[ino] = node
+	// Pass 2: inode tables. Zero the slots that hold no usable inode, end
+	// every extent list where the walker ended it — or at the first block
+	// an earlier inode already owns: the first claimant of a cross-linked
+	// block keeps it — and collect the survivors.
+	inodes := map[uint64]*imageInode{}
+	owned := map[int64]bool{}
+	im.walkInodes(func(n *imageInode) {
+		if n.lost() {
+			dev.ZeroRange(g.inodeAddr(n.ino), InodeSize)
+			rep.InodesZeroed = append(rep.InodesZeroed, n.ino)
+			return
 		}
-	}
+		keep, cut := len(n.extents), n.fault != nil
+		for k, b := range n.chain {
+			if owned[b] {
+				keep, n.chain, cut = min(keep, chainRecords(k)), n.chain[:k], true
+				break
+			}
+			owned[b] = true
+		}
+	claim:
+		for i, e := range n.extents[:keep] {
+			for b := e.blk; b < e.blk+e.length; b++ {
+				if owned[b] {
+					keep, cut = i, true
+					break claim
+				}
+			}
+			for b := e.blk; b < e.blk+e.length; b++ {
+				owned[b] = true
+			}
+		}
+		if cut {
+			n.extents = n.extents[:keep]
+			rep.ExtentsTruncated = append(rep.ExtentsTruncated, n.ino)
+			// Clamp the size to the mapped range that survived.
+			var maxByte int64
+			for _, e := range n.extents {
+				maxByte = max(maxByte, (e.fileBlk+e.length)*BlockSize)
+			}
+			n.di.size = min(n.di.size, maxByte)
+		}
+		inodes[n.ino] = n
+	})
 
 	// Re-establish the root if it was lost.
-	if inodes[1] == nil || inodes[1].typ != typeDir {
-		inodes[1] = &rnode{ino: 1, typ: typeDir, nlink: 2}
+	if inodes[1] == nil || inodes[1].di.typ != typeDir {
+		inodes[1] = &imageInode{ino: 1, di: dinode{typ: typeDir, nlink: 2}}
 		rep.notef("root inode recreated")
 	}
 
 	// Pass 3: directory entries. Zero unreadable blocks, drop entries that
 	// point at dead inodes, and record the survivors as graph edges.
 	children := map[uint64][]uint64{} // dir ino -> child inos
-	for _, node := range inodes {
-		if node.typ != typeDir {
+	for _, dir := range inodes {
+		if dir.di.typ != typeDir {
 			continue
 		}
-		buf := make([]byte, BlockSize)
-		for _, e := range node.extents {
-			for b := e.blk; b < e.blk+e.length; b++ {
-				if err := dev.ReadAtChecked(buf, b*BlockSize); err != nil {
-					dev.ZeroRange(b*BlockSize, BlockSize)
-					rep.DirentBlocksZeroed++
+		im.walkDirents(dir.extents, func(blk int64, ents []imageDirent, fault *imageFault) {
+			if fault != nil {
+				dev.ZeroRange(blk*BlockSize, BlockSize)
+				rep.DirentBlocksZeroed++
+				return
+			}
+			for _, de := range ents {
+				if !de.live {
 					continue
 				}
-				for off := int64(0); off < BlockSize; off += DirentSize {
-					child, _, valid := decodeDirent(buf[off : off+DirentSize])
-					if !valid || child == 0 {
-						continue
-					}
-					if inodes[child] == nil || child == node.ino {
-						dev.WriteAt([]byte{0}, b*BlockSize+off+8)
-						rep.DirentsDropped++
-						continue
-					}
-					children[node.ino] = append(children[node.ino], child)
+				if inodes[de.ino] == nil || de.ino == dir.ino {
+					dev.WriteAt([]byte{0}, de.addr+8)
+					rep.DirentsDropped++
+					continue
 				}
+				children[dir.ino] = append(children[dir.ino], de.ino)
 			}
-		}
+		})
 	}
 
 	// Pass 4: reachability from the root; quarantine orphans in /lost+found.
@@ -300,8 +210,8 @@ func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 	// orphan directory becomes reachable through its parent's lost+found
 	// link and must not be linked twice.
 	orphanChild := map[uint64]bool{}
-	for ino, node := range inodes {
-		if reachable[ino] || node.typ != typeDir {
+	for ino, n := range inodes {
+		if reachable[ino] || n.di.typ != typeDir {
 			continue
 		}
 		for _, ch := range children[ino] {
@@ -316,7 +226,7 @@ func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 	}
 	sort.Slice(orphans, func(i, k int) bool { return orphans[i] < orphans[k] })
 	if len(orphans) > 0 {
-		lf, err := quarantine(dev, g, inodes, children, blockOwner, orphans)
+		lf, err := quarantine(im, inodes, children, owned, orphans)
 		if err != nil {
 			rep.notef("quarantine incomplete: %v", err)
 		} else {
@@ -325,29 +235,35 @@ func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 		}
 	}
 
-	// Pass 5: recompute link counts. A file's nlink is its reference count;
-	// a directory's is 2 plus its child directories.
+	// Pass 5: recompute link counts and rewrite every surviving header (and
+	// nothing else: the surviving extent records are already on PM). A
+	// file's nlink is its reference count; a directory's is 2 plus its
+	// child directories.
 	refcount := map[uint64]int{}
 	for _, chs := range children {
 		for _, ch := range chs {
 			refcount[ch]++
 		}
 	}
-	for ino, node := range inodes {
+	for ino, n := range inodes {
 		want := uint32(refcount[ino])
-		if node.typ == typeDir {
+		if n.di.typ == typeDir {
 			want = 2
 			for _, ch := range children[ino] {
-				if inodes[ch] != nil && inodes[ch].typ == typeDir {
+				if inodes[ch] != nil && inodes[ch].di.typ == typeDir {
 					want++
 				}
 			}
 		}
-		if node.nlink != want {
-			node.nlink = want
+		if n.di.nlink != want {
+			n.di.nlink = want
 			rep.NlinksFixed++
 		}
-		writeRnodeHeader(dev, g, node)
+		n.di.magic, n.di.extCount, n.di.indirect = inodeMagic, uint32(len(n.extents)), 0
+		if len(n.chain) > 0 {
+			n.di.indirect = n.chain[0]
+		}
+		dev.WriteAt(n.di.encodeHeader(make([]byte, inoOffExtents)), g.inodeAddr(ino))
 	}
 
 	// Pass 6: invalidate the serialised freelist so the next mount rebuilds
@@ -375,44 +291,31 @@ func RepairTiered(dev *pmem.Device, slowBlocks int64) (*RepairReport, error) {
 	return rep, nil
 }
 
-// writeRnodeHeader persists a repaired inode header (and nothing else: the
-// surviving extent records are already on PM).
-func writeRnodeHeader(dev *pmem.Device, g geometry, node *rnode) {
-	di := dinode{
-		magic:    inodeMagic,
-		typ:      node.typ,
-		flags:    node.flags,
-		size:     node.size,
-		nlink:    node.nlink,
-		extCount: uint32(node.extCount),
-		indirect: node.indirect,
-	}
-	dev.WriteAt(di.encodeHeader(make([]byte, inoOffExtents)), g.inodeAddr(node.ino))
-}
-
 // quarantine links every orphan under /lost+found, creating the directory
 // (and growing the root) from free resources when needed. Returns the
 // /lost+found inode number.
-func quarantine(dev *pmem.Device, g geometry, inodes map[uint64]*rnode, children map[uint64][]uint64, blockOwner map[int64]bool, orphans []uint64) (uint64, error) {
-	// Find (or create) /lost+found directly under the root.
-	root := inodes[1]
-	var lf *rnode
-	// An existing reachable child named lost+found cannot be identified here
-	// (names were not kept); always create a fresh one — repair runs are
-	// rare and each gets its own quarantine directory only if orphans exist.
-	slot, err := freeInodeSlot(dev, g)
-	if err != nil {
-		return 0, err
+func quarantine(im *image, inodes map[uint64]*imageInode, children map[uint64][]uint64, owned map[int64]bool, orphans []uint64) (uint64, error) {
+	dev, g := im.dev, im.g
+	// An existing reachable child named lost+found is not looked for: repair
+	// runs are rare and each gets its own quarantine directory, in the first
+	// slot no surviving inode holds (never the root's) — every such slot is
+	// free, or was zeroed by pass 2.
+	lf := &imageInode{ino: 2, di: dinode{typ: typeDir, nlink: 2}}
+	for inodes[lf.ino] != nil {
+		lf.ino++
 	}
-	lf = &rnode{ino: slot, typ: typeDir, nlink: 2}
-	inodes[slot] = lf
+	if !im.inTable(lf.ino) {
+		return 0, fmt.Errorf("no free inode slot for quarantine")
+	}
+	dev.ZeroRange(g.inodeAddr(lf.ino), InodeSize)
+	inodes[lf.ino] = lf
 
 	// Helper: allocate a free data block (not owned by any surviving inode).
 	nextBlk := g.dataStart
 	allocBlk := func() (int64, error) {
-		for ; nextBlk < g.totalBlocks; nextBlk++ {
-			if !blockOwner[nextBlk] {
-				blockOwner[nextBlk] = true
+		for ; nextBlk < im.dataEnd; nextBlk++ {
+			if !owned[nextBlk] {
+				owned[nextBlk] = true
 				b := nextBlk
 				nextBlk++
 				dev.ZeroRange(b*BlockSize, BlockSize)
@@ -426,58 +329,46 @@ func quarantine(dev *pmem.Device, g geometry, inodes map[uint64]*rnode, children
 	// slot in its existing blocks or growing it by one block. Extent records
 	// go inline (repair needs a handful of blocks, well within
 	// InlineExtents).
-	appendDirent := func(dir *rnode, ino uint64, name string) error {
-		buf := make([]byte, DirentSize)
-		for _, e := range dir.extents {
-			for b := e.blk; b < e.blk+e.length; b++ {
-				for off := int64(0); off < BlockSize; off += DirentSize {
-					addr := b*BlockSize + off
-					if err := dev.ReadAtChecked(buf, addr); err != nil {
-						continue
-					}
-					cino, _, valid := decodeDirent(buf)
-					if valid && cino != 0 {
-						continue
-					}
-					var db [DirentSize]byte
-					encodeDirent(db[:], ino, name)
-					dev.WriteAt(db[:], addr)
-					children[dir.ino] = append(children[dir.ino], ino)
-					return nil
+	appendDirent := func(dir *imageInode, ino uint64, name string) error {
+		addr := int64(-1)
+		im.walkDirents(dir.extents, func(blk int64, ents []imageDirent, fault *imageFault) {
+			for _, de := range ents {
+				if addr < 0 && !de.live {
+					addr = de.addr
 				}
 			}
-		}
-		if dir.extCount >= InlineExtents {
-			return fmt.Errorf("quarantine dir full")
-		}
-		b, err := allocBlk()
-		if err != nil {
-			return err
-		}
-		var fileBlk int64
-		if n := len(dir.extents); n > 0 {
-			last := dir.extents[n-1]
-			fileBlk = last.fileBlk + last.length
-		}
-		e := wextent{fileBlk: fileBlk, blk: b, length: 1}
-		dir.extents = append(dir.extents, e)
-		var eb [extentSize]byte
-		encodeExtent(eb[:], e)
-		dev.WriteAt(eb[:], g.inodeAddr(dir.ino)+inoOffExtents+int64(dir.extCount)*extentSize)
-		dir.extCount++
-		if end := (fileBlk + 1) * BlockSize; end > dir.size {
-			dir.size = end
+		})
+		if addr < 0 {
+			if len(dir.extents) >= InlineExtents {
+				return fmt.Errorf("quarantine dir full")
+			}
+			b, err := allocBlk()
+			if err != nil {
+				return err
+			}
+			var fileBlk int64
+			if n := len(dir.extents); n > 0 {
+				last := dir.extents[n-1]
+				fileBlk = last.fileBlk + last.length
+			}
+			e := wextent{fileBlk: fileBlk, blk: b, length: 1}
+			var eb [extentSize]byte
+			encodeExtent(eb[:], e)
+			dev.WriteAt(eb[:], g.inlineExtentAddr(dir.ino, len(dir.extents)))
+			dir.extents = append(dir.extents, e)
+			dir.di.size = max(dir.di.size, (fileBlk+1)*BlockSize)
+			addr = b * BlockSize
 		}
 		var db [DirentSize]byte
 		encodeDirent(db[:], ino, name)
-		dev.WriteAt(db[:], b*BlockSize)
+		dev.WriteAt(db[:], addr)
 		children[dir.ino] = append(children[dir.ino], ino)
 		return nil
 	}
 
 	// Quarantine into a fresh directory: ignore the root's existing layout
 	// and append the lost+found entry through the same growth helper.
-	if err := appendDirent(root, lf.ino, "lost+found"); err != nil {
+	if err := appendDirent(inodes[1], lf.ino, "lost+found"); err != nil {
 		return 0, err
 	}
 	for _, o := range orphans {
@@ -488,43 +379,15 @@ func quarantine(dev *pmem.Device, g geometry, inodes map[uint64]*rnode, children
 	return lf.ino, nil
 }
 
-// freeInodeSlot finds a free inode slot (scanning every per-CPU table) for
-// repair-time directory creation.
-func freeInodeSlot(dev *pmem.Device, g geometry) (uint64, error) {
-	hdr := make([]byte, inoOffExtents)
-	for c := 0; c < g.cpus; c++ {
-		base := g.inodeTableBase(c)
-		for s := int64(0); s < g.inodesPerCPU; s++ {
-			if err := dev.ReadAtChecked(hdr, base+s*InodeSize); err != nil {
-				continue
-			}
-			di := decodeInodeHeader(hdr)
-			if di.magic != inodeMagic || di.typ == typeFree {
-				if g.inoFor(c, s) == 1 {
-					continue // never hand out the root slot
-				}
-				dev.ZeroRange(base+s*InodeSize, InodeSize)
-				return g.inoFor(c, s), nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("no free inode slot for quarantine")
-}
-
 // JournalRegion returns the byte range [lo, hi) of CPU c's journal on a
 // formatted device. Fault-injection harnesses use it to aim poison and torn
 // writes at journal metadata. It returns (0, 0) when the superblock is
-// unreadable or the CPU index is out of range.
+// unreadable or invalid, or the CPU index is out of range.
 func JournalRegion(dev *pmem.Device, c int) (lo, hi int64) {
-	sbBuf := make([]byte, sbSize)
-	if err := dev.ReadAtChecked(sbBuf, 0); err != nil {
+	im, err := openImage(dev, 0)
+	if err != nil || c < 0 || c >= im.g.cpus {
 		return 0, 0
 	}
-	sb := decodeSuperblock(sbBuf)
-	if sb.magic != Magic || c < 0 || c >= int(sb.cpus) {
-		return 0, 0
-	}
-	g := makeGeometry(sb.totalBlocks, int(sb.cpus), sb.inodesPerCPU)
-	lo = g.journalBase(c)
+	lo = im.g.journalBase(c)
 	return lo, lo + JournalBlocks*BlockSize
 }

@@ -647,27 +647,6 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	return found && !fs.isSlow(phys)
 }
 
-// rebuildSlowPool starts the slow pool over all-free and replays every
-// slow extent from the DRAM inode cache — the clean-mount counterpart of
-// the crash path's routed markUsed (the PM freelist area only serialises
-// the PM pools; the slow pool is always rebuilt from the extent scan).
-func (fs *FS) rebuildSlowPool() {
-	t := fs.tier
-	if t == nil {
-		return
-	}
-	t.pool = tier.NewPool(t.base, t.blocks)
-	for _, ino := range fs.snapshotInodes() {
-		ino.mu.RLock()
-		for _, e := range ino.extents {
-			if fs.isSlow(e.blk) {
-				t.pool.MarkUsed(e.blk, e.length)
-			}
-		}
-		ino.mu.RUnlock()
-	}
-}
-
 // TierStats reports the two tiers' occupancy; ok is false on untiered
 // mounts.
 type TierStats struct {
