@@ -150,14 +150,17 @@ mmap-race:
 # migrateRun, since the pass itself pins mapped files), the three mover
 # rules (TestTierThrottleNeverHoldsTheLock, TestTierPassPinsMappedFiles,
 # TestHeatFollowsData), the rewrite
-# tests, spill/ENOSPC behaviour, the vmm re-promotion test, the
+# tests, spill/ENOSPC behaviour, the abort path every one of them shares
+# with the foreground (TestFailedWriteLeavesNoTrace: a failed write,
+# fallocate, truncate, create, mkdir or rename leaves DRAM, the allocator
+# and the media where they were), the vmm re-promotion test, the
 # slow-device/pool unit tests, the runner tests (one Step = defrag +
 # rewriter + tier pass on one pacer, scraped concurrently) and the
 # free-extent index every allocator in the tree runs on (internal/alloc:
 # the differential against the bitmap model, the strictness and Check
 # tests).
 maint-race:
-	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestHeat|TestSlowDevice|TestPool' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
+	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestHeat|TestSlowDevice|TestPool|TestFailedWriteLeavesNoTrace' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,
@@ -175,12 +178,19 @@ serve-smoke:
 # sim.ParallelRunner; every other run mounts tiered and tears migration
 # transactions) plus every poison/torn-write test, including the
 # page-cache revoke-flush EIO path, the relocate crash sweep (defrag,
-# tier and rewrite movers torn at every fence epoch) and the one-reader
+# tier and rewrite movers torn at every fence epoch), the one-reader
 # verdict tests (TestImageVerdictsAgree: one corruption per on-media
 # structure, Mount, Check and Repair held to one verdict;
-# TestImageFuzzVerdictsAgree: the same over 600 seeded byte flips).
+# TestImageFuzzVerdictsAgree: the same over 600 seeded byte flips) and the
+# tests that hold what a mount shows to what was acknowledged: the ACE
+# workloads with their data operations (pwrite into holes, over bytes and
+# across EOF, mapped stores, punch) crash-explored on relaxed and strict
+# mounts against a state that includes file contents (TestSeq1, TestSeq2,
+# TestStateSeesData), and TestRemountEquivalence (a seeded sequence over
+# every inode-changing operation; every few steps a crash mount and a clean
+# remount must show the live mount's names, sizes, link counts and bytes).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

@@ -340,12 +340,15 @@ func main() {
 	}
 	if sel("crashmonkey") {
 		total, failures := 0, 0
-		for _, w := range append(crashmonkey.GenerateSeq1(), crashmonkey.GenerateSeq2()...) {
-			res := crashmonkey.Run(w, crashmonkey.Config{Seed: o.seed})
-			total += res.CrashStates
-			failures += len(res.Failures)
-			for _, f := range res.Failures {
-				fmt.Fprintf(os.Stderr, "  FAIL %s: %s\n", w.Name, f)
+		for _, mode := range []vfs.ConsistencyMode{vfs.Relaxed, vfs.Strict} {
+			for _, w := range append(crashmonkey.GenerateSeq1(), crashmonkey.GenerateSeq2()...) {
+				w.Mode = mode
+				res := crashmonkey.Run(w, crashmonkey.Config{Seed: o.seed})
+				total += res.CrashStates
+				failures += len(res.Failures)
+				for _, f := range res.Failures {
+					fmt.Fprintf(os.Stderr, "  FAIL %s (mode %d): %s\n", w.Name, mode, f)
+				}
 			}
 		}
 		fmt.Printf("\n=== §5.2: CrashMonkey ===\n  %d crash states explored, %d failures\n", total, failures)

@@ -18,6 +18,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -75,27 +76,8 @@ var ErrBadRecord = errors.New("cluster: bad replication record")
 // should read more bytes and retry.
 var ErrShortRecord = errors.New("cluster: truncated replication record")
 
-func le16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-
-func le32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func le64(b []byte, v uint64) {
-	le32(b, uint32(v))
-	le32(b[4:], uint32(v>>32))
-}
-
-func rd16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func rd32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func rd64(b []byte) uint64 { return uint64(rd32(b)) | uint64(rd32(b[4:]))<<32 }
+// le is the byte order of every integer in a record.
+var le = binary.LittleEndian
 
 // EncodedLen reports the wire size of r.
 func (r *Record) EncodedLen() int {
@@ -106,18 +88,18 @@ func (r *Record) EncodedLen() int {
 func AppendRecord(buf []byte, r *Record) []byte {
 	start := len(buf)
 	var hdr [recHeaderSize]byte
-	le16(hdr[0:], recMagic)
+	le.PutUint16(hdr[0:], recMagic)
 	hdr[2] = r.Type
 	hdr[3] = 0
-	le64(hdr[4:], r.Seq)
-	le64(hdr[12:], uint64(r.Off))
-	le64(hdr[20:], uint64(r.N))
-	le32(hdr[28:], uint32(len(r.Data)))
+	le.PutUint64(hdr[4:], r.Seq)
+	le.PutUint64(hdr[12:], uint64(r.Off))
+	le.PutUint64(hdr[20:], uint64(r.N))
+	le.PutUint32(hdr[28:], uint32(len(r.Data)))
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, r.Data...)
 	crc := crc32.ChecksumIEEE(buf[start:])
 	var tr [recTrailerSize]byte
-	le32(tr[:], crc)
+	le.PutUint32(tr[:], crc)
 	return append(buf, tr[:]...)
 }
 
@@ -129,16 +111,16 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recHeaderSize {
 		return Record{}, 0, ErrShortRecord
 	}
-	if rd16(b) != recMagic {
-		return Record{}, 0, fmt.Errorf("%w: bad magic %#x", ErrBadRecord, rd16(b))
+	if le.Uint16(b) != recMagic {
+		return Record{}, 0, fmt.Errorf("%w: bad magic %#x", ErrBadRecord, le.Uint16(b))
 	}
 	r := Record{
 		Type: b[2],
-		Seq:  rd64(b[4:]),
-		Off:  int64(rd64(b[12:])),
-		N:    int64(rd64(b[20:])),
+		Seq:  le.Uint64(b[4:]),
+		Off:  int64(le.Uint64(b[12:])),
+		N:    int64(le.Uint64(b[20:])),
 	}
-	dlen := rd32(b[28:])
+	dlen := le.Uint32(b[28:])
 	if r.Type < RecStore || r.Type > RecCommit {
 		return Record{}, 0, fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
 	}
@@ -153,7 +135,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		return Record{}, 0, ErrShortRecord
 	}
 	body := b[:recHeaderSize+int(dlen)]
-	want := rd32(b[recHeaderSize+int(dlen):])
+	want := le.Uint32(b[recHeaderSize+int(dlen):])
 	if crc32.ChecksumIEEE(body) != want {
 		return Record{}, 0, fmt.Errorf("%w: crc mismatch", ErrBadRecord)
 	}

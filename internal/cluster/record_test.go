@@ -11,7 +11,7 @@ import (
 // a test mutated its header.
 func fixRecordCRC(b []byte) {
 	body := b[:len(b)-recTrailerSize]
-	le32(b[len(b)-recTrailerSize:], crc32.ChecksumIEEE(body))
+	le.PutUint32(b[len(b)-recTrailerSize:], crc32.ChecksumIEEE(body))
 }
 
 func sampleRecords() []Record {
@@ -107,15 +107,15 @@ func TestRecordGarbage(t *testing.T) {
 		// Valid magic, absurd dlen.
 		func() []byte {
 			b := make([]byte, recHeaderSize+recTrailerSize)
-			le16(b, recMagic)
+			le.PutUint16(b, recMagic)
 			b[2] = RecStore
-			le32(b[28:], 0xFFFFFFF0)
+			le.PutUint32(b[28:], 0xFFFFFFF0)
 			return b
 		}(),
 		// Valid magic, type out of range.
 		func() []byte {
 			b := make([]byte, recHeaderSize+recTrailerSize)
-			le16(b, recMagic)
+			le.PutUint16(b, recMagic)
 			b[2] = 200
 			return b
 		}(),
@@ -140,7 +140,7 @@ func TestRecordStoreLengthMismatch(t *testing.T) {
 	r := Record{Type: RecStore, Seq: 1, Off: 0, N: 4, Data: []byte("abcd")}
 	full := AppendRecord(nil, &r)
 	// Rewrite N to 8 and fix the CRC so only the semantic check can catch it.
-	le64(full[20:], 8)
+	le.PutUint64(full[20:], 8)
 	fixRecordCRC(full)
 	if _, _, err := DecodeRecord(full); err == nil {
 		t.Fatal("store with N != len(Data) decoded successfully")

@@ -182,20 +182,20 @@ func (r *Replica) HandleConn(conn fileserver.Conn) error {
 
 // hello validates a primary's opening frame under the replica lock.
 func (r *Replica) hello(epoch uint64, payload []byte) (ok bool, reply []byte, rid uint64, rcode uint8) {
-	d := newFrameDec(payload)
-	name := d.str()
-	size := d.i64()
-	startSeq := d.u64()
+	d := fileserver.Dec{B: payload}
+	name := d.Str()
+	size := d.I64()
+	startSeq := d.U64()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	reject := func(reason string) (bool, []byte, uint64, uint8) {
 		r.stats.Rejects++
 		r.logf("replica %s: reject %s: %s", r.name, name, reason)
-		var e frameEnc
-		e.str(reason)
-		return false, e.b, r.epoch, repReject
+		var e fileserver.Enc
+		e.Str(reason)
+		return false, e.B, r.epoch, repReject
 	}
-	if !d.ok() {
+	if !d.OK() {
 		return reject("malformed hello")
 	}
 	if r.promoted {
@@ -214,10 +214,10 @@ func (r *Replica) hello(epoch uint64, payload []byte) (ok bool, reply []byte, ri
 		// resync must precede any records.
 		flags |= flagGap
 	}
-	var e frameEnc
-	e.u64(r.appliedSeq)
-	e.u8(flags)
-	return true, e.b, epoch, repHelloAck
+	var e fileserver.Enc
+	e.U64(r.appliedSeq)
+	e.U8(flags)
+	return true, e.B, epoch, repHelloAck
 }
 
 type ackFrame struct {
@@ -239,9 +239,9 @@ func (r *Replica) apply(linkEpoch uint64, code uint8, id uint64, payload []byte)
 		r.stats.Heartbeats++
 
 	case repResyncBegin:
-		d := newFrameDec(payload)
-		size := d.i64()
-		if !d.ok() || size != r.dev.Size() {
+		d := fileserver.Dec{B: payload}
+		size := d.I64()
+		if !d.OK() || size != r.dev.Size() {
 			flags |= flagGap | flagBadRecord
 			break
 		}
@@ -260,11 +260,11 @@ func (r *Replica) apply(linkEpoch uint64, code uint8, id uint64, payload []byte)
 		flags = r.applyBatch(payload)
 	}
 
-	var e frameEnc
-	e.u64(r.appliedSeq)
-	e.u64(r.appliedTx)
-	e.u8(flags)
-	return ackFrame{id: r.appliedSeq, payload: e.b}, false
+	var e fileserver.Enc
+	e.U64(r.appliedSeq)
+	e.U64(r.appliedTx)
+	e.U8(flags)
+	return ackFrame{id: r.appliedSeq, payload: e.B}, false
 }
 
 // applyBatch decodes and applies a repRecords payload. Malformed bytes or

@@ -560,11 +560,11 @@ func (r *Replicator) runLink(l *link, conn fileserver.Conn) (progressed bool, _ 
 	r.mu.Lock()
 	startSeq := l.cursor
 	r.mu.Unlock()
-	var e frameEnc
-	e.str("primary")
-	e.i64(r.dev.Size())
-	e.u64(startSeq)
-	if err := r.sendFrame(conn, r.cfg.Epoch, repHello, e.b); err != nil {
+	var e fileserver.Enc
+	e.Str("primary")
+	e.I64(r.dev.Size())
+	e.U64(startSeq)
+	if err := r.sendFrame(conn, r.cfg.Epoch, repHello, e.B); err != nil {
 		return false, err
 	}
 	id, code, payload, err := r.readAck(conn)
@@ -577,15 +577,15 @@ func (r *Replicator) runLink(l *link, conn fileserver.Conn) (progressed bool, _ 
 		l.state = LinkFenced
 		r.mu.Unlock()
 		r.cond.Broadcast()
-		d := newFrameDec(payload)
-		reason := d.str()
+		d := fileserver.Dec{B: payload}
+		reason := d.Str()
 		r.cfg.Logf("replicator: %s fenced us (epoch %d): %s — writes since the last common seq are divergent", l.name, id, reason)
 		return false, fmt.Errorf("cluster: fenced: %s", reason)
 	case repHelloAck:
-		d := newFrameDec(payload)
-		applied := d.u64()
-		flags := d.u8()
-		if !d.ok() {
+		d := fileserver.Dec{B: payload}
+		applied := d.U64()
+		flags := d.U8()
+		if !d.OK() {
 			return false, fmt.Errorf("cluster: malformed hello ack")
 		}
 		r.mu.Lock()
@@ -701,9 +701,9 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) error {
 	r.mu.Unlock()
 	r.cfg.Logf("replicator: resyncing %s at seq %d", l.name, snapSeq)
 
-	var e frameEnc
-	e.i64(img.Size())
-	if err := r.sendFrame(conn, snapSeq, repResyncBegin, e.b); err != nil {
+	var e fileserver.Enc
+	e.I64(img.Size())
+	if err := r.sendFrame(conn, snapSeq, repResyncBegin, e.B); err != nil {
 		return err
 	}
 	if err := r.consumeAck(l, conn); err != nil {
@@ -783,11 +783,11 @@ func (r *Replicator) consumeAck(l *link, conn fileserver.Conn) error {
 	if code != repAck {
 		return fmt.Errorf("cluster: expected ack, got frame %d", code)
 	}
-	d := newFrameDec(payload)
-	applied := d.u64()
-	d.u64() // appliedTx (informational)
-	flags := d.u8()
-	if !d.ok() {
+	d := fileserver.Dec{B: payload}
+	applied := d.U64()
+	d.U64() // appliedTx (informational)
+	flags := d.U8()
+	if !d.OK() {
 		return fmt.Errorf("cluster: malformed ack")
 	}
 	r.mu.Lock()
@@ -810,11 +810,4 @@ func hashName(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,18 +6,23 @@
 // the in-flight stores; each crash state is recovered by a real mount and
 // then checked two ways — structural invariants via the offline fsck, and
 // semantic atomicity against an oracle: because WineFS operations are
-// synchronous, the recovered namespace must equal the state exactly
-// before or exactly after the in-flight operation.
+// synchronous, the recovered state — names, sizes and what the files hold —
+// must equal the state exactly before or exactly after the in-flight
+// operation, and once the operation has returned, the state after it.
 package crashmonkey
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strings"
 
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vmm"
 	"repro/internal/winefs"
 )
 
@@ -35,32 +40,54 @@ const (
 	OpTruncate
 	OpFalloc
 	OpFsync
+	// OpWrite is a pwrite of Size bytes of DataByte at Off: into a hole, over
+	// existing bytes or across EOF, as the file stands.
+	OpWrite
+	// OpMapStore is mmap, one store of a cache line of DataByte at Off (64-
+	// byte aligned: the media takes such a store whole or not at all, so the
+	// call is as atomic as a system call), msync, munmap.
+	OpMapStore
+	// OpPunch deallocates [Off, Off+Size).
+	OpPunch
 )
+
+// DataByte is what OpWrite and OpMapStore store. Everything else writes
+// zeros, so a page of it that a recovery loses reads back as the hole it
+// was — a different checksum — and any byte that is neither is corruption.
+const DataByte = 0xA5
 
 var kindNames = map[OpKind]string{
 	OpCreate: "create", OpMkdir: "mkdir", OpUnlink: "unlink",
 	OpRmdir: "rmdir", OpRename: "rename", OpAppend: "append",
 	OpTruncate: "truncate", OpFalloc: "falloc", OpFsync: "fsync",
+	OpWrite: "write", OpMapStore: "mapstore", OpPunch: "punch",
 }
 
 // Op is one system call in a workload.
 type Op struct {
 	Kind OpKind
 	A, B string
+	Off  int64
 	Size int64
 }
 
 func (o Op) String() string {
-	if o.Kind == OpRename {
+	switch o.Kind {
+	case OpRename:
 		return fmt.Sprintf("rename(%s,%s)", o.A, o.B)
+	case OpMapStore:
+		return fmt.Sprintf("mapstore(%s@%d)", o.A, o.Off)
+	case OpWrite, OpPunch:
+		return fmt.Sprintf("%s(%s@%d+%d)", kindNames[o.Kind], o.A, o.Off, o.Size)
 	}
 	return fmt.Sprintf("%s(%s)", kindNames[o.Kind], o.A)
 }
 
 // Workload is a crash-test case: Setup runs before recording; every op in
-// Ops is crash-explored.
+// Ops is crash-explored, on a mount of the given consistency mode.
 type Workload struct {
 	Name  string
+	Mode  vfs.ConsistencyMode
 	Setup []Op
 	Ops   []Op
 }
@@ -83,40 +110,88 @@ func apply(ctx *sim.Ctx, fs vfs.FS, o Op) error {
 		return fs.Rmdir(ctx, o.A)
 	case OpRename:
 		return fs.Rename(ctx, o.A, o.B)
-	case OpAppend:
-		f, err := fs.Open(ctx, o.A)
-		if err != nil {
-			f, err = fs.Create(ctx, o.A)
-			if err != nil {
-				return err
-			}
-		}
-		_, err = f.Append(ctx, make([]byte, o.Size))
-		return err
-	case OpTruncate:
-		f, err := fs.Open(ctx, o.A)
-		if err != nil {
-			return err
-		}
-		return f.Truncate(ctx, o.Size)
-	case OpFalloc:
-		f, err := fs.Open(ctx, o.A)
-		if err != nil {
-			return err
-		}
-		return f.Fallocate(ctx, 0, o.Size)
-	case OpFsync:
-		f, err := fs.Open(ctx, o.A)
-		if err != nil {
-			return err
-		}
-		return f.Fsync(ctx)
 	}
-	return nil
+	// The rest are calls on an open file; an append makes its own.
+	f, err := fs.Open(ctx, o.A)
+	if err != nil && o.Kind == OpAppend {
+		f, err = fs.Create(ctx, o.A)
+	}
+	if err != nil {
+		return err
+	}
+	switch o.Kind {
+	case OpAppend:
+		_, err = f.Append(ctx, make([]byte, o.Size))
+	case OpTruncate:
+		err = f.Truncate(ctx, o.Size)
+	case OpFalloc:
+		err = f.Fallocate(ctx, 0, o.Size)
+	case OpFsync:
+		err = f.Fsync(ctx)
+	case OpWrite:
+		_, err = f.WriteAt(ctx, bytes.Repeat([]byte{DataByte}, int(o.Size)), o.Off)
+	case OpPunch:
+		hp, ok := f.(vfs.HolePuncher)
+		if !ok {
+			return vfs.ErrInvalid
+		}
+		err = hp.PunchHole(ctx, o.Off, o.Size)
+	case OpMapStore:
+		var m *vmm.Mapping
+		if m, err = vmm.Map(ctx, f, 0, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true}); err != nil {
+			return err
+		}
+		if err = m.Write(ctx, bytes.Repeat([]byte{DataByte}, pmem.CacheLine), o.Off); err == nil {
+			err = m.Msync(ctx, o.Off, pmem.CacheLine)
+		}
+		if cerr := m.Close(ctx); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
-// State is a canonical namespace snapshot: "path kind size" lines, sorted.
+// State is a canonical snapshot of what a mount shows: "path kind size
+// crc" lines, sorted — the checksum is of the file's bytes, so a page that
+// recovery drops (it reads back as a hole) is a different state.
 type State string
+
+// crcEIO stands in for the checksum of a file whose bytes the media would
+// not return.
+const crcEIO = " crc=EIO"
+
+// sansContent is s without the checksum of path: what is left to compare of
+// a file whose data a crash may tear or a fault has taken.
+func (s State) sansContent(path string) State {
+	lines := strings.Split(string(s), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, path+" file ") {
+			lines[i], _, _ = strings.Cut(l, " crc=")
+		}
+	}
+	return State(strings.Join(lines, "\n"))
+}
+
+// crashAtomic reports whether got is a state a crash in the middle of o may
+// leave: the one before it or the one after. Relaxed mode promises that of a
+// write's metadata only — its data "may be partially complete after a
+// crash" (vfs.Relaxed) — so there the written file's bytes are not compared;
+// nor are those of a file got could not read for poison.
+func crashAtomic(got, before, after State, o Op, mode vfs.ConsistencyMode) bool {
+	var skip []string
+	if o.Kind == OpWrite && mode == vfs.Relaxed {
+		skip = append(skip, o.A)
+	}
+	for _, l := range strings.Split(string(got), "\n") {
+		if path, _, ok := strings.Cut(l, " file "); ok && strings.HasSuffix(l, crcEIO) {
+			skip = append(skip, path)
+		}
+	}
+	for _, path := range skip {
+		got, before, after = got.sansContent(path), before.sansContent(path), after.sansContent(path)
+	}
+	return got == before || got == after
+}
 
 // captureState walks the mounted FS.
 func captureState(ctx *sim.Ctx, fs vfs.FS) State {
@@ -142,7 +217,19 @@ func captureState(ctx *sim.Ctx, fs vfs.FS) State {
 					lines = append(lines, fmt.Sprintf("ERR %s %v", p, err))
 					continue
 				}
-				lines = append(lines, fmt.Sprintf("%s file %d", p, fi.Size))
+				buf := make([]byte, fi.Size)
+				f, err := fs.Open(ctx, p)
+				if err == nil {
+					_, err = f.ReadAt(ctx, buf, 0)
+				}
+				switch {
+				case errors.Is(err, vfs.ErrIO): // poisoned data: a rung of the fault ladder, not a state
+					lines = append(lines, fmt.Sprintf("%s file %d%s", p, fi.Size, crcEIO))
+				case err != nil:
+					lines = append(lines, fmt.Sprintf("ERR %s %v", p, err))
+				default:
+					lines = append(lines, fmt.Sprintf("%s file %d crc=%08x", p, fi.Size, crc32.ChecksumIEEE(buf)))
+				}
 			}
 		}
 	}
@@ -194,7 +281,7 @@ func Run(w Workload, cfg Config) Result {
 	res := Result{Workload: w.Name, Ops: len(w.Ops)}
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(cfg.DeviceSize)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512})
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: w.Mode})
 	if err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("mkfs: %v", err))
 		return res
@@ -250,13 +337,22 @@ func Run(w Workload, cfg Config) Result {
 				}
 				img.Apply(chosen)
 				res.CrashStates++
-				if msg := checkCrashState(img, cfg, before, after, o, e, mask); msg != "" {
+				if msg := checkCrashState(img, cfg, w.Mode, before, after, o, e, mask); msg != "" {
 					res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s): %s", k, o, msg))
 					if len(res.Failures) > 20 {
 						return res
 					}
 				}
 			}
+		}
+		// The operation is synchronous: with every store of it durable, the
+		// state is the one after it, and no other — an acknowledged write
+		// that a mount reads back as the hole it filled is "before".
+		img := base.Clone()
+		img.Apply(trace)
+		res.CrashStates++
+		if msg := checkCrashState(img, cfg, w.Mode, after, after, Op{}, maxEpoch+1, 0); msg != "" {
+			res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s), returned: %s", k, o, msg))
 		}
 	}
 	return res
@@ -284,11 +380,11 @@ func enumerate(n, maxSubsets int, rng *sim.Rand) []uint64 {
 }
 
 // checkCrashState recovers one crash image and validates it.
-func checkCrashState(img *pmem.Image, cfg Config, before, after State, o Op, epoch int, mask uint64) string {
+func checkCrashState(img *pmem.Image, cfg Config, mode vfs.ConsistencyMode, before, after State, o Op, epoch int, mask uint64) string {
 	scratch := pmem.New(cfg.DeviceSize)
 	scratch.Restore(img)
 	rctx := sim.NewCtx(2, 0)
-	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512})
+	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: mode})
 	if err != nil {
 		return fmt.Sprintf("epoch %d mask %x: mount failed: %v", epoch, mask, err)
 	}
@@ -296,7 +392,7 @@ func checkCrashState(img *pmem.Image, cfg Config, before, after State, o Op, epo
 		return fmt.Sprintf("epoch %d mask %x: fsck: %s", epoch, mask, rep.Errors[0])
 	}
 	got := captureState(rctx, rfs)
-	if got != before && got != after {
+	if !crashAtomic(got, before, after, o, mode) {
 		return fmt.Sprintf("epoch %d mask %x: atomicity violated:\n got: %q\n pre: %q\npost: %q",
 			epoch, mask, got, before, after)
 	}
@@ -311,6 +407,10 @@ func GenerateSeq1() []Workload {
 		{Kind: OpCreate, A: "/A/foo"},
 		{Kind: OpAppend, A: "/A/foo", Size: 5000},
 		{Kind: OpCreate, A: "/bar"},
+		// /sp: ten blocks, sparse but for the third.
+		{Kind: OpCreate, A: "/sp"},
+		{Kind: OpTruncate, A: "/sp", Size: 40960},
+		{Kind: OpWrite, A: "/sp", Off: 8192, Size: 4096},
 	}
 	ops := []Op{
 		{Kind: OpCreate, A: "/A/new"},
@@ -327,6 +427,13 @@ func GenerateSeq1() []Workload {
 		{Kind: OpTruncate, A: "/A/foo", Size: 100000},
 		{Kind: OpFalloc, A: "/bar", Size: 1 << 20},
 		{Kind: OpFsync, A: "/A/foo"},
+		{Kind: OpWrite, A: "/sp", Off: 20480, Size: 4096},   // into a hole
+		{Kind: OpWrite, A: "/sp", Off: 6000, Size: 5000},    // a hole and the written block
+		{Kind: OpWrite, A: "/sp", Off: 40000, Size: 3000},   // a hole and across EOF
+		{Kind: OpWrite, A: "/A/foo", Off: 1000, Size: 2000}, // over existing bytes
+		{Kind: OpWrite, A: "/A/foo", Off: 4000, Size: 2000}, // over existing bytes and across EOF
+		{Kind: OpMapStore, A: "/sp", Off: 28672},            // demand-faults a hole's page
+		{Kind: OpPunch, A: "/sp", Off: 8192, Size: 4096},
 	}
 	var out []Workload
 	for i, o := range ops {
@@ -339,15 +446,15 @@ func GenerateSeq1() []Workload {
 	return out
 }
 
-// GenerateSeq2 produces two-op workloads (ACE seq-2): dependent pairs that
-// historically expose reordering bugs.
+// GenerateSeq2 produces ACE's seq-2 workloads — dependent pairs that
+// historically expose reordering bugs — and the sparse-file sequences.
 func GenerateSeq2() []Workload {
 	setup := []Op{
 		{Kind: OpMkdir, A: "/A"},
 		{Kind: OpCreate, A: "/A/foo"},
 		{Kind: OpAppend, A: "/A/foo", Size: 4096},
 	}
-	pairs := [][2]Op{
+	seqs := [][]Op{
 		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpRename, A: "/A/x", B: "/A/y"}},
 		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpUnlink, A: "/A/x"}},
 		{{Kind: OpMkdir, A: "/D"}, {Kind: OpCreate, A: "/D/f"}},
@@ -358,13 +465,27 @@ func GenerateSeq2() []Workload {
 		{{Kind: OpTruncate, A: "/A/foo", Size: 0}, {Kind: OpAppend, A: "/A/foo", Size: 4096}},
 		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpMkdir, A: "/A/d"}},
 		{{Kind: OpRename, A: "/A/foo", B: "/g"}, {Kind: OpRename, A: "/g", B: "/A/foo"}},
+		// The life of a sparse file, in two workloads: grown by truncate and
+		// written into; and all of it — every step leaves extent records
+		// whose count only the header write at commit tells the next mount.
+		{{Kind: OpTruncate, A: "/A/foo", Size: 65536}, {Kind: OpWrite, A: "/A/foo", Off: 32768, Size: 4096}},
+		{
+			{Kind: OpTruncate, A: "/A/foo", Size: 65536},
+			{Kind: OpWrite, A: "/A/foo", Off: 32768, Size: 6000},
+			{Kind: OpMapStore, A: "/A/foo", Off: 49152},
+			{Kind: OpPunch, A: "/A/foo", Off: 32768, Size: 4096},
+		},
 	}
 	var out []Workload
-	for i, p := range pairs {
+	for i, ops := range seqs {
+		names := make([]string, len(ops))
+		for k, o := range ops {
+			names[k] = o.String()
+		}
 		out = append(out, Workload{
-			Name:  fmt.Sprintf("seq2-%02d-%s+%s", i, p[0], p[1]),
+			Name:  fmt.Sprintf("seq2-%02d-%s", i, strings.Join(names, "+")),
 			Setup: setup,
-			Ops:   []Op{p[0], p[1]},
+			Ops:   ops,
 		})
 	}
 	return out

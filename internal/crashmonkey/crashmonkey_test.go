@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 	"repro/internal/winefs"
 )
 
@@ -44,20 +45,30 @@ func TestCaptureStateCanonical(t *testing.T) {
 	}
 }
 
+// bothModes crash-explores every workload on a relaxed and on a strict
+// mount: the header write at commit is the same code in both, what leads up
+// to it (in-place against copy-on-write) is not.
+func bothModes(t *testing.T, workloads []Workload, cfg Config) (states int) {
+	for _, mode := range []vfs.ConsistencyMode{vfs.Relaxed, vfs.Strict} {
+		for _, w := range workloads {
+			w.Mode = mode
+			res := Run(w, cfg)
+			if !res.OK() {
+				t.Errorf("%s, mode %d: %d failures, first: %s", w.Name, mode, len(res.Failures), res.Failures[0])
+			}
+			states += res.CrashStates
+		}
+	}
+	return states
+}
+
 // TestSeq1 runs the full single-op ACE suite. This is the §5.2 experiment:
 // "Currently, WineFS passes all the CrashMonkey tests."
 func TestSeq1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash exploration")
 	}
-	total := 0
-	for _, w := range GenerateSeq1() {
-		res := Run(w, Config{MaxSubsets: 128, Seed: 42})
-		if !res.OK() {
-			t.Errorf("%s: %d failures, first: %s", w.Name, len(res.Failures), res.Failures[0])
-		}
-		total += res.CrashStates
-	}
+	total := bothModes(t, GenerateSeq1(), Config{MaxSubsets: 128, Seed: 42})
 	if total < 100 {
 		t.Fatalf("only %d crash states explored", total)
 	}
@@ -68,15 +79,46 @@ func TestSeq2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash exploration")
 	}
-	total := 0
-	for _, w := range GenerateSeq2() {
-		res := Run(w, Config{MaxSubsets: 64, Seed: 7})
-		if !res.OK() {
-			t.Errorf("%s: %d failures, first: %s", w.Name, len(res.Failures), res.Failures[0])
-		}
-		total += res.CrashStates
-	}
+	total := bothModes(t, GenerateSeq2(), Config{MaxSubsets: 64, Seed: 7})
 	t.Logf("seq2: %d crash states, all recovered consistently", total)
+}
+
+// TestStateSeesData: the oracle can tell a written page from the hole it
+// filled, and relaxed mode's exemption covers the written file's bytes and
+// nothing else.
+func TestStateSeesData(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	fs, _ := winefs.Mkfs(ctx, pmem.New(64<<20), winefs.Options{CPUs: 2})
+	for _, o := range []Op{{Kind: OpCreate, A: "/f"}, {Kind: OpCreate, A: "/g"}, {Kind: OpTruncate, A: "/f", Size: 16384}} {
+		if err := apply(ctx, fs, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hole := captureState(ctx, fs)
+	w := Op{Kind: OpWrite, A: "/f", Off: 4096, Size: 4096}
+	if err := apply(ctx, fs, w); err != nil {
+		t.Fatal(err)
+	}
+	written := captureState(ctx, fs)
+	if written == hole {
+		t.Fatal("a write into a hole left the state unchanged")
+	}
+	if err := apply(ctx, fs, Op{Kind: OpMapStore, A: "/f", Off: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	stored := captureState(ctx, fs)
+	if stored == written {
+		t.Fatal("a mapped store left the state unchanged")
+	}
+	if crashAtomic(stored, hole, written, w, vfs.Strict) {
+		t.Fatal("strict: a third content passed for before or after")
+	}
+	if !crashAtomic(stored, hole, written, w, vfs.Relaxed) {
+		t.Fatal("relaxed: the written file's bytes were compared")
+	}
+	if crashAtomic(stored, hole, written, Op{Kind: OpWrite, A: "/g", Off: 0, Size: 1}, vfs.Relaxed) {
+		t.Fatal("relaxed: a write to /g excused the bytes of /f")
+	}
 }
 
 func TestFsckDetectsCorruption(t *testing.T) {

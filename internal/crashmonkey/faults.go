@@ -18,8 +18,10 @@ import (
 // workload touched, and then asserts the degradation ladder: every outcome
 // must be transparent recovery, a clean EIO, or read-only degradation —
 // never a panic and never silently wrong data. The data oracle is exact
-// because every workload writes zeros: any successful read that returns a
-// nonzero byte is silent corruption.
+// because every workload writes zeros or DataByte: any successful read that
+// returns another byte is silent corruption, and a transparent recovery
+// must show the state — file contents included — before or after the
+// injured unit.
 
 // FaultMode selects how a run injures the device.
 type FaultMode int
@@ -129,11 +131,16 @@ func RunFaultCampaign(cfg FaultCampaignConfig) *FaultCampaignResult {
 	pr.Run(cfg.Runs, func(i int) {
 		w := workloads[i%len(workloads)]
 		seed := cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
-		// Rotate the mode by cycle so each workload meets every mode (the
-		// workload count is a multiple of the mode count).
-		mode := FaultMode((i + i/len(workloads)) % int(modeCount))
-		// Every other run mounts tiered; 2 and the mode count 3 are
-		// coprime, so each (mode, tiered) pair occurs for each workload.
+		// Rotate the fault mode by cycle so each workload meets every mode
+		// (the workload count is a multiple of the mode count), and mount
+		// every other cycle strict: six cycles cover the pairs.
+		cycle := i / len(workloads)
+		mode := FaultMode((i + cycle) % int(modeCount))
+		if cycle%2 == 1 {
+			w.Mode = vfs.Strict
+		}
+		// Every other run mounts tiered; the workload count is odd, so each
+		// workload is tiered in every other cycle.
 		tiered := i%2 == 1
 		if msg := guardRun(func() string {
 			return faultRun(w, cfg, seed, mode, tiered, &perRun[i])
@@ -201,7 +208,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		slowBlocks = slow.Size() / winefs.BlockSize
 		res.TierRuns++
 	}
-	opts := winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Tier: topts}
+	opts := winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Tier: topts, Mode: w.Mode}
 	fs, err := winefs.Mkfs(ctx, dev, opts)
 	if err != nil {
 		return fmt.Sprintf("mkfs: %v", err)
@@ -220,17 +227,18 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		slowAfter *pmem.Image // slow-tier contents after the unit; nil untiered
 		trace     []pmem.Store
 		pre, post State
+		op        Op // the zero Op for a migration pass
 	}
 	var units []crashUnit
 	prev := captureState(ctx, fs)
-	record := func(f func() error) {
+	record := func(o Op, f func() error) {
 		base := dev.Snapshot()
 		dev.StartTrace()
 		err := f()
 		trace := dev.StopTrace()
 		cur := captureState(ctx, fs)
 		if err == nil && len(trace) > 0 {
-			u := crashUnit{base: base, trace: trace, pre: prev, post: cur}
+			u := crashUnit{base: base, trace: trace, pre: prev, post: cur, op: o}
 			if slow != nil {
 				u.slowAfter = slow.Snapshot()
 			}
@@ -240,7 +248,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	}
 	for k, o := range w.Ops {
 		o := o
-		record(func() error { return apply(ctx, fs, o) })
+		record(o, func() error { return apply(ctx, fs, o) })
 		if tiered {
 			// Alternate marks, promotion first: setup and op writes spilled
 			// under the aggressive mount marks and still carry the heat the
@@ -252,7 +260,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 				fs.SetTierWaterMarks(0.0001, 0.00005)
 			}
 			nUnits := len(units)
-			record(func() error {
+			record(Op{}, func() error {
 				_, err := fs.TierPass(ctx, winefs.TierPassOptions{MaxMigrateBlocks: 512})
 				return err
 			})
@@ -269,7 +277,8 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	var img *pmem.Image
 	var slowImg *pmem.Image
 	var injured []pmem.Store // stores whose lines are poison candidates
-	var oracle []State
+	var pre, post State      // the atomicity oracle: the states around inflight
+	var inflight Op
 	switch mode {
 	case ModeTorn, ModePoisonCrash:
 		u := units[rng.Intn(len(units))]
@@ -294,7 +303,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		img = u.base.Clone()
 		img.Apply(torn)
 		slowImg = u.slowAfter
-		oracle = []State{u.pre, u.post}
+		pre, post, inflight = u.pre, u.post, u.op
 	case ModePoisonLive:
 		if err := fs.Unmount(ctx); err != nil {
 			return fmt.Sprintf("unmount: %v", err)
@@ -306,7 +315,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		if slow != nil {
 			slowImg = slow.Snapshot()
 		}
-		oracle = []State{prev}
+		pre, post = prev, prev
 	}
 
 	scratch := pmem.New(cfg.DeviceSize)
@@ -369,16 +378,8 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	}
 	// Rung 1: transparent recovery. The namespace must match the atomicity
 	// oracle and the image must pass fsck.
-	got := captureState(rctx, rfs)
-	match := false
-	for _, want := range oracle {
-		if got == want {
-			match = true
-			break
-		}
-	}
-	if !match {
-		return fmt.Sprintf("atomicity violated:\n got: %q\nwant one of: %q", got, oracle)
+	if got := captureState(rctx, rfs); !crashAtomic(got, pre, post, inflight, w.Mode) {
+		return fmt.Sprintf("atomicity violated:\n got: %q\n pre: %q\npost: %q", got, pre, post)
 	}
 	if rep := winefs.CheckTiered(scratch, slowBlocks); !rep.OK() {
 		return fmt.Sprintf("clean mount but fsck: %s", rep.Errors[0])
@@ -398,9 +399,9 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 }
 
 // readAllFiles reads every file in full through the checked path. Reads may
-// fail — but only with EIO — and bytes that do come back must be zero
-// (every campaign workload writes zeros), so any nonzero byte is silent
-// corruption.
+// fail — but only with EIO — and bytes that do come back must be zero or
+// DataByte (the campaign's workloads write nothing else), so any other byte
+// is silent corruption.
 func readAllFiles(ctx *sim.Ctx, fs vfs.FS, res *FaultCampaignResult) string {
 	var walk func(dir string) string
 	walk = func(dir string) string {
@@ -450,8 +451,8 @@ func readAllFiles(ctx *sim.Ctx, fs vfs.FS, res *FaultCampaignResult) string {
 					return fmt.Sprintf("read %s@%d: non-EIO error %v", p, off, err)
 				}
 				for j := 0; j < m; j++ {
-					if buf[j] != 0 {
-						return fmt.Sprintf("SILENT CORRUPTION: %s@%d byte %d = %#x, want 0", p, off, j, buf[j])
+					if buf[j] != 0 && buf[j] != DataByte {
+						return fmt.Sprintf("SILENT CORRUPTION: %s@%d byte %d = %#x, want 0 or %#x", p, off, j, buf[j], DataByte)
 					}
 				}
 			}

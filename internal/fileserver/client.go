@@ -51,23 +51,23 @@ type Client struct {
 }
 
 // callBuf is the wire memory of one call: the request frame its caller
-// encodes (through the embedded enc; the frame header is reserved in front
+// encodes (through the embedded Enc; the frame header is reserved in front
 // for writeOwnedFrame) and, on direct dispatch, the response frame the
 // server encodes for it. The goroutine that took it with getBuf owns both
 // until it hands it back with putBuf: through call, and for as long as it
-// reads the dec call returned, which points into resp. Every client
+// reads the Dec call returned, which points into resp. Every client
 // goroutine with a call in flight holds its own.
 type callBuf struct {
-	enc
+	Enc
 	resp []byte
 }
 
 // reset empties the request, keeping its memory.
 func (cb *callBuf) reset() {
-	if cb.b == nil {
-		cb.b = make([]byte, frameHdrLen, frameHdrLen+64)
+	if cb.B == nil {
+		cb.B = make([]byte, frameHdrLen, frameHdrLen+64)
 	}
-	cb.b = cb.b[:frameHdrLen]
+	cb.B = cb.B[:frameHdrLen]
 }
 
 // getBuf returns a call buffer with an empty request.
@@ -86,10 +86,10 @@ func (c *Client) getBuf() *callBuf {
 }
 
 // putBuf ends the caller's ownership of cb. Nothing decoded from the
-// response may still point into it: dec.str copies, dec.bytes does not.
+// response may still point into it: Dec.Str copies, Dec.Bytes does not.
 func (c *Client) putBuf(cb *callBuf) {
-	if cap(cb.b) > maxKeptBuf {
-		cb.b = nil
+	if cap(cb.B) > maxKeptBuf {
+		cb.B = nil
 	}
 	if cap(cb.resp) > maxKeptBuf {
 		cb.resp = nil
@@ -118,19 +118,19 @@ func Dial(conn Conn) (*Client, error) {
 	go c.readLoop()
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.u32(ProtoVersion)
+	cb.U32(ProtoVersion)
 	d, err := c.call(nil, opHello, cb)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	d.u32() // server protocol version (equal or the handshake would have failed)
-	c.name = d.str()
-	c.mode = vfs.ConsistencyMode(d.u8())
-	d.u32() // server CPUs
-	d.u32() // server window
-	c.epoch = d.u64()
-	if !d.ok() {
+	d.U32() // server protocol version (equal or the handshake would have failed)
+	c.name = d.Str()
+	c.mode = vfs.ConsistencyMode(d.U8())
+	d.U32() // server CPUs
+	d.U32() // server window
+	c.epoch = d.U64()
+	if !d.OK() {
 		conn.Close()
 		return nil, ErrBadRequest
 	}
@@ -218,7 +218,7 @@ func (c *Client) handleRevoke(ino uint64) {
 	}
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.u64(ino)
+	cb.U64(ino)
 	// Best effort: if the connection died the server's teardown drops the
 	// lease anyway.
 	c.call(nil, opLeaseAck, cb)
@@ -227,9 +227,9 @@ func (c *Client) handleRevoke(ino uint64) {
 // call issues the request encoded in cb and blocks for its response. ctx
 // (nil for the handshake and revoke acks) is advanced by the server-charged
 // virtual cost whether the request succeeded or not — failed syscalls cost
-// time too. The returned dec reads the response payload; on direct dispatch
+// time too. The returned Dec reads the response payload; on direct dispatch
 // it points into cb, so the caller decodes before putBuf (see callBuf).
-func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
+func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (Dec, error) {
 	if c.dc != nil {
 		// Direct dispatch (in-process transports): run the server's
 		// request path on this goroutine and get the response frame back
@@ -238,7 +238,7 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 		// its connection must keep failing like one, even while the server
 		// session is still tearing down.
 		if sd := c.dc.getDirect(); sd != nil && !c.dead() {
-			if st, frame, ok := sd.call(o, cb.b[frameHdrLen:], cb.resp); ok {
+			if st, frame, ok := sd.call(o, cb.B[frameHdrLen:], cb.resp); ok {
 				cb.resp = frame
 				return finishCall(ctx, st, frame[frameHdrLen:])
 			}
@@ -253,7 +253,7 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 	if c.closed {
 		c.mu.Unlock()
 		respChanPool.Put(ch)
-		return dec{}, c.transportErr()
+		return Dec{}, c.transportErr()
 	}
 	id := c.nextID
 	c.nextID++
@@ -261,10 +261,10 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	kept, err := writeOwnedFrame(c.conn, id, uint8(o), cb.b)
+	kept, err := writeOwnedFrame(c.conn, id, uint8(o), cb.B)
 	c.wmu.Unlock()
 	if !kept {
-		cb.b = nil // the transport owns the request frame now
+		cb.B = nil // the transport owns the request frame now
 	}
 	if err != nil {
 		c.mu.Lock()
@@ -276,12 +276,12 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 		if reusable {
 			respChanPool.Put(ch)
 		}
-		return dec{}, c.transportErr()
+		return Dec{}, c.transportErr()
 	}
 
 	f, ok := <-ch
 	if !ok {
-		return dec{}, c.transportErr()
+		return Dec{}, c.transportErr()
 	}
 	respChanPool.Put(ch)
 	return finishCall(ctx, f.st, f.payload)
@@ -289,14 +289,14 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (dec, error) {
 
 // finishCall charges ctx the cost a response body leads with and turns its
 // status into the call's result.
-func finishCall(ctx *sim.Ctx, st status, body []byte) (dec, error) {
-	d := dec{b: body}
-	cost := d.u64()
+func finishCall(ctx *sim.Ctx, st status, body []byte) (Dec, error) {
+	d := Dec{B: body}
+	cost := d.U64()
 	if ctx != nil {
 		ctx.Advance(int64(cost))
 	}
 	if st != statusOK {
-		return dec{}, errFor(st, d.str())
+		return Dec{}, errFor(st, d.Str())
 	}
 	return d, nil
 }
@@ -305,7 +305,7 @@ func finishCall(ctx *sim.Ctx, st status, body []byte) (dec, error) {
 func (c *Client) pathCall(ctx *sim.Ctx, o op, path string) error {
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.str(path)
+	cb.Str(path)
 	_, err := c.call(ctx, o, cb)
 	return err
 }
@@ -319,13 +319,13 @@ func (c *Client) Mode() vfs.ConsistencyMode { return c.mode }
 func (c *Client) openLike(ctx *sim.Ctx, o op, path string) (vfs.File, error) {
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.str(path)
+	cb.Str(path)
 	d, err := c.call(ctx, o, cb)
 	if err != nil {
 		return nil, err
 	}
-	f := &remoteFile{c: c, handle: d.u64(), ino: d.u64(), size: d.i64()}
-	if !d.ok() {
+	f := &remoteFile{c: c, handle: d.U64(), ino: d.U64(), size: d.I64()}
+	if !d.OK() {
 		return nil, ErrBadRequest
 	}
 	return f, nil
@@ -360,8 +360,8 @@ func (c *Client) Rmdir(ctx *sim.Ctx, path string) error {
 func (c *Client) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.str(oldPath)
-	cb.str(newPath)
+	cb.Str(oldPath)
+	cb.Str(newPath)
 	_, err := c.call(ctx, opRename, cb)
 	return err
 }
@@ -370,18 +370,18 @@ func (c *Client) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 func (c *Client) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.str(path)
+	cb.Str(path)
 	d, err := c.call(ctx, opStat, cb)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
 	fi := vfs.FileInfo{
-		Ino:   d.u64(),
-		Size:  d.i64(),
-		IsDir: d.u8() != 0,
-		Nlink: int(d.u32()),
+		Ino:   d.U64(),
+		Size:  d.I64(),
+		IsDir: d.U8() != 0,
+		Nlink: int(d.U32()),
 	}
-	if !d.ok() {
+	if !d.OK() {
 		return vfs.FileInfo{}, ErrBadRequest
 	}
 	return fi, nil
@@ -391,21 +391,21 @@ func (c *Client) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
 func (c *Client) ReadDir(ctx *sim.Ctx, path string) ([]vfs.DirEntry, error) {
 	cb := c.getBuf()
 	defer c.putBuf(cb)
-	cb.str(path)
+	cb.Str(path)
 	d, err := c.call(ctx, opReadDir, cb)
 	if err != nil {
 		return nil, err
 	}
-	n := d.u32()
+	n := d.U32()
 	ents := make([]vfs.DirEntry, 0, n)
-	for i := uint32(0); i < n && d.ok(); i++ {
+	for i := uint32(0); i < n && d.OK(); i++ {
 		ents = append(ents, vfs.DirEntry{
-			Name:  d.str(),
-			Ino:   d.u64(),
-			IsDir: d.u8() != 0,
+			Name:  d.Str(),
+			Ino:   d.U64(),
+			IsDir: d.U8() != 0,
 		})
 	}
-	if !d.ok() {
+	if !d.OK() {
 		return nil, ErrBadRequest
 	}
 	return ents, nil
@@ -421,10 +421,10 @@ func (c *Client) StatFS(ctx *sim.Ctx) vfs.StatFS {
 		return vfs.StatFS{}
 	}
 	return vfs.StatFS{
-		TotalBlocks:   d.i64(),
-		FreeBlocks:    d.i64(),
-		FreeAligned2M: d.i64(),
-		Files:         d.i64(),
+		TotalBlocks:   d.I64(),
+		FreeBlocks:    d.I64(),
+		FreeAligned2M: d.I64(),
+		Files:         d.I64(),
 	}
 }
 
@@ -494,15 +494,15 @@ func (f *remoteFile) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 			chunk = maxIO
 		}
 		cb.reset()
-		cb.u64(f.handle)
-		cb.i64(off + int64(total))
-		cb.u32(uint32(chunk))
+		cb.U64(f.handle)
+		cb.I64(off + int64(total))
+		cb.U32(uint32(chunk))
 		d, err := f.c.call(ctx, opRead, cb)
 		if err != nil {
 			return total, err
 		}
-		data := d.bytes()
-		if !d.ok() {
+		data := d.Bytes()
+		if !d.OK() {
 			return total, ErrBadRequest
 		}
 		copy(p[total:], data)
@@ -525,18 +525,18 @@ func (f *remoteFile) writeLike(ctx *sim.Ctx, o op, p []byte, off int64) (int, er
 			chunk = maxIO
 		}
 		cb.reset()
-		cb.u64(f.handle)
+		cb.U64(f.handle)
 		if o == opWrite {
-			cb.i64(off + int64(total))
+			cb.I64(off + int64(total))
 		}
-		cb.bytes(p[total : total+chunk])
+		cb.Bytes(p[total : total+chunk])
 		d, err := f.c.call(ctx, o, cb)
 		if err != nil {
 			return total, err
 		}
-		n := int(d.u32())
-		size := d.i64()
-		if !d.ok() {
+		n := int(d.U32())
+		size := d.I64()
+		if !d.OK() {
 			return total, ErrBadRequest
 		}
 		f.setSize(size)
@@ -561,13 +561,13 @@ func (f *remoteFile) Append(ctx *sim.Ctx, p []byte) (int, error) {
 func (f *remoteFile) Truncate(ctx *sim.Ctx, size int64) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.i64(size)
+	cb.U64(f.handle)
+	cb.I64(size)
 	d, err := f.c.call(ctx, opTruncate, cb)
 	if err != nil {
 		return err
 	}
-	f.setSize(d.i64())
+	f.setSize(d.I64())
 	return nil
 }
 
@@ -575,14 +575,14 @@ func (f *remoteFile) Truncate(ctx *sim.Ctx, size int64) error {
 func (f *remoteFile) Fallocate(ctx *sim.Ctx, off, n int64) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.i64(off)
-	cb.i64(n)
+	cb.U64(f.handle)
+	cb.I64(off)
+	cb.I64(n)
 	d, err := f.c.call(ctx, opFallocate, cb)
 	if err != nil {
 		return err
 	}
-	f.setSize(d.i64())
+	f.setSize(d.I64())
 	return nil
 }
 
@@ -598,14 +598,14 @@ func (f *remoteFile) Lease(ctx *sim.Ctx, write bool) (bool, error) {
 	}
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.u8(mode)
+	cb.U64(f.handle)
+	cb.U8(mode)
 	d, err := f.c.call(ctx, opLease, cb)
 	if err != nil {
 		return false, err
 	}
-	granted := d.u8() != 0
-	if !d.ok() {
+	granted := d.U8() != 0
+	if !d.OK() {
 		return false, ErrBadRequest
 	}
 	return granted, nil
@@ -615,8 +615,8 @@ func (f *remoteFile) Lease(ctx *sim.Ctx, write bool) (bool, error) {
 func (f *remoteFile) Unlease(ctx *sim.Ctx) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.u8(leaseNone)
+	cb.U64(f.handle)
+	cb.U8(leaseNone)
 	_, err := f.c.call(ctx, opLease, cb)
 	return err
 }
@@ -625,7 +625,7 @@ func (f *remoteFile) Unlease(ctx *sim.Ctx) error {
 func (f *remoteFile) Fsync(ctx *sim.Ctx) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
+	cb.U64(f.handle)
 	_, err := f.c.call(ctx, opFsync, cb)
 	return err
 }
@@ -645,9 +645,9 @@ func (f *remoteFile) Extents() []mmu.Extent { return nil }
 func (f *remoteFile) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.str(name)
-	cb.bytes(value)
+	cb.U64(f.handle)
+	cb.Str(name)
+	cb.Bytes(value)
 	_, err := f.c.call(ctx, opSetXattr, cb)
 	return err
 }
@@ -656,15 +656,15 @@ func (f *remoteFile) SetXattr(ctx *sim.Ctx, name string, value []byte) error {
 func (f *remoteFile) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
-	cb.str(name)
+	cb.U64(f.handle)
+	cb.Str(name)
 	d, err := f.c.call(ctx, opGetXattr, cb)
 	if err != nil {
 		return nil, false
 	}
-	ok := d.u8() != 0
-	val := append([]byte(nil), d.bytes()...)
-	if !d.ok() || !ok {
+	ok := d.U8() != 0
+	val := append([]byte(nil), d.Bytes()...)
+	if !d.OK() || !ok {
 		return nil, false
 	}
 	return val, true
@@ -674,7 +674,7 @@ func (f *remoteFile) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 func (f *remoteFile) Close(ctx *sim.Ctx) error {
 	cb := f.c.getBuf()
 	defer f.c.putBuf(cb)
-	cb.u64(f.handle)
+	cb.U64(f.handle)
 	_, err := f.c.call(ctx, opCloseHandle, cb)
 	return err
 }

@@ -72,41 +72,41 @@ func TestShutdownCtxBoundedByWedgedClient(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	var e enc
-	e.u32(ProtoVersion)
-	if err := WriteFrame(conn, 1, uint8(opHello), e.b); err != nil {
+	var e Enc
+	e.U32(ProtoVersion)
+	if err := WriteFrame(conn, 1, uint8(opHello), e.B); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	if _, _, _, err := ReadFrame(conn); err != nil {
 		t.Fatalf("hello ack: %v", err)
 	}
-	e = enc{}
-	e.str("/wedge")
-	if err := WriteFrame(conn, 2, uint8(opCreate), e.b); err != nil {
+	e = Enc{}
+	e.Str("/wedge")
+	if err := WriteFrame(conn, 2, uint8(opCreate), e.B); err != nil {
 		t.Fatalf("create req: %v", err)
 	}
 	_, _, resp, err := ReadFrame(conn)
 	if err != nil || len(resp) < 16 {
 		t.Fatalf("create ack: %d bytes, %v", len(resp), err)
 	}
-	d := dec{b: resp[8:]} // skip costNS
-	h := d.u64()          // the handle
+	d := Dec{B: resp[8:]} // skip costNS
+	h := d.U64()          // the handle
 	const big = 2 << 20   // 2MiB response >> bufPipeMax
-	e = enc{}
-	e.u64(h)
-	e.i64(0)
-	e.i64(big)
-	if err := WriteFrame(conn, 3, uint8(opFallocate), e.b); err != nil {
+	e = Enc{}
+	e.U64(h)
+	e.I64(0)
+	e.I64(big)
+	if err := WriteFrame(conn, 3, uint8(opFallocate), e.B); err != nil {
 		t.Fatalf("fallocate req: %v", err)
 	}
 	if _, _, _, err := ReadFrame(conn); err != nil {
 		t.Fatalf("fallocate ack: %v", err)
 	}
-	e = enc{}
-	e.u64(h)
-	e.i64(0)
-	e.u32(big)
-	if err := WriteFrame(conn, 4, uint8(opRead), e.b); err != nil {
+	e = Enc{}
+	e.U64(h)
+	e.I64(0)
+	e.U32(big)
+	if err := WriteFrame(conn, 4, uint8(opRead), e.B); err != nil {
 		t.Fatalf("read req: %v", err)
 	}
 	// Give the server time to pick up the request and block on the reply.

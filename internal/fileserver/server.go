@@ -366,21 +366,21 @@ func (sess *session) reader() {
 // ackLease processes an opLeaseAck frame on the reader goroutine: record
 // the ack, wake the waiters, reply with zero cost.
 func (sess *session) ackLease(id uint64, payload []byte) {
-	d := dec{b: payload}
-	ino := d.u64()
+	d := Dec{B: payload}
+	ino := d.U64()
 	st := statusOK
-	if !d.ok() {
+	if !d.OK() {
 		st = statusBadRequest
 	} else {
 		sess.srv.leaseAcked(sess, ino)
 	}
-	var out enc
-	out.u64(0)
+	var out Enc
+	out.U64(0)
 	if st != statusOK {
-		out.str("bad leaseack payload")
+		out.Str("bad leaseack payload")
 	}
 	sess.wmu.Lock()
-	WriteFrame(sess.conn, id, uint8(st), out.b)
+	WriteFrame(sess.conn, id, uint8(st), out.B)
 	sess.wmu.Unlock()
 }
 
@@ -439,9 +439,9 @@ func (sess *session) serveReq(req request, buf []byte) (st status, frame []byte,
 	if st != statusOK || frame == nil {
 		out := respEnc(buf, 0)
 		if st != statusOK {
-			out.str(resp2msg(resp))
+			out.Str(resp2msg(resp))
 		}
-		frame = out.b
+		frame = out.B
 	}
 	binary.LittleEndian.PutUint64(frame[frameHdrLen:], uint64(cost))
 
@@ -474,17 +474,17 @@ func (sd *sessionDirect) call(o op, payload, buf []byte) (st status, frame []byt
 		// Acks stay out of band, exactly like the reader path: a request
 		// blocked in revokeConflicting holds dmu, and the ack that
 		// unblocks it may come from this very client's revoke handler.
-		d := dec{b: payload}
-		ino := d.u64()
+		d := Dec{B: payload}
+		ino := d.U64()
 		out := respEnc(buf, 0)
-		binary.LittleEndian.PutUint64(out.b[frameHdrLen:], 0)
-		if !d.ok() {
+		binary.LittleEndian.PutUint64(out.B[frameHdrLen:], 0)
+		if !d.OK() {
 			st = statusBadRequest
-			out.str("bad leaseack payload")
+			out.Str("bad leaseack payload")
 		} else {
 			sess.srv.leaseAcked(sess, ino)
 		}
-		return st, out.b, true
+		return st, out.B, true
 	}
 	sess.dmu.Lock()
 	if sess.directStopped {
@@ -559,11 +559,11 @@ func (sess *session) teardown() {
 // cost slot reserved, so the frame is finished in place without copying
 // the payload again. The reserved bytes are stale until serveReq and
 // writeOwnedFrame fill them in.
-func respEnc(buf []byte, extra int) enc {
+func respEnc(buf []byte, extra int) Enc {
 	if need := frameHdrLen + 8 + extra; cap(buf) < need {
 		buf = make([]byte, need+16)
 	}
-	return enc{b: buf[:frameHdrLen+8]}
+	return Enc{B: buf[:frameHdrLen+8]}
 }
 
 // rpcSpanNames pre-concatenates trace span labels per opcode; building
@@ -596,28 +596,28 @@ func fail(err error) (status, []byte, bool) {
 // empty response; message text when the status is not OK), and whether the
 // session should stop (client detach).
 func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
-	d := dec{b: req.payload}
+	d := Dec{B: req.payload}
 	fs := sess.srv.fs
 	ctx := sess.ctx
 
 	switch req.op {
 	case opHello:
-		ver := d.u32()
-		if !d.ok() || ver != ProtoVersion {
+		ver := d.U32()
+		if !d.OK() || ver != ProtoVersion {
 			return statusBadRequest, []byte("protocol version mismatch"), false
 		}
 		e := respEnc(buf, 0)
-		e.u32(ProtoVersion)
-		e.str(fs.Name())
-		e.u8(uint8(fs.Mode()))
-		e.u32(uint32(sess.srv.cfg.CPUs))
-		e.u32(uint32(sess.srv.cfg.Window))
-		e.u64(sess.srv.cfg.Epoch)
-		return statusOK, e.b, false
+		e.U32(ProtoVersion)
+		e.Str(fs.Name())
+		e.U8(uint8(fs.Mode()))
+		e.U32(uint32(sess.srv.cfg.CPUs))
+		e.U32(uint32(sess.srv.cfg.Window))
+		e.U64(sess.srv.cfg.Epoch)
+		return statusOK, e.B, false
 
 	case opOpen, opCreate:
-		path := d.str()
-		if !d.ok() {
+		path := d.Str()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		var f vfs.File
@@ -638,14 +638,14 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		sess.nextHandle++
 		sess.handles[h] = f
 		e := respEnc(buf, 0)
-		e.u64(h)
-		e.u64(f.Ino())
-		e.i64(f.Size())
-		return statusOK, e.b, false
+		e.U64(h)
+		e.U64(f.Ino())
+		e.I64(f.Size())
+		return statusOK, e.B, false
 
 	case opMkdir, opUnlink, opRmdir:
-		path := d.str()
-		if !d.ok() {
+		path := d.Str()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		var err error
@@ -663,8 +663,8 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		return statusOK, nil, false
 
 	case opRename:
-		oldPath, newPath := d.str(), d.str()
-		if !d.ok() {
+		oldPath, newPath := d.Str(), d.Str()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if err := fs.Rename(ctx, oldPath, newPath); err != nil {
@@ -673,8 +673,8 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		return statusOK, nil, false
 
 	case opStat:
-		path := d.str()
-		if !d.ok() {
+		path := d.Str()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		fi, err := fs.Stat(ctx, path)
@@ -689,15 +689,15 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			}
 		}
 		e := respEnc(buf, 0)
-		e.u64(fi.Ino)
-		e.i64(fi.Size)
-		e.u8(b2u8(fi.IsDir))
-		e.u32(uint32(fi.Nlink))
-		return statusOK, e.b, false
+		e.U64(fi.Ino)
+		e.I64(fi.Size)
+		e.U8(b2u8(fi.IsDir))
+		e.U32(uint32(fi.Nlink))
+		return statusOK, e.B, false
 
 	case opReadDir:
-		path := d.str()
-		if !d.ok() {
+		path := d.Str()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		ents, err := fs.ReadDir(ctx, path)
@@ -705,27 +705,27 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			return fail(err)
 		}
 		e := respEnc(buf, 0)
-		e.u32(uint32(len(ents)))
+		e.U32(uint32(len(ents)))
 		for _, ent := range ents {
-			e.str(ent.Name)
-			e.u64(ent.Ino)
-			e.u8(b2u8(ent.IsDir))
+			e.Str(ent.Name)
+			e.U64(ent.Ino)
+			e.U8(b2u8(ent.IsDir))
 		}
-		return statusOK, e.b, false
+		return statusOK, e.B, false
 
 	case opStatFS:
 		sfs := fs.StatFS(ctx)
 		e := respEnc(buf, 0)
-		e.i64(sfs.TotalBlocks)
-		e.i64(sfs.FreeBlocks)
-		e.i64(sfs.FreeAligned2M)
-		e.i64(sfs.Files)
-		return statusOK, e.b, false
+		e.I64(sfs.TotalBlocks)
+		e.I64(sfs.FreeBlocks)
+		e.I64(sfs.FreeAligned2M)
+		e.I64(sfs.Files)
+		return statusOK, e.B, false
 
 	case opRead:
-		h, off, n := d.u64(), d.i64(), d.u32()
+		h, off, n := d.U64(), d.I64(), d.U32()
 		f := sess.handles[h]
-		if !d.ok() || n > maxIO {
+		if !d.OK() || n > maxIO {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -736,24 +736,24 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		// is filled in after the read, so the data is never copied
 		// between a scratch buffer and the payload.
 		e := respEnc(buf, 4+int(n))
-		hdr := len(e.b)
-		got, err := f.ReadAt(ctx, e.b[hdr+4:hdr+4+int(n)], off)
+		hdr := len(e.B)
+		got, err := f.ReadAt(ctx, e.B[hdr+4:hdr+4+int(n)], off)
 		if err != nil {
 			return fail(err)
 		}
-		e.u32(uint32(got))
-		e.b = e.b[:hdr+4+got]
-		return statusOK, e.b, false
+		e.U32(uint32(got))
+		e.B = e.B[:hdr+4+got]
+		return statusOK, e.B, false
 
 	case opWrite, opAppend:
-		h := d.u64()
+		h := d.U64()
 		var off int64
 		if req.op == opWrite {
-			off = d.i64()
+			off = d.I64()
 		}
-		data := d.bytes()
+		data := d.Bytes()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -772,14 +772,14 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			return fail(err)
 		}
 		e := respEnc(buf, 0)
-		e.u32(uint32(n))
-		e.i64(f.Size())
-		return statusOK, e.b, false
+		e.U32(uint32(n))
+		e.I64(f.Size())
+		return statusOK, e.B, false
 
 	case opTruncate:
-		h, size := d.u64(), d.i64()
+		h, size := d.U64(), d.I64()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -792,13 +792,13 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			return fail(err)
 		}
 		e := respEnc(buf, 0)
-		e.i64(f.Size())
-		return statusOK, e.b, false
+		e.I64(f.Size())
+		return statusOK, e.B, false
 
 	case opFallocate:
-		h, off, n := d.u64(), d.i64(), d.i64()
+		h, off, n := d.U64(), d.I64(), d.I64()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -811,13 +811,13 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			return fail(err)
 		}
 		e := respEnc(buf, 0)
-		e.i64(f.Size())
-		return statusOK, e.b, false
+		e.I64(f.Size())
+		return statusOK, e.B, false
 
 	case opFsync:
-		h := d.u64()
+		h := d.U64()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -829,9 +829,9 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		return statusOK, nil, false
 
 	case opCloseHandle:
-		h := d.u64()
+		h := d.U64()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -844,9 +844,9 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		return statusOK, nil, false
 
 	case opSetXattr:
-		h, name, val := d.u64(), d.str(), d.bytes()
+		h, name, val := d.U64(), d.Str(), d.Bytes()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -858,9 +858,9 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		return statusOK, nil, false
 
 	case opGetXattr:
-		h, name := d.u64(), d.str()
+		h, name := d.U64(), d.Str()
 		f := sess.handles[h]
-		if !d.ok() {
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -868,14 +868,14 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		}
 		val, ok := f.GetXattr(ctx, name)
 		e := respEnc(buf, 0)
-		e.u8(b2u8(ok))
-		e.bytes(val)
-		return statusOK, e.b, false
+		e.U8(b2u8(ok))
+		e.Bytes(val)
+		return statusOK, e.B, false
 
 	case opLease:
-		h, mode := d.u64(), d.u8()
+		h, mode := d.U64(), d.U8()
 		f := sess.handles[h]
-		if !d.ok() || mode > leaseWrite {
+		if !d.OK() || mode > leaseWrite {
 			return statusBadRequest, nil, false
 		}
 		if f == nil {
@@ -888,12 +888,12 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 			granted = sess.srv.acquireLease(sess, f.Ino(), mode == leaseWrite)
 		}
 		e := respEnc(buf, 0)
-		e.u8(b2u8(granted))
-		return statusOK, e.b, false
+		e.U8(b2u8(granted))
+		return statusOK, e.B, false
 
 	case opLeaseAck:
-		ino := d.u64()
-		if !d.ok() {
+		ino := d.U64()
+		if !d.OK() {
 			return statusBadRequest, nil, false
 		}
 		sess.srv.leaseAcked(sess, ino)

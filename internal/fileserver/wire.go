@@ -332,54 +332,56 @@ func ReadFrame(r io.Reader) (id uint64, code uint8, payload []byte, err error) {
 	return id, code, payload, nil
 }
 
-// enc builds a payload.
-type enc struct{ b []byte }
+// Enc builds a payload in B. Enc and Dec are the one payload codec of this
+// wire; the packages that speak frames of their own over it (internal/cluster's
+// replication stream) encode with them too.
+type Enc struct{ B []byte }
 
-func (e *enc) u8(v uint8) { e.b = append(e.b, v) }
+func (e *Enc) U8(v uint8) { e.B = append(e.B, v) }
 
-func (e *enc) u32(v uint32) {
+func (e *Enc) U32(v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	e.b = append(e.b, b[:]...)
+	e.B = append(e.B, b[:]...)
 }
 
-func (e *enc) u64(v uint64) {
+func (e *Enc) U64(v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	e.b = append(e.b, b[:]...)
+	e.B = append(e.B, b[:]...)
 }
 
-func (e *enc) i64(v int64) { e.u64(uint64(v)) }
+func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
+func (e *Enc) Bytes(p []byte) {
+	e.U32(uint32(len(p)))
+	e.B = append(e.B, p...)
 }
 
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
+func (e *Enc) Str(s string) {
+	e.U32(uint32(len(s)))
+	e.B = append(e.B, s...)
 }
 
-// dec consumes a payload. Any out-of-bounds read sets bad; callers check
-// ok() once at the end instead of after every field.
-type dec struct {
-	b   []byte
+// Dec consumes the payload B. Any out-of-bounds read sets bad; callers check
+// OK() once at the end instead of after every field.
+type Dec struct {
+	B   []byte
 	pos int
 	bad bool
 }
 
-func (d *dec) take(n int) []byte {
-	if d.bad || n < 0 || d.pos+n > len(d.b) {
+func (d *Dec) take(n int) []byte {
+	if d.bad || n < 0 || d.pos+n > len(d.B) {
 		d.bad = true
 		return nil
 	}
-	p := d.b[d.pos : d.pos+n]
+	p := d.B[d.pos : d.pos+n]
 	d.pos += n
 	return p
 }
 
-func (d *dec) u8() uint8 {
+func (d *Dec) U8() uint8 {
 	p := d.take(1)
 	if p == nil {
 		return 0
@@ -387,7 +389,7 @@ func (d *dec) u8() uint8 {
 	return p[0]
 }
 
-func (d *dec) u32() uint32 {
+func (d *Dec) U32() uint32 {
 	p := d.take(4)
 	if p == nil {
 		return 0
@@ -395,7 +397,7 @@ func (d *dec) u32() uint32 {
 	return binary.LittleEndian.Uint32(p)
 }
 
-func (d *dec) u64() uint64 {
+func (d *Dec) U64() uint64 {
 	p := d.take(8)
 	if p == nil {
 		return 0
@@ -403,15 +405,14 @@ func (d *dec) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-func (d *dec) i64() int64 { return int64(d.u64()) }
+func (d *Dec) I64() int64 { return int64(d.U64()) }
 
-func (d *dec) bytes() []byte {
-	n := d.u32()
+func (d *Dec) Bytes() []byte {
+	n := d.U32()
 	return d.take(int(n))
 }
 
-func (d *dec) str() string { return string(d.bytes()) }
+func (d *Dec) Str() string { return string(d.Bytes()) }
 
-// ok reports whether every read so far stayed in bounds and the payload
-// was fully consumed.
-func (d *dec) ok() bool { return !d.bad }
+// OK reports whether every read so far stayed in bounds.
+func (d *Dec) OK() bool { return !d.bad }

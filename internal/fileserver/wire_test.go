@@ -38,34 +38,34 @@ func TestFrameRejectsHostileLength(t *testing.T) {
 }
 
 func TestEncDecRoundTrip(t *testing.T) {
-	var e enc
-	e.u8(7)
-	e.u32(1 << 20)
-	e.u64(1 << 40)
-	e.i64(-5)
-	e.str("päth/σ")
-	e.bytes([]byte{1, 2, 3})
-	d := dec{b: e.b}
-	if d.u8() != 7 || d.u32() != 1<<20 || d.u64() != 1<<40 || d.i64() != -5 {
+	var e Enc
+	e.U8(7)
+	e.U32(1 << 20)
+	e.U64(1 << 40)
+	e.I64(-5)
+	e.Str("päth/σ")
+	e.Bytes([]byte{1, 2, 3})
+	d := Dec{B: e.B}
+	if d.U8() != 7 || d.U32() != 1<<20 || d.U64() != 1<<40 || d.I64() != -5 {
 		t.Fatal("numeric round trip failed")
 	}
-	if d.str() != "päth/σ" || !bytes.Equal(d.bytes(), []byte{1, 2, 3}) {
+	if d.Str() != "päth/σ" || !bytes.Equal(d.Bytes(), []byte{1, 2, 3}) {
 		t.Fatal("string/bytes round trip failed")
 	}
-	if !d.ok() {
-		t.Fatal("dec reported bad on valid payload")
+	if !d.OK() {
+		t.Fatal("Dec reported bad on valid payload")
 	}
 	// Reading past the end flips bad instead of panicking.
-	if d.u64() != 0 || d.ok() {
+	if d.U64() != 0 || d.OK() {
 		t.Fatal("out-of-bounds read not flagged")
 	}
 }
 
 func TestDecTruncated(t *testing.T) {
-	var e enc
-	e.str("abcdef")
-	d := dec{b: e.b[:5]} // length says 6, payload holds 1
-	if d.str() != "" || d.ok() {
+	var e Enc
+	e.Str("abcdef")
+	d := Dec{B: e.B[:5]} // length says 6, payload holds 1
+	if d.Str() != "" || d.OK() {
 		t.Fatal("truncated string not flagged")
 	}
 }

@@ -422,29 +422,47 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 
 	oldParent.mu.Lock()
 	moved, ok := oldParent.children.Get(oldName)
+	oldParent.mu.Unlock()
 	if !ok {
-		oldParent.mu.Unlock()
 		return vfs.ErrNotExist
 	}
-	oldParent.children.Delete(oldName)
-	oldParent.mu.Unlock()
-
+	// An existing target is replaced by its own kind: a file replaces a
+	// file, a directory an empty directory. (Both parents are locked: what
+	// is checked here holds below.)
 	newParent.mu.Lock()
 	victim, replacing := newParent.children.Get(newName)
-	if replacing && victim.IsDir {
-		victim.mu.RLock()
-		empty := victim.children.Len() == 0
-		victim.mu.RUnlock()
-		if !empty {
-			newParent.children.Set(newName, victim)
-			newParent.mu.Unlock()
-			oldParent.mu.Lock()
-			oldParent.children.Set(oldName, moved)
-			oldParent.mu.Unlock()
-			return vfs.ErrNotEmpty
+	newParent.mu.Unlock()
+	if replacing = replacing && victim != moved; replacing {
+		switch {
+		case victim.IsDir && !moved.IsDir:
+			return vfs.ErrIsDir
+		case moved.IsDir && !victim.IsDir:
+			return vfs.ErrNotDir
+		case victim.IsDir:
+			victim.mu.RLock()
+			empty := victim.children.Len() == 0
+			victim.mu.RUnlock()
+			if !empty {
+				return vfs.ErrNotEmpty
+			}
 		}
 	}
+	// A directory's ".." is a link of the directory it sits in.
+	crossDir := moved.IsDir && oldParent != newParent
+	oldParent.mu.Lock()
+	oldParent.children.Delete(oldName)
+	if crossDir {
+		oldParent.nlink--
+	}
+	oldParent.mu.Unlock()
+	newParent.mu.Lock()
 	newParent.children.Set(newName, moved)
+	if crossDir {
+		newParent.nlink++
+	}
+	if replacing && victim.IsDir {
+		newParent.nlink--
+	}
 	newParent.mu.Unlock()
 	fs.hooks.MetaOp(ctx, newParent, 6, MetaNamespace)
 	if replacing {

@@ -25,6 +25,13 @@ func forAll(t *testing.T, fn func(t *testing.T, fs vfs.FS, ctx *sim.Ctx)) {
 				t.Fatal(err)
 			}
 			fn(t, fs, ctx)
+			// Whatever the test did, WineFS's DRAM image, its allocator and
+			// the media must agree when it is done.
+			if w, ok := fs.(*winefs.FS); ok && !t.Failed() {
+				if err := w.Audit(ctx); err != nil {
+					t.Fatalf("audit after the test: %v", err)
+				}
+			}
 		})
 	}
 }
@@ -130,12 +137,62 @@ func TestConformanceNamespace(t *testing.T) {
 		if _, err := fs.Stat(ctx, "/a/b"); err != nil {
 			t.Fatalf("subtree after the refused rename: %v", err)
 		}
+		// A rename replaces a name by its own kind only, and a directory that
+		// moves takes the link of its ".." from one parent to the other.
+		nlink := func(path string, want int) {
+			t.Helper()
+			if fi, err := fs.Stat(ctx, path); err != nil || fi.Nlink != want {
+				t.Fatalf("stat %s: nlink %d, %v; want %d", path, fi.Nlink, err, want)
+			}
+		}
+		for _, d := range []string{"/a/sub", "/b", "/b/empty"} {
+			if err := fs.Mkdir(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Rename(ctx, "/a/c2", "/b/empty"); !errors.Is(err, vfs.ErrIsDir) {
+			t.Fatalf("rename of a file onto an empty directory: %v, want ErrIsDir", err)
+		}
+		if err := fs.Rename(ctx, "/b/empty", "/a/c2"); !errors.Is(err, vfs.ErrNotDir) {
+			t.Fatalf("rename of a directory onto a file: %v, want ErrNotDir", err)
+		}
+		if err := fs.Rename(ctx, "/a/b", "/b"); !errors.Is(err, vfs.ErrNotEmpty) {
+			t.Fatalf("rename of a directory onto a non-empty one: %v, want ErrNotEmpty", err)
+		}
+		nlink("/a", 4) // b, sub
+		nlink("/b", 3) // empty
+		if err := fs.Rename(ctx, "/a/sub", "/b/sub"); err != nil {
+			t.Fatal(err)
+		}
+		nlink("/a", 3)
+		nlink("/b", 4)
+		if err := fs.Rename(ctx, "/b/sub", "/b/empty"); err != nil { // replaces the empty directory
+			t.Fatal(err)
+		}
+		nlink("/b", 3)
+		if err := fs.Rename(ctx, "/b/empty", "/a/sub"); err != nil {
+			t.Fatal(err)
+		}
+		nlink("/a", 4)
+		nlink("/b", 2)
+		nlink("/", 4)
 		if w, ok := fs.(*winefs.FS); ok {
 			if err := w.Audit(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if rep := winefs.Check(w.Device()); !rep.OK() {
 				t.Fatalf("fsck: %v", rep.Errors)
+			}
+			// Repair of media no fault touched has nothing to fix.
+			img := pmem.New(w.Device().Size())
+			img.Restore(w.Device().Snapshot())
+			if rep, err := winefs.Repair(img); err != nil || rep.NlinksFixed != 0 || !rep.Clean {
+				t.Fatalf("repair of a sound image: %+v, %v", rep, err)
+			}
+		}
+		for _, d := range []string{"/a/sub", "/b"} {
+			if err := fs.Rmdir(ctx, d); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if err := fs.Rmdir(ctx, "/a/b"); err != nil {

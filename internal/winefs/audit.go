@@ -15,7 +15,7 @@ import (
 // bounds and overlap, and reconciles the totals against both StatFS and the
 // sum of every inode's extents — so a leak or double-free anywhere in the
 // FS shows up as a named violation instead of silent drift. Last, it reads
-// every live inode's size and extent records back from the media and
+// every live inode's header and extent records back from the media and
 // compares them with the DRAM image the file system is running on
 // (auditMedia): the two are written by different code on every operation,
 // and an error path that rolls back one and not the other is otherwise
@@ -224,10 +224,11 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 	return &AuditError{Violations: violations}
 }
 
-// auditMedia is Audit's phase 6, DRAM against media, for one inode: the
-// size in its header, and for every extent in the DRAM list the PM record
-// its slot names, decoded afresh, must say what DRAM says; the slots must
-// be a permutation of the record indexes. What the media cannot return —
+// auditMedia is Audit's phase 6, DRAM against media, for one inode: its
+// whole header — type, flags, size, link count, record count, first
+// indirect block: what mount will trust — and for every extent in the DRAM
+// list the PM record its slot names, decoded afresh, must say what DRAM
+// says; the slots must be a permutation of the record indexes. What the media cannot return —
 // a poisoned line; on a degraded mount, the part of a chain that never
 // loaded — is skipped, not reported: the checked reads already turn those
 // into EIO and a read-only mount, and a fault campaign's verdict must not
@@ -247,8 +248,8 @@ func (fs *FS) auditMedia(ino *inode, addf func(format string, args ...interface{
 	}
 	var hdr [inoOffExtents]byte
 	if peek(hdr[:], fs.g.inodeAddr(ino.ino)) {
-		if di := decodeInodeHeader(hdr[:]); di.size != ino.size {
-			addf("DRAM/media skew: ino %d has size %d in DRAM, %d on media", ino.ino, ino.size, di.size)
+		if di := decodeInodeHeader(hdr[:]); di != ino.header() {
+			addf("DRAM/media skew: ino %d has header %+v in DRAM, %+v on media", ino.ino, ino.header(), di)
 		}
 	}
 	if len(ino.slots) != len(ino.extents) {

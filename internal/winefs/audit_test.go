@@ -206,6 +206,10 @@ func TestAuditDetectsDramMediaSkew(t *testing.T) {
 	}
 	ino.extents = append(ino.extents, wextent{fileBlk: 1000, blk: blk, length: BlocksPerHuge})
 	ino.slots = append(ino.slots, len(ino.slots))
+	skewed("extent without a record, header without its count")
+	if err := fs.writeInodeHeader(ctx, nil, ino); err != nil {
+		t.Fatal(err)
+	}
 	skewed("extent without a record")
 
 	// With the record's line poisoned the media cannot say either way.
@@ -235,9 +239,21 @@ func TestAuditDetectsDramMediaSkew(t *testing.T) {
 	skewed("slot named twice")
 	ino.slots[1] = 1
 
+	// Every header field mount trusts: the record count and the first
+	// indirect pointer were covered above (an extent the header does not
+	// count) and are by any operation that forgets the header.
 	ino.size++
 	skewed("size")
 	ino.size--
+	ino.nlink++
+	skewed("link count")
+	ino.nlink--
+	ino.flags ^= flagAligned
+	skewed("flags")
+	ino.flags ^= flagAligned
+	ino.typ = typeDir
+	skewed("type")
+	ino.typ = typeFile
 	if err := fs.Audit(ctx); err != nil {
 		t.Fatalf("audit after undoing the mutations: %v", err)
 	}

@@ -172,14 +172,10 @@ func TestExtentListOrderProperty(t *testing.T) {
 			err = fs.recRemove(ctx, tx, ino, i)
 			model.remove(i)
 		}
-		if err == nil {
-			err = fs.writeInodeHeader(ctx, tx, ino)
-		}
-		if err != nil {
+		tx.dropped = tx.dropped[:0] // made-up blocks: nothing to give the allocator
+		if err = tx.finish("test", err); err != nil {
 			t.Fatalf("step %d (%s): %v", step, what, err)
 		}
-		tx.dropped = tx.dropped[:0] // made-up blocks: nothing to give the allocator
-		tx.commit()
 
 		for i := range ino.extents {
 			if i > 0 && ino.extents[i-1].fileBlk+ino.extents[i-1].length > ino.extents[i].fileBlk {

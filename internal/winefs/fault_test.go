@@ -1,6 +1,7 @@
 package winefs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -411,11 +412,13 @@ func TestRepairTruncatesBadExtents(t *testing.T) {
 }
 
 // fileState is what a failed call must leave exactly as it found it: the
-// file's extent list (heat apart — DRAM-only), its record slots and size,
+// inode's extent list (heat apart — DRAM-only), its record slots, its
+// header fields, a directory's names and how many dirent slots it has free,
 // and the allocator's free counts.
 type fileState struct {
-	exts, slots         string
-	size, free, aligned int64
+	exts, slots, hdr, names string
+	size, free, aligned     int64
+	freeSlots               int
 }
 
 func stateOf(t *testing.T, ctx *sim.Ctx, fs *FS, path string) fileState {
@@ -431,13 +434,34 @@ func stateOf(t *testing.T, ctx *sim.Ctx, fs *FS, path string) fileState {
 		exts = append(exts, fmt.Sprintf("%d:%d+%d", e.fileBlk, e.blk, e.length))
 	}
 	st := fs.StatFS(ctx)
-	return fileState{exts: strings.Join(exts, " "), slots: fmt.Sprint(ino.slots),
+	fst := fileState{exts: strings.Join(exts, " "), slots: fmt.Sprint(ino.slots),
+		hdr:  fmt.Sprintf("typ=%d flags=%#x nlink=%d indirect=%v", ino.typ, ino.flags, ino.nlink, ino.indirect),
 		size: ino.size, free: st.FreeBlocks, aligned: st.FreeAligned2M}
+	if ino.dir != nil {
+		var names []string
+		ino.dir.tree.Ascend(func(name string, de dentry) bool {
+			names = append(names, fmt.Sprintf("%s=%d", name, de.ino))
+			return true
+		})
+		fst.names, fst.freeSlots = strings.Join(names, " "), len(ino.dir.freeSlots)
+	}
+	return fst
 }
 
-// TestFailedWriteLeavesNoTrace: a write, fallocate or truncate that fails
-// half-way aborts its journal transaction, and the DRAM image — the extent
-// list, the allocator — must go back with the media. Before the abort path
+// statesOf is stateOf for several paths.
+func statesOf(t *testing.T, ctx *sim.Ctx, fs *FS, paths ...string) []fileState {
+	t.Helper()
+	var out []fileState
+	for _, p := range paths {
+		out = append(out, stateOf(t, ctx, fs, p))
+	}
+	return out
+}
+
+// TestFailedWriteLeavesNoTrace: a write, fallocate, truncate, create, mkdir
+// or rename that fails half-way aborts its journal transaction, and the DRAM
+// image — the extent lists, the headers' fields, a directory's free dirent
+// slots, the allocator — must go back with the media. Before the abort path
 // restored it, the extents the call had already attached stayed in DRAM
 // (and their blocks allocated) until the next mount, while the media had
 // been rolled back: a leak, and a later in-place write into those blocks
@@ -484,12 +508,10 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 		}
 		return fs, ctx, dev, victim, gapBlks
 	}
-	// check compares the three states and audits the live mount.
-	check := func(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, path string, before fileState) {
+	// checkAll compares the three states of every path and audits the live
+	// mount.
+	checkAll := func(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, before []fileState, paths ...string) {
 		t.Helper()
-		if after := stateOf(t, ctx, fs, path); after != before {
-			t.Errorf("the failed call left a trace in DRAM:\nbefore %+v\nafter  %+v", before, after)
-		}
 		if err := fs.Audit(ctx); err != nil {
 			t.Errorf("audit after the failed call: %v", err)
 		}
@@ -500,9 +522,18 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 		if _, deg := rfs.Degraded(); deg {
 			t.Fatalf("remount degraded: %v", rfs.DegradedReasons())
 		}
-		if re := stateOf(t, ctx, rfs, path); re != before {
-			t.Errorf("the media disagrees with the state before the failed call:\nbefore  %+v\nremount %+v", before, re)
+		for i, path := range paths {
+			if after := stateOf(t, ctx, fs, path); after != before[i] {
+				t.Errorf("the failed call left a trace of %s in DRAM:\nbefore %+v\nafter  %+v", path, before[i], after)
+			}
+			if re := stateOf(t, ctx, rfs, path); re != before[i] {
+				t.Errorf("the media disagrees with the state of %s before the failed call:\nbefore  %+v\nremount %+v", path, before[i], re)
+			}
 		}
+	}
+	check := func(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, path string, before fileState) {
+		t.Helper()
+		checkAll(t, ctx, fs, dev, []fileState{before}, path)
 	}
 
 	for _, files := range []int{0, 200} {
@@ -571,5 +602,110 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 			t.Logf("read %d failed", nth)
 			check(t, ctx, fs, dev, "/a", before)
 		}
+	})
+
+	// The namespace rows. Until the transaction tracked the inodes of a
+	// namespace operation its abort restored nothing: a create, mkdir or
+	// rename that failed after the directory had grown a dirent block kept
+	// the block's extent and its free slots in DRAM and never gave the block
+	// back, and a rename whose victim's header could not be journaled left
+	// the victim free in DRAM over a live one on the media.
+	//
+	// nsImage is /src and /sub (what the renames move), /d holding `entries`
+	// files — a multiple of the 64 dirents of a block, so the next name grows
+	// it — and, when full, a /fill that leaves one block free: the dirent
+	// block, and none for the indirect block its thirteenth record needs.
+	nsImage := func(t *testing.T, entries int, full bool) (*FS, *sim.Ctx, *pmem.Device) {
+		ctx := sim.NewCtx(1, 0)
+		dev := pmem.New(48 << 20)
+		fs, err := Mkfs(ctx, dev, Options{CPUs: 1, Mode: vfs.Strict, InodesPerCPU: 1024}) // the geometry is the image's: opts mounts it
+		if err != nil {
+			t.Fatal(err)
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(fs.Mkdir(ctx, "/d"))
+		must(fs.Mkdir(ctx, "/sub"))
+		src, err := fs.Create(ctx, "/src")
+		must(err)
+		_, err = src.Append(ctx, bytes.Repeat([]byte{7}, 5000))
+		must(err)
+		for i := 0; i < entries; i++ {
+			if i%64 == 0 { // the block between /d's last dirent block and its next: one record each
+				_, err = src.Append(ctx, bytes.Repeat([]byte{7}, BlockSize))
+				must(err)
+			}
+			_, err := fs.Create(ctx, fmt.Sprintf("/d/e%04d", i))
+			must(err)
+		}
+		if d, _ := fs.resolve(ctx, "/d"); len(d.dir.freeSlots) != 0 || len(d.extents) != entries/64 {
+			t.Fatalf("/d has %d free dirent slots and %d blocks; the next name would not grow it", len(d.dir.freeSlots), len(d.extents))
+		}
+		if full {
+			fill, err := fs.Create(ctx, "/fill")
+			must(err)
+			for free := fs.StatFS(ctx).FreeBlocks; free > 1; free = fs.StatFS(ctx).FreeBlocks {
+				// Halving: /fill's own indirect blocks come out of the same space.
+				must(fill.Fallocate(ctx, fill.Size(), max(1, (free-1)/2)*BlockSize))
+			}
+		}
+		return fs, ctx, dev
+	}
+	nsPaths := []string{"/", "/d", "/sub", "/src"}
+	nsOps := []struct {
+		name string
+		run  func(ctx *sim.Ctx, fs *FS) error
+	}{
+		{"create", func(ctx *sim.Ctx, fs *FS) error { _, err := fs.Create(ctx, "/d/new"); return err }},
+		{"mkdir", func(ctx *sim.Ctx, fs *FS) error { return fs.Mkdir(ctx, "/d/new") }},
+		{"rename of a file", func(ctx *sim.Ctx, fs *FS) error { return fs.Rename(ctx, "/src", "/d/new") }},
+		{"rename of a directory", func(ctx *sim.Ctx, fs *FS) error { return fs.Rename(ctx, "/sub", "/d/new") }},
+	}
+	for _, op := range nsOps {
+		t.Run(op.name+" growing a directory, no block for the indirect block", func(t *testing.T) {
+			fs, ctx, dev := nsImage(t, InlineExtents*64, true)
+			before := statesOf(t, ctx, fs, nsPaths...)
+			if err := op.run(ctx, fs); !errors.Is(err, vfs.ErrNoSpace) {
+				t.Fatalf("%s = %v, want ErrNoSpace", op.name, err)
+			}
+			checkAll(t, ctx, fs, dev, before, nsPaths...)
+			// The one free block is free again: a smaller directory can grow.
+			if _, err := fs.Create(ctx, "/sub/fits"); err != nil {
+				t.Fatalf("create in another directory after the failure: %v", err)
+			}
+		})
+		t.Run(op.name+" growing a directory, parent header unreadable", func(t *testing.T) {
+			fs, ctx, dev := nsImage(t, 64, false)
+			before := statesOf(t, ctx, fs, nsPaths...)
+			d, _ := fs.resolve(ctx, "/d")
+			hdr := fs.g.inodeAddr(d.ino)
+			// The header's undo read is the transaction's last: the directory
+			// has grown by then.
+			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}}})
+			err := op.run(ctx, fs)
+			dev.SetFaultPlan(nil)
+			if !errors.Is(err, vfs.ErrIO) {
+				t.Fatalf("%s = %v, want ErrIO", op.name, err)
+			}
+			checkAll(t, ctx, fs, dev, before, nsPaths...)
+		})
+	}
+	t.Run("rename over a victim, victim header unreadable", func(t *testing.T) {
+		fs, ctx, dev := nsImage(t, 64, false)
+		paths := append([]string{"/d/e0007"}, nsPaths...)
+		before := statesOf(t, ctx, fs, paths...)
+		v, _ := fs.resolve(ctx, "/d/e0007")
+		hdr := fs.g.inodeAddr(v.ino)
+		dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}}})
+		err := fs.Rename(ctx, "/src", "/d/e0007")
+		dev.SetFaultPlan(nil)
+		if !errors.Is(err, vfs.ErrIO) {
+			t.Fatalf("rename = %v, want ErrIO", err)
+		}
+		checkAll(t, ctx, fs, dev, before, paths...)
 	})
 }

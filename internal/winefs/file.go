@@ -357,11 +357,6 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		}
 		return tx
 	}
-	finish := func() {
-		if tx != nil {
-			tx.commit()
-		}
-	}
 	// fail rolls back the open transaction (if any) and maps the error; a
 	// media fault additionally degrades the file system to read-only.
 	fail := func(err error) error {
@@ -410,14 +405,16 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		return 0, fail(err)
 	}
 	if end > ino.size {
-		old := ino.size
+		getTx()
 		ino.size = end
-		if err := fs.writeInodeHeader(ctx, getTx(), ino); err != nil {
-			ino.size = old
-			return 0, fail(err)
+	}
+	// Whatever made the call open a transaction — blocks attached in a hole
+	// or past EOF, a copy-on-write, a new size — changed the header.
+	if tx != nil {
+		if err := tx.finish("write", nil); err != nil {
+			return 0, err
 		}
 	}
-	finish()
 	if fs.mode == vfs.Relaxed {
 		f.dirtyBytes += n
 	}
@@ -611,7 +608,7 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 }
 
 // detachRange unmaps file blocks [startBlk, endBlk) in the transaction;
-// the displaced physical extents go on tx.dropped, which commit frees. This
+// the displaced physical extents go on tx.dropped, which finish frees. This
 // is where the invalidate-before-free rule lives: live mappings are shot
 // down here, under ino.mu, so no translation survives to the point where
 // the blocks go back to the allocator; refaults resolve through the new
@@ -687,7 +684,7 @@ func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk i
 		}
 		fileBlk += l
 	}
-	return fs.writeInodeHeader(ctx, tx, ino)
+	return nil
 }
 
 func max64(a, b int64) int64 {
@@ -719,6 +716,7 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 	defer ino.mu.Unlock()
 
 	tx := fs.begin(ctx, ino)
+	var err error
 	if size < ino.size {
 		// POSIX: if the file grows again later, bytes past the new EOF must
 		// read as zero — zero the stale tail of the last kept block now.
@@ -728,18 +726,10 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 				fs.dataZero(ctx, phys*BlockSize+size%BlockSize, tail)
 			}
 		}
-		if _, err := fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64); err != nil {
-			return fs.failTx(tx, "truncate", err)
-		}
+		_, err = fs.detachRange(ctx, tx, ino, (size+BlockSize-1)/BlockSize, math.MaxInt64)
 	}
-	old := ino.size
 	ino.size = size
-	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
-		ino.size = old
-		return fs.failTx(tx, "truncate", err)
-	}
-	tx.commit()
-	return nil
+	return tx.finish("truncate", err)
 }
 
 // Fallocate implements vfs.File: preallocates and zero-fills the range
@@ -762,19 +752,9 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, n int64) error {
 	tx := fs.begin(ctx, ino)
 	wantAligned := ino.flags&flagAligned != 0
 	// skip-zero range is empty: zero everything newly allocated.
-	if err := f.allocRange(ctx, tx, startBlk, endBlk, wantAligned, -1, -1); err != nil {
-		return fs.failTx(tx, "fallocate", err)
-	}
-	old := ino.size
-	if off+n > ino.size {
-		ino.size = off + n
-	}
-	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
-		ino.size = old
-		return fs.failTx(tx, "fallocate", err)
-	}
-	tx.commit()
-	return nil
+	err := f.allocRange(ctx, tx, startBlk, endBlk, wantAligned, -1, -1)
+	ino.size = max(ino.size, off+n)
+	return tx.finish("fallocate", err)
 }
 
 // Fsync implements vfs.File. All WineFS metadata (and, in strict mode,
@@ -876,15 +856,9 @@ func (fs *FS) setAligned(ctx *sim.Ctx, ino *inode) error {
 	defer h.Unlock(ctx)
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
-	tx := fs.begin(ctx, nil)
-	oldFlags := ino.flags
+	tx := fs.begin(ctx, ino)
 	ino.flags |= flagAligned
-	if err := fs.writeInodeHeader(ctx, tx, ino); err != nil {
-		ino.flags = oldFlags
-		return fs.failTx(tx, "setxattr", err)
-	}
-	tx.commit()
-	return nil
+	return tx.finish("setxattr", nil)
 }
 
 // GetXattr implements vfs.File.
@@ -1007,24 +981,21 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		if blk, ok := fs.alloc.allocAligned(ctx, tx.cpu); ok {
 			tx.took = append(tx.took, alloc.Extent{Start: blk, Len: BlocksPerHuge})
 			fs.dev.Zero(ctx, blk*BlockSize, alloc.HugeBytes)
-			if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: chunkBlk, blk: blk, length: BlocksPerHuge}); err != nil {
-				return mmu.FaultResult{}, fs.failTx(tx, "fault", err)
+			if err := tx.finish("fault", fs.recAppend(ctx, tx, ino, wextent{fileBlk: chunkBlk, blk: blk, length: BlocksPerHuge})); err != nil {
+				return mmu.FaultResult{}, err
 			}
-			tx.commit()
 			return mmu.FaultResult{Huge: true, Phys: blk * BlockSize}, nil
 		}
 	}
 	// Fall back to a single base page from the hole pool.
 	var ok bool
 	if tx.took, ok = fs.alloc.allocSmallTo(ctx, tx.cpu, 1, tx.took); !ok {
-		tx.commit()
-		return mmu.FaultResult{}, vfs.ErrNoSpace
+		return mmu.FaultResult{}, tx.finish("fault", vfs.ErrNoSpace)
 	}
 	blk := tx.took[len(tx.took)-1].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
-	if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: pageOff / BlockSize, blk: blk, length: 1}); err != nil {
-		return mmu.FaultResult{}, fs.failTx(tx, "fault", err)
+	if err := tx.finish("fault", fs.recAppend(ctx, tx, ino, wextent{fileBlk: pageOff / BlockSize, blk: blk, length: 1})); err != nil {
+		return mmu.FaultResult{}, err
 	}
-	tx.commit()
 	return mmu.FaultResult{Phys: blk * BlockSize}, nil
 }

@@ -177,7 +177,7 @@ func isMediaErr(err error) bool {
 
 // failTx handles an error raised in the middle of a journal transaction:
 // the transaction is rolled back via its undo log and the DRAM image of
-// the file it was changing goes back with it (mtx.abort), so the failed
+// the inodes it was changing goes back with it (mtx.abort), so the failed
 // call leaves no trace on either side. If the failure was a media fault
 // the file system also degrades to read-only: what else the fault made
 // unreadable is unknown, so further mutation is unsafe.
@@ -376,10 +376,8 @@ func (fs *FS) writeSuper(ctx *sim.Ctx, clean bool) {
 	fs.dev.Fence(ctx)
 }
 
-// writeInodeHeader persists the inode's header piece, journaling the old
-// contents first when tx != nil.
-func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
-	addr := fs.g.inodeAddr(ino.ino)
+// header is the inode's header as the media should hold it.
+func (ino *inode) header() dinode {
 	di := dinode{
 		magic:    inodeMagic,
 		typ:      ino.typ,
@@ -394,11 +392,20 @@ func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 	if ino.typ == typeFree {
 		di.magic = 0
 	}
+	return di
+}
+
+// writeInodeHeader persists the inode's header piece, journaling the old
+// contents first when tx != nil. Operations do not call it: the transaction
+// writes the headers of the inodes it tracks (mtx.finish).
+func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
+	addr := fs.g.inodeAddr(ino.ino)
 	if tx != nil {
 		if err := tx.undo(addr, 32); err != nil {
 			return err
 		}
 	}
+	di := ino.header()
 	b := di.encodeHeader(tx.scratch(inoOffExtents))[:32]
 	fs.dev.Write(ctx, b, addr)
 	fs.dev.Flush(ctx, addr, 32)
@@ -483,32 +490,37 @@ func (fs *FS) writeExtentSlot(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 // consecutive journal transactions, each individually atomic).
 //
 // It is also the operation's memory: the one mtx a journal embeds (see the
-// ownership rule on journal), handed out by begin and dead at commit or
-// abort. What it holds beside the transaction is the DRAM half of a
-// rollback. The journal undoes the media; log, took and dropped undo what
-// the same operation did to the in-memory image of ino and to the
-// allocator, so that a failed call leaves DRAM where the rolled-back media
-// is (abort).
+// ownership rule on journal), handed out by begin and dead at finish or
+// abort. What it holds beside the transaction is who the operation is
+// about — the inodes it may change (inos) — and the DRAM half of a
+// rollback. The operation changes those inodes in DRAM and writes their
+// extent records and dirents as it goes; their headers are the
+// transaction's to write, each once, at finish. The journal undoes the
+// media; the snapshots in inos, log, took and dropped undo what the same
+// operation did to the in-memory image and to the allocator, so that a
+// failed call leaves DRAM where the rolled-back media is (abort).
 type mtx struct {
 	fs  *FS
 	ctx *sim.Ctx
 	cpu int
 	tx  *txn
 
-	// ino is the file whose extent map the operation may change; nil for a
-	// namespace operation, which tracks nothing.
-	ino *inode
-	// log is the inverse of every change made to ino's extent list and
-	// indirect chain, oldest first (note).
+	// inos are the tracked inodes, in the order finish writes their
+	// headers: a file; or the inodes of a namespace operation — child,
+	// victim, one parent or both.
+	inos [4]tracked
+	n    int
+	// log is the inverse of every change made to a tracked inode's extent
+	// list and indirect chain, oldest first (note).
 	log []extUndo
 	// took holds the blocks the operation took from the allocator — it is
 	// the scratch the allocators append their results to — and so what an
 	// abort gives back.
 	took []alloc.Extent
-	// dropped holds the blocks detached from ino (detachRange). They go
-	// back to the allocator at commit, not before: until then the media
-	// the journal would roll back to still owns them, and so does the file
-	// again after an abort.
+	// dropped holds the blocks detached from a tracked inode (detachRange).
+	// They go back to the allocator at commit, not before: until then the
+	// media the journal would roll back to still owns them, and so does the
+	// file again after an abort.
 	dropped []alloc.Extent
 	// chained: a link has committed (undo), so rolling the journal back no
 	// longer takes the media all the way to where the operation began.
@@ -517,10 +529,24 @@ type mtx struct {
 	blk [BlockSize]byte
 }
 
+// tracked is one inode of the operation and what abort puts back: the
+// header fields as begin found them and, for a directory, how many free
+// dirent slots it had (direntSlot either pops one — it is still in the
+// backing array — or appends a new block's worth).
+type tracked struct {
+	ino   *inode
+	typ   uint8
+	flags uint32
+	size  int64
+	nlink uint32
+	nfree int
+}
+
 // extUndo is one step of the DRAM undo log: how to take back one change to
 // an inode's extent list.
 type extUndo struct {
 	op   uint8
+	ino  *inode
 	i    int     // index in ino.extents
 	e    wextent // the extent (and its record slot) at i before the change
 	slot int
@@ -533,15 +559,24 @@ const (
 	undoIndirect        // a block was appended to the indirect chain
 )
 
-// begin opens an operation on the caller's journal. ino is the file whose
-// extent map it may change (the caller holds ino.mu exclusively until
-// commit or failTx), or nil.
-func (fs *FS) begin(ctx *sim.Ctx, ino *inode) *mtx {
+// begin opens an operation on the caller's journal. inos are the inodes it
+// may change, at most four: the caller holds the mu of each exclusively
+// until finish or failTx returns, and a brand-new inode comes in as what
+// was there before it (typeFree).
+func (fs *FS) begin(ctx *sim.Ctx, inos ...*inode) *mtx {
 	cpu := fs.txCPU(ctx)
 	tx := fs.beginTx(ctx, cpu)
 	m := &tx.j.op
-	m.fs, m.ctx, m.cpu, m.tx, m.ino, m.chained = fs, ctx, cpu, tx, ino, false
+	m.fs, m.ctx, m.cpu, m.tx, m.chained = fs, ctx, cpu, tx, false
 	m.log, m.took, m.dropped = m.log[:0], m.took[:0], m.dropped[:0]
+	m.n = len(inos)
+	for k, ino := range inos {
+		t := tracked{ino: ino, typ: ino.typ, flags: ino.flags, size: ino.size, nlink: ino.nlink}
+		if ino.dir != nil {
+			t.nfree = len(ino.dir.freeSlots)
+		}
+		m.inos[k] = t
+	}
 	return m
 }
 
@@ -583,56 +618,63 @@ func (m *mtx) scratch(n int) []byte {
 }
 
 // note logs the inverse of a change about to be made to ino's extent list
-// at index i (or, for undoIndirect, to its chain), if ino is the file this
-// operation tracks. Call it before the change: it reads the old value.
+// at index i (or, for undoIndirect, to its chain). Call it before the
+// change: it reads the old value.
 func (m *mtx) note(ino *inode, op uint8, i int) {
-	if m == nil || m.ino != ino {
+	if m == nil {
 		return
 	}
-	u := extUndo{op: op, i: i}
+	u := extUndo{op: op, ino: ino, i: i}
 	if op == undoSet || op == undoRemove {
 		u.e, u.slot = ino.extents[i], ino.slots[i]
 	}
 	m.log = append(m.log, u)
 }
 
-// commit returns the detached blocks to the allocator and commits.
-func (m *mtx) commit() {
+// finish ends the operation: every tracked inode's header is written, once
+// and journaled like any other step, the detached blocks return to the
+// allocator and the transaction commits. It is the only place an operation
+// persists a header, so no path can change an inode — its size, its link
+// count, how many extent records mount should read — and forget to say so.
+// err is what the operation's own steps came to: if they failed, or a
+// header write does, the operation aborts instead (failTx) and the mapped
+// error comes back.
+func (m *mtx) finish(op string, err error) error {
+	for k := 0; k < m.n && err == nil; k++ {
+		err = m.fs.writeInodeHeader(m.ctx, m, m.inos[k].ino)
+	}
+	if err != nil {
+		return m.fs.failTx(m, op, err)
+	}
 	for _, e := range m.dropped {
 		m.fs.alloc.free(m.ctx, e)
 	}
 	m.tx.commit(m.ctx)
+	return nil
 }
 
 // abort rolls back the current journal transaction, takes the tracked
-// inode's DRAM image back with it (restore) and releases the journal: a
-// failed call leaves no trace on either side.
-func (m *mtx) abort(op string) {
-	m.tx.rollback(m.ctx)
-	if m.ino != nil {
-		m.restore(op)
-	}
-	m.tx.j.res.Release(m.ctx)
-}
-
-// restore is the DRAM half of abort: the extent list and the indirect
-// chain return, from the log, to what they were when the operation began,
-// the blocks it took go back to the allocator, and the blocks it detached
-// are the file's again (they were never freed). Size, flags and link count
-// are restored by the callers, which change them only around the one
-// header write that can fail.
+// inodes' DRAM image back with it and releases the journal: a failed call
+// leaves no trace on either side. The extent lists and the indirect chains
+// return, from the log, to what they were when the operation began, and
+// type, flags, size, link count and a directory's free dirent slots from
+// the snapshots; the blocks the operation took go back to the allocator,
+// and the blocks it detached are the file's again (they were never freed).
 //
 // If the operation had chained, earlier links have committed and the
 // journal rollback stopped at the last seam (a chained operation is atomic
 // only link by link, ROADMAP item 5), so the media is brought the rest of
-// the way here: the restored image is written over it, in a transaction of
-// its own, before the taken blocks are freed. A crash in between finds
+// the way here: the restored images are written over it, in a transaction
+// of its own, before the taken blocks are freed. A crash in between finds
 // what a crash in the middle of the operation itself would have found. If
 // the media refuses that too, the mount degrades to read-only.
-func (m *mtx) restore(op string) {
-	fs, ctx, ino := m.fs, m.ctx, m.ino
+func (m *mtx) abort(op string) {
+	fs, ctx := m.fs, m.ctx
+	m.tx.rollback(ctx)
+	defer m.tx.j.res.Release(ctx)
 	for k := len(m.log) - 1; k >= 0; k-- {
 		u := m.log[k]
+		ino := u.ino
 		switch u.op {
 		case undoSet:
 			ino.extents[u.i], ino.slots[u.i] = u.e, u.slot
@@ -646,16 +688,25 @@ func (m *mtx) restore(op string) {
 			ino.indirect = ino.indirect[:len(ino.indirect)-1]
 		}
 	}
-	ino.gen++
+	m.log = m.log[:0] // what follows is the undoing, not more to undo
+	for _, t := range m.inos[:m.n] {
+		ino := t.ino
+		ino.typ, ino.flags, ino.size, ino.nlink = t.typ, t.flags, t.size, t.nlink
+		if ino.dir != nil {
+			ino.dir.freeSlots = ino.dir.freeSlots[:t.nfree]
+		}
+		ino.gen++
+	}
 	if m.chained {
-		m.ino = nil // what follows is the undoing, not more to undo
 		m.tx.j.start(ctx)
-		if err := fs.persistInode(ctx, m, ino); err != nil {
-			// The records the committed links wrote may still name the
-			// taken blocks: they stay allocated.
-			m.tx.rollback(ctx)
-			fs.degrade("%s of ino %d failed after a chained journal transaction had committed, and the media could not be taken back: %v", op, ino.ino, err)
-			return
+		for _, t := range m.inos[:m.n] {
+			if err := fs.persistInode(ctx, m, t.ino); err != nil {
+				// The records the committed links wrote may still name the
+				// taken blocks: they stay allocated.
+				m.tx.rollback(ctx)
+				fs.degrade("%s of ino %d failed after a chained journal transaction had committed, and the media could not be taken back: %v", op, t.ino.ino, err)
+				return
+			}
 		}
 		m.tx.seal(ctx)
 	}
@@ -784,62 +835,75 @@ func (fs *FS) Mode() vfs.ConsistencyMode { return fs.mode }
 
 // Create implements vfs.FS: it creates (or truncates-opens) a regular file.
 func (fs *FS) Create(ctx *sim.Ctx, path string) (vfs.File, error) {
+	ino, existed, err := fs.mknod(ctx, path, typeFile)
+	if err != nil {
+		return nil, err
+	}
+	if existed && (ino == nil || ino.typNow() == typeDir) {
+		return nil, vfs.ErrIsDir
+	}
+	return &File{fs: fs, ino: ino}, nil
+}
+
+// Mkdir implements vfs.FS.
+func (fs *FS) Mkdir(ctx *sim.Ctx, path string) error {
+	_, existed, err := fs.mknod(ctx, path, typeDir)
+	if existed {
+		return vfs.ErrExist
+	}
+	return err
+}
+
+// mknod is Create and Mkdir: a new inode of type typ under the name path,
+// in one transaction — the dirent, the child's header and the parent's (it
+// may have grown a dirent block, and gains a link from a new directory's
+// ".."). A name that exists is not an error here: its inode (nil if the
+// dirent is dangling) comes back with existed set, for the caller to judge.
+func (fs *FS) mknod(ctx *sim.Ctx, path string, typ uint8) (ino *inode, existed bool, err error) {
 	ctx.Syscall(fs.model.SyscallNS)
 	if err := fs.writable(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	parent, name, err := fs.resolveParent(ctx, path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	h := parent.lock().Lock(ctx)
 	defer h.Unlock(ctx)
-
 	parent.mu.Lock()
+	defer parent.mu.Unlock()
 	if de, ok := parent.dir.tree.Get(name); ok {
-		parent.mu.Unlock()
-		existing := fs.getInode(de.ino)
-		if existing == nil || existing.typNow() == typeDir {
-			return nil, vfs.ErrIsDir
-		}
-		return &File{fs: fs, ino: existing}, nil
+		return fs.getInode(de.ino), true, nil
 	}
-	parent.mu.Unlock()
 
 	inoNum, err := fs.allocIno(ctx, fs.txCPU(ctx))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	child := &inode{fs: fs, ino: inoNum, typ: typeFile, nlink: 1}
-	// §3.6: files directly within a directory inherit its alignment
-	// attribute (rsync/cp receive-side behaviour).
-	parent.mu.RLock()
-	child.flags |= parent.flags & flagAligned
-	parent.mu.RUnlock()
-
-	tx := fs.begin(ctx, nil)
-	parent.mu.Lock()
+	child := &inode{fs: fs, ino: inoNum} // typeFree: what the slot holds until the transaction commits
+	op := "create"
+	tx := fs.begin(ctx, child, parent)
+	child.typ, child.nlink = typ, 1
+	if typ == typeDir {
+		op = "mkdir"
+		child.nlink, child.dir = 2, newDirIndex()
+		parent.nlink++
+	} else {
+		// §3.6: files directly within a directory inherit its alignment
+		// attribute (rsync/cp receive-side behaviour).
+		child.flags = parent.flags & flagAligned
+	}
 	slotAddr, err := fs.direntSlot(ctx, tx, parent)
 	if err == nil {
 		err = fs.writeDirent(ctx, tx, slotAddr, inoNum, name)
 	}
-	if err == nil {
-		err = fs.writeInodeHeader(ctx, tx, child)
-	}
-	if err == nil {
-		err = fs.writeInodeHeader(ctx, tx, parent)
-	}
-	if err != nil {
-		parent.mu.Unlock()
+	if err = tx.finish(op, err); err != nil {
 		fs.freeIno(inoNum)
-		return nil, fs.failTx(tx, "create", err)
+		return nil, false, err
 	}
-	parent.dir.tree.Set(name, dentry{ino: inoNum, addr: slotAddr})
-	parent.mu.Unlock()
-	tx.commit()
-
 	fs.putInode(child)
-	return &File{fs: fs, ino: child}, nil
+	parent.dir.tree.Set(name, dentry{ino: inoNum, addr: slotAddr})
+	return child, false, nil
 }
 
 // Open implements vfs.FS.
@@ -855,62 +919,15 @@ func (fs *FS) Open(ctx *sim.Ctx, path string) (vfs.File, error) {
 	return &File{fs: fs, ino: ino}, nil
 }
 
-// Mkdir implements vfs.FS.
-func (fs *FS) Mkdir(ctx *sim.Ctx, path string) error {
-	ctx.Syscall(fs.model.SyscallNS)
-	if err := fs.writable(); err != nil {
-		return err
-	}
-	parent, name, err := fs.resolveParent(ctx, path)
-	if err != nil {
-		return err
-	}
-	h := parent.lock().Lock(ctx)
-	defer h.Unlock(ctx)
-
-	parent.mu.Lock()
-	if _, ok := parent.dir.tree.Get(name); ok {
-		parent.mu.Unlock()
-		return vfs.ErrExist
-	}
-	parent.mu.Unlock()
-
-	inoNum, err := fs.allocIno(ctx, fs.txCPU(ctx))
-	if err != nil {
-		return err
-	}
-	child := &inode{fs: fs, ino: inoNum, typ: typeDir, nlink: 2, dir: newDirIndex()}
-
-	tx := fs.begin(ctx, nil)
-	parent.mu.Lock()
-	slotAddr, err := fs.direntSlot(ctx, tx, parent)
-	if err == nil {
-		err = fs.writeDirent(ctx, tx, slotAddr, inoNum, name)
-	}
-	if err == nil {
-		err = fs.writeInodeHeader(ctx, tx, child)
-	}
-	if err == nil {
-		parent.nlink++
-		if err = fs.writeInodeHeader(ctx, tx, parent); err != nil {
-			parent.nlink--
-		}
-	}
-	if err != nil {
-		parent.mu.Unlock()
-		fs.freeIno(inoNum)
-		return fs.failTx(tx, "mkdir", err)
-	}
-	parent.dir.tree.Set(name, dentry{ino: inoNum, addr: slotAddr})
-	parent.mu.Unlock()
-	tx.commit()
-
-	fs.putInode(child)
-	return nil
-}
-
 // Unlink implements vfs.FS.
-func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
+func (fs *FS) Unlink(ctx *sim.Ctx, path string) error { return fs.remove(ctx, path, typeFile) }
+
+// Rmdir implements vfs.FS.
+func (fs *FS) Rmdir(ctx *sim.Ctx, path string) error { return fs.remove(ctx, path, typeDir) }
+
+// remove is Unlink (typ = typeFile) and Rmdir (typeDir): the name goes, and
+// what it named with it (dropName), in one transaction.
+func (fs *FS) remove(ctx *sim.Ctx, path string, typ uint8) error {
 	ctx.Syscall(fs.model.SyscallNS)
 	if err := fs.writable(); err != nil {
 		return err
@@ -932,43 +949,58 @@ func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
 	if target == nil {
 		return vfs.ErrNotExist
 	}
-	if target.typNow() == typeDir {
+	// A file's header is the only one an unlink writes; a directory's parent
+	// loses a link too.
+	op, inos := "unlink", []*inode{target, parent}[:1]
+	switch isDir := target.typNow() == typeDir; {
+	case typ == typeDir && !isDir:
+		return vfs.ErrNotDir
+	case typ != typeDir && isDir:
 		return vfs.ErrIsDir
-	}
-	ht := target.lock().Lock(ctx)
-	defer ht.Unlock(ctx)
-
-	tx := fs.begin(ctx, nil)
-	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
-		return fs.failTx(tx, "unlink", err)
-	}
-	target.mu.Lock()
-	target.nlink--
-	drop := target.nlink == 0
-	if drop {
-		target.typ = typeFree
-	}
-	if err := fs.writeInodeHeader(ctx, tx, target); err != nil {
-		target.nlink++
-		if drop {
-			target.typ = typeFile
-			drop = false
+	case isDir:
+		op, inos = "rmdir", inos[:2]
+		target.mu.RLock()
+		empty := target.dir.tree.Len() == 0
+		target.mu.RUnlock()
+		if !empty {
+			return vfs.ErrNotEmpty
 		}
-		target.mu.Unlock()
-		return fs.failTx(tx, "unlink", err)
+	default:
+		ht := target.lock().Lock(ctx)
+		defer ht.Unlock(ctx)
 	}
-	target.mu.Unlock()
-	tx.commit()
 
 	parent.mu.Lock()
-	parent.dir.tree.Delete(name)
-	parent.dir.freeSlots = append(parent.dir.freeSlots, de.addr)
+	target.mu.Lock()
+	tx := fs.begin(ctx, inos...)
+	err = fs.clearDirent(ctx, tx, de.addr)
+	gone := err == nil && dropName(target, parent)
+	err = tx.finish(op, err)
+	target.mu.Unlock()
+	if err == nil {
+		parent.dir.tree.Delete(name)
+		parent.dir.freeSlots = append(parent.dir.freeSlots, de.addr)
+	}
 	parent.mu.Unlock()
-
-	if drop {
+	if err == nil && gone {
 		fs.destroyInode(ctx, target)
 	}
-	return nil
+	return err
+}
+
+// dropName is what losing its name does to target, in DRAM (the transaction
+// that tracks them writes the headers): a directory — empty, the caller has
+// checked — dies and parent loses the link of its ".."; a file loses a link
+// and dies with its last. It reports whether target is now free, for the
+// caller to destroy once the transaction has committed.
+func dropName(target, parent *inode) bool {
+	if target.typ == typeDir {
+		parent.nlink--
+	} else if target.nlink--; target.nlink > 0 {
+		return false
+	}
+	target.typ = typeFree
+	return true
 }
 
 // destroyInode releases an unlinked inode's storage.
@@ -1007,67 +1039,6 @@ func (fs *FS) destroyInode(ctx *sim.Ctx, ino *inode) {
 	// the lock object); Drop means a reused inode number starts with a
 	// fresh lock instead of inheriting this one's calendar.
 	fs.locks.Drop(ino.ino)
-}
-
-// Rmdir implements vfs.FS.
-func (fs *FS) Rmdir(ctx *sim.Ctx, path string) error {
-	ctx.Syscall(fs.model.SyscallNS)
-	if err := fs.writable(); err != nil {
-		return err
-	}
-	parent, name, err := fs.resolveParent(ctx, path)
-	if err != nil {
-		return err
-	}
-	h := parent.lock().Lock(ctx)
-	defer h.Unlock(ctx)
-
-	parent.mu.Lock()
-	de, ok := parent.dir.tree.Get(name)
-	parent.mu.Unlock()
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	target := fs.getInode(de.ino)
-	if target == nil {
-		return vfs.ErrNotExist
-	}
-	if target.typNow() != typeDir {
-		return vfs.ErrNotDir
-	}
-	target.mu.RLock()
-	empty := target.dir.tree.Len() == 0
-	target.mu.RUnlock()
-	if !empty {
-		return vfs.ErrNotEmpty
-	}
-
-	tx := fs.begin(ctx, nil)
-	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
-		return fs.failTx(tx, "rmdir", err)
-	}
-	target.mu.Lock()
-	target.typ = typeFree
-	if err := fs.writeInodeHeader(ctx, tx, target); err != nil {
-		target.typ = typeDir
-		target.mu.Unlock()
-		return fs.failTx(tx, "rmdir", err)
-	}
-	target.mu.Unlock()
-	parent.mu.Lock()
-	parent.nlink--
-	if err := fs.writeInodeHeader(ctx, tx, parent); err != nil {
-		parent.nlink++
-		parent.mu.Unlock()
-		return fs.failTx(tx, "rmdir", err)
-	}
-	parent.dir.tree.Delete(name)
-	parent.dir.freeSlots = append(parent.dir.freeSlots, de.addr)
-	parent.mu.Unlock()
-	tx.commit()
-
-	fs.destroyInode(ctx, target)
-	return nil
 }
 
 // Rename implements vfs.FS. Both parent directories are locked in inode
@@ -1113,15 +1084,24 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 	if oldParent == newParent && oldName == newName {
 		return nil // POSIX: renaming a file onto itself does nothing
 	}
+	movedDir := moved.typNow() == typeDir
 
-	// An existing target is replaced atomically (POSIX rename).
+	// An existing target is replaced atomically (POSIX rename), by its own
+	// kind: a file replaces a file, a directory an empty directory.
 	newParent.mu.Lock()
 	oldDe, replacing := newParent.dir.tree.Get(newName)
 	newParent.mu.Unlock()
 	var victim *inode
 	if replacing {
 		victim = fs.getInode(oldDe.ino)
-		if victim != nil && victim.typNow() == typeDir {
+	}
+	if victim != nil {
+		switch victimDir := victim.typNow() == typeDir; {
+		case victimDir && !movedDir:
+			return vfs.ErrIsDir
+		case movedDir && !victimDir:
+			return vfs.ErrNotDir
+		case victimDir:
 			victim.mu.RLock()
 			empty := victim.dir.tree.Len() == 0
 			victim.mu.RUnlock()
@@ -1131,54 +1111,63 @@ func (fs *FS) Rename(ctx *sim.Ctx, oldPath, newPath string) error {
 		}
 	}
 
-	tx := fs.begin(ctx, nil)
-	if err := fs.clearDirent(ctx, tx, de.addr); err != nil {
-		return fs.failTx(tx, "rename", err)
-	}
-	var newAddr int64
-	if replacing {
-		// Reuse the victim's dirent slot: point it at the moved inode.
-		newAddr = oldDe.addr
-		if err := fs.writeDirent(ctx, tx, newAddr, moved.ino, newName); err != nil {
-			return fs.failTx(tx, "rename", err)
-		}
-		if victim != nil {
-			victim.mu.Lock()
-			victim.nlink = 0
-			victim.typ = typeFree
-			err := fs.writeInodeHeader(ctx, tx, victim)
-			victim.mu.Unlock()
-			if err != nil {
-				return fs.failTx(tx, "rename", err)
-			}
-		}
-	} else {
-		newParent.mu.Lock()
-		newAddr, err = fs.direntSlot(ctx, tx, newParent)
-		if err == nil {
-			err = fs.writeDirent(ctx, tx, newAddr, moved.ino, newName)
-		}
-		if err == nil {
-			err = fs.writeInodeHeader(ctx, tx, newParent)
-		}
-		newParent.mu.Unlock()
-		if err != nil {
-			return fs.failTx(tx, "rename", err)
-		}
-	}
-	tx.commit()
-
-	oldParent.mu.Lock()
-	oldParent.dir.tree.Delete(oldName)
-	oldParent.dir.freeSlots = append(oldParent.dir.freeSlots, de.addr)
-	oldParent.mu.Unlock()
-	newParent.mu.Lock()
-	newParent.dir.tree.Set(newName, dentry{ino: moved.ino, addr: newAddr})
-	newParent.mu.Unlock()
+	// The headers that change: the victim's; the new parent's when it takes
+	// a dirent slot (it may grow a block) or loses a subdirectory — the
+	// victim — to one it already had; and both parents' when a directory
+	// moves between them: its ".." is a link of the one it sits in.
+	crossDir := movedDir && oldParent != newParent
+	inos := make([]*inode, 0, 3)
 	if victim != nil {
+		inos = append(inos, victim)
+	}
+	if victim == nil || movedDir && !crossDir {
+		inos = append(inos, newParent)
+	}
+	if crossDir {
+		inos = append(inos, oldParent)
+	}
+
+	first.mu.Lock()
+	if second != first {
+		second.mu.Lock()
+	}
+	if victim != nil {
+		victim.mu.Lock()
+	}
+	tx := fs.begin(ctx, inos...)
+	newAddr := oldDe.addr // replacing: the victim's dirent slot, pointed at the moved inode
+	err = fs.clearDirent(ctx, tx, de.addr)
+	if err == nil && !replacing {
+		newAddr, err = fs.direntSlot(ctx, tx, newParent)
+	}
+	if err == nil {
+		err = fs.writeDirent(ctx, tx, newAddr, moved.ino, newName)
+	}
+	if err == nil {
+		if victim != nil {
+			dropName(victim, newParent)
+		}
+		if crossDir {
+			oldParent.nlink--
+			newParent.nlink++
+		}
+	}
+	if err = tx.finish("rename", err); err == nil {
+		oldParent.dir.tree.Delete(oldName)
+		oldParent.dir.freeSlots = append(oldParent.dir.freeSlots, de.addr)
+		newParent.dir.tree.Set(newName, dentry{ino: moved.ino, addr: newAddr})
+	}
+	if victim != nil {
+		victim.mu.Unlock()
+	}
+	if second != first {
+		second.mu.Unlock()
+	}
+	first.mu.Unlock()
+	if err == nil && victim != nil {
 		fs.destroyInode(ctx, victim)
 	}
-	return nil
+	return err
 }
 
 // Stat implements vfs.FS.

@@ -44,8 +44,9 @@ func (r *CheckReport) OK() bool { return len(r.Errors) == 0 }
 //
 //   - a block referenced twice, by extents or indirect chains;
 //   - a directory entry that references no live inode;
-//   - a live non-root inode no dirent references, or a file whose link
-//     count differs from its references.
+//   - a live non-root inode no dirent references, a file whose link count
+//     differs from its references, or a directory's from 2 plus its
+//     subdirectories (the rule Repair rewrites the counts by).
 //
 // An inode's list ends at its first fault, as it does for Mount and Repair:
 // the records past it are not examined.
@@ -108,6 +109,7 @@ func CheckTiered(dev *pmem.Device, slowBlocks int64) *CheckReport {
 
 	// Pass 2: directory entries.
 	refcount := map[uint64]int{}
+	subdirs := map[uint64]int{}
 	for _, dir := range inodes {
 		if dir.di.typ != typeDir {
 			continue
@@ -126,17 +128,21 @@ func CheckTiered(dev *pmem.Device, slowBlocks int64) *CheckReport {
 					continue
 				}
 				refcount[de.ino]++
+				if inodes[de.ino].di.typ == typeDir {
+					subdirs[dir.ino]++
+				}
 			}
 		})
 	}
 	for ino, n := range inodes {
-		if ino == 1 {
-			continue
-		}
-		if refcount[ino] == 0 {
+		if ino != 1 && refcount[ino] == 0 {
 			r.errf("ino %d (%s, size=%d) is orphaned", ino, typeName(n.di.typ), n.di.size)
 		}
-		if n.di.typ == typeFile && refcount[ino] != int(n.di.nlink) {
+		if n.di.typ == typeDir {
+			if want := 2 + subdirs[ino]; int(n.di.nlink) != want {
+				r.errf("dir %d: nlink=%d but it has %d subdirectories (want %d)", ino, n.di.nlink, subdirs[ino], want)
+			}
+		} else if refcount[ino] != int(n.di.nlink) {
 			r.errf("ino %d: nlink=%d but %d references", ino, n.di.nlink, refcount[ino])
 		}
 	}

@@ -45,8 +45,8 @@ const (
 // resets it in place: nothing is allocated per transaction, and nothing a
 // transaction owns may be kept past its commit or abort. tx is the journal
 // transaction (undo log and entry scratch); op is the operation around it
-// (fs.go, mtx: the DRAM undo log, the blocks taken and detached, the CoW
-// bounce block). tx.scratch, one cache line, is busy only for the length of
+// (fs.go, mtx: the inodes it tracks, the DRAM undo log, the blocks taken and
+// detached, the CoW bounce block). tx.scratch, one cache line, is busy only for the length of
 // one device write — a journal entry (append), the in-place update whose
 // undo was just logged (extent record, inode header, dirent, chain
 // pointer: mtx.scratch), the header at wrap — each user fills the bytes it

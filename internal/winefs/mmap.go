@@ -128,14 +128,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	// Refaults block on ino.mu until the new layout is in place.
 	tx := fs.begin(ctx, ino)
 	_, err := fs.detachRange(ctx, tx, ino, startBlk, endBlk)
-	if err == nil {
-		err = fs.writeInodeHeader(ctx, tx, ino)
-	}
-	if err != nil {
-		return fs.failTx(tx, "punch", err)
-	}
-	tx.commit()
-	return nil
+	return tx.finish("punch", err)
 }
 
 // ProbeHuge implements vfs.HugeProber: report, without faulting or

@@ -87,9 +87,5 @@ func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Ex
 	}
 	fs.dev.Fence(ctx)
 	tx := fs.begin(ctx, ino)
-	if err = fs.replaceRange(ctx, tx, ino, fileLo, fileLo+n, dst); err != nil {
-		return fs.failTx(tx, tag, err)
-	}
-	tx.commit()
-	return nil
+	return tx.finish(tag, fs.replaceRange(ctx, tx, ino, fileLo, fileLo+n, dst))
 }

@@ -58,10 +58,12 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 	ino := inoOf(t, ctx, fs, "/mapped")
 	var demoted int64                // the mover's tally
 	var faultPromotions atomic.Int64 // the readers' sum
+	var moverDone atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer moverDone.Store(true)
 		mctx := sim.NewCtx(50, 1)
 		for i := 0; i < 12; i++ {
 			if i%2 == 1 {
@@ -87,7 +89,11 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 			defer func() { faultPromotions.Add(tctx.Counters.TierFaultPromotions) }()
 			rng := sim.NewRand(uint64(th)*524287 + 1)
 			buf := make([]byte, 256)
-			for i := 0; i < 300; i++ {
+			// At least 300 reads, and until the mover is through: readers the
+			// host schedules ahead of the first demotion would otherwise be
+			// done before there is anything to fault back up (one run in
+			// twenty on two cores), and the storm races nothing.
+			for i := 0; i < 300 || !moverDone.Load(); i++ {
 				off := rng.Int63n(size - int64(len(buf)))
 				err := m.Read(tctx, buf, off)
 				if err != nil {
