@@ -47,7 +47,7 @@ func nsString(t *testing.T, ctx *sim.Ctx, fs *FS) string {
 
 // TestTxOverflowAbortsCleanly: satellite of the fault work — an oversized
 // raw transaction must fail with the typed ErrTxOverflow (not a panic) and
-// abort must roll every logged range back.
+// abort must leave every staged range as it was.
 func TestTxOverflowAbortsCleanly(t *testing.T) {
 	fs, ctx, dev := mk(t)
 	base := fs.g.inodeAddr(3)
@@ -59,28 +59,28 @@ func TestTxOverflowAbortsCleanly(t *testing.T) {
 
 	tx := fs.beginTx(ctx, 0)
 	var err error
-	mutated := 0
+	staged := 0
 	for i := 0; i < MaxTxEntries+2; i++ {
-		addr := base + int64(i)*undoBytes
-		if err = tx.undo(ctx, addr, undoBytes); err != nil {
+		var b []byte
+		if b, err = tx.stage(base+int64(i)*undoBytes, undoBytes); err != nil {
 			break
 		}
-		dev.WriteAt([]byte("XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"), addr)
-		mutated++
+		copy(b, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX")
+		staged++
 	}
 	if !errors.Is(err, ErrTxOverflow) {
 		t.Fatalf("overflow returned %v, want ErrTxOverflow", err)
 	}
 	// The START entry and the COMMIT slot each take one of the reserved
 	// entries: overflow fires while the transaction can still be resolved.
-	if mutated != MaxTxEntries-2 {
-		t.Fatalf("logged %d entries before overflow, want %d", mutated, MaxTxEntries-2)
+	if staged != MaxTxEntries-2 {
+		t.Fatalf("staged %d entries before overflow, want %d", staged, MaxTxEntries-2)
 	}
 	tx.abort(ctx)
 	got := make([]byte, len(orig))
 	dev.ReadAt(got, base)
 	if string(got) != string(orig) {
-		t.Fatal("abort did not roll back logged ranges")
+		t.Fatal("abort left a staged range changed")
 	}
 	if ctx.Counters.JournalAborts == 0 {
 		t.Fatal("abort not counted")
@@ -219,9 +219,7 @@ func TestWraparoundCrashRecovery(t *testing.T) {
 			// in the final slots before the wrap point.
 			for j.tail+2*MaxTxEntries <= entries {
 				tx := fs.beginTx(ctx, 0)
-				if err := tx.undo(ctx, fs.g.inodeAddr(1), 16); err != nil {
-					t.Fatal(err)
-				}
+				touch(t, ctx, tx, fs.g.inodeAddr(1), 16)
 				tx.commit(ctx)
 			}
 			if j.tail+MaxTxEntries > entries {
@@ -562,9 +560,12 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 
 	// Truncate cannot run out of space; it fails when the media does. Every
 	// checked read of the call is failed in turn (a transient fault, so the
-	// remount can read the image): the undo reads of the records detachRange
-	// moves, and the header's — the last one, after the whole range is
-	// detached.
+	// remount can read the image). The journal reads the old bytes of a
+	// transaction once per run of adjacent cache lines, so the fixture keeps
+	// the records the call changes off the header's neighbour lines: /a has
+	// twelve extents of two blocks, one inline record each, and the cut at
+	// block 19 rewrites records 9 and 10 — the inode's fourth line — and the
+	// header, on its first. Two runs, two reads.
 	t.Run("truncate with a read fault", func(t *testing.T) {
 		for nth := 1; ; nth++ {
 			ctx := sim.NewCtx(1, 0)
@@ -575,7 +576,7 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 			}
 			a, _ := fs.Create(ctx, "/a")
 			b, _ := fs.Create(ctx, "/b")
-			for i := 0; i < 6; i++ { // interleaved, so /a's extents cannot merge
+			for i := 0; i < InlineExtents; i++ { // interleaved, so /a's extents cannot merge
 				if _, err := a.Append(ctx, make([]byte, 8<<10)); err != nil {
 					t.Fatal(err)
 				}
@@ -584,11 +585,11 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 				}
 			}
 			before := stateOf(t, ctx, fs, "/a")
-			if n := len(a.Extents()); n < 4 {
-				t.Fatalf("/a has %d extents; the interleave did not fragment it", n)
+			if n := len(a.Extents()); n != InlineExtents {
+				t.Fatalf("/a has %d extents, want %d; the interleave did not fragment it", n, InlineExtents)
 			}
 			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Nth: nth, Transient: true}}})
-			err = a.Truncate(ctx, BlockSize)
+			err = a.Truncate(ctx, 19*BlockSize)
 			dev.SetFaultPlan(nil)
 			if err == nil {
 				if nth < 3 {
@@ -683,8 +684,8 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 			before := statesOf(t, ctx, fs, nsPaths...)
 			d, _ := fs.resolve(ctx, "/d")
 			hdr := fs.g.inodeAddr(d.ino)
-			// The header's undo read is the transaction's last: the directory
-			// has grown by then.
+			// The header's old bytes are read at finish, with the rest of
+			// the transaction's: the directory has grown by then.
 			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}}})
 			err := op.run(ctx, fs)
 			dev.SetFaultPlan(nil)
@@ -708,4 +709,130 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 		}
 		checkAll(t, ctx, fs, dev, before, paths...)
 	})
+}
+
+// TestOnePassPoisonLeavesNoTrace: the journal reads a transaction's old
+// bytes before it stores anything (txn.apply), so a poisoned line under
+// any kind of metadata an operation rewrites — an inode header, an extent
+// record, the pointer that links a new indirect block, a dirent, a dirent's
+// valid byte — fails the operation with ErrIO and leaves DRAM, the media
+// and the free count where they were.
+func TestOnePassPoisonLeavesNoTrace(t *testing.T) {
+	opts := Options{CPUs: 1, Mode: vfs.Strict}
+	rows := []struct {
+		name string
+		// setup builds the image and returns the operation and the address
+		// whose line it poisons.
+		setup func(t *testing.T, ctx *sim.Ctx, fs *FS) (op func() error, poison int64)
+	}{
+		{"header", func(t *testing.T, ctx *sim.Ctx, fs *FS) (func() error, int64) {
+			f := appended(t, ctx, fs, "/f", 1)
+			return func() error { _, err := f.Append(ctx, make([]byte, BlockSize)); return err }, fs.g.inodeAddr(f.Ino())
+		}},
+		{"extent record", func(t *testing.T, ctx *sim.Ctx, fs *FS) (func() error, int64) {
+			f := appended(t, ctx, fs, "/f", 1)
+			return func() error { _, err := f.Append(ctx, make([]byte, BlockSize)); return err }, fs.g.inlineExtentAddr(f.Ino(), 0)
+		}},
+		{"chain pointer", func(t *testing.T, ctx *sim.Ctx, fs *FS) (func() error, int64) {
+			// Every record slot of the inode and of its first indirect block
+			// taken: the next record links a second indirect block.
+			f := appended(t, ctx, fs, "/f", InlineExtents+extPerIndirect)
+			ino := fs.getInode(f.Ino())
+			if len(ino.extents) != InlineExtents+extPerIndirect || len(ino.indirect) != 1 {
+				t.Fatalf("/f has %d extents and %d indirect blocks", len(ino.extents), len(ino.indirect))
+			}
+			return func() error { _, err := f.Append(ctx, make([]byte, BlockSize)); return err }, ino.indirect[0] * BlockSize
+		}},
+		{"dirent", func(t *testing.T, ctx *sim.Ctx, fs *FS) (func() error, int64) {
+			appended(t, ctx, fs, "/f", 1)
+			root := fs.getInode(1)
+			return func() error { _, err := fs.Create(ctx, "/new"); return err }, root.dir.freeSlots[len(root.dir.freeSlots)-1]
+		}},
+		{"valid byte", func(t *testing.T, ctx *sim.Ctx, fs *FS) (func() error, int64) {
+			appended(t, ctx, fs, "/f", 1)
+			de, _ := fs.getInode(1).dir.tree.Get("f")
+			return func() error { return fs.Unlink(ctx, "/f") }, de.addr + 8
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := sim.NewCtx(1, 0)
+			dev := pmem.New(48 << 20)
+			fs, err := Mkfs(ctx, dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, addr := row.setup(t, ctx, fs)
+			paths := []string{"/", "/f"}
+			before := statesOf(t, ctx, fs, paths...)
+			img := dev.Snapshot()
+			dev.Poison(addr, 1)
+			err = op()
+			dev.ClearPoison(addr, 1)
+			if !errors.Is(err, vfs.ErrIO) {
+				t.Fatalf("%s with the line at %d poisoned = %v, want ErrIO", row.name, addr, err)
+			}
+			for i, p := range paths {
+				if after := stateOf(t, ctx, fs, p); after != before[i] {
+					t.Errorf("the failed call left a trace of %s in DRAM:\nbefore %+v\nafter  %+v", p, before[i], after)
+				}
+			}
+			if off := imageDiff(img, dev.Snapshot()); off >= 0 {
+				t.Errorf("the failed call changed the media at %d", off)
+			}
+		})
+	}
+}
+
+// appended creates path with n one-block extents (a second file's blocks
+// between them, so none merge) and returns it.
+func appended(t *testing.T, ctx *sim.Ctx, fs *FS, path string, n int) vfs.File {
+	t.Helper()
+	f, err := fs.Create(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spacer, err := fs.Create(ctx, path+".spacer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := f.Append(ctx, make([]byte, BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spacer.Append(ctx, make([]byte, BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// imageDiff returns the first device offset at which two images differ, or
+// -1 (a chunk one image lacks reads as zeros).
+func imageDiff(a, b *pmem.Image) int64 {
+	chunks := func(img *pmem.Image) map[int64][]byte {
+		m := make(map[int64][]byte)
+		img.ForEachChunk(func(off int64, data []byte) { m[off] = data })
+		return m
+	}
+	ca, cb := chunks(a), chunks(b)
+	zero := make([]byte, pmem.ChunkSize)
+	first := int64(-1)
+	for _, pair := range [][2]map[int64][]byte{{ca, cb}, {cb, ca}} {
+		for off, x := range pair[0] {
+			y := pair[1][off]
+			if y == nil {
+				y = zero
+			}
+			for i := range x {
+				if x[i] != y[i] {
+					if d := off + int64(i); first < 0 || d < first {
+						first = d
+					}
+					break
+				}
+			}
+		}
+	}
+	return first
 }

@@ -27,6 +27,29 @@ func (tx *txn) abort(ctx *sim.Ctx) {
 	tx.j.res.Release(ctx)
 }
 
+// put stages b at addr in a raw transaction and applies the link: START,
+// the DATA entries and the new bytes are on the media, COMMIT is not.
+func put(t testing.TB, ctx *sim.Ctx, tx *txn, addr int64, b []byte) {
+	t.Helper()
+	buf, err := tx.stage(addr, len(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, b)
+	if err := tx.apply(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// touch is put of the n bytes already at addr: a logged write that changes
+// nothing.
+func touch(t testing.TB, ctx *sim.Ctx, tx *txn, addr int64, n int) {
+	t.Helper()
+	b := make([]byte, n)
+	tx.j.fs.dev.ReadAt(b, addr)
+	put(t, ctx, tx, addr, b)
+}
+
 func TestJournalEntryCodec(t *testing.T) {
 	e := jentry{typ: entryData, n: 17, wrap: 3, txid: 42, addr: 0xdeadbeef}
 	copy(e.data[:], "old-bytes")
@@ -54,7 +77,7 @@ func TestTxnCommitReclaims(t *testing.T) {
 	j := fs.journals[0]
 	tailBefore := j.tail
 	tx := fs.beginTx(ctx, 0)
-	tx.undo(ctx, fs.g.inodeAddr(1), 32)
+	touch(t, ctx, tx, fs.g.inodeAddr(1), 32)
 	tx.commit(ctx)
 	// After commit, the header's durable tail equals the DRAM tail and no
 	// uncommitted transaction is found.
@@ -72,11 +95,11 @@ func TestUncommittedTxRollsBack(t *testing.T) {
 	orig := []byte("ORIGINAL-CONTENT-32-BYTES-LONG!!")
 	dev.WriteAt(orig, addr)
 
-	// Start a transaction, log undo, clobber the region... then "crash"
-	// before commit (simply don't commit).
+	// Start a transaction, clobber the region through it (undo logged,
+	// new bytes in place)... then "crash" before commit (simply don't
+	// commit).
 	tx := fs.beginTx(ctx, 0)
-	tx.undo(ctx, addr, 32)
-	dev.WriteAt([]byte("GARBAGE-GARBAGE-GARBAGE-GARBAGE!"), addr)
+	put(t, ctx, tx, addr, []byte("GARBAGE-GARBAGE-GARBAGE-GARBAGE!"))
 	tx.j.res.Release(ctx) // release without committing (simulated crash)
 
 	found, _, _ := fs.journals[0].scanJournal()
@@ -106,7 +129,7 @@ func TestJournalWraparound(t *testing.T) {
 	rounds := int(entries/3)*2 + 10
 	for i := 0; i < rounds; i++ {
 		tx := fs.beginTx(ctx, 0)
-		tx.undo(ctx, fs.g.inodeAddr(1), 16)
+		touch(t, ctx, tx, fs.g.inodeAddr(1), 16)
 		tx.commit(ctx)
 	}
 	if j.wrap < 2 {
@@ -119,7 +142,7 @@ func TestJournalWraparound(t *testing.T) {
 	// And an uncommitted tx right after a wrap is still found.
 	j.tail = entries - 2 // force the next tx to wrap
 	tx := fs.beginTx(ctx, 0)
-	tx.undo(ctx, fs.g.inodeAddr(1), 8)
+	touch(t, ctx, tx, fs.g.inodeAddr(1), 8)
 	tx.j.res.Release(ctx)
 	found, _, _ := j.scanJournal()
 	if found == nil || found.txid != tx.id {
@@ -136,13 +159,11 @@ func TestRecoveryOrdersAcrossJournals(t *testing.T) {
 	// VERSION1 then writes VERSION2. Neither commits. Rollback must apply
 	// B's undo first (higher TxID), then A's — ending at VERSION0.
 	txA := fs.beginTx(ctx, 0)
-	txA.undo(ctx, addr, 8)
-	dev.WriteAt([]byte("VERSION1"), addr)
+	put(t, ctx, txA, addr, []byte("VERSION1"))
 	txA.j.res.Release(ctx)
 
 	txB := fs.beginTx(ctx, 1)
-	txB.undo(ctx, addr, 8)
-	dev.WriteAt([]byte("VERSION2"), addr)
+	put(t, ctx, txB, addr, []byte("VERSION2"))
 	txB.j.res.Release(ctx)
 
 	if txB.id <= txA.id {
@@ -181,11 +202,141 @@ func TestMaxTxEntriesRespected(t *testing.T) {
 	}
 }
 
+// TestOnePassStoreOrder pins the order a link reaches the media in, read
+// off the device's store trace, whose fence epochs are what the crash model
+// persists by. In every link: START and the DATA entries share one epoch,
+// in stores of at most passLines lines; every region a DATA entry logs is
+// then stored in place, and all those stores share one later epoch — the
+// fence after the entries orders each undo record before its update; and
+// COMMIT comes in a later epoch still, so the updates are durable before
+// it. Over an append, a create, a rename and a strict copy-on-write that
+// chains through several links.
+func TestOnePassStoreOrder(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	dev := pmem.New(64 << 20)
+	fs, err := Mkfs(ctx, dev, Options{CPUs: 1, Mode: vfs.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Create(ctx, "/f")
+	g, _ := fs.Create(ctx, "/g")
+	for i := 0; i < 24; i++ { // interleaved: /f is 24 one-block extents
+		if _, err := f.Append(ctx, make([]byte, BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Append(ctx, make([]byte, BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jlo, jhi := JournalRegion(dev, 0)
+	ops := []struct {
+		name     string
+		minLinks int64
+		run      func() error
+	}{
+		{"append", 1, func() error { _, err := f.Append(ctx, make([]byte, BlockSize)); return err }},
+		{"create", 1, func() error { _, err := fs.Create(ctx, "/h"); return err }},
+		{"rename", 1, func() error { return fs.Rename(ctx, "/h", "/i") }},
+		{"chained copy-on-write", 2, func() error { _, err := f.WriteAt(ctx, make([]byte, 24*BlockSize), 0); return err }},
+	}
+	for _, op := range ops {
+		commits := ctx.Counters.JournalCommits
+		cow := ctx.Counters.CoWCopies
+		dev.StartTrace()
+		err := op.run()
+		trace := dev.StopTrace()
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if op.minLinks > 1 && ctx.Counters.CoWCopies == cow {
+			t.Fatalf("%s copied nothing on write", op.name)
+		}
+		links := ctx.Counters.JournalCommits - commits
+		if links < op.minLinks {
+			t.Fatalf("%s committed %d links, want at least %d", op.name, links, op.minLinks)
+		}
+		if got := checkPassOrder(t, op.name, trace, jlo, jhi); got != links {
+			t.Errorf("%s: the trace shows %d sealed links, the counters %d", op.name, got, links)
+		}
+	}
+}
+
+// checkPassOrder walks a store trace link by link (see TestOnePassStoreOrder)
+// and returns how many links it saw sealed.
+func checkPassOrder(t *testing.T, op string, trace []pmem.Store, jlo, jhi int64) int64 {
+	t.Helper()
+	type logged struct {
+		addr     int64
+		n, epoch int
+		applied  bool
+	}
+	var (
+		open            bool
+		data            []logged
+		entryEpoch, upd int
+		links           int64
+	)
+	for _, s := range trace {
+		if s.Off >= jlo && s.Off < jhi {
+			if len(s.Data) > passLines*EntrySize || len(s.Data)%EntrySize != 0 {
+				t.Errorf("%s: a journal store of %d bytes", op, len(s.Data))
+			}
+			for p := 0; p+EntrySize <= len(s.Data); p += EntrySize {
+				e, ok := decodeEntry(s.Data[p : p+EntrySize])
+				if !ok {
+					t.Fatalf("%s: an undecodable journal entry at %d", op, s.Off+int64(p))
+				}
+				switch e.typ {
+				case entryStart:
+					open, data, entryEpoch, upd = true, data[:0], s.Epoch, -1
+				case entryData:
+					if !open || s.Epoch != entryEpoch {
+						t.Errorf("%s: a DATA entry outside its link's START epoch", op)
+					}
+					data = append(data, logged{addr: e.addr, n: int(e.n), epoch: s.Epoch})
+				case entryCommit:
+					for _, d := range data {
+						if !d.applied {
+							t.Errorf("%s: [%d,+%d) logged and never stored in place", op, d.addr, d.n)
+						}
+					}
+					if upd >= 0 && s.Epoch <= upd {
+						t.Errorf("%s: COMMIT in epoch %d, an in-place store in %d", op, s.Epoch, upd)
+					}
+					open = false
+					links++
+				}
+			}
+			continue
+		}
+		if !open {
+			continue
+		}
+		for i := range data {
+			d := &data[i]
+			if s.Off >= d.addr+int64(d.n) || s.Off+int64(len(s.Data)) <= d.addr {
+				continue
+			}
+			if s.Epoch <= d.epoch {
+				t.Errorf("%s: store at %d in epoch %d, its DATA entry in %d", op, s.Off, s.Epoch, d.epoch)
+			}
+			if upd >= 0 && s.Epoch != upd {
+				t.Errorf("%s: in-place stores in epochs %d and %d", op, upd, s.Epoch)
+			}
+			upd = s.Epoch
+			if s.Off <= d.addr && s.Off+int64(len(s.Data)) >= d.addr+int64(d.n) {
+				d.applied = true
+			}
+		}
+	}
+	return links
+}
+
 func TestHeaderSurvivesReload(t *testing.T) {
 	fs, ctx, _ := mk(t)
 	for i := 0; i < 7; i++ {
 		tx := fs.beginTx(ctx, 1)
-		tx.undo(ctx, fs.g.inodeAddr(1), 8)
+		touch(t, ctx, tx, fs.g.inodeAddr(1), 8)
 		tx.commit(ctx)
 	}
 	j := fs.journals[1]

@@ -285,10 +285,13 @@ const (
 	inoOffExtCount = 20
 	inoOffIndirect = 24
 	inoOffExtents  = 64
+
+	// inoHeaderSize is piece 0: the header fields, written as a unit.
+	inoHeaderSize = 32
 )
 
 // encodeHeader encodes into a caller-owned buffer of at least
-// inoOffExtents bytes and returns it.
+// inoHeaderSize bytes and returns it.
 func (di *dinode) encodeHeader(b []byte) []byte {
 	le := binary.LittleEndian
 	le.PutUint16(b[inoOffMagic:], di.magic)
