@@ -209,9 +209,13 @@ func (a *allocator) takeHoles(ctx *sim.Ctx, cpu int, need int64, out []alloc.Ext
 }
 
 // takeHoles serves takeHoles from one group until the need is met or the
-// group has no hole left.
+// group has no hole left. A group whose published hole count is 0 is not
+// probed and not charged, as mostHoles reads it: frees go back to the group
+// that owns the block (§3.4), so one thread's own group drains while the
+// others fill, and it finds its group empty on every allocation until a
+// free of its own blocks returns.
 func (g *group) takeHoles(ctx *sim.Ctx, need int64, out []alloc.Extent, steal bool) ([]alloc.Extent, int64) {
-	for need > 0 {
+	for need > 0 && g.holeBlocks.Load() > 0 {
 		g.mu.Lock()
 		e, ok := g.holes.TakeBestFit(need)
 		if !ok {
