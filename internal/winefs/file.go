@@ -400,8 +400,13 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Strict mode must make the data update atomic. The hybrid scheme
 	// (§3.4, "Data Atomicity") journals in-place updates of aligned extents
 	// and copies-on-write updates of unaligned holes. Only bytes that
-	// existed before this call (off < oldSize) are overwrites.
-	if err := f.writeData(ctx, getTx, p, off, oldSize); err != nil {
+	// existed before this call (off < oldSize, in blocks allocRange did not
+	// just attach) are overwrites.
+	var fresh []alloc.Extent
+	if tx != nil {
+		fresh = tx.took
+	}
+	if err := f.writeData(ctx, getTx, fresh, p, off, oldSize); err != nil {
 		return 0, fail(err)
 	}
 	if end > ino.size {
@@ -470,9 +475,11 @@ func (f *File) writeRange(ctx *sim.Ctx, p []byte, off int64) (n int, ok bool, er
 }
 
 // writeData moves p into the file at off, applying the hybrid atomicity
-// policy for the overwritten prefix. getTx materialises the journal
-// transaction lazily (only the CoW path needs one).
-func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize int64) error {
+// policy for the overwritten prefix. fresh are the blocks this call
+// allocated: they held nothing before it, so writing them is never an
+// overwrite. getTx materialises the journal transaction lazily (only the
+// CoW path needs one).
+func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, fresh []alloc.Extent, p []byte, off, oldSize int64) error {
 	fs := f.fs
 	ino := f.ino
 	overwriteEnd := oldSize
@@ -488,11 +495,18 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize
 		if !ok {
 			return vfs.ErrNoSpace // allocRange must have covered everything
 		}
+		isOverwrite := pos < overwriteEnd
+		if isOverwrite && fs.mode == vfs.Strict {
+			// An extent may merge fresh blocks with old ones (recAppend):
+			// the chunk stops where freshness changes.
+			var isFresh bool
+			isFresh, run = freshSpan(fresh, phys, run)
+			isOverwrite = !isFresh
+		}
 		chunk := run*BlockSize - in
 		if chunk > int64(len(p)-written) {
 			chunk = int64(len(p) - written)
 		}
-		isOverwrite := pos < overwriteEnd
 		if isOverwrite && fs.mode == vfs.Strict {
 			ovEnd := pos + chunk
 			if ovEnd > overwriteEnd {
@@ -523,6 +537,20 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize
 		fs.dev.Fence(ctx)
 	}
 	return nil
+}
+
+// freshSpan reports whether physical block b is in one of fresh's extents,
+// and how many of the run blocks from b on share that answer.
+func freshSpan(fresh []alloc.Extent, b, run int64) (bool, int64) {
+	for _, e := range fresh {
+		if b >= e.Start && b < e.End() {
+			return true, min64(run, e.End()-b)
+		}
+		if e.Start > b {
+			run = min64(run, e.Start-b)
+		}
+	}
+	return false, run
 }
 
 // dataJournalMinBlocks is the extent size above which WineFS prefers data

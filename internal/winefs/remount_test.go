@@ -200,6 +200,45 @@ func TestRemountEquivalence(t *testing.T) {
 	}
 }
 
+// TestStrictHoleWriteDoesNotCopy: a strict write into the holes of a
+// truncate-grown file writes the blocks it allocates in place — they held
+// nothing, so there is nothing to copy on write — and what it wrote
+// survives a crash mount and a clean remount. A write over an old block
+// and a hole after it copies the old block only, though the new one may
+// have merged into its extent.
+func TestStrictHoleWriteDoesNotCopy(t *testing.T) {
+	opts := Options{CPUs: 1, Mode: vfs.Strict}
+	ctx := sim.NewCtx(1, 0)
+	dev := pmem.New(64 << 20)
+	fs, err := Mkfs(ctx, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create(ctx, "/sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(ctx, 64*BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{0xC3}, BlockSize)
+	for _, blk := range []int64{3, 17, 40} {
+		if _, err := f.WriteAt(ctx, page, blk*BlockSize+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ctx.Counters.CoWCopies; n != 0 {
+		t.Fatalf("three strict writes into holes copied %d blocks on write", n)
+	}
+	if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{0x3C}, 2*BlockSize), 41*BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if n := ctx.Counters.CoWCopies; n != 1 {
+		t.Fatalf("a write over block 41 (written before) and 42 (a hole) copied %d blocks, want 1", n)
+	}
+	remountEquivalent(t, ctx, fs, dev, opts, "after strict writes into holes")
+}
+
 // randomOp runs one random operation of TestRemountEquivalence's mix and
 // says what it was. Errors POSIX prescribes for the picked arguments (a
 // rename onto a non-empty directory, an rmdir of one) are not errors here.
