@@ -6,9 +6,10 @@ import "repro/internal/pmem"
 // replica cannot be built by shipping journal entries alone: the authoritative
 // stream is the device's physical writes (pmem.WriteObserver). What the FS
 // contributes is transaction boundaries: the commit hook fires once per
-// resolved journal transaction — commit or abort — after its COMMIT entry is
-// durable, letting a replicator emit an ordered commit barrier into the
-// stream. Replica promotion needs no hook at all: it reuses the normal Mount
+// resolved journal transaction — after its COMMIT entry is durable, or at
+// an abort, which has written nothing — letting a replicator emit an
+// ordered commit barrier into the stream. Replica promotion needs no hook
+// at all: it reuses the normal Mount
 // recovery path (recoverJournals + rebuildFromScan) on the replicated image,
 // exactly as a crashed primary would.
 
