@@ -1,7 +1,8 @@
 package winefs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -103,8 +104,8 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 		if st.MigratedBlocks >= budget || st.ChunksScanned >= int64(maxChunks) {
 			break
 		}
-		cands, next := g.defragCandidates(fs.defragCursor[gi], maxChunks-int(st.ChunksScanned))
-		fs.defragCursor[gi] = next
+		cands, next := g.defragCandidates(fs.defragCursor[gi], maxChunks-int(st.ChunksScanned), fs.maint.chunks)
+		fs.defragCursor[gi], fs.maint.chunks = next, cands[:0]
 		for _, c := range cands {
 			if fs.unmounted.Load() || fs.writable() != nil {
 				break
@@ -129,51 +130,43 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 // defragCandidates collects up to limit partially-free hugepage chunks,
 // scanning from the cursor block for fairness across passes, ordered
 // cheapest-first (most free blocks = fewest live blocks to migrate).
-// Returns the candidates and the new cursor.
-func (g *group) defragCandidates(cursor int64, limit int) ([]defragCand, int64) {
+// Returns the candidates, in buf's storage, and the new cursor.
+func (g *group) defragCandidates(cursor int64, limit int, buf []defragCand) ([]defragCand, int64) {
 	if limit <= 0 {
-		return nil, cursor
+		return buf[:0], cursor
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// Tally free blocks per chunk. The hole invariant (no hole fully
-	// contains an aligned chunk) means every chunk a hole touches is
-	// partially free — exactly the §3.5 targets.
-	free := make(map[int64]int64)
+	// Tally free blocks per chunk, in address order: the holes ascend, so
+	// a chunk several holes touch is the last one tallied when the next
+	// of them arrives. The hole invariant (no hole fully contains an
+	// aligned chunk) means every chunk a hole touches is partially free —
+	// exactly the §3.5 targets.
+	all := buf[:0]
 	for _, h := range g.holes.Extents() {
 		for b := h.Start / BlocksPerHuge * BlocksPerHuge; b < h.End(); b += BlocksPerHuge {
-			lo, hi := max64(h.Start, b), min64(h.End(), b+BlocksPerHuge)
-			if lo < hi {
-				free[b] += hi - lo
+			n := min64(h.End(), b+BlocksPerHuge) - max64(h.Start, b)
+			if last := len(all) - 1; last >= 0 && all[last].base == b {
+				all[last].free += n
+			} else {
+				all = append(all, defragCand{base: b, free: n})
 			}
 		}
 	}
-	if len(free) == 0 {
-		return nil, 0
+	if len(all) == 0 {
+		return all, 0
 	}
-	bases := make([]int64, 0, len(free))
-	for b := range free {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	// Rotate so the scan resumes at the cursor, then take the window.
-	start := sort.Search(len(bases), func(i int) bool { return bases[i] >= cursor })
-	var window []int64
-	for i := 0; i < len(bases) && len(window) < limit; i++ {
-		window = append(window, bases[(start+i)%len(bases)])
-	}
-	next := int64(0)
-	if len(window) > 0 {
-		next = window[len(window)-1] + BlocksPerHuge
-	}
-	out := make([]defragCand, 0, len(window))
-	for _, b := range window {
-		out = append(out, defragCand{base: b, free: free[b]})
-	}
+	start, _ := slices.BinarySearchFunc(all, cursor, func(c defragCand, cursor int64) int { return cmp.Compare(c.base, cursor) })
+	slices.Reverse(all[:start%len(all)])
+	slices.Reverse(all[start%len(all):])
+	slices.Reverse(all)
+	window := all[:min(limit, len(all))]
+	next := window[len(window)-1].base + BlocksPerHuge
 	// Cheapest first: chunks that are mostly free re-form a hugepage
 	// extent with the least copying.
-	sort.Slice(out, func(i, j int) bool { return out[i].free > out[j].free })
-	return out, next
+	slices.SortFunc(window, func(a, b defragCand) int { return cmp.Compare(b.free, a.free) })
+	return window, next
 }
 
 // defragChunk reclaims one candidate chunk: hold its free space, migrate
@@ -210,10 +203,13 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	// Owner scan — AFTER the hold, so no new allocation can land inside
 	// the chunk and the owner set is frozen. Metadata blocks (directory
 	// extents, indirect extent blocks) are position-dependent on PM and
-	// cannot be relocated: they pin the chunk.
-	var owners []*inode
+	// cannot be relocated: they pin the chunk. The owners are filtered into
+	// the front of the snapshot they are read from.
+	fs.maint.inodes = fs.snapshotInodesInto(fs.maint.inodes)
+	defer func() { fs.maint.inodes = emptied(fs.maint.inodes) }()
+	owners := fs.maint.inodes[:0]
 	meta := false
-	for _, ino := range fs.snapshotInodes() {
+	for _, ino := range fs.maint.inodes {
 		ino.mu.RLock()
 		overlaps := false
 		for _, e := range ino.extents {
@@ -246,7 +242,7 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	}
 	// The shard snapshot iterates a map; fix the migration order so a
 	// pass is reproducible for a given image.
-	sort.Slice(owners, func(i, j int) bool { return owners[i].ino < owners[j].ino })
+	slices.SortFunc(owners, func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
 
 	// Feasibility: the chunk's live blocks must fit in hole space OUTSIDE
 	// the hold (migration never splits aligned extents — that would just
