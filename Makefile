@@ -87,7 +87,8 @@ bench-pair:
 #   defrag      §3.5 defragmenter: ≥90% coverage recovered on a live mapping,
 #               25-40% interference unthrottled (§4), ≤10% paced
 #   tier        PM+SSD at 0.5-2x PM working sets vs all-PM: ≥75% when it
-#               fits, ≥25% at 2x, cold misses charged at slow-device cost
+#               fits, ≥25% at 2x, cold misses charged at slow-device cost;
+#               1.5x behind 0.5x PM of never-read files keeps ≥90% of 1.5x
 #   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
 #               replicas byte-identical
 GATE = $(GO) run ./cmd/winebench $(1) -check-against $(2)
@@ -149,7 +150,8 @@ mmap-race:
 # mapping must drain in-flight accesses before freeing; driven through
 # migrateRun, since the pass itself pins mapped files), the three mover
 # rules (TestTierThrottleNeverHoldsTheLock, TestTierPassPinsMappedFiles,
-# TestHeatFollowsData), the rewrite
+# TestHeatFollowsData), the dead-data rule and why it terminates
+# (TestTierDeadBeforeTrickle, TestTierTrickleDoesNotThrash), the rewrite
 # tests, spill/ENOSPC behaviour, the abort path every one of them shares
 # with the foreground (TestFailedWriteLeavesNoTrace: a failed write,
 # fallocate, truncate, create, mkdir or rename leaves DRAM, the allocator

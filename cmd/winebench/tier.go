@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 
 	"repro/internal/bench"
@@ -28,6 +29,22 @@ import (
 // working set at or past PM capacity, 2x included.
 const tierMinDegradedRatio = 0.25
 
+// tierAgedDead is the aged point's pre-fill, in multiples of PM: files
+// written once and never read, laid down before the working set so they
+// hold PM when the sweep starts. The point runs the 1.5x working set and
+// is gated against the plain 1.5x point: data nobody reads must give its
+// PM up to the data the sweep reads (DESIGN §14, usage.dead).
+const tierAgedDead = 0.5
+
+// tierAgedWarmup is the aged point's warm-up, in multiples of the sweep:
+// long enough for the migration passes to finish trading dead data for
+// data the sweep reads before anything is measured.
+const tierAgedWarmup = 4
+
+// tierMinAgedShare is the share of the plain 1.5x point's ratio the aged
+// 1.5x point must keep.
+const tierMinAgedShare = 0.9
+
 // tierMinFitRatio gates the working sets that fit in PM (<1x): tiering
 // machinery that slows the fitting case down materially is a bug. The
 // exactly-1x point is NOT held to this: a working set equal to the PM
@@ -52,15 +69,23 @@ func runTierBench(o options) (*bench.Report, error) {
 	}
 	slowSize := 2 * devSize
 	controlSize := 3 * devSize
-	fracs := []float64{0.5, 1.0, 1.5, 2.0}
+	// The curve, then the aged point: the 1.5x working set again, behind
+	// tierAgedDead of PM holding files nobody reads.
+	fracs := []float64{0.5, 1.0, 1.5, 2.0, 1.5}
+	deads := []float64{0, 0, 0, 0, tierAgedDead}
 	const opSize, readFrac = 4096, 0.9
 
-	// tiered[i] and control[i] ran working set fracs[i]; ratios[i] is
-	// tiered GBps / control GBps — the headline curve.
+	// tiered[i] and control[i] ran working set fracs[i] behind deads[i]
+	// of dead data; ratios[i] is tiered GBps / control GBps — the headline
+	// curve.
 	var tiered, control []workloads.TieredSweepResult
 	var ratios []float64
-	for _, frac := range fracs {
-		tv, cv, err := runTierPair(frac, cpus, devSize, slowSize, controlSize, cfg)
+	for i, frac := range fracs {
+		pcfg := cfg
+		if deads[i] > 0 {
+			pcfg.WarmupOps = tierAgedWarmup * cfg.Ops
+		}
+		tv, cv, err := runTierPair(frac, deads[i], cpus, devSize, slowSize, controlSize, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("frac %.1f: %w", frac, err)
 		}
@@ -78,8 +103,12 @@ func runTierBench(o options) (*bench.Report, error) {
 	}
 	for i, frac := range fracs {
 		tv, cv := &tiered[i], &control[i]
+		label := fmt.Sprintf("%.1fx PM", frac)
+		if deads[i] > 0 {
+			label += fmt.Sprintf(" + %.1fx dead", deads[i])
+		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1fx PM", frac),
+			label,
 			fmt.Sprintf("%.3f", tv.GBps()),
 			fmt.Sprintf("%.3f", cv.GBps()),
 			fmt.Sprintf("%.0f%%", 100*ratios[i]),
@@ -121,16 +150,26 @@ func runTierBench(o options) (*bench.Report, error) {
 					frac, tv.SweepNS, tv.Counters.SlowReads, minNS)
 			}
 		}
+		if deads[i] > 0 {
+			if plain := ratios[slices.Index(fracs, frac)]; ratio < tierMinAgedShare*plain {
+				return nil, fmt.Errorf("aged gate: at %.1fx PM behind %.1fx of dead data tiered throughput is %.0f%% of all-PM, the plain point's %.0f%% (want >= %.0f%% of it)",
+					frac, deads[i], 100*ratio, 100*plain, 100*tierMinAgedShare)
+			}
+		}
 	}
 
 	rep := bench.New("tier/v1", map[string]float64{
 		"PMMB": float64(devSize >> 20), "SlowMB": float64(slowSize >> 20), "ControlMB": float64(controlSize >> 20),
 		"Ops": float64(cfg.Ops), "OpSize": opSize, "ReadFrac": readFrac, "HotData": 0.1, "HotAccess": 0.9,
-		"PassEvery": 2000, "CPUs": float64(cpus), "Seed": float64(o.seed)})
+		"PassEvery": 2000, "CPUs": float64(cpus), "Seed": float64(o.seed),
+		"AgedDead": tierAgedDead, "AgedWarmup": tierAgedWarmup})
 	for i, frac := range fracs {
 		for _, res := range []*workloads.TieredSweepResult{&tiered[i], &control[i]} {
-			p := rep.Point(map[string]string{"Frac": strconv.FormatFloat(frac, 'g', -1, 64),
-				"Tiered": strconv.FormatBool(res.TierOK)}, 0)
+			labels := map[string]string{"Frac": strconv.FormatFloat(frac, 'g', -1, 64), "Tiered": strconv.FormatBool(res.TierOK)}
+			if deads[i] > 0 {
+				labels["Dead"] = strconv.FormatFloat(deads[i], 'g', -1, 64)
+			}
+			p := rep.Point(labels, 0)
 			// End-of-sweep occupancy is zero on the untiered control.
 			p.Ints(map[string]int64{"Files": int64(res.Files), "WorkingSetBytes": res.WorkingSetBytes,
 				"Ops": res.Ops, "Bytes": res.Bytes, "Passes": res.Passes,
@@ -149,10 +188,11 @@ func runTierBench(o options) (*bench.Report, error) {
 }
 
 // runTierPair runs one working-set fraction on a fresh tiered mount and a
-// fresh all-in-PM control. The working set is derived from the tiered
-// mount's PM data capacity and reused verbatim for the control, so both
-// sweeps touch exactly the same bytes.
-func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, cfg workloads.TieredSweepConfig) (tv, cv workloads.TieredSweepResult, err error) {
+// fresh all-in-PM control, each first given dead times the PM data
+// capacity in files that are written once and never read. The working set
+// is derived from the tiered mount's PM data capacity and reused verbatim
+// for the control, so both sweeps touch exactly the same bytes.
+func runTierPair(frac, dead float64, cpus int, devSize, slowSize, controlSize int64, cfg workloads.TieredSweepConfig) (tv, cv workloads.TieredSweepResult, err error) {
 	dev := pmem.New(devSize)
 	slow := tier.NewSlow(tier.DefaultSlowConfig(slowSize))
 	defer slow.Release()
@@ -163,7 +203,11 @@ func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, c
 	}
 	st, _ := fs.TierStats()
 	cfg.WorkingSetBytes = int64(frac * float64(st.PMTotalBlocks*winefs.BlockSize))
+	deadBytes := int64(dead * float64(st.PMTotalBlocks*winefs.BlockSize))
 
+	if err := writeDeadFiles(ctx, fs, deadBytes); err != nil {
+		return tv, cv, fmt.Errorf("tiered: %w", err)
+	}
 	if tv, err = workloads.RunTieredSweep(ctx, fs, cfg); err != nil {
 		return tv, cv, fmt.Errorf("tiered sweep: %w", err)
 	}
@@ -174,8 +218,26 @@ func runTierPair(frac float64, cpus int, devSize, slowSize, controlSize int64, c
 	if err != nil {
 		return tv, cv, fmt.Errorf("control mkfs: %w", err)
 	}
+	if err := writeDeadFiles(cctx, cfs, deadBytes); err != nil {
+		return tv, cv, fmt.Errorf("control: %w", err)
+	}
 	if cv, err = workloads.RunTieredSweep(cctx, cfs, cfg); err != nil {
 		return tv, cv, fmt.Errorf("control sweep: %w", err)
 	}
 	return tv, cv, nil
+}
+
+// writeDeadFiles lays down n bytes in 2MiB files that nothing reads again.
+func writeDeadFiles(ctx *sim.Ctx, fs *winefs.FS, n int64) error {
+	buf := make([]byte, 2<<20)
+	for i := 0; int64(i)*int64(len(buf)) < n; i++ {
+		f, err := fs.Create(ctx, fmt.Sprintf("/dead%05d", i))
+		if err != nil {
+			return fmt.Errorf("dead file %d: %w", i, err)
+		}
+		if _, err := f.WriteAt(ctx, buf, 0); err != nil {
+			return fmt.Errorf("dead file %d: %w", i, err)
+		}
+	}
+	return nil
 }

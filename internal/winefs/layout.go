@@ -239,10 +239,10 @@ type wextent struct {
 	blk     int64
 	length  int64
 
-	// heat counts recent accesses for tier placement (DRAM-only: not
-	// encoded in the 16-byte PM record, so it resets to cold at mount).
-	// Bumped atomically under a shared ino.mu, aged by TierPass.
-	heat int64
+	// usage is what tier placement knows of the data (tier.go). It is
+	// DRAM-only — not encoded in the 16-byte PM record — so every extent
+	// is cold and unreferenced after a mount.
+	usage
 }
 
 func encodeExtent(b []byte, e wextent) {

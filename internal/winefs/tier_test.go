@@ -586,12 +586,14 @@ func TestTierPassPinsMappedFiles(t *testing.T) {
 	}
 }
 
-// TestHeatFollowsData: heat belongs to the data, not to the extent record
-// that happens to describe it. A relocation (either direction) and a strict
-// copy-on-write both re-describe a range with new records; a split leaves a
-// tail with a record of its own. None of them may make a hot range look
-// never-touched, or the next pass demotes exactly the data the foreground
-// is working on.
+// TestHeatFollowsData: heat and references belong to the data, not to
+// the extent record that happens to describe it. A relocation (either
+// direction) and a strict copy-on-write both re-describe a range with new
+// records; a split leaves a tail with a record of its own; a merge folds
+// two records into one. None of them may make a hot range look
+// never-touched, a range read back look dead, or data written once and
+// never read look read back — or the next pass demotes exactly the data the
+// foreground is working on and keeps what nobody reads.
 func TestHeatFollowsData(t *testing.T) {
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(64 << 20)
@@ -619,26 +621,45 @@ func TestHeatFollowsData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// minHeat is the coldest extent covering /hot; every layout change
-	// below must leave it at or above the heat the source extent had.
-	minHeat := func() int64 {
+	// least is the coldest heat and the fewest references over the extents
+	// covering /hot; every layout change below must leave both at or above
+	// what the source extent had.
+	least := func() usage {
 		ino.mu.RLock()
 		defer ino.mu.RUnlock()
 		var covered int64
-		coldest := ino.extents[0].heat
+		u := ino.extents[0].usage
 		for _, e := range ino.extents {
 			covered += e.length
-			coldest = min64(coldest, e.heat)
+			u = usage{heat: min64(u.heat, e.heat), refs: min64(u.refs, e.refs)}
 		}
 		if covered != blocks {
 			t.Fatalf("/hot covers %d blocks, want %d", covered, blocks)
 		}
-		return coldest
+		return u
 	}
-	source := minHeat()
-	if source < 40 {
-		t.Fatalf("setup: 40 reads left heat %d", source)
+	source := least()
+	if source.heat < 40 || source.refs != tierRefsMax {
+		t.Fatalf("setup: 40 reads left %+v; want heat >= 40 and refs saturated at %d", source, tierRefsMax)
 	}
+	keeps := func(step string) {
+		t.Helper()
+		if u := least(); u.heat < source.heat || u.refs < source.refs {
+			t.Fatalf("after %s: %+v; every piece must carry heat >= %d and refs %d", step, ino.extents, source.heat, source.refs)
+		}
+	}
+	coldIno := inoOf(t, ctx, fs, "/cold")
+	staysDead := func(step string) {
+		t.Helper()
+		coldIno.mu.RLock()
+		defer coldIno.mu.RUnlock()
+		for _, e := range coldIno.extents {
+			if e.refs != 0 {
+				t.Fatalf("after %s: /cold is %+v; data written once and never read has no references", step, coldIno.extents)
+			}
+		}
+	}
+	staysDead("the write that created /cold")
 
 	// A relocation out of the middle (a demotion) splits the extent in
 	// three: head, moved run, tail.
@@ -646,14 +667,15 @@ func TestHeatFollowsData(t *testing.T) {
 	if moved := fs.migrateRun(ctx, ino, lo, n, true, nil); moved != n {
 		t.Fatalf("demoted %d blocks, want %d", moved, n)
 	}
-	if got := minHeat(); len(ino.extents) != 3 || got < source {
-		t.Fatalf("after the demotion: %+v; every piece must carry heat >= %d", ino.extents, source)
+	if len(ino.extents) != 3 {
+		t.Fatalf("after the demotion: %+v, want three pieces", ino.extents)
 	}
+	keeps("the demotion")
 
 	// A strict overwrite of one block of the moved run is a copy-on-write
 	// (the run is too short to be worth journaling in place): the new block
-	// inherits the run's heat, and the write itself is a touch, as an
-	// in-place write is.
+	// inherits the run's heat and references, and the write itself is a
+	// touch, as an in-place write is.
 	const cowBlk = lo + n/2
 	if e := ino.extents[ino.extentAt(cowBlk)]; e.length >= dataJournalMinBlocks {
 		t.Fatalf("setup: block %d sits in a %d-block extent, which is journaled in place, not copied", cowBlk, e.length)
@@ -667,11 +689,9 @@ func TestHeatFollowsData(t *testing.T) {
 	if ctx.Counters.CoWCopies != cows+1 {
 		t.Fatalf("the overwrite copied %d blocks, want 1", ctx.Counters.CoWCopies-cows)
 	}
-	if got := minHeat(); got < source {
-		t.Fatalf("after the copy-on-write: %+v; every piece must carry heat >= %d", ino.extents, source)
-	}
-	if e := ino.extents[ino.extentAt(cowBlk)]; e.length != 1 || e.heat != source+1 {
-		t.Fatalf("the copied block is %+v, want a 1-block extent of heat %d (inherited, plus the write)", e, source+1)
+	keeps("the copy-on-write")
+	if e := ino.extents[ino.extentAt(cowBlk)]; e.length != 1 || e.heat != source.heat+1 || e.refs != tierRefsMax {
+		t.Fatalf("the copied block is %+v, want a 1-block extent of heat %d (inherited, plus the write) and refs %d", e, source.heat+1, tierRefsMax)
 	}
 
 	// The promotion back, of what the copy left on the slow tier.
@@ -680,12 +700,30 @@ func TestHeatFollowsData(t *testing.T) {
 			t.Fatalf("promoted %d blocks at %d, want %d", moved, r[0], r[1])
 		}
 	}
-	if got := minHeat(); got < source {
-		t.Fatalf("after the promotion: %+v; every piece must carry heat >= %d", ino.extents, source)
-	}
+	keeps("the promotion")
 	if slowHot, _ := slowBlocksOf(fs, ino); slowHot != 0 {
 		t.Fatalf("setup: %d blocks of /hot still on the slow tier", slowHot)
 	}
+
+	// A merge: a record attached next to its physical neighbour folds into
+	// it (recAppend), as sequential appends do. Here the head gives up its
+	// last block and takes it back as a record of its own, with no usage:
+	// the folded record must be the head again, as hot and as referenced.
+	ino.mu.Lock()
+	head := ino.extents[0]
+	tx := fs.begin(ctx, ino)
+	if err := fs.recUpdate(ctx, tx, ino, 0, wextent{fileBlk: head.fileBlk, blk: head.blk, length: head.length - 1, usage: head.usage}); err != nil {
+		t.Fatal(err)
+	}
+	err = fs.recAppend(ctx, tx, ino, wextent{fileBlk: head.fileBlk + head.length - 1, blk: head.blk + head.length - 1, length: 1})
+	ino.mu.Unlock()
+	if err = tx.finish("test", err); err != nil {
+		t.Fatal(err)
+	}
+	if e := ino.extents[0]; e != head {
+		t.Fatalf("after the merge the head is %+v, want %+v back whole", e, head)
+	}
+	keeps("the merge")
 
 	// The policy sees it the same way: a pass that must shed one file's
 	// worth of blocks takes the file nobody touched, and no piece of /hot.
@@ -697,15 +735,171 @@ func TestHeatFollowsData(t *testing.T) {
 	if slowHot, _ := slowBlocksOf(fs, ino); slowHot != 0 {
 		t.Fatalf("pass demoted %d blocks of the hot file (%+v)", slowHot, ino.extents)
 	}
-	if slowCold, _ := slowBlocksOf(fs, inoOf(t, ctx, fs, "/cold")); slowCold != blocks || st.DemotedBlocks != blocks {
+	if slowCold, _ := slowBlocksOf(fs, coldIno); slowCold != blocks || st.DemotedBlocks != blocks {
 		t.Fatalf("pass demoted %d blocks, %d of /cold; want all %d of /cold", st.DemotedBlocks, slowCold, blocks)
 	}
+	// Moved by the tier pass, and piece by piece by hand, data written once
+	// is still data nobody has read back.
+	staysDead("the demotion of /cold")
+	for fileLo := int64(0); fileLo < blocks; fileLo += relocateChunkBlocks / 2 {
+		if moved := fs.migrateRun(ctx, coldIno, fileLo, relocateChunkBlocks/2, false, nil); moved != relocateChunkBlocks/2 {
+			t.Fatalf("promoted %d blocks of /cold at %d, want %d", moved, fileLo, relocateChunkBlocks/2)
+		}
+	}
+	staysDead("the promotion of /cold")
 	got := make([]byte, len(data))
 	if _, err := f.ReadAt(ctx, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("/hot content wrong after the layout changes")
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// demoteFile moves every block of ino to the slow tier, run by run.
+func demoteFile(t *testing.T, ctx *sim.Ctx, fs *FS, ino *inode, blocks int64) {
+	t.Helper()
+	for lo := int64(0); lo < blocks; {
+		n := fs.migrateRun(ctx, ino, lo, blocks-lo, true, nil)
+		if n == 0 {
+			t.Fatalf("demotion stalled at block %d of %d", lo, blocks)
+		}
+		lo += n
+	}
+}
+
+// TestTierDeadBeforeTrickle: data read once makes room for data read
+// again. PM holds files written once and never read; the slow tier holds a
+// file read at one touch per 64 blocks a pass — a quarter of the density
+// bar, so heat alone never promotes it, and halving takes the PM files and
+// it to the same heat. References tell them apart: within a few passes the
+// read file is on PM, never-read files took its place on the slow tier,
+// and no block of the read file went down to make room.
+func TestTierDeadBeforeTrickle(t *testing.T) {
+	fs, ctx, _, _ := mkTiered(t, 64<<20, 64<<20)
+	const trickle = 1024
+	data := patternBuf(trickle*BlockSize, 0x5a)
+	writeFile(t, ctx, fs, "/trickle", data)
+	ino := inoOf(t, ctx, fs, "/trickle")
+	demoteFile(t, ctx, fs, ino, trickle)
+	f, err := fs.Open(ctx, "/trickle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PM fills to between the water marks with files nobody reads: no
+	// demotion is due and there is no headroom to promote into.
+	var dead []*inode
+	for used, total := fs.pmUsedBlocks(); used < int64(fs.tier.lowWater*float64(total)); used, total = fs.pmUsedBlocks() {
+		name := "/dead" + string(rune('a'+len(dead)))
+		writeFile(t, ctx, fs, name, patternBuf(1<<20, byte(len(dead))))
+		dead = append(dead, inoOf(t, ctx, fs, name))
+	}
+	if used, total := fs.pmUsedBlocks(); used > int64(fs.tier.highWater*float64(total)) {
+		t.Fatalf("setup: PM at %d of %d blocks, past the high-water mark", used, total)
+	}
+
+	buf := make([]byte, BlockSize)
+	var demoted int64
+	for pass := 0; pass < 12; pass++ {
+		for b := int64(pass % 64); b < trickle; b += 64 {
+			if _, err := f.ReadAt(ctx, buf, b*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := fs.TierPass(ctx, TierPassOptions{MaxMigrateBlocks: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		demoted += st.DemotedBlocks
+	}
+	if s, _ := slowBlocksOf(fs, ino); s != 0 {
+		t.Fatalf("%d of /trickle's %d blocks still on the slow tier after 12 passes", s, trickle)
+	}
+	var deadSlow int64
+	for _, d := range dead {
+		s, _ := slowBlocksOf(fs, d)
+		deadSlow += s
+	}
+	if deadSlow < trickle || deadSlow != demoted {
+		t.Fatalf("the passes demoted %d blocks, %d of them never-read files'; want at least %d, all of them never read", demoted, deadSlow, trickle)
+	}
+	// The swap is over: what is left on the slow tier nobody reads.
+	if st, err := fs.TierPass(ctx, TierPassOptions{}); err != nil || st.PromotedBlocks+st.DemotedBlocks != 0 {
+		t.Fatalf("a pass after the swap: %+v, %v; want nothing moved", st, err)
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("/trickle content wrong after the swap")
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTierTrickleDoesNotThrash: with no dead data left, a uniform trickle
+// over both tiers moves nothing. Every file has been read back once; then
+// each pass reads one block of the next file in turn, so each file is
+// touched once every 60 passes — long enough for any heat that decays to
+// zero to call the PM files dead between touches, and swap them with the
+// slow file just touched, and back, forever. References never decay, so
+// nothing read back is ever dead again.
+func TestTierTrickleDoesNotThrash(t *testing.T) {
+	fs, ctx, _, _ := mkTiered(t, 64<<20, 64<<20)
+	// 60 files of 1MiB: PM takes them to the high-water mark, the rest
+	// spill.
+	var files []vfs.File
+	var inos []*inode
+	for i := 0; i < 60; i++ {
+		name := "/t" + string(rune('A'+i))
+		writeFile(t, ctx, fs, name, patternBuf(1<<20, byte(i)))
+		f, err := fs.Open(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, inos = append(files, f), append(inos, inoOf(t, ctx, fs, name))
+	}
+	var slowFiles int
+	for _, ino := range inos {
+		if s, _ := slowBlocksOf(fs, ino); s > 0 {
+			slowFiles++
+		}
+	}
+	if slowFiles == 0 || slowFiles == len(inos) {
+		t.Fatalf("setup: %d of %d files on the slow tier; the trickle must read both tiers", slowFiles, len(inos))
+	}
+	buf := make([]byte, BlockSize)
+	for _, f := range files {
+		if _, err := f.ReadAt(ctx, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Settle: PM sheds what sits above the high-water mark, once.
+	for i := 0; i < 4; i++ {
+		if _, err := fs.TierPass(ctx, TierPassOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var moved int64
+	for pass := 0; pass < 240; pass++ {
+		f := files[pass%len(files)]
+		if _, err := f.ReadAt(ctx, buf, int64(pass/len(files))*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		st, err := fs.TierPass(ctx, TierPassOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += st.PromotedBlocks + st.DemotedBlocks
+	}
+	if moved != 0 {
+		t.Fatalf("240 passes over a trickle with no dead data moved %d blocks", moved)
 	}
 	if err := fs.Audit(ctx); err != nil {
 		t.Fatal(err)
