@@ -35,11 +35,13 @@ bench:
 # active/inactive lists and their dirty lists, never from a scan; stat, read,
 # in-place and copy-on-write overwrite, append and rename on a fragmented
 # mount at 0, create+append+close+unlink at 7, the three lock modes at 0, a
-# recycling tree at a steady size at 0), the exact-vs-batched-vs-parallel
+# recycling tree at a steady size at 0, a base and a hugepage fault on a
+# 4,096-extent WineFS file and on a zero-on-fault-split ext4-DAX file at 0,
+# BenchmarkFaultFragmented the first of them), the exact-vs-batched-vs-parallel
 # golden test and the calendars, range locks and extent list against their
 # obvious models, all under the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
 	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 
@@ -137,10 +139,12 @@ cache-race:
 
 # The mmap subsystem under the race detector: the 8-thread shared-mapping
 # storm with concurrent truncation (TestMmapRace8Threads), the
-# truncate/unlink/punch invalidation tests, the vmm unit tests and the
-# mapping/lease coherence tests on both the client cache and the server.
+# truncate/unlink/punch invalidation tests, the vmm unit tests, the
+# mapping/lease coherence tests on both the client cache and the server, and
+# two readers of one file's extent list beside its faults on all nine file
+# systems (TestMmapExtentsTwoReaders).
 mmap-race:
-	$(GO) test -race -run 'TestMmap|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/
+	$(GO) test -race -run 'TestMmap|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
 
 # Background maintenance under the race detector, one target for the one
 # mechanism: the relocate crash sweep (every caller torn at every fence

@@ -203,21 +203,22 @@ func main() {
 		if err != nil {
 			fail("fig6", err)
 		}
-		printFig6 := func(title string, data map[string][]float64) {
+		// Rows in the order the experiment ran its group, not map order.
+		printFig6 := func(title string, data map[string][]float64, group []string) {
 			t := &experiments.Table{Title: title,
 				Header: append([]string{"fs"}, res.Patterns...)}
-			for fs, vals := range data {
+			for _, fs := range group {
 				row := []string{fs}
-				for _, v := range vals {
+				for _, v := range data[fs] {
 					row = append(row, experiments.FmtGBs(v))
 				}
 				t.Rows = append(t.Rows, row)
 			}
 			t.Print(os.Stdout)
 		}
-		printFig6("Figure 6(a): aged mmap throughput (GB/s)", res.Mmap)
-		printFig6("Figure 6(b): POSIX weak (metadata consistency) throughput (GB/s)", res.Weak)
-		printFig6("Figure 6(c): POSIX strong (data consistency) throughput (GB/s)", res.Strong)
+		printFig6("Figure 6(a): aged mmap throughput (GB/s)", res.Mmap, experiments.MmapGroup())
+		printFig6("Figure 6(b): POSIX weak (metadata consistency) throughput (GB/s)", res.Weak, experiments.RelaxedGroup())
+		printFig6("Figure 6(c): POSIX strong (data consistency) throughput (GB/s)", res.Strong, experiments.StrictGroup())
 	}
 	var fig7res *experiments.Fig7Result
 	if sel("fig7") || sel("table2") {

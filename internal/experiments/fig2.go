@@ -63,15 +63,12 @@ type staticHandler struct {
 	extents []mmu.Extent
 }
 
-// Fault implements mmu.FaultHandler.
+// Fault implements mmu.FaultHandler: the extent covering the page decides.
 func (h *staticHandler) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
-	chunkOff := pageOff / mmu.HugePage * mmu.HugePage
-	if phys, ok := mmu.HugeEligible(h.extents, chunkOff); ok {
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
+	for _, e := range h.extents {
+		if pageOff >= e.FileOff && pageOff < e.FileOff+e.Len {
+			return mmu.Resolve(e, pageOff), nil
+		}
 	}
-	phys, ok := mmu.PhysAt(h.extents, pageOff)
-	if !ok {
-		return mmu.FaultResult{}, mmu.ErrOutOfRange
-	}
-	return mmu.FaultResult{Phys: phys}, nil
+	return mmu.FaultResult{}, mmu.ErrOutOfRange
 }

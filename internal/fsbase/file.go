@@ -30,14 +30,24 @@ func (f *File) Close(ctx *sim.Ctx) error { return nil }
 
 // findRun locates the extent run backing fileBlk. Caller holds node.mu.
 func (n *Node) findRun(fileBlk int64) (phys int64, run int64, unwritten bool, ok bool) {
-	i := sort.Search(len(n.extents), func(i int) bool {
-		return n.extents[i].FileBlk+n.extents[i].Len > fileBlk
-	})
-	if i == len(n.extents) || n.extents[i].FileBlk > fileBlk {
+	i := n.extentAt(fileBlk)
+	if i < 0 {
 		return 0, 0, false, false
 	}
 	e := n.extents[i]
 	return e.Blk + (fileBlk - e.FileBlk), e.Len - (fileBlk - e.FileBlk), e.Unwritten, true
+}
+
+// extentAt returns the index of the extent covering fileBlk, or -1, by
+// binary search over the sorted list. Caller holds node.mu.
+func (n *Node) extentAt(fileBlk int64) int {
+	i := sort.Search(len(n.extents), func(i int) bool {
+		return n.extents[i].FileBlk+n.extents[i].Len > fileBlk
+	})
+	if i == len(n.extents) || n.extents[i].FileBlk > fileBlk {
+		return -1
+	}
+	return i
 }
 
 func (n *Node) nextExtentStart(fileBlk, max int64) int64 {
@@ -55,14 +65,12 @@ func (n *Node) insertExtent(e Ext) {
 		p := &n.extents[i-1]
 		if p.FileBlk+p.Len == e.FileBlk && p.Blk+p.Len == e.Blk && p.Unwritten == e.Unwritten {
 			p.Len += e.Len
-			n.gen++
 			return
 		}
 	}
 	n.extents = append(n.extents, Ext{})
 	copy(n.extents[i+1:], n.extents[i:])
 	n.extents[i] = e
-	n.gen++
 }
 
 // ReadAt implements vfs.File.
@@ -239,7 +247,6 @@ func (f *File) clearUnwrittenAround(ctx *sim.Ctx, startBlk, endBlk int64) {
 		f.fs.dev.Zero(ctx, e.Blk*BlockSize, min64(e.Len, 2)*BlockSize)
 		e.Unwritten = false
 	}
-	n.gen++
 }
 
 func (f *File) zeroEdges(ctx *sim.Ctx, e alloc.Extent, zs, ze, skipS, skipE int64) {
@@ -334,7 +341,6 @@ func (f *File) replaceRange(ctx *sim.Ctx, startBlk, endBlk int64, newExts []allo
 	}
 	sort.Slice(keep, func(i, j int) bool { return keep[i].FileBlk < keep[j].FileBlk })
 	n.extents = keep
-	n.gen++
 	f.fs.hooks.Free(ctx, freed)
 }
 
@@ -373,7 +379,6 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 			freed = append(freed, alloc.Extent{Start: e.Blk + cut, Len: e.Len - cut})
 		}
 		n.extents = keep
-		n.gen++
 		if len(freed) > 0 {
 			// Shoot down live mapping translations before the freed
 			// blocks can be reused; faults past the new EOF now get
@@ -452,28 +457,23 @@ func (f *File) Fsync(ctx *sim.Ctx) error {
 	return nil
 }
 
-// Extents implements vfs.File.
+// Extents implements vfs.File, built on demand (faults never need the
+// whole list: they resolve through extentAt).
 func (f *File) Extents() []mmu.Extent {
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	return f.node.mmuExtentsLocked()
+	n := f.node
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	out := make([]mmu.Extent, len(n.extents))
+	for i := range n.extents {
+		out[i] = n.mapExtent(i)
+	}
+	return out
 }
 
-func (n *Node) mmuExtentsLocked() []mmu.Extent {
-	if n.mmapGen == n.gen && n.mmapExt != nil {
-		return n.mmapExt
-	}
-	out := make([]mmu.Extent, 0, len(n.extents))
-	for _, e := range n.extents {
-		out = append(out, mmu.Extent{
-			FileOff: e.FileBlk * BlockSize,
-			Phys:    e.Blk * BlockSize,
-			Len:     e.Len * BlockSize,
-		})
-	}
-	n.mmapExt = out
-	n.mmapGen = n.gen
-	return out
+// mapExtent returns extent i in mmu form. Caller holds node.mu.
+func (n *Node) mapExtent(i int) mmu.Extent {
+	e := n.extents[i]
+	return mmu.Extent{FileOff: e.FileBlk * BlockSize, Phys: e.Blk * BlockSize, Len: e.Len * BlockSize}
 }
 
 // SetXattr implements vfs.File. Baselines accept but do not act on the
@@ -511,18 +511,18 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	exts := n.mmuExtentsLocked()
-	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		if f.faultZero(ctx, chunkOff/BlockSize, mmu.PagesPerHuge) {
-			fs.dev.Zero(ctx, phys, mmu.HugePage)
+	// The extent covering the page, by binary search, decides both the
+	// hugepage and the base page (mmu.Resolve).
+	if i := n.extentAt(pageOff / BlockSize); i >= 0 {
+		r := mmu.Resolve(n.mapExtent(i), pageOff)
+		if r.Huge {
+			if f.faultZero(ctx, chunkOff/BlockSize, mmu.PagesPerHuge) {
+				fs.dev.Zero(ctx, r.Phys, mmu.HugePage)
+			}
+		} else if f.faultZero(ctx, pageOff/BlockSize, 1) {
+			fs.dev.Zero(ctx, r.Phys, BlockSize)
 		}
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
-	}
-	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		if f.faultZero(ctx, pageOff/BlockSize, 1) {
-			fs.dev.Zero(ctx, phys, BlockSize)
-		}
-		return mmu.FaultResult{Phys: phys}, nil
+		return r, nil
 	}
 	// SIGBUS rule: demand allocation only backs pages inside the current
 	// size; past the page-rounded EOF the access is a typed fault error
@@ -581,7 +581,6 @@ func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
 		}
 	}
 	n.extents = slices.Replace(n.extents, i, j, out...)
-	n.gen++
 	return true
 }
 

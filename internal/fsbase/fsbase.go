@@ -117,9 +117,6 @@ type Node struct {
 
 	children *rbtree.Tree[string, *Node] // directories
 
-	gen     uint64
-	mmapGen uint64
-	mmapExt []mmu.Extent
 	// mappings are the live memory mappings over this node; layout
 	// changes (truncate, delete) shoot their translations down before
 	// freed blocks can be reused.
@@ -344,7 +341,6 @@ func (fs *FS) destroy(ctx *sim.Ctx, n *Node) {
 	}
 	n.extents = nil
 	n.size = 0
-	n.gen++
 	maps := n.mappings
 	n.mappings = nil
 	n.mu.Unlock()

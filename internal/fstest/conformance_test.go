@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/alloc"
@@ -288,6 +289,51 @@ func TestConformanceMmapRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(got2, data) {
 			t.Fatal("mmap write invisible to read()")
+		}
+	})
+}
+
+// TestMmapExtentsTwoReaders has two goroutines read a file's extent list
+// while a mapping faults its pages in — on ext4-DAX every fault splits an
+// unwritten extent. Extents is a reader: under the race detector nothing it
+// does may conflict with the other reader or with the faults.
+func TestMmapExtentsTwoReaders(t *testing.T) {
+	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
+		f, _ := fs.Create(ctx, "/m")
+		const size = 1 << 20
+		if err := f.Fallocate(ctx, alloc.BlockSize, size); err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Mmap(ctx, alloc.BlockSize+size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 64; i++ {
+					exts := f.Extents()
+					for k := 1; k < len(exts); k++ {
+						if exts[k-1].FileOff+exts[k-1].Len > exts[k].FileOff {
+							errs <- fmt.Errorf("extents %d and %d out of order: %+v", k-1, k, exts)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for off := int64(alloc.BlockSize); off < alloc.BlockSize+size; off += 2 * alloc.BlockSize {
+			if err := m.Write(ctx, []byte{1}, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	})
 }

@@ -119,8 +119,12 @@ func TestNOVAOverwriteCoWMovesBlocks(t *testing.T) {
 	}
 	after := f.Extents()
 	phys := func(exts []mmu.Extent, off int64) int64 {
-		p, _ := mmu.PhysAt(exts, off)
-		return p
+		for _, e := range exts {
+			if off >= e.FileOff && off < e.FileOff+e.Len {
+				return e.Phys + (off - e.FileOff)
+			}
+		}
+		return 0
 	}
 	if phys(before, 8192) == phys(after, 8192) {
 		t.Fatal("strict NOVA overwrite did not copy-on-write")

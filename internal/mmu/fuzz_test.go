@@ -6,7 +6,7 @@ import (
 
 // buildExtents turns fuzz bytes into a well-formed extent list: sorted by
 // file offset, non-overlapping, block-granular — the shape every file
-// system's extent metadata has when it calls HugeEligible.
+// system's extent index has when it finds the extent HugeEligible is given.
 func buildExtents(data []byte) []Extent {
 	var exts []Extent
 	fileOff := int64(0)
@@ -26,10 +26,12 @@ func buildExtents(data []byte) []Extent {
 
 // FuzzHugeEligible checks the eligibility predicate against its spec: a
 // chunk reported eligible must be backed by one physically contiguous,
-// 2MiB-aligned run (every byte's PhysAt agrees with the chunk phys), and a
-// chunk backed by such a run must be reported eligible — the predicate can
-// neither hand out a hugepage that would expose wrong physical memory nor
-// refuse one the extent layout permits.
+// 2MiB-aligned run (every page's covering extent agrees with the chunk
+// phys), and a chunk backed by such a run must be reported eligible — the
+// predicate can neither hand out a hugepage that would expose wrong
+// physical memory nor refuse one the extent layout permits. Resolve, fed
+// the extent covering any one page of the chunk, must give the same
+// answer: that is what lets a fault decide from one lookup.
 func FuzzHugeEligible(f *testing.F) {
 	f.Add([]byte{0, 0, 199, 0, 0, 50}, uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(1))
@@ -39,21 +41,28 @@ func FuzzHugeEligible(f *testing.F) {
 		exts := buildExtents(data)
 		chunkOff := int64(chunkSel%1024) * HugePage
 
-		phys, ok := HugeEligible(exts, chunkOff)
+		first, _ := covering(exts, chunkOff)
+		phys, ok := HugeEligible(first, chunkOff)
+		for k := int64(0); k < PagesPerHuge; k++ {
+			off := chunkOff + k*BasePage
+			e, found := covering(exts, off)
+			if !found {
+				if ok {
+					t.Fatalf("eligible chunk at %d: no backing for page %d", chunkOff, off)
+				}
+				continue
+			}
+			if ok && e.Phys+(off-e.FileOff) != phys+k*BasePage {
+				t.Fatalf("eligible chunk at %d: page %d at phys %d, want contiguous %d",
+					chunkOff, off, e.Phys+(off-e.FileOff), phys+k*BasePage)
+			}
+			if r := Resolve(e, off); r.Huge != ok || ok && r.Phys != phys {
+				t.Fatalf("page %d: Resolve = %+v, chunk eligibility %v at %d", off, r, ok, phys)
+			}
+		}
 		if ok {
 			if phys%HugePage != 0 {
 				t.Fatalf("eligible chunk at %d has misaligned phys %d", chunkOff, phys)
-			}
-			for k := int64(0); k < PagesPerHuge; k++ {
-				off := chunkOff + k*BasePage
-				p, found := PhysAt(exts, off)
-				if !found {
-					t.Fatalf("eligible chunk at %d: no backing for page %d", chunkOff, off)
-				}
-				if p != phys+k*BasePage {
-					t.Fatalf("eligible chunk at %d: page %d at phys %d, want contiguous %d",
-						chunkOff, off, p, phys+k*BasePage)
-				}
 			}
 			return
 		}

@@ -5,8 +5,9 @@
 //
 // The central rule (paper §2.2) is structural and enforced in exactly one
 // place, HugeEligible: a 2MiB region of a file can be mapped with a
-// hugepage if and only if it is backed by one physically contiguous extent
-// whose start is 2MiB-aligned, with the file offset also 2MiB-aligned.
+// hugepage if and only if one physically contiguous extent backs all of
+// it from a 2MiB-aligned physical address, with the file offset also
+// 2MiB-aligned.
 // "Even a single byte offset from alignment forces the operating system to
 // fall back to base pages."
 //
@@ -43,35 +44,31 @@ type Extent struct {
 }
 
 // HugeEligible reports whether the 2MiB file chunk starting at chunkOff
-// (which must be HugePage-aligned) is backed by extents such that a
-// hugepage mapping is permitted, and if so returns the physical address of
-// the chunk. The condition is the paper's: a single extent must cover the
-// whole chunk and the backing physical address must be 2MiB-aligned.
-func HugeEligible(extents []Extent, chunkOff int64) (int64, bool) {
-	for _, e := range extents {
-		if chunkOff >= e.FileOff && chunkOff < e.FileOff+e.Len {
-			phys := e.Phys + (chunkOff - e.FileOff)
-			if phys%HugePage != 0 {
-				return 0, false
-			}
-			if e.FileOff+e.Len < chunkOff+HugePage {
-				return 0, false // chunk spans an extent boundary
-			}
-			return phys, true
-		}
+// (which must be HugePage-aligned) may be mapped with a hugepage, given e,
+// the extent that covers chunkOff, and if so returns the physical address
+// of the chunk. The condition is the paper's: the one extent must cover the
+// whole chunk and put its first byte on a 2MiB-aligned physical address.
+// An e that does not cover chunkOff (a hole: the zero Extent) answers no.
+func HugeEligible(e Extent, chunkOff int64) (int64, bool) {
+	if chunkOff < e.FileOff || chunkOff+HugePage > e.FileOff+e.Len {
+		return 0, false // a hole, or the chunk spans an extent boundary
 	}
-	return 0, false
+	phys := e.Phys + (chunkOff - e.FileOff)
+	if phys%HugePage != 0 {
+		return 0, false
+	}
+	return phys, true
 }
 
-// PhysAt resolves the physical address backing file offset off in the
-// extent list, if present.
-func PhysAt(extents []Extent, off int64) (int64, bool) {
-	for _, e := range extents {
-		if off >= e.FileOff && off < e.FileOff+e.Len {
-			return e.Phys + (off - e.FileOff), true
-		}
+// Resolve answers a fault on the base page at pageOff from e, the extent
+// covering that page: the page's whole chunk as a hugepage when e makes it
+// HugeEligible, the page alone otherwise. The extent covering the page is
+// the only one that can cover its whole chunk, so one lookup decides both.
+func Resolve(e Extent, pageOff int64) FaultResult {
+	if phys, ok := HugeEligible(e, pageOff/HugePage*HugePage); ok {
+		return FaultResult{Huge: true, Phys: phys}
 	}
-	return 0, false
+	return FaultResult{Phys: e.Phys + (pageOff - e.FileOff)}
 }
 
 // FaultResult is a file system's answer to a page fault.
@@ -86,8 +83,8 @@ type FaultResult struct {
 // FaultHandler is implemented by each file system: resolve the fault for
 // the base page at file offset pageOff (4KiB-aligned). The handler performs
 // any allocation/zeroing its design requires (charging the cost to ctx) and
-// decides — via HugeEligible on its own extent metadata — whether a
-// hugepage mapping is possible.
+// decides — via HugeEligible on the extent its own index finds covering
+// the page — whether a hugepage mapping is possible.
 type FaultHandler interface {
 	Fault(ctx *sim.Ctx, pageOff int64) (FaultResult, error)
 }

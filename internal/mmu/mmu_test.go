@@ -17,15 +17,22 @@ type testHandler struct {
 
 func (h *testHandler) Fault(ctx *sim.Ctx, pageOff int64) (FaultResult, error) {
 	h.faults++
-	chunkOff := pageOff / HugePage * HugePage
-	if phys, ok := HugeEligible(h.extents, chunkOff); ok {
-		return FaultResult{Huge: true, Phys: phys}, nil
-	}
-	phys, ok := PhysAt(h.extents, pageOff)
+	e, ok := covering(h.extents, pageOff)
 	if !ok {
 		return FaultResult{}, ErrOutOfRange
 	}
-	return FaultResult{Phys: phys}, nil
+	return Resolve(e, pageOff), nil
+}
+
+// covering finds the extent of exts that covers file offset off, by a
+// linear scan.
+func covering(exts []Extent, off int64) (Extent, bool) {
+	for _, e := range exts {
+		if off >= e.FileOff && off < e.FileOff+e.Len {
+			return e, true
+		}
+	}
+	return Extent{}, false
 }
 
 func newEnv(size int64) (*pmem.Device, *AddressSpace) {
@@ -35,23 +42,42 @@ func newEnv(size int64) (*pmem.Device, *AddressSpace) {
 
 func TestHugeEligible(t *testing.T) {
 	cases := []struct {
-		name    string
-		extents []Extent
-		chunk   int64
-		want    bool
+		name   string
+		extent Extent // the extent covering the chunk's first byte
+		chunk  int64
+		want   bool
 	}{
-		{"aligned single extent", []Extent{{0, 0, HugePage}}, 0, true},
-		{"unaligned phys", []Extent{{0, 4096, HugePage}}, 0, false},
-		{"one byte short", []Extent{{0, 0, HugePage - 1}}, 0, false},
-		{"spans two extents", []Extent{{0, 0, HugePage / 2}, {HugePage / 2, HugePage, HugePage / 2}}, 0, false},
-		{"second chunk aligned", []Extent{{0, 0, 2 * HugePage}}, HugePage, true},
-		{"large extent covers chunk", []Extent{{0, 2 * HugePage, 8 * HugePage}}, HugePage, true},
-		{"hole before chunk", []Extent{{HugePage, HugePage, HugePage}}, 0, false},
+		{"aligned single extent", Extent{0, 0, HugePage}, 0, true},
+		{"unaligned phys", Extent{0, 4096, HugePage}, 0, false},
+		{"one byte short", Extent{0, 0, HugePage - 1}, 0, false},
+		{"ends mid-chunk", Extent{0, 0, HugePage / 2}, 0, false},
+		{"second chunk aligned", Extent{0, 0, 2 * HugePage}, HugePage, true},
+		{"large extent covers chunk", Extent{0, 2 * HugePage, 8 * HugePage}, HugePage, true},
+		{"extent starts past the chunk", Extent{HugePage, HugePage, HugePage}, 0, false},
+		{"hole", Extent{}, 0, false},
 	}
 	for _, c := range cases {
-		_, got := HugeEligible(c.extents, c.chunk)
+		_, got := HugeEligible(c.extent, c.chunk)
 		if got != c.want {
 			t.Errorf("%s: HugeEligible = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestResolve(t *testing.T) {
+	cases := []struct {
+		name    string
+		extent  Extent // the extent covering the page
+		pageOff int64
+		want    FaultResult
+	}{
+		{"page inside an eligible chunk", Extent{0, 4 * HugePage, 2 * HugePage}, HugePage + 5*BasePage, FaultResult{Huge: true, Phys: 5 * HugePage}},
+		{"unaligned extent", Extent{0, BasePage, 2 * HugePage}, 3 * BasePage, FaultResult{Phys: 4 * BasePage}},
+		{"extent starts mid-chunk", Extent{8 * BasePage, 2 * HugePage, HugePage}, 9 * BasePage, FaultResult{Phys: 2*HugePage + BasePage}},
+	}
+	for _, c := range cases {
+		if got := Resolve(c.extent, c.pageOff); got != c.want {
+			t.Errorf("%s: Resolve = %+v, want %+v", c.name, got, c.want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ext4dax"
+	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -375,6 +377,114 @@ func BenchmarkCreateUnlink(b *testing.B) {
 		}
 		f.Close(ctx)
 		if err := fs.Unlink(ctx, "/d/new"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fragmentedFile is a 32MiB WineFS file of 4,096 two-block extents, grown
+// by appends that take turns with a decoy's (the set-up of the benchmark's
+// mmap_aged file B), then one fallocated 2MiB chunk past them that maps as
+// a hugepage. It returns the file and an offset in each kind of chunk.
+func fragmentedFile(tb testing.TB) (f vfs.File, ctx *sim.Ctx, basePage, hugePage int64) {
+	tb.Helper()
+	ctx = sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, pmem.New(128<<20), winefs.Options{CPUs: 1, Mode: vfs.Strict})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err = fs.Create(ctx, "/b")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	decoy, err := fs.Create(ctx, "/decoy")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const pieces, piece = 4096, 2 * winefs.BlockSize
+	buf := make([]byte, piece)
+	for i := 0; i < pieces; i++ {
+		for _, g := range []vfs.File{f, decoy} {
+			if _, err := g.Append(ctx, buf); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := f.Fallocate(ctx, pieces*piece, mmu.HugePage); err != nil {
+		tb.Fatal(err)
+	}
+	if n := len(f.Extents()); n != pieces+1 {
+		tb.Fatalf("file has %d extents, want %d", n, pieces+1)
+	}
+	return f, ctx, pieces / 2 * piece, pieces*piece + 5*winefs.BlockSize
+}
+
+// TestFaultsDoNotAllocate pins the fault path at zero allocations: a fault
+// resolves from the one extent its file system's index finds covering the
+// page, and never copies the extent list. Both kinds of fault, on a
+// 4,096-extent WineFS file and on an ext4-DAX file whose fallocated extents
+// zero-on-fault has split page by page.
+func TestFaultsDoNotAllocate(t *testing.T) {
+	wf, wctx, wBase, wHuge := fragmentedFile(t)
+
+	ectx := sim.NewCtx(1, 0)
+	efs := ext4dax.New(pmem.New(64 << 20))
+	ef, err := efs.Create(ectx, "/u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From file offset 4KiB no chunk can be a hugepage; the separate
+	// fallocation at 8MiB lands on an aligned 2MiB extent.
+	if err := ef.Fallocate(ectx, winefs.BlockSize, 4<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := ef.Fallocate(ectx, 8<<20, mmu.HugePage); err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(winefs.BlockSize); off < 4<<20; off += 2 * winefs.BlockSize {
+		if _, err := ef.(mmu.FaultHandler).Fault(ectx, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(ef.Extents()); n < 1024 {
+		t.Fatalf("zero-on-fault left %d extents, want the fallocation split page by page", n)
+	}
+
+	for _, tc := range []struct {
+		name string
+		f    vfs.File
+		ctx  *sim.Ctx
+		off  int64
+		huge bool
+	}{
+		{"WineFS base fault", wf, wctx, wBase, false},
+		{"WineFS hugepage fault", wf, wctx, wHuge, true},
+		{"ext4-DAX base fault", ef, ectx, 2 << 20, false},
+		{"ext4-DAX hugepage fault", ef, ectx, 8<<20 + 7*winefs.BlockSize, true},
+	} {
+		fault := func() {
+			r, err := tc.f.(mmu.FaultHandler).Fault(tc.ctx, tc.off)
+			if err != nil || r.Huge != tc.huge {
+				t.Fatalf("%s: %+v, %v", tc.name, r, err)
+			}
+		}
+		fault() // the first fault into unwritten space zeroes and splits
+		if got := testing.AllocsPerRun(100, fault); got != 0 {
+			t.Errorf("%s: %v allocs per fault, want 0", tc.name, got)
+		}
+	}
+}
+
+// BenchmarkFaultFragmented is a base-page fault on the 4,096-extent file,
+// rotating over its pages.
+func BenchmarkFaultFragmented(b *testing.B) {
+	f, ctx, _, _ := fragmentedFile(b)
+	h := f.(mmu.FaultHandler)
+	const pages = 4096 * 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Fault(ctx, int64(i%pages)*winefs.BlockSize); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vmm"
@@ -230,7 +229,7 @@ func TestDefragRepromotesLiveMappings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := mmu.HugeEligible(f.Extents(), 0); ok {
+	if hugeAt(f, 0) {
 		t.Skip("file happened to be aligned already")
 	}
 

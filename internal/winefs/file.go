@@ -161,7 +161,6 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 			tx.note(ino, undoSet, i-1)
 			p.length += e.length
 			p.usage = p.join(e.usage)
-			ino.gen++
 			return fs.writeExtentSlot(ctx, tx, ino, i-1)
 		}
 	}
@@ -174,7 +173,6 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 			nx.blk = e.blk
 			nx.length += e.length
 			nx.usage = nx.join(e.usage)
-			ino.gen++
 			return fs.writeExtentSlot(ctx, tx, ino, i)
 		}
 	}
@@ -183,7 +181,6 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 	tx.note(ino, undoInsert, i)
 	ino.slots = slices.Insert(ino.slots, i, len(ino.slots))
 	ino.extents = slices.Insert(ino.extents, i, e)
-	ino.gen++
 	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
 
@@ -191,14 +188,12 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int, e wextent) error {
 	tx.note(ino, undoSet, i)
 	ino.extents[i] = e
-	ino.gen++
 	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
 
 // recRemove deletes DRAM extent i, keeping PM records dense by moving the
 // last record into the vacated slot.
 func (fs *FS) recRemove(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	ino.gen++
 	r := ino.slots[i]
 	if lastRec := len(ino.extents) - 1; r != lastRec {
 		// Find the DRAM entry occupying the last record and move it to r.
@@ -804,52 +799,49 @@ func (f *File) Fsync(ctx *sim.Ctx) error {
 	return nil
 }
 
-// Extents implements vfs.File.
+// Extents implements vfs.File: the byte-addressable extents, built on
+// demand (faults never need the whole list; they resolve through mapAt).
 func (f *File) Extents() []mmu.Extent {
-	f.ino.mu.RLock()
-	defer f.ino.mu.RUnlock()
-	return f.ino.mmuExtentsRLocked()
-}
-
-// mmuExtentsLocked converts (and caches) the extent list in mmu form.
-// Caller holds ino.mu EXCLUSIVELY — the cache fields are written here, and
-// concurrent shared-lock holders read them (mmuExtentsRLocked).
-func (ino *inode) mmuExtentsLocked() []mmu.Extent {
-	if ino.mmapGen == ino.gen && ino.mmapExt != nil {
-		return ino.mmapExt
-	}
-	out := ino.buildMMUExtents()
-	ino.mmapExt = out
-	ino.mmapGen = ino.gen
-	return out
-}
-
-// mmuExtentsRLocked is mmuExtentsLocked for shared-lock holders: it serves
-// a fresh cache but rebuilds WITHOUT storing on a miss (two concurrent
-// readers writing the cache fields would race).
-func (ino *inode) mmuExtentsRLocked() []mmu.Extent {
-	if ino.mmapGen == ino.gen && ino.mmapExt != nil {
-		return ino.mmapExt
-	}
-	return ino.buildMMUExtents()
-}
-
-func (ino *inode) buildMMUExtents() []mmu.Extent {
+	ino := f.ino
+	ino.mu.RLock()
+	defer ino.mu.RUnlock()
 	out := make([]mmu.Extent, 0, len(ino.extents))
-	for _, e := range ino.extents {
-		// Slow-tier extents are not byte-addressable and cannot be mapped:
-		// they are left out, so a DAX fault on their range misses and the
-		// fault path promotes them to PM first (Fault).
-		if ino.fs.isSlow(e.blk) {
-			continue
+	for i := range ino.extents {
+		if e, ok := ino.mapExtent(i); ok {
+			out = append(out, e)
 		}
-		out = append(out, mmu.Extent{
-			FileOff: e.fileBlk * BlockSize,
-			Phys:    e.blk * BlockSize,
-			Len:     e.length * BlockSize,
-		})
 	}
 	return out
+}
+
+// mapExtent returns extent i in mmu form. Slow-tier extents are not
+// byte-addressable and cannot be mapped: they answer false, so a DAX fault
+// on their range misses and the fault path promotes them to PM first
+// (Fault). Caller holds ino.mu.
+func (ino *inode) mapExtent(i int) (mmu.Extent, bool) {
+	e := ino.extents[i]
+	if ino.fs.isSlow(e.blk) {
+		return mmu.Extent{}, false
+	}
+	return mmu.Extent{FileOff: e.fileBlk * BlockSize, Phys: e.blk * BlockSize, Len: e.length * BlockSize}, true
+}
+
+// mapAt is how every mapping question is answered — Fault, ProbeHuge and
+// the rewriter's fragmentation test: the base page at off (4KiB-aligned)
+// resolved from the one extent that covers it, found by binary search of
+// the extent list (mmu.Resolve: its whole chunk when that is hugepage-
+// eligible). ok=false: a hole, or data on the slow tier. Caller holds
+// ino.mu.
+func (ino *inode) mapAt(off int64) (r mmu.FaultResult, ok bool) {
+	i := ino.extentAt(off / BlockSize)
+	if i < 0 {
+		return r, false
+	}
+	e, ok := ino.mapExtent(i)
+	if !ok {
+		return r, false
+	}
+	return mmu.Resolve(e, off), true
 }
 
 // SetPathXattr sets an extended attribute by path — usable on directories
@@ -938,15 +930,10 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	chunkOff := pageOff / mmu.HugePage * mmu.HugePage
 
 	ino.mu.RLock()
-	exts := ino.mmuExtentsRLocked()
-	size := ino.size
+	r, ok := ino.mapAt(pageOff)
 	ino.mu.RUnlock()
-
-	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
-	}
-	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		return mmu.FaultResult{Phys: phys}, nil
+	if ok {
+		return r, nil
 	}
 
 	// Demand allocation under the inode lock. A degraded (read-only) file
@@ -960,15 +947,11 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	defer ino.mu.Unlock()
 
 	// Re-check after taking the lock.
-	exts = ino.mmuExtentsLocked()
-	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
-	}
-	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		return mmu.FaultResult{Phys: phys}, nil
+	if r, ok := ino.mapAt(pageOff); ok {
+		return r, nil
 	}
 
-	// The page may be backed on the slow tier (mmuExtentsLocked skips those
+	// The page may be backed on the slow tier (mapAt answers no for those
 	// extents — they are not byte-addressable). Promote it to PM and serve
 	// the fault from the new location; falling through to demand allocation
 	// would double-back the page and orphan the slow copy.
@@ -979,21 +962,17 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		if !fs.promoteRunLocked(ctx, ino, fblk) {
 			return mmu.FaultResult{}, vfs.ErrNoSpace
 		}
-		exts = ino.mmuExtentsLocked()
-		if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-			return mmu.FaultResult{Huge: true, Phys: phys}, nil
-		}
-		if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-			return mmu.FaultResult{Phys: phys}, nil
+		if r, ok := ino.mapAt(pageOff); ok {
+			return r, nil
 		}
 		return mmu.FaultResult{}, fmt.Errorf("winefs: fault at %d not backed after promotion: %w", pageOff, vfs.ErrMapFault)
 	}
 
 	// SIGBUS rule: demand allocation only backs pages inside the current
-	// file size (re-read under the lock — a racing truncate/unlink may
-	// have shrunk it since the unlocked probe). mmap rounds the file out
-	// to a page boundary; anything past that is a typed fault error.
-	size = ino.size
+	// file size (read under the lock — a racing truncate/unlink may have
+	// shrunk it). mmap rounds the file out to a page boundary; anything
+	// past that is a typed fault error.
+	size := ino.size
 	if pageOff >= (size+BlockSize-1)/BlockSize*BlockSize {
 		return mmu.FaultResult{}, fmt.Errorf("winefs: fault at %d beyond eof %d: %w", pageOff, size, vfs.ErrMapFault)
 	}
@@ -1020,7 +999,6 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		}
 	}
 	// Fall back to a single base page from the hole pool.
-	var ok bool
 	if tx.took, ok = fs.alloc.allocSmallTo(ctx, tx.cpu, 1, tx.took); !ok {
 		return mmu.FaultResult{}, tx.finish("fault", vfs.ErrNoSpace)
 	}

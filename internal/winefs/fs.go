@@ -217,10 +217,6 @@ type inode struct {
 
 	dir *dirIndex // directories only
 
-	gen     uint64 // bumped on layout change (invalidates mmap extent cache)
-	mmapGen uint64
-	mmapExt []mmu.Extent
-
 	// mappings are the live mmaps of this file; the reactive rewriter
 	// shoots them down after swapping the extent map.
 	mappings []*mmu.Mapping
@@ -710,7 +706,6 @@ func (m *mtx) abort(op string) {
 		if ino.dir != nil {
 			ino.dir.freeSlots = ino.dir.freeSlots[:t.nfree]
 		}
-		ino.gen++
 	}
 	if m.chained {
 		m.tx.j.start(ctx)
@@ -1028,7 +1023,6 @@ func (fs *FS) destroyInode(ctx *sim.Ctx, ino *inode) {
 	ino.indirect = nil
 	ino.mappings = nil
 	ino.size = 0
-	ino.gen++
 	ino.mu.Unlock()
 	// Unlink-under-mmap: shoot down every live translation before the
 	// blocks go back to the allocator. Size is now zero, so any later

@@ -112,7 +112,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	endBlk := (off + n) / BlockSize
 	zero := func(b, zOff, zN int64) {
 		if phys, _, ok := ino.findRun(b); ok {
-			fs.dev.Zero(ctx, phys*BlockSize+zOff, zN)
+			fs.dataZero(ctx, phys*BlockSize+zOff, zN)
 		}
 	}
 	if off%BlockSize != 0 {
@@ -145,14 +145,11 @@ func (f *File) ProbeHuge(chunkOff int64, install func(phys int64)) bool {
 	if chunkOff < 0 || chunkOff%mmu.HugePage != 0 || chunkOff+mmu.HugePage > ino.size {
 		return false
 	}
-	phys, run, ok := ino.findRun(chunkOff / BlockSize)
-	if !ok || phys%BlocksPerHuge != 0 || run < BlocksPerHuge {
-		return false
+	r, _ := ino.mapAt(chunkOff)
+	if r.Huge && install != nil {
+		install(r.Phys)
 	}
-	if install != nil {
-		install(phys * BlockSize)
-	}
-	return true
+	return r.Huge
 }
 
 // notifyPromote tells every live mapping over ino that its layout just

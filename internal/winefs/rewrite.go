@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/alloc"
-	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -18,11 +17,11 @@ import (
 // rare path for well-behaved mmap applications.
 
 // fragmentedAt reports whether the full 2MiB chunk at file block lo has
-// backing that cannot be hugepage-mapped (exts is the inode's extent list
-// in mmu form). A wholly unbacked chunk is not fragmented: the fault path
-// backs it with an aligned extent on first touch. Caller holds ino.mu.
-func (ino *inode) fragmentedAt(exts []mmu.Extent, lo int64) bool {
-	if _, ok := mmu.HugeEligible(exts, lo*BlockSize); ok {
+// backing that cannot be hugepage-mapped. A wholly unbacked chunk is not
+// fragmented: the fault path backs it with an aligned extent on first
+// touch. Caller holds ino.mu.
+func (ino *inode) fragmentedAt(lo int64) bool {
+	if r, _ := ino.mapAt(lo * BlockSize); r.Huge {
 		return false
 	}
 	_, _, backed := ino.findRun(lo)
@@ -33,10 +32,9 @@ func (ino *inode) fragmentedAt(exts []mmu.Extent, lo int64) bool {
 // rewriting if any full 2MiB chunk of it is fragmented.
 func (fs *FS) maybeQueueRewrite(ino *inode) {
 	ino.mu.RLock()
-	exts := ino.mmuExtentsRLocked()
 	fragmented := false
 	for lo := int64(0); (lo+BlocksPerHuge)*BlockSize <= ino.size && !fragmented; lo += BlocksPerHuge {
-		fragmented = ino.fragmentedAt(exts, lo)
+		fragmented = ino.fragmentedAt(lo)
 	}
 	ino.mu.RUnlock()
 	if !fragmented {
@@ -174,7 +172,7 @@ func (fs *FS) rewriteChunkLocked(ctx *sim.Ctx, ino *inode, lo int64) (moved, mor
 	if ino.typ != typeFile || end*BlockSize > ino.size {
 		return false, false, nil
 	}
-	if !ino.fragmentedAt(ino.mmuExtentsLocked(), lo) {
+	if !ino.fragmentedAt(lo) {
 		return false, true, nil
 	}
 	huge, ok := fs.alloc.allocAligned(ctx, fs.txCPU(ctx))

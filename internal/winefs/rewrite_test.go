@@ -33,7 +33,7 @@ func TestRewriteInvalidatesLiveMappings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := mmu.HugeEligible(f.Extents(), 0); ok {
+	if hugeAt(f, 0) {
 		t.Skip("file happened to be aligned already")
 	}
 
@@ -210,10 +210,16 @@ func fragmented(t *testing.T, ctx *sim.Ctx, fs *winefs.FS, path string, size int
 	return f, payload
 }
 
+// hugeAt reports whether the file system would map the 2MiB chunk at
+// chunkOff with a hugepage.
+func hugeAt(f vfs.File, chunkOff int64) bool {
+	return f.(vfs.HugeProber).ProbeHuge(chunkOff, nil)
+}
+
 func eligibleChunks(f vfs.File, chunks int) int {
 	n := 0
 	for c := 0; c < chunks; c++ {
-		if _, ok := mmu.HugeEligible(f.Extents(), int64(c)*mmu.HugePage); ok {
+		if hugeAt(f, int64(c)*mmu.HugePage) {
 			n++
 		}
 	}

@@ -199,10 +199,9 @@ func TestLargeFileGetsAlignedExtents(t *testing.T) {
 	if _, err := f.WriteAt(ctx, data, 0); err != nil {
 		t.Fatal(err)
 	}
-	exts := f.Extents()
 	for chunk := int64(0); chunk < 4*mmu.HugePage; chunk += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunk); !ok {
-			t.Fatalf("chunk %d of large file not hugepage-eligible: %+v", chunk, exts)
+		if !hugeAt(f, chunk) {
+			t.Fatalf("chunk %d of large file not hugepage-eligible: %+v", chunk, f.Extents())
 		}
 	}
 }
@@ -323,7 +322,7 @@ func TestOverwriteAlignedUsesDataJournal(t *testing.T) {
 		t.Fatalf("expected data journaling, journal bytes = %d", ctx.Counters.JournalBytes)
 	}
 	// Layout must still be hugepage-eligible.
-	if _, ok := mmu.HugeEligible(f.Extents(), 0); !ok {
+	if !hugeAt(f, 0) {
 		t.Fatal("overwrite destroyed alignment")
 	}
 }
@@ -626,7 +625,7 @@ func TestReactiveRewrite(t *testing.T) {
 	}
 	// Force interleaving: create another small file between writes is
 	// omitted; small writes already land in holes.
-	if _, ok := mmu.HugeEligible(f.Extents(), 0); ok {
+	if hugeAt(f, 0) {
 		t.Skip("file happened to be aligned; fragmentation not reproduced")
 	}
 	if _, err := f.Mmap(ctx, 4<<20); err != nil {
@@ -640,9 +639,8 @@ func TestReactiveRewrite(t *testing.T) {
 		t.Fatalf("rewriter processed %d", n)
 	}
 	// After rewriting, the file must be hugepage-eligible everywhere.
-	exts := f.Extents()
 	for chunkOff := int64(0); chunkOff < 4<<20; chunkOff += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunkOff); !ok {
+		if !hugeAt(f, chunkOff) {
 			t.Fatalf("chunk %d still fragmented after rewrite", chunkOff)
 		}
 	}

@@ -42,10 +42,9 @@ func TestDirectoryXattrInheritance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exts := f.Extents()
 	for chunkOff := int64(0); chunkOff < 4<<20; chunkOff += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunkOff); !ok {
-			t.Fatalf("hinted file not hugepage-eligible at %d: %+v", chunkOff, exts)
+		if !hugeAt(f, chunkOff) {
+			t.Fatalf("hinted file not hugepage-eligible at %d: %+v", chunkOff, f.Extents())
 		}
 	}
 
@@ -122,9 +121,8 @@ func TestRsyncScenario(t *testing.T) {
 	}
 	// The receiving partition allocated aligned extents despite the small
 	// writes.
-	exts := dst.Extents()
 	for chunkOff := int64(0); chunkOff < 4<<20; chunkOff += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunkOff); !ok {
+		if !hugeAt(dst, chunkOff) {
 			t.Fatalf("rsync'd file lost alignment at %d", chunkOff)
 		}
 	}
