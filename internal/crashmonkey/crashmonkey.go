@@ -281,6 +281,7 @@ func Run(w Workload, cfg Config) Result {
 	res := Result{Workload: w.Name, Ops: len(w.Ops)}
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(cfg.DeviceSize)
+	defer dev.Release()
 	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: w.Mode})
 	if err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("mkfs: %v", err))
@@ -382,6 +383,7 @@ func enumerate(n, maxSubsets int, rng *sim.Rand) []uint64 {
 // checkCrashState recovers one crash image and validates it.
 func checkCrashState(img *pmem.Image, cfg Config, mode vfs.ConsistencyMode, before, after State, o Op, epoch int, mask uint64) string {
 	scratch := pmem.New(cfg.DeviceSize)
+	defer scratch.Release()
 	scratch.Restore(img)
 	rctx := sim.NewCtx(2, 0)
 	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: mode})
@@ -443,7 +445,15 @@ func GenerateSeq1() []Workload {
 			Ops:   []Op{o},
 		})
 	}
-	return out
+	// A write over a fragmented file: /frag is thirteen one-block extents, a
+	// spacer's blocks between them, so on a strict mount the write is one
+	// copy-on-write whose transaction logs more than a dozen entries.
+	frag := []Op{{Kind: OpCreate, A: "/frag"}, {Kind: OpCreate, A: "/spacer"}}
+	for i := 0; i < 13; i++ {
+		frag = append(frag, Op{Kind: OpAppend, A: "/frag", Size: 4096}, Op{Kind: OpAppend, A: "/spacer", Size: 4096})
+	}
+	o := Op{Kind: OpWrite, A: "/frag", Off: 0, Size: 13 * 4096}
+	return append(out, Workload{Name: fmt.Sprintf("seq1-%02d-%s", len(ops), o), Setup: frag, Ops: []Op{o}})
 }
 
 // GenerateSeq2 produces ACE's seq-2 workloads — dependent pairs that

@@ -192,23 +192,9 @@ func TestResourceAgainstModel(t *testing.T) {
 					t.Fatalf("%d clocks, op %d: Acquire admitted at %d, model says %d", clocks, op, ctx.Now(), want)
 				}
 				ctx.Advance(rng.Int63n(200))
-				// Release books where it fits from the acquire instant on; a
-				// seam (Reacquire) is Release and Acquire with the lock kept.
-				seam := rng.Intn(4) == 0
+				// Release books where it fits from the acquire instant on.
 				if held := ctx.Now() - want; held > 0 {
 					cal, _ = modelBook(cal, want, held)
-				}
-				if seam {
-					next := ctx.Now()
-					for t2 := modelSkip(cal, next); t2 != next; t2 = modelSkip(cal, next) {
-						next = t2
-					}
-					r.Reacquire(ctx)
-					if ctx.Now() != next {
-						t.Fatalf("%d clocks, op %d: Reacquire admitted at %d, model says %d", clocks, op, ctx.Now(), next)
-					}
-					ctx.Advance(1 + rng.Int63n(50))
-					cal, _ = modelBook(cal, next, ctx.Now()-next)
 				}
 				r.Release(ctx)
 			}

@@ -297,10 +297,6 @@ func (r *Resource) UseQuanta(ctx *Ctx, hold, quantum int64) {
 // goroutines so the calendar stays consistent.
 func (r *Resource) Acquire(ctx *Ctx) {
 	r.mu.Lock()
-	r.acquireLocked(ctx)
-}
-
-func (r *Resource) acquireLocked(ctx *Ctx) {
 	t := ctx.now
 	// At or past the frontier — the common case — nothing can be in the way.
 	if t < r.cal.end() {
@@ -321,24 +317,10 @@ func (r *Resource) acquireLocked(ctx *Ctx) {
 // Release ends an occupation started with Acquire: the interval from the
 // acquire instant to the thread's current time is booked busy.
 func (r *Resource) Release(ctx *Ctx) {
-	r.bookHeldLocked(ctx)
-	r.mu.Unlock()
-}
-
-func (r *Resource) bookHeldLocked(ctx *Ctx) {
 	if ctx.now > r.acquireStart {
 		r.bookLocked(r.acquireStart, ctx.now-r.acquireStart)
 	}
-}
-
-// Reacquire ends the occupation in progress and begins the next at once.
-// The calendar and the clock move exactly as under Release followed by
-// Acquire, but no other goroutine gets the resource in between: for a
-// holder that keeps state beside the resource which must survive the seam
-// (a journal operation chaining into its next transaction).
-func (r *Resource) Reacquire(ctx *Ctx) {
-	r.bookHeldLocked(ctx)
-	r.acquireLocked(ctx)
+	r.mu.Unlock()
 }
 
 // BusyUntil reports the end of the last booked interval (tests).

@@ -45,48 +45,50 @@ func nsString(t *testing.T, ctx *sim.Ctx, fs *FS) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestTxOverflowAbortsCleanly: satellite of the fault work — an oversized
-// raw transaction must fail with the typed ErrTxOverflow (not a panic) and
-// abort must leave every staged range as it was.
+// TestTxOverflowAbortsCleanly: an operation that logs more entries than
+// the journal has slots cannot be one transaction, so it fails with the
+// typed ErrTxOverflow — not a panic — while it is still only staged: nothing
+// reaches the media, and DRAM, the allocator and Audit are where they were.
+// Truncating to zero a file of 8,400 one-block extents rewrites half of its
+// records (recRemove moves the last record into each vacated slot), over
+// 4,200 DATA entries in a journal of 4,095 slots.
 func TestTxOverflowAbortsCleanly(t *testing.T) {
-	fs, ctx, dev := mk(t)
-	base := fs.g.inodeAddr(3)
-	orig := make([]byte, MaxTxEntries*undoBytes)
-	for i := range orig {
-		orig[i] = byte(i)
+	ctx := sim.NewCtx(1, 0)
+	dev := pmem.New(128 << 20)
+	fs, err := Mkfs(ctx, dev, Options{CPUs: 1, Mode: vfs.Strict})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dev.WriteAt(orig, base)
-
-	tx := fs.beginTx(ctx, 0)
-	var err error
-	staged := 0
-	for i := 0; i < MaxTxEntries+2; i++ {
-		var b []byte
-		if b, err = tx.stage(base+int64(i)*undoBytes, undoBytes); err != nil {
-			break
-		}
-		copy(b, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX")
-		staged++
-	}
+	f := appended(t, ctx, fs, "/f", 8400)
+	paths := []string{"/", "/f"}
+	before := statesOf(t, ctx, fs, paths...)
+	aborts := ctx.Counters.JournalAborts
+	dev.StartTrace()
+	err = f.Truncate(ctx, 0)
+	trace := dev.StopTrace()
 	if !errors.Is(err, ErrTxOverflow) {
-		t.Fatalf("overflow returned %v, want ErrTxOverflow", err)
+		t.Fatalf("truncate = %v, want ErrTxOverflow", err)
 	}
-	// The START entry and the COMMIT slot each take one of the reserved
-	// entries: overflow fires while the transaction can still be resolved.
-	if staged != MaxTxEntries-2 {
-		t.Fatalf("staged %d entries before overflow, want %d", staged, MaxTxEntries-2)
+	if len(trace) != 0 {
+		t.Errorf("the failed truncate stored %d times, first at %d", len(trace), trace[0].Off)
 	}
-	tx.abort(ctx)
-	got := make([]byte, len(orig))
-	dev.ReadAt(got, base)
-	if string(got) != string(orig) {
-		t.Fatal("abort left a staged range changed")
+	for i, p := range paths {
+		if after := stateOf(t, ctx, fs, p); after != before[i] {
+			t.Errorf("the failed call left a trace of %s in DRAM:\nbefore %+v\nafter  %+v", p, before[i], after)
+		}
 	}
-	if ctx.Counters.JournalAborts == 0 {
-		t.Fatal("abort not counted")
+	if err := fs.Audit(ctx); err != nil {
+		t.Errorf("audit after the failed call: %v", err)
 	}
-	if tx2, _, _ := fs.journals[0].scanJournal(); tx2 != nil {
-		t.Fatal("journal not quiescent after abort")
+	if ctx.Counters.JournalAborts != aborts+1 {
+		t.Errorf("%d aborts counted, want 1", ctx.Counters.JournalAborts-aborts)
+	}
+	if tx, _, _ := fs.journals[0].scanJournal(); tx != nil {
+		t.Fatal("journal not quiescent after the abort")
+	}
+	// The journal is free again: an operation that fits commits.
+	if err := f.Truncate(ctx, 8399*BlockSize); err != nil {
+		t.Fatalf("truncate by one block after the overflow: %v", err)
 	}
 }
 
@@ -260,6 +262,102 @@ func TestWraparoundCrashRecovery(t *testing.T) {
 	}
 	if control != wrapped {
 		t.Fatalf("wraparound recovery diverged:\nfresh: %q\n wrap: %q", control, wrapped)
+	}
+}
+
+// TestWraparoundLargeOperation: an operation of more than a dozen entries
+// that begins with fewer slots than that left before the journal's end
+// wraps before it writes anything — the header first, then START at slot
+// 1, nothing in the slots it skipped — and a crash at any fence of it
+// recovers to the file as it was or as it was written, never a mix.
+func TestWraparoundLargeOperation(t *testing.T) {
+	for _, left := range []int64{1, 6, 10, 13} {
+		t.Run(fmt.Sprintf("%d slots left", left), func(t *testing.T) {
+			opts := Options{CPUs: 1, Mode: vfs.Strict}
+			ctx := sim.NewCtx(1, 0)
+			dev := pmem.New(32 << 20)
+			fs, err := Mkfs(ctx, dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := appended(t, ctx, fs, "/f", 26) // a strict write over it rewrites half the records
+			j := fs.journals[0]
+			entries := fs.g.journalEntries()
+			j.tail = entries - left
+			wrapBefore := j.wrap
+			jlo, _ := JournalRegion(dev, 0)
+			old := make([]byte, 26*BlockSize)
+			written := bytes.Repeat([]byte{0x5a}, len(old))
+
+			base := dev.Snapshot()
+			dev.StartTrace()
+			_, err = f.WriteAt(ctx, written, 0)
+			trace := dev.StopTrace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := -1 // the header's
+			for _, s := range trace {
+				if s.Off < jlo || s.Off >= jlo+JournalBlocks*BlockSize {
+					continue
+				}
+				slot := (s.Off - jlo) / EntrySize
+				if slots < 0 && slot != 0 {
+					t.Fatalf("the first journal store is at slot %d, not the header", slot)
+				}
+				if slot >= entries-left {
+					t.Fatalf("a journal store at slot %d, past the wrap point %d", slot, entries-left)
+				}
+				slots += len(s.Data) / EntrySize
+			}
+			if slots < 1+12+1 {
+				t.Fatalf("the write took %d journal slots; the fixture wants a dozen DATA entries", slots)
+			}
+			if j.wrap != wrapBefore+1 || j.tail != 1+int64(slots) {
+				t.Fatalf("tail %d after %d slots, wrap %d: the write did not start at slot 1", j.tail, slots, j.wrap)
+			}
+
+			maxEpoch := trace[len(trace)-1].Epoch
+			img := base.Clone()
+			for cut := 0; cut <= maxEpoch+1; cut++ {
+				dev.Restore(img)
+				rctx := sim.NewCtx(2, 0)
+				rfs, err := Mount(rctx, dev, opts)
+				if err != nil {
+					t.Fatalf("cut %d: mount: %v", cut, err)
+				}
+				if reason, degraded := rfs.Degraded(); degraded {
+					t.Fatalf("cut %d: degraded: %s", cut, reason)
+				}
+				if rep := Check(dev); !rep.OK() {
+					t.Fatalf("cut %d: fsck: %v", cut, rep.Errors)
+				}
+				if err := rfs.Audit(rctx); err != nil {
+					t.Fatalf("cut %d: audit: %v", cut, err)
+				}
+				rf, err := rfs.Open(rctx, "/f")
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				got := make([]byte, len(old))
+				if _, err := rf.ReadAt(rctx, got, 0); err != nil {
+					t.Fatalf("cut %d: read: %v", cut, err)
+				}
+				switch {
+				case cut == maxEpoch+1 && !bytes.Equal(got, written):
+					t.Fatalf("every store durable, yet /f does not read as written")
+				case !bytes.Equal(got, old) && !bytes.Equal(got, written):
+					t.Fatalf("cut %d: /f is neither as it was nor as written", cut)
+				}
+				var epoch []pmem.Store
+				for _, s := range trace {
+					if s.Epoch == cut {
+						epoch = append(epoch, s)
+					}
+				}
+				img.Apply(epoch)
+			}
+		})
 	}
 }
 

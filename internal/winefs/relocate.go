@@ -33,12 +33,6 @@ import (
 // defragmenter moves whole runs, which one hugepage chunk bounds already.
 const relocateChunkBlocks = 128
 
-// relocateMaxExtents is how many extents one relocate may displace and
-// still swap in a single journal transaction: one undo entry per
-// displaced extent, one for the attach, one for an indirect-block link,
-// one for the inode header — MaxTxEntries less START and COMMIT.
-const relocateMaxExtents = MaxTxEntries - 2 - 3
-
 // moverHold is how every paced mover takes an inode, and the rule it
 // keeps is that a mover never sleeps holding a lock: body runs under the
 // exclusive inode lock and ino.mu, both are released, and only then is the
@@ -61,10 +55,9 @@ func (fs *FS) moverHold(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer, body func())
 
 // relocate moves file blocks [fileLo, fileLo+n) of ino onto dst, which
 // the caller allocated and which totals exactly n blocks. The caller
-// holds the inode lock and ino.mu exclusively, and picks a range that
-// displaces at most relocateMaxExtents extents, or the swap chains journal
-// transactions and is atomic only link by link. On error dst has been
-// freed and the file still reads through its old blocks.
+// holds the inode lock and ino.mu exclusively. The swap is one journal
+// transaction however many extents the range displaces. On error dst has
+// been freed and the file still reads through its old blocks.
 func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Extent, tag string) (err error) {
 	defer func() {
 		if err != nil {

@@ -179,30 +179,17 @@ func (fs *FS) rewriteChunkLocked(ctx *sim.Ctx, ino *inode, lo int64) (moved, mor
 	if !ok {
 		return false, true, vfs.ErrNoSpace
 	}
-	// Piece by piece: each relocate copies at most relocateChunkBlocks and
-	// displaces at most relocateMaxExtents extents (a hole, which the move
-	// fills, counts as one), so every swap is a single journal transaction
-	// and a crash anywhere inside the chunk leaves every block mapped to an
-	// intact copy.
-	for cur := lo; cur < end; {
-		limit := min64(end-cur, relocateChunkBlocks)
-		var n int64
-		for t := 0; t < relocateMaxExtents && n < limit; t++ {
-			if _, run, backed := ino.findRun(cur + n); backed {
-				n += run
-			} else {
-				n = ino.nextExtentStart(cur+n, cur+limit) - cur
-			}
-		}
-		n = min64(n, limit)
-		piece := alloc.Extent{Start: huge + cur - lo, Len: n}
-		if err := fs.relocate(ctx, ino, cur, n, []alloc.Extent{piece}, "rewrite"); err != nil {
+	// Piece by piece, relocateChunkBlocks at a time: each swap is one journal
+	// transaction, so a crash anywhere inside the chunk leaves every block
+	// mapped to an intact copy.
+	for cur := lo; cur < end; cur += relocateChunkBlocks {
+		piece := alloc.Extent{Start: huge + cur - lo, Len: min64(end-cur, relocateChunkBlocks)}
+		if err := fs.relocate(ctx, ino, cur, piece.Len, []alloc.Extent{piece}, "rewrite"); err != nil {
 			// relocate freed its own piece; the rest of the hugepage was
 			// never mapped.
-			fs.alloc.free(ctx, alloc.Extent{Start: piece.End(), Len: end - cur - n})
+			fs.alloc.free(ctx, alloc.Extent{Start: piece.End(), Len: end - cur - piece.Len})
 			return false, true, err
 		}
-		cur += n
 	}
 	return true, true, nil
 }
