@@ -195,14 +195,20 @@ serve-smoke:
 # TestStateSeesData), and TestRemountEquivalence (a seeded sequence over
 # every inode-changing operation; every few steps a crash mount and a clean
 # remount must show the live mount's names, sizes, link counts and bytes),
-# and the journal's one pass per link (TestOnePassStoreOrder: every in-place
-# metadata store after the fence that follows its DATA entry, COMMIT after
-# them, no entry store over four lines, over an append, a create, a rename
-# and a chained copy-on-write; TestOnePassPoisonLeavesNoTrace: a poisoned
-# header, record, chain pointer, dirent or valid byte fails the operation
-# with EIO before anything is stored).
+# and the journal's one transaction per operation (TestOnePassStoreOrder:
+# one START and one COMMIT, every in-place metadata store after the fence
+# that follows its DATA entry, COMMIT after them, no entry store over four
+# lines, over an append, a create, a rename and a copy-on-write over 24
+# extents; TestOnePassPoisonLeavesNoTrace: a poisoned header, record, chain
+# pointer, dirent or valid byte fails the operation with EIO before
+# anything is stored; TestFailedWrite: a write, fallocate, truncate,
+# create, mkdir or rename that fails half-way leaves DRAM, the allocator
+# and the media where they were; TestTxOverflowAbortsCleanly: an operation
+# larger than the journal fails with ErrTxOverflow and stores nothing;
+# TestWraparoundLargeOperation: one that does not fit before the journal's
+# end wraps first and recovers at every fence).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

@@ -51,15 +51,13 @@ const (
 	extPerIndirect = (BlockSize - 8) / extentSize
 
 	// JournalBlocks is the per-CPU journal size in blocks (64 × 4KiB =
-	// 256KiB = 4096 entries: generous given transactions are ≤10 entries
-	// and reclaimed immediately).
+	// 256KiB = 4096 entries, the header's included). It bounds one
+	// operation, which is one transaction: the paper's system calls log at
+	// most 10 entries (§3.6), ours one per metadata region they change, and
+	// committed transactions are reclaimed immediately.
 	JournalBlocks = 64
 	// EntrySize is the journal entry size: one cache line (§3.5).
 	EntrySize = 64
-	// MaxTxEntries is the most log entries any system call needs (§3.6:
-	// "across all system calls, the maximum number of log-entries required
-	// are 10, occupying 640 bytes").
-	MaxTxEntries = 10
 
 	// DirentSize is the on-PM directory entry size.
 	DirentSize = 64
