@@ -206,9 +206,12 @@ serve-smoke:
 # and the media where they were; TestTxOverflowAbortsCleanly: an operation
 # larger than the journal fails with ErrTxOverflow and stores nothing;
 # TestWraparoundLargeOperation: one that does not fit before the journal's
-# end wraps first and recovers at every fence).
+# end wraps first and recovers at every fence), the create and unlink cut
+# at every fence (TestCrashDuringCreateIsAtomic, TestCrashStatesOfUnlink:
+# each recovers the state before or after), and the one crash-image builder
+# (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestCrashDuringCreateIsAtomic|TestCrashStatesOfUnlink|TestRecording' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent
@@ -234,9 +237,12 @@ profile-posix:
 	$(GO) tool pprof -top -nodecount=20 winefs.test posix_cpu.pprof
 	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects winefs.test posix_mem.pprof
 
-# Non-test Go lines per package, and in total: "net-negative" as a number
-# CI prints, not a claim in a PR body.
+# Go lines per package, non-test next to test, and in total:
+# "net-negative" as a number CI prints, not a claim in a PR body. The test
+# column is there so a change that dedupes test code shows too.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './.bench_pair/*' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@find . -name '*.go' ! -path './.bench_build/*' ! -path './.bench_pair/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+			if ($$2 ~ /_test\.go$$/) { tst[d] += $$1; tt += $$1 } else { n[d] += $$1; t += $$1 } } \
+		END { printf "%7s %7s\n", "code", "test"; for (d in seen) printf "%7d %7d %s\n", n[d], tst[d], d; \
+			printf "%7d %7d total\n", t, tt }' | sort -k3

@@ -1,9 +1,9 @@
 // Crashrecovery: demonstrate WineFS's per-CPU undo journals end to end
 // (§3.6, §5.2). The example records every device store during a rename,
-// constructs a crash state in which only half of the in-flight stores
-// became durable, then mounts the image: recovery rolls the uncommitted
-// transaction back across the per-CPU journals and the offline checker
-// verifies the result.
+// constructs a crash state in which the in-flight stores were torn — each
+// cache line of them durable or not by coin flip — then mounts the image:
+// recovery rolls the uncommitted transaction back across the per-CPU
+// journals and the offline checker verifies the result.
 package main
 
 import (
@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/pmem"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -34,31 +34,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Snapshot, then trace the stores of an atomic rename.
-	base := dev.Snapshot()
-	dev.StartTrace()
-	if err := fs.Rename(ctx, "/inbox/draft", "/inbox/sent"); err != nil {
+	// Record the device stores of an atomic rename.
+	rec, err := dev.Record(func() error { return fs.Rename(ctx, "/inbox/draft", "/inbox/sent") })
+	if err != nil {
 		log.Fatal(err)
 	}
-	trace := dev.StopTrace()
-	fmt.Printf("rename issued %d device stores across %d fence epochs\n",
-		len(trace), trace[len(trace)-1].Epoch+1)
+	last := rec.Last()
+	fmt.Printf("rename issued %d device stores across %d fence epochs\n", len(rec.Stores), last+1)
 
-	// Crash state: all stores from completed epochs, but only every other
-	// store from the final epoch, persist.
-	lastEpoch := trace[len(trace)-1].Epoch
-	var applied []pmem.Store
-	kept := 0
-	for i, s := range trace {
-		if s.Epoch < lastEpoch || i%2 == 0 {
-			applied = append(applied, s)
-			kept++
-		}
-	}
-	img := base.Clone()
-	img.Apply(applied)
-	dev.Restore(img)
-	fmt.Printf("crash state: %d of %d stores persisted\n", kept, len(trace))
+	// Crash state: every store of the completed epochs persisted, and each
+	// cache line the final epoch stored persisted by coin flip.
+	dev.Restore(rec.Torn(last, 0.5, sim.NewRand(1)))
+	fmt.Printf("crash state: the epochs before %d durable, epoch %d torn at cache-line granularity\n", last, last)
 
 	// Recover: mount rolls back the in-flight transaction.
 	rctx := repro.NewThread(2, 0)

@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"strings"
 
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -15,8 +14,8 @@ import (
 // a replica's image really is the primary's, first byte-for-byte (the
 // replication stream promises a physical mirror), then — for images that
 // differ physically, e.g. after independent recovery — logically, by
-// mounting clones of both and walking the namespace with exact content
-// comparison, cross-checked by winefs.Audit on each side.
+// mounting clones of both and comparing what each shows (vfs.State),
+// cross-checked by winefs.Audit on each side.
 
 // Diff is one diverging byte range.
 type Diff struct {
@@ -28,46 +27,18 @@ type Diff struct {
 // an exhaustive delta.
 const maxDiffs = 16
 
-// CompareDevices byte-compares two device images chunk by chunk (unbacked
-// chunks read as zero on both sides). It returns the first maxDiffs
-// diverging ranges; empty means the images are identical.
+// CompareDevices byte-compares point-in-time images of two devices chunk by
+// chunk (unbacked chunks read as zero on both sides). It returns the first
+// maxDiffs diverging ranges; empty means the images are identical.
 func CompareDevices(a, b *pmem.Device) []Diff {
 	if a.Size() != b.Size() {
 		return []Diff{{Off: 0, Len: a.Size()}}
 	}
-	ia, ib := a.Snapshot(), b.Snapshot()
-	chunks := map[int64]struct{}{}
-	ia.ForEachChunk(func(off int64, _ []byte) { chunks[off] = struct{}{} })
-	ib.ForEachChunk(func(off int64, _ []byte) { chunks[off] = struct{}{} })
-	offs := make([]int64, 0, len(chunks))
-	for off := range chunks {
-		offs = append(offs, off)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-
 	var diffs []Diff
-	bufA := make([]byte, pmem.ChunkSize)
-	bufB := make([]byte, pmem.ChunkSize)
-	for _, off := range offs {
-		if len(diffs) >= maxDiffs {
-			break
-		}
-		a.ReadAt(bufA, off)
-		b.ReadAt(bufB, off)
-		if bytes.Equal(bufA, bufB) {
-			continue
-		}
-		// Narrow to the diverging span inside the chunk.
-		lo := 0
-		for lo < len(bufA) && bufA[lo] == bufB[lo] {
-			lo++
-		}
-		hi := len(bufA)
-		for hi > lo && bufA[hi-1] == bufB[hi-1] {
-			hi--
-		}
-		diffs = append(diffs, Diff{Off: off + int64(lo), Len: int64(hi - lo)})
-	}
+	a.Snapshot().Diffs(b.Snapshot(), func(off, n int64) bool {
+		diffs = append(diffs, Diff{Off: off, Len: n})
+		return len(diffs) < maxDiffs
+	})
 	return diffs
 }
 
@@ -90,16 +61,19 @@ func (lr *LogicalReport) diff(format string, args ...any) {
 
 // CompareLogical clones both devices (the originals are untouched), mounts
 // each clone through the recovery path, runs winefs.Audit on both, and
-// walks the namespaces comparing entries and file contents exactly.
+// reports every line where the two mounts' vfs.State differ: names, kinds,
+// sizes, link counts and file contents.
 func CompareLogical(ctx *sim.Ctx, a, b *pmem.Device, opts winefs.Options) *LogicalReport {
 	rep := &LogicalReport{Equal: true}
-	fa, err := mountClone(ctx, a, opts)
+	fa, ca, err := mountClone(ctx, a, opts)
+	defer ca.Release()
 	if err != nil {
 		rep.diff("a: mount failed: %v", err)
 		return rep
 	}
 	defer fa.Unmount(ctx)
-	fb, err := mountClone(ctx, b, opts)
+	fb, cb, err := mountClone(ctx, b, opts)
+	defer cb.Release()
 	if err != nil {
 		rep.diff("b: mount failed: %v", err)
 		return rep
@@ -113,106 +87,39 @@ func CompareLogical(ctx *sim.Ctx, a, b *pmem.Device, opts winefs.Options) *Logic
 		rep.AuditErrs = append(rep.AuditErrs, fmt.Sprintf("b: %v", err))
 		rep.Equal = false
 	}
-	compareTree(ctx, rep, fa, fb, "/")
+	la := strings.Split(vfs.State(ctx, fa), "\n")
+	lb := strings.Split(vfs.State(ctx, fb), "\n")
+	for _, l := range missing(la, lb) {
+		rep.diff("only a: %s", l)
+	}
+	for _, l := range missing(lb, la) {
+		rep.diff("only b: %s", l)
+	}
 	return rep
 }
 
+// missing returns the lines of a that b lacks.
+func missing(a, b []string) []string {
+	in := make(map[string]bool, len(b))
+	for _, l := range b {
+		in[l] = true
+	}
+	var out []string
+	for _, l := range a {
+		if !in[l] {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // mountClone mounts a snapshot copy of dev so recovery cannot disturb the
-// original image.
-func mountClone(ctx *sim.Ctx, dev *pmem.Device, opts winefs.Options) (*winefs.FS, error) {
+// original image. The caller releases the copy, mounted or not.
+func mountClone(ctx *sim.Ctx, dev *pmem.Device, opts winefs.Options) (*winefs.FS, *pmem.Device, error) {
 	clone := pmem.New(dev.Size())
 	clone.Restore(dev.Snapshot())
-	return winefs.Mount(ctx, clone, opts)
-}
-
-// compareTree recursively compares one directory across both mounts.
-func compareTree(ctx *sim.Ctx, rep *LogicalReport, fa, fb vfs.FS, dir string) {
-	if len(rep.Diffs) >= maxDiffs {
-		return
-	}
-	ea, errA := fa.ReadDir(ctx, dir)
-	eb, errB := fb.ReadDir(ctx, dir)
-	if (errA == nil) != (errB == nil) {
-		rep.diff("%s: readdir a=%v b=%v", dir, errA, errB)
-		return
-	}
-	if errA != nil {
-		return
-	}
-	names := map[string][2]bool{}
-	for _, e := range ea {
-		v := names[e.Name]
-		v[0] = true
-		names[e.Name] = v
-	}
-	for _, e := range eb {
-		v := names[e.Name]
-		v[1] = true
-		names[e.Name] = v
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		v := names[n]
-		path := dir + n
-		if dir != "/" {
-			path = dir + "/" + n
-		}
-		if !v[0] || !v[1] {
-			rep.diff("%s: present a=%v b=%v", path, v[0], v[1])
-			continue
-		}
-		sa, errA := fa.Stat(ctx, path)
-		sb, errB := fb.Stat(ctx, path)
-		if errA != nil || errB != nil {
-			rep.diff("%s: stat a=%v b=%v", path, errA, errB)
-			continue
-		}
-		if sa.IsDir != sb.IsDir {
-			rep.diff("%s: isdir a=%v b=%v", path, sa.IsDir, sb.IsDir)
-			continue
-		}
-		if sa.IsDir {
-			compareTree(ctx, rep, fa, fb, path)
-			continue
-		}
-		if sa.Size != sb.Size {
-			rep.diff("%s: size a=%d b=%d", path, sa.Size, sb.Size)
-			continue
-		}
-		if !compareContent(ctx, fa, fb, path, sa.Size) {
-			rep.diff("%s: content differs", path)
-		}
-	}
-}
-
-// compareContent reads both files in chunks and compares exactly.
-func compareContent(ctx *sim.Ctx, fa, fb vfs.FS, path string, size int64) bool {
-	ha, errA := fa.Open(ctx, path)
-	hb, errB := fb.Open(ctx, path)
-	if errA != nil || errB != nil {
-		return errA == nil && errB == nil
-	}
-	defer ha.Close(ctx)
-	defer hb.Close(ctx)
-	const chunk = 64 << 10
-	bufA := make([]byte, chunk)
-	bufB := make([]byte, chunk)
-	for off := int64(0); off < size; off += chunk {
-		n := size - off
-		if n > chunk {
-			n = chunk
-		}
-		na, errA := ha.ReadAt(ctx, bufA[:n], off)
-		nb, errB := hb.ReadAt(ctx, bufB[:n], off)
-		if errA != nil || errB != nil || na != nb || !bytes.Equal(bufA[:na], bufB[:nb]) {
-			return false
-		}
-	}
-	return true
+	fs, err := winefs.Mount(ctx, clone, opts)
+	return fs, clone, err
 }
 
 // ConvergeOutcome names the repair-ladder rung that produced convergence.

@@ -53,29 +53,17 @@ type ClusterCampaignConfig struct {
 	// Runs is the number of seeded runs (default 120), rotated across the
 	// four scenarios.
 	Runs int
-	// DeviceSize per node (default 64 MiB).
-	DeviceSize int64
-	// Replicas behind each primary (default 2).
-	Replicas int
-	Seed     uint64
-	// Logf (nil for silent) narrates runs.
-	Logf func(string, ...any)
+	Seed uint64
 }
 
 func (c *ClusterCampaignConfig) defaults() {
 	if c.Runs == 0 {
 		c.Runs = 120
 	}
-	if c.DeviceSize == 0 {
-		c.DeviceSize = 64 << 20
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 }
+
+// Each run's cluster is a primary and two replicas on 64 MiB devices.
+const clusterReplicas = 2
 
 // ClusterCampaignResult aggregates the campaign.
 type ClusterCampaignResult struct {
@@ -117,7 +105,7 @@ func (r *ClusterCampaignResult) String() string {
 // with per-index result slots merged in index order afterwards. These runs
 // are dominated by wall-clock timers (heartbeats, retry backoff, ack
 // timeouts), so overlapping them shortens the campaign even on one host
-// core. cfg.Logf, the only shared sink, must tolerate concurrent calls.
+// core.
 func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 	cfg.defaults()
 	perRun := make([]ClusterCampaignResult, cfg.Runs)
@@ -130,7 +118,7 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 		r.ScenarioRuns = map[ClusterScenario]int{scenario: 1}
 		r.Converged = make(map[cluster.ConvergeOutcome]int)
 		if msg := guardRun(func() string {
-			return clusterRun(cfg, scenario, seed, r)
+			return clusterRun(scenario, seed, r)
 		}); msg != "" {
 			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x): %s", i, scenario, seed, msg)
 		}
@@ -148,14 +136,13 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 		}
 		scenario := clusterScenarios[i%len(clusterScenarios)]
 		seed := cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
-		cfg.Logf("retrying starved run %d sequentially: %s", i, msgs[i])
 		r := &perRun[i]
 		*r = ClusterCampaignResult{
 			ScenarioRuns: map[ClusterScenario]int{scenario: 1},
 			Converged:    make(map[cluster.ConvergeOutcome]int),
 		}
 		if msg := guardRun(func() string {
-			return clusterRun(cfg, scenario, seed, r)
+			return clusterRun(scenario, seed, r)
 		}); msg != "" {
 			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x, failed twice): %s", i, scenario, seed, msg)
 		} else {
@@ -195,7 +182,7 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 const clusterCampaignWorkers = 8
 
 // clusterRun performs one seeded scenario run; "" means the ladder held.
-func clusterRun(cfg ClusterCampaignConfig, scenario ClusterScenario, seed uint64, res *ClusterCampaignResult) string {
+func clusterRun(scenario ClusterScenario, seed uint64, res *ClusterCampaignResult) string {
 	rng := sim.NewRand(seed)
 	ctx := sim.NewCtx(1, 0)
 	fsOpts := winefs.Options{CPUs: 2}
@@ -213,11 +200,10 @@ func clusterRun(cfg ClusterCampaignConfig, scenario ClusterScenario, seed uint64
 		Seed:           seed,
 	}
 	ccfg := cluster.Config{
-		Replicas:   cfg.Replicas,
-		DeviceSize: cfg.DeviceSize,
+		Replicas:   clusterReplicas,
+		DeviceSize: deviceSize,
 		FSOpts:     fsOpts,
 		Repl:       rcfg,
-		Logf:       cfg.Logf,
 	}
 	var torn *tornWrapper
 	if scenario == ScenarioTornStream {

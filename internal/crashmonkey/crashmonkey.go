@@ -6,17 +6,15 @@
 // the in-flight stores; each crash state is recovered by a real mount and
 // then checked two ways — structural invariants via the offline fsck, and
 // semantic atomicity against an oracle: because WineFS operations are
-// synchronous, the recovered state — names, sizes and what the files hold —
-// must equal the state exactly before or exactly after the in-flight
-// operation, and once the operation has returned, the state after it.
+// synchronous, the recovered state — vfs.State: names, sizes, link counts
+// and what the files hold — must equal the state exactly before or exactly
+// after the in-flight operation, and once the operation has returned, the
+// state after it. Crash images come from pmem.Recording.
 package crashmonkey
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"strings"
 
 	"repro/internal/pmem"
@@ -151,91 +149,41 @@ func apply(ctx *sim.Ctx, fs vfs.FS, o Op) error {
 	return err
 }
 
-// State is a canonical snapshot of what a mount shows: "path kind size
-// crc" lines, sorted — the checksum is of the file's bytes, so a page that
-// recovery drops (it reads back as a hole) is a different state.
-type State string
+// eio is what vfs.State prints for the checksum of a file whose bytes the
+// media would not return.
+const eio = " sha256=EIO"
 
-// crcEIO stands in for the checksum of a file whose bytes the media would
-// not return.
-const crcEIO = " crc=EIO"
-
-// sansContent is s without the checksum of path: what is left to compare of
-// a file whose data a crash may tear or a fault has taken.
-func (s State) sansContent(path string) State {
-	lines := strings.Split(string(s), "\n")
+// sansContent is state s without the checksum of path's bytes: what is left
+// to compare of a file whose data a crash may tear or a fault has taken.
+func sansContent(s, path string) string {
+	lines := strings.Split(s, "\n")
 	for i, l := range lines {
 		if strings.HasPrefix(l, path+" file ") {
-			lines[i], _, _ = strings.Cut(l, " crc=")
+			lines[i], _, _ = strings.Cut(l, " sha256=")
 		}
 	}
-	return State(strings.Join(lines, "\n"))
+	return strings.Join(lines, "\n")
 }
 
 // crashAtomic reports whether got is a state a crash in the middle of o may
-// leave: the one before it or the one after. Relaxed mode promises that of a
-// write's metadata only — its data "may be partially complete after a
-// crash" (vfs.Relaxed) — so there the written file's bytes are not compared;
-// nor are those of a file got could not read for poison.
-func crashAtomic(got, before, after State, o Op, mode vfs.ConsistencyMode) bool {
+// leave: the one before it or the one after, each a vfs.State. Relaxed mode
+// promises that of a write's metadata only — its data "may be partially
+// complete after a crash" (vfs.Relaxed) — so there the written file's bytes
+// are not compared; nor are those of a file got could not read for poison.
+func crashAtomic(got, before, after string, o Op, mode vfs.ConsistencyMode) bool {
 	var skip []string
 	if o.Kind == OpWrite && mode == vfs.Relaxed {
 		skip = append(skip, o.A)
 	}
-	for _, l := range strings.Split(string(got), "\n") {
-		if path, _, ok := strings.Cut(l, " file "); ok && strings.HasSuffix(l, crcEIO) {
+	for _, l := range strings.Split(got, "\n") {
+		if path, _, ok := strings.Cut(l, " file "); ok && strings.HasSuffix(l, eio) {
 			skip = append(skip, path)
 		}
 	}
 	for _, path := range skip {
-		got, before, after = got.sansContent(path), before.sansContent(path), after.sansContent(path)
+		got, before, after = sansContent(got, path), sansContent(before, path), sansContent(after, path)
 	}
 	return got == before || got == after
-}
-
-// captureState walks the mounted FS.
-func captureState(ctx *sim.Ctx, fs vfs.FS) State {
-	var lines []string
-	var walk func(dir string)
-	walk = func(dir string) {
-		ents, err := fs.ReadDir(ctx, dir)
-		if err != nil {
-			lines = append(lines, fmt.Sprintf("ERR %s %v", dir, err))
-			return
-		}
-		for _, e := range ents {
-			p := dir + "/" + e.Name
-			if dir == "/" {
-				p = "/" + e.Name
-			}
-			if e.IsDir {
-				lines = append(lines, fmt.Sprintf("%s dir", p))
-				walk(p)
-			} else {
-				fi, err := fs.Stat(ctx, p)
-				if err != nil {
-					lines = append(lines, fmt.Sprintf("ERR %s %v", p, err))
-					continue
-				}
-				buf := make([]byte, fi.Size)
-				f, err := fs.Open(ctx, p)
-				if err == nil {
-					_, err = f.ReadAt(ctx, buf, 0)
-				}
-				switch {
-				case errors.Is(err, vfs.ErrIO): // poisoned data: a rung of the fault ladder, not a state
-					lines = append(lines, fmt.Sprintf("%s file %d%s", p, fi.Size, crcEIO))
-				case err != nil:
-					lines = append(lines, fmt.Sprintf("ERR %s %v", p, err))
-				default:
-					lines = append(lines, fmt.Sprintf("%s file %d crc=%08x", p, fi.Size, crc32.ChecksumIEEE(buf)))
-				}
-			}
-		}
-	}
-	walk("/")
-	sort.Strings(lines)
-	return State(strings.Join(lines, "\n"))
 }
 
 // Result summarises one workload's exploration.
@@ -249,29 +197,24 @@ type Result struct {
 // OK reports whether every crash state recovered consistently.
 func (r Result) OK() bool { return len(r.Failures) == 0 }
 
+// Every crash test formats a 64 MiB device with two CPUs' journals, which
+// exercises the multi-journal recovery path.
+const (
+	deviceSize = 64 << 20
+	cpus       = 2
+)
+
 // Config tunes the explorer.
 type Config struct {
-	// DeviceSize for the scratch FS (default 64 MiB).
-	DeviceSize int64
 	// MaxSubsets bounds the in-flight-store subsets explored per epoch
-	// (default 256; epochs smaller than log2(MaxSubsets) stores are
-	// explored exhaustively).
+	// (default 256; see pmem.Recording.Crashes).
 	MaxSubsets int
-	// CPUs for the WineFS instance (default 2, exercising the multi-journal
-	// recovery path).
-	CPUs int
-	Seed uint64
+	Seed       uint64
 }
 
 func (c *Config) defaults() {
-	if c.DeviceSize == 0 {
-		c.DeviceSize = 64 << 20
-	}
 	if c.MaxSubsets == 0 {
 		c.MaxSubsets = 256
-	}
-	if c.CPUs == 0 {
-		c.CPUs = 2
 	}
 }
 
@@ -280,9 +223,9 @@ func Run(w Workload, cfg Config) Result {
 	cfg.defaults()
 	res := Result{Workload: w.Name, Ops: len(w.Ops)}
 	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(cfg.DeviceSize)
+	dev := pmem.New(deviceSize)
 	defer dev.Release()
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: w.Mode})
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, InodesPerCPU: 512, Mode: w.Mode})
 	if err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("mkfs: %v", err))
 		return res
@@ -296,104 +239,50 @@ func Run(w Workload, cfg Config) Result {
 	rng := sim.NewRand(cfg.Seed + 77)
 
 	for k, o := range w.Ops {
-		before := captureState(ctx, fs)
-		base := dev.Snapshot()
-		dev.StartTrace()
-		opErr := apply(ctx, fs, o)
-		trace := dev.StopTrace()
-		after := captureState(ctx, fs)
+		before := vfs.State(ctx, fs)
+		rec, opErr := dev.Record(func() error { return apply(ctx, fs, o) })
+		after := vfs.State(ctx, fs)
 		if opErr != nil {
 			// The op legitimately failed (e.g. unlink of missing file):
-			// nothing in flight to explore beyond full/none.
+			// nothing in flight to explore.
 			continue
 		}
-		maxEpoch := 0
-		for _, s := range trace {
-			if s.Epoch > maxEpoch {
-				maxEpoch = s.Epoch
+		rec.Crashes(cfg.MaxSubsets, rng, func(img *pmem.Image, e int, mask uint64) bool {
+			res.CrashStates++
+			pre, inflight, returned := before, o, ""
+			if e > rec.Last() {
+				// The operation is synchronous: with every store of it
+				// durable, the state is the one after it, and no other — an
+				// acknowledged write that a mount reads back as the hole it
+				// filled is "before".
+				pre, inflight, returned = after, Op{}, ", returned"
 			}
-		}
-		// For every fence boundary, explore persistence subsets of that
-		// epoch's in-flight stores.
-		for e := 0; e <= maxEpoch; e++ {
-			var durable []pmem.Store
-			var inflight []pmem.Store
-			for _, s := range trace {
-				switch {
-				case s.Epoch < e:
-					durable = append(durable, s)
-				case s.Epoch == e:
-					inflight = append(inflight, s)
-				}
+			if msg := checkCrashState(img, w.Mode, pre, after, inflight, e, mask); msg != "" {
+				res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s)%s: %s", k, o, returned, msg))
 			}
-			subsets := enumerate(len(inflight), cfg.MaxSubsets, rng)
-			for _, mask := range subsets {
-				img := base.Clone()
-				img.Apply(durable)
-				var chosen []pmem.Store
-				for i, s := range inflight {
-					if mask&(1<<uint(i)) != 0 {
-						chosen = append(chosen, s)
-					}
-				}
-				img.Apply(chosen)
-				res.CrashStates++
-				if msg := checkCrashState(img, cfg, w.Mode, before, after, o, e, mask); msg != "" {
-					res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s): %s", k, o, msg))
-					if len(res.Failures) > 20 {
-						return res
-					}
-				}
-			}
-		}
-		// The operation is synchronous: with every store of it durable, the
-		// state is the one after it, and no other — an acknowledged write
-		// that a mount reads back as the hole it filled is "before".
-		img := base.Clone()
-		img.Apply(trace)
-		res.CrashStates++
-		if msg := checkCrashState(img, cfg, w.Mode, after, after, Op{}, maxEpoch+1, 0); msg != "" {
-			res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s), returned: %s", k, o, msg))
+			return len(res.Failures) <= 20
+		})
+		if len(res.Failures) > 20 {
+			return res
 		}
 	}
 	return res
 }
 
-// enumerate yields subset bitmasks of n in-flight stores: exhaustive when
-// small, sampled otherwise. Always includes none-persisted and
-// all-persisted.
-func enumerate(n, maxSubsets int, rng *sim.Rand) []uint64 {
-	if n == 0 {
-		return []uint64{0}
-	}
-	if n <= 16 && 1<<uint(n) <= maxSubsets {
-		out := make([]uint64, 1<<uint(n))
-		for i := range out {
-			out[i] = uint64(i)
-		}
-		return out
-	}
-	out := []uint64{0, (1 << uint(n)) - 1}
-	for len(out) < maxSubsets {
-		out = append(out, rng.Uint64()&((1<<uint(n))-1))
-	}
-	return out
-}
-
 // checkCrashState recovers one crash image and validates it.
-func checkCrashState(img *pmem.Image, cfg Config, mode vfs.ConsistencyMode, before, after State, o Op, epoch int, mask uint64) string {
-	scratch := pmem.New(cfg.DeviceSize)
+func checkCrashState(img *pmem.Image, mode vfs.ConsistencyMode, before, after string, o Op, epoch int, mask uint64) string {
+	scratch := pmem.New(deviceSize)
 	defer scratch.Release()
 	scratch.Restore(img)
 	rctx := sim.NewCtx(2, 0)
-	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Mode: mode})
+	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cpus, InodesPerCPU: 512, Mode: mode})
 	if err != nil {
 		return fmt.Sprintf("epoch %d mask %x: mount failed: %v", epoch, mask, err)
 	}
 	if rep := winefs.Check(scratch); !rep.OK() {
 		return fmt.Sprintf("epoch %d mask %x: fsck: %s", epoch, mask, rep.Errors[0])
 	}
-	got := captureState(rctx, rfs)
+	got := vfs.State(rctx, rfs)
 	if !crashAtomic(got, before, after, o, mode) {
 		return fmt.Sprintf("epoch %d mask %x: atomicity violated:\n got: %q\n pre: %q\npost: %q",
 			epoch, mask, got, before, after)

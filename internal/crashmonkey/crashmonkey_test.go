@@ -9,42 +9,6 @@ import (
 	"repro/internal/winefs"
 )
 
-func TestEnumerate(t *testing.T) {
-	rng := sim.NewRand(1)
-	if got := enumerate(0, 256, rng); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("n=0: %v", got)
-	}
-	got := enumerate(3, 256, rng)
-	if len(got) != 8 {
-		t.Fatalf("n=3 exhaustive: %d subsets", len(got))
-	}
-	got = enumerate(30, 64, rng)
-	if len(got) != 64 {
-		t.Fatalf("n=30 sampled: %d", len(got))
-	}
-	if got[0] != 0 || got[1] != (1<<30)-1 {
-		t.Fatal("sampled set must include none/all")
-	}
-}
-
-func TestCaptureStateCanonical(t *testing.T) {
-	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(64 << 20)
-	fs, _ := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: 2})
-	fs.Mkdir(ctx, "/d")
-	f, _ := fs.Create(ctx, "/d/f")
-	f.Append(ctx, make([]byte, 123))
-	s1 := captureState(ctx, fs)
-	s2 := captureState(ctx, fs)
-	if s1 != s2 || s1 == "" {
-		t.Fatalf("capture not deterministic: %q vs %q", s1, s2)
-	}
-	fs.Unlink(ctx, "/d/f")
-	if captureState(ctx, fs) == s1 {
-		t.Fatal("state did not change after unlink")
-	}
-}
-
 // bothModes crash-explores every workload on a relaxed and on a strict
 // mount: the header write at commit is the same code in both, what leads up
 // to it (in-place against copy-on-write) is not.
@@ -94,19 +58,19 @@ func TestStateSeesData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hole := captureState(ctx, fs)
+	hole := vfs.State(ctx, fs)
 	w := Op{Kind: OpWrite, A: "/f", Off: 4096, Size: 4096}
 	if err := apply(ctx, fs, w); err != nil {
 		t.Fatal(err)
 	}
-	written := captureState(ctx, fs)
+	written := vfs.State(ctx, fs)
 	if written == hole {
 		t.Fatal("a write into a hole left the state unchanged")
 	}
 	if err := apply(ctx, fs, Op{Kind: OpMapStore, A: "/f", Off: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	stored := captureState(ctx, fs)
+	stored := vfs.State(ctx, fs)
 	if stored == written {
 		t.Fatal("a mapped store left the state unchanged")
 	}

@@ -56,22 +56,12 @@ func (m FaultMode) String() string {
 type FaultCampaignConfig struct {
 	// Runs is the number of seeded runs (default 120).
 	Runs int
-	// DeviceSize for the scratch FS (default 64 MiB).
-	DeviceSize int64
-	// CPUs for the WineFS instance (default 2).
-	CPUs int
 	Seed uint64
 }
 
 func (c *FaultCampaignConfig) defaults() {
 	if c.Runs == 0 {
 		c.Runs = 120
-	}
-	if c.DeviceSize == 0 {
-		c.DeviceSize = 64 << 20
-	}
-	if c.CPUs == 0 {
-		c.CPUs = 2
 	}
 }
 
@@ -143,7 +133,7 @@ func RunFaultCampaign(cfg FaultCampaignConfig) *FaultCampaignResult {
 		// workload is tiered in every other cycle.
 		tiered := i%2 == 1
 		if msg := guardRun(func() string {
-			return faultRun(w, cfg, seed, mode, tiered, &perRun[i])
+			return faultRun(w, seed, mode, tiered, &perRun[i])
 		}); msg != "" {
 			msgs[i] = fmt.Sprintf("run %d (%s, %s, tiered=%v, seed %#x): %s", i, w.Name, mode, tiered, seed, msg)
 		}
@@ -189,16 +179,16 @@ func guardRun(f func() string) (msg string) {
 // completion, so a crash image from unit k must not see slow-tier writes
 // from the units after it (a later spill may legitimately reuse blocks a
 // committed promotion freed).
-func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, tiered bool, res *FaultCampaignResult) string {
+func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCampaignResult) string {
 	rng := sim.NewRand(seed)
 	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(cfg.DeviceSize)
+	dev := pmem.New(deviceSize)
 	defer dev.Release()
 	var slow *tier.SlowDevice
 	var topts *winefs.TierOptions
 	var slowBlocks int64
 	if tiered {
-		slow = tier.NewSlow(tier.DefaultSlowConfig(cfg.DeviceSize / 2))
+		slow = tier.NewSlow(tier.DefaultSlowConfig(deviceSize / 2))
 		defer slow.Release()
 		// The ACE workloads write a few KiB against a pool of ~16k blocks,
 		// so the marks must be effectively zero for any of it to spill:
@@ -208,7 +198,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		slowBlocks = slow.Size() / winefs.BlockSize
 		res.TierRuns++
 	}
-	opts := winefs.Options{CPUs: cfg.CPUs, InodesPerCPU: 512, Tier: topts, Mode: w.Mode}
+	opts := winefs.Options{CPUs: cpus, InodesPerCPU: 512, Tier: topts, Mode: w.Mode}
 	fs, err := winefs.Mkfs(ctx, dev, opts)
 	if err != nil {
 		return fmt.Sprintf("mkfs: %v", err)
@@ -221,24 +211,20 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 
 	// Replay the workload as a sequence of crashable units (ops, and on
 	// tiered runs the migration passes between them), keeping per-unit
-	// snapshots, traces and the before/after oracle states.
+	// recordings and the before/after oracle states.
 	type crashUnit struct {
-		base      *pmem.Image
+		rec       *pmem.Recording
 		slowAfter *pmem.Image // slow-tier contents after the unit; nil untiered
-		trace     []pmem.Store
-		pre, post State
+		pre, post string
 		op        Op // the zero Op for a migration pass
 	}
 	var units []crashUnit
-	prev := captureState(ctx, fs)
+	prev := vfs.State(ctx, fs)
 	record := func(o Op, f func() error) {
-		base := dev.Snapshot()
-		dev.StartTrace()
-		err := f()
-		trace := dev.StopTrace()
-		cur := captureState(ctx, fs)
-		if err == nil && len(trace) > 0 {
-			u := crashUnit{base: base, trace: trace, pre: prev, post: cur, op: o}
+		rec, err := dev.Record(f)
+		cur := vfs.State(ctx, fs)
+		if err == nil && len(rec.Stores) > 0 {
+			u := crashUnit{rec: rec, pre: prev, post: cur, op: o}
 			if slow != nil {
 				u.slowAfter = slow.Snapshot()
 			}
@@ -277,31 +263,14 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	var img *pmem.Image
 	var slowImg *pmem.Image
 	var injured []pmem.Store // stores whose lines are poison candidates
-	var pre, post State      // the atomicity oracle: the states around inflight
+	var pre, post string     // the atomicity oracle: the states around inflight
 	var inflight Op
 	switch mode {
 	case ModeTorn, ModePoisonCrash:
 		u := units[rng.Intn(len(units))]
-		maxEpoch := 0
-		for _, s := range u.trace {
-			if s.Epoch > maxEpoch {
-				maxEpoch = s.Epoch
-			}
-		}
-		e := rng.Intn(maxEpoch + 1)
-		var durable []pmem.Store
-		for _, s := range u.trace {
-			if s.Epoch <= e {
-				durable = append(durable, s)
-				if s.Epoch == e {
-					injured = append(injured, s)
-				}
-			}
-		}
-		keep := 0.2 + 0.6*rng.Float64()
-		torn := pmem.TearStores(durable, e, keep, rng)
-		img = u.base.Clone()
-		img.Apply(torn)
+		e := rng.Intn(u.rec.Last() + 1)
+		injured = u.rec.Epoch(e)
+		img = u.rec.Torn(e, 0.2+0.6*rng.Float64(), rng)
 		slowImg = u.slowAfter
 		pre, post, inflight = u.pre, u.post, u.op
 	case ModePoisonLive:
@@ -310,7 +279,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		}
 		img = dev.Snapshot()
 		for i := range units {
-			injured = append(injured, units[i].trace...)
+			injured = append(injured, units[i].rec.Stores...)
 		}
 		if slow != nil {
 			slowImg = slow.Snapshot()
@@ -318,7 +287,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 		pre, post = prev, prev
 	}
 
-	scratch := pmem.New(cfg.DeviceSize)
+	scratch := pmem.New(deviceSize)
 	defer scratch.Release()
 	scratch.Restore(img)
 	if slowImg != nil {
@@ -363,7 +332,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	if reason, degraded := rfs.Degraded(); degraded {
 		// Rung 3: read-only fallback. Reads must keep working (no panic;
 		// errors must be EIO) and every mutation must refuse cleanly.
-		_ = captureState(rctx, rfs)
+		_ = vfs.State(rctx, rfs)
 		if msg := readAllFiles(rctx, rfs, res); msg != "" {
 			return fmt.Sprintf("degraded (%s): %s", reason, msg)
 		}
@@ -378,7 +347,7 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 	}
 	// Rung 1: transparent recovery. The namespace must match the atomicity
 	// oracle and the image must pass fsck.
-	if got := captureState(rctx, rfs); !crashAtomic(got, pre, post, inflight, w.Mode) {
+	if got := vfs.State(rctx, rfs); !crashAtomic(got, pre, post, inflight, w.Mode) {
 		return fmt.Sprintf("atomicity violated:\n got: %q\n pre: %q\npost: %q", got, pre, post)
 	}
 	if rep := winefs.CheckTiered(scratch, slowBlocks); !rep.OK() {
@@ -403,64 +372,52 @@ func faultRun(w Workload, cfg FaultCampaignConfig, seed uint64, mode FaultMode, 
 // DataByte (the campaign's workloads write nothing else), so any other byte
 // is silent corruption.
 func readAllFiles(ctx *sim.Ctx, fs vfs.FS, res *FaultCampaignResult) string {
-	var walk func(dir string) string
-	walk = func(dir string) string {
-		ents, err := fs.ReadDir(ctx, dir)
+	buf := make([]byte, 1<<16)
+	err := vfs.Walk(ctx, fs, func(p string, e vfs.DirEntry, err error) error {
+		switch {
+		case errors.Is(err, vfs.ErrIO):
+			res.DataEIOReads++
+			return nil
+		case err != nil:
+			return fmt.Errorf("readdir %s: non-EIO error %v", p, err)
+		case e.IsDir:
+			return nil
+		}
+		f, err := fs.Open(ctx, p)
 		if err != nil {
 			if errors.Is(err, vfs.ErrIO) {
 				res.DataEIOReads++
-				return ""
+				return nil
 			}
-			return fmt.Sprintf("readdir %s: non-EIO error %v", dir, err)
+			return fmt.Errorf("open %s: non-EIO error %v", p, err)
 		}
-		for _, e := range ents {
-			p := dir + "/" + e.Name
-			if dir == "/" {
-				p = "/" + e.Name
-			}
-			if e.IsDir {
-				if msg := walk(p); msg != "" {
-					return msg
-				}
-				continue
-			}
-			f, err := fs.Open(ctx, p)
+		defer f.Close(ctx)
+		fi, err := fs.Stat(ctx, p)
+		if err != nil {
+			return nil
+		}
+		for off := int64(0); off < fi.Size; off += int64(len(buf)) {
+			n := min(fi.Size-off, int64(len(buf)))
+			m, err := f.ReadAt(ctx, buf[:n], off)
 			if err != nil {
 				if errors.Is(err, vfs.ErrIO) {
 					res.DataEIOReads++
 					continue
 				}
-				return fmt.Sprintf("open %s: non-EIO error %v", p, err)
+				return fmt.Errorf("read %s@%d: non-EIO error %v", p, off, err)
 			}
-			fi, err := fs.Stat(ctx, p)
-			if err != nil {
-				continue
-			}
-			buf := make([]byte, 1<<16)
-			for off := int64(0); off < fi.Size; off += int64(len(buf)) {
-				n := fi.Size - off
-				if n > int64(len(buf)) {
-					n = int64(len(buf))
-				}
-				m, err := f.ReadAt(ctx, buf[:n], off)
-				if err != nil {
-					if errors.Is(err, vfs.ErrIO) {
-						res.DataEIOReads++
-						continue
-					}
-					return fmt.Sprintf("read %s@%d: non-EIO error %v", p, off, err)
-				}
-				for j := 0; j < m; j++ {
-					if buf[j] != 0 && buf[j] != DataByte {
-						return fmt.Sprintf("SILENT CORRUPTION: %s@%d byte %d = %#x, want 0 or %#x", p, off, j, buf[j], DataByte)
-					}
+			for j := 0; j < m; j++ {
+				if buf[j] != 0 && buf[j] != DataByte {
+					return fmt.Errorf("SILENT CORRUPTION: %s@%d byte %d = %#x, want 0 or %#x", p, off, j, buf[j], DataByte)
 				}
 			}
-			f.Close(ctx)
 		}
-		return ""
+		return nil
+	})
+	if err != nil {
+		return err.Error()
 	}
-	return walk("/")
+	return ""
 }
 
 // repairAndRemount runs the offline repairing fsck on a copy of the injured

@@ -84,36 +84,23 @@ func TestRepairPoisonedJournalTail(t *testing.T) {
 	if _, err := f.Append(ctx, make([]byte, 8192)); err != nil {
 		t.Fatal(err)
 	}
-	before := captureState(ctx, fs)
-	base := dev.Snapshot()
-	dev.StartTrace()
-	if _, err := fs.Create(ctx, "/d/inflight"); err != nil {
+	before := vfs.State(ctx, fs)
+	rec, err := dev.Record(func() error { _, err := fs.Create(ctx, "/d/inflight"); return err })
+	if err != nil {
 		t.Fatal(err)
 	}
-	trace := dev.StopTrace()
-	after := captureState(ctx, fs)
+	after := vfs.State(ctx, fs)
 
-	// Crash image: cut mid-operation, then poison the journal lines the
-	// in-flight transaction wrote (the "journal tail").
-	maxEpoch := 0
-	for _, s := range trace {
-		if s.Epoch > maxEpoch {
-			maxEpoch = s.Epoch
-		}
-	}
-	img := base.Clone()
+	// Crash image: cut at the operation's last fence, then poison the
+	// journal lines the in-flight transaction wrote (the "journal tail").
+	img := rec.Cut(rec.Last())
 	jlo, jhi := winefs.JournalRegion(dev, 0)
-	var durable []pmem.Store
 	var tail []pmem.Store
-	for _, s := range trace {
-		if s.Epoch < maxEpoch {
-			durable = append(durable, s)
-		}
+	for _, s := range rec.Stores {
 		if s.Off >= jlo && s.Off < jhi {
 			tail = append(tail, s)
 		}
 	}
-	img.Apply(durable)
 	if len(tail) == 0 {
 		t.Fatal("create transaction wrote nothing to the journal")
 	}
@@ -160,7 +147,7 @@ func TestRepairPoisonedJournalTail(t *testing.T) {
 	if reason, degraded := mfs.Degraded(); degraded {
 		t.Fatalf("post-repair mount degraded: %s", reason)
 	}
-	got := captureState(mctx, mfs)
+	got := vfs.State(mctx, mfs)
 	if got != before && got != after {
 		t.Fatalf("post-repair namespace diverged:\n got: %q\n pre: %q\npost: %q", got, before, after)
 	}

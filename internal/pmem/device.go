@@ -9,11 +9,13 @@
 //     multi-GiB simulated partitions don't consume multi-GiB of host RAM;
 //   - virtual-time cost accounting for loads, stores, flushes and fences,
 //     with a shared bandwidth resource per NUMA node;
-//   - an optional store trace with fence epochs, which the crash-consistency
-//     harness uses to build crash states from real in-flight reorderings.
+//   - an optional store trace with fence epochs; a Recording (Record) holds
+//     one operation's, and every crash-consistency test builds its crash
+//     states — real in-flight reorderings — from one.
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -763,8 +765,8 @@ type Store struct {
 	Epoch int
 }
 
-// StartTrace begins recording stores. The caller should snapshot the device
-// first if it wants to reconstruct crash states.
+// StartTrace begins recording stores. A caller that wants to reconstruct
+// crash states uses Record, which snapshots the device first.
 func (d *Device) StartTrace() {
 	d.traceMu.Lock()
 	d.tracing = true
@@ -907,6 +909,46 @@ func (img *Image) ForEachChunk(f func(off int64, data []byte)) {
 	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
 	for _, base := range offs {
 		f(base, img.chunks[base])
+	}
+}
+
+// Diffs compares img with other chunk by chunk in ascending offset order (a
+// chunk one of them lacks reads as zeros) and calls fn with the span of
+// each chunk that differs, from its first differing byte to its last. It
+// stops when fn returns false.
+func (img *Image) Diffs(other *Image, fn func(off, n int64) bool) {
+	offs := make([]int64, 0, len(img.chunks)+len(other.chunks))
+	for base := range img.chunks {
+		offs = append(offs, base)
+	}
+	for base := range other.chunks {
+		if img.chunks[base] == nil {
+			offs = append(offs, base)
+		}
+	}
+	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+	zero := make([]byte, ChunkSize)
+	for _, base := range offs {
+		x, y := img.chunks[base], other.chunks[base]
+		if x == nil {
+			x = zero
+		}
+		if y == nil {
+			y = zero
+		}
+		if bytes.Equal(x, y) {
+			continue
+		}
+		lo, hi := 0, len(x)
+		for x[lo] == y[lo] {
+			lo++
+		}
+		for x[hi-1] == y[hi-1] {
+			hi--
+		}
+		if !fn(base+int64(lo), int64(hi-lo)) {
+			return
+		}
 	}
 }
 

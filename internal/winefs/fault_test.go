@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,38 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
-
-// nsString is a canonical namespace snapshot for oracle comparisons.
-func nsString(t *testing.T, ctx *sim.Ctx, fs *FS) string {
-	t.Helper()
-	var lines []string
-	var walk func(dir string)
-	walk = func(dir string) {
-		ents, err := fs.ReadDir(ctx, dir)
-		if err != nil {
-			t.Fatalf("readdir %s: %v", dir, err)
-		}
-		for _, e := range ents {
-			p := dir + "/" + e.Name
-			if dir == "/" {
-				p = "/" + e.Name
-			}
-			if e.IsDir {
-				lines = append(lines, p+" dir")
-				walk(p)
-			} else {
-				fi, err := fs.Stat(ctx, p)
-				if err != nil {
-					t.Fatalf("stat %s: %v", p, err)
-				}
-				lines = append(lines, fmt.Sprintf("%s file %d", p, fi.Size))
-			}
-		}
-	}
-	walk("/")
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
 
 // TestTxOverflowAbortsCleanly: an operation that logs more entries than
 // the journal has slots cannot be one transaction, so it fails with the
@@ -253,7 +220,7 @@ func TestWraparoundCrashRecovery(t *testing.T) {
 		if rep := Check(scratch); !rep.OK() {
 			t.Fatalf("post-recovery fsck: %v", rep.Errors)
 		}
-		return nsString(t, rctx, rfs), int(j.wrap)
+		return vfs.State(rctx, rfs), int(j.wrap)
 	}
 	control, _ := run(false)
 	wrapped, wrap := run(true)
@@ -289,15 +256,12 @@ func TestWraparoundLargeOperation(t *testing.T) {
 			old := make([]byte, 26*BlockSize)
 			written := bytes.Repeat([]byte{0x5a}, len(old))
 
-			base := dev.Snapshot()
-			dev.StartTrace()
-			_, err = f.WriteAt(ctx, written, 0)
-			trace := dev.StopTrace()
+			rec, err := dev.Record(func() error { _, err := f.WriteAt(ctx, written, 0); return err })
 			if err != nil {
 				t.Fatal(err)
 			}
 			slots := -1 // the header's
-			for _, s := range trace {
+			for _, s := range rec.Stores {
 				if s.Off < jlo || s.Off >= jlo+JournalBlocks*BlockSize {
 					continue
 				}
@@ -317,10 +281,8 @@ func TestWraparoundLargeOperation(t *testing.T) {
 				t.Fatalf("tail %d after %d slots, wrap %d: the write did not start at slot 1", j.tail, slots, j.wrap)
 			}
 
-			maxEpoch := trace[len(trace)-1].Epoch
-			img := base.Clone()
-			for cut := 0; cut <= maxEpoch+1; cut++ {
-				dev.Restore(img)
+			for cut := 0; cut <= rec.Last()+1; cut++ {
+				dev.Restore(rec.Cut(cut))
 				rctx := sim.NewCtx(2, 0)
 				rfs, err := Mount(rctx, dev, opts)
 				if err != nil {
@@ -344,18 +306,11 @@ func TestWraparoundLargeOperation(t *testing.T) {
 					t.Fatalf("cut %d: read: %v", cut, err)
 				}
 				switch {
-				case cut == maxEpoch+1 && !bytes.Equal(got, written):
+				case cut == rec.Last()+1 && !bytes.Equal(got, written):
 					t.Fatalf("every store durable, yet /f does not read as written")
 				case !bytes.Equal(got, old) && !bytes.Equal(got, written):
 					t.Fatalf("cut %d: /f is neither as it was nor as written", cut)
 				}
-				var epoch []pmem.Store
-				for _, s := range trace {
-					if s.Epoch == cut {
-						epoch = append(epoch, s)
-					}
-				}
-				img.Apply(epoch)
 			}
 		})
 	}
@@ -875,9 +830,10 @@ func TestOnePassPoisonLeavesNoTrace(t *testing.T) {
 					t.Errorf("the failed call left a trace of %s in DRAM:\nbefore %+v\nafter  %+v", p, before[i], after)
 				}
 			}
-			if off := imageDiff(img, dev.Snapshot()); off >= 0 {
+			img.Diffs(dev.Snapshot(), func(off, _ int64) bool {
 				t.Errorf("the failed call changed the media at %d", off)
-			}
+				return false
+			})
 		})
 	}
 }
@@ -903,34 +859,4 @@ func appended(t *testing.T, ctx *sim.Ctx, fs *FS, path string, n int) vfs.File {
 		}
 	}
 	return f
-}
-
-// imageDiff returns the first device offset at which two images differ, or
-// -1 (a chunk one image lacks reads as zeros).
-func imageDiff(a, b *pmem.Image) int64 {
-	chunks := func(img *pmem.Image) map[int64][]byte {
-		m := make(map[int64][]byte)
-		img.ForEachChunk(func(off int64, data []byte) { m[off] = data })
-		return m
-	}
-	ca, cb := chunks(a), chunks(b)
-	zero := make([]byte, pmem.ChunkSize)
-	first := int64(-1)
-	for _, pair := range [][2]map[int64][]byte{{ca, cb}, {cb, ca}} {
-		for off, x := range pair[0] {
-			y := pair[1][off]
-			if y == nil {
-				y = zero
-			}
-			for i := range x {
-				if x[i] != y[i] {
-					if d := off + int64(i); first < 0 || d < first {
-						first = d
-					}
-					break
-				}
-			}
-		}
-	}
-	return first
 }

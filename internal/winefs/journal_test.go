@@ -352,99 +352,60 @@ func TestHeaderSurvivesReload(t *testing.T) {
 	}
 }
 
+// TestCrashDuringCreateIsAtomic: a crash at any fence of a create recovers
+// to the namespace without the file or with all of it.
 func TestCrashDuringCreateIsAtomic(t *testing.T) {
-	// End-to-end: snapshot the device, run a create, then restore crash
-	// states that cut the store sequence at every fence epoch. After
-	// recovery the file either fully exists or doesn't exist at all.
+	everyCut(t, func(ctx *sim.Ctx, fs *FS) error {
+		_, err := fs.Create(ctx, "/pre") // so the create is a pure metadata op
+		return err
+	}, func(ctx *sim.Ctx, fs *FS) error {
+		_, err := fs.Create(ctx, "/victim")
+		return err
+	})
+}
+
+// TestCrashStatesOfUnlink: a crash at any fence of an unlink recovers to
+// the file whole, bytes included, or gone.
+func TestCrashStatesOfUnlink(t *testing.T) {
+	everyCut(t, func(ctx *sim.Ctx, fs *FS) error {
+		f, err := fs.Create(ctx, "/doomed")
+		if err == nil {
+			_, err = f.WriteAt(ctx, []byte("data"), 0)
+		}
+		return err
+	}, func(ctx *sim.Ctx, fs *FS) error { return fs.Unlink(ctx, "/doomed") })
+}
+
+// everyCut runs setup on a fresh mount, records op, and recovers a crash at
+// every fence of op: each recovered mount must show what the live one
+// showed before op or after it, and once every store is durable, after it.
+func everyCut(t *testing.T, setup, op func(*sim.Ctx, *FS) error) {
+	t.Helper()
+	opts := Options{CPUs: 2}
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(128 << 20)
-	fs, err := Mkfs(ctx, dev, Options{CPUs: 2})
+	fs, err := Mkfs(ctx, dev, opts)
+	if err == nil {
+		err = setup(ctx, fs)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-populate so the create is a pure metadata op.
-	if _, err := fs.Create(ctx, "/pre"); err != nil {
-		t.Fatal(err)
+	before := vfs.State(ctx, fs)
+	rec, err := dev.Record(func() error { return op(ctx, fs) })
+	if err != nil || len(rec.Stores) == 0 {
+		t.Fatalf("the operation stored %d times: %v", len(rec.Stores), err)
 	}
-	base := dev.Snapshot()
-	dev.StartTrace()
-	if _, err := fs.Create(ctx, "/victim"); err != nil {
-		t.Fatal(err)
-	}
-	trace := dev.StopTrace()
-	if len(trace) == 0 {
-		t.Fatal("create produced no stores")
-	}
-	maxEpoch := trace[len(trace)-1].Epoch
-	for cut := 0; cut <= maxEpoch+1; cut++ {
-		img := base.Clone()
-		var applied []pmem.Store
-		for _, s := range trace {
-			if s.Epoch < cut {
-				applied = append(applied, s)
-			}
-		}
-		img.Apply(applied)
-		dev.Restore(img)
+	after := vfs.State(ctx, fs)
+	for cut := 0; cut <= rec.Last()+1; cut++ {
+		dev.Restore(rec.Cut(cut))
 		rctx := sim.NewCtx(2, 0)
-		rfs, err := Mount(rctx, dev, Options{CPUs: 2})
+		rfs, err := Mount(rctx, dev, opts)
 		if err != nil {
 			t.Fatalf("cut %d: mount: %v", cut, err)
 		}
-		_, errPre := rfs.Stat(rctx, "/pre")
-		if errPre != nil {
-			t.Fatalf("cut %d: /pre lost: %v", cut, errPre)
-		}
-		_, errV := rfs.Stat(rctx, "/victim")
-		if errV != nil && errV != vfs.ErrNotExist {
-			t.Fatalf("cut %d: inconsistent state: %v", cut, errV)
-		}
-		// If the file exists it must be fully usable.
-		if errV == nil {
-			if _, err := rfs.Open(rctx, "/victim"); err != nil {
-				t.Fatalf("cut %d: victim exists but unusable: %v", cut, err)
-			}
-		}
-	}
-}
-
-func TestCrashStatesOfUnlink(t *testing.T) {
-	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(128 << 20)
-	fs, _ := Mkfs(ctx, dev, Options{CPUs: 2})
-	f, _ := fs.Create(ctx, "/doomed")
-	f.WriteAt(ctx, []byte("data"), 0)
-	base := dev.Snapshot()
-	dev.StartTrace()
-	if err := fs.Unlink(ctx, "/doomed"); err != nil {
-		t.Fatal(err)
-	}
-	trace := dev.StopTrace()
-	maxEpoch := trace[len(trace)-1].Epoch
-	for cut := 0; cut <= maxEpoch+1; cut++ {
-		img := base.Clone()
-		var applied []pmem.Store
-		for _, s := range trace {
-			if s.Epoch < cut {
-				applied = append(applied, s)
-			}
-		}
-		img.Apply(applied)
-		dev.Restore(img)
-		rctx := sim.NewCtx(2, 0)
-		rfs, err := Mount(rctx, dev, Options{CPUs: 2})
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		_, errV := rfs.Stat(rctx, "/doomed")
-		if errV == nil {
-			// Still present: content must be intact.
-			g, err := rfs.Open(rctx, "/doomed")
-			if err != nil || g.Size() != 4 {
-				t.Fatalf("cut %d: partial unlink: %v size=%d", cut, err, g.Size())
-			}
-		} else if errV != vfs.ErrNotExist {
-			t.Fatalf("cut %d: %v", cut, errV)
+		if got := vfs.State(rctx, rfs); got != after && (got != before || cut > rec.Last()) {
+			t.Fatalf("cut %d of %d recovers\n%s\nbefore:\n%s\nafter:\n%s", cut, rec.Last()+1, got, before, after)
 		}
 	}
 }

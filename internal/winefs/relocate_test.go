@@ -274,15 +274,12 @@ func TestRelocateCrashSweep(t *testing.T) {
 			files := tc.setup(t, ctx, fs)
 			oldLayout := layoutOf(t, ctx, fs, files)
 
-			base := dev.Snapshot()
 			var slowImg *pmem.Image
 			if tc.slowBefore {
 				slowImg = slow.Snapshot()
 			}
-			dev.StartTrace()
-			tc.move(t, ctx, fs)
-			trace := dev.StopTrace()
-			if len(trace) == 0 {
+			rec, _ := dev.Record(func() error { tc.move(t, ctx, fs); return nil })
+			if len(rec.Stores) == 0 {
 				t.Fatal("the move produced no PM stores")
 			}
 			if tc.tiered && !tc.slowBefore {
@@ -290,13 +287,9 @@ func TestRelocateCrashSweep(t *testing.T) {
 			}
 			newLayout := layoutOf(t, ctx, fs, files)
 
-			maxEpoch := trace[len(trace)-1].Epoch
 			rng := sim.NewRand(1)
-			recoverAt := func(label string, img *pmem.Image, torn []pmem.Store) map[string][]int64 {
+			recoverAt := func(label string, img *pmem.Image) map[string][]int64 {
 				dev.Restore(img)
-				for _, s := range torn {
-					dev.WriteAt(s.Data, s.Off)
-				}
 				if slowImg != nil {
 					slow.Restore(slowImg)
 				}
@@ -342,20 +335,12 @@ func TestRelocateCrashSweep(t *testing.T) {
 				return got
 			}
 			var first, last map[string][]int64
-			onFence := base // every store of an epoch before cut, nothing later
-			for cut := 0; cut <= maxEpoch+1; cut++ {
-				last = recoverAt(fmt.Sprintf("cut before epoch %d", cut), onFence, nil)
+			for cut := 0; cut <= rec.Last()+1; cut++ {
+				last = recoverAt(fmt.Sprintf("cut before epoch %d", cut), rec.Cut(cut))
 				if cut == 0 {
 					first = last
 				}
-				var crashEpoch []pmem.Store
-				for _, s := range trace {
-					if s.Epoch == cut {
-						crashEpoch = append(crashEpoch, s)
-					}
-				}
-				recoverAt(fmt.Sprintf("torn in epoch %d", cut), onFence, pmem.TearStores(crashEpoch, cut, 0.5, rng))
-				onFence.Apply(crashEpoch)
+				recoverAt(fmt.Sprintf("torn in epoch %d", cut), rec.Torn(cut, 0.5, rng))
 			}
 			// The sweep must straddle every commit point of the move.
 			if fmt.Sprint(first) != fmt.Sprint(oldLayout) {

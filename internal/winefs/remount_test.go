@@ -3,8 +3,6 @@ package winefs
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"strings"
 	"testing"
 
@@ -15,53 +13,24 @@ import (
 )
 
 // tree lists the paths of a mount's files and of its directories, the root
-// included.
+// included, in the order vfs.Walk meets them.
 func tree(t *testing.T, ctx *sim.Ctx, fs *FS) (files, dirs []string) {
 	t.Helper()
-	dirs = []string{"/"}
-	for i := 0; i < len(dirs); i++ {
-		ents, err := fs.ReadDir(ctx, dirs[i])
-		if err != nil {
-			t.Fatalf("readdir %s: %v", dirs[i], err)
+	err := vfs.Walk(ctx, fs, func(p string, e vfs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return fmt.Errorf("readdir %s: %w", p, err)
+		case e.IsDir:
+			dirs = append(dirs, p)
+		default:
+			files = append(files, p)
 		}
-		for _, e := range ents {
-			if p := strings.TrimSuffix(dirs[i], "/") + "/" + e.Name; e.IsDir {
-				dirs = append(dirs, p)
-			} else {
-				files = append(files, p)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return files, dirs
-}
-
-// visibleState is what an application can see of a mount: every name with
-// its kind, size, link count and a checksum of its bytes.
-func visibleState(t *testing.T, ctx *sim.Ctx, fs *FS) string {
-	t.Helper()
-	files, dirs := tree(t, ctx, fs)
-	var lines []string
-	for _, p := range append(dirs, files...) {
-		fi, err := fs.Stat(ctx, p)
-		if err != nil {
-			t.Fatalf("stat %s: %v", p, err)
-		}
-		if fi.IsDir {
-			lines = append(lines, fmt.Sprintf("%s dir nlink=%d", p, fi.Nlink))
-			continue
-		}
-		f, err := fs.Open(ctx, p)
-		if err != nil {
-			t.Fatalf("open %s: %v", p, err)
-		}
-		buf := make([]byte, fi.Size)
-		if n, err := f.ReadAt(ctx, buf, 0); err != nil || int64(n) != fi.Size {
-			t.Fatalf("read %s: %d of %d bytes, %v", p, n, fi.Size, err)
-		}
-		lines = append(lines, fmt.Sprintf("%s file size=%d nlink=%d crc=%08x", p, fi.Size, fi.Nlink, crc32.ChecksumIEEE(buf)))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 // remountEquivalent holds the mount to the rule the test is named for: what
@@ -70,7 +39,10 @@ func visibleState(t *testing.T, ctx *sim.Ctx, fs *FS) string {
 // remounted file system; the caller goes on with that one.
 func remountEquivalent(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, opts Options, when string) *FS {
 	t.Helper()
-	want := visibleState(t, ctx, fs)
+	want := vfs.State(ctx, fs)
+	if strings.Contains(want, " ERR ") || strings.Contains(want, "=EIO") {
+		t.Fatalf("%s: the live mount cannot show all of itself:\n%s", when, want)
+	}
 	if err := fs.Audit(ctx); err != nil {
 		t.Fatalf("%s: audit of the live mount: %v", when, err)
 	}
@@ -79,7 +51,7 @@ func remountEquivalent(t *testing.T, ctx *sim.Ctx, fs *FS, dev *pmem.Device, opt
 		if _, deg := re.Degraded(); deg {
 			t.Fatalf("%s: %s degraded: %v", when, how, re.DegradedReasons())
 		}
-		if got := visibleState(t, ctx, re); got != want {
+		if got := vfs.State(ctx, re); got != want {
 			t.Fatalf("%s: %s shows another file system\nlive:\n%s\n%s:\n%s", when, how, want, how, got)
 		}
 		if err := re.Audit(ctx); err != nil {
