@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc knobs
 
 all: build
 
@@ -246,3 +246,15 @@ loc:
 			if ($$2 ~ /_test\.go$$/) { tst[d] += $$1; tt += $$1 } else { n[d] += $$1; t += $$1 } } \
 		END { printf "%7s %7s\n", "code", "test"; for (d in seen) printf "%7d %7d %s\n", n[d], tst[d], d; \
 			printf "%7d %7d total\n", t, tt }' | sort -k3
+
+# Settable knobs per package: the fields declared in non-test
+# `type …Config struct` and `type …Options struct` blocks under internal/
+# and cmd/ (`A, B int` is two), then the total. Every field is a setting
+# that tests and benchmarks must cover, so the number belongs in the log.
+knobs:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk ' \
+		FNR == 1 { body = 0 } \
+		/^type [A-Za-z0-9_]*(Config|Options) struct \{$$/ { body = 1; d = FILENAME; sub(/\/[^\/]*$$/, "", d); next } \
+		body && /^}/ { body = 0; next } \
+		body { sub(/\/\/.*/, ""); if (NF == 0) next; k = 1; for (i = 1; i < NF && $$i ~ /,$$/; i++) k++; n[d] += k; t += k } \
+		END { for (d in n) printf "%5d %s\n", n[d], d; printf "%5d total\n", t }' | sort -k2

@@ -52,7 +52,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 		cfg.Reads = 5000
 		devSize = 256 << 20
 	}
-	fileMB, readSize := int(cfg.FileBytes>>20), 64
+	fileMB := int(cfg.FileBytes >> 20)
 
 	var variants []mmapVariant
 	for _, fsName := range []string{"WineFS", "ext4-DAX"} {
@@ -72,7 +72,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 
 	t := &experiments.Table{
 		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
-			100*cfg.Util, fileMB, cfg.Reads, readSize),
+			100*cfg.Util, fileMB, cfg.Reads, workloads.MmapReadSize),
 		Header: []string{"metric", "winefs", "winefs-aged", "ext4-dax", "ext4-dax-aged"},
 	}
 	row := func(name string, f func(v *mmapVariant) string) {
@@ -102,7 +102,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 	}
 
 	rep := bench.New("mmap/v1", map[string]float64{
-		"FileMB": float64(fileMB), "Reads": float64(cfg.Reads), "ReadSize": float64(readSize),
+		"FileMB": float64(fileMB), "Reads": float64(cfg.Reads), "ReadSize": workloads.MmapReadSize,
 		"Util": cfg.Util, "CPUs": float64(o.cpus), "Seed": float64(o.seed)})
 	for _, v := range variants {
 		p := rep.Point(map[string]string{"FS": v.FS, "Aged": strconv.FormatBool(v.Aged)}, 0)

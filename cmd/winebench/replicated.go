@@ -37,7 +37,7 @@ import (
 // extremes while still charging every nanosecond replication adds.
 //
 // The limit prices the model, not a wish: sync mode charges
-// LatencyNS + bytes·NSPerByte per mutating request (the modeled wait for
+// replLatencyNS + bytes·replNSPerByte (cluster) per mutating request (the modeled wait for
 // replica durability), which on the write-heavy ServerMix costs ≈55% of
 // the plain per-client span. The old 15% limit on the makespan ratio
 // only held because pre-fast-path contention inflated the plain span —

@@ -129,9 +129,7 @@ func runScalingBench(o options) (*bench.Report, error) {
 func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int, seed uint64) (scalingPoint, error) {
 	var pt scalingPoint
 	cfg := workloads.FxmarkConfig{Ops: ops, Seed: seed}
-	// The sweep never snapshots its devices; NoSnapshot drops the
-	// snapshot-lock round trip from every store on the measured path.
-	dev := pmem.NewWithConfig(pmem.Config{Size: 1 << 30, NoSnapshot: true})
+	dev := pmem.New(1 << 30)
 	setupCtx := sim.NewCtx(1, 0)
 	fs, err := winefs.Mkfs(setupCtx, dev, winefs.Options{CPUs: scalingCPUs, Mode: vfs.Strict})
 	if err != nil {

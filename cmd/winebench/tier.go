@@ -73,7 +73,6 @@ func runTierBench(o options) (*bench.Report, error) {
 	// tierAgedDead of PM holding files nobody reads.
 	fracs := []float64{0.5, 1.0, 1.5, 2.0, 1.5}
 	deads := []float64{0, 0, 0, 0, tierAgedDead}
-	const opSize, readFrac = 4096, 0.9
 
 	// tiered[i] and control[i] ran working set fracs[i] behind deads[i]
 	// of dead data; ratios[i] is tiered GBps / control GBps — the headline
@@ -98,7 +97,7 @@ func runTierBench(o options) (*bench.Report, error) {
 
 	t := &experiments.Table{
 		Title: fmt.Sprintf("Tiered PM+SSD vs all-in-PM: 90/10 hotspot, %d ops x %dB, %d%% reads, PM %dMiB + slow %dMiB",
-			cfg.Ops, opSize, int(100*readFrac), devSize>>20, slowSize>>20),
+			cfg.Ops, workloads.TieredOpSize, int(100*workloads.TieredReadFrac), devSize>>20, slowSize>>20),
 		Header: []string{"working set", "tiered GB/s", "all-PM GB/s", "ratio", "spilled blks", "slow reads", "demoted", "promoted"},
 	}
 	for i, frac := range fracs {
@@ -123,7 +122,6 @@ func runTierBench(o options) (*bench.Report, error) {
 	// Gates. The 2x point is the headline: PM completely full, half the
 	// working set cold on the SSD tier, and the zipfian hot head still has
 	// to be served at PM speed.
-	readLat := tier.DefaultSlowConfig(1).ReadLatNS
 	for i, frac := range fracs {
 		tv, ratio := &tiered[i], ratios[i]
 		if frac < 1.0 && ratio < tierMinFitRatio {
@@ -145,7 +143,7 @@ func runTierBench(o options) (*bench.Report, error) {
 			// at least the device's command latency, so the sweep time must
 			// cover SlowReads * ReadLatNS — the "cold reads really pay
 			// slow-tier costs" invariant.
-			if minNS := tv.Counters.SlowReads * readLat; tv.SweepNS < minNS {
+			if minNS := tv.Counters.SlowReads * tier.ReadLatNS; tv.SweepNS < minNS {
 				return nil, fmt.Errorf("at %.1fx PM sweep took %dns but %d slow reads cost at least %dns — slow tier undercharged",
 					frac, tv.SweepNS, tv.Counters.SlowReads, minNS)
 			}
@@ -160,8 +158,9 @@ func runTierBench(o options) (*bench.Report, error) {
 
 	rep := bench.New("tier/v1", map[string]float64{
 		"PMMB": float64(devSize >> 20), "SlowMB": float64(slowSize >> 20), "ControlMB": float64(controlSize >> 20),
-		"Ops": float64(cfg.Ops), "OpSize": opSize, "ReadFrac": readFrac, "HotData": 0.1, "HotAccess": 0.9,
-		"PassEvery": 2000, "CPUs": float64(cpus), "Seed": float64(o.seed),
+		"Ops": float64(cfg.Ops), "OpSize": workloads.TieredOpSize, "ReadFrac": workloads.TieredReadFrac,
+		"HotData": workloads.TieredHotDataFrac, "HotAccess": workloads.TieredHotAccessFrac,
+		"PassEvery": workloads.TieredPassEvery, "CPUs": float64(cpus), "Seed": float64(o.seed),
 		"AgedDead": tierAgedDead, "AgedWarmup": tierAgedWarmup})
 	for i, frac := range fracs {
 		for _, res := range []*workloads.TieredSweepResult{&tiered[i], &control[i]} {

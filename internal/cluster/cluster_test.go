@@ -149,7 +149,7 @@ func TestClusterBasicReplication(t *testing.T) {
 // intact and new writes must land, without the caller seeing an error.
 func TestClusterFailoverTransparent(t *testing.T) {
 	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
-	fc, err := DialFailover(c.DialPrimary, FailoverConfig{})
+	fc, err := DialFailover(c.DialPrimary)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestClusterFailoverTransparent(t *testing.T) {
 // before the failover is silently re-established on the new primary.
 func TestFailoverLeaseReestablished(t *testing.T) {
 	c, ctx := newTestCluster(t, 1, ReplicatorConfig{Sync: true})
-	fc, err := DialFailover(c.DialPrimary, FailoverConfig{})
+	fc, err := DialFailover(c.DialPrimary)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -32,7 +32,6 @@ import (
 // partial / lost.
 type FailoverClient struct {
 	dial func() (fileserver.Conn, error)
-	cfg  FailoverConfig
 
 	name string
 	mode vfs.ConsistencyMode
@@ -54,42 +53,23 @@ type FailoverClient struct {
 	closed    bool
 }
 
-// FailoverConfig tunes the recovery loop.
-type FailoverConfig struct {
-	// MaxAttempts bounds redials per recovery (covering the failover
-	// window while a successor is promoted). Default 400.
-	MaxAttempts int
-	// RetryDelay is the wall pause between redials. Default 10ms.
-	RetryDelay time.Duration
-	// OpRetries bounds recover-and-retry cycles per operation. Default 3.
-	OpRetries int
-	// Logf (nil for silent) narrates recoveries.
-	Logf func(string, ...any)
-}
-
-func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 400
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 10 * time.Millisecond
-	}
-	if c.OpRetries <= 0 {
-		c.OpRetries = 3
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
-}
+// The recovery loop's bounds.
+const (
+	// failoverMaxAttempts bounds redials per recovery (covering the
+	// failover window while a successor is promoted).
+	failoverMaxAttempts = 400
+	// failoverRetryDelay is the wall pause between redials.
+	failoverRetryDelay = 10 * time.Millisecond
+	// failoverOpRetries bounds recover-and-retry cycles per operation.
+	failoverOpRetries = 3
+)
 
 var _ vfs.FS = (*FailoverClient)(nil)
 
 // DialFailover connects to the cluster's current primary.
-func DialFailover(dial func() (fileserver.Conn, error), cfg FailoverConfig) (*FailoverClient, error) {
+func DialFailover(dial func() (fileserver.Conn, error)) (*FailoverClient, error) {
 	c := &FailoverClient{
 		dial:  dial,
-		cfg:   cfg.withDefaults(),
 		files: make(map[*failoverFile]struct{}),
 	}
 	cli, epoch, err := c.dialOnce()
@@ -185,19 +165,18 @@ func (c *FailoverClient) recover(ctx *sim.Ctx, genSeen uint64) error {
 		old.Close()
 	}
 	var cli *fileserver.Client
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < failoverMaxAttempts; attempt++ {
 		var epoch uint64
 		cli, epoch, err = c.dialOnce()
 		if err != nil {
-			time.Sleep(c.cfg.RetryDelay)
+			time.Sleep(failoverRetryDelay)
 			continue
 		}
 		if epoch < c.epoch {
 			// A stale primary answered — fence it and keep looking.
-			c.cfg.Logf("failover: rejecting stale primary epoch %d < %d", epoch, c.epoch)
 			cli.Close()
 			cli = nil
-			time.Sleep(c.cfg.RetryDelay)
+			time.Sleep(failoverRetryDelay)
 			continue
 		}
 		c.epoch = epoch
@@ -207,7 +186,7 @@ func (c *FailoverClient) recover(ctx *sim.Ctx, genSeen uint64) error {
 		if err == nil {
 			err = fileserver.ErrServerGone
 		}
-		return fmt.Errorf("cluster: failover exhausted %d attempts: %w", c.cfg.MaxAttempts, err)
+		return fmt.Errorf("cluster: failover exhausted %d attempts: %w", failoverMaxAttempts, err)
 	}
 	c.cli = cli
 	c.gen++
@@ -219,7 +198,6 @@ func (c *FailoverClient) recover(ctx *sim.Ctx, genSeen uint64) error {
 		files = append(files, f)
 	}
 	c.mu.Unlock()
-	c.cfg.Logf("failover: reconnected at epoch %d, re-opening %d files", c.epoch, len(files))
 	for _, f := range files {
 		if ino, lost := f.reestablish(ctx, cli, c.gen); lost {
 			lostLeases = append(lostLeases, ino)
@@ -237,7 +215,7 @@ func (c *FailoverClient) run(ctx *sim.Ctx, op func(cli *fileserver.Client) error
 	}
 	cli, gen := c.current()
 	err := op(cli)
-	for i := 0; gone(err) && i < c.cfg.OpRetries; i++ {
+	for i := 0; gone(err) && i < failoverOpRetries; i++ {
 		if rerr := c.recover(ctx, gen); rerr != nil {
 			return rerr
 		}
@@ -478,7 +456,7 @@ func (f *failoverFile) run(ctx *sim.Ctx, op func(vfs.File) error, retried func(v
 		return err
 	}
 	err = op(inner)
-	for i := 0; gone(err) && i < f.c.cfg.OpRetries; i++ {
+	for i := 0; gone(err) && i < failoverOpRetries; i++ {
 		if rerr := f.c.recover(ctx, gen); rerr != nil {
 			return rerr
 		}
@@ -546,7 +524,7 @@ func (f *failoverFile) Append(ctx *sim.Ctx, p []byte) (int, error) {
 	base := inner.Size()
 	var n int
 	n, err = inner.Append(ctx, p)
-	for i := 0; gone(err) && i < f.c.cfg.OpRetries; i++ {
+	for i := 0; gone(err) && i < failoverOpRetries; i++ {
 		if rerr := f.c.recover(ctx, gen); rerr != nil {
 			return 0, rerr
 		}

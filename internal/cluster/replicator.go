@@ -46,6 +46,23 @@ func (s LinkState) String() string {
 	return fmt.Sprintf("state%d", int32(s))
 }
 
+const (
+	// ringRecords bounds the in-memory record ring (the bounded
+	// replication queue). A replica that falls behind by more than the
+	// ring is resynced from a device snapshot rather than buffering
+	// without limit.
+	ringRecords = 16384
+	// batchRecords / batchBytes bound one repRecords frame.
+	batchRecords = 256
+	batchBytes   = 1 << 20
+	// replLatencyNS and replNSPerByte price replication in virtual time:
+	// every mutating request is charged replLatencyNS + bytes*replNSPerByte
+	// when Sync is on, whether or not the wall-clock wait was long (one
+	// round trip to a DRAM-speed peer).
+	replLatencyNS = 1200
+	replNSPerByte = 0.25
+)
+
 // ReplicatorConfig tunes a primary's replication engine. All durations are
 // wall-clock: replication liveness (like the lease RevokeTimeout) is a
 // property of the real execution, not of simulated time.
@@ -53,15 +70,6 @@ type ReplicatorConfig struct {
 	// Epoch is this primary's incarnation number, announced in every
 	// hello and checked by replicas against newer primaries.
 	Epoch uint64
-	// RingRecords bounds the in-memory record ring (the bounded
-	// replication queue). A replica that falls behind by more than the
-	// ring is resynced from a device snapshot rather than buffering
-	// without limit. Default 16384.
-	RingRecords int
-	// BatchRecords / BatchBytes bound one repRecords frame. Defaults
-	// 256 records / 1MiB.
-	BatchRecords int
-	BatchBytes   int
 	// HeartbeatEvery is the idle interval after which a heartbeat probes
 	// the link. Default 50ms.
 	HeartbeatEvery time.Duration
@@ -83,12 +91,6 @@ type ReplicatorConfig struct {
 	Sync bool
 	// SyncTimeout bounds one synchronous-durability wait. Default 2s.
 	SyncTimeout time.Duration
-	// LatencyNS and NSPerByte price replication in virtual time: every
-	// mutating request is charged LatencyNS + bytes*NSPerByte when Sync
-	// is on, whether or not the wall-clock wait was long. Defaults
-	// 1200ns + 0.25ns/B (one round trip to a DRAM-speed peer).
-	LatencyNS int64
-	NSPerByte float64
 	// Seed feeds the jitter RNG (deterministic backoff schedules).
 	Seed uint64
 	// Logf (nil for silent) receives degradation/divergence events.
@@ -96,15 +98,6 @@ type ReplicatorConfig struct {
 }
 
 func (c ReplicatorConfig) withDefaults() ReplicatorConfig {
-	if c.RingRecords <= 0 {
-		c.RingRecords = 16384
-	}
-	if c.BatchRecords <= 0 {
-		c.BatchRecords = 256
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 50 * time.Millisecond
 	}
@@ -122,12 +115,6 @@ func (c ReplicatorConfig) withDefaults() ReplicatorConfig {
 	}
 	if c.SyncTimeout <= 0 {
 		c.SyncTimeout = 2 * time.Second
-	}
-	if c.LatencyNS <= 0 {
-		c.LatencyNS = 1200
-	}
-	if c.NSPerByte <= 0 {
-		c.NSPerByte = 0.25
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -221,7 +208,7 @@ func NewReplicator(fs *winefs.FS, cfg ReplicatorConfig) *Replicator {
 		next: 1,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.ring = make([]Record, 0, r.cfg.RingRecords)
+	r.ring = make([]Record, 0, ringRecords)
 	return r
 }
 
@@ -386,7 +373,7 @@ func (r *Replicator) PostMutate(ctx *sim.Ctx, bytes int64) {
 	}
 	// Virtual cost is charged unconditionally and deterministically; the
 	// wall wait below affects only real time.
-	ctx.Advance(r.cfg.LatencyNS + int64(float64(bytes)*r.cfg.NSPerByte))
+	ctx.Advance(replLatencyNS + int64(float64(bytes)*replNSPerByte))
 	r.mu.Lock()
 	target := r.next - 1
 	r.stats.SyncWaits++
@@ -615,7 +602,7 @@ func (r *Replicator) runLink(l *link, conn fileserver.Conn) (progressed bool, _ 
 		var batch []byte
 		var first uint64
 		nrec := 0
-		for l.cursor < r.next && nrec < r.cfg.BatchRecords && len(batch) < r.cfg.BatchBytes {
+		for l.cursor < r.next && nrec < batchRecords && len(batch) < batchBytes {
 			if l.cursor <= r.start {
 				// Fell out of the ring while batching: resync.
 				l.needResync = true
@@ -733,7 +720,7 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) error {
 		rec := Record{Type: RecStore, Off: off, N: int64(len(data)), Data: data}
 		batch = AppendRecord(batch, &rec)
 		nrec++
-		if nrec >= r.cfg.BatchRecords || len(batch) >= r.cfg.BatchBytes {
+		if nrec >= batchRecords || len(batch) >= batchBytes {
 			batchErr = flush()
 		}
 	})

@@ -421,7 +421,7 @@ func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts wine
 			var fc *cluster.FailoverClient
 			var err error
 			for attempt := 0; attempt < 200; attempt++ {
-				fc, err = cluster.DialFailover(c.DialPrimary, cluster.FailoverConfig{})
+				fc, err = cluster.DialFailover(c.DialPrimary)
 				if err == nil {
 					break
 				}

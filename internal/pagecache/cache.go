@@ -25,7 +25,7 @@
 // file and surfaces on the writer's next operation (EIO semantics).
 //
 // Virtual-time accounting: hits advance the caller's clock by a DRAM-class
-// cost (HitLatNS + HitNSPerByte·n, no syscall — the point of a user-level
+// cost (hitLatNS + hitNSPerByte·n, no syscall — the point of a user-level
 // cache); misses and flushes go through the wrapped FS and pay whatever
 // the server charges.
 package pagecache
@@ -77,11 +77,14 @@ type Config struct {
 	// dirty pages synchronously on the writer's clock, in the order
 	// eviction would take them. Default MaxPages/8.
 	MaxDirty int
-	// HitLatNS and HitNSPerByte price a cache hit (DRAM-class: no syscall,
-	// no device). Defaults 60ns + 0.025ns/B.
-	HitLatNS     int64
-	HitNSPerByte float64
 }
+
+// hitLatNS and hitNSPerByte price a cache hit (DRAM-class: no syscall,
+// no device).
+const (
+	hitLatNS     = 60
+	hitNSPerByte = 0.025
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxPages <= 0 {
@@ -92,12 +95,6 @@ func (c Config) withDefaults() Config {
 		if c.MaxDirty < 1 {
 			c.MaxDirty = 1
 		}
-	}
-	if c.HitLatNS <= 0 {
-		c.HitLatNS = 60
-	}
-	if c.HitNSPerByte <= 0 {
-		c.HitNSPerByte = 0.025
 	}
 	return c
 }
@@ -359,7 +356,7 @@ func (q *queue) oldestClean() *page {
 }
 
 func (c *Cache) hitCost(n int) int64 {
-	return c.cfg.HitLatNS + int64(float64(n)*c.cfg.HitNSPerByte)
+	return hitLatNS + int64(float64(n)*hitNSPerByte)
 }
 
 // --- vfs.FS ---
@@ -497,7 +494,7 @@ func (c *Cache) Stat(ctx *sim.Ctx, path string) (vfs.FileInfo, error) {
 			c.stats.Hits++
 			ctx.Counters.CacheHits++
 			c.mu.Unlock()
-			ctx.Advance(c.cfg.HitLatNS)
+			ctx.Advance(hitLatNS)
 			return fi, nil
 		}
 	}

@@ -54,7 +54,7 @@ func (c *refCache) open(ctx *sim.Ctx, fs vfs.FS, path string) (*refFile, error) 
 }
 
 func (c *refCache) hitCost(n int) int64 {
-	return c.cfg.HitLatNS + int64(float64(n)*c.cfg.HitNSPerByte)
+	return hitLatNS + int64(float64(n)*hitNSPerByte)
 }
 
 // all lists every cached page, inactive first; the order within a list is

@@ -76,11 +76,9 @@ type Device struct {
 	// taken while another goroutine streams a write (the replication
 	// resync path snapshots a live primary) could capture a half-applied
 	// store. Mutators release it before invoking the write observer, so an
-	// observer may take locks that a snapshot caller holds. Devices built
-	// with Config.NoSnapshot never snapshot, so their mutators skip the
-	// shared acquisition entirely (noSnap true).
+	// observer may take locks that a snapshot caller holds. Every device
+	// pays the shared acquisition, whether or not it is ever snapshotted.
 	snapMu sync.RWMutex
-	noSnap bool
 
 	// port is the per-NUMA-node device port: reads and writes share one
 	// calendar (mixed read/write traffic interferes on Optane, which is
@@ -151,12 +149,6 @@ type Config struct {
 	CPUs int
 	// Model overrides the cost model; zero value means DefaultModel.
 	Model *CostModel
-	// NoSnapshot declares that the device will never be snapshotted:
-	// Snapshot/Restore/Save panic, and in exchange every mutator skips the
-	// snapshot reader-lock round trip on its hot path. Benchmark harnesses
-	// that only ever run workloads (never crash images or replica resync)
-	// set this; anything that might snapshot a live device must not.
-	NoSnapshot bool
 }
 
 // New creates a device of the given size with the default model and a
@@ -186,7 +178,6 @@ func NewWithConfig(cfg Config) *Device {
 		nodes:     cfg.Nodes,
 		cpus:      cfg.CPUs,
 		model:     m,
-		noSnap:    cfg.NoSnapshot,
 		chunks:    make([]atomic.Pointer[chunkBuf], size/ChunkSize),
 		initPages: make([]atomic.Uint64, size/ChunkSize*wordsPerChunk),
 	}
@@ -503,7 +494,7 @@ func (d *Device) ReadAt(buf []byte, off int64) {
 func (d *Device) WriteAt(data []byte, off int64) {
 	d.checkRange(off, int64(len(data)))
 	d.record(off, data)
-	d.mutLock()
+	d.snapMu.RLock()
 	if d.fault == nil {
 		// No fault injection armed: the store persists whole and there is
 		// no poison to clear. Skipping tearStore keeps this path free of
@@ -517,26 +508,12 @@ func (d *Device) WriteAt(data []byte, off int64) {
 			d.clearPoisonCovered(seg.Off, int64(len(seg.Data)))
 		}
 	}
-	d.mutUnlock()
+	d.snapMu.RUnlock()
 	// The observer sees the intended store, not the torn segments: a
 	// replica receives what the CPU issued, while the local media may have
 	// kept only part of it — exactly the asymmetry a crash can create.
 	if obs := d.observer(); obs != nil {
 		obs.ObserveWrite(off, data)
-	}
-}
-
-// mutLock / mutUnlock bracket a content mutation with the shared side of
-// the snapshot lock; NoSnapshot devices skip the two atomic round trips.
-func (d *Device) mutLock() {
-	if !d.noSnap {
-		d.snapMu.RLock()
-	}
-}
-
-func (d *Device) mutUnlock() {
-	if !d.noSnap {
-		d.snapMu.RUnlock()
 	}
 }
 
@@ -572,7 +549,7 @@ func (d *Device) ZeroRange(off, n int64) {
 		d.record(off, make([]byte, n))
 	}
 	d.clearPoisonCovered(off, n)
-	d.mutLock()
+	d.snapMu.RLock()
 	for n > 0 {
 		base := off / ChunkSize * ChunkSize
 		in := off - base
@@ -589,7 +566,7 @@ func (d *Device) ZeroRange(off, n int64) {
 		off += m
 		n -= m
 	}
-	d.mutUnlock()
+	d.snapMu.RUnlock()
 	if obs := d.observer(); obs != nil {
 		obs.ObserveZero(origOff, origN)
 	}
@@ -606,11 +583,11 @@ func (d *Device) DiscardRange(off, n int64) {
 	if first >= last {
 		return
 	}
-	d.mutLock()
+	d.snapMu.RLock()
 	for base := first; base < last; base += ChunkSize {
 		d.dropChunk(base / ChunkSize)
 	}
-	d.mutUnlock()
+	d.snapMu.RUnlock()
 	if obs := d.observer(); obs != nil {
 		obs.ObserveDiscard(off, n)
 	}
@@ -810,9 +787,6 @@ func (d *Device) record(off int64, data []byte) {
 // Snapshot captures the device's current contents. Intended for the small
 // devices used in crash tests.
 func (d *Device) Snapshot() *Image {
-	if d.noSnap {
-		panic("pmem: Snapshot on a NoSnapshot device")
-	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	img := &Image{size: d.size, chunks: make(map[int64][]byte, d.nBacked.Load())}
@@ -839,9 +813,6 @@ func (d *Device) Snapshot() *Image {
 func (d *Device) Restore(img *Image) {
 	if img.size != d.size {
 		panic("pmem: restoring snapshot of different size")
-	}
-	if d.noSnap {
-		panic("pmem: Restore on a NoSnapshot device")
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()

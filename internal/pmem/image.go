@@ -18,9 +18,6 @@ const imageMagic = 0x504d454d494d4731 // "PMEMIMG1"
 
 // Save writes the device's contents to path.
 func (d *Device) Save(path string) error {
-	if d.noSnap {
-		panic("pmem: Save on a NoSnapshot device")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -47,42 +47,35 @@ var (
 // 4KiB pages, never bytes — the defining difference from PM.
 const PageSize = 4096
 
-// SlowConfig holds the cost model of the simulated SSD tier.
-type SlowConfig struct {
-	// Size is the capacity in bytes (rounded up to a page multiple).
-	Size int64
+// The slow tier's prices, calibrated to NVMe flash: ~50µs random reads,
+// ~15µs buffered writes, ~3 GB/s read / 2 GB/s write streaming. Roughly
+// two decimal orders of magnitude slower than the Optane PM model for
+// small accesses — the gap the tiering policy exists to hide.
+const (
 	// ReadLatNS / WriteLatNS are the per-command latencies: the fixed
 	// cost of one I/O regardless of length (queueing, translation,
 	// media access). Writes are cheaper than reads on SSDs with a
 	// power-protected write buffer.
-	ReadLatNS  int64
-	WriteLatNS int64
+	ReadLatNS  = 50_000
+	WriteLatNS = 15_000
 	// ReadNSPerByte / WriteNSPerByte are the inverse bandwidths of the
 	// transfer itself.
-	ReadNSPerByte  float64
-	WriteNSPerByte float64
+	ReadNSPerByte  = 0.33 // ~3 GB/s
+	WriteNSPerByte = 0.5  // ~2 GB/s
+)
+
+// SlowConfig holds the shape of the simulated SSD tier.
+type SlowConfig struct {
+	// Size is the capacity in bytes (rounded up to a page multiple).
+	Size int64
 	// QueueDepth is the number of commands the device services
 	// concurrently; excess commands queue in virtual time.
 	QueueDepth int
-	// NoSnapshot passes through to the backing store (benchmark runs
-	// that never snapshot skip the reader-lock round trip).
-	NoSnapshot bool
 }
 
-// DefaultSlowConfig returns an NVMe-flash-calibrated model: ~50µs random
-// reads, ~15µs buffered writes, ~3 GB/s read / 2 GB/s write streaming,
-// 16-deep queue. Roughly two decimal orders of magnitude slower than the
-// Optane PM model for small accesses — the gap the tiering policy exists
-// to hide.
+// DefaultSlowConfig returns a size-byte device with a 16-deep queue.
 func DefaultSlowConfig(size int64) SlowConfig {
-	return SlowConfig{
-		Size:           size,
-		ReadLatNS:      50_000,
-		WriteLatNS:     15_000,
-		ReadNSPerByte:  0.33, // ~3 GB/s
-		WriteNSPerByte: 0.5,  // ~2 GB/s
-		QueueDepth:     16,
-	}
+	return SlowConfig{Size: size, QueueDepth: 16}
 }
 
 // SlowDevice simulates the SSD tier. Contents live in a sparse
@@ -102,7 +95,7 @@ type SlowDevice struct {
 	ports []*sim.Resource
 }
 
-// NewSlow creates a slow device with the given cost model.
+// NewSlow creates a slow device of the given shape.
 func NewSlow(cfg SlowConfig) *SlowDevice {
 	if cfg.Size <= 0 {
 		cfg.Size = 64 << 20
@@ -117,9 +110,8 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 	d := &SlowDevice{
 		cfg: cfg,
 		store: pmem.NewWithConfig(pmem.Config{
-			Size:       cfg.Size,
-			Model:      &pmem.CostModel{},
-			NoSnapshot: cfg.NoSnapshot,
+			Size:  cfg.Size,
+			Model: &pmem.CostModel{},
 		}),
 	}
 	for i := 0; i < cfg.QueueDepth; i++ {
@@ -131,7 +123,7 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 // Size implements BlockDevice.
 func (d *SlowDevice) Size() int64 { return d.cfg.Size }
 
-// Config returns the device's cost model.
+// Config returns the device's shape.
 func (d *SlowDevice) Config() SlowConfig { return d.cfg }
 
 // Release returns the backing store's chunks to the host pool.
@@ -170,9 +162,9 @@ func (d *SlowDevice) charge(ctx *sim.Ctx, off, n int64, write bool) {
 	bytes := pages * PageSize
 	var hold int64
 	if write {
-		hold = d.cfg.WriteLatNS + int64(float64(bytes)*d.cfg.WriteNSPerByte)
+		hold = WriteLatNS + int64(float64(bytes)*WriteNSPerByte)
 	} else {
-		hold = d.cfg.ReadLatNS + int64(float64(bytes)*d.cfg.ReadNSPerByte)
+		hold = ReadLatNS + int64(float64(bytes)*ReadNSPerByte)
 	}
 	port := d.ports[(off/PageSize)%int64(len(d.ports))]
 	port.Use(ctx, hold)
@@ -236,7 +228,7 @@ func (d *SlowDevice) Cost(off, n int64, write bool) int64 {
 		return 0
 	}
 	if write {
-		return d.cfg.WriteLatNS + int64(float64(bytes)*d.cfg.WriteNSPerByte)
+		return WriteLatNS + int64(float64(bytes)*WriteNSPerByte)
 	}
-	return d.cfg.ReadLatNS + int64(float64(bytes)*d.cfg.ReadNSPerByte)
+	return ReadLatNS + int64(float64(bytes)*ReadNSPerByte)
 }

@@ -38,9 +38,11 @@ func TestSlowDeviceRoundTrip(t *testing.T) {
 	}
 }
 
+// slowCost is the uncontended price of reading n page-aligned bytes.
+func slowCost(n int64) int64 { return ReadLatNS + int64(float64(n)*ReadNSPerByte) }
+
 func TestSlowDeviceCharging(t *testing.T) {
-	cfg := DefaultSlowConfig(1 << 20)
-	d := NewSlow(cfg)
+	d := NewSlow(DefaultSlowConfig(1 << 20))
 	defer d.Release()
 	ctx := sim.NewCtx(1, 0)
 
@@ -49,7 +51,7 @@ func TestSlowDeviceCharging(t *testing.T) {
 	before := ctx.Now()
 	d.Read(ctx, buf, 0)
 	elapsed := ctx.Now() - before
-	want := cfg.ReadLatNS + int64(float64(PageSize)*cfg.ReadNSPerByte)
+	want := slowCost(PageSize)
 	if elapsed != want {
 		t.Fatalf("1-byte read cost %dns, want %dns (page-granular)", elapsed, want)
 	}
@@ -62,13 +64,13 @@ func TestSlowDeviceCharging(t *testing.T) {
 	before = ctx.Now()
 	d.Read(ctx, make([]byte, 2), PageSize-1)
 	elapsed = ctx.Now() - before
-	want = cfg.ReadLatNS + int64(float64(2*PageSize)*cfg.ReadNSPerByte)
+	want = slowCost(2 * PageSize)
 	if elapsed != want {
 		t.Fatalf("straddling read cost %dns, want %dns", elapsed, want)
 	}
 
 	// Cost() matches what charge actually books when uncontended.
-	if got := d.Cost(0, 1, false); got != cfg.ReadLatNS+int64(float64(PageSize)*cfg.ReadNSPerByte) {
+	if got := d.Cost(0, 1, false); got != slowCost(PageSize) {
 		t.Fatalf("Cost mismatch: %d", got)
 	}
 
@@ -89,15 +91,15 @@ func TestSlowDeviceQueueDepth(t *testing.T) {
 
 	// Two threads hitting pages that map to the same port serialise; a
 	// third on the other port proceeds in parallel.
-	perOp := cfg.ReadLatNS + int64(float64(PageSize)*cfg.ReadNSPerByte)
+	perOp := slowCost(PageSize)
 	buf := make([]byte, 1)
 
 	a := sim.NewCtx(1, 0)
 	b := sim.NewCtx(2, 1)
 	c := sim.NewCtx(3, 2)
-	d.Read(a, buf, 0)        // port 0
+	d.Read(a, buf, 0)          // port 0
 	d.Read(b, buf, 2*PageSize) // page 2 -> port 0: queues behind a
-	d.Read(c, buf, PageSize) // page 1 -> port 1: uncontended
+	d.Read(c, buf, PageSize)   // page 1 -> port 1: uncontended
 
 	if a.Now() != perOp {
 		t.Fatalf("first op finished at %d, want %d", a.Now(), perOp)

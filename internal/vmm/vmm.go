@@ -73,8 +73,8 @@ const (
 // tables and TLB pressure bounded the way a 47-bit VA budget would).
 const DefaultAddressBudget = 64 << 20
 
-// defaultSyncEvery is the SyncPeriodic flush threshold.
-const defaultSyncEvery = 1 << 20
+// SyncEveryBytes is the SyncPeriodic flush threshold.
+const SyncEveryBytes = 1 << 20
 
 // Config tunes a mapping.
 type Config struct {
@@ -91,8 +91,6 @@ type Config struct {
 	// AddressBudget caps the window size in bytes (rounded up to 2MiB);
 	// zero means DefaultAddressBudget.
 	AddressBudget int64
-	// SyncEveryBytes is the SyncPeriodic threshold; zero means 1MiB.
-	SyncEveryBytes int64
 }
 
 // Mapping is a live memory mapping over a file. All methods are safe for
@@ -157,9 +155,6 @@ func Map(ctx *sim.Ctx, f vfs.File, length int64, cfg Config) (*Mapping, error) {
 	// Round the budget up to a hugepage so window bases stay 2MiB-aligned
 	// (HugeEligible needs file-offset alignment to hold through windows).
 	cfg.AddressBudget = alignUp(cfg.AddressBudget, mmu.HugePage)
-	if cfg.SyncEveryBytes <= 0 {
-		cfg.SyncEveryBytes = defaultSyncEvery
-	}
 	ctx.Syscall(b.MapSyscallNS())
 	ctx.Counters.VMMMaps++
 	v := &Mapping{
@@ -357,7 +352,7 @@ func (v *Mapping) writeShared(ctx *sim.Ctx, w *window, seg []byte, off int64) er
 	case SyncPeriodic:
 		v.mu.Lock()
 		v.unsynced += n
-		due := v.unsynced >= v.cfg.SyncEveryBytes
+		due := v.unsynced >= SyncEveryBytes
 		if due {
 			v.unsynced = 0
 		}

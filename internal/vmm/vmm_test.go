@@ -169,6 +169,59 @@ func TestSyncImmediatePolicy(t *testing.T) {
 	}
 }
 
+// TestSyncPeriodicPolicy: stores under SyncEveryBytes stay dirty; the
+// store that crosses it flushes every dirty page of the mapping, and the
+// count starts again from zero.
+func TestSyncPeriodicPolicy(t *testing.T) {
+	ctx, fs := newFS(t)
+	f := mkFile(t, ctx, fs, "/per", 0x66, 2<<20)
+	m, err := vmm.Map(ctx, f, 0, vmm.Config{Mode: vmm.ModeShared, Sync: vmm.SyncPeriodic, MapFullFile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(ctx)
+
+	// One byte short of the threshold, spread over the first 256 pages.
+	page := make([]byte, 4096)
+	const pages = vmm.SyncEveryBytes / 4096
+	for pg := int64(0); pg < pages; pg++ {
+		n := len(page)
+		if pg == pages-1 {
+			n--
+		}
+		if err := m.Write(ctx, page[:n], pg*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ctx.Counters.VMMMsyncBytes; got != 0 {
+		t.Fatalf("%d bytes under the threshold msynced %d bytes, want 0", vmm.SyncEveryBytes-1, got)
+	}
+
+	// The crossing store lands on a page of its own: every dirty page,
+	// that one included, becomes durable.
+	if err := m.Write(ctx, page[:1], pages*4096); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(pages+1) * 4096
+	if got := ctx.Counters.VMMMsyncBytes; got != want {
+		t.Fatalf("crossing store msynced %d bytes, want %d (every dirty page)", got, want)
+	}
+	if err := m.Msync(ctx, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.Counters.VMMMsyncBytes; got != want {
+		t.Fatalf("explicit msync after the periodic one flushed %d more bytes, want 0", got-want)
+	}
+
+	// The count restarted: one more store stays dirty.
+	if err := m.Write(ctx, page[:1], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.Counters.VMMMsyncBytes; got != want {
+		t.Fatalf("store after the periodic msync flushed %d bytes, want 0", got-want)
+	}
+}
+
 // TestCloseFlushesDirt: unflushed shared stores are made durable by the
 // implicit msync in Close, and the mapping is dead afterwards.
 func TestCloseFlushesDirt(t *testing.T) {

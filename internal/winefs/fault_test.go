@@ -524,10 +524,10 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 	// image is a 48MiB strict image with `files` 12KiB files, every other
 	// one unlinked, and /victim: one block far enough out that a write from 0
 	// past it spans two gaps, of which the free space covers only the first.
-	// With no files the first gap is a few large extents and the failed call
-	// one journal transaction; with 200, the tail of the gap is gathered
-	// from three-block holes, some twenty extents, and the call has chained
-	// through several transactions — committed ones — when it fails.
+	// With no files the first gap is a few large extents; with 200, the tail
+	// of the gap is gathered from three-block holes, some twenty extents.
+	// Either way the failed call is one journal transaction, and none of it
+	// has reached the media when it fails.
 	image := func(t *testing.T, files int) (fs *FS, ctx *sim.Ctx, dev *pmem.Device, victim vfs.File, gapBlks int64) {
 		ctx = sim.NewCtx(1, 0)
 		dev = pmem.New(48 << 20)

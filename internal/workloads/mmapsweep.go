@@ -23,6 +23,10 @@ import (
 // write phase follows with SyncPeriodic msync batching so the durability
 // counters are exercised by the same sweep.
 
+// MmapReadSize is bytes per mapped read: one cache line — the paper's
+// random-array-access shape, where translation cost is the whole story.
+const MmapReadSize = 64
+
 // MmapSweepConfig sizes one sweep.
 type MmapSweepConfig struct {
 	// FileBytes is the benchmark file size (default 32MiB; rounded up to
@@ -30,10 +34,6 @@ type MmapSweepConfig struct {
 	FileBytes int64
 	// Reads is the number of random mapped reads (default 20000).
 	Reads int
-	// ReadSize is bytes per read (default 64, one cache line — the
-	// paper's random-array-access shape, where translation cost is the
-	// whole story).
-	ReadSize int
 	// Aged selects a Geriatrix-aged image instead of the clean fill.
 	Aged bool
 	// Util is the image utilisation both conditions reach (default 0.6).
@@ -53,9 +53,6 @@ func (c MmapSweepConfig) withDefaults() MmapSweepConfig {
 	c.FileBytes = (c.FileBytes + mmu.HugePage - 1) / mmu.HugePage * mmu.HugePage
 	if c.Reads <= 0 {
 		c.Reads = 20000
-	}
-	if c.ReadSize <= 0 {
-		c.ReadSize = 64
 	}
 	if c.Util == 0 {
 		c.Util = 0.6
@@ -163,28 +160,28 @@ func RunMmapSweep(ctx *sim.Ctx, fs vfs.FS, cfg MmapSweepConfig) (MmapSweepResult
 	// Random read sweep: cold mapping, so demand faults are part of the
 	// per-access price — exactly what differs between the two images.
 	rng := sim.NewRand(cfg.Seed + 7)
-	buf := make([]byte, cfg.ReadSize)
-	slots := cfg.FileBytes / int64(cfg.ReadSize)
+	buf := make([]byte, MmapReadSize)
+	slots := cfg.FileBytes / MmapReadSize
 	sweepStart := bench.Now()
 	for i := 0; i < cfg.Reads; i++ {
-		off := rng.Int63n(slots) * int64(cfg.ReadSize)
+		off := rng.Int63n(slots) * MmapReadSize
 		if err := m.Read(bench, buf, off); err != nil {
 			return res, fmt.Errorf("mmapsweep: read %d at %d: %w", i, off, err)
 		}
 		res.Reads++
-		res.ReadBytes += int64(cfg.ReadSize)
+		res.ReadBytes += MmapReadSize
 	}
 	res.SweepNS = bench.Now() - sweepStart
 	res.NSPerRead = float64(res.SweepNS) / float64(res.Reads)
 
 	if cfg.WritePhase {
 		writeStart := bench.Now()
-		val := make([]byte, cfg.ReadSize)
+		val := make([]byte, MmapReadSize)
 		for i := range val {
 			val[i] = byte(i)
 		}
 		for i := 0; i < cfg.Reads/10; i++ {
-			off := rng.Int63n(slots) * int64(cfg.ReadSize)
+			off := rng.Int63n(slots) * MmapReadSize
 			if err := m.Write(bench, val, off); err != nil {
 				return res, fmt.Errorf("mmapsweep: write %d: %w", i, err)
 			}

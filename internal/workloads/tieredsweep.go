@@ -20,6 +20,26 @@ import (
 // the hot set PM-resident, so throughput degrades with the miss ratio
 // rather than collapsing to slow-device speed.
 
+// The sweep's fixed shape.
+const (
+	// TieredOpSize is bytes per access: the slow tier's page.
+	TieredOpSize = 4096
+	// TieredReadFrac is the fraction of ops that read.
+	TieredReadFrac = 0.9
+	// TieredHotDataFrac / TieredHotAccessFrac shape the hotspot skew:
+	// TieredHotAccessFrac of the accesses go to a uniformly chosen slot
+	// inside the hottest TieredHotDataFrac of the working set (0.9 to 0.1
+	// — the 90/10 rule tiering studies are built on). The rest spread
+	// uniformly over the cold remainder.
+	TieredHotDataFrac   = 0.1
+	TieredHotAccessFrac = 0.9
+	// TieredPassEvery runs a tier-migration pass every N ops on tiered
+	// mounts.
+	TieredPassEvery = 2000
+	// TieredPassBudget is MaxMigrateBlocks per pass.
+	TieredPassBudget = 4096
+)
+
 // TieredSweepConfig sizes one sweep. The same config runs against a
 // tiered mount and the all-in-PM control (a big untiered device), so the
 // working set is absolute bytes, not a fraction — the caller derives it
@@ -39,23 +59,7 @@ type TieredSweepConfig struct {
 	// blocks of copies — so the sweep measures the policy's steady state
 	// rather than the convergence transient.
 	WarmupOps int
-	// OpSize is bytes per access (default 4096, the slow tier's page).
-	OpSize int
-	// ReadFrac is the fraction of ops that read (default 0.9).
-	ReadFrac float64
-	// HotDataFrac / HotAccessFrac shape the hotspot skew: HotAccessFrac
-	// of the accesses go to a uniformly chosen slot inside the hottest
-	// HotDataFrac of the working set (defaults 0.9 to 0.1 — the 90/10
-	// rule tiering studies are built on). The rest spread uniformly over
-	// the cold remainder.
-	HotDataFrac   float64
-	HotAccessFrac float64
-	// PassEvery runs a tier-migration pass every N ops on tiered mounts
-	// (default 2000; 0 disables).
-	PassEvery int
-	// PassBudget is MaxMigrateBlocks per pass (default 4096).
-	PassBudget int64
-	Seed       uint64
+	Seed      uint64
 }
 
 func (c TieredSweepConfig) withDefaults() TieredSweepConfig {
@@ -67,24 +71,6 @@ func (c TieredSweepConfig) withDefaults() TieredSweepConfig {
 	}
 	if c.WarmupOps <= 0 {
 		c.WarmupOps = c.Ops
-	}
-	if c.OpSize <= 0 {
-		c.OpSize = 4096
-	}
-	if c.ReadFrac == 0 {
-		c.ReadFrac = 0.9
-	}
-	if c.HotDataFrac == 0 {
-		c.HotDataFrac = 0.1
-	}
-	if c.HotAccessFrac == 0 {
-		c.HotAccessFrac = 0.9
-	}
-	if c.PassEvery == 0 {
-		c.PassEvery = 2000
-	}
-	if c.PassBudget <= 0 {
-		c.PassBudget = 4096
 	}
 	return c
 }
@@ -186,14 +172,14 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 	mctx := sim.NewCtx(98, 0)
 
 	rng := sim.NewRand(cfg.Seed + 31)
-	slotsPerFile := cfg.FileBytes / int64(cfg.OpSize)
+	slotsPerFile := cfg.FileBytes / TieredOpSize
 	nSlots := int64(nFiles) * slotsPerFile
-	hotSlots := int64(cfg.HotDataFrac * float64(nSlots))
+	hotSlots := int64(TieredHotDataFrac * float64(nSlots))
 	if hotSlots < 1 {
 		hotSlots = 1
 	}
-	buf := make([]byte, cfg.OpSize)
-	val := make([]byte, cfg.OpSize)
+	buf := make([]byte, TieredOpSize)
+	val := make([]byte, TieredOpSize)
 	for i := range val {
 		val[i] = byte(i*13 + 7)
 	}
@@ -209,7 +195,7 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 	const scatter = 1000003
 	access := func(i int, measured bool) error {
 		var rank int64
-		if rng.Float64() < cfg.HotAccessFrac {
+		if rng.Float64() < TieredHotAccessFrac {
 			rank = rng.Int63n(hotSlots)
 		} else {
 			rank = hotSlots + rng.Int63n(nSlots-hotSlots)
@@ -217,8 +203,8 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 		slot := ((rank / slotsPerFile * scatter) % int64(nFiles)) * slotsPerFile
 		slot += rank % slotsPerFile
 		f := files[slot/slotsPerFile]
-		off := (slot % slotsPerFile) * int64(cfg.OpSize)
-		if rng.Float64() < cfg.ReadFrac {
+		off := (slot % slotsPerFile) * TieredOpSize
+		if rng.Float64() < TieredReadFrac {
 			if _, err := f.ReadAt(bench, buf, off); err != nil {
 				return fmt.Errorf("tieredsweep: read op %d: %w", i, err)
 			}
@@ -229,11 +215,11 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 		}
 		if measured {
 			res.Ops++
-			res.Bytes += int64(cfg.OpSize)
+			res.Bytes += TieredOpSize
 		}
-		if fs.Tiered() && cfg.PassEvery > 0 && (i+1)%cfg.PassEvery == 0 {
+		if fs.Tiered() && (i+1)%TieredPassEvery == 0 {
 			mctx.AdvanceTo(bench.Now())
-			if _, err := fs.TierPass(mctx, winefs.TierPassOptions{MaxMigrateBlocks: cfg.PassBudget}); err != nil {
+			if _, err := fs.TierPass(mctx, winefs.TierPassOptions{MaxMigrateBlocks: TieredPassBudget}); err != nil {
 				return fmt.Errorf("tieredsweep: pass at op %d: %w", i, err)
 			}
 			res.Passes++

@@ -10,10 +10,11 @@ import (
 type WiredTigerConfig struct {
 	Records   int64
 	ValueSize int
-	// CheckpointEvery forces an fsync after this many inserts.
-	CheckpointEvery int
-	Seed            uint64
+	Seed      uint64
 }
+
+// wiredTigerCheckpointEvery forces an fsync after this many inserts.
+const wiredTigerCheckpointEvery = 500
 
 func (c *WiredTigerConfig) defaults() {
 	if c.Records == 0 {
@@ -21,9 +22,6 @@ func (c *WiredTigerConfig) defaults() {
 	}
 	if c.ValueSize == 0 {
 		c.ValueSize = 1024 // unaligned on purpose: 1KiB records
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 500
 	}
 }
 
@@ -63,7 +61,7 @@ func WiredTigerFill(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig) (int64, int64
 		}
 		offsets = append(offsets, off)
 		off += int64(cfg.ValueSize)
-		if int(i)%cfg.CheckpointEvery == cfg.CheckpointEvery-1 {
+		if int(i)%wiredTigerCheckpointEvery == wiredTigerCheckpointEvery-1 {
 			if err := table.Fsync(ctx); err != nil {
 				return 0, 0, nil, err
 			}
@@ -95,13 +93,17 @@ func WiredTigerRead(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig, offsets []int
 }
 
 // ScalabilityConfig sizes the Figure 10 microbenchmark: per thread,
-// create a file, append 4KiB chunks, fsync, unlink — repeatedly.
+// create a file, append scalabilityAppendsPerOp chunks of
+// scalabilityAppendSize bytes, fsync, unlink — repeatedly.
 type ScalabilityConfig struct {
 	Threads      int
 	OpsPerThread int
-	AppendSize   int
-	AppendsPerOp int
 }
+
+const (
+	scalabilityAppendSize   = 4096
+	scalabilityAppendsPerOp = 4
+)
 
 func (c *ScalabilityConfig) defaults() {
 	if c.Threads == 0 {
@@ -109,12 +111,6 @@ func (c *ScalabilityConfig) defaults() {
 	}
 	if c.OpsPerThread == 0 {
 		c.OpsPerThread = 200
-	}
-	if c.AppendSize == 0 {
-		c.AppendSize = 4096
-	}
-	if c.AppendsPerOp == 0 {
-		c.AppendsPerOp = 4
 	}
 }
 
@@ -147,7 +143,7 @@ func Scalability(fs vfs.FS, cfg ScalabilityConfig) (float64, error) {
 			ctx.AdvanceTo(setupEnd)
 			dir := "/scale/w" + itoa(th)
 			var ops int64
-			data := make([]byte, cfg.AppendSize)
+			data := make([]byte, scalabilityAppendSize)
 			for i := 0; i < cfg.OpsPerThread; i++ {
 				path := dir + "/t" + itoa(th) + "_" + itoa(i)
 				f, err := fs.Create(ctx, path)
@@ -156,7 +152,7 @@ func Scalability(fs vfs.FS, cfg ScalabilityConfig) (float64, error) {
 					return
 				}
 				ops++
-				for a := 0; a < cfg.AppendsPerOp; a++ {
+				for a := 0; a < scalabilityAppendsPerOp; a++ {
 					if _, err := f.Append(ctx, data); err != nil {
 						done <- res{err: err}
 						return

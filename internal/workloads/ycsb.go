@@ -48,10 +48,11 @@ type YCSBConfig struct {
 	Operations int64
 	// ValueSize per record (YCSB default 1KiB across 10 fields).
 	ValueSize int
-	// Zipf skew (default 0.99).
-	Theta float64
-	Seed  uint64
+	Seed      uint64
 }
+
+// ycsbTheta is the Zipf skew of every YCSB run.
+const ycsbTheta = 0.99
 
 func (c *YCSBConfig) defaults() {
 	if c.Records == 0 {
@@ -62,9 +63,6 @@ func (c *YCSBConfig) defaults() {
 	}
 	if c.ValueSize == 0 {
 		c.ValueSize = 1024
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.99
 	}
 }
 
@@ -109,7 +107,7 @@ func YCSBRun(ctx *sim.Ctx, kv KV, kind YCSBKind, cfg YCSBConfig) (YCSBResult, er
 		return YCSBResult{Kind: kind, Ops: cfg.Records, VirtualNS: ctx.Now() - start}, nil
 	}
 	rng := sim.NewRand(cfg.Seed + uint64(kind)*131)
-	zipf := sim.NewZipf(rng, cfg.Records, cfg.Theta)
+	zipf := sim.NewZipf(rng, cfg.Records, ycsbTheta)
 	val := make([]byte, cfg.ValueSize)
 	buf := make([]byte, cfg.ValueSize)
 	inserted := cfg.Records
