@@ -38,10 +38,11 @@ bench:
 # recycling tree at a steady size at 0, a base and a hugepage fault on a
 # 4,096-extent WineFS file and on a zero-on-fault-split ext4-DAX file at 0,
 # BenchmarkFaultFragmented the first of them), the exact-vs-batched-vs-parallel
-# golden test and the calendars, range locks and extent list against their
-# obvious models, all under the race detector, and the charge-amount table.
+# golden test and the calendars, range locks, extent list and the MMU's
+# flat TLB/LLC arrays against their obvious models, all under the race
+# detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/mmu/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
 	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 

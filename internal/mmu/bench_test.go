@@ -22,8 +22,7 @@ func BenchmarkAssocTouch(b *testing.B) {
 
 // BenchmarkAssocTouchRun charges a 64-line run (one 4KiB page of cache
 // lines) per iteration — the unit the batched access path hands to the
-// LLC. Compare against 64 individual touch calls: the run takes the set
-// lock once instead of 64 times.
+// LLC under one hold of the address space's cache lock.
 func BenchmarkAssocTouchRun(b *testing.B) {
 	a := newAssoc(8<<20/64, 16)
 	b.ReportAllocs()
@@ -109,4 +108,36 @@ func benchMappingAccess(b *testing.B, write, exact bool) {
 		}
 	}
 	_ = d
+}
+
+// BenchmarkMappingRandomRead64 is mmap_aged's access shape: random 64-byte
+// loads over a prefaulted 256MiB hugepage mapping of written device
+// memory, so each load pays the host's memory hierarchy for the device
+// bytes as well as the TLB and LLC model.
+func BenchmarkMappingRandomRead64(b *testing.B) {
+	const size = 256 << 20
+	d, as := newEnv(size)
+	fill := make([]byte, HugePage)
+	for i := range fill {
+		fill[i] = byte(i)
+	}
+	for off := int64(0); off < size; off += HugePage {
+		d.WriteAt(fill, off)
+	}
+	m := as.NewMapping(size, &testHandler{extents: []Extent{{0, 0, size}}})
+	ctx := sim.NewCtx(1, 0)
+	if err := m.Prefault(ctx); err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRand(1)
+	buf := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Read(ctx, buf, rng.Int63n(size/64)*64); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	d.Release()
 }

@@ -1,16 +1,17 @@
 package mmu
 
-import "sync"
-
 // assoc is a set-associative LRU array used for both the TLB and the
-// last-level cache simulation. Each set keeps its keys in MRU-first order.
-// It is safe for concurrent use; the lock is per-structure, which is
-// adequate for the access rates of the experiments.
+// last-level cache simulation. All sets live in one flat key array, ways
+// slots per set in MRU-first order, with a per-set fill count: one
+// allocation per structure, where a slice per set made the LLC 8,192 of
+// them. It has no lock of its own: an AddressSpace guards its three
+// arrays with one mutex (AddressSpace.cacheMu), so a mapped access takes
+// one lock for its translation and its data lines together.
 type assoc struct {
-	mu   sync.Mutex
 	ways int
 	mask uint64
-	sets [][]uint64
+	keys []uint64 // set s holds keys[s*ways : s*ways+fill[s]], MRU first
+	fill []uint8
 }
 
 // newAssoc builds an array with the given total entry count and way count.
@@ -19,6 +20,9 @@ func newAssoc(entries, ways int) *assoc {
 	if ways <= 0 {
 		ways = 1
 	}
+	if ways > 255 {
+		panic("mmu: more than 255 ways")
+	}
 	if entries < ways {
 		entries = ways
 	}
@@ -26,12 +30,12 @@ func newAssoc(entries, ways int) *assoc {
 	for nsets*2 <= entries/ways {
 		nsets *= 2
 	}
-	a := &assoc{ways: ways, mask: uint64(nsets - 1)}
-	a.sets = make([][]uint64, nsets)
-	for i := range a.sets {
-		a.sets[i] = make([]uint64, 0, ways)
+	return &assoc{
+		ways: ways,
+		mask: uint64(nsets - 1),
+		keys: make([]uint64, nsets*ways),
+		fill: make([]uint8, nsets),
 	}
-	return a
 }
 
 // mix hashes the key to spread sequential keys across sets while staying
@@ -46,11 +50,11 @@ func mix(key uint64) uint64 {
 // touch looks key up, promoting it to MRU on hit and inserting it (evicting
 // the LRU way if needed) on miss. Returns whether the access hit.
 func (a *assoc) touch(key uint64) bool {
-	set := &a.sets[mix(key)&a.mask]
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := *set
-	for i, k := range s {
+	si := mix(key) & a.mask
+	base := int(si) * a.ways
+	n := int(a.fill[si])
+	s := a.keys[base : base+a.ways]
+	for i, k := range s[:n] {
 		if k == key {
 			// Move to front (MRU).
 			copy(s[1:i+1], s[:i])
@@ -58,80 +62,28 @@ func (a *assoc) touch(key uint64) bool {
 			return true
 		}
 	}
-	if len(s) < a.ways {
-		s = append(s, 0)
+	if n < a.ways {
+		n++
+		a.fill[si] = uint8(n)
 	}
-	copy(s[1:], s[:len(s)-1])
+	copy(s[1:n], s[:n-1])
 	s[0] = key
-	*set = s
 	return false
 }
 
-// touchRun touches n sequential keys (key, key+1, ..., key+n-1) under one
-// lock acquisition, returning how many hit. The state changes are exactly
-// those of n individual touch calls in the same order — the keys are
-// distinct, so each lands in its set independently and batching only
-// amortises the lock. Callers use this for the cache lines of one
+// touchRun touches n sequential keys (key, key+1, ..., key+n-1), returning
+// how many hit. The state changes are exactly those of n individual touch
+// calls in the same order. Callers use this for the cache lines of one
 // contiguous access run.
 func (a *assoc) touchRun(key uint64, n int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	hits := 0
 	for j := 0; j < n; j++ {
-		k := key + uint64(j)
-		set := &a.sets[mix(k)&a.mask]
-		s := *set
-		hit := false
-		for i, kk := range s {
-			if kk == k {
-				copy(s[1:i+1], s[:i])
-				s[0] = k
-				hits++
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			if len(s) < a.ways {
-				s = append(s, 0)
-			}
-			copy(s[1:], s[:len(s)-1])
-			s[0] = k
-			*set = s
+		if a.touch(key + uint64(j)) {
+			hits++
 		}
 	}
 	return hits
 }
 
-// contains reports whether key is present without changing LRU state.
-func (a *assoc) contains(key uint64) bool {
-	set := a.sets[mix(key)&a.mask]
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, k := range set {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // flushAll empties the array (e.g. TLB shootdown on munmap).
-func (a *assoc) flushAll() {
-	a.mu.Lock()
-	for i := range a.sets {
-		a.sets[i] = a.sets[i][:0]
-	}
-	a.mu.Unlock()
-}
-
-// size returns the number of resident entries.
-func (a *assoc) size() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, s := range a.sets {
-		n += len(s)
-	}
-	return n
-}
+func (a *assoc) flushAll() { clear(a.fill) }

@@ -100,9 +100,13 @@ type AddressSpace struct {
 	dev   *pmem.Device
 	model *pmem.CostModel
 
-	tlb4k *assoc
-	tlb2m *assoc
-	llc   *assoc
+	// cacheMu guards the two TLBs and the LLC together: an access takes
+	// it once per translation granule for the TLB lookup, the page walk
+	// and the data lines, not once per structure touched.
+	cacheMu sync.Mutex
+	tlb4k   *assoc
+	tlb2m   *assoc
+	llc     *assoc
 
 	// Exact forces the reference per-cache-line accounting loop instead of
 	// the batched run accounting. Both produce bit-identical virtual-time
@@ -130,12 +134,18 @@ func NewAddressSpace(dev *pmem.Device) *AddressSpace {
 
 // FlushTLB empties both TLBs (e.g. after munmap or for experiment setup).
 func (as *AddressSpace) FlushTLB() {
+	as.cacheMu.Lock()
 	as.tlb4k.flushAll()
 	as.tlb2m.flushAll()
+	as.cacheMu.Unlock()
 }
 
 // FlushCache empties the LLC simulation.
-func (as *AddressSpace) FlushCache() { as.llc.flushAll() }
+func (as *AddressSpace) FlushCache() {
+	as.cacheMu.Lock()
+	as.llc.flushAll()
+	as.cacheMu.Unlock()
+}
 
 // Mapping is one mmap'ed file region.
 type Mapping struct {
@@ -357,7 +367,8 @@ func (m *Mapping) devAccess(p []byte, phys int64, gen uint64, write bool) bool {
 }
 
 // translate charges TLB/page-walk costs for accessing the page containing
-// virtual offset off, given its mapping kind.
+// virtual offset off, given its mapping kind. The caller holds
+// m.as.cacheMu.
 func (m *Mapping) translate(ctx *sim.Ctx, off int64, huge bool) {
 	var key uint64
 	var tlb *assoc
@@ -392,6 +403,14 @@ func (m *Mapping) translate(ctx *sim.Ctx, off int64, huge bool) {
 	ctx.Advance(walk)
 }
 
+// translateLocked is translate under its own hold of m.as.cacheMu, for
+// the paths that touch no data lines.
+func (m *Mapping) translateLocked(ctx *sim.Ctx, off int64, huge bool) {
+	m.as.cacheMu.Lock()
+	m.translate(ctx, off, huge)
+	m.as.cacheMu.Unlock()
+}
+
 // pteLineKey gives the synthetic cache-line address of the leaf page-table
 // entry for a virtual page. Eight 8-byte PTEs share a 64-byte line, so
 // sequential 4KiB pages share walk lines — matching real page-table
@@ -416,7 +435,8 @@ func pmdLineKey(vpn uint64, huge bool) uint64 {
 
 // dataLine charges cache/memory costs for touching the 64B line at phys.
 // Loads that miss the LLC pay the PM read latency; stores are posted
-// (write-combining) and pay the PM write latency without allocating.
+// (write-combining) and pay the PM write latency without allocating. The
+// caller holds m.as.cacheMu.
 func (m *Mapping) dataLine(ctx *sim.Ctx, phys int64, write bool) {
 	if write {
 		ctx.Advance(m.model.WriteLat64)
@@ -478,9 +498,9 @@ func (m *Mapping) access(ctx *sim.Ctx, p []byte, off int64, write bool) error {
 //     MRU way, which moves nothing — so TLB state is unchanged and the
 //     hits are counted arithmetically.
 //   - The LLC sees the same touch sequence in the same order: (on a TLB
-//     miss) pte line, pmd line, then data lines first..last, only under one
-//     lock via touchRun instead of n. Per-line hit/miss costs are summed
-//     into one Advance — int64 addition commutes.
+//     miss) pte line, pmd line, then data lines first..last, in one
+//     touchRun call instead of n. Per-line hit/miss costs are summed into
+//     one Advance — int64 addition commutes.
 //   - The device sees one ReadAt/WriteAt covering the run instead of one
 //     per line; bytes and offsets are identical (phys is contiguous within
 //     a granule). Only crash-trace record granularity could differ, and
@@ -505,11 +525,13 @@ func (m *Mapping) accessFine(ctx *sim.Ctx, p []byte, off int64, write bool) erro
 		if !m.devAccess(rem[:k], phys, gen, write) {
 			continue // shot down since resolution: re-fault this granule
 		}
-		m.translate(ctx, pos, huge)
 		firstLine := phys / pmem.CacheLine
 		nLines := (phys+k-1)/pmem.CacheLine - firstLine + 1
-		ctx.Counters.TLBHits += nLines - 1
+		m.as.cacheMu.Lock()
+		m.translate(ctx, pos, huge)
 		hits := int64(m.as.llc.touchRun(uint64(firstLine), int(nLines)))
+		m.as.cacheMu.Unlock()
+		ctx.Counters.TLBHits += nLines - 1
 		if write {
 			ctx.Counters.PMWriteBytes += nLines * pmem.CacheLine
 			ctx.Advance(nLines * m.model.WriteLat64)
@@ -546,8 +568,10 @@ func (m *Mapping) accessFineExact(ctx *sim.Ctx, p []byte, off int64, write bool)
 		if !m.devAccess(rem[:k], phys, gen, write) {
 			continue // shot down since resolution: re-fault this line
 		}
+		m.as.cacheMu.Lock()
 		m.translate(ctx, pos, huge)
 		m.dataLine(ctx, phys, write)
+		m.as.cacheMu.Unlock()
 		rem = rem[k:]
 		pos += k
 	}
@@ -577,7 +601,7 @@ func (m *Mapping) stream(ctx *sim.Ctx, p []byte, off int64, write bool) error {
 		if !m.devAccess(rem[:k], phys, gen, write) {
 			continue // shot down since resolution: re-fault this granule
 		}
-		m.translate(ctx, pos, huge)
+		m.translateLocked(ctx, pos, huge)
 		m.chargeStream(ctx, phys, k, write)
 		rem = rem[k:]
 		pos += k
@@ -597,7 +621,7 @@ func (m *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 		if err != nil {
 			return err
 		}
-		m.translate(ctx, pos, huge)
+		m.translateLocked(ctx, pos, huge)
 		granule := int64(BasePage)
 		if huge {
 			granule = HugePage

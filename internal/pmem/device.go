@@ -247,8 +247,14 @@ type chunkBuf [ChunkSize]byte
 // pool every death hands its chunks to the GC and every birth re-faults
 // and re-clears fresh spans (mallocgc→memclr was >10% of sweep CPU).
 // Chunks in the pool hold stale bytes: every Get site must zero whatever
-// part of the chunk it does not immediately overwrite.
-var chunkPool = sync.Pool{New: func() any { return new(chunkBuf) }}
+// part of the chunk it does not immediately overwrite. A fresh chunk is
+// advised onto host hugepages before its first touch: random loads over a
+// device of 4KiB host pages spent most of their host time in TLB misses.
+var chunkPool = sync.Pool{New: func() any {
+	c := new(chunkBuf)
+	adviseHuge(c)
+	return c
+}}
 
 // allocChunk installs a pooled chunk at index i. The chunk arrives dirty;
 // the empty-slot invariant (nil slot ⇒ init bitmap all zero, maintained by

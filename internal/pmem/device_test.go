@@ -2,6 +2,8 @@ package pmem
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -207,5 +209,53 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// TestHugepageAdviceSurvivesGC allocates at least 256 fresh chunks, each
+// advised onto host hugepages, through devices that are written, read
+// back and released, while another goroutine keeps the garbage collector
+// running. The advice covers heap memory around each chunk; it must stay
+// invisible to the collector, which aborts on a Go pointer into such a
+// range.
+func TestHugepageAdviceSurvivesGC(t *testing.T) {
+	var fresh atomic.Int64
+	orig := chunkPool.New
+	chunkPool.New = func() any { fresh.Add(1); return orig() }
+	defer func() { chunkPool.New = orig }()
+
+	stop := make(chan struct{})
+	gcDone := make(chan struct{})
+	go func() {
+		defer close(gcDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() { close(stop); <-gcDone }()
+
+	const chunks = 8
+	want := make([]byte, 4096)
+	got := make([]byte, 4096)
+	for round := 0; fresh.Load() < 256; round++ {
+		d := New(chunks * ChunkSize)
+		for i := range want {
+			want[i] = byte(round + i)
+		}
+		for c := int64(0); c < chunks; c++ {
+			d.WriteAt(want, c*ChunkSize+ChunkSize/2)
+		}
+		for c := int64(0); c < chunks; c++ {
+			d.ReadAt(got, c*ChunkSize+ChunkSize/2)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d chunk %d: read back differs", round, c)
+			}
+		}
+		d.Release()
 	}
 }

@@ -18,8 +18,10 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mmu"
 	"repro/internal/sim"
@@ -103,16 +105,19 @@ type Mapping struct {
 	length int64
 	own    bool // close f when the mapping closes (MapPath)
 
-	mu     sync.Mutex // guards win, closed, unsynced
-	closed bool
-	win    *window
+	// mu serialises changes of window: mapping the first one, sliding,
+	// and Close. Accesses load win without it; nil means closed.
+	mu  sync.Mutex
+	win atomic.Pointer[window]
+
+	// dirtyMu guards dirty and unsynced.
+	dirtyMu sync.Mutex
+	// dirty has bit pg set while file page pg holds a store not yet
+	// msynced.
+	dirty []uint64
 	// unsynced counts ModeShared store bytes since the last durability
 	// point (drives SyncPeriodic).
 	unsynced int64
-
-	// dirtyMu guards dirty: file page index -> dirty since last msync.
-	dirtyMu sync.Mutex
-	dirty   map[int64]struct{}
 
 	// privMu guards priv: file page index -> DRAM shadow (ModePrivate).
 	privMu sync.Mutex
@@ -134,6 +139,8 @@ type window struct {
 	base int64 // file offset of the window start, 2MiB-aligned
 	m    *mmu.Mapping
 }
+
+func (w *window) covers(off int64) bool { return off >= w.base && off < w.base+w.m.Len() }
 
 // Map establishes a mapping over the first length bytes of f (length<=0
 // maps the current size). The file must implement vfs.Mapper; otherwise
@@ -162,12 +169,12 @@ func Map(ctx *sim.Ctx, f vfs.File, length int64, cfg Config) (*Mapping, error) {
 		b:         b,
 		cfg:       cfg,
 		length:    length,
-		dirty:     make(map[int64]struct{}),
+		dirty:     make([]uint64, (alignUp(length, mmu.BasePage)/mmu.BasePage+63)/64),
 		priv:      make(map[int64][]byte),
 		chunkKind: make(map[int64]uint8),
 	}
 	v.mu.Lock()
-	_, err := v.windowForLocked(ctx, 0)
+	_, err := v.mapWindow(ctx, 0)
 	v.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -211,28 +218,41 @@ func windowBounds(off, length, budget int64, mapFull bool) (base, n int64) {
 	return base, n
 }
 
-// windowForLocked returns the window covering off, sliding it if needed.
-// Caller holds v.mu.
-func (v *Mapping) windowForLocked(ctx *sim.Ctx, off int64) (*window, error) {
-	if w := v.win; w != nil && off >= w.base && off < w.base+w.m.Len() {
+// windowFor returns the window covering off, sliding it if needed, or
+// ErrClosed. An access whose window already covers it takes no lock.
+func (v *Mapping) windowFor(ctx *sim.Ctx, off int64) (*window, error) {
+	if w := v.win.Load(); w != nil && w.covers(off) {
 		return w, nil
 	}
-	base, n := windowBounds(off, v.length, v.cfg.AddressBudget, v.cfg.MapFullFile)
-	if v.win != nil {
-		// Slide: munmap the old window (full shootdown) and map the new
-		// one — one munmap plus one mmap worth of kernel entries.
-		v.b.DetachMapping(v.win.m)
-		v.win.m.Invalidate()
-		ctx.Syscall(2 * v.b.MapSyscallNS())
-		ctx.Counters.VMMWindowRemaps++
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	old := v.win.Load()
+	if old == nil {
+		return nil, ErrClosed
 	}
+	if old.covers(off) {
+		return old, nil // another thread slid it here first
+	}
+	// Slide: munmap the old window (full shootdown) and map the new one —
+	// one munmap plus one mmap worth of kernel entries.
+	v.b.DetachMapping(old.m)
+	old.m.Invalidate()
+	ctx.Syscall(2 * v.b.MapSyscallNS())
+	ctx.Counters.VMMWindowRemaps++
+	return v.mapWindow(ctx, off)
+}
+
+// mapWindow maps the window covering off and publishes it. Caller holds
+// v.mu, and the previous window, if any, is already unmapped.
+func (v *Mapping) mapWindow(ctx *sim.Ctx, off int64) (*window, error) {
+	base, n := windowBounds(off, v.length, v.cfg.AddressBudget, v.cfg.MapFullFile)
 	w := &window{base: base, m: v.b.MapSpace().NewMapping(n, &offsetHandler{v: v, base: base})}
 	// Register the promotion hook before the file system learns about the
 	// mapping, so a layout improvement can never slip between attach and
 	// hook: the rewriter/defragmenter notifies every attached mapping.
 	w.m.SetPromoteHook(func(hctx *sim.Ctx) { v.Repromote(hctx) })
 	v.b.AttachMapping(w.m)
-	v.win = w
+	v.win.Store(w)
 	if v.cfg.Preload {
 		if err := w.m.Prefault(ctx); err != nil {
 			return nil, err
@@ -302,13 +322,7 @@ func (v *Mapping) access(ctx *sim.Ctx, p []byte, off int64, write bool) error {
 		return mmu.ErrOutOfRange
 	}
 	for len(p) > 0 {
-		v.mu.Lock()
-		if v.closed {
-			v.mu.Unlock()
-			return ErrClosed
-		}
-		w, err := v.windowForLocked(ctx, off)
-		v.mu.Unlock()
+		w, err := v.windowFor(ctx, off)
 		if err != nil {
 			return err
 		}
@@ -340,28 +354,32 @@ func (v *Mapping) writeShared(ctx *sim.Ctx, w *window, seg []byte, off int64) er
 		return err
 	}
 	n := int64(len(seg))
+	due := false
 	v.dirtyMu.Lock()
-	for pg := off / mmu.BasePage; pg*mmu.BasePage < off+n; pg++ {
-		v.dirty[pg] = struct{}{}
-	}
-	v.dirtyMu.Unlock()
-	switch v.cfg.Sync {
-	case SyncImmediate:
-		// clwb-as-you-go: flush exactly the stored range, no kernel entry.
-		return v.msync(ctx, off, n, false)
-	case SyncPeriodic:
-		v.mu.Lock()
+	v.markDirtyLocked(off, n)
+	if v.cfg.Sync == SyncPeriodic {
 		v.unsynced += n
-		due := v.unsynced >= SyncEveryBytes
-		if due {
+		if due = v.unsynced >= SyncEveryBytes; due {
 			v.unsynced = 0
 		}
-		v.mu.Unlock()
-		if due {
-			return v.msync(ctx, 0, v.length, false)
-		}
+	}
+	v.dirtyMu.Unlock()
+	switch {
+	case v.cfg.Sync == SyncImmediate:
+		// clwb-as-you-go: flush exactly the stored range, no kernel entry.
+		return v.msync(ctx, off, n, false)
+	case due:
+		return v.msync(ctx, 0, v.length, false)
 	}
 	return nil
+}
+
+// markDirtyLocked marks the pages of [off, off+n) dirty. Caller holds
+// v.dirtyMu.
+func (v *Mapping) markDirtyLocked(off, n int64) {
+	for pg := off / mmu.BasePage; pg*mmu.BasePage < off+n; pg++ {
+		v.dirty[pg>>6] |= 1 << (pg & 63)
+	}
 }
 
 // accessPrivate serves a read or write in copy-on-write mode: pages with
@@ -436,13 +454,7 @@ func (v *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 		return mmu.ErrOutOfRange
 	}
 	for n > 0 {
-		v.mu.Lock()
-		if v.closed {
-			v.mu.Unlock()
-			return ErrClosed
-		}
-		w, err := v.windowForLocked(ctx, off)
-		v.mu.Unlock()
+		w, err := v.windowFor(ctx, off)
 		if err != nil {
 			return err
 		}
@@ -455,9 +467,7 @@ func (v *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 		}
 		if write && v.cfg.Mode == ModeShared {
 			v.dirtyMu.Lock()
-			for pg := off / mmu.BasePage; pg*mmu.BasePage < off+seg; pg++ {
-				v.dirty[pg] = struct{}{}
-			}
+			v.markDirtyLocked(off, seg)
 			v.dirtyMu.Unlock()
 		}
 		off += seg
@@ -471,12 +481,9 @@ func (v *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 // system's durability rules; private dirty pages are anonymous DRAM and
 // are never written back (POSIX MAP_PRIVATE).
 func (v *Mapping) Msync(ctx *sim.Ctx, off, n int64) error {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
+	if v.win.Load() == nil {
 		return ErrClosed
 	}
-	v.mu.Unlock()
 	if n < 0 {
 		off, n = 0, v.length
 	}
@@ -494,22 +501,34 @@ func (v *Mapping) msync(ctx *sim.Ctx, off, n int64, syscall bool) error {
 	if v.cfg.Mode != ModeShared {
 		return nil
 	}
-	// Collect the dirty pages in range as contiguous runs.
-	start := off / mmu.BasePage
-	end := (off + n + mmu.BasePage - 1) / mmu.BasePage
+	// Collect and clear the dirty pages in range as contiguous runs,
+	// a bitmap word at a time. A range reaching outside the mapping is
+	// clipped to it.
+	start := max(off, 0) / mmu.BasePage
+	end := min((off+n+mmu.BasePage-1)/mmu.BasePage, int64(len(v.dirty))*64)
 	var runs [][2]int64
-	v.dirtyMu.Lock()
 	var runStart, runLen int64 = -1, 0
-	for pg := start; pg < end; pg++ {
-		if _, ok := v.dirty[pg]; ok {
-			delete(v.dirty, pg)
-			if runStart < 0 {
-				runStart = pg
+	v.dirtyMu.Lock()
+	for wi := start >> 6; wi<<6 < end; wi++ {
+		mask := ^uint64(0)
+		if wi == start>>6 {
+			mask <<= start & 63
+		}
+		if hi := end - wi<<6; hi < 64 {
+			mask &= 1<<hi - 1
+		}
+		set := v.dirty[wi] & mask
+		v.dirty[wi] &^= set
+		for ; set != 0; set &= set - 1 {
+			pg := wi<<6 + int64(bits.TrailingZeros64(set))
+			if runStart >= 0 && pg == runStart+runLen {
+				runLen++
+				continue
 			}
-			runLen++
-		} else if runStart >= 0 {
-			runs = append(runs, [2]int64{runStart, runLen})
-			runStart, runLen = -1, 0
+			if runStart >= 0 {
+				runs = append(runs, [2]int64{runStart, runLen})
+			}
+			runStart, runLen = pg, 1
 		}
 	}
 	if runStart >= 0 {
@@ -535,22 +554,17 @@ func (v *Mapping) msync(ctx *sim.Ctx, off, n int64, syscall bool) error {
 // the handle is detached from the file.
 func (v *Mapping) Close(ctx *sim.Ctx) error {
 	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
+	w := v.win.Swap(nil)
+	v.mu.Unlock()
+	if w == nil {
 		return ErrClosed
 	}
-	v.closed = true
-	w := v.win
-	v.win = nil
-	v.mu.Unlock()
 	var err error
 	if v.cfg.Mode == ModeShared {
 		err = v.msync(ctx, 0, v.length, false)
 	}
-	if w != nil {
-		v.b.DetachMapping(w.m)
-		w.m.Invalidate()
-	}
+	v.b.DetachMapping(w.m)
+	w.m.Invalidate()
 	ctx.Syscall(v.b.MapSyscallNS())
 	ctx.Counters.VMMUnmaps++
 	if v.own {
@@ -564,9 +578,7 @@ func (v *Mapping) Close(ctx *sim.Ctx) error {
 // MappedPages reports the live translations of the current window:
 // resident 4KiB base pages and 2MiB hugepage chunks.
 func (v *Mapping) MappedPages() (base, huge int) {
-	v.mu.Lock()
-	w := v.win
-	v.mu.Unlock()
+	w := v.win.Load()
 	if w == nil {
 		return 0, 0
 	}
@@ -589,13 +601,10 @@ func (v *Mapping) Repromote(ctx *sim.Ctx) int {
 	if !ok {
 		return 0
 	}
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
+	w := v.win.Load()
+	if w == nil {
 		return 0
 	}
-	w := v.win
-	v.mu.Unlock()
 
 	v.statMu.Lock()
 	cand := make([]int64, 0, len(v.chunkKind))
@@ -618,7 +627,7 @@ func (v *Mapping) Repromote(ctx *sim.Ctx) int {
 		// probed blocks before the hugepage PMD is in place (layout
 		// changes take the write lock and invalidate mappings first).
 		eligible := prober.ProbeHuge(fileOff, func(phys int64) {
-			if w != nil && fileOff >= w.base && fileOff+mmu.HugePage <= w.base+w.m.Len() {
+			if fileOff >= w.base && fileOff+mmu.HugePage <= w.base+w.m.Len() {
 				w.m.PromoteChunk(ctx, fileOff-w.base, phys)
 			}
 		})

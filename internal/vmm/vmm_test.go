@@ -3,6 +3,10 @@ package vmm_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pmem"
@@ -327,3 +331,172 @@ func TestMapRequiresMapper(t *testing.T) {
 type nonMapper struct{ vfs.File }
 
 func (nonMapper) Size() int64 { return 4096 }
+
+// TestSyncDirtyPagesExact pins the page set msync flushes on a mapping
+// whose length is not a multiple of 4KiB: a sub-range msync flushes
+// exactly the dirty pages inside it, run by run; a second one finds
+// nothing; Close flushes the rest, the partial last page as its bytes.
+func TestSyncDirtyPagesExact(t *testing.T) {
+	ctx, fs := newFS(t)
+	const length = 256<<12 + 1000 // 256 whole pages and a partial one
+	f := mkFile(t, ctx, fs, "/exact", 0x67, length)
+	m, err := vmm.Map(ctx, f, 0, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != length {
+		t.Fatalf("Len = %d, want %d", m.Len(), length)
+	}
+	line := bytes.Repeat([]byte{0x71}, 64)
+	// Pages 0, 7, 63, 64, 65, 130 and 256 (the partial page), and one
+	// store straddling pages 99 and 100; 63|64 and 127|128 cross bitmap
+	// words.
+	for _, off := range []int64{0, 7<<12 + 100, 63<<12 + 4000, 64 << 12, 65<<12 + 64, 130 << 12, 256<<12 + 900, 100<<12 - 10} {
+		if err := m.Write(ctx, line[:min(64, length-off)], off); err != nil {
+			t.Fatalf("store at %d: %v", off, err)
+		}
+	}
+	flushed := func() int64 { return ctx.Counters.VMMMsyncBytes }
+
+	// Pages 64..130: the runs 64-65, 99-100 and 130.
+	lo := int64(64<<12 + 100)
+	if err := m.Msync(ctx, lo, 131<<12-lo); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flushed(), int64(5<<12); got != want {
+		t.Fatalf("sub-range msync flushed %d bytes, want %d (pages 64, 65, 99, 100, 130)", got, want)
+	}
+	if err := m.Msync(ctx, lo, 131<<12-lo); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flushed(), int64(5<<12); got != want {
+		t.Fatalf("second msync flushed %d bytes, want 0", got-want)
+	}
+	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flushed()-5<<12, int64(3<<12+1000); got != want {
+		t.Fatalf("Close flushed %d bytes, want %d (pages 0, 7, 63 and the 1000-byte page 256)", got, want)
+	}
+}
+
+// TestWindowedConcurrentSlideAndClose drives four sim threads through
+// one shared mapping of a 256MiB file with a 64MiB address budget, at
+// offsets that keep sliding the window under each other, and checks
+// every byte read back. Then Close races the accesses: each returns nil
+// or ErrClosed, and nothing panics.
+func TestWindowedConcurrentSlideAndClose(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, pmem.New(512<<20), winefs.Options{CPUs: 4, Mode: vfs.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 256 << 20
+	f, err := fs.Create(ctx, "/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fallocate(ctx, 0, size); err != nil {
+		t.Fatal(err)
+	}
+	m, err := vmm.Map(ctx, f, size, vmm.Config{Mode: vmm.ModeShared, AddressBudget: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Thread th owns the 16 slots at (16*i+4*th) MiB: every thread ranges
+	// over the whole file, so each access may slide the window away from
+	// another thread's. Each slot has a device chunk of its own.
+	const threads, slots, rounds = 4, 16, 300
+	slotOff := func(th, i int) int64 { return int64(16*i+4*th) << 20 }
+	var wg sync.WaitGroup
+	errs := make(chan error, threads)
+	tctxs := make([]*sim.Ctx, threads)
+	for th := 0; th < threads; th++ {
+		tctxs[th] = sim.NewCtx(10+th, th)
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			tctx := tctxs[th]
+			rng := sim.NewRand(uint64(th + 1))
+			want := make([]byte, slots) // 0: never stored
+			buf := make([]byte, 64)
+			for r := 0; r < rounds; r++ {
+				i := rng.Intn(slots)
+				off := slotOff(th, i)
+				if err := m.Read(tctx, buf, off); err != nil {
+					errs <- err
+					return
+				}
+				for _, b := range buf {
+					if b != want[i] {
+						errs <- fmt.Errorf("thread %d slot %d: read %#x, want %#x", th, i, b, want[i])
+						return
+					}
+				}
+				want[i] = byte(r%255 + 1)
+				for j := range buf {
+					buf[j] = want[i]
+				}
+				if err := m.Write(tctx, buf, off); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var remaps int64
+	for _, c := range tctxs {
+		remaps += c.Counters.VMMWindowRemaps
+	}
+	if remaps < rounds {
+		t.Fatalf("%d window remaps over %d accesses, want the window to keep sliding", remaps, threads*rounds*2)
+	}
+
+	// Close against in-flight accesses: every access that starts after it
+	// returns ErrClosed, so each thread stops on its own.
+	var done atomic.Int64
+	bad := make(chan error, threads)
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			tctx := sim.NewCtx(20+th, th)
+			rng := sim.NewRand(uint64(100 + th))
+			buf := make([]byte, 64)
+			for n := 0; ; n++ {
+				off := slotOff(th, rng.Intn(slots))
+				var err error
+				if n%2 == 0 {
+					err = m.Read(tctx, buf, off)
+				} else {
+					err = m.Write(tctx, buf, off)
+				}
+				if errors.Is(err, vmm.ErrClosed) {
+					return
+				}
+				if err != nil {
+					bad <- fmt.Errorf("thread %d: access racing Close: %v", th, err)
+					return
+				}
+				done.Add(1)
+			}
+		}(th)
+	}
+	for done.Load() < 64 && len(bad) == 0 {
+		runtime.Gosched()
+	}
+	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(bad)
+	for err := range bad {
+		t.Fatal(err)
+	}
+}
