@@ -437,7 +437,7 @@ func okServingErr(err error) bool {
 	return false
 }
 
-// TestFaultCampaignServing: the device carries a FaultPlan while 8 clients
+// TestFaultCampaignServing: the device carries read faults while 8 clients
 // hammer the mount. Every client-visible failure must be a typed EIO or
 // read-only error delivered over a live connection — never a panic, never
 // a connection drop.
@@ -453,7 +453,7 @@ func TestFaultCampaignServing(t *testing.T) {
 	for n := 40; n <= 2000; n += 120 {
 		rules = append(rules, pmem.ReadRule{Nth: n})
 	}
-	dev.SetFaultPlan(&pmem.FaultPlan{Seed: 99, Reads: rules, TornFence: -1})
+	dev.SetReadFaults(rules)
 
 	var wg sync.WaitGroup
 	unexpected := make([]error, clients)
@@ -507,8 +507,8 @@ func TestFaultCampaignServing(t *testing.T) {
 			t.Errorf("client %d observed a non-ladder failure: %v", i, err)
 		}
 	}
-	if pr, _ := dev.FaultStats(); pr == 0 {
-		t.Error("fault plan never tripped: campaign exercised nothing")
+	if dev.PoisonedReads() == 0 {
+		t.Error("read faults never tripped: campaign exercised nothing")
 	}
 	// The server survived the campaign: a fresh client still gets served.
 	cl := dialT(t, pl)

@@ -97,7 +97,7 @@ type Device struct {
 	epoch     int
 	trace     []Store
 
-	// fault holds media-fault state (poison map, fault plan); lazily
+	// fault holds media-fault state (poison map, read rules); lazily
 	// allocated so fault-free devices pay nothing. See fault.go.
 	faultOnce sync.Once
 	fault     *faultState
@@ -496,35 +496,22 @@ func (d *Device) ReadAt(buf []byte, off int64) {
 }
 
 // WriteAt stores data at off without charging virtual time, recording the
-// store in the crash trace when tracing is enabled.
+// store in the crash trace when tracing is enabled. A store re-arms every
+// line it fully overwrites (hardware clears poison on a full-line write).
 func (d *Device) WriteAt(data []byte, off int64) {
 	d.checkRange(off, int64(len(data)))
 	d.record(off, data)
 	d.snapMu.RLock()
-	if d.fault == nil {
-		// No fault injection armed: the store persists whole and there is
-		// no poison to clear. Skipping tearStore keeps this path free of
-		// its per-call segment-slice allocation.
-		d.writeRaw(data, off)
-	} else {
-		for _, seg := range d.tearStore(off, data) {
-			d.writeRaw(seg.Data, seg.Off)
-			// A store re-arms every line it fully overwrites (hardware
-			// clears poison on a full-line write).
-			d.clearPoisonCovered(seg.Off, int64(len(seg.Data)))
-		}
-	}
+	d.writeRaw(data, off)
 	d.snapMu.RUnlock()
-	// The observer sees the intended store, not the torn segments: a
-	// replica receives what the CPU issued, while the local media may have
-	// kept only part of it — exactly the asymmetry a crash can create.
+	d.clearPoisonCovered(off, int64(len(data)))
 	if obs := d.observer(); obs != nil {
 		obs.ObserveWrite(off, data)
 	}
 }
 
-// writeRaw copies data into the backing store with no recording, tearing
-// or poison bookkeeping.
+// writeRaw copies data into the backing store with no recording or poison
+// bookkeeping.
 func (d *Device) writeRaw(data []byte, off int64) {
 	rest := data
 	pos := off
@@ -623,9 +610,12 @@ func (d *Device) Read(ctx *sim.Ctx, buf []byte, off int64) {
 	d.chargeRead(ctx, off, int64(len(buf)))
 }
 
-// Write stores data, charging write latency/bandwidth. The store is NOT
-// yet durable; durability requires Flush + Fence (FS code models clwb/sfence
-// explicitly).
+// Write stores data, charging write latency/bandwidth. The live device
+// keeps the store whole at once. For crash states a store is in flight
+// until the next Fence: a Recording of it may persist it, drop it or tear
+// it only within its own fence epoch, and every cut after that fence holds
+// it. Flush plays no part in that (ROADMAP item 17 PR B puts flushes in the
+// trace).
 func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
 	d.WriteAt(data, off)
 	d.chargeWrite(ctx, off, int64(len(data)))
@@ -714,7 +704,10 @@ func (d *Device) TransferWrite(ctx *sim.Ctx, off, n int64) {
 	d.transfer(ctx, off, int64(float64(n)*d.writeNSPerB))
 }
 
-// Flush models clwb over the cache lines covering [off, off+n).
+// Flush models clwb over the cache lines covering [off, off+n). It only
+// advances the clock: crash states do not depend on it, so a store
+// followed by a Fence is durable whether or not it was flushed (ROADMAP
+// item 17 PR B).
 func (d *Device) Flush(ctx *sim.Ctx, off, n int64) {
 	if n <= 0 {
 		return
@@ -725,8 +718,10 @@ func (d *Device) Flush(ctx *sim.Ctx, off, n int64) {
 	ctx.Advance(d.model.FlushLat + (lines-1)*d.model.FlushLat/8)
 }
 
-// Fence models sfence and advances the crash-trace epoch: stores recorded
-// before the fence can no longer reorder with stores after it.
+// Fence models sfence and advances the crash-trace epoch. It is the only
+// persistence point of the crash model: every store issued before it, on
+// any thread and flushed or not, is durable in every crash state after it
+// (ROADMAP item 17 PR B makes it per thread and flush-gated).
 func (d *Device) Fence(ctx *sim.Ctx) {
 	ctx.Advance(d.model.FenceLat)
 	d.traceMu.Lock()
@@ -734,7 +729,6 @@ func (d *Device) Fence(ctx *sim.Ctx) {
 		d.epoch++
 	}
 	d.traceMu.Unlock()
-	d.advancePlanEpoch()
 }
 
 // --- crash tracing -------------------------------------------------------
@@ -748,9 +742,8 @@ type Store struct {
 	Epoch int
 }
 
-// StartTrace begins recording stores. A caller that wants to reconstruct
-// crash states uses Record, which snapshots the device first.
-func (d *Device) StartTrace() {
+// startTrace begins recording stores; Record is its only caller.
+func (d *Device) startTrace() {
 	d.traceMu.Lock()
 	d.tracing = true
 	d.tracingOn.Store(true)
@@ -759,8 +752,8 @@ func (d *Device) StartTrace() {
 	d.traceMu.Unlock()
 }
 
-// StopTrace ends recording and returns the trace.
-func (d *Device) StopTrace() []Store {
+// stopTrace ends recording and returns the trace.
+func (d *Device) stopTrace() []Store {
 	d.traceMu.Lock()
 	t := d.trace
 	d.tracing = false
@@ -776,7 +769,7 @@ func (d *Device) isTracing() bool {
 
 func (d *Device) record(off int64, data []byte) {
 	if !d.tracingOn.Load() {
-		// A store racing a StartTrace may miss the trace; it linearizes
+		// A store racing a startTrace may miss the trace; it linearizes
 		// before the trace began, exactly as if it had taken the lock
 		// first.
 		return

@@ -139,21 +139,21 @@ func TestNUMAMapping(t *testing.T) {
 func TestTraceEpochs(t *testing.T) {
 	d := New(16 << 20)
 	ctx := sim.NewCtx(1, 0)
-	d.StartTrace()
+	d.startTrace()
 	d.WriteAt([]byte{1}, 0)
 	d.WriteAt([]byte{2}, 1)
 	d.Fence(ctx)
 	d.WriteAt([]byte{3}, 2)
-	trace := d.StopTrace()
+	trace := d.stopTrace()
 	if len(trace) != 3 {
 		t.Fatalf("trace has %d stores, want 3", len(trace))
 	}
 	if trace[0].Epoch != 0 || trace[1].Epoch != 0 || trace[2].Epoch != 1 {
 		t.Fatalf("epochs = %d,%d,%d", trace[0].Epoch, trace[1].Epoch, trace[2].Epoch)
 	}
-	// Stores after StopTrace are not recorded.
+	// Stores after stopTrace are not recorded.
 	d.WriteAt([]byte{4}, 3)
-	if tr := d.StopTrace(); tr != nil {
+	if tr := d.stopTrace(); tr != nil {
 		t.Fatal("trace recorded after stop")
 	}
 }
@@ -161,16 +161,19 @@ func TestTraceEpochs(t *testing.T) {
 func TestSnapshotRestoreApply(t *testing.T) {
 	d := New(16 << 20)
 	d.WriteAt([]byte("base"), 0)
-	img := d.Snapshot()
-
-	d.StartTrace()
-	d.WriteAt([]byte("mod1"), 0)
-	d.WriteAt([]byte("tail"), 100)
-	trace := d.StopTrace()
+	rec, err := d.Record(func() error {
+		d.WriteAt([]byte("mod1"), 0)
+		d.WriteAt([]byte("tail"), 100)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := rec.Base
 
 	// Build a crash state with only the first store applied.
 	crash := img.Clone()
-	crash.Apply(trace[:1])
+	crash.Apply(rec.Stores[:1])
 	d.Restore(crash)
 
 	got := make([]byte, 4)

@@ -14,19 +14,19 @@ import (
 // line. The simulated device models exactly that:
 //
 //   - lines can be poisoned explicitly (Poison) or by scripted read rules
-//     (FaultPlan.Reads) that trip on the Nth access to a byte range;
+//     (SetReadFaults) that trip on the Nth access to a byte range;
 //   - the checked read paths (ReadAtChecked / ReadChecked) return a typed
 //     *MediaError when any covered line is poisoned — they never return
 //     corrupt bytes silently;
 //   - WriteAt / ZeroRange clear poison on every line they fully overwrite
-//     (partial-line writes leave the line poisoned, as on hardware);
-//   - a FaultPlan can also tear stores at a fence epoch: each cache line of
-//     every store issued in the chosen epoch is dropped with a seeded
-//     probability, modelling the partial persistence of in-flight
-//     non-temporal stores at a power cut.
+//     (partial-line writes leave the line poisoned, as on hardware).
 //
-// All decisions are deterministic given the plan's seed, so fault
-// campaigns are reproducible run-to-run.
+// Every store persists whole on the live device. What a power cut leaves
+// of in-flight stores — none, a subset, or an epoch torn at cache-line
+// granularity — is decided only offline, by a Recording (recording.go).
+//
+// All decisions are deterministic, so fault campaigns are reproducible
+// run-to-run.
 
 // MediaError is an uncorrectable media error: a load touched at least one
 // poisoned cache line. Off/Len describe the attempted access, Line the
@@ -65,34 +65,13 @@ type ReadRule struct {
 	hits int
 }
 
-// FaultPlan scripts deterministic media faults on a Device. Install with
-// Device.SetFaultPlan; a nil plan disables injection (existing poison
-// persists until overwritten).
-type FaultPlan struct {
-	// Seed drives every probabilistic decision (torn-line drops).
-	Seed uint64
-	// Reads are scripted read failures, checked in order.
-	Reads []ReadRule
-	// TornFence selects the fence epoch whose stores are torn, counted
-	// from plan installation (epoch 0 is the interval up to the first
-	// fence). -1 disables tearing.
-	TornFence int
-	// TornKeep is the probability each cache line of a store in the torn
-	// epoch persists (0 drops everything, 1 keeps everything).
-	TornKeep float64
-
-	rng   *sim.Rand
-	epoch int
-}
-
 // faultState is the per-device fault bookkeeping, lazily allocated.
 type faultState struct {
 	mu     sync.Mutex
 	poison map[int64]struct{} // poisoned lines, keyed by line start address
-	plan   *FaultPlan
+	reads  []ReadRule         // scripted read failures, checked in order
 
 	poisonedReads int64 // checked reads that returned a MediaError
-	tornLines     int64 // cache lines dropped by torn-write injection
 }
 
 func (d *Device) faults() *faultState {
@@ -100,17 +79,14 @@ func (d *Device) faults() *faultState {
 	return d.fault
 }
 
-// SetFaultPlan installs (or, with nil, removes) a fault plan. The torn-
-// fence epoch counter restarts at zero.
-func (d *Device) SetFaultPlan(p *FaultPlan) {
+// SetReadFaults installs scripted read failures, replacing any installed
+// before; nil removes them (existing poison persists until overwritten).
+// The rules are copied, so their hit counts belong to the device.
+func (d *Device) SetReadFaults(rules []ReadRule) {
 	f := d.faults()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p != nil {
-		p.rng = sim.NewRand(p.Seed)
-		p.epoch = 0
-	}
-	f.plan = p
+	f.reads = append([]ReadRule(nil), rules...)
 }
 
 // Poison marks every cache line intersecting [off, off+n) as an
@@ -158,16 +134,16 @@ func (d *Device) PoisonedLines(off, n int64) []int64 {
 	return out
 }
 
-// FaultStats reports how many checked reads failed and how many store
-// lines were torn since the device was created.
-func (d *Device) FaultStats() (poisonedReads, tornLines int64) {
+// PoisonedReads reports how many checked reads failed since the device
+// was created.
+func (d *Device) PoisonedReads() int64 {
 	if d.fault == nil {
-		return 0, 0
+		return 0
 	}
 	f := d.fault
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.poisonedReads, f.tornLines
+	return f.poisonedReads
 }
 
 // CheckRange reports whether [off, off+n) lies inside the device, as an
@@ -190,28 +166,26 @@ func (d *Device) checkFaults(off, n int64) error {
 	f := d.fault
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p := f.plan; p != nil {
-		for i := range p.Reads {
-			r := &p.Reads[i]
-			end := r.End
-			if end == 0 {
-				end = d.size
-			}
-			if off >= end || off+n <= r.Start {
-				continue
-			}
-			r.hits++
-			if r.Nth != 0 && r.hits != r.Nth {
-				continue
-			}
-			if !r.Transient {
-				for line := off / CacheLine * CacheLine; line < off+n; line += CacheLine {
-					f.poison[line] = struct{}{}
-				}
-			}
-			f.poisonedReads++
-			return &MediaError{Off: off, Len: n, Line: off / CacheLine * CacheLine}
+	for i := range f.reads {
+		r := &f.reads[i]
+		end := r.End
+		if end == 0 {
+			end = d.size
 		}
+		if off >= end || off+n <= r.Start {
+			continue
+		}
+		r.hits++
+		if r.Nth != 0 && r.hits != r.Nth {
+			continue
+		}
+		if !r.Transient {
+			for line := off / CacheLine * CacheLine; line < off+n; line += CacheLine {
+				f.poison[line] = struct{}{}
+			}
+		}
+		f.poisonedReads++
+		return &MediaError{Off: off, Len: n, Line: off / CacheLine * CacheLine}
 	}
 	if len(f.poison) > 0 {
 		for line := off / CacheLine * CacheLine; line < off+n; line += CacheLine {
@@ -271,98 +245,4 @@ func (d *Device) clearPoisonCovered(off, n int64) {
 	for line := first; line < last; line += CacheLine {
 		delete(f.poison, line)
 	}
-}
-
-// tearStore applies torn-write injection to a store of data at off:
-// it returns the (possibly shortened) segments that actually persist.
-// Caller must hold no fault locks.
-func (d *Device) tearStore(off int64, data []byte) []Store {
-	if d.fault == nil {
-		return []Store{{Off: off, Data: data}}
-	}
-	f := d.fault
-	f.mu.Lock()
-	p := f.plan
-	if p == nil || p.TornFence < 0 || p.epoch != p.TornFence {
-		f.mu.Unlock()
-		return []Store{{Off: off, Data: data}}
-	}
-	// Decide per cache line, deterministically from the plan's seed.
-	var kept []Store
-	var cur *Store
-	pos := off
-	rest := data
-	for len(rest) > 0 {
-		lineEnd := pos/CacheLine*CacheLine + CacheLine
-		n := lineEnd - pos
-		if n > int64(len(rest)) {
-			n = int64(len(rest))
-		}
-		if p.rng.Float64() < p.TornKeep {
-			if cur != nil && cur.Off+int64(len(cur.Data)) == pos {
-				cur.Data = append(cur.Data, rest[:n]...)
-			} else {
-				kept = append(kept, Store{Off: pos, Data: append([]byte(nil), rest[:n]...)})
-				cur = &kept[len(kept)-1]
-			}
-		} else {
-			f.tornLines++
-			cur = nil
-		}
-		pos += n
-		rest = rest[n:]
-	}
-	f.mu.Unlock()
-	return kept
-}
-
-// advancePlanEpoch moves the torn-fence epoch forward at each fence.
-func (d *Device) advancePlanEpoch() {
-	if d.fault == nil {
-		return
-	}
-	f := d.fault
-	f.mu.Lock()
-	if f.plan != nil {
-		f.plan.epoch++
-	}
-	f.mu.Unlock()
-}
-
-// TearStores rewrites a recorded crash trace so that each cache line of
-// every store in epoch tornEpoch persists with probability keep (decided
-// by rng); stores in other epochs pass through unchanged. The crash
-// harness applies the result to a snapshot to build torn-write crash
-// images.
-func TearStores(stores []Store, tornEpoch int, keep float64, rng *sim.Rand) []Store {
-	var out []Store
-	for _, s := range stores {
-		if s.Epoch != tornEpoch {
-			out = append(out, s)
-			continue
-		}
-		pos := s.Off
-		rest := s.Data
-		var cur *Store
-		for len(rest) > 0 {
-			lineEnd := pos/CacheLine*CacheLine + CacheLine
-			n := lineEnd - pos
-			if n > int64(len(rest)) {
-				n = int64(len(rest))
-			}
-			if rng.Float64() < keep {
-				if cur != nil && cur.Off+int64(len(cur.Data)) == pos {
-					cur.Data = append(cur.Data, rest[:n]...)
-				} else {
-					out = append(out, Store{Off: pos, Data: append([]byte(nil), rest[:n]...), Epoch: s.Epoch})
-					cur = &out[len(out)-1]
-				}
-			} else {
-				cur = nil
-			}
-			pos += n
-			rest = rest[n:]
-		}
-	}
-	return out
 }

@@ -87,14 +87,11 @@ func TestClearPoisonAndPoisonedLines(t *testing.T) {
 
 func TestReadRules(t *testing.T) {
 	d := New(1 << 20)
-	d.SetFaultPlan(&FaultPlan{
-		Seed:      1,
-		TornFence: -1,
-		Reads: []ReadRule{
-			{Start: 0, End: 4096, Nth: 2},                      // persistent: poisons
-			{Start: 8192, End: 12288, Nth: 1, Transient: true}, // transient: retry works
-		},
-	})
+	rules := []ReadRule{
+		{Start: 0, End: 4096, Nth: 2},                      // persistent: poisons
+		{Start: 8192, End: 12288, Nth: 1, Transient: true}, // transient: retry works
+	}
+	d.SetReadFaults(rules)
 	buf := make([]byte, 64)
 	if err := d.ReadAtChecked(buf, 0); err != nil {
 		t.Fatalf("1st read should pass: %v", err)
@@ -113,9 +110,21 @@ func TestReadRules(t *testing.T) {
 	if err := d.ReadAtChecked(buf, 8192); err != nil {
 		t.Fatalf("transient error persisted: %v", err)
 	}
-	pr, _ := d.FaultStats()
-	if pr != 3 {
+	if pr := d.PoisonedReads(); pr != 3 {
 		t.Fatalf("poisonedReads = %d, want 3", pr)
+	}
+	// The device counts hits on its own copy of the rules, and nil removes
+	// them.
+	if rules[0].hits != 0 || rules[1].hits != 0 {
+		t.Fatalf("the caller's rules were counted: %d, %d hits", rules[0].hits, rules[1].hits)
+	}
+	d.SetReadFaults([]ReadRule{{Start: 16384, End: 16448, Transient: true}})
+	if err := d.ReadAtChecked(buf, 16384); err == nil {
+		t.Fatal("a rule with Nth 0 did not fail its read")
+	}
+	d.SetReadFaults(nil)
+	if err := d.ReadAtChecked(buf, 16384); err != nil {
+		t.Fatalf("read after the rules were removed: %v", err)
 	}
 }
 
@@ -140,113 +149,24 @@ func TestCheckRange(t *testing.T) {
 	}
 }
 
-func TestTornWritesLive(t *testing.T) {
+// TestPoisonedStoresDoNotAllocate: one poisoned line anywhere arms the
+// device's fault state, and a store or fence elsewhere must still allocate
+// nothing; a full-line store over the poisoned line still re-arms it.
+func TestPoisonedStoresDoNotAllocate(t *testing.T) {
 	d := New(1 << 20)
+	defer d.Release()
 	ctx := sim.NewCtx(1, 0)
-	// Epoch 0 is torn with keep=0: every line of every store before the
-	// first fence is dropped.
-	d.SetFaultPlan(&FaultPlan{Seed: 7, TornFence: 0, TornKeep: 0})
-	data := make([]byte, 256)
-	for i := range data {
-		data[i] = 0xAB
+	d.Poison(8192, 1)
+	data := make([]byte, 4*CacheLine)
+	d.Write(ctx, data, 0) // back the chunk off the clock
+	if n := testing.AllocsPerRun(100, func() { d.Write(ctx, data, 0) }); n != 0 {
+		t.Errorf("Write on a poisoned device: %v allocations per store, want 0", n)
 	}
-	d.Write(ctx, data, 0)
-	d.Fence(ctx)
-	// After the fence the torn epoch is over: stores persist again.
-	d.Write(ctx, data, 4096)
-
-	buf := make([]byte, 256)
-	d.ReadAt(buf, 0)
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("torn store persisted byte %d = %#x", i, b)
-		}
+	if n := testing.AllocsPerRun(100, func() { d.Fence(ctx) }); n != 0 {
+		t.Errorf("Fence on a poisoned device: %v allocations per fence, want 0", n)
 	}
-	d.ReadAt(buf, 4096)
-	if buf[0] != 0xAB {
-		t.Fatal("post-fence store was dropped")
-	}
-	if _, torn := d.FaultStats(); torn != 4 {
-		t.Fatalf("tornLines = %d, want 4", torn)
-	}
-}
-
-func TestTornWritesDeterministic(t *testing.T) {
-	run := func() []byte {
-		d := New(1 << 20)
-		ctx := sim.NewCtx(1, 0)
-		d.SetFaultPlan(&FaultPlan{Seed: 42, TornFence: 0, TornKeep: 0.5})
-		data := make([]byte, 1024)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		d.Write(ctx, data, 0)
-		out := make([]byte, 1024)
-		d.ReadAt(out, 0)
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("torn writes not deterministic at byte %d", i)
-		}
-	}
-	partial := false
-	for _, x := range a {
-		if x != 0 {
-			partial = true
-		}
-	}
-	if !partial {
-		t.Fatal("keep=0.5 dropped everything (seed pathological?)")
-	}
-}
-
-func TestTearStoresOffline(t *testing.T) {
-	stores := []Store{
-		{Off: 0, Data: make([]byte, 256), Epoch: 0},
-		{Off: 4096, Data: make([]byte, 256), Epoch: 1},
-	}
-	for i := range stores[0].Data {
-		stores[0].Data[i] = 1
-	}
-	for i := range stores[1].Data {
-		stores[1].Data[i] = 2
-	}
-	rng := sim.NewRand(5)
-	out := TearStores(stores, 1, 0, rng)
-	// Epoch 0 passes through untouched; epoch 1 is fully dropped.
-	if len(out) != 1 || out[0].Off != 0 || len(out[0].Data) != 256 {
-		t.Fatalf("keep=0: %+v", out)
-	}
-	rng = sim.NewRand(5)
-	out = TearStores(stores, 1, 1, rng)
-	if len(out) != 2 {
-		t.Fatalf("keep=1: %+v", out)
-	}
-	// keep=0.5: surviving segments must be line-aligned fragments of the
-	// original store, and both epochs' bytes must re-apply cleanly.
-	rng = sim.NewRand(5)
-	out = TearStores(stores, 1, 0.5, rng)
-	d := New(1 << 20)
-	img := d.Snapshot()
-	img.Apply(out)
-	scratch := New(1 << 20)
-	scratch.Restore(img)
-	buf := make([]byte, 256)
-	scratch.ReadAt(buf, 0)
-	for i, b := range buf {
-		if b != 1 {
-			t.Fatalf("untorn epoch damaged at byte %d = %d", i, b)
-		}
-	}
-	scratch.ReadAt(buf, 4096)
-	for i, b := range buf {
-		if b != 0 && b != 2 {
-			t.Fatalf("torn epoch has invented byte %d = %d", i, b)
-		}
-		if i%CacheLine == 0 && i > 0 && b != buf[i-1] && buf[i-1] != b {
-			continue // line boundary: persistence may flip
-		}
+	d.Write(ctx, data[:CacheLine], 8192)
+	if err := d.ReadAtChecked(data[:CacheLine], 8192); err != nil {
+		t.Fatalf("full-line store over a poisoned line: %v", err)
 	}
 }

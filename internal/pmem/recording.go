@@ -20,9 +20,9 @@ type Recording struct {
 // the two as a Recording, together with op's error.
 func (d *Device) Record(op func() error) (*Recording, error) {
 	rec := &Recording{Base: d.Snapshot()}
-	d.StartTrace()
+	d.startTrace()
 	err := op()
-	rec.Stores = d.StopTrace()
+	rec.Stores = d.stopTrace()
 	return rec, err
 }
 
@@ -54,12 +54,12 @@ func (r *Recording) Cut(e int) *Image {
 	return img
 }
 
-// Torn is Cut(e) plus epoch e's stores torn by TearStores: each of their
-// cache lines persists with probability keep, drawn from rng in store
-// order. Torn(e, 0, rng) is Cut(e) and Torn(e, 1, rng) is Cut(e+1).
+// Torn is Cut(e) plus epoch e's stores torn at cache-line granularity:
+// each of their cache lines persists with probability keep, drawn from rng
+// in store order. Torn(e, 0, rng) is Cut(e) and Torn(e, 1, rng) is Cut(e+1).
 func (r *Recording) Torn(e int, keep float64, rng *sim.Rand) *Image {
 	img := r.Cut(e)
-	img.Apply(TearStores(r.Epoch(e), e, keep, rng))
+	img.Apply(tearLines(r.Epoch(e), keep, rng))
 	return img
 }
 
@@ -103,4 +103,30 @@ func (r *Recording) Crashes(maxSubsets int, rng *sim.Rand, fn func(img *Image, e
 		cut.Apply(inflight)
 	}
 	fn(cut, last+1, 0)
+}
+
+// tearLines returns the pieces of stores that persist when each of their
+// cache lines survives with probability keep, drawn from rng in store
+// order. Adjacent surviving lines of one store stay one piece.
+func tearLines(stores []Store, keep float64, rng *sim.Rand) []Store {
+	var out []Store
+	for _, s := range stores {
+		pos, rest := s.Off, s.Data
+		var cur *Store
+		for len(rest) > 0 {
+			n := min(pos/CacheLine*CacheLine+CacheLine-pos, int64(len(rest)))
+			switch {
+			case rng.Float64() >= keep:
+				cur = nil
+			case cur != nil:
+				cur.Data = append(cur.Data, rest[:n]...)
+			default:
+				out = append(out, Store{Off: pos, Data: append([]byte(nil), rest[:n]...), Epoch: s.Epoch})
+				cur = &out[len(out)-1]
+			}
+			pos += n
+			rest = rest[n:]
+		}
+	}
+	return out
 }

@@ -30,14 +30,12 @@ func TestTxOverflowAbortsCleanly(t *testing.T) {
 	paths := []string{"/", "/f"}
 	before := statesOf(t, ctx, fs, paths...)
 	aborts := ctx.Counters.JournalAborts
-	dev.StartTrace()
-	err = f.Truncate(ctx, 0)
-	trace := dev.StopTrace()
+	rec, err := dev.Record(func() error { return f.Truncate(ctx, 0) })
 	if !errors.Is(err, ErrTxOverflow) {
 		t.Fatalf("truncate = %v, want ErrTxOverflow", err)
 	}
-	if len(trace) != 0 {
-		t.Errorf("the failed truncate stored %d times, first at %d", len(trace), trace[0].Off)
+	if len(rec.Stores) != 0 {
+		t.Errorf("the failed truncate stored %d times, first at %d", len(rec.Stores), rec.Stores[0].Off)
 	}
 	for i, p := range paths {
 		if after := stateOf(t, ctx, fs, p); after != before[i] {
@@ -641,9 +639,9 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 			if n := len(a.Extents()); n != InlineExtents {
 				t.Fatalf("/a has %d extents, want %d; the interleave did not fragment it", n, InlineExtents)
 			}
-			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Nth: nth, Transient: true}}})
+			dev.SetReadFaults([]pmem.ReadRule{{Nth: nth, Transient: true}})
 			err = a.Truncate(ctx, 19*BlockSize)
-			dev.SetFaultPlan(nil)
+			dev.SetReadFaults(nil)
 			if err == nil {
 				if nth < 3 {
 					t.Fatalf("truncate issued only %d checked reads; the sweep covers nothing", nth-1)
@@ -739,9 +737,9 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 			hdr := fs.g.inodeAddr(d.ino)
 			// The header's old bytes are read at finish, with the rest of
 			// the transaction's: the directory has grown by then.
-			dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}}})
+			dev.SetReadFaults([]pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}})
 			err := op.run(ctx, fs)
-			dev.SetFaultPlan(nil)
+			dev.SetReadFaults(nil)
 			if !errors.Is(err, vfs.ErrIO) {
 				t.Fatalf("%s = %v, want ErrIO", op.name, err)
 			}
@@ -754,9 +752,9 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 		before := statesOf(t, ctx, fs, paths...)
 		v, _ := fs.resolve(ctx, "/d/e0007")
 		hdr := fs.g.inodeAddr(v.ino)
-		dev.SetFaultPlan(&pmem.FaultPlan{TornFence: -1, Reads: []pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}}})
+		dev.SetReadFaults([]pmem.ReadRule{{Start: hdr, End: hdr + 32, Transient: true}})
 		err := fs.Rename(ctx, "/src", "/d/e0007")
-		dev.SetFaultPlan(nil)
+		dev.SetReadFaults(nil)
 		if !errors.Is(err, vfs.ErrIO) {
 			t.Fatalf("rename = %v, want ErrIO", err)
 		}

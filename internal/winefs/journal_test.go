@@ -247,9 +247,7 @@ func TestOnePassStoreOrder(t *testing.T) {
 	for _, op := range ops {
 		commits := ctx.Counters.JournalCommits
 		cow := ctx.Counters.CoWCopies
-		dev.StartTrace()
-		err := op.run()
-		trace := dev.StopTrace()
+		rec, err := dev.Record(op.run)
 		if err != nil {
 			t.Fatalf("%s: %v", op.name, err)
 		}
@@ -259,7 +257,7 @@ func TestOnePassStoreOrder(t *testing.T) {
 		if got := ctx.Counters.JournalCommits - commits; got != 1 {
 			t.Errorf("%s committed %d transactions, want 1", op.name, got)
 		}
-		if starts, sealed := checkPassOrder(t, op.name, trace, jlo, jhi); starts != 1 || sealed != 1 {
+		if starts, sealed := checkPassOrder(t, op.name, rec.Stores, jlo, jhi); starts != 1 || sealed != 1 {
 			t.Errorf("%s: the trace shows %d STARTs and %d COMMITs, want one of each", op.name, starts, sealed)
 		}
 	}

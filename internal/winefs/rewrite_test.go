@@ -265,11 +265,11 @@ func TestRewriteFlushesAndFencesEachCopy(t *testing.T) {
 		bg := sim.NewCtx(2, 1)
 		bg.AdvanceTo(ctx.Now())
 		start := bg.Now()
-		dev.StartTrace()
-		if n := fs.RunRewriter(bg); n != 1 {
+		var n int
+		rec, _ := dev.Record(func() error { n = fs.RunRewriter(bg); return nil })
+		if n != 1 {
 			t.Fatalf("rewriter rewrote %d files, want 1", n)
 		}
-		trace := dev.StopTrace()
 		if n := eligibleChunks(f, chunks); n != chunks {
 			t.Fatalf("%d of %d chunks eligible after the rewrite", n, chunks)
 		}
@@ -283,7 +283,7 @@ func TestRewriteFlushesAndFencesEachCopy(t *testing.T) {
 			return false
 		}
 		copying, copyEpoch := false, 0
-		for _, s := range trace {
+		for _, s := range rec.Stores {
 			if inDst(s.Off) {
 				copying, copyEpoch = true, s.Epoch
 				continue
