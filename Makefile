@@ -171,9 +171,12 @@ maint-race:
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,
-# lease re-establishment) plus the campaign smoke slice.
+# lease re-establishment), the campaign smoke slice and the frame codec
+# over the in-memory pipe the replication stream rides
+# (TestFrameRoundTrip: a frame above the pipe's 1 MiB buffer, bare and
+# wrapped writer ends, the length bound).
 cluster-race:
-	$(GO) test -race -timeout 20m -run 'TestCluster|TestFailover|TestRecord|TestReplica|TestErrServerGone|TestLocalClose|TestShutdownCtx' ./internal/cluster/ ./internal/fileserver/ ./internal/crashmonkey/
+	$(GO) test -race -timeout 20m -run 'TestCluster|TestFailover|TestRecord|TestReplica|TestErrServerGone|TestLocalClose|TestShutdownCtx|TestFrameRoundTrip' ./internal/cluster/ ./internal/fileserver/ ./internal/crashmonkey/
 
 # Boots winefsd on loopback TCP, drives a multi-client workload through
 # fileserver.Client, and verifies the stats endpoint (end-to-end server

@@ -745,8 +745,9 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) error {
 }
 
 // sendFrame writes one frame with the ack timeout armed: the pipe
-// transport is a rendezvous, so a replica that stopped reading would wedge
-// the write itself — the AfterFunc severs the conn and fails the write.
+// transport's writer blocks once 1 MiB is queued unread, so a replica that
+// stopped reading would wedge the write itself — the AfterFunc severs the
+// conn and fails the write.
 func (r *Replicator) sendFrame(conn fileserver.Conn, id uint64, code uint8, payload []byte) error {
 	timer := time.AfterFunc(r.cfg.AckTimeout, func() { conn.Close() })
 	defer timer.Stop()

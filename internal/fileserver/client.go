@@ -19,8 +19,7 @@ import (
 // Virtual time: every response carries the virtual nanoseconds the server
 // charged its session for the request, and the calling ctx is advanced by
 // exactly that, so throughput and latency measured at the client are the
-// served numbers. (Network latency itself is not modelled; the transports
-// are a rendezvous.)
+// served numbers. (Network latency itself is not modelled.)
 type Client struct {
 	conn  Conn
 	name  string
@@ -261,11 +260,8 @@ func (c *Client) call(ctx *sim.Ctx, o op, cb *callBuf) (Dec, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	kept, err := writeOwnedFrame(c.conn, id, uint8(o), cb.B)
+	err := writeOwnedFrame(c.conn, id, uint8(o), cb.B)
 	c.wmu.Unlock()
-	if !kept {
-		cb.B = nil // the transport owns the request frame now
-	}
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)

@@ -200,9 +200,9 @@ func (s *Server) startSession(conn Conn) {
 	go sess.reader()
 	go sess.worker()
 	// In-process transports get the synchronous dispatch path: the client
-	// end invokes this session directly, skipping both message queues and
-	// four goroutine wakeups per RPC. Published last so a client that sees
-	// it finds a fully initialised session.
+	// end invokes this session directly, skipping a frame each way through
+	// the pipe and four goroutine wakeups per RPC. Published last so a
+	// client that sees it finds a fully initialised session.
 	if dc, ok := conn.(directConn); ok {
 		dc.setDirect(&sessionDirect{sess: sess})
 	}
@@ -389,17 +389,17 @@ func (sess *session) worker() {
 	defer sess.teardown()
 	// buf is the session's response buffer: the worker writes every queued
 	// request's response, one at a time, so it owns one buffer for all of
-	// them — whenever the transport gives it back.
+	// them.
 	var buf []byte
 	for req := range sess.reqs {
 		sess.dmu.Lock()
 		st, frame, stop := sess.serveReq(req, buf)
 		sess.dmu.Unlock()
 		sess.wmu.Lock()
-		kept, err := writeOwnedFrame(sess.conn, req.id, uint8(st), frame)
+		err := writeOwnedFrame(sess.conn, req.id, uint8(st), frame)
 		sess.wmu.Unlock()
-		if buf = nil; kept && cap(frame) <= maxKeptBuf {
-			buf = frame
+		if buf = frame; cap(buf) > maxKeptBuf {
+			buf = nil
 		}
 		if stop || err != nil {
 			return
@@ -439,7 +439,7 @@ func (sess *session) serveReq(req request, buf []byte) (st status, frame []byte,
 	if st != statusOK || frame == nil {
 		out := respEnc(buf, 0)
 		if st != statusOK {
-			out.Str(resp2msg(resp))
+			out.Bytes(resp) // a failed request's payload is its message, as Str encodes it
 		}
 		frame = out.B
 	}
@@ -502,10 +502,6 @@ func (sd *sessionDirect) call(o op, payload, buf []byte) (st status, frame []byt
 	}
 	return st, frame, true
 }
-
-// resp2msg interprets the dispatch payload of a failed request as its
-// error message.
-func resp2msg(resp []byte) string { return string(resp) }
 
 // teardown runs exactly once per session, whatever killed it. Open handles
 // are closed with a *fresh* sim.Ctx: the session ctx conceptually died

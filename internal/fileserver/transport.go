@@ -1,7 +1,6 @@
 package fileserver
 
 import (
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -12,7 +11,11 @@ import (
 // Both transports (TCP and the in-memory pipe) satisfy it; the optional
 // CloseRead side-channel (satisfied by *net.TCPConn and *pipeConn) lets a
 // draining server stop reading new requests while the in-flight ones are
-// still answered on the write side.
+// still answered on the write side. A Write may be split by the transport
+// (the pipe queues at most bufPipeMax bytes and waits for the reader
+// between pieces), so concurrent writers on one Conn must serialise their
+// frames: a session and a client each hold their wmu, and a replication
+// link has one sender goroutine.
 type Conn = io.ReadWriteCloser
 
 // Listener accepts client connections for Server.Serve.
@@ -166,17 +169,6 @@ func (c *pipeConn) getDirect() *sessionDirect   { return c.cell.p.Load() }
 func (c *pipeConn) Read(p []byte) (int, error)  { return c.rd.read(p) }
 func (c *pipeConn) Write(p []byte) (int, error) { return c.wr.write(p) }
 
-// writeMsg and readMsg are the frame fast path WriteFrame/ReadFrame take
-// on pipe connections: a whole frame moves as one owned []byte through a
-// message queue — one lock acquisition and zero re-parsing copies, where
-// the stream path cost a buffer-assembly copy on the writer and two
-// ReadFull round trips plus a payload allocation on the reader. Stream
-// Read/Write and message traffic must not be mixed on one direction;
-// every producer in the tree frames its pipe traffic, so the stream
-// buffer stays empty whenever messages flow.
-func (c *pipeConn) writeMsg(frame []byte) error { return c.wr.writeMsg(frame) }
-func (c *pipeConn) readMsg() ([]byte, error)    { return c.rd.readMsg() }
-
 func (c *pipeConn) Close() error {
 	c.rd.closeRead(io.ErrClosedPipe)
 	c.wr.closeWrite(io.ErrClosedPipe)
@@ -192,20 +184,12 @@ func (c *pipeConn) CloseRead() error {
 }
 
 // bufPipe is one direction of the in-memory transport: a bounded FIFO of
-// bytes (stream mode) or whole frames (message mode) with net.Conn-like
-// close semantics.
+// bytes with net.Conn-like close semantics.
 type bufPipe struct {
 	mu   sync.Mutex
 	cond sync.Cond
 	data []byte
 	roff int
-	// msgs is the message-mode queue; msgBytes tracks queued payload for
-	// the same back-pressure bound the stream buffer enforces, and
-	// readers counts goroutines blocked in readMsg (oversized frames are
-	// only handed to an actively draining reader).
-	msgs     [][]byte
-	msgBytes int
-	readers  int
 	// werr is set when the writer closed; readers see it after draining.
 	werr error
 	// rerr is set when the reader closed; writers fail with it immediately
@@ -225,28 +209,12 @@ func newBufPipe() *bufPipe {
 	return p
 }
 
-// errStreamData tells a readMsg caller that this direction is carrying
-// stream bytes — its peer's conn is wrapped (fault injectors wrap Write,
-// which routes WriteFrame down the stream path) — so it must fall back to
-// stream reads. ReadFrame handles the fallback.
-var errStreamData = errors.New("fileserver: bufPipe carrying stream bytes")
-
 func (p *bufPipe) read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.rerr != nil {
 			return 0, io.ErrClosedPipe
-		}
-		if p.roff >= len(p.data) && len(p.msgs) > 0 {
-			// The writer framed its traffic but this end reads the stream
-			// (its conn is wrapped, hiding readMsg): flatten queued frames
-			// into stream bytes — they are verbatim wire frames either way.
-			for _, m := range p.msgs {
-				p.data = append(p.data, m...)
-			}
-			p.msgs, p.msgBytes = nil, 0
-			p.cond.Broadcast()
 		}
 		if p.roff < len(p.data) {
 			n := copy(b, p.data[p.roff:])
@@ -261,15 +229,12 @@ func (p *bufPipe) read(b []byte) (int, error) {
 		if p.werr != nil {
 			return 0, p.werr
 		}
-		// Count as a draining reader so an oversized writeMsg frame can be
-		// handed over (it lands in msgs and is flattened on wake).
-		p.readers++
-		p.cond.Broadcast()
 		p.cond.Wait()
-		p.readers--
 	}
 }
 
+// write queues all of b, waiting for the reader whenever bufPipeMax bytes
+// are unread (see Conn for what that means to concurrent writers).
 func (p *bufPipe) write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -295,74 +260,6 @@ func (p *bufPipe) write(b []byte) (int, error) {
 			}
 		}
 		p.cond.Wait()
-	}
-}
-
-// writeMsg enqueues one owned frame, blocking while the queue is over the
-// back-pressure bound.
-func (p *bufPipe) writeMsg(frame []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.rerr != nil {
-			return p.rerr
-		}
-		if p.werr != nil {
-			return io.ErrClosedPipe
-		}
-		if len(frame) > bufPipeMax {
-			// A frame bigger than the buffer bound can only reach a
-			// reader that is actively draining — mirroring stream mode,
-			// where the bytes past the bound trickle out as the peer
-			// reads. A peer that never reads wedges the writer (the
-			// shutdown path depends on that back-pressure).
-			if p.msgBytes == 0 && p.readers > 0 {
-				p.msgs = append(p.msgs, frame)
-				p.msgBytes += len(frame)
-				p.cond.Broadcast()
-				return nil
-			}
-		} else if p.msgBytes+len(frame) <= bufPipeMax {
-			p.msgs = append(p.msgs, frame)
-			p.msgBytes += len(frame)
-			p.cond.Broadcast()
-			return nil
-		}
-		p.cond.Wait()
-	}
-}
-
-// readMsg dequeues one frame; the returned slice is owned by the caller.
-func (p *bufPipe) readMsg() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.rerr != nil {
-			return nil, io.ErrClosedPipe
-		}
-		if len(p.msgs) > 0 {
-			m := p.msgs[0]
-			p.msgs[0] = nil
-			p.msgs = p.msgs[1:]
-			p.msgBytes -= len(m)
-			if len(p.msgs) == 0 {
-				p.msgs = nil
-			}
-			p.cond.Broadcast()
-			return m, nil
-		}
-		if p.roff < len(p.data) {
-			// The writer is sending stream bytes (its conn is wrapped,
-			// hiding writeMsg); tell the caller to read the stream instead.
-			return nil, errStreamData
-		}
-		if p.werr != nil {
-			return nil, p.werr
-		}
-		p.readers++
-		p.cond.Broadcast() // a blocked oversized-frame writer may proceed
-		p.cond.Wait()
-		p.readers--
 	}
 }
 

@@ -229,26 +229,15 @@ const maxKeptBuf = 64 << 10
 
 // writeOwnedFrame finishes an in-place frame whose first frameHdrLen
 // bytes were reserved by the encoder (see callBuf/respEnc) and writes it
-// with zero re-assembly copies. kept reports who owns buf afterwards: a
-// stream transport copied the bytes out during Write and the caller may
-// reuse it; the pipe's message queue took the slice itself, and the caller
-// must not touch it again.
-func writeOwnedFrame(w io.Writer, id uint64, code uint8, buf []byte) (kept bool, err error) {
+// with zero re-assembly copies. Both transports copy the bytes out during
+// Write, so buf stays the caller's.
+func writeOwnedFrame(w io.Writer, id uint64, code uint8, buf []byte) error {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(9+len(buf)-frameHdrLen))
 	binary.LittleEndian.PutUint64(buf[4:], id)
 	buf[12] = code
-	if mw, ok := w.(msgWriter); ok {
-		return false, mw.writeMsg(buf)
-	}
-	_, err = w.Write(buf)
-	return true, err
+	_, err := w.Write(buf)
+	return err
 }
-
-// msgWriter and msgReader are the optional frame-granular transport
-// interface (see pipeConn): frames move as owned []byte messages instead
-// of stream bytes.
-type msgWriter interface{ writeMsg(frame []byte) error }
-type msgReader interface{ readMsg() ([]byte, error) }
 
 // frameBufPool recycles WriteFrame assembly buffers; the transports below
 // (TCP, buffered pipe) all copy the bytes out during Write, so the buffer
@@ -258,22 +247,14 @@ var frameBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// WriteFrame assembles and writes one frame with a single Write call (so
-// concurrent writers on one transport never interleave frame bytes).
-// Exported so internal/cluster can reuse the framing for its replication
-// stream instead of inventing a second length-prefixed protocol.
+// WriteFrame assembles one frame and writes it with a single Write call.
+// That keeps concurrent writers from interleaving on TCP but not on the
+// pipe, whose Write of a frame bigger than its free room waits for the
+// reader between pieces; every caller serialises its own writes (see
+// Conn). Exported so internal/cluster can reuse the framing for its
+// replication stream instead of inventing a second length-prefixed
+// protocol.
 func WriteFrame(w io.Writer, id uint64, code uint8, payload []byte) error {
-	if mw, ok := w.(msgWriter); ok {
-		// Pipe fast path: hand the assembled frame over whole. The queue
-		// owns it afterwards, so no pooling — but the reader parses it in
-		// place, skipping its own payload allocation and copies.
-		buf := make([]byte, 13+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:], uint32(9+len(payload)))
-		binary.LittleEndian.PutUint64(buf[4:], id)
-		buf[12] = code
-		copy(buf[13:], payload)
-		return mw.writeMsg(buf)
-	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := *bp
 	if need := 13 + len(payload); cap(buf) < need {
@@ -299,22 +280,6 @@ func WriteFrame(w io.Writer, id uint64, code uint8, payload []byte) error {
 // < 9 is detected after the merged read; the connection is torn down
 // either way, so the 9 bytes over-consumed on that path don't matter.)
 func ReadFrame(r io.Reader) (id uint64, code uint8, payload []byte, err error) {
-	if mr, ok := r.(msgReader); ok {
-		frame, err := mr.readMsg()
-		switch err {
-		case nil:
-			n := len(frame) - 4
-			if len(frame) < 13 || int(binary.LittleEndian.Uint32(frame[:4])) != n || n-9 > maxFrame {
-				return 0, 0, nil, fmt.Errorf("fileserver: bad frame length %d", n)
-			}
-			return binary.LittleEndian.Uint64(frame[4:12]), frame[12], frame[13:], nil
-		case errStreamData:
-			// The peer's conn is wrapped (fault injection routes WriteFrame
-			// down the stream path); parse the stream below.
-		default:
-			return 0, 0, nil, err
-		}
-	}
 	var hdr [13]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err

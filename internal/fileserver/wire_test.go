@@ -4,24 +4,83 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/vfs"
 	"repro/internal/winefs"
 )
 
+// embeddedConn wraps a Conn the way crashmonkey's tornConn does: by
+// embedding, so only Conn's own methods show through.
+type embeddedConn struct{ Conn }
+
+// TestFrameRoundTrip sends frames through a bytes.Buffer and through the
+// in-memory pipe, from a bare and from a wrapped writer end. Every
+// transport carries a frame bigger than the pipe's buffer, accepts the
+// largest legal payload and rejects one byte more.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello, wire")
-	if err := WriteFrame(&buf, 42, uint8(opRead), payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	big := make([]byte, bufPipeMax*5/2)
+	for i := range big {
+		big[i] = byte(i * 7)
 	}
-	id, code, got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+	largest := make([]byte, maxFrame-9) // frameLen counts id and code too
+	transports := []struct {
+		name string
+		// pair returns the ends; a nil closeRead means the transport is a
+		// bytes.Buffer, written before it is read.
+		pair func() (w io.Writer, r io.Reader, closeRead func())
+	}{
+		{"buffer", func() (io.Writer, io.Reader, func()) {
+			var buf bytes.Buffer
+			return &buf, &buf, nil
+		}},
+		{"pipe", func() (io.Writer, io.Reader, func()) {
+			a, b := pipePair()
+			return a, b, func() { b.Close() }
+		}},
+		{"pipe-embedded", func() (io.Writer, io.Reader, func()) {
+			a, b := pipePair()
+			return embeddedConn{a}, b, func() { b.Close() }
+		}},
 	}
-	if id != 42 || op(code) != opRead || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip = (%d, %d, %q)", id, code, got)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			w, r, closeRead := tr.pair()
+			// send writes one frame, on its own goroutine when the
+			// transport's reader must drain concurrently.
+			send := func(id uint64, payload []byte) <-chan error {
+				werr := make(chan error, 1)
+				if closeRead == nil {
+					werr <- WriteFrame(w, id, uint8(opRead), payload)
+				} else {
+					go func() { werr <- WriteFrame(w, id, uint8(opRead), payload) }()
+				}
+				return werr
+			}
+			for i, payload := range [][]byte{[]byte("hello, wire"), big, largest} {
+				werr := send(uint64(42+i), payload)
+				id, code, got, err := ReadFrame(r)
+				if err != nil {
+					t.Fatalf("ReadFrame of %d bytes: %v", len(payload), err)
+				}
+				if err := <-werr; err != nil {
+					t.Fatalf("WriteFrame of %d bytes: %v", len(payload), err)
+				}
+				if id != uint64(42+i) || op(code) != opRead || !bytes.Equal(got, payload) {
+					t.Fatalf("round trip of %d bytes = (%d, %d, %d bytes)", len(payload), id, code, len(got))
+				}
+			}
+			werr := send(1, append(largest, 0))
+			if _, _, _, err := ReadFrame(r); err == nil {
+				t.Fatalf("payload of %d bytes accepted, want the length bound", len(largest)+1)
+			}
+			if closeRead != nil {
+				// The writer is still blocked on the rest of the frame.
+				closeRead()
+			}
+			<-werr
+		})
 	}
 }
 
