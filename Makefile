@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc knobs
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc knobs examples
 
 all: build
 
@@ -21,6 +21,13 @@ race:
 # check is the pre-merge gate: static analysis, the full suite under the
 # race detector, and the plain tier-1 build+test pass.
 check: vet race test
+
+# The four runnable examples end to end; a non-zero exit from any fails the
+# target. Each takes about a second.
+examples:
+	@for e in quickstart aging kvstore crashrecovery; do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -141,11 +148,12 @@ cache-race:
 # The mmap subsystem under the race detector: the 8-thread shared-mapping
 # storm with concurrent truncation (TestMmapRace8Threads), the
 # truncate/unlink/punch invalidation tests, the vmm unit tests, the
-# mapping/lease coherence tests on both the client cache and the server, and
+# mapping/lease coherence tests on both the client cache and the server,
 # two readers of one file's extent list beside its faults on all nine file
-# systems (TestMmapExtentsTwoReaders).
+# systems (TestMmapExtentsTwoReaders), and truncate/unlink shootdown of
+# mappings from both entry points on all nine (TestConformanceMmapShootdown).
 mmap-race:
-	$(GO) test -race -run 'TestMmap|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
+	$(GO) test -race -run 'TestMmap|TestConformanceMmapShootdown|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
 
 # Background maintenance under the race detector, one target for the one
 # mechanism: the relocate crash sweep (every caller torn at every fence

@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/alloc"
+	"repro/internal/vmm"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 		if err := f.Fallocate(ctx, 0, probe); err != nil {
 			log.Fatal(err)
 		}
-		m, err := f.Mmap(ctx, probe)
+		m, err := vmm.Map(ctx, f, probe, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/vmm"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 
 		// Memory-map it and write through the mapping, like a PM-native
 		// application (PMDK, PmemKV, ...).
-		m, err := f.Mmap(ctx, fileSize)
+		m, err := vmm.Map(ctx, f, fileSize, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
 		if err != nil {
 			log.Fatal(err)
 		}

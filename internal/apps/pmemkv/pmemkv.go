@@ -79,6 +79,8 @@ func (db *DB) grow(ctx *sim.Ctx) error {
 	if err := f.Fallocate(ctx, 0, db.segSize); err != nil {
 		return err
 	}
+	// File.Mmap, not vmm.Map: the segment stays mapped for the file's life,
+	// and a vmm mapping would add msync work that moves Figure 7.
 	m, err := f.Mmap(ctx, db.segSize)
 	if err != nil {
 		return err

@@ -147,6 +147,8 @@ func (db *DB) flush(ctx *sim.Ctx) error {
 	if err := f.Fallocate(ctx, 0, size); err != nil {
 		return err
 	}
+	// File.Mmap, not vmm.Map: a table stays mapped until it is deleted,
+	// and a vmm mapping would add msync work that moves Figure 7.
 	m, err := f.Mmap(ctx, size)
 	if err != nil {
 		return err
@@ -214,6 +216,8 @@ func (db *DB) compact(ctx *sim.Ctx) error {
 	if err := f.Fallocate(ctx, 0, size); err != nil {
 		return err
 	}
+	// File.Mmap, not vmm.Map: a table stays mapped until it is deleted,
+	// and a vmm mapping would add msync work that moves Figure 7.
 	m, err := f.Mmap(ctx, size)
 	if err != nil {
 		return err

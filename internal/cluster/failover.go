@@ -564,9 +564,10 @@ func (f *failoverFile) Fsync(ctx *sim.Ctx) error {
 	return f.run(ctx, func(inner vfs.File) error { return inner.Fsync(ctx) }, nil)
 }
 
-// Mmap implements vfs.File.
+// Mmap implements vfs.File; a failover proxy is no vfs.Mapper, so it
+// reports vfs.ErrNotSupported.
 func (f *failoverFile) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	return nil, fileserver.ErrNotSupported
+	return vfs.Mmap(ctx, f, length)
 }
 
 // Extents implements vfs.File.
@@ -593,7 +594,7 @@ func (f *failoverFile) Lease(ctx *sim.Ctx, write bool) (bool, error) {
 	err := f.run(ctx, func(inner vfs.File) error {
 		l := leaseOf(inner)
 		if l == nil {
-			return fileserver.ErrNotSupported
+			return vfs.ErrNotSupported
 		}
 		var lerr error
 		granted, lerr = l.Lease(ctx, write)

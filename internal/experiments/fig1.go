@@ -6,6 +6,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vmm"
 )
 
 // Fig1 reproduces Figure 1: write bandwidth to memory-mapped files on
@@ -76,7 +77,7 @@ func fig1Point(cfg Config, name string, util float64, age bool) (float64, error)
 	if err := f.Fallocate(ctx, 0, size); err != nil {
 		return 0, err
 	}
-	m, err := f.Mmap(ctx, size)
+	m, err := vmm.Map(ctx, f, size, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
 	if err != nil {
 		return 0, err
 	}

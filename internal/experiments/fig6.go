@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/vmm"
 )
 
 // Fig6Result holds throughput (GB/s) per file system per access pattern,
@@ -74,7 +75,7 @@ func fig6Mmap(cfg Config, name string) ([]float64, error) {
 	if err := f.Fallocate(ctx, 0, size); err != nil {
 		return nil, err
 	}
-	m, err := f.Mmap(ctx, size)
+	m, err := vmm.Map(ctx, f, size, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true})
 	if err != nil {
 		return nil, err
 	}

@@ -627,11 +627,11 @@ func (f *remoteFile) Fsync(ctx *sim.Ctx) error {
 }
 
 // Mmap implements vfs.File. A remote client shares no address space with
-// the server, so mapping is not supported (SplitFS-style client-side
-// mapping would need the data path split out of the protocol — a later
-// PR's problem).
+// the server, so it is no vfs.Mapper and mapping reports
+// vfs.ErrNotSupported (SplitFS-style client-side mapping would need the
+// data path split out of the protocol).
 func (f *remoteFile) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	return nil, ErrNotSupported
+	return vfs.Mmap(ctx, f, length)
 }
 
 // Extents implements vfs.File; physical layout is not visible remotely.

@@ -143,8 +143,9 @@ func TestRemoteBasicOps(t *testing.T) {
 	if _, ok := f.GetXattr(ctx, "user.nope"); ok {
 		t.Fatal("getxattr of missing attr reported ok")
 	}
-	if _, err := f.Mmap(ctx, 4096); !errors.Is(err, ErrNotSupported) {
-		t.Fatalf("mmap = %v, want ErrNotSupported", err)
+	// A remote handle is no vfs.Mapper: vfs.Mmap, every File.Mmap, says so.
+	if m, err := f.Mmap(ctx, 4096); m != nil || !errors.Is(err, vfs.ErrNotSupported) {
+		t.Fatalf("mmap = %v, %v, want vfs.ErrNotSupported", m, err)
 	}
 
 	fi, err := cl.Stat(ctx, "/d/f")

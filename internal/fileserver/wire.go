@@ -164,11 +164,6 @@ var (
 	// failover logic matches ErrServerGone specifically to tell a dead
 	// primary from a local protocol bug.
 	ErrServerGone = fmt.Errorf("fileserver: server gone: %w", ErrConnClosed)
-	// ErrNotSupported is returned for operations that have no remote
-	// equivalent (Mmap needs an address space the client doesn't share).
-	// It wraps vfs.ErrNotSupported so callers probing with errors.Is see
-	// the same typed failure from local and remote mounts.
-	ErrNotSupported = fmt.Errorf("fileserver: operation not supported on a remote mount: %w", vfs.ErrNotSupported)
 	// ErrBadHandle reports a request naming a handle the session never
 	// opened (or already closed).
 	ErrBadHandle = errors.New("fileserver: bad file handle")

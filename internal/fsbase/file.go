@@ -491,14 +491,7 @@ func (f *File) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 
 // Mmap implements vfs.File.
 func (f *File) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	ctx.Syscall(f.fs.model.SyscallNS)
-	if length <= 0 {
-		length = f.Size()
-	}
-	if length <= 0 {
-		return nil, mmu.ErrOutOfRange
-	}
-	return f.fs.as.NewMapping(length, f), nil
+	return vfs.Mmap(ctx, f, length)
 }
 
 // Fault implements mmu.FaultHandler for baseline file systems: hugepages

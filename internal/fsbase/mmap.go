@@ -1,6 +1,7 @@
 package fsbase
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mmu"
@@ -9,9 +10,9 @@ import (
 )
 
 // vfs.Mapper over the shared base: every fsbase-derived file system
-// (ext4-DAX, xfs-DAX, NOVA, PMFS, SplitFS, Strata) gets the zero-copy
-// mapping subsystem (internal/vmm) through these five methods. The fault
-// handler itself is File.Fault in file.go.
+// (ext4-DAX, xfs-DAX, NOVA, PMFS, SplitFS, Strata) gets File.Mmap and the
+// zero-copy mapping subsystem (internal/vmm) through these five methods.
+// The fault handler itself is File.Fault in file.go.
 
 // MapSpace implements vfs.Mapper.
 func (f *File) MapSpace() *mmu.AddressSpace { return f.fs.as }
@@ -29,12 +30,7 @@ func (f *File) AttachMapping(m *mmu.Mapping) {
 // DetachMapping implements vfs.Mapper.
 func (f *File) DetachMapping(m *mmu.Mapping) {
 	f.node.mu.Lock()
-	for i, mm := range f.node.mappings {
-		if mm == m {
-			f.node.mappings = append(f.node.mappings[:i], f.node.mappings[i+1:]...)
-			break
-		}
-	}
+	f.node.mappings = slices.DeleteFunc(f.node.mappings, func(mm *mmu.Mapping) bool { return mm == m })
 	f.node.mu.Unlock()
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/vmm"
 	"repro/internal/winefs"
 )
 
@@ -289,6 +290,85 @@ func TestConformanceMmapRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(got2, data) {
 			t.Fatal("mmap write invisible to read()")
+		}
+	})
+}
+
+// TestConformanceMmapShootdown maps a file through each entry point, reads
+// it, takes its blocks away (truncate to 0, or unlink), and writes another
+// pattern into a new file so the freed blocks can be reused. A read through
+// the old mapping must then fail with vfs.ErrMapFault: both entry points
+// attach through vfs.Mapper, so truncate and unlink shoot the mapping down,
+// and no stale translation can return the new file's bytes.
+func TestConformanceMmapShootdown(t *testing.T) {
+	type reader interface {
+		Read(ctx *sim.Ctx, p []byte, off int64) error
+	}
+	entries := []struct {
+		name string
+		mmap func(ctx *sim.Ctx, f vfs.File, n int64) (reader, error)
+	}{
+		{"vmm.Map", func(ctx *sim.Ctx, f vfs.File, n int64) (reader, error) {
+			return vmm.Map(ctx, f, n, vmm.Config{})
+		}},
+		{"File.Mmap", func(ctx *sim.Ctx, f vfs.File, n int64) (reader, error) {
+			return f.Mmap(ctx, n)
+		}},
+	}
+	removals := []struct {
+		name   string
+		remove func(ctx *sim.Ctx, fs vfs.FS, path string, f vfs.File) error
+	}{
+		{"truncate", func(ctx *sim.Ctx, _ vfs.FS, _ string, f vfs.File) error { return f.Truncate(ctx, 0) }},
+		{"unlink", func(ctx *sim.Ctx, fs vfs.FS, path string, _ vfs.File) error { return fs.Unlink(ctx, path) }},
+	}
+	const size = 2 << 20
+	oldData := bytes.Repeat([]byte{0xAA}, size)
+	newData := bytes.Repeat([]byte{0xBB}, size)
+	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
+		for _, e := range entries {
+			for _, r := range removals {
+				t.Run(e.name+"/"+r.name, func(t *testing.T) {
+					path := "/old-" + r.name + "-" + e.name
+					f, err := fs.Create(ctx, path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.WriteAt(ctx, oldData, 0); err != nil {
+						t.Fatal(err)
+					}
+					m, err := e.mmap(ctx, f, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]byte, size)
+					if err := m.Read(ctx, got, 0); err != nil || !bytes.Equal(got, oldData) {
+						t.Fatalf("read through the fresh mapping: err %v, data matches %v", err, bytes.Equal(got, oldData))
+					}
+					if err := r.remove(ctx, fs, path, f); err != nil {
+						t.Fatal(err)
+					}
+					nf, err := fs.Create(ctx, "/new-"+r.name+"-"+e.name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := nf.WriteAt(ctx, newData, 0); err != nil {
+						t.Fatal(err)
+					}
+					for _, off := range []int64{0, size / 2, size - 4096} {
+						buf := make([]byte, 4096)
+						err := m.Read(ctx, buf, off)
+						if bytes.Contains(buf, newData[:64]) {
+							t.Fatalf("read at %d through the old mapping returned the new file's bytes (err %v)", off, err)
+						}
+						if !errors.Is(err, vfs.ErrMapFault) {
+							t.Fatalf("read at %d through the old mapping: err %v, want vfs.ErrMapFault", off, err)
+						}
+					}
+					nf.Close(ctx)
+					f.Close(ctx)
+				})
+			}
 		}
 	})
 }

@@ -249,7 +249,7 @@ func (f *memFile) Fsync(ctx *sim.Ctx) error { return nil }
 func (f *memFile) Close(ctx *sim.Ctx) error { return nil }
 
 func (f *memFile) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	return nil, vfs.ErrNotSupported
+	return vfs.Mmap(ctx, f, length)
 }
 func (f *memFile) Extents() []mmu.Extent { return nil }
 func (f *memFile) SetXattr(ctx *sim.Ctx, name string, value []byte) error {

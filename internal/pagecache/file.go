@@ -428,9 +428,9 @@ func (f *cachedFile) Fsync(ctx *sim.Ctx) error {
 	return f.inner.Fsync(ctx)
 }
 
-// Mmap implements vfs.File (pass-through; the cache has no address space).
+// Mmap implements vfs.File; AttachMapping steps the cache aside.
 func (f *cachedFile) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	return f.inner.Mmap(ctx, length)
+	return vfs.Mmap(ctx, f, length)
 }
 
 // Extents implements vfs.File.

@@ -8,26 +8,22 @@ import (
 
 // vfs.Mapper delegation: a cached handle can be memory-mapped iff the
 // inner file can (a local FS under the cache — remote mounts aren't
-// Mappers and vmm.Map reports ErrNotSupported). The coherence rule is
-// "Mmap bypasses the lease": attaching a mapping flushes and drops every
-// cached page for the ino, releases the client lease, and pins the ino
-// in pass-through until the last mapping detaches. Stores through the
-// mapping hit PM directly, so the only coherent cache is no cache.
+// Mappers, so File.Mmap and vmm.Map report vfs.ErrNotSupported). The
+// coherence rule is "Mmap bypasses the lease": attaching a mapping,
+// through either entry point, flushes and drops every cached page for the
+// ino, releases the client lease, and pins the ino in pass-through until
+// the last mapping detaches (a File.Mmap mapping never does). Stores
+// through the mapping hit PM directly, so the only coherent cache is no
+// cache.
 
 func (f *cachedFile) innerMapper() vfs.Mapper {
 	m, _ := f.inner.(vfs.Mapper)
 	return m
 }
 
-// Fault implements mmu.FaultHandler by delegation.
-func (f *cachedFile) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
-	if m := f.innerMapper(); m != nil {
-		return m.Fault(ctx, pageOff)
-	}
-	return mmu.FaultResult{}, vfs.ErrNotSupported
-}
-
 // MapSpace implements vfs.Mapper; nil when the inner file cannot map.
+// Every mapping starts at vfs.MapSpan, which refuses a nil MapSpace, so
+// the methods below run only over an inner Mapper.
 func (f *cachedFile) MapSpace() *mmu.AddressSpace {
 	if m := f.innerMapper(); m != nil {
 		return m.MapSpace()
@@ -35,42 +31,31 @@ func (f *cachedFile) MapSpace() *mmu.AddressSpace {
 	return nil
 }
 
-// MapSyscallNS implements vfs.Mapper.
-func (f *cachedFile) MapSyscallNS() int64 {
-	if m := f.innerMapper(); m != nil {
-		return m.MapSyscallNS()
-	}
-	return 0
+// Fault implements mmu.FaultHandler by delegation.
+func (f *cachedFile) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
+	return f.innerMapper().Fault(ctx, pageOff)
 }
+
+// MapSyscallNS implements vfs.Mapper.
+func (f *cachedFile) MapSyscallNS() int64 { return f.innerMapper().MapSyscallNS() }
 
 // AttachMapping implements vfs.Mapper: step the cache aside, then attach
 // on the inner file.
 func (f *cachedFile) AttachMapping(m *mmu.Mapping) {
-	im := f.innerMapper()
-	if im == nil {
-		return
-	}
 	f.c.mapAttach(f)
-	im.AttachMapping(m)
+	f.innerMapper().AttachMapping(m)
 }
 
 // DetachMapping implements vfs.Mapper.
 func (f *cachedFile) DetachMapping(m *mmu.Mapping) {
-	im := f.innerMapper()
-	if im == nil {
-		return
-	}
-	im.DetachMapping(m)
+	f.innerMapper().DetachMapping(m)
 	f.c.mapDetach(f.st.ino)
 }
 
 // MsyncRange implements vfs.Mapper by delegation (the cache holds no
 // pages for a mapped ino, so there is nothing of its own to flush).
 func (f *cachedFile) MsyncRange(ctx *sim.Ctx, off, n int64) error {
-	if m := f.innerMapper(); m != nil {
-		return m.MsyncRange(ctx, off, n)
-	}
-	return vfs.ErrNotSupported
+	return f.innerMapper().MsyncRange(ctx, off, n)
 }
 
 // mapAttach enforces the bypass rule for one new mapping over f's ino:

@@ -6,6 +6,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 
 	"repro/internal/alloc"
@@ -126,6 +127,8 @@ type File interface {
 	Fsync(ctx *sim.Ctx) error
 	// Mmap maps length bytes of the file from offset 0. length may exceed
 	// the current size for sparse mappings (LMDB-style ftruncate growth).
+	// Every implementation is the package function Mmap. Such a mapping
+	// has no munmap: it stays attached until its inode is destroyed.
 	Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error)
 	// Extents returns the file's current physical layout.
 	Extents() []mmu.Extent
@@ -134,13 +137,13 @@ type File interface {
 	Close(ctx *sim.Ctx) error
 }
 
-// Mapper is the optional File extension backing the zero-copy mapping
-// subsystem (internal/vmm). A file that implements it can serve page
-// faults directly from its extent tree: vmm carves a window out of
-// MapSpace, installs the file as the fault handler, and charges
-// fault/TLB/page-walk costs per access instead of per-syscall copies.
-// Files that cannot be mapped (remote mounts, failover proxies) simply
-// don't implement it and vmm.Map returns ErrNotSupported.
+// Mapper is the optional File extension behind every memory mapping. A
+// file that implements it can serve page faults directly from its extent
+// tree: Mmap and vmm.Map carve a mapping out of MapSpace, install a fault
+// handler, and charge fault/TLB/page-walk costs per access instead of
+// per-syscall copies. Files that cannot be mapped (remote mounts,
+// failover proxies) simply don't implement it, and both report
+// ErrNotSupported.
 type Mapper interface {
 	mmu.FaultHandler
 	// MapSpace returns the address space mappings over this file live in;
@@ -158,6 +161,38 @@ type Mapper interface {
 	MsyncRange(ctx *sim.Ctx, off, n int64) error
 	// MapSyscallNS is the kernel-entry cost charged per mmap/munmap/msync.
 	MapSyscallNS() int64
+}
+
+// MapSpan is where Mmap and vmm.Map decide whether f can be mapped (it is
+// a Mapper with an address space, else ErrNotSupported) and over how many
+// bytes (length <= 0 maps the current size; none is mmu.ErrOutOfRange).
+func MapSpan(f File, length int64) (Mapper, int64, error) {
+	b, ok := f.(Mapper)
+	if !ok || b.MapSpace() == nil {
+		return nil, 0, fmt.Errorf("vfs: %T cannot be memory-mapped: %w", f, ErrNotSupported)
+	}
+	if length <= 0 {
+		length = f.Size()
+	}
+	if length <= 0 {
+		return nil, 0, fmt.Errorf("vfs: cannot map empty file: %w", mmu.ErrOutOfRange)
+	}
+	return b, length, nil
+}
+
+// Mmap is every File.Mmap: one mmap syscall and a never-detached mapping
+// with the file as fault handler, attached through AttachMapping, the one
+// place for registration (truncate and unlink shoot it down), lease
+// revokes and the page cache's bypass.
+func Mmap(ctx *sim.Ctx, f File, length int64) (*mmu.Mapping, error) {
+	b, length, err := MapSpan(f, length)
+	if err != nil {
+		return nil, err
+	}
+	ctx.Syscall(b.MapSyscallNS())
+	m := b.MapSpace().NewMapping(length, b)
+	b.AttachMapping(m)
+	return m, nil
 }
 
 // HolePuncher is the optional fallocate(FALLOC_FL_PUNCH_HOLE) extension:

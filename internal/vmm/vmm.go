@@ -8,7 +8,7 @@
 //
 // The file system under the mapping only has to implement vfs.Mapper
 // (winefs and every fsbase-derived FS do); remote mounts don't, and
-// Map returns ErrNotSupported for them. Modes follow POSIX mmap:
+// Map reports vfs.ErrNotSupported for them. Modes follow POSIX mmap:
 // read-only, shared (stores go straight to PM; Msync makes them
 // durable), and private copy-on-write (first store copies the page to a
 // DRAM shadow; the file is never modified). Files larger than the
@@ -30,10 +30,6 @@ import (
 
 // Typed mapping errors.
 var (
-	// ErrNotSupported: the file cannot be memory-mapped (no vfs.Mapper —
-	// e.g. a remote mount or failover proxy). Wraps vfs.ErrNotSupported
-	// so errors.Is works against either.
-	ErrNotSupported = fmt.Errorf("vmm: file does not support memory mapping: %w", vfs.ErrNotSupported)
 	// ErrReadOnlyMapping is the SIGSEGV analogue: a store through a
 	// mapping created with ModeReadOnly.
 	ErrReadOnlyMapping = errors.New("vmm: store to read-only mapping (SIGSEGV)")
@@ -143,18 +139,12 @@ type window struct {
 func (w *window) covers(off int64) bool { return off >= w.base && off < w.base+w.m.Len() }
 
 // Map establishes a mapping over the first length bytes of f (length<=0
-// maps the current size). The file must implement vfs.Mapper; otherwise
-// ErrNotSupported is returned, which is what remote mounts yield.
+// maps the current size). Whether f can be mapped, and over how much,
+// is vfs.MapSpan's decision, the same one File.Mmap takes.
 func Map(ctx *sim.Ctx, f vfs.File, length int64, cfg Config) (*Mapping, error) {
-	b, ok := f.(vfs.Mapper)
-	if !ok || b.MapSpace() == nil {
-		return nil, ErrNotSupported
-	}
-	if length <= 0 {
-		length = f.Size()
-	}
-	if length <= 0 {
-		return nil, fmt.Errorf("vmm: cannot map empty file: %w", mmu.ErrOutOfRange)
+	b, length, err := vfs.MapSpan(f, length)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.AddressBudget <= 0 {
 		cfg.AddressBudget = DefaultAddressBudget
@@ -174,7 +164,7 @@ func Map(ctx *sim.Ctx, f vfs.File, length int64, cfg Config) (*Mapping, error) {
 		chunkKind: make(map[int64]uint8),
 	}
 	v.mu.Lock()
-	_, err := v.mapWindow(ctx, 0)
+	_, err = v.mapWindow(ctx, 0)
 	v.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -901,22 +901,10 @@ func (f *File) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 	return nil, false
 }
 
-// Mmap implements vfs.File. If the file should be hugepage-mapped but its
-// layout prevents it, the file is queued for reactive rewriting (§3.6).
+// Mmap implements vfs.File; AttachMapping queues a layout that defeats
+// hugepages for reactive rewriting (§3.6).
 func (f *File) Mmap(ctx *sim.Ctx, length int64) (*mmu.Mapping, error) {
-	ctx.Syscall(f.fs.model.SyscallNS)
-	if length <= 0 {
-		length = f.Size()
-	}
-	if length <= 0 {
-		return nil, mmu.ErrOutOfRange
-	}
-	f.fs.maybeQueueRewrite(f.ino)
-	m := f.fs.as.NewMapping(length, f)
-	f.ino.mu.Lock()
-	f.ino.mappings = append(f.ino.mappings, m)
-	f.ino.mu.Unlock()
-	return m, nil
+	return vfs.Mmap(ctx, f, length)
 }
 
 // Fault implements mmu.FaultHandler: resolve the base page at pageOff.

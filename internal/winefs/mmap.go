@@ -1,6 +1,7 @@
 package winefs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mmu"
@@ -38,12 +39,7 @@ func (f *File) AttachMapping(m *mmu.Mapping) {
 // DetachMapping implements vfs.Mapper.
 func (f *File) DetachMapping(m *mmu.Mapping) {
 	f.ino.mu.Lock()
-	for i, mm := range f.ino.mappings {
-		if mm == m {
-			f.ino.mappings = append(f.ino.mappings[:i], f.ino.mappings[i+1:]...)
-			break
-		}
-	}
+	f.ino.mappings = slices.DeleteFunc(f.ino.mappings, func(mm *mmu.Mapping) bool { return mm == m })
 	f.ino.mu.Unlock()
 }
 

@@ -35,6 +35,8 @@ func RunInterference(ctx *sim.Ctx, fs vfs.FS, cpus int, fgSize, vicSize int64, b
 	if err := fg.Fallocate(ctx, 0, fgSize); err != nil {
 		return res, err
 	}
+	// File.Mmap, not vmm.Map: the mapping lives as long as the file, and a
+	// vmm mapping would add promote-hook work that moves BENCH_defrag.json.
 	fgMap, err := fg.Mmap(ctx, fgSize)
 	if err != nil {
 		return res, err

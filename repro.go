@@ -12,7 +12,8 @@
 //	fs, err := repro.MkfsWineFS(ctx, dev, repro.WineFSOptions{CPUs: 8})
 //	f, _ := fs.Create(ctx, "/data")
 //	_ = f.Fallocate(ctx, 0, 8<<20)                   // aligned extents
-//	m, _ := f.Mmap(ctx, 8<<20)                       // hugepage-mappable
+//	cfg := vmm.Config{Mode: vmm.ModeShared, MapFullFile: true}
+//	m, _ := vmm.Map(ctx, f, 8<<20, cfg)              // hugepage-mappable
 //	_ = m.Write(ctx, []byte("hello"), 0)
 //	fmt.Println(ctx.Counters.HugeFaults)             // 1
 //
