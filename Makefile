@@ -221,9 +221,13 @@ serve-smoke:
 # end wraps first and recovers at every fence), the create and unlink cut
 # at every fence (TestCrashDuringCreateIsAtomic, TestCrashStatesOfUnlink:
 # each recovers the state before or after), and the one crash-image builder
-# (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds).
+# (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds),
+# fed by the device's one observer (TestTraceEpochs, TestObserverContract:
+# which calls reach it; TestRecordRefusesAttachedObserver: Record never
+# detaches a replicator; TestRecordConcurrentStores: two storing, fencing
+# goroutines inside one Record, each store once, epochs never falling).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestCrashDuringCreateIsAtomic|TestCrashStatesOfUnlink|TestRecording' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestCrashDuringCreateIsAtomic|TestCrashStatesOfUnlink|TestRecording|TestTraceEpochs|TestObserverContract|TestRecordRefusesAttachedObserver|TestRecordConcurrentStores' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

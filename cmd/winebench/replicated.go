@@ -207,7 +207,6 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		[]string{"overhead", fmt.Sprintf("%.2f%% of summed spans (limit %.0f%%)", overhead, replicatedOverheadLimit)},
 		[]string{"records logged", fmt.Sprintf("%d", st.Repl.RecordsLogged)},
 		[]string{"bytes logged", fmt.Sprintf("%d", st.Repl.BytesLogged)},
-		[]string{"commits", fmt.Sprintf("%d", st.Repl.Commits)},
 		[]string{"resyncs", fmt.Sprintf("%d (baseline image per replica)", st.Repl.Resyncs)},
 	)
 	t.Print(os.Stdout)
@@ -235,7 +234,7 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	p.Ints(map[string]int64{"ClientOps": plainOps,
 		"PlainSpanNS": plainSpan, "ReplicatedSpanNS": replSpan, "PlainSumNS": plainSum, "ReplicatedSumNS": replSum,
 		"RecordsLogged": st.Repl.RecordsLogged, "BytesLogged": st.Repl.BytesLogged,
-		"Commits": st.Repl.Commits, "Resyncs": st.Repl.Resyncs})
+		"Resyncs": st.Repl.Resyncs})
 	p.Floats(map[string]float64{"OverheadPct": overhead})
 	return rep, nil
 }

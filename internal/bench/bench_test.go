@@ -203,7 +203,7 @@ func TestClassPins(t *testing.T) {
 		},
 		"server-mix-replicated/v1": {
 			"ClientOps": e, "Resyncs": e,
-			"RecordsLogged": tol, "BytesLogged": tol, "Commits": tol,
+			"RecordsLogged": tol, "BytesLogged": tol,
 			"PlainSpanNS": tol, "ReplicatedSpanNS": tol, "PlainSumNS": tol, "ReplicatedSumNS": tol,
 			"OverheadPct": info,
 		},

@@ -56,7 +56,7 @@ var known = map[string]Classes{
 	// -replicated: group-commit batching follows real scheduler
 	// interleaving, so the record stream wobbles a fraction of a percent.
 	"server-mix-replicated/v1": {
-		Toleranced: []string{"RecordsLogged", "BytesLogged", "Commits", "PlainSpanNS", "ReplicatedSpanNS", "PlainSumNS", "ReplicatedSumNS"},
+		Toleranced: []string{"RecordsLogged", "BytesLogged", "PlainSpanNS", "ReplicatedSpanNS", "PlainSumNS", "ReplicatedSumNS"},
 		Info:       []string{"OverheadPct"},
 	},
 	// -scaling: WHERE an allocation lands (local pool, remote steal, broken

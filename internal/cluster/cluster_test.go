@@ -131,7 +131,7 @@ func TestClusterBasicReplication(t *testing.T) {
 	requireConverged(t, c)
 
 	st := c.Stats()
-	if st.Repl.RecordsLogged == 0 || st.Repl.Commits == 0 {
+	if st.Repl.RecordsLogged == 0 || st.Repl.BytesLogged == 0 {
 		t.Fatalf("no replication traffic logged: %+v", st.Repl)
 	}
 	if st.Repl.Resyncs < 2 {

@@ -24,7 +24,6 @@ func MetricsCollector(src StatsSource) metrics.Collector {
 			metrics.Counter("cluster_divergences_total", "Replica divergences detected by the checker.", float64(st.Divergences)),
 			metrics.Counter("cluster_records_logged_total", "Replication records appended to the ring.", float64(st.Repl.RecordsLogged)),
 			metrics.Counter("cluster_bytes_logged_total", "Payload bytes appended to the replication ring.", float64(st.Repl.BytesLogged)),
-			metrics.Counter("cluster_commits_total", "Journal commit barriers replicated.", float64(st.Repl.Commits)),
 			metrics.Counter("cluster_records_streamed_total", "Replication records sent over links (includes retries and resyncs).", float64(st.Repl.RecordsStreamed)),
 			metrics.Counter("cluster_bytes_streamed_total", "Payload bytes sent over replication links.", float64(st.Repl.BytesStreamed)),
 			metrics.Counter("cluster_retries_total", "Replication link reconnect attempts.", float64(st.Repl.Retries)),

@@ -36,7 +36,7 @@ const (
 	repHeartbeat
 	// repAck: replica → primary after every repRecords / repResyncBegin /
 	// repResyncEnd / repHeartbeat. Frame id is appliedSeq; payload:
-	// u64 appliedSeq | u64 appliedTx | u8 flags.
+	// u64 appliedSeq | u8 flags.
 	repAck
 )
 

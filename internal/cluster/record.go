@@ -1,8 +1,9 @@
 // Package cluster replicates a primary winefsd onto N replica daemons.
 //
 // The replication unit is the primary device's physical write stream —
-// every pmem store, zero and discard, tapped via pmem.WriteObserver —
-// punctuated by commit barriers from the WineFS journal (winefs.CommitHook).
+// every pmem store, zero and discard, tapped via pmem.Observer. Records
+// are applied in order, so fences need no record of their own: a replica
+// that has applied seq n holds every store the primary issued before it.
 // Records are sequence-numbered, framed over the fileserver wire protocol,
 // and applied by replicas to their own simulated devices, so a replica's
 // image converges byte-for-byte on the primary's and can be promoted
@@ -25,13 +26,11 @@ import (
 )
 
 // Record types. RecStore/RecZero/RecDiscard mirror the three mutating
-// entry points of pmem.Device; RecCommit is a journal commit barrier (its
-// Off field carries the transaction id).
+// entry points of pmem.Device.
 const (
 	RecStore uint8 = iota + 1
 	RecZero
 	RecDiscard
-	RecCommit
 )
 
 // recMagic guards against misframed byte streams: a decoder landing at a
@@ -51,15 +50,15 @@ const recTrailerSize = 4
 // the observer before encoding.
 const maxRecData = 8 << 20
 
-// Record is one replicated mutation (or commit barrier).
+// Record is one replicated mutation.
 type Record struct {
-	// Type is one of RecStore/RecZero/RecDiscard/RecCommit.
+	// Type is one of RecStore/RecZero/RecDiscard.
 	Type uint8
 	// Seq is the primary-assigned sequence number, contiguous from 1.
 	// Seq 0 marks an unsequenced resync record (snapshot chunk), applied
 	// without gap checking.
 	Seq uint64
-	// Off is the device offset (RecCommit: the journal transaction id).
+	// Off is the device offset.
 	Off int64
 	// N is the range length. For RecStore it must equal len(Data).
 	N int64
@@ -121,7 +120,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		N:    int64(le.Uint64(b[20:])),
 	}
 	dlen := le.Uint32(b[28:])
-	if r.Type < RecStore || r.Type > RecCommit {
+	if r.Type < RecStore || r.Type > RecDiscard {
 		return Record{}, 0, fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
 	}
 	if dlen > maxRecData {
@@ -145,7 +144,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		}
 		r.Data = append([]byte(nil), b[recHeaderSize:recHeaderSize+int(dlen)]...)
 	}
-	if r.N < 0 || r.Off < 0 && r.Type != RecCommit {
+	if r.N < 0 || r.Off < 0 {
 		return Record{}, 0, fmt.Errorf("%w: negative range", ErrBadRecord)
 	}
 	return r, total, nil

@@ -5,6 +5,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/pmem"
+	"repro/internal/sim"
+	"repro/internal/winefs"
 )
 
 // fixRecordCRC recomputes the trailer CRC of a single encoded record after
@@ -20,7 +24,6 @@ func sampleRecords() []Record {
 		{Type: RecStore, Seq: 2, Off: 1 << 20, N: 0, Data: nil},
 		{Type: RecZero, Seq: 3, Off: 4096, N: 8192},
 		{Type: RecDiscard, Seq: 4, Off: 1 << 21, N: 1 << 21},
-		{Type: RecCommit, Seq: 5, Off: 42 /* txid */},
 		{Type: RecStore, Seq: 0 /* unsequenced resync */, Off: 262144, N: 3, Data: []byte{0, 1, 2}},
 	}
 }
@@ -119,6 +122,9 @@ func TestRecordGarbage(t *testing.T) {
 			b[2] = 200
 			return b
 		}(),
+		// The first type past RecDiscard, CRC intact: a well-formed
+		// record of no known type.
+		AppendRecord(nil, &Record{Type: RecDiscard + 1, Seq: 5, Off: 42}),
 	}
 	for i, c := range cases {
 		func() {
@@ -144,5 +150,33 @@ func TestRecordStoreLengthMismatch(t *testing.T) {
 	fixRecordCRC(full)
 	if _, _, err := DecodeRecord(full); err == nil {
 		t.Fatal("store with N != len(Data) decoded successfully")
+	}
+}
+
+// TestReplicatorBlocksRecording: a crash recording refuses a primary's
+// device rather than silently detach its replicator, which keeps logging
+// the primary's stores afterwards.
+func TestReplicatorBlocksRecording(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	dev := pmem.New(64 << 20)
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicator(fs, ReplicatorConfig{})
+	r.Attach()
+	defer r.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Record on a replicated device did not panic")
+			}
+		}()
+		dev.Record(func() error { return nil })
+	}()
+	before := r.Stats().RecordsLogged
+	dev.WriteAt([]byte{1}, dev.Size()-1)
+	if got := r.Stats().RecordsLogged; got != before+1 {
+		t.Fatalf("replicator logged %d records for one store after the refused Record", got-before)
 	}
 }

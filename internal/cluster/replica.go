@@ -16,7 +16,6 @@ import (
 type ReplicaStats struct {
 	Epoch          uint64
 	AppliedSeq     uint64
-	AppliedTx      uint64
 	RecordsApplied int64
 	BytesApplied   int64
 	BadRecords     int64 // decode failures (torn/corrupt stream)
@@ -42,7 +41,6 @@ type Replica struct {
 	mu         sync.Mutex
 	epoch      uint64
 	appliedSeq uint64
-	appliedTx  uint64
 	resyncing  bool
 	promoted   bool
 	stats      ReplicaStats
@@ -75,7 +73,6 @@ func (r *Replica) Stats() ReplicaStats {
 	st := r.stats
 	st.Epoch = r.epoch
 	st.AppliedSeq = r.appliedSeq
-	st.AppliedTx = r.appliedTx
 	return st
 }
 
@@ -262,7 +259,6 @@ func (r *Replica) apply(linkEpoch uint64, code uint8, id uint64, payload []byte)
 
 	var e fileserver.Enc
 	e.U64(r.appliedSeq)
-	e.U64(r.appliedTx)
 	e.U8(flags)
 	return ackFrame{id: r.appliedSeq, payload: e.B}, false
 }
@@ -307,16 +303,10 @@ func (r *Replica) applyBatch(payload []byte) uint8 {
 // offset cannot panic the applier.
 func (r *Replica) applyRecord(rec *Record) bool {
 	size := r.dev.Size()
-	switch rec.Type {
-	case RecCommit:
-		r.appliedTx++
-		return true
-	case RecStore, RecZero, RecDiscard:
-		if rec.Off < 0 || rec.N < 0 || rec.Off > size || size-rec.Off < rec.N {
-			r.stats.BadRecords++
-			r.logf("replica %s: record range [%d,+%d) outside device", r.name, rec.Off, rec.N)
-			return false
-		}
+	if rec.Off < 0 || rec.N < 0 || rec.Off > size || size-rec.Off < rec.N {
+		r.stats.BadRecords++
+		r.logf("replica %s: record range [%d,+%d) outside device", r.name, rec.Off, rec.N)
+		return false
 	}
 	switch rec.Type {
 	case RecStore:

@@ -140,7 +140,6 @@ type ReplicatorStats struct {
 	// of the workload, so benchmarks can gate it exactly.
 	RecordsLogged int64
 	BytesLogged   int64
-	Commits       int64
 	// RecordsStreamed counts records actually sent (includes retries and
 	// resync records, so it is timing-dependent).
 	RecordsStreamed int64
@@ -172,13 +171,11 @@ type link struct {
 	conn fileserver.Conn
 }
 
-// Replicator taps a primary's device + journal and streams the mutation
-// record log to its replicas. Install with Attach, which wires the
-// pmem.WriteObserver and winefs.CommitHook; Detach unwires them (the
-// primary "crashing" or being fenced).
+// Replicator taps a primary's device and streams the mutation record log
+// to its replicas. Attach installs it as the device's pmem.Observer;
+// Detach removes it (the primary "crashing" or being fenced).
 type Replicator struct {
 	dev *pmem.Device
-	fs  *winefs.FS
 	cfg ReplicatorConfig
 
 	mu   sync.Mutex
@@ -203,7 +200,6 @@ type Replicator struct {
 func NewReplicator(fs *winefs.FS, cfg ReplicatorConfig) *Replicator {
 	r := &Replicator{
 		dev:  fs.Device(),
-		fs:   fs,
 		cfg:  cfg.withDefaults(),
 		next: 1,
 	}
@@ -240,27 +236,20 @@ func (r *Replicator) AddReplica(name string, dial func() (fileserver.Conn, error
 	go r.sender(l)
 }
 
-// Attach starts observing the primary's device and journal. The device
-// snapshot taken by any subsequent resync is ordered after every record
-// already in the ring, so Attach must run before the FS serves traffic.
+// Attach starts observing the primary's device. The device snapshot taken
+// by any subsequent resync is ordered after every record already in the
+// ring, so Attach must run before the FS serves traffic.
 func (r *Replicator) Attach() {
-	r.fs.SetCommitHook(func(txid uint64) {
-		r.append(Record{Type: RecCommit, Off: int64(txid)})
-		r.mu.Lock()
-		r.stats.Commits++
-		r.mu.Unlock()
-	})
-	r.dev.SetWriteObserver(r)
+	r.dev.SetObserver(r)
 }
 
-// Detach stops observing (the hooks become no-ops). Streaming of already
-// logged records continues until Close.
+// Detach stops observing. Streaming of already logged records continues
+// until Close.
 func (r *Replicator) Detach() {
-	r.dev.SetWriteObserver(nil)
-	r.fs.SetCommitHook(nil)
+	r.dev.SetObserver(nil)
 }
 
-// ObserveWrite implements pmem.WriteObserver.
+// ObserveWrite implements pmem.Observer.
 func (r *Replicator) ObserveWrite(off int64, data []byte) {
 	// Records cap their payload; split rare giant stores.
 	for len(data) > 0 {
@@ -274,15 +263,20 @@ func (r *Replicator) ObserveWrite(off int64, data []byte) {
 	}
 }
 
-// ObserveZero implements pmem.WriteObserver.
+// ObserveZero implements pmem.Observer.
 func (r *Replicator) ObserveZero(off, n int64) {
 	r.append(Record{Type: RecZero, Off: off, N: n})
 }
 
-// ObserveDiscard implements pmem.WriteObserver.
+// ObserveDiscard implements pmem.Observer.
 func (r *Replicator) ObserveDiscard(off, n int64) {
 	r.append(Record{Type: RecDiscard, Off: off, N: n})
 }
+
+// ObserveFence implements pmem.Observer. It logs nothing: replicas apply
+// the records in sequence order, so every store before a fence lands
+// before every store after it.
+func (r *Replicator) ObserveFence() {}
 
 // append assigns the next sequence number and retains the record in the
 // bounded ring. When the ring is full the oldest record is dropped and
@@ -773,7 +767,6 @@ func (r *Replicator) consumeAck(l *link, conn fileserver.Conn) error {
 	}
 	d := fileserver.Dec{B: payload}
 	applied := d.U64()
-	d.U64() // appliedTx (informational)
 	flags := d.U8()
 	if !d.OK() {
 		return fmt.Errorf("cluster: malformed ack")

@@ -9,9 +9,11 @@
 //     multi-GiB simulated partitions don't consume multi-GiB of host RAM;
 //   - virtual-time cost accounting for loads, stores, flushes and fences,
 //     with a shared bandwidth resource per NUMA node;
-//   - an optional store trace with fence epochs; a Recording (Record) holds
-//     one operation's, and every crash-consistency test builds its crash
-//     states — real in-flight reorderings — from one.
+//   - one Observer of the store stream (stores, zeroes, discards and
+//     fences): a Recording (Record) observes one operation's stores in
+//     fence epochs, and every crash-consistency test builds its crash
+//     states — real in-flight reorderings — from one; internal/cluster's
+//     replicator observes a primary's stores to stream them to replicas.
 package pmem
 
 import (
@@ -75,7 +77,7 @@ type Device struct {
 	// copies, Snapshot/Restore hold it exclusively. Without it a snapshot
 	// taken while another goroutine streams a write (the replication
 	// resync path snapshots a live primary) could capture a half-applied
-	// store. Mutators release it before invoking the write observer, so an
+	// store. Mutators release it before invoking the observer, so an
 	// observer may take locks that a snapshot caller holds. Every device
 	// pays the shared acquisition, whether or not it is ever snapshotted.
 	snapMu sync.RWMutex
@@ -88,42 +90,36 @@ type Device struct {
 	readNSPerB  float64
 	writeNSPerB float64
 
-	traceMu sync.Mutex
-	tracing bool
-	// tracingOn mirrors tracing so the per-store fast path is one atomic
-	// load instead of a mutex round trip (record was ~2%% of sweep CPU
-	// with tracing off).
-	tracingOn atomic.Bool
-	epoch     int
-	trace     []Store
-
 	// fault holds media-fault state (poison map, read rules); lazily
 	// allocated so fault-free devices pay nothing. See fault.go.
 	faultOnce sync.Once
 	fault     *faultState
 
 	// obs, when set, sees every content mutation (WriteAt/ZeroRange/
-	// DiscardRange) after it lands. internal/cluster taps this to stream a
-	// primary's writes to replicas. Restore is exempt: it rewrites the
-	// device wholesale (crash-image injection), which is not a store.
+	// DiscardRange) after it lands, and every Fence. A Recording's
+	// recorder and internal/cluster's replicator are the two observers.
+	// Restore is exempt: it rewrites the device wholesale (crash-image
+	// injection), which is not a store.
 	obs atomic.Pointer[observerBox]
 }
 
-// WriteObserver sees every device content mutation. Callbacks run on the
-// mutating goroutine after the store landed, outside the device locks; an
-// implementation must copy data if it keeps it.
-type WriteObserver interface {
+// Observer sees the device's store stream: every content mutation and
+// every fence, in the order each goroutine issued them. Callbacks run on
+// the issuing goroutine after the store landed, outside the device locks;
+// an implementation must copy data if it keeps it.
+type Observer interface {
 	ObserveWrite(off int64, data []byte)
 	ObserveZero(off, n int64)
 	ObserveDiscard(off, n int64)
+	ObserveFence()
 }
 
 // observerBox wraps the interface so it fits an atomic.Pointer.
-type observerBox struct{ obs WriteObserver }
+type observerBox struct{ obs Observer }
 
-// SetWriteObserver installs (or, with nil, removes) the device's write
-// observer. Only one observer is supported; installing replaces.
-func (d *Device) SetWriteObserver(obs WriteObserver) {
+// SetObserver installs (or, with nil, removes) the device's observer.
+// Only one observer is supported; installing replaces.
+func (d *Device) SetObserver(obs Observer) {
 	if obs == nil {
 		d.obs.Store(nil)
 		return
@@ -131,7 +127,7 @@ func (d *Device) SetWriteObserver(obs WriteObserver) {
 	d.obs.Store(&observerBox{obs: obs})
 }
 
-func (d *Device) observer() WriteObserver {
+func (d *Device) observer() Observer {
 	if b := d.obs.Load(); b != nil {
 		return b.obs
 	}
@@ -495,12 +491,11 @@ func (d *Device) ReadAt(buf []byte, off int64) {
 	}
 }
 
-// WriteAt stores data at off without charging virtual time, recording the
-// store in the crash trace when tracing is enabled. A store re-arms every
-// line it fully overwrites (hardware clears poison on a full-line write).
+// WriteAt stores data at off without charging virtual time, then passes
+// it to the observer. A store re-arms every line it fully overwrites
+// (hardware clears poison on a full-line write).
 func (d *Device) WriteAt(data []byte, off int64) {
 	d.checkRange(off, int64(len(data)))
-	d.record(off, data)
 	d.snapMu.RLock()
 	d.writeRaw(data, off)
 	d.snapMu.RUnlock()
@@ -510,7 +505,7 @@ func (d *Device) WriteAt(data []byte, off int64) {
 	}
 }
 
-// writeRaw copies data into the backing store with no recording or poison
+// writeRaw copies data into the backing store with no observer or poison
 // bookkeeping.
 func (d *Device) writeRaw(data []byte, off int64) {
 	rest := data
@@ -538,9 +533,6 @@ func (d *Device) writeRaw(data []byte, off int64) {
 func (d *Device) ZeroRange(off, n int64) {
 	d.checkRange(off, n)
 	origOff, origN := off, n
-	if d.isTracing() {
-		d.record(off, make([]byte, n))
-	}
 	d.clearPoisonCovered(off, n)
 	d.snapMu.RLock()
 	for n > 0 {
@@ -614,8 +606,8 @@ func (d *Device) Read(ctx *sim.Ctx, buf []byte, off int64) {
 // keeps the store whole at once. For crash states a store is in flight
 // until the next Fence: a Recording of it may persist it, drop it or tear
 // it only within its own fence epoch, and every cut after that fence holds
-// it. Flush plays no part in that (ROADMAP item 17 PR B puts flushes in the
-// trace).
+// it. Flush plays no part in that: it is not an observer event (ROADMAP
+// item 17 PR B makes it one).
 func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
 	d.WriteAt(data, off)
 	d.chargeWrite(ctx, off, int64(len(data)))
@@ -718,69 +710,16 @@ func (d *Device) Flush(ctx *sim.Ctx, off, n int64) {
 	ctx.Advance(d.model.FlushLat + (lines-1)*d.model.FlushLat/8)
 }
 
-// Fence models sfence and advances the crash-trace epoch. It is the only
-// persistence point of the crash model: every store issued before it, on
-// any thread and flushed or not, is durable in every crash state after it
-// (ROADMAP item 17 PR B makes it per thread and flush-gated).
+// Fence models sfence and passes it to the observer, where a Recording
+// opens its next epoch. It is the only persistence point of the crash
+// model: every store issued before it, on any thread and flushed or not,
+// is durable in every crash state after it (ROADMAP item 17 PR B makes it
+// per thread and flush-gated).
 func (d *Device) Fence(ctx *sim.Ctx) {
 	ctx.Advance(d.model.FenceLat)
-	d.traceMu.Lock()
-	if d.tracing {
-		d.epoch++
+	if obs := d.observer(); obs != nil {
+		obs.ObserveFence()
 	}
-	d.traceMu.Unlock()
-}
-
-// --- crash tracing -------------------------------------------------------
-
-// Store is one recorded device store, tagged with the fence epoch it was
-// issued in. Stores sharing an epoch were in flight together and may
-// persist in any subset/order at a crash.
-type Store struct {
-	Off   int64
-	Data  []byte
-	Epoch int
-}
-
-// startTrace begins recording stores; Record is its only caller.
-func (d *Device) startTrace() {
-	d.traceMu.Lock()
-	d.tracing = true
-	d.tracingOn.Store(true)
-	d.epoch = 0
-	d.trace = nil
-	d.traceMu.Unlock()
-}
-
-// stopTrace ends recording and returns the trace.
-func (d *Device) stopTrace() []Store {
-	d.traceMu.Lock()
-	t := d.trace
-	d.tracing = false
-	d.tracingOn.Store(false)
-	d.trace = nil
-	d.traceMu.Unlock()
-	return t
-}
-
-func (d *Device) isTracing() bool {
-	return d.tracingOn.Load()
-}
-
-func (d *Device) record(off int64, data []byte) {
-	if !d.tracingOn.Load() {
-		// A store racing a startTrace may miss the trace; it linearizes
-		// before the trace began, exactly as if it had taken the lock
-		// first.
-		return
-	}
-	d.traceMu.Lock()
-	if d.tracing {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		d.trace = append(d.trace, Store{Off: off, Data: cp, Epoch: d.epoch})
-	}
-	d.traceMu.Unlock()
 }
 
 // Snapshot captures the device's current contents. Intended for the small

@@ -139,22 +139,26 @@ func TestNUMAMapping(t *testing.T) {
 func TestTraceEpochs(t *testing.T) {
 	d := New(16 << 20)
 	ctx := sim.NewCtx(1, 0)
-	d.startTrace()
-	d.WriteAt([]byte{1}, 0)
-	d.WriteAt([]byte{2}, 1)
-	d.Fence(ctx)
-	d.WriteAt([]byte{3}, 2)
-	trace := d.stopTrace()
+	rec, err := d.Record(func() error {
+		d.WriteAt([]byte{1}, 0)
+		d.WriteAt([]byte{2}, 1)
+		d.Fence(ctx)
+		d.WriteAt([]byte{3}, 2)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := rec.Stores
 	if len(trace) != 3 {
 		t.Fatalf("trace has %d stores, want 3", len(trace))
 	}
 	if trace[0].Epoch != 0 || trace[1].Epoch != 0 || trace[2].Epoch != 1 {
 		t.Fatalf("epochs = %d,%d,%d", trace[0].Epoch, trace[1].Epoch, trace[2].Epoch)
 	}
-	// Stores after stopTrace are not recorded.
-	d.WriteAt([]byte{4}, 3)
-	if tr := d.stopTrace(); tr != nil {
-		t.Fatal("trace recorded after stop")
+	// Record leaves no observer behind: later stores reach nothing.
+	if d.observer() != nil {
+		t.Fatal("observer still installed after Record returned")
 	}
 }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -16,14 +17,76 @@ type Recording struct {
 	Stores []Store
 }
 
-// Record snapshots the device, runs op with its stores traced and returns
-// the two as a Recording, together with op's error.
+// Store is one recorded device store, tagged with the fence epoch it was
+// issued in. Stores sharing an epoch were in flight together and may
+// persist in any subset/order at a crash.
+type Store struct {
+	Off   int64
+	Data  []byte
+	Epoch int
+}
+
+// Record snapshots the device, runs op with a recorder as the device's
+// observer and returns the two as a Recording, together with op's error.
+// It panics when the device already has an observer (a replicator), which
+// it would otherwise detach; when it returns the device has none.
 func (d *Device) Record(op func() error) (*Recording, error) {
 	rec := &Recording{Base: d.Snapshot()}
-	d.startTrace()
+	r := &recorder{}
+	box := &observerBox{obs: r}
+	if !d.obs.CompareAndSwap(nil, box) {
+		panic("pmem: Record on a device that already has an observer")
+	}
+	defer d.obs.CompareAndSwap(box, nil)
 	err := op()
-	rec.Stores = d.stopTrace()
+	rec.Stores = r.stop()
 	return rec, err
+}
+
+// recorder is the Observer behind Record. It keeps a copy of each store, a
+// zeroed range as a store of zeros, and counts fences as epochs. A discard
+// is not a store: the freed range's contents are undefined, so no crash
+// state depends on it.
+type recorder struct {
+	mu     sync.Mutex
+	done   bool
+	epoch  int
+	stores []Store
+}
+
+func (r *recorder) ObserveWrite(off int64, data []byte) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	r.add(off, cp)
+}
+
+func (r *recorder) ObserveZero(off, n int64) { r.add(off, make([]byte, n)) }
+
+func (r *recorder) ObserveDiscard(off, n int64) {}
+
+func (r *recorder) ObserveFence() {
+	r.mu.Lock()
+	r.epoch++
+	r.mu.Unlock()
+}
+
+// add keeps data, which the recorder owns, as a store of the current
+// epoch.
+func (r *recorder) add(off int64, data []byte) {
+	r.mu.Lock()
+	if !r.done {
+		r.stores = append(r.stores, Store{Off: off, Data: data, Epoch: r.epoch})
+	}
+	r.mu.Unlock()
+}
+
+// stop returns the stores and drops any that arrive later, from a
+// goroutine that loaded the observer before Record removed it.
+func (r *recorder) stop() []Store {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.done = true
+	return r.stores
 }
 
 // Last is the epoch of the operation's last store, 0 when it stored

@@ -1,46 +1,15 @@
-// Package tier generalises the storage layer behind a BlockDevice
-// interface and provides the slow second tier WineFS spills cold data to:
+// Package tier provides the slow second tier WineFS spills cold data to:
 // an SSD-like device with per-command latency, per-byte bandwidth and a
 // bounded command queue, but no byte-addressability — every access is
 // charged at 4KiB-page granularity, the way a block device sees it.
 //
-// The PM device (pmem.Device) satisfies BlockDevice natively; SlowDevice
-// is the second implementation. A tiered WineFS keeps all metadata and
-// hot data on PM and routes cold extents here (winefs/tier.go).
+// A tiered WineFS keeps all metadata and hot data on PM (pmem.Device) and
+// routes cold extents to a SlowDevice (winefs/tier.go).
 package tier
 
 import (
 	"repro/internal/pmem"
 	"repro/internal/sim"
-)
-
-// BlockDevice is the device surface the file system's data path needs:
-// charged accessors that model the device's cost in virtual time, and
-// uncharged host-side accessors for snapshots, recovery scans and test
-// setup. Offsets are byte offsets from the start of the device.
-type BlockDevice interface {
-	// Size is the device capacity in bytes.
-	Size() int64
-
-	// Charged accessors: advance the calling thread's virtual clock by
-	// the modelled device cost and account traffic to its counters.
-	Read(ctx *sim.Ctx, buf []byte, off int64)
-	Write(ctx *sim.Ctx, data []byte, off int64)
-	Zero(ctx *sim.Ctx, off, n int64)
-	Flush(ctx *sim.Ctx, off, n int64)
-	Fence(ctx *sim.Ctx)
-
-	// Uncharged host-side accessors.
-	ReadAt(buf []byte, off int64)
-	WriteAt(data []byte, off int64)
-	ZeroRange(off, n int64)
-	DiscardRange(off, n int64)
-}
-
-// Both the PM device and the slow tier implement BlockDevice.
-var (
-	_ BlockDevice = (*pmem.Device)(nil)
-	_ BlockDevice = (*SlowDevice)(nil)
 )
 
 // PageSize is the slow device's I/O granularity: commands address whole
@@ -85,8 +54,8 @@ func DefaultSlowConfig(size int64) SlowConfig {
 // commands proceeds in parallel and anything beyond that waits.
 //
 // Durability model: the device has a power-protected write buffer, so a
-// completed Write is durable — Flush and Fence are free. This is what
-// makes crash reasoning for tier migration simple: the slow-tier copy is
+// completed Write is durable and there is nothing to flush or fence. This
+// is what makes crash reasoning for tier migration simple: the slow-tier copy is
 // stable the moment it is written, and only the PM-side extent-map commit
 // decides which copy a recovery sees.
 type SlowDevice struct {
@@ -120,7 +89,7 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 	return d
 }
 
-// Size implements BlockDevice.
+// Size is the device capacity in bytes.
 func (d *SlowDevice) Size() int64 { return d.cfg.Size }
 
 // Config returns the device's shape.
@@ -179,43 +148,35 @@ func (d *SlowDevice) charge(ctx *sim.Ctx, off, n int64, write bool) {
 	}
 }
 
-// Read implements BlockDevice: a charged read of len(buf) bytes.
+// Read is a charged read of len(buf) bytes.
 func (d *SlowDevice) Read(ctx *sim.Ctx, buf []byte, off int64) {
 	d.charge(ctx, off, int64(len(buf)), false)
 	d.store.ReadAt(buf, off)
 }
 
-// Write implements BlockDevice: a charged write, durable on completion.
+// Write is a charged write, durable on completion.
 func (d *SlowDevice) Write(ctx *sim.Ctx, data []byte, off int64) {
 	d.charge(ctx, off, int64(len(data)), true)
 	d.store.WriteAt(data, off)
 }
 
-// Zero implements BlockDevice: charged like a write of n bytes (the
-// command still transfers/updates whole pages on the device).
+// Zero is charged like a write of n bytes (the command still
+// transfers/updates whole pages on the device).
 func (d *SlowDevice) Zero(ctx *sim.Ctx, off, n int64) {
 	d.charge(ctx, off, n, true)
 	d.store.ZeroRange(off, n)
 }
 
-// Flush implements BlockDevice. Completed writes are already durable
-// (power-protected write buffer), so flushing costs nothing.
-func (d *SlowDevice) Flush(ctx *sim.Ctx, off, n int64) {}
-
-// Fence implements BlockDevice; free for the same reason as Flush.
-func (d *SlowDevice) Fence(ctx *sim.Ctx) {}
-
-// ReadAt implements BlockDevice (uncharged).
+// ReadAt is an uncharged read.
 func (d *SlowDevice) ReadAt(buf []byte, off int64) { d.store.ReadAt(buf, off) }
 
-// WriteAt implements BlockDevice (uncharged).
+// WriteAt is an uncharged write.
 func (d *SlowDevice) WriteAt(data []byte, off int64) { d.store.WriteAt(data, off) }
 
-// ZeroRange implements BlockDevice (uncharged).
+// ZeroRange is an uncharged zero-fill.
 func (d *SlowDevice) ZeroRange(off, n int64) { d.store.ZeroRange(off, n) }
 
-// DiscardRange implements BlockDevice (uncharged): freed pages return
-// their host backing.
+// DiscardRange is uncharged: freed pages return their host backing.
 func (d *SlowDevice) DiscardRange(off, n int64) { d.store.DiscardRange(off, n) }
 
 // Cost returns the uncontended virtual-time cost of one n-byte access at

@@ -108,10 +108,6 @@ type FS struct {
 	degradedMu      sync.Mutex
 	degradedReasons []string
 
-	// commitHook, when set, fires for every resolved journal transaction
-	// (repl.go); internal/cluster uses it as a replication commit barrier.
-	commitHook atomic.Pointer[CommitHook]
-
 	// mapHook, when set, fires with the inode number whenever a memory
 	// mapping attaches (mmap.go); the file server uses it to revoke
 	// client leases that would otherwise go stale under DAX stores.
@@ -1183,6 +1179,13 @@ func (fs *FS) FreeExtents() []alloc.Extent { return fs.alloc.freeExtents() }
 // AddressSpace exposes the FS's process address space for experiments that
 // need direct TLB/LLC control.
 func (fs *FS) AddressSpace() *mmu.AddressSpace { return fs.as }
+
+// Device exposes the backing device (read-only use: replication,
+// divergence checking, offline tooling). The journal stores undo records
+// (old contents), so a replica cannot be built from journal entries: it
+// applies the device's own store stream (pmem.Observer), and a promoted
+// replica recovers through Mount exactly as a crashed primary would.
+func (fs *FS) Device() *pmem.Device { return fs.dev }
 
 // Journals returns the number of per-CPU journals (for tests).
 func (fs *FS) Journals() int { return len(fs.journals) }

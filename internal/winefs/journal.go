@@ -377,7 +377,6 @@ func (tx *txn) commit(ctx *sim.Ctx) {
 	j.fs.dev.Fence(ctx)
 	ctx.Counters.JournalCommits++
 	ctx.Counters.JournalNS += ctx.Now() - t0
-	j.fs.notifyCommit(tx.id)
 	j.res.Release(ctx)
 	ctx.EndSpan(sp)
 }
@@ -389,7 +388,6 @@ func (tx *txn) commit(ctx *sim.Ctx) {
 func (tx *txn) rollback(ctx *sim.Ctx) {
 	tx.staged, tx.data, tx.logged = tx.staged[:0], tx.data[:0], 0
 	ctx.Counters.JournalAborts++
-	tx.j.fs.notifyCommit(tx.id)
 }
 
 // uncommittedTx describes one in-flight transaction found during recovery.
