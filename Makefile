@@ -58,7 +58,8 @@ bench-engine:
 # tree, then the before/after table of `benchmark -compare`. BASE is
 # exported (git archive) into a throw-away directory under PAIR_OUT and
 # each side builds into its own .bench_build, as the driver's runs do; the
-# result lines stay in PAIR_OUT for the record.
+# result lines stay in PAIR_OUT for the record. Each pair line shows both
+# clocks: host_kops_per_s and sim_kops_per_vsec.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=srv_cached [PAIRS=10] [SEED=1]
 PAIRS ?= 10
 SEED ?= 1
@@ -69,7 +70,7 @@ bench-pair:
 	git archive $(BASE) | tar -x -C $$out/base; \
 	run() { \
 		(cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace 0 -out $$2) >$$out/last.log 2>&1 || { cat $$out/last.log; exit 1; }; \
-		grep -m1 host_kops_per_s $$out/last.log; \
+		awk '$$1 == "host_kops_per_s" || $$1 == "sim_kops_per_vsec" { printf "  %s %s %s", $$1, $$2, $$3 } END { print "" }' $$out/last.log; \
 	}; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \

@@ -83,8 +83,8 @@ func (h *hooks) Overwrite(ctx *sim.Ctx, n *fsbase.Node, off, length int64) fsbas
 
 func (h *hooks) DataWrite(ctx *sim.Ctx, n *fsbase.Node, length int64) {}
 
-func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node, dirty int64) {
-	h.jbd2.Commit(ctx, dirty)
+func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node) {
+	h.jbd2.Commit(ctx)
 }
 
 func (h *hooks) ZeroOnFault() bool                     { return true }

@@ -221,14 +221,13 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 			// block edges the write leaves untouched.
 			f.clearUnwrittenAround(ctx, blk, (pos+chunk+BlockSize-1)/BlockSize)
 		}
-		fs.dev.Write(ctx, p[written:written+int(chunk)], phys*BlockSize+in)
+		fs.dev.WriteNT(ctx, p[written:written+int(chunk)], phys*BlockSize+in)
 		written += int(chunk)
 	}
 	fs.hooks.DataWrite(ctx, n, length)
 	if end > n.size {
 		n.size = end
 	}
-	n.dirty += length
 	fs.hooks.MetaOp(ctx, n, 1+newExtents, MetaData)
 	return len(p), nil
 }
@@ -293,13 +292,12 @@ func (f *File) cow(ctx *sim.Ctx, p []byte, off int64) error {
 		ws, we := max64(off, bs), min64(end, be)
 		if okOld && (ws > bs || we < be) {
 			fs.dev.Read(ctx, buf, oldPhys*BlockSize)
-			fs.dev.Write(ctx, buf, nb*BlockSize)
+			fs.dev.WriteNT(ctx, buf, nb*BlockSize)
 		}
-		fs.dev.Write(ctx, p[ws-off:we-off], nb*BlockSize+(ws-bs))
-		// Data+metadata consistency: the new block must be durable before
-		// the log entry that publishes it.
-		fs.dev.Flush(ctx, nb*BlockSize, BlockSize)
+		fs.dev.WriteNT(ctx, p[ws-off:we-off], nb*BlockSize+(ws-bs))
 	}
+	// Data+metadata consistency: the new blocks, non-temporal copies, are
+	// durable at this fence, before the log entry that publishes them.
 	fs.dev.Fence(ctx)
 	f.replaceRange(ctx, startBlk, endBlk, exts)
 	return nil
@@ -448,12 +446,7 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, length int64) error {
 // Fsync implements vfs.File.
 func (f *File) Fsync(ctx *sim.Ctx) error {
 	ctx.Syscall(f.fs.model.SyscallNS)
-	n := f.node
-	n.mu.Lock()
-	dirty := n.dirty
-	n.dirty = 0
-	n.mu.Unlock()
-	f.fs.hooks.Fsync(ctx, n, dirty)
+	f.fs.hooks.Fsync(ctx, f.node)
 	return nil
 }
 

@@ -85,9 +85,10 @@ type Hooks interface {
 	// DataWrite charges any policy-specific extra cost per written byte
 	// (Strata's log+digest double copy, SplitFS's staging).
 	DataWrite(ctx *sim.Ctx, n *Node, length int64)
-	// Fsync charges the durability cost for `dirty` outstanding bytes
-	// (ext4/xfs: stop-the-world journal commit; others: cheap).
-	Fsync(ctx *sim.Ctx, n *Node, dirty int64)
+	// Fsync charges the durability cost of an fsync of n (ext4/xfs:
+	// stop-the-world journal commit; others: cheap). File data needs no
+	// flush here: it went out as non-temporal copies (pmem.WriteNT).
+	Fsync(ctx *sim.Ctx, n *Node)
 	// ZeroOnFault selects ext4-style deferred zeroing of fallocated space.
 	ZeroOnFault() bool
 	// OnCreate/OnDelete run per-inode side effects (NOVA allocates the
@@ -121,8 +122,6 @@ type Node struct {
 	// changes (truncate, delete) shoot their translations down before
 	// freed blocks can be reused.
 	mappings []*mmu.Mapping
-
-	dirty int64 // bytes written since last fsync
 
 	// LogBlocks is per-inode log space (NOVA); tracked so deletes free it
 	// and fragmentation analyses see it.

@@ -55,18 +55,17 @@ func (j *JBD2) Log(ctx *sim.Ctx, entries int) {
 }
 
 // Commit flushes the running transaction: the caller (an fsync) occupies
-// the global journal resource while the pending records, plus its own
-// dirty data, are made durable. All concurrent fsyncs serialise here.
-func (j *JBD2) Commit(ctx *sim.Ctx, dirtyBytes int64) {
+// the global journal resource while the pending records are made durable.
+// All concurrent fsyncs serialise here.
+func (j *JBD2) Commit(ctx *sim.Ctx) {
 	j.mu.Lock()
 	pending := j.pending
 	j.pending = 0
 	j.mu.Unlock()
 	// Journal records are written twice (journal + checkpoint later);
-	// charge the journal write plus per-line flushes of dirty data.
+	// charge the journal write.
 	hold := jbd2CommitFixedNS +
-		int64(float64(pending)*j.model.CopyWriteNSPerByte*2) +
-		(dirtyBytes+63)/64*j.model.FlushLat/8
+		int64(float64(pending)*j.model.CopyWriteNSPerByte*2)
 	j.res.Use(ctx, hold)
 	ctx.Counters.JournalCommits++
 	ctx.Counters.PMWriteBytes += pending

@@ -261,9 +261,9 @@ func (h *hooks) Overwrite(ctx *sim.Ctx, n *fsbase.Node, off, length int64) fsbas
 
 func (h *hooks) DataWrite(ctx *sim.Ctx, n *fsbase.Node, length int64) {}
 
-func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node, dirty int64) {
+func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node) {
 	// Log-structured metadata is already durable.
-	ctx.Advance((dirty+63)/64*h.model.FlushLat/8 + h.model.FenceLat)
+	ctx.Advance(h.model.FenceLat)
 }
 
 func (h *hooks) ZeroOnFault() bool { return false }

@@ -16,6 +16,7 @@ import (
 //	small read/write (≤4 lines):  Lat64 + (lines-1)*Lat64/4
 //	bulk read:   ReadLat64  + n*CopyReadNSPerByte  (+ port transfer)
 //	bulk write:  WriteLat64 + n*CopyWriteNSPerByte (+ port transfer)
+//	writeNT:     write + FlushLat per partial edge line (one if both share a line)
 //	flush:       FlushLat + (lines-1)*FlushLat/8
 //	fence:       FenceLat
 //	zero:        n*ZeroNSPerByte (+ port transfer)
@@ -26,6 +27,13 @@ func TestChargeAmountsPerOp(t *testing.T) {
 	m := DefaultModel()
 	xfer := func(n int64, bw float64) int64 { // transfer hold, uncontended
 		return int64(float64(n) / bw * 1e9)
+	}
+	written := func(n int, off int64) int64 { // what Write charges for the same store
+		d := New(16 << 20)
+		defer d.Release()
+		ctx := sim.NewCtx(1, 0)
+		d.Write(ctx, make([]byte, n), off)
+		return ctx.Now()
 	}
 	cases := []struct {
 		name string
@@ -53,6 +61,18 @@ func TestChargeAmountsPerOp(t *testing.T) {
 		{"write 4KiB bulk", func(d *Device, ctx *sim.Ctx) {
 			d.Write(ctx, make([]byte, 4096), 0)
 		}, m.WriteLat64 + int64(4096*m.CopyWriteNSPerByte) + xfer(4096, m.WriteBandwidth)}, // 100+1024+1024
+		{"writeNT 4KiB aligned = write", func(d *Device, ctx *sim.Ctx) {
+			d.WriteNT(ctx, make([]byte, 4096), 0)
+		}, m.WriteLat64 + int64(4096*m.CopyWriteNSPerByte) + xfer(4096, m.WriteBandwidth)}, // no flush
+		{"writeNT unaligned head = write + one flush", func(d *Device, ctx *sim.Ctx) {
+			d.WriteNT(ctx, make([]byte, 4096-8), 8)
+		}, written(4096-8, 8) + m.FlushLat},
+		{"writeNT head and tail in two lines = write + two flushes", func(d *Device, ctx *sim.Ctx) {
+			d.WriteNT(ctx, make([]byte, 4096), 8)
+		}, written(4096, 8) + 2*m.FlushLat},
+		{"writeNT 10B inside one line = write + one flush", func(d *Device, ctx *sim.Ctx) {
+			d.WriteNT(ctx, make([]byte, 10), 70)
+		}, written(10, 70) + m.FlushLat}, // 100+40
 		{"flush one line", func(d *Device, ctx *sim.Ctx) {
 			d.Flush(ctx, 0, 64)
 		}, m.FlushLat}, // 40
@@ -92,6 +112,7 @@ func TestChargeZeroAndNegativeAreNoOps(t *testing.T) {
 	ctx := sim.NewCtx(1, 0)
 	d.Read(ctx, nil, 0)
 	d.Write(ctx, nil, 0)
+	d.WriteNT(ctx, nil, 3)
 	d.Flush(ctx, 0, 0)
 	d.Zero(ctx, 0, 0)
 	ctx.Advance(-5)

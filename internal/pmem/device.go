@@ -9,6 +9,8 @@
 //     multi-GiB simulated partitions don't consume multi-GiB of host RAM;
 //   - virtual-time cost accounting for loads, stores, flushes and fences,
 //     with a shared bandwidth resource per NUMA node;
+//   - two store kinds: Write, cached, flushed by Flush (clwb), for
+//     metadata; WriteNT (memcpy_flushcache), non-temporal, for file data;
 //   - one Observer of the store stream (stores, zeroes, discards and
 //     fences): a Recording (Record) observes one operation's stores in
 //     fence epochs, and every crash-consistency test builds its crash
@@ -602,23 +604,43 @@ func (d *Device) Read(ctx *sim.Ctx, buf []byte, off int64) {
 	d.chargeRead(ctx, off, int64(len(buf)))
 }
 
-// Write stores data, charging write latency/bandwidth. The live device
-// keeps the store whole at once. For crash states a store is in flight
-// until the next Fence: a Recording of it may persist it, drop it or tear
-// it only within its own fence epoch, and every cut after that fence holds
-// it. Flush plays no part in that: it is not an observer event (ROADMAP
-// item 17 PR B makes it one).
+// Write is a cached store, charging write latency/bandwidth: metadata,
+// journal and mapped stores follow it with a Flush before their Fence.
+// The live device keeps the store whole at once. For crash states a store
+// is in flight until the next Fence: a Recording of it may persist it,
+// drop it or tear it only within its own fence epoch, and every cut after
+// that fence holds it. Flush plays no part in that: it is not an observer
+// event (ROADMAP item 17 makes it one).
 func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
 	d.WriteAt(data, off)
 	d.chargeWrite(ctx, off, int64(len(data)))
 }
 
-// Zero zero-fills a range, charging streaming-store cost. Used for page
-// zeroing in fault handlers and fallocate paths; time lands in ZeroNS.
-// Hugepage-sized-or-larger zeroes get their own span — they dominate
-// first-touch latency and are exactly what a trace of an aged-vs-fresh
-// mount should make visible; smaller zeroes stay span-free to bound
-// tracing overhead on the hot path.
+// WriteNT is the non-temporal store, the kernel's memcpy_flushcache, and
+// how every file system stores file data: like Zero, it is durable at its
+// thread's next Fence with no Flush. It charges what Write does plus one
+// Flush per partial edge line, which goes through the cache (one Flush if
+// both edges share a line). The observer sees one ObserveWrite.
+func (d *Device) WriteNT(ctx *sim.Ctx, data []byte, off int64) {
+	d.Write(ctx, data, off)
+	if len(data) == 0 {
+		return
+	}
+	if off%CacheLine != 0 {
+		d.Flush(ctx, off, 1)
+	}
+	// A partial tail line, unless the head's flush already covered it.
+	if last := off + int64(len(data)) - 1; (last+1)%CacheLine != 0 && last/CacheLine*CacheLine >= off {
+		d.Flush(ctx, last, 1)
+	}
+}
+
+// Zero zero-fills a range with non-temporal stores (like WriteNT: no Flush
+// needed), charging streaming-store cost. Used for page zeroing in fault
+// handlers and fallocate paths; time lands in ZeroNS. Hugepage-sized-or-
+// larger zeroes get their own span — they dominate first-touch latency and
+// are exactly what a trace of an aged-vs-fresh mount should make visible;
+// smaller zeroes stay span-free to bound tracing overhead on the hot path.
 func (d *Device) Zero(ctx *sim.Ctx, off, n int64) {
 	if n >= ChunkSize {
 		sp := ctx.StartSpan("pmem.zero")
@@ -696,10 +718,10 @@ func (d *Device) TransferWrite(ctx *sim.Ctx, off, n int64) {
 	d.transfer(ctx, off, int64(float64(n)*d.writeNSPerB))
 }
 
-// Flush models clwb over the cache lines covering [off, off+n). It only
-// advances the clock: crash states do not depend on it, so a store
-// followed by a Fence is durable whether or not it was flushed (ROADMAP
-// item 17 PR B).
+// Flush models clwb over the cache lines covering [off, off+n), which a
+// Write needs and a WriteNT or Zero does not. It only advances the clock:
+// crash states do not depend on it, so a store followed by a Fence is
+// durable whether or not it was flushed (ROADMAP item 17).
 func (d *Device) Flush(ctx *sim.Ctx, off, n int64) {
 	if n <= 0 {
 		return
@@ -712,9 +734,9 @@ func (d *Device) Flush(ctx *sim.Ctx, off, n int64) {
 
 // Fence models sfence and passes it to the observer, where a Recording
 // opens its next epoch. It is the only persistence point of the crash
-// model: every store issued before it, on any thread and flushed or not,
-// is durable in every crash state after it (ROADMAP item 17 PR B makes it
-// per thread and flush-gated).
+// model: every store issued before it, of either kind, on any thread and
+// flushed or not, is durable in every crash state after it (ROADMAP item
+// 17 makes it per thread, and flush-gated for Write only).
 func (d *Device) Fence(ctx *sim.Ctx) {
 	ctx.Advance(d.model.FenceLat)
 	if obs := d.observer(); obs != nil {

@@ -34,6 +34,7 @@ func TestObserverContract(t *testing.T) {
 
 	d.WriteAt([]byte("ab"), 10)
 	d.Write(ctx, []byte("cd"), 20)
+	d.WriteNT(ctx, []byte("ef"), 25) // flushes its partial line: no event of its own
 	d.ZeroRange(30, 5)
 	d.Zero(ctx, 40, 6)
 	d.DiscardRange(ChunkSize, ChunkSize)
@@ -50,6 +51,7 @@ func TestObserverContract(t *testing.T) {
 	want := []string{
 		`write 10 "ab"`,
 		`write 20 "cd"`,
+		`write 25 "ef"`,
 		"zero 30 5",
 		"zero 40 6",
 		fmt.Sprintf("discard %d %d", ChunkSize, ChunkSize),

@@ -74,10 +74,10 @@ func (h *hooks) DataWrite(ctx *sim.Ctx, n *fsbase.Node, length int64) {}
 // relinkFixedNS is the fixed cost of SplitFS's relink call at fsync.
 const relinkFixedNS = 1500
 
-func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node, dirty int64) {
+func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node) {
 	// Relink staged data via the ext4 journal.
 	ctx.Advance(relinkFixedNS)
-	h.jbd2.Commit(ctx, dirty/8) // staged writes were already persistent
+	h.jbd2.Commit(ctx)
 }
 
 func (h *hooks) ZeroOnFault() bool                     { return true }

@@ -77,7 +77,7 @@ func (h *hooks) DataWrite(ctx *sim.Ctx, n *fsbase.Node, length int64) {
 	h.digestBW.Transfer(ctx, length)
 }
 
-func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node, dirty int64) {
+func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node) {
 	// The log is already durable.
 	ctx.Advance(h.model.FenceLat)
 }

@@ -17,8 +17,6 @@ type File struct {
 	fs     *FS
 	ino    *inode
 	closed bool
-	// dirtyBytes tracks unflushed data in relaxed mode, paid at fsync.
-	dirtyBytes int64
 }
 
 var _ vfs.File = (*File)(nil)
@@ -415,9 +413,6 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 			return 0, err
 		}
 	}
-	if fs.mode == vfs.Relaxed {
-		f.dirtyBytes += n
-	}
 	return len(p), nil
 }
 
@@ -455,16 +450,11 @@ func (f *File) writeRange(ctx *sim.Ctx, p []byte, off int64) (n int, ok bool, er
 			fs.chargeDataJournal(ctx, chunk)
 		}
 		fs.dataWrite(ctx, p[written:written+int(chunk)], phys*BlockSize+in)
-		if fs.mode == vfs.Strict {
-			fs.dataFlush(ctx, phys*BlockSize+in, chunk)
-		}
 		fs.touchExtent(ino, blk, true)
 		written += int(chunk)
 	}
 	if fs.mode == vfs.Strict {
 		fs.dev.Fence(ctx)
-	} else {
-		f.dirtyBytes += int64(len(p))
 	}
 	return len(p), true, nil
 }
@@ -524,9 +514,6 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, fresh []alloc.Extent, 
 			}
 		}
 		fs.dataWrite(ctx, p[written:written+int(chunk)], phys*BlockSize+in)
-		if fs.mode == vfs.Strict {
-			fs.dataFlush(ctx, phys*BlockSize+in, chunk)
-		}
 		// Writing the bytes this call creates is not a reference to them.
 		fs.touchExtent(ino, blk, isOverwrite)
 		written += int(chunk)
@@ -624,7 +611,6 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 				fs.dataWrite(ctx, buf, nb*BlockSize)
 			}
 			fs.dataWrite(ctx, p[ws-off:we-off], nb*BlockSize+(ws-bs))
-			fs.dataFlush(ctx, nb*BlockSize, BlockSize)
 		}
 	}
 	fs.dev.Fence(ctx)
@@ -785,16 +771,12 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, n int64) error {
 }
 
 // Fsync implements vfs.File. All WineFS metadata (and, in strict mode,
-// data) is already durable when the syscall returns, so fsync only pays
-// the residual flush of relaxed-mode data plus a fence — this is why
-// fsync-heavy workloads (varmail, Figure 9) do well.
+// data) is already durable when the syscall returns, and relaxed-mode data
+// went out as non-temporal copies that need no flush, so fsync in either
+// mode is the syscall plus one fence — this is why fsync-heavy workloads
+// (varmail, Figure 9) do well.
 func (f *File) Fsync(ctx *sim.Ctx) error {
 	ctx.Syscall(f.fs.model.SyscallNS)
-	if f.dirtyBytes > 0 {
-		lines := (f.dirtyBytes + 63) / 64
-		ctx.Advance(lines * f.fs.model.FlushLat / 8)
-		f.dirtyBytes = 0
-	}
 	f.fs.dev.Fence(ctx)
 	return nil
 }

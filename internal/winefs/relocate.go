@@ -14,7 +14,7 @@ import (
 //
 //	copy durable → journaled swap → invalidate before free
 //
-// The destination holds a flushed, fenced copy before the transaction
+// The destination holds a fenced non-temporal copy before the transaction
 // opens; the extent-map swap is the only decision point (a crash before
 // the commit rolls back to the old blocks, and the next mount's extent
 // scan reclaims the copy); and detachRange shoots down live mappings
@@ -75,7 +75,6 @@ func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Ex
 	var off int64
 	for _, e := range dst {
 		fs.dataWrite(ctx, buf[off:off+e.Len*BlockSize], e.StartByte())
-		fs.dataFlush(ctx, e.StartByte(), e.Len*BlockSize)
 		off += e.Len * BlockSize
 	}
 	fs.dev.Fence(ctx)

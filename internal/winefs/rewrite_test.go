@@ -226,14 +226,15 @@ func eligibleChunks(f vfs.File, chunks int) int {
 	return n
 }
 
-// TestRewriteFlushesAndFencesEachCopy is the rewrite path's charge
-// table: every piece the rewriter relocates is written, flushed once and
-// fenced before the one journal transaction that swaps it in. The flush
-// has no counter of its own, so it is weighed on the clock: the same
-// rewrite is run under two flush latencies, and with clwb at 8ns a flush
-// of n lines costs n+7, so the clocks differ by the lines flushed. The
+// TestRewriteCopiesNonTemporallyAndFencesEachCopy is the rewrite path's
+// charge table: every piece the rewriter relocates is a non-temporal copy
+// (no clwb per data line) fenced before the one journal transaction that
+// swaps it in. The flush has no counter of its own, so it is weighed on
+// the clock: the same rewrite is run under two flush latencies, and with
+// clwb at 8ns a flush of n lines costs n+7, so the clocks differ by the
+// lines flushed — only metadata's, a small fraction of the data's. The
 // fence and the transaction are read off the store trace.
-func TestRewriteFlushesAndFencesEachCopy(t *testing.T) {
+func TestRewriteCopiesNonTemporallyAndFencesEachCopy(t *testing.T) {
 	const chunks = 3
 	run := func(flushLat int64) (elapsed int64, pieces int, commits int64) {
 		ctx := sim.NewCtx(1, 0)
@@ -309,8 +310,8 @@ func TestRewriteFlushesAndFencesEachCopy(t *testing.T) {
 	}
 	dataLines := int64(chunks * mmu.HugePage / pmem.CacheLine)
 	flushed := withFlush - base
-	if flushed < dataLines || flushed > dataLines+dataLines/20 {
-		t.Fatalf("rewrite flushed %d lines' worth of clwb for %d lines of copied data (want each destination flushed exactly once)",
+	if flushed >= dataLines/20 {
+		t.Fatalf("rewrite flushed %d lines' worth of clwb for %d lines of copied data (want only metadata flushed)",
 			flushed, dataLines)
 	}
 }

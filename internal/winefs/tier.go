@@ -160,19 +160,15 @@ func (fs *FS) isSlow(blk int64) bool {
 // extents start at the hugepage-rounded base — so routing by the first
 // byte is exact.
 
+// dataWrite stores file data. On PM it is a non-temporal copy (WriteNT):
+// durable at the caller's next Fence with no flush of its own, as PMFS's
+// memcpy_to_nvmm is. Slow-tier writes are durable on completion.
 func (fs *FS) dataWrite(ctx *sim.Ctx, p []byte, off int64) {
 	if t := fs.tier; t != nil && off >= t.baseByte {
 		t.dev.Write(ctx, p, off-t.baseByte)
 		return
 	}
-	fs.dev.Write(ctx, p, off)
-}
-
-func (fs *FS) dataFlush(ctx *sim.Ctx, off, n int64) {
-	if t := fs.tier; t != nil && off >= t.baseByte {
-		return // slow-tier writes are durable on completion
-	}
-	fs.dev.Flush(ctx, off, n)
+	fs.dev.WriteNT(ctx, p, off)
 }
 
 func (fs *FS) dataZero(ctx *sim.Ctx, off, n int64) {

@@ -61,8 +61,8 @@ func (h *hooks) Overwrite(ctx *sim.Ctx, n *fsbase.Node, off, length int64) fsbas
 
 func (h *hooks) DataWrite(ctx *sim.Ctx, n *fsbase.Node, length int64) {}
 
-func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node, dirty int64) {
-	h.log.Commit(ctx, dirty)
+func (h *hooks) Fsync(ctx *sim.Ctx, n *fsbase.Node) {
+	h.log.Commit(ctx)
 }
 
 func (h *hooks) ZeroOnFault() bool                     { return true }
