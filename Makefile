@@ -180,8 +180,9 @@ maint-race:
 
 # Replication + failover under the race detector: the cluster engine's
 # own tests (journal streaming, degraded mode, transparent failover,
-# lease re-establishment), the campaign smoke slice and the frame codec
-# over the in-memory pipe the replication stream rides
+# lease re-establishment, the silent-divergence verdict, a baseline resync
+# broken off and resumed), the cluster campaign and its smoke slice, and
+# the frame codec over the in-memory pipe the replication stream rides
 # (TestFrameRoundTrip: a frame above the pipe's 1 MiB buffer, bare and
 # wrapped writer ends, the length bound).
 cluster-race:
@@ -232,9 +233,10 @@ fault-campaign:
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent
-# divergence → convergence (repair/resync where needed). Runs overlap on
-# the host (they are wall-clock timer-bound), which is what makes 1000
-# seeds affordable.
+# divergence (sequences equal, bytes differ) → convergence. A dead
+# primary's image converges by the ladder byte → logical → resync. Runs
+# overlap on the host (they are wall-clock timer-bound), which is what
+# makes 1000 seeds affordable.
 cluster-campaign:
 	$(GO) test -v -run 'TestClusterCampaign' ./internal/crashmonkey/
 

@@ -186,8 +186,8 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	}
 	// Integrity before performance: every replica must end byte-identical
 	// to the primary, or the overhead number is meaningless.
-	if !cl.AwaitConverged(30 * time.Second) {
-		return nil, fmt.Errorf("replicas did not converge with the primary after the run")
+	if err := cl.AwaitConverged(30 * time.Second); err != nil {
+		return nil, fmt.Errorf("replicas did not converge with the primary after the run: %w", err)
 	}
 	st := cl.Stats()
 

@@ -91,7 +91,6 @@ type Cluster struct {
 	primaryIdx  int
 	epoch       uint64
 	failovers   int64
-	divergences int64
 	partitioned atomic.Bool
 	closed      bool
 }
@@ -236,30 +235,37 @@ func (c *Cluster) PrimaryName() string {
 	return c.nodes[c.primaryIdx].name
 }
 
-// AwaitConverged polls until every replica's device is byte-identical to
-// the primary's (with appliers quiesced during each comparison), or the
-// timeout expires. It rides out backoff sleeps and in-flight resyncs that
-// a bare WaitReplicated can miss.
-func (c *Cluster) AwaitConverged(timeout time.Duration) bool {
+// AwaitConverged waits until every replica has acked the primary's last
+// sequence with no resync pending or in flight, then byte-compares each
+// replica with the primary once, its applier paused, and waits again if the
+// primary logged more meanwhile. nil means converged; a timeout names the
+// first link behind; a replica that acked every sequence and still differs
+// is a *SilentDivergence. Call it with the clients quiet: a store is in the
+// sequence once the write that made it has returned.
+func (c *Cluster) AwaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		c.WaitReplicated(100 * time.Millisecond)
-		equal := true
+	repl, _ := c.Primary()
+	if repl == nil {
+		return fmt.Errorf("cluster: no live primary")
+	}
+	for time.Now().Before(deadline) {
+		seq, err := repl.awaitSynced(time.Until(deadline))
+		if err != nil {
+			return fmt.Errorf("cluster: not converged after %v: %w", timeout, err)
+		}
+		var silent error
 		for _, rep := range c.Replicas() {
 			rep.WithQuiesced(func() {
-				if len(CompareDevices(c.PrimaryDevice(), rep.Device())) != 0 {
-					equal = false
+				if diffs := CompareDevices(repl.dev, rep.Device()); len(diffs) > 0 && silent == nil {
+					silent = &SilentDivergence{Replica: rep.Name(), Seq: seq, Diffs: diffs}
 				}
 			})
 		}
-		if equal {
-			return true
+		if repl.lastSeq() == seq {
+			return silent
 		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	return fmt.Errorf("cluster: not converged after %v: the primary is still logging", timeout)
 }
 
 // Replicas returns the current replica appliers.
@@ -271,18 +277,6 @@ func (c *Cluster) Replicas() []*Replica {
 		if n.role == roleReplica {
 			out = append(out, n.rep)
 		}
-	}
-	return out
-}
-
-// Nodes returns every node's name and device (dead ones included) for
-// divergence checking.
-func (c *Cluster) Nodes() map[string]*pmem.Device {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]*pmem.Device, len(c.nodes))
-	for _, n := range c.nodes {
-		out[n.name] = n.dev
 	}
 	return out
 }
@@ -447,7 +441,6 @@ func (c *Cluster) RejoinDead(name string) error {
 type Stats struct {
 	Epoch       uint64
 	Failovers   int64
-	Divergences int64
 	Repl        ReplicatorStats
 	ReplicaSide []ReplicaStats
 }
@@ -456,7 +449,7 @@ type Stats struct {
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	p := c.nodes[c.primaryIdx]
-	st := Stats{Epoch: c.epoch, Failovers: c.failovers, Divergences: c.divergences}
+	st := Stats{Epoch: c.epoch, Failovers: c.failovers}
 	var repl *Replicator
 	if p.role == rolePrimary {
 		repl = p.repl
@@ -475,32 +468,6 @@ func (c *Cluster) Stats() Stats {
 		st.ReplicaSide = append(st.ReplicaSide, r.Stats())
 	}
 	return st
-}
-
-// NoteDivergence counts an externally detected divergence (the checker
-// runs outside the cluster; this feeds the metric).
-func (c *Cluster) NoteDivergence(n int64) {
-	c.mu.Lock()
-	c.divergences += n
-	c.mu.Unlock()
-}
-
-// WaitReplicated blocks until every live replica of the current primary
-// has acked everything logged, or the timeout expires. It reports whether
-// full sync was reached — the quiesce step before divergence checks.
-func (c *Cluster) WaitReplicated(timeout time.Duration) bool {
-	c.mu.Lock()
-	p := c.nodes[c.primaryIdx]
-	repl := p.repl
-	alive := p.role == rolePrimary
-	c.mu.Unlock()
-	if !alive || repl == nil {
-		return false
-	}
-	repl.mu.Lock()
-	target := repl.next - 1
-	repl.mu.Unlock()
-	return repl.WaitDurable(target, timeout)
 }
 
 // Shutdown stops everything: the primary drains (bounded), replicas'

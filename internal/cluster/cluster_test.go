@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,33 +81,6 @@ func verifyFiles(t *testing.T, ctx *sim.Ctx, fs vfs.FS, n int, tag byte) {
 	}
 }
 
-// requireConverged polls until every replica's device byte-matches the
-// primary's (links may still be in a backoff sleep when the caller gets
-// here, e.g. right after a partition heals).
-func requireConverged(t *testing.T, c *Cluster) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c.WaitReplicated(200 * time.Millisecond)
-		bad := ""
-		for _, rep := range c.Replicas() {
-			rep.WithQuiesced(func() {
-				if diffs := CompareDevices(c.PrimaryDevice(), rep.Device()); len(diffs) != 0 {
-					bad = fmt.Sprintf("%s diverged: first range at %d (+%d), %d ranges",
-						rep.Name(), diffs[0].Off, diffs[0].Len, len(diffs))
-				}
-			})
-		}
-		if bad == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal(bad)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestClusterBasicReplication: a synchronous 1-primary/2-replica cluster
 // whose replicas end byte-identical to the primary after a write burst
 // (including the Mkfs baseline they never saw live, via initial resync).
@@ -125,10 +100,9 @@ func TestClusterBasicReplication(t *testing.T) {
 	}
 
 	writeFiles(t, ctx, cli, 8, 'a')
-	if !c.WaitReplicated(10 * time.Second) {
-		t.Fatal("replicas did not catch up")
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	requireConverged(t, c)
 
 	st := c.Stats()
 	if st.Repl.RecordsLogged == 0 || st.Repl.BytesLogged == 0 {
@@ -155,8 +129,8 @@ func TestClusterFailoverTransparent(t *testing.T) {
 	}
 
 	writeFiles(t, ctx, fc, 6, 'a')
-	if !c.WaitReplicated(10 * time.Second) {
-		t.Fatal("replicas did not catch up before the kill")
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	c.KillPrimary()
@@ -177,7 +151,9 @@ func TestClusterFailoverTransparent(t *testing.T) {
 	if fc.Epoch() != 2 {
 		t.Fatalf("client epoch = %d, want 2", fc.Epoch())
 	}
-	requireConverged(t, c)
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFailoverLeaseReestablished (satellite): a page-cache lease taken
@@ -222,8 +198,8 @@ func TestFailoverLeaseReestablished(t *testing.T) {
 		t.Fatal("page cache took no lease before failover")
 	}
 
-	if !c.WaitReplicated(10 * time.Second) {
-		t.Fatal("replica did not catch up before the kill")
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 	c.KillPrimary()
 	if err := c.FailOver(ctx); err != nil {
@@ -275,8 +251,8 @@ func TestClusterDegradedMode(t *testing.T) {
 	defer cli.Close()
 
 	writeFiles(t, ctx, cli, 2, 'a')
-	if !c.WaitReplicated(10 * time.Second) {
-		t.Fatal("replica did not catch up")
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	c.Partition(true)
@@ -293,6 +269,99 @@ func TestClusterDegradedMode(t *testing.T) {
 	}
 
 	c.Partition(false)
-	requireConverged(t, c)
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	verifyFiles(t, ctx, cli, 2, 'p')
+}
+
+// TestClusterSilentDivergenceNamed: a byte the stream never carried, on a
+// replica that has acked every sequence, is a silent divergence that
+// AwaitConverged names at once, replica and offset, instead of waiting
+// out its timeout.
+func TestClusterSilentDivergenceNamed(t *testing.T) {
+	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
+	conn, err := c.DialPrimary()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cli, err := fileserver.Dial(conn)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	defer cli.Close()
+	writeFiles(t, ctx, cli, 4, 'a')
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := c.Replicas()[1]
+	const off = 12345
+	var b [1]byte
+	c.PrimaryDevice().ReadAt(b[:], off)
+	b[0] ^= 0xFF
+	rep.WithQuiesced(func() { rep.Device().WriteAt(b[:], off) })
+
+	const timeout = 10 * time.Second
+	start := time.Now()
+	err = c.AwaitConverged(timeout)
+	took := time.Since(start)
+	var silent *SilentDivergence
+	if !errors.As(err, &silent) {
+		t.Fatalf("AwaitConverged = %v, want a silent divergence", err)
+	}
+	t.Logf("%v (after %v)", err, took)
+	if silent.Replica != rep.Name() || silent.Diffs[0] != (Diff{Off: off, Len: 1}) {
+		t.Fatalf("silent divergence names %s at %+v, want %s at %d (+1)", silent.Replica, silent.Diffs[0], rep.Name(), off)
+	}
+	if took > timeout/2 {
+		t.Fatalf("the verdict took %v of a %v timeout", took, timeout)
+	}
+}
+
+// TestReplicaResyncResumesAfterDrop: a baseline resync whose first data
+// frame is lost leaves the replica wiped mid-resync. The broken resync must
+// not be forgotten: the link resyncs again, and the replica ends promotable
+// and byte-identical to the primary.
+func TestReplicaResyncResumesAfterDrop(t *testing.T) {
+	var dropped atomic.Bool
+	ctx := sim.NewCtx(1, 0)
+	c, err := New(ctx, Config{
+		Replicas:   1,
+		DeviceSize: 128 << 20,
+		Repl:       ReplicatorConfig{AckTimeout: 100 * time.Millisecond},
+		WrapReplConn: func(_ string, conn fileserver.Conn) fileserver.Conn {
+			return &dropResyncConn{Conn: conn, dropped: &dropped}
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(c.Shutdown)
+
+	if err := c.AwaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !dropped.Load() {
+		t.Fatal("no resync frame was dropped")
+	}
+	if !c.Replicas()[0].Promotable() {
+		t.Fatal("converged replica is not promotable")
+	}
+}
+
+// dropResyncConn swallows the first resync data frame written through it
+// (a repRecords frame with id 0); the sender then times out on the ack.
+type dropResyncConn struct {
+	fileserver.Conn
+	dropped *atomic.Bool
+}
+
+func (c *dropResyncConn) Write(p []byte) (int, error) {
+	id, code, _, err := fileserver.ReadFrame(bytes.NewReader(p))
+	if err == nil && code == repRecords && id == 0 && c.dropped.CompareAndSwap(false, true) {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
 }

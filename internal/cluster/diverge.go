@@ -27,19 +27,31 @@ type Diff struct {
 // an exhaustive delta.
 const maxDiffs = 16
 
-// CompareDevices byte-compares point-in-time images of two devices chunk by
-// chunk (unbacked chunks read as zero on both sides). It returns the first
-// maxDiffs diverging ranges; empty means the images are identical.
+// CompareDevices byte-compares two devices of one size in place, chunk by
+// chunk, each frozen under its snapshot gate (unbacked chunks read as zero
+// on both sides). It returns the first maxDiffs diverging ranges; empty
+// means the images are identical.
 func CompareDevices(a, b *pmem.Device) []Diff {
-	if a.Size() != b.Size() {
-		return []Diff{{Off: 0, Len: a.Size()}}
-	}
 	var diffs []Diff
-	a.Snapshot().Diffs(b.Snapshot(), func(off, n int64) bool {
+	a.Diffs(b, func(off, n int64) bool {
 		diffs = append(diffs, Diff{Off: off, Len: n})
 		return len(diffs) < maxDiffs
 	})
 	return diffs
+}
+
+// SilentDivergence is AwaitConverged's verdict on a replica that acked
+// every sequence the primary logged and still differs from it: a byte the
+// stream never carried.
+type SilentDivergence struct {
+	Replica string
+	Seq     uint64
+	Diffs   []Diff
+}
+
+func (e *SilentDivergence) Error() string {
+	return fmt.Sprintf("cluster: silent divergence: %s acked seq %d yet differs from the primary in %d ranges, first at %d (+%d)",
+		e.Replica, e.Seq, len(e.Diffs), e.Diffs[0].Off, e.Diffs[0].Len)
 }
 
 // LogicalReport is the outcome of a logical comparison.
@@ -132,9 +144,6 @@ const (
 	// mounted trees matched — benign physical skew, e.g. independent
 	// journal replay.
 	ConvergedLogical ConvergeOutcome = "logical"
-	// ConvergedRepair: winefs.Repair on the replica restored a clean,
-	// logically matching image.
-	ConvergedRepair ConvergeOutcome = "repair"
 	// ConvergedResync: only restoring the primary's snapshot converged
 	// the replica (real divergence, repaired by resync).
 	ConvergedResync ConvergeOutcome = "resync"
@@ -151,9 +160,9 @@ type ConvergeReport struct {
 }
 
 // Converge runs the campaign's repair ladder against a replica device:
-// byte-compare → logical compare → winefs.Repair + logical compare →
-// resync from the primary image. It always converges (the last rung is a
-// copy), and the report says how loudly the road there was.
+// byte-compare → logical compare → resync from the primary image. It
+// always converges (the last rung is a copy), and the report says how
+// loudly the road there was.
 func Converge(ctx *sim.Ctx, primary, replica *pmem.Device, opts winefs.Options) *ConvergeReport {
 	rep := &ConvergeReport{}
 	diffs := CompareDevices(primary, replica)
@@ -168,16 +177,6 @@ func Converge(ctx *sim.Ctx, primary, replica *pmem.Device, opts winefs.Options) 
 	if lr := CompareLogical(ctx, primary, replica, opts); lr.Equal {
 		rep.Outcome = ConvergedLogical
 		return rep
-	}
-
-	if _, err := winefs.Repair(replica); err == nil {
-		if lr := CompareLogical(ctx, primary, replica, opts); lr.Equal {
-			rep.Outcome = ConvergedRepair
-			rep.Log = append(rep.Log, "repair converged the replica")
-			return rep
-		}
-	} else {
-		rep.Log = append(rep.Log, fmt.Sprintf("repair failed: %v", err))
 	}
 
 	replica.Restore(primary.Snapshot())

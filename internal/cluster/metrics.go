@@ -11,17 +11,13 @@ type StatsSource interface {
 }
 
 // MetricsCollector exposes replication health on /metrics: stream volume,
-// per-replica lag, retries/resyncs, failovers, and — most importantly for
-// the robustness story — divergences found. A non-zero
-// cluster_divergences_total with zero cluster_failovers_total is the
-// page-worthy signal.
+// per-replica lag, retries/resyncs, degrades and failovers.
 func MetricsCollector(src StatsSource) metrics.Collector {
 	return metrics.CollectorFunc(func() []metrics.Family {
 		st := src.Stats()
 		fams := []metrics.Family{
 			metrics.Gauge("cluster_epoch", "Current primary epoch.", float64(st.Epoch)),
 			metrics.Counter("cluster_failovers_total", "Primary handovers performed.", float64(st.Failovers)),
-			metrics.Counter("cluster_divergences_total", "Replica divergences detected by the checker.", float64(st.Divergences)),
 			metrics.Counter("cluster_records_logged_total", "Replication records appended to the ring.", float64(st.Repl.RecordsLogged)),
 			metrics.Counter("cluster_bytes_logged_total", "Payload bytes appended to the replication ring.", float64(st.Repl.BytesLogged)),
 			metrics.Counter("cluster_records_streamed_total", "Replication records sent over links (includes retries and resyncs).", float64(st.Repl.RecordsStreamed)),

@@ -206,9 +206,10 @@ func (r *Replica) hello(epoch uint64, payload []byte) (ok bool, reply []byte, ri
 	}
 	r.epoch = epoch
 	var flags uint8
-	if startSeq != r.appliedSeq+1 {
-		// The primary's stream and our applied prefix do not meet; a
-		// resync must precede any records.
+	if startSeq != r.appliedSeq+1 || r.resyncing {
+		// The primary's stream and our applied prefix do not meet, or a
+		// resync broke off and left the device wiped: a resync must
+		// precede any records.
 		flags |= flagGap
 	}
 	var e fileserver.Enc

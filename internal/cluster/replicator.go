@@ -164,6 +164,7 @@ type link struct {
 	cursor     uint64 // next seq to send
 	appliedSeq uint64 // last acked
 	needResync bool
+	resyncing  bool // a resync is in flight
 	retries    int64
 	resyncs    int64
 
@@ -173,7 +174,7 @@ type link struct {
 
 // Replicator taps a primary's device and streams the mutation record log
 // to its replicas. Attach installs it as the device's pmem.Observer;
-// Detach removes it (the primary "crashing" or being fenced).
+// Close removes it (the primary "crashing" or being fenced).
 type Replicator struct {
 	dev *pmem.Device
 	cfg ReplicatorConfig
@@ -241,12 +242,6 @@ func (r *Replicator) AddReplica(name string, dial func() (fileserver.Conn, error
 // ring, so Attach must run before the FS serves traffic.
 func (r *Replicator) Attach() {
 	r.dev.SetObserver(r)
-}
-
-// Detach stops observing. Streaming of already logged records continues
-// until Close.
-func (r *Replicator) Detach() {
-	r.dev.SetObserver(nil)
 }
 
 // ObserveWrite implements pmem.Observer.
@@ -380,7 +375,48 @@ func (r *Replicator) PostMutate(ctx *sim.Ctx, bytes int64) {
 // (the degraded-mode contract: availability over redundancy, loudly).
 // It reports whether full durability was reached in time.
 func (r *Replicator) WaitDurable(seq uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	late := r.waitFor(timeout, func(l *link) bool {
+		return l.state != LinkDegraded && l.state != LinkFenced && l.state != LinkStopped && l.appliedSeq < seq
+	})
+	if !r.closed {
+		for _, l := range late {
+			l.state = LinkDegraded
+			r.stats.Degrades++
+			r.cfg.Logf("replicator: %s degraded: no ack for seq %d within %v (divergence window open)", l.name, seq, timeout)
+		}
+	}
+	return len(late) == 0
+}
+
+// awaitSynced waits until every link has acked the last logged sequence
+// with no resync pending or in flight, and returns that sequence. On
+// timeout the error names the first link still behind.
+func (r *Replicator) awaitSynced(timeout time.Duration) (uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if late := r.waitFor(timeout, func(l *link) bool {
+		return l.appliedSeq < r.next-1 || l.needResync || l.resyncing || l.state == LinkFenced
+	}); len(late) > 0 {
+		l := late[0]
+		return 0, fmt.Errorf("cluster: replica %s acked seq %d of %d (link %s, resync pending %t, in flight %t)",
+			l.name, l.appliedSeq, r.next-1, l.state, l.needResync, l.resyncing)
+	}
+	return r.next - 1, nil
+}
+
+// lastSeq returns the sequence number of the last logged record.
+func (r *Replicator) lastSeq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.next - 1
+}
+
+// waitFor blocks on r.cond until no link is behind, the replicator closes
+// or the timeout expires, and returns the links still behind. The caller
+// holds r.mu, and behind runs under it.
+func (r *Replicator) waitFor(timeout time.Duration, behind func(*link) bool) []*link {
 	timedOut := false
 	timer := time.AfterFunc(timeout, func() {
 		r.mu.Lock()
@@ -389,31 +425,15 @@ func (r *Replicator) WaitDurable(seq uint64, timeout time.Duration) bool {
 		r.cond.Broadcast()
 	})
 	defer timer.Stop()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for {
-		pending := 0
+		var late []*link
 		for _, l := range r.links {
-			if l.state == LinkDegraded || l.state == LinkFenced || l.state == LinkStopped {
-				continue
-			}
-			if l.appliedSeq < seq {
-				pending++
+			if behind(l) {
+				late = append(late, l)
 			}
 		}
-		if pending == 0 || r.closed {
-			return pending == 0
-		}
-		if timedOut || !time.Now().Before(deadline) {
-			for _, l := range r.links {
-				if l.state != LinkDegraded && l.state != LinkFenced && l.state != LinkStopped && l.appliedSeq < seq {
-					l.state = LinkDegraded
-					r.stats.Degrades++
-					r.cfg.Logf("replicator: %s degraded: no ack for seq %d within %v (divergence window open)", l.name, seq, timeout)
-				}
-			}
-			return false
+		if len(late) == 0 || timedOut || r.closed {
+			return late
 		}
 		r.cond.Wait()
 	}
@@ -436,10 +456,10 @@ func (r *Replicator) SeverLinks() {
 	}
 }
 
-// Close stops every sender and waits for them. The observers should be
-// Detached first (Close does it as a belt-and-braces measure).
+// Close stops observing the device, stops every sender and waits for
+// them.
 func (r *Replicator) Close() {
-	r.Detach()
+	r.dev.SetObserver(nil)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -575,6 +595,7 @@ func (r *Replicator) runLink(l *link, conn fileserver.Conn) (progressed bool, _ 
 			l.needResync = true
 		}
 		r.mu.Unlock()
+		r.cond.Broadcast()
 	default:
 		return false, fmt.Errorf("cluster: unexpected handshake code %d", code)
 	}
@@ -671,15 +692,26 @@ func (r *Replicator) rewind(l *link, to uint64) {
 // retains, compressed to the chunks that exist. The snapshot is taken
 // under the replicator lock, so it is consistent with a seq boundary:
 // records ≤ snapSeq are included in (or superseded by) the image, records
-// > snapSeq stream after it and re-apply idempotently.
-func (r *Replicator) resync(l *link, conn fileserver.Conn) error {
+// > snapSeq stream after it and re-apply idempotently. A resync that fails
+// part-way leaves the replica wiped, so it schedules the next one.
+func (r *Replicator) resync(l *link, conn fileserver.Conn) (err error) {
 	r.mu.Lock()
 	snapSeq := r.next - 1
 	img := r.dev.Snapshot()
 	l.needResync = false
+	l.resyncing = true
 	l.resyncs++
 	r.stats.Resyncs++
 	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		l.resyncing = false
+		if err != nil {
+			l.needResync = true
+		}
+		r.mu.Unlock()
+		r.cond.Broadcast()
+	}()
 	r.cfg.Logf("replicator: resyncing %s at seq %d", l.name, snapSeq)
 
 	var e fileserver.Enc

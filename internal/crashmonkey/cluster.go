@@ -4,15 +4,18 @@
 //
 //	no panic → no silent divergence → convergence
 //
-// "Silent divergence" is a replica whose image differs from the primary's
-// while the replication engine reported nothing unusual (no degrade, no
-// bad records, no gap, no resync, no failover). Divergence with a signal
-// is expected — partitions open the documented degraded-mode window — and
-// the Converge ladder (byte compare → logical compare → winefs.Repair →
-// resync) must then bring every surviving image back to the primary's.
+// Convergence is a sequence fact: every replica has acked the primary's
+// last sequence with no resync pending, and AwaitConverged then checks
+// each replica's bytes once. A "silent divergence" is a replica whose
+// sequences match the primary's while its bytes differ — a store the
+// stream never carried — and it fails the run. A dead primary's image
+// diverges from its successor by design (the writes it took after its
+// replicas last acked); the Converge ladder (byte compare → logical
+// compare → resync) detects that and brings the image back.
 package crashmonkey
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -69,13 +72,14 @@ const clusterReplicas = 2
 type ClusterCampaignResult struct {
 	Runs         int
 	ScenarioRuns map[ClusterScenario]int
-	// DivergencesDetected counts images the checker found differing from
-	// the primary — all of them must carry an engine signal.
+	// DivergencesDetected counts dead-primary images the Converge ladder
+	// found differing from the new primary's.
 	DivergencesDetected int
-	// SilentDivergences counts divergences with no engine signal; the
-	// campaign's core invariant is that this stays zero.
+	// SilentDivergences counts replicas whose sequences matched the
+	// primary's while their bytes differed; the campaign's core invariant
+	// is that this stays zero.
 	SilentDivergences int
-	// Converged tallies Converge outcomes (clean/logical/repair/resync).
+	// Converged tallies Converge outcomes (clean/logical/resync).
 	Converged map[cluster.ConvergeOutcome]int
 	// BadRecords is the total torn/corrupt records caught by replica CRCs.
 	BadRecords int64
@@ -86,6 +90,9 @@ type ClusterCampaignResult struct {
 	// LagObserved counts replica-lag runs where the laggard measurably
 	// trailed mid-run.
 	LagObserved int
+	// Reruns counts runs that failed in the parallel pass and ran again
+	// alone.
+	Reruns int
 	// Failures lists runs that broke the ladder.
 	Failures []string
 }
@@ -94,8 +101,8 @@ type ClusterCampaignResult struct {
 func (r *ClusterCampaignResult) OK() bool { return len(r.Failures) == 0 }
 
 func (r *ClusterCampaignResult) String() string {
-	return fmt.Sprintf("%d runs: %d divergences detected (%d silent), %d resyncs, %d bad records, %d failovers, converged %v, %d failures",
-		r.Runs, r.DivergencesDetected, r.SilentDivergences, r.Resyncs, r.BadRecords, r.Failovers, r.Converged, len(r.Failures))
+	return fmt.Sprintf("%d runs: %d divergences detected (%d silent), %d resyncs, %d bad records, %d failovers, converged %v, %d reruns, %d failures",
+		r.Runs, r.DivergencesDetected, r.SilentDivergences, r.Resyncs, r.BadRecords, r.Failovers, r.Converged, r.Reruns, len(r.Failures))
 }
 
 // RunClusterCampaign executes cfg.Runs seeded runs rotating scenarios.
@@ -110,30 +117,7 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 	cfg.defaults()
 	perRun := make([]ClusterCampaignResult, cfg.Runs)
 	msgs := make([]string, cfg.Runs)
-	pr := sim.ParallelRunner{Workers: clusterCampaignWorkers}
-	pr.Run(cfg.Runs, func(i int) {
-		scenario := clusterScenarios[i%len(clusterScenarios)]
-		seed := cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
-		r := &perRun[i]
-		r.ScenarioRuns = map[ClusterScenario]int{scenario: 1}
-		r.Converged = make(map[cluster.ConvergeOutcome]int)
-		if msg := guardRun(func() string {
-			return clusterRun(scenario, seed, r)
-		}); msg != "" {
-			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x): %s", i, scenario, seed, msg)
-		}
-	})
-	// Convergence deadlines are wall-clock, and the parallel pass
-	// oversubscribes the host on purpose (8 runs per core is the
-	// throughput sweet spot for timer-bound runs). Under that load a
-	// heartbeat or resync goroutine can starve past its deadline with
-	// nothing actually wrong, so every failed run gets one sequential
-	// rerun on an uncontended host before it counts: a scheduling
-	// artifact passes the rerun, a genuinely broken seed fails twice.
-	for i := range msgs {
-		if msgs[i] == "" {
-			continue
-		}
+	run := func(i int, note string) {
 		scenario := clusterScenarios[i%len(clusterScenarios)]
 		seed := cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
 		r := &perRun[i]
@@ -141,17 +125,34 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 			ScenarioRuns: map[ClusterScenario]int{scenario: 1},
 			Converged:    make(map[cluster.ConvergeOutcome]int),
 		}
+		msgs[i] = ""
 		if msg := guardRun(func() string {
 			return clusterRun(scenario, seed, r)
 		}); msg != "" {
-			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x, failed twice): %s", i, scenario, seed, msg)
-		} else {
-			msgs[i] = ""
+			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x%s): %s", i, scenario, seed, note, msg)
+		}
+	}
+	pr := sim.ParallelRunner{Workers: clusterCampaignWorkers}
+	pr.Run(cfg.Runs, func(i int) { run(i, "") })
+	// Convergence deadlines are wall-clock, and the parallel pass
+	// oversubscribes the host on purpose (8 runs per core is the
+	// throughput sweet spot for timer-bound runs). Under that load a
+	// heartbeat or resync goroutine can starve past its deadline with
+	// nothing actually wrong, so every failed run gets one sequential
+	// rerun on an uncontended host before it counts: a scheduling
+	// artifact passes the rerun, a genuinely broken seed fails twice. A
+	// silent divergence is no scheduling artifact and is not rerun.
+	reruns := 0
+	for i := range msgs {
+		if msgs[i] != "" && perRun[i].SilentDivergences == 0 {
+			reruns++
+			run(i, ", failed twice")
 		}
 	}
 	res := &ClusterCampaignResult{
 		ScenarioRuns: make(map[ClusterScenario]int),
 		Converged:    make(map[cluster.ConvergeOutcome]int),
+		Reruns:       reruns,
 	}
 	for i := range perRun {
 		r := &perRun[i]
@@ -255,46 +256,53 @@ func campaignWrite(ctx *sim.Ctx, fs vfs.FS, rng *sim.Rand, tag string, nfiles in
 	return nil
 }
 
+// dialClient opens a client session on the current primary.
+func dialClient(c *cluster.Cluster) (*fileserver.Client, error) {
+	conn, err := c.DialPrimary()
+	if err != nil {
+		return nil, err
+	}
+	return fileserver.Dial(conn)
+}
+
 // harvest folds a finished cluster's engine counters into the campaign
-// totals and reports whether any anomaly signal fired (the "loud" bit that
-// distinguishes expected divergence from silent divergence).
-func harvest(c *cluster.Cluster, res *ClusterCampaignResult) (anomalies bool) {
+// totals.
+func harvest(c *cluster.Cluster, res *ClusterCampaignResult) {
 	st := c.Stats()
 	res.Resyncs += st.Repl.Resyncs
 	res.Failovers += st.Failovers
-	if st.Repl.Degrades > 0 || st.Repl.RingOverruns > 0 || st.Repl.SyncTimeouts > 0 || st.Failovers > 0 {
-		anomalies = true
-	}
 	for _, rs := range st.ReplicaSide {
 		res.BadRecords += rs.BadRecords
-		if rs.BadRecords > 0 || rs.Gaps > 0 || rs.Rejects > 0 {
-			anomalies = true
-		}
 	}
-	// Resyncs beyond the per-link baseline are repair actions, not silence.
-	if st.Repl.Resyncs > int64(len(st.Repl.Links)) {
-		anomalies = true
+}
+
+// awaitConverged waits for the cluster to converge and returns "" or the
+// run's failure message, counting a silent divergence.
+func awaitConverged(c *cluster.Cluster, timeout time.Duration, res *ClusterCampaignResult) string {
+	err := c.AwaitConverged(timeout)
+	if err == nil {
+		return ""
 	}
-	return anomalies
+	var silent *cluster.SilentDivergence
+	if errors.As(err, &silent) {
+		res.SilentDivergences++
+	}
+	return err.Error()
 }
 
 // runPartition cuts replication mid-traffic, requires degraded-mode
 // serving, then kills the primary, fails over, rejoins the dead node and
 // requires full convergence.
 func runPartition(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs.Options, res *ClusterCampaignResult) string {
-	conn, err := c.DialPrimary()
+	cli, err := dialClient(c)
 	if err != nil {
 		return fmt.Sprintf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		return fmt.Sprintf("handshake: %v", err)
 	}
 	if err := campaignWrite(ctx, cli, rng, "pre", 2); err != nil {
 		return fmt.Sprintf("pre-partition write: %v", err)
 	}
-	if !c.AwaitConverged(5 * time.Second) {
-		return "replicas never converged before the partition"
+	if msg := awaitConverged(c, 5*time.Second, res); msg != "" {
+		return "before the partition: " + msg
 	}
 
 	c.Partition(true)
@@ -316,22 +324,20 @@ func runPartition(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs
 	if err := c.FailOver(ctx); err != nil {
 		return fmt.Sprintf("failover: %v", err)
 	}
-	// The dead primary holds writes the replicas never saw — the checker
-	// must detect that divergence. It is never silent here: the partition
-	// forced degrades and a failover, both loud signals.
+	// The dead primary holds the partition window's writes, which the
+	// replicas never saw — the checker must detect that divergence.
 	rep := cluster.Converge(ctx, c.PrimaryDevice(), deadDev, fsOpts)
 	res.Converged[rep.Outcome]++
 	if rep.Detected {
 		res.DivergencesDetected++
-		c.NoteDivergence(1)
 	}
 	// Heal the split brain: the dead ex-primary rejoins as a replica and
 	// must resync to the new primary's image.
 	if err := c.RejoinDead(deadName); err != nil {
 		return fmt.Sprintf("rejoin: %v", err)
 	}
-	if !c.AwaitConverged(10 * time.Second) {
-		return "cluster never reconverged after partition + failover + rejoin"
+	if msg := awaitConverged(c, 10*time.Second, res); msg != "" {
+		return "after partition + failover + rejoin: " + msg
 	}
 	harvest(c, res)
 	if _, fs := c.Primary(); fs != nil {
@@ -349,13 +355,9 @@ func runReplicaLag(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, res *Cluster
 	laggard := reps[rng.Intn(len(reps))]
 	laggard.SetApplyDelay(time.Duration(2+rng.Intn(8)) * time.Millisecond)
 
-	conn, err := c.DialPrimary()
+	cli, err := dialClient(c)
 	if err != nil {
 		return fmt.Sprintf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		return fmt.Sprintf("handshake: %v", err)
 	}
 	defer cli.Close()
 	if err := campaignWrite(ctx, cli, rng, "lag", 5); err != nil {
@@ -369,8 +371,8 @@ func runReplicaLag(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, res *Cluster
 		}
 	}
 	laggard.SetApplyDelay(0)
-	if !c.AwaitConverged(10 * time.Second) {
-		return "laggard never caught up after the stall cleared"
+	if msg := awaitConverged(c, 10*time.Second, res); msg != "" {
+		return "after the stall cleared: " + msg
 	}
 	harvest(c, res)
 	return ""
@@ -379,20 +381,16 @@ func runReplicaLag(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, res *Cluster
 // runTornStream writes through a bit-flipping replication transport; the
 // record CRCs must catch the tears and resync must heal every replica.
 func runTornStream(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, res *ClusterCampaignResult) string {
-	conn, err := c.DialPrimary()
+	cli, err := dialClient(c)
 	if err != nil {
 		return fmt.Sprintf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		return fmt.Sprintf("handshake: %v", err)
 	}
 	defer cli.Close()
 	if err := campaignWrite(ctx, cli, rng, "torn", 5); err != nil {
 		return fmt.Sprintf("write: %v", err)
 	}
-	if !c.AwaitConverged(15 * time.Second) {
-		return "replicas never converged through the torn stream"
+	if msg := awaitConverged(c, 15*time.Second, res); msg != "" {
+		return "through the torn stream: " + msg
 	}
 	harvest(c, res)
 	return ""
@@ -405,8 +403,8 @@ func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts wine
 	// Let the baseline resyncs finish before arming the killer: only an
 	// in-sync replica is a promotion candidate (as in real operations), so
 	// a kill during bootstrap would have nothing valid to promote.
-	if !c.AwaitConverged(5 * time.Second) {
-		return "replicas never finished the baseline resync"
+	if msg := awaitConverged(c, 5*time.Second, res); msg != "" {
+		return "after the baseline resync: " + msg
 	}
 	const clients = 2
 	errs := make([]error, clients)
@@ -439,7 +437,6 @@ func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts wine
 	}
 
 	time.Sleep(time.Duration(1+rng.Intn(12)) * time.Millisecond)
-	deadName := c.PrimaryName()
 	deadDev := c.KillPrimary()
 	fctx := sim.NewCtx(2, 0)
 	if err := c.FailOver(fctx); err != nil {
@@ -452,21 +449,14 @@ func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts wine
 		}
 	}
 
-	if !c.AwaitConverged(10 * time.Second) {
-		return "replicas never converged on the new primary"
+	if msg := awaitConverged(c, 10*time.Second, res); msg != "" {
+		return "on the new primary: " + msg
 	}
-	// harvest sees st.Failovers > 0 (we just failed over), so a detected
-	// divergence on the dead primary's image is loud, never silent.
-	anomalies := harvest(c, res)
+	harvest(c, res)
 	rep := cluster.Converge(ctx, c.PrimaryDevice(), deadDev, fsOpts)
 	res.Converged[rep.Outcome]++
 	if rep.Detected {
 		res.DivergencesDetected++
-		c.NoteDivergence(1)
-		if !anomalies {
-			res.SilentDivergences++
-			return fmt.Sprintf("silent divergence on dead primary %s: %v", deadName, rep.Log)
-		}
 	}
 	if _, fs := c.Primary(); fs != nil {
 		if err := fs.Audit(ctx); err != nil {

@@ -5,7 +5,8 @@ import "testing"
 // TestClusterCampaign runs the full replicated-winefsd fault campaign:
 // 1000 seeded runs rotated across partition, replica-lag, torn-stream and
 // mid-failover scenarios. The ladder per run: no panic → no silent
-// divergence → convergence (with repair/resync where needed). Runs overlap
+// divergence → convergence (with a logical compare or resync where
+// needed). Runs overlap
 // on the host (they are dominated by heartbeat/retry wall-clock timers),
 // which is what makes 1000 seeds affordable.
 func TestClusterCampaign(t *testing.T) {
@@ -19,6 +20,7 @@ func TestClusterCampaign(t *testing.T) {
 	t.Logf("campaign: %s", res)
 	t.Logf("scenario runs: %v", res.ScenarioRuns)
 	t.Logf("lag observed in %d replica-lag runs", res.LagObserved)
+	t.Logf("%d runs failed in the parallel pass and were rerun alone", res.Reruns)
 
 	if !res.OK() {
 		for i, f := range res.Failures {

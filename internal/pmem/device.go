@@ -843,30 +843,26 @@ func (img *Image) ForEachChunk(f func(off int64, data []byte)) {
 	}
 }
 
-// Diffs compares img with other chunk by chunk in ascending offset order (a
-// chunk one of them lacks reads as zeros) and calls fn with the span of
-// each chunk that differs, from its first differing byte to its last. It
-// stops when fn returns false.
-func (img *Image) Diffs(other *Image, fn func(off, n int64) bool) {
-	offs := make([]int64, 0, len(img.chunks)+len(other.chunks))
-	for base := range img.chunks {
-		offs = append(offs, base)
+// Diffs compares d with other in place, chunk by chunk in ascending offset
+// order (an unbacked chunk reads as zeros), and calls fn with the span of
+// each chunk that differs, from its first differing byte to its last; it
+// stops when fn returns false. Both devices' snapshot gates are held
+// exclusively for the scan, so each side is a point-in-time image with no
+// Snapshot copy, and fn must not touch either device. d is locked before
+// other: concurrent callers must pass any two devices in the same order.
+func (d *Device) Diffs(other *Device, fn func(off, n int64) bool) {
+	if d.size != other.size {
+		panic("pmem: diffing devices of different size")
 	}
-	for base := range other.chunks {
-		if img.chunks[base] == nil {
-			offs = append(offs, base)
-		}
+	if d == other {
+		return
 	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	zero := make([]byte, ChunkSize)
-	for _, base := range offs {
-		x, y := img.chunks[base], other.chunks[base]
-		if x == nil {
-			x = zero
-		}
-		if y == nil {
-			y = zero
-		}
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
+	other.snapMu.Lock()
+	defer other.snapMu.Unlock()
+	for i := range d.chunks {
+		x, y := d.chunkBytes(int64(i)), other.chunkBytes(int64(i))
 		if bytes.Equal(x, y) {
 			continue
 		}
@@ -877,10 +873,24 @@ func (img *Image) Diffs(other *Image, fn func(off, n int64) bool) {
 		for x[hi-1] == y[hi-1] {
 			hi--
 		}
-		if !fn(base+int64(lo), int64(hi-lo)) {
+		if !fn(int64(i)*ChunkSize+int64(lo), int64(hi-lo)) {
 			return
 		}
 	}
+}
+
+// zeroChunk is what an unbacked chunk reads as.
+var zeroChunk [ChunkSize]byte
+
+// chunkBytes returns chunk i's bytes, materialized as Save writes them.
+// The caller holds snapMu exclusively.
+func (d *Device) chunkBytes(i int64) []byte {
+	c := d.chunks[i].Load()
+	if c == nil {
+		return zeroChunk[:]
+	}
+	d.materialize(i, c)
+	return c[:]
 }
 
 // Clone returns a deep copy of the image.

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,36 @@ func TestUnbackedReadsZero(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("unbacked byte %d = %x", i, b)
 		}
+	}
+}
+
+// TestDeviceDiffs: comparing two devices in place reports one span per
+// differing chunk, a chunk one side lacks reading as zeros, and leaves both
+// devices' contents as they were.
+func TestDeviceDiffs(t *testing.T) {
+	a, b := New(16<<20), New(16<<20)
+	a.WriteAt([]byte{1, 2, 3, 4}, 100)
+	b.WriteAt([]byte{1, 9, 3, 8}, 100)
+	a.WriteAt([]byte{7}, 5<<20)              // a chunk only a backs
+	b.WriteAt(make([]byte, 64), 9<<20)       // a chunk only b backs, all zeros
+	b.WriteAt([]byte{1}, 12<<20+ChunkSize-1) // the last byte of a chunk only b backs
+	type span struct{ off, n int64 }
+	var got []span
+	before := a.Snapshot()
+	a.Diffs(b, func(off, n int64) bool {
+		got = append(got, span{off, n})
+		return true
+	})
+	want := []span{{101, 3}, {5 << 20, 1}, {12<<20 + ChunkSize - 1, 1}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("diffs %v, want %v", got, want)
+	}
+	a.Diffs(a, func(off, n int64) bool {
+		t.Fatalf("a device differs from itself at %d (+%d)", off, n)
+		return false
+	})
+	if !sameImage(before, a.Snapshot()) {
+		t.Fatal("the compare changed a device's contents")
 	}
 }
 

@@ -9,8 +9,11 @@ import (
 
 // sameImage reports whether two images hold the same bytes.
 func sameImage(a, b *Image) bool {
+	da, db := New(a.Size()), New(b.Size())
+	da.Restore(a)
+	db.Restore(b)
 	same := true
-	a.Diffs(b, func(int64, int64) bool { same = false; return false })
+	da.Diffs(db, func(int64, int64) bool { same = false; return false })
 	return same
 }
 

@@ -816,7 +816,8 @@ func TestOnePassPoisonLeavesNoTrace(t *testing.T) {
 			op, addr := row.setup(t, ctx, fs)
 			paths := []string{"/", "/f"}
 			before := statesOf(t, ctx, fs, paths...)
-			img := dev.Snapshot()
+			media := pmem.New(dev.Size())
+			media.Restore(dev.Snapshot())
 			dev.Poison(addr, 1)
 			err = op()
 			dev.ClearPoison(addr, 1)
@@ -828,7 +829,7 @@ func TestOnePassPoisonLeavesNoTrace(t *testing.T) {
 					t.Errorf("the failed call left a trace of %s in DRAM:\nbefore %+v\nafter  %+v", p, before[i], after)
 				}
 			}
-			img.Diffs(dev.Snapshot(), func(off, _ int64) bool {
+			media.Diffs(dev, func(off, _ int64) bool {
 				t.Errorf("the failed call changed the media at %d", off)
 				return false
 			})
