@@ -203,12 +203,19 @@ serve-smoke:
 # structure, Mount, Check and Repair held to one verdict;
 # TestImageFuzzVerdictsAgree: the same over 600 seeded byte flips) and the
 # tests that hold what a mount shows to what was acknowledged: the ACE
-# workloads with their data operations (pwrite into holes, over bytes and
-# across EOF, mapped stores, punch) crash-explored on relaxed and strict
-# mounts against a state that includes file contents (TestSeq1, TestSeq2,
-# TestStateSeesData), and TestRemountEquivalence (a seeded sequence over
-# every inode-changing operation; every few steps a crash mount and a clean
-# remount must show the live mount's names, sizes, link counts and bytes),
+# workloads, fstest.Op data (Setup and Ops) whose Write and MapStore store
+# crashmonkey.DataByte and everything else zeros, with their data
+# operations (pwrite into holes, over bytes and across EOF, mapped stores,
+# punch) crash-explored on relaxed and strict mounts against a state that
+# includes file contents, every fence cut of each operation among them
+# (TestSeq1, TestSeq2, TestStateSeesData), and TestRemountEquivalence (a
+# seeded fstest.Gen sequence over every inode-changing operation, run
+# through fstest.Apply; every few steps a crash mount and a clean remount
+# must show the live mount's names, sizes, link counts and bytes), the
+# vocabulary the campaign workloads are built from (TestApplyEveryKind:
+# every fstest.Op kind on all nine file systems returns nil or
+# vfs.ErrNotSupported, changes vfs.State unless it is an fsync, and closes
+# every handle it opened; TestChurnConsistency: one seed, one sequence),
 # and the journal's one transaction per operation (TestOnePassStoreOrder:
 # one START and one COMMIT, every in-place metadata store after the fence
 # that follows its DATA entry, COMMIT after them, no entry store over four
@@ -220,16 +227,14 @@ serve-smoke:
 # and the media where they were; TestTxOverflowAbortsCleanly: an operation
 # larger than the journal fails with ErrTxOverflow and stores nothing;
 # TestWraparoundLargeOperation: one that does not fit before the journal's
-# end wraps first and recovers at every fence), the create and unlink cut
-# at every fence (TestCrashDuringCreateIsAtomic, TestCrashStatesOfUnlink:
-# each recovers the state before or after), and the one crash-image builder
+# end wraps first and recovers at every fence), and the one crash-image builder
 # (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds),
 # fed by the device's one observer (TestTraceEpochs, TestObserverContract:
 # which calls reach it; TestRecordRefusesAttachedObserver: Record never
 # detaches a replicator; TestRecordConcurrentStores: two storing, fencing
 # goroutines inside one Record, each store once, epochs never falling).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestCrashDuringCreateIsAtomic|TestCrashStatesOfUnlink|TestRecording|TestTraceEpochs|TestObserverContract|TestRecordRefusesAttachedObserver|TestRecordConcurrentStores' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestRecording|TestTraceEpochs|TestObserverContract|TestRecordRefusesAttachedObserver|TestRecordConcurrentStores|TestApplyEveryKind|TestChurnConsistency' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/ ./internal/fstest/
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

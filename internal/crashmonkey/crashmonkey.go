@@ -17,136 +17,29 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
-	"repro/internal/vmm"
 	"repro/internal/winefs"
 )
 
-// OpKind enumerates the system calls ACE composes.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpCreate OpKind = iota
-	OpMkdir
-	OpUnlink
-	OpRmdir
-	OpRename
-	OpAppend
-	OpTruncate
-	OpFalloc
-	OpFsync
-	// OpWrite is a pwrite of Size bytes of DataByte at Off: into a hole, over
-	// existing bytes or across EOF, as the file stands.
-	OpWrite
-	// OpMapStore is mmap, one store of a cache line of DataByte at Off (64-
-	// byte aligned: the media takes such a store whole or not at all, so the
-	// call is as atomic as a system call), msync, munmap.
-	OpMapStore
-	// OpPunch deallocates [Off, Off+Size).
-	OpPunch
-)
-
-// DataByte is what OpWrite and OpMapStore store. Everything else writes
-// zeros, so a page of it that a recovery loses reads back as the hole it
-// was — a different checksum — and any byte that is neither is corruption.
+// DataByte is what the workloads' Write and MapStore store. Everything else
+// writes zeros, so a page of it that a recovery loses reads back as the hole
+// it was — a different checksum — and any byte that is neither is
+// corruption.
 const DataByte = 0xA5
 
-var kindNames = map[OpKind]string{
-	OpCreate: "create", OpMkdir: "mkdir", OpUnlink: "unlink",
-	OpRmdir: "rmdir", OpRename: "rename", OpAppend: "append",
-	OpTruncate: "truncate", OpFalloc: "falloc", OpFsync: "fsync",
-	OpWrite: "write", OpMapStore: "mapstore", OpPunch: "punch",
-}
-
-// Op is one system call in a workload.
-type Op struct {
-	Kind OpKind
-	A, B string
-	Off  int64
-	Size int64
-}
-
-func (o Op) String() string {
-	switch o.Kind {
-	case OpRename:
-		return fmt.Sprintf("rename(%s,%s)", o.A, o.B)
-	case OpMapStore:
-		return fmt.Sprintf("mapstore(%s@%d)", o.A, o.Off)
-	case OpWrite, OpPunch:
-		return fmt.Sprintf("%s(%s@%d+%d)", kindNames[o.Kind], o.A, o.Off, o.Size)
-	}
-	return fmt.Sprintf("%s(%s)", kindNames[o.Kind], o.A)
-}
+// filled is n bytes of DataByte.
+func filled(n int) []byte { return bytes.Repeat([]byte{DataByte}, n) }
 
 // Workload is a crash-test case: Setup runs before recording; every op in
 // Ops is crash-explored, on a mount of the given consistency mode.
 type Workload struct {
 	Name  string
 	Mode  vfs.ConsistencyMode
-	Setup []Op
-	Ops   []Op
-}
-
-// apply runs one op, ignoring benign errors (ACE workloads include ops
-// that may fail depending on earlier state).
-func apply(ctx *sim.Ctx, fs vfs.FS, o Op) error {
-	switch o.Kind {
-	case OpCreate:
-		f, err := fs.Create(ctx, o.A)
-		if err != nil {
-			return err
-		}
-		return f.Close(ctx)
-	case OpMkdir:
-		return fs.Mkdir(ctx, o.A)
-	case OpUnlink:
-		return fs.Unlink(ctx, o.A)
-	case OpRmdir:
-		return fs.Rmdir(ctx, o.A)
-	case OpRename:
-		return fs.Rename(ctx, o.A, o.B)
-	}
-	// The rest are calls on an open file; an append makes its own.
-	f, err := fs.Open(ctx, o.A)
-	if err != nil && o.Kind == OpAppend {
-		f, err = fs.Create(ctx, o.A)
-	}
-	if err != nil {
-		return err
-	}
-	switch o.Kind {
-	case OpAppend:
-		_, err = f.Append(ctx, make([]byte, o.Size))
-	case OpTruncate:
-		err = f.Truncate(ctx, o.Size)
-	case OpFalloc:
-		err = f.Fallocate(ctx, 0, o.Size)
-	case OpFsync:
-		err = f.Fsync(ctx)
-	case OpWrite:
-		_, err = f.WriteAt(ctx, bytes.Repeat([]byte{DataByte}, int(o.Size)), o.Off)
-	case OpPunch:
-		hp, ok := f.(vfs.HolePuncher)
-		if !ok {
-			return vfs.ErrInvalid
-		}
-		err = hp.PunchHole(ctx, o.Off, o.Size)
-	case OpMapStore:
-		var m *vmm.Mapping
-		if m, err = vmm.Map(ctx, f, 0, vmm.Config{Mode: vmm.ModeShared, MapFullFile: true}); err != nil {
-			return err
-		}
-		if err = m.Write(ctx, bytes.Repeat([]byte{DataByte}, pmem.CacheLine), o.Off); err == nil {
-			err = m.Msync(ctx, o.Off, pmem.CacheLine)
-		}
-		if cerr := m.Close(ctx); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	Setup []fstest.Op
+	Ops   []fstest.Op
 }
 
 // eio is what vfs.State prints for the checksum of a file whose bytes the
@@ -170,9 +63,9 @@ func sansContent(s, path string) string {
 // promises that of a write's metadata only — its data "may be partially
 // complete after a crash" (vfs.Relaxed) — so there the written file's bytes
 // are not compared; nor are those of a file got could not read for poison.
-func crashAtomic(got, before, after string, o Op, mode vfs.ConsistencyMode) bool {
+func crashAtomic(got, before, after string, o fstest.Op, mode vfs.ConsistencyMode) bool {
 	var skip []string
-	if o.Kind == OpWrite && mode == vfs.Relaxed {
+	if o.Kind == fstest.Write && mode == vfs.Relaxed {
 		skip = append(skip, o.A)
 	}
 	for _, l := range strings.Split(got, "\n") {
@@ -231,7 +124,7 @@ func Run(w Workload, cfg Config) Result {
 		return res
 	}
 	for _, o := range w.Setup {
-		if err := apply(ctx, fs, o); err != nil {
+		if err := fstest.Apply(ctx, fs, o); err != nil {
 			res.Failures = append(res.Failures, fmt.Sprintf("setup %s: %v", o, err))
 			return res
 		}
@@ -240,7 +133,7 @@ func Run(w Workload, cfg Config) Result {
 
 	for k, o := range w.Ops {
 		before := vfs.State(ctx, fs)
-		rec, opErr := dev.Record(func() error { return apply(ctx, fs, o) })
+		rec, opErr := dev.Record(func() error { return fstest.Apply(ctx, fs, o) })
 		after := vfs.State(ctx, fs)
 		if opErr != nil {
 			// The op legitimately failed (e.g. unlink of missing file):
@@ -255,7 +148,7 @@ func Run(w Workload, cfg Config) Result {
 				// durable, the state is the one after it, and no other — an
 				// acknowledged write that a mount reads back as the hole it
 				// filled is "before".
-				pre, inflight, returned = after, Op{}, ", returned"
+				pre, inflight, returned = after, fstest.Op{}, ", returned"
 			}
 			if msg := checkCrashState(img, w.Mode, pre, after, inflight, e, mask); msg != "" {
 				res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s)%s: %s", k, o, returned, msg))
@@ -270,7 +163,7 @@ func Run(w Workload, cfg Config) Result {
 }
 
 // checkCrashState recovers one crash image and validates it.
-func checkCrashState(img *pmem.Image, mode vfs.ConsistencyMode, before, after string, o Op, epoch int, mask uint64) string {
+func checkCrashState(img *pmem.Image, mode vfs.ConsistencyMode, before, after string, o fstest.Op, epoch int, mask uint64) string {
 	scratch := pmem.New(deviceSize)
 	defer scratch.Release()
 	scratch.Restore(img)
@@ -292,87 +185,88 @@ func checkCrashState(img *pmem.Image, mode vfs.ConsistencyMode, before, after st
 
 // GenerateSeq1 produces ACE's one-op workloads over a small file universe.
 func GenerateSeq1() []Workload {
-	setup := []Op{
-		{Kind: OpMkdir, A: "/A"},
-		{Kind: OpMkdir, A: "/B"},
-		{Kind: OpCreate, A: "/A/foo"},
-		{Kind: OpAppend, A: "/A/foo", Size: 5000},
-		{Kind: OpCreate, A: "/bar"},
+	setup := []fstest.Op{
+		{Kind: fstest.Mkdir, A: "/A"},
+		{Kind: fstest.Mkdir, A: "/B"},
+		{Kind: fstest.Create, A: "/A/foo"},
+		{Kind: fstest.Append, A: "/A/foo", Data: make([]byte, 5000)},
+		{Kind: fstest.Create, A: "/bar"},
 		// /sp: ten blocks, sparse but for the third.
-		{Kind: OpCreate, A: "/sp"},
-		{Kind: OpTruncate, A: "/sp", Size: 40960},
-		{Kind: OpWrite, A: "/sp", Off: 8192, Size: 4096},
+		{Kind: fstest.Create, A: "/sp"},
+		{Kind: fstest.Truncate, A: "/sp", Size: 40960},
+		{Kind: fstest.Write, A: "/sp", Off: 8192, Data: filled(4096)},
 	}
-	ops := []Op{
-		{Kind: OpCreate, A: "/A/new"},
-		{Kind: OpCreate, A: "/new"},
-		{Kind: OpMkdir, A: "/A/sub"},
-		{Kind: OpUnlink, A: "/A/foo"},
-		{Kind: OpUnlink, A: "/bar"},
-		{Kind: OpRmdir, A: "/B"},
-		{Kind: OpRename, A: "/A/foo", B: "/A/foo2"},
-		{Kind: OpRename, A: "/A/foo", B: "/B/foo"},
-		{Kind: OpRename, A: "/A/foo", B: "/bar"}, // replaces target
-		{Kind: OpAppend, A: "/A/foo", Size: 3000},
-		{Kind: OpTruncate, A: "/A/foo", Size: 1000},
-		{Kind: OpTruncate, A: "/A/foo", Size: 100000},
-		{Kind: OpFalloc, A: "/bar", Size: 1 << 20},
-		{Kind: OpFsync, A: "/A/foo"},
-		{Kind: OpWrite, A: "/sp", Off: 20480, Size: 4096},   // into a hole
-		{Kind: OpWrite, A: "/sp", Off: 6000, Size: 5000},    // a hole and the written block
-		{Kind: OpWrite, A: "/sp", Off: 40000, Size: 3000},   // a hole and across EOF
-		{Kind: OpWrite, A: "/A/foo", Off: 1000, Size: 2000}, // over existing bytes
-		{Kind: OpWrite, A: "/A/foo", Off: 4000, Size: 2000}, // over existing bytes and across EOF
-		{Kind: OpMapStore, A: "/sp", Off: 28672},            // demand-faults a hole's page
-		{Kind: OpPunch, A: "/sp", Off: 8192, Size: 4096},
+	ops := []fstest.Op{
+		{Kind: fstest.Create, A: "/A/new"},
+		{Kind: fstest.Create, A: "/new"},
+		{Kind: fstest.Mkdir, A: "/A/sub"},
+		{Kind: fstest.Unlink, A: "/A/foo"},
+		{Kind: fstest.Unlink, A: "/bar"},
+		{Kind: fstest.Rmdir, A: "/B"},
+		{Kind: fstest.Rename, A: "/A/foo", B: "/A/foo2"},
+		{Kind: fstest.Rename, A: "/A/foo", B: "/B/foo"},
+		{Kind: fstest.Rename, A: "/A/foo", B: "/bar"}, // replaces target
+		{Kind: fstest.Append, A: "/A/foo", Data: make([]byte, 3000)},
+		{Kind: fstest.Truncate, A: "/A/foo", Size: 1000},
+		{Kind: fstest.Truncate, A: "/A/foo", Size: 100000},
+		{Kind: fstest.Falloc, A: "/bar", Size: 1 << 20},
+		{Kind: fstest.Fsync, A: "/A/foo"},
+		{Kind: fstest.Write, A: "/sp", Off: 20480, Data: filled(4096)},              // into a hole
+		{Kind: fstest.Write, A: "/sp", Off: 6000, Data: filled(5000)},               // a hole and the written block
+		{Kind: fstest.Write, A: "/sp", Off: 40000, Data: filled(3000)},              // a hole and across EOF
+		{Kind: fstest.Write, A: "/A/foo", Off: 1000, Data: filled(2000)},            // over existing bytes
+		{Kind: fstest.Write, A: "/A/foo", Off: 4000, Data: filled(2000)},            // over existing bytes and across EOF
+		{Kind: fstest.MapStore, A: "/sp", Off: 28672, Data: filled(pmem.CacheLine)}, // demand-faults a hole's page
+		{Kind: fstest.Punch, A: "/sp", Off: 8192, Size: 4096},
 	}
 	var out []Workload
 	for i, o := range ops {
 		out = append(out, Workload{
 			Name:  fmt.Sprintf("seq1-%02d-%s", i, o),
 			Setup: setup,
-			Ops:   []Op{o},
+			Ops:   []fstest.Op{o},
 		})
 	}
 	// A write over a fragmented file: /frag is thirteen one-block extents, a
 	// spacer's blocks between them, so on a strict mount the write is one
 	// copy-on-write whose transaction logs more than a dozen entries.
-	frag := []Op{{Kind: OpCreate, A: "/frag"}, {Kind: OpCreate, A: "/spacer"}}
+	frag := []fstest.Op{{Kind: fstest.Create, A: "/frag"}, {Kind: fstest.Create, A: "/spacer"}}
 	for i := 0; i < 13; i++ {
-		frag = append(frag, Op{Kind: OpAppend, A: "/frag", Size: 4096}, Op{Kind: OpAppend, A: "/spacer", Size: 4096})
+		frag = append(frag, fstest.Op{Kind: fstest.Append, A: "/frag", Data: make([]byte, 4096)},
+			fstest.Op{Kind: fstest.Append, A: "/spacer", Data: make([]byte, 4096)})
 	}
-	o := Op{Kind: OpWrite, A: "/frag", Off: 0, Size: 13 * 4096}
-	return append(out, Workload{Name: fmt.Sprintf("seq1-%02d-%s", len(ops), o), Setup: frag, Ops: []Op{o}})
+	o := fstest.Op{Kind: fstest.Write, A: "/frag", Off: 0, Data: filled(13 * 4096)}
+	return append(out, Workload{Name: fmt.Sprintf("seq1-%02d-%s", len(ops), o), Setup: frag, Ops: []fstest.Op{o}})
 }
 
 // GenerateSeq2 produces ACE's seq-2 workloads — dependent pairs that
 // historically expose reordering bugs — and the sparse-file sequences.
 func GenerateSeq2() []Workload {
-	setup := []Op{
-		{Kind: OpMkdir, A: "/A"},
-		{Kind: OpCreate, A: "/A/foo"},
-		{Kind: OpAppend, A: "/A/foo", Size: 4096},
+	setup := []fstest.Op{
+		{Kind: fstest.Mkdir, A: "/A"},
+		{Kind: fstest.Create, A: "/A/foo"},
+		{Kind: fstest.Append, A: "/A/foo", Data: make([]byte, 4096)},
 	}
-	seqs := [][]Op{
-		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpRename, A: "/A/x", B: "/A/y"}},
-		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpUnlink, A: "/A/x"}},
-		{{Kind: OpMkdir, A: "/D"}, {Kind: OpCreate, A: "/D/f"}},
-		{{Kind: OpMkdir, A: "/D"}, {Kind: OpRmdir, A: "/D"}},
-		{{Kind: OpUnlink, A: "/A/foo"}, {Kind: OpCreate, A: "/A/foo"}},
-		{{Kind: OpRename, A: "/A/foo", B: "/A/bar"}, {Kind: OpCreate, A: "/A/foo"}},
-		{{Kind: OpAppend, A: "/A/foo", Size: 8192}, {Kind: OpTruncate, A: "/A/foo", Size: 0}},
-		{{Kind: OpTruncate, A: "/A/foo", Size: 0}, {Kind: OpAppend, A: "/A/foo", Size: 4096}},
-		{{Kind: OpCreate, A: "/A/x"}, {Kind: OpMkdir, A: "/A/d"}},
-		{{Kind: OpRename, A: "/A/foo", B: "/g"}, {Kind: OpRename, A: "/g", B: "/A/foo"}},
+	seqs := [][]fstest.Op{
+		{{Kind: fstest.Create, A: "/A/x"}, {Kind: fstest.Rename, A: "/A/x", B: "/A/y"}},
+		{{Kind: fstest.Create, A: "/A/x"}, {Kind: fstest.Unlink, A: "/A/x"}},
+		{{Kind: fstest.Mkdir, A: "/D"}, {Kind: fstest.Create, A: "/D/f"}},
+		{{Kind: fstest.Mkdir, A: "/D"}, {Kind: fstest.Rmdir, A: "/D"}},
+		{{Kind: fstest.Unlink, A: "/A/foo"}, {Kind: fstest.Create, A: "/A/foo"}},
+		{{Kind: fstest.Rename, A: "/A/foo", B: "/A/bar"}, {Kind: fstest.Create, A: "/A/foo"}},
+		{{Kind: fstest.Append, A: "/A/foo", Data: make([]byte, 8192)}, {Kind: fstest.Truncate, A: "/A/foo", Size: 0}},
+		{{Kind: fstest.Truncate, A: "/A/foo", Size: 0}, {Kind: fstest.Append, A: "/A/foo", Data: make([]byte, 4096)}},
+		{{Kind: fstest.Create, A: "/A/x"}, {Kind: fstest.Mkdir, A: "/A/d"}},
+		{{Kind: fstest.Rename, A: "/A/foo", B: "/g"}, {Kind: fstest.Rename, A: "/g", B: "/A/foo"}},
 		// The life of a sparse file, in two workloads: grown by truncate and
 		// written into; and all of it — every step leaves extent records
 		// whose count only the header write at commit tells the next mount.
-		{{Kind: OpTruncate, A: "/A/foo", Size: 65536}, {Kind: OpWrite, A: "/A/foo", Off: 32768, Size: 4096}},
+		{{Kind: fstest.Truncate, A: "/A/foo", Size: 65536}, {Kind: fstest.Write, A: "/A/foo", Off: 32768, Data: filled(4096)}},
 		{
-			{Kind: OpTruncate, A: "/A/foo", Size: 65536},
-			{Kind: OpWrite, A: "/A/foo", Off: 32768, Size: 6000},
-			{Kind: OpMapStore, A: "/A/foo", Off: 49152},
-			{Kind: OpPunch, A: "/A/foo", Off: 32768, Size: 4096},
+			{Kind: fstest.Truncate, A: "/A/foo", Size: 65536},
+			{Kind: fstest.Write, A: "/A/foo", Off: 32768, Data: filled(6000)},
+			{Kind: fstest.MapStore, A: "/A/foo", Off: 49152, Data: filled(pmem.CacheLine)},
+			{Kind: fstest.Punch, A: "/A/foo", Off: 32768, Size: 4096},
 		},
 	}
 	var out []Workload

@@ -3,6 +3,7 @@ package crashmonkey
 import (
 	"testing"
 
+	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -53,21 +54,21 @@ func TestSeq2(t *testing.T) {
 func TestStateSeesData(t *testing.T) {
 	ctx := sim.NewCtx(1, 0)
 	fs, _ := winefs.Mkfs(ctx, pmem.New(64<<20), winefs.Options{CPUs: 2})
-	for _, o := range []Op{{Kind: OpCreate, A: "/f"}, {Kind: OpCreate, A: "/g"}, {Kind: OpTruncate, A: "/f", Size: 16384}} {
-		if err := apply(ctx, fs, o); err != nil {
+	for _, o := range []fstest.Op{{Kind: fstest.Create, A: "/f"}, {Kind: fstest.Create, A: "/g"}, {Kind: fstest.Truncate, A: "/f", Size: 16384}} {
+		if err := fstest.Apply(ctx, fs, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	hole := vfs.State(ctx, fs)
-	w := Op{Kind: OpWrite, A: "/f", Off: 4096, Size: 4096}
-	if err := apply(ctx, fs, w); err != nil {
+	w := fstest.Op{Kind: fstest.Write, A: "/f", Off: 4096, Data: filled(4096)}
+	if err := fstest.Apply(ctx, fs, w); err != nil {
 		t.Fatal(err)
 	}
 	written := vfs.State(ctx, fs)
 	if written == hole {
 		t.Fatal("a write into a hole left the state unchanged")
 	}
-	if err := apply(ctx, fs, Op{Kind: OpMapStore, A: "/f", Off: 8192}); err != nil {
+	if err := fstest.Apply(ctx, fs, fstest.Op{Kind: fstest.MapStore, A: "/f", Off: 8192, Data: filled(pmem.CacheLine)}); err != nil {
 		t.Fatal(err)
 	}
 	stored := vfs.State(ctx, fs)
@@ -80,7 +81,7 @@ func TestStateSeesData(t *testing.T) {
 	if !crashAtomic(stored, hole, written, w, vfs.Relaxed) {
 		t.Fatal("relaxed: the written file's bytes were compared")
 	}
-	if crashAtomic(stored, hole, written, Op{Kind: OpWrite, A: "/g", Off: 0, Size: 1}, vfs.Relaxed) {
+	if crashAtomic(stored, hole, written, fstest.Op{Kind: fstest.Write, A: "/g", Off: 0, Data: filled(1)}, vfs.Relaxed) {
 		t.Fatal("relaxed: a write to /g excused the bytes of /f")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/tier"
@@ -204,7 +205,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 		return fmt.Sprintf("mkfs: %v", err)
 	}
 	for _, o := range w.Setup {
-		if err := apply(ctx, fs, o); err != nil {
+		if err := fstest.Apply(ctx, fs, o); err != nil {
 			return fmt.Sprintf("setup %s: %v", o, err)
 		}
 	}
@@ -216,11 +217,11 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 		rec       *pmem.Recording
 		slowAfter *pmem.Image // slow-tier contents after the unit; nil untiered
 		pre, post string
-		op        Op // the zero Op for a migration pass
+		op        fstest.Op // the zero Op for a migration pass
 	}
 	var units []crashUnit
 	prev := vfs.State(ctx, fs)
-	record := func(o Op, f func() error) {
+	record := func(o fstest.Op, f func() error) {
 		rec, err := dev.Record(f)
 		cur := vfs.State(ctx, fs)
 		if err == nil && len(rec.Stores) > 0 {
@@ -234,7 +235,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	}
 	for k, o := range w.Ops {
 		o := o
-		record(o, func() error { return apply(ctx, fs, o) })
+		record(o, func() error { return fstest.Apply(ctx, fs, o) })
 		if tiered {
 			// Alternate marks, promotion first: setup and op writes spilled
 			// under the aggressive mount marks and still carry the heat the
@@ -246,7 +247,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 				fs.SetTierWaterMarks(0.0001, 0.00005)
 			}
 			nUnits := len(units)
-			record(Op{}, func() error {
+			record(fstest.Op{}, func() error {
 				_, err := fs.TierPass(ctx, winefs.TierPassOptions{MaxMigrateBlocks: 512})
 				return err
 			})
@@ -264,7 +265,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	var slowImg *pmem.Image
 	var injured []pmem.Store // stores whose lines are poison candidates
 	var pre, post string     // the atomicity oracle: the states around inflight
-	var inflight Op
+	var inflight fstest.Op
 	switch mode {
 	case ModeTorn, ModePoisonCrash:
 		u := units[rng.Intn(len(units))]

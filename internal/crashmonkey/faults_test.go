@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -74,15 +75,10 @@ func TestRepairPoisonedJournalTail(t *testing.T) {
 	}
 	// Build a small tree, then crash mid-create so the journal holds an
 	// in-flight transaction.
-	if err := fs.Mkdir(ctx, "/d"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Create(ctx, "/d/keep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Append(ctx, make([]byte, 8192)); err != nil {
-		t.Fatal(err)
+	for _, o := range []fstest.Op{{Kind: fstest.Mkdir, A: "/d"}, {Kind: fstest.Append, A: "/d/keep", Data: make([]byte, 8192)}} {
+		if err := fstest.Apply(ctx, fs, o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := vfs.State(ctx, fs)
 	rec, err := dev.Record(func() error { _, err := fs.Create(ctx, "/d/inflight"); return err })

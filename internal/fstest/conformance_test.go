@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,16 +70,16 @@ func TestConformanceBasicIO(t *testing.T) {
 
 func TestConformanceOverwriteMiddle(t *testing.T) {
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
-		f, _ := fs.Create(ctx, "/f")
 		base := bytes.Repeat([]byte{0xAA}, 32<<10)
-		f.WriteAt(ctx, base, 0)
 		patch := bytes.Repeat([]byte{0xBB}, 3000)
-		f.WriteAt(ctx, patch, 5123)
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Create, A: "/f"}, nil},
+			{Op{Kind: Write, A: "/f", Data: base}, nil},
+			{Op{Kind: Write, A: "/f", Off: 5123, Data: patch}, nil},
+		})
 		want := append([]byte{}, base...)
 		copy(want[5123:], patch)
-		got := make([]byte, len(base))
-		f.ReadAt(ctx, got, 0)
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(contents(t, ctx, fs, "/f"), want) {
 			t.Fatal("overwrite corrupted content")
 		}
 	})
@@ -105,37 +106,50 @@ func TestConformanceAppendStream(t *testing.T) {
 	})
 }
 
+// run replays steps on fs and fails t at the first that goes wrong.
+func run(t *testing.T, ctx *sim.Ctx, fs vfs.FS, steps []Step) {
+	t.Helper()
+	if err := Replay(ctx, fs, steps); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// contents is all of path's bytes.
+func contents(t *testing.T, ctx *sim.Ctx, fs vfs.FS, path string) []byte {
+	t.Helper()
+	f, err := fs.Open(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(ctx)
+	p := make([]byte, f.Size())
+	if n, err := f.ReadAt(ctx, p, 0); n != len(p) {
+		t.Fatalf("read %s: %d of %d bytes: %v", path, n, len(p), err)
+	}
+	return p
+}
+
 func TestConformanceNamespace(t *testing.T) {
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
-		if err := fs.Mkdir(ctx, "/a"); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Mkdir(ctx, "/a/b"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.Create(ctx, "/a/b/c"); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Rename(ctx, "/a/b/c", "/a/c2"); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Mkdir, A: "/a"}, nil},
+			{Op{Kind: Mkdir, A: "/a/b"}, nil},
+			{Op{Kind: Create, A: "/a/b/c"}, nil},
+			{Op{Kind: Rename, A: "/a/b/c", B: "/a/c2"}, nil},
+		})
 		if _, err := fs.Stat(ctx, "/a/b/c"); err != vfs.ErrNotExist {
 			t.Fatalf("stat moved: %v", err)
 		}
 		// A rename onto itself succeeds and changes nothing; one of a
 		// directory into its own subtree is refused and detaches nothing.
-		if err := fs.Rename(ctx, "/a/c2", "/a/c2"); err != nil {
-			t.Fatalf("rename onto itself: %v", err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Rename, A: "/a/c2", B: "/a/c2"}, nil}})
 		if fi, err := fs.Stat(ctx, "/a/c2"); err != nil || fi.IsDir {
 			t.Fatalf("stat after rename onto itself: %+v, %v", fi, err)
 		}
-		if err := fs.Rename(ctx, "/a/missing", "/a/missing"); err != vfs.ErrNotExist {
-			t.Fatalf("rename of a missing file onto itself: %v", err)
-		}
-		if err := fs.Rename(ctx, "/a", "/a/b/a2"); !errors.Is(err, vfs.ErrInvalid) {
-			t.Fatalf("rename into own subtree: %v, want ErrInvalid", err)
-		}
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Rename, A: "/a/missing", B: "/a/missing"}, vfs.ErrNotExist},
+			{Op{Kind: Rename, A: "/a", B: "/a/b/a2"}, vfs.ErrInvalid},
+		})
 		if _, err := fs.Stat(ctx, "/a/b"); err != nil {
 			t.Fatalf("subtree after the refused rename: %v", err)
 		}
@@ -147,34 +161,22 @@ func TestConformanceNamespace(t *testing.T) {
 				t.Fatalf("stat %s: nlink %d, %v; want %d", path, fi.Nlink, err, want)
 			}
 		}
-		for _, d := range []string{"/a/sub", "/b", "/b/empty"} {
-			if err := fs.Mkdir(ctx, d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fs.Rename(ctx, "/a/c2", "/b/empty"); !errors.Is(err, vfs.ErrIsDir) {
-			t.Fatalf("rename of a file onto an empty directory: %v, want ErrIsDir", err)
-		}
-		if err := fs.Rename(ctx, "/b/empty", "/a/c2"); !errors.Is(err, vfs.ErrNotDir) {
-			t.Fatalf("rename of a directory onto a file: %v, want ErrNotDir", err)
-		}
-		if err := fs.Rename(ctx, "/a/b", "/b"); !errors.Is(err, vfs.ErrNotEmpty) {
-			t.Fatalf("rename of a directory onto a non-empty one: %v, want ErrNotEmpty", err)
-		}
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Mkdir, A: "/a/sub"}, nil},
+			{Op{Kind: Mkdir, A: "/b"}, nil},
+			{Op{Kind: Mkdir, A: "/b/empty"}, nil},
+			{Op{Kind: Rename, A: "/a/c2", B: "/b/empty"}, vfs.ErrIsDir},
+			{Op{Kind: Rename, A: "/b/empty", B: "/a/c2"}, vfs.ErrNotDir},
+			{Op{Kind: Rename, A: "/a/b", B: "/b"}, vfs.ErrNotEmpty},
+		})
 		nlink("/a", 4) // b, sub
 		nlink("/b", 3) // empty
-		if err := fs.Rename(ctx, "/a/sub", "/b/sub"); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Rename, A: "/a/sub", B: "/b/sub"}, nil}})
 		nlink("/a", 3)
 		nlink("/b", 4)
-		if err := fs.Rename(ctx, "/b/sub", "/b/empty"); err != nil { // replaces the empty directory
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Rename, A: "/b/sub", B: "/b/empty"}, nil}}) // replaces the empty directory
 		nlink("/b", 3)
-		if err := fs.Rename(ctx, "/b/empty", "/a/sub"); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Rename, A: "/b/empty", B: "/a/sub"}, nil}})
 		nlink("/a", 4)
 		nlink("/b", 2)
 		nlink("/", 4)
@@ -192,20 +194,13 @@ func TestConformanceNamespace(t *testing.T) {
 				t.Fatalf("repair of a sound image: %+v, %v", rep, err)
 			}
 		}
-		for _, d := range []string{"/a/sub", "/b"} {
-			if err := fs.Rmdir(ctx, d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fs.Rmdir(ctx, "/a/b"); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Unlink(ctx, "/a/c2"); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Rmdir(ctx, "/a"); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Rmdir, A: "/a/sub"}, nil},
+			{Op{Kind: Rmdir, A: "/b"}, nil},
+			{Op{Kind: Rmdir, A: "/a/b"}, nil},
+			{Op{Kind: Unlink, A: "/a/c2"}, nil},
+			{Op{Kind: Rmdir, A: "/a"}, nil},
+		})
 		ents, _ := fs.ReadDir(ctx, "/")
 		if len(ents) != 0 {
 			t.Fatalf("root not empty: %v", ents)
@@ -215,25 +210,19 @@ func TestConformanceNamespace(t *testing.T) {
 
 func TestConformanceErrors(t *testing.T) {
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Unlink, A: "/nope"}, vfs.ErrNotExist},
+			{Op{Kind: Mkdir, A: "/d"}, nil},
+			{Op{Kind: Unlink, A: "/d"}, vfs.ErrIsDir},
+			{Op{Kind: Create, A: "/f"}, nil},
+			{Op{Kind: Rmdir, A: "/f"}, vfs.ErrNotDir},
+			{Op{Kind: Create, A: "/f/x"}, vfs.ErrNotDir},
+		})
 		if _, err := fs.Open(ctx, "/nope"); err != vfs.ErrNotExist {
 			t.Fatalf("open missing: %v", err)
 		}
-		if err := fs.Unlink(ctx, "/nope"); err != vfs.ErrNotExist {
-			t.Fatalf("unlink missing: %v", err)
-		}
-		fs.Mkdir(ctx, "/d")
 		if _, err := fs.Open(ctx, "/d"); err != vfs.ErrIsDir {
 			t.Fatalf("open dir: %v", err)
-		}
-		if err := fs.Unlink(ctx, "/d"); err != vfs.ErrIsDir {
-			t.Fatalf("unlink dir: %v", err)
-		}
-		fs.Create(ctx, "/f")
-		if err := fs.Rmdir(ctx, "/f"); err != vfs.ErrNotDir {
-			t.Fatalf("rmdir file: %v", err)
-		}
-		if _, err := fs.Create(ctx, "/f/x"); err != vfs.ErrNotDir {
-			t.Fatalf("create under file: %v", err)
 		}
 	})
 }
@@ -244,17 +233,12 @@ func TestConformanceSpaceAccounting(t *testing.T) {
 		if st0.FreeBlocks <= 0 || st0.TotalBlocks <= 0 {
 			t.Fatalf("bad statfs: %+v", st0)
 		}
-		f, _ := fs.Create(ctx, "/big")
-		if _, err := f.WriteAt(ctx, make([]byte, 16<<20), 0); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Create, A: "/big"}, nil}, {Op{Kind: Write, A: "/big", Data: make([]byte, 16<<20)}, nil}})
 		st1 := fs.StatFS(ctx)
 		if st0.FreeBlocks-st1.FreeBlocks < (16<<20)/alloc.BlockSize {
 			t.Fatalf("allocation unaccounted: %d -> %d", st0.FreeBlocks, st1.FreeBlocks)
 		}
-		if err := fs.Unlink(ctx, "/big"); err != nil {
-			t.Fatal(err)
-		}
+		run(t, ctx, fs, []Step{{Op{Kind: Unlink, A: "/big"}, nil}})
 		st2 := fs.StatFS(ctx)
 		if st2.FreeBlocks < st1.FreeBlocks {
 			t.Fatal("unlink did not release space")
@@ -315,21 +299,15 @@ func TestConformanceMmapShootdown(t *testing.T) {
 			return f.Mmap(ctx, n)
 		}},
 	}
-	removals := []struct {
-		name   string
-		remove func(ctx *sim.Ctx, fs vfs.FS, path string, f vfs.File) error
-	}{
-		{"truncate", func(ctx *sim.Ctx, _ vfs.FS, _ string, f vfs.File) error { return f.Truncate(ctx, 0) }},
-		{"unlink", func(ctx *sim.Ctx, fs vfs.FS, path string, _ vfs.File) error { return fs.Unlink(ctx, path) }},
-	}
+	removals := []Op{{Kind: Truncate}, {Kind: Unlink}}
 	const size = 2 << 20
 	oldData := bytes.Repeat([]byte{0xAA}, size)
 	newData := bytes.Repeat([]byte{0xBB}, size)
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
 		for _, e := range entries {
 			for _, r := range removals {
-				t.Run(e.name+"/"+r.name, func(t *testing.T) {
-					path := "/old-" + r.name + "-" + e.name
+				t.Run(e.name+"/"+kindNames[r.Kind], func(t *testing.T) {
+					path := "/old-" + kindNames[r.Kind] + "-" + e.name
 					f, err := fs.Create(ctx, path)
 					if err != nil {
 						t.Fatal(err)
@@ -345,16 +323,9 @@ func TestConformanceMmapShootdown(t *testing.T) {
 					if err := m.Read(ctx, got, 0); err != nil || !bytes.Equal(got, oldData) {
 						t.Fatalf("read through the fresh mapping: err %v, data matches %v", err, bytes.Equal(got, oldData))
 					}
-					if err := r.remove(ctx, fs, path, f); err != nil {
-						t.Fatal(err)
-					}
-					nf, err := fs.Create(ctx, "/new-"+r.name+"-"+e.name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := nf.WriteAt(ctx, newData, 0); err != nil {
-						t.Fatal(err)
-					}
+					r.A = path
+					newPath := "/new-" + kindNames[r.Kind] + "-" + e.name
+					run(t, ctx, fs, []Step{{r, nil}, {Op{Kind: Create, A: newPath}, nil}, {Op{Kind: Write, A: newPath, Data: newData}, nil}})
 					for _, off := range []int64{0, size / 2, size - 4096} {
 						buf := make([]byte, 4096)
 						err := m.Read(ctx, buf, off)
@@ -365,7 +336,6 @@ func TestConformanceMmapShootdown(t *testing.T) {
 							t.Fatalf("read at %d through the old mapping: err %v, want vfs.ErrMapFault", off, err)
 						}
 					}
-					nf.Close(ctx)
 					f.Close(ctx)
 				})
 			}
@@ -420,23 +390,17 @@ func TestMmapExtentsTwoReaders(t *testing.T) {
 
 func TestConformanceTruncate(t *testing.T) {
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
-		f, _ := fs.Create(ctx, "/t")
-		f.WriteAt(ctx, bytes.Repeat([]byte{1}, 64<<10), 0)
-		if err := f.Truncate(ctx, 1000); err != nil {
-			t.Fatal(err)
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Create, A: "/t"}, nil},
+			{Op{Kind: Write, A: "/t", Data: bytes.Repeat([]byte{1}, 64<<10)}, nil},
+			{Op{Kind: Truncate, A: "/t", Size: 1000}, nil},
+		})
+		if fi, err := fs.Stat(ctx, "/t"); err != nil || fi.Size != 1000 {
+			t.Fatalf("size %d, %v", fi.Size, err)
 		}
-		if f.Size() != 1000 {
-			t.Fatalf("size %d", f.Size())
-		}
-		if err := f.Truncate(ctx, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 10)
-		f.ReadAt(ctx, buf, 500000)
-		for _, b := range buf {
-			if b != 0 {
-				t.Fatal("grown region not zero")
-			}
+		run(t, ctx, fs, []Step{{Op{Kind: Truncate, A: "/t", Size: 1 << 20}, nil}})
+		if got := contents(t, ctx, fs, "/t"); !bytes.Equal(got[1000:], make([]byte, 1<<20-1000)) {
+			t.Fatal("grown region not zero")
 		}
 	})
 }
@@ -495,50 +459,50 @@ func TestHugepageBehaviourDiffers(t *testing.T) {
 	}
 }
 
+// churn is TestChurnConsistency's sequence for seed, 300 rows: a create
+// and a write of random bytes to a new file, or an unlink of a live file
+// the rng picks. It also returns the write of each file left live.
+func churn(seed uint64) (ops, live []Op) {
+	rng := sim.NewRand(seed)
+	for i := 0; i < 300; i++ {
+		if len(live) < 5 || rng.Intn(3) > 0 {
+			data := make([]byte, 1+rng.Intn(100<<10))
+			for j := range data {
+				data[j] = byte(rng.Intn(256))
+			}
+			w := Op{Kind: Write, A: fmt.Sprintf("/c%d", i), Data: data}
+			ops, live = append(ops, Op{Kind: Create, A: w.A}, w), append(live, w)
+			continue
+		}
+		k := rng.Intn(len(live))
+		ops, live = append(ops, Op{Kind: Unlink, A: live[k].A}), slices.Delete(live, k, k+1)
+	}
+	return ops, live
+}
+
 // TestChurnConsistency drives create/write/delete churn and verifies
-// content integrity and space accounting on every FS.
+// content integrity on every FS. A seed is one sequence, so a failure
+// replays.
 func TestChurnConsistency(t *testing.T) {
+	names := func(ops []Op) (s []string) {
+		for _, o := range ops {
+			s = append(s, o.String())
+		}
+		return s
+	}
+	ops, live := churn(7)
+	if again, _ := churn(7); !slices.Equal(names(ops), names(again)) {
+		t.Fatalf("seed 7 ran two sequences:\n%v\n%v", names(ops), names(again))
+	}
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
-		rng := sim.NewRand(7)
-		live := map[string][]byte{}
-		for i := 0; i < 300; i++ {
-			switch {
-			case len(live) < 5 || rng.Intn(3) > 0:
-				name := fmt.Sprintf("/c%d", i)
-				size := 1 + rng.Intn(100<<10)
-				data := make([]byte, size)
-				for j := range data {
-					data[j] = byte(rng.Intn(256))
-				}
-				f, err := fs.Create(ctx, name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteAt(ctx, data, 0); err != nil {
-					t.Fatal(err)
-				}
-				live[name] = data
-			default:
-				for name := range live {
-					if err := fs.Unlink(ctx, name); err != nil {
-						t.Fatal(err)
-					}
-					delete(live, name)
-					break
-				}
+		for _, o := range ops {
+			if err := Apply(ctx, fs, o); err != nil {
+				t.Fatalf("%s: %v", o, err)
 			}
 		}
-		for name, want := range live {
-			f, err := fs.Open(ctx, name)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got := make([]byte, len(want))
-			if n, _ := f.ReadAt(ctx, got, 0); n != len(want) {
-				t.Fatalf("%s short read", name)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s content mismatch", name)
+		for _, w := range live {
+			if !bytes.Equal(contents(t, ctx, fs, w.A), w.Data) {
+				t.Fatalf("%s content mismatch", w.A)
 			}
 		}
 	})
@@ -550,23 +514,16 @@ func TestChurnConsistency(t *testing.T) {
 // not as the stale tail of the last kept block.
 func TestConformanceTruncateGrowZeroes(t *testing.T) {
 	forAll(t, func(t *testing.T, fs vfs.FS, ctx *sim.Ctx) {
-		f, _ := fs.Create(ctx, "/t")
-		if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{0xAB}, 22914), 394252); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Truncate(ctx, 409482); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{0xCD}, 1000), 900000); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4096)
-		if _, err := f.ReadAt(ctx, buf, 409482-10); err != nil {
-			t.Fatal(err)
-		}
-		for i := 10; i < len(buf); i++ {
-			if buf[i] != 0 {
-				t.Fatalf("stale byte %x at EOF+%d after truncate+grow", buf[i], i-10)
+		run(t, ctx, fs, []Step{
+			{Op{Kind: Create, A: "/t"}, nil},
+			{Op{Kind: Write, A: "/t", Off: 394252, Data: bytes.Repeat([]byte{0xAB}, 22914)}, nil},
+			{Op{Kind: Truncate, A: "/t", Size: 409482}, nil},
+			{Op{Kind: Write, A: "/t", Off: 900000, Data: bytes.Repeat([]byte{0xCD}, 1000)}, nil},
+		})
+		got := contents(t, ctx, fs, "/t")
+		for i := 409482; i < 900000; i++ {
+			if got[i] != 0 {
+				t.Fatalf("stale byte %x at EOF+%d after truncate+grow", got[i], i-409482)
 			}
 		}
 	})

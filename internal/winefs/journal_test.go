@@ -379,14 +379,8 @@ func TestCrashStatesOfUnlink(t *testing.T) {
 // showed before op or after it, and once every store is durable, after it.
 func everyCut(t *testing.T, setup, op func(*sim.Ctx, *FS) error) {
 	t.Helper()
-	opts := Options{CPUs: 2}
-	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(128 << 20)
-	fs, err := Mkfs(ctx, dev, opts)
-	if err == nil {
-		err = setup(ctx, fs)
-	}
-	if err != nil {
+	fs, ctx, dev := mk(t)
+	if err := setup(ctx, fs); err != nil {
 		t.Fatal(err)
 	}
 	before := vfs.State(ctx, fs)
@@ -398,7 +392,7 @@ func everyCut(t *testing.T, setup, op func(*sim.Ctx, *FS) error) {
 	for cut := 0; cut <= rec.Last()+1; cut++ {
 		dev.Restore(rec.Cut(cut))
 		rctx := sim.NewCtx(2, 0)
-		rfs, err := Mount(rctx, dev, opts)
+		rfs, err := Mount(rctx, dev, Options{CPUs: 2})
 		if err != nil {
 			t.Fatalf("cut %d: mount: %v", cut, err)
 		}

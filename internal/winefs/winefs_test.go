@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/fstest"
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -26,6 +27,14 @@ func newFS(t *testing.T, size int64, opts winefs.Options) (*winefs.FS, *sim.Ctx)
 
 func defaultFS(t *testing.T) (*winefs.FS, *sim.Ctx) {
 	return newFS(t, 256<<20, winefs.Options{CPUs: 4, Mode: vfs.Strict})
+}
+
+// replay replays steps on fs and fails t at the first that goes wrong.
+func replay(t *testing.T, ctx *sim.Ctx, fs vfs.FS, steps []fstest.Step) {
+	t.Helper()
+	if err := fstest.Replay(ctx, fs, steps); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCreateWriteRead(t *testing.T) {
@@ -59,27 +68,15 @@ func TestCreateWriteRead(t *testing.T) {
 // vfs.SplitParent) instead of manufacturing a nameless dirent.
 func TestRootPathOpsRejected(t *testing.T) {
 	fs, ctx := defaultFS(t)
-	if err := fs.Mkdir(ctx, "/scratch"); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, ctx, fs, []fstest.Step{{Op: fstest.Op{Kind: fstest.Mkdir, A: "/scratch"}}})
 	for _, p := range []string{"/", "", "//", "/.", "/scratch/..", "/../."} {
-		if _, err := fs.Create(ctx, p); err != vfs.ErrExist {
-			t.Errorf("Create(%q) = %v, want ErrExist", p, err)
-		}
-		if err := fs.Mkdir(ctx, p); err != vfs.ErrExist {
-			t.Errorf("Mkdir(%q) = %v, want ErrExist", p, err)
-		}
-		if err := fs.Unlink(ctx, p); err != vfs.ErrExist {
-			t.Errorf("Unlink(%q) = %v, want ErrExist", p, err)
-		}
-		if err := fs.Rmdir(ctx, p); err != vfs.ErrExist {
-			t.Errorf("Rmdir(%q) = %v, want ErrExist", p, err)
-		}
-		if err := fs.Rename(ctx, p, "/elsewhere"); err != vfs.ErrExist {
-			t.Errorf("Rename(%q, /elsewhere) = %v, want ErrExist", p, err)
-		}
-		if err := fs.Rename(ctx, "/scratch", p); err != vfs.ErrExist {
-			t.Errorf("Rename(/scratch, %q) = %v, want ErrExist", p, err)
+		for _, o := range []fstest.Op{
+			{Kind: fstest.Create, A: p}, {Kind: fstest.Mkdir, A: p}, {Kind: fstest.Unlink, A: p}, {Kind: fstest.Rmdir, A: p},
+			{Kind: fstest.Rename, A: p, B: "/elsewhere"}, {Kind: fstest.Rename, A: "/scratch", B: p},
+		} {
+			if err := fstest.Apply(ctx, fs, o); err != vfs.ErrExist {
+				t.Errorf("%s (path %q) = %v, want ErrExist", o, p, err)
+			}
 		}
 	}
 	// Read-only ops on the root keep working.
@@ -103,24 +100,15 @@ func TestRootPathOpsRejected(t *testing.T) {
 
 func TestCreateInSubdir(t *testing.T) {
 	fs, ctx := defaultFS(t)
-	if err := fs.Mkdir(ctx, "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir(ctx, "/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create(ctx, "/a/b/f"); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := fs.Stat(ctx, "/a/b/f")
-	if err != nil || fi.IsDir {
+	replay(t, ctx, fs, []fstest.Step{
+		{Op: fstest.Op{Kind: fstest.Mkdir, A: "/a"}},
+		{Op: fstest.Op{Kind: fstest.Mkdir, A: "/a/b"}},
+		{Op: fstest.Op{Kind: fstest.Create, A: "/a/b/f"}},
+		{Op: fstest.Op{Kind: fstest.Create, A: "/missing/f"}, Want: vfs.ErrNotExist},
+		{Op: fstest.Op{Kind: fstest.Mkdir, A: "/a"}, Want: vfs.ErrExist},
+	})
+	if fi, err := fs.Stat(ctx, "/a/b/f"); err != nil || fi.IsDir {
 		t.Fatalf("stat: %+v err=%v", fi, err)
-	}
-	if _, err := fs.Create(ctx, "/missing/f"); err != vfs.ErrNotExist {
-		t.Fatalf("create in missing dir: %v", err)
-	}
-	if err := fs.Mkdir(ctx, "/a"); err != vfs.ErrExist {
-		t.Fatalf("duplicate mkdir: %v", err)
 	}
 }
 
@@ -423,18 +411,14 @@ func TestRenameReplacesTarget(t *testing.T) {
 
 func TestRmdirSemantics(t *testing.T) {
 	fs, ctx := defaultFS(t)
-	fs.Mkdir(ctx, "/d")
-	fs.Create(ctx, "/d/f")
-	if err := fs.Rmdir(ctx, "/d"); err != vfs.ErrNotEmpty {
-		t.Fatalf("rmdir non-empty: %v", err)
-	}
-	fs.Unlink(ctx, "/d/f")
-	if err := fs.Rmdir(ctx, "/d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rmdir(ctx, "/d"); err != vfs.ErrNotExist {
-		t.Fatalf("rmdir twice: %v", err)
-	}
+	replay(t, ctx, fs, []fstest.Step{
+		{Op: fstest.Op{Kind: fstest.Mkdir, A: "/d"}},
+		{Op: fstest.Op{Kind: fstest.Create, A: "/d/f"}},
+		{Op: fstest.Op{Kind: fstest.Rmdir, A: "/d"}, Want: vfs.ErrNotEmpty},
+		{Op: fstest.Op{Kind: fstest.Unlink, A: "/d/f"}},
+		{Op: fstest.Op{Kind: fstest.Rmdir, A: "/d"}},
+		{Op: fstest.Op{Kind: fstest.Rmdir, A: "/d"}, Want: vfs.ErrNotExist},
+	})
 }
 
 func TestReadDir(t *testing.T) {
