@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign serve-smoke profile profile-posix loc knobs examples
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix loc knobs examples
 
 all: build
 
@@ -227,14 +227,28 @@ serve-smoke:
 # and the media where they were; TestTxOverflowAbortsCleanly: an operation
 # larger than the journal fails with ErrTxOverflow and stores nothing;
 # TestWraparoundLargeOperation: one that does not fit before the journal's
-# end wraps first and recovers at every fence), and the one crash-image builder
-# (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds),
+# end wraps first and recovers at every fence), the one crash-state builder
+# (TestRecording: Cut's ends, Crashes' subsets and draws, Torn's bounds)
+# and the one device copy every crash state is (TestSnapshotIsADevice: a
+# snapshot reads as its source from dirty pooled chunks, shares no bytes,
+# poison or observer with it, and Restore drops the chunks the source
+# does not back),
 # fed by the device's one observer (TestTraceEpochs, TestObserverContract:
 # which calls reach it; TestRecordRefusesAttachedObserver: Record never
 # detaches a replicator; TestRecordConcurrentStores: two storing, fencing
 # goroutines inside one Record, each store once, epochs never falling).
 fault-campaign:
-	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestRecording|TestTraceEpochs|TestObserverContract|TestRecordRefusesAttachedObserver|TestRecordConcurrentStores|TestApplyEveryKind|TestChurnConsistency' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/ ./internal/fstest/
+	$(GO) test -v -run 'TestFaultCampaign|TestRepair|TestDegraded|TestPoisoned|TestWraparound|TestTorn|TestTierCrash|TestRelocateCrash|TestImageVerdictsAgree|TestImageFuzzVerdictsAgree|TestSeq|TestStateSeesData|TestRemountEquivalence|TestOnePass|TestFailedWrite|TestTxOverflow|TestRecording|TestSnapshotIsADevice|TestTraceEpochs|TestObserverContract|TestRecordRefusesAttachedObserver|TestRecordConcurrentStores|TestApplyEveryKind|TestChurnConsistency' ./internal/crashmonkey/ ./internal/winefs/ ./internal/pmem/ ./internal/pagecache/ ./internal/fstest/
+
+# The four crash verdicts of the paper's §5.2 evidence in one pass, with
+# -count=1 so none comes from the test cache: the ACE Seq1 and Seq2 crash
+# explorations, the 1000-run media-fault campaign and the 1000-run cluster
+# campaign. It prints each test's summary lines and its wall time ("---
+# PASS: TestSeq1 (1.25s)"); a change to crash states or to how they are
+# built reports these before and after.
+crash-verdicts:
+	@out=$$($(GO) test -v -count=1 -run '^(TestSeq1|TestSeq2|TestFaultCampaign|TestClusterCampaign)$$' ./internal/crashmonkey/ 2>&1); st=$$?; \
+		printf '%s\n' "$$out" | grep -v '^=== '; exit $$st
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent

@@ -44,16 +44,16 @@ func main() {
 
 	// Crash state: every store of the completed epochs persisted, and each
 	// cache line the final epoch stored persisted by coin flip.
-	dev.Restore(rec.Torn(last, 0.5, sim.NewRand(1)))
+	crash := rec.Torn(last, 0.5, sim.NewRand(1))
 	fmt.Printf("crash state: the epochs before %d durable, epoch %d torn at cache-line granularity\n", last, last)
 
 	// Recover: mount rolls back the in-flight transaction.
 	rctx := repro.NewThread(2, 0)
-	rfs, err := repro.MountWineFS(rctx, dev, repro.WineFSOptions{CPUs: 2})
+	rfs, err := repro.MountWineFS(rctx, crash, repro.WineFSOptions{CPUs: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep := repro.CheckWineFS(dev); !rep.OK() {
+	if rep := repro.CheckWineFS(crash); !rep.OK() {
 		log.Fatalf("fsck failed after recovery: %v", rep.Errors)
 	}
 	_, errOld := rfs.Stat(rctx, "/inbox/draft")

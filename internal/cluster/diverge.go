@@ -125,11 +125,10 @@ func missing(a, b []string) []string {
 	return out
 }
 
-// mountClone mounts a snapshot copy of dev so recovery cannot disturb the
-// original image. The caller releases the copy, mounted or not.
+// mountClone mounts a snapshot of dev so recovery cannot disturb the
+// original image. The caller releases the snapshot, mounted or not.
 func mountClone(ctx *sim.Ctx, dev *pmem.Device, opts winefs.Options) (*winefs.FS, *pmem.Device, error) {
-	clone := pmem.New(dev.Size())
-	clone.Restore(dev.Snapshot())
+	clone := dev.Snapshot()
 	fs, err := winefs.Mount(ctx, clone, opts)
 	return fs, clone, err
 }
@@ -179,7 +178,10 @@ func Converge(ctx *sim.Ctx, primary, replica *pmem.Device, opts winefs.Options) 
 		return rep
 	}
 
-	replica.Restore(primary.Snapshot())
+	// Restore locks replica before primary, the reverse of the
+	// CompareDevices above. That is safe because the replica is a dead
+	// node that has left the cluster: no other goroutine compares it.
+	replica.Restore(primary)
 	rep.Outcome = ConvergedResync
 	rep.Log = append(rep.Log, "resynced replica from primary image")
 	return rep

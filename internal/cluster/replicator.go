@@ -697,13 +697,14 @@ func (r *Replicator) rewind(l *link, to uint64) {
 func (r *Replicator) resync(l *link, conn fileserver.Conn) (err error) {
 	r.mu.Lock()
 	snapSeq := r.next - 1
-	img := r.dev.Snapshot()
+	snap := r.dev.Snapshot()
 	l.needResync = false
 	l.resyncing = true
 	l.resyncs++
 	r.stats.Resyncs++
 	r.mu.Unlock()
 	defer func() {
+		snap.Release()
 		r.mu.Lock()
 		l.resyncing = false
 		if err != nil {
@@ -715,7 +716,7 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) (err error) {
 	r.cfg.Logf("replicator: resyncing %s at seq %d", l.name, snapSeq)
 
 	var e fileserver.Enc
-	e.I64(img.Size())
+	e.I64(snap.Size())
 	if err := r.sendFrame(conn, snapSeq, repResyncBegin, e.B); err != nil {
 		return err
 	}
@@ -723,7 +724,6 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) (err error) {
 		return err
 	}
 	var batch []byte
-	var batchErr error
 	nrec := 0
 	flush := func() error {
 		if len(batch) == 0 {
@@ -739,19 +739,16 @@ func (r *Replicator) resync(l *link, conn fileserver.Conn) (err error) {
 		batch, nrec = batch[:0], 0
 		return r.consumeAck(l, conn)
 	}
-	img.ForEachChunk(func(off int64, data []byte) {
-		if batchErr != nil {
-			return
-		}
+	if err := snap.ForEachChunk(func(off int64, data []byte) error {
 		rec := Record{Type: RecStore, Off: off, N: int64(len(data)), Data: data}
 		batch = AppendRecord(batch, &rec)
 		nrec++
 		if nrec >= batchRecords || len(batch) >= batchBytes {
-			batchErr = flush()
+			return flush()
 		}
-	})
-	if batchErr != nil {
-		return batchErr
+		return nil
+	}); err != nil {
+		return err
 	}
 	if err := flush(); err != nil {
 		return err

@@ -138,9 +138,10 @@ func Run(w Workload, cfg Config) Result {
 		if opErr != nil {
 			// The op legitimately failed (e.g. unlink of missing file):
 			// nothing in flight to explore.
+			rec.Base.Release()
 			continue
 		}
-		rec.Crashes(cfg.MaxSubsets, rng, func(img *pmem.Image, e int, mask uint64) bool {
+		rec.Crashes(cfg.MaxSubsets, rng, func(crash *pmem.Device, e int, mask uint64) bool {
 			res.CrashStates++
 			pre, inflight, returned := before, o, ""
 			if e > rec.Last() {
@@ -150,11 +151,12 @@ func Run(w Workload, cfg Config) Result {
 				// filled is "before".
 				pre, inflight, returned = after, fstest.Op{}, ", returned"
 			}
-			if msg := checkCrashState(img, w.Mode, pre, after, inflight, e, mask); msg != "" {
+			if msg := checkCrashState(crash, w.Mode, pre, after, inflight, e, mask); msg != "" {
 				res.Failures = append(res.Failures, fmt.Sprintf("op %d (%s)%s: %s", k, o, returned, msg))
 			}
 			return len(res.Failures) <= 20
 		})
+		rec.Base.Release()
 		if len(res.Failures) > 20 {
 			return res
 		}
@@ -162,17 +164,16 @@ func Run(w Workload, cfg Config) Result {
 	return res
 }
 
-// checkCrashState recovers one crash image and validates it.
-func checkCrashState(img *pmem.Image, mode vfs.ConsistencyMode, before, after string, o fstest.Op, epoch int, mask uint64) string {
-	scratch := pmem.New(deviceSize)
-	defer scratch.Release()
-	scratch.Restore(img)
+// checkCrashState mounts one crash state, validates the recovery and
+// releases the device.
+func checkCrashState(crash *pmem.Device, mode vfs.ConsistencyMode, before, after string, o fstest.Op, epoch int, mask uint64) string {
+	defer crash.Release()
 	rctx := sim.NewCtx(2, 0)
-	rfs, err := winefs.Mount(rctx, scratch, winefs.Options{CPUs: cpus, InodesPerCPU: 512, Mode: mode})
+	rfs, err := winefs.Mount(rctx, crash, winefs.Options{CPUs: cpus, InodesPerCPU: 512, Mode: mode})
 	if err != nil {
 		return fmt.Sprintf("epoch %d mask %x: mount failed: %v", epoch, mask, err)
 	}
-	if rep := winefs.Check(scratch); !rep.OK() {
+	if rep := winefs.Check(crash); !rep.OK() {
 		return fmt.Sprintf("epoch %d mask %x: fsck: %s", epoch, mask, rep.Errors[0])
 	}
 	got := vfs.State(rctx, rfs)

@@ -215,11 +215,19 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	// recordings and the before/after oracle states.
 	type crashUnit struct {
 		rec       *pmem.Recording
-		slowAfter *pmem.Image // slow-tier contents after the unit; nil untiered
+		slowAfter *pmem.Device // slow-tier contents after the unit; nil untiered
 		pre, post string
 		op        fstest.Op // the zero Op for a migration pass
 	}
 	var units []crashUnit
+	defer func() {
+		for _, u := range units {
+			u.rec.Base.Release()
+			if u.slowAfter != nil {
+				u.slowAfter.Release()
+			}
+		}
+	}()
 	prev := vfs.State(ctx, fs)
 	record := func(o fstest.Op, f func() error) {
 		rec, err := dev.Record(f)
@@ -230,6 +238,8 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 				u.slowAfter = slow.Snapshot()
 			}
 			units = append(units, u)
+		} else {
+			rec.Base.Release()
 		}
 		prev = cur
 	}
@@ -261,40 +271,34 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 		return ""
 	}
 
-	var img *pmem.Image
-	var slowImg *pmem.Image
-	var injured []pmem.Store // stores whose lines are poison candidates
-	var pre, post string     // the atomicity oracle: the states around inflight
+	var crash *pmem.Device     // the crash state the recovery mounts
+	var slowAfter *pmem.Device // the slow tier's contents at the crash; nil when live
+	var injured []pmem.Store   // stores whose lines are poison candidates
+	var pre, post string       // the atomicity oracle: the states around inflight
 	var inflight fstest.Op
 	switch mode {
 	case ModeTorn, ModePoisonCrash:
 		u := units[rng.Intn(len(units))]
 		e := rng.Intn(u.rec.Last() + 1)
 		injured = u.rec.Epoch(e)
-		img = u.rec.Torn(e, 0.2+0.6*rng.Float64(), rng)
-		slowImg = u.slowAfter
+		crash = u.rec.Torn(e, 0.2+0.6*rng.Float64(), rng)
+		slowAfter = u.slowAfter
 		pre, post, inflight = u.pre, u.post, u.op
 	case ModePoisonLive:
 		if err := fs.Unmount(ctx); err != nil {
 			return fmt.Sprintf("unmount: %v", err)
 		}
-		img = dev.Snapshot()
+		crash = dev.Snapshot()
 		for i := range units {
 			injured = append(injured, units[i].rec.Stores...)
 		}
-		if slow != nil {
-			slowImg = slow.Snapshot()
-		}
 		pre, post = prev, prev
 	}
-
-	scratch := pmem.New(deviceSize)
-	defer scratch.Release()
-	scratch.Restore(img)
-	if slowImg != nil {
+	defer crash.Release()
+	if slowAfter != nil {
 		// Rewind the slow tier to the crash unit's durable state; the live
 		// fs is abandoned past this point, so restoring in place is safe.
-		slow.Restore(slowImg)
+		slow.Restore(slowAfter)
 	}
 	if mode == ModePoisonCrash || mode == ModePoisonLive {
 		// Pick poison targets byte-weighted across everything the workload
@@ -311,7 +315,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 			for _, s := range injured {
 				if r < int64(len(s.Data)) {
 					off := s.Off + r
-					scratch.Poison(off/pmem.CacheLine*pmem.CacheLine, 1)
+					crash.Poison(off/pmem.CacheLine*pmem.CacheLine, 1)
 					break
 				}
 				r -= int64(len(s.Data))
@@ -321,14 +325,14 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 
 	// Recover and classify.
 	rctx := sim.NewCtx(2, 0)
-	rfs, err := winefs.Mount(rctx, scratch, opts)
+	rfs, err := winefs.Mount(rctx, crash, opts)
 	if err != nil {
 		// Rung 2: the mount itself must fail with a clean EIO, nothing else.
 		if !errors.Is(err, vfs.ErrIO) {
 			return fmt.Sprintf("mount failed with non-EIO error: %v", err)
 		}
 		res.EIOMounts++
-		return repairAndRemount(scratch, opts, slowBlocks, res)
+		return repairAndRemount(crash, opts, slowBlocks, res)
 	}
 	if reason, degraded := rfs.Degraded(); degraded {
 		// Rung 3: read-only fallback. Reads must keep working (no panic;
@@ -344,14 +348,14 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 			return fmt.Sprintf("degraded (%s): create returned %v, want ErrReadOnly", reason, err)
 		}
 		res.Degraded++
-		return repairAndRemount(scratch, opts, slowBlocks, res)
+		return repairAndRemount(crash, opts, slowBlocks, res)
 	}
 	// Rung 1: transparent recovery. The namespace must match the atomicity
 	// oracle and the image must pass fsck.
 	if got := vfs.State(rctx, rfs); !crashAtomic(got, pre, post, inflight, w.Mode) {
 		return fmt.Sprintf("atomicity violated:\n got: %q\n pre: %q\npost: %q", got, pre, post)
 	}
-	if rep := winefs.CheckTiered(scratch, slowBlocks); !rep.OK() {
+	if rep := winefs.CheckTiered(crash, slowBlocks); !rep.OK() {
 		return fmt.Sprintf("clean mount but fsck: %s", rep.Errors[0])
 	}
 	// A transparent recovery must also rebuild the allocator exactly: the

@@ -89,7 +89,8 @@ func TestRepairPoisonedJournalTail(t *testing.T) {
 
 	// Crash image: cut at the operation's last fence, then poison the
 	// journal lines the in-flight transaction wrote (the "journal tail").
-	img := rec.Cut(rec.Last())
+	scratch := rec.Cut(rec.Last())
+	defer scratch.Release()
 	jlo, jhi := winefs.JournalRegion(dev, 0)
 	var tail []pmem.Store
 	for _, s := range rec.Stores {
@@ -100,8 +101,6 @@ func TestRepairPoisonedJournalTail(t *testing.T) {
 	if len(tail) == 0 {
 		t.Fatal("create transaction wrote nothing to the journal")
 	}
-	scratch := pmem.New(64 << 20)
-	scratch.Restore(img)
 	for _, s := range tail {
 		scratch.Poison(s.Off, int64(len(s.Data)))
 	}

@@ -188,8 +188,7 @@ func TestConformanceNamespace(t *testing.T) {
 				t.Fatalf("fsck: %v", rep.Errors)
 			}
 			// Repair of media no fault touched has nothing to fix.
-			img := pmem.New(w.Device().Size())
-			img.Restore(w.Device().Snapshot())
+			img := w.Device().Snapshot()
 			if rep, err := winefs.Repair(img); err != nil || rep.NlinksFixed != 0 || !rep.Clean {
 				t.Fatalf("repair of a sound image: %+v, %v", rep, err)
 			}

@@ -16,13 +16,16 @@
 //     fence epochs, and every crash-consistency test builds its crash
 //     states — real in-flight reorderings — from one; internal/cluster's
 //     replicator observes a primary's stores to stream them to replicas.
+//   - one representation of device bytes: a Snapshot is itself a Device,
+//     built from pooled chunks with only the initialised pages copied, so
+//     a crash state, a replica's resync image and a cloned mount are each
+//     one copy, which the holder Releases.
 package pmem
 
 import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -744,42 +747,39 @@ func (d *Device) Fence(ctx *sim.Ctx) {
 	}
 }
 
-// Snapshot captures the device's current contents. Intended for the small
-// devices used in crash tests.
-func (d *Device) Snapshot() *Image {
-	d.snapMu.Lock()
-	defer d.snapMu.Unlock()
-	img := &Image{size: d.size, chunks: make(map[int64][]byte, d.nBacked.Load())}
-	for i := range d.chunks {
-		if c := d.chunks[i].Load(); c != nil {
-			cp := make([]byte, ChunkSize)
-			// make returned zeroed memory; only initialized pages hold
-			// content (snapMu is held exclusively, so the bitmap is
-			// stable).
-			for w := int64(0); w < wordsPerChunk; w++ {
-				set := d.initPages[int64(i)*wordsPerChunk+w].Load()
-				for ; set != 0; set &= set - 1 {
-					ps := (w<<6 + int64(bits.TrailingZeros64(set&-set))) << initPageShift
-					copy(cp[ps:ps+initPage], c[ps:ps+initPage])
-				}
-			}
-			img.chunks[int64(i)*ChunkSize] = cp
-		}
-	}
-	return img
+// Snapshot returns a copy of the device: a new device of the same size,
+// nodes, CPUs and cost model, with fresh ports, no observer and no poison.
+// It is taken under the snapshot gate, so it is one point-in-time image
+// even while other goroutines store. Its chunks come from the host chunk
+// pool and only initialised pages are copied, with the init bitmap; the
+// caller Releases the copy when it is done.
+func (d *Device) Snapshot() *Device {
+	cp := NewWithConfig(Config{Size: d.size, Nodes: d.nodes, CPUs: d.cpus, Model: &d.model})
+	cp.Restore(d)
+	return cp
 }
 
-// Restore overwrites the device's contents from a snapshot.
-func (d *Device) Restore(img *Image) {
-	if img.size != d.size {
-		panic("pmem: restoring snapshot of different size")
+// Restore overwrites the device's contents with src's: a chunk src does
+// not back is dropped, and of one it does only the initialised pages are
+// copied, with the init bitmap. Poison, observer and ports stay the
+// receiver's, and the observer sees nothing: a restore is not a store.
+// Both snapshot gates are held exclusively, the receiver's first. That is
+// the reverse of src.Diffs(d), so the caller must not run the two on the
+// same pair concurrently.
+func (d *Device) Restore(src *Device) {
+	if src.size != d.size {
+		panic("pmem: restoring a device of different size")
+	}
+	if d == src {
+		return
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
+	src.snapMu.Lock()
+	defer src.snapMu.Unlock()
 	for i := range d.chunks {
-		base := int64(i) * ChunkSize
-		src, ok := img.chunks[base]
-		if !ok {
+		sc := src.chunks[i].Load()
+		if sc == nil {
 			d.dropChunk(int64(i))
 			continue
 		}
@@ -787,60 +787,38 @@ func (d *Device) Restore(img *Image) {
 		if c == nil {
 			c = d.allocChunk(int64(i))
 		}
-		// The full-chunk copy initializes everything.
-		copy(c[:], src)
-		for w := 0; w < wordsPerChunk; w++ {
-			d.initPages[i*wordsPerChunk+w].Store(^uint64(0))
+		for w := i * wordsPerChunk; w < (i+1)*wordsPerChunk; w++ {
+			set := src.initPages[w].Load()
+			for rest := set; rest != 0; rest &= rest - 1 {
+				ps := int64((w%wordsPerChunk)<<6+bits.TrailingZeros64(rest)) << initPageShift
+				copy(c[ps:ps+initPage], sc[ps:ps+initPage])
+			}
+			d.initPages[w].Store(set)
 		}
 	}
 }
 
-// Image is a point-in-time copy of device contents.
-type Image struct {
-	size   int64
-	chunks map[int64][]byte
-}
-
-// Apply replays the given stores onto the image in order.
-func (img *Image) Apply(stores []Store) {
-	for _, s := range stores {
-		rest := s.Data
-		pos := s.Off
-		for len(rest) > 0 {
-			base := pos / ChunkSize * ChunkSize
-			in := pos - base
-			n := int64(len(rest))
-			if in+n > ChunkSize {
-				n = ChunkSize - in
-			}
-			c := img.chunks[base]
-			if c == nil {
-				c = make([]byte, ChunkSize)
-				img.chunks[base] = c
-			}
-			copy(c[in:in+n], rest[:n])
-			rest = rest[n:]
-			pos += n
+// ForEachChunk calls f with each backed chunk in ascending offset order,
+// materialised, so data is exactly the device's contents there; unbacked
+// chunks read as zero and are skipped. It stops at the first error f
+// returns and returns it. The snapshot gate is held exclusively
+// throughout, so f sees one point-in-time image and must not touch the
+// device; data is the device's own backing store, valid only during the
+// call.
+func (d *Device) ForEachChunk(f func(off int64, data []byte) error) error {
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
+	for i := range d.chunks {
+		c := d.chunks[i].Load()
+		if c == nil {
+			continue
+		}
+		d.materialize(int64(i), c)
+		if err := f(int64(i)*ChunkSize, c[:]); err != nil {
+			return err
 		}
 	}
-}
-
-// Size returns the imaged device's capacity in bytes.
-func (img *Image) Size() int64 { return img.size }
-
-// ForEachChunk visits every backed chunk in ascending offset order. Unbacked
-// regions (which read as zero) are skipped — a consumer reconstructing the
-// image should start from a zeroed device. The data slice is the image's own
-// backing store; callers must not retain or mutate it.
-func (img *Image) ForEachChunk(f func(off int64, data []byte)) {
-	offs := make([]int64, 0, len(img.chunks))
-	for base := range img.chunks {
-		offs = append(offs, base)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	for _, base := range offs {
-		f(base, img.chunks[base])
-	}
+	return nil
 }
 
 // Diffs compares d with other in place, chunk by chunk in ascending offset
@@ -891,15 +869,4 @@ func (d *Device) chunkBytes(i int64) []byte {
 	}
 	d.materialize(i, c)
 	return c[:]
-}
-
-// Clone returns a deep copy of the image.
-func (img *Image) Clone() *Image {
-	cp := &Image{size: img.size, chunks: make(map[int64][]byte, len(img.chunks))}
-	for base, c := range img.chunks {
-		b := make([]byte, ChunkSize)
-		copy(b, c)
-		cp.chunks[base] = b
-	}
-	return cp
 }

@@ -60,7 +60,7 @@ func TestDeviceDiffs(t *testing.T) {
 		t.Fatalf("a device differs from itself at %d (+%d)", off, n)
 		return false
 	})
-	if !sameImage(before, a.Snapshot()) {
+	if !sameDevice(before, a.Snapshot()) {
 		t.Fatal("the compare changed a device's contents")
 	}
 }
@@ -207,8 +207,8 @@ func TestSnapshotRestoreApply(t *testing.T) {
 	img := rec.Base
 
 	// Build a crash state with only the first store applied.
-	crash := img.Clone()
-	crash.Apply(rec.Stores[:1])
+	crash := img.Snapshot()
+	crash.apply(rec.Stores[:1])
 	d.Restore(crash)
 
 	got := make([]byte, 4)
@@ -225,6 +225,100 @@ func TestSnapshotRestoreApply(t *testing.T) {
 	d.ReadAt(got, 0)
 	if string(got) != "base" {
 		t.Fatalf("snapshot restore: %q", got)
+	}
+}
+
+// TestSnapshotIsADevice: a snapshot is a device of its own, shaped like its
+// source, that reads back as the source did even where the pool handed it
+// dirty chunks; it shares no bytes, poison or observer with the source;
+// and Restore makes one device read as another, dropping the chunks the
+// source does not back.
+func TestSnapshotIsADevice(t *testing.T) {
+	// Hand the pool chunks full of garbage, so the devices below are
+	// built from dirty chunks.
+	junk := New(16 << 20)
+	for off := int64(0); off < junk.Size(); off += ChunkSize {
+		junk.WriteAt(bytes.Repeat([]byte{0xEE}, ChunkSize), off)
+	}
+	junk.Release()
+
+	model := DefaultModel()
+	model.ReadLat64 *= 3
+	src := NewWithConfig(Config{Size: 16 << 20, Nodes: 2, CPUs: 4, Model: &model})
+	src.WriteAt([]byte("partial"), 3*ChunkSize+100) // one partly written page
+	src.WriteAt(bytes.Repeat([]byte{7}, 3*initPage), 5*ChunkSize)
+	src.Poison(5*ChunkSize, 1)
+	obs := &logObserver{}
+	src.SetObserver(obs)
+
+	snap := src.Snapshot()
+	defer snap.Release()
+	if snap.Size() != src.Size() || snap.Nodes() != 2 || snap.NodeOfCPU(3) != 1 || *snap.Model() != model {
+		t.Fatalf("snapshot shaped %d bytes, %d nodes, CPU 3 on node %d; want its source's", snap.Size(), snap.Nodes(), snap.NodeOfCPU(3))
+	}
+	if snap.HostBytes() != src.HostBytes() {
+		t.Fatalf("snapshot backs %d bytes, its source %d", snap.HostBytes(), src.HostBytes())
+	}
+	for w := range src.initPages {
+		if got, want := snap.initPages[w].Load(), src.initPages[w].Load(); got != want {
+			t.Fatalf("init bitmap word %d = %x, want the source's %x", w, got, want)
+		}
+	}
+	page, want := make([]byte, initPage), make([]byte, initPage)
+	copy(want[100:], "partial")
+	snap.ReadAt(page, 3*ChunkSize)
+	if !bytes.Equal(page, want) {
+		t.Fatal("the snapshot's partly written page does not read as written and zeros")
+	}
+	if !sameDevice(src, snap) {
+		t.Fatal("the snapshot differs from its source")
+	}
+	if snap.observer() != nil || snap.PoisonedLines(0, snap.Size()) != nil {
+		t.Fatal("the snapshot took over its source's observer or poison")
+	}
+	if err := snap.ReadAtChecked(page[:8], 5*ChunkSize); err != nil {
+		t.Fatalf("a line poisoned on the source fails on the snapshot: %v", err)
+	}
+
+	// A store to either side stays on that side; only the source's
+	// reaches the observer.
+	src.WriteAt([]byte("SRC"), 3*ChunkSize+100)
+	snap.WriteAt([]byte("SNAP"), 5*ChunkSize+8)
+	snap.WriteAt([]byte("new chunk"), 6*ChunkSize)
+	for _, c := range []struct {
+		dev  *Device
+		off  int64
+		want string
+	}{
+		{src, 3*ChunkSize + 100, "SRCtial"},
+		{snap, 3*ChunkSize + 100, "partial"},
+		{src, 5*ChunkSize + 8, "\x07\x07\x07\x07"},
+		{snap, 5*ChunkSize + 8, "SNAP"},
+		{src, 6 * ChunkSize, "\x00\x00\x00\x00"},
+	} {
+		got := make([]byte, len(c.want))
+		c.dev.ReadAt(got, c.off)
+		if string(got) != c.want {
+			t.Errorf("%q at %d, want %q", got, c.off, c.want)
+		}
+	}
+	if len(obs.log) != 1 {
+		t.Fatalf("observer saw %q, want the source's one store", obs.log)
+	}
+
+	// Restore from a device backing fewer chunks drops the extra ones.
+	dst := New(16 << 20)
+	defer dst.Release()
+	dst.WriteAt(bytes.Repeat([]byte{9}, 100), 0)
+	dst.WriteAt([]byte{9}, 7*ChunkSize+5)
+	dst.WriteAt([]byte{9}, 3*ChunkSize+50)
+	dst.Restore(src)
+	if dst.HostBytes() != src.HostBytes() || !sameDevice(dst, src) {
+		t.Fatalf("restored device backs %d bytes or differs from its source (%d bytes)", dst.HostBytes(), src.HostBytes())
+	}
+	dst.Restore(dst)
+	if !sameDevice(dst, src) {
+		t.Fatal("restoring a device from itself changed it")
 	}
 }
 

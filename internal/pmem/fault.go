@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -117,7 +118,9 @@ func (d *Device) ClearPoison(off, n int64) {
 }
 
 // PoisonedLines returns the start addresses of poisoned lines intersecting
-// [off, off+n), in ascending order.
+// [off, off+n), in ascending order. It walks the poison map, so a
+// whole-device query costs the number of poisoned lines, not the number
+// of lines in the range.
 func (d *Device) PoisonedLines(off, n int64) []int64 {
 	if d.fault == nil {
 		return nil
@@ -126,11 +129,13 @@ func (d *Device) PoisonedLines(off, n int64) []int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []int64
-	for line := off / CacheLine * CacheLine; line < off+n; line += CacheLine {
-		if _, ok := f.poison[line]; ok {
+	first := off / CacheLine * CacheLine
+	for line := range f.poison {
+		if line >= first && line < off+n {
 			out = append(out, line)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -82,6 +83,29 @@ func TestClearPoisonAndPoisonedLines(t *testing.T) {
 	lines := d.PoisonedLines(0, 256)
 	if len(lines) != 3 || lines[0] != 0 || lines[1] != 128 {
 		t.Fatalf("after ClearPoison: %v", lines)
+	}
+
+	// Poison outside a queried range stays out of it, for the whole device
+	// and for short ranges whose ends fall inside a line.
+	d.Poison(d.Size()-1, 1)
+	d.Poison(4096+10, 1)
+	end := d.Size() - CacheLine
+	for _, q := range []struct {
+		off, n int64
+		want   []int64
+	}{
+		{0, d.Size(), []int64{0, 128, 192, 4096, end}},
+		{100, 3900, []int64{128, 192}},
+		{100, 3997, []int64{128, 192, 4096}},
+		{4160, end - 4160, nil},
+		{256, 3840, nil},
+		{0, 256, []int64{0, 128, 192}},
+		{4097, 1, []int64{4096}},
+		{64, 64, nil},
+	} {
+		if got := d.PoisonedLines(q.off, q.n); fmt.Sprint(got) != fmt.Sprint(q.want) {
+			t.Errorf("PoisonedLines(%d, %d) = %v, want %v", q.off, q.n, got, q.want)
+		}
 	}
 }
 

@@ -32,24 +32,16 @@ func (d *Device) Save(path string) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	d.snapMu.Lock()
-	defer d.snapMu.Unlock()
-	for i := range d.chunks {
-		c := d.chunks[i].Load()
-		if c == nil {
-			continue
-		}
-		// Materialize the logical zeros of uninitialized pages so the
-		// raw chunk bytes written below are exactly the device contents.
-		d.materialize(int64(i), c)
+	if err := d.ForEachChunk(func(off int64, data []byte) error {
 		var bb [8]byte
-		binary.LittleEndian.PutUint64(bb[:], uint64(int64(i)*ChunkSize))
+		binary.LittleEndian.PutUint64(bb[:], uint64(off))
 		if _, err := w.Write(bb[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(c[:]); err != nil {
-			return err
-		}
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		return err
 	}
 	return w.Flush()
 }

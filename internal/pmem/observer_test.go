@@ -151,7 +151,7 @@ func TestRecordConcurrentStores(t *testing.T) {
 	if want := 2 * (perG / 5); rec.Last() > want {
 		t.Fatalf("last epoch %d exceeds the %d fences issued", rec.Last(), want)
 	}
-	if !sameImage(rec.Cut(rec.Last()+1), d.Snapshot()) {
+	if !sameDevice(rec.Cut(rec.Last()+1), d.Snapshot()) {
 		t.Fatal("Cut(Last()+1) is not the device after the operation")
 	}
 }

@@ -7,13 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Recording is one operation as a crash test sees it: the device image
-// before the operation and every store the operation issued, in order, each
-// tagged with its fence epoch. Every crash state of the operation is built
-// from it: a cut at a fence (Cut), ACE's subsets of one epoch's in-flight
-// stores (Crashes), or one epoch torn at cache-line granularity (Torn).
+// Recording is one operation as a crash test sees it: a snapshot of the
+// device before the operation and every store the operation issued, in
+// order, each tagged with its fence epoch. Every crash state of the
+// operation is built from it as a device of its own, one Snapshot of Base
+// plus the stores that persisted: a cut at a fence (Cut), ACE's subsets of
+// one epoch's in-flight stores (Crashes), or one epoch torn at cache-line
+// granularity (Torn). The caller owns each state, and Base, and Releases
+// them when done.
 type Recording struct {
-	Base   *Image
+	Base   *Device
 	Stores []Store
 }
 
@@ -110,20 +113,20 @@ func (r *Recording) first(e int) int {
 }
 
 // Cut is what a crash at the fence that opens epoch e leaves: the base
-// image plus every store of the epochs before e. Cut(0) is the base.
-func (r *Recording) Cut(e int) *Image {
-	img := r.Base.Clone()
-	img.Apply(r.Stores[:r.first(e)])
-	return img
+// plus every store of the epochs before e. Cut(0) is a copy of the base.
+func (r *Recording) Cut(e int) *Device {
+	dev := r.Base.Snapshot()
+	dev.apply(r.Stores[:r.first(e)])
+	return dev
 }
 
 // Torn is Cut(e) plus epoch e's stores torn at cache-line granularity:
 // each of their cache lines persists with probability keep, drawn from rng
 // in store order. Torn(e, 0, rng) is Cut(e) and Torn(e, 1, rng) is Cut(e+1).
-func (r *Recording) Torn(e int, keep float64, rng *sim.Rand) *Image {
-	img := r.Cut(e)
-	img.Apply(tearLines(r.Epoch(e), keep, rng))
-	return img
+func (r *Recording) Torn(e int, keep float64, rng *sim.Rand) *Device {
+	dev := r.Cut(e)
+	dev.apply(tearLines(r.Epoch(e), keep, rng))
+	return dev
 }
 
 // Crashes calls fn with every crash state ACE explores (§5.2). For each
@@ -131,10 +134,10 @@ func (r *Recording) Torn(e int, keep float64, rng *sim.Rand) *Image {
 // in-flight stores, bit i of mask standing for the i-th: all 2ⁿ subsets
 // when n ≤ 16 and 2ⁿ ≤ maxSubsets; otherwise none, all, and maxSubsets-2
 // masks drawn from rng. Last it yields the device after the operation as
-// epoch Last()+1, mask 0. fn owns each image it is given; when it returns
-// false no further states are built.
-func (r *Recording) Crashes(maxSubsets int, rng *sim.Rand, fn func(img *Image, epoch int, mask uint64) bool) {
-	last, cut := r.Last(), r.Base.Clone()
+// epoch Last()+1, mask 0. fn owns each device it is given; when it
+// returns false no further states are built.
+func (r *Recording) Crashes(maxSubsets int, rng *sim.Rand, fn func(dev *Device, epoch int, mask uint64) bool) {
+	last, cut := r.Last(), r.Base.Snapshot()
 	for e := 0; e <= last; e++ {
 		inflight := r.Epoch(e)
 		n := uint(len(inflight))
@@ -153,19 +156,29 @@ func (r *Recording) Crashes(maxSubsets int, rng *sim.Rand, fn func(img *Image, e
 			case k > 1:
 				mask = rng.Uint64() & (1<<n - 1)
 			}
-			img := cut.Clone()
+			dev := cut.Snapshot()
 			for i := range inflight {
 				if mask&(1<<uint(i)) != 0 {
-					img.Apply(inflight[i : i+1])
+					dev.apply(inflight[i : i+1])
 				}
 			}
-			if !fn(img, e, mask) {
+			if !fn(dev, e, mask) {
+				cut.Release()
 				return
 			}
 		}
-		cut.Apply(inflight)
+		cut.apply(inflight)
 	}
 	fn(cut, last+1, 0)
+}
+
+// apply replays stores onto the device in order as raw bytes, with no
+// observer or poison bookkeeping: it builds a crash state on a device no
+// one else holds.
+func (d *Device) apply(stores []Store) {
+	for _, s := range stores {
+		d.writeRaw(s.Data, s.Off)
+	}
 }
 
 // tearLines returns the pieces of stores that persist when each of their

@@ -7,20 +7,24 @@ import (
 	"repro/internal/sim"
 )
 
-// sameImage reports whether two images hold the same bytes.
-func sameImage(a, b *Image) bool {
-	da, db := New(a.Size()), New(b.Size())
-	da.Restore(a)
-	db.Restore(b)
+// sameDevice reports whether two devices hold the same bytes.
+func sameDevice(a, b *Device) bool {
 	same := true
-	da.Diffs(db, func(int64, int64) bool { same = false; return false })
+	a.Diffs(b, func(int64, int64) bool { same = false; return false })
 	return same
+}
+
+// head returns the first n bytes of dev.
+func head(dev *Device, n int) []byte {
+	b := make([]byte, n)
+	dev.ReadAt(b, 0)
+	return b
 }
 
 // record runs an operation of the given epoch sizes on a device with some
 // bytes already on it: epoch e issues sizes[e] one-byte stores, to fresh
 // addresses, one of them in a chunk nothing else backs.
-func record(t *testing.T, sizes ...int) (d *Device, before *Image, rec *Recording) {
+func record(t *testing.T, sizes ...int) (d *Device, before *Device, rec *Recording) {
 	t.Helper()
 	d = New(16 << 20)
 	d.WriteAt([]byte("base"), 0)
@@ -72,18 +76,18 @@ func TestRecording(t *testing.T) {
 	if rec.Last() != 2 || len(rec.Epoch(1)) != 0 || len(rec.Epoch(2)) != 4 {
 		t.Fatalf("last epoch %d with %d and %d stores, want 2 with 0 and 4", rec.Last(), len(rec.Epoch(1)), len(rec.Epoch(2)))
 	}
-	if !sameImage(rec.Cut(0), before) || !sameImage(rec.Base, before) {
+	if !sameDevice(rec.Cut(0), before) || !sameDevice(rec.Base, before) {
 		t.Fatal("Cut(0) is not the device before the operation")
 	}
-	if !sameImage(rec.Cut(rec.Last()+1), d.Snapshot()) {
+	if !sameDevice(rec.Cut(rec.Last()+1), d.Snapshot()) {
 		t.Fatal("Cut(Last()+1) is not the device after the operation")
 	}
 	for e := 0; e <= rec.Last(); e++ {
 		rng := sim.NewRand(uint64(e))
-		if !sameImage(rec.Torn(e, 0, rng), rec.Cut(e)) {
+		if !sameDevice(rec.Torn(e, 0, rng), rec.Cut(e)) {
 			t.Errorf("Torn(%d, 0) is not Cut(%d)", e, e)
 		}
-		if !sameImage(rec.Torn(e, 1, rng), rec.Cut(e+1)) {
+		if !sameDevice(rec.Torn(e, 1, rng), rec.Cut(e+1)) {
 			t.Errorf("Torn(%d, 1) is not Cut(%d)", e, e+1)
 		}
 	}
@@ -91,8 +95,8 @@ func TestRecording(t *testing.T) {
 	// Torn tears at cache-line granularity: each line keeps all or none of
 	// what the epoch stored in it, and at keep=0.5 both happen.
 	lines := recordLines(t)
-	old, stored := lines.Cut(0).chunks[0], lines.Cut(1).chunks[0]
-	torn := lines.Torn(0, 0.5, sim.NewRand(3)).chunks[0]
+	old, stored := head(lines.Cut(0), 4096), head(lines.Cut(1), 4096)
+	torn := head(lines.Torn(0, 0.5, sim.NewRand(3)), 4096)
 	kept := map[bool]int{}
 	for line := 0; line < 4096; line += CacheLine {
 		var olds, news int
@@ -126,19 +130,19 @@ func TestRecording(t *testing.T) {
 	// all-persisted among them, and then the device after the operation.
 	counts := map[int]int{}
 	var none, all, after int
-	rec.Crashes(16, sim.NewRand(1), func(img *Image, e int, mask uint64) bool {
+	rec.Crashes(16, sim.NewRand(1), func(img *Device, e int, mask uint64) bool {
 		counts[e]++
 		switch {
 		case e > rec.Last():
-			if mask == 0 && sameImage(img, rec.Cut(e)) {
+			if mask == 0 && sameDevice(img, rec.Cut(e)) {
 				after++
 			}
-		case mask == 0 && sameImage(img, rec.Cut(e)):
+		case mask == 0 && sameDevice(img, rec.Cut(e)):
 			none++
 			if len(rec.Epoch(e)) == 0 {
 				all++
 			}
-		case mask == 1<<len(rec.Epoch(e))-1 && sameImage(img, rec.Cut(e+1)):
+		case mask == 1<<len(rec.Epoch(e))-1 && sameDevice(img, rec.Cut(e+1)):
 			all++
 		}
 		return true
@@ -155,7 +159,7 @@ func TestRecording(t *testing.T) {
 	_, _, rec = record(t, 30)
 	draws := sim.NewRand(7)
 	var masks []uint64
-	rec.Crashes(64, sim.NewRand(7), func(img *Image, e int, mask uint64) bool {
+	rec.Crashes(64, sim.NewRand(7), func(img *Device, e int, mask uint64) bool {
 		if e == 0 {
 			masks = append(masks, mask)
 		}
@@ -170,7 +174,7 @@ func TestRecording(t *testing.T) {
 		}
 	}
 	stopped := 0
-	rec.Crashes(64, sim.NewRand(7), func(*Image, int, uint64) bool { stopped++; return false })
+	rec.Crashes(64, sim.NewRand(7), func(*Device, int, uint64) bool { stopped++; return false })
 	if stopped != 1 {
 		t.Fatalf("Crashes built %d states after fn returned false, want none", stopped-1)
 	}
@@ -180,10 +184,10 @@ func TestRecording(t *testing.T) {
 func TestTornIsDeterministic(t *testing.T) {
 	rec := recordLines(t)
 	a, b := rec.Torn(0, 0.5, sim.NewRand(42)), rec.Torn(0, 0.5, sim.NewRand(42))
-	if !sameImage(a, b) {
+	if !sameDevice(a, b) {
 		t.Fatal("Torn with the same seed built two different images")
 	}
-	if sameImage(a, rec.Cut(0)) || sameImage(a, rec.Cut(1)) {
+	if sameDevice(a, rec.Cut(0)) || sameDevice(a, rec.Cut(1)) {
 		t.Fatal("Torn(0, 0.5) kept all or none of the epoch (seed pathological?)")
 	}
 }

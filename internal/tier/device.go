@@ -98,15 +98,15 @@ func (d *SlowDevice) Config() SlowConfig { return d.cfg }
 // Release returns the backing store's chunks to the host pool.
 func (d *SlowDevice) Release() { d.store.Release() }
 
-// Snapshot captures the device contents (uncharged, host-side). Crash
-// harnesses pair it with the PM image: slow writes are durable on
-// completion, so rewinding a run to an earlier point must rewind the
-// slow store too or writes from the abandoned future would leak into
-// the recovered past.
-func (d *SlowDevice) Snapshot() *pmem.Image { return d.store.Snapshot() }
+// Snapshot copies the device contents (uncharged, host-side) into a
+// device of their own, which the caller Releases. Crash harnesses pair it
+// with the PM crash state: slow writes are durable on completion, so
+// rewinding a run to an earlier point must rewind the slow store too or
+// writes from the abandoned future would leak into the recovered past.
+func (d *SlowDevice) Snapshot() *pmem.Device { return d.store.Snapshot() }
 
 // Restore rewrites the device to an earlier Snapshot.
-func (d *SlowDevice) Restore(img *pmem.Image) { d.store.Restore(img) }
+func (d *SlowDevice) Restore(src *pmem.Device) { d.store.Restore(src) }
 
 // pageSpan returns the number of whole 4KiB pages the byte range
 // [off, off+n) touches — the unit the device charges in.

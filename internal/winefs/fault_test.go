@@ -205,8 +205,7 @@ func TestWraparoundCrashRecovery(t *testing.T) {
 			t.Fatalf("create/append never reached the wrap region: tail=%d", j.tail)
 		}
 		// Crash: remount the raw image on a fresh device.
-		scratch := pmem.New(64 << 20)
-		scratch.Restore(dev.Snapshot())
+		scratch := dev.Snapshot()
 		rctx := sim.NewCtx(2, 0)
 		rfs, err := Mount(rctx, scratch, Options{CPUs: 1, InodesPerCPU: 512})
 		if err != nil {
@@ -816,8 +815,7 @@ func TestOnePassPoisonLeavesNoTrace(t *testing.T) {
 			op, addr := row.setup(t, ctx, fs)
 			paths := []string{"/", "/f"}
 			before := statesOf(t, ctx, fs, paths...)
-			media := pmem.New(dev.Size())
-			media.Restore(dev.Snapshot())
+			media := dev.Snapshot()
 			dev.Poison(addr, 1)
 			err = op()
 			dev.ClearPoison(addr, 1)

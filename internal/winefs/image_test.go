@@ -22,7 +22,7 @@ import (
 // structures sits on the media.
 type verdictImage struct {
 	size       int64
-	pm         *pmem.Image
+	pm         *pmem.Device
 	slow       *tier.SlowDevice // nil untiered
 	slowBlocks int64
 	slowBase   int64
@@ -173,9 +173,8 @@ func (v *verdictImage) judge(t *testing.T, label string, corrupt func(dev *pmem.
 		}
 	}()
 	copyOf := func() *pmem.Device {
-		dev := pmem.New(v.size)
+		dev := v.pm.Snapshot()
 		copies = append(copies, dev)
-		dev.Restore(v.pm)
 		corrupt(dev)
 		return dev
 	}

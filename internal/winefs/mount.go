@@ -61,10 +61,12 @@ func Mount(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
 		fs.recoverJournals(ctx)
 		fs.rebuildFromScan(ctx, im, true)
 	} else {
-		// Clean path: the DRAM structures are deserialised from the
-		// unmount area. (The host still walks the inode tables to build
-		// its in-memory namespace, but the virtual-time cost charged is
-		// the cheap freelist read — matching a real clean mount.)
+		// Clean path: no journal recovery, and the allocator's free
+		// lists are deserialised from the unmount area instead of rebuilt
+		// from the extents. The inode tables and dirent blocks are still
+		// walked, and rebuildFromScan charges that scan on both paths, so
+		// a clean mount costs a crash mount's scan plus the freelist read
+		// (ROADMAP item 21).
 		fs.rebuildFromScan(ctx, im, !fs.loadFreeState(ctx))
 	}
 	// The mount is live: mark the superblock dirty so a crash triggers
@@ -349,7 +351,9 @@ func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 		g.aligned, g.holes = loaded[c].aligned, loaded[c].holes
 		g.publishLocked()
 	}
-	// Charge the freelist read (this is what makes clean mounts fast).
+	// Charge the freelist read. It comes on top of the inode and dirent
+	// scan rebuildFromScan charges on every mount: reading the free lists
+	// saves the host their rebuild, not the mount virtual time.
 	fs.dev.Read(ctx, make([]byte, min64(totalRead, 4096)), area)
 	ctx.Advance(totalRead / 64 * int64(fs.model.ReadLat64) / 8)
 	return true

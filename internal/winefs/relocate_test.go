@@ -274,7 +274,7 @@ func TestRelocateCrashSweep(t *testing.T) {
 			files := tc.setup(t, ctx, fs)
 			oldLayout := layoutOf(t, ctx, fs, files)
 
-			var slowImg *pmem.Image
+			var slowImg *pmem.Device
 			if tc.slowBefore {
 				slowImg = slow.Snapshot()
 			}
@@ -288,7 +288,7 @@ func TestRelocateCrashSweep(t *testing.T) {
 			newLayout := layoutOf(t, ctx, fs, files)
 
 			rng := sim.NewRand(1)
-			recoverAt := func(label string, img *pmem.Image) map[string][]int64 {
+			recoverAt := func(label string, img *pmem.Device) map[string][]int64 {
 				dev.Restore(img)
 				if slowImg != nil {
 					slow.Restore(slowImg)

@@ -39,8 +39,7 @@ func remountEquivalent(t *testing.T, ctx *sim.Ctx, fs *winefs.FS, dev *pmem.Devi
 			t.Fatalf("%s: audit after %s: %v", when, how, err)
 		}
 	}
-	crashed := pmem.New(dev.Size())
-	crashed.Restore(dev.Snapshot())
+	crashed := dev.Snapshot()
 	cfs, err := winefs.Mount(ctx, crashed, opts)
 	if err != nil {
 		t.Fatalf("%s: crash mount: %v", when, err)

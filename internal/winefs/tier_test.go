@@ -343,9 +343,7 @@ func TestTierRemountRebuildsSlowPool(t *testing.T) {
 	}
 
 	// Crash path first (snapshot the dirty image before the clean unmount).
-	crashImg := dev.Snapshot()
-	scratch := pmem.New(64 << 20)
-	scratch.Restore(crashImg)
+	scratch := dev.Snapshot()
 	cctx := sim.NewCtx(2, 0)
 	cfs, err := Mount(cctx, scratch, Options{CPUs: 1, InodesPerCPU: 512, Tier: &TierOptions{Slow: slow, HighWater: 0.01, LowWater: 0.005}})
 	if err != nil {
