@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix loc knobs examples
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix loc knobs examples
 
 all: build
 
@@ -81,7 +81,7 @@ bench-pair:
 	done; \
 	$(GO) run ./benchmark -compare $$out/base.jsonl $$out/change.jsonl
 
-# The seven regression gates, one table: target, winebench flags, committed
+# The eight regression gates, one table: target, winebench flags, committed
 # baseline. Each runs its bench, enforces the mode's hard gates (see the
 # top of cmd/winebench/<mode>.go), then diffs the run against the baseline
 # through internal/bench: work counters exact, contention-derived timings
@@ -102,6 +102,10 @@ bench-pair:
 #               1.5x behind 0.5x PM of never-read files keeps ≥90% of 1.5x
 #   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
 #               replicas byte-identical
+#   paper       the paper's figures, Table 2, §4 and §5.2 in quick mode
+#               (winebench -run all, ~25 s): every value exact except the
+#               multi-threaded Figure 9 Filebench/pgbench and Figure 10
+#               points, recorded as Info; CrashMonkey must find no failure
 GATE = $(GO) run ./cmd/winebench $(1) -check-against $(2)
 bench-json:       ; $(call GATE,-server -quick -clients 4,BENCH_server.json)
 bench-scaling:    ; $(call GATE,-scaling,BENCH_scaling.json)
@@ -110,9 +114,10 @@ bench-mmap:       ; $(call GATE,-mmap,BENCH_mmap.json)
 bench-defrag:     ; $(call GATE,-defrag,BENCH_defrag.json)
 bench-tier:       ; $(call GATE,-tier,BENCH_tier.json)
 bench-replicated: ; $(call GATE,-replicated -clients 8,BENCH_replicated.json)
-GATES = bench-json bench-cache bench-mmap bench-defrag bench-tier bench-replicated bench-scaling
+bench-paper:      ; $(call GATE,-quick -cpus 4 -seed 42 -run all,BENCH_paper.json)
+GATES = bench-json bench-cache bench-mmap bench-defrag bench-tier bench-replicated bench-scaling bench-paper
 
-# All seven gates, each followed by its wall time (the CI job budget as a
+# All eight gates, each followed by its wall time (the CI job budget as a
 # tracked number), then the trajectory check; every gate runs even after
 # one fails.
 bench-gates:

@@ -11,33 +11,58 @@
 package repro
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/crashmonkey"
 	"repro/internal/experiments"
 )
 
-func benchCfg() experiments.Config {
-	return experiments.Config{Quick: true, CPUs: 4, Seed: 42}.Defaults()
+// run packs one experiment in Quick mode into a fresh report.
+func run(b *testing.B, exp func(experiments.Config, *bench.Report) error) *bench.Report {
+	cfg := experiments.Config{Quick: true, CPUs: 4, Seed: 42}.Defaults()
+	rep := experiments.NewReport(cfg)
+	if err := exp(cfg, rep); err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
+// field returns name from the first point of rep whose labels include the
+// key, value pairs kv.
+func field(b *testing.B, rep *bench.Report, name string, kv ...string) float64 {
+points:
+	for _, p := range rep.Points {
+		for i := 0; i+1 < len(kv); i += 2 {
+			if p.Labels[kv[i]] != kv[i+1] {
+				continue points
+			}
+		}
+		for _, m := range []map[string]float64{p.Exact, p.Toleranced, p.Info} {
+			if v, ok := m[name]; ok {
+				return v
+			}
+		}
+	}
+	b.Fatalf("no %s at %v", name, kv)
+	return 0
+}
+
+// metric reports a field of rep as the benchmark metric unit.
+func metric(b *testing.B, rep *bench.Report, unit, name string, kv ...string) {
+	b.ReportMetric(field(b, rep, name, kv...), unit)
 }
 
 // BenchmarkFig1AgedBandwidth regenerates Figure 1: mmap write bandwidth on
 // un-aged vs aged file systems across utilisation levels.
 func BenchmarkFig1AgedBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		unaged, aged, err := experiments.Fig1(benchCfg())
-		if err != nil {
-			b.Fatal(err)
+		rep := run(b, experiments.Fig1)
+		for _, fs := range []string{"ext4-DAX", "NOVA", "WineFS"} {
+			metric(b, rep, "aged90-"+fs+"-GB/s", "GBs", "FS", fs, "Aged", "true", "Util", "90")
 		}
-		for _, s := range aged {
-			last := s.Points[len(s.Points)-1].Y
-			b.ReportMetric(last, "aged90-"+s.Label+"-GB/s")
-		}
-		for _, s := range unaged {
-			if s.Label == "WineFS" {
-				b.ReportMetric(s.Points[len(s.Points)-1].Y, "unaged90-WineFS-GB/s")
-			}
-		}
+		metric(b, rep, "unaged90-WineFS-GB/s", "GBs", "FS", "WineFS", "Aged", "false", "Util", "90")
 	}
 }
 
@@ -45,13 +70,10 @@ func BenchmarkFig1AgedBandwidth(b *testing.B) {
 // 2MiB file with hugepages vs base pages, with the copy/fault breakdown.
 func BenchmarkFig2MmapOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].TotalUS, "huge-total-us")
-		b.ReportMetric(rows[1].TotalUS, "base-total-us")
-		b.ReportMetric(rows[1].FaultUS, "base-fault-us")
+		rep := run(b, experiments.Fig2)
+		metric(b, rep, "huge-total-us", "TotalUS", "Config", "hugepages")
+		metric(b, rep, "base-total-us", "TotalUS", "Config", "base pages")
+		metric(b, rep, "base-fault-us", "FaultUS", "Config", "base pages")
 	}
 }
 
@@ -59,12 +81,9 @@ func BenchmarkFig2MmapOverhead(b *testing.B) {
 // aligned 2MiB regions as utilisation rises under aging.
 func BenchmarkFig3Fragmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig3(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			b.ReportMetric(s.Points[len(s.Points)-1].Y, s.Label+"-aligned-pct-at-90")
+		rep := run(b, experiments.Fig3)
+		for _, fs := range []string{"ext4-DAX", "NOVA", "WineFS"} {
+			metric(b, rep, fs+"-aligned-pct-at-90", "AlignedFreePct", "FS", fs, "Util", "90")
 		}
 	}
 }
@@ -73,13 +92,10 @@ func BenchmarkFig3Fragmentation(b *testing.B) {
 // latency, base pages vs hugepages.
 func BenchmarkFig4TLBMisses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Huge.Median()), "huge-median-ns")
-		b.ReportMetric(float64(res.Base.Median()), "base-median-ns")
-		b.ReportMetric(res.MedianRatio(), "median-ratio")
+		rep := run(b, experiments.Fig4)
+		metric(b, rep, "huge-median-ns", "MedianNS", "Pages", "2MB-pages")
+		metric(b, rep, "base-median-ns", "MedianNS", "Pages", "4KB-pages")
+		metric(b, rep, "median-ratio", "MedianRatio", "Pages", "ratio")
 	}
 }
 
@@ -87,15 +103,12 @@ func BenchmarkFig4TLBMisses(b *testing.B) {
 // mmap and POSIX access on aged file systems.
 func BenchmarkFig6Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Mmap["WineFS"][0], "mmap-seqwrite-WineFS-GB/s")
-		b.ReportMetric(res.Mmap["NOVA"][0], "mmap-seqwrite-NOVA-GB/s")
-		b.ReportMetric(res.Mmap["ext4-DAX"][0], "mmap-seqwrite-ext4-GB/s")
-		b.ReportMetric(res.Strong["WineFS"][1], "posix-randwrite-WineFS-GB/s")
-		b.ReportMetric(res.Strong["NOVA"][1], "posix-randwrite-NOVA-GB/s")
+		rep := run(b, experiments.Fig6)
+		metric(b, rep, "mmap-seqwrite-WineFS-GB/s", "GBs.seq-write", "Panel", "mmap", "FS", "WineFS")
+		metric(b, rep, "mmap-seqwrite-NOVA-GB/s", "GBs.seq-write", "Panel", "mmap", "FS", "NOVA")
+		metric(b, rep, "mmap-seqwrite-ext4-GB/s", "GBs.seq-write", "Panel", "mmap", "FS", "ext4-DAX")
+		metric(b, rep, "posix-randwrite-WineFS-GB/s", "GBs.rand-write", "Panel", "strong", "FS", "WineFS")
+		metric(b, rep, "posix-randwrite-NOVA-GB/s", "GBs.rand-write", "Panel", "strong", "FS", "NOVA")
 	}
 }
 
@@ -103,14 +116,12 @@ func BenchmarkFig6Throughput(b *testing.B) {
 // PmemKV throughput on aged file systems.
 func BenchmarkFig7AgedApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.LMDB["WineFS"]/res.LMDB["NOVA"], "lmdb-WineFS/NOVA")
-		b.ReportMetric(res.LMDB["WineFS"]/res.LMDB["ext4-DAX"], "lmdb-WineFS/ext4")
-		b.ReportMetric(res.PmemKV["WineFS"]/res.PmemKV["ext4-DAX"], "pmemkv-WineFS/ext4")
-		b.ReportMetric(res.YCSB["WineFS"]["A"]/res.YCSB["ext4-DAX"]["A"], "ycsbA-WineFS/ext4")
+		rep := run(b, experiments.Fig7)
+		ops := func(app, fs string) float64 { return field(b, rep, "OpsPerSec."+app, "FS", fs) }
+		b.ReportMetric(ops("lmdb", "WineFS")/ops("lmdb", "NOVA"), "lmdb-WineFS/NOVA")
+		metric(b, rep, "lmdb-WineFS/ext4", "VsExt4.lmdb", "FS", "WineFS")
+		metric(b, rep, "pmemkv-WineFS/ext4", "VsExt4.pmemkv", "FS", "WineFS")
+		metric(b, rep, "ycsbA-WineFS/ext4", "VsExt4.ycsb-A", "FS", "WineFS")
 	}
 }
 
@@ -118,16 +129,10 @@ func BenchmarkFig7AgedApps(b *testing.B) {
 // application per aged file system (ratios over WineFS).
 func BenchmarkTable2PageFaults(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wf := res.Faults["WineFS"]["lmdb-fillseqbatch"]
-		if wf > 0 {
-			b.ReportMetric(float64(res.Faults["ext4-DAX"]["lmdb-fillseqbatch"])/float64(wf), "lmdb-faults-ext4/WineFS")
-			b.ReportMetric(float64(res.Faults["NOVA"]["lmdb-fillseqbatch"])/float64(wf), "lmdb-faults-NOVA/WineFS")
-		}
-		b.ReportMetric(float64(wf), "lmdb-faults-WineFS")
+		rep := run(b, experiments.Fig7)
+		metric(b, rep, "lmdb-faults-ext4/WineFS", "VsWineFS.lmdb-fillseqbatch", "FS", "ext4-DAX")
+		metric(b, rep, "lmdb-faults-NOVA/WineFS", "VsWineFS.lmdb-fillseqbatch", "FS", "NOVA")
+		metric(b, rep, "lmdb-faults-WineFS", "Faults.lmdb-fillseqbatch", "FS", "WineFS")
 	}
 }
 
@@ -135,13 +140,10 @@ func BenchmarkTable2PageFaults(b *testing.B) {
 // distribution per file system.
 func BenchmarkFig8PARTLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Hist["WineFS"].Median()), "WineFS-median-ns")
-		b.ReportMetric(float64(res.Hist["NOVA"].Median()), "NOVA-median-ns")
-		b.ReportMetric(float64(res.Hist["ext4-DAX"].Median()), "ext4-median-ns")
+		rep := run(b, experiments.Fig8)
+		metric(b, rep, "WineFS-median-ns", "MedianNS", "FS", "WineFS")
+		metric(b, rep, "NOVA-median-ns", "MedianNS", "FS", "NOVA")
+		metric(b, rep, "ext4-median-ns", "MedianNS", "FS", "ext4-DAX")
 	}
 }
 
@@ -149,14 +151,14 @@ func BenchmarkFig8PARTLookup(b *testing.B) {
 // WiredTiger on clean file systems.
 func BenchmarkFig9PosixApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchCfg(), []string{"ext4-DAX", "NOVA", "WineFS", "WineFS-relaxed"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Filebench["WineFS-relaxed"]["varmail"], "varmail-WineFSr-ops/s")
-		b.ReportMetric(res.Filebench["ext4-DAX"]["varmail"], "varmail-ext4-ops/s")
-		b.ReportMetric(res.Pgbench["WineFS"]/res.Pgbench["NOVA"], "pgbench-WineFS/NOVA")
-		b.ReportMetric(res.WTFill["WineFS"]/res.WTFill["NOVA"], "wtfill-WineFS/NOVA")
+		rep := run(b, func(cfg experiments.Config, rep *bench.Report) error {
+			return experiments.Fig9(cfg, rep, []string{"ext4-DAX", "NOVA", "WineFS", "WineFS-relaxed"})
+		})
+		v := func(name, fs string) float64 { return field(b, rep, name, "FS", fs) }
+		metric(b, rep, "varmail-WineFSr-ops/s", "Filebench.varmail", "FS", "WineFS-relaxed")
+		metric(b, rep, "varmail-ext4-ops/s", "Filebench.varmail", "FS", "ext4-DAX")
+		b.ReportMetric(v("PgbenchTPS", "WineFS")/v("PgbenchTPS", "NOVA"), "pgbench-WineFS/NOVA")
+		b.ReportMetric(v("WTFill", "WineFS")/v("WTFill", "NOVA"), "wtfill-WineFS/NOVA")
 	}
 }
 
@@ -164,12 +166,11 @@ func BenchmarkFig9PosixApps(b *testing.B) {
 // unlink throughput vs thread count.
 func BenchmarkFig10Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig10(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			b.ReportMetric(s.Points[len(s.Points)-1].Y, s.Label+"-kIOPS-16thr")
+		rep := run(b, experiments.Fig10)
+		for _, p := range rep.Points {
+			if p.Threads == 16 {
+				b.ReportMetric(p.Info["ContendedKIOPS"], p.Labels["FS"]+"-kIOPS-16thr")
+			}
 		}
 	}
 }
@@ -178,13 +179,15 @@ func BenchmarkFig10Scalability(b *testing.B) {
 // recovery time vs file count, plus data-volume independence.
 func BenchmarkRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Recovery(benchCfg())
-		if err != nil {
-			b.Fatal(err)
+		var last *bench.Point
+		for _, p := range run(b, experiments.Recovery).Points {
+			if _, ok := p.Exact["RecoveryNS"]; ok {
+				last = p
+			}
 		}
-		last := pts[len(pts)-1]
-		b.ReportMetric(float64(last.RecoveryNS)/1e3, "recovery-us")
-		b.ReportMetric(float64(last.Files), "files")
+		files, _ := strconv.Atoi(last.Labels["Files"])
+		b.ReportMetric(last.Exact["RecoveryNS"]/1e3, "recovery-us")
+		b.ReportMetric(float64(files), "files")
 	}
 }
 
@@ -192,11 +195,7 @@ func BenchmarkRecovery(b *testing.B) {
 // foreground mmap-read slowdown while the rewriter runs.
 func BenchmarkDefragInterference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Defrag(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SlowdownPct, "slowdown-pct")
+		metric(b, run(b, experiments.Defrag), "slowdown-pct", "SlowdownPct")
 	}
 }
 
@@ -204,12 +203,9 @@ func BenchmarkDefragInterference(b *testing.B) {
 // comparison at 50% utilisation.
 func BenchmarkHPCProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.HPC(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Ext4*100, "ext4-aligned-pct")
-		b.ReportMetric(res.WineFS*100, "WineFS-aligned-pct")
+		rep := run(b, experiments.HPC)
+		b.ReportMetric(field(b, rep, "AlignedFree", "FS", "ext4-DAX")*100, "ext4-aligned-pct")
+		b.ReportMetric(field(b, rep, "AlignedFree", "FS", "WineFS")*100, "WineFS-aligned-pct")
 	}
 }
 
@@ -280,11 +276,8 @@ func BenchmarkAblationPerCPUJournal(b *testing.B) {
 // fraction and write time with the home-node routing off vs on.
 func BenchmarkNUMAHomeNode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.NUMA(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.RemoteFracOff*100, "remote-pct-off")
-		b.ReportMetric(res.RemoteFracOn*100, "remote-pct-on")
+		rep := run(b, experiments.NUMA)
+		b.ReportMetric(field(b, rep, "RemoteFrac", "Policy", "off")*100, "remote-pct-off")
+		b.ReportMetric(field(b, rep, "RemoteFrac", "Policy", "on")*100, "remote-pct-on")
 	}
 }

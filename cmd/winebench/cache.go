@@ -5,14 +5,11 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/pagecache"
 	"repro/internal/perf"
-	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
-	"repro/internal/winefs"
 	"repro/internal/workloads"
 )
 
@@ -56,12 +53,12 @@ type cacheVariant struct {
 	// miss counts in it are exactly reproducible.
 	Counters perf.Counters
 	// Cache sums the clients' replacement statistics as they stood before
-	// the unmounts (printed, not part of the report); zero when uncached.
+	// the unmounts; zero when uncached.
 	Cache pagecache.Stats
 }
 
-// runCacheBench runs both variants, prints the comparison, enforces the
-// speedup gate and packs the report.
+// runCacheBench runs both variants and the HotScan point, packs the
+// report, prints it and enforces the speedup and hot-set gates.
 func runCacheBench(o options) (*bench.Report, error) {
 	clients, cpus := o.clients, o.cpus
 	cfg := workloads.CachedMixConfig{Files: 24, FileKB: 8, Rounds: 3, Seed: o.seed}
@@ -80,27 +77,6 @@ func runCacheBench(o options) (*bench.Report, error) {
 	if cached.ReadNSPerRead > 0 {
 		speedup = uncached.ReadNSPerRead / cached.ReadNSPerRead
 	}
-
-	t := &experiments.Table{
-		Title: fmt.Sprintf("Client page cache: %d clients x %d files x %dKiB, %d re-read rounds",
-			clients, cfg.Files, cfg.FileKB, cfg.Rounds),
-		Header: []string{"metric", "uncached", "cached"},
-	}
-	row := func(name string, f func(v *cacheVariant) string) {
-		t.Rows = append(t.Rows, []string{name, f(&uncached), f(&cached)})
-	}
-	row("re-reads", func(v *cacheVariant) string { return fmt.Sprintf("%d", v.Reads) })
-	row("read cost", func(v *cacheVariant) string { return fmt.Sprintf("%.0fns/read", v.ReadNSPerRead) })
-	row("cache hit ratio", func(v *cacheVariant) string { return fmtHitRatio(&v.Counters) })
-	row("server ops", func(v *cacheVariant) string { return fmt.Sprintf("%d", v.ServerOps) })
-	row("cache replacement", func(v *cacheVariant) string { return fmtReplacement(v.Cache) })
-	row("flushed", func(v *cacheVariant) string { return fmt.Sprintf("%dB", v.Counters.CacheFlushBytes) })
-	t.Rows = append(t.Rows, []string{"re-read speedup", fmt.Sprintf("%.1fx", speedup), ""})
-	t.Print(os.Stdout)
-
-	if speedup < cacheMinSpeedup {
-		return nil, fmt.Errorf("re-read speedup %.2fx below required %.1fx", speedup, cacheMinSpeedup)
-	}
 	hs, err := runHotScan(clients, cpus)
 	if err != nil {
 		return nil, fmt.Errorf("hotscan: %w", err)
@@ -115,15 +91,12 @@ func runCacheBench(o options) (*bench.Report, error) {
 		p := rep.Point(map[string]string{"Variant": v.name}, 0)
 		p.Ints(map[string]int64{"Reads": v.Reads, "ReadBytes": v.ReadBytes, "BytesWritten": v.BytesWritten,
 			"ServerOps": v.ServerOps, "ReadNS": v.ReadNS, "PopulateNS": v.PopulateNS, "RewriteNS": v.RewriteNS})
-		hitRatio := 0.0
-		if n := v.Counters.CacheHits + v.Counters.CacheMisses; n > 0 {
-			hitRatio = float64(v.Counters.CacheHits) / float64(n)
-		}
-		p.Floats(map[string]float64{"ReadNSPerRead": v.ReadNSPerRead, "HitRatio": hitRatio})
+		p.Floats(map[string]float64{"ReadNSPerRead": v.ReadNSPerRead})
 		if v.name == "Cached" {
 			p.Floats(map[string]float64{"ReadSpeedup": speedup})
 		}
 		p.AddCounters("Counters.", &v.Counters)
+		packCache(p, &v.Counters, v.Cache)
 	}
 	p := rep.Point(map[string]string{"Variant": "HotScan"}, 0)
 	p.Ints(map[string]int64{"HotReads": hs.HotReads, "HotHits": hs.HotHits, "ScanReads": hs.ScanReads,
@@ -131,6 +104,36 @@ func runCacheBench(o options) (*bench.Report, error) {
 		"Promotions": hs.Cache.Promotions, "Demotions": hs.Cache.Demotions})
 	p.Floats(map[string]float64{"HotHitRatio": hs.hotHitRatio()})
 	p.AddCounters("Counters.", &hs.Counters)
+	packCache(p, &hs.Counters, hs.Cache)
+	rep.Print(os.Stdout, bench.Table{
+		Title: fmt.Sprintf("Client page cache: %d clients x %d files x %dKiB, %d re-read rounds",
+			clients, cfg.Files, cfg.FileKB, cfg.Rounds),
+		Where: map[string]string{"Variant": "Uncached|Cached"}, Rows: []string{"Variant"}, RowHead: "variant",
+		Cols: append([]bench.Col{
+			{Head: "re-reads", Field: "Reads", Fmt: "%.0f"},
+			{Head: "read cost", Field: "ReadNSPerRead", Fmt: "%.0fns/read"},
+			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
+			{Head: "flushed", Field: "Counters.CacheFlushBytes", Fmt: "%.0fB"},
+			{Head: "re-read speedup", Field: "ReadSpeedup", Fmt: "%.1fx"},
+		}, cacheCols...),
+	}, bench.Table{
+		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices (hit ratio gate %.0f%%)",
+			clients, hotScanCachePages, hotScanCachePages/2, hs.ScanReads/int64(clients*hotScanCachePages), 100*hotScanMinHitRatio),
+		Where: map[string]string{"Variant": "HotScan"},
+		Cols: append([]bench.Col{
+			{Head: "hot-set re-reads", Field: "HotReads", Fmt: "%.0f"},
+			{Head: "hot-set hit ratio", Field: "HotHitRatio", Fmt: "%.1f%%", Scale: 100},
+			{Head: "scan reads", Field: "ScanReads", Fmt: "%.0f"},
+			{Head: "evictions", Field: "Counters.CacheEvictions", Fmt: "%.0f"},
+			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
+		}, cacheCols...),
+	})
+	if speedup < cacheMinSpeedup {
+		return nil, fmt.Errorf("re-read speedup %.2fx below required %.1fx", speedup, cacheMinSpeedup)
+	}
+	if r := hs.hotHitRatio(); r < hotScanMinHitRatio {
+		return nil, fmt.Errorf("hot-set hit ratio %.3f below required %.2f: the scan evicted the hot set", r, hotScanMinHitRatio)
+	}
 	return rep, nil
 }
 
@@ -152,12 +155,11 @@ func (h *hotScanRun) hotHitRatio() float64 {
 }
 
 // runHotScan fans HotScan clients out over a fresh server, each through a
-// cache of hotScanCachePages, prints the point and enforces its gate.
+// cache of hotScanCachePages.
 func runHotScan(clients, cpus int) (hotScanRun, error) {
 	var h hotScanRun
 	cfg := workloads.HotScanConfig{CachePages: hotScanCachePages}
-	var err error
-	h.ServerOps, err = withFreshServer(cpus, func(pl *fileserver.PipeListener) error {
+	st, err := withFreshServer(cpus, 1<<30, nil, func(pl *fileserver.PipeListener) error {
 		results, ctxs, cs, err := mixFanout(pl.Dial, clients, cpus, &pagecache.Config{MaxPages: cfg.CachePages},
 			func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.HotScanResult, error) {
 				return workloads.HotScanClient(ctx, target, i, cfg)
@@ -176,50 +178,8 @@ func runHotScan(clients, cpus int) (hotScanRun, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return h, err
-	}
-	t := &experiments.Table{
-		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices",
-			clients, cfg.CachePages, cfg.CachePages/2, h.ScanReads/int64(clients*cfg.CachePages)),
-		Header: []string{"metric", "value"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"hot-set re-reads", fmt.Sprintf("%d", h.HotReads)},
-		[]string{"hot-set hit ratio", fmt.Sprintf("%.1f%% (gate %.0f%%)", 100*h.hotHitRatio(), 100*hotScanMinHitRatio)},
-		[]string{"scan reads", fmt.Sprintf("%d", h.ScanReads)},
-		[]string{"cache hit ratio", fmtHitRatio(&h.Counters)},
-		[]string{"cache replacement", fmtReplacement(h.Cache)},
-		[]string{"evictions", fmt.Sprintf("%d", h.Counters.CacheEvictions)},
-		[]string{"server ops", fmt.Sprintf("%d", h.ServerOps)},
-	)
-	t.Print(os.Stdout)
-	if r := h.hotHitRatio(); r < hotScanMinHitRatio {
-		return h, fmt.Errorf("hot-set hit ratio %.3f below required %.2f: the scan evicted the hot set", r, hotScanMinHitRatio)
-	}
-	return h, nil
-}
-
-// withFreshServer boots a strict-mode server on a fresh image over the
-// in-memory transport, runs body against its listener, shuts the server
-// down and returns the requests it dispatched.
-func withFreshServer(cpus int, body func(pl *fileserver.PipeListener) error) (serverOps int64, err error) {
-	dev := pmem.New(1 << 30)
-	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, Mode: vfs.Strict})
-	if err != nil {
-		return 0, fmt.Errorf("mkfs: %w", err)
-	}
-	srv := fileserver.New(fs, fileserver.Config{CPUs: cpus})
-	pl := fileserver.NewPipeListener()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(pl) }()
-	err = body(pl)
-	srv.Shutdown()
-	if serr := <-serveErr; err == nil && serr != nil {
-		err = fmt.Errorf("serve: %w", serr)
-	}
-	return srv.Stats().Ops, err
+	h.ServerOps = st.Ops
+	return h, err
 }
 
 // runCacheVariant fans out `clients` concurrent CachedMix clients over a
@@ -228,7 +188,7 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 	var v cacheVariant
 	var results []workloads.CachedMixResult
 	var ctxs []*sim.Ctx
-	serverOps, err := withFreshServer(cpus, func(pl *fileserver.PipeListener) (err error) {
+	st, err := withFreshServer(cpus, 1<<30, nil, func(pl *fileserver.PipeListener) (err error) {
 		var cs []pagecache.Stats
 		results, ctxs, cs, err = mixFanout(pl.Dial, clients, cpus, defaultCache(cached), func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.CachedMixResult, error) {
 			return workloads.CachedMixClient(ctx, target, i, cfg)
@@ -265,7 +225,7 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 		}
 		v.ReadNSPerRead = float64(sumNS) / float64(v.Reads)
 	}
-	v.ServerOps = serverOps
+	v.ServerOps = st.Ops
 	return v, nil
 }
 
@@ -280,24 +240,25 @@ func sumReplacement(cstats []pagecache.Stats) (sum pagecache.Stats) {
 	return sum
 }
 
-// fmtReplacement renders the replacement lists' work for human tables:
-// pages promoted to the active lists on their second touch, pages demoted
-// back by eviction, and what is on the active lists at the end of the run
-// (nothing, when the workload closed its files); "-" when nothing was
-// cached.
-func fmtReplacement(st pagecache.Stats) string {
-	if st.Pages == 0 && st.Promotions == 0 {
-		return "-"
+// packCache files a run's derived client-cache numbers as Info: c's hit
+// ratio and the replacement lists' work in st — pages promoted to the
+// active lists on their second touch, pages demoted back by eviction, and
+// what is on the active lists at the end of the run (nothing, when the
+// workload closed its files). A run without cache activity files neither,
+// and cacheCols print "-".
+func packCache(p *bench.Point, c *perf.Counters, st pagecache.Stats) {
+	if n := c.CacheHits + c.CacheMisses; n > 0 {
+		p.Floats(map[string]float64{"HitRatio": float64(c.CacheHits) / float64(n)})
 	}
-	return fmt.Sprintf("%d promoted, %d demoted, %d of %d pages active at the end", st.Promotions, st.Demotions, st.ActivePages, st.Pages)
+	if st.Pages > 0 || st.Promotions > 0 {
+		p.Ints(map[string]int64{"Cache.Pages": int64(st.Pages), "Cache.ActivePages": int64(st.ActivePages),
+			"Cache.Promotions": st.Promotions, "Cache.Demotions": st.Demotions})
+	}
 }
 
-// fmtHitRatio renders a counter set's cache hit ratio for human tables;
-// "-" when the run had no cache activity at all.
-func fmtHitRatio(c *perf.Counters) string {
-	total := c.CacheHits + c.CacheMisses
-	if total == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(c.CacheHits)/float64(total))
+// cacheCols prints what packCache files.
+var cacheCols = []bench.Col{
+	{Head: "cache hit ratio", Field: "HitRatio", Fmt: "%.1f%%", Scale: 100},
+	{Head: "cache replacement", Field: "Cache.Promotions,Cache.Demotions,Cache.ActivePages,Cache.Pages",
+		Fmt: "%.0f promoted, %.0f demoted, %.0f of %.0f pages active at the end"},
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/defrag"
-	"repro/internal/experiments"
 	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -62,8 +61,8 @@ type defragInterfVariant struct {
 	SlowdownPct float64
 }
 
-// runDefragBench runs the soak and both interference variants, prints
-// the comparison, enforces the gates and packs the report.
+// runDefragBench runs the soak and both interference variants, packs and
+// prints the report and enforces the gates.
 func runDefragBench(o options) (*bench.Report, error) {
 	cpus := o.cpus
 	soakFile := int64(32 << 20)
@@ -106,51 +105,6 @@ func runDefragBench(o options) (*bench.Report, error) {
 		interference = append(interference, v)
 	}
 
-	t := &experiments.Table{
-		Title: fmt.Sprintf("Online defrag: %dMiB mapped file on an aged image, %dMiB foreground vs %dMiB victim",
-			soakFile>>20, fgSize>>20, vicSize>>20),
-		Header: []string{"metric", "value"},
-	}
-	cover := func(h, t int) string { return fmt.Sprintf("%d/%d chunks", h, t) }
-	t.Rows = append(t.Rows,
-		[]string{"unaged hugepage coverage", cover(soak.UnagedHuge, soak.UnagedTotal)},
-		[]string{"aged hugepage coverage", cover(soak.AgedHuge, soak.AgedTotal)},
-		[]string{"after defrag", cover(soak.DefragHuge, soak.DefragTotal)},
-		[]string{"recovered coverage", fmt.Sprintf("%.0f%%", 100*soak.RecoveredCoverage())},
-		[]string{"defrag passes", fmt.Sprintf("%d", soak.Passes)},
-		[]string{"2MiB extents re-formed", fmt.Sprintf("%d", soak.Recovered2M)},
-		[]string{"blocks migrated", fmt.Sprintf("%d", soak.MigratedBlocks)},
-		[]string{"files rewritten", fmt.Sprintf("%d", soak.Rewrites)},
-		[]string{"chunks re-promoted live", fmt.Sprintf("%d", soak.Repromoted)},
-	)
-	for _, v := range interference {
-		name := "unthrottled"
-		if v.Budget < 1 {
-			name = fmt.Sprintf("throttled (budget %.0f%%)", 100*v.Budget)
-		}
-		t.Rows = append(t.Rows, []string{
-			"fg slowdown, " + name, fmt.Sprintf("%.1f%%", v.SlowdownPct)})
-	}
-	t.Print(os.Stdout)
-
-	// Gates.
-	unaged := soak.RecoveredCoverage() / covOr1(soak.UnagedHuge, soak.UnagedTotal)
-	if unaged < defragMinRecovery {
-		return nil, fmt.Errorf("defrag recovered %.0f%% of unaged hugepage coverage, below required %.0f%%",
-			100*unaged, 100*defragMinRecovery)
-	}
-	for _, v := range interference {
-		if v.Budget >= 1 {
-			if v.SlowdownPct < defragUnthrottledMin || v.SlowdownPct > defragUnthrottledMax {
-				return nil, fmt.Errorf("unthrottled defrag slowdown %.1f%% outside the paper's %g-%g%% band",
-					v.SlowdownPct, defragUnthrottledMin, defragUnthrottledMax)
-			}
-		} else if v.SlowdownPct > defragThrottledMax {
-			return nil, fmt.Errorf("throttled defrag slowdown %.1f%% above the %.0f%% bound",
-				v.SlowdownPct, defragThrottledMax)
-		}
-	}
-
 	rep := bench.New("defrag/v1", map[string]float64{
 		"SoakFileMB": float64(soakFile >> 20), "FgMB": float64(fgSize >> 20), "VictimMB": float64(vicSize >> 20),
 		"CPUs": float64(cpus), "Seed": float64(o.seed)})
@@ -168,6 +122,43 @@ func runDefragBench(o options) (*bench.Report, error) {
 		p := rep.Point(map[string]string{"Part": "Interference", "Budget": strconv.FormatFloat(v.Budget, 'g', -1, 64)}, 0)
 		p.Ints(map[string]int64{"Rewrites": v.Rewrites, "MigratedBlocks": v.MigratedBlocks})
 		p.Floats(map[string]float64{"BaselineBW": v.BaselineBW, "ContendedBW": v.ContendedBW, "SlowdownPct": v.SlowdownPct})
+	}
+	rep.Print(os.Stdout, bench.Table{
+		Title: fmt.Sprintf("Online defrag: %dMiB mapped file on an aged image, %dMiB foreground vs %dMiB victim",
+			soakFile>>20, fgSize>>20, vicSize>>20),
+		Where: map[string]string{"Part": "Soak"},
+		Cols: []bench.Col{
+			{Head: "unaged hugepage coverage", Field: "UnagedHuge,UnagedTotal", Fmt: "%.0f/%.0f chunks"},
+			{Head: "aged hugepage coverage", Field: "AgedHuge,AgedTotal", Fmt: "%.0f/%.0f chunks"},
+			{Head: "after defrag", Field: "DefragHuge,DefragTotal", Fmt: "%.0f/%.0f chunks"},
+			{Head: "recovered coverage", Field: "RecoveredCoverage", Fmt: "%.0f%%", Scale: 100},
+			{Head: "defrag passes", Field: "Passes", Fmt: "%.0f"},
+			{Head: "2MiB extents re-formed", Field: "Recovered2M", Fmt: "%.0f"},
+			{Head: "blocks migrated", Field: "MigratedBlocks", Fmt: "%.0f"},
+			{Head: "files rewritten", Field: "Rewrites", Fmt: "%.0f"},
+			{Head: "chunks re-promoted live", Field: "Repromoted", Fmt: "%.0f"},
+		},
+	}, bench.Table{
+		Title: "Online defrag: foreground slowdown by duty-cycle budget (1 = unthrottled)",
+		Where: map[string]string{"Part": "Interference"}, Rows: []string{"Budget"}, RowHead: "budget",
+		Cols: []bench.Col{{Head: "fg slowdown", Field: "SlowdownPct", Fmt: "%.1f%%"}},
+	})
+	// Gates.
+	unaged := soak.RecoveredCoverage() / covOr1(soak.UnagedHuge, soak.UnagedTotal)
+	if unaged < defragMinRecovery {
+		return nil, fmt.Errorf("defrag recovered %.0f%% of unaged hugepage coverage, below required %.0f%%",
+			100*unaged, 100*defragMinRecovery)
+	}
+	for _, v := range interference {
+		if v.Budget >= 1 {
+			if v.SlowdownPct < defragUnthrottledMin || v.SlowdownPct > defragUnthrottledMax {
+				return nil, fmt.Errorf("unthrottled defrag slowdown %.1f%% outside the paper's %g-%g%% band",
+					v.SlowdownPct, defragUnthrottledMin, defragUnthrottledMax)
+			}
+		} else if v.SlowdownPct > defragThrottledMax {
+			return nil, fmt.Errorf("throttled defrag slowdown %.1f%% above the %.0f%% bound",
+				v.SlowdownPct, defragThrottledMax)
+		}
 	}
 	return rep, nil
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/experiments"
 )
 
 // TestSingleThreadedGatesMatchBaselines runs the three contention-free
@@ -24,5 +26,21 @@ func TestSingleThreadedGatesMatchBaselines(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnknownNames holds -run to the names of experiments.Runs:
+// a misspelt or unknown name is an error that lists the valid ones, not a
+// run of nothing that exits 0.
+func TestRunRejectsUnknownNames(t *testing.T) {
+	for _, list := range []string{"fig11", "Fig1", "fig1,fig11", "", "fig1 ,, fig2"} {
+		if _, err := selectRuns(list); err == nil || !strings.Contains(err.Error(), "crashmonkey") {
+			t.Errorf("-run %q: error %v, want one listing the valid names", list, err)
+		}
+	}
+	for list, want := range map[string]int{"all": len(experiments.Runs), "fig1": 1, " fig7 , table2": 2, "numa,all": len(experiments.Runs)} {
+		if runs, err := selectRuns(list); err != nil || len(runs) != want {
+			t.Errorf("-run %q: %d runs, error %v; want %d", list, len(runs), err, want)
+		}
 	}
 }

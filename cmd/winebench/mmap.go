@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -36,8 +35,8 @@ type mmapVariant struct {
 	workloads.MmapSweepResult
 }
 
-// runMmapBench sweeps the four variants, prints the comparison, enforces
-// the coverage and slowdown gates and packs the report.
+// runMmapBench sweeps the four variants, packs and prints the report and
+// enforces the coverage and slowdown gates.
 func runMmapBench(o options) (*bench.Report, error) {
 	cfg := workloads.MmapSweepConfig{
 		FileBytes:  32 << 20,
@@ -70,37 +69,6 @@ func runMmapBench(o options) (*bench.Report, error) {
 		agedSlowdown = ext4Aged.NSPerRead / ext4Unaged.NSPerRead
 	}
 
-	t := &experiments.Table{
-		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
-			100*cfg.Util, fileMB, cfg.Reads, workloads.MmapReadSize),
-		Header: []string{"metric", "winefs", "winefs-aged", "ext4-dax", "ext4-dax-aged"},
-	}
-	row := func(name string, f func(v *mmapVariant) string) {
-		r := []string{name}
-		for i := range variants {
-			r = append(r, f(&variants[i]))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	row("read cost", func(v *mmapVariant) string { return fmt.Sprintf("%.0fns/read", v.NSPerRead) })
-	row("hugepage coverage", func(v *mmapVariant) string { return fmt.Sprintf("%.0f%%", 100*v.HugeCoverage()) })
-	row("huge faults", func(v *mmapVariant) string { return fmt.Sprintf("%d", v.Counters.VMMHugeFaults) })
-	row("base faults", func(v *mmapVariant) string { return fmt.Sprintf("%d", v.Counters.VMMBaseFaults) })
-	row("msync bytes", func(v *mmapVariant) string { return fmt.Sprintf("%dB", v.Counters.VMMMsyncBytes) })
-	t.Rows = append(t.Rows, []string{"ext4 aged slowdown", "", "", fmt.Sprintf("%.1fx", agedSlowdown), ""})
-	t.Print(os.Stdout)
-
-	for _, v := range variants {
-		if !v.Aged && v.HugeCoverage() < mmapMinUnagedCoverage {
-			return nil, fmt.Errorf("%s unaged hugepage coverage %.0f%% below required %.0f%%",
-				v.FS, 100*v.HugeCoverage(), 100*mmapMinUnagedCoverage)
-		}
-	}
-	if agedSlowdown < mmapMinAgedSlowdown {
-		return nil, fmt.Errorf("ext4-DAX aged slowdown %.2fx below required %.1fx",
-			agedSlowdown, mmapMinAgedSlowdown)
-	}
-
 	rep := bench.New("mmap/v1", map[string]float64{
 		"FileMB": float64(fileMB), "Reads": float64(cfg.Reads), "ReadSize": workloads.MmapReadSize,
 		"Util": cfg.Util, "CPUs": float64(o.cpus), "Seed": float64(o.seed)})
@@ -114,6 +82,29 @@ func runMmapBench(o options) (*bench.Report, error) {
 			p.Floats(map[string]float64{"AgedSlowdown": agedSlowdown})
 		}
 		p.AddCounters("Counters.", &v.Counters)
+	}
+	rep.Print(os.Stdout, bench.Table{
+		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
+			100*cfg.Util, fileMB, cfg.Reads, workloads.MmapReadSize),
+		Rows: []string{"FS", "Aged"}, RowHead: "fs aged",
+		Cols: []bench.Col{
+			{Head: "read cost", Field: "NSPerRead", Fmt: "%.0fns/read"},
+			{Head: "hugepage coverage", Field: "HugeCoverage", Fmt: "%.0f%%", Scale: 100},
+			{Head: "huge faults", Field: "Counters.VMMHugeFaults", Fmt: "%.0f"},
+			{Head: "base faults", Field: "Counters.VMMBaseFaults", Fmt: "%.0f"},
+			{Head: "msync bytes", Field: "Counters.VMMMsyncBytes", Fmt: "%.0fB"},
+			{Head: "aged slowdown", Field: "AgedSlowdown", Fmt: "%.1fx"},
+		},
+	})
+	for _, v := range variants {
+		if !v.Aged && v.HugeCoverage() < mmapMinUnagedCoverage {
+			return nil, fmt.Errorf("%s unaged hugepage coverage %.0f%% below required %.0f%%",
+				v.FS, 100*v.HugeCoverage(), 100*mmapMinUnagedCoverage)
+		}
+	}
+	if agedSlowdown < mmapMinAgedSlowdown {
+		return nil, fmt.Errorf("ext4-DAX aged slowdown %.2fx below required %.1fx",
+			agedSlowdown, mmapMinAgedSlowdown)
 	}
 	return rep, nil
 }

@@ -18,11 +18,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/pagecache"
 	"repro/internal/pmem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vfs"
 	"repro/internal/winefs"
 	"repro/internal/workloads"
@@ -45,6 +45,28 @@ import (
 // fabricates. 65% gates real regressions (a charge-model or batching
 // slip) without re-burying the cost.
 const replicatedOverheadLimit = 65.0
+
+// withFreshServer boots a strict-mode server on a fresh image of size
+// bytes over the in-memory transport, tracing to tracer unless it is nil,
+// runs body against its listener, shuts the server down and returns its
+// final stats.
+func withFreshServer(cpus int, size int64, tracer *trace.Tracer, body func(pl *fileserver.PipeListener) error) (fileserver.Stats, error) {
+	ctx := sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, pmem.New(size), winefs.Options{CPUs: cpus, Mode: vfs.Strict})
+	if err != nil {
+		return fileserver.Stats{}, fmt.Errorf("mkfs: %w", err)
+	}
+	srv := fileserver.New(fs, fileserver.Config{CPUs: cpus, Tracer: tracer})
+	pl := fileserver.NewPipeListener()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(pl) }()
+	err = body(pl)
+	srv.Shutdown()
+	if serr := <-serveErr; err == nil && serr != nil {
+		err = fmt.Errorf("serve: %w", serr)
+	}
+	return srv.Stats(), err
+}
 
 // mixFanout is the one client fan-out loop (-server, -cache, -replicated):
 // each of `clients` goroutines dials, handshakes, wraps its client in a
@@ -142,24 +164,14 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	}
 
 	// Plain baseline: one server, no replication.
-	dev := pmem.New(size)
-	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cpus, Mode: vfs.Strict})
-	if err != nil {
-		return nil, fmt.Errorf("mkfs: %w", err)
-	}
-	srv := fileserver.New(fs, fileserver.Config{CPUs: cpus})
-	pl := fileserver.NewPipeListener()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(pl) }()
-	plain, _, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
+	var plainOps, plainSpan, plainSum int64
+	_, err := withFreshServer(cpus, size, nil, func(pl *fileserver.PipeListener) error {
+		plain, _, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
+		plainOps, plainSpan, plainSum = mixSpans(plain)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("plain run: %w", err)
-	}
-	plainOps, plainSpan, plainSum := mixSpans(plain)
-	srv.Shutdown()
-	if err := <-serveErr; err != nil {
-		return nil, fmt.Errorf("plain serve: %w", err)
 	}
 
 	// Replicated run: same workload through a synchronous 2-replica
@@ -196,33 +208,6 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		overhead = (float64(replSum) - float64(plainSum)) / float64(plainSum) * 100
 	}
 
-	t := &experiments.Table{
-		Title:  fmt.Sprintf("Replication overhead: %d clients x %d iterations, %d sync replicas", clients, ops, nReplicas),
-		Header: []string{"metric", "value"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"client ops", fmt.Sprintf("%d", plainOps)},
-		[]string{"plain span", fmt.Sprintf("%dns (sum %dns)", plainSpan, plainSum)},
-		[]string{"replicated span", fmt.Sprintf("%dns (sum %dns)", replSpan, replSum)},
-		[]string{"overhead", fmt.Sprintf("%.2f%% of summed spans (limit %.0f%%)", overhead, replicatedOverheadLimit)},
-		[]string{"records logged", fmt.Sprintf("%d", st.Repl.RecordsLogged)},
-		[]string{"bytes logged", fmt.Sprintf("%d", st.Repl.BytesLogged)},
-		[]string{"resyncs", fmt.Sprintf("%d (baseline image per replica)", st.Repl.Resyncs)},
-	)
-	t.Print(os.Stdout)
-
-	if overhead > replicatedOverheadLimit {
-		return nil, fmt.Errorf("synchronous replication costs %.2f%% on summed ServerMix spans, limit %.0f%%", overhead, replicatedOverheadLimit)
-	}
-	if st.Repl.Resyncs != nReplicas {
-		return nil, fmt.Errorf("resyncs = %d, want exactly the %d baseline transfers", st.Repl.Resyncs, nReplicas)
-	}
-	for _, rs := range st.ReplicaSide {
-		if rs.BadRecords != 0 || rs.Gaps != 0 {
-			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
-		}
-	}
-
 	// PlainSpanNS / ReplicatedSpanNS are the virtual makespans (slowest
 	// client), PlainSumNS / ReplicatedSumNS the summed per-client spans that
 	// OverheadPct is computed on. Resyncs is the per-replica baseline image
@@ -236,5 +221,30 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		"RecordsLogged": st.Repl.RecordsLogged, "BytesLogged": st.Repl.BytesLogged,
 		"Resyncs": st.Repl.Resyncs})
 	p.Floats(map[string]float64{"OverheadPct": overhead})
+	rep.Print(os.Stdout, bench.Table{
+		Title: fmt.Sprintf("Replication overhead: %d clients x %d iterations, %d sync replicas (overhead limit %.0f%%)",
+			clients, ops, nReplicas, replicatedOverheadLimit),
+		Cols: []bench.Col{
+			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
+			{Head: "plain span", Field: "PlainSpanNS,PlainSumNS", Fmt: "%.0fns (sum %.0fns)"},
+			{Head: "replicated span", Field: "ReplicatedSpanNS,ReplicatedSumNS", Fmt: "%.0fns (sum %.0fns)"},
+			{Head: "overhead", Field: "OverheadPct", Fmt: "%.2f%% of summed spans"},
+			{Head: "records logged", Field: "RecordsLogged", Fmt: "%.0f"},
+			{Head: "bytes logged", Field: "BytesLogged", Fmt: "%.0f"},
+			{Head: "resyncs", Field: "Resyncs", Fmt: "%.0f (baseline image per replica)"},
+		},
+	})
+	if overhead > replicatedOverheadLimit {
+		return nil, fmt.Errorf("synchronous replication costs %.2f%% on summed ServerMix spans, limit %.0f%%", overhead, replicatedOverheadLimit)
+	}
+	if st.Repl.Resyncs != nReplicas {
+		return nil, fmt.Errorf("resyncs = %d, want exactly the %d baseline transfers", st.Repl.Resyncs, nReplicas)
+	}
+	for _, rs := range st.ReplicaSide {
+		if rs.BadRecords != 0 || rs.Gaps != 0 {
+			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
+		}
+	}
+
 	return rep, nil
 }

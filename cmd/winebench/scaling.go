@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/perf"
 	"repro/internal/pmem"
@@ -46,7 +45,7 @@ type scalingPoint struct {
 }
 
 // runScalingBench sweeps every fxmark case over both transports and all
-// thread counts, prints ops/s tables and packs the report. Work counters
+// thread counts, packs the report and prints its ops/s tables. Work counters
 // are exact at every scale; timings and allocator placement are compared
 // only up to bench's strict-timing thread count.
 func runScalingBench(o options) (*bench.Report, error) {
@@ -95,30 +94,11 @@ func runScalingBench(o options) (*bench.Report, error) {
 	}
 
 	for _, transport := range []string{"local", "server"} {
-		t := &experiments.Table{
-			Title:  fmt.Sprintf("Scalability (%s transport): virtual kops/s vs threads, %d CPUs", transport, scalingCPUs),
-			Header: []string{"case"},
-		}
-		for _, n := range scalingThreadCounts() {
-			t.Header = append(t.Header, fmt.Sprintf("%d", n))
-		}
-		t.Header = append(t.Header, "hit%")
-		for _, c := range workloads.FxmarkCases() {
-			row := []string{string(c)}
-			// The trailing hit% column aggregates the client page-cache hit
-			// ratio over the case's points; plain fileserver clients take no
-			// leases, so it renders "-" unless a cache sits in the stack.
-			var caseCounters perf.Counters
-			for i, j := range jobs {
-				if j.c == c && j.transport == transport {
-					row = append(row, fmt.Sprintf("%.1f", pts[i].OpsPerSec/1e3))
-					caseCounters.Add(&pts[i].Counters)
-				}
-			}
-			row = append(row, fmtHitRatio(&caseCounters))
-			t.Rows = append(t.Rows, row)
-		}
-		t.Print(os.Stdout)
+		rep.Print(os.Stdout, bench.Table{
+			Title: fmt.Sprintf("Scalability (%s transport): virtual kops/s vs threads, %d CPUs", transport, scalingCPUs),
+			Where: map[string]string{"Transport": transport}, Rows: []string{"Case"}, RowHead: "case", Pivot: "Threads",
+			Cols: []bench.Col{{Field: "OpsPerSec", Fmt: "%.1f", Scale: 1e-3}},
+		})
 	}
 	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/tier"
@@ -53,8 +52,8 @@ const tierMinAgedShare = 0.9
 // 1x is judged as the first degraded point instead.
 const tierMinFitRatio = 0.75
 
-// runTierBench sweeps the working-set fractions, prints the degradation
-// curve, enforces the gates and packs the report. In each point
+// runTierBench sweeps the working-set fractions, packs and prints the
+// report and enforces the gates. In each point
 // SetupCounters covers laying out the working set (allocation spill lives
 // here), Counters the measured sweep thread (cold-miss slow-device
 // traffic, faults) and MigrCounters the background migration thread
@@ -95,30 +94,47 @@ func runTierBench(o options) (*bench.Report, error) {
 		tiered, control, ratios = append(tiered, tv), append(control, cv), append(ratios, ratio)
 	}
 
-	t := &experiments.Table{
+	rep := bench.New("tier/v1", map[string]float64{
+		"PMMB": float64(devSize >> 20), "SlowMB": float64(slowSize >> 20), "ControlMB": float64(controlSize >> 20),
+		"Ops": float64(cfg.Ops), "OpSize": workloads.TieredOpSize, "ReadFrac": workloads.TieredReadFrac,
+		"HotData": workloads.TieredHotDataFrac, "HotAccess": workloads.TieredHotAccessFrac,
+		"PassEvery": workloads.TieredPassEvery, "CPUs": float64(cpus), "Seed": float64(o.seed),
+		"AgedDead": tierAgedDead, "AgedWarmup": tierAgedWarmup})
+	for i, frac := range fracs {
+		for _, res := range []*workloads.TieredSweepResult{&tiered[i], &control[i]} {
+			labels := map[string]string{"Frac": strconv.FormatFloat(frac, 'g', -1, 64), "Tiered": strconv.FormatBool(res.TierOK)}
+			if deads[i] > 0 {
+				labels["Dead"] = strconv.FormatFloat(deads[i], 'g', -1, 64)
+			}
+			p := rep.Point(labels, 0)
+			// End-of-sweep occupancy is zero on the untiered control.
+			p.Ints(map[string]int64{"Files": int64(res.Files), "WorkingSetBytes": res.WorkingSetBytes,
+				"Ops": res.Ops, "Bytes": res.Bytes, "Passes": res.Passes,
+				"PMFreeBlocks": res.Tier.PMFreeBlocks, "SlowFreeBlocks": res.Tier.SlowFreeBlocks,
+				"SetupNS": res.SetupNS, "SweepNS": res.SweepNS})
+			p.Floats(map[string]float64{"NSPerOp": res.NSPerOp, "GBps": res.GBps()})
+			if res.TierOK {
+				p.Floats(map[string]float64{"Ratio": ratios[i]})
+			}
+			p.AddCounters("SetupCounters.", &res.SetupCounters)
+			p.AddCounters("Counters.", &res.Counters)
+			p.AddCounters("MigrCounters.", &res.MigrCounters)
+		}
+	}
+	rep.Print(os.Stdout, bench.Table{
 		Title: fmt.Sprintf("Tiered PM+SSD vs all-in-PM: 90/10 hotspot, %d ops x %dB, %d%% reads, PM %dMiB + slow %dMiB",
 			cfg.Ops, workloads.TieredOpSize, int(100*workloads.TieredReadFrac), devSize>>20, slowSize>>20),
-		Header: []string{"working set", "tiered GB/s", "all-PM GB/s", "ratio", "spilled blks", "slow reads", "demoted", "promoted"},
-	}
-	for i, frac := range fracs {
-		tv, cv := &tiered[i], &control[i]
-		label := fmt.Sprintf("%.1fx PM", frac)
-		if deads[i] > 0 {
-			label += fmt.Sprintf(" + %.1fx dead", deads[i])
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.3f", tv.GBps()),
-			fmt.Sprintf("%.3f", cv.GBps()),
-			fmt.Sprintf("%.0f%%", 100*ratios[i]),
-			fmt.Sprintf("%d", tv.SetupCounters.AllocSpillBlocks+tv.Counters.AllocSpillBlocks),
-			fmt.Sprintf("%d", tv.Counters.SlowReads),
-			fmt.Sprintf("%d", tv.MigrCounters.TierDemotedBlocks),
-			fmt.Sprintf("%d", tv.MigrCounters.TierPromotedBlocks),
-		})
-	}
-	t.Print(os.Stdout)
-
+		Rows: []string{"Frac", "Tiered", "Dead"}, RowHead: "frac tiered dead",
+		Cols: []bench.Col{
+			{Head: "GB/s", Field: "GBps", Fmt: "%.3f"},
+			{Head: "ratio", Field: "Ratio", Fmt: "%.0f%%", Scale: 100},
+			{Head: "setup spill blks", Field: "SetupCounters.AllocSpillBlocks", Fmt: "%.0f"},
+			{Head: "sweep spill blks", Field: "Counters.AllocSpillBlocks", Fmt: "%.0f"},
+			{Head: "slow reads", Field: "Counters.SlowReads", Fmt: "%.0f"},
+			{Head: "demoted", Field: "MigrCounters.TierDemotedBlocks", Fmt: "%.0f"},
+			{Head: "promoted", Field: "MigrCounters.TierPromotedBlocks", Fmt: "%.0f"},
+		},
+	})
 	// Gates. The 2x point is the headline: PM completely full, half the
 	// working set cold on the SSD tier, and the zipfian hot head still has
 	// to be served at PM speed.
@@ -153,34 +169,6 @@ func runTierBench(o options) (*bench.Report, error) {
 				return nil, fmt.Errorf("aged gate: at %.1fx PM behind %.1fx of dead data tiered throughput is %.0f%% of all-PM, the plain point's %.0f%% (want >= %.0f%% of it)",
 					frac, deads[i], 100*ratio, 100*plain, 100*tierMinAgedShare)
 			}
-		}
-	}
-
-	rep := bench.New("tier/v1", map[string]float64{
-		"PMMB": float64(devSize >> 20), "SlowMB": float64(slowSize >> 20), "ControlMB": float64(controlSize >> 20),
-		"Ops": float64(cfg.Ops), "OpSize": workloads.TieredOpSize, "ReadFrac": workloads.TieredReadFrac,
-		"HotData": workloads.TieredHotDataFrac, "HotAccess": workloads.TieredHotAccessFrac,
-		"PassEvery": workloads.TieredPassEvery, "CPUs": float64(cpus), "Seed": float64(o.seed),
-		"AgedDead": tierAgedDead, "AgedWarmup": tierAgedWarmup})
-	for i, frac := range fracs {
-		for _, res := range []*workloads.TieredSweepResult{&tiered[i], &control[i]} {
-			labels := map[string]string{"Frac": strconv.FormatFloat(frac, 'g', -1, 64), "Tiered": strconv.FormatBool(res.TierOK)}
-			if deads[i] > 0 {
-				labels["Dead"] = strconv.FormatFloat(deads[i], 'g', -1, 64)
-			}
-			p := rep.Point(labels, 0)
-			// End-of-sweep occupancy is zero on the untiered control.
-			p.Ints(map[string]int64{"Files": int64(res.Files), "WorkingSetBytes": res.WorkingSetBytes,
-				"Ops": res.Ops, "Bytes": res.Bytes, "Passes": res.Passes,
-				"PMFreeBlocks": res.Tier.PMFreeBlocks, "SlowFreeBlocks": res.Tier.SlowFreeBlocks,
-				"SetupNS": res.SetupNS, "SweepNS": res.SweepNS})
-			p.Floats(map[string]float64{"NSPerOp": res.NSPerOp, "GBps": res.GBps()})
-			if res.TierOK {
-				p.Floats(map[string]float64{"Ratio": ratios[i]})
-			}
-			p.AddCounters("SetupCounters.", &res.SetupCounters)
-			p.AddCounters("Counters.", &res.Counters)
-			p.AddCounters("MigrCounters.", &res.MigrCounters)
 		}
 	}
 	return rep, nil

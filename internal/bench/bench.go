@@ -1,9 +1,10 @@
-// Package bench is the one report schema and the one baseline checker
-// behind every committed BENCH_*.json gate. A winebench mode packs the
-// typed result it already holds into Points; the field classes of its
-// report (classes.go) decide how each value is compared against the
-// committed baseline. DESIGN.md "Bench reports" gives the reason for
-// every rule below.
+// Package bench is the one report schema, the one baseline checker and
+// the one table printer behind every winebench result and committed
+// BENCH_*.json gate. A winebench mode or paper experiment packs the typed
+// result it already holds into Points; the field classes of its report
+// (classes.go) decide how each value is compared against the committed
+// baseline, and a Table layout (table.go) how it prints. DESIGN.md "Bench
+// reports" gives the reason for every rule below.
 package bench
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/perf"
@@ -48,7 +50,7 @@ type Report struct {
 type Point struct {
 	Labels     map[string]string  `json:",omitempty"` // identity; must equal the baseline's
 	Threads    int                `json:",omitempty"` // >0 only in a thread sweep
-	Exact      map[string]int64   `json:",omitempty"`
+	Exact      map[string]float64 `json:",omitempty"` // compared for equality, bit for bit
 	Toleranced map[string]float64 `json:",omitempty"` // Toleranced and Placement fields
 	Info       map[string]float64 `json:",omitempty"` // recorded, never compared
 
@@ -73,17 +75,14 @@ func (r *Report) Point(labels map[string]string, threads int) *Point {
 // Ints files integer values, zeros included, under their classes.
 func (p *Point) Ints(vals map[string]int64) {
 	for name, v := range vals {
-		p.file(name, v)
+		p.file(name, float64(v))
 	}
 }
 
-// Floats files non-integer values; none of them may be of the Exact class.
+// Floats files values, zeros included, under their classes.
 func (p *Point) Floats(vals map[string]float64) {
 	for name, v := range vals {
-		if p.cl.Of(name) == Exact {
-			panic("bench: exact field " + name + " is not an integer")
-		}
-		p.fileFloat(name, v)
+		p.file(name, v)
 	}
 }
 
@@ -91,33 +90,33 @@ func (p *Point) Floats(vals map[string]float64) {
 func (p *Point) AddCounters(prefix string, c *perf.Counters) {
 	for _, f := range c.Fields() {
 		if f.Value != 0 {
-			p.file(prefix+f.Name, f.Value)
+			p.file(prefix+f.Name, float64(f.Value))
 		}
 	}
 }
 
-func (p *Point) file(name string, v int64) {
-	if p.cl.Of(name) == Exact {
-		p.Exact = put(p.Exact, name, v)
-	} else {
-		p.fileFloat(name, float64(v))
+func (p *Point) file(name string, v float64) {
+	m := &p.Toleranced
+	switch p.cl.Of(name) {
+	case Exact:
+		m = &p.Exact
+	case Info:
+		m = &p.Info
 	}
+	if *m == nil {
+		*m = map[string]float64{}
+	}
+	(*m)[name] = v
 }
 
-func (p *Point) fileFloat(name string, v float64) {
-	if p.cl.Of(name) == Info {
-		p.Info = put(p.Info, name, v)
-	} else {
-		p.Toleranced = put(p.Toleranced, name, v)
+// field returns a field of p and whether p carries it.
+func (p *Point) field(name string) (float64, bool) {
+	for _, m := range []map[string]float64{p.Exact, p.Toleranced, p.Info} {
+		if v, ok := m[name]; ok {
+			return v, true
+		}
 	}
-}
-
-func put[V any](m map[string]V, name string, v V) map[string]V {
-	if m == nil {
-		m = map[string]V{}
-	}
-	m[name] = v
-	return m
+	return 0, false
 }
 
 // id renders a point's identity for diffs and errors.
@@ -236,7 +235,7 @@ func Check(run, base *Report, cl Classes) ([]Diff, error) {
 		}
 		for _, name := range unionKeys(got.Exact, want.Exact) {
 			if g, w := got.Exact[name], want.Exact[name]; g != w {
-				diffs = append(diffs, Diff{id, name, fmt.Sprintf("= %d, baseline %d", g, w)})
+				diffs = append(diffs, Diff{id, name, "= " + num(g) + ", baseline " + num(w)})
 			}
 		}
 		if got.Threads > strictTimingThreads {
@@ -295,6 +294,9 @@ func Finish(rep *Report, jsonOut, baseline string) error {
 	fmt.Printf("baseline check OK against %s\n", baseline)
 	return nil
 }
+
+// num renders a value without an exponent: counters print as integers.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 func sortedKeys[V any](m map[string]V) []string {
 	return unionKeys(m, nil)

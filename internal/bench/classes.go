@@ -51,7 +51,7 @@ var known = map[string]Classes{
 	// -server: spans, the latency digest and lock wait are contention-derived.
 	"server-mix/v1": {
 		Toleranced: []string{"SpanNS", "OpsPerSec", "Latency.MeanNS", "Latency.P50NS", "Latency.P99NS", "Counters.LockWaitNS"},
-		Info:       []string{"Latency.P90NS", "Latency.MaxNS", "ClientCounters."},
+		Info:       []string{"Latency.P90NS", "Latency.MaxNS", "ClientCounters.", "Sessions", "HitRatio", "Cache."},
 	},
 	// -replicated: group-commit batching follows real scheduler
 	// interleaving, so the record stream wobbles a fraction of a percent.
@@ -71,7 +71,7 @@ var known = map[string]Classes{
 	// alone through its own cache, and its counts repeat exactly.
 	"cache/v1": {
 		Toleranced: []string{"ReadNS", "PopulateNS", "RewriteNS", "ReadNSPerRead", "ReadSpeedup", "Counters.LockWaitNS"},
-		Info:       []string{"HitRatio", "HotHitRatio"},
+		Info:       []string{"HitRatio", "HotHitRatio", "Cache."},
 	},
 	"mmap/v1": {
 		Toleranced: []string{"SetupNS", "MapNS", "SweepNS", "WriteNS", "NSPerRead", "Counters.LockWaitNS"},
@@ -80,6 +80,14 @@ var known = map[string]Classes{
 	"defrag/v1": {
 		Toleranced: []string{"SetupNS", "DefragNS", "Counters.LockWaitNS", "BaselineBW", "ContendedBW", "SlowdownPct"},
 		Info:       []string{"RecoveredCoverage"},
+	},
+	// -run: the paper's figures. Derived ratios are Info, and so are the
+	// throughputs of runs whose threads' bookings interleave in host order
+	// (Figure 9's Filebench and pgbench, Figure 10 above one thread): they
+	// move by up to a quarter run to run, past any honest tolerance. Every
+	// other value repeats bit for bit.
+	"paper/v1": {
+		Info: []string{"VsExt4.", "VsWineFS.", "MedianRatio", "SlowdownPct", "Filebench.", "PgbenchTPS", "ContendedKIOPS"},
 	},
 	"tier/v1": {
 		Toleranced: []string{"SetupNS", "SweepNS", "NSPerOp", "SetupCounters.LockWaitNS", "Counters.LockWaitNS", "MigrCounters.LockWaitNS"},

@@ -1,16 +1,16 @@
 // Package experiments contains one runner per table and figure in the
 // paper's evaluation (§5), plus the discussion-section experiments (§4).
 // Each runner builds the file systems fresh on simulated devices, ages
-// them where the paper does, drives the paper's workload, and returns the
-// series/rows the paper plots. EXPERIMENTS.md records paper-vs-measured
-// for every one of them.
+// them where the paper does, drives the paper's workload, and packs what
+// the paper plots as points of one paper/v1 bench report, next to the
+// layouts of the tables that print them. EXPERIMENTS.md records
+// paper-vs-measured for every one of them.
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/fstest"
 	"repro/internal/geriatrix"
 	"repro/internal/perf"
@@ -94,102 +94,78 @@ func StrictGroup() []string {
 	return []string{"NOVA", "Strata", "WineFS"}
 }
 
-// MmapGroup is the Figure 1/6(a)/7(a-c) set.
+// MmapGroup is the Figure 6(a) set.
 func MmapGroup() []string {
 	return []string{"ext4-DAX", "xfs-DAX", "NOVA", "SplitFS", "PMFS", "WineFS"}
 }
 
-// Table is a printable result table.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+// agedAppGroup is MmapGroup without PMFS, which cannot be aged in
+// reasonable time (§5.1): the Figure 7, Table 2 and Figure 8 set.
+func agedAppGroup() []string {
+	return []string{"ext4-DAX", "xfs-DAX", "NOVA", "SplitFS", "WineFS"}
 }
 
-// Print renders the table with aligned columns.
-func (t *Table) Print(w io.Writer) {
-	fmt.Fprintf(w, "\n=== %s ===\n", t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, cell := range cells {
-			w := 8
-			if i < len(widths) {
-				w = widths[i]
-			}
-			parts[i] = fmt.Sprintf("%-*s", w, cell)
-		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
-	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
+// Run is one entry of the paper's evaluation as winebench -run names it:
+// an experiment that packs its points into the paper/v1 report, and the
+// tables that print them.
+type Run struct {
+	Name string
+	// Pack runs the experiment and packs its points, each labelled
+	// Figure=Name; nil when Of is set.
+	Pack func(cfg Config, rep *bench.Report) error
+	// Of, when set, names the run whose points Tables print instead: Table
+	// 2 comes from Figure 7's runs.
+	Of     string
+	Tables []bench.Table
 }
 
-// SeriesTable renders a set of series (one column per series, rows by X).
-func SeriesTable(title, xLabel string, series []perf.Series, fmtY func(float64) string) *Table {
-	t := &Table{Title: title, Header: []string{xLabel}}
-	for _, s := range series {
-		t.Header = append(t.Header, s.Label)
-	}
-	// Collect the union of X values in order.
-	seen := map[float64]bool{}
-	var xs []float64
-	for _, s := range series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	for _, x := range xs {
-		row := []string{fmt.Sprintf("%g", x)}
-		for _, s := range series {
-			cell := "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmtY(p.Y)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+// Runs is the paper's evaluation in the order winebench runs it.
+var Runs = []Run{
+	{Name: "fig1", Pack: Fig1, Tables: fig1Tables},
+	{Name: "fig2", Pack: Fig2, Tables: fig2Tables},
+	{Name: "fig3", Pack: Fig3, Tables: fig3Tables},
+	{Name: "fig4", Pack: Fig4, Tables: fig4Tables},
+	{Name: "fig6", Pack: Fig6, Tables: fig6Tables},
+	{Name: "fig7", Pack: Fig7, Tables: fig7Tables},
+	{Name: "table2", Of: "fig7", Tables: table2Tables},
+	{Name: "fig8", Pack: Fig8, Tables: fig8Tables},
+	{Name: "fig9", Pack: func(cfg Config, rep *bench.Report) error { return Fig9(cfg, rep, nil) }, Tables: fig9Tables},
+	{Name: "fig10", Pack: Fig10, Tables: fig10Tables},
+	{Name: "recovery", Pack: Recovery, Tables: recoveryTables},
+	{Name: "defrag", Pack: Defrag, Tables: defragTables},
+	{Name: "hpc", Pack: HPC, Tables: hpcTables},
+	{Name: "numa", Pack: NUMA, Tables: numaTables},
+	{Name: "crashmonkey", Pack: CrashMonkey, Tables: crashMonkeyTables},
 }
 
-// FmtGBs formats a bandwidth in GB/s.
-func FmtGBs(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// FmtOps formats an ops/s rate compactly.
-func FmtOps(v float64) string {
-	switch {
-	case v >= 1e6:
-		return fmt.Sprintf("%.2fM", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1fk", v/1e3)
-	default:
-		return fmt.Sprintf("%.0f", v)
+// NewReport starts the paper/v1 report of a run of cfg.
+func NewReport(cfg Config) *bench.Report {
+	quick := 0.0
+	if cfg.Quick {
+		quick = 1
 	}
+	return bench.New("paper/v1", map[string]float64{
+		"Quick": quick, "CPUs": float64(cfg.CPUs), "DeviceSize": float64(cfg.DeviceSize), "Seed": float64(cfg.Seed)})
 }
 
-// FmtCount formats large counts compactly.
-func FmtCount(v float64) string { return FmtOps(v) }
+// labels names a point of experiment fig, or the points a table shows:
+// Figure=fig plus the key, value pairs in kv.
+func labels(fig string, kv ...string) map[string]string {
+	m := map[string]string{"Figure": fig}
+	for i := 0; i+1 < len(kv); i += 2 {
+		m[kv[i]] = kv[i+1]
+	}
+	return m
+}
+
+// packLatency files a latency distribution's median, p90 and p99.
+func packLatency(p *bench.Point, h *perf.Histogram) {
+	p.Ints(map[string]int64{"MedianNS": h.Median(), "P90NS": h.Quantile(0.9), "P99NS": h.Quantile(0.99)})
+}
+
+// latencyCols prints what packLatency files.
+var latencyCols = []bench.Col{
+	{Head: "median", Field: "MedianNS", Fmt: "%.0f"},
+	{Head: "p90", Field: "P90NS", Fmt: "%.0f"},
+	{Head: "p99", Field: "P99NS", Fmt: "%.0f"},
+}

@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
-	"repro/internal/perf"
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/vmm"
@@ -18,29 +19,28 @@ import (
 // by plain filling (un-aged) or by Geriatrix create/delete churn (aged) —
 // then a large file is created, memory-mapped, and written sequentially
 // with memcpy; bandwidth = bytes / virtual time.
-func Fig1(cfg Config) (unaged, aged []perf.Series, err error) {
+func Fig1(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
-	utils := []float64{0.0, 0.30, 0.60, 0.90}
-	fsNames := []string{"ext4-DAX", "NOVA", "WineFS"}
-	for _, name := range fsNames {
-		u := perf.Series{Label: name}
-		a := perf.Series{Label: name}
-		for _, util := range utils {
-			bw, err := fig1Point(cfg, name, util, false)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig1 %s unaged %.0f%%: %w", name, util*100, err)
+	for _, name := range []string{"ext4-DAX", "NOVA", "WineFS"} {
+		for _, util := range []float64{0.0, 0.30, 0.60, 0.90} {
+			for _, aged := range []bool{false, true} {
+				bw, err := fig1Point(cfg, name, util, aged)
+				if err != nil {
+					return fmt.Errorf("fig1 %s aged=%v %.0f%%: %w", name, aged, util*100, err)
+				}
+				rep.Point(labels("fig1", "Aged", strconv.FormatBool(aged), "FS", name, "Util", fmt.Sprintf("%g", util*100)), 0).
+					Floats(map[string]float64{"GBs": bw})
 			}
-			u.Points = append(u.Points, perf.Point{X: util * 100, Y: bw})
-			bw, err = fig1Point(cfg, name, util, true)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig1 %s aged %.0f%%: %w", name, util*100, err)
-			}
-			a.Points = append(a.Points, perf.Point{X: util * 100, Y: bw})
 		}
-		unaged = append(unaged, u)
-		aged = append(aged, a)
 	}
-	return unaged, aged, nil
+	return nil
+}
+
+var fig1Tables = []bench.Table{
+	{Title: "Figure 1(a): un-aged mmap write bandwidth (GB/s) vs utilisation (%)", Where: labels("fig1", "Aged", "false"),
+		Rows: []string{"Util"}, RowHead: "util%", Pivot: "FS", Cols: []bench.Col{{Field: "GBs", Fmt: "%.2f"}}},
+	{Title: "Figure 1(b): aged mmap write bandwidth (GB/s) vs utilisation (%)", Where: labels("fig1", "Aged", "true"),
+		Rows: []string{"Util"}, RowHead: "util%", Pivot: "FS", Cols: []bench.Col{{Field: "GBs", Fmt: "%.2f"}}},
 }
 
 // fig1Point measures mmap write bandwidth (GB/s) at one utilisation level.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/perf"
+	"repro/internal/bench"
 	"repro/internal/workloads"
 )
 
@@ -12,7 +12,10 @@ import (
 // Expected shapes: WineFS and NOVA scale best (per-CPU journals / per-inode
 // logs); PMFS scales reasonably (fine-grained single journal); ext4-DAX,
 // xfs-DAX and SplitFS plateau early (stop-the-world JBD2 commit on fsync).
-func Fig10(cfg Config) ([]perf.Series, error) {
+//
+// Only the one-thread throughput repeats run to run; above one thread the
+// threads' bookings interleave in host order, so those points are Info.
+func Fig10(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
 	threads := []int{1, 2, 4, 8, 16}
 	names := []string{"ext4-DAX", "xfs-DAX", "PMFS", "NOVA", "SplitFS", "WineFS"}
@@ -22,24 +25,31 @@ func Fig10(cfg Config) ([]perf.Series, error) {
 	if machineCfg.CPUs < 16 {
 		machineCfg.CPUs = 16
 	}
-	var out []perf.Series
 	for _, name := range names {
-		s := perf.Series{Label: name}
 		for _, th := range threads {
 			fs, _, _, err := machineCfg.newFS(name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tput, err := workloads.Scalability(fs, workloads.ScalabilityConfig{
 				Threads:      th,
 				OpsPerThread: int(cfg.scale(50, 300)),
 			})
 			if err != nil {
-				return nil, fmt.Errorf("fig10 %s %d threads: %w", name, th, err)
+				return fmt.Errorf("fig10 %s %d threads: %w", name, th, err)
 			}
-			s.Points = append(s.Points, perf.Point{X: float64(th), Y: tput / 1000}) // kIOPS
+			field := "KIOPS"
+			if th > 1 {
+				field = "ContendedKIOPS"
+			}
+			rep.Point(labels("fig10", "FS", name), th).Floats(map[string]float64{field: tput / 1000})
 		}
-		out = append(out, s)
 	}
-	return out, nil
+	return nil
 }
+
+var fig10Tables = []bench.Table{{
+	Title: "Figure 10: scalability (kIOPS) vs threads", Where: labels("fig10"),
+	Rows: []string{"Threads"}, RowHead: "threads", Pivot: "FS",
+	Cols: []bench.Col{{Field: "KIOPS", Fmt: "%.0f"}}, Else: []bench.Col{{Field: "ContendedKIOPS", Fmt: "%.0f"}},
+}}

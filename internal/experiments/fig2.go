@@ -1,18 +1,11 @@
 package experiments
 
 import (
+	"repro/internal/bench"
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 )
-
-// Fig2Row is one bar of Figure 2's breakdown.
-type Fig2Row struct {
-	Config  string
-	TotalUS float64
-	CopyUS  float64
-	FaultUS float64 // page-fault handling + page-table setup
-}
 
 // Fig2 reproduces Figure 2: the time to memory-map and write one 2MiB
 // file, with and without hugepages. The paper's result: with hugepages
@@ -22,41 +15,39 @@ type Fig2Row struct {
 // The experiment is run at the MMU level (it is file-system independent):
 // identical 2MiB regions, one physically aligned (hugepage-mappable), one
 // deliberately misaligned by one base page.
-func Fig2(cfg Config) ([]Fig2Row, error) {
-	cfg = cfg.Defaults()
+func Fig2(cfg Config, rep *bench.Report) error {
 	dev := pmem.New(64 << 20)
 	as := mmu.NewAddressSpace(dev)
-
-	run := func(aligned bool) (Fig2Row, error) {
+	for _, config := range []string{"hugepages", "base pages"} {
 		phys := int64(8 << 20)
-		if !aligned {
+		if config == "base pages" {
 			phys += mmu.BasePage // one-page misalignment forbids hugepages
 		}
 		h := &staticHandler{extents: []mmu.Extent{{FileOff: 0, Phys: phys, Len: mmu.HugePage}}}
 		m := as.NewMapping(mmu.HugePage, h)
 		ctx := sim.NewCtx(1, 0)
 		if err := m.Touch(ctx, 0, mmu.HugePage, true); err != nil {
-			return Fig2Row{}, err
+			return err
 		}
 		c := ctx.Counters
-		return Fig2Row{
-			TotalUS: float64(ctx.Now()) / 1000,
-			CopyUS:  float64(c.CopyNS) / 1000,
-			FaultUS: float64(c.FaultNS+c.PageWalkNS) / 1000,
-		}, nil
+		rep.Point(labels("fig2", "Config", config), 0).Floats(map[string]float64{
+			"TotalUS": float64(ctx.Now()) / 1000,
+			"CopyUS":  float64(c.CopyNS) / 1000,
+			"FaultUS": float64(c.FaultNS+c.PageWalkNS) / 1000, // page-fault handling + page-table setup
+		})
 	}
-	huge, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	huge.Config = "hugepages"
-	base, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	base.Config = "base pages"
-	return []Fig2Row{huge, base}, nil
+	return nil
 }
+
+var fig2Tables = []bench.Table{{
+	Title: "Figure 2: memory-map + write a 2MiB file (microseconds)", Where: labels("fig2"),
+	Rows: []string{"Config"}, RowHead: "config",
+	Cols: []bench.Col{
+		{Head: "total", Field: "TotalUS", Fmt: "%.0f"},
+		{Head: "copy", Field: "CopyUS", Fmt: "%.0f"},
+		{Head: "fault+pagetable", Field: "FaultUS", Fmt: "%.0f"},
+	},
+}}
 
 // staticHandler serves faults from a fixed extent list.
 type staticHandler struct {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/bench"
 	"repro/internal/geriatrix"
-	"repro/internal/perf"
 )
 
 // Fig3 reproduces Figure 3: the percentage of free space that remains in
@@ -14,15 +14,13 @@ import (
 // reaching "close to zero 2MB aligned and contiguous regions" by 70%
 // utilisation — while (shown here additionally) WineFS retains almost all
 // of its aligned free space.
-func Fig3(cfg Config) ([]perf.Series, error) {
+func Fig3(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
 	utils := []float64{0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90}
-	fsNames := []string{"ext4-DAX", "NOVA", "WineFS"}
-	var out []perf.Series
-	for _, name := range fsNames {
+	for _, name := range []string{"ext4-DAX", "NOVA", "WineFS"} {
 		fs, _, ctx, err := cfg.newFS(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// One continuous aging run per FS, sampling at each utilisation.
 		churn := 1.0
@@ -35,17 +33,21 @@ func Fig3(cfg Config) ([]perf.Series, error) {
 			Seed:        cfg.Seed + 3,
 		})
 		if _, err := ager.Run(ctx); err != nil {
-			return nil, fmt.Errorf("fig3 %s: %w", name, err)
+			return fmt.Errorf("fig3 %s: %w", name, err)
 		}
-		s := perf.Series{Label: name}
 		for _, u := range utils {
 			if err := ager.RaiseUtil(ctx, u); err != nil {
-				return nil, fmt.Errorf("fig3 %s raise %.2f: %w", name, u, err)
+				return fmt.Errorf("fig3 %s raise %.2f: %w", name, u, err)
 			}
 			frac := alloc.AlignedFreeFraction(fs.FreeExtents())
-			s.Points = append(s.Points, perf.Point{X: u * 100, Y: frac * 100})
+			rep.Point(labels("fig3", "FS", name, "Util", fmt.Sprintf("%g", u*100)), 0).
+				Floats(map[string]float64{"AlignedFreePct": frac * 100})
 		}
-		out = append(out, s)
 	}
-	return out, nil
+	return nil
 }
+
+var fig3Tables = []bench.Table{{
+	Title: "Figure 3: free space in aligned+contiguous 2MiB regions (%) vs utilisation (%)", Where: labels("fig3"),
+	Rows: []string{"Util"}, RowHead: "util%", Pivot: "FS", Cols: []bench.Col{{Field: "AlignedFreePct", Fmt: "%.1f"}},
+}}

@@ -1,26 +1,12 @@
 package experiments
 
 import (
+	"repro/internal/bench"
 	"repro/internal/mmu"
 	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 )
-
-// Fig4Result carries the two latency distributions of Figure 4.
-type Fig4Result struct {
-	Huge perf.Histogram
-	Base perf.Histogram
-}
-
-// MedianRatio returns base-page median latency over hugepage median.
-func (r *Fig4Result) MedianRatio() float64 {
-	h := r.Huge.Median()
-	if h == 0 {
-		return 0
-	}
-	return float64(r.Base.Median()) / float64(h)
-}
 
 // Fig4 reproduces Figure 4: the latency CDF of random reads from a large,
 // memory-mapped, *pre-faulted* PM array, with 2MiB vs 4KiB pages. No page
@@ -28,7 +14,7 @@ func (r *Fig4Result) MedianRatio() float64 {
 // page-table walks — the paper reports ~10× higher median latency with
 // base pages because the read element "has been knocked out of the
 // processor cache by page table entries".
-func Fig4(cfg Config) (*Fig4Result, error) {
+func Fig4(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
 	// Scale the array and LLC together: the paper's machine pairs a ~38MiB
 	// LLC with a multi-GiB array; we pair the model's 8MiB LLC with a
@@ -78,12 +64,24 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 		}
 		return nil
 	}
-	res := &Fig4Result{}
-	if err := run(true, &res.Huge); err != nil {
-		return nil, err
+	var huge, base perf.Histogram
+	if err := run(true, &huge); err != nil {
+		return err
 	}
-	if err := run(false, &res.Base); err != nil {
-		return nil, err
+	if err := run(false, &base); err != nil {
+		return err
 	}
-	return res, nil
+	packLatency(rep.Point(labels("fig4", "Pages", "2MB-pages"), 0), &huge)
+	packLatency(rep.Point(labels("fig4", "Pages", "4KB-pages"), 0), &base)
+	if huge.Median() > 0 {
+		rep.Point(labels("fig4", "Pages", "ratio"), 0).
+			Floats(map[string]float64{"MedianRatio": float64(base.Median()) / float64(huge.Median())})
+	}
+	return nil
 }
+
+var fig4Tables = []bench.Table{{
+	Title: "Figure 4: pre-faulted random-read latency (ns)", Where: labels("fig4"),
+	Rows: []string{"Pages"}, RowHead: "pages", Cols: latencyCols,
+	Else: []bench.Col{{Field: "MedianRatio", Fmt: "%.1fx"}},
+}}

@@ -3,56 +3,81 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/vmm"
 )
 
-// Fig6Result holds throughput (GB/s) per file system per access pattern,
-// for the three panels of Figure 6: memory-mapped access, POSIX with
-// metadata consistency (weak), POSIX with data consistency (strong).
-type Fig6Result struct {
-	Patterns []string // seq-write, rand-write, seq-read, rand-read
-	Mmap     map[string][]float64
-	Weak     map[string][]float64
-	Strong   map[string][]float64
-}
+// fig6Patterns are Figure 6's access patterns, in the order each panel's
+// runner measures them.
+var fig6Patterns = []string{"seq-write", "rand-write", "seq-read", "rand-read"}
 
 // Fig6 reproduces Figure 6: sequential/random read/write throughput on
-// aged file systems, via mmap and via system calls (fsync every 10 ops).
-// Expected shapes: WineFS leads the mmap panel by >2× over NOVA (it keeps
-// hugepages when aged); on the syscall panels WineFS matches or beats the
-// best system (ext4/xfs pay for costly fsync on appends; NOVA pays log
-// maintenance on overwrites).
-func Fig6(cfg Config) (*Fig6Result, error) {
+// aged file systems, via mmap and via system calls (fsync every 10 ops),
+// in three panels: memory-mapped access, POSIX with metadata consistency
+// (weak) and POSIX with data consistency (strong). Expected shapes:
+// WineFS leads the mmap panel by >2× over NOVA (it keeps hugepages when
+// aged); on the syscall panels WineFS matches or beats the best system
+// (ext4/xfs pay for costly fsync on appends; NOVA pays log maintenance on
+// overwrites).
+func Fig6(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
-	res := &Fig6Result{
-		Patterns: []string{"seq-write", "rand-write", "seq-read", "rand-read"},
-		Mmap:     map[string][]float64{},
-		Weak:     map[string][]float64{},
-		Strong:   map[string][]float64{},
-	}
-	for _, name := range MmapGroup() {
-		vals, err := fig6Mmap(cfg, name)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 mmap %s: %w", name, err)
+	for _, panel := range []struct {
+		name  string
+		group []string
+		run   func(Config, string) ([]float64, error)
+	}{{"mmap", MmapGroup(), fig6Mmap}, {"weak", RelaxedGroup(), fig6Posix}, {"strong", StrictGroup(), fig6Posix}} {
+		for _, name := range panel.group {
+			gbs, err := panel.run(cfg, name)
+			if err != nil {
+				return fmt.Errorf("fig6 %s %s: %w", panel.name, name, err)
+			}
+			vals := map[string]float64{}
+			for i, pattern := range fig6Patterns {
+				vals["GBs."+pattern] = gbs[i]
+			}
+			rep.Point(labels("fig6", "Panel", panel.name, "FS", name), 0).Floats(vals)
 		}
-		res.Mmap[name] = vals
 	}
-	for _, name := range RelaxedGroup() {
-		vals, err := fig6Posix(cfg, name)
+	return nil
+}
+
+var fig6Cols = []bench.Col{
+	{Head: "seq-write", Field: "GBs.seq-write", Fmt: "%.2f"},
+	{Head: "rand-write", Field: "GBs.rand-write", Fmt: "%.2f"},
+	{Head: "seq-read", Field: "GBs.seq-read", Fmt: "%.2f"},
+	{Head: "rand-read", Field: "GBs.rand-read", Fmt: "%.2f"},
+}
+
+var fig6Tables = []bench.Table{
+	{Title: "Figure 6(a): aged mmap throughput (GB/s)", Where: labels("fig6", "Panel", "mmap"),
+		Rows: []string{"FS"}, RowHead: "fs", Cols: fig6Cols},
+	{Title: "Figure 6(b): POSIX weak (metadata consistency) throughput (GB/s)", Where: labels("fig6", "Panel", "weak"),
+		Rows: []string{"FS"}, RowHead: "fs", Cols: fig6Cols},
+	{Title: "Figure 6(c): POSIX strong (data consistency) throughput (GB/s)", Where: labels("fig6", "Panel", "strong"),
+		Rows: []string{"FS"}, RowHead: "fs", Cols: fig6Cols},
+}
+
+// phases runs each access back to back in virtual time, each on a fresh
+// context (ids base, base+1, ...) that starts where the previous phase,
+// or at first clock, ended, and returns each phase's bytes per virtual
+// ns (GB/s).
+func phases(clock int64, base int, access ...func(c *sim.Ctx) (int64, error)) ([]float64, error) {
+	out := make([]float64, len(access))
+	for i, a := range access {
+		c := sim.NewCtx(base+i, 0)
+		c.AdvanceTo(clock)
+		start := c.Now()
+		bytes, err := a(c)
 		if err != nil {
-			return nil, fmt.Errorf("fig6 weak %s: %w", name, err)
+			return nil, err
 		}
-		res.Weak[name] = vals
-	}
-	for _, name := range StrictGroup() {
-		vals, err := fig6Posix(cfg, name)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 strong %s: %w", name, err)
+		if c.Now() > start {
+			out[i] = float64(bytes) / float64(c.Now()-start)
 		}
-		res.Strong[name] = vals
+		clock = c.Now()
 	}
-	return res, nil
+	return out, nil
 }
 
 // fig6Mmap ages the FS to 75%, maps a large file and measures memcpy
@@ -79,66 +104,24 @@ func fig6Mmap(cfg Config, name string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 4)
 	const chunk = 16 << 10
 	rng := sim.NewRand(cfg.Seed + 21)
-
-	// Phases run back to back in virtual time, each starting after the
-	// previous phase's (and the setup's) device-port bookings.
-	clock := ctx.Now()
-	measure := func(idx int, access func(c *sim.Ctx) (int64, error)) error {
-		c := sim.NewCtx(50+idx, 0)
-		c.AdvanceTo(clock)
-		start := c.Now()
-		bytes, err := access(c)
-		if err != nil {
-			return err
-		}
-		if c.Now() > start {
-			out[idx] = float64(bytes) / float64(c.Now()-start)
-		}
-		clock = c.Now()
-		return nil
-	}
-	// seq write
-	if err := measure(0, func(c *sim.Ctx) (int64, error) {
-		return size, m.Touch(c, 0, size, true)
-	}); err != nil {
-		return nil, err
-	}
-	// rand write (16KiB chunks)
-	if err := measure(1, func(c *sim.Ctx) (int64, error) {
-		n := size / chunk
-		for i := int64(0); i < n; i++ {
-			off := rng.Int63n(size/chunk) * chunk
-			if err := m.Touch(c, off, chunk, true); err != nil {
-				return 0, err
+	random := func(write bool) func(c *sim.Ctx) (int64, error) {
+		return func(c *sim.Ctx) (int64, error) {
+			for i := int64(0); i < size/chunk; i++ {
+				if err := m.Touch(c, rng.Int63n(size/chunk)*chunk, chunk, write); err != nil {
+					return 0, err
+				}
 			}
+			return size, nil
 		}
-		return size, nil
-	}); err != nil {
-		return nil, err
 	}
-	// seq read
-	if err := measure(2, func(c *sim.Ctx) (int64, error) {
-		return size, m.Touch(c, 0, size, false)
-	}); err != nil {
-		return nil, err
-	}
-	// rand read
-	if err := measure(3, func(c *sim.Ctx) (int64, error) {
-		n := size / chunk
-		for i := int64(0); i < n; i++ {
-			off := rng.Int63n(size/chunk) * chunk
-			if err := m.Touch(c, off, chunk, false); err != nil {
-				return 0, err
-			}
-		}
-		return size, nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	// The phases start after every setup booking on the device ports.
+	return phases(ctx.Now(), 50,
+		func(c *sim.Ctx) (int64, error) { return size, m.Touch(c, 0, size, true) },
+		random(true),
+		func(c *sim.Ctx) (int64, error) { return size, m.Touch(c, 0, size, false) },
+		random(false))
 }
 
 // fig6Posix measures 4KiB syscall appends/overwrites/reads with an fsync
@@ -153,67 +136,31 @@ func fig6Posix(cfg Config, name string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 4)
 	buf := make([]byte, 4096)
 	rng := sim.NewRand(cfg.Seed + 22)
 	blocks := size / 4096
-
-	// seq write: appends filling the file.
-	c := sim.NewCtx(60, 0)
-	c.AdvanceTo(ctx.Now())
-	phaseStart := c.Now()
-	for i := int64(0); i < blocks; i++ {
-		if _, err := f.Append(c, buf); err != nil {
-			return nil, err
-		}
-		if i%10 == 9 {
-			if err := f.Fsync(c); err != nil {
-				return nil, err
+	// each runs op on every block in turn, with an fsync after every
+	// tenth when sync is set.
+	each := func(sync bool, op func(c *sim.Ctx, i int64) error) func(c *sim.Ctx) (int64, error) {
+		return func(c *sim.Ctx) (int64, error) {
+			for i := int64(0); i < blocks; i++ {
+				if err := op(c, i); err != nil {
+					return 0, err
+				}
+				if sync && i%10 == 9 {
+					if err := f.Fsync(c); err != nil {
+						return 0, err
+					}
+				}
 			}
+			return size, nil
 		}
 	}
-	out[0] = float64(size) / float64(c.Now()-phaseStart)
-
-	// rand write: in-place 4KiB overwrites.
-	prev := c.Now()
-	c = sim.NewCtx(61, 0)
-	c.AdvanceTo(prev)
-	phaseStart = c.Now()
-	for i := int64(0); i < blocks; i++ {
-		off := rng.Int63n(blocks) * 4096
-		if _, err := f.WriteAt(c, buf, off); err != nil {
-			return nil, err
-		}
-		if i%10 == 9 {
-			if err := f.Fsync(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out[1] = float64(size) / float64(c.Now()-phaseStart)
-
-	// seq read.
-	prev = c.Now()
-	c = sim.NewCtx(62, 0)
-	c.AdvanceTo(prev)
-	phaseStart = c.Now()
-	for i := int64(0); i < blocks; i++ {
-		if _, err := f.ReadAt(c, buf, i*4096); err != nil {
-			return nil, err
-		}
-	}
-	out[2] = float64(size) / float64(c.Now()-phaseStart)
-
-	// rand read.
-	prev = c.Now()
-	c = sim.NewCtx(63, 0)
-	c.AdvanceTo(prev)
-	phaseStart = c.Now()
-	for i := int64(0); i < blocks; i++ {
-		if _, err := f.ReadAt(c, buf, rng.Int63n(blocks)*4096); err != nil {
-			return nil, err
-		}
-	}
-	out[3] = float64(size) / float64(c.Now()-phaseStart)
-	return out, nil
+	return phases(ctx.Now(), 60,
+		// seq write: appends filling the file.
+		each(true, func(c *sim.Ctx, _ int64) error { _, err := f.Append(c, buf); return err }),
+		// rand write: in-place 4KiB overwrites.
+		each(true, func(c *sim.Ctx, _ int64) error { _, err := f.WriteAt(c, buf, rng.Int63n(blocks)*4096); return err }),
+		each(false, func(c *sim.Ctx, i int64) error { _, err := f.ReadAt(c, buf, i*4096); return err }),
+		each(false, func(c *sim.Ctx, _ int64) error { _, err := f.ReadAt(c, buf, rng.Int63n(blocks)*4096); return err }))
 }

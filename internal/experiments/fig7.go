@@ -6,23 +6,16 @@ import (
 	"repro/internal/apps/lmdb"
 	"repro/internal/apps/pmemkv"
 	"repro/internal/apps/rocksdb"
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/workloads"
 )
 
-// Fig7Result holds application throughput and fault counts on aged file
-// systems (Figure 7 panels a–c and the Table 2 fault counts, which come
-// from the same runs).
-type Fig7Result struct {
-	// YCSB[fs][workload] = ops/s for the RocksDB-analogue runs.
-	YCSB map[string]map[string]float64
-	// LMDB[fs] = fillseqbatch ops/s; PmemKV[fs] = fillseq ops/s.
-	LMDB   map[string]float64
-	PmemKV map[string]float64
-	// Faults[fs][app] = page-fault counts (Table 2).
-	Faults map[string]map[string]int64
-}
+// fig7App runs one application on an aged file system and files its
+// throughput (ops/s) and page faults under its own keys: the throughput
+// keys are Figure 7's columns, the fault keys Table 2's.
+type fig7App func(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[string]int64) error
 
 // Fig7 reproduces Figure 7 (and collects Table 2): RocksDB under YCSB,
 // LMDB under fillseqbatch, and PmemKV under fillseq, each on file systems
@@ -30,79 +23,57 @@ type Fig7Result struct {
 // ~2× over NOVA on LMDB and ~70% over ext4-DAX on PmemKV — because only
 // WineFS still maps these stores with hugepages; the others take orders of
 // magnitude more page faults (Table 2).
-func Fig7(cfg Config) (*Fig7Result, error) {
+//
+// One point per file system carries every application's throughput and
+// faults, its throughput relative to ext4-DAX (Figure 7) and, on the
+// others, its faults as multiples of WineFS's (Table 2) wherever WineFS
+// took any.
+func Fig7(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
-	res := &Fig7Result{
-		YCSB:   map[string]map[string]float64{},
-		LMDB:   map[string]float64{},
-		PmemKV: map[string]float64{},
-		Faults: map[string]map[string]int64{},
+	opsPerSec := map[string]map[string]float64{}
+	faults := map[string]map[string]int64{}
+	for _, name := range agedAppGroup() {
+		opsPerSec[name], faults[name] = map[string]float64{}, map[string]int64{}
+		for _, app := range []fig7App{fig7YCSB, fig7LMDB, fig7PmemKV} {
+			// Each application gets its own freshly aged file system.
+			fs, _, ctx, err := cfg.newFS(name)
+			if err != nil {
+				return err
+			}
+			if _, err := cfg.age(ctx, fs, 0.75); err != nil {
+				return fmt.Errorf("fig7 aging %s: %w", name, err)
+			}
+			if err := app(cfg, fs, opsPerSec[name], faults[name]); err != nil {
+				return fmt.Errorf("fig7 on %s: %w", name, err)
+			}
+		}
 	}
-	names := []string{"ext4-DAX", "xfs-DAX", "SplitFS",
-		"NOVA", "WineFS", "NOVA-relaxed", "WineFS-relaxed"}
-	for _, name := range names {
-		faults := map[string]int64{}
-		res.Faults[name] = faults
-
-		// --- YCSB on the RocksDB analogue ---
-		fs, err := fig7AgedFS(cfg, name)
-		if err != nil {
-			return nil, err
+	for _, name := range agedAppGroup() {
+		vals := map[string]float64{}
+		for app, v := range opsPerSec[name] {
+			vals["OpsPerSec."+app] = v
+			if base := opsPerSec["ext4-DAX"][app]; base > 0 {
+				vals["VsExt4."+app] = v / base
+			}
 		}
-		ycsb, yFaults, err := fig7YCSB(cfg, fs)
-		if err != nil {
-			return nil, fmt.Errorf("fig7 ycsb on %s: %w", name, err)
+		for app, n := range faults[name] {
+			vals["Faults."+app] = float64(n)
+			if wf := faults["WineFS"][app]; name != "WineFS" && wf > 0 {
+				vals["VsWineFS."+app] = float64(n) / float64(wf)
+			}
 		}
-		res.YCSB[name] = ycsb
-		for k, v := range yFaults {
-			faults[k] = v
-		}
-
-		// --- LMDB fillseqbatch ---
-		fs, err = fig7AgedFS(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		ops, f, err := fig7LMDB(cfg, fs)
-		if err != nil {
-			return nil, fmt.Errorf("fig7 lmdb on %s: %w", name, err)
-		}
-		res.LMDB[name] = ops
-		faults["lmdb-fillseqbatch"] = f
-
-		// --- PmemKV fillseq ---
-		fs, err = fig7AgedFS(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		ops, f, err = fig7PmemKV(cfg, fs)
-		if err != nil {
-			return nil, fmt.Errorf("fig7 pmemkv on %s: %w", name, err)
-		}
-		res.PmemKV[name] = ops
-		faults["pmemkv-fillseq"] = f
+		rep.Point(labels("fig7", "FS", name), 0).Floats(vals)
 	}
-	return res, nil
+	return nil
 }
 
-func fig7AgedFS(cfg Config, name string) (vfs.FS, error) {
-	fs, _, ctx, err := cfg.newFS(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cfg.age(ctx, fs, 0.75); err != nil {
-		return nil, fmt.Errorf("aging %s: %w", name, err)
-	}
-	return fs, nil
-}
-
-func fig7YCSB(cfg Config, fs vfs.FS) (map[string]float64, map[string]int64, error) {
+func fig7YCSB(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[string]int64) error {
 	ctx := sim.NewCtx(70, 0)
 	db, err := rocksdb.Open(ctx, fs, rocksdb.Options{
 		MemtableBytes: cfg.scale(1<<20, 4<<20),
 	})
 	if err != nil {
-		return nil, nil, err
+		return fmt.Errorf("ycsb: %w", err)
 	}
 	ycfg := workloads.YCSBConfig{
 		Records:    cfg.scale(4000, 50000),
@@ -110,118 +81,83 @@ func fig7YCSB(cfg Config, fs vfs.FS) (map[string]float64, map[string]int64, erro
 		ValueSize:  1024,
 		Seed:       cfg.Seed,
 	}
-	out := map[string]float64{}
-	faults := map[string]int64{}
 	clock := ctx.Now()
 	for _, kind := range workloads.AllYCSB() {
 		runCtx := sim.NewCtx(71+int(kind), 0)
 		runCtx.AdvanceTo(clock)
 		r, err := workloads.YCSBRun(runCtx, db, kind, ycfg)
 		if err != nil {
-			return nil, nil, err
+			return fmt.Errorf("ycsb: %w", err)
 		}
-		out[kind.String()] = r.Throughput()
+		opsPerSec["ycsb-"+kind.String()] = r.Throughput()
 		faults["ycsb-"+kind.String()] = runCtx.Counters.TotalFaults()
 		clock = runCtx.Now()
 	}
-	return out, faults, nil
+	return nil
 }
 
-func fig7LMDB(cfg Config, fs vfs.FS) (float64, int64, error) {
+func fig7LMDB(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[string]int64) error {
 	ctx := sim.NewCtx(80, 0)
 	// Map size sized to the dataset (sparse: only faulted pages allocate).
-	records := cfg.scale(4000, 50000)
 	db, err := lmdb.Open(ctx, fs, lmdb.Options{
 		MapSize: cfg.scale(64<<20, 512<<20),
 		Path:    "/fig7.mdb",
 	})
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("lmdb: %w", err)
 	}
 	ops, ns, err := workloads.DBBench(ctx, db, workloads.FillSeqBatch, workloads.DBBenchConfig{
-		Records: records, ValueSize: 1024, BatchSize: 100, Seed: cfg.Seed,
+		Records: cfg.scale(4000, 50000), ValueSize: 1024, BatchSize: 100, Seed: cfg.Seed,
 	})
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("lmdb: %w", err)
 	}
-	return float64(ops) / (float64(ns) / 1e9), ctx.Counters.TotalFaults(), nil
+	opsPerSec["lmdb"], faults["lmdb-fillseqbatch"] = float64(ops)/(float64(ns)/1e9), ctx.Counters.TotalFaults()
+	return nil
 }
 
-func fig7PmemKV(cfg Config, fs vfs.FS) (float64, int64, error) {
+func fig7PmemKV(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[string]int64) error {
 	ctx := sim.NewCtx(81, 0)
 	db, err := pmemkv.OpenSized(ctx, fs, "/fig7kv", cfg.scale(16<<20, 128<<20))
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("pmemkv: %w", err)
 	}
 	ops, ns, err := workloads.DBBench(ctx, db, workloads.FillSeq, workloads.DBBenchConfig{
 		Records: cfg.scale(4000, 30000), ValueSize: 4096, Seed: cfg.Seed,
 	})
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("pmemkv: %w", err)
 	}
-	return float64(ops) / (float64(ns) / 1e9), ctx.Counters.TotalFaults(), nil
+	opsPerSec["pmemkv"], faults["pmemkv-fillseq"] = float64(ops)/(float64(ns)/1e9), ctx.Counters.TotalFaults()
+	return nil
 }
 
-// Fig7Table renders panel data relative to ext4-DAX like the paper.
-func Fig7Table(res *Fig7Result) *Table {
-	t := &Table{
-		Title:  "Figure 7: application throughput on aged FSs (relative to ext4-DAX)",
-		Header: []string{"fs", "ycsb-A", "ycsb-C", "ycsb-F", "lmdb", "pmemkv"},
-	}
-	base := map[string]float64{
-		"ycsb-A": res.YCSB["ext4-DAX"]["A"],
-		"ycsb-C": res.YCSB["ext4-DAX"]["C"],
-		"ycsb-F": res.YCSB["ext4-DAX"]["F"],
-		"lmdb":   res.LMDB["ext4-DAX"],
-		"pmemkv": res.PmemKV["ext4-DAX"],
-	}
-	rel := func(v, b float64) string {
-		if b == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", v/b)
-	}
-	for _, name := range MmapGroup() {
-		if name == "PMFS" {
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			rel(res.YCSB[name]["A"], base["ycsb-A"]),
-			rel(res.YCSB[name]["C"], base["ycsb-C"]),
-			rel(res.YCSB[name]["F"], base["ycsb-F"]),
-			rel(res.LMDB[name], base["lmdb"]),
-			rel(res.PmemKV[name], base["pmemkv"]),
-		})
-	}
-	return t
-}
+var fig7Tables = []bench.Table{{
+	Title: "Figure 7: application throughput on aged FSs (relative to ext4-DAX)", Where: labels("fig7"),
+	Rows: []string{"FS"}, RowHead: "fs",
+	Cols: []bench.Col{
+		{Head: "ycsb-A", Field: "VsExt4.ycsb-A", Fmt: "%.2f"},
+		{Head: "ycsb-C", Field: "VsExt4.ycsb-C", Fmt: "%.2f"},
+		{Head: "ycsb-F", Field: "VsExt4.ycsb-F", Fmt: "%.2f"},
+		{Head: "lmdb", Field: "VsExt4.lmdb", Fmt: "%.2f"},
+		{Head: "pmemkv", Field: "VsExt4.pmemkv", Fmt: "%.2f"},
+	},
+}}
 
-// Table2 renders the fault counts like the paper's Table 2 (absolute for
-// WineFS, multiples of WineFS for the rest).
-func Table2(res *Fig7Result) *Table {
-	apps := []string{"ycsb-Load", "ycsb-A", "ycsb-C", "lmdb-fillseqbatch", "pmemkv-fillseq"}
-	t := &Table{
-		Title:  "Table 2: page faults on aged FSs (WineFS absolute; others ×WineFS)",
-		Header: append([]string{"fs"}, apps...),
-	}
-	wf := res.Faults["WineFS"]
-	for _, name := range MmapGroup() {
-		if name == "PMFS" {
-			continue
-		}
-		row := []string{name}
-		for _, app := range apps {
-			v := res.Faults[name][app]
-			if name == "WineFS" {
-				row = append(row, FmtCount(float64(v)))
-			} else if wf[app] > 0 {
-				row = append(row, fmt.Sprintf("%.1fx", float64(v)/float64(wf[app])))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
+// table2Tables prints WineFS's fault counts absolute and every other file
+// system's as multiples of them, as the paper's Table 2 does.
+var table2Tables = []bench.Table{{
+	Title: "Table 2: page faults on aged FSs (WineFS absolute; others ×WineFS)", Where: labels("fig7"),
+	Rows: []string{"FS"}, RowHead: "fs",
+	Cols: []bench.Col{
+		{Head: "ycsb-Load", Field: "VsWineFS.ycsb-Load", Fmt: "%.1fx"},
+		{Head: "ycsb-A", Field: "VsWineFS.ycsb-A", Fmt: "%.1fx"},
+		{Head: "ycsb-C", Field: "VsWineFS.ycsb-C", Fmt: "%.1fx"},
+		{Head: "lmdb-fillseqbatch", Field: "VsWineFS.lmdb-fillseqbatch", Fmt: "%.1fx"},
+		{Head: "pmemkv-fillseq", Field: "VsWineFS.pmemkv-fillseq", Fmt: "%.1fx"},
+	},
+	Else: []bench.Col{
+		{Field: "Faults.ycsb-Load"}, {Field: "Faults.ycsb-A"}, {Field: "Faults.ycsb-C"},
+		{Field: "Faults.lmdb-fillseqbatch"}, {Field: "Faults.pmemkv-fillseq"},
+	},
+}}

@@ -4,15 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/apps/part"
+	"repro/internal/bench"
 	"repro/internal/perf"
 	"repro/internal/sim"
 )
-
-// Fig8Result holds the per-FS lookup latency distributions of Figure 8.
-type Fig8Result struct {
-	// Hist[fs] is the latency histogram of hot-set lookups.
-	Hist map[string]*perf.Histogram
-}
 
 // Fig8 reproduces Figure 8: the latency distribution of P-ART lookups.
 // The tree's pool is memory-mapped and pre-faulted; a hot set of keys is
@@ -21,20 +16,16 @@ type Fig8Result struct {
 // page walks, so WineFS (hugepage pool) shows substantially lower median
 // latency than the fragmented file systems (paper: 56% lower median, 2×
 // fewer TLB misses, far fewer LLC misses).
-func Fig8(cfg Config) (*Fig8Result, error) {
+func Fig8(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
-	res := &Fig8Result{Hist: map[string]*perf.Histogram{}}
-	for _, name := range MmapGroup() {
-		if name == "PMFS" {
-			continue
-		}
+	for _, name := range agedAppGroup() {
 		h, err := fig8One(cfg, name)
 		if err != nil {
-			return nil, fmt.Errorf("fig8 %s: %w", name, err)
+			return fmt.Errorf("fig8 %s: %w", name, err)
 		}
-		res.Hist[name] = h
+		packLatency(rep.Point(labels("fig8", "FS", name), 0), h)
 	}
-	return res, nil
+	return nil
 }
 
 func fig8One(cfg Config, name string) (*perf.Histogram, error) {
@@ -90,3 +81,8 @@ func fig8One(cfg Config, name string) (*perf.Histogram, error) {
 	}
 	return hist, nil
 }
+
+var fig8Tables = []bench.Table{{
+	Title: "Figure 8: P-ART lookup latency (ns), pre-faulted pool", Where: labels("fig8"),
+	Rows: []string{"FS"}, RowHead: "fs", Cols: latencyCols,
+}}

@@ -2,46 +2,36 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// Fig9Result holds the clean-FS POSIX application results of Figure 9:
-// per file system, throughput for the four Filebench personalities,
-// pgbench TPC-B read-write, and WiredTiger fill/read.
-type Fig9Result struct {
-	// Filebench[fs][personality] = ops/s.
-	Filebench map[string]map[string]float64
-	// Pgbench[fs] = TPS; WTFill/WTRead[fs] = ops/s.
-	Pgbench map[string]float64
-	WTFill  map[string]float64
-	WTRead  map[string]float64
-}
-
 // Fig9 reproduces Figure 9 on newly created file systems (§5.5: "aging
 // does not impact system call performance on PM. We therefore use newly
-// created file systems"). Expected shapes: WineFS ≥ the best baseline
-// everywhere; ext4/xfs suffer on varmail (costly fsync); NOVA loses ~15%
-// on pgbench overwrites and ~60% on WiredTiger's unaligned appends.
-func Fig9(cfg Config, names []string) (*Fig9Result, error) {
+// created file systems"): per file system, throughput for the four
+// Filebench personalities, pgbench TPC-B read-write and WiredTiger
+// fill/read, on names (nil: RelaxedGroup then StrictGroup). Expected
+// shapes: WineFS ≥ the best baseline everywhere; ext4/xfs suffer on
+// varmail (costly fsync); NOVA loses ~15% on pgbench overwrites and ~60%
+// on WiredTiger's unaligned appends.
+//
+// Filebench and pgbench run cfg.CPUs threads whose bookings interleave in
+// host order, so their throughputs are Info; WiredTiger runs on one
+// thread and repeats.
+func Fig9(cfg Config, rep *bench.Report, names []string) error {
 	cfg = cfg.Defaults()
 	if names == nil {
 		names = append(append([]string{}, RelaxedGroup()...), StrictGroup()...)
 	}
-	res := &Fig9Result{
-		Filebench: map[string]map[string]float64{},
-		Pgbench:   map[string]float64{},
-		WTFill:    map[string]float64{},
-		WTRead:    map[string]float64{},
-	}
 	for _, name := range names {
-		fb := map[string]float64{}
-		res.Filebench[name] = fb
+		vals := map[string]float64{}
 		for _, p := range workloads.AllPersonalities() {
 			fs, _, _, err := cfg.newFS(name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r, err := workloads.Filebench(fs, p, workloads.FilebenchConfig{
 				Threads:      cfg.CPUs, // paper: thread count ≤ core count
@@ -50,14 +40,14 @@ func Fig9(cfg Config, names []string) (*Fig9Result, error) {
 				Seed:         cfg.Seed,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("fig9 %s %s: %w", name, p, err)
+				return fmt.Errorf("fig9 %s %s: %w", name, p, err)
 			}
-			fb[p.String()] = r.Throughput()
+			vals["Filebench."+p.String()] = r.Throughput()
 		}
 
 		fs, _, _, err := cfg.newFS(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pg, err := workloads.Pgbench(fs, workloads.PgbenchConfig{
 			Threads:       cfg.CPUs,
@@ -66,46 +56,48 @@ func Fig9(cfg Config, names []string) (*Fig9Result, error) {
 			Seed:          cfg.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s pgbench: %w", name, err)
+			return fmt.Errorf("fig9 %s pgbench: %w", name, err)
 		}
-		res.Pgbench[name] = pg.TPS()
+		vals["PgbenchTPS"] = pg.TPS()
 
 		fs, _, _, err = cfg.newFS(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		wctx := sim.NewCtx(95, 0)
 		wcfg := workloads.WiredTigerConfig{Records: cfg.scale(3000, 20000), Seed: cfg.Seed}
 		ops, ns, offsets, err := workloads.WiredTigerFill(wctx, fs, wcfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s wt fill: %w", name, err)
+			return fmt.Errorf("fig9 %s wt fill: %w", name, err)
 		}
-		res.WTFill[name] = float64(ops) / (float64(ns) / 1e9)
+		vals["WTFill"] = float64(ops) / (float64(ns) / 1e9)
 		rops, rns, err := workloads.WiredTigerRead(wctx, fs, wcfg, offsets)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s wt read: %w", name, err)
+			return fmt.Errorf("fig9 %s wt read: %w", name, err)
 		}
-		res.WTRead[name] = float64(rops) / (float64(rns) / 1e9)
+		vals["WTRead"] = float64(rops) / (float64(rns) / 1e9)
+		mode := "strict"
+		if slices.Contains(RelaxedGroup(), name) {
+			mode = "relaxed"
+		}
+		rep.Point(labels("fig9", "Mode", mode, "FS", name), 0).Floats(vals)
 	}
-	return res, nil
+	return nil
 }
 
-// Fig9Table renders one group's results.
-func Fig9Table(res *Fig9Result, names []string, title string) *Table {
-	t := &Table{
-		Title: title,
-		Header: []string{"fs", "varmail", "fileserver", "webserver", "webproxy",
-			"pgbench-TPS", "wt-fill", "wt-read"},
-	}
-	for _, name := range names {
-		fb := res.Filebench[name]
-		t.Rows = append(t.Rows, []string{
-			name,
-			FmtOps(fb["varmail"]), FmtOps(fb["fileserver"]),
-			FmtOps(fb["webserver"]), FmtOps(fb["webproxy"]),
-			FmtOps(res.Pgbench[name]),
-			FmtOps(res.WTFill[name]), FmtOps(res.WTRead[name]),
-		})
-	}
-	return t
+var fig9Cols = []bench.Col{
+	{Head: "varmail", Field: "Filebench.varmail"},
+	{Head: "fileserver", Field: "Filebench.fileserver"},
+	{Head: "webserver", Field: "Filebench.webserver"},
+	{Head: "webproxy", Field: "Filebench.webproxy"},
+	{Head: "pgbench-TPS", Field: "PgbenchTPS"},
+	{Head: "wt-fill", Field: "WTFill"},
+	{Head: "wt-read", Field: "WTRead"},
+}
+
+var fig9Tables = []bench.Table{
+	{Title: "Figure 9(a-c): POSIX applications, metadata consistency (clean FS)", Where: labels("fig9", "Mode", "relaxed"),
+		Rows: []string{"FS"}, RowHead: "fs", Cols: fig9Cols},
+	{Title: "Figure 9(d-f): POSIX applications, data+metadata consistency (clean FS)", Where: labels("fig9", "Mode", "strict"),
+		Rows: []string{"FS"}, RowHead: "fs", Cols: fig9Cols},
 }

@@ -154,7 +154,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Zero the stale tail of a mid-block EOF when writing past it.
 	if off > oldSize && oldSize%BlockSize != 0 {
 		if phys, _, unwritten, ok := n.findRun(oldSize / BlockSize); ok && !unwritten {
-			tail := min64(BlockSize-oldSize%BlockSize, off-oldSize)
+			tail := min(BlockSize-oldSize%BlockSize, off-oldSize)
 			fs.dev.Zero(ctx, phys*BlockSize+oldSize%BlockSize, tail)
 		}
 	}
@@ -193,7 +193,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	}
 
 	// Overwrite policy for bytes that already existed.
-	overwriteEnd := min64(end, oldSize)
+	overwriteEnd := min(end, oldSize)
 	written := 0
 	for written < len(p) {
 		pos := off + int64(written)
@@ -243,7 +243,7 @@ func (f *File) clearUnwrittenAround(ctx *sim.Ctx, startBlk, endBlk int64) {
 		}
 		// Zero the whole extent's device range outside the write: charged
 		// coarsely as the extent's edges (one block each side).
-		f.fs.dev.Zero(ctx, e.Blk*BlockSize, min64(e.Len, 2)*BlockSize)
+		f.fs.dev.Zero(ctx, e.Blk*BlockSize, min(e.Len, 2)*BlockSize)
 		e.Unwritten = false
 	}
 }
@@ -289,7 +289,7 @@ func (f *File) cow(ctx *sim.Ctx, p []byte, off int64) error {
 		oldPhys, _, _, okOld := n.findRun(fileBlk)
 		bs := fileBlk * BlockSize
 		be := bs + BlockSize
-		ws, we := max64(off, bs), min64(end, be)
+		ws, we := max(off, bs), min(end, be)
 		if okOld && (ws > bs || we < be) {
 			fs.dev.Read(ctx, buf, oldPhys*BlockSize)
 			fs.dev.WriteNT(ctx, buf, nb*BlockSize)
@@ -315,7 +315,7 @@ func (f *File) replaceRange(ctx *sim.Ctx, startBlk, endBlk int64, newExts []allo
 			keep = append(keep, e)
 			continue
 		}
-		ovS, ovE := max64(e.FileBlk, startBlk), min64(eEnd, endBlk)
+		ovS, ovE := max(e.FileBlk, startBlk), min(eEnd, endBlk)
 		freed = append(freed, alloc.Extent{Start: e.Blk + (ovS - e.FileBlk), Len: ovE - ovS})
 		if e.FileBlk < ovS {
 			keep = append(keep, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: ovS - e.FileBlk, Unwritten: e.Unwritten})
@@ -326,7 +326,7 @@ func (f *File) replaceRange(ctx *sim.Ctx, startBlk, endBlk int64, newExts []allo
 	}
 	fileBlk := startBlk
 	for _, e := range newExts {
-		l := min64(e.Len, endBlk-fileBlk)
+		l := min(e.Len, endBlk-fileBlk)
 		if l <= 0 {
 			f.fs.hooks.Free(ctx, []alloc.Extent{e})
 			continue
@@ -557,7 +557,7 @@ func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
 			out = append(out, e)
 			continue
 		}
-		ovS, ovE := max64(e.FileBlk, blk), min64(eEnd, blk+count)
+		ovS, ovE := max(e.FileBlk, blk), min(eEnd, blk+count)
 		if e.FileBlk < ovS {
 			out = append(out, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: ovS - e.FileBlk, Unwritten: true})
 		}
@@ -568,18 +568,4 @@ func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
 	}
 	n.extents = slices.Replace(n.extents, i, j, out...)
 	return true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

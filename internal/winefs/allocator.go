@@ -258,7 +258,7 @@ func (a *allocator) allocSmallTo(ctx *sim.Ctx, cpu int, need int64, out []alloc.
 			return a.freeFrom(ctx, out, n0), false
 		}
 		ctx.Counters.AllocSplits++
-		take := min64(remaining, BlocksPerHuge)
+		take := min(remaining, BlocksPerHuge)
 		out = append(out, alloc.Extent{Start: b, Len: take})
 		a.returnSlack(b, take)
 		remaining -= take
@@ -323,7 +323,7 @@ func (a *allocator) allocTo(ctx *sim.Ctx, cpu int, blocks int64, wantAligned boo
 			rem = blocks - got
 			break
 		}
-		take := min64(BlocksPerHuge, blocks-got)
+		take := min(BlocksPerHuge, blocks-got)
 		out = append(out, alloc.Extent{Start: b, Len: take})
 		got += take
 		a.returnSlack(b, take) // of the rounded-up tail extent
@@ -485,7 +485,7 @@ func (g *group) freeRangeLocked(start, length int64) {
 			if start+length > he {
 				g.addHoleLocked(he, start+length-he)
 			}
-			s, e := max64(start, hb), min64(start+length, he)
+			s, e := max(start, hb), min(start+length, he)
 			g.holdParts = append(g.holdParts, alloc.Extent{Start: s, Len: e - s})
 			return
 		}

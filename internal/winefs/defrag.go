@@ -145,7 +145,7 @@ func (g *group) defragCandidates(cursor int64, limit int, buf []defragCand) ([]d
 	all := buf[:0]
 	for _, h := range g.holes.Extents() {
 		for b := h.Start / BlocksPerHuge * BlocksPerHuge; b < h.End(); b += BlocksPerHuge {
-			n := min64(h.End(), b+BlocksPerHuge) - max64(h.Start, b)
+			n := min(h.End(), b+BlocksPerHuge) - max(h.Start, b)
 			if last := len(all) - 1; last >= 0 && all[last].base == b {
 				all[last].free += n
 			} else {
@@ -311,7 +311,7 @@ func (fs *FS) migrateOutLocked(ctx *sim.Ctx, ino *inode, base, end int64, st *De
 	type runSpan struct{ fileLo, n int64 }
 	var runs []runSpan
 	for _, e := range ino.extents {
-		lo, hi := max64(e.blk, base), min64(e.blk+e.length, end)
+		lo, hi := max(e.blk, base), min(e.blk+e.length, end)
 		if lo < hi {
 			runs = append(runs, runSpan{fileLo: e.fileBlk + lo - e.blk, n: hi - lo})
 		}

@@ -79,7 +79,7 @@ func (m *extentModel) detach(startBlk, endBlk int64) {
 			i++
 			continue
 		}
-		ovS, ovE := max64(e.fileBlk, startBlk), min64(eEnd, endBlk)
+		ovS, ovE := max(e.fileBlk, startBlk), min(eEnd, endBlk)
 		switch {
 		case ovS == e.fileBlk && ovE == eEnd:
 			m.remove(i)
@@ -152,7 +152,7 @@ func TestExtentListOrderProperty(t *testing.T) {
 			for b < fileSpace && backed(b) {
 				b++
 			}
-			n := min64(int64(1+rng.Intn(8)), ino.nextExtentStart(b, fileSpace)-b)
+			n := min(int64(1+rng.Intn(8)), ino.nextExtentStart(b, fileSpace)-b)
 			if n <= 0 {
 				break
 			}

@@ -99,7 +99,7 @@ func TestFaultResolutionMatchesListReference(t *testing.T) {
 		var what string
 		switch r := rng.Intn(100); {
 		case r < 25: // append, the decoy's block in between
-			n := min64(blocks(32), space-(size+BlockSize-1)/BlockSize)
+			n := min(blocks(32), space-(size+BlockSize-1)/BlockSize)
 			if n <= 0 {
 				break
 			}
@@ -112,7 +112,7 @@ func TestFaultResolutionMatchesListReference(t *testing.T) {
 				break
 			}
 			off := rng.Int63n(size)
-			n := min64(blocks(4)*BlockSize-rng.Int63n(BlockSize), size-off)
+			n := min(blocks(4)*BlockSize-rng.Int63n(BlockSize), size-off)
 			what = fmt.Sprintf("overwrite [%d,+%d)", off, n)
 			_, err = f.WriteAt(ctx, buf[:n], off)
 		case r < 50:
@@ -126,7 +126,7 @@ func TestFaultResolutionMatchesListReference(t *testing.T) {
 			err = f.Truncate(ctx, to)
 		case r < 68:
 			off := rng.Int63n(space) * BlockSize
-			n := min64(blocks(BlocksPerHuge)*BlockSize, space*BlockSize-off)
+			n := min(blocks(BlocksPerHuge)*BlockSize, space*BlockSize-off)
 			what = fmt.Sprintf("fallocate [%d,+%d)", off, n)
 			err = f.Fallocate(ctx, off, n)
 		case r < 80: // a fault: demand allocation in a hole, promotion of slow data
@@ -239,11 +239,11 @@ func TestExt4DAXFaultResolutionMatchesListReference(t *testing.T) {
 			what = fmt.Sprintf("fallocate chunk %d", off)
 			err = f.Fallocate(ctx, off, mmu.HugePage)
 		case r < 5:
-			n := min64((1+rng.Int63n(BlocksPerHuge))*BlockSize, space*BlockSize-off)
+			n := min((1+rng.Int63n(BlocksPerHuge))*BlockSize, space*BlockSize-off)
 			what = fmt.Sprintf("fallocate [%d,+%d)", off, n)
 			err = f.Fallocate(ctx, off, n)
 		case r < 7:
-			n := min64(1+rng.Int63n(int64(len(buf))), space*BlockSize-off)
+			n := min(1+rng.Int63n(int64(len(buf))), space*BlockSize-off)
 			what = fmt.Sprintf("write [%d,+%d)", off, n)
 			_, err = f.WriteAt(ctx, buf[:n], off)
 		case r < 8:

@@ -366,7 +366,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// old last block: zero it so the gap reads as zero.
 	if off > oldSize && oldSize%BlockSize != 0 {
 		if phys, _, ok := ino.findRun(oldSize / BlockSize); ok {
-			tail := min64(BlockSize-oldSize%BlockSize, off-oldSize)
+			tail := min(BlockSize-oldSize%BlockSize, off-oldSize)
 			fs.dataZero(ctx, phys*BlockSize+oldSize%BlockSize, tail)
 		}
 	}
@@ -529,10 +529,10 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, fresh []alloc.Extent, 
 func freshSpan(fresh []alloc.Extent, b, run int64) (bool, int64) {
 	for _, e := range fresh {
 		if b >= e.Start && b < e.End() {
-			return true, min64(run, e.End()-b)
+			return true, min(run, e.End()-b)
 		}
 		if e.Start > b {
-			run = min64(run, e.Start-b)
+			run = min(run, e.Start-b)
 		}
 	}
 	return false, run
@@ -602,8 +602,8 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 			oldPhys, _, okOld := ino.findRun(fileBlk)
 			bs := fileBlk * BlockSize
 			be := bs + BlockSize
-			ws := max64(off, bs)
-			we := min64(end, be)
+			ws := max(off, bs)
+			we := min(end, be)
 			if okOld && (ws > bs || we < be) {
 				if err := fs.dataReadChecked(ctx, buf, oldPhys*BlockSize); err != nil {
 					return err
@@ -638,8 +638,8 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 		e := ino.extents[i]
 		u = u.join(e.usage)
 		eEnd := e.fileBlk + e.length
-		ovS := max64(e.fileBlk, startBlk)
-		ovE := min64(eEnd, endBlk)
+		ovS := max(e.fileBlk, startBlk)
+		ovE := min(eEnd, endBlk)
 		tx.dropped = append(tx.dropped, alloc.Extent{Start: e.blk + (ovS - e.fileBlk), Len: ovE - ovS})
 		head, tail := e, e // what stays of e before and after the overlap
 		head.length = ovS - e.fileBlk
@@ -698,20 +698,6 @@ func (fs *FS) replaceRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk i
 		fileBlk += l
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Truncate implements vfs.File. Growing is sparse (no allocation —

@@ -67,8 +67,8 @@ func (f *File) MsyncRange(ctx *sim.Ctx, off, n int64) error {
 		if e.fileBlk >= endBlk {
 			break
 		}
-		lo := max64(e.fileBlk, startBlk)
-		hi := min64(e.fileBlk+e.length, endBlk)
+		lo := max(e.fileBlk, startBlk)
+		hi := min(e.fileBlk+e.length, endBlk)
 		fs.dev.Flush(ctx, (e.blk+lo-e.fileBlk)*BlockSize, (hi-lo)*BlockSize)
 	}
 	ino.mu.RUnlock()
@@ -112,7 +112,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 		}
 	}
 	if off%BlockSize != 0 {
-		head := min64(n, BlockSize-off%BlockSize)
+		head := min(n, BlockSize-off%BlockSize)
 		zero(off/BlockSize, off%BlockSize, head)
 	}
 	if (off+n)%BlockSize != 0 && (off+n)/BlockSize >= startBlk {

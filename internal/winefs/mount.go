@@ -354,7 +354,7 @@ func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 	// Charge the freelist read. It comes on top of the inode and dirent
 	// scan rebuildFromScan charges on every mount: reading the free lists
 	// saves the host their rebuild, not the mount virtual time.
-	fs.dev.Read(ctx, make([]byte, min64(totalRead, 4096)), area)
+	fs.dev.Read(ctx, make([]byte, min(totalRead, 4096)), area)
 	ctx.Advance(totalRead / 64 * int64(fs.model.ReadLat64) / 8)
 	return true
 }

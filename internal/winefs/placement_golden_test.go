@@ -173,7 +173,7 @@ func groupPlacementTrace(t *testing.T, steps int, noAlignment bool) uint32 {
 			}
 			e := free[rng.Intn(len(free))]
 			lo := rng.Int63n(e.Len)
-			n := rng.Int63n(min64(e.Len-lo, 700)) + 1
+			n := rng.Int63n(min(e.Len-lo, 700)) + 1
 			a.markUsed(e.Start+lo, n)
 			crc.add(4, e.Start+lo, n)
 			grant([]alloc.Extent{{Start: e.Start + lo, Len: n}})
@@ -289,7 +289,7 @@ func slowPlacementTrace(steps int) uint32 {
 			}
 			e := free[rng.Intn(len(free))]
 			lo := rng.Int63n(e.Len)
-			n := rng.Int63n(min64(e.Len-lo, 300)) + 1
+			n := rng.Int63n(min(e.Len-lo, 300)) + 1
 			p.MarkUsed(e.Start+lo, n)
 			crc.add(2, e.Start+lo, n)
 			out = append(out, alloc.Extent{Start: e.Start + lo, Len: n})

@@ -239,7 +239,7 @@ func freeAndMapped(fs *FS) error {
 	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	for i := 1; i < len(all); i++ {
 		if a, b := all[i-1], all[i]; a.free != b.free && a.End() > b.Start {
-			return fmt.Errorf("blocks [%d,%d) are both free and mapped", b.Start, min64(a.End(), b.End()))
+			return fmt.Errorf("blocks [%d,%d) are both free and mapped", b.Start, min(a.End(), b.End()))
 		}
 	}
 	return nil

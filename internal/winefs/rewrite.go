@@ -183,7 +183,7 @@ func (fs *FS) rewriteChunkLocked(ctx *sim.Ctx, ino *inode, lo int64) (moved, mor
 	// transaction, so a crash anywhere inside the chunk leaves every block
 	// mapped to an intact copy.
 	for cur := lo; cur < end; cur += relocateChunkBlocks {
-		piece := alloc.Extent{Start: huge + cur - lo, Len: min64(end-cur, relocateChunkBlocks)}
+		piece := alloc.Extent{Start: huge + cur - lo, Len: min(end-cur, relocateChunkBlocks)}
 		if err := fs.relocate(ctx, ino, cur, piece.Len, []alloc.Extent{piece}, "rewrite"); err != nil {
 			// relocate freed its own piece; the rest of the hugepage was
 			// never mapped.

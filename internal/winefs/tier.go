@@ -309,7 +309,7 @@ func (u usage) dead() bool { return u.heat == 0 && u.refs == 0 }
 // join is the usage of data that was u's and o's: as hot and as
 // referenced as the more so of the two.
 func (u usage) join(o usage) usage {
-	return usage{heat: max64(u.heat, o.heat), refs: max64(u.refs, o.refs)}
+	return usage{heat: max(u.heat, o.heat), refs: max(u.refs, o.refs)}
 }
 
 // victimRank orders demotion victims: coldest first, and at heat 0 the
@@ -496,7 +496,7 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 		}
 	}
 	var hotWant int64
-	pj, avail := 0, max64(lowBlocks-used, 0) // pmCands[:pj] are the victims paired so far
+	pj, avail := 0, max(lowBlocks-used, 0) // pmCands[:pj] are the victims paired so far
 	// pair finds c room among victims of victimRank up to maxRank.
 	pair := func(c tierCand, maxRank int64) bool {
 		for avail < c.length && pj < len(pmCands) && pmCands[pj].victimRank() <= maxRank {
@@ -546,7 +546,7 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 			promo = append(promo, c)
 		}
 	}
-	hotWant = min64(hotWant, budget)
+	hotWant = min(hotWant, budget)
 	victimCap := int64(-1) // rank of the hottest PM extent a swap may displace
 	if pj > 0 {
 		victimCap = pmCands[pj-1].victimRank()
@@ -581,7 +581,7 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 			if fs.unmounted.Load() || fs.writable() != nil {
 				return 0
 			}
-			return min64(target, budget) - moved
+			return min(target, budget) - moved
 		})
 		if moved > 0 {
 			st.Demotions++
@@ -610,7 +610,7 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 		// hot pages move, the cold tail follows on a later pass).
 		moved := fs.migrateExtent(ctx, c, false, opt.Pacer, func(moved int64) int64 {
 			usedNow, totalNow := fs.pmUsedBlocks()
-			return min64(budget-moved, int64(t.lowWater*float64(totalNow))-usedNow)
+			return min(budget-moved, int64(t.lowWater*float64(totalNow))-usedNow)
 		})
 		if moved > 0 {
 			st.Promotions++
@@ -646,7 +646,7 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 func (fs *FS) migrateExtent(ctx *sim.Ctx, c tierCand, toSlow bool, pacer *sim.Pacer, limit func(moved int64) int64) int64 {
 	var moved int64
 	for moved < c.length {
-		want := min64(c.length-moved, limit(moved))
+		want := min(c.length-moved, limit(moved))
 		if want <= 0 {
 			break
 		}
@@ -686,7 +686,7 @@ func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toS
 	if !found || fs.isSlow(phys) == toSlow {
 		return 0
 	}
-	n := min64(min64(want, run), relocateChunkBlocks)
+	n := min(min(want, run), relocateChunkBlocks)
 	if n <= 0 {
 		return 0
 	}

@@ -77,7 +77,7 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 			for blk := lo; blk < lo+half; {
 				n := fs.migrateRun(mctx, ino, blk, lo+half-blk, true, nil)
 				demoted += n
-				blk += max64(n, 1) // 0: this block is on the slow tier already
+				blk += max(n, 1) // 0: this block is on the slow tier already
 			}
 		}
 	}()

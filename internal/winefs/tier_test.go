@@ -629,7 +629,7 @@ func TestHeatFollowsData(t *testing.T) {
 		u := ino.extents[0].usage
 		for _, e := range ino.extents {
 			covered += e.length
-			u = usage{heat: min64(u.heat, e.heat), refs: min64(u.refs, e.refs)}
+			u = usage{heat: min(u.heat, e.heat), refs: min(u.refs, e.refs)}
 		}
 		if covered != blocks {
 			t.Fatalf("/hot covers %d blocks, want %d", covered, blocks)
