@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix loc knobs examples
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix host-layers loc knobs examples
 
 all: build
 
@@ -279,6 +279,14 @@ profile-posix:
 	$(GO) test -run xxx -bench BenchmarkPosixMix -benchtime 1000000x -cpuprofile posix_cpu.pprof -memprofile posix_mem.pprof -memprofilerate 64 -o winefs.test ./internal/winefs/
 	$(GO) tool pprof -top -nodecount=20 winefs.test posix_cpu.pprof
 	$(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects winefs.test posix_mem.pprof
+
+# Host CPU time by layer: the CPU profile PROFILE (default the one
+# profile-posix writes) reduced by cmd/hostlayers to one row per package of
+# this module, winefs split by file, and one for samples outside it; the
+# shares sum to 100%. PROFILE=cpu.pprof reads what make profile wrote.
+PROFILE ?= posix_cpu.pprof
+host-layers:
+	$(GO) tool pprof -traces -lines $(PROFILE) | $(GO) run ./cmd/hostlayers
 
 # Go lines per package, non-test next to test, and in total:
 # "net-negative" as a number CI prints, not a claim in a PR body. The test

@@ -22,7 +22,7 @@ func TestSingleThreadedGatesMatchBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bench.Finish(rep, "", "../../"+baseline); err != nil {
+			if err := bench.Finish(rep, "", "../../"+baseline, nil); err != nil {
 				t.Error(err)
 			}
 		})

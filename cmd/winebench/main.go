@@ -124,7 +124,7 @@ func main() {
 	}
 	rep, err := run(o)
 	if err == nil {
-		err = bench.Finish(rep, *jsonOut, o.baseline)
+		err = bench.Finish(rep, *jsonOut, o.baseline, paperScope(name, o.run))
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "winebench: %s: %v\n", name, err)
@@ -132,31 +132,35 @@ func main() {
 	}
 }
 
-// runPaper is -run: each selected experiment, in experiments.Runs order,
-// packs its points into one paper/v1 report and prints its tables.
+// runPaper is -run: the selected experiments pack one paper/v1 report,
+// which prints as their tables in experiments.Runs order and then as the
+// verdicts of the paper's claims about them.
 func runPaper(o options) (*bench.Report, error) {
 	runs, err := selectRuns(o.run)
 	if err != nil {
 		return nil, err
 	}
 	cfg := experiments.Config{Quick: o.quick, CPUs: o.cpus, DeviceSize: o.size, Seed: o.seed}.Defaults()
-	rep := experiments.NewReport(cfg)
-	packed := map[string]bool{}
-	for _, r := range runs {
-		src := r
-		if r.Of != "" {
-			src = experiments.Runs[slices.IndexFunc(experiments.Runs, func(x experiments.Run) bool { return x.Name == r.Of })]
-		}
-		if !packed[src.Name] {
-			packed[src.Name] = true
-			err = src.Pack(cfg, rep)
-		}
-		rep.Print(os.Stdout, r.Tables...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", src.Name, err)
-		}
+	rep, err := experiments.Pack(cfg, runs)
+	if err != nil {
+		return nil, err
 	}
+	for _, r := range runs {
+		rep.Print(os.Stdout, r.Tables...)
+	}
+	experiments.PrintVerdicts(os.Stdout, experiments.Verdicts(rep, experiments.Figures(runs)))
 	return rep, nil
+}
+
+// paperScope is the share of the baseline -check-against holds a run to:
+// for -run, the points of the figures it selected, so -run fig7 checks
+// against a report of every figure; for a mode, all of them.
+func paperScope(mode, list string) map[string]string {
+	if mode != "run" {
+		return nil
+	}
+	runs, _ := selectRuns(list) // runPaper has already resolved list
+	return map[string]string{"Figure": strings.Join(experiments.Figures(runs), "|")}
 }
 
 // selectRuns resolves -run's list against experiments.Runs; an unknown

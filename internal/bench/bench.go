@@ -67,7 +67,7 @@ func New(tag string, config map[string]float64) *Report {
 
 // Point appends an empty point that files values by r's field classes.
 func (r *Report) Point(labels map[string]string, threads int) *Point {
-	p := &Point{Labels: labels, Threads: threads, cl: known[r.Bench]}
+	p := &Point{Labels: labels, Threads: threads, cl: r.Classes()}
 	r.Points = append(r.Points, p)
 	return p
 }
@@ -113,6 +113,33 @@ func (p *Point) file(name string, v float64) {
 func (p *Point) field(name string) (float64, bool) {
 	for _, m := range []map[string]float64{p.Exact, p.Toleranced, p.Info} {
 		if v, ok := m[name]; ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// Classes returns the field classes of r's schema tag.
+func (r *Report) Classes() Classes { return known[r.Bench] }
+
+// Only returns r holding just the points that carry every label of
+// where, read as a Table's Where; a nil where keeps them all.
+func (r *Report) Only(where map[string]string) *Report {
+	o := *r
+	o.Points = nil
+	for _, p := range r.Points {
+		if selects(where, p) {
+			o.Points = append(o.Points, p)
+		}
+	}
+	return &o
+}
+
+// Value returns field name of the first of r's points that carries it and
+// every label of where, read as a Table's Where.
+func (r *Report) Value(name string, where map[string]string) (float64, bool) {
+	for _, p := range r.Points {
+		if v, ok := p.field(name); ok && selects(where, p) {
 			return v, true
 		}
 	}
@@ -263,7 +290,10 @@ func Check(run, base *Report, cl Classes) ([]Diff, error) {
 
 // Finish is the epilogue of every gate: write the report if asked, then
 // check it against the committed baseline if asked, printing each diff.
-func Finish(rep *Report, jsonOut, baseline string) error {
+// The run is held to the baseline's points that carry every label of
+// where, so a run of some of a report's selections checks against all of
+// them; a nil where holds it to every point.
+func Finish(rep *Report, jsonOut, baseline string, where map[string]string) error {
 	if jsonOut != "" {
 		buf, err := rep.Encode()
 		if err != nil {
@@ -281,7 +311,7 @@ func Finish(rep *Report, jsonOut, baseline string) error {
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	diffs, err := Check(rep, base, known[rep.Bench])
+	diffs, err := Check(rep, base.Only(where), rep.Classes())
 	if err != nil {
 		return fmt.Errorf("baseline %s: %w", baseline, err)
 	}

@@ -94,6 +94,42 @@ func TestCheckShapeMismatchesAreErrors(t *testing.T) {
 	}
 }
 
+// TestFinishHoldsARunToItsSelection checks runs of some of the paper's
+// figures against the committed report of all of them: each is held to
+// the baseline's points of the figures it selected, so a selected figure
+// that gains, loses or never packs a point is still an error.
+func TestFinishHoldsARunToItsSelection(t *testing.T) {
+	const baseline = "../../BENCH_paper.json"
+	base, err := Load(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// figures builds a run from the baseline's points of figs.
+	figures := func(figs string) *Report { return base.Only(map[string]string{"Figure": figs}) }
+	for _, tc := range []struct {
+		name, selected string
+		run            *Report
+		wantErr        bool
+	}{
+		{"one figure", "fig2", figures("fig2"), false},
+		{"-run table2 packs fig7", "fig7", figures("fig7"), false},
+		{"a selected figure lacks a point", "fig7", func() *Report { r := figures("fig7"); r.Points = r.Points[1:]; return r }(), true},
+		{"a selected figure gains a point", "fig2|fig7", func() *Report {
+			r := figures("fig2|fig7")
+			extra := *r.Points[len(r.Points)-1]
+			extra.Labels = map[string]string{"Figure": "fig7", "FS": "PMFS"}
+			r.Points = append(r.Points, &extra)
+			return r
+		}(), true},
+		{"a selected figure packs nothing", "fig2|fig7", figures("fig2"), true},
+	} {
+		err := Finish(tc.run, "", baseline, map[string]string{"Figure": tc.selected})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err %v; want an error: %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestPackEncodeDecodeCheck(t *testing.T) {
 	rep := New("scaling/v1", map[string]float64{"CPUs": 128, "Seed": 42})
 	p := rep.Point(map[string]string{"Case": "shared-read", "Transport": "local"}, 8)

@@ -47,15 +47,17 @@ type Col struct {
 	// Fmt is the compact count form: 950, 27.7k, 1.50M.
 	Fmt   string
 	Scale float64
+	// Label, when set, shows that label of the point instead of a field.
+	Label string
 }
 
 // Print writes each table over r's points, with aligned columns.
 func (r *Report) Print(w io.Writer, tables ...Table) {
-	cl := known[r.Bench]
+	cl := r.Classes()
 	for _, t := range tables {
 		var pts []*Point
 		for _, p := range r.Points {
-			if t.matches(p) {
+			if selects(t.Where, p) {
 				pts = append(pts, p)
 			}
 		}
@@ -112,8 +114,10 @@ func (r *Report) Print(w io.Writer, tables ...Table) {
 	}
 }
 
-func (t *Table) matches(p *Point) bool {
-	for k, v := range t.Where {
+// selects reports whether p carries every label of where, each with its
+// value or one of several separated by "|".
+func selects(where map[string]string, p *Point) bool {
+	for k, v := range where {
 		if !slices.Contains(strings.Split(v, "|"), label(p, k)) {
 			return false
 		}
@@ -162,6 +166,9 @@ func carriesAny(p *Point, cols []Col) bool {
 }
 
 func (c Col) cell(p *Point, cl Classes) string {
+	if c.Label != "" {
+		return label(p, c.Label)
+	}
 	scale := c.Scale
 	if scale == 0 {
 		scale = 1

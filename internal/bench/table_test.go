@@ -45,6 +45,9 @@ func TestTablePrinting(t *testing.T) {
 			Cols: []Col{{Head: "ops", Field: "Ops", Fmt: "%.0f"}, {Head: "bytes", Field: "Bytes", Fmt: "%.0f"}},
 			Else: []Col{{Field: "Note", Fmt: "%.1fx"}}},
 			[]string{"=== else ===", "fs ops bytes", "-- ---- -----", "a 1500 4", "bb 3 0", "c 2.0x"}},
+		{"a label as a column", Table{Title: "labels", Where: ls{"Kind": "x"}, Rows: []string{"FS"}, RowHead: "fs",
+			Cols: []Col{{Head: "kind", Label: "Kind"}, {Head: "ops", Field: "Ops", Fmt: "%.0f"}}},
+			[]string{"=== labels ===", "fs kind ops", "-- ---- ----", "a x 1500", "bb x 3"}},
 		{"transposed", Table{Title: "one", Where: ls{"FS": "a"}, Cols: []Col{{Head: "ops", Field: "Ops", Fmt: "%.0f"}, {Head: "bytes", Field: "Bytes", Fmt: "%.0fB"}}},
 			[]string{"=== one ===", "metric value", "------ -----", "ops 1500", "bytes 4B"}},
 	} {

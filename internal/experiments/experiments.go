@@ -9,6 +9,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/fstest"
@@ -117,6 +119,11 @@ type Run struct {
 	// 2 comes from Figure 7's runs.
 	Of     string
 	Tables []bench.Table
+	// Alone marks an experiment whose multi-thread points interleave in
+	// host order (their fields are Info): Pack runs it with no other
+	// experiment beside it, so its numbers see the load they were
+	// recorded under.
+	Alone bool
 }
 
 // Runs is the paper's evaluation in the order winebench runs it.
@@ -129,13 +136,84 @@ var Runs = []Run{
 	{Name: "fig7", Pack: Fig7, Tables: fig7Tables},
 	{Name: "table2", Of: "fig7", Tables: table2Tables},
 	{Name: "fig8", Pack: Fig8, Tables: fig8Tables},
-	{Name: "fig9", Pack: func(cfg Config, rep *bench.Report) error { return Fig9(cfg, rep, nil) }, Tables: fig9Tables},
-	{Name: "fig10", Pack: Fig10, Tables: fig10Tables},
+	{Name: "fig9", Pack: func(cfg Config, rep *bench.Report) error { return Fig9(cfg, rep, nil) }, Tables: fig9Tables, Alone: true},
+	{Name: "fig10", Pack: Fig10, Tables: fig10Tables, Alone: true},
 	{Name: "recovery", Pack: Recovery, Tables: recoveryTables},
 	{Name: "defrag", Pack: Defrag, Tables: defragTables},
 	{Name: "hpc", Pack: HPC, Tables: hpcTables},
 	{Name: "numa", Pack: NUMA, Tables: numaTables},
 	{Name: "crashmonkey", Pack: CrashMonkey, Tables: crashMonkeyTables},
+}
+
+// packWorkers is how many experiments Pack runs at once: two run Figure
+// 8, the longest by far, beside all the others.
+const packWorkers = 2
+
+// Pack runs the experiments behind runs once each, a Run with Of running
+// the one it names, and returns their points as one paper/v1 report in
+// the order of runs. Experiments share no state, so packWorkers of them
+// run at once, each into its own report; then each Alone one runs by
+// itself.
+func Pack(cfg Config, runs []Run) (*bench.Report, error) {
+	packs := packed(runs)
+	reps := make([]*bench.Report, len(packs))
+	errs := make([]error, len(packs))
+	pack := func(i int) {
+		reps[i] = NewReport(cfg)
+		errs[i] = packs[i].Pack(cfg, reps[i])
+	}
+	slots := make(chan struct{}, packWorkers)
+	var wg sync.WaitGroup
+	for i, r := range packs {
+		if r.Alone {
+			continue
+		}
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			pack(i)
+		}()
+	}
+	wg.Wait()
+	for i, r := range packs {
+		if r.Alone {
+			pack(i)
+		}
+	}
+	rep := NewReport(cfg)
+	for i, r := range packs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s: %w", r.Name, errs[i])
+		}
+		rep.Points = append(rep.Points, reps[i].Points...)
+	}
+	return rep, nil
+}
+
+// Figures returns the Figure labels a Pack of runs gives its points, in
+// the order of runs: table2 selects fig7.
+func Figures(runs []Run) []string {
+	var figs []string
+	for _, r := range packed(runs) {
+		figs = append(figs, r.Name)
+	}
+	return figs
+}
+
+// packed returns the experiments behind runs, each once, a Run with Of
+// standing for the one it names.
+func packed(runs []Run) []Run {
+	var packs []Run
+	for _, r := range runs {
+		if r.Of != "" {
+			r = Runs[slices.IndexFunc(Runs, func(x Run) bool { return x.Name == r.Of })]
+		}
+		if !slices.ContainsFunc(packs, func(x Run) bool { return x.Name == r.Name }) {
+			packs = append(packs, r)
+		}
+	}
+	return packs
 }
 
 // NewReport starts the paper/v1 report of a run of cfg.

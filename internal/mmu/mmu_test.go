@@ -2,6 +2,8 @@ package mmu
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -384,5 +386,72 @@ func TestCachePollutionFromPageWalks(t *testing.T) {
 	}
 	if bctx.Now() <= hctx.Now() {
 		t.Fatalf("latency: base=%d huge=%d", bctx.Now(), hctx.Now())
+	}
+}
+
+// blockingObserver parks the first device store it sees until released,
+// holding that store inside the mapped access that issued it.
+type blockingObserver struct {
+	once              sync.Once
+	entered, released chan struct{}
+}
+
+func (o *blockingObserver) ObserveWrite(off int64, data []byte) {
+	o.once.Do(func() {
+		close(o.entered)
+		<-o.released
+	})
+}
+func (o *blockingObserver) ObserveZero(off, n int64)    {}
+func (o *blockingObserver) ObserveDiscard(off, n int64) {}
+func (o *blockingObserver) ObserveFence()               {}
+
+// TestInvalidateDrainsInFlightAccess holds Invalidate to its shootdown
+// wait: it must not return while a mapped store that resolved against the
+// old page tables is still writing, since its caller then frees the
+// blocks that store targets. The store is parked in a device observer;
+// Invalidate must reach its drain and wait there, and return once the
+// store is released.
+func TestInvalidateDrainsInFlightAccess(t *testing.T) {
+	d, as := newEnv(64 << 20)
+	h := &testHandler{extents: []Extent{{0, 0, HugePage}}}
+	m := as.NewMapping(HugePage, h)
+	obs := &blockingObserver{entered: make(chan struct{}), released: make(chan struct{})}
+	d.SetObserver(obs)
+	wrote := make(chan error, 1)
+	go func() { wrote <- m.Write(sim.NewCtx(1, 0), make([]byte, 4096), 0) }()
+	<-obs.entered
+
+	invalidated := make(chan struct{})
+	go func() {
+		m.Invalidate()
+		close(invalidated)
+	}()
+	// Wait until Invalidate is blocked taking shootMu for writing: from
+	// then on no new reader gets in. If it returns first, it did not wait.
+	for {
+		select {
+		case <-invalidated:
+			close(obs.released)
+			t.Fatal("Invalidate returned while a mapped store was still writing")
+		default:
+		}
+		if !m.shootMu.TryRLock() {
+			break
+		}
+		m.shootMu.RUnlock()
+		runtime.Gosched()
+	}
+	close(obs.released)
+	<-invalidated
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	// The shootdown took effect: the next access faults afresh.
+	if err := m.Read(sim.NewCtx(1, 0), make([]byte, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	if h.faults != 2 {
+		t.Errorf("faults = %d, want 2: one before the shootdown, one after", h.faults)
 	}
 }

@@ -13,16 +13,24 @@ package pmem
 //     tops out at a realistic per-core rate, and
 //   - an occupation of the device's shared bandwidth resource so that many
 //     threads together saturate at the device's aggregate rate.
+//
+// A single thread pays both in sequence: the port hold is booked after the
+// copy on the same clock (TestChargeAmountsPerOp pins this). So its
+// effective rate is below either parameter alone: a 1 MiB WriteNT costs
+// 524,388 vns, 2.00 GB/s (0.25 ns/B copy plus the 4 GB/s hold), and a
+// 1 MiB Read 230,986 vns, 4.54 GB/s (0.12 ns/B plus the 10 GB/s hold).
 type CostModel struct {
 	// ReadLat64 is the latency of one 64B random read from PM (ns).
 	ReadLat64 int64
 	// WriteLat64 is the latency of one 64B write reaching the PM write
 	// queue (ns).
 	WriteLat64 int64
-	// CopyWriteNSPerByte is the per-thread cost of streaming data to PM.
-	// 0.25 ns/B ≈ 4 GB/s single-thread write (matches Figure 1's axis).
+	// CopyWriteNSPerByte is the per-thread cost of streaming data to PM:
+	// 0.25 ns/B, 4 GB/s for the copy alone. With the WriteBandwidth hold
+	// booked after it, one thread writes at 2.00 GB/s (see above).
 	CopyWriteNSPerByte float64
-	// CopyReadNSPerByte is the per-thread cost of streaming data from PM.
+	// CopyReadNSPerByte is the per-thread cost of streaming data from PM:
+	// 0.12 ns/B; one thread reads at 4.54 GB/s with the ReadBandwidth hold.
 	CopyReadNSPerByte float64
 	// ReadBandwidth / WriteBandwidth are the device's aggregate rates in
 	// bytes per second (paper: write bw ≈ 1/3 read bw).
