@@ -183,15 +183,16 @@ mmap-race:
 maint-race:
 	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestHeat|TestSlowDevice|TestPool|TestFailedWriteLeavesNoTrace' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
 
-# Replication + failover under the race detector: the cluster engine's
-# own tests (journal streaming, degraded mode, transparent failover,
-# lease re-establishment, the silent-divergence verdict, a baseline resync
-# broken off and resumed), the cluster campaign and its smoke slice, and
+# Replication + promotion under the race detector: the cluster engine's
+# own tests (journal streaming, degraded mode, winefsd's promotion of a
+# stopped replica, a replica that stops while a primary writes, the
+# silent-divergence verdict, a baseline resync broken off and resumed),
+# the cluster campaign and its smoke slice, and
 # the frame codec over the in-memory pipe the replication stream rides
 # (TestFrameRoundTrip: a frame above the pipe's 1 MiB buffer, bare and
 # wrapped writer ends, the length bound).
 cluster-race:
-	$(GO) test -race -timeout 20m -run 'TestCluster|TestFailover|TestRecord|TestReplica|TestErrServerGone|TestLocalClose|TestShutdownCtx|TestFrameRoundTrip' ./internal/cluster/ ./internal/fileserver/ ./internal/crashmonkey/
+	$(GO) test -race -timeout 20m -run 'TestCluster|TestPromoteReplica|TestRecord|TestReplica|TestErrServerGone|TestLocalClose|TestShutdownCtx|TestFrameRoundTrip' ./internal/cluster/ ./internal/fileserver/ ./internal/crashmonkey/
 
 # Boots winefsd on loopback TCP, drives a multi-client workload through
 # fileserver.Client, and verifies the stats endpoint (end-to-end server
@@ -257,10 +258,11 @@ crash-verdicts:
 
 # The 1000-seed replicated-cluster fault campaign: partition, replica-lag,
 # torn-stream and mid-failover crashes, asserting no panic → no silent
-# divergence (sequences equal, bytes differ) → convergence. A dead
-# primary's image converges by the ladder byte → logical → resync. Runs
-# overlap on the host (they are wall-clock timer-bound), which is what
-# makes 1000 seeds affordable.
+# divergence (sequences equal, bytes differ) → acked ⇒ visible on the
+# promoted replica → convergence. A promotion is winefsd's: kill the
+# primary, stop a replica, mount its image at epoch 2. Runs overlap on the
+# host (they are wall-clock timer-bound), which is what makes 1000 seeds
+# affordable.
 cluster-campaign:
 	$(GO) test -v -run 'TestClusterCampaign' ./internal/crashmonkey/
 

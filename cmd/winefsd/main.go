@@ -122,16 +122,6 @@ func buildStats(srv *fileserver.Server) statsPage {
 	return p
 }
 
-// replStatsSource adapts a primary's replicator to the cluster metrics
-// collector (winefsd has no Cluster object; epoch and failover counters
-// live in the replicator itself).
-type replStatsSource struct{ r *cluster.Replicator }
-
-func (s replStatsSource) Stats() cluster.Stats {
-	st := s.r.Stats()
-	return cluster.Stats{Epoch: st.Epoch, Repl: st}
-}
-
 // newRegistry builds the winefsd metric registry: one collector that samples
 // the server at scrape time. It reads through the same Stats() path as the
 // /stats JSON page, so there is no second bookkeeping that could drift from
@@ -313,33 +303,24 @@ func main() {
 	}
 
 	// Replication: a primary streams its write log to each -replicas
-	// address. Attach before serving so no client write escapes the log.
-	var repl *cluster.Replicator
-	scfg := fileserver.Config{CPUs: *cpus, Window: *window, Tracer: tracer, Epoch: *epoch}
-	if *replicas != "" {
-		repl = cluster.NewReplicator(fs, cluster.ReplicatorConfig{
-			Epoch: *epoch,
-			Sync:  *syncRepl,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "winefsd: repl: "+format+"\n", args...)
-			},
-		})
-		for _, raddr := range strings.Split(*replicas, ",") {
-			raddr = strings.TrimSpace(raddr)
-			if raddr == "" {
-				continue
-			}
-			target := raddr
-			repl.AddReplica(target, func() (fileserver.Conn, error) {
+	// address (NewPrimary attaches it before anything is served, so no
+	// client write escapes the log).
+	var targets []cluster.Target
+	for _, raddr := range strings.Split(*replicas, ",") {
+		if target := strings.TrimSpace(raddr); target != "" {
+			targets = append(targets, cluster.Target{Name: target, Dial: func() (fileserver.Conn, error) {
 				return fileserver.DialTCP(target)
-			})
+			}})
 		}
-		repl.Attach()
-		scfg.PostMutate = repl.PostMutate
+	}
+	srv, repl := cluster.NewPrimary(fs, *epoch,
+		fileserver.Config{CPUs: *cpus, Window: *window, Tracer: tracer},
+		cluster.ReplicatorConfig{Sync: *syncRepl, Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "winefsd: repl: "+format+"\n", args...)
+		}}, targets)
+	if repl != nil {
 		fmt.Printf("winefsd: replicating to %s (epoch %d, sync=%v)\n", *replicas, *epoch, *syncRepl)
 	}
-
-	srv := fileserver.New(fs, scfg)
 	l, err := fileserver.ListenTCP(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "winefsd: listen: %v\n", err)
@@ -384,7 +365,7 @@ func main() {
 	if *stats != "" {
 		var extra []metrics.Collector
 		if repl != nil {
-			extra = append(extra, cluster.MetricsCollector(replStatsSource{repl}))
+			extra = append(extra, cluster.MetricsCollector(repl))
 		}
 		extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
 			c := maint.Counters()
@@ -467,9 +448,10 @@ func main() {
 
 // runReplica runs the daemon as a passive replica: it serves the
 // replication protocol on addr, applying the primary's stream (with CRC
-// checking, epoch fencing and resync) to its local device. With -img the
-// applied image is saved on shutdown, ready to be promoted by restarting
-// winefsd against it as a primary with a bumped -epoch.
+// checking, epoch fencing and resync) to its local device. On shutdown it
+// stops (no link applies or acks after that) and, with -img, saves the
+// applied image, ready to be promoted by restarting winefsd against it as a
+// primary with a bumped -epoch.
 func runReplica(addr, img, size, primary string) error {
 	var dev *pmem.Device
 	var err error
@@ -507,6 +489,7 @@ func runReplica(addr, img, size, primary string) error {
 	}()
 	fmt.Printf("winefsd: replica of %s, applying on %s\n", primary, lst.Addr())
 	rep.Serve(lst)
+	rep.Stop()
 
 	st := rep.Stats()
 	fmt.Printf("winefsd: replica applied seq %d (%d records, %d bad, %d resyncs)\n",

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"repro/internal/fileserver"
-	"repro/internal/pagecache"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/winefs"
 )
 
 func newTestCluster(t *testing.T, replicas int, rcfg ReplicatorConfig) (*Cluster, *sim.Ctx) {
@@ -28,6 +28,22 @@ func newTestCluster(t *testing.T, replicas int, rcfg ReplicatorConfig) (*Cluster
 	}
 	t.Cleanup(c.Shutdown)
 	return c, ctx
+}
+
+// dialClient opens a client session on the cluster's primary, closed when
+// the test ends.
+func dialClient(t *testing.T, c *Cluster) *fileserver.Client {
+	t.Helper()
+	conn, err := c.DialPrimary()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cli, err := fileserver.Dial(conn)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	return cli
 }
 
 func pattern(tag byte, i, n int) []byte {
@@ -73,7 +89,7 @@ func verifyFiles(t *testing.T, ctx *sim.Ctx, fs vfs.FS, n int, tag byte) {
 			t.Fatalf("read %s: %v", path, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: content mismatch after failover", path)
+			t.Fatalf("%s: content mismatch", path)
 		}
 		if err := f.Close(ctx); err != nil {
 			t.Fatalf("close %s: %v", path, err)
@@ -86,15 +102,7 @@ func verifyFiles(t *testing.T, ctx *sim.Ctx, fs vfs.FS, n int, tag byte) {
 // (including the Mkfs baseline they never saw live, via initial resync).
 func TestClusterBasicReplication(t *testing.T) {
 	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
-	conn, err := c.DialPrimary()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	defer cli.Close()
+	cli := dialClient(t, c)
 	if cli.ServerEpoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", cli.ServerEpoch())
 	}
@@ -118,113 +126,106 @@ func TestClusterBasicReplication(t *testing.T) {
 	}
 }
 
-// TestClusterFailoverTransparent: kill the primary, promote a replica, and
-// keep using the same FailoverClient — pre-failover files must read back
-// intact and new writes must land, without the caller seeing an error.
-func TestClusterFailoverTransparent(t *testing.T) {
+// TestPromoteReplica runs winefsd's promotion on a synchronous cluster:
+// kill the primary, stop the most caught-up replica, mount its image and
+// start a primary on it at epoch 2. The files acked before the kill read
+// back through a fresh client, new writes land and reach the remaining
+// replica, the new primary announces epoch 2, and that replica now fences
+// an epoch-1 primary.
+func TestPromoteReplica(t *testing.T) {
 	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
-	fc, err := DialFailover(c.DialPrimary)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-
-	writeFiles(t, ctx, fc, 6, 'a')
-	if err := c.AwaitConverged(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	cli := dialClient(t, c)
+	writeFiles(t, ctx, cli, 6, 'a')
 
 	c.KillPrimary()
-	if err := c.FailOver(ctx); err != nil {
-		t.Fatalf("failover: %v", err)
+	rep, err := c.StopReplica()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.Epoch(); got != 2 {
-		t.Fatalf("cluster epoch = %d, want 2", got)
+	fs, err := winefs.Mount(ctx, rep.Device(), winefs.Options{})
+	if err != nil {
+		t.Fatalf("mount %s's image: %v", rep.Name(), err)
 	}
+	c.StartPrimary(ctx, fs, 2)
 
-	verifyFiles(t, ctx, fc, 6, 'a')
-	writeFiles(t, ctx, fc, 4, 'x')
-	verifyFiles(t, ctx, fc, 4, 'x')
-
-	if fc.Failovers() == 0 {
-		t.Fatal("client reports zero failovers after the primary died")
+	cli = dialClient(t, c)
+	if cli.ServerEpoch() != 2 {
+		t.Fatalf("the promoted primary announces epoch %d, want 2", cli.ServerEpoch())
 	}
-	if fc.Epoch() != 2 {
-		t.Fatalf("client epoch = %d, want 2", fc.Epoch())
-	}
+	verifyFiles(t, ctx, cli, 6, 'a')
+	writeFiles(t, ctx, cli, 4, 'x')
+	verifyFiles(t, ctx, cli, 4, 'x')
 	if err := c.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+
+	// An epoch-1 replication hello to the remaining replica is rejected.
+	c.mu.Lock()
+	remaining := c.replicas[0]
+	c.mu.Unlock()
+	conn, err := remaining.lst.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var e fileserver.Enc
+	e.Str("stale")
+	e.I64(rep.Device().Size())
+	e.U64(1)
+	if err := fileserver.WriteFrame(conn, 1, repHello, e.B); err != nil {
+		t.Fatal(err)
+	}
+	if _, code, _, err := fileserver.ReadFrame(conn); err != nil || code != repReject {
+		t.Fatalf("epoch-1 hello to %s: frame %d, %v; want a reject", remaining.rep.Name(), code, err)
 	}
 }
 
-// TestFailoverLeaseReestablished (satellite): a page-cache lease taken
-// before the failover is silently re-established on the new primary.
-func TestFailoverLeaseReestablished(t *testing.T) {
-	c, ctx := newTestCluster(t, 1, ReplicatorConfig{Sync: true})
-	fc, err := DialFailover(c.DialPrimary)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cache := pagecache.New(fc, pagecache.Config{})
-
-	f, err := cache.Create(ctx, "/leased")
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	data := pattern('L', 0, 8192)
-	if _, err := f.Append(ctx, data); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := f.Fsync(ctx); err != nil {
-		t.Fatalf("fsync: %v", err)
-	}
-	buf := make([]byte, len(data))
-	if _, err := f.ReadAt(ctx, buf, 0); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-
-	leaseMode := func() uint8 {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-		for ff := range fc.files {
-			if ff.path == "/leased" {
-				ff.mu.Lock()
-				defer ff.mu.Unlock()
-				return ff.lease
-			}
-		}
-		return 0
-	}
-	if leaseMode() == 0 {
-		t.Fatal("page cache took no lease before failover")
-	}
-
+// TestReplicaStopFreezesDevice: a synchronous primary keeps writing while
+// a replica stops. Once Stop returns the replica's device must not change
+// and its applied sequence must not move: winefsd saves, and an operator
+// promotes, exactly that image.
+func TestReplicaStopFreezesDevice(t *testing.T) {
+	c, ctx := newTestCluster(t, 1, ReplicatorConfig{Sync: true, SyncTimeout: 50 * time.Millisecond})
+	cli := dialClient(t, c)
+	writeFiles(t, ctx, cli, 2, 'a')
 	if err := c.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	c.KillPrimary()
-	if err := c.FailOver(ctx); err != nil {
-		t.Fatalf("failover: %v", err)
-	}
 
-	// Force a server round-trip so the client notices the dead primary.
-	if err := f.Fsync(ctx); err != nil {
-		t.Fatalf("fsync after failover: %v", err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wctx := sim.NewCtx(2, 0)
+		for i := 0; i < 40; i++ {
+			f, err := cli.Create(wctx, fmt.Sprintf("/w-%02d", i))
+			if err == nil {
+				_, err = f.Append(wctx, pattern('w', i, 3000))
+			}
+			if err == nil {
+				err = f.Close(wctx)
+			}
+			if err != nil {
+				t.Errorf("write /w-%02d: %v", i, err)
+				return
+			}
+		}
+	}()
+	writeFiles(t, ctx, cli, 2, 'b')
+	rep, err := c.StopReplica()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fc.Failovers(); got != 1 {
-		t.Fatalf("failovers = %d, want 1", got)
+	frozen := rep.Device().Snapshot()
+	defer frozen.Release()
+	seq := rep.AppliedSeq()
+	writeFiles(t, ctx, cli, 4, 'c')
+	<-done
+
+	if diffs := CompareDevices(frozen, rep.Device()); len(diffs) > 0 {
+		t.Fatalf("the stopped replica's device changed in %d ranges, first at %d (+%d)", len(diffs), diffs[0].Off, diffs[0].Len)
 	}
-	if leaseMode() == 0 {
-		t.Fatal("lease was not re-established on the new primary")
-	}
-	got := make([]byte, len(data))
-	if _, err := f.ReadAt(ctx, got, 0); err != nil {
-		t.Fatalf("read after failover: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("leased file content changed across failover")
-	}
-	if err := f.Close(ctx); err != nil {
-		t.Fatalf("close: %v", err)
+	if got := rep.AppliedSeq(); got != seq {
+		t.Fatalf("the stopped replica applied seq %d → %d", seq, got)
 	}
 }
 
@@ -240,15 +241,7 @@ func TestClusterDegradedMode(t *testing.T) {
 		RetryMax:     20 * time.Millisecond,
 		AckTimeout:   200 * time.Millisecond,
 	})
-	conn, err := c.DialPrimary()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	defer cli.Close()
+	cli := dialClient(t, c)
 
 	writeFiles(t, ctx, cli, 2, 'a')
 	if err := c.AwaitConverged(10 * time.Second); err != nil {
@@ -281,15 +274,7 @@ func TestClusterDegradedMode(t *testing.T) {
 // out its timeout.
 func TestClusterSilentDivergenceNamed(t *testing.T) {
 	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
-	conn, err := c.DialPrimary()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cli, err := fileserver.Dial(conn)
-	if err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
-	defer cli.Close()
+	cli := dialClient(t, c)
 	writeFiles(t, ctx, cli, 4, 'a')
 	if err := c.AwaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -298,13 +283,14 @@ func TestClusterSilentDivergenceNamed(t *testing.T) {
 	rep := c.Replicas()[1]
 	const off = 12345
 	var b [1]byte
-	c.PrimaryDevice().ReadAt(b[:], off)
+	_, fs := c.Primary()
+	fs.Device().ReadAt(b[:], off)
 	b[0] ^= 0xFF
 	rep.WithQuiesced(func() { rep.Device().WriteAt(b[:], off) })
 
 	const timeout = 10 * time.Second
 	start := time.Now()
-	err = c.AwaitConverged(timeout)
+	err := c.AwaitConverged(timeout)
 	took := time.Since(start)
 	var silent *SilentDivergence
 	if !errors.As(err, &silent) {

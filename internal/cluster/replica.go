@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/fileserver"
 	"repro/internal/pmem"
-	"repro/internal/sim"
-	"repro/internal/winefs"
 )
 
 // ReplicaStats is a point-in-time snapshot of one replica's applier.
@@ -26,10 +24,11 @@ type ReplicaStats struct {
 }
 
 // Replica applies a primary's replication stream to its own device. It is
-// passive: the primary dials it (Serve/HandleConn) and drives the
-// conversation. One Replica accepts any number of sequential link
-// incarnations — reconnects after a transport fault, or a new primary
-// after failover — and fences stale epochs.
+// passive: the primary dials it (Serve) and drives the conversation. One
+// Replica accepts any number of sequential link incarnations — reconnects
+// after a transport fault, or a new primary after a promotion — and fences
+// stale epochs. Stop ends it for good, before its image is saved or
+// promoted.
 type Replica struct {
 	name string
 	dev  *pmem.Device
@@ -42,7 +41,9 @@ type Replica struct {
 	epoch      uint64
 	appliedSeq uint64
 	resyncing  bool
-	promoted   bool
+	stopped    bool
+	conns      map[fileserver.Conn]struct{} // live links, closed by Stop
+	handlers   sync.WaitGroup
 	stats      ReplicaStats
 	logf       func(string, ...any)
 }
@@ -53,7 +54,7 @@ func NewReplica(name string, dev *pmem.Device, logf func(string, ...any)) *Repli
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Replica{name: name, dev: dev, logf: logf}
+	return &Replica{name: name, dev: dev, conns: make(map[fileserver.Conn]struct{}), logf: logf}
 }
 
 // Name returns the replica's name.
@@ -102,39 +103,58 @@ func (r *Replica) Promotable() bool {
 	return r.stats.Resyncs > 0 && !r.resyncing
 }
 
-// Promote mounts the replica's image as a live WineFS. The image is a
-// crash-consistent copy of the primary's (the stream carries raw stores in
-// order), so Mount takes the ordinary recovery path — journal replay plus
-// rebuild — exactly as the crashed primary itself would. After Promote the
-// replica stops accepting replication links.
-func (r *Replica) Promote(ctx *sim.Ctx, opts winefs.Options) (*winefs.FS, error) {
-	r.mu.Lock()
-	r.promoted = true
-	r.mu.Unlock()
-	return winefs.Mount(ctx, r.dev, opts)
-}
-
-// Serve accepts replication links until the listener closes. Each link is
-// handled synchronously per connection but connections are accepted
-// concurrently; epoch fencing in HandleConn keeps only the newest primary
-// effective.
+// Serve accepts replication links until the listener closes, each on its
+// own goroutine; epoch fencing keeps only the newest primary effective.
+// Closing the listener does not end the links already accepted: Stop does.
 func (r *Replica) Serve(l fileserver.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
+		r.mu.Lock()
+		if r.stopped {
+			r.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		r.conns[conn] = struct{}{}
+		r.handlers.Add(1)
+		r.mu.Unlock()
 		go func() {
-			defer conn.Close()
-			r.HandleConn(conn)
+			defer r.handlers.Done()
+			r.handle(conn)
+			conn.Close()
+			r.mu.Lock()
+			delete(r.conns, conn)
+			r.mu.Unlock()
 		}()
 	}
 }
 
-// HandleConn runs one replication link to completion. It returns when the
-// transport dies, the primary is fenced, or the replica is promoted; the
-// error is diagnostic only (the primary's retry loop owns recovery).
-func (r *Replica) HandleConn(conn fileserver.Conn) error {
+// Stop ends the replica for good, the step before its image is saved or
+// promoted: later hellos are rejected, no record applies any more, every
+// live link is closed and Stop waits for their handlers. Once it returns
+// the device no longer changes, and no primary holds an ack for a record
+// the device lacks.
+func (r *Replica) Stop() {
+	r.mu.Lock()
+	r.stopped = true
+	conns := make([]fileserver.Conn, 0, len(r.conns))
+	for c := range r.conns {
+		conns = append(conns, c)
+	}
+	r.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+	r.handlers.Wait()
+}
+
+// handle runs one replication link to completion. It returns when the
+// transport dies, the primary is fenced, or the replica stops; the error is
+// diagnostic only (the primary's retry loop owns recovery).
+func (r *Replica) handle(conn fileserver.Conn) error {
 	var linkEpoch uint64
 	helloDone := false
 	for {
@@ -163,8 +183,9 @@ func (r *Replica) HandleConn(conn fileserver.Conn) error {
 			}
 			ack, fenced := r.apply(linkEpoch, code, id, payload)
 			if fenced {
-				// A newer primary took over mid-link: stop acking so the
-				// stale one cannot mistake us for durable storage.
+				// A newer primary took over mid-link, or the replica
+				// stopped: stop acking so the primary cannot mistake us
+				// for durable storage.
 				return fmt.Errorf("cluster: replica %s: link epoch %d fenced", r.name, linkEpoch)
 			}
 			if werr := fileserver.WriteFrame(conn, ack.id, repAck, ack.payload); werr != nil {
@@ -195,8 +216,8 @@ func (r *Replica) hello(epoch uint64, payload []byte) (ok bool, reply []byte, ri
 	if !d.OK() {
 		return reject("malformed hello")
 	}
-	if r.promoted {
-		return reject("replica promoted")
+	if r.stopped {
+		return reject("replica stopped")
 	}
 	if epoch < r.epoch {
 		return reject(fmt.Sprintf("stale epoch %d < %d", epoch, r.epoch))
@@ -228,7 +249,7 @@ type ackFrame struct {
 func (r *Replica) apply(linkEpoch uint64, code uint8, id uint64, payload []byte) (ackFrame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if linkEpoch < r.epoch || r.promoted {
+	if linkEpoch < r.epoch || r.stopped {
 		return ackFrame{}, true
 	}
 	var flags uint8

@@ -209,9 +209,6 @@ func NewReplicator(fs *winefs.FS, cfg ReplicatorConfig) *Replicator {
 	return r
 }
 
-// Epoch returns the primary epoch this replicator announces.
-func (r *Replicator) Epoch() uint64 { return r.cfg.Epoch }
-
 // AddReplica registers a replica endpoint and starts its sender.
 func (r *Replicator) AddReplica(name string, dial func() (fileserver.Conn, error)) {
 	l := &link{

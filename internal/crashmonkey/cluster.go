@@ -1,31 +1,42 @@
 // Cluster fault campaign: seeded runs against a replicated winefsd
 // (internal/cluster), injecting replication partitions, replica lag, torn
-// streams and mid-failover crashes. The ladder every run must hold:
+// streams and a primary killed mid-operation. The ladder every run must
+// hold:
 //
-//	no panic → no silent divergence → convergence
+//	no panic → no silent divergence → acked ⇒ visible → convergence
 //
 // Convergence is a sequence fact: every replica has acked the primary's
 // last sequence with no resync pending, and AwaitConverged then checks
 // each replica's bytes once. A "silent divergence" is a replica whose
 // sequences match the primary's while its bytes differ — a store the
-// stream never carried — and it fails the run. A dead primary's image
-// diverges from its successor by design (the writes it took after its
-// replicas last acked); the Converge ladder (byte compare → logical
-// compare → resync) detects that and brings the image back.
+// stream never carried — and it fails the run.
+//
+// A promotion is the one winefsd ships: kill the primary, stop the most
+// caught-up replica (its image is then final), mount that image and start
+// a primary on it at epoch 2, linked to the remaining replicas. A dead
+// primary's image diverges from its successor's by design (the writes it
+// took after its replicas last acked), and one byte compare counts that.
+// In the partition scenario the dead image then rejoins as a replica, and
+// its baseline resync is the repair. In the mid-failover scenario the
+// promoted image must hold what the clients were told: every operation a
+// synchronous primary acknowledged.
 package crashmonkey
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fileserver"
+	"repro/internal/fstest"
+	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/winefs"
-	"repro/internal/workloads"
 )
 
 // ClusterScenario names one fault shape.
@@ -33,8 +44,8 @@ type ClusterScenario string
 
 const (
 	// ScenarioPartition: replication network cut mid-traffic, primary must
-	// degrade (not block), then crash + failover + rejoin of the dead
-	// primary heals the split brain.
+	// degrade (not block), then a kill, a promotion and the dead primary's
+	// image rejoining as a replica heal the split brain.
 	ScenarioPartition ClusterScenario = "partition"
 	// ScenarioReplicaLag: one replica applies slowly (async mode); after
 	// the stall clears, the cluster must converge with no intervention.
@@ -42,8 +53,9 @@ const (
 	// ScenarioTornStream: replication frames are bit-flipped in flight; the
 	// CRC must catch every tear and resync must heal it.
 	ScenarioTornStream ClusterScenario = "torn-stream"
-	// ScenarioMidFailover: the primary is killed while ServerMix clients
-	// are mid-operation; failover clients must finish without errors.
+	// ScenarioMidFailover: the primary is killed while clients are
+	// mid-operation; a replica is promoted and must hold every operation
+	// the primary acknowledged.
 	ScenarioMidFailover ClusterScenario = "mid-failover"
 )
 
@@ -72,21 +84,24 @@ const clusterReplicas = 2
 type ClusterCampaignResult struct {
 	Runs         int
 	ScenarioRuns map[ClusterScenario]int
-	// DivergencesDetected counts dead-primary images the Converge ladder
-	// found differing from the new primary's.
+	// DivergencesDetected counts dead-primary images that differ from the
+	// image promoted in their place.
 	DivergencesDetected int
 	// SilentDivergences counts replicas whose sequences matched the
 	// primary's while their bytes differed; the campaign's core invariant
 	// is that this stays zero.
 	SilentDivergences int
-	// Converged tallies Converge outcomes (clean/logical/resync).
-	Converged map[cluster.ConvergeOutcome]int
 	// BadRecords is the total torn/corrupt records caught by replica CRCs.
 	BadRecords int64
 	// Resyncs is the total full-image resyncs across all runs.
 	Resyncs int64
-	// Failovers is the total primary handovers performed.
-	Failovers int64
+	// Promotions counts replicas promoted to primary.
+	Promotions int
+	// PrefixOnly lists mid-failover runs whose primary had degraded a link
+	// before the kill: its acks then no longer waited for that replica, so
+	// the promoted image is held to some prefix of each client's
+	// operations rather than to the acknowledged one.
+	PrefixOnly []string
 	// LagObserved counts replica-lag runs where the laggard measurably
 	// trailed mid-run.
 	LagObserved int
@@ -101,8 +116,8 @@ type ClusterCampaignResult struct {
 func (r *ClusterCampaignResult) OK() bool { return len(r.Failures) == 0 }
 
 func (r *ClusterCampaignResult) String() string {
-	return fmt.Sprintf("%d runs: %d divergences detected (%d silent), %d resyncs, %d bad records, %d failovers, converged %v, %d reruns, %d failures",
-		r.Runs, r.DivergencesDetected, r.SilentDivergences, r.Resyncs, r.BadRecords, r.Failovers, r.Converged, r.Reruns, len(r.Failures))
+	return fmt.Sprintf("%d runs: %d divergences detected (%d silent), %d resyncs, %d bad records, %d promotions (%d held to a prefix only), %d reruns, %d failures",
+		r.Runs, r.DivergencesDetected, r.SilentDivergences, r.Resyncs, r.BadRecords, r.Promotions, len(r.PrefixOnly), r.Reruns, len(r.Failures))
 }
 
 // RunClusterCampaign executes cfg.Runs seeded runs rotating scenarios.
@@ -121,15 +136,13 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 		scenario := clusterScenarios[i%len(clusterScenarios)]
 		seed := cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
 		r := &perRun[i]
-		*r = ClusterCampaignResult{
-			ScenarioRuns: map[ClusterScenario]int{scenario: 1},
-			Converged:    make(map[cluster.ConvergeOutcome]int),
-		}
+		*r = ClusterCampaignResult{ScenarioRuns: map[ClusterScenario]int{scenario: 1}}
+		name := fmt.Sprintf("run %d (%s, seed %#x%s)", i, scenario, seed, note)
 		msgs[i] = ""
 		if msg := guardRun(func() string {
-			return clusterRun(scenario, seed, r)
+			return clusterRun(scenario, seed, name, r)
 		}); msg != "" {
-			msgs[i] = fmt.Sprintf("run %d (%s, seed %#x%s): %s", i, scenario, seed, note, msg)
+			msgs[i] = name + ": " + msg
 		}
 	}
 	pr := sim.ParallelRunner{Workers: clusterCampaignWorkers}
@@ -151,7 +164,6 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 	}
 	res := &ClusterCampaignResult{
 		ScenarioRuns: make(map[ClusterScenario]int),
-		Converged:    make(map[cluster.ConvergeOutcome]int),
 		Reruns:       reruns,
 	}
 	for i := range perRun {
@@ -160,14 +172,12 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 		for s, n := range r.ScenarioRuns {
 			res.ScenarioRuns[s] += n
 		}
-		for o, n := range r.Converged {
-			res.Converged[o] += n
-		}
 		res.DivergencesDetected += r.DivergencesDetected
 		res.SilentDivergences += r.SilentDivergences
 		res.BadRecords += r.BadRecords
 		res.Resyncs += r.Resyncs
-		res.Failovers += r.Failovers
+		res.Promotions += r.Promotions
+		res.PrefixOnly = append(res.PrefixOnly, r.PrefixOnly...)
 		res.LagObserved += r.LagObserved
 		if msgs[i] != "" {
 			res.Failures = append(res.Failures, msgs[i])
@@ -183,10 +193,12 @@ func RunClusterCampaign(cfg ClusterCampaignConfig) *ClusterCampaignResult {
 const clusterCampaignWorkers = 8
 
 // clusterRun performs one seeded scenario run; "" means the ladder held.
-func clusterRun(scenario ClusterScenario, seed uint64, res *ClusterCampaignResult) string {
+func clusterRun(scenario ClusterScenario, seed uint64, name string, res *ClusterCampaignResult) string {
 	rng := sim.NewRand(seed)
 	ctx := sim.NewCtx(1, 0)
-	fsOpts := winefs.Options{CPUs: 2}
+	// Strict: the mid-failover oracle holds an in-flight operation to
+	// all-or-nothing, which is strict mode's promise.
+	fsOpts := winefs.Options{CPUs: 2, Mode: vfs.Strict}
 	rcfg := cluster.ReplicatorConfig{
 		// Sync for the scenarios that exercise the durability wait;
 		// replica-lag and torn-stream run async so the stream itself (not
@@ -225,7 +237,7 @@ func clusterRun(scenario ClusterScenario, seed uint64, res *ClusterCampaignResul
 	case ScenarioTornStream:
 		return runTornStream(ctx, c, rng, res)
 	case ScenarioMidFailover:
-		return runMidFailover(ctx, c, rng, fsOpts, seed, res)
+		return runMidFailover(ctx, c, rng, fsOpts, seed, name, res)
 	}
 	return fmt.Sprintf("unknown scenario %q", scenario)
 }
@@ -270,7 +282,6 @@ func dialClient(c *cluster.Cluster) (*fileserver.Client, error) {
 func harvest(c *cluster.Cluster, res *ClusterCampaignResult) {
 	st := c.Stats()
 	res.Resyncs += st.Repl.Resyncs
-	res.Failovers += st.Failovers
 	for _, rs := range st.ReplicaSide {
 		res.BadRecords += rs.BadRecords
 	}
@@ -291,8 +302,8 @@ func awaitConverged(c *cluster.Cluster, timeout time.Duration, res *ClusterCampa
 }
 
 // runPartition cuts replication mid-traffic, requires degraded-mode
-// serving, then kills the primary, fails over, rejoins the dead node and
-// requires full convergence.
+// serving, then kills the primary, promotes a replica, rejoins the dead
+// primary's image as a replica and requires full convergence.
 func runPartition(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs.Options, res *ClusterCampaignResult) string {
 	cli, err := dialClient(c)
 	if err != nil {
@@ -317,35 +328,48 @@ func runPartition(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs
 	cli.Close()
 
 	// Crash the degraded primary and promote a (stale) replica: the
-	// partition window's writes are the divergence the checker must see.
-	deadName := c.PrimaryName()
-	deadDev := c.KillPrimary()
+	// partition window's writes, which the replicas never saw, are the
+	// divergence the byte compare must see. The dead image then rejoins
+	// as a replica and must resync to the new primary's.
+	dead := c.KillPrimary()
 	c.Partition(false)
-	if err := c.FailOver(ctx); err != nil {
-		return fmt.Sprintf("failover: %v", err)
-	}
-	// The dead primary holds the partition window's writes, which the
-	// replicas never saw — the checker must detect that divergence.
-	rep := cluster.Converge(ctx, c.PrimaryDevice(), deadDev, fsOpts)
-	res.Converged[rep.Outcome]++
-	if rep.Detected {
-		res.DivergencesDetected++
-	}
-	// Heal the split brain: the dead ex-primary rejoins as a replica and
-	// must resync to the new primary's image.
-	if err := c.RejoinDead(deadName); err != nil {
-		return fmt.Sprintf("rejoin: %v", err)
+	fs, msg := promote(ctx, c, fsOpts, dead, true, res)
+	if msg != "" {
+		return msg
 	}
 	if msg := awaitConverged(c, 10*time.Second, res); msg != "" {
-		return "after partition + failover + rejoin: " + msg
+		return "after partition + promotion + rejoin: " + msg
 	}
 	harvest(c, res)
-	if _, fs := c.Primary(); fs != nil {
-		if err := fs.Audit(ctx); err != nil {
-			return fmt.Sprintf("post-failover audit: %v", err)
-		}
+	if err := fs.Audit(ctx); err != nil {
+		return fmt.Sprintf("post-promotion audit: %v", err)
 	}
 	return ""
+}
+
+// promote runs winefsd's promotion on a cluster whose primary was killed:
+// stop the replica an operator would pick (its image is then final), count
+// the dead image's divergence from it, mount it, and start a primary on it
+// at epoch 2, linked to the remaining replicas and, with rejoin, to a
+// replica on the dead primary's image (winefsd -replica-of -img dead.img).
+func promote(ctx *sim.Ctx, c *cluster.Cluster, fsOpts winefs.Options, dead *pmem.Device, rejoin bool, res *ClusterCampaignResult) (*winefs.FS, string) {
+	rep, err := c.StopReplica()
+	if err != nil {
+		return nil, fmt.Sprintf("promotion: %v", err)
+	}
+	if len(cluster.CompareDevices(rep.Device(), dead)) > 0 {
+		res.DivergencesDetected++
+	}
+	fs, err := winefs.Mount(ctx, rep.Device(), fsOpts)
+	if err != nil {
+		return nil, fmt.Sprintf("mount %s's image: %v", rep.Name(), err)
+	}
+	if rejoin {
+		c.AddReplica("rejoined", dead)
+	}
+	c.StartPrimary(ctx, fs, 2)
+	res.Promotions++
+	return fs, ""
 }
 
 // runReplicaLag slows one replica's applier in async mode; after the stall
@@ -396,74 +420,208 @@ func runTornStream(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, res *Cluster
 	return ""
 }
 
-// runMidFailover kills the primary while ServerMix clients are mid-flight;
-// the failover clients must complete every operation, and every surviving
-// image must converge on the new primary.
-func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs.Options, seed uint64, res *ClusterCampaignResult) string {
-	// Let the baseline resyncs finish before arming the killer: only an
-	// in-sync replica is a promotion candidate (as in real operations), so
-	// a kill during bootstrap would have nothing valid to promote.
+// runMidFailover kills the primary while two clients are mid-operation,
+// each running a seeded fstest.Op list on its own names through a plain
+// fileserver.Client, once client 0 has had a seeded number of operations
+// acknowledged. After the kill a client may only see its transport die.
+// The promoted image must then hold, for each client, the files
+// fstest.MemFS holds after the client's acknowledged operations, with or
+// without the one it had in flight.
+func runMidFailover(ctx *sim.Ctx, c *cluster.Cluster, rng *sim.Rand, fsOpts winefs.Options, seed uint64, name string, res *ClusterCampaignResult) string {
+	// Let the baseline resyncs finish first: only an in-sync replica is a
+	// promotion candidate (as in real operations), so a kill during
+	// bootstrap would have nothing valid to promote.
 	if msg := awaitConverged(c, 5*time.Second, res); msg != "" {
 		return "after the baseline resync: " + msg
 	}
-	const clients = 2
+	const clients, nops = 2, 12
+	repl, _ := c.Primary()
+	killAfter := 1 + rng.Intn(nops-1) // client 0's acks before the kill
+	ops := make([][]fstest.Op, clients)
+	clis := make([]*fileserver.Client, clients)
+	for i := range ops {
+		ops[i] = clientOps(ctx, sim.NewRand(seed+uint64(i)), i, nops)
+		cli, err := dialClient(c)
+		if err != nil {
+			return fmt.Sprintf("client %d dial: %v", i, err)
+		}
+		defer cli.Close()
+		clis[i] = cli
+	}
+	acked := make([]int, clients)
 	errs := make([]error, clients)
+	kill := make(chan struct{})
+	var killOnce sync.Once
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	for i := range clis {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
+			if i == 0 {
+				defer killOnce.Do(func() { close(kill) })
+			}
 			cctx := sim.NewCtx(300+i, 0)
-			// The initial dial can itself land inside the failover window
-			// (DialFailover only retries once connected) — ride it out.
-			var fc *cluster.FailoverClient
-			var err error
-			for attempt := 0; attempt < 200; attempt++ {
-				fc, err = cluster.DialFailover(c.DialPrimary)
-				if err == nil {
-					break
+			for _, o := range ops[i] {
+				if errs[i] = fstest.Apply(cctx, clis[i], o); errs[i] != nil {
+					return
 				}
-				time.Sleep(5 * time.Millisecond)
+				if acked[i]++; i == 0 && acked[i] == killAfter {
+					killOnce.Do(func() { close(kill) })
+				}
 			}
-			if err != nil {
-				errs[i] = fmt.Errorf("dial: %w", err)
-				return
-			}
-			_, err = workloads.ServerMixClient(cctx, fc, i, workloads.ServerMixConfig{
-				Ops: 8, MeanFileKB: 4, Seed: seed + uint64(i),
-			})
-			errs[i] = err
-		}(i)
+		}()
 	}
-
-	time.Sleep(time.Duration(1+rng.Intn(12)) * time.Millisecond)
-	deadDev := c.KillPrimary()
-	fctx := sim.NewCtx(2, 0)
-	if err := c.FailOver(fctx); err != nil {
-		return fmt.Sprintf("failover: %v", err)
-	}
+	<-kill
+	dead := c.KillPrimary()
 	wg.Wait()
 	for i, err := range errs {
-		if err != nil {
-			return fmt.Sprintf("client %d failed across failover: %v", i, err)
+		if err != nil && !errors.Is(err, fileserver.ErrConnClosed) && !errors.Is(err, fileserver.ErrShutdown) {
+			return fmt.Sprintf("client %d: %s: %v", i, ops[i][acked[i]], err)
 		}
 	}
+	// A degraded link no longer held up acks, so the replica promoted may
+	// lack acknowledged operations; the run then checks only that each
+	// client's files are those of some prefix of its operations.
+	prefixOnly := repl.Stats().Degrades > 0
+	if prefixOnly {
+		res.PrefixOnly = append(res.PrefixOnly, name)
+	}
 
+	fs, msg := promote(ctx, c, fsOpts, dead, false, res)
+	if msg != "" {
+		return msg
+	}
+	for i := range ops {
+		lo, hi := acked[i], acked[i]
+		if errs[i] != nil {
+			hi++ // the operation in flight may have landed
+		}
+		if prefixOnly {
+			lo = 0
+		}
+		if msg := checkAcked(ctx, fs, ops[i], lo, hi); msg != "" {
+			return fmt.Sprintf("client %d (%d of %d operations acked): %s", i, acked[i], nops, msg)
+		}
+	}
 	if msg := awaitConverged(c, 10*time.Second, res); msg != "" {
 		return "on the new primary: " + msg
 	}
 	harvest(c, res)
-	rep := cluster.Converge(ctx, c.PrimaryDevice(), deadDev, fsOpts)
-	res.Converged[rep.Outcome]++
-	if rep.Detected {
-		res.DivergencesDetected++
+	if err := fs.Audit(ctx); err != nil {
+		return fmt.Sprintf("post-promotion audit: %v", err)
 	}
-	if _, fs := c.Primary(); fs != nil {
-		if err := fs.Audit(ctx); err != nil {
-			return fmt.Sprintf("post-failover audit: %v", err)
+	return ""
+}
+
+// clientOps returns client i's seeded list of n operations on its own
+// names (/c<i>-<k>): creates, appends, pwrites, truncates, renames to a
+// new name and unlinks, each one mutating call on the server. Every
+// payload byte is non-zero, so a lost page cannot pass for a hole.
+func clientOps(ctx *sim.Ctx, rng *sim.Rand, i, n int) []fstest.Op {
+	model := fstest.NewMemFS()
+	var files []string
+	next := 0
+	fresh := func() string {
+		next++
+		return fmt.Sprintf("/c%d-%d", i, next)
+	}
+	data := func() []byte {
+		p := make([]byte, 1+rng.Intn(8<<10))
+		for j := range p {
+			p[j] = byte(1 + rng.Intn(255))
+		}
+		return p
+	}
+	ops := make([]fstest.Op, 0, n)
+	for len(ops) < n {
+		o := fstest.Op{Kind: fstest.Create}
+		if len(files) == 0 || rng.Intn(6) == 0 {
+			o.A = fresh()
+			files = append(files, o.A)
+		} else {
+			k := rng.Intn(len(files))
+			o.A = files[k]
+			fi, _ := model.Stat(ctx, o.A)
+			switch rng.Intn(6) {
+			case 0, 1:
+				o.Kind, o.Data = fstest.Append, data()
+			case 2:
+				o.Kind, o.Off, o.Data = fstest.Write, rng.Int63n(fi.Size+1), data()
+			case 3:
+				o.Kind, o.Size = fstest.Truncate, rng.Int63n(fi.Size+16<<10)
+			case 4:
+				o.Kind, o.B = fstest.Rename, fresh()
+				files[k] = o.B
+			default:
+				o.Kind = fstest.Unlink
+				files = append(files[:k], files[k+1:]...)
+			}
+		}
+		fstest.Apply(ctx, model, o) // MemFS fails none of these: each names a file it holds
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// checkAcked holds fs to one client's operations: every name they touch
+// must read as it does in fstest.MemFS after the first k of ops, for some k
+// from lo to hi. MemFS cannot list its names, so the comparison goes name
+// by name.
+func checkAcked(ctx *sim.Ctx, fs vfs.FS, ops []fstest.Op, lo, hi int) string {
+	var names []string
+	for _, o := range ops {
+		names = append(names, o.A)
+		if o.B != "" {
+			names = append(names, o.B)
+		}
+	}
+	var msg string
+	for k := lo; k <= hi; k++ {
+		model := fstest.NewMemFS()
+		for _, o := range ops[:k] {
+			fstest.Apply(ctx, model, o) // as in clientOps, which built them on MemFS
+		}
+		if msg = sameFiles(ctx, fs, model, names); msg == "" {
+			return ""
+		}
+	}
+	return fmt.Sprintf("the promoted image matches no prefix of %d to %d operations (against %d: %s)", lo, hi, hi, msg)
+}
+
+// sameFiles compares the named files of got and want: present in both or
+// in neither, and byte for byte.
+func sameFiles(ctx *sim.Ctx, got, want vfs.FS, names []string) string {
+	for _, name := range names {
+		g, gok, err := readFile(ctx, got, name)
+		if err != nil {
+			return err.Error()
+		}
+		w, wok, err := readFile(ctx, want, name)
+		if err != nil {
+			return err.Error()
+		}
+		if gok != wok || !bytes.Equal(g, w) {
+			return fmt.Sprintf("%s: %d bytes (present %t), want %d (present %t)", name, len(g), gok, len(w), wok)
 		}
 	}
 	return ""
+}
+
+// readFile reads a whole file; ok is false if it does not exist.
+func readFile(ctx *sim.Ctx, fs vfs.FS, name string) (data []byte, ok bool, err error) {
+	f, err := fs.Open(ctx, name)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("open %s: %w", name, err)
+	}
+	defer f.Close(ctx)
+	data = make([]byte, f.Size())
+	if _, err := f.ReadAt(ctx, data, 0); err != nil && err != io.EOF {
+		return nil, false, fmt.Errorf("read %s: %w", name, err)
+	}
+	return data, true, nil
 }
 
 // tornWrapper wraps primary-side replication connections with a seeded

@@ -136,10 +136,9 @@ func Dial(conn Conn) (*Client, error) {
 	return c, nil
 }
 
-// ServerEpoch reports the primary epoch the server announced at handshake.
-// Failover clients use it to fence: a server whose epoch is below the
-// highest one the client has seen is a stale primary and must not be
-// trusted with writes.
+// ServerEpoch reports the primary epoch the server announced at handshake:
+// a server whose epoch is below the highest one a client has seen is a
+// stale primary and must not be trusted with writes.
 func (c *Client) ServerEpoch() uint64 { return c.epoch }
 
 // dead reports whether this client's transport is closed from its own

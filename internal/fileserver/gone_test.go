@@ -11,7 +11,7 @@ import (
 )
 
 // TestErrServerGoneTyped: a transport death the client did not cause must
-// surface as ErrServerGone (the failover trigger), which still satisfies
+// surface as ErrServerGone (a dead primary), which still satisfies
 // errors.Is(err, ErrConnClosed) for callers with the older contract.
 func TestErrServerGoneTyped(t *testing.T) {
 	srv, pl := newServer(t, pmem.New(256<<20), Config{})
@@ -38,7 +38,7 @@ func TestErrServerGoneTyped(t *testing.T) {
 }
 
 // TestLocalCloseIsNotServerGone: the client closing its own connection is
-// a deliberate act, not a lost server — a failover layer must not react.
+// a deliberate act, not a lost server.
 func TestLocalCloseIsNotServerGone(t *testing.T) {
 	_, pl := newServer(t, pmem.New(256<<20), Config{})
 	cl := dialT(t, pl)

@@ -51,8 +51,8 @@ type Config struct {
 	// grace period before live connections are severed.
 	RevokeTimeout time.Duration
 	// Epoch is the primary-epoch number announced in the hello response.
-	// Standalone servers leave it 0; internal/cluster bumps it on every
-	// failover so clients can fence stale primaries.
+	// Standalone servers leave it 0; a primary promoted from a replica
+	// announces the epoch after its predecessor's (cluster.NewPrimary).
 	Epoch uint64
 	// PostMutate, when non-nil, runs on the session worker after any
 	// request that wrote to persistent media (detected by the session's

@@ -31,8 +31,8 @@ import (
 // ProtoVersion is bumped on any incompatible wire change; the handshake
 // rejects mismatched clients instead of misparsing their frames.
 // Version 2 added the lease protocol (opLease/opLeaseAck/statusRevoke).
-// Version 3 appended the server epoch to the hello response so failover
-// clients can fence stale primaries.
+// Version 3 appended the server epoch to the hello response, so a client
+// can tell a promoted primary from a stale one.
 const ProtoVersion = 3
 
 // maxFrame bounds a single frame so a corrupt or hostile length prefix
@@ -161,8 +161,8 @@ var (
 	// while the client still wanted it — a crash or kill, as opposed to a
 	// close the client initiated itself. It wraps ErrConnClosed so
 	// existing errors.Is(err, ErrConnClosed) checks keep matching;
-	// failover logic matches ErrServerGone specifically to tell a dead
-	// primary from a local protocol bug.
+	// callers match ErrServerGone specifically to tell a dead primary
+	// from a local protocol bug.
 	ErrServerGone = fmt.Errorf("fileserver: server gone: %w", ErrConnClosed)
 	// ErrBadHandle reports a request naming a handle the session never
 	// opened (or already closed).

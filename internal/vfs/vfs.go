@@ -141,9 +141,8 @@ type File interface {
 // file that implements it can serve page faults directly from its extent
 // tree: Mmap and vmm.Map carve a mapping out of MapSpace, install a fault
 // handler, and charge fault/TLB/page-walk costs per access instead of
-// per-syscall copies. Files that cannot be mapped (remote mounts,
-// failover proxies) simply don't implement it, and both report
-// ErrNotSupported.
+// per-syscall copies. Files that cannot be mapped (remote mounts) simply
+// don't implement it, and both report ErrNotSupported.
 type Mapper interface {
 	mmu.FaultHandler
 	// MapSpace returns the address space mappings over this file live in;
