@@ -41,15 +41,20 @@ bench:
 # larger cache — flush and eviction victims come off the backs of the
 # active/inactive lists and their dirty lists, never from a scan; stat, read,
 # in-place and copy-on-write overwrite, append and rename on a fragmented
-# mount at 0, create+append+close+unlink at 7, the three lock modes at 0, a
+# mount at 0, create+append+close+unlink and a whole file life at 4 (what a
+# file keeps: its inode, File and lock object, and the orphaned lock's one
+# span), the three lock modes at 0, a
 # recycling tree at a steady size at 0, a base and a hugepage fault on a
 # 4,096-extent WineFS file and on a zero-on-fault-split ext4-DAX file at 0,
 # BenchmarkFaultFragmented the first of them), the exact-vs-batched-vs-parallel
 # golden test and the calendars, range locks, extent list and the MMU's
-# flat TLB/LLC arrays against their obvious models, all under the race
-# detector, and the charge-amount table.
+# flat TLB/LLC arrays against their obvious models (the calendars' and the
+# extent list's with resources dropped and files unlinked mid-replay, so
+# the storage they recycle is checked too), the recycler itself and a
+# release after Drop that must miss the reused number's lock, all under
+# the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestPoisonedStoresDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty' -race ./internal/workloads/ ./internal/pmem/ ./internal/mmu/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestPoisonedStoresDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty|TestUnlockAfterDropMissesTheReusedLock|TestGrowReusesZeroedStorage|TestRetentionBoundedByBytes|TestConcurrentOwners' -race ./internal/workloads/ ./internal/pmem/ ./internal/mmu/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/recycle/
 	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 
@@ -286,9 +291,25 @@ profile-posix:
 # profile-posix writes) reduced by cmd/hostlayers to one row per package of
 # this module, winefs split by file, and one for samples outside it; the
 # shares sum to 100%. PROFILE=cpu.pprof reads what make profile wrote.
+# With BASE=<rev>, both sides of a host claim: BenchmarkPosixMix profiled
+# at BASE (exported with git archive under PAIR_OUT, as bench-pair does)
+# and at the working tree, the same 10^6 operations each, and their rows
+# side by side with the change's difference.
+#   make host-layers BASE=HEAD~1
 PROFILE ?= posix_cpu.pprof
 host-layers:
-	$(GO) tool pprof -traces -lines $(PROFILE) | $(GO) run ./cmd/hostlayers
+	@set -e; if [ -z "$(BASE)" ]; then \
+		$(GO) tool pprof -traces -lines $(PROFILE) | $(GO) run ./cmd/hostlayers; exit; \
+	fi; \
+	rm -rf $(PAIR_OUT); mkdir -p $(PAIR_OUT)/base; out=$$(cd $(PAIR_OUT) && pwd); \
+	git archive $(BASE) | tar -x -C $$out/base; \
+	for side in base change; do \
+		if [ $$side = base ]; then dir=$$out/base; else dir=$$PWD; fi; \
+		(cd $$dir && $(GO) test -run xxx -bench BenchmarkPosixMix -benchtime 1000000x \
+			-cpuprofile $$out/$$side.pprof -o $$out/$$side.test ./internal/winefs/); \
+		$(GO) tool pprof -traces -lines $$out/$$side.test $$out/$$side.pprof > $$out/$$side.traces 2>/dev/null; \
+	done; \
+	$(GO) run ./cmd/hostlayers $$out/base.traces $$out/change.traces
 
 # Go lines per package, non-test next to test, and in total:
 # "net-negative" as a number CI prints, not a claim in a PR body. The test

@@ -5,8 +5,12 @@
 // make a row of their own, so the shares sum to 100% by construction.
 //
 //	go tool pprof -traces -lines PROFILE | go run ./cmd/hostlayers
+//	go run ./cmd/hostlayers BASE_TRACES CHANGE_TRACES
 //
-// make host-layers runs it on the profile make profile-posix writes.
+// Given two files of that text, it prints both sides' rows and their
+// difference. make host-layers runs it on the profile make profile-posix
+// writes; make host-layers BASE=<rev> profiles BenchmarkPosixMix at BASE
+// and at the working tree and compares the two.
 package main
 
 import (
@@ -36,13 +40,74 @@ var layersTable = bench.Table{
 	Cols: []bench.Col{{Head: "cpu", Field: "MS", Fmt: "%.0fms"}, {Head: "share", Field: "Pct", Fmt: "%.1f%%"}},
 }
 
+// pairTable is the two-sided form: base, change, and change minus base.
+var pairTable = bench.Table{
+	Title: "Host CPU time by layer, base → change", Rows: []string{"Layer"}, RowHead: "layer",
+	Cols: []bench.Col{
+		{Head: "base cpu", Field: "BaseMS", Fmt: "%.0fms"}, {Head: "base share", Field: "BasePct", Fmt: "%.1f%%"},
+		{Head: "cpu", Field: "MS", Fmt: "%.0fms"}, {Head: "share", Field: "Pct", Fmt: "%.1f%%"},
+		{Head: "Δcpu", Field: "DeltaMS", Fmt: "%+.0fms"}, {Head: "Δshare", Field: "DeltaPct", Fmt: "%+.1fpp"},
+	},
+}
+
 func main() {
-	rep, err := layers(os.Stdin)
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "hostlayers: %v\n", err)
 		os.Exit(1)
 	}
-	rep.Print(os.Stdout, layersTable)
+}
+
+func run(args []string) error {
+	switch len(args) {
+	case 0:
+		rep, err := layers(os.Stdin)
+		if err != nil {
+			return err
+		}
+		rep.Print(os.Stdout, layersTable)
+	case 2:
+		var sides [2]*bench.Report
+		for i, name := range args {
+			f, err := os.Open(name)
+			if err != nil {
+				return err
+			}
+			sides[i], err = layers(f)
+			f.Close()
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		compare(sides[0], sides[1]).Print(os.Stdout, pairTable)
+	default:
+		return fmt.Errorf("usage: hostlayers < TRACES, or hostlayers BASE_TRACES CHANGE_TRACES")
+	}
+	return nil
+}
+
+// compare puts two sides' rows together: the change's layers in its
+// order, then those only the base has, then the total; a layer one side
+// lacks reads 0 there.
+func compare(base, change *bench.Report) *bench.Report {
+	var order []string
+	for _, side := range []*bench.Report{change, base} {
+		for _, p := range side.Points {
+			if l := p.Labels["Layer"]; l != "total" && !slices.Contains(order, l) {
+				order = append(order, l)
+			}
+		}
+	}
+	rep := &bench.Report{}
+	for _, name := range append(order, "total") {
+		at := map[string]string{"Layer": name}
+		bms, _ := base.Value("MS", at)
+		bpct, _ := base.Value("Pct", at)
+		ms, _ := change.Value("MS", at)
+		pct, _ := change.Value("Pct", at)
+		rep.Point(at, 0).Floats(map[string]float64{"BaseMS": bms, "BasePct": bpct,
+			"MS": ms, "Pct": pct, "DeltaMS": ms - bms, "DeltaPct": pct - bpct})
+	}
+	return rep
 }
 
 // layers reads `pprof -traces` text and returns one point per layer,

@@ -42,12 +42,27 @@ const (
 // ErrFull indicates pool exhaustion.
 var ErrFull = errors.New("part: pool full")
 
-// Tree is a P-ART over a memory-mapped pool file.
+// Tree is a P-ART over a memory-mapped pool file. It is not safe for
+// concurrent use: every node access goes through the tree's own scratch.
 type Tree struct {
 	m    *vmm.Mapping
 	size int64
 	bump int64
 	root int64 // offset of root node, 0 = empty
+
+	// buf and keys are the bytes each node access reads into or stores
+	// from, and pairs the children a growing node moves: the mapping
+	// takes slices, and a per-call array handed to it would escape to the
+	// heap on every access. Each access is done with them before the next.
+	buf   [sizeLeaf]byte
+	keys  [16]byte
+	pairs []pair
+}
+
+// pair is one child of a node that grow moves: its radix byte and offset.
+type pair struct {
+	b byte
+	c int64
 }
 
 // New creates a pool file of poolSize bytes on fs (via the vmmalloc-style
@@ -92,18 +107,19 @@ func (t *Tree) alloc(n int64) (int64, error) {
 
 // header: kind u8 | childCount u8 | pad[6].
 func (t *Tree) readHeader(ctx *sim.Ctx, off int64) (kind byte, count int, err error) {
-	var h [8]byte
-	if err := t.m.Read(ctx, h[:], off); err != nil {
+	h := t.buf[:8]
+	if err := t.m.Read(ctx, h, off); err != nil {
 		return 0, 0, err
 	}
 	return h[0], int(h[1]), nil
 }
 
 func (t *Tree) writeHeader(ctx *sim.Ctx, off int64, kind byte, count int) error {
-	var h [8]byte
+	h := t.buf[:8]
+	clear(h)
 	h[0] = kind
 	h[1] = byte(count)
-	return t.m.Write(ctx, h[:], off)
+	return t.m.Write(ctx, h, off)
 }
 
 func (t *Tree) newLeaf(ctx *sim.Ctx, key, val uint64) (int64, error) {
@@ -111,19 +127,42 @@ func (t *Tree) newLeaf(ctx *sim.Ctx, key, val uint64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var b [sizeLeaf]byte
+	b := t.buf[:sizeLeaf]
+	clear(b)
 	b[0] = kindLeaf
 	binary.LittleEndian.PutUint64(b[8:], key)
 	binary.LittleEndian.PutUint64(b[16:], val)
-	return off, t.m.Write(ctx, b[:], off)
+	return off, t.m.Write(ctx, b, off)
 }
 
 func (t *Tree) leafKV(ctx *sim.Ctx, off int64) (uint64, uint64, error) {
-	var b [16]byte
-	if err := t.m.Read(ctx, b[:], off+8); err != nil {
+	b := t.buf[:16]
+	if err := t.m.Read(ctx, b, off+8); err != nil {
 		return 0, 0, err
 	}
 	return binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:]), nil
+}
+
+// readByte, readWord, writeByte and writeWord move one key byte or one
+// 8-byte child pointer or value through the mapping.
+func (t *Tree) readByte(ctx *sim.Ctx, off int64) (byte, error) {
+	err := t.m.Read(ctx, t.buf[:1], off)
+	return t.buf[0], err
+}
+
+func (t *Tree) readWord(ctx *sim.Ctx, off int64) (int64, error) {
+	err := t.m.Read(ctx, t.buf[:8], off)
+	return int64(binary.LittleEndian.Uint64(t.buf[:8])), err
+}
+
+func (t *Tree) writeByte(ctx *sim.Ctx, b byte, off int64) error {
+	t.buf[0] = b
+	return t.m.Write(ctx, t.buf[:1], off)
+}
+
+func (t *Tree) writeWord(ctx *sim.Ctx, v uint64, off int64) error {
+	binary.LittleEndian.PutUint64(t.buf[:8], v)
+	return t.m.Write(ctx, t.buf[:8], off)
 }
 
 // keyByte extracts radix byte d (0 = most significant) of the 8-byte key.
@@ -154,9 +193,7 @@ func (t *Tree) insert(ctx *sim.Ctx, ref *int64, key, val uint64, depth int) erro
 		}
 		if ek == key {
 			// Replace value in place (8B atomic store, PM-friendly).
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], val)
-			return t.m.Write(ctx, b[:], *ref+16)
+			return t.writeWord(ctx, val, *ref+16)
 		}
 		// Split: new Node4 holding both leaves at the first differing byte.
 		for keyByte(ek, depth) == keyByte(key, depth) {
@@ -250,12 +287,10 @@ func (t *Tree) insertIntoNode(ctx *sim.Ctx, node int64, key, val uint64, depth i
 // --- node layout accessors -------------------------------------------------
 
 func (t *Tree) setN4Slot(ctx *sim.Ctx, node int64, slot int, b byte, child int64) error {
-	if err := t.m.Write(ctx, []byte{b}, node+8+int64(slot)); err != nil {
+	if err := t.writeByte(ctx, b, node+8+int64(slot)); err != nil {
 		return err
 	}
-	var cb [8]byte
-	binary.LittleEndian.PutUint64(cb[:], uint64(child))
-	return t.m.Write(ctx, cb[:], node+12+int64(slot)*8)
+	return t.writeWord(ctx, uint64(child), node+12+int64(slot)*8)
 }
 
 // findChild returns (childOffset, slot) for radix byte b, 0 if absent.
@@ -270,57 +305,55 @@ func (t *Tree) findChild(ctx *sim.Ctx, node int64, kind byte, b byte) (int64, in
 		if err != nil {
 			return 0, 0, err
 		}
-		keys := make([]byte, n)
+		keys := t.keys[:n]
 		if err := t.m.Read(ctx, keys, node+8); err != nil {
 			return 0, 0, err
 		}
 		for i := 0; i < count; i++ {
 			if keys[i] == b {
-				var cb [8]byte
-				if err := t.m.Read(ctx, cb[:], node+8+int64(n)+int64(i)*8); err != nil {
+				c, err := t.readWord(ctx, node+8+int64(n)+int64(i)*8)
+				if err != nil {
 					return 0, 0, err
 				}
-				return int64(binary.LittleEndian.Uint64(cb[:])), i, nil
+				return c, i, nil
 			}
 		}
 		return 0, -1, nil
 	case kindN48:
-		var idx [1]byte
-		if err := t.m.Read(ctx, idx[:], node+8+int64(b)); err != nil {
+		idx, err := t.readByte(ctx, node+8+int64(b))
+		if err != nil {
 			return 0, 0, err
 		}
-		if idx[0] == 0 {
+		if idx == 0 {
 			return 0, -1, nil
 		}
-		slot := int(idx[0]) - 1
-		var cb [8]byte
-		if err := t.m.Read(ctx, cb[:], node+8+256+int64(slot)*8); err != nil {
+		slot := int(idx) - 1
+		c, err := t.readWord(ctx, node+8+256+int64(slot)*8)
+		if err != nil {
 			return 0, 0, err
 		}
-		return int64(binary.LittleEndian.Uint64(cb[:])), slot, nil
+		return c, slot, nil
 	case kindN256:
-		var cb [8]byte
-		if err := t.m.Read(ctx, cb[:], node+8+int64(b)*8); err != nil {
+		c, err := t.readWord(ctx, node+8+int64(b)*8)
+		if err != nil {
 			return 0, 0, err
 		}
-		return int64(binary.LittleEndian.Uint64(cb[:])), int(b), nil
+		return c, int(b), nil
 	}
 	return 0, -1, errors.New("part: bad node kind")
 }
 
 // updateChild rewrites the child pointer in an existing slot.
 func (t *Tree) updateChild(ctx *sim.Ctx, node int64, kind byte, slot int, b byte, child int64) error {
-	var cb [8]byte
-	binary.LittleEndian.PutUint64(cb[:], uint64(child))
 	switch kind {
 	case kindN4:
-		return t.m.Write(ctx, cb[:], node+12+int64(slot)*8)
+		return t.writeWord(ctx, uint64(child), node+12+int64(slot)*8)
 	case kindN16:
-		return t.m.Write(ctx, cb[:], node+24+int64(slot)*8)
+		return t.writeWord(ctx, uint64(child), node+24+int64(slot)*8)
 	case kindN48:
-		return t.m.Write(ctx, cb[:], node+8+256+int64(slot)*8)
+		return t.writeWord(ctx, uint64(child), node+8+256+int64(slot)*8)
 	case kindN256:
-		return t.m.Write(ctx, cb[:], node+8+int64(b)*8)
+		return t.writeWord(ctx, uint64(child), node+8+int64(b)*8)
 	}
 	return errors.New("part: bad node kind")
 }
@@ -332,8 +365,6 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 	if err != nil {
 		return 0, err
 	}
-	var cb [8]byte
-	binary.LittleEndian.PutUint64(cb[:], uint64(child))
 	switch kind {
 	case kindN4:
 		if count < 4 {
@@ -345,10 +376,10 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 		return t.grow(ctx, node, kindN4, kindN16, b, child)
 	case kindN16:
 		if count < 16 {
-			if err := t.m.Write(ctx, []byte{b}, node+8+int64(count)); err != nil {
+			if err := t.writeByte(ctx, b, node+8+int64(count)); err != nil {
 				return 0, err
 			}
-			if err := t.m.Write(ctx, cb[:], node+24+int64(count)*8); err != nil {
+			if err := t.writeWord(ctx, uint64(child), node+24+int64(count)*8); err != nil {
 				return 0, err
 			}
 			return 0, t.writeHeader(ctx, node, kindN16, count+1)
@@ -356,17 +387,17 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 		return t.grow(ctx, node, kindN16, kindN48, b, child)
 	case kindN48:
 		if count < 48 {
-			if err := t.m.Write(ctx, []byte{byte(count + 1)}, node+8+int64(b)); err != nil {
+			if err := t.writeByte(ctx, byte(count+1), node+8+int64(b)); err != nil {
 				return 0, err
 			}
-			if err := t.m.Write(ctx, cb[:], node+8+256+int64(count)*8); err != nil {
+			if err := t.writeWord(ctx, uint64(child), node+8+256+int64(count)*8); err != nil {
 				return 0, err
 			}
 			return 0, t.writeHeader(ctx, node, kindN48, count+1)
 		}
 		return t.grow(ctx, node, kindN48, kindN256, b, child)
 	case kindN256:
-		if err := t.m.Write(ctx, cb[:], node+8+int64(b)*8); err != nil {
+		if err := t.writeWord(ctx, uint64(child), node+8+int64(b)*8); err != nil {
 			return 0, err
 		}
 		return 0, t.writeHeader(ctx, node, kindN256, count+1)
@@ -375,13 +406,11 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 }
 
 // grow copies a full node into the next-larger kind and adds the new child.
+// The larger node has room for them all, so its addChild calls never grow
+// in turn: t.pairs is this call's alone.
 func (t *Tree) grow(ctx *sim.Ctx, node int64, from, to byte, b byte, child int64) (int64, error) {
 	// Collect existing children.
-	type pair struct {
-		b byte
-		c int64
-	}
-	var pairs []pair
+	pairs := t.pairs[:0]
 	for rb := 0; rb < 256; rb++ {
 		c, _, err := t.findChild(ctx, node, from, byte(rb))
 		if err != nil {
@@ -392,6 +421,7 @@ func (t *Tree) grow(ctx *sim.Ctx, node int64, from, to byte, b byte, child int64
 		}
 	}
 	pairs = append(pairs, pair{b, child})
+	t.pairs = pairs
 	var size int64
 	switch to {
 	case kindN16:

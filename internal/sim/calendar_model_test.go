@@ -6,13 +6,14 @@ import (
 )
 
 // The calendars answer "is t inside a booking" by binary search, skip the
-// search when t is at or past the last booking, insert in place, and keep
-// their newest maxSpans intervals in a sliding window over one array. The
-// models below do the same jobs the slow, obvious way — linear scans over
-// a plain slice, copied on every change — and the tests replay long random
-// lock/unlock sequences from one to four clocks through both: every
-// returned instant and, after every operation, every calendar must be
-// identical.
+// search when t is at or past the last booking, insert in place, keep
+// their newest maxSpans intervals in a sliding window over one array, and
+// grow in storage recycled from dropped resources. The models below do
+// the same jobs the slow, obvious way — linear scans over a plain slice,
+// copied on every change — and the tests replay long random lock/unlock
+// sequences from one to four clocks through both, dropping the resource
+// now and then for a new one on the same pool: every returned instant and,
+// after every operation, every calendar must be identical.
 
 func modelSkip(spans []span, t int64) int64 {
 	for _, s := range spans {
@@ -86,12 +87,26 @@ func modelClocks(rng *Rand, n int) []*Ctx {
 	return ctxs
 }
 
+// lifetime says how many operations the resource replayed from op on
+// lives before it is dropped and a new one takes its place: the first
+// lives through half the replay, so its calendars reach their bound; the
+// rest come and go, their calendars growing in the storage their
+// predecessors handed back to the pool.
+func lifetime(rng *Rand, op, ops int) int {
+	if op == 0 {
+		return ops / 2
+	}
+	return 1 + rng.Intn(2000)
+}
+
 func TestRWResourceAgainstModel(t *testing.T) {
 	const ops = 100_000
 	for clocks := 1; clocks <= 4; clocks++ {
 		rng := NewRand(uint64(clocks))
 		ctxs := modelClocks(rng, clocks)
-		var r RWResource
+		var pool CalendarPool
+		r := &RWResource{}
+		r.SetPool(&pool)
 		var wr, rd []span
 		type reader struct {
 			ctx   *Ctx
@@ -109,7 +124,23 @@ func TestRWResourceAgainstModel(t *testing.T) {
 			}
 			readers = readers[:0]
 		}
-		for op := 0; op < ops/clocks; op++ {
+		n := ops / clocks
+		drop, held, reused := lifetime(rng, 0, n), -1, 0
+		for op := 0; op < n; op++ {
+			if op == drop {
+				// The resource is dropped with readers in flight: they
+				// release the orphan, which books them into storage of its
+				// own — its past is forgotten, so its model starts empty.
+				r.Recycle()
+				wr, rd = nil, nil
+				release()
+				if !slices.Equal(r.wr.live(), wr) || !slices.Equal(r.rd.live(), rd) {
+					t.Fatalf("%d clocks, op %d: the dropped resource's calendars differ from the model", clocks, op)
+				}
+				r, wr, rd = &RWResource{}, nil, nil
+				r.SetPool(&pool)
+				drop, held = op+lifetime(rng, op, n), pool.p.Held()
+			}
 			ctx := ctxs[rng.Intn(clocks)]
 			ctx.Advance(rng.Int63n(400))
 			if rng.Intn(3) == 0 {
@@ -146,19 +177,26 @@ func TestRWResourceAgainstModel(t *testing.T) {
 				}
 			}
 			full = full || r.wr.head > 0 && r.rd.head > 0 // both windows have slid: both dropped their oldest
-			if !compareNow(op) {
+			if pool.p.Held() < held {
+				reused, held = reused+1, -1
+			}
+			if !compareNow(op) && op+1 != drop {
 				continue
 			}
 			if !slices.Equal(r.wr.live(), wr) || !slices.Equal(r.rd.live(), rd) {
 				t.Fatalf("%d clocks, op %d: calendars differ from the model (%d/%d exclusive, %d/%d shared spans)",
 					clocks, op, len(r.wr.live()), len(wr), len(r.rd.live()), len(rd))
 			}
+			if cap(r.wr.buf) > 2*maxSpans+2 || cap(r.rd.buf) > 2*maxSpans+2 {
+				t.Fatalf("%d clocks, op %d: a calendar's array grew to %d/%d spans; a window over 2×%d was the promise",
+					clocks, op, cap(r.wr.buf), cap(r.rd.buf), maxSpans)
+			}
 		}
 		if !full {
 			t.Fatalf("%d clocks: calendars ended at %d and %d spans, neither ever over the bound of %d", clocks, len(wr), len(rd), maxSpans)
 		}
-		if cap(r.wr.buf) > 2*maxSpans+2 {
-			t.Fatalf("%d clocks: the exclusive calendar's array grew to %d spans; a window over 2×%d was the promise", clocks, cap(r.wr.buf), maxSpans)
+		if reused < 10 {
+			t.Fatalf("%d clocks: only %d resources grew in storage a dropped one handed back", clocks, reused)
 		}
 	}
 }
@@ -168,10 +206,18 @@ func TestResourceAgainstModel(t *testing.T) {
 	for clocks := 1; clocks <= 4; clocks++ {
 		rng := NewRand(uint64(10 + clocks))
 		ctxs := modelClocks(rng, clocks)
-		var r Resource
+		var pool CalendarPool
+		r := &Resource{pool: &pool.p}
 		var cal []span
 		full := false
-		for op := 0; op < ops/clocks; op++ {
+		n := ops / clocks
+		drop, held, reused := lifetime(rng, 0, n), -1, 0
+		for op := 0; op < n; op++ {
+			if op == drop {
+				r.cal.recycle(r.pool)
+				r, cal = &Resource{pool: &pool.p}, nil
+				drop, held = op+lifetime(rng, op, n), pool.p.Held()
+			}
 			ctx := ctxs[rng.Intn(clocks)]
 			ctx.Advance(rng.Int63n(300))
 			var want int64
@@ -199,7 +245,10 @@ func TestResourceAgainstModel(t *testing.T) {
 				r.Release(ctx)
 			}
 			full = full || r.cal.head > 0
-			if !compareNow(op) {
+			if pool.p.Held() < held {
+				reused, held = reused+1, -1
+			}
+			if !compareNow(op) && op+1 != drop {
 				continue
 			}
 			if !slices.Equal(r.cal.live(), cal) {
@@ -208,6 +257,9 @@ func TestResourceAgainstModel(t *testing.T) {
 		}
 		if !full {
 			t.Fatalf("%d clocks: calendar ended at %d spans, never over the bound of %d", clocks, len(cal), maxSpans)
+		}
+		if reused < 10 {
+			t.Fatalf("%d clocks: only %d resources grew in storage a dropped one handed back", clocks, reused)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/recycle"
 )
 
 // RWResource models a shared serialisation point that distinguishes shared
@@ -32,7 +34,31 @@ type RWResource struct {
 	// intervals. Writers skip past both; readers skip past wr only.
 	wr     calendar
 	rd     calendar
-	wstart int64 // booked start of the in-progress exclusive occupation
+	pool   *recycle.Pool[span] // what wr and rd grow from (SetPool); nil allocates
+	wstart int64               // booked start of the in-progress exclusive occupation
+}
+
+// CalendarPool is calendar storage shared by the RWResources that come and
+// go with the objects they lock: a resource's calendars grow from it and
+// go back to it when the resource is recycled. The zero value is an empty
+// pool; it is safe for concurrent use.
+type CalendarPool struct{ p recycle.Pool[span] }
+
+// SetPool makes r's calendars grow from p's storage and Recycle hand
+// theirs back to it. Call it before r is first used.
+func (r *RWResource) SetPool(p *CalendarPool) { r.pool = &p.p }
+
+// Recycle forgets every booking and hands the calendars' storage to the
+// pool SetPool named. The resource stays usable: occupations booked after
+// it start fresh calendars, in storage of their own, so a holder that
+// releases after Recycle never writes into storage another resource has
+// taken from the pool since. Call it when what r locks is gone, so that no
+// later acquirer needs r's past.
+func (r *RWResource) Recycle() {
+	r.mu.Lock()
+	r.wr.recycle(r.pool)
+	r.rd.recycle(r.pool)
+	r.mu.Unlock()
 }
 
 // Lock begins an exclusive occupation: the thread's clock jumps to the
@@ -63,7 +89,7 @@ func (r *RWResource) Lock(ctx *Ctx) {
 func (r *RWResource) Unlock(ctx *Ctx) {
 	r.mu.Lock()
 	if ctx.now > r.wstart {
-		r.wr.insertUnion(span{r.wstart, ctx.now})
+		r.wr.insertUnion(span{r.wstart, ctx.now}, r.pool)
 	}
 	r.mu.Unlock()
 	r.host.Unlock()
@@ -97,7 +123,7 @@ func (r *RWResource) RLock(ctx *Ctx) (start int64) {
 func (r *RWResource) RUnlock(ctx *Ctx, start int64) {
 	r.mu.Lock()
 	if ctx.now > start {
-		r.rd.insertUnion(span{start, ctx.now})
+		r.rd.insertUnion(span{start, ctx.now}, r.pool)
 	}
 	r.mu.Unlock()
 	r.host.RUnlock()
@@ -129,12 +155,12 @@ func skipBusy(spans []span, t int64) int64 {
 }
 
 // insertUnion inserts s into the calendar, merging it with any overlapping
-// or adjacent intervals.
-func (c *calendar) insertUnion(s span) {
+// or adjacent intervals; a full array grows from pool.
+func (c *calendar) insertUnion(s span, pool *recycle.Pool[span]) {
 	spans := c.live()
 	if n := len(spans); n == 0 || spans[n-1].end < s.start {
 		// Past the frontier — the common case, since clocks move forward.
-		c.insertAt(n, s)
+		c.insertAt(n, s, pool)
 		return
 	}
 	// First span whose end reaches s.start: everything before it is
@@ -156,5 +182,5 @@ func (c *calendar) insertUnion(s span) {
 		c.remove(lo+1, hi)
 		return
 	}
-	c.insertAt(lo, s) // into a gap
+	c.insertAt(lo, s, pool) // into a gap
 }

@@ -122,17 +122,17 @@ func TestRWResourceWriterStarvationBound(t *testing.T) {
 
 func TestInsertUnion(t *testing.T) {
 	var c calendar
-	c.insertUnion(span{10, 20})
-	c.insertUnion(span{30, 40})
-	c.insertUnion(span{15, 35}) // bridges both
+	c.insertUnion(span{10, 20}, nil)
+	c.insertUnion(span{30, 40}, nil)
+	c.insertUnion(span{15, 35}, nil) // bridges both
 	if s := c.live(); len(s) != 1 || s[0] != (span{10, 40}) {
 		t.Fatalf("union = %v, want [{10 40}]", s)
 	}
-	c.insertUnion(span{40, 50}) // adjacent merges
+	c.insertUnion(span{40, 50}, nil) // adjacent merges
 	if s := c.live(); len(s) != 1 || s[0] != (span{10, 50}) {
 		t.Fatalf("adjacent union = %v, want [{10 50}]", s)
 	}
-	c.insertUnion(span{60, 70})
+	c.insertUnion(span{60, 70}, nil)
 	s := c.live()
 	if len(s) != 2 {
 		t.Fatalf("disjoint union = %v, want 2 spans", s)

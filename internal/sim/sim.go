@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/perf"
+	"repro/internal/recycle"
 	"repro/internal/trace"
 )
 
@@ -140,8 +141,9 @@ func (c *Ctx) EndSpan(sp *trace.Span) {
 //
 // Resource is safe for concurrent use by multiple goroutines.
 type Resource struct {
-	mu  sync.Mutex
-	cal calendar // busy intervals
+	mu   sync.Mutex
+	cal  calendar            // busy intervals
+	pool *recycle.Pool[span] // what cal grows from; nil allocates
 	// acquireStart is the booked start of an in-progress Acquire/Release
 	// occupation (the real mutex stays locked in between).
 	acquireStart int64
@@ -157,9 +159,11 @@ const maxSpans = 1024
 // calendar is a sorted list of disjoint busy intervals that keeps the
 // newest maxSpans of them. The live intervals are buf[head:]: dropping the
 // oldest advances head, and when the backing array fills the live part
-// slides back to its front — so a calendar at its bound settles in one
-// array of up to 2×maxSpans spans and neither copies per insert nor
-// allocates again. The zero value is an empty calendar.
+// slides back to its front. Below the bound the array grows in storage
+// from the owner's pool, to which the outgrown array goes back; at the
+// bound the calendar is a window sliding over one array of up to
+// 2×maxSpans spans and allocates no more. The zero value is an empty
+// calendar.
 type calendar struct {
 	buf  []span
 	head int
@@ -176,11 +180,16 @@ func (c *calendar) end() int64 {
 }
 
 // insertAt puts s at index i of live() — len(live()) appends — and drops
-// the oldest interval if that takes the calendar over its bound.
-func (c *calendar) insertAt(i int, s span) {
-	if len(c.buf) == cap(c.buf) && c.head > 0 {
-		c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
-		c.head = 0
+// the oldest interval if that takes the calendar over its bound. A full
+// array grows from pool (nil allocates).
+func (c *calendar) insertAt(i int, s span, pool *recycle.Pool[span]) {
+	if len(c.buf) == cap(c.buf) {
+		if c.head > 0 {
+			c.buf = c.buf[:copy(c.buf, c.buf[c.head:])]
+			c.head = 0
+		} else {
+			c.buf = pool.Grow(c.buf)
+		}
 	}
 	c.buf = append(c.buf, s)
 	if live := c.buf[c.head:]; i < len(live)-1 {
@@ -190,6 +199,12 @@ func (c *calendar) insertAt(i int, s span) {
 	if len(c.buf)-c.head > maxSpans {
 		c.head = len(c.buf) - maxSpans
 	}
+}
+
+// recycle hands the calendar's storage to pool and empties it.
+func (c *calendar) recycle(pool *recycle.Pool[span]) {
+	pool.Put(c.buf)
+	c.buf, c.head = nil, 0
 }
 
 // remove drops live()[lo:hi].
@@ -209,7 +224,7 @@ func (r *Resource) bookLocked(from, hold int64) int64 {
 		if n > 0 && spans[n-1].end == t {
 			spans[n-1].end = t + hold
 		} else {
-			r.cal.insertAt(n, span{t, t + hold})
+			r.cal.insertAt(n, span{t, t + hold}, r.pool)
 		}
 		return t
 	}
@@ -236,7 +251,7 @@ func (r *Resource) bookLocked(from, hold int64) int64 {
 	case mergeNext:
 		spans[i].start = t
 	default:
-		r.cal.insertAt(i, span{t, t + hold})
+		r.cal.insertAt(i, span{t, t + hold}, r.pool)
 	}
 	return t
 }

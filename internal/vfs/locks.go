@@ -40,6 +40,9 @@ import (
 type LockTable struct {
 	mu    sync.Mutex
 	locks map[uint64]*InodeLock
+	// spans is the storage the locks' calendars grow from; a dropped
+	// lock's calendars go back to it for the next inode's.
+	spans sim.CalendarPool
 }
 
 // NewLockTable returns an empty lock table.
@@ -108,6 +111,7 @@ func (lt *LockTable) Inode(ino uint64) *InodeLock {
 	l := lt.locks[ino]
 	if l == nil {
 		l = &InodeLock{}
+		l.rw.SetPool(&lt.spans)
 		lt.locks[ino] = l
 	}
 	lt.mu.Unlock()
@@ -242,13 +246,19 @@ func (l *InodeLock) skipBookedLocked(r byteRange, t int64) int64 {
 	return t
 }
 
-// Drop removes the lock entry for a freed inode. Current holders keep
-// their (now orphaned) lock object and release it normally; the next
-// locker of a reused inode number gets a fresh entry.
+// Drop removes the lock entry for a freed inode and hands its calendars'
+// storage back for the next inode's. Current holders keep their (now
+// orphaned) lock object and release it normally, booking into fresh
+// storage of the orphan's own; the next locker of a reused inode number
+// gets a fresh entry.
 func (lt *LockTable) Drop(ino uint64) {
 	lt.mu.Lock()
+	l := lt.locks[ino]
 	delete(lt.locks, ino)
 	lt.mu.Unlock()
+	if l != nil {
+		l.rw.Recycle()
+	}
 }
 
 // Len reports the number of live lock entries (leak tests).

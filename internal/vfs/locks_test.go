@@ -122,6 +122,47 @@ func TestDropWhileHeld(t *testing.T) {
 	}
 }
 
+// Drop hands the dropped lock's calendar storage to the next inode's. A
+// holder that releases the orphan afterwards must book into storage of
+// the orphan's own: here the reused number's new lock has grown into the
+// very array the old one had, and the old holder's late booking must not
+// land in it.
+func TestUnlockAfterDropMissesTheReusedLock(t *testing.T) {
+	lt := NewLockTable()
+	old := sim.NewCtx(1, 0)
+	book := func(ctx *sim.Ctx, n int) { // n disjoint 100 ns occupations
+		for i := 0; i < n; i++ {
+			h := lt.Lock(ctx, 7)
+			ctx.Advance(100)
+			h.Unlock(ctx)
+			ctx.Advance(100)
+		}
+	}
+	book(old, 3) // three spans in an array of four
+	h := lt.Lock(old, 7)
+	lt.Drop(7)
+
+	fresh := sim.NewCtx(2, 1)
+	fresh.Advance(10_000)
+	book(fresh, 4) // grows through arrays of one, two and four: the last is the old lock's
+	l := lt.Inode(7)
+	want := l.rw.BusyUntil()
+	if want != fresh.Now()-100 {
+		t.Fatalf("the new lock is busy until %d, want %d", want, fresh.Now()-100)
+	}
+	old.Advance(50)
+	h.Unlock(old) // books [600, 650) on the orphan
+	if got := l.rw.BusyUntil(); got != want {
+		t.Fatalf("the orphan's release reached the reused number's lock: busy until %d, want %d", got, want)
+	}
+	late := sim.NewCtx(3, 2)
+	late.Advance(want - 50) // inside the new lock's last occupation
+	lt.Lock(late, 7).Unlock(late)
+	if late.Now() != want {
+		t.Fatalf("a locker inside the new lock's last occupation was admitted at %d, want %d", late.Now(), want)
+	}
+}
+
 // The table must not grow across create/delete churn when Drop is called.
 func TestLockTableNoLeak(t *testing.T) {
 	lt := NewLockTable()

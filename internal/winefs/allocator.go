@@ -392,13 +392,6 @@ func (a *allocator) free(ctx *sim.Ctx, e alloc.Extent) {
 	}
 }
 
-// freeAll frees a list of file extents.
-func (a *allocator) freeAll(ctx *sim.Ctx, ex []wextent) {
-	for _, e := range ex {
-		a.free(ctx, alloc.Extent{Start: e.blk, Len: e.length})
-	}
-}
-
 // freeExtents snapshots the global free-space extent list.
 func (a *allocator) freeExtents() []alloc.Extent {
 	var out []alloc.Extent

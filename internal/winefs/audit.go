@@ -252,14 +252,10 @@ func (fs *FS) auditMedia(ino *inode, addf func(format string, args ...interface{
 			addf("DRAM/media skew: ino %d has header %+v in DRAM, %+v on media", ino.ino, ino.header(), di)
 		}
 	}
-	if len(ino.slots) != len(ino.extents) {
-		addf("DRAM/media skew: ino %d has %d extents but %d record slots", ino.ino, len(ino.extents), len(ino.slots))
-		return
-	}
-	seen := make([]bool, len(ino.slots))
+	seen := make([]bool, len(ino.extents))
 	var rec [extentSize]byte
 	for i, e := range ino.extents {
-		slot := ino.slots[i]
+		slot := e.slot
 		if slot < 0 || slot >= len(seen) || seen[slot] {
 			addf("DRAM/media skew: ino %d extent %d holds record slot %d: the slots are not a permutation of 0..%d",
 				ino.ino, i, slot, len(seen)-1)

@@ -204,8 +204,7 @@ func TestAuditDetectsDramMediaSkew(t *testing.T) {
 	if !ok {
 		t.Fatal("allocAligned failed")
 	}
-	ino.extents = append(ino.extents, wextent{fileBlk: 1000, blk: blk, length: BlocksPerHuge})
-	ino.slots = append(ino.slots, len(ino.slots))
+	ino.extents = append(ino.extents, extRec{wextent{fileBlk: 1000, blk: blk, length: BlocksPerHuge}, len(ino.extents)})
 	skewed("extent without a record, header without its count")
 	if err := fs.writeInodeHeader(ctx, nil, ino); err != nil {
 		t.Fatal(err)
@@ -213,7 +212,7 @@ func TestAuditDetectsDramMediaSkew(t *testing.T) {
 	skewed("extent without a record")
 
 	// With the record's line poisoned the media cannot say either way.
-	addr, err := fs.extSlotAddr(ctx, nil, ino, len(ino.slots)-1)
+	addr, err := fs.extSlotAddr(ctx, nil, ino, len(ino.extents)-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +230,14 @@ func TestAuditDetectsDramMediaSkew(t *testing.T) {
 		t.Fatalf("audit after persisting the record: %v", err)
 	}
 
-	ino.slots[0], ino.slots[1] = ino.slots[1], ino.slots[0]
+	x := ino.extents
+	x[0].slot, x[1].slot = x[1].slot, x[0].slot
 	skewed("slots swapped")
-	ino.slots[0], ino.slots[1] = ino.slots[1], ino.slots[0]
+	x[0].slot, x[1].slot = x[1].slot, x[0].slot
 
-	ino.slots[1] = ino.slots[0]
+	x[1].slot = x[0].slot
 	skewed("slot named twice")
-	ino.slots[1] = 1
+	x[1].slot = 1
 
 	// Every header field mount trusts: the record count and the first
 	// indirect pointer were covered above (an extent the header does not

@@ -270,6 +270,11 @@ func TestPosixPathAllocations(t *testing.T) {
 		return fl[n%len(fl)], int64(n/len(fl)%32) * winefs.BlockSize
 	}
 	at, other := "/d/f00", "/e/moved"
+	var names, renamed [64]string
+	for i := range names {
+		names[i], renamed[i] = fmt.Sprintf("/e/life%02d", i), fmt.Sprintf("/d/life%02d", i)
+	}
+	life := 0
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -288,12 +293,14 @@ func TestPosixPathAllocations(t *testing.T) {
 		// Across two directories: each index recycles the node the other
 		// direction freed, the dirent slots are reused.
 		{"Rename", 0, func() { check(fs.Rename(ctx, at, other)); at, other = other, at }},
-		// What a new file is: its inode, its File, its lock object and that
-		// lock's exclusive calendar (the append's booking, then the
-		// unlink's: it grows once), its extent slice and its slot slice.
-		// The directory entry's tree node, the dirent slot and the inode-map
+		// What a new file is: its inode, its File and its lock object, and
+		// one array of one span: after the unlink's Drop has handed the
+		// lock's calendars back, the unlink's own release books into
+		// fresh storage of the orphaned lock's. The extent records and the
+		// append's calendar grow in storage dead files handed back; the
+		// directory entry's tree node, the dirent slot and the inode-map
 		// and lock-table cells are the unlinked predecessor's.
-		{"Create + first Append + Close + Unlink", 7, func() {
+		{"Create + first Append + Close + Unlink", 4, func() {
 			f, err := fs.Create(ctx, "/e/new")
 			check(err)
 			_, err = f.Append(ctx, buf[:4096])
@@ -301,12 +308,34 @@ func TestPosixPathAllocations(t *testing.T) {
 			check(f.Close(ctx))
 			check(fs.Unlink(ctx, "/e/new"))
 		}},
+		// A whole life on names no file has: the records and calendars
+		// grow well past one array, every array from the dead files', and
+		// all of them go back at the unlink. What is left is the row above.
+		{"Create, 16 Appends, 4 Reads, Stat, Rename, Unlink", 4, func() {
+			life++
+			name, moved := names[life%len(names)], renamed[life%len(names)]
+			f, err := fs.Create(ctx, name)
+			check(err)
+			for i := 0; i < 16; i++ {
+				_, err = f.Append(ctx, buf[:4096])
+				check(err)
+			}
+			for i := int64(0); i < 4; i++ {
+				_, err = f.ReadAt(ctx, buf[:4096], i*4*winefs.BlockSize)
+				check(err)
+			}
+			_, err = fs.Stat(ctx, name)
+			check(err)
+			check(fs.Rename(ctx, name, moved))
+			check(f.Close(ctx))
+			check(fs.Unlink(ctx, moved))
+		}},
 	} {
 		for i := 0; i < 3000; i++ {
 			tc.run() // the locks' calendars reach their bound, the free lists fill
 		}
 		got := testing.AllocsPerRun(300, tc.run)
-		t.Logf("%-40s %v allocs", tc.name, got)
+		t.Logf("%-50s %v allocs", tc.name, got)
 		if got > tc.max {
 			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
 		}

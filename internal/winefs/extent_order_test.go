@@ -2,6 +2,7 @@ package winefs
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -97,17 +98,29 @@ func (m *extentModel) detach(startBlk, endBlk int64) {
 	}
 }
 
+// recs is the model's list in the inode's form.
+func (m *extentModel) recs() []extRec {
+	out := make([]extRec, len(m.exts))
+	for i, e := range m.exts {
+		out[i] = extRec{e, m.slots[i]}
+	}
+	return out
+}
+
 // TestExtentListOrderProperty drives recAppend, recRemove and detachRange
-// with 10⁴ seeded appends, merges, splits, trims and removes on one inode.
-// After every step the DRAM list is strictly sorted by file block, the
-// slots are a permutation of the record indexes, list and slots equal the
-// old bookkeeping's, and the records decoded afresh from the media — what a
+// with 10⁴ seeded appends, merges, splits, trims and removes. After every
+// step the DRAM list is strictly sorted by file block, the slots are a
+// permutation of the record indexes, the list equals the old
+// bookkeeping's, and the records decoded afresh from the media — what a
 // mount would load — are the identical list; a real mount of the device
-// checks that once more at the end.
+// checks that once more at the end. Every churnEvery steps the file dies
+// and a new one takes its name, so the lists that follow grow in the
+// record storage the dead ones handed back (destroyInode).
 func TestExtentListOrderProperty(t *testing.T) {
 	const (
-		steps     = 10_000
-		fileSpace = 3000 // logical blocks the operations land in
+		steps      = 10_000
+		fileSpace  = 3000 // logical blocks the operations land in
+		churnEvery = 1000
 	)
 	ctx := sim.NewCtx(1, 0)
 	dev := pmem.New(1 << 30)
@@ -116,11 +129,15 @@ func TestExtentListOrderProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fs.Create(ctx, "/f")
-	if err != nil {
-		t.Fatal(err)
+	var ino *inode
+	create := func() {
+		f, err := fs.Create(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino = f.(*File).ino
 	}
-	ino := f.(*File).ino
+	create()
 	rng := sim.NewRand(20210926)
 	var model extentModel
 
@@ -131,10 +148,10 @@ func TestExtentListOrderProperty(t *testing.T) {
 	phys := func(fileBlk int64) int64 { return fileBlk + 100_000*int64(1+rng.Intn(2)) }
 	backed := func(b int64) bool { _, _, ok := ino.findRun(b); return ok }
 
-	list := func(exts []wextent, slots []int) string {
+	list := func(exts []extRec) string {
 		s := make([]string, len(exts))
 		for i, e := range exts {
-			s[i] = fmt.Sprintf("%d:%d+%d@%d", e.fileBlk, e.blk, e.length, slots[i])
+			s[i] = fmt.Sprintf("%d:%d+%d@%d", e.fileBlk, e.blk, e.length, e.slot)
 		}
 		return fmt.Sprint(s)
 	}
@@ -142,8 +159,27 @@ func TestExtentListOrderProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxExtents int
+	// reused counts the files whose list grew in storage the pool held
+	// when their predecessor died.
+	var maxExtents, reused int
+	held := -1
 	for step := 0; step < steps; step++ {
+		if step > 0 && step%churnEvery == 0 {
+			// Detach the made-up blocks first (the allocator never gave them
+			// out), then unlink: the emptied list's storage goes back.
+			tx := fs.begin(ctx, ino)
+			_, err := fs.detachRange(ctx, tx, ino, 0, math.MaxInt64)
+			tx.dropped = tx.dropped[:0]
+			if err = tx.finish("test", err); err != nil {
+				t.Fatalf("step %d: emptying the file: %v", step, err)
+			}
+			if err := fs.Unlink(ctx, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			held = fs.recs.Held()
+			create()
+			model = extentModel{}
+		}
 		tx := fs.begin(ctx, ino)
 		var what string
 		switch r := rng.Intn(10); {
@@ -179,18 +215,21 @@ func TestExtentListOrderProperty(t *testing.T) {
 
 		for i := range ino.extents {
 			if i > 0 && ino.extents[i-1].fileBlk+ino.extents[i-1].length > ino.extents[i].fileBlk {
-				t.Fatalf("step %d (%s): extents %d and %d out of order or overlapping: %s", step, what, i-1, i, list(ino.extents, ino.slots))
+				t.Fatalf("step %d (%s): extents %d and %d out of order or overlapping: %s", step, what, i-1, i, list(ino.extents))
 			}
 		}
-		perm := slices.Clone(ino.slots)
+		perm := make([]int, len(ino.extents))
+		for i, e := range ino.extents {
+			perm[i] = e.slot
+		}
 		slices.Sort(perm)
 		for i, s := range perm {
 			if s != i {
-				t.Fatalf("step %d (%s): slots %v are not a permutation of 0..%d", step, what, ino.slots, len(perm)-1)
+				t.Fatalf("step %d (%s): slots %v are not a permutation of 0..%d", step, what, perm, len(perm)-1)
 			}
 		}
-		got := list(ino.extents, ino.slots)
-		if want := list(model.exts, model.slots); got != want {
+		got := list(ino.extents)
+		if want := list(model.recs()); got != want {
 			t.Fatalf("step %d (%s): list differs from the append-and-sort bookkeeping\n got %s\nwant %s", step, what, got, want)
 		}
 		var hdr [inoOffExtents]byte
@@ -201,10 +240,13 @@ func TestExtentListOrderProperty(t *testing.T) {
 			t.Fatalf("step %d (%s): the walker faults on the media: %s", step, what, n.fault)
 		}
 		loaded := fs.loadInode(&n)
-		if onMedia := list(loaded.extents, loaded.slots); onMedia != got {
+		if onMedia := list(loaded.extents); onMedia != got {
 			t.Fatalf("step %d (%s): the media decodes to a different list\nmedia %s\n DRAM %s", step, what, onMedia, got)
 		}
 		maxExtents = max(maxExtents, len(ino.extents))
+		if fs.recs.Held() < held {
+			reused, held = reused+1, -1
+		}
 	}
 	if _, deg := fs.Degraded(); deg {
 		t.Fatalf("degraded: %v", fs.DegradedReasons())
@@ -212,7 +254,10 @@ func TestExtentListOrderProperty(t *testing.T) {
 	if maxExtents <= InlineExtents {
 		t.Fatalf("the list never outgrew the %d inline records (peak %d): the indirect chain went untested", InlineExtents, maxExtents)
 	}
-	want := list(ino.extents, ino.slots)
+	if reused < steps/churnEvery-1 {
+		t.Fatalf("%d of the %d files after the first grew in recycled record storage", reused, steps/churnEvery-1)
+	}
+	want := list(ino.extents)
 	rfs, err := Mount(ctx, dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +266,8 @@ func TestExtentListOrderProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := list(rino.extents, rino.slots); got != want {
+	if got := list(rino.extents); got != want {
 		t.Fatalf("a fresh mount decodes a different list\n got %s\nwant %s", got, want)
 	}
-	t.Logf("%d steps, peak %d extents, %d at the end", steps, maxExtents, len(ino.extents))
+	t.Logf("%d steps, %d files, peak %d extents, %d at the end", steps, steps/churnEvery, maxExtents, len(ino.extents))
 }

@@ -478,11 +478,13 @@ func stateOf(t *testing.T, ctx *sim.Ctx, fs *FS, path string) fileState {
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
 	var exts []string
+	var slots []int
 	for _, e := range ino.extents {
 		exts = append(exts, fmt.Sprintf("%d:%d+%d", e.fileBlk, e.blk, e.length))
+		slots = append(slots, e.slot)
 	}
 	st := fs.StatFS(ctx)
-	fst := fileState{exts: strings.Join(exts, " "), slots: fmt.Sprint(ino.slots),
+	fst := fileState{exts: strings.Join(exts, " "), slots: fmt.Sprint(slots),
 		hdr:  fmt.Sprintf("typ=%d flags=%#x nlink=%d indirect=%v", ino.typ, ino.flags, ino.nlink, ino.indirect),
 		size: ino.size, free: st.FreeBlocks, aligned: st.FreeAligned2M}
 	if ino.dir != nil {

@@ -177,34 +177,41 @@ func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
 	// A record of its own: the next PM slot (records stay dense), list
 	// position i.
 	tx.note(ino, undoInsert, i)
-	ino.slots = slices.Insert(ino.slots, i, len(ino.slots))
-	ino.extents = slices.Insert(ino.extents, i, e)
+	fs.insertRec(ino, i, extRec{e, len(ino.extents)})
 	return fs.writeExtentSlot(ctx, tx, ino, i)
+}
+
+// insertRec puts r at index i of ino's extent list, growing the list from
+// the storage dead files handed back (destroyInode).
+func (fs *FS) insertRec(ino *inode, i int, r extRec) {
+	ino.extents = slices.Insert(fs.recs.Grow(ino.extents), i, r)
 }
 
 // recUpdate replaces DRAM extent i with e and persists it to its PM record.
 func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int, e wextent) error {
 	tx.note(ino, undoSet, i)
-	ino.extents[i] = e
+	ino.extents[i].wextent = e
 	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
 
 // recRemove deletes DRAM extent i, keeping PM records dense by moving the
 // last record into the vacated slot.
 func (fs *FS) recRemove(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	r := ino.slots[i]
+	r := ino.extents[i].slot
 	if lastRec := len(ino.extents) - 1; r != lastRec {
 		// Find the DRAM entry occupying the last record and move it to r.
-		k := slices.Index(ino.slots, lastRec)
+		k := 0
+		for ino.extents[k].slot != lastRec {
+			k++
+		}
 		tx.note(ino, undoSet, k)
-		ino.slots[k] = r
+		ino.extents[k].slot = r
 		if err := fs.writeExtentSlot(ctx, tx, ino, k); err != nil {
 			return err
 		}
 	}
 	tx.note(ino, undoRemove, i)
 	ino.extents = slices.Delete(ino.extents, i, i+1)
-	ino.slots = slices.Delete(ino.slots, i, i+1)
 	return nil
 }
 
@@ -635,7 +642,7 @@ func (fs *FS) detachRange(ctx *sim.Ctx, tx *mtx, ino *inode, startBlk, endBlk in
 		return ino.extents[i].fileBlk+ino.extents[i].length > startBlk
 	})
 	for i < len(ino.extents) && ino.extents[i].fileBlk < endBlk {
-		e := ino.extents[i]
+		e := ino.extents[i].wextent
 		u = u.join(e.usage)
 		eEnd := e.fileBlk + e.length
 		ovS := max(e.fileBlk, startBlk)

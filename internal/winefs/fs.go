@@ -13,6 +13,7 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/rbtree"
+	"repro/internal/recycle"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -68,6 +69,9 @@ type FS struct {
 	// shards hold the DRAM inode map, sharded by owning per-CPU inode
 	// table (shard.go).
 	shards []*inodeShard
+	// recs is the storage extent lists grow from (insertRec); a dead
+	// file's list goes back to it (destroyInode).
+	recs recycle.Pool[extRec]
 
 	numaOn        bool
 	homeMu        sync.Mutex
@@ -207,15 +211,22 @@ type inode struct {
 	flags    uint32
 	size     int64
 	nlink    uint32
-	extents  []wextent // sorted by fileBlk; slot holds each record's PM index
-	slots    []int     // parallel to extents: PM record slot
-	indirect []int64   // indirect extent blocks, in chain order
+	extents  []extRec // sorted by fileBlk
+	indirect []int64  // indirect extent blocks, in chain order
 
 	dir *dirIndex // directories only
 
 	// mappings are the live mmaps of this file; the reactive rewriter
 	// shoots them down after swapping the extent map.
 	mappings []*mmu.Mapping
+}
+
+// extRec is one extent of a file and the PM record slot that holds it.
+// The list is sorted by file offset and the records are dense, so after a
+// removal the two orders differ (recRemove).
+type extRec struct {
+	wextent
+	slot int
 }
 
 // lock returns the inode's virtual-time lock. The table is consulted on
@@ -453,24 +464,20 @@ func (fs *FS) extSlotAddr(ctx *sim.Ctx, tx *mtx, ino *inode, slot int) (int64, e
 // writeExtentSlot hands extent record i of the inode to tx, or, with no
 // transaction, persists it.
 func (fs *FS) writeExtentSlot(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	slot := i
-	if len(ino.slots) > i {
-		slot = ino.slots[i]
-	}
-	addr, err := fs.extSlotAddr(ctx, tx, ino, slot)
+	addr, err := fs.extSlotAddr(ctx, tx, ino, ino.extents[i].slot)
 	if err != nil {
 		return err
 	}
 	if tx == nil {
 		b := make([]byte, extentSize)
-		encodeExtent(b, ino.extents[i])
+		encodeExtent(b, ino.extents[i].wextent)
 		fs.dev.Write(ctx, b, addr)
 		fs.dev.Flush(ctx, addr, extentSize)
 		return nil
 	}
 	b, err := tx.write(addr, extentSize)
 	if err == nil {
-		encodeExtent(b, ino.extents[i])
+		encodeExtent(b, ino.extents[i].wextent)
 	}
 	return err
 }
@@ -530,15 +537,14 @@ type tracked struct {
 // extUndo is one step of the DRAM undo log: how to take back one change to
 // an inode's extent list.
 type extUndo struct {
-	op   uint8
-	ino  *inode
-	i    int     // index in ino.extents
-	e    wextent // the extent (and its record slot) at i before the change
-	slot int
+	op  uint8
+	ino *inode
+	i   int    // index in ino.extents
+	e   extRec // the extent and its record slot at i before the change
 }
 
 const (
-	undoSet      = iota // extents[i] and slots[i] were overwritten
+	undoSet      = iota // extents[i] was overwritten
 	undoInsert          // an extent was inserted at i
 	undoRemove          // the extent at i was removed
 	undoIndirect        // a block was appended to the indirect chain
@@ -598,7 +604,7 @@ func (m *mtx) note(ino *inode, op uint8, i int) {
 	}
 	u := extUndo{op: op, ino: ino, i: i}
 	if op == undoSet || op == undoRemove {
-		u.e, u.slot = ino.extents[i], ino.slots[i]
+		u.e = ino.extents[i]
 	}
 	m.log = append(m.log, u)
 }
@@ -646,13 +652,11 @@ func (m *mtx) abort() {
 		ino := u.ino
 		switch u.op {
 		case undoSet:
-			ino.extents[u.i], ino.slots[u.i] = u.e, u.slot
+			ino.extents[u.i] = u.e
 		case undoInsert:
 			ino.extents = slices.Delete(ino.extents, u.i, u.i+1)
-			ino.slots = slices.Delete(ino.slots, u.i, u.i+1)
 		case undoRemove:
-			ino.extents = slices.Insert(ino.extents, u.i, u.e)
-			ino.slots = slices.Insert(ino.slots, u.i, u.slot)
+			fs.insertRec(ino, u.i, u.e)
 		case undoIndirect:
 			ino.indirect = ino.indirect[:len(ino.indirect)-1]
 		}
@@ -958,7 +962,6 @@ func (fs *FS) destroyInode(ctx *sim.Ctx, ino *inode) {
 	indirect := ino.indirect
 	maps := ino.mappings
 	ino.extents = nil
-	ino.slots = nil
 	ino.indirect = nil
 	ino.mappings = nil
 	ino.size = 0
@@ -970,7 +973,10 @@ func (fs *FS) destroyInode(ctx *sim.Ctx, ino *inode) {
 	for _, m := range maps {
 		m.Invalidate()
 	}
-	fs.alloc.freeAll(ctx, exts)
+	for _, e := range exts {
+		fs.alloc.free(ctx, alloc.Extent{Start: e.blk, Len: e.length})
+	}
+	fs.recs.Put(exts)
 	for _, blk := range indirect {
 		fs.alloc.free(ctx, alloc.Extent{Start: blk, Len: 1})
 	}

@@ -161,12 +161,17 @@ func (fs *FS) rebuildFromScan(ctx *sim.Ctx, im *image, rebuildFree bool) {
 	ctx.AdvanceTo(start + slices.Max(cpuCost))
 
 	// Second pass: rebuild each directory's DRAM red-black tree from its
-	// dirent blocks.
+	// dirent blocks, in file order.
+	var exts []wextent
 	for _, dir := range fs.snapshotInodes() {
 		if dir.typ != typeDir {
 			continue
 		}
-		im.walkDirents(dir.extents, func(blk int64, ents []imageDirent, fault *imageFault) {
+		exts = exts[:0]
+		for _, e := range dir.extents {
+			exts = append(exts, e.wextent)
+		}
+		im.walkDirents(exts, func(blk int64, ents []imageDirent, fault *imageFault) {
 			ctx.Advance(int64(fs.model.ReadLat64))
 			if fault != nil {
 				// The entries in this block are unknowable: the namespace may
@@ -204,17 +209,13 @@ func (fs *FS) loadInode(n *imageInode) *inode {
 		flags:    n.di.flags,
 		size:     n.di.size,
 		nlink:    n.di.nlink,
-		extents:  make([]wextent, len(n.extents)),
-		slots:    make([]int, len(n.extents)),
+		extents:  make([]extRec, len(n.extents)),
 		indirect: n.chain,
 	}
-	for i := range ino.slots {
-		ino.slots[i] = i
+	for i, e := range n.extents {
+		ino.extents[i] = extRec{e, i}
 	}
-	slices.SortFunc(ino.slots, func(a, b int) int { return cmp.Compare(n.extents[a].fileBlk, n.extents[b].fileBlk) })
-	for i, slot := range ino.slots {
-		ino.extents[i] = n.extents[slot]
-	}
+	slices.SortFunc(ino.extents, func(a, b extRec) int { return cmp.Compare(a.fileBlk, b.fileBlk) })
 	if n.di.typ == typeDir {
 		ino.dir = newDirIndex()
 	}
