@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix host-layers loc knobs examples
+.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix host-layers loc knobs deadcode examples
 
 all: build
 
@@ -41,9 +41,8 @@ bench:
 # larger cache — flush and eviction victims come off the backs of the
 # active/inactive lists and their dirty lists, never from a scan; stat, read,
 # in-place and copy-on-write overwrite, append and rename on a fragmented
-# mount at 0, create+append+close+unlink and a whole file life at 4 (what a
-# file keeps: its inode, File and lock object, and the orphaned lock's one
-# span), the three lock modes at 0, a
+# mount at 0, create+append+close+unlink and a whole file life at 3 (what a
+# file keeps: its inode, File and lock object), the three lock modes at 0, a
 # recycling tree at a steady size at 0, a base and a hugepage fault on a
 # 4,096-extent WineFS file and on a zero-on-fault-split ext4-DAX file at 0,
 # BenchmarkFaultFragmented the first of them), the exact-vs-batched-vs-parallel
@@ -164,7 +163,7 @@ cache-race:
 # systems (TestMmapExtentsTwoReaders), and truncate/unlink shootdown of
 # mappings from both entry points on all nine (TestConformanceMmapShootdown).
 mmap-race:
-	$(GO) test -race -run 'TestMmap|TestConformanceMmapShootdown|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
+	$(GO) test -race -run 'TestMmap|TestConformanceMmapShootdown|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPreload|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
 
 # Background maintenance under the race detector, one target for the one
 # mechanism: the relocate crash sweep (every caller torn at every fence
@@ -320,6 +319,57 @@ loc:
 			if ($$2 ~ /_test\.go$$/) { tst[d] += $$1; tt += $$1 } else { n[d] += $$1; t += $$1 } } \
 		END { printf "%7s %7s\n", "code", "test"; for (d in seen) printf "%7d %7d %s\n", n[d], tst[d], d; \
 			printf "%7d %7d total\n", t, tt }' | sort -k3
+
+# Functions no binary runs. Every main package of the module (go list, so a
+# new binary is never missed) is built with inlining off, so nothing is
+# inlined away, and its text symbols are read with go tool nm; a function
+# declared in a non-test file under internal/ or cmd/ (benchmark/ is the
+# benchmark's own) that none of them links is listed as "lines pkg.Func".
+# A cmd/X function is matched against cmd/X's binary, where nm names its
+# package main. A generic instantiation counts as its base function, a
+# closure, go or defer wrapper and method value as the function that makes
+# it, and a String or Error method as linked: fmt calls them through an
+# interface. Each listed function must be named in deadcode.allow, with a
+# test that needs it and one of the reasons at the top of that file; the
+# target fails on one that is not, and on an entry that is linked now, is
+# gone, names no test or gives another reason.
+deadcode:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mod=$$($(GO) list -m); \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -o $$tmp/bin $$p; echo $$p >> $$tmp/bins; \
+		$(GO) tool nm $$tmp/bin | awk -v p=$$p -v mod=$$mod '$$2 != "T" && $$2 != "t" { next } \
+			{ s = $$0; sub(/^ *[0-9a-f]+ [Tt] /, "", s); \
+			  if (index(s, "main.") == 1) s = p substr(s, 5); else if (index(s, mod "/") != 1) next; \
+			  if (index(s, "[")) { o = ""; d = 0; n = length(s); \
+				for (i = 1; i <= n; i++) { c = substr(s, i, 1); if (c == "[") d++; else if (c == "]") d--; else if (!d) o = o c } \
+				s = o } \
+			  gsub(/[()*]/, "", s); sub(/-fm$$/, "", s); \
+			  while (sub(/\.(func|deferwrap|gowrap)[0-9]+$$/, "", s) || sub(/\.[0-9]+$$/, "", s)) ; \
+			  print s }'; \
+	done | sort -u > $$tmp/linked; \
+	$(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{$$.ImportPath}}{{"\n"}}{{end}}' ./internal/... ./cmd/... > $$tmp/files; \
+	awk 'NR == FNR { ip[$$1] = $$2; next } \
+		/^func / { l = $$0; sub(/^func /, "", l); r = ""; \
+			if (l ~ /^\(/) { r = l; sub(/\).*/, "", r); sub(/\[.*/, "", r); n = split(r, w, /[ *(]+/); r = w[n] "."; sub(/^[^)]*\) */, "", l) } \
+			sub(/[[(].*/, "", l); key = ip[FILENAME] "." r l; start = FNR; \
+			if ($$0 ~ /}$$/) print key, 1; else open = 1; next } \
+		open && /^}/ { print key, FNR - start + 1; open = 0 }' $$tmp/files $$(cut -d' ' -f1 $$tmp/files) > $$tmp/decls; \
+	find . -name '*_test.go' ! -path './.bench_*' | xargs grep -ho '^func Test[A-Za-z0-9_]*' | cut -c6- > $$tmp/tests; \
+	awk -v bins=$$(wc -l < $$tmp/bins) ' \
+		FILENAME == ARGV[1] { linked[$$1] = 1; next } \
+		FILENAME == ARGV[2] { test[$$1] = 1; next } \
+		FILENAME == ARGV[3] { f = $$1; sub(/^.*\//, "", f); decls++; \
+			if ($$1 in linked || f ~ /\.[A-Za-z0-9_]+\.(String|Error)$$/) live[f] = 1; else { dead[f] = $$2; ndead++ } next } \
+		/^#/ || NF == 0 { next } \
+		{ allowed[$$1] = 1; \
+		  if (!($$1 in dead) && !($$1 in live)) { bad++; print "deadcode.allow: " $$1 " is gone" } \
+		  else if ($$1 in live) { bad++; print "deadcode.allow: " $$1 " is linked now" } \
+		  if (!($$2 in test)) { bad++; print "deadcode.allow: " $$1 " names no test " $$2 } \
+		  if ($$3 != "support:" && $$3 != "reference:" && !($$3 == "paper" && $$4 ~ /^§[0-9.]+:$$/)) { bad++; print "deadcode.allow: " $$1 ": no allowed reason" } } \
+		END { for (f in dead) if (!(f in allowed)) { printf "%5d %s\n", dead[f], f | "sort -k2"; bad++ } close("sort -k2"); \
+			printf "deadcode: %d functions under internal/ and cmd/, %d linked by none of %d binaries", decls, ndead, bins; \
+			if (bad) { printf "; %d not as deadcode.allow says\n", bad; exit 1 } print ", each named in deadcode.allow" }' \
+		$$tmp/linked $$tmp/tests $$tmp/decls deadcode.allow
 
 # Settable knobs per package: the fields declared in non-test
 # `type …Config struct` and `type …Options struct` blocks under internal/

@@ -216,7 +216,7 @@ func BenchmarkCrashMonkey(b *testing.B) {
 		states := 0
 		for _, w := range crashmonkey.GenerateSeq1() {
 			res := crashmonkey.Run(w, crashmonkey.Config{MaxSubsets: 64, Seed: 42})
-			if !res.OK() {
+			if len(res.Failures) > 0 {
 				b.Fatalf("%s: %v", w.Name, res.Failures[0])
 			}
 			states += res.CrashStates

@@ -33,12 +33,6 @@ func (e Extent) Bytes() int64 { return e.Len * BlockSize }
 // StartByte returns the extent's first byte address.
 func (e Extent) StartByte() int64 { return e.Start * BlockSize }
 
-// IsAligned reports whether the extent starts on a hugepage boundary and
-// covers at least one full hugepage.
-func (e Extent) IsAligned() bool {
-	return e.Start%BlocksPerHuge == 0 && e.Len >= BlocksPerHuge
-}
-
 // AlignedRegions counts the 2MiB-aligned, physically contiguous, fully free
 // hugepage regions inside the given free extents — the quantity Figure 3
 // plots. Extents need not be sorted or disjoint-merged; they must not

@@ -7,17 +7,8 @@ import (
 
 func TestExtentBasics(t *testing.T) {
 	e := Extent{Start: 512, Len: 512}
-	if !e.IsAligned() {
-		t.Fatal("512-block extent at 512 should be aligned")
-	}
 	if e.End() != 1024 || e.Bytes() != 2<<20 || e.StartByte() != 2<<20 {
 		t.Fatal("extent arithmetic wrong")
-	}
-	if (Extent{Start: 1, Len: 512}).IsAligned() {
-		t.Fatal("unaligned start reported aligned")
-	}
-	if (Extent{Start: 0, Len: 511}).IsAligned() {
-		t.Fatal("short extent reported aligned")
 	}
 }
 

@@ -43,9 +43,6 @@ func NewPool() *Pool {
 // FreeBlocks returns the total free block count.
 func (p *Pool) FreeBlocks() int64 { return p.blocks }
 
-// Holes returns the number of distinct free extents (fragmentation gauge).
-func (p *Pool) Holes() int { return p.byStart.Len() }
-
 func (p *Pool) insert(start, length int64) {
 	p.byStart.Set(start, length)
 	p.bySize.Set(sizeKey{length, start}, struct{}{})

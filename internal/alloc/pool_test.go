@@ -9,12 +9,12 @@ func TestPoolAddMerge(t *testing.T) {
 	p := NewPool()
 	p.Add(0, 100)
 	p.Add(200, 100)
-	if p.Holes() != 2 || p.FreeBlocks() != 200 {
-		t.Fatalf("holes=%d free=%d", p.Holes(), p.FreeBlocks())
+	if len(p.Extents()) != 2 || p.FreeBlocks() != 200 {
+		t.Fatalf("holes=%d free=%d", len(p.Extents()), p.FreeBlocks())
 	}
 	p.Add(100, 100) // bridges the two
-	if p.Holes() != 1 || p.FreeBlocks() != 300 {
-		t.Fatalf("after merge: holes=%d free=%d", p.Holes(), p.FreeBlocks())
+	if len(p.Extents()) != 1 || p.FreeBlocks() != 300 {
+		t.Fatalf("after merge: holes=%d free=%d", len(p.Extents()), p.FreeBlocks())
 	}
 }
 
@@ -30,8 +30,8 @@ func TestPoolTakeAt(t *testing.T) {
 	if p.TakeAt(990, 20) {
 		t.Fatal("TakeAt past the end succeeded")
 	}
-	if p.FreeBlocks() != 950 || p.Holes() != 2 {
-		t.Fatalf("free=%d holes=%d", p.FreeBlocks(), p.Holes())
+	if p.FreeBlocks() != 950 || len(p.Extents()) != 2 {
+		t.Fatalf("free=%d holes=%d", p.FreeBlocks(), len(p.Extents()))
 	}
 }
 
@@ -110,8 +110,8 @@ func TestPoolCarve(t *testing.T) {
 	p := NewPool()
 	p.Add(0, 1000)
 	p.Carve(100, 200)
-	if p.FreeBlocks() != 800 || p.Holes() != 2 {
-		t.Fatalf("free=%d holes=%d", p.FreeBlocks(), p.Holes())
+	if p.FreeBlocks() != 800 || len(p.Extents()) != 2 {
+		t.Fatalf("free=%d holes=%d", p.FreeBlocks(), len(p.Extents()))
 	}
 	// Carving an already-carved range is a no-op.
 	p.Carve(150, 100)
@@ -164,7 +164,7 @@ func TestPoolConservation(t *testing.T) {
 		for _, e := range outstanding {
 			p.Add(e.Start, e.Len)
 		}
-		return p.FreeBlocks() == total && p.Holes() == 1
+		return p.FreeBlocks() == total && len(p.Extents()) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func TestLMDBSparseFaultBehaviour(t *testing.T) {
 
 func TestPmemKVGrowsPools(t *testing.T) {
 	fs, ctx := wineFS(t, 1<<30)
-	db, err := pmemkv.Open(ctx, fs, "/pmemkv")
+	db, err := pmemkv.OpenSized(ctx, fs, "/pmemkv", pmemkv.SegmentSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestPmemKVGrowsPools(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if db.Segments() < 2 {
-		t.Fatalf("pool did not grow: %d segments", db.Segments())
+	if segs, err := fs.ReadDir(ctx, "/pmemkv"); err != nil || len(segs) < 2 {
+		t.Fatalf("pool did not grow: %d segment files (%v)", len(segs), err)
 	}
 	buf := make([]byte, 4096)
 	if got, err := db.Get(ctx, uint64(n-1), buf); err != nil || got != 4096 {
@@ -145,11 +145,8 @@ func TestRocksDBFlushCompactLookup(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if err := db.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if db.Tables() > 4 {
-		t.Fatalf("compaction not bounding tables: %d", db.Tables())
+	if files, err := fs.ReadDir(ctx, "/rocksdb"); err != nil || len(files) > 5 {
+		t.Fatalf("compaction not bounding tables: %d files beside the WAL (%v)", len(files)-1, err)
 	}
 	buf := make([]byte, 512)
 	for _, k := range []uint64{0, 17, n / 3, n - 1} {
@@ -161,11 +158,16 @@ func TestRocksDBFlushCompactLookup(t *testing.T) {
 			t.Fatalf("get %d: content %d", k, buf[0])
 		}
 	}
-	// Overwrites: newest value wins across tables.
+	// Overwrites: newest value wins across tables. The keys after it fill
+	// the memtable past its threshold, so the overwrite is flushed too.
 	if err := db.Put(ctx, 17, bytes.Repeat([]byte{0xEE}, 512)); err != nil {
 		t.Fatal(err)
 	}
-	db.Flush(ctx)
+	for i := uint64(n); i < n+600; i++ {
+		if err := db.Put(ctx, i, val); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
 	db.Get(ctx, 17, buf)
 	if buf[0] != 0xEE {
 		t.Fatal("overwrite lost")
@@ -250,7 +252,7 @@ func TestAppsAcrossFileSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv, err := pmemkv.Open(ctx, fs, "/kv")
+	kv, err := pmemkv.OpenSized(ctx, fs, "/kv", pmemkv.SegmentSize)
 	if err != nil {
 		t.Fatal(err)
 	}

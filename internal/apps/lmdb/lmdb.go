@@ -107,10 +107,6 @@ func Open(ctx *sim.Ctx, fs vfs.FS, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Mapping exposes the underlying mapping (experiments read fault counters
-// from the ctx used to drive it).
-func (db *DB) Mapping() *vmm.Mapping { return db.m }
-
 func (db *DB) writeMeta(ctx *sim.Ctx, txnID uint64) error {
 	var meta [32]byte
 	binary.LittleEndian.PutUint64(meta[0:], 0xBEEFC0DE)
@@ -454,6 +450,3 @@ func (db *DB) Get(ctx *sim.Ctx, key uint64, buf []byte) (int, error) {
 		cur = n.kids[idx]
 	}
 }
-
-// UsedBytes reports how much of the map the bump allocator consumed.
-func (db *DB) UsedBytes() int64 { return db.nextPage * PageSize }

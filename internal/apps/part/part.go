@@ -91,9 +91,6 @@ func New(ctx *sim.Ctx, fs vfs.FS, path string, poolSize int64) (*Tree, error) {
 	return &Tree{m: m, size: poolSize, bump: 64}, nil
 }
 
-// Mapping exposes the pool mapping.
-func (t *Tree) Mapping() *vmm.Mapping { return t.m }
-
 func (t *Tree) alloc(n int64) (int64, error) {
 	// Cache-line align nodes.
 	n = (n + 63) / 64 * 64
@@ -471,6 +468,3 @@ func (t *Tree) Lookup(ctx *sim.Ctx, key uint64) (uint64, bool, error) {
 	}
 	return 0, false, nil
 }
-
-// UsedBytes reports pool consumption.
-func (t *Tree) UsedBytes() int64 { return t.bump }

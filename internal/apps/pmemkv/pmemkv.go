@@ -47,11 +47,6 @@ type ref struct {
 	len int32
 }
 
-// Open creates a store rooted at dir with the paper's 128MiB segments.
-func Open(ctx *sim.Ctx, fs vfs.FS, dir string) (*DB, error) {
-	return OpenSized(ctx, fs, dir, SegmentSize)
-}
-
 // OpenSized creates a store with a custom pool segment size (scaled-down
 // experiment configurations).
 func OpenSized(ctx *sim.Ctx, fs vfs.FS, dir string, segSize int64) (*DB, error) {
@@ -142,11 +137,4 @@ func (db *DB) Get(ctx *sim.Ctx, key uint64, buf []byte) (int, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// Segments reports the pool segment count (growth behaviour tests).
-func (db *DB) Segments() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.segments)
 }

@@ -261,9 +261,3 @@ func (db *DB) compact(ctx *sim.Ctx) error {
 }
 
 type ref struct{ gen, idx int }
-
-// Flush forces the memtable out (used between load and run phases).
-func (db *DB) Flush(ctx *sim.Ctx) error { return db.flush(ctx) }
-
-// Tables reports the live table count.
-func (db *DB) Tables() int { return len(db.tables) }

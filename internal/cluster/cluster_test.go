@@ -103,8 +103,8 @@ func verifyFiles(t *testing.T, ctx *sim.Ctx, fs vfs.FS, n int, tag byte) {
 func TestClusterBasicReplication(t *testing.T) {
 	c, ctx := newTestCluster(t, 2, ReplicatorConfig{Sync: true})
 	cli := dialClient(t, c)
-	if cli.ServerEpoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", cli.ServerEpoch())
+	if e := c.Stats().Repl.Epoch; e != 1 {
+		t.Fatalf("epoch = %d, want 1", e)
 	}
 
 	writeFiles(t, ctx, cli, 8, 'a')
@@ -149,8 +149,8 @@ func TestPromoteReplica(t *testing.T) {
 	c.StartPrimary(ctx, fs, 2)
 
 	cli = dialClient(t, c)
-	if cli.ServerEpoch() != 2 {
-		t.Fatalf("the promoted primary announces epoch %d, want 2", cli.ServerEpoch())
+	if e := c.Stats().Repl.Epoch; e != 2 {
+		t.Fatalf("the promoted primary announces epoch %d, want 2", e)
 	}
 	verifyFiles(t, ctx, cli, 6, 'a')
 	writeFiles(t, ctx, cli, 4, 'x')

@@ -78,11 +78,6 @@ var ErrShortRecord = errors.New("cluster: truncated replication record")
 // le is the byte order of every integer in a record.
 var le = binary.LittleEndian
 
-// EncodedLen reports the wire size of r.
-func (r *Record) EncodedLen() int {
-	return recHeaderSize + len(r.Data) + recTrailerSize
-}
-
 // AppendRecord encodes r onto buf and returns the extended slice.
 func AppendRecord(buf []byte, r *Record) []byte {
 	start := len(buf)

@@ -43,8 +43,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		if got.Type != want.Type || got.Seq != want.Seq || got.Off != want.Off || got.N != want.N || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
-		if n != want.EncodedLen() {
-			t.Fatalf("record %d: consumed %d want %d", i, n, want.EncodedLen())
+		if enc := len(AppendRecord(nil, &want)); n != enc {
+			t.Fatalf("record %d: consumed %d want %d", i, n, enc)
 		}
 		buf = buf[n:]
 	}

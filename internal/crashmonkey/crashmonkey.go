@@ -87,9 +87,6 @@ type Result struct {
 	Failures    []string
 }
 
-// OK reports whether every crash state recovered consistently.
-func (r Result) OK() bool { return len(r.Failures) == 0 }
-
 // Every crash test formats a 64 MiB device with two CPUs' journals, which
 // exercises the multi-journal recovery path.
 const (

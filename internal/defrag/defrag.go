@@ -30,8 +30,8 @@ type Config struct {
 }
 
 // Runner drives repeated maintenance passes over one file system. It is
-// safe for one goroutine to Step/Run while others read Counters or
-// ThrottledNS (the daemon's metrics scrape).
+// safe for one goroutine to Step/Run while others read Counters (the
+// daemon's metrics scrape).
 type Runner struct {
 	fs    *winefs.FS
 	cfg   Config
@@ -104,10 +104,4 @@ func (r *Runner) Counters() perf.Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters
-}
-
-// ThrottledNS reports the idle time the pacer had injected — into
-// defrag, rewrite and tier copies alike — as of the last completed round.
-func (r *Runner) ThrottledNS() int64 {
-	return r.Counters().DefragThrottleNS
 }

@@ -53,7 +53,7 @@ func TestRunnerConverges(t *testing.T) {
 	if sum.Recovered2M == 0 {
 		t.Fatalf("runner recovered nothing: %+v", sum)
 	}
-	if r.ThrottledNS() == 0 {
+	if r.Counters().DefragThrottleNS == 0 {
 		t.Fatal("budget 0.2 injected no throttle time")
 	}
 	if err := fs.Audit(bg); err != nil {
@@ -175,7 +175,7 @@ func TestRunnerStepsAllMoversOnOnePacer(t *testing.T) {
 		t.Fatalf("unaged mount: %d blocks defragmented, %d rewrites, %d demoted; want tier work only",
 			c.DefragMigratedBlocks, c.Rewrites, c.TierDemotedBlocks)
 	}
-	if r2.ThrottledNS() == 0 {
+	if r2.Counters().DefragThrottleNS == 0 {
 		t.Error("tier copies ran unthrottled: the pacer injected nothing")
 	}
 
@@ -191,7 +191,7 @@ func TestRunnerStepsAllMoversOnOnePacer(t *testing.T) {
 				return
 			default:
 				c := r.Counters()
-				if r.ThrottledNS() < c.DefragThrottleNS {
+				if r.Counters().DefragThrottleNS < c.DefragThrottleNS {
 					t.Error("throttle total went backwards between two reads")
 				}
 			}

@@ -21,10 +21,9 @@ import (
 // exactly that, so throughput and latency measured at the client are the
 // served numbers. (Network latency itself is not modelled.)
 type Client struct {
-	conn  Conn
-	name  string
-	mode  vfs.ConsistencyMode
-	epoch uint64
+	conn Conn
+	name string
+	mode vfs.ConsistencyMode
 	// dc is non-nil when conn supports direct dispatch (in-memory pipe);
 	// call checks its published entry point on every request.
 	dc directConn
@@ -128,18 +127,13 @@ func Dial(conn Conn) (*Client, error) {
 	c.mode = vfs.ConsistencyMode(d.U8())
 	d.U32() // server CPUs
 	d.U32() // server window
-	c.epoch = d.U64()
+	d.U64() // primary epoch (the cluster's metrics report it)
 	if !d.OK() {
 		conn.Close()
 		return nil, ErrBadRequest
 	}
 	return c, nil
 }
-
-// ServerEpoch reports the primary epoch the server announced at handshake:
-// a server whose epoch is below the highest one a client has seen is a
-// stale primary and must not be trusted with writes.
-func (c *Client) ServerEpoch() uint64 { return c.epoch }
 
 // dead reports whether this client's transport is closed from its own
 // point of view (either side).

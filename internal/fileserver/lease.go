@@ -227,23 +227,3 @@ func (s *Server) releaseLease(sess *session, ino uint64) {
 	defer s.leaseMu.Unlock()
 	s.removeHolderLocked(sess, ino)
 }
-
-// CheckLeaseInvariant verifies the coherence invariant over the live lease
-// table: at most one writer per ino and never a writer alongside readers.
-// Test hook; returns nil when the table is consistent.
-func (s *Server) CheckLeaseInvariant() error {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	for ino, l := range s.leases {
-		if l.writer != nil && len(l.readers) > 0 {
-			return errLeaseInvariant(ino)
-		}
-	}
-	return nil
-}
-
-type errLeaseInvariant uint64
-
-func (e errLeaseInvariant) Error() string {
-	return "fileserver: lease invariant violated: ino has a writer and readers"
-}

@@ -484,3 +484,17 @@ func TestCachedServerMixThroughCache(t *testing.T) {
 		}
 	}
 }
+
+// CheckLeaseInvariant verifies the coherence invariant over the live lease
+// table: at most one writer per ino and never a writer alongside readers.
+// It returns nil when the table is consistent.
+func (s *Server) CheckLeaseInvariant() error {
+	s.leaseMu.Lock()
+	defer s.leaseMu.Unlock()
+	for ino, l := range s.leases {
+		if l.writer != nil && len(l.readers) > 0 {
+			return fmt.Errorf("fileserver: lease invariant violated: ino %d has a writer and readers", ino)
+		}
+	}
+	return nil
+}

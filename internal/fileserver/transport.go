@@ -22,7 +22,12 @@ type Conn = io.ReadWriteCloser
 type Listener interface {
 	Accept() (Conn, error)
 	Close() error
-	// Addr describes the listening endpoint (host:port for TCP).
+}
+
+// TCPListener is a Listener on a TCP port.
+type TCPListener interface {
+	Listener
+	// Addr is the host:port it listens on.
 	Addr() string
 }
 
@@ -42,7 +47,7 @@ type tcpListener struct{ l net.Listener }
 
 // ListenTCP starts a TCP listener for winefsd. addr follows net.Listen
 // conventions ("127.0.0.1:7070", ":0" for an ephemeral port).
-func ListenTCP(addr string) (Listener, error) {
+func ListenTCP(addr string) (TCPListener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -125,9 +130,6 @@ func (p *PipeListener) Close() error {
 	p.once.Do(func() { close(p.closed) })
 	return nil
 }
-
-// Addr implements Listener.
-func (p *PipeListener) Addr() string { return "pipe" }
 
 // pipeConn is one end of an in-memory duplex stream built from two
 // buffered byte queues. The earlier implementation used io.Pipe, whose

@@ -137,13 +137,6 @@ func (n *Node) Size() int64 {
 	return n.size
 }
 
-// ExtentCount returns the number of extents (fragmentation gauge).
-func (n *Node) ExtentCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.extents)
-}
-
 // FS is a mounted baseline file system.
 type FS struct {
 	hooks Hooks
@@ -187,15 +180,6 @@ func (fs *FS) newNode(isDir bool) *Node {
 	fs.mu.Unlock()
 	return n
 }
-
-// Device returns the underlying device.
-func (fs *FS) Device() *pmem.Device { return fs.dev }
-
-// AddressSpace returns the FS's process address space.
-func (fs *FS) AddressSpace() *mmu.AddressSpace { return fs.as }
-
-// Hooks exposes the policy object (tests).
-func (fs *FS) Hooks() Hooks { return fs.hooks }
 
 // Name implements vfs.FS.
 func (fs *FS) Name() string { return fs.hooks.Name() }

@@ -128,18 +128,6 @@ func New(fs vfs.FS, cfg Config) *Ager {
 	return &Ager{fs: fs, cfg: cfg, rng: sim.NewRand(cfg.Seed + 0x9E3779B9)}
 }
 
-// Stats returns the run's statistics so far.
-func (a *Ager) Stats() Stats { return a.st }
-
-// LiveFiles returns the paths of currently live aged files.
-func (a *Ager) LiveFiles() []string {
-	out := make([]string, len(a.live))
-	for i, f := range a.live {
-		out[i] = f.path
-	}
-	return out
-}
-
 func (a *Ager) util(ctx *sim.Ctx) float64 {
 	st := a.fs.StatFS(ctx)
 	if st.TotalBlocks == 0 {

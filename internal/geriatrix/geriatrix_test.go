@@ -73,8 +73,21 @@ func TestAgingReachesTarget(t *testing.T) {
 	if st.BytesWritten < int64(0.5*float64(512<<20)) {
 		t.Fatalf("churn volume too small: %d", st.BytesWritten)
 	}
-	if st.LiveFiles == 0 || len(ager.LiveFiles()) != st.LiveFiles {
-		t.Fatal("live-file bookkeeping inconsistent")
+	dirs, err := fs.ReadDir(ctx, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := 0
+	for _, d := range dirs {
+		files, err := fs.ReadDir(ctx, "/"+d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += len(files)
+	}
+	if st.LiveFiles == 0 || onDisk != st.LiveFiles || st.Created-st.Deleted != int64(st.LiveFiles) {
+		t.Fatalf("live-file bookkeeping inconsistent: %d live, %d created - %d deleted, %d on the file system",
+			st.LiveFiles, st.Created, st.Deleted, onDisk)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/perf"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 )
@@ -698,6 +697,3 @@ func (m *Mapping) Prefault(ctx *sim.Ctx) error {
 	}
 	return nil
 }
-
-// Counters is a convenience accessor for tests.
-func (m *Mapping) Counters(ctx *sim.Ctx) *perf.Counters { return ctx.Counters }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 )
 
 // Counters accumulates performance events for one simulated thread. Fields
@@ -223,16 +222,13 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Min returns the smallest recorded sample.
-func (h *Histogram) Min() int64 { return h.min }
-
 // Max returns the largest recorded sample.
 func (h *Histogram) Max() int64 { return h.max }
 
 // Quantile returns the latency at quantile q in [0, 1]: the value of the
-// ceil(q*count)-th smallest sample, bucket-quantized. The result is clamped
-// to [Min(), Max()] so a bucket midpoint can never report a latency outside
-// the recorded range.
+// ceil(q*count)-th smallest sample, bucket-quantized; Quantile(0) is the
+// smallest sample. The result is clamped to the recorded range, so a
+// bucket midpoint can never report a latency outside it.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
@@ -294,33 +290,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// CDF returns (latency, cumulative fraction) points suitable for plotting,
-// one per non-empty bucket.
-func (h *Histogram) CDF() []CDFPoint {
-	if h.count == 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var seen int64
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		seen += n
-		pts = append(pts, CDFPoint{
-			LatencyNS: h.clamp(bucketValue(i)),
-			Fraction:  float64(seen) / float64(h.count),
-		})
-	}
-	return pts
-}
-
-// CDFPoint is one point of a cumulative latency distribution.
-type CDFPoint struct {
-	LatencyNS int64
-	Fraction  float64
-}
-
 // LatencySummary is the fixed-quantile digest of a histogram that
 // monitoring surfaces (the winefsd stats endpoint, the serving-throughput
 // baseline) report. All latencies are virtual nanoseconds.
@@ -356,9 +325,4 @@ type Series struct {
 type Point struct {
 	X float64
 	Y float64
-}
-
-// SortByX orders the series' points by ascending X.
-func (s *Series) SortByX() {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
 }

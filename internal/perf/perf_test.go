@@ -122,8 +122,8 @@ func TestQuantileClamped(t *testing.T) {
 	}
 	for q := 0.0; q <= 1.0; q += 0.01 {
 		v := h.Quantile(q)
-		if v < h.Min() || v > h.Max() {
-			t.Fatalf("Quantile(%g) = %d outside [%d, %d]", q, v, h.Min(), h.Max())
+		if v < h.Quantile(0) || v > h.Max() {
+			t.Fatalf("Quantile(%g) = %d outside [%d, %d]", q, v, h.Quantile(0), h.Max())
 		}
 	}
 }
@@ -144,8 +144,8 @@ func TestHistogramBasics(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Record(i)
 	}
-	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.Quantile(0) != 1 || h.Max() != 1000 {
+		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Quantile(0), h.Max())
 	}
 	med := h.Median()
 	if med < 400 || med > 600 {
@@ -173,34 +173,13 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 200 {
 		t.Fatalf("merged count %d", a.Count())
 	}
-	if a.Min() != 10 || a.Max() != 1000 {
-		t.Fatalf("merged range [%d,%d]", a.Min(), a.Max())
+	if a.Quantile(0) != 10 || a.Max() != 1000 {
+		t.Fatalf("merged range [%d,%d]", a.Quantile(0), a.Max())
 	}
 	// Median of a 50/50 mix sits at one of the two modes.
 	med := a.Median()
 	if med > 12 && (med < 950 || med > 1050) {
 		t.Fatalf("merged median = %d", med)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 10; i++ {
-		h.Record(100)
-	}
-	for i := 0; i < 90; i++ {
-		h.Record(10000)
-	}
-	cdf := h.CDF()
-	if len(cdf) < 2 {
-		t.Fatalf("cdf points = %d", len(cdf))
-	}
-	if cdf[len(cdf)-1].Fraction != 1.0 {
-		t.Fatalf("cdf does not end at 1: %f", cdf[len(cdf)-1].Fraction)
-	}
-	// The first mode holds 10% of mass.
-	if cdf[0].Fraction < 0.09 || cdf[0].Fraction > 0.11 {
-		t.Fatalf("first fraction = %f", cdf[0].Fraction)
 	}
 }
 
@@ -228,13 +207,5 @@ func TestHistogramQuantileProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSeriesSort(t *testing.T) {
-	s := Series{Label: "x", Points: []Point{{3, 1}, {1, 2}, {2, 3}}}
-	s.SortByX()
-	if s.Points[0].X != 1 || s.Points[2].X != 3 {
-		t.Fatalf("sorted: %+v", s.Points)
 	}
 }

@@ -446,46 +446,3 @@ func (t *Tree[K, V]) deleteFixup(x *node[K, V], parent *node[K, V]) {
 		x.color = black
 	}
 }
-
-// checkInvariants verifies red-black properties; it is exported to the test
-// package via export_test.go and returns the black-height, or -1 on
-// violation.
-func (t *Tree[K, V]) checkInvariants() int {
-	if t.root == nil {
-		return 0
-	}
-	if t.root.color != black {
-		return -1
-	}
-	return t.check(t.root)
-}
-
-func (t *Tree[K, V]) check(n *node[K, V]) int {
-	if n == nil {
-		return 1
-	}
-	if n.color == red {
-		if nodeColor(n.left) == red || nodeColor(n.right) == red {
-			return -1
-		}
-	}
-	if n.left != nil {
-		if n.left.parent != n || !t.less(n.left.key, n.key) {
-			return -1
-		}
-	}
-	if n.right != nil {
-		if n.right.parent != n || !t.less(n.key, n.right.key) {
-			return -1
-		}
-	}
-	lh := t.check(n.left)
-	rh := t.check(n.right)
-	if lh == -1 || rh == -1 || lh != rh {
-		return -1
-	}
-	if n.color == black {
-		lh++
-	}
-	return lh
-}

@@ -79,12 +79,3 @@ func (r *ParallelRunner) Run(n int, job func(i int)) {
 	}
 	wg.Wait()
 }
-
-// RunErr is Run for jobs that fail: it returns the per-index errors, nil
-// entries for successes. The slice order is index order, independent of
-// completion order.
-func (r *ParallelRunner) RunErr(n int, job func(i int) error) []error {
-	errs := make([]error, n)
-	r.Run(n, func(i int) { errs[i] = job(i) })
-	return errs
-}

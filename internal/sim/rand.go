@@ -66,24 +66,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Zipf draws from a Zipfian distribution over [0, n) with skew theta,
 // using the rejection-inversion-free "quick zipf" approximation common in
 // YCSB-style generators.

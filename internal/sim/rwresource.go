@@ -36,6 +36,11 @@ type RWResource struct {
 	rd     calendar
 	pool   *recycle.Pool[span] // what wr and rd grow from (SetPool); nil allocates
 	wstart int64               // booked start of the in-progress exclusive occupation
+	// orphan is wr's storage after Recycle: the exclusive holder that
+	// releases after it (the unlinker whose unlink dropped the lock) books
+	// its occupation here, in the resource's own memory, not in storage
+	// taken from the pool for good.
+	orphan [1]span
 }
 
 // CalendarPool is calendar storage shared by the RWResources that come and
@@ -50,14 +55,18 @@ func (r *RWResource) SetPool(p *CalendarPool) { r.pool = &p.p }
 
 // Recycle forgets every booking and hands the calendars' storage to the
 // pool SetPool named. The resource stays usable: occupations booked after
-// it start fresh calendars, in storage of their own, so a holder that
-// releases after Recycle never writes into storage another resource has
-// taken from the pool since. Call it when what r locks is gone, so that no
+// it start fresh calendars, in storage of their own (the first exclusive
+// one in r.orphan, the rest allocated), so a holder that releases after
+// Recycle never writes into storage another resource has taken from the
+// pool since, and an acquirer that waited for that holder still queues
+// behind its occupation. Call it when what r locks is gone, so that no
 // later acquirer needs r's past.
 func (r *RWResource) Recycle() {
 	r.mu.Lock()
 	r.wr.recycle(r.pool)
 	r.rd.recycle(r.pool)
+	r.wr.buf = r.orphan[:0]
+	r.pool = nil // so that r.orphan never reaches the pool
 	r.mu.Unlock()
 }
 
@@ -127,14 +136,6 @@ func (r *RWResource) RUnlock(ctx *Ctx, start int64) {
 	}
 	r.mu.Unlock()
 	r.host.RUnlock()
-}
-
-// BusyUntil reports the end of the last booked interval on either calendar
-// (tests).
-func (r *RWResource) BusyUntil() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return max(r.wr.end(), r.rd.end())
 }
 
 // skipBusy returns the end of the span containing t, or t if no span does.

@@ -79,9 +79,6 @@ func (c *Ctx) Reset() {
 	c.Counters.Reset()
 }
 
-// Rand returns the context's deterministic random source.
-func (c *Ctx) Rand() *Rand { return c.rng }
-
 // Syscall charges one syscall entry: the counter and its virtual-time cost.
 // Every vfs.FS implementation's operation preamble funnels through here so
 // syscall time lands in one place (Counters.SyscallNS) for span breakdowns.
@@ -338,13 +335,6 @@ func (r *Resource) Release(ctx *Ctx) {
 	r.mu.Unlock()
 }
 
-// BusyUntil reports the end of the last booked interval (tests).
-func (r *Resource) BusyUntil() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cal.end()
-}
-
 // Bandwidth models a shared channel with a fixed byte rate (e.g. the
 // aggregate write bandwidth of a persistent-memory socket). Transfers are
 // serialised in virtual time like a Resource, with the hold time computed
@@ -377,14 +367,6 @@ func (b *Bandwidth) Transfer(ctx *Ctx, n int64) {
 	b.res.Use(ctx, hold)
 }
 
-// Cost returns the uncontended transfer time for n bytes.
-func (b *Bandwidth) Cost(n int64) int64 {
-	if n <= 0 || b.nsPerByte == 0 {
-		return 0
-	}
-	return int64(float64(n) * b.nsPerByte)
-}
-
 // Pacer enforces a duty-cycle bandwidth budget on a background virtual
 // thread (the paper's §3.5 maintenance thread). The thread reports each
 // burst of booked work; the pacer then advances the thread's clock by
@@ -407,14 +389,6 @@ func NewPacer(budget float64) *Pacer {
 		budget = 0.1
 	}
 	return &Pacer{budget: budget}
-}
-
-// Budget reports the configured duty-cycle fraction.
-func (p *Pacer) Budget() float64 {
-	if p == nil {
-		return 1
-	}
-	return p.budget
 }
 
 // Pace records workNS of just-completed work and sleeps the thread for

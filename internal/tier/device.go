@@ -92,9 +92,6 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 // Size is the device capacity in bytes.
 func (d *SlowDevice) Size() int64 { return d.cfg.Size }
 
-// Config returns the device's shape.
-func (d *SlowDevice) Config() SlowConfig { return d.cfg }
-
 // Release returns the backing store's chunks to the host pool.
 func (d *SlowDevice) Release() { d.store.Release() }
 
@@ -167,29 +164,5 @@ func (d *SlowDevice) Zero(ctx *sim.Ctx, off, n int64) {
 	d.store.ZeroRange(off, n)
 }
 
-// ReadAt is an uncharged read.
-func (d *SlowDevice) ReadAt(buf []byte, off int64) { d.store.ReadAt(buf, off) }
-
-// WriteAt is an uncharged write.
-func (d *SlowDevice) WriteAt(data []byte, off int64) { d.store.WriteAt(data, off) }
-
-// ZeroRange is an uncharged zero-fill.
-func (d *SlowDevice) ZeroRange(off, n int64) { d.store.ZeroRange(off, n) }
-
 // DiscardRange is uncharged: freed pages return their host backing.
 func (d *SlowDevice) DiscardRange(off, n int64) { d.store.DiscardRange(off, n) }
-
-// Cost returns the uncontended virtual-time cost of one n-byte access at
-// off — the price a cache-miss pays when it has to go to this tier.
-// Exposed for benchmark gates that assert cold reads really were charged
-// slow-tier costs.
-func (d *SlowDevice) Cost(off, n int64, write bool) int64 {
-	bytes := pageSpan(off, n) * PageSize
-	if bytes == 0 {
-		return 0
-	}
-	if write {
-		return WriteLatNS + int64(float64(bytes)*WriteNSPerByte)
-	}
-	return ReadLatNS + int64(float64(bytes)*ReadNSPerByte)
-}

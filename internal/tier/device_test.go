@@ -24,17 +24,10 @@ func TestSlowDeviceRoundTrip(t *testing.T) {
 		t.Fatal("read back wrong data")
 	}
 
-	// Uncharged path sees the same bytes.
-	got2 := make([]byte, len(data))
-	d.ReadAt(got2, 2*PageSize)
-	if !bytes.Equal(got2, data) {
-		t.Fatal("ReadAt sees different data than charged Read")
-	}
-
 	d.Zero(ctx, 2*PageSize, PageSize)
-	d.ReadAt(got2, 2*PageSize)
-	if !bytes.Equal(got2[:PageSize], make([]byte, PageSize)) {
-		t.Fatal("Zero did not clear page")
+	d.Read(ctx, got, 2*PageSize)
+	if !bytes.Equal(got[:PageSize], make([]byte, PageSize)) || !bytes.Equal(got[PageSize:], data[PageSize:]) {
+		t.Fatal("Zero did not clear exactly its page")
 	}
 }
 
@@ -67,11 +60,6 @@ func TestSlowDeviceCharging(t *testing.T) {
 	want = slowCost(2 * PageSize)
 	if elapsed != want {
 		t.Fatalf("straddling read cost %dns, want %dns", elapsed, want)
-	}
-
-	// Cost() matches what charge actually books when uncontended.
-	if got := d.Cost(0, 1, false); got != slowCost(PageSize) {
-		t.Fatalf("Cost mismatch: %d", got)
 	}
 }
 

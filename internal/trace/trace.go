@@ -208,14 +208,6 @@ func (c *Context) End(sp *Span, nowNS int64) {
 	c.t.emit(sp, len(c.stack) == 0)
 }
 
-// Depth reports how many spans are currently open on this thread.
-func (c *Context) Depth() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.stack)
-}
-
 // JSONLSink writes one JSON object per completed span, newline-delimited,
 // in completion order (children before parents).
 type JSONLSink struct {

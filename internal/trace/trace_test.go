@@ -20,9 +20,6 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	}
 	sp.SetAttr("k", "v") // must not panic
 	ctx.End(sp, 200)     // must not panic
-	if ctx.Depth() != 0 {
-		t.Fatal("nil context has depth")
-	}
 	tr.SetSlowLog(&bytes.Buffer{}, 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -39,8 +36,8 @@ func TestSpanNestingAndEmitOrder(t *testing.T) {
 	grand := ctx.Start("pmem.zero", 1300)
 	ctx.End(grand, 1400)
 	ctx.End(child, 1600)
-	if ctx.Depth() != 1 {
-		t.Fatalf("depth = %d, want 1", ctx.Depth())
+	if len(ctx.stack) != 1 {
+		t.Fatalf("depth = %d, want 1", len(ctx.stack))
 	}
 	root.SetAttr("path", "/a")
 	ctx.End(root, 2000)
@@ -76,8 +73,8 @@ func TestEndUnwindsLeakedChildren(t *testing.T) {
 	root := ctx.Start("outer", 0)
 	ctx.Start("leaked", 10) // never ended
 	ctx.End(root, 100)
-	if ctx.Depth() != 0 {
-		t.Fatalf("depth = %d after unwinding, want 0", ctx.Depth())
+	if next := ctx.Start("next", 200); next.ParentID != 0 {
+		t.Fatalf("a span started after unwinding has parent %d, want none", next.ParentID)
 	}
 }
 

@@ -25,8 +25,8 @@
 // A file system that keeps an in-memory inode asks the table for the
 // inode's lock once (Inode) and locks through that token afterwards, so
 // the table's own mutex and map are paid once per inode lifetime, not per
-// operation; Lock/RLock/LockRange by number remain for callers that hold
-// nothing but the number.
+// operation; Lock by number remains for callers that hold nothing but the
+// number.
 package vfs
 
 import (
@@ -120,15 +120,6 @@ func (lt *LockTable) Inode(ino uint64) *InodeLock {
 
 // Lock acquires the inode exclusively; see InodeLock.Lock.
 func (lt *LockTable) Lock(ctx *sim.Ctx, ino uint64) LockHandle { return lt.Inode(ino).Lock(ctx) }
-
-// RLock acquires the inode shared; see InodeLock.RLock.
-func (lt *LockTable) RLock(ctx *sim.Ctx, ino uint64) LockHandle { return lt.Inode(ino).RLock(ctx) }
-
-// LockRange acquires the inode shared plus a byte range exclusively; see
-// InodeLock.LockRange.
-func (lt *LockTable) LockRange(ctx *sim.Ctx, ino uint64, off, n int64) LockHandle {
-	return lt.Inode(ino).LockRange(ctx, off, n)
-}
 
 // Lock acquires the inode exclusively, advancing ctx past every booked
 // occupation (shared, exclusive, or range) that covers its instant.
@@ -248,9 +239,9 @@ func (l *InodeLock) skipBookedLocked(r byteRange, t int64) int64 {
 
 // Drop removes the lock entry for a freed inode and hands its calendars'
 // storage back for the next inode's. Current holders keep their (now
-// orphaned) lock object and release it normally, booking into fresh
-// storage of the orphan's own; the next locker of a reused inode number
-// gets a fresh entry.
+// orphaned) lock object and release it normally, booking into storage of
+// the orphan's own (sim.RWResource.Recycle); the next locker of a reused
+// inode number gets a fresh entry.
 func (lt *LockTable) Drop(ino uint64) {
 	lt.mu.Lock()
 	l := lt.locks[ino]

@@ -14,11 +14,11 @@ func TestLockRangeOverlappingSerialize(t *testing.T) {
 	a := sim.NewCtx(1, 0)
 	b := sim.NewCtx(2, 1)
 
-	h := lt.LockRange(a, 7, 0, 4096)
+	h := lt.Inode(7).LockRange(a, 0, 4096)
 	a.Advance(1000)
 	h.Unlock(a) // [0,4096) held over [0,1000)
 
-	h = lt.LockRange(b, 7, 2048, 4096) // overlaps, arrives at 0
+	h = lt.Inode(7).LockRange(b, 2048, 4096) // overlaps, arrives at 0
 	if b.Now() != 1000 {
 		t.Fatalf("overlapping range writer acquired at %d, want 1000", b.Now())
 	}
@@ -34,11 +34,11 @@ func TestLockRangeDisjointParallel(t *testing.T) {
 	a := sim.NewCtx(1, 0)
 	b := sim.NewCtx(2, 1)
 
-	h := lt.LockRange(a, 7, 0, 4096)
+	h := lt.Inode(7).LockRange(a, 0, 4096)
 	a.Advance(1000)
 	h.Unlock(a)
 
-	h = lt.LockRange(b, 7, 4096, 4096) // adjacent but disjoint
+	h = lt.Inode(7).LockRange(b, 4096, 4096) // adjacent but disjoint
 	if b.Now() != 0 || b.Counters.LockWaitNS != 0 {
 		t.Fatalf("disjoint range writer waited: now=%d wait=%d", b.Now(), b.Counters.LockWaitNS)
 	}
@@ -55,7 +55,7 @@ func TestLockExclusiveVsRange(t *testing.T) {
 	w.Advance(1000)
 	h.Unlock(w) // exclusive over [0,1000)
 
-	h = lt.LockRange(r, 7, 1<<20, 4096) // any range waits for the inode lock
+	h = lt.Inode(7).LockRange(r, 1<<20, 4096) // any range waits for the inode lock
 	if r.Now() != 1000 {
 		t.Fatalf("range writer acquired at %d under exclusive lock, want 1000", r.Now())
 	}
@@ -81,7 +81,7 @@ func TestRLockSemantics(t *testing.T) {
 	h.Unlock(w)
 
 	a := sim.NewCtx(2, 1)
-	ha := lt.RLock(a, 7)
+	ha := lt.Inode(7).RLock(a)
 	if a.Now() != 1000 {
 		t.Fatalf("reader acquired at %d under exclusive lock, want 1000", a.Now())
 	}
@@ -89,7 +89,7 @@ func TestRLockSemantics(t *testing.T) {
 
 	b := sim.NewCtx(3, 2)
 	b.Advance(1100)
-	hb := lt.RLock(b, 7) // inside a's read — readers share
+	hb := lt.Inode(7).RLock(b) // inside a's read — readers share
 	if b.Now() != 1100 {
 		t.Fatalf("second reader waited: now=%d, want 1100", b.Now())
 	}
@@ -144,22 +144,47 @@ func TestUnlockAfterDropMissesTheReusedLock(t *testing.T) {
 
 	fresh := sim.NewCtx(2, 1)
 	fresh.Advance(10_000)
-	book(fresh, 4) // grows through arrays of one, two and four: the last is the old lock's
-	l := lt.Inode(7)
-	want := l.rw.BusyUntil()
-	if want != fresh.Now()-100 {
-		t.Fatalf("the new lock is busy until %d, want %d", want, fresh.Now()-100)
-	}
+	book(fresh, 4)            // grows through arrays of one, two and four: the last is the old lock's
+	want := fresh.Now() - 100 // the end of the new lock's last occupation
 	old.Advance(50)
 	h.Unlock(old) // books [600, 650) on the orphan
-	if got := l.rw.BusyUntil(); got != want {
-		t.Fatalf("the orphan's release reached the reused number's lock: busy until %d, want %d", got, want)
+	// admit locks the new lock at clock at and reports when it was
+	// admitted; an empty occupation books nothing.
+	admit := func(at int64) int64 {
+		ctx := sim.NewCtx(3, 2)
+		ctx.Advance(at)
+		lt.Lock(ctx, 7).Unlock(ctx)
+		return ctx.Now()
 	}
-	late := sim.NewCtx(3, 2)
-	late.Advance(want - 50) // inside the new lock's last occupation
-	lt.Lock(late, 7).Unlock(late)
-	if late.Now() != want {
-		t.Fatalf("a locker inside the new lock's last occupation was admitted at %d, want %d", late.Now(), want)
+	if got := admit(610); got != 610 {
+		t.Fatalf("the orphan's release reached the reused number's lock: a locker at 610 was admitted at %d", got)
+	}
+	if got := admit(want - 50); got != want {
+		t.Fatalf("a locker inside the new lock's last occupation was admitted at %d, want %d", got, want)
+	}
+}
+
+// The other ordering: a thread that took the lock object before Drop — it
+// resolved the file before the unlink removed it — waits behind the
+// dropping holder's occupation, which that holder books after Drop.
+func TestWaiterOnDroppedLockQueuesBehindItsHolder(t *testing.T) {
+	lt := NewLockTable()
+	unlinker := sim.NewCtx(1, 0)
+	l := lt.Inode(7)
+	h := l.Lock(unlinker)
+	unlinker.Advance(500)
+	lt.Drop(7)
+	waiter := sim.NewCtx(2, 1)
+	waiter.Advance(100) // inside the unlinker's occupation
+	done := make(chan struct{})
+	go func() {
+		l.Lock(waiter).Unlock(waiter) // blocks on the host until h is released
+		close(done)
+	}()
+	h.Unlock(unlinker)
+	<-done
+	if waiter.Now() != 500 {
+		t.Fatalf("the waiter was admitted at %d, want 500 (the end of the unlinker's occupation)", waiter.Now())
 	}
 }
 
@@ -191,12 +216,12 @@ func TestLockTableConcurrencyStress(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					h := lt.RLock(ctx, 7)
+					h := lt.Inode(7).RLock(ctx)
 					ctx.Advance(50)
 					h.Unlock(ctx)
 				case 1:
 					off := int64((g%4)*8192 + i%2*4096)
-					h := lt.LockRange(ctx, 7, off, 4096)
+					h := lt.Inode(7).LockRange(ctx, off, 4096)
 					ctx.Advance(80)
 					h.Unlock(ctx)
 				default:

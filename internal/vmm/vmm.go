@@ -99,7 +99,6 @@ type Mapping struct {
 	cfg Config
 	// length is the mapped span of the file, fixed at Map time.
 	length int64
-	own    bool // close f when the mapping closes (MapPath)
 
 	// mu serialises changes of window: mapping the first one, sliding,
 	// and Close. Accesses load win without it; nil means closed.
@@ -171,25 +170,6 @@ func Map(ctx *sim.Ctx, f vfs.File, length int64, cfg Config) (*Mapping, error) {
 	}
 	return v, nil
 }
-
-// MapPath opens path on fsys and maps it; the file handle is owned by
-// the mapping and closed with it.
-func MapPath(ctx *sim.Ctx, fsys vfs.FS, path string, length int64, cfg Config) (*Mapping, error) {
-	f, err := fsys.Open(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := Map(ctx, f, length, cfg)
-	if err != nil {
-		f.Close(ctx)
-		return nil, err
-	}
-	m.own = true
-	return m, nil
-}
-
-// Len returns the mapped length.
-func (v *Mapping) Len() int64 { return v.length }
 
 // windowBounds computes the window [base, base+n) that serves an access
 // at off into a mapping of the given length under budget bytes of
@@ -557,11 +537,6 @@ func (v *Mapping) Close(ctx *sim.Ctx) error {
 	w.m.Invalidate()
 	ctx.Syscall(v.b.MapSyscallNS())
 	ctx.Counters.VMMUnmaps++
-	if v.own {
-		if cerr := v.f.Close(ctx); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 

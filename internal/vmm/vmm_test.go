@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -293,11 +294,10 @@ func TestWindowedMappingSlides(t *testing.T) {
 	}
 }
 
-func TestMapPathAndPreload(t *testing.T) {
+func TestMapPreload(t *testing.T) {
 	ctx, fs := newFS(t)
-	mkFile(t, ctx, fs, "/mp", 0x66, 4<<20).Close(ctx)
-
-	m, err := vmm.MapPath(ctx, fs, "/mp", 0, vmm.Config{
+	f := mkFile(t, ctx, fs, "/mp", 0x66, 4<<20)
+	m, err := vmm.Map(ctx, f, 0, vmm.Config{
 		Mode: vmm.ModeReadOnly, MapFullFile: true, Preload: true,
 	})
 	if err != nil {
@@ -314,8 +314,10 @@ func TestMapPathAndPreload(t *testing.T) {
 	if !bytes.Equal(buf, bytes.Repeat([]byte{0x66}, 64)) {
 		t.Fatalf("read %x, want 0x66", buf[:8])
 	}
-	// MapPath owns the file handle: Close tears both down.
 	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -344,8 +346,9 @@ func TestSyncDirtyPagesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != length {
-		t.Fatalf("Len = %d, want %d", m.Len(), length)
+	// Length 0 maps the whole file, its partial last page included.
+	if err := m.Write(ctx, []byte{1}, length); !errors.Is(err, mmu.ErrOutOfRange) {
+		t.Fatalf("store one past the file's size: err = %v, want ErrOutOfRange", err)
 	}
 	line := bytes.Repeat([]byte{0x71}, 64)
 	// Pages 0, 7, 63, 64, 65, 130 and 256 (the partial page), and one

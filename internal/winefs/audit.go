@@ -284,20 +284,3 @@ func (e *AuditError) Error() string {
 	}
 	return fmt.Sprintf("winefs audit: %d violations, first: %s", len(e.Violations), e.Violations[0])
 }
-
-// auditUsedExtents is a test hook: the per-inode extent list as the audit
-// sees it, merged.
-func (fs *FS) auditUsedExtents() []alloc.Extent {
-	var out []alloc.Extent
-	for _, ino := range fs.snapshotInodes() {
-		ino.mu.RLock()
-		for _, e := range ino.extents {
-			out = append(out, alloc.Extent{Start: e.blk, Len: e.length})
-		}
-		for _, b := range ino.indirect {
-			out = append(out, alloc.Extent{Start: b, Len: 1})
-		}
-		ino.mu.RUnlock()
-	}
-	return alloc.Merge(out)
-}

@@ -248,8 +248,8 @@ func TestExtentListOrderProperty(t *testing.T) {
 			reused, held = reused+1, -1
 		}
 	}
-	if _, deg := fs.Degraded(); deg {
-		t.Fatalf("degraded: %v", fs.DegradedReasons())
+	if reason, deg := fs.Degraded(); deg {
+		t.Fatalf("degraded: %v", reason)
 	}
 	if maxExtents <= InlineExtents {
 		t.Fatalf("the list never outgrew the %d inline records (peak %d): the indirect chain went untested", InlineExtents, maxExtents)

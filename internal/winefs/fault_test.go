@@ -569,8 +569,8 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, deg := rfs.Degraded(); deg {
-			t.Fatalf("remount degraded: %v", rfs.DegradedReasons())
+		if reason, deg := rfs.Degraded(); deg {
+			t.Fatalf("remount degraded: %v", reason)
 		}
 		for i, path := range paths {
 			if after := stateOf(t, ctx, fs, path); after != before[i] {

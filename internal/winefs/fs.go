@@ -150,13 +150,6 @@ func (fs *FS) Degraded() (reason string, degraded bool) {
 	return reason, true
 }
 
-// DegradedReasons returns every recorded degradation reason.
-func (fs *FS) DegradedReasons() []string {
-	fs.degradedMu.Lock()
-	defer fs.degradedMu.Unlock()
-	return append([]string(nil), fs.degradedReasons...)
-}
-
 // writable gates mutating operations: a degraded file system returns
 // ErrReadOnly instead of touching PM.
 func (fs *FS) writable() error {
@@ -1192,6 +1185,3 @@ func (fs *FS) AddressSpace() *mmu.AddressSpace { return fs.as }
 // applies the device's own store stream (pmem.Observer), and a promoted
 // replica recovers through Mount exactly as a crashed primary would.
 func (fs *FS) Device() *pmem.Device { return fs.dev }
-
-// Journals returns the number of per-CPU journals (for tests).
-func (fs *FS) Journals() int { return len(fs.journals) }

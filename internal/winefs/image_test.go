@@ -145,15 +145,15 @@ func buildVerdictImage(t *testing.T, tiered bool) *verdictImage {
 // verdicts is what the three policies say about one corrupted image, each
 // on its own copy.
 type verdicts struct {
-	check       *CheckReport
-	mountErr    error
-	degraded    []string
-	repair      *RepairReport
-	repairErr   error
-	postCheck   *CheckReport
-	postMount   error
-	postReasons []string
-	postAudit   error
+	check        *CheckReport
+	mountErr     error
+	degraded     string // Degraded's reason, "" when not degraded
+	repair       *RepairReport
+	repairErr    error
+	postCheck    *CheckReport
+	postMount    error
+	postDegraded string
+	postAudit    error
 }
 
 // judge runs Check, Mount and Repair (then Check, Mount and Audit again) on
@@ -183,7 +183,7 @@ func (v *verdictImage) judge(t *testing.T, label string, corrupt func(dev *pmem.
 	if fs, err := Mount(sim.NewCtx(2, 0), copyOf(), v.opts); err != nil {
 		out.mountErr = err
 	} else {
-		out.degraded = fs.DegradedReasons()
+		out.degraded, _ = fs.Degraded()
 	}
 	dev := copyOf()
 	if out.repair, out.repairErr = RepairTiered(dev, v.slowBlocks); out.repairErr != nil {
@@ -193,7 +193,7 @@ func (v *verdictImage) judge(t *testing.T, label string, corrupt func(dev *pmem.
 	ctx := sim.NewCtx(3, 0)
 	fs, err := Mount(ctx, dev, v.opts)
 	if out.postMount = err; err == nil {
-		out.postReasons = fs.DegradedReasons()
+		out.postDegraded, _ = fs.Degraded()
 		out.postAudit = fs.Audit(ctx)
 	}
 	return out
@@ -202,7 +202,7 @@ func (v *verdictImage) judge(t *testing.T, label string, corrupt func(dev *pmem.
 // agree is the property every corruption must satisfy: Check reports a
 // walker fault if and only if Mount fails or degrades.
 func (o verdicts) agree() error {
-	refused := o.mountErr != nil || len(o.degraded) > 0
+	refused := o.mountErr != nil || o.degraded != ""
 	if (o.check.faults > 0) != refused {
 		return fmt.Errorf("Check reports %d walker faults %q, but Mount: err=%v degraded=%q",
 			o.check.faults, o.check.Errors, o.mountErr, o.degraded)
@@ -220,8 +220,8 @@ func (o verdicts) repaired() error {
 		return fmt.Errorf("Check after Repair: %q", o.postCheck.Errors)
 	case o.postMount != nil:
 		return fmt.Errorf("mount after Repair: %v", o.postMount)
-	case len(o.postReasons) > 0:
-		return fmt.Errorf("mount after Repair degraded: %q", o.postReasons)
+	case o.postDegraded != "":
+		return fmt.Errorf("mount after Repair degraded: %q", o.postDegraded)
 	case o.postAudit != nil:
 		return fmt.Errorf("audit after Repair: %v", o.postAudit)
 	}
@@ -315,7 +315,7 @@ func TestImageVerdictsAgree(t *testing.T) {
 		v := buildVerdictImage(t, tiered)
 		t.Run(fmt.Sprintf("tiered=%v/untouched", tiered), func(t *testing.T) {
 			o := v.judge(t, "untouched", func(*pmem.Device) {})
-			if !o.check.OK() || o.mountErr != nil || len(o.degraded) > 0 {
+			if !o.check.OK() || o.mountErr != nil || o.degraded != "" {
 				t.Fatalf("the image is not clean to begin with: Check %q, Mount err=%v degraded=%q", o.check.Errors, o.mountErr, o.degraded)
 			}
 			if err := o.repaired(); err != nil {

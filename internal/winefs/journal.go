@@ -114,16 +114,10 @@ type jentry struct {
 	data [undoBytes]byte
 }
 
-// entry layout: magic u16 | typ u8 | len u8 | wrap u32 | txid u64 |
-// addr u64 | data[32] | pad[8].
-func encodeEntry(e *jentry) []byte {
-	b := make([]byte, EntrySize)
-	encodeEntryTo(b, e)
-	return b
-}
-
 // encodeEntryTo encodes into a caller-owned EntrySize buffer, so a
-// transaction encodes into its own entry buffer (txn.ents).
+// transaction encodes into its own entry buffer (txn.ents). The entry
+// layout: magic u16 | typ u8 | len u8 | wrap u32 | txid u64 | addr u64 |
+// data[32] | pad[8].
 func encodeEntryTo(b []byte, e *jentry) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], entryMagic)

@@ -46,10 +46,8 @@ func touch(t testing.TB, ctx *sim.Ctx, tx *txn, addr int64, n int) {
 func TestJournalEntryCodec(t *testing.T) {
 	e := jentry{typ: entryData, n: 17, wrap: 3, txid: 42, addr: 0xdeadbeef}
 	copy(e.data[:], "old-bytes")
-	b := encodeEntry(&e)
-	if len(b) != EntrySize {
-		t.Fatalf("entry size %d", len(b))
-	}
+	b := make([]byte, EntrySize)
+	encodeEntryTo(b, &e)
 	got, ok := decodeEntry(b)
 	if !ok {
 		t.Fatal("decode failed")

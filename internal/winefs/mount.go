@@ -359,9 +359,3 @@ func (fs *FS) loadFreeState(ctx *sim.Ctx) bool {
 	ctx.Advance(totalRead / 64 * int64(fs.model.ReadLat64) / 8)
 	return true
 }
-
-// FilesCount reports the number of live inodes (tests / recovery
-// experiment).
-func (fs *FS) FilesCount() int {
-	return fs.inodeCount()
-}

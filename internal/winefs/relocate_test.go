@@ -225,8 +225,19 @@ func freeAndMapped(fs *FS) error {
 		alloc.Extent
 		free bool
 	}
+	var used []alloc.Extent
+	for _, ino := range fs.snapshotInodes() {
+		ino.mu.RLock()
+		for _, e := range ino.extents {
+			used = append(used, alloc.Extent{Start: e.blk, Len: e.length})
+		}
+		for _, b := range ino.indirect {
+			used = append(used, alloc.Extent{Start: b, Len: 1})
+		}
+		ino.mu.RUnlock()
+	}
 	var all []span
-	for _, e := range fs.auditUsedExtents() {
+	for _, e := range alloc.Merge(used) {
 		all = append(all, span{e, false})
 	}
 	free := fs.alloc.freeExtents()

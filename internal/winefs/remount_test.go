@@ -29,8 +29,8 @@ func remountEquivalent(t *testing.T, ctx *sim.Ctx, fs *winefs.FS, dev *pmem.Devi
 	}
 	same := func(how string, re *winefs.FS) {
 		t.Helper()
-		if _, deg := re.Degraded(); deg {
-			t.Fatalf("%s: %s degraded: %v", when, how, re.DegradedReasons())
+		if reason, deg := re.Degraded(); deg {
+			t.Fatalf("%s: %s degraded: %v", when, how, reason)
 		}
 		if got := vfs.State(ctx, re); got != want {
 			t.Fatalf("%s: %s shows another file system\nlive:\n%s\n%s:\n%s", when, how, want, how, got)

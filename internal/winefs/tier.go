@@ -769,11 +769,3 @@ func (fs *FS) TierStats() (TierStats, bool) {
 
 // Tiered reports whether a slow tier is attached.
 func (fs *FS) Tiered() bool { return fs.tier != nil }
-
-// SlowDevice exposes the slow tier device (benchmark cost gates).
-func (fs *FS) SlowDevice() *tier.SlowDevice {
-	if fs.tier == nil {
-		return nil
-	}
-	return fs.tier.dev
-}

@@ -571,15 +571,15 @@ func TestDirtyMountRebuildsState(t *testing.T) {
 	fs.Unlink(ctx, "/f10")
 	fs.Unlink(ctx, "/f20")
 	free0 := fs.StatFS(ctx).FreeBlocks
-	files0 := fs.FilesCount()
+	files0 := fs.StatFS(ctx).Files
 	// No Unmount: superblock stays dirty.
 
 	fs2, err := winefs.Mount(ctx, dev, winefs.Options{CPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs2.FilesCount() != files0 {
-		t.Fatalf("files after crash mount = %d, want %d", fs2.FilesCount(), files0)
+	if got := fs2.StatFS(ctx).Files; got != files0 {
+		t.Fatalf("files after crash mount = %d, want %d", got, files0)
 	}
 	if got := fs2.StatFS(ctx).FreeBlocks; got != free0 {
 		t.Fatalf("free blocks after rebuild = %d, want %d", got, free0)

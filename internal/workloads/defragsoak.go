@@ -80,15 +80,15 @@ type DefragSoakResult struct {
 	Counters perf.Counters
 }
 
-// UnagedCoverage, AgedCoverage, RecoveredCoverage in [0,1].
+// cov is a hugepage coverage in [0,1]: huge of total pages.
 func cov(huge, total int) float64 {
 	if total == 0 {
 		return 0
 	}
 	return float64(huge) / float64(total)
 }
-func (r DefragSoakResult) UnagedCoverage() float64    { return cov(r.UnagedHuge, r.UnagedTotal) }
-func (r DefragSoakResult) AgedCoverage() float64      { return cov(r.AgedHuge, r.AgedTotal) }
+
+// RecoveredCoverage is the defragmented condition's coverage.
 func (r DefragSoakResult) RecoveredCoverage() float64 { return cov(r.DefragHuge, r.DefragTotal) }
 
 // RunDefragSoak runs the three conditions. mk builds a fresh WineFS on a

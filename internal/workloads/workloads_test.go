@@ -24,7 +24,7 @@ func newFS(t *testing.T, size int64) (vfs.FS, *sim.Ctx) {
 
 func TestYCSBAllWorkloads(t *testing.T) {
 	fs, ctx := newFS(t, 1<<30)
-	kv, err := pmemkv.Open(ctx, fs, "/kv")
+	kv, err := pmemkv.OpenSized(ctx, fs, "/kv", pmemkv.SegmentSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestYCSBAllWorkloads(t *testing.T) {
 
 func TestDBBenchKinds(t *testing.T) {
 	fs, ctx := newFS(t, 1<<30)
-	kv, _ := pmemkv.Open(ctx, fs, "/kv")
+	kv, _ := pmemkv.OpenSized(ctx, fs, "/kv", pmemkv.SegmentSize)
 	cfg := workloads.DBBenchConfig{Records: 2000, ValueSize: 512}
 	for _, kind := range []workloads.DBBenchKind{
 		workloads.FillSeq, workloads.FillSeqBatch, workloads.FillRandom, workloads.ReadRandom,
