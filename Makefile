@@ -107,9 +107,13 @@ bench-pair:
 #   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
 #               replicas byte-identical
 #   paper       the paper's figures, Table 2, §4 and §5.2 in quick mode
-#               (winebench -run all, ~25 s): every value exact except the
+#               (winebench -run all, ~7 s): every value exact except the
 #               multi-threaded Figure 9 Filebench/pgbench and Figure 10
-#               points, recorded as Info; CrashMonkey must find no failure
+#               points, recorded as Info; CrashMonkey must find no failure.
+#               EXPERIMENTS.md prints the same report block by block: after
+#               re-recording it, paste the blocks that
+#               TestExperimentsPrintsTheReport (go test ./internal/experiments)
+#               prints
 GATE = $(GO) run ./cmd/winebench $(1) -check-against $(2)
 bench-json:       ; $(call GATE,-server -quick -clients 4,BENCH_server.json)
 bench-scaling:    ; $(call GATE,-scaling,BENCH_scaling.json)

@@ -13,8 +13,8 @@
 // write log to each listed replica daemon; replicas are winefsd processes
 // started with -replica-of, which serve the replication protocol on -addr
 // instead of the client protocol. -epoch sets the primary epoch announced
-// to clients and replicas (bump it when restarting a promoted replica as
-// the new primary so stale primaries are fenced). -sync-repl makes every
+// to replicas (bump it when restarting a promoted replica as the new
+// primary so stale primaries are fenced). -sync-repl makes every
 // acknowledged write wait for replica durability; without it the stream
 // is asynchronous and lag shows up in /metrics as cluster_replica_lag.
 //
@@ -217,7 +217,7 @@ func main() {
 	smoke := flag.Bool("smoke", false, "run the loopback smoke test and exit")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses to stream the write log to")
 	replicaOf := flag.String("replica-of", "", "run as a replica of this primary: apply its stream on -addr instead of serving clients")
-	epoch := flag.Uint64("epoch", 1, "primary epoch announced to clients and replicas (bump after promoting a replica)")
+	epoch := flag.Uint64("epoch", 1, "primary epoch announced to replicas (bump after promoting a replica)")
 	syncRepl := flag.Bool("sync-repl", false, "acknowledged writes wait for replica durability")
 	maintBudget := flag.Float64("maint-budget", 0.1, "background maintenance (defrag, rewrite, tier migration) duty-cycle fraction of device bandwidth (0 = off, 1 = unthrottled)")
 	slowSize := flag.String("slow-size", "", "attach a simulated slow (SSD) tier of this size; new data spills to it when PM fills (empty: untiered)")

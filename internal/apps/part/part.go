@@ -13,8 +13,10 @@
 package part
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -39,6 +41,13 @@ const (
 	sizeLeaf = 8 + 8 + 8 // header + key + value
 )
 
+// keyBytes is how many bytes a node kind keeps between its header and its
+// child slots: N4's and N16's keys, N48's index. nodeSize is its size.
+var (
+	keyBytes = [...]int64{kindN4: 4, kindN16: 16, kindN48: 256}
+	nodeSize = [...]int64{kindN4: sizeN4, kindN16: sizeN16, kindN48: sizeN48, kindN256: sizeN256}
+)
+
 // ErrFull indicates pool exhaustion.
 var ErrFull = errors.New("part: pool full")
 
@@ -50,12 +59,12 @@ type Tree struct {
 	bump int64
 	root int64 // offset of root node, 0 = empty
 
-	// buf and keys are the bytes each node access reads into or stores
-	// from, and pairs the children a growing node moves: the mapping
-	// takes slices, and a per-call array handed to it would escape to the
-	// heap on every access. Each access is done with them before the next.
-	buf   [sizeLeaf]byte
-	keys  [16]byte
+	// buf is the bytes each node access reads into or stores from, as
+	// large as the largest node grow reads, and pairs the children a
+	// growing node moves: the mapping takes slices, and a per-call array
+	// handed to it would escape to the heap on every access. Each access
+	// is done with them before the next.
+	buf   [sizeN48]byte
 	pairs []pair
 }
 
@@ -294,21 +303,18 @@ func (t *Tree) setN4Slot(ctx *sim.Ctx, node int64, slot int, b byte, child int64
 func (t *Tree) findChild(ctx *sim.Ctx, node int64, kind byte, b byte) (int64, int, error) {
 	switch kind {
 	case kindN4, kindN16:
-		n := 4
-		if kind == kindN16 {
-			n = 16
-		}
 		_, count, err := t.readHeader(ctx, node)
 		if err != nil {
 			return 0, 0, err
 		}
-		keys := t.keys[:n]
+		n := keyBytes[kind]
+		keys := t.buf[:n]
 		if err := t.m.Read(ctx, keys, node+8); err != nil {
 			return 0, 0, err
 		}
 		for i := 0; i < count; i++ {
 			if keys[i] == b {
-				c, err := t.readWord(ctx, node+8+int64(n)+int64(i)*8)
+				c, err := t.readWord(ctx, node+8+n+int64(i)*8)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -343,12 +349,8 @@ func (t *Tree) findChild(ctx *sim.Ctx, node int64, kind byte, b byte) (int64, in
 // updateChild rewrites the child pointer in an existing slot.
 func (t *Tree) updateChild(ctx *sim.Ctx, node int64, kind byte, slot int, b byte, child int64) error {
 	switch kind {
-	case kindN4:
-		return t.writeWord(ctx, uint64(child), node+12+int64(slot)*8)
-	case kindN16:
-		return t.writeWord(ctx, uint64(child), node+24+int64(slot)*8)
-	case kindN48:
-		return t.writeWord(ctx, uint64(child), node+8+256+int64(slot)*8)
+	case kindN4, kindN16, kindN48:
+		return t.writeWord(ctx, uint64(child), node+8+keyBytes[kind]+int64(slot)*8)
 	case kindN256:
 		return t.writeWord(ctx, uint64(child), node+8+int64(b)*8)
 	}
@@ -363,25 +365,17 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 		return 0, err
 	}
 	switch kind {
-	case kindN4:
-		if count < 4 {
-			if err := t.setN4Slot(ctx, node, count, b, child); err != nil {
-				return 0, err
-			}
-			return 0, t.writeHeader(ctx, node, kindN4, count+1)
-		}
-		return t.grow(ctx, node, kindN4, kindN16, b, child)
-	case kindN16:
-		if count < 16 {
+	case kindN4, kindN16:
+		if int64(count) < keyBytes[kind] {
 			if err := t.writeByte(ctx, b, node+8+int64(count)); err != nil {
 				return 0, err
 			}
-			if err := t.writeWord(ctx, uint64(child), node+24+int64(count)*8); err != nil {
+			if err := t.writeWord(ctx, uint64(child), node+8+keyBytes[kind]+int64(count)*8); err != nil {
 				return 0, err
 			}
-			return 0, t.writeHeader(ctx, node, kindN16, count+1)
+			return 0, t.writeHeader(ctx, node, kind, count+1)
 		}
-		return t.grow(ctx, node, kindN16, kindN48, b, child)
+		return t.grow(ctx, node, kind, b, child)
 	case kindN48:
 		if count < 48 {
 			if err := t.writeByte(ctx, byte(count+1), node+8+int64(b)); err != nil {
@@ -392,7 +386,7 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 			}
 			return 0, t.writeHeader(ctx, node, kindN48, count+1)
 		}
-		return t.grow(ctx, node, kindN48, kindN256, b, child)
+		return t.grow(ctx, node, kindN48, b, child)
 	case kindN256:
 		if err := t.writeWord(ctx, uint64(child), node+8+int64(b)*8); err != nil {
 			return 0, err
@@ -403,32 +397,32 @@ func (t *Tree) addChild(ctx *sim.Ctx, node int64, kind byte, b byte, child int64
 }
 
 // grow copies a full node into the next-larger kind and adds the new child.
-// The larger node has room for them all, so its addChild calls never grow
-// in turn: t.pairs is this call's alone.
-func (t *Tree) grow(ctx *sim.Ctx, node int64, from, to byte, b byte, child int64) (int64, error) {
-	// Collect existing children.
+// It reads the node once and moves its children in radix order, the new
+// child last. The larger node has room for them all, so its addChild calls
+// never grow in turn: t.pairs is this call's alone.
+func (t *Tree) grow(ctx *sim.Ctx, node int64, from byte, b byte, child int64) (int64, error) {
+	buf := t.buf[:nodeSize[from]]
+	if err := t.m.Read(ctx, buf, node); err != nil {
+		return 0, err
+	}
+	slot := func(i int) int64 { return int64(binary.LittleEndian.Uint64(buf[8+keyBytes[from]+int64(i)*8:])) }
 	pairs := t.pairs[:0]
-	for rb := 0; rb < 256; rb++ {
-		c, _, err := t.findChild(ctx, node, from, byte(rb))
-		if err != nil {
-			return 0, err
+	if from == kindN48 {
+		for rb, idx := range buf[8 : 8+256] {
+			if idx != 0 {
+				pairs = append(pairs, pair{byte(rb), slot(int(idx) - 1)})
+			}
 		}
-		if c != 0 {
-			pairs = append(pairs, pair{byte(rb), c})
+	} else {
+		for i, k := range buf[8 : 8+int(buf[1])] {
+			pairs = append(pairs, pair{k, slot(i)})
 		}
+		slices.SortFunc(pairs, func(x, y pair) int { return cmp.Compare(x.b, y.b) })
 	}
 	pairs = append(pairs, pair{b, child})
 	t.pairs = pairs
-	var size int64
-	switch to {
-	case kindN16:
-		size = sizeN16
-	case kindN48:
-		size = sizeN48
-	case kindN256:
-		size = sizeN256
-	}
-	nn, err := t.alloc(size)
+	to := from + 1
+	nn, err := t.alloc(nodeSize[to])
 	if err != nil {
 		return 0, err
 	}

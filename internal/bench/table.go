@@ -194,7 +194,8 @@ func (c Col) cell(p *Point, cl Classes) string {
 	}
 }
 
-// printAligned renders a titled table with left-aligned, padded columns.
+// printAligned renders a titled table with left-aligned, padded columns;
+// no line ends in a space, so its output pastes into a document unchanged.
 func printAligned(w io.Writer, title string, head []string, body [][]string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
 	widths := make([]int, len(head))
@@ -212,6 +213,6 @@ func printAligned(w io.Writer, title string, head []string, body [][]string) {
 		for i, cell := range row {
 			parts[i] = fmt.Sprintf("%-*s", widths[i], cell)
 		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
+		fmt.Fprintln(w, strings.TrimRight("  "+strings.Join(parts, "  "), " "))
 	}
 }

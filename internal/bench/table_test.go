@@ -7,7 +7,7 @@ import (
 
 // printed renders tables over points of a report tagged "t/v1" (classes
 // sweepClasses, through Print's own lookup) and returns its lines with
-// the padding squeezed to one space.
+// the padding squeezed to one space. A line that ends in a space fails.
 func printed(t *testing.T, pts []*Point, tables ...Table) []string {
 	t.Helper()
 	known["t/v1"] = sweepClasses
@@ -16,6 +16,9 @@ func printed(t *testing.T, pts []*Point, tables ...Table) []string {
 	(&Report{Bench: "t/v1", Points: pts}).Print(&sb, tables...)
 	var lines []string
 	for _, l := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if strings.HasSuffix(l, " ") {
+			t.Errorf("line %q ends in a space", l)
+		}
 		lines = append(lines, strings.Join(strings.Fields(l), " "))
 	}
 	return lines

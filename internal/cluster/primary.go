@@ -16,8 +16,8 @@ type Target struct {
 // epoch gets one link per target and is attached to fs's device before the
 // server exists, so no client write escapes the record log, and the server
 // waits on it after every mutation (PostMutate). Without targets there is
-// no Replicator (nil) and nothing to wait on. The server announces epoch in
-// its hello; the caller serves it on its listener.
+// no Replicator (nil) and nothing to wait on, and epoch goes unused. The
+// caller serves the server on its listener.
 func NewPrimary(fs *winefs.FS, epoch uint64, scfg fileserver.Config, rcfg ReplicatorConfig, targets []Target) (*fileserver.Server, *Replicator) {
 	var repl *Replicator
 	if len(targets) > 0 {
@@ -29,6 +29,5 @@ func NewPrimary(fs *winefs.FS, epoch uint64, scfg fileserver.Config, rcfg Replic
 		repl.Attach()
 		scfg.PostMutate = repl.PostMutate
 	}
-	scfg.Epoch = epoch
 	return fileserver.New(fs, scfg), repl
 }

@@ -3,8 +3,9 @@
 // Each runner builds the file systems fresh on simulated devices, ages
 // them where the paper does, drives the paper's workload, and packs what
 // the paper plots as points of one paper/v1 bench report, next to the
-// layouts of the tables that print them. EXPERIMENTS.md records
-// paper-vs-measured for every one of them.
+// layouts of the tables that print them. EXPERIMENTS.md shows what each
+// Run prints from the committed report, its tables and its claims'
+// verdicts (TestExperimentsPrintsTheReport holds it to that).
 package experiments
 
 import (

@@ -127,7 +127,6 @@ func Dial(conn Conn) (*Client, error) {
 	c.mode = vfs.ConsistencyMode(d.U8())
 	d.U32() // server CPUs
 	d.U32() // server window
-	d.U64() // primary epoch (the cluster's metrics report it)
 	if !d.OK() {
 		conn.Close()
 		return nil, ErrBadRequest

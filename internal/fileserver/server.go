@@ -50,10 +50,6 @@ type Config struct {
 	// and the request proceeds. Default 5s. ShutdownCtx reuses it as the
 	// grace period before live connections are severed.
 	RevokeTimeout time.Duration
-	// Epoch is the primary-epoch number announced in the hello response.
-	// Standalone servers leave it 0; a primary promoted from a replica
-	// announces the epoch after its predecessor's (cluster.NewPrimary).
-	Epoch uint64
 	// PostMutate, when non-nil, runs on the session worker after any
 	// request that wrote to persistent media (detected by the session's
 	// PMWriteBytes delta), inside the request's cost window. The cluster
@@ -608,7 +604,6 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		e.U8(uint8(fs.Mode()))
 		e.U32(uint32(sess.srv.cfg.CPUs))
 		e.U32(uint32(sess.srv.cfg.Window))
-		e.U64(sess.srv.cfg.Epoch)
 		return statusOK, e.B, false
 
 	case opOpen, opCreate:

@@ -72,6 +72,30 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestHelloRejectsOtherVersion: a client speaking the previous protocol
+// version is refused at the handshake, not misparsed later.
+func TestHelloRejectsOtherVersion(t *testing.T) {
+	_, pl := newServer(t, pmem.New(64<<20), Config{})
+	conn, err := pl.Dial()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	var e Enc
+	e.U32(ProtoVersion - 1)
+	if err := WriteFrame(conn, 1, uint8(opHello), e.B); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	_, code, resp, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("hello response: %v", err)
+	}
+	d := Dec{B: resp[8:]} // skip costNS
+	if msg := d.Str(); status(code) != statusBadRequest || msg != "protocol version mismatch" {
+		t.Fatalf("hello at version %d: status %d %q, want %d %q", ProtoVersion-1, code, msg, statusBadRequest, "protocol version mismatch")
+	}
+}
+
 // TestRemoteBasicOps walks the whole surface of the protocol with one
 // client and checks values match a local mount's semantics.
 func TestRemoteBasicOps(t *testing.T) {

@@ -33,7 +33,9 @@ import (
 // Version 2 added the lease protocol (opLease/opLeaseAck/statusRevoke).
 // Version 3 appended the server epoch to the hello response, so a client
 // can tell a promoted primary from a stale one.
-const ProtoVersion = 3
+// Version 4 dropped it again: no client read it, and only the replication
+// link fences epochs.
+const ProtoVersion = 4
 
 // maxFrame bounds a single frame so a corrupt or hostile length prefix
 // cannot make the peer allocate unbounded memory.

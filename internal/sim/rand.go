@@ -40,11 +40,6 @@ func (r *Rand) Uint64() uint64 {
 	return r.s1 + y
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform random int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

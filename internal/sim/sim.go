@@ -40,17 +40,15 @@ type Ctx struct {
 	Trace *trace.Context
 
 	now int64
-	rng *Rand
 }
 
 // NewCtx returns a context for simulated thread id pinned to the given CPU,
-// with fresh counters and a seeded deterministic RNG.
+// with fresh counters.
 func NewCtx(thread, cpu int) *Ctx {
 	return &Ctx{
 		Thread:   thread,
 		CPU:      cpu,
 		Counters: &perf.Counters{},
-		rng:      NewRand(uint64(thread)*0x9e3779b97f4a7c15 + 1),
 	}
 }
 
