@@ -65,25 +65,37 @@ bench-engine:
 # result lines stay in PAIR_OUT for the record. Each pair line shows both
 # clocks: host_kops_per_s and sim_kops_per_vsec.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=srv_cached [PAIRS=10] [SEED=1]
+# With PR=<n> it then runs one --trace 1 run a side and records PR n's
+# points of WORKLOAD in TRAJECTORY.json through cmd/trajectory: each
+# metric's median over a side's runs, the traced tables' from the traced
+# pair, replacing the PR's earlier points of that workload and seed. It
+# prints EXPERIMENTS.md's per-PR tables from the record again; LABEL sets
+# the PR's "what it changed" (a PR's first workload needs one).
+#   make bench-pair BASE=HEAD WORKLOAD=posix_aged PAIRS=3 PR=<n> LABEL='what it changed'
 PAIRS ?= 10
 SEED ?= 1
 PAIR_OUT ?= .bench_pair
 bench-pair:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] [PAIR_OUT=dir]"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] [PAIR_OUT=dir] [PR=<n> [LABEL='what it changed']]"; exit 2; }
 	@set -e; here=$$PWD; rm -rf $(PAIR_OUT); mkdir -p $(PAIR_OUT)/base; out=$$(cd $(PAIR_OUT) && pwd); \
 	git archive $(BASE) | tar -x -C $$out/base; \
 	run() { \
-		(cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace 0 -out $$2) >$$out/last.log 2>&1 || { cat $$out/last.log; exit 1; }; \
+		(cd $$1 && bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $$3 -out $$2) >$$out/last.log 2>&1 || { cat $$out/last.log; exit 1; }; \
 		awk '$$1 == "host_kops_per_s" || $$1 == "sim_kops_per_vsec" { printf "  %s %s %s", $$1, $$2, $$3 } END { print "" }' $$out/last.log; \
 	}; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
 		for side in $$order; do \
 			printf 'pair %2d %-6s' $$i $$side; \
-			if [ $$side = base ]; then run $$out/base $$out/base.jsonl; else run $$here $$out/change.jsonl; fi; \
+			if [ $$side = base ]; then run $$out/base $$out/base.jsonl 0; else run $$here $$out/change.jsonl 0; fi; \
 		done; \
 	done; \
-	$(GO) run ./benchmark -compare $$out/base.jsonl $$out/change.jsonl
+	$(GO) run ./benchmark -compare $$out/base.jsonl $$out/change.jsonl; \
+	if [ -n "$(PR)" ]; then \
+		printf 'traced  base  '; run $$out/base $$out/base.trace.jsonl 1; \
+		printf 'traced  change'; run $$here $$out/change.trace.jsonl 1; \
+		$(GO) run ./cmd/trajectory -pr $(PR) -label "$$LABEL" $$out; \
+	fi
 
 # The eight regression gates, one table: target, winebench flags, committed
 # baseline. Each runs its bench, enforces the mode's hard gates (see the
@@ -134,19 +146,13 @@ bench-gates:
 		echo "== $$g: $$(( ($$(date +%s%N) - s) / 1000000 ))ms wall"; \
 	done; $(MAKE) --no-print-directory trajectory-check || fail=1; exit $$fail
 
-# The per-PR tables of EXPERIMENTS.md (header row "| PR | ...": the two
-# "Host clock" tables and the virtual-clock maint_tiered and srv_cached
-# ones) cannot silently stop: the newest ISSUE N that CHANGES.md names must have a row
-# "| N |" in every one of them.
+# The per-PR tables of EXPERIMENTS.md are printed from TRAJECTORY.json
+# (cmd/trajectory; make bench-pair PR=<n> adds a PR's points) and cannot
+# silently stop: the newest ISSUE N that CHANGES.md names must have points
+# in every table, and every <!-- trajectory NAME --> block must be what
+# the record prints.
 trajectory-check:
-	@n=$$(grep -o 'ISSUE [0-9][0-9]*' CHANGES.md | sort -k2 -n | tail -1 | cut -d' ' -f2); \
-	awk -v n="$$n" 'function close_table() { if (open && !seen) bad++; open = 0 } \
-		/^\| PR \|/ { close_table(); open = 1; seen = 0; tables++; next } \
-		open && /^\|/ { if (index($$0, "| " n " |") == 1) seen = 1; next } \
-		{ close_table() } \
-		END { close_table(); if (!tables || bad) { \
-			printf "trajectory-check: %d of %d per-PR tables in EXPERIMENTS.md have no row for PR %s, the newest ISSUE in CHANGES.md\n", bad, tables, n; exit 1 } \
-			printf "trajectory-check: PR %s has its row in all %d per-PR tables of EXPERIMENTS.md\n", n, tables }' EXPERIMENTS.md
+	@$(GO) run ./cmd/trajectory
 
 # The page-cache + lease coherence suite under the race detector,
 # including the 8-concurrent-session storm (TestCacheRace8Sessions, which

@@ -134,7 +134,7 @@ func main() {
 
 // runPaper is -run: the selected experiments pack one paper/v1 report,
 // which prints as their tables in experiments.Runs order and then as the
-// verdicts of the paper's claims about them.
+// verdicts of the paper's claims about them, through experiments.Print.
 func runPaper(o options) (*bench.Report, error) {
 	runs, err := selectRuns(o.run)
 	if err != nil {
@@ -145,10 +145,7 @@ func runPaper(o options) (*bench.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range runs {
-		rep.Print(os.Stdout, r.Tables...)
-	}
-	experiments.PrintVerdicts(os.Stdout, experiments.Verdicts(rep, experiments.Figures(runs)))
+	experiments.Print(os.Stdout, rep, runs)
 	return rep, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is the layout of one human table over a report's points. It is
@@ -196,13 +197,14 @@ func (c Col) cell(p *Point, cl Classes) string {
 
 // printAligned renders a titled table with left-aligned, padded columns;
 // no line ends in a space, so its output pastes into a document unchanged.
+// Widths count runes, as %-*s pads, so "≥" or "×" widens a cell by one.
 func printAligned(w io.Writer, title string, head []string, body [][]string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
 	widths := make([]int, len(head))
 	sep := make([]string, len(head))
 	for _, row := range append([][]string{head}, body...) {
 		for i, cell := range row {
-			widths[i] = max(widths[i], len(cell))
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	for i := range sep {

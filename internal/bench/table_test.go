@@ -82,3 +82,19 @@ func TestPivotTable(t *testing.T) {
 		t.Errorf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestWidthsCountRunes holds a column holding "≥", "×", "–" and "→" to
+// the width of its widest cell in runes, the unit %-*s pads in: sized in
+// bytes, the column would be padded up to two spaces too wide per rune.
+func TestWidthsCountRunes(t *testing.T) {
+	var sb strings.Builder
+	rep := &Report{}
+	for _, c := range [][2]string{{"≥3×", "a"}, {"1–2→3", "b"}, {"ab", "c"}} {
+		rep.Point(map[string]string{"Cell": c[0], "Next": c[1]}, 0)
+	}
+	rep.Print(&sb, Table{Title: "runes", Rows: []string{"Cell"}, RowHead: "cell", Cols: []Col{{Head: "next", Label: "Next"}}})
+	want := "\n=== runes ===\n  cell   next\n  -----  ----\n  ≥3×    a\n  1–2→3  b\n  ab     c\n"
+	if sb.String() != want {
+		t.Errorf("got\n%s\nwant\n%s", sb.String(), want)
+	}
+}

@@ -256,9 +256,24 @@ func measured(v float64) string {
 	return fmt.Sprintf("%.4g", v)
 }
 
-// Verdicts evaluates on rep, in Claims order, every claim about one of
+// Print writes what winebench -run prints for runs: each run's tables
+// over rep, in order, then the verdicts of the paper's claims about those
+// runs, when there are any. EXPERIMENTS.md holds what it prints for each
+// run alone.
+func Print(w io.Writer, rep *bench.Report, runs []Run) {
+	var names []string
+	for _, r := range runs {
+		rep.Print(w, r.Tables...)
+		names = append(names, r.Name)
+	}
+	if vs := verdicts(rep, names); len(vs) > 0 {
+		printVerdicts(w, vs)
+	}
+}
+
+// verdicts evaluates on rep, in Claims order, every claim about one of
 // figs; a figure rep lacks shows as a claim with an error.
-func Verdicts(rep *bench.Report, figs []string) []Verdict {
+func verdicts(rep *bench.Report, figs []string) []Verdict {
 	var vs []Verdict
 	for _, c := range Claims {
 		if slices.Contains(figs, c.Figure) {
@@ -268,8 +283,8 @@ func Verdicts(rep *bench.Report, figs []string) []Verdict {
 	return vs
 }
 
-// PrintVerdicts writes vs as one table: claim, paper, measured, holds.
-func PrintVerdicts(w io.Writer, vs []Verdict) {
+// printVerdicts writes vs as one table: claim, paper, measured, holds.
+func printVerdicts(w io.Writer, vs []Verdict) {
 	rep := &bench.Report{}
 	for _, v := range vs {
 		holds := "yes"

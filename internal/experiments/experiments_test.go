@@ -81,11 +81,11 @@ func TestFiguresResolveTable2(t *testing.T) {
 // TestExperimentsPrintsTheReport holds the paper's sections of
 // EXPERIMENTS.md to what the committed BENCH_paper.json prints. Each Run
 // has one block there, a fenced code block between a line
-// "<!-- winebench -run NAME -->" and a line "<!-- end -->", holding the
-// run's tables and then the verdicts of the claims about its figure,
-// as winebench -run prints them. It packs nothing, so -short runs it
-// too. A block that differs, a run with no block and a block that names
-// no run fail, and the message holds the block that belongs there.
+// "<!-- winebench -run NAME -->" and a line "<!-- end -->", holding what
+// Print writes for the run alone, which is what winebench -run NAME
+// prints. It packs nothing, so -short runs it too. A block that differs,
+// a run with no block and a block that names no run fail, and the
+// message holds the block that belongs there.
 func TestExperimentsPrintsTheReport(t *testing.T) {
 	base, err := bench.Load("../../BENCH_paper.json")
 	if err != nil {
@@ -95,40 +95,13 @@ func TestExperimentsPrintsTheReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const open, end = "\n<!-- winebench -run ", "<!-- end -->\n"
-	blocks := map[string]string{}
-	for rest := string(doc); ; {
-		_, marked, ok := strings.Cut(rest, open)
-		if !ok {
-			break
-		}
-		name, body, _ := strings.Cut(marked, " -->\n")
-		if body, rest, ok = strings.Cut(body, end); !ok {
-			t.Fatalf("EXPERIMENTS.md: the block of -run %s has no end marker", name)
-		}
-		if _, dup := blocks[name]; dup {
-			t.Errorf("EXPERIMENTS.md has two blocks of -run %s", name)
-		}
-		blocks[name] = body
-	}
+	var want []bench.Block
 	for _, r := range Runs {
 		var out strings.Builder
-		base.Print(&out, r.Tables...)
-		if vs := Verdicts(base, []string{r.Name}); len(vs) > 0 {
-			PrintVerdicts(&out, vs)
-		}
-		want := "```\n" + strings.TrimPrefix(out.String(), "\n") + "```\n"
-		block := open[1:] + r.Name + " -->\n" + want + end
-		got, ok := blocks[r.Name]
-		switch {
-		case !ok:
-			t.Errorf("EXPERIMENTS.md has no block of -run %s; its section should hold:\n%s", r.Name, block)
-		case got != want:
-			t.Errorf("EXPERIMENTS.md's block of -run %s is not what BENCH_paper.json prints; it should read:\n%s", r.Name, block)
-		}
-		delete(blocks, r.Name)
+		Print(&out, base, []Run{r})
+		want = append(want, bench.Block{Name: r.Name, Text: "```\n" + strings.TrimPrefix(out.String(), "\n") + "```\n"})
 	}
-	for name := range blocks {
-		t.Errorf("EXPERIMENTS.md has a block of -run %s, which no experiments.Runs entry is", name)
+	for _, p := range bench.CheckBlocks(string(doc), "winebench -run", want) {
+		t.Errorf("EXPERIMENTS.md: %s", p)
 	}
 }

@@ -56,6 +56,10 @@ func State(ctx *sim.Ctx, fs FS) string {
 	return strings.Join(lines, "\n")
 }
 
+// stateChunk bounds the buffer State reads a file through, so that a
+// size field a corruption set to petabytes costs one chunk, not the size.
+const stateChunk = 1 << 20
+
 func stateLine(ctx *sim.Ctx, fs FS, path string, err error) string {
 	var fi FileInfo
 	if err == nil {
@@ -67,13 +71,27 @@ func stateLine(ctx *sim.Ctx, fs FS, path string, err error) string {
 	if fi.IsDir {
 		return fmt.Sprintf("%s dir size=%d nlink=%d", path, fi.Size, fi.Nlink)
 	}
-	buf := make([]byte, fi.Size)
+	if fi.Size < 0 {
+		return fmt.Sprintf("%s ERR size %d", path, fi.Size)
+	}
+	h := sha256.New()
 	f, err := fs.Open(ctx, path)
 	if err == nil {
-		_, err = f.ReadAt(ctx, buf, 0)
+		// One read at least, as for an empty file; the bytes a short read
+		// leaves unfilled hash as zeros.
+		buf := make([]byte, min(fi.Size, stateChunk))
+		for off := int64(0); ; off += stateChunk {
+			n := min(fi.Size-off, stateChunk)
+			clear(buf[:n])
+			_, err = f.ReadAt(ctx, buf[:n], off)
+			h.Write(buf[:n])
+			if err != nil || off+n >= fi.Size {
+				break
+			}
+		}
 		f.Close(ctx)
 	}
-	sum := fmt.Sprintf("%x", sha256.Sum256(buf))
+	sum := fmt.Sprintf("%x", h.Sum(nil))
 	switch {
 	case errors.Is(err, ErrIO):
 		sum = "EIO"

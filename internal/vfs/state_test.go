@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,5 +76,71 @@ func TestState(t *testing.T) {
 	poisoned := vfs.State(ctx, fs)
 	if !strings.Contains(poisoned, "/h file size=8192 nlink=1 sha256=EIO") || strings.Count(poisoned, "EIO") != 1 || strings.Contains(poisoned, " ERR ") {
 		t.Fatalf("State of a mount with /h poisoned =\n%s", poisoned)
+	}
+}
+
+// stubFS serves a root holding files of the sizes Stat claims, whose
+// bytes are data and whose reads past it fail with io.EOF; any other
+// call panics.
+type stubFS struct {
+	vfs.FS
+	files map[string]stubFile
+}
+
+type stubFile struct {
+	vfs.File
+	claim int64
+	data  []byte
+}
+
+func (s stubFS) ReadDir(_ *sim.Ctx, path string) ([]vfs.DirEntry, error) {
+	var ents []vfs.DirEntry
+	for name := range s.files {
+		ents = append(ents, vfs.DirEntry{Name: name[1:]})
+	}
+	return ents, nil
+}
+
+func (s stubFS) Stat(_ *sim.Ctx, path string) (vfs.FileInfo, error) {
+	if path == "/" {
+		return vfs.FileInfo{IsDir: true, Nlink: 2}, nil
+	}
+	return vfs.FileInfo{Size: s.files[path].claim, Nlink: 1}, nil
+}
+
+func (s stubFS) Open(_ *sim.Ctx, path string) (vfs.File, error) { return s.files[path], nil }
+
+func (f stubFile) ReadAt(_ *sim.Ctx, p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > int64(len(f.data)) {
+		return copy(p, f.data[min(off, int64(len(f.data))):]), io.EOF
+	}
+	return copy(p, f.data[off:]), nil
+}
+
+func (stubFile) Close(*sim.Ctx) error { return nil }
+
+// TestStateBoundsTheRead: a file whose size field claims 1<<50 bytes
+// gets an ERR line from State at the cost of one bounded buffer, not an
+// allocation of the claim, and a file of several read chunks hashes as
+// its whole bytes.
+func TestStateBoundsTheRead(t *testing.T) {
+	data := make([]byte, 3<<20+5)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	fs := stubFS{files: map[string]stubFile{
+		"/big":  {claim: 1 << 50, data: make([]byte, 4096)},
+		"/many": {claim: int64(len(data)), data: data},
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := vfs.State(sim.NewCtx(1, 0), fs)
+	runtime.ReadMemStats(&after)
+	want := fmt.Sprintf("/ dir size=0 nlink=2\n/big ERR EOF\n/many file size=%d nlink=1 sha256=%x", len(data), sha256.Sum256(data))
+	if s != want {
+		t.Errorf("State =\n%s\nwant\n%s", s, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("State allocated %d bytes for a file claiming 1<<50 and one of %d", got, len(data))
 	}
 }
