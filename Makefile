@@ -65,10 +65,12 @@ bench-engine:
 # result lines stay in PAIR_OUT for the record. Each pair line shows both
 # clocks: host_kops_per_s and sim_kops_per_vsec.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=srv_cached [PAIRS=10] [SEED=1]
-# With PR=<n> it then runs one --trace 1 run a side and records PR n's
-# points of WORKLOAD in TRAJECTORY.json through cmd/trajectory: each
-# metric's median over a side's runs, the traced tables' from the traced
-# pair, replacing the PR's earlier points of that workload and seed. It
+# With PR=<n> it then runs one --trace 1 run a side, if a traced table of
+# TRAJECTORY.json has a column of WORKLOAD (cmd/trajectory traced lists
+# them), and records PR n's points of WORKLOAD there through
+# cmd/trajectory: each metric's median over a side's runs, the traced
+# tables' from the traced pair, replacing the PR's earlier points of that
+# workload and seed. It
 # prints EXPERIMENTS.md's per-PR tables from the record again; LABEL sets
 # the PR's "what it changed" (a PR's first workload needs one).
 #   make bench-pair BASE=HEAD WORKLOAD=posix_aged PAIRS=3 PR=<n> LABEL='what it changed'
@@ -92,8 +94,11 @@ bench-pair:
 	done; \
 	$(GO) run ./benchmark -compare $$out/base.jsonl $$out/change.jsonl; \
 	if [ -n "$(PR)" ]; then \
-		printf 'traced  base  '; run $$out/base $$out/base.trace.jsonl 1; \
-		printf 'traced  change'; run $$here $$out/change.trace.jsonl 1; \
+		traced=$$($(GO) run ./cmd/trajectory traced); \
+		if printf '%s\n' $$traced | grep -qx '$(WORKLOAD)'; then \
+			printf 'traced  base  '; run $$out/base $$out/base.trace.jsonl 1; \
+			printf 'traced  change'; run $$here $$out/change.trace.jsonl 1; \
+		fi; \
 		$(GO) run ./cmd/trajectory -pr $(PR) -label "$$LABEL" $$out; \
 	fi
 

@@ -74,9 +74,14 @@ func add(pr int, label, dir string) error {
 	if err != nil {
 		return err
 	}
-	// sides[trace][0] holds the base runs at that --trace mode, [1] the change's.
+	// sides[trace][0] holds the base runs at that --trace mode, [1] the
+	// change's; the traced runs are read only when a traced table has a
+	// column of the workload.
 	var sides [2][2][]run
 	for trace, suffix := range []string{".jsonl", ".trace.jsonl"} {
+		if trace == 1 && !slices.Contains(f.traced(), sides[0][0][0].Workload) {
+			break
+		}
 		for i, side := range []string{"base", "change"} {
 			if sides[trace][i], err = readRuns(filepath.Join(dir, side+suffix)); err != nil {
 				return err
@@ -85,7 +90,7 @@ func add(pr int, label, dir string) error {
 	}
 	workload, seed := sides[0][0][0].Workload, sides[0][0][0].Seed
 	for _, runs := range [][]run{sides[0][1], sides[1][0], sides[1][1]} {
-		if runs[0].Workload != workload || runs[0].Seed != seed {
+		if runs != nil && (runs[0].Workload != workload || runs[0].Seed != seed) {
 			return fmt.Errorf("%s: runs of %s seed %d beside runs of %s seed %d", dir, runs[0].Workload, runs[0].Seed, workload, seed)
 		}
 	}

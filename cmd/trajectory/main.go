@@ -4,16 +4,20 @@
 // of the repo:
 //
 //	go run ./cmd/trajectory
+//	go run ./cmd/trajectory traced
 //	go run ./cmd/trajectory -pr N [-label TEXT] DIR
 //
 // With no arguments it is make trajectory-check: it fails unless the
 // newest ISSUE that CHANGES.md names has points in every table and every
-// block of EXPERIMENTS.md is what TRAJECTORY.json prints. With -pr it adds
+// block of EXPERIMENTS.md is what TRAJECTORY.json prints. "traced" prints
+// the workloads that a table of --trace 1 points has a column of, one a
+// line: the ones make bench-pair runs a traced pair of. With -pr it adds
 // PR N's points from the result lines make bench-pair leaves in DIR (the
 // benchmark's -out format: base.jsonl and change.jsonl from --trace 0,
-// base.trace.jsonl and change.trace.jsonl from --trace 1), the median of
-// each side's runs, replacing the PR's earlier points of that workload and
-// seed, sets the PR's label if one is given, and rewrites the blocks.
+// and base.trace.jsonl and change.trace.jsonl from --trace 1 for a traced
+// workload), the median of each side's runs, replacing the PR's earlier
+// points of that workload and seed, sets the PR's label if one is given,
+// and rewrites the blocks.
 package main
 
 import (
@@ -42,6 +46,13 @@ func main() {
 		err = add(*pr, *label, flag.Arg(0))
 	case *pr == 0 && flag.NArg() == 0 && *label == "":
 		err = check()
+	case *pr == 0 && flag.NArg() == 1 && flag.Arg(0) == "traced" && *label == "":
+		var f *File
+		if f, err = Load(record); err == nil {
+			for _, w := range f.traced() {
+				fmt.Println(w)
+			}
+		}
 	default:
 		flag.Usage()
 		os.Exit(2)

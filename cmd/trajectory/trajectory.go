@@ -172,6 +172,20 @@ func (t *Table) col(c *Col) (string, []string) {
 	return w, ms
 }
 
+// traced returns the workloads that a table of --trace 1 points has a
+// column of, in table order.
+func (f *File) traced() []string {
+	var ws []string
+	for _, t := range f.Tables {
+		for _, c := range t.Cols {
+			if w, _ := t.col(c); t.Trace == 1 && !slices.Contains(ws, w) {
+				ws = append(ws, w)
+			}
+		}
+	}
+	return ws
+}
+
 // columns counts the table columns that hold workload's metric.
 func (f *File) columns(workload, metric string) int {
 	n := 0

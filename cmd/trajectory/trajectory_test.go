@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,9 +116,10 @@ func TestValidate(t *testing.T) {
 
 // TestAddThenCheck runs trajectory -pr on bench-pair result lines: each
 // side's median, printed with the digits of the column's newest value,
-// replaces the PR's earlier points of that workload and seed; the blocks
-// are rewritten; and the check passes only while the newest ISSUE in
-// CHANGES.md has points in every table.
+// replaces the PR's earlier points of that workload and seed; a workload
+// no traced table has a column of is added without traced runs; the
+// blocks are rewritten; and the check passes only while the newest ISSUE
+// in CHANGES.md has points in every table.
 func TestAddThenCheck(t *testing.T) {
 	dir := t.TempDir()
 	t.Chdir(dir)
@@ -156,6 +158,17 @@ func TestAddThenCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// w2 has no column in a traced table: its pair needs no traced runs.
+	if ws := f.traced(); !slices.Equal(ws, []string{"w1"}) {
+		t.Errorf("traced workloads %q, want [w1]", ws)
+	}
+	bare := filepath.Join(dir, "bare")
+	os.Mkdir(bare, 0o755)
+	write(filepath.Join(bare, "base.jsonl"), line("w2", 1, 0, 0, 0, 3))
+	write(filepath.Join(bare, "change.jsonl"), line("w2", 1, 0, 0, 0, 4))
+	if err := add(2, "", bare); err != nil {
+		t.Fatal(err)
+	}
 	got, err := Load(record)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +179,7 @@ func TestAddThenCheck(t *testing.T) {
 			added = append(added, fmt.Sprintf("%s %s %s→%s", p.Workload, p.Metric, p.Parent, p.Change))
 		}
 	}
-	if want := "w1 a 1.60→1.25 | w1 x 5→5 | w1 y 6→7 | w1 k 20.0→11.5"; strings.Join(added, " | ") != want {
+	if want := "w1 a 1.60→1.25 | w1 x 5→5 | w1 y 6→7 | w1 k 20.0→11.5 | w2 k 3→4"; strings.Join(added, " | ") != want {
 		t.Errorf("added %s, want %s", strings.Join(added, " | "), want)
 	}
 	text, _ := os.ReadFile(doc)

@@ -61,7 +61,7 @@ type cacheVariant struct {
 // report, prints it and enforces the speedup and hot-set gates.
 func runCacheBench(o options) (*bench.Report, error) {
 	clients, cpus := o.clients, o.cpus
-	cfg := workloads.CachedMixConfig{Files: 24, FileKB: 8, Rounds: 3, Seed: o.seed}
+	cfg := workloads.CachedMixConfig{Files: 24, Seed: o.seed}
 	if o.quick {
 		cfg.Files = 12
 	}
@@ -82,8 +82,8 @@ func runCacheBench(o options) (*bench.Report, error) {
 		return nil, fmt.Errorf("hotscan: %w", err)
 	}
 	rep := bench.New("cache/v1", map[string]float64{
-		"Clients": float64(clients), "Files": float64(cfg.Files), "FileKB": float64(cfg.FileKB),
-		"Rounds": float64(cfg.Rounds), "CPUs": float64(cpus), "Seed": float64(o.seed)})
+		"Clients": float64(clients), "Files": float64(cfg.Files), "FileKB": workloads.CachedMixFileKB,
+		"Rounds": workloads.CachedMixRounds, "CPUs": float64(cpus), "Seed": float64(o.seed)})
 	for _, v := range []struct {
 		name string
 		*cacheVariant
@@ -107,7 +107,7 @@ func runCacheBench(o options) (*bench.Report, error) {
 	packCache(p, &hs.Counters, hs.Cache)
 	rep.Print(os.Stdout, bench.Table{
 		Title: fmt.Sprintf("Client page cache: %d clients x %d files x %dKiB, %d re-read rounds",
-			clients, cfg.Files, cfg.FileKB, cfg.Rounds),
+			clients, cfg.Files, workloads.CachedMixFileKB, workloads.CachedMixRounds),
 		Where: map[string]string{"Variant": "Uncached|Cached"}, Rows: []string{"Variant"}, RowHead: "variant",
 		Cols: append([]bench.Col{
 			{Head: "re-reads", Field: "Reads", Fmt: "%.0f"},

@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -69,31 +68,25 @@ func withFreshServer(cpus int, size int64, tracer *trace.Tracer, body func(pl *f
 }
 
 // mixFanout is the one client fan-out loop (-server, -cache, -replicated):
-// each of `clients` goroutines dials, handshakes, wraps its client in a
-// page cache configured by cache unless that is nil, runs body on its own
-// Ctx and unmounts. It returns every client's result, Ctx (for the
+// each of `clients` simulated threads dials, handshakes, wraps its client
+// in a page cache configured by cache unless that is nil, runs body on its
+// own Ctx and unmounts. It returns every client's result, Ctx (for the
 // counters) and cache Stats as they stood before the unmount (zero without
 // a cache), or the lowest-numbered failing client's error.
 func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, cache *pagecache.Config,
 	body func(ctx *sim.Ctx, target vfs.FS, i int) (R, error)) ([]R, []*sim.Ctx, []pagecache.Stats, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
 	results := make([]R, clients)
-	ctxs := make([]*sim.Ctx, clients)
+	ctxs := sim.NewThreads(clients, 5000, cpus, 0)
 	cstats := make([]pagecache.Stats, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	if err := sim.RunThreads(ctxs, func(i int, ctx *sim.Ctx) error {
+		err := func() error {
 			conn, err := dial()
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			cl, err := fileserver.Dial(conn)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			var target vfs.FS = cl
 			var pc *pagecache.Cache
@@ -101,21 +94,21 @@ func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, c
 				pc = pagecache.New(cl, *cache)
 				target = pc
 			}
-			ctxs[i] = sim.NewCtx(5000+i, i%cpus)
-			results[i], errs[i] = body(ctxs[i], target, i)
+			results[i], err = body(ctx, target, i)
 			if pc != nil {
 				cstats[i] = pc.Stats()
 			}
-			if errs[i] == nil {
-				errs[i] = target.Unmount(ctxs[i])
+			if err != nil {
+				return err
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+			return target.Unmount(ctx)
+		}()
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("client %d: %w", i, err)
+			return fmt.Errorf("client %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return nil, nil, nil, err
 	}
 	return results, ctxs, cstats, nil
 }

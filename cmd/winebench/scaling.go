@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/fileserver"
@@ -153,24 +152,15 @@ func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int,
 		return pt, fmt.Errorf("unknown transport %q", transport)
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
 	results := make([]workloads.FxmarkThreadResult, threads)
-	ctxs := make([]*sim.Ctx, threads)
-	for t := 0; t < threads; t++ {
-		ctxs[t] = sim.NewCtx(100+t, t)
-		ctxs[t].AdvanceTo(epoch)
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			results[t], errs[t] = workloads.FxmarkThread(ctxs[t], targets[t], t, c, threads, cfg)
-		}(t)
-	}
-	wg.Wait()
-	for t, err := range errs {
-		if err != nil {
-			return pt, fmt.Errorf("thread %d: %w", t, err)
+	ctxs := sim.NewThreads(threads, 100, threads, epoch)
+	if err := sim.RunThreads(ctxs, func(t int, ctx *sim.Ctx) (err error) {
+		if results[t], err = workloads.FxmarkThread(ctx, targets[t], t, c, threads, cfg); err != nil {
+			return fmt.Errorf("thread %d: %w", t, err)
 		}
+		return nil
+	}); err != nil {
+		return pt, err
 	}
 	if srv != nil {
 		srv.Shutdown()

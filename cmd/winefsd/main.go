@@ -49,7 +49,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -526,41 +526,30 @@ func runSmoke(cpus int) error {
 		return fmt.Errorf("stats listen: %w", err)
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	var totalOps int64
-	var opsMu sync.Mutex
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	var totalOps atomic.Int64
+	if err := sim.RunThreads(sim.NewThreads(clients, 100, cpus, 0), func(i int, cctx *sim.Ctx) error {
+		err := func() error {
 			conn, err := fileserver.DialTCP(l.Addr())
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			cl, err := fileserver.Dial(conn)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			cctx := sim.NewCtx(100+i, i%cpus)
 			res, err := workloads.ServerMixClient(cctx, cl, i, workloads.ServerMixConfig{Ops: 48, Seed: 7})
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			opsMu.Lock()
-			totalOps += res.Ops
-			opsMu.Unlock()
-			errs[i] = cl.Unmount(cctx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+			totalOps.Add(res.Ops)
+			return cl.Unmount(cctx)
+		}()
 		if err != nil {
 			return fmt.Errorf("client %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	resp, err := http.Get("http://" + statsAddr + "/stats")
@@ -580,8 +569,8 @@ func runSmoke(cpus int) error {
 	}
 	// Ops includes the hello/detach frames; it must cover at least the
 	// workload's own syscalls.
-	if page.Ops < totalOps {
-		return fmt.Errorf("stats ops = %d, want >= %d", page.Ops, totalOps)
+	if page.Ops < totalOps.Load() {
+		return fmt.Errorf("stats ops = %d, want >= %d", page.Ops, totalOps.Load())
 	}
 	if page.Counters.Syscalls == 0 || page.Latency.Count == 0 {
 		return fmt.Errorf("stats counters empty: %+v", page)

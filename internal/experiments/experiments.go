@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/fstest"
@@ -163,24 +162,17 @@ func Pack(cfg Config, runs []Run) (*bench.Report, error) {
 		reps[i] = NewReport(cfg)
 		errs[i] = packs[i].Pack(cfg, reps[i])
 	}
-	slots := make(chan struct{}, packWorkers)
-	var wg sync.WaitGroup
+	var together, alone []int
 	for i, r := range packs {
 		if r.Alone {
-			continue
+			alone = append(alone, i)
+		} else {
+			together = append(together, i)
 		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			pack(i)
-		}()
 	}
-	wg.Wait()
-	for i, r := range packs {
-		if r.Alone {
-			pack(i)
-		}
+	(&sim.ParallelRunner{Workers: packWorkers}).Run(len(together), func(j int) { pack(together[j]) })
+	for _, i := range alone {
+		pack(i)
 	}
 	rep := NewReport(cfg)
 	for i, r := range packs {

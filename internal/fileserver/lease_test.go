@@ -384,46 +384,42 @@ func TestCacheRace8Sessions(t *testing.T) {
 
 	const sessions = 8
 	const rounds = 6
-	var wg sync.WaitGroup
 	var okRounds [sessions]int
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := dialT(t, pl)
-			cache := pagecache.New(cl, pagecache.Config{})
-			ctx := sim.NewCtx(340+i, i%testCPUs)
-			data := make([]byte, size)
-			rbuf := make([]byte, size)
-			for j := 0; j < rounds; j++ {
-				// A drained session (cross-revoke timeout) ends this
-				// client's run; everything before the drain must have been
-				// clean.
-				f, err := cache.Open(ctx, fmt.Sprintf("/r%d", (i+j)%shared))
-				if err != nil {
-					return
-				}
-				if _, err := f.ReadAt(ctx, rbuf, 0); err != nil {
-					return
-				}
-				leasePattern(data, 1000+i*rounds+j)
-				if _, err := f.WriteAt(ctx, data, 0); err != nil {
-					return
-				}
-				if err := f.Close(ctx); err != nil {
-					return
-				}
-				// Revoke handlers of this cache may be running right now;
-				// the structure must hold at every instant mu is free.
-				if err := cache.CheckInvariant(); err != nil {
-					t.Errorf("session %d round %d: %v", i, j, err)
-				}
-				okRounds[i]++
+	if err := sim.RunThreads(sim.NewThreads(sessions, 340, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		cl := dialT(t, pl)
+		cache := pagecache.New(cl, pagecache.Config{})
+		data := make([]byte, size)
+		rbuf := make([]byte, size)
+		for j := 0; j < rounds; j++ {
+			// A drained session (cross-revoke timeout) ends this
+			// client's run; everything before the drain must have been
+			// clean.
+			f, err := cache.Open(ctx, fmt.Sprintf("/r%d", (i+j)%shared))
+			if err != nil {
+				return nil
 			}
-			cache.Unmount(ctx)
-		}(i)
+			if _, err := f.ReadAt(ctx, rbuf, 0); err != nil {
+				return nil
+			}
+			leasePattern(data, 1000+i*rounds+j)
+			if _, err := f.WriteAt(ctx, data, 0); err != nil {
+				return nil
+			}
+			if err := f.Close(ctx); err != nil {
+				return nil
+			}
+			// Revoke handlers of this cache may be running right now;
+			// the structure must hold at every instant mu is free.
+			if err := cache.CheckInvariant(); err != nil {
+				return fmt.Errorf("session %d round %d: %v", i, j, err)
+			}
+			okRounds[i]++
+		}
+		cache.Unmount(ctx)
+		return nil
+	}); err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
 
 	if err := srv.CheckLeaseInvariant(); err != nil {
 		t.Fatalf("invariant after the storm: %v", err)
@@ -461,27 +457,14 @@ func TestCacheRace8Sessions(t *testing.T) {
 func TestCachedServerMixThroughCache(t *testing.T) {
 	_, pl, _ := newServerFS(t, pmem.New(512<<20), Config{})
 	const clients = 3
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := dialT(t, pl)
-			cache := pagecache.New(cl, pagecache.Config{})
-			ctx := sim.NewCtx(370+i, i%testCPUs)
-			_, errs[i] = workloads.ServerMixClient(ctx, cache, i,
-				workloads.ServerMixConfig{Ops: 40, Seed: 7})
-			if errs[i] == nil {
-				errs[i] = cache.Unmount(ctx)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cached client %d: %v", i, err)
+	if err := sim.RunThreads(sim.NewThreads(clients, 370, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		cache := pagecache.New(dialT(t, pl), pagecache.Config{})
+		if _, err := workloads.ServerMixClient(ctx, cache, i, workloads.ServerMixConfig{Ops: 40, Seed: 7}); err != nil {
+			return fmt.Errorf("cached client %d: %v", i, err)
 		}
+		return cache.Unmount(ctx)
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -402,32 +402,17 @@ func TestConcurrentClients(t *testing.T) {
 	const clients = 8
 	srv, pl := newServer(t, pmem.New(1<<30), Config{})
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	var opsMu sync.Mutex
-	var totalOps int64
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := dialT(t, pl)
-			ctx := sim.NewCtx(200+i, i%testCPUs)
-			res, err := workloads.ServerMixClient(ctx, cl, i, workloads.ServerMixConfig{Ops: 60, Seed: 42})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			opsMu.Lock()
-			totalOps += res.Ops
-			opsMu.Unlock()
-			errs[i] = cl.Unmount(ctx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	var totalOps atomic.Int64
+	if err := sim.RunThreads(sim.NewThreads(clients, 200, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		cl := dialT(t, pl)
+		res, err := workloads.ServerMixClient(ctx, cl, i, workloads.ServerMixConfig{Ops: 60, Seed: 42})
 		if err != nil {
-			t.Errorf("client %d: %v", i, err)
+			return fmt.Errorf("client %d: %v", i, err)
 		}
+		totalOps.Add(res.Ops)
+		return cl.Unmount(ctx)
+	}); err != nil {
+		t.Error(err)
 	}
 	waitFor(t, "sessions to finish", func() bool { return srv.Stats().ActiveSessions == 0 })
 	st := srv.Stats()
@@ -437,8 +422,8 @@ func TestConcurrentClients(t *testing.T) {
 	if st.OpenHandles != 0 {
 		t.Errorf("OpenHandles = %d after all sessions closed", st.OpenHandles)
 	}
-	if st.Ops < totalOps {
-		t.Errorf("server ops %d < client ops %d", st.Ops, totalOps)
+	if st.Ops < totalOps.Load() {
+		t.Errorf("server ops %d < client ops %d", st.Ops, totalOps.Load())
 	}
 	if st.Counters.Syscalls == 0 || st.Lat.Count() == 0 {
 		t.Error("aggregated stats empty")
@@ -480,57 +465,41 @@ func TestFaultCampaignServing(t *testing.T) {
 	}
 	dev.SetReadFaults(rules)
 
-	var wg sync.WaitGroup
-	unexpected := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := dialT(t, pl)
-			defer cl.Close()
-			ctx := sim.NewCtx(300+i, i%testCPUs)
-			dir := fmt.Sprintf("/fc%d", i)
-			if err := cl.Mkdir(ctx, dir); err != nil && !okServingErr(err) {
-				unexpected[i] = fmt.Errorf("mkdir: %w", err)
-				return
-			}
-			buf := make([]byte, 8192)
-			for op := 0; op < 120; op++ {
-				name := fmt.Sprintf("%s/f%03d", dir, op)
-				f, err := cl.Create(ctx, name)
-				if err != nil {
-					if !okServingErr(err) {
-						unexpected[i] = fmt.Errorf("create %s: %w", name, err)
-						return
-					}
-					continue
-				}
-				if _, err := f.Append(ctx, buf); err != nil && !okServingErr(err) {
-					unexpected[i] = fmt.Errorf("append %s: %w", name, err)
-					return
-				}
-				if _, err := f.ReadAt(ctx, buf, 0); err != nil && !okServingErr(err) {
-					unexpected[i] = fmt.Errorf("read %s: %w", name, err)
-					return
-				}
-				if err := f.Close(ctx); err != nil && !okServingErr(err) {
-					unexpected[i] = fmt.Errorf("close %s: %w", name, err)
-					return
-				}
-				if op%5 == 4 {
-					if err := cl.Unlink(ctx, name); err != nil && !okServingErr(err) {
-						unexpected[i] = fmt.Errorf("unlink %s: %w", name, err)
-						return
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range unexpected {
-		if err != nil {
-			t.Errorf("client %d observed a non-ladder failure: %v", i, err)
+	if err := sim.RunThreads(sim.NewThreads(clients, 300, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		cl := dialT(t, pl)
+		defer cl.Close()
+		dir := fmt.Sprintf("/fc%d", i)
+		if err := cl.Mkdir(ctx, dir); err != nil && !okServingErr(err) {
+			return fmt.Errorf("client %d mkdir: %w", i, err)
 		}
+		buf := make([]byte, 8192)
+		for op := 0; op < 120; op++ {
+			name := fmt.Sprintf("%s/f%03d", dir, op)
+			f, err := cl.Create(ctx, name)
+			if err != nil {
+				if !okServingErr(err) {
+					return fmt.Errorf("client %d create %s: %w", i, name, err)
+				}
+				continue
+			}
+			if _, err := f.Append(ctx, buf); err != nil && !okServingErr(err) {
+				return fmt.Errorf("client %d append %s: %w", i, name, err)
+			}
+			if _, err := f.ReadAt(ctx, buf, 0); err != nil && !okServingErr(err) {
+				return fmt.Errorf("client %d read %s: %w", i, name, err)
+			}
+			if err := f.Close(ctx); err != nil && !okServingErr(err) {
+				return fmt.Errorf("client %d close %s: %w", i, name, err)
+			}
+			if op%5 == 4 {
+				if err := cl.Unlink(ctx, name); err != nil && !okServingErr(err) {
+					return fmt.Errorf("client %d unlink %s: %w", i, name, err)
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Errorf("observed a non-ladder failure: %v", err)
 	}
 	if dev.PoisonedReads() == 0 {
 		t.Error("read faults never tripped: campaign exercised nothing")
@@ -642,57 +611,49 @@ func TestFilebenchThroughClient(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	srv, pl := newServer(t, pmem.New(256<<20), Config{})
 	const clients = 4
-	var wg sync.WaitGroup
-	unexpected := make([]error, clients)
 	started := make(chan struct{}, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := dialT(t, pl)
-			ctx := sim.NewCtx(700+i, i%testCPUs)
-			err := cl.Mkdir(ctx, fmt.Sprintf("/dr%d", i))
-			if err == vfs.ErrExist {
-				err = nil
+	// The last member shuts the server down once every client has started.
+	if err := sim.RunThreads(sim.NewThreads(clients+1, 700, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		if i == clients {
+			for range clients {
+				<-started
 			}
-			started <- struct{}{} // always signal, or an early error hangs the test
-			if err != nil {
-				unexpected[i] = err
-				return
-			}
-			for op := 0; ; op++ {
-				// Create/append/unlink churn: sustained traffic with bounded
-				// space use, so however fast the transport pipelines, the
-				// loop cannot exhaust the device before Shutdown fires.
-				name := fmt.Sprintf("/dr%d/f%04d", i, op)
-				f, err := cl.Create(ctx, name)
-				if err == nil {
-					_, err = f.Append(ctx, make([]byte, 4096))
-					if cerr := f.Close(ctx); err == nil {
-						err = cerr
-					}
-					if err == nil {
-						err = cl.Unlink(ctx, name)
-					}
-				}
-				if err != nil {
-					if !errors.Is(err, ErrConnClosed) {
-						unexpected[i] = err
-					}
-					return
-				}
-			}
-		}(i)
-	}
-	for i := 0; i < clients; i++ {
-		<-started
-	}
-	srv.Shutdown()
-	wg.Wait()
-	for i, err := range unexpected {
-		if err != nil {
-			t.Errorf("client %d: drain surfaced %v, want only ErrConnClosed", i, err)
+			srv.Shutdown()
+			return nil
 		}
+		cl := dialT(t, pl)
+		err := cl.Mkdir(ctx, fmt.Sprintf("/dr%d", i))
+		if err == vfs.ErrExist {
+			err = nil
+		}
+		started <- struct{}{} // always signal, or an early error hangs the test
+		if err != nil {
+			return fmt.Errorf("client %d: %v", i, err)
+		}
+		for op := 0; ; op++ {
+			// Create/append/unlink churn: sustained traffic with bounded
+			// space use, so however fast the transport pipelines, the
+			// loop cannot exhaust the device before Shutdown fires.
+			name := fmt.Sprintf("/dr%d/f%04d", i, op)
+			f, err := cl.Create(ctx, name)
+			if err == nil {
+				_, err = f.Append(ctx, make([]byte, 4096))
+				if cerr := f.Close(ctx); err == nil {
+					err = cerr
+				}
+				if err == nil {
+					err = cl.Unlink(ctx, name)
+				}
+			}
+			if errors.Is(err, ErrConnClosed) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("client %d: drain surfaced %v, want only ErrConnClosed", i, err)
+			}
+		}
+	}); err != nil {
+		t.Error(err)
 	}
 	if st := srv.Stats(); st.ActiveSessions != 0 {
 		t.Errorf("ActiveSessions = %d after Shutdown", st.ActiveSessions)
@@ -714,34 +675,23 @@ func TestBackpressureWindow(t *testing.T) {
 		t.Fatalf("mkdir: %v", err)
 	}
 	const callers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(810+i, i%testCPUs)
-			for op := 0; op < 10; op++ {
-				name := fmt.Sprintf("/bp/c%d-%d", i, op)
-				f, err := cl.Create(ctx, name)
+	if err := sim.RunThreads(sim.NewThreads(callers, 810, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
+		for op := 0; op < 10; op++ {
+			name := fmt.Sprintf("/bp/c%d-%d", i, op)
+			f, err := cl.Create(ctx, name)
+			if err == nil {
+				_, err = f.Append(ctx, make([]byte, 1024))
 				if err == nil {
-					_, err = f.Append(ctx, make([]byte, 1024))
-					if err == nil {
-						err = f.Close(ctx)
-					}
-				}
-				if err != nil {
-					errs[i] = err
-					return
+					err = f.Close(ctx)
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("caller %d: %v", i, err)
+			if err != nil {
+				return fmt.Errorf("caller %d: %v", i, err)
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Error(err)
 	}
 	cl.Unmount(setup)
 }

@@ -3,7 +3,6 @@ package pmem
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -110,27 +109,20 @@ func TestRecordConcurrentStores(t *testing.T) {
 	const perG = 200
 	d := New(16 << 20)
 	rec, err := d.Record(func() error {
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				ctx := sim.NewCtx(g+1, g)
-				for i := 0; i < perG; i++ {
-					off := int64(g*perG+i) * CacheLine
-					if i%3 == 0 {
-						d.Zero(ctx, off, CacheLine)
-					} else {
-						d.Write(ctx, []byte{byte(g + 1), byte(i)}, off)
-					}
-					if i%5 == 4 {
-						d.Fence(ctx)
-					}
+		return sim.RunThreads(sim.NewThreads(2, 1, 2, 0), func(g int, ctx *sim.Ctx) error {
+			for i := 0; i < perG; i++ {
+				off := int64(g*perG+i) * CacheLine
+				if i%3 == 0 {
+					d.Zero(ctx, off, CacheLine)
+				} else {
+					d.Write(ctx, []byte{byte(g + 1), byte(i)}, off)
 				}
-			}(g)
-		}
-		wg.Wait()
-		return nil
+				if i%5 == 4 {
+					d.Fence(ctx)
+				}
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,8 @@ import (
 // ParallelRunner must match the sequential loop bit for bit.
 //
 // Jobs that DO share a Resource (the fxmark threads inside one bench
-// point) still run concurrently today on plain goroutines; their
-// contention-derived timings are deterministic in distribution only, and
-// the bench baselines already treat them with tolerance. ParallelRunner is
-// for the outer, share-nothing level: seeds, points, images.
+// point) run under RunThreads instead. ParallelRunner is for the outer,
+// share-nothing level: seeds, points, images.
 type ParallelRunner struct {
 	// Workers bounds concurrent jobs. 0 means GOMAXPROCS. Memory-heavy
 	// jobs (each bench point backs up to a GiB of device chunks) should
@@ -78,4 +76,46 @@ func (r *ParallelRunner) Run(n int, job func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// NewThreads returns the contexts of n simulated threads that share state:
+// thread first+i on CPU i%cpus, each clock at start. Threads that begin
+// after a setup phase start at its virtual frontier, or their first
+// acquisition would charge the whole setup history as lock wait (DESIGN §8
+// "Epoch alignment").
+func NewThreads(n, first, cpus int, start int64) []*Ctx {
+	ctxs := make([]*Ctx, n)
+	for i := range ctxs {
+		ctxs[i] = NewCtx(first+i, i%cpus)
+		ctxs[i].AdvanceTo(start)
+	}
+	return ctxs
+}
+
+// RunThreads runs body(i, ctxs[i]) for every member at once, each on a
+// goroutine of its own, and returns once every member has returned, with
+// the error of the lowest-index member that failed. It is the one runner
+// for simulated threads that share state (a file system, a server, a
+// mapping): all members start together, so a member may block until
+// another runs. The host orders their accesses to what they share, so
+// contention-derived timings are deterministic in distribution only; an
+// ordered scheduler would change this function and those accesses, not
+// its callers. ParallelRunner is for jobs that share nothing.
+func RunThreads(ctxs []*Ctx, body func(i int, ctx *Ctx) error) error {
+	errs := make([]error, len(ctxs))
+	var wg sync.WaitGroup
+	wg.Add(len(ctxs))
+	for i, ctx := range ctxs {
+		go func() {
+			defer wg.Done()
+			errs[i] = body(i, ctx)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -73,16 +72,10 @@ func TestResourceConcurrentUse(t *testing.T) {
 	var r Resource
 	const n = 32
 	const hold = 10
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			ctx := NewCtx(id, id)
-			r.Use(ctx, hold)
-		}(i)
-	}
-	wg.Wait()
+	RunThreads(NewThreads(n, 0, n, 0), func(_ int, ctx *Ctx) error {
+		r.Use(ctx, hold)
+		return nil
+	})
 	late := NewCtx(n, 0)
 	r.Acquire(late) // at 0, inside the occupations: admitted at their end
 	if late.Now() != n*hold {

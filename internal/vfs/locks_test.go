@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -207,30 +206,24 @@ func TestLockTableNoLeak(t *testing.T) {
 // exclusive writers on one inode must neither race nor deadlock.
 func TestLockTableConcurrencyStress(t *testing.T) {
 	lt := NewLockTable()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(10+g, g)
-			for i := 0; i < 200; i++ {
-				switch (g + i) % 3 {
-				case 0:
-					h := lt.Inode(7).RLock(ctx)
-					ctx.Advance(50)
-					h.Unlock(ctx)
-				case 1:
-					off := int64((g%4)*8192 + i%2*4096)
-					h := lt.Inode(7).LockRange(ctx, off, 4096)
-					ctx.Advance(80)
-					h.Unlock(ctx)
-				default:
-					h := lt.Lock(ctx, 7)
-					ctx.Advance(30)
-					h.Unlock(ctx)
-				}
+	sim.RunThreads(sim.NewThreads(8, 10, 8, 0), func(g int, ctx *sim.Ctx) error {
+		for i := 0; i < 200; i++ {
+			switch (g + i) % 3 {
+			case 0:
+				h := lt.Inode(7).RLock(ctx)
+				ctx.Advance(50)
+				h.Unlock(ctx)
+			case 1:
+				off := int64((g%4)*8192 + i%2*4096)
+				h := lt.Inode(7).LockRange(ctx, off, 4096)
+				ctx.Advance(80)
+				h.Unlock(ctx)
+			default:
+				h := lt.Lock(ctx, 7)
+				ctx.Advance(30)
+				h.Unlock(ctx)
 			}
-		}(g)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -412,45 +411,32 @@ func TestWindowedConcurrentSlideAndClose(t *testing.T) {
 	// another thread's. Each slot has a device chunk of its own.
 	const threads, slots, rounds = 4, 16, 300
 	slotOff := func(th, i int) int64 { return int64(16*i+4*th) << 20 }
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	tctxs := make([]*sim.Ctx, threads)
-	for th := 0; th < threads; th++ {
-		tctxs[th] = sim.NewCtx(10+th, th)
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			tctx := tctxs[th]
-			rng := sim.NewRand(uint64(th + 1))
-			want := make([]byte, slots) // 0: never stored
-			buf := make([]byte, 64)
-			for r := 0; r < rounds; r++ {
-				i := rng.Intn(slots)
-				off := slotOff(th, i)
-				if err := m.Read(tctx, buf, off); err != nil {
-					errs <- err
-					return
-				}
-				for _, b := range buf {
-					if b != want[i] {
-						errs <- fmt.Errorf("thread %d slot %d: read %#x, want %#x", th, i, b, want[i])
-						return
-					}
-				}
-				want[i] = byte(r%255 + 1)
-				for j := range buf {
-					buf[j] = want[i]
-				}
-				if err := m.Write(tctx, buf, off); err != nil {
-					errs <- err
-					return
+	tctxs := sim.NewThreads(threads, 10, threads, 0)
+	if err := sim.RunThreads(tctxs, func(th int, tctx *sim.Ctx) error {
+		rng := sim.NewRand(uint64(th + 1))
+		want := make([]byte, slots) // 0: never stored
+		buf := make([]byte, 64)
+		for r := 0; r < rounds; r++ {
+			i := rng.Intn(slots)
+			off := slotOff(th, i)
+			if err := m.Read(tctx, buf, off); err != nil {
+				return err
+			}
+			for _, b := range buf {
+				if b != want[i] {
+					return fmt.Errorf("thread %d slot %d: read %#x, want %#x", th, i, b, want[i])
 				}
 			}
-		}(th)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+			want[i] = byte(r%255 + 1)
+			for j := range buf {
+				buf[j] = want[i]
+			}
+			if err := m.Write(tctx, buf, off); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var remaps int64
@@ -462,44 +448,38 @@ func TestWindowedConcurrentSlideAndClose(t *testing.T) {
 	}
 
 	// Close against in-flight accesses: every access that starts after it
-	// returns ErrClosed, so each thread stops on its own.
-	var done atomic.Int64
-	bad := make(chan error, threads)
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			tctx := sim.NewCtx(20+th, th)
-			rng := sim.NewRand(uint64(100 + th))
-			buf := make([]byte, 64)
-			for n := 0; ; n++ {
-				off := slotOff(th, rng.Intn(slots))
-				var err error
-				if n%2 == 0 {
-					err = m.Read(tctx, buf, off)
-				} else {
-					err = m.Write(tctx, buf, off)
-				}
-				if errors.Is(err, vmm.ErrClosed) {
-					return
-				}
-				if err != nil {
-					bad <- fmt.Errorf("thread %d: access racing Close: %v", th, err)
-					return
-				}
-				done.Add(1)
+	// returns ErrClosed, so each thread stops on its own. The last member
+	// closes the mapping once the others are under way, or all have
+	// stopped.
+	var done, running atomic.Int64
+	running.Store(threads)
+	if err := sim.RunThreads(append(sim.NewThreads(threads, 20, threads, 0), ctx), func(th int, tctx *sim.Ctx) error {
+		if th == threads {
+			for done.Load() < 64 && running.Load() > 0 {
+				runtime.Gosched()
 			}
-		}(th)
-	}
-	for done.Load() < 64 && len(bad) == 0 {
-		runtime.Gosched()
-	}
-	if err := m.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(bad)
-	for err := range bad {
+			return m.Close(tctx)
+		}
+		defer running.Add(-1)
+		rng := sim.NewRand(uint64(100 + th))
+		buf := make([]byte, 64)
+		for n := 0; ; n++ {
+			off := slotOff(th, rng.Intn(slots))
+			var err error
+			if n%2 == 0 {
+				err = m.Read(tctx, buf, off)
+			} else {
+				err = m.Write(tctx, buf, off)
+			}
+			if errors.Is(err, vmm.ErrClosed) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("thread %d: access racing Close: %v", th, err)
+			}
+			done.Add(1)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -77,28 +77,24 @@ func TestAblationSingleJournal(t *testing.T) {
 			}
 		}
 		end := setup.Now()
-		done := make(chan int64, 8)
-		for th := 0; th < 8; th++ {
-			go func(th int) {
-				ctx := sim.NewCtx(10+th, th)
-				ctx.AdvanceTo(end)
-				for i := 0; i < 100; i++ {
-					path := fmt.Sprintf("/d%d/f%d", th, i)
-					f, err := fs.Create(ctx, path)
-					if err != nil {
-						panic(err)
-					}
-					f.Append(ctx, make([]byte, 4096))
-					fs.Unlink(ctx, path)
+		ctxs := sim.NewThreads(8, 10, 8, end)
+		if err := sim.RunThreads(ctxs, func(th int, ctx *sim.Ctx) error {
+			for i := 0; i < 100; i++ {
+				path := fmt.Sprintf("/d%d/f%d", th, i)
+				f, err := fs.Create(ctx, path)
+				if err != nil {
+					return err
 				}
-				done <- ctx.Now() - end
-			}(th)
+				f.Append(ctx, make([]byte, 4096))
+				fs.Unlink(ctx, path)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		var maxNS int64
-		for i := 0; i < 8; i++ {
-			if ns := <-done; ns > maxNS {
-				maxNS = ns
-			}
+		for _, ctx := range ctxs {
+			maxNS = max(maxNS, ctx.Now()-end)
 		}
 		perIter[ablate] = maxNS / 100
 	}

@@ -2,7 +2,6 @@ package winefs
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -47,28 +46,23 @@ func TestRenameNoDeadlock(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(100+w, w%8)
-			a, b := fmt.Sprintf("/a/f%d", w), fmt.Sprintf("/b/f%d", w)
-			for i := 0; i < 200; i++ {
-				// Half the workers bounce a→b→a, the other half b→a→b, so
-				// both directions are always in flight.
-				src, dst := a, b
-				if (w+i)%2 == 1 {
-					src, dst = b, a
-				}
-				if err := fs.Rename(ctx, src, dst); err != nil && err != vfs.ErrNotExist && err != vfs.ErrExist {
-					t.Errorf("worker %d: rename %s -> %s: %v", w, src, dst, err)
-					return
-				}
+	if err := sim.RunThreads(sim.NewThreads(workers, 100, 8, 0), func(w int, ctx *sim.Ctx) error {
+		a, b := fmt.Sprintf("/a/f%d", w), fmt.Sprintf("/b/f%d", w)
+		for i := 0; i < 200; i++ {
+			// Half the workers bounce a→b→a, the other half b→a→b, so
+			// both directions are always in flight.
+			src, dst := a, b
+			if (w+i)%2 == 1 {
+				src, dst = b, a
 			}
-		}(w)
+			if err := fs.Rename(ctx, src, dst); err != nil && err != vfs.ErrNotExist && err != vfs.ErrExist {
+				return fmt.Errorf("worker %d: rename %s -> %s: %v", w, src, dst, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 
 	after := sim.NewCtx(3, 0)
 	if err := fs.Audit(after); err != nil {
@@ -121,31 +115,24 @@ func TestLockTableChurnNoLeak(t *testing.T) {
 	}
 
 	// Concurrent churn across CPUs must drain back to the same size too.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wctx := sim.NewCtx(100+w, w%4)
-			for i := 0; i < 100; i++ {
-				name := fmt.Sprintf("/w%d_%d", w, i)
-				f, err := fs.Create(wctx, name)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := f.Close(wctx); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := fs.Unlink(wctx, name); err != nil {
-					t.Error(err)
-					return
-				}
+	if err := sim.RunThreads(sim.NewThreads(4, 100, 4, 0), func(w int, wctx *sim.Ctx) error {
+		for i := 0; i < 100; i++ {
+			name := fmt.Sprintf("/w%d_%d", w, i)
+			f, err := fs.Create(wctx, name)
+			if err != nil {
+				return err
 			}
-		}(w)
+			if err := f.Close(wctx); err != nil {
+				return err
+			}
+			if err := fs.Unlink(wctx, name); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if got := fs.locks.Len(); got != base {
 		t.Fatalf("lock table leaked under concurrent churn: %d entries, want %d", got, base)
 	}
@@ -158,44 +145,42 @@ func TestLockTableChurnNoLeak(t *testing.T) {
 // race detector over snapshotInodes' all-shards locking.
 func TestSnapshotCoherentUnderChurn(t *testing.T) {
 	fs := newConcFS(t, 4)
+	const writers = 4
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := sim.NewCtx(100+w, w%4)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+	ctxs := append(sim.NewThreads(writers, 100, 4, 0), sim.NewCtx(200, 0))
+	if err := sim.RunThreads(ctxs, func(w int, ctx *sim.Ctx) error {
+		if w == writers { // the reader
+			defer close(stop)
+			for i := 0; i < 300; i++ {
+				if n := len(fs.snapshotInodes()); n < 1 {
+					return fmt.Errorf("snapshot lost the root inode: %d inodes", n)
 				}
-				name := fmt.Sprintf("/s%d_%d", w, i%8)
-				if f, err := fs.Create(ctx, name); err == nil {
-					_, _ = f.Append(ctx, make([]byte, 4096))
-					_ = f.Close(ctx)
-				}
-				if i%2 == 1 {
-					_ = fs.Unlink(ctx, name)
+				st := fs.StatFS(ctx)
+				if st.FreeBlocks < 0 || st.FreeBlocks > st.TotalBlocks {
+					return fmt.Errorf("torn StatFS: free=%d total=%d", st.FreeBlocks, st.TotalBlocks)
 				}
 			}
-		}(w)
-	}
-	rctx := sim.NewCtx(200, 0)
-	for i := 0; i < 300; i++ {
-		if n := len(fs.snapshotInodes()); n < 1 {
-			t.Errorf("snapshot lost the root inode: %d inodes", n)
-			break
+			return nil
 		}
-		st := fs.StatFS(rctx)
-		if st.FreeBlocks < 0 || st.FreeBlocks > st.TotalBlocks {
-			t.Errorf("torn StatFS: free=%d total=%d", st.FreeBlocks, st.TotalBlocks)
-			break
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			name := fmt.Sprintf("/s%d_%d", w, i%8)
+			if f, err := fs.Create(ctx, name); err == nil {
+				_, _ = f.Append(ctx, make([]byte, 4096))
+				_ = f.Close(ctx)
+			}
+			if i%2 == 1 {
+				_ = fs.Unlink(ctx, name)
+			}
 		}
+	}); err != nil {
+		t.Error(err)
 	}
-	close(stop)
-	wg.Wait()
+	rctx := ctxs[writers]
 	if err := fs.Audit(rctx); err != nil {
 		t.Fatalf("audit after churn: %v", err)
 	}

@@ -3,7 +3,6 @@ package winefs_test
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -299,152 +298,126 @@ func TestDefragRace8Threads(t *testing.T) {
 	live := fragmentFS(t, ctx, fs, 16)
 
 	const iters = 60
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	report := func(err error) {
-		select {
-		case errs <- err:
-		default:
-		}
-	}
 
 	// 3 writers: rewrite their own file with a per-iteration pattern and
 	// read it straight back.
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := sim.NewCtx(100+w, w)
-			name := fmt.Sprintf("/w%d", w)
-			f, err := fs.Create(c, name)
-			if err != nil {
-				report(fmt.Errorf("writer %d create: %v", w, err))
-				return
+	writer := func(w int, c *sim.Ctx) error {
+		f, err := fs.Create(c, fmt.Sprintf("/w%d", w))
+		if err != nil {
+			return fmt.Errorf("writer %d create: %v", w, err)
+		}
+		buf := make([]byte, 256<<10)
+		got := make([]byte, len(buf))
+		for i := 0; i < iters; i++ {
+			pat := byte(w*iters + i + 1)
+			for j := range buf {
+				buf[j] = pat
 			}
-			buf := make([]byte, 256<<10)
-			got := make([]byte, len(buf))
-			for i := 0; i < iters; i++ {
-				pat := byte(w*iters + i + 1)
-				for j := range buf {
-					buf[j] = pat
-				}
-				if _, err := f.WriteAt(c, buf, 0); err != nil {
-					report(fmt.Errorf("writer %d: %v", w, err))
-					return
-				}
-				if _, err := f.ReadAt(c, got, 0); err != nil {
-					report(fmt.Errorf("writer %d readback: %v", w, err))
-					return
-				}
-				if !bytes.Equal(got, buf) {
-					report(fmt.Errorf("writer %d iter %d: lost write", w, i))
-					return
-				}
+			if _, err := f.WriteAt(c, buf, 0); err != nil {
+				return fmt.Errorf("writer %d: %v", w, err)
 			}
-		}(w)
+			if _, err := f.ReadAt(c, got, 0); err != nil {
+				return fmt.Errorf("writer %d readback: %v", w, err)
+			}
+			if !bytes.Equal(got, buf) {
+				return fmt.Errorf("writer %d iter %d: lost write", w, i)
+			}
+		}
+		return nil
 	}
 
 	// 1 truncator: grow and shrink its file.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := sim.NewCtx(110, 3)
+	truncator := func(c *sim.Ctx) error {
 		f, err := fs.Create(c, "/trunc")
 		if err != nil {
-			report(fmt.Errorf("trunc create: %v", err))
-			return
+			return fmt.Errorf("trunc create: %v", err)
 		}
 		data := make([]byte, 1<<20)
 		for i := 0; i < iters; i++ {
 			if _, err := f.WriteAt(c, data, 0); err != nil {
-				report(fmt.Errorf("trunc write: %v", err))
-				return
+				return fmt.Errorf("trunc write: %v", err)
 			}
 			if err := f.Truncate(c, int64(4096*(i%7))); err != nil {
-				report(fmt.Errorf("trunc: %v", err))
-				return
+				return fmt.Errorf("trunc: %v", err)
 			}
 		}
-	}()
+		return nil
+	}
 
 	// 1 churner: create/unlink cycles to recycle inode numbers under the
 	// rewrite queue's nose.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := sim.NewCtx(111, 4)
+	churner := func(c *sim.Ctx) error {
 		data := make([]byte, 128<<10)
 		for i := 0; i < iters; i++ {
 			name := fmt.Sprintf("/churn%d", i%3)
 			f, err := fs.Create(c, name)
 			if err != nil {
-				report(fmt.Errorf("churn create: %v", err))
-				return
+				return fmt.Errorf("churn create: %v", err)
 			}
 			if _, err := f.WriteAt(c, data, 0); err != nil {
-				report(fmt.Errorf("churn write: %v", err))
-				return
+				return fmt.Errorf("churn write: %v", err)
 			}
 			if err := fs.Unlink(c, name); err != nil {
-				report(fmt.Errorf("churn unlink: %v", err))
-				return
+				return fmt.Errorf("churn unlink: %v", err)
 			}
 		}
-	}()
+		return nil
+	}
 
 	// 2 mmap readers: map a stable aged file and keep reading its
 	// pattern while the defragmenter migrates and rewrites underneath.
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c := sim.NewCtx(120+r, 5+r)
-			name := fmt.Sprintf("/f%d", 2*r+1) // live files from fragmentFS
-			pat := live[name]
-			f, err := fs.Open(c, name)
-			if err != nil {
-				report(fmt.Errorf("mapper %d open: %v", r, err))
-				return
+	mapper := func(r int, c *sim.Ctx) error {
+		name := fmt.Sprintf("/f%d", 2*r+1) // live files from fragmentFS
+		pat := live[name]
+		f, err := fs.Open(c, name)
+		if err != nil {
+			return fmt.Errorf("mapper %d open: %v", r, err)
+		}
+		m, err := f.Mmap(c, 1<<20)
+		if err != nil {
+			return fmt.Errorf("mapper %d mmap: %v", r, err)
+		}
+		buf := make([]byte, 4096)
+		for i := 0; i < iters; i++ {
+			off := int64((i * 37 % 256) * 4096)
+			if err := m.Read(c, buf, off); err != nil {
+				return fmt.Errorf("mapper %d read: %v", r, err)
 			}
-			m, err := f.Mmap(c, 1<<20)
-			if err != nil {
-				report(fmt.Errorf("mapper %d mmap: %v", r, err))
-				return
-			}
-			buf := make([]byte, 4096)
-			for i := 0; i < iters; i++ {
-				off := int64((i * 37 % 256) * 4096)
-				if err := m.Read(c, buf, off); err != nil {
-					report(fmt.Errorf("mapper %d read: %v", r, err))
-					return
-				}
-				for j, b := range buf {
-					if b != pat {
-						report(fmt.Errorf("mapper %d iter %d byte %d: %#x want %#x (stale translation)", r, i, j, b, pat))
-						return
-					}
+			for j, b := range buf {
+				if b != pat {
+					return fmt.Errorf("mapper %d iter %d byte %d: %#x want %#x (stale translation)", r, i, j, b, pat)
 				}
 			}
-		}(r)
+		}
+		return nil
 	}
 
 	// 1 defragmenter: continuous throttled passes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := sim.NewCtx(130, 7)
+	defragmenter := func(c *sim.Ctx) error {
 		pacer := sim.NewPacer(0.5)
 		for i := 0; i < 10; i++ {
 			if _, err := fs.DefragPass(c, winefs.DefragOptions{Pacer: pacer, MaxChunks: 8}); err != nil {
-				report(fmt.Errorf("defrag pass: %v", err))
-				return
+				return fmt.Errorf("defrag pass: %v", err)
 			}
 		}
-	}()
+		return nil
+	}
 
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	// Each on a CPU of its own: writers on 0-2, then the truncator, the
+	// churner, the two mappers and the defragmenter.
+	if err := sim.RunThreads(sim.NewThreads(8, 100, 8, 0), func(i int, c *sim.Ctx) error {
+		switch {
+		case i < 3:
+			return writer(i, c)
+		case i == 3:
+			return truncator(c)
+		case i == 4:
+			return churner(c)
+		case i < 7:
+			return mapper(i-5, c)
+		}
+		return defragmenter(c)
+	}); err != nil {
 		t.Error(err)
 	}
 

@@ -3,7 +3,7 @@ package winefs
 import (
 	"bytes"
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 
 	"repro/internal/pmem"
@@ -211,41 +211,37 @@ func TestMmapRace8Threads(t *testing.T) {
 	}
 	defer m.Close(ctx)
 
-	var wg sync.WaitGroup
-	for th := 0; th < 8; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			tctx := sim.NewCtx(100+th, th%4)
-			rng := sim.NewRand(uint64(th) * 7717)
-			buf := make([]byte, 256)
-			for i := 0; i < 400; i++ {
-				off := rng.Int63n(size - int64(len(buf)))
-				var err error
-				switch {
-				case th == 7 && i%50 == 25:
-					// One thread churns the file size.
-					if err := f.Truncate(tctx, size/2); err != nil {
-						t.Error(err)
-					}
-					if err := f.Truncate(tctx, size); err != nil {
-						t.Error(err)
-					}
-					continue
-				case i%10 == 3:
-					err = m.Write(tctx, buf, off)
-				case i%25 == 7:
-					err = m.Msync(tctx, 0, -1)
-				default:
-					err = m.Read(tctx, buf, off)
+	if err := sim.RunThreads(sim.NewThreads(8, 100, 4, 0), func(th int, tctx *sim.Ctx) error {
+		rng := sim.NewRand(uint64(th) * 7717)
+		buf := make([]byte, 256)
+		for i := 0; i < 400; i++ {
+			off := rng.Int63n(size - int64(len(buf)))
+			var err error
+			switch {
+			case th == 7 && i%50 == 25:
+				// One thread churns the file size.
+				if err := f.Truncate(tctx, size/2); err != nil {
+					return err
 				}
-				if err != nil && !errors.Is(err, vfs.ErrMapFault) {
-					t.Errorf("thread %d op %d: %v", th, i, err)
+				if err := f.Truncate(tctx, size); err != nil {
+					return err
 				}
+				continue
+			case i%10 == 3:
+				err = m.Write(tctx, buf, off)
+			case i%25 == 7:
+				err = m.Msync(tctx, 0, -1)
+			default:
+				err = m.Read(tctx, buf, off)
 			}
-		}(th)
+			if err != nil && !errors.Is(err, vfs.ErrMapFault) {
+				return fmt.Errorf("thread %d op %d: %v", th, i, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 
 	if _, total := m.FaultedChunks(); total == 0 {
 		t.Fatal("race run faulted nothing")

@@ -3,7 +3,7 @@ package winefs
 import (
 	"bytes"
 	"errors"
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -56,66 +56,62 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 	// rounds demote half the mapped file, run by run, under the readers'
 	// feet; odd rounds run the policy pass beside their fault promotions.
 	ino := inoOf(t, ctx, fs, "/mapped")
-	var demoted int64                // the mover's tally
-	var faultPromotions atomic.Int64 // the readers' sum
+	var demoted int64 // the mover's tally
 	var moverDone atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer moverDone.Store(true)
-		mctx := sim.NewCtx(50, 1)
-		for i := 0; i < 12; i++ {
-			if i%2 == 1 {
-				if _, err := fs.TierPass(mctx, TierPassOptions{MaxMigrateBlocks: 1024}); err != nil {
-					t.Errorf("tier pass %d: %v", i, err)
+	// Thread 0 is the mover, the six after it the readers.
+	ctxs := append([]*sim.Ctx{sim.NewCtx(50, 1)}, sim.NewThreads(6, 100, 2, 0)...)
+	if err := sim.RunThreads(ctxs, func(i int, tctx *sim.Ctx) error {
+		if i == 0 {
+			defer moverDone.Store(true)
+			for i := 0; i < 12; i++ {
+				if i%2 == 1 {
+					if _, err := fs.TierPass(tctx, TierPassOptions{MaxMigrateBlocks: 1024}); err != nil {
+						return fmt.Errorf("tier pass %d: %v", i, err)
+					}
+					continue
 				}
-				continue
+				const half = size / 2 / BlockSize
+				lo := int64(i/2%2) * half
+				for blk := lo; blk < lo+half; {
+					n := fs.migrateRun(tctx, ino, blk, lo+half-blk, true, nil)
+					demoted += n
+					blk += max(n, 1) // 0: this block is on the slow tier already
+				}
 			}
-			const half = size / 2 / BlockSize
-			lo := int64(i/2%2) * half
-			for blk := lo; blk < lo+half; {
-				n := fs.migrateRun(mctx, ino, blk, lo+half-blk, true, nil)
-				demoted += n
-				blk += max(n, 1) // 0: this block is on the slow tier already
+			return nil
+		}
+		th := i - 1
+		rng := sim.NewRand(uint64(th)*524287 + 1)
+		buf := make([]byte, 256)
+		// At least 300 reads, and until the mover is through: readers the
+		// host schedules ahead of the first demotion would otherwise be
+		// done before there is anything to fault back up (one run in
+		// twenty on two cores), and the storm races nothing.
+		for i := 0; i < 300 || !moverDone.Load(); i++ {
+			off := rng.Int63n(size - int64(len(buf)))
+			err := m.Read(tctx, buf, off)
+			if err != nil {
+				if errors.Is(err, vfs.ErrMapFault) || errors.Is(err, vfs.ErrNoSpace) {
+					continue // invalidated mid-access or promotion raced an allocation; refault next round
+				}
+				return fmt.Errorf("thread %d op %d: %v", th, i, err)
+			}
+			// A successful mapped read must return current bytes, never
+			// a freed block's recycled content.
+			if want := data[off : off+int64(len(buf))]; !bytes.Equal(buf, want) {
+				return fmt.Errorf("thread %d op %d: mapped read at %d returned stale bytes", th, i, off)
 			}
 		}
-	}()
-	for th := 0; th < 6; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			tctx := sim.NewCtx(100+th, th%2)
-			defer func() { faultPromotions.Add(tctx.Counters.TierFaultPromotions) }()
-			rng := sim.NewRand(uint64(th)*524287 + 1)
-			buf := make([]byte, 256)
-			// At least 300 reads, and until the mover is through: readers the
-			// host schedules ahead of the first demotion would otherwise be
-			// done before there is anything to fault back up (one run in
-			// twenty on two cores), and the storm races nothing.
-			for i := 0; i < 300 || !moverDone.Load(); i++ {
-				off := rng.Int63n(size - int64(len(buf)))
-				err := m.Read(tctx, buf, off)
-				if err != nil {
-					if errors.Is(err, vfs.ErrMapFault) || errors.Is(err, vfs.ErrNoSpace) {
-						continue // invalidated mid-access or promotion raced an allocation; refault next round
-					}
-					t.Errorf("thread %d op %d: %v", th, i, err)
-					return
-				}
-				// A successful mapped read must return current bytes, never
-				// a freed block's recycled content.
-				want := data[off : off+int64(len(buf))]
-				if !bytes.Equal(buf, want) {
-					t.Errorf("thread %d op %d: mapped read at %d returned stale bytes", th, i, off)
-					return
-				}
-			}
-		}(th)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if demoted == 0 || faultPromotions.Load() == 0 {
-		t.Fatalf("storm demoted %d blocks and fault-promoted %d extents; the race would be vacuous", demoted, faultPromotions.Load())
+	var faultPromotions int64 // the readers' sum
+	for _, c := range ctxs[1:] {
+		faultPromotions += c.Counters.TierFaultPromotions
+	}
+	if demoted == 0 || faultPromotions == 0 {
+		t.Fatalf("storm demoted %d blocks and fault-promoted %d extents; the race would be vacuous", demoted, faultPromotions)
 	}
 
 	// End-state integrity, wherever the storm left each extent.

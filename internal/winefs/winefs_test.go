@@ -654,40 +654,38 @@ func TestHolePromotionMaintainsAlignedPool(t *testing.T) {
 func TestConcurrentCreatesScaleAcrossCPUs(t *testing.T) {
 	fs, _ := newFS(t, 512<<20, winefs.Options{CPUs: 8})
 	const threads = 8
-	done := make(chan *sim.Ctx, threads)
-	for th := 0; th < threads; th++ {
-		go func(th int) {
-			ctx := sim.NewCtx(th+10, th)
-			dir := fmt.Sprintf("/t%d", th)
-			if err := fs.Mkdir(ctx, dir); err != nil {
-				panic(err)
+	ctxs := sim.NewThreads(threads, 10, threads, 0)
+	if err := sim.RunThreads(ctxs, func(th int, ctx *sim.Ctx) error {
+		dir := fmt.Sprintf("/t%d", th)
+		if err := fs.Mkdir(ctx, dir); err != nil {
+			return err
+		}
+		for i := 0; i < 50; i++ {
+			f, err := fs.Create(ctx, fmt.Sprintf("%s/f%d", dir, i))
+			if err != nil {
+				return err
 			}
-			for i := 0; i < 50; i++ {
-				f, err := fs.Create(ctx, fmt.Sprintf("%s/f%d", dir, i))
-				if err != nil {
-					panic(err)
-				}
-				if _, err := f.Append(ctx, make([]byte, 4096)); err != nil {
-					panic(err)
-				}
-				if err := f.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := fs.Unlink(ctx, fmt.Sprintf("%s/f%d", dir, i)); err != nil {
-					panic(err)
-				}
+			if _, err := f.Append(ctx, make([]byte, 4096)); err != nil {
+				return err
 			}
-			done <- ctx
-		}(th)
+			if err := f.Fsync(ctx); err != nil {
+				return err
+			}
+			if err := fs.Unlink(ctx, fmt.Sprintf("%s/f%d", dir, i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	var maxNS int64
-	for i := 0; i < threads; i++ {
-		c := <-done
-		if c.Now() > maxNS {
-			maxNS = c.Now()
-		}
-		// Per-CPU journals: threads on distinct CPUs must not contend on
-		// journal resources.
+	for _, c := range ctxs {
+		maxNS = max(maxNS, c.Now())
+	}
+	// Per-CPU journals: threads on distinct CPUs must not contend on
+	// journal resources.
+	for _, c := range ctxs {
 		if c.Counters.LockWaitNS > maxNS/4 {
 			t.Fatalf("thread waited %dns of %dns — unexpected contention",
 				c.Counters.LockWaitNS, maxNS)

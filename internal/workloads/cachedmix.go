@@ -21,22 +21,19 @@ import (
 type CachedMixConfig struct {
 	// Files is the working-set size (default 24).
 	Files int
-	// FileKB is each file's size in KiB (default 8 = two pages).
-	FileKB int
-	// Rounds is how many times the working set is re-read (default 3).
-	Rounds int
-	Seed   uint64
+	Seed  uint64
 }
+
+const (
+	// CachedMixFileKB is each file's size in KiB: two pages.
+	CachedMixFileKB = 8
+	// CachedMixRounds is how many times the working set is re-read.
+	CachedMixRounds = 3
+)
 
 func (c *CachedMixConfig) defaults() {
 	if c.Files == 0 {
 		c.Files = 24
-	}
-	if c.FileKB == 0 {
-		c.FileKB = 8
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 3
 	}
 }
 
@@ -66,7 +63,7 @@ func cachedMixPattern(p []byte, client, file, gen int) {
 func CachedMixClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg CachedMixConfig) (CachedMixResult, error) {
 	cfg.defaults()
 	var res CachedMixResult
-	size := cfg.FileKB << 10
+	const size = CachedMixFileKB << 10
 
 	if err := fs.Mkdir(ctx, "/cmix"); err != nil && err != vfs.ErrExist {
 		return res, fmt.Errorf("cachedmix: mkdir /cmix: %w", err)
@@ -104,7 +101,7 @@ func CachedMixClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg CachedMixConfig) (
 	want := make([]byte, size)
 	rbuf := make([]byte, size)
 	t0 = ctx.Now()
-	for r := 0; r < cfg.Rounds; r++ {
+	for r := 0; r < CachedMixRounds; r++ {
 		for i, f := range files {
 			cachedMixPattern(want, client, i, 0)
 			n, err := f.ReadAt(ctx, rbuf, 0)

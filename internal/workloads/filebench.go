@@ -108,29 +108,16 @@ func Filebench(fs vfs.FS, p Personality, cfg FilebenchConfig) (FilebenchResult, 
 		}
 	}
 
-	type res struct {
-		ns  int64
-		err error
-	}
-	done := make(chan res, cfg.Threads)
 	setupEnd := setup.Now()
-	for th := 0; th < cfg.Threads; th++ {
-		go func(th int) {
-			ctx := sim.NewCtx(2000+th, th)
-			ctx.AdvanceTo(setupEnd)
-			err := fbThread(ctx, fs, p, cfg, th)
-			done <- res{ctx.Now(), err}
-		}(th)
+	ctxs := sim.NewThreads(cfg.Threads, 2000, cfg.Threads, setupEnd)
+	if err := sim.RunThreads(ctxs, func(th int, ctx *sim.Ctx) error {
+		return fbThread(ctx, fs, p, cfg, th)
+	}); err != nil {
+		return FilebenchResult{}, err
 	}
 	var maxNS int64
-	for i := 0; i < cfg.Threads; i++ {
-		r := <-done
-		if r.err != nil {
-			return FilebenchResult{}, r.err
-		}
-		if r.ns > maxNS {
-			maxNS = r.ns
-		}
+	for _, ctx := range ctxs {
+		maxNS = max(maxNS, ctx.Now())
 	}
 	return FilebenchResult{
 		Personality: p,

@@ -1,7 +1,7 @@
 package workloads_test
 
 import (
-	"sync"
+	"fmt"
 	"testing"
 
 	"repro/internal/pmem"
@@ -27,28 +27,20 @@ func runFxmark(t *testing.T, c workloads.FxmarkCase, threads int) int64 {
 	if err := workloads.FxmarkSetup(setup, fs, c, threads, cfg); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	spans := make([]int64, threads)
-	errs := make([]error, threads)
-	for w := 0; w < threads; w++ {
-		ctx := sim.NewCtx(100+w, w%cpus)
-		ctx.AdvanceTo(setup.Now())
-		wg.Add(1)
-		go func(w int, ctx *sim.Ctx) {
-			defer wg.Done()
-			res, err := workloads.FxmarkThread(ctx, fs, w, c, threads, cfg)
-			spans[w], errs[w] = res.VirtualNS, err
-		}(w, ctx)
+	if err := sim.RunThreads(sim.NewThreads(threads, 100, cpus, setup.Now()), func(w int, ctx *sim.Ctx) error {
+		res, err := workloads.FxmarkThread(ctx, fs, w, c, threads, cfg)
+		if err != nil {
+			return fmt.Errorf("%s thread %d: %v", c, w, err)
+		}
+		spans[w] = res.VirtualNS
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	var span int64
-	for w := 0; w < threads; w++ {
-		if errs[w] != nil {
-			t.Fatalf("%s thread %d: %v", c, w, errs[w])
-		}
-		if spans[w] > span {
-			span = spans[w]
-		}
+	for _, s := range spans {
+		span = max(span, s)
 	}
 	return span
 }

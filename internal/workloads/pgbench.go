@@ -85,65 +85,47 @@ func Pgbench(fs vfs.FS, cfg PgbenchConfig) (PgbenchResult, error) {
 	}
 	pagesPerSeg := segBytes / pgPage
 
-	type res struct {
-		ns   int64
-		wait int64
-		err  error
-	}
-	done := make(chan res, cfg.Threads)
 	pages := pagesPerSeg * segments
 	setupEnd := setup.Now()
-	for th := 0; th < cfg.Threads; th++ {
-		go func(th int) {
-			ctx := sim.NewCtx(3000+th, th)
-			ctx.AdvanceTo(setupEnd)
-			rng := sim.NewRand(cfg.Seed + uint64(th)*31 + 7)
-			wal, err := fs.Create(ctx, fmt.Sprintf("/pg/wal%d", th))
-			if err != nil {
-				done <- res{0, 0, err}
-				return
-			}
-			page := make([]byte, pgPage)
-			walRec := make([]byte, 180)
-			pick := func() (vfs.File, int64) {
-				p := rng.Int63n(pages)
-				return heapSegs[p/pagesPerSeg], (p % pagesPerSeg) * pgPage
-			}
-			for tx := 0; tx < cfg.TxPerThread; tx++ {
-				for r := 0; r < 3; r++ {
-					seg, off := pick()
-					if _, err := seg.ReadAt(ctx, page, off); err != nil {
-						done <- res{0, 0, err}
-						return
-					}
-				}
+	ctxs := sim.NewThreads(cfg.Threads, 3000, cfg.Threads, setupEnd)
+	if err := sim.RunThreads(ctxs, func(th int, ctx *sim.Ctx) error {
+		rng := sim.NewRand(cfg.Seed + uint64(th)*31 + 7)
+		wal, err := fs.Create(ctx, fmt.Sprintf("/pg/wal%d", th))
+		if err != nil {
+			return err
+		}
+		page := make([]byte, pgPage)
+		walRec := make([]byte, 180)
+		pick := func() (vfs.File, int64) {
+			p := rng.Int63n(pages)
+			return heapSegs[p/pagesPerSeg], (p % pagesPerSeg) * pgPage
+		}
+		for tx := 0; tx < cfg.TxPerThread; tx++ {
+			for r := 0; r < 3; r++ {
 				seg, off := pick()
-				if _, err := seg.WriteAt(ctx, page, off); err != nil {
-					done <- res{0, 0, err}
-					return
-				}
-				if _, err := wal.Append(ctx, walRec); err != nil {
-					done <- res{0, 0, err}
-					return
-				}
-				if err := wal.Fsync(ctx); err != nil {
-					done <- res{0, 0, err}
-					return
+				if _, err := seg.ReadAt(ctx, page, off); err != nil {
+					return err
 				}
 			}
-			done <- res{ctx.Now(), ctx.Counters.LockWaitNS, nil}
-		}(th)
+			seg, off := pick()
+			if _, err := seg.WriteAt(ctx, page, off); err != nil {
+				return err
+			}
+			if _, err := wal.Append(ctx, walRec); err != nil {
+				return err
+			}
+			if err := wal.Fsync(ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return PgbenchResult{}, err
 	}
 	var maxNS, totalWait int64
-	for i := 0; i < cfg.Threads; i++ {
-		r := <-done
-		if r.err != nil {
-			return PgbenchResult{}, r.err
-		}
-		if r.ns > maxNS {
-			maxNS = r.ns
-		}
-		totalWait += r.wait
+	for _, ctx := range ctxs {
+		maxNS = max(maxNS, ctx.Now())
+		totalWait += ctx.Counters.LockWaitNS
 	}
 	return PgbenchResult{Tx: int64(cfg.Threads * cfg.TxPerThread), VirtualNS: maxNS - setupEnd,
 		WaitNS: totalWait / int64(cfg.Threads)}, nil

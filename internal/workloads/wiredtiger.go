@@ -123,12 +123,6 @@ func Scalability(fs vfs.FS, cfg ScalabilityConfig) (float64, error) {
 	if err := fs.Mkdir(setup, "/scale"); err != nil && err != vfs.ErrExist {
 		return 0, err
 	}
-	type res struct {
-		ns  int64
-		ops int64
-		err error
-	}
-	done := make(chan res, cfg.Threads)
 	// Per-thread working directories: the microbenchmark measures journal
 	// and allocator scalability, not contention on one directory's lock.
 	for th := 0; th < cfg.Threads; th++ {
@@ -137,53 +131,38 @@ func Scalability(fs vfs.FS, cfg ScalabilityConfig) (float64, error) {
 		}
 	}
 	setupEnd := setup.Now()
-	for th := 0; th < cfg.Threads; th++ {
-		go func(th int) {
-			ctx := sim.NewCtx(4000+th, th)
-			ctx.AdvanceTo(setupEnd)
-			dir := "/scale/w" + itoa(th)
-			var ops int64
-			data := make([]byte, scalabilityAppendSize)
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				path := dir + "/t" + itoa(th) + "_" + itoa(i)
-				f, err := fs.Create(ctx, path)
-				if err != nil {
-					done <- res{err: err}
-					return
-				}
-				ops++
-				for a := 0; a < scalabilityAppendsPerOp; a++ {
-					if _, err := f.Append(ctx, data); err != nil {
-						done <- res{err: err}
-						return
-					}
-					ops++
-				}
-				if err := f.Fsync(ctx); err != nil {
-					done <- res{err: err}
-					return
-				}
-				ops++
-				if err := fs.Unlink(ctx, path); err != nil {
-					done <- res{err: err}
-					return
-				}
-				ops++
+	ctxs := sim.NewThreads(cfg.Threads, 4000, cfg.Threads, setupEnd)
+	if err := sim.RunThreads(ctxs, func(th int, ctx *sim.Ctx) error {
+		dir := "/scale/w" + itoa(th)
+		data := make([]byte, scalabilityAppendSize)
+		for i := 0; i < cfg.OpsPerThread; i++ {
+			path := dir + "/t" + itoa(th) + "_" + itoa(i)
+			f, err := fs.Create(ctx, path)
+			if err != nil {
+				return err
 			}
-			done <- res{ns: ctx.Now(), ops: ops}
-		}(th)
-	}
-	var maxNS, totalOps int64
-	for i := 0; i < cfg.Threads; i++ {
-		r := <-done
-		if r.err != nil {
-			return 0, r.err
+			for a := 0; a < scalabilityAppendsPerOp; a++ {
+				if _, err := f.Append(ctx, data); err != nil {
+					return err
+				}
+			}
+			if err := f.Fsync(ctx); err != nil {
+				return err
+			}
+			if err := fs.Unlink(ctx, path); err != nil {
+				return err
+			}
 		}
-		if r.ns > maxNS {
-			maxNS = r.ns
-		}
-		totalOps += r.ops
+		return nil
+	}); err != nil {
+		return 0, err
 	}
+	var maxNS int64
+	for _, ctx := range ctxs {
+		maxNS = max(maxNS, ctx.Now())
+	}
+	// Each loop is a create, the appends, an fsync and an unlink.
+	totalOps := int64(cfg.Threads * cfg.OpsPerThread * (scalabilityAppendsPerOp + 3))
 	if maxNS <= setupEnd {
 		return 0, nil
 	}
