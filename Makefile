@@ -386,14 +386,21 @@ deadcode:
 			if (bad) { printf "; %d not as deadcode.allow says\n", bad; exit 1 } print ", each named in deadcode.allow" }' \
 		$$tmp/linked $$tmp/tests $$tmp/decls deadcode.allow
 
-# Settable knobs per package: the fields declared in non-test
+# Settable knobs: per package, the fields declared in non-test
 # `type …Config struct` and `type …Options struct` blocks under internal/
-# and cmd/ (`A, B int` is two), then the total. Every field is a setting
-# that tests and benchmarks must cover, so the number belongs in the log.
+# and cmd/ (`A, B int` is two); per cmd/ binary, its command-line flags,
+# one per flag.X or flag.XVar call site in a non-test file (a loop that
+# declares a family of flags is one site, one choice); then each total.
+# Every knob is a setting that tests and benchmarks must cover, so the
+# numbers belong in the log.
 knobs:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk ' \
-		FNR == 1 { body = 0 } \
-		/^type [A-Za-z0-9_]*(Config|Options) struct \{$$/ { body = 1; d = FILENAME; sub(/\/[^\/]*$$/, "", d); next } \
+		FNR == 1 { body = 0; d = FILENAME; sub(/\/[^\/]*$$/, "", d) } \
+		/^type [A-Za-z0-9_]*(Config|Options) struct \{$$/ { body = 1; next } \
 		body && /^}/ { body = 0; next } \
-		body { sub(/\/\/.*/, ""); if (NF == 0) next; k = 1; for (i = 1; i < NF && $$i ~ /,$$/; i++) k++; n[d] += k; t += k } \
-		END { for (d in n) printf "%5d %s\n", n[d], d; printf "%5d total\n", t }' | sort -k2
+		body { sub(/\/\/.*/, ""); if (NF == 0) next; k = 1; for (i = 1; i < NF && $$i ~ /,$$/; i++) k++; n[d] += k; seen[d] = 1; t += k; next } \
+		d ~ /^cmd\// { l = $$0; sub(/^[ \t]*\/\/.*/, "", l); \
+			k = gsub(/flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(/, "", l); \
+			if (k) { f[d] += k; seen[d] = 1; tf += k } } \
+		END { printf "%7s %7s\n", "fields", "flags"; for (d in seen) printf "%7d %7d %s\n", n[d], f[d], d; \
+			printf "%7d %7d total\n", t, tf }' | sort -k3

@@ -32,9 +32,6 @@ const (
 	// once, so plain LRU replacement scores 0 here; keeping the hot set
 	// through it is what the active/inactive policy is for.
 	hotScanMinHitRatio = 0.95
-	// hotScanCachePages sizes HotScan's caches: small, so that a scan of
-	// four caches per client stays a few MiB.
-	hotScanCachePages = 256
 )
 
 // cacheVariant is one configuration's aggregate over all clients.
@@ -100,7 +97,7 @@ func runCacheBench(o options) (*bench.Report, error) {
 	}
 	p := rep.Point(map[string]string{"Variant": "HotScan"}, 0)
 	p.Ints(map[string]int64{"HotReads": hs.HotReads, "HotHits": hs.HotHits, "ScanReads": hs.ScanReads,
-		"ReadBytes": hs.ReadBytes, "ServerOps": hs.ServerOps, "CachePages": hotScanCachePages,
+		"ReadBytes": hs.ReadBytes, "ServerOps": hs.ServerOps, "CachePages": workloads.HotScanCachePages,
 		"Promotions": hs.Cache.Promotions, "Demotions": hs.Cache.Demotions})
 	p.Floats(map[string]float64{"HotHitRatio": hs.hotHitRatio()})
 	p.AddCounters("Counters.", &hs.Counters)
@@ -118,7 +115,8 @@ func runCacheBench(o options) (*bench.Report, error) {
 		}, cacheCols...),
 	}, bench.Table{
 		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices (hit ratio gate %.0f%%)",
-			clients, hotScanCachePages, hotScanCachePages/2, hs.ScanReads/int64(clients*hotScanCachePages), 100*hotScanMinHitRatio),
+			clients, workloads.HotScanCachePages, workloads.HotScanCachePages/2,
+			hs.ScanReads/int64(clients*workloads.HotScanCachePages), 100*hotScanMinHitRatio),
 		Where: map[string]string{"Variant": "HotScan"},
 		Cols: append([]bench.Col{
 			{Head: "hot-set re-reads", Field: "HotReads", Fmt: "%.0f"},
@@ -155,15 +153,12 @@ func (h *hotScanRun) hotHitRatio() float64 {
 }
 
 // runHotScan fans HotScan clients out over a fresh server, each through a
-// cache of hotScanCachePages.
+// cache of workloads.HotScanCachePages.
 func runHotScan(clients, cpus int) (hotScanRun, error) {
 	var h hotScanRun
-	cfg := workloads.HotScanConfig{CachePages: hotScanCachePages}
 	st, err := withFreshServer(cpus, 1<<30, nil, func(pl *fileserver.PipeListener) error {
-		results, ctxs, cs, err := mixFanout(pl.Dial, clients, cpus, &pagecache.Config{MaxPages: cfg.CachePages},
-			func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.HotScanResult, error) {
-				return workloads.HotScanClient(ctx, target, i, cfg)
-			})
+		results, ctxs, cs, err := mixFanout(pl.Dial, clients, cpus, &pagecache.Config{MaxPages: workloads.HotScanCachePages},
+			workloads.HotScanClient)
 		if err != nil {
 			return err
 		}
@@ -227,6 +222,15 @@ func runCacheVariant(cached bool, clients, cpus int, cfg workloads.CachedMixConf
 	}
 	v.ServerOps = st.Ops
 	return v, nil
+}
+
+// defaultCache is mixFanout's cache argument for a cached-or-not switch:
+// the default-sized page cache, or none.
+func defaultCache(cached bool) *pagecache.Config {
+	if cached {
+		return &pagecache.Config{}
+	}
+	return nil
 }
 
 // sumReplacement adds up the clients' page counts and replacement counters.

@@ -17,12 +17,10 @@
 // generated from the modes table below, which is also where each mode is
 // described; what each gate enforces is at the top of its file.
 //
-// -server has three more outputs: -trace captures every request span as a
-// Chrome trace-event file loadable in chrome://tracing or Perfetto;
+// -server has two more outputs: -trace captures every request span as a
+// Chrome trace-event file loadable in chrome://tracing or Perfetto, and
 // -metrics-out dumps the final server counters in the Prometheus text
-// format, exactly as a live winefsd /metrics scrape would render them; and
-// -cached wraps each client in the page cache (incompatible with
-// -check-against, since the committed server baseline is uncached).
+// format, exactly as a live winefsd /metrics scrape would render them.
 package main
 
 import (
@@ -36,7 +34,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fileserver"
 	"repro/internal/metrics"
-	"repro/internal/pagecache"
 	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -51,7 +48,6 @@ type options struct {
 	size     int64
 	seed     uint64
 	run      string // -run: comma-separated experiment names
-	cached   bool   // -server: wrap clients in internal/pagecache
 	trace    string // -server: Chrome trace-event file
 	metrics  string // -server: Prometheus text dump
 	baseline string // -check-against, for modes that must refuse it
@@ -72,7 +68,7 @@ var modes = []struct {
 	{"cache", "[-quick] [-clients N] [-cpus N]", "client page-cache effectiveness sweep", runCacheBench},
 	{"scaling", "[-quick]", "fxmark-style scalability suite", runScalingBench},
 	{"replicated", "[-quick] [-clients N] [-cpus N] [-size BYTES]", "replication-overhead benchmark", runReplicatedBench},
-	{"server", "[-quick] [-clients N] [-cpus N] [-size BYTES] [-cached] [-trace FILE] [-metrics-out FILE]",
+	{"server", "[-quick] [-clients N] [-cpus N] [-size BYTES] [-trace FILE] [-metrics-out FILE]",
 		"serving-throughput baseline", runServerBench},
 }
 
@@ -97,7 +93,6 @@ func main() {
 	for i, m := range modes {
 		selected[i] = flag.Bool(m.name, false, "run the "+m.help+" and exit")
 	}
-	flag.BoolVar(&o.cached, "cached", false, "-server: wrap every client in the internal/pagecache client cache")
 	flag.IntVar(&o.clients, "clients", 8, "concurrent clients in -server, -cache and -replicated modes")
 	jsonOut := flag.String("json", "", "write the bench report as JSON to this file")
 	flag.StringVar(&o.trace, "trace", "", "-server: write request spans as a Chrome trace-event file")
@@ -203,10 +198,7 @@ const (
 // reproducible; the span, the latency digest and LockWaitNS wobble with
 // host goroutine scheduling and are toleranced in the report.
 func runServerBench(o options) (*bench.Report, error) {
-	clients, cpus, size, cached, seed := o.clients, o.cpus, o.size, o.cached, o.seed
-	if cached && o.baseline != "" {
-		return nil, fmt.Errorf("-cached changes the op mix seen by the server; it cannot be combined with -check-against")
-	}
+	clients, cpus, size, seed := o.clients, o.cpus, o.size, o.seed
 	ops := serverMixOps
 	if o.quick {
 		ops = serverMixOpsQuick
@@ -225,9 +217,8 @@ func runServerBench(o options) (*bench.Report, error) {
 	}
 	var results []workloads.ServerMixResult
 	var ctxs []*sim.Ctx
-	var cstats []pagecache.Stats
 	st, err := withFreshServer(cpus, size, tracer, func(pl *fileserver.PipeListener) (err error) {
-		results, ctxs, cstats, err = serverMixFanout(pl.Dial, clients, cpus, ops, cached, seed)
+		results, ctxs, err = serverMixFanout(pl.Dial, clients, cpus, ops, seed)
 		return err
 	})
 	if err != nil {
@@ -266,12 +257,10 @@ func runServerBench(o options) (*bench.Report, error) {
 		"Latency.P99NS": sum.P99NS, "Latency.MaxNS": sum.MaxNS})
 	p.Floats(map[string]float64{"OpsPerSec": opsPerSec, "Latency.MeanNS": sum.MeanNS})
 	p.AddCounters("Counters.", &st.Counters)
-	// With -cached this is where the page-cache hit/miss/flush activity lands.
 	p.AddCounters("ClientCounters.", &clientCounters)
-	packCache(p, &clientCounters, sumReplacement(cstats))
 	rep.Print(os.Stdout, bench.Table{
 		Title: fmt.Sprintf("Serving baseline: %d clients x %d iterations (in-memory transport)", clients, ops),
-		Cols: append([]bench.Col{
+		Cols: []bench.Col{
 			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
 			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
 			{Head: "throughput", Field: "OpsPerSec", Fmt: "%.0f ops/s (virtual)"},
@@ -280,7 +269,7 @@ func runServerBench(o options) (*bench.Report, error) {
 			{Head: "latency p99", Field: "Latency.P99NS", Fmt: "%.0fns"},
 			{Head: "latency max", Field: "Latency.MaxNS", Fmt: "%.0fns"},
 			{Head: "sessions", Field: "Sessions", Fmt: "%.0f"},
-		}, cacheCols...),
+		},
 	})
 
 	if o.metrics != "" {

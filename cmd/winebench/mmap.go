@@ -38,13 +38,7 @@ type mmapVariant struct {
 // runMmapBench sweeps the four variants, packs and prints the report and
 // enforces the coverage and slowdown gates.
 func runMmapBench(o options) (*bench.Report, error) {
-	cfg := workloads.MmapSweepConfig{
-		FileBytes:  32 << 20,
-		Reads:      10000,
-		Util:       0.6,
-		WritePhase: true,
-		Seed:       o.seed,
-	}
+	cfg := workloads.MmapSweepConfig{FileBytes: 32 << 20, Reads: 10000, Seed: o.seed}
 	devSize := int64(512 << 20)
 	if o.quick {
 		cfg.FileBytes = 16 << 20
@@ -71,7 +65,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 
 	rep := bench.New("mmap/v1", map[string]float64{
 		"FileMB": float64(fileMB), "Reads": float64(cfg.Reads), "ReadSize": workloads.MmapReadSize,
-		"Util": cfg.Util, "CPUs": float64(o.cpus), "Seed": float64(o.seed)})
+		"Util": workloads.MmapUtil, "CPUs": float64(o.cpus), "Seed": float64(o.seed)})
 	for _, v := range variants {
 		p := rep.Point(map[string]string{"FS": v.FS, "Aged": strconv.FormatBool(v.Aged)}, 0)
 		p.Ints(map[string]int64{"Reads": v.Reads, "ReadBytes": v.ReadBytes,
@@ -85,7 +79,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 	}
 	rep.Print(os.Stdout, bench.Table{
 		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
-			100*cfg.Util, fileMB, cfg.Reads, workloads.MmapReadSize),
+			100*workloads.MmapUtil, fileMB, cfg.Reads, workloads.MmapReadSize),
 		Rows: []string{"FS", "Aged"}, RowHead: "fs aged",
 		Cols: []bench.Col{
 			{Head: "read cost", Field: "NSPerRead", Fmt: "%.0fns/read"},

@@ -113,21 +113,13 @@ func mixFanout[R any](dial func() (fileserver.Conn, error), clients, cpus int, c
 	return results, ctxs, cstats, nil
 }
 
-// defaultCache is mixFanout's cache argument for a cached-or-not switch:
-// the default-sized page cache, or none.
-func defaultCache(cached bool) *pagecache.Config {
-	if cached {
-		return &pagecache.Config{}
-	}
-	return nil
-}
-
-// serverMixFanout runs the ServerMix workload on every client of a fan-out,
-// through default-sized page caches when cached is set.
-func serverMixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, cached bool, seed uint64) ([]workloads.ServerMixResult, []*sim.Ctx, []pagecache.Stats, error) {
-	return mixFanout(dial, clients, cpus, defaultCache(cached), func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.ServerMixResult, error) {
+// serverMixFanout runs the ServerMix workload on every bare client of a
+// fan-out.
+func serverMixFanout(dial func() (fileserver.Conn, error), clients, cpus, ops int, seed uint64) ([]workloads.ServerMixResult, []*sim.Ctx, error) {
+	results, ctxs, _, err := mixFanout(dial, clients, cpus, nil, func(ctx *sim.Ctx, target vfs.FS, i int) (workloads.ServerMixResult, error) {
 		return workloads.ServerMixClient(ctx, target, i, workloads.ServerMixConfig{Ops: ops, Seed: seed})
 	})
+	return results, ctxs, err
 }
 
 // mixSpans totals a ServerMix fan-out: (client ops, virtual makespan,
@@ -159,7 +151,7 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 	// Plain baseline: one server, no replication.
 	var plainOps, plainSpan, plainSum int64
 	_, err := withFreshServer(cpus, size, nil, func(pl *fileserver.PipeListener) error {
-		plain, _, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, false, seed)
+		plain, _, err := serverMixFanout(pl.Dial, clients, cpus, ops, seed)
 		plainOps, plainSpan, plainSum = mixSpans(plain)
 		return err
 	})
@@ -181,7 +173,7 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	defer cl.Shutdown()
-	repl, _, _, err := serverMixFanout(cl.DialPrimary, clients, cpus, ops, false, seed)
+	repl, _, err := serverMixFanout(cl.DialPrimary, clients, cpus, ops, seed)
 	if err != nil {
 		return nil, fmt.Errorf("replicated run: %w", err)
 	}

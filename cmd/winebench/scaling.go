@@ -114,7 +114,7 @@ func runScalingPoint(c workloads.FxmarkCase, transport string, threads, ops int,
 	if err != nil {
 		return pt, fmt.Errorf("mkfs: %w", err)
 	}
-	if err := workloads.FxmarkSetup(setupCtx, fs, c, threads, cfg); err != nil {
+	if err := workloads.FxmarkSetup(setupCtx, fs, c, threads); err != nil {
 		return pt, err
 	}
 

@@ -66,6 +66,7 @@ func runTierBench(o options) (*bench.Report, error) {
 		devSize = 128 << 20
 		cfg.Ops = 8000
 	}
+	cfg.WarmupOps = cfg.Ops
 	slowSize := 2 * devSize
 	controlSize := 3 * devSize
 	// The curve, then the aged point: the 1.5x working set again, behind

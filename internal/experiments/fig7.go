@@ -75,12 +75,7 @@ func fig7YCSB(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[st
 	if err != nil {
 		return fmt.Errorf("ycsb: %w", err)
 	}
-	ycfg := workloads.YCSBConfig{
-		Records:    cfg.scale(4000, 50000),
-		Operations: cfg.scale(4000, 50000),
-		ValueSize:  1024,
-		Seed:       cfg.Seed,
-	}
+	ycfg := workloads.YCSBConfig{Records: cfg.scale(4000, 50000), Seed: cfg.Seed}
 	clock := ctx.Now()
 	for _, kind := range workloads.AllYCSB() {
 		runCtx := sim.NewCtx(71+int(kind), 0)
@@ -107,7 +102,7 @@ func fig7LMDB(cfg Config, fs vfs.FS, opsPerSec map[string]float64, faults map[st
 		return fmt.Errorf("lmdb: %w", err)
 	}
 	ops, ns, err := workloads.DBBench(ctx, db, workloads.FillSeqBatch, workloads.DBBenchConfig{
-		Records: cfg.scale(4000, 50000), ValueSize: 1024, BatchSize: 100, Seed: cfg.Seed,
+		Records: cfg.scale(4000, 50000), ValueSize: 1024, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return fmt.Errorf("lmdb: %w", err)

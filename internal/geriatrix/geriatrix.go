@@ -85,9 +85,10 @@ type Config struct {
 	Profile Profile
 	// Seed fixes the random stream.
 	Seed uint64
-	// Dirs is the number of directories files are spread over (default 16).
-	Dirs int
 }
+
+// agedDirs is the number of directories files are spread over.
+const agedDirs = 16
 
 // Stats reports what an aging run did.
 type Stats struct {
@@ -119,9 +120,6 @@ func New(fs vfs.FS, cfg Config) *Ager {
 	if cfg.Profile.Sample == nil {
 		cfg.Profile = Agrawal()
 	}
-	if cfg.Dirs <= 0 {
-		cfg.Dirs = 16
-	}
 	if cfg.ChurnFactor == 0 {
 		cfg.ChurnFactor = 2
 	}
@@ -140,7 +138,7 @@ func (a *Ager) util(ctx *sim.Ctx) float64 {
 // the allocator; file contents are irrelevant).
 func (a *Ager) createOne(ctx *sim.Ctx) error {
 	size := a.cfg.Profile.Sample(a.rng)
-	dir := fmt.Sprintf("/aged%02d", a.next%int64(a.cfg.Dirs))
+	dir := fmt.Sprintf("/aged%02d", a.next%agedDirs)
 	path := fmt.Sprintf("%s/f%08d", dir, a.next)
 	a.next++
 	f, err := a.fs.Create(ctx, path)
@@ -178,7 +176,7 @@ func (a *Ager) deleteOne(ctx *sim.Ctx) error {
 // target utilisation, then churn creates+deletes (keeping utilisation
 // around the target) until ChurnFactor × capacity has been written.
 func (a *Ager) Run(ctx *sim.Ctx) (Stats, error) {
-	for d := 0; d < a.cfg.Dirs; d++ {
+	for d := 0; d < agedDirs; d++ {
 		if err := a.fs.Mkdir(ctx, fmt.Sprintf("/aged%02d", d)); err != nil && err != vfs.ErrExist {
 			return a.st, err
 		}

@@ -19,7 +19,7 @@ import (
 
 // CachedMixConfig sizes one client's run.
 type CachedMixConfig struct {
-	// Files is the working-set size (default 24).
+	// Files is the working-set size.
 	Files int
 	Seed  uint64
 }
@@ -30,12 +30,6 @@ const (
 	// CachedMixRounds is how many times the working set is re-read.
 	CachedMixRounds = 3
 )
-
-func (c *CachedMixConfig) defaults() {
-	if c.Files == 0 {
-		c.Files = 24
-	}
-}
 
 // CachedMixResult reports one client's run, with the re-read phase broken
 // out so per-read virtual cost can be compared across configurations.
@@ -61,7 +55,6 @@ func cachedMixPattern(p []byte, client, file, gen int) {
 // fs. Clients must use distinct ids; they may share an fs and run
 // concurrently, each with its own ctx.
 func CachedMixClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg CachedMixConfig) (CachedMixResult, error) {
-	cfg.defaults()
 	var res CachedMixResult
 	const size = CachedMixFileKB << 10
 

@@ -32,30 +32,19 @@ import (
 
 // DefragSoakConfig sizes the soak.
 type DefragSoakConfig struct {
-	// FileBytes is the mapped bench file (default 32MiB, hugepage-rounded).
+	// FileBytes is the mapped bench file (hugepage-rounded).
 	FileBytes int64
-	// Util caps the churn fill's utilisation before the alternate
-	// deletes (default 0.8).
-	Util float64
-	// Budget is the defragmenter duty cycle (default 0.5; the recovery
-	// phase is about coverage, not interference).
-	Budget float64
-	Seed   uint64
+	Seed      uint64
 }
 
-func (c DefragSoakConfig) withDefaults() DefragSoakConfig {
-	if c.FileBytes <= 0 {
-		c.FileBytes = 32 << 20
-	}
-	c.FileBytes = (c.FileBytes + mmu.HugePage - 1) / mmu.HugePage * mmu.HugePage
-	if c.Util == 0 {
-		c.Util = 0.8
-	}
-	if c.Budget == 0 {
-		c.Budget = 0.5
-	}
-	return c
-}
+const (
+	// soakUtil caps the churn fill's utilisation before the alternate
+	// deletes.
+	soakUtil = 0.8
+	// soakBudget is the defragmenter duty cycle: the recovery phase is
+	// about coverage, not interference.
+	soakBudget = 0.5
+)
 
 // DefragSoakResult is the soak outcome.
 type DefragSoakResult struct {
@@ -95,7 +84,7 @@ func (r DefragSoakResult) RecoveredCoverage() float64 { return cov(r.DefragHuge,
 // fresh device each time (the conditions must not share state); cpus
 // places the maintenance thread on the last CPU, away from the mapper.
 func RunDefragSoak(mk func(ctx *sim.Ctx) (*winefs.FS, error), cpus int, cfg DefragSoakConfig) (DefragSoakResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.FileBytes = (cfg.FileBytes + mmu.HugePage - 1) / mmu.HugePage * mmu.HugePage
 	var res DefragSoakResult
 
 	// Condition 1: unaged control.
@@ -122,7 +111,7 @@ func RunDefragSoak(mk func(ctx *sim.Ctx) (*winefs.FS, error), cpus int, cfg Defr
 		return res, err
 	}
 	setupStart := ctx.Now()
-	if err := churnAge(ctx, fs, cfg.Util); err != nil {
+	if err := churnAge(ctx, fs, soakUtil); err != nil {
 		return res, fmt.Errorf("age: %w", err)
 	}
 	m, err := soakMapFile(ctx, fs, cfg)
@@ -140,7 +129,7 @@ func RunDefragSoak(mk func(ctx *sim.Ctx) (*winefs.FS, error), cpus int, cfg Defr
 	bg := sim.NewCtx(3, cpus-1)
 	bg.AdvanceTo(ctx.Now())
 	defragStart := bg.Now()
-	r := defrag.New(fs, defrag.Config{Budget: cfg.Budget})
+	r := defrag.New(fs, defrag.Config{Budget: soakBudget})
 	sum, err := r.Run(bg)
 	if err != nil {
 		return res, fmt.Errorf("defrag: %w", err)

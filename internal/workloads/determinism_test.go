@@ -14,17 +14,24 @@ import (
 // perturb: the final virtual clock, every perf counter, and the structured
 // results of each phase (all scalar fields, so == is a full comparison).
 type goldenFingerprint struct {
-	clock    int64
-	counters perf.Counters
-	fxmark   workloads.FxmarkThreadResult
-	sweep    workloads.MmapSweepResult
+	clock     int64
+	counters  perf.Counters
+	fxmark    workloads.FxmarkThreadResult
+	sweep     workloads.MmapSweepResult
+	filebench workloads.FilebenchResult
+	fbBlocks  int64 // blocks the Filebench run left allocated
+	pgbench   workloads.PgbenchResult
 }
 
+// goldenFiles is the fileset of each job's one-thread Filebench run.
+const goldenFiles = 40
+
 // goldenJob runs one self-contained mixed workload — fxmark file churn
-// through the VFS layer, then an mmap sweep with a write phase through the
-// MMU fine/stream paths — on its own device and FS, audits the FS, and
-// returns the fingerprint. exact selects the per-line reference arm of the
-// MMU charging path.
+// through the VFS layer, an mmap sweep with a write phase through the MMU
+// fine/stream paths, then one-thread runs of a Filebench personality and
+// of Pgbench — on its own device and FS, audits the FS, and returns the
+// fingerprint. exact selects the per-line reference arm of the MMU
+// charging path.
 func goldenJob(t *testing.T, i int, exact bool) goldenFingerprint {
 	t.Helper()
 	ctx := sim.NewCtx(100+i, i%4)
@@ -39,7 +46,7 @@ func goldenJob(t *testing.T, i int, exact bool) goldenFingerprint {
 	var fp goldenFingerprint
 	c := workloads.FxmarkCases()[i%len(workloads.FxmarkCases())]
 	cfg := workloads.FxmarkConfig{Ops: 60, Seed: 0xD0_0D + uint64(i)}
-	if err := workloads.FxmarkSetup(ctx, fs, c, 1, cfg); err != nil {
+	if err := workloads.FxmarkSetup(ctx, fs, c, 1); err != nil {
 		t.Fatalf("job %d: fxmark setup: %v", i, err)
 	}
 	fp.fxmark, err = workloads.FxmarkThread(ctx, fs, 0, c, 1, cfg)
@@ -48,13 +55,28 @@ func goldenJob(t *testing.T, i int, exact bool) goldenFingerprint {
 	}
 
 	fp.sweep, err = workloads.RunMmapSweep(ctx, fs, workloads.MmapSweepConfig{
-		FileBytes:  8 << 20,
-		Reads:      1500,
-		WritePhase: true,
-		Seed:       uint64(i) + 1,
+		FileBytes: 8 << 20,
+		Reads:     1500,
+		Seed:      uint64(i) + 1,
 	})
 	if err != nil {
 		t.Fatalf("job %d: mmap sweep: %v", i, err)
+	}
+
+	p := workloads.AllPersonalities()[i%len(workloads.AllPersonalities())]
+	free := fs.StatFS(ctx).FreeBlocks
+	fp.filebench, err = workloads.Filebench(fs, p, workloads.FilebenchConfig{
+		Threads: 1, Files: goldenFiles, OpsPerThread: 8, Seed: uint64(i) + 1,
+	})
+	if err != nil {
+		t.Fatalf("job %d: filebench %s: %v", i, p, err)
+	}
+	fp.fbBlocks = free - fs.StatFS(ctx).FreeBlocks
+	fp.pgbench, err = workloads.Pgbench(fs, workloads.PgbenchConfig{
+		Threads: 1, DatabaseBytes: 4 << 20, TxPerThread: 20, Seed: uint64(i) + 1,
+	})
+	if err != nil {
+		t.Fatalf("job %d: pgbench: %v", i, err)
 	}
 
 	if err := fs.Audit(ctx); err != nil {
@@ -78,7 +100,7 @@ func goldenJob(t *testing.T, i int, exact bool) goldenFingerprint {
 // batch-collapse argument (A vs B) or a determinism leak through shared
 // host state (B vs C).
 func TestEngineDeterminismGolden(t *testing.T) {
-	const jobs = 5 // covers every fxmark case once
+	const jobs = 5 // covers every fxmark case and Filebench personality once
 
 	exact := make([]goldenFingerprint, jobs)
 	batched := make([]goldenFingerprint, jobs)
@@ -116,6 +138,19 @@ func TestEngineDeterminismGolden(t *testing.T) {
 		}
 		if fp.counters.JournalCommits == 0 {
 			t.Errorf("job %d: no journal commits — fxmark churn did not reach the FS", i)
+		}
+		// A fileset file averages 1.25x its personality's mean size (sizes
+		// are uniform over half to double), and the eight iterations add a
+		// little more, so the run leaves between one and two means per file.
+		p := fp.filebench.Personality
+		mean := map[workloads.Personality]int64{workloads.Varmail: 16, workloads.Fileserver: 128,
+			workloads.Webserver: 64, workloads.Webproxy: 64}[p] << 10
+		if used := fp.fbBlocks * winefs.BlockSize; used < goldenFiles*mean || used >= 2*goldenFiles*mean {
+			t.Errorf("job %d: %s left %d bytes on %d files, want [1, 2) x the %d-byte mean per file",
+				i, p, used, goldenFiles, mean)
+		}
+		if fp.filebench.Ops != 8 || fp.pgbench.Tx != 20 {
+			t.Errorf("job %d: filebench %+v, pgbench %+v: iterations lost", i, fp.filebench, fp.pgbench)
 		}
 	}
 }

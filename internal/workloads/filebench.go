@@ -22,51 +22,25 @@ func (p Personality) String() string {
 	return [...]string{"varmail", "fileserver", "webserver", "webproxy"}[p]
 }
 
+// meanFileKB is the personality's mean file size in KiB.
+func (p Personality) meanFileKB() int {
+	return [...]int{16, 128, 64, 64}[p]
+}
+
 // AllPersonalities lists the Figure 9 set.
 func AllPersonalities() []Personality {
 	return []Personality{Varmail, Fileserver, Webserver, Webproxy}
 }
 
-// FilebenchConfig sizes a run. Thread counts follow Table 1, file counts
-// are scaled to the simulated partition.
+// FilebenchConfig sizes a run: file counts are scaled to the simulated
+// partition, file sizes are the personality's.
 type FilebenchConfig struct {
 	Threads int
 	Files   int
 	// OpsPerThread is the number of personality iterations each thread
 	// performs during the measured phase.
 	OpsPerThread int
-	// MeanFileKB is the mean file size (default per personality).
-	MeanFileKB int
-	Seed       uint64
-}
-
-func (c *FilebenchConfig) defaults(p Personality) {
-	if c.Threads == 0 {
-		switch p {
-		case Varmail:
-			c.Threads = 16
-		case Fileserver:
-			c.Threads = 8 // scaled from 50
-		default:
-			c.Threads = 8 // scaled from 100
-		}
-	}
-	if c.Files == 0 {
-		c.Files = 2000
-	}
-	if c.OpsPerThread == 0 {
-		c.OpsPerThread = 200
-	}
-	if c.MeanFileKB == 0 {
-		switch p {
-		case Varmail:
-			c.MeanFileKB = 16
-		case Fileserver:
-			c.MeanFileKB = 128
-		default:
-			c.MeanFileKB = 64
-		}
-	}
+	Seed         uint64
 }
 
 // FilebenchResult reports a run.
@@ -87,7 +61,6 @@ func (r FilebenchResult) Throughput() float64 {
 // Filebench prepares the fileset and runs the personality with the
 // configured thread count, each thread on its own simulated CPU.
 func Filebench(fs vfs.FS, p Personality, cfg FilebenchConfig) (FilebenchResult, error) {
-	cfg.defaults(p)
 	setup := sim.NewCtx(1000, 0)
 	if err := fs.Mkdir(setup, "/fb"); err != nil && err != vfs.ErrExist {
 		return FilebenchResult{}, err
@@ -102,7 +75,7 @@ func Filebench(fs vfs.FS, p Personality, cfg FilebenchConfig) (FilebenchResult, 
 		if err != nil {
 			return FilebenchResult{}, err
 		}
-		size := fbSize(rng, cfg.MeanFileKB)
+		size := fbSize(rng, p.meanFileKB())
 		if _, err := f.Append(setup, make([]byte, size)); err != nil {
 			return FilebenchResult{}, err
 		}
@@ -169,7 +142,7 @@ func fbThread(ctx *sim.Ctx, fs vfs.FS, p Personality, cfg FilebenchConfig, th in
 			if err != nil {
 				return err
 			}
-			if _, err := f.Append(ctx, make([]byte, fbSize(rng, cfg.MeanFileKB))); err != nil {
+			if _, err := f.Append(ctx, make([]byte, fbSize(rng, p.meanFileKB()))); err != nil {
 				return err
 			}
 			if err := f.Fsync(ctx); err != nil {
@@ -191,7 +164,7 @@ func fbThread(ctx *sim.Ctx, fs vfs.FS, p Personality, cfg FilebenchConfig, th in
 			if err != nil {
 				return err
 			}
-			if _, err := f.Append(ctx, make([]byte, fbSize(rng, cfg.MeanFileKB))); err != nil {
+			if _, err := f.Append(ctx, make([]byte, fbSize(rng, p.meanFileKB()))); err != nil {
 				return err
 			}
 			if g, err := fs.Open(ctx, pick()); err == nil {
@@ -216,7 +189,7 @@ func fbThread(ctx *sim.Ctx, fs vfs.FS, p Personality, cfg FilebenchConfig, th in
 			if err != nil {
 				return err
 			}
-			if _, err := f.Append(ctx, make([]byte, fbSize(rng, cfg.MeanFileKB))); err != nil {
+			if _, err := f.Append(ctx, make([]byte, fbSize(rng, p.meanFileKB()))); err != nil {
 				return err
 			}
 			for i := 0; i < 5; i++ {

@@ -63,12 +63,6 @@ type FxmarkConfig struct {
 	Seed uint64
 }
 
-func (c *FxmarkConfig) defaults() {
-	if c.Ops == 0 {
-		c.Ops = 100
-	}
-}
-
 // FxmarkThreadResult reports one thread's run.
 type FxmarkThreadResult struct {
 	// Ops counts completed file-system operations (syscalls).
@@ -114,8 +108,7 @@ var fxStream = func() []byte {
 // shared file is preallocated and patterned region by region, the shared
 // directory pre-grown so the measured loops never allocate dirent blocks
 // (keeping run-phase work counters independent of thread interleaving).
-func FxmarkSetup(ctx *sim.Ctx, fs vfs.FS, c FxmarkCase, threads int, cfg FxmarkConfig) error {
-	cfg.defaults()
+func FxmarkSetup(ctx *sim.Ctx, fs vfs.FS, c FxmarkCase, threads int) error {
 	if err := fs.Mkdir(ctx, "/fx"); err != nil && err != vfs.ErrExist {
 		return fmt.Errorf("fxmark setup: mkdir /fx: %w", err)
 	}
@@ -168,7 +161,6 @@ func FxmarkSetup(ctx *sim.Ctx, fs vfs.FS, c FxmarkCase, threads int, cfg FxmarkC
 // FxmarkThread runs one thread's loop. Threads for a run share fs and run
 // concurrently, each with its own ctx.
 func FxmarkThread(ctx *sim.Ctx, fs vfs.FS, thread int, c FxmarkCase, threads int, cfg FxmarkConfig) (FxmarkThreadResult, error) {
-	cfg.defaults()
 	var res FxmarkThreadResult
 	start := ctx.Now()
 	rng := sim.NewRand(cfg.Seed + uint64(thread)*2654435761 + 11)

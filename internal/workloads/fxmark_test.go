@@ -24,7 +24,7 @@ func runFxmark(t *testing.T, c workloads.FxmarkCase, threads int) int64 {
 		t.Fatal(err)
 	}
 	cfg := workloads.FxmarkConfig{Ops: 64, Seed: 7}
-	if err := workloads.FxmarkSetup(setup, fs, c, threads, cfg); err != nil {
+	if err := workloads.FxmarkSetup(setup, fs, c, threads); err != nil {
 		t.Fatal(err)
 	}
 	spans := make([]int64, threads)

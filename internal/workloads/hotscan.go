@@ -17,16 +17,15 @@ import (
 // page to its protected list only on a second touch serves every one of
 // them. Every byte read is verified, like CachedMix.
 
-// hotScanSlices is the length of the cold scan in caches.
-const hotScanSlices = 4
-
-// HotScanConfig sizes one client's run against the cache it runs through.
-type HotScanConfig struct {
-	// CachePages is the capacity of the client's cache in 4KiB pages
-	// (default 256): the hot set is half of it, the cold scan
+const (
+	// HotScanCachePages is the capacity in 4KiB pages of the cache a
+	// client runs through: small, so that a scan of four caches per client
+	// stays a few MiB. The hot set is half of it, the cold scan
 	// hotScanSlices times it.
-	CachePages int
-}
+	HotScanCachePages = 256
+	// hotScanSlices is the length of the cold scan in caches.
+	hotScanSlices = 4
+)
 
 // HotScanResult reports one client's run. Reads are one page each, so with
 // a page cache under the client a read is one hit or one miss.
@@ -41,13 +40,10 @@ type HotScanResult struct {
 // HotScanClient runs one client's populate / warm / scan-and-re-read loop
 // on fs. Clients must use distinct ids; they may share an fs and run
 // concurrently, each with its own ctx.
-func HotScanClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg HotScanConfig) (HotScanResult, error) {
-	if cfg.CachePages == 0 {
-		cfg.CachePages = 256
-	}
+func HotScanClient(ctx *sim.Ctx, fs vfs.FS, client int) (HotScanResult, error) {
 	const pageSize = 4096
 	var res HotScanResult
-	hot, slice := cfg.CachePages/2, cfg.CachePages
+	hot, slice := HotScanCachePages/2, HotScanCachePages
 
 	if err := fs.Mkdir(ctx, "/hscan"); err != nil && err != vfs.ErrExist {
 		return res, fmt.Errorf("hotscan: mkdir /hscan: %w", err)

@@ -14,24 +14,24 @@ import (
 // read once), and without a cache the workload verifies the same bytes and
 // reports no hits.
 func TestHotScanHotSetSurvives(t *testing.T) {
-	cfg := HotScanConfig{CachePages: 64}
+	const pages = HotScanCachePages
 	ctx := sim.NewCtx(100, 0)
-	c := pagecache.New(fstest.NewMemFS(), pagecache.Config{MaxPages: cfg.CachePages})
-	res, err := HotScanClient(ctx, c, 0, cfg)
+	c := pagecache.New(fstest.NewMemFS(), pagecache.Config{MaxPages: pages})
+	res, err := HotScanClient(ctx, c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HotReads != hotScanSlices*int64(cfg.CachePages)/2 || res.HotHits != res.HotReads || res.ScanReads != hotScanSlices*int64(cfg.CachePages) {
+	if res.HotReads != hotScanSlices*int64(pages)/2 || res.HotHits != res.HotReads || res.ScanReads != hotScanSlices*int64(pages) {
 		t.Fatalf("cached: %+v, want every hot re-read a hit", res)
 	}
-	if st := c.Stats(); st.Promotions != int64(cfg.CachePages)/2 || st.Demotions != 0 {
+	if st := c.Stats(); st.Promotions != int64(pages)/2 || st.Demotions != 0 {
 		t.Fatalf("cache stats %+v: want the hot set promoted once and never demoted", st)
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 
-	bare, err := HotScanClient(sim.NewCtx(101, 0), fstest.NewMemFS(), 0, cfg)
+	bare, err := HotScanClient(sim.NewCtx(101, 0), fstest.NewMemFS(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

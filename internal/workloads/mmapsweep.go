@@ -19,48 +19,33 @@ import (
 // hugepage fault and the sweep runs at TLB-hit speed; on the aged image
 // the allocator hands back fragments, faults are 4KiB base faults and
 // every access pays page-walk traffic — the paper's Figure 1 aging gap,
-// measured at the vmm API instead of inside experiments. An optional
-// write phase follows with SyncPeriodic msync batching so the durability
-// counters are exercised by the same sweep.
+// measured at the vmm API instead of inside experiments. A write phase
+// follows with SyncPeriodic msync batching so the durability counters are
+// exercised by the same sweep.
 
-// MmapReadSize is bytes per mapped read: one cache line — the paper's
-// random-array-access shape, where translation cost is the whole story.
-const MmapReadSize = 64
+// The sweep's fixed shape.
+const (
+	// MmapReadSize is bytes per mapped read: one cache line — the paper's
+	// random-array-access shape, where translation cost is the whole story.
+	MmapReadSize = 64
+	// MmapUtil is the image utilisation both conditions reach.
+	MmapUtil = 0.6
+	// mmapChurnFactor is the Geriatrix churn for the aged condition, the
+	// quick-mode setting.
+	mmapChurnFactor = 0.5
+)
 
 // MmapSweepConfig sizes one sweep.
 type MmapSweepConfig struct {
-	// FileBytes is the benchmark file size (default 32MiB; rounded up to
-	// a hugepage multiple).
+	// FileBytes is the benchmark file size (rounded up to a hugepage
+	// multiple).
 	FileBytes int64
-	// Reads is the number of random mapped reads (default 20000).
+	// Reads is the number of random mapped reads; the write phase makes a
+	// tenth as many writes.
 	Reads int
 	// Aged selects a Geriatrix-aged image instead of the clean fill.
 	Aged bool
-	// Util is the image utilisation both conditions reach (default 0.6).
-	Util float64
-	// ChurnFactor is the Geriatrix churn for the aged condition (default
-	// 0.5, the quick-mode setting).
-	ChurnFactor float64
-	// WritePhase adds a shared-mapping write pass with periodic msync.
-	WritePhase bool
-	Seed       uint64
-}
-
-func (c MmapSweepConfig) withDefaults() MmapSweepConfig {
-	if c.FileBytes <= 0 {
-		c.FileBytes = 32 << 20
-	}
-	c.FileBytes = (c.FileBytes + mmu.HugePage - 1) / mmu.HugePage * mmu.HugePage
-	if c.Reads <= 0 {
-		c.Reads = 20000
-	}
-	if c.Util == 0 {
-		c.Util = 0.6
-	}
-	if c.ChurnFactor == 0 {
-		c.ChurnFactor = 0.5
-	}
-	return c
+	Seed uint64
 }
 
 // MmapSweepResult is one sweep's outcome.
@@ -73,7 +58,7 @@ type MmapSweepResult struct {
 	SweepNS int64
 	// NSPerRead is SweepNS / Reads.
 	NSPerRead float64
-	// WriteNS is the optional write phase's virtual time.
+	// WriteNS is the write phase's virtual time.
 	WriteNS int64
 	// HugeChunks/TotalChunks is hugepage coverage over the chunks the
 	// sweep faulted (TotalChunks == the file's chunk count once every
@@ -101,21 +86,21 @@ func (r MmapSweepResult) HugeCoverage() float64 {
 // bench context advanced past setup so calendar contention from aging
 // can't bleed into the numbers (the fig1 methodology).
 func RunMmapSweep(ctx *sim.Ctx, fs vfs.FS, cfg MmapSweepConfig) (MmapSweepResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.FileBytes = (cfg.FileBytes + mmu.HugePage - 1) / mmu.HugePage * mmu.HugePage
 	var res MmapSweepResult
 	setupStart := ctx.Now()
 
 	if cfg.Aged {
 		ager := geriatrix.New(fs, geriatrix.Config{
-			TargetUtil:  cfg.Util,
-			ChurnFactor: cfg.ChurnFactor,
+			TargetUtil:  MmapUtil,
+			ChurnFactor: mmapChurnFactor,
 			Seed:        cfg.Seed + 101,
 		})
 		if _, err := ager.Run(ctx); err != nil {
 			return res, fmt.Errorf("mmapsweep: age: %w", err)
 		}
 	} else {
-		if err := fillAligned(ctx, fs, cfg.Util); err != nil {
+		if err := fillAligned(ctx, fs, MmapUtil); err != nil {
 			return res, fmt.Errorf("mmapsweep: fill: %w", err)
 		}
 	}
@@ -125,7 +110,7 @@ func RunMmapSweep(ctx *sim.Ctx, fs vfs.FS, cfg MmapSweepConfig) (MmapSweepResult
 		return res, err
 	}
 	if err := f.Fallocate(ctx, 0, cfg.FileBytes); err != nil {
-		return res, fmt.Errorf("mmapsweep: fallocate %d bytes at util %.2f: %w", cfg.FileBytes, cfg.Util, err)
+		return res, fmt.Errorf("mmapsweep: fallocate %d bytes at util %.2f: %w", cfg.FileBytes, MmapUtil, err)
 	}
 	// Prewrite the whole file so every block holds data: file systems
 	// that fallocate unwritten extents (ext4-style) would otherwise zero
@@ -174,23 +159,21 @@ func RunMmapSweep(ctx *sim.Ctx, fs vfs.FS, cfg MmapSweepConfig) (MmapSweepResult
 	res.SweepNS = bench.Now() - sweepStart
 	res.NSPerRead = float64(res.SweepNS) / float64(res.Reads)
 
-	if cfg.WritePhase {
-		writeStart := bench.Now()
-		val := make([]byte, MmapReadSize)
-		for i := range val {
-			val[i] = byte(i)
-		}
-		for i := 0; i < cfg.Reads/10; i++ {
-			off := rng.Int63n(slots) * MmapReadSize
-			if err := m.Write(bench, val, off); err != nil {
-				return res, fmt.Errorf("mmapsweep: write %d: %w", i, err)
-			}
-		}
-		if err := m.Msync(bench, 0, -1); err != nil {
-			return res, err
-		}
-		res.WriteNS = bench.Now() - writeStart
+	writeStart := bench.Now()
+	val := make([]byte, MmapReadSize)
+	for i := range val {
+		val[i] = byte(i)
 	}
+	for i := 0; i < cfg.Reads/10; i++ {
+		off := rng.Int63n(slots) * MmapReadSize
+		if err := m.Write(bench, val, off); err != nil {
+			return res, fmt.Errorf("mmapsweep: write %d: %w", i, err)
+		}
+	}
+	if err := m.Msync(bench, 0, -1); err != nil {
+		return res, err
+	}
+	res.WriteNS = bench.Now() - writeStart
 
 	res.HugeChunks, res.TotalChunks = m.FaultedChunks()
 	if err := m.Close(bench); err != nil {

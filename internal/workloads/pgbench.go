@@ -18,18 +18,6 @@ type PgbenchConfig struct {
 	Seed        uint64
 }
 
-func (c *PgbenchConfig) defaults() {
-	if c.Threads == 0 {
-		c.Threads = 8 // scaled from 32
-	}
-	if c.DatabaseBytes == 0 {
-		c.DatabaseBytes = 256 << 20
-	}
-	if c.TxPerThread == 0 {
-		c.TxPerThread = 300
-	}
-}
-
 // PgbenchResult reports transactions per virtual second.
 type PgbenchResult struct {
 	Tx        int64
@@ -55,7 +43,6 @@ const pgPage = 8192
 // "NOVA has to delete per-inode log entries, add new entries ... WineFS
 // only modifies the inode in a journal transaction."
 func Pgbench(fs vfs.FS, cfg PgbenchConfig) (PgbenchResult, error) {
-	cfg.defaults()
 	setup := sim.NewCtx(1000, 0)
 	if err := fs.Mkdir(setup, "/pg"); err != nil && err != vfs.ErrExist {
 		return PgbenchResult{}, err

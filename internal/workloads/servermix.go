@@ -20,20 +20,12 @@ import (
 // ServerMixConfig sizes one client's loop.
 type ServerMixConfig struct {
 	// Ops is the number of loop iterations (each issues several syscalls).
-	Ops int
-	// MeanFileKB is the mean file size (default 16).
-	MeanFileKB int
-	Seed       uint64
+	Ops  int
+	Seed uint64
 }
 
-func (c *ServerMixConfig) defaults() {
-	if c.Ops == 0 {
-		c.Ops = 200
-	}
-	if c.MeanFileKB == 0 {
-		c.MeanFileKB = 16
-	}
-}
+// serverMixMeanFileKB is the mean size of a file the loop writes.
+const serverMixMeanFileKB = 16
 
 // ServerMixResult reports one client's run.
 type ServerMixResult struct {
@@ -58,7 +50,6 @@ func serverMixPattern(p []byte, client, i int) {
 // use a distinct id; clients may share one fs (or one fileserver.Client)
 // and may run concurrently, each with its own ctx.
 func ServerMixClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg ServerMixConfig) (ServerMixResult, error) {
-	cfg.defaults()
 	var res ServerMixResult
 	start := ctx.Now()
 	step := func(err error) error {
@@ -83,7 +74,7 @@ func ServerMixClient(ctx *sim.Ctx, fs vfs.FS, client int, cfg ServerMixConfig) (
 
 	for i := 0; i < cfg.Ops; i++ {
 		name := fmt.Sprintf("%s/f%05d", dir, i)
-		size := int((cfg.MeanFileKB << 9) + rng.Intn(cfg.MeanFileKB<<10))
+		size := serverMixMeanFileKB<<9 + rng.Intn(serverMixMeanFileKB<<10)
 		buf := make([]byte, size)
 		serverMixPattern(buf, client, i)
 

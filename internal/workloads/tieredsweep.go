@@ -38,6 +38,9 @@ const (
 	TieredPassEvery = 2000
 	// TieredPassBudget is MaxMigrateBlocks per pass.
 	TieredPassBudget = 4096
+	// tieredFileBytes is the per-file size: one hugepage, the migration
+	// unit.
+	tieredFileBytes = int64(2 << 20)
 )
 
 // TieredSweepConfig sizes one sweep. The same config runs against a
@@ -48,31 +51,15 @@ type TieredSweepConfig struct {
 	// WorkingSetBytes is the total data the sweep touches (rounded up to
 	// a whole number of files).
 	WorkingSetBytes int64
-	// FileBytes is the per-file size (default 2MiB, one hugepage — the
-	// migration unit).
-	FileBytes int64
-	// Ops is the number of accesses in the measured sweep (default 20000).
+	// Ops is the number of accesses in the measured sweep.
 	Ops int
-	// WarmupOps run before measurement starts (default Ops): heat
-	// accumulates and the migration passes converge placement — the
-	// one-time un-scrambling of the setup-time layout is several thousand
-	// blocks of copies — so the sweep measures the policy's steady state
-	// rather than the convergence transient.
+	// WarmupOps run before measurement starts: heat accumulates and the
+	// migration passes converge placement — the one-time un-scrambling of
+	// the setup-time layout is several thousand blocks of copies — so the
+	// sweep measures the policy's steady state rather than the convergence
+	// transient.
 	WarmupOps int
 	Seed      uint64
-}
-
-func (c TieredSweepConfig) withDefaults() TieredSweepConfig {
-	if c.FileBytes <= 0 {
-		c.FileBytes = 2 << 20
-	}
-	if c.Ops <= 0 {
-		c.Ops = 20000
-	}
-	if c.WarmupOps <= 0 {
-		c.WarmupOps = c.Ops
-	}
-	return c
 }
 
 // TieredSweepResult is one sweep's outcome.
@@ -124,14 +111,13 @@ func (r TieredSweepResult) GBps() float64 {
 // a fresh bench context advanced past setup, so layout cost never bleeds
 // into the access numbers.
 func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredSweepResult, error) {
-	cfg = cfg.withDefaults()
 	var res TieredSweepResult
 	if cfg.WorkingSetBytes <= 0 {
 		return res, fmt.Errorf("tieredsweep: WorkingSetBytes not set")
 	}
-	nFiles := int((cfg.WorkingSetBytes + cfg.FileBytes - 1) / cfg.FileBytes)
+	nFiles := int((cfg.WorkingSetBytes + tieredFileBytes - 1) / tieredFileBytes)
 	res.Files = nFiles
-	res.WorkingSetBytes = int64(nFiles) * cfg.FileBytes
+	res.WorkingSetBytes = int64(nFiles) * tieredFileBytes
 
 	setupBase := *ctx.Counters
 	setupStart := ctx.Now()
@@ -145,10 +131,10 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 		if err != nil {
 			return res, fmt.Errorf("tieredsweep: create %d: %w", i, err)
 		}
-		for off := int64(0); off < cfg.FileBytes; off += int64(len(fill)) {
+		for off := int64(0); off < tieredFileBytes; off += int64(len(fill)) {
 			n := int64(len(fill))
-			if off+n > cfg.FileBytes {
-				n = cfg.FileBytes - off
+			if off+n > tieredFileBytes {
+				n = tieredFileBytes - off
 			}
 			// A tiered mount must absorb the overflow by spilling; ENOSPC
 			// here means the slow tier failed its one job.
@@ -172,7 +158,7 @@ func RunTieredSweep(ctx *sim.Ctx, fs *winefs.FS, cfg TieredSweepConfig) (TieredS
 	mctx := sim.NewCtx(98, 0)
 
 	rng := sim.NewRand(cfg.Seed + 31)
-	slotsPerFile := cfg.FileBytes / TieredOpSize
+	slotsPerFile := tieredFileBytes / TieredOpSize
 	nSlots := int64(nFiles) * slotsPerFile
 	hotSlots := int64(TieredHotDataFrac * float64(nSlots))
 	if hotSlots < 1 {

@@ -6,33 +6,22 @@ import (
 )
 
 // WiredTigerConfig sizes the WiredTiger-style driver (§5.5: FillRandom and
-// ReadRandom with 1KiB values).
+// ReadRandom with 1KiB values, unaligned on purpose).
 type WiredTigerConfig struct {
-	Records   int64
-	ValueSize int
-	Seed      uint64
+	Records int64
+	Seed    uint64
 }
 
 // wiredTigerCheckpointEvery forces an fsync after this many inserts.
 const wiredTigerCheckpointEvery = 500
 
-func (c *WiredTigerConfig) defaults() {
-	if c.Records == 0 {
-		c.Records = 20000
-	}
-	if c.ValueSize == 0 {
-		c.ValueSize = 1024 // unaligned on purpose: 1KiB records
-	}
-}
-
-// WiredTigerFill appends Records values of ValueSize to a table file at
+// WiredTigerFill appends Records values of recordBytes to a table file at
 // naturally unaligned offsets, fsyncing at checkpoints. NOVA must CoW the
 // partial tail block on every such append ("NOVA copies the data in the
 // partial block to the new block and then appends new data"); WineFS keeps
 // appending in place under journal protection. Returns (ops, virtualNS,
 // the table offsets for the read phase).
 func WiredTigerFill(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig) (int64, int64, []int64, error) {
-	cfg.defaults()
 	if err := fs.Mkdir(ctx, "/wt"); err != nil && err != vfs.ErrExist {
 		return 0, 0, nil, err
 	}
@@ -45,7 +34,7 @@ func WiredTigerFill(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig) (int64, int64
 		return 0, 0, nil, err
 	}
 	rng := sim.NewRand(cfg.Seed + 5)
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, recordBytes)
 	offsets := make([]int64, 0, cfg.Records)
 	start := ctx.Now()
 	var off int64
@@ -60,7 +49,7 @@ func WiredTigerFill(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig) (int64, int64
 			return 0, 0, nil, err
 		}
 		offsets = append(offsets, off)
-		off += int64(cfg.ValueSize)
+		off += recordBytes
 		if int(i)%wiredTigerCheckpointEvery == wiredTigerCheckpointEvery-1 {
 			if err := table.Fsync(ctx); err != nil {
 				return 0, 0, nil, err
@@ -75,13 +64,12 @@ func WiredTigerFill(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig) (int64, int64
 
 // WiredTigerRead performs the ReadRandom phase over the filled table.
 func WiredTigerRead(ctx *sim.Ctx, fs vfs.FS, cfg WiredTigerConfig, offsets []int64) (int64, int64, error) {
-	cfg.defaults()
 	table, err := fs.Open(ctx, "/wt/table.wt")
 	if err != nil {
 		return 0, 0, err
 	}
 	rng := sim.NewRand(cfg.Seed + 6)
-	buf := make([]byte, cfg.ValueSize)
+	buf := make([]byte, recordBytes)
 	start := ctx.Now()
 	for i := int64(0); i < cfg.Records; i++ {
 		off := offsets[rng.Intn(len(offsets))]
@@ -105,20 +93,10 @@ const (
 	scalabilityAppendsPerOp = 4
 )
 
-func (c *ScalabilityConfig) defaults() {
-	if c.Threads == 0 {
-		c.Threads = 8
-	}
-	if c.OpsPerThread == 0 {
-		c.OpsPerThread = 200
-	}
-}
-
 // Scalability runs the create/append/fsync/unlink loop on every thread
 // (each pinned to its own CPU) and returns total kIOPS-style throughput:
 // completed operations (each syscall counts) per virtual second.
 func Scalability(fs vfs.FS, cfg ScalabilityConfig) (float64, error) {
-	cfg.defaults()
 	setup := sim.NewCtx(1000, 0)
 	if err := fs.Mkdir(setup, "/scale"); err != nil && err != vfs.ErrExist {
 		return 0, err

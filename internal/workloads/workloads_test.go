@@ -28,7 +28,7 @@ func TestYCSBAllWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workloads.YCSBConfig{Records: 2000, Operations: 2000, ValueSize: 256}
+	cfg := workloads.YCSBConfig{Records: 2000}
 	if err := workloads.YCSBLoadPhase(ctx, kv, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -40,31 +40,20 @@ func AllYCSB() []YCSBKind {
 	return []YCSBKind{YCSBLoad, YCSBA, YCSBB, YCSBC, YCSBD, YCSBE, YCSBF}
 }
 
-// YCSBConfig sizes a run.
+// YCSBConfig sizes a run: Records are loaded, and the run phase issues
+// as many operations.
 type YCSBConfig struct {
-	// Records in the loaded dataset.
 	Records int64
-	// Operations in the run phase.
-	Operations int64
-	// ValueSize per record (YCSB default 1KiB across 10 fields).
-	ValueSize int
-	Seed      uint64
+	Seed    uint64
 }
 
-// ycsbTheta is the Zipf skew of every YCSB run.
-const ycsbTheta = 0.99
-
-func (c *YCSBConfig) defaults() {
-	if c.Records == 0 {
-		c.Records = 100000
-	}
-	if c.Operations == 0 {
-		c.Operations = c.Records
-	}
-	if c.ValueSize == 0 {
-		c.ValueSize = 1024
-	}
-}
+const (
+	// ycsbTheta is the Zipf skew of every YCSB run.
+	ycsbTheta = 0.99
+	// recordBytes is a YCSB and a WiredTiger value: YCSB's default 1KiB
+	// across 10 fields, which §5.5 also gives WiredTiger.
+	recordBytes = 1024
+)
 
 // YCSBResult reports a run.
 type YCSBResult struct {
@@ -84,8 +73,7 @@ func (r YCSBResult) Throughput() float64 {
 
 // YCSBLoadPhase inserts the dataset (workload "Load").
 func YCSBLoadPhase(ctx *sim.Ctx, kv KV, cfg YCSBConfig) error {
-	cfg.defaults()
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, recordBytes)
 	for i := int64(0); i < cfg.Records; i++ {
 		val[0] = byte(i)
 		if err := kv.Put(ctx, uint64(i), val); err != nil {
@@ -98,7 +86,6 @@ func YCSBLoadPhase(ctx *sim.Ctx, kv KV, cfg YCSBConfig) error {
 // YCSBRun executes the run phase of the given workload against a loaded
 // store and returns throughput in virtual time.
 func YCSBRun(ctx *sim.Ctx, kv KV, kind YCSBKind, cfg YCSBConfig) (YCSBResult, error) {
-	cfg.defaults()
 	if kind == YCSBLoad {
 		start := ctx.Now()
 		if err := YCSBLoadPhase(ctx, kv, cfg); err != nil {
@@ -108,11 +95,11 @@ func YCSBRun(ctx *sim.Ctx, kv KV, kind YCSBKind, cfg YCSBConfig) (YCSBResult, er
 	}
 	rng := sim.NewRand(cfg.Seed + uint64(kind)*131)
 	zipf := sim.NewZipf(rng, cfg.Records, ycsbTheta)
-	val := make([]byte, cfg.ValueSize)
-	buf := make([]byte, cfg.ValueSize)
+	val := make([]byte, recordBytes)
+	buf := make([]byte, recordBytes)
 	inserted := cfg.Records
 	start := ctx.Now()
-	for op := int64(0); op < cfg.Operations; op++ {
+	for op := int64(0); op < cfg.Records; op++ {
 		switch kind {
 		case YCSBA:
 			if rng.Intn(2) == 0 {
@@ -171,7 +158,7 @@ func YCSBRun(ctx *sim.Ctx, kv KV, kind YCSBKind, cfg YCSBConfig) (YCSBResult, er
 			}
 		}
 	}
-	return YCSBResult{Kind: kind, Ops: cfg.Operations, VirtualNS: ctx.Now() - start}, nil
+	return YCSBResult{Kind: kind, Ops: cfg.Records, VirtualNS: ctx.Now() - start}, nil
 }
 
 // --- db_bench-style drivers -------------------------------------------------
@@ -201,25 +188,14 @@ type Batcher interface {
 type DBBenchConfig struct {
 	Records   int64
 	ValueSize int
-	BatchSize int
 	Seed      uint64
 }
 
-func (c *DBBenchConfig) defaults() {
-	if c.Records == 0 {
-		c.Records = 100000
-	}
-	if c.ValueSize == 0 {
-		c.ValueSize = 1024
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 100
-	}
-}
+// dbBenchBatch is FillSeqBatch's records per batch: LMDB's 100.
+const dbBenchBatch = 100
 
 // DBBench runs one db_bench workload and returns (ops, virtual ns).
 func DBBench(ctx *sim.Ctx, kv KV, kind DBBenchKind, cfg DBBenchConfig) (int64, int64, error) {
-	cfg.defaults()
 	rng := sim.NewRand(cfg.Seed + 17)
 	val := make([]byte, cfg.ValueSize)
 	buf := make([]byte, cfg.ValueSize)
@@ -233,12 +209,12 @@ func DBBench(ctx *sim.Ctx, kv KV, kind DBBenchKind, cfg DBBenchConfig) (int64, i
 		}
 	case FillSeqBatch:
 		b, ok := kv.(Batcher)
-		keys := make([]uint64, 0, cfg.BatchSize)
-		vals := make([][]byte, 0, cfg.BatchSize)
+		keys := make([]uint64, 0, dbBenchBatch)
+		vals := make([][]byte, 0, dbBenchBatch)
 		for i := int64(0); i < cfg.Records; i++ {
 			keys = append(keys, uint64(i))
 			vals = append(vals, val)
-			if len(keys) == cfg.BatchSize || i == cfg.Records-1 {
+			if len(keys) == dbBenchBatch || i == cfg.Records-1 {
 				if ok {
 					if err := b.PutBatch(ctx, keys, vals); err != nil {
 						return 0, 0, err
