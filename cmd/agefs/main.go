@@ -1,6 +1,7 @@
 // Command agefs ages a WineFS image with the Geriatrix protocol (§5.1):
 // create/delete churn following a realistic file-size profile until the
-// target utilisation is reached in a naturally fragmented state.
+// target utilisation is reached in a naturally fragmented state. The mount
+// takes the CPU count and the rest of the geometry from the image.
 //
 // Usage:
 //
@@ -25,7 +26,6 @@ func main() {
 	churn := flag.Float64("churn", 2.0, "churn volume as multiple of capacity")
 	profile := flag.String("profile", "agrawal", "aging profile: agrawal | wang-hpc")
 	seed := flag.Uint64("seed", 42, "random seed")
-	cpus := flag.Int("cpus", 8, "CPUs the image was formatted with")
 	flag.Parse()
 	if *img == "" {
 		flag.Usage()
@@ -37,7 +37,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mount(ctx, dev, winefs.Options{CPUs: *cpus})
+	fs, err := winefs.Mount(ctx, dev, winefs.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "agefs: mount: %v\n", err)
 		os.Exit(1)

@@ -1,70 +1,40 @@
 // Command mkfs creates a simulated persistent-memory device image and
-// formats it with WineFS.
+// formats it with WineFS. The consistency mode is not recorded on the
+// image: it is chosen at mount time (winefsd -relaxed).
 //
 // Usage:
 //
-//	mkfs -img wine.img [-size 1g] [-cpus 8] [-inodes N] [-relaxed]
+//	mkfs -img wine.img [-size 1g] [-cpus 8] [-inodes N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/pmem"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 	"repro/internal/winefs"
 )
-
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "g"):
-		mult = 1 << 30
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "m"):
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "k"):
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return v * mult, nil
-}
 
 func main() {
 	img := flag.String("img", "", "output image path (required)")
 	size := flag.String("size", "1g", "device size (k/m/g suffixes)")
 	cpus := flag.Int("cpus", 8, "per-CPU journals and pools")
 	inodes := flag.Int64("inodes", 0, "inodes per CPU (0 = auto)")
-	relaxed := flag.Bool("relaxed", false, "metadata-only consistency mode")
 	flag.Parse()
 	if *img == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	bytes, err := parseSize(*size)
+	bytes, err := pmem.ParseSize(*size)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkfs: bad size: %v\n", err)
 		os.Exit(2)
 	}
 	dev := pmem.New(bytes)
 	ctx := sim.NewCtx(1, 0)
-	mode := vfs.Strict
-	if *relaxed {
-		mode = vfs.Relaxed
-	}
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{
-		CPUs: *cpus, Mode: mode, InodesPerCPU: *inodes,
-	})
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: *cpus, InodesPerCPU: *inodes})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkfs: %v\n", err)
 		os.Exit(1)
@@ -78,6 +48,6 @@ func main() {
 		os.Exit(1)
 	}
 	st := fs.StatFS(ctx)
-	fmt.Printf("mkfs: WineFS (%s) on %s: %d blocks, %d free, %d aligned 2MiB extents\n",
-		mode, *img, st.TotalBlocks, st.FreeBlocks, st.FreeAligned2M)
+	fmt.Printf("mkfs: WineFS on %s: %d blocks, %d free, %d aligned 2MiB extents\n",
+		*img, st.TotalBlocks, st.FreeBlocks, st.FreeAligned2M)
 }

@@ -5,9 +5,16 @@
 // Usage:
 //
 //	winefsd [-img wine.img] [-size 1g] [-cpus 8] [-relaxed]
-//	        [-addr 127.0.0.1:7070] [-stats 127.0.0.1:7071] [-window 32]
+//	        [-addr 127.0.0.1:7070] [-stats 127.0.0.1:7071]
 //	        [-replicas host:port,...] [-replica-of primary] [-epoch 1]
 //	        [-maint-budget 0.1] [-slow-size 4g]
+//
+// Tiering: -slow-size attaches a simulated slow (SSD) tier behind the PM
+// device. The tier policy's marks are winefs constants: new data spills to
+// the slow tier once PM is 90% used; a tier-migration pass of the
+// background maintenance that finds PM past that demotes the coldest PM
+// data until PM is 80% used, and promotes slow extents that turned hot
+// (DESIGN.md §14).
 //
 // Replication: a primary started with -replicas streams its committed
 // write log to each listed replica daemon; replicas are winefsd processes
@@ -66,27 +73,6 @@ import (
 	"repro/internal/winefs"
 	"repro/internal/workloads"
 )
-
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "g"):
-		mult = 1 << 30
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "m"):
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "k"):
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return v * mult, nil
-}
 
 // statsPage is the JSON document /stats serves.
 type statsPage struct {
@@ -148,7 +134,7 @@ func newRegistry(srv *fileserver.Server) *metrics.Registry {
 		// Canonical vmm_* names for the mapping subsystem (maps, hugepage
 		// vs base-page faults, promotions, msyncs, CoW breaks) alongside
 		// the prefixed full dump below.
-		fams = append(fams, metrics.VMMFamilies(&st.Counters)...)
+		fams = append(fams, metrics.SubsystemFamilies("Zero-copy mapping subsystem", &st.Counters, "VMM")...)
 		return append(fams, metrics.CountersFamilies("winefsd_perf", &st.Counters)...)
 	}))
 	return reg
@@ -211,7 +197,6 @@ func main() {
 	relaxed := flag.Bool("relaxed", false, "metadata-only consistency mode")
 	addr := flag.String("addr", "127.0.0.1:7070", "serving address")
 	stats := flag.String("stats", "", "HTTP stats endpoint address (empty: disabled)")
-	window := flag.Int("window", 32, "per-session pipelined-request window")
 	traceOut := flag.String("trace", "", "stream request spans as JSON Lines to this file")
 	slow := flag.Int64("slow", 0, "log requests slower than this many virtual ns to stderr")
 	smoke := flag.Bool("smoke", false, "run the loopback smoke test and exit")
@@ -221,8 +206,6 @@ func main() {
 	syncRepl := flag.Bool("sync-repl", false, "acknowledged writes wait for replica durability")
 	maintBudget := flag.Float64("maint-budget", 0.1, "background maintenance (defrag, rewrite, tier migration) duty-cycle fraction of device bandwidth (0 = off, 1 = unthrottled)")
 	slowSize := flag.String("slow-size", "", "attach a simulated slow (SSD) tier of this size; new data spills to it when PM fills (empty: untiered)")
-	tierHigh := flag.Float64("tier-high", 0.90, "PM occupancy fraction above which allocations spill and passes demote")
-	tierLow := flag.Float64("tier-low", 0.80, "PM occupancy fraction demotion passes drain down to")
 	flag.Parse()
 
 	if *replicaOf != "" && *replicas != "" {
@@ -258,13 +241,13 @@ func main() {
 	var topts *winefs.TierOptions
 	var slowDev *tier.SlowDevice
 	if *slowSize != "" {
-		bytes, perr := parseSize(*slowSize)
+		bytes, perr := pmem.ParseSize(*slowSize)
 		if perr != nil {
 			fmt.Fprintf(os.Stderr, "winefsd: bad slow-size: %v\n", perr)
 			os.Exit(2)
 		}
 		slowDev = tier.NewSlow(tier.DefaultSlowConfig(bytes))
-		topts = &winefs.TierOptions{Slow: slowDev, HighWater: *tierHigh, LowWater: *tierLow}
+		topts = &winefs.TierOptions{Slow: slowDev}
 	}
 
 	ctx := sim.NewCtx(1, 0)
@@ -281,7 +264,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		bytes, perr := parseSize(*size)
+		bytes, perr := pmem.ParseSize(*size)
 		if perr != nil {
 			fmt.Fprintf(os.Stderr, "winefsd: bad size: %v\n", perr)
 			os.Exit(2)
@@ -314,7 +297,7 @@ func main() {
 		}
 	}
 	srv, repl := cluster.NewPrimary(fs, *epoch,
-		fileserver.Config{CPUs: *cpus, Window: *window, Tracer: tracer},
+		fileserver.Config{CPUs: *cpus, Tracer: tracer},
 		cluster.ReplicatorConfig{Sync: *syncRepl, Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "winefsd: repl: "+format+"\n", args...)
 		}}, targets)
@@ -358,8 +341,7 @@ func main() {
 		fmt.Printf("winefsd: background maintenance enabled (budget %.0f%%)\n", 100**maintBudget)
 	}
 	if slowDev != nil {
-		fmt.Printf("winefsd: slow tier %s attached (high water %.2f, low water %.2f)\n",
-			*slowSize, *tierHigh, *tierLow)
+		fmt.Printf("winefsd: slow tier %s attached\n", *slowSize)
 	}
 
 	if *stats != "" {
@@ -369,7 +351,7 @@ func main() {
 		}
 		extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
 			c := maint.Counters()
-			return metrics.DefragFamilies(&c)
+			return metrics.SubsystemFamilies("Online defragmenter", &c, "Defrag")
 		}))
 		if slowDev != nil {
 			extra = append(extra, metrics.CollectorFunc(func() []metrics.Family {
@@ -382,7 +364,7 @@ func main() {
 				mc := maint.Counters()
 				c.Add(&mc)
 				ts, _ := fs.TierStats()
-				return append(metrics.TierFamilies(&c),
+				return append(metrics.SubsystemFamilies("Tiered storage", &c, "Tier", "Slow", "AllocSpill"),
 					metrics.Gauge("tier_pm_free_blocks", "Free 4KiB blocks on the PM tier.", float64(ts.PMFreeBlocks)),
 					metrics.Gauge("tier_pm_total_blocks", "Total data blocks on the PM tier.", float64(ts.PMTotalBlocks)),
 					metrics.Gauge("tier_slow_free_blocks", "Free 4KiB blocks on the slow tier.", float64(ts.SlowFreeBlocks)),
@@ -459,14 +441,14 @@ func runReplica(addr, img, size, primary string) error {
 		if dev, err = pmem.Load(img); err != nil {
 			// A replica may start from nothing: a missing image is a fresh
 			// device that the first resync baselines.
-			bytes, perr := parseSize(size)
+			bytes, perr := pmem.ParseSize(size)
 			if perr != nil {
 				return fmt.Errorf("bad size: %w", perr)
 			}
 			dev = pmem.New(bytes)
 		}
 	} else {
-		bytes, perr := parseSize(size)
+		bytes, perr := pmem.ParseSize(size)
 		if perr != nil {
 			return fmt.Errorf("bad size: %w", perr)
 		}

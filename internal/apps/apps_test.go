@@ -131,7 +131,7 @@ func TestPmemKVGrowsPools(t *testing.T) {
 
 func TestRocksDBFlushCompactLookup(t *testing.T) {
 	fs, ctx := wineFS(t, 1<<30)
-	db, err := rocksdb.Open(ctx, fs, rocksdb.Options{MemtableBytes: 256 << 10, MaxTables: 3})
+	db, err := rocksdb.Open(ctx, fs, rocksdb.Options{MemtableBytes: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,9 @@ func TestRocksDBFlushCompactLookup(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if files, err := fs.ReadDir(ctx, "/rocksdb"); err != nil || len(files) > 5 {
+	// About ten memtables flushed: more than the six tables a flush
+	// compacts past, so only compaction keeps the count at or under six.
+	if files, err := fs.ReadDir(ctx, "/rocksdb"); err != nil || len(files)-1 > 6 {
 		t.Fatalf("compaction not bounding tables: %d files beside the WAL (%v)", len(files)-1, err)
 	}
 	buf := make([]byte, 512)

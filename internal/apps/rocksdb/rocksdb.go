@@ -23,10 +23,10 @@ type Options struct {
 	Dir string
 	// MemtableBytes is the flush threshold (default 4MiB).
 	MemtableBytes int64
-	// MaxTables triggers compaction when level-0 holds this many tables
-	// (default 6).
-	MaxTables int
 }
+
+// maxTables is the level-0 table count past which a flush compacts.
+const maxTables = 6
 
 // DB is an open store.
 type DB struct {
@@ -60,9 +60,6 @@ func Open(ctx *sim.Ctx, fs vfs.FS, opts Options) (*DB, error) {
 	}
 	if opts.MemtableBytes == 0 {
 		opts.MemtableBytes = 4 << 20
-	}
-	if opts.MaxTables == 0 {
-		opts.MaxTables = 6
 	}
 	if err := fs.Mkdir(ctx, opts.Dir); err != nil && err != vfs.ErrExist {
 		return nil, err
@@ -179,7 +176,7 @@ func (db *DB) flush(ctx *sim.Ctx) error {
 		return err
 	}
 	db.walSize = 0
-	if len(db.tables) > db.opts.MaxTables {
+	if len(db.tables) > maxTables {
 		return db.compact(ctx)
 	}
 	return nil

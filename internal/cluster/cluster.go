@@ -33,8 +33,6 @@ type Config struct {
 	// WrapReplConn, when non-nil, wraps the primary side of each
 	// replication connection — the fault campaign's torn-stream hook.
 	WrapReplConn func(replica string, c fileserver.Conn) fileserver.Conn
-	// Logf (nil for silent) narrates cluster events.
-	Logf func(string, ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -43,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeviceSize <= 0 {
 		c.DeviceSize = 256 << 20
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -107,7 +102,7 @@ func New(ctx *sim.Ctx, cfg Config) (*Cluster, error) {
 // AddReplica starts a replica named name that applies to dev, as winefsd
 // -replica-of -img starts on an image. The next StartPrimary links it.
 func (c *Cluster) AddReplica(name string, dev *pmem.Device) {
-	n := replicaNode{rep: NewReplica(name, dev, c.cfg.Logf), lst: fileserver.NewPipeListener()}
+	n := replicaNode{rep: NewReplica(name, dev, nil), lst: fileserver.NewPipeListener()}
 	c.mu.Lock()
 	c.replicas = append(c.replicas, n)
 	c.mu.Unlock()
@@ -124,13 +119,9 @@ func (c *Cluster) StartPrimary(ctx *sim.Ctx, fs *winefs.FS, epoch uint64) {
 		targets[i] = Target{Name: n.rep.Name(), Dial: c.replDial(n)}
 	}
 	c.mu.Unlock()
-	rcfg := c.cfg.Repl
-	if rcfg.Logf == nil {
-		rcfg.Logf = c.cfg.Logf
-	}
 	scfg := c.cfg.Server
 	scfg.BaseNS = ctx.Now()
-	srv, repl := NewPrimary(fs, epoch, scfg, rcfg, targets)
+	srv, repl := NewPrimary(fs, epoch, scfg, c.cfg.Repl, targets)
 	p := &primaryNode{fs: fs, srv: srv, repl: repl, lst: fileserver.NewPipeListener(), done: make(chan struct{})}
 	c.mu.Lock()
 	c.primary = p
@@ -238,7 +229,6 @@ func (c *Cluster) Partition(cut bool) {
 	if repl, _ := c.Primary(); cut && repl != nil {
 		repl.SeverLinks()
 	}
-	c.cfg.Logf("cluster: replication partition=%v", cut)
 }
 
 // KillPrimary is the in-process kill -9 of the primary winefsd: the client
@@ -254,7 +244,6 @@ func (c *Cluster) KillPrimary() *pmem.Device {
 	if p == nil {
 		return nil
 	}
-	c.cfg.Logf("cluster: killing the primary")
 	// Client side dies first: once sessions are severed no more acks can
 	// escape, so every acknowledged write has already cleared its
 	// synchronous-replication wait. (Replication torn down first would
@@ -287,7 +276,6 @@ func (c *Cluster) StopReplica() (*Replica, error) {
 	c.replicas = append(c.replicas[:best:best], c.replicas[best+1:]...)
 	c.mu.Unlock()
 	n.stop()
-	c.cfg.Logf("cluster: stopped %s at applied seq %d", n.rep.Name(), n.rep.AppliedSeq())
 	return n.rep, nil
 }
 

@@ -21,7 +21,6 @@ func newTestCluster(t *testing.T, replicas int, rcfg ReplicatorConfig) (*Cluster
 		Replicas:   replicas,
 		DeviceSize: 128 << 20,
 		Repl:       rcfg,
-		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -319,7 +318,6 @@ func TestReplicaResyncResumesAfterDrop(t *testing.T) {
 		WrapReplConn: func(_ string, conn fileserver.Conn) fileserver.Conn {
 			return &dropResyncConn{Conn: conn, dropped: &dropped}
 		},
-		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -166,7 +166,7 @@ func Run(w Workload, cfg Config) Result {
 func checkCrashState(crash *pmem.Device, mode vfs.ConsistencyMode, before, after string, o fstest.Op, epoch int, mask uint64) string {
 	defer crash.Release()
 	rctx := sim.NewCtx(2, 0)
-	rfs, err := winefs.Mount(rctx, crash, winefs.Options{CPUs: cpus, InodesPerCPU: 512, Mode: mode})
+	rfs, err := winefs.Mount(rctx, crash, winefs.Options{Mode: mode})
 	if err != nil {
 		return fmt.Sprintf("epoch %d mask %x: mount failed: %v", epoch, mask, err)
 	}

@@ -191,11 +191,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	if tiered {
 		slow = tier.NewSlow(tier.DefaultSlowConfig(deviceSize / 2))
 		defer slow.Release()
-		// The ACE workloads write a few KiB against a pool of ~16k blocks,
-		// so the marks must be effectively zero for any of it to spill:
-		// high water under one block means every data allocation goes slow
-		// and every aggressive pass demotes whatever lives in PM.
-		topts = &winefs.TierOptions{Slow: slow, HighWater: 0.0001, LowWater: 0.00005, PromoteMin: 1}
+		topts = &winefs.TierOptions{Slow: slow}
 		slowBlocks = slow.Size() / winefs.BlockSize
 		res.TierRuns++
 	}
@@ -204,6 +200,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	if err != nil {
 		return fmt.Sprintf("mkfs: %v", err)
 	}
+	aggressiveMarks(fs)
 	for _, o := range w.Setup {
 		if err := fstest.Apply(ctx, fs, o); err != nil {
 			return fmt.Sprintf("setup %s: %v", o, err)
@@ -252,9 +249,9 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 			// write gave them, so a relaxed pass pulls them up to PM — and
 			// the aggressive pass after the next op pushes them back down.
 			if k%2 == 0 {
-				fs.SetTierWaterMarks(0.95, 0.85)
+				fs.SetTierMarks(0.95, 0.85, campaignPromoteMin)
 			} else {
-				fs.SetTierWaterMarks(0.0001, 0.00005)
+				aggressiveMarks(fs)
 			}
 			nUnits := len(units)
 			record(fstest.Op{}, func() error {
@@ -334,6 +331,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 		res.EIOMounts++
 		return repairAndRemount(crash, opts, slowBlocks, res)
 	}
+	aggressiveMarks(rfs)
 	if reason, degraded := rfs.Degraded(); degraded {
 		// Rung 3: read-only fallback. Reads must keep working (no panic;
 		// errors must be EIO) and every mutation must refuse cleanly.
@@ -445,6 +443,7 @@ func repairAndRemount(scratch *pmem.Device, opts winefs.Options, slowBlocks int6
 	if err != nil {
 		return fmt.Sprintf("post-repair mount failed: %v", err)
 	}
+	aggressiveMarks(rfs)
 	if reason, degraded := rfs.Degraded(); degraded {
 		return fmt.Sprintf("post-repair mount degraded: %s", reason)
 	}
@@ -456,6 +455,20 @@ func repairAndRemount(scratch *pmem.Device, opts winefs.Options, slowBlocks int6
 	}
 	res.Repaired++
 	return ""
+}
+
+// campaignPromoteMin is the promotion heat bar of tiered runs: one touch
+// brings a slow extent back, so the few-KiB workloads migrate both ways.
+const campaignPromoteMin = 1
+
+// aggressiveMarks sets the tier marks every tiered mount of the campaign
+// starts with (a no-op untiered). The ACE workloads write a few KiB
+// against a pool of ~16k blocks, so the marks must be effectively zero for
+// any of it to spill: high water under one block means every data
+// allocation goes slow and every aggressive pass demotes whatever lives in
+// PM.
+func aggressiveMarks(fs *winefs.FS) {
+	fs.SetTierMarks(0.0001, 0.00005, campaignPromoteMin)
 }
 
 func isPmemErr(err error) bool {

@@ -65,7 +65,7 @@ func TestRunnerConverges(t *testing.T) {
 		t.Fatalf("counter snapshot out of sync: passes=%d recovered=%d want %d",
 			c.DefragPasses, c.DefragRecovered2M, sum.Recovered2M)
 	}
-	fams := metrics.DefragFamilies(&c)
+	fams := metrics.SubsystemFamilies("Online defragmenter", &c, "Defrag")
 	if len(fams) == 0 {
 		t.Fatal("no defrag_* metric families")
 	}
@@ -135,7 +135,7 @@ func tieredFS(t *testing.T, aged bool) (*sim.Ctx, *winefs.FS) {
 			t.Fatal(err)
 		}
 	}
-	fs.SetTierWaterMarks(0.01, 0.005)
+	fs.SetTierMarks(0.01, 0.005, 0)
 	return ctx, fs
 }
 

@@ -74,7 +74,7 @@ func recoveryPoint(cfg Config, files int, fileSize int64) (int64, error) {
 	}
 	// Crash: no unmount. Mount runs journal recovery + parallel scan.
 	rctx := sim.NewCtx(2, 0)
-	if _, err := winefs.Mount(rctx, dev, winefs.Options{CPUs: cfg.CPUs}); err != nil {
+	if _, err := winefs.Mount(rctx, dev, winefs.Options{}); err != nil {
 		return 0, err
 	}
 	return rctx.Now(), nil

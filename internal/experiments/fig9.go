@@ -29,11 +29,11 @@ func Fig9(cfg Config, rep *bench.Report, names []string) error {
 	for _, name := range names {
 		vals := map[string]float64{}
 		for _, p := range workloads.AllPersonalities() {
-			fs, _, _, err := cfg.newFS(name)
+			fs, _, ctx, err := cfg.newFS(name)
 			if err != nil {
 				return err
 			}
-			r, err := workloads.Filebench(fs, p, workloads.FilebenchConfig{
+			r, err := workloads.Filebench(ctx, fs, p, workloads.FilebenchConfig{
 				Threads:      cfg.CPUs, // paper: thread count ≤ core count
 				Files:        int(cfg.scale(300, 2000)),
 				OpsPerThread: int(cfg.scale(30, 200)),
@@ -45,11 +45,11 @@ func Fig9(cfg Config, rep *bench.Report, names []string) error {
 			vals["Filebench."+p.String()] = r.Throughput()
 		}
 
-		fs, _, _, err := cfg.newFS(name)
+		fs, _, ctx, err := cfg.newFS(name)
 		if err != nil {
 			return err
 		}
-		pg, err := workloads.Pgbench(fs, workloads.PgbenchConfig{
+		pg, err := workloads.Pgbench(ctx, fs, workloads.PgbenchConfig{
 			Threads:       cfg.CPUs,
 			DatabaseBytes: cfg.scale(32<<20, 256<<20),
 			TxPerThread:   int(cfg.scale(40, 300)),

@@ -20,17 +20,18 @@ const (
 	cleanupThreadBase = 12000
 )
 
+// sessionWindow is the per-session bound on queued pipelined requests.
+// When a client pipelines past it the server stops reading its
+// connection, which backpressures the transport instead of buffering
+// without limit. The hello announces it.
+const sessionWindow = 32
+
 // Config tunes a Server.
 type Config struct {
 	// CPUs is the simulated-CPU domain sessions are pinned to round-robin,
 	// so WineFS's per-CPU journals and allocator pools see genuinely
 	// multi-core traffic. Default 8.
 	CPUs int
-	// Window is the per-session bound on queued pipelined requests. When a
-	// client pipelines past it the server stops reading its connection,
-	// which backpressures the transport instead of buffering without
-	// limit. Default 32.
-	Window int
 	// Tracer, when non-nil, gives every session a trace context: each
 	// request becomes a root span named rpc.<op> whose children are the
 	// spans the FS, MMU and device layers open underneath (journal commits,
@@ -61,9 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CPUs <= 0 {
 		c.CPUs = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 32
 	}
 	if c.RevokeTimeout <= 0 {
 		c.RevokeTimeout = 5 * time.Second
@@ -184,7 +182,7 @@ func (s *Server) startSession(conn Conn) {
 		conn:          conn,
 		ctx:           sim.NewCtx(sessionThreadBase+int(id), int(id)%s.cfg.CPUs),
 		handles:       make(map[uint64]vfs.File),
-		reqs:          make(chan request, s.cfg.Window),
+		reqs:          make(chan request, sessionWindow),
 		done:          make(chan struct{}),
 		revokeWaiters: make(map[uint64][]chan struct{}),
 	}
@@ -603,7 +601,7 @@ func (sess *session) dispatch(req request, buf []byte) (status, []byte, bool) {
 		e.Str(fs.Name())
 		e.U8(uint8(fs.Mode()))
 		e.U32(uint32(sess.srv.cfg.CPUs))
-		e.U32(uint32(sess.srv.cfg.Window))
+		e.U32(sessionWindow)
 		return statusOK, e.B, false
 
 	case opOpen, opCreate:

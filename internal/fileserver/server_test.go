@@ -584,7 +584,7 @@ func TestFilebenchThroughClient(t *testing.T) {
 	srv, pl := newServer(t, pmem.New(1<<30), Config{})
 	_ = srv
 	cl := dialT(t, pl)
-	res, err := workloads.Filebench(cl, workloads.Varmail, workloads.FilebenchConfig{
+	res, err := workloads.Filebench(sim.NewCtx(1000, 0), cl, workloads.Varmail, workloads.FilebenchConfig{
 		Threads:      4,
 		Files:        200,
 		OpsPerThread: 25,
@@ -664,34 +664,92 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBackpressureWindow: a tiny pipelining window must throttle, not
-// deadlock or drop, a burst of concurrent callers on one session.
+// TestBackpressureWindow: more concurrent callers on one TCP client than
+// the session window must fill the window's queue and then be throttled,
+// neither deadlocked nor dropped. Over TCP every request passes through
+// the session reader and the queue (an in-memory pipe dispatches directly
+// and never queues). The first mutating request of the burst holds the
+// worker until the reader has filled the queue, so the rest of the burst
+// meets a full window.
 func TestBackpressureWindow(t *testing.T) {
-	srv, pl := newServer(t, pmem.New(256<<20), Config{Window: 2})
-	_ = srv
-	cl := dialT(t, pl)
+	ctx := sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, pmem.New(256<<20), winefs.Options{CPUs: testCPUs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srv *Server
+	var armed, filled atomic.Bool
+	srv = New(fs, Config{CPUs: testCPUs, BaseNS: ctx.Now(), PostMutate: func(*sim.Ctx, int64) {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
+		for deadline := time.Now().Add(10 * time.Second); !filled.Load() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			for _, sess := range srv.sessions {
+				if len(sess.reqs) == cap(sess.reqs) {
+					filled.Store(true)
+				}
+			}
+			srv.mu.Unlock()
+		}
+	}})
+	l, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(l) }()
+	conn, err := DialTCP(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(conn)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
 	setup := sim.NewCtx(800, 0)
 	if err := cl.Mkdir(setup, "/bp"); err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
-	const callers = 16
-	if err := sim.RunThreads(sim.NewThreads(callers, 810, testCPUs, 0), func(i int, ctx *sim.Ctx) error {
-		for op := 0; op < 10; op++ {
-			name := fmt.Sprintf("/bp/c%d-%d", i, op)
-			f, err := cl.Create(ctx, name)
-			if err == nil {
-				_, err = f.Append(ctx, make([]byte, 1024))
+
+	const callers = 2 * sessionWindow
+	armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		done <- sim.RunThreads(sim.NewThreads(callers, 810, testCPUs, setup.Now()), func(i int, ctx *sim.Ctx) error {
+			for op := 0; op < 4; op++ {
+				f, err := cl.Create(ctx, fmt.Sprintf("/bp/c%d-%d", i, op))
 				if err == nil {
-					err = f.Close(ctx)
+					_, err = f.Append(ctx, make([]byte, 1024))
+					if err == nil {
+						err = f.Close(ctx)
+					}
+				}
+				if err != nil {
+					return fmt.Errorf("caller %d: %v", i, err)
 				}
 			}
-			if err != nil {
-				return fmt.Errorf("caller %d: %v", i, err)
-			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
 		}
-		return nil
-	}); err != nil {
+	case <-time.After(30 * time.Second):
+		cl.Close() // fails the callers still waiting for a reply
+		<-done
+		t.Fatalf("%d callers did not finish: a request past the window was lost", callers)
+	}
+	if !filled.Load() {
+		t.Errorf("the burst of %d callers never filled the %d-request window", callers, sessionWindow)
+	}
+	if err := cl.Unmount(setup); err != nil {
 		t.Error(err)
 	}
-	cl.Unmount(setup)
+	srv.Shutdown()
+	if err := <-serveErr; err != nil {
+		t.Errorf("Serve returned %v after shutdown", err)
+	}
 }

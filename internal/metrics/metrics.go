@@ -14,6 +14,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,68 +176,21 @@ func CountersFamilies(prefix string, c *perf.Counters) []Family {
 	return out
 }
 
-// VMMFamilies renders just the zero-copy mapping subsystem's counters
-// (the perf.Counters VMM* fields) as canonically named vmm_* families:
-// vmm_maps_total, vmm_huge_faults_total, vmm_cow_breaks_total, … — the
-// stable names dashboards alert on, independent of whatever prefix the
-// embedding server uses for the full counter dump.
-func VMMFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 9)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "VMM") {
+// SubsystemFamilies renders the perf.Counters fields whose names start
+// with one of prefixes as canonically named families: VMMMaps becomes
+// vmm_maps_total, DefragPasses defrag_passes_total, AllocSpillExtents
+// alloc_spill_extents_total. These are the stable names dashboards alert
+// on, independent of whatever prefix the embedding server gives the full
+// counter dump (CountersFamilies). subsystem heads each family's help text.
+func SubsystemFamilies(subsystem string, c *perf.Counters, prefixes ...string) []Family {
+	var out []Family
+	for _, f := range c.Fields() {
+		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f.Name, p) }) {
 			continue
 		}
 		out = append(out, Family{
 			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Zero-copy mapping subsystem: perf.Counters." + f.Name + ".",
-			Type:    "counter",
-			Samples: []Sample{{Value: float64(f.Value)}},
-		})
-	}
-	return out
-}
-
-// DefragFamilies renders the online defragmenter's counters (the
-// perf.Counters Defrag* fields) as canonically named defrag_* families:
-// defrag_passes_total, defrag_recovered2m_total, … — same contract as
-// VMMFamilies, so dashboards can alert on stable names regardless of the
-// embedding server's counter-dump prefix.
-func DefragFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 10)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "Defrag") {
-			continue
-		}
-		out = append(out, Family{
-			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Online defragmenter: perf.Counters." + f.Name + ".",
-			Type:    "counter",
-			Samples: []Sample{{Value: float64(f.Value)}},
-		})
-	}
-	return out
-}
-
-// TierFamilies renders the tiered-storage counters (the perf.Counters
-// Tier*, Slow* and AllocSpill* fields) as canonically named families:
-// tier_passes_total, tier_demoted_blocks_total, slow_read_bytes_total,
-// alloc_spill_extents_total, … — same contract as VMMFamilies, so
-// dashboards can alert on stable names regardless of the embedding
-// server's counter-dump prefix.
-func TierFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 12)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "Tier") &&
-			!strings.HasPrefix(f.Name, "Slow") &&
-			!strings.HasPrefix(f.Name, "AllocSpill") {
-			continue
-		}
-		out = append(out, Family{
-			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Tiered storage: perf.Counters." + f.Name + ".",
+			Help:    subsystem + ": perf.Counters." + f.Name + ".",
 			Type:    "counter",
 			Samples: []Sample{{Value: float64(f.Value)}},
 		})

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -97,6 +98,41 @@ func TestCountersFamiliesExhaustiveAndExact(t *testing.T) {
 		} else if got != float64(1000+i) {
 			t.Errorf("%s = %v, want %d", name, got, 1000+i)
 		}
+	}
+}
+
+// TestSubsystemFamiliesPage pins the canonical families winefsd's /metrics
+// page carries (vmm_*, defrag_*, and tier_*, slow_*, alloc_spill_*), with
+// every counter set to a distinct value, to testdata/families.prom: the
+// page the three per-subsystem functions SubsystemFamilies replaced wrote.
+// A counter added under one of the prefixes changes the page on purpose;
+// the file is then rewritten from this test's output.
+func TestSubsystemFamiliesPage(t *testing.T) {
+	c := &perf.Counters{}
+	cv := reflect.ValueOf(c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(int64(1000 + i))
+	}
+	reg := NewRegistry()
+	reg.Register(CollectorFunc(func() []Family {
+		return SubsystemFamilies("Zero-copy mapping subsystem", c, "VMM")
+	}))
+	reg.Register(CollectorFunc(func() []Family {
+		return SubsystemFamilies("Online defragmenter", c, "Defrag")
+	}))
+	reg.Register(CollectorFunc(func() []Family {
+		return SubsystemFamilies("Tiered storage", c, "Tier", "Slow", "AllocSpill")
+	}))
+	var got bytes.Buffer
+	if err := reg.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/families.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("families page differs from testdata/families.prom; got:\n%s", got.Bytes())
 	}
 }
 

@@ -6,7 +6,32 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 )
+
+// ParseSize reads a device size as the command-line tools take it: bytes,
+// or an integer with a k, m or g suffix (binary multiples, any case).
+func ParseSize(s string) (int64, error) {
+	s = strings.ToLower(strings.TrimSpace(s))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(s, "g"):
+		mult = 1 << 30
+		s = s[:len(s)-1]
+	case strings.HasSuffix(s, "m"):
+		mult = 1 << 20
+		s = s[:len(s)-1]
+	case strings.HasSuffix(s, "k"):
+		mult = 1 << 10
+		s = s[:len(s)-1]
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	return v * mult, nil
+}
 
 // Image files let the command-line tools (mkfs, agefs, fsck) operate on
 // persistent simulated devices across process runs. The format is sparse:

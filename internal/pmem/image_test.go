@@ -82,3 +82,33 @@ func TestImageLoadMissing(t *testing.T) {
 		t.Fatal("loaded nonexistent file")
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		err  bool
+	}{
+		{"1024", 1024, false},
+		{"4k", 4 << 10, false},
+		{"16M", 16 << 20, false},
+		{"2g", 2 << 30, false},
+		{" 1G ", 1 << 30, false},
+		{"", 0, true},
+		{"abc", 0, true},
+		{"1.5g", 0, true},
+		{"512MiB", 0, true}, // the suffix is one letter
+	}
+	for _, c := range cases {
+		got, err := ParseSize(c.in)
+		if c.err {
+			if err == nil {
+				t.Errorf("ParseSize(%q) = %d, want error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+}

@@ -53,10 +53,11 @@ type DefragOptions struct {
 	Pacer *sim.Pacer
 	// MaxChunks caps candidate chunks per pass (0 = 32).
 	MaxChunks int
-	// MaxMigrateBlocks caps live blocks moved per pass (0 = 8192, one
-	// aligned pool's worth of copying).
-	MaxMigrateBlocks int64
 }
+
+// defragMaxMigrateBlocks caps the live blocks one DefragPass moves: one
+// aligned pool's worth of copying.
+const defragMaxMigrateBlocks = 8192
 
 type defragCand struct {
 	base int64 // chunk base block
@@ -86,10 +87,6 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 	if maxChunks <= 0 {
 		maxChunks = 32
 	}
-	budget := opt.MaxMigrateBlocks
-	if budget <= 0 {
-		budget = 8192
-	}
 	if len(fs.defragCursor) != len(fs.alloc.groups) {
 		fs.defragCursor = make([]int64, len(fs.alloc.groups))
 	}
@@ -101,7 +98,7 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 		if fs.unmounted.Load() || fs.writable() != nil {
 			break
 		}
-		if st.MigratedBlocks >= budget || st.ChunksScanned >= int64(maxChunks) {
+		if st.MigratedBlocks >= defragMaxMigrateBlocks || st.ChunksScanned >= int64(maxChunks) {
 			break
 		}
 		cands, next := g.defragCandidates(fs.defragCursor[gi], maxChunks-int(st.ChunksScanned), fs.maint.chunks)
@@ -110,7 +107,7 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 			if fs.unmounted.Load() || fs.writable() != nil {
 				break
 			}
-			if st.MigratedBlocks >= budget {
+			if st.MigratedBlocks >= defragMaxMigrateBlocks {
 				break
 			}
 			fs.defragChunk(ctx, g, c.base, opt.Pacer, &st)

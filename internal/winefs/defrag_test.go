@@ -112,22 +112,48 @@ func TestDefragRecoversAlignedExtents(t *testing.T) {
 	}
 }
 
-// TestDefragMigrationBudget: a pass must stop migrating once it hits
-// MaxMigrateBlocks (one extra in-flight run may finish).
+// TestDefragMigrationBudget: a pass stops migrating once it has moved
+// defragMaxMigrateBlocks (8192) live blocks, finishing only the chunk it
+// is in. The image holds more than that to move inside the pass's
+// 128-chunk window, so the budget, not MaxChunks, is what ends the pass.
 func TestDefragMigrationBudget(t *testing.T) {
+	const budget = 8192 // defragMaxMigrateBlocks
 	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mkfs(ctx, pmem.New(256<<20), winefs.Options{CPUs: 2})
+	fs, err := winefs.Mkfs(ctx, pmem.New(1<<30), winefs.Options{CPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fragmentFS(t, ctx, fs, 12)
-	bg := sim.NewCtx(2, 1)
-	st, err := fs.DefragPass(bg, winefs.DefragOptions{MaxMigrateBlocks: 256})
+	// 512 KiB files, four to a 2 MiB chunk. The first 32 chunks keep three
+	// files each (384 live blocks apiece), the next 64 keep two (256
+	// apiece): 20,480 blocks of holes, and 28,672 live blocks a pass could
+	// move out of them.
+	buf := make([]byte, 512<<10)
+	for i := 0; i < 384; i++ {
+		f, err := fs.Create(ctx, fmt.Sprintf("/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(ctx, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 384; i++ {
+		if i%4 == 0 || i >= 128 && i%4 == 1 {
+			if err := fs.Unlink(ctx, fmt.Sprintf("/f%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bg := sim.NewCtx(2, 0)
+	st, err := fs.DefragPass(bg, winefs.DefragOptions{MaxChunks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MigratedBlocks > 512 {
-		t.Fatalf("MigratedBlocks = %d, budget was 256 (one run of slack allowed)", st.MigratedBlocks)
+	if st.MigratedBlocks < budget || st.MigratedBlocks >= budget+winefs.BlocksPerHuge {
+		t.Fatalf("MigratedBlocks = %d, want the budget %d plus less than one chunk", st.MigratedBlocks, budget)
+	}
+	if st.ChunksScanned >= 128 {
+		t.Fatalf("the pass scanned all %d chunks of its window: the budget never stopped it", st.ChunksScanned)
 	}
 	if err := fs.Audit(bg); err != nil {
 		t.Fatalf("audit after budget-limited pass: %v", err)

@@ -138,10 +138,10 @@ func TestFaultResolutionMatchesListReference(t *testing.T) {
 			_, err = f.Fault(ctx, off)
 		case r < 88: // demote everything the pass will take
 			what = "tier pass"
-			fs.SetTierWaterMarks(0.01, 0.005)
+			fs.SetTierMarks(0.01, 0.005, 0)
 			var st TierPassStats
 			st, err = fs.TierPass(ctx, TierPassOptions{})
-			fs.SetTierWaterMarks(0.90, 0.80)
+			fs.SetTierMarks(0.90, 0.80, 0)
 			demoted += st.DemotedBlocks
 		case r < 96:
 			what = "rewrite"

@@ -18,7 +18,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// Options configure a WineFS instance.
+// Options configure a WineFS instance. Mkfs reads every field; Mount reads
+// only Mode, NUMAAware and Tier. The geometry (CPUs, InodesPerCPU) comes
+// from the superblock Mkfs wrote, and the ablations apply only to the FS
+// Mkfs returns: they are not recorded on the image.
 type Options struct {
 	// CPUs is the number of logical CPUs the partition is split across.
 	// Default 8.

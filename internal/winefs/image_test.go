@@ -101,7 +101,7 @@ func buildVerdictImage(t *testing.T, tiered bool) *verdictImage {
 	}
 	must(fs.Mkdir(ctx, "/dir/sub"))
 	if tiered {
-		fs.SetTierWaterMarks(0.0001, 0.00005) // PM counts as full: new data spills
+		fs.SetTierMarks(0.0001, 0.00005, 0) // PM counts as full: new data spills
 		sparse(create("/cold"), 4)
 		if slowBlks, _ := slowBlocksOf(fs, inoOf(t, ctx, fs, "/cold")); slowBlks != 4 {
 			t.Fatalf("/cold has %d blocks on the slow tier, want 4", slowBlks)

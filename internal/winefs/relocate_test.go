@@ -43,7 +43,7 @@ func writeFile(t *testing.T, ctx *sim.Ctx, fs *FS, path string, data []byte) {
 // default water marks.
 func demoteAll(t *testing.T, ctx *sim.Ctx, fs *FS) TierPassStats {
 	t.Helper()
-	fs.SetTierWaterMarks(0.01, 0.005)
+	fs.SetTierMarks(0.01, 0.005, 0)
 	st, err := fs.TierPass(ctx, TierPassOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func demoteAll(t *testing.T, ctx *sim.Ctx, fs *FS) TierPassStats {
 	if st.DemotedBlocks == 0 {
 		t.Fatal("pass demoted nothing")
 	}
-	fs.SetTierWaterMarks(0.90, 0.80)
+	fs.SetTierMarks(0.90, 0.80, 0)
 	return st
 }
 

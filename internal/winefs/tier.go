@@ -50,23 +50,25 @@ const tierSwapFactor = 4
 // masquerade as heat.
 const tierPromoteDensityShift = 4
 
+// The tier policy's marks. tierHighWater is the PM used fraction above
+// which new data spills to the slow tier and TierPass starts demoting;
+// tierLowWater is the fraction a demotion pass drives down to.
+// tierPromoteMin is the extent heat at which TierPass migrates a slow
+// extent back to PM in place of PM data at most a quarter as hot (the
+// density bar applies too). Below it, a slow extent that has been read
+// back since it was written and touched since the last pass comes up only
+// in place of dead PM data — never read back, not touched lately
+// (usage.dead).
+const (
+	tierHighWater  = 0.90
+	tierLowWater   = 0.80
+	tierPromoteMin = 2
+)
+
 // TierOptions attaches a slow tier to a Mkfs/Mount.
 type TierOptions struct {
 	// Slow is the second-tier device. Required.
 	Slow *tier.SlowDevice
-	// HighWater is the PM used fraction above which new data spills to
-	// the slow tier and TierPass starts demoting (default 0.90).
-	HighWater float64
-	// LowWater is the PM used fraction a demotion pass drives down to
-	// (default 0.80).
-	LowWater float64
-	// PromoteMin is the extent heat at which TierPass migrates a slow
-	// extent back to PM in place of PM data at most a quarter as hot
-	// (default 2; the density bar applies too). Below it, a slow extent
-	// that has been read back since it was written and touched since the
-	// last pass comes up only in place of dead PM data — never read back,
-	// not touched lately (usage.dead).
-	PromoteMin int64
 }
 
 // tierState is the mounted form of TierOptions.
@@ -95,37 +97,32 @@ func (fs *FS) initTier(opts *TierOptions) error {
 	if base+blocks > 1<<32 {
 		return fmt.Errorf("winefs: slow tier too large (blocks %d..%d exceed 32-bit extent records)", base, base+blocks)
 	}
-	t := &tierState{
+	fs.tier = &tierState{
 		dev:        opts.Slow,
 		base:       base,
 		blocks:     blocks,
 		baseByte:   base * BlockSize,
 		pool:       tier.NewPool(base, blocks),
-		promoteMin: opts.PromoteMin,
+		highWater:  tierHighWater,
+		lowWater:   tierLowWater,
+		promoteMin: tierPromoteMin,
 	}
-	t.setWaterMarks(opts.HighWater, opts.LowWater)
-	if t.promoteMin <= 0 {
-		t.promoteMin = 2
-	}
-	fs.tier = t
 	return nil
 }
 
-// SetTierWaterMarks adjusts the spill/demotion thresholds of a live
-// tiered mount (no-op when untiered). Callers serialise with their own
-// TierPass invocations — the marks steer the next pass and the next
-// allocation, they are not a synchronisation point.
-func (fs *FS) SetTierWaterMarks(high, low float64) {
-	if t := fs.tier; t != nil {
-		t.setWaterMarks(high, low)
+// SetTierMarks replaces the tier policy's marks on a live tiered mount
+// (no-op when untiered): the spill/demotion high water, the low water
+// demotion drains to, and the promotion heat bar. Out-of-range values fall
+// back to the defaults (0.90; 0.10 below the high mark; 2). Callers
+// serialise with their own TierPass invocations — the marks steer the next
+// pass and the next allocation, they are not a synchronisation point.
+func (fs *FS) SetTierMarks(high, low float64, promoteMin int64) {
+	t := fs.tier
+	if t == nil {
+		return
 	}
-}
-
-// setWaterMarks installs the marks; out-of-range values fall back to the
-// defaults (0.90, and 0.10 below the high mark).
-func (t *tierState) setWaterMarks(high, low float64) {
 	if high <= 0 || high > 1 {
-		high = 0.90
+		high = tierHighWater
 	}
 	if low <= 0 || low >= high {
 		low = high - 0.10
@@ -133,7 +130,10 @@ func (t *tierState) setWaterMarks(high, low float64) {
 			low = high / 2
 		}
 	}
-	t.highWater, t.lowWater = high, low
+	if promoteMin <= 0 {
+		promoteMin = tierPromoteMin
+	}
+	t.highWater, t.lowWater, t.promoteMin = high, low, promoteMin
 }
 
 // blkAt returns the physical block backing fileBlk, or -1 when unbacked.
@@ -374,15 +374,15 @@ type tierCand struct {
 }
 
 // clearsBar reports whether a slow extent is hot enough to earn PM from
-// any victim 4x colder: heat at least PromoteMin and at least one touch
-// per 16 blocks since the last pass.
+// any victim 4x colder: heat at least the promotion bar and at least one
+// touch per 16 blocks since the last pass.
 func (t *tierState) clearsBar(c tierCand) bool {
 	return c.heat >= t.promoteMin && c.heat >= c.length>>tierPromoteDensityShift
 }
 
-// TierPass runs one bounded migration pass: hot slow extents (heat >=
-// PromoteMin) move up while PM has headroom; if PM is above the
-// high-water mark, the coldest PM extents move down until occupancy
+// TierPass runs one bounded migration pass: hot slow extents (heat at
+// least the promotion bar) move up while PM has headroom; if PM is above
+// the high-water mark, the coldest PM extents move down until occupancy
 // reaches the low-water mark, dead data first (usage.dead). Slow data
 // that has been read back, and touched since the last pass, trades places
 // with dead PM data without clearing the heat bar. What is mapped is not a

@@ -31,8 +31,7 @@ func TestTierCrashRolledBackDemotionReclaimsSlowBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := dev.Snapshot()
-	fs.tier.highWater = 0.01
-	fs.tier.lowWater = 0.005
+	fs.SetTierMarks(0.01, 0.005, 0)
 	if _, err := fs.TierPass(ctx, TierPassOptions{}); err != nil {
 		t.Fatal(err)
 	}

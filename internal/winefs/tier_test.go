@@ -212,8 +212,7 @@ func TestTierPassDemotesColdPromotesHot(t *testing.T) {
 
 	// Force a demotion pass big enough for /cold only: coldest-first order
 	// must pick /cold and leave /hot on PM.
-	fs.tier.highWater = 0.01
-	fs.tier.lowWater = 0.005
+	fs.SetTierMarks(0.01, 0.005, 0)
 	st, err := fs.TierPass(ctx, TierPassOptions{MaxMigrateBlocks: fileBytes / BlockSize})
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +243,7 @@ func TestTierPassDemotesColdPromotesHot(t *testing.T) {
 	// Re-reading /cold past the promotion threshold earns it back to PM.
 	// The bar is size-proportional (one touch per 16 blocks), so a 4MiB
 	// file needs a real re-read streak, not a token one.
-	fs.tier.highWater = 0.95
-	fs.tier.lowWater = 0.85
+	fs.SetTierMarks(0.95, 0.85, 0)
 	for i := 0; i < 80; i++ {
 		if _, err := cold.ReadAt(ctx, buf, 0); err != nil {
 			t.Fatal(err)
@@ -291,8 +289,7 @@ func TestTierRemountRebuildsSlowPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Demote everything so /spilled definitely has slow extents.
-	fs.tier.highWater = 0.01
-	fs.tier.lowWater = 0.005
+	fs.SetTierMarks(0.01, 0.005, 0)
 	if _, err := fs.TierPass(ctx, TierPassOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +342,11 @@ func TestTierRemountRebuildsSlowPool(t *testing.T) {
 	// Crash path first (snapshot the dirty image before the clean unmount).
 	scratch := dev.Snapshot()
 	cctx := sim.NewCtx(2, 0)
-	cfs, err := Mount(cctx, scratch, Options{CPUs: 1, InodesPerCPU: 512, Tier: &TierOptions{Slow: slow, HighWater: 0.01, LowWater: 0.005}})
+	cfs, err := Mount(cctx, scratch, Options{Tier: &TierOptions{Slow: slow}})
 	if err != nil {
 		t.Fatalf("crash-path mount: %v", err)
 	}
+	cfs.SetTierMarks(0.01, 0.005, 0)
 	check("crash", cfs, cctx)
 
 	// Clean path.
@@ -356,10 +354,11 @@ func TestTierRemountRebuildsSlowPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	rctx := sim.NewCtx(3, 0)
-	rfs, err := Mount(rctx, dev, Options{CPUs: 1, InodesPerCPU: 512, Tier: &TierOptions{Slow: slow, HighWater: 0.01, LowWater: 0.005}})
+	rfs, err := Mount(rctx, dev, Options{Tier: &TierOptions{Slow: slow}})
 	if err != nil {
 		t.Fatalf("clean-path mount: %v", err)
 	}
+	rfs.SetTierMarks(0.01, 0.005, 0)
 	check("clean", rfs, rctx)
 }
 
@@ -434,7 +433,7 @@ func TestTierThrottleNeverHoldsTheLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs.SetTierWaterMarks(0.001, 0.0005)
+		fs.SetTierMarks(0.001, 0.0005, 0)
 		// Two holds of relocateChunkBlocks each, a sleep after either.
 		var st TierPassStats
 		t0, work := paced(t, ctx, func(mctx *sim.Ctx, pacer *sim.Pacer) {
@@ -528,7 +527,7 @@ func TestTierPassPinsMappedFiles(t *testing.T) {
 		t.Fatalf("setup: %d PM blocks, %d of %d chunks huge; want the file in PM on hugepages", pmBefore, hugeBefore, totalBefore)
 	}
 
-	fs.SetTierWaterMarks(0.001, 0.0005)
+	fs.SetTierMarks(0.001, 0.0005, 0)
 	st, err := fs.TierPass(ctx, TierPassOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -725,7 +724,7 @@ func TestHeatFollowsData(t *testing.T) {
 
 	// The policy sees it the same way: a pass that must shed one file's
 	// worth of blocks takes the file nobody touched, and no piece of /hot.
-	fs.SetTierWaterMarks(0.001, 0.0005)
+	fs.SetTierMarks(0.001, 0.0005, 0)
 	st, err := fs.TierPass(ctx, TierPassOptions{MaxMigrateBlocks: blocks})
 	if err != nil {
 		t.Fatal(err)

@@ -65,14 +65,14 @@ func goldenJob(t *testing.T, i int, exact bool) goldenFingerprint {
 
 	p := workloads.AllPersonalities()[i%len(workloads.AllPersonalities())]
 	free := fs.StatFS(ctx).FreeBlocks
-	fp.filebench, err = workloads.Filebench(fs, p, workloads.FilebenchConfig{
+	fp.filebench, err = workloads.Filebench(ctx, fs, p, workloads.FilebenchConfig{
 		Threads: 1, Files: goldenFiles, OpsPerThread: 8, Seed: uint64(i) + 1,
 	})
 	if err != nil {
 		t.Fatalf("job %d: filebench %s: %v", i, p, err)
 	}
 	fp.fbBlocks = free - fs.StatFS(ctx).FreeBlocks
-	fp.pgbench, err = workloads.Pgbench(fs, workloads.PgbenchConfig{
+	fp.pgbench, err = workloads.Pgbench(ctx, fs, workloads.PgbenchConfig{
 		Threads: 1, DatabaseBytes: 4 << 20, TxPerThread: 20, Seed: uint64(i) + 1,
 	})
 	if err != nil {

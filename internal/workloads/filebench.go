@@ -58,10 +58,10 @@ func (r FilebenchResult) Throughput() float64 {
 	return float64(r.Ops) / (float64(r.VirtualNS) / 1e9)
 }
 
-// Filebench prepares the fileset and runs the personality with the
-// configured thread count, each thread on its own simulated CPU.
-func Filebench(fs vfs.FS, p Personality, cfg FilebenchConfig) (FilebenchResult, error) {
-	setup := sim.NewCtx(1000, 0)
+// Filebench prepares the fileset on setup, the caller's context, and runs
+// the personality with the configured thread count, each thread on its own
+// simulated CPU, starting where setup ends (see Pgbench).
+func Filebench(setup *sim.Ctx, fs vfs.FS, p Personality, cfg FilebenchConfig) (FilebenchResult, error) {
 	if err := fs.Mkdir(setup, "/fb"); err != nil && err != vfs.ErrExist {
 		return FilebenchResult{}, err
 	}

@@ -42,8 +42,12 @@ const pgPage = 8192
 // separates journaling (WineFS) from log-structuring (NOVA) in Figure 9:
 // "NOVA has to delete per-inode log entries, add new entries ... WineFS
 // only modifies the inode in a journal transaction."
-func Pgbench(fs vfs.FS, cfg PgbenchConfig) (PgbenchResult, error) {
-	setup := sim.NewCtx(1000, 0)
+//
+// The database is built on setup, the caller's context, and the threads
+// start where it ends: on a file system that has already run work, a
+// setup context at the file system's clock frontier keeps the threads from
+// paying the earlier bookings as lock wait.
+func Pgbench(setup *sim.Ctx, fs vfs.FS, cfg PgbenchConfig) (PgbenchResult, error) {
 	if err := fs.Mkdir(setup, "/pg"); err != nil && err != vfs.ErrExist {
 		return PgbenchResult{}, err
 	}
