@@ -103,12 +103,13 @@ bench-pair:
 	fi
 
 # The eight regression gates, one table: target, winebench flags, committed
-# baseline. Each runs its bench, enforces the mode's hard gates (see the
-# top of cmd/winebench/<mode>.go), then diffs the run against the baseline
-# through internal/bench: work counters exact, contention-derived timings
-# within tolerance (DESIGN.md "Bench reports" has the field classes and why
-# each rule exists). None writes a file; refresh one baseline by running
-# its line with `-json BENCH_x.json` in place of `-check-against BENCH_x.json`.
+# baseline. Each runs its bench, prints the verdicts of the claims about its
+# report (the rows of internal/bench/claims.go) and fails on any that does
+# not hold, then diffs the run against the baseline through internal/bench:
+# work counters exact, contention-derived timings within tolerance
+# (DESIGN.md "Bench reports" has the field classes and why each rule
+# exists). None writes a file; refresh one baseline by running its line
+# with `-json BENCH_x.json` in place of `-check-against BENCH_x.json`.
 #   json        4-client ServerMix serving baseline
 #   scaling     fxmark sharing cases x 1→128 threads, direct and via winefsd;
 #               timings and allocator placement compared only at ≤16 threads
@@ -159,57 +160,19 @@ bench-gates:
 trajectory-check:
 	@$(GO) run ./cmd/trajectory
 
-# The page-cache + lease coherence suite under the race detector,
-# including the 8-concurrent-session storm (TestCacheRace8Sessions, which
-# audits each cache with CheckInvariant every round), the stale-lease
-# regression (TestLeaseRefusedWhileWriteInFlight), the replacement policy's
-# two bounds (TestScan*: a hot set of ¾ of the cache survives any scan, a
-# set that fits is never evicted) and the 10⁵-operation replay against the
-# two-slice reference policy (TestModelEquivalence: both lists' order,
-# dirty marks, stub-FS calls, Stats and clocks after every operation).
+# Page-cache and lease tests under -race; make race runs them too.
 cache-race:
 	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose|TestModel|TestCheckInvariant|TestScan' ./internal/pagecache/ ./internal/fileserver/
 
-# The mmap subsystem under the race detector: the 8-thread shared-mapping
-# storm with concurrent truncation (TestMmapRace8Threads), the
-# truncate/unlink/punch invalidation tests, the vmm unit tests, the
-# mapping/lease coherence tests on both the client cache and the server,
-# two readers of one file's extent list beside its faults on all nine file
-# systems (TestMmapExtentsTwoReaders), and truncate/unlink shootdown of
-# mappings from both entry points on all nine (TestConformanceMmapShootdown).
+# Mapping tests under -race; make race runs them too.
 mmap-race:
 	$(GO) test -race -run 'TestMmap|TestConformanceMmapShootdown|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPreload|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/ ./internal/fstest/
 
-# Background maintenance under the race detector, one target for the one
-# mechanism: the relocate crash sweep (every caller torn at every fence
-# epoch), the 8-thread suite racing the defragmenter against foreground
-# writers, truncates and live mmaps (TestDefragRace8Threads), the
-# migration-vs-mmap race (a demotion relocating blocks under a live
-# mapping must drain in-flight accesses before freeing; driven through
-# migrateRun, since the pass itself pins mapped files), the three mover
-# rules (TestTierThrottleNeverHoldsTheLock, TestTierPassPinsMappedFiles,
-# TestHeatFollowsData), the dead-data rule and why it terminates
-# (TestTierDeadBeforeTrickle, TestTierTrickleDoesNotThrash), the rewrite
-# tests, spill/ENOSPC behaviour, the abort path every one of them shares
-# with the foreground (TestFailedWriteLeavesNoTrace: a failed write,
-# fallocate, truncate, create, mkdir or rename leaves DRAM, the allocator
-# and the media where they were), the vmm re-promotion test, the
-# slow-device/pool unit tests, the runner tests (one Step = defrag +
-# rewriter + tier pass on one pacer, scraped concurrently) and the
-# free-extent index every allocator in the tree runs on (internal/alloc:
-# the differential against the bitmap model, the strictness and Check
-# tests).
+# Defrag, rewrite, tier and allocator tests under -race; make race runs them too.
 maint-race:
 	$(GO) test -race -run 'TestRelocate|TestDefrag|TestRepromote|TestRewrite|TestRunner|TestTier|TestHeat|TestSlowDevice|TestPool|TestFailedWriteLeavesNoTrace' ./internal/winefs/ ./internal/vmm/ ./internal/defrag/ ./internal/tier/ ./internal/alloc/
 
-# Replication + promotion under the race detector: the cluster engine's
-# own tests (journal streaming, degraded mode, winefsd's promotion of a
-# stopped replica, a replica that stops while a primary writes, the
-# silent-divergence verdict, a baseline resync broken off and resumed),
-# the cluster campaign and its smoke slice, and
-# the frame codec over the in-memory pipe the replication stream rides
-# (TestFrameRoundTrip: a frame above the pipe's 1 MiB buffer, bare and
-# wrapped writer ends, the length bound).
+# Replication and promotion tests under -race; make race runs them too.
 cluster-race:
 	$(GO) test -race -timeout 20m -run 'TestCluster|TestPromoteReplica|TestRecord|TestReplica|TestErrServerGone|TestLocalClose|TestShutdownCtx|TestFrameRoundTrip' ./internal/cluster/ ./internal/fileserver/ ./internal/crashmonkey/
 

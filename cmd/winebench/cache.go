@@ -19,20 +19,9 @@ import (
 // each client wrapped in internal/pagecache — and the re-read phase's
 // virtual cost per read is compared. Then the HotScan workload (a hot set
 // of half the cache re-read between slices of a cold scan four times the
-// cache) runs through small caches on a third server. Two acceptance gates
-// are hard-coded, on top of whatever the committed BENCH_cache.json
-// baseline pins: the cached configuration must serve re-reads at least
-// cacheMinSpeedup times cheaper, and the hot set must survive the scan.
-
-const (
-	// cacheMinSpeedup is the required uncached/cached per-read cost ratio.
-	cacheMinSpeedup = 5.0
-	// hotScanMinHitRatio is the share of HotScan's hot-set re-reads the
-	// cache must serve. Each scan slice is a whole cache of pages read
-	// once, so plain LRU replacement scores 0 here; keeping the hot set
-	// through it is what the active/inactive policy is for.
-	hotScanMinHitRatio = 0.95
-)
+// cache) runs through small caches on a third server. bench.Claims holds
+// the cached re-reads to at least 5x cheaper and the hot set to surviving
+// the scan.
 
 // cacheVariant is one configuration's aggregate over all clients.
 type cacheVariant struct {
@@ -55,7 +44,7 @@ type cacheVariant struct {
 }
 
 // runCacheBench runs both variants and the HotScan point, packs the
-// report, prints it and enforces the speedup and hot-set gates.
+// report and prints it.
 func runCacheBench(o options) (*bench.Report, error) {
 	clients, cpus := o.clients, o.cpus
 	cfg := workloads.CachedMixConfig{Files: 24, Seed: o.seed}
@@ -114,9 +103,9 @@ func runCacheBench(o options) (*bench.Report, error) {
 			{Head: "re-read speedup", Field: "ReadSpeedup", Fmt: "%.1fx"},
 		}, cacheCols...),
 	}, bench.Table{
-		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices (hit ratio gate %.0f%%)",
+		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices",
 			clients, workloads.HotScanCachePages, workloads.HotScanCachePages/2,
-			hs.ScanReads/int64(clients*workloads.HotScanCachePages), 100*hotScanMinHitRatio),
+			hs.ScanReads/int64(clients*workloads.HotScanCachePages)),
 		Where: map[string]string{"Variant": "HotScan"},
 		Cols: append([]bench.Col{
 			{Head: "hot-set re-reads", Field: "HotReads", Fmt: "%.0f"},
@@ -126,12 +115,6 @@ func runCacheBench(o options) (*bench.Report, error) {
 			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
 		}, cacheCols...),
 	})
-	if speedup < cacheMinSpeedup {
-		return nil, fmt.Errorf("re-read speedup %.2fx below required %.1fx", speedup, cacheMinSpeedup)
-	}
-	if r := hs.hotHitRatio(); r < hotScanMinHitRatio {
-		return nil, fmt.Errorf("hot-set hit ratio %.3f below required %.2f: the scan evicted the hot set", r, hotScanMinHitRatio)
-	}
 	return rep, nil
 }
 

@@ -14,32 +14,20 @@ import (
 	"repro/internal/workloads"
 )
 
-// The -defrag bench exercises the §3.5 online defragmenter end to end
-// and gates both halves of its contract:
+// The -defrag bench exercises the §3.5 online defragmenter end to end,
+// both halves of its contract (bench.Claims holds the bounds):
 //
 //   - Recovery: on an adversarially aged image (zero free aligned
 //     extents) a live mapping that faulted in entirely as base pages
-//     must, after the defragmenter converges, recover at least 90% of
-//     the hugepage coverage the same workload gets on an unaged image —
-//     without a single refault (migrations re-form aligned extents, the
-//     reactive rewrite re-lands the file on them, and the promotion
-//     notification upgrades the live mapping in place).
-//   - Interference: the maintenance work must cost what the paper says
-//     it costs. Unthrottled, a concurrent defragmentation steals 25–40%
-//     of a foreground mmap reader's bandwidth (§4); under the duty-cycle
-//     pacer it must steal at most 10%.
-
-// defragMinRecovery gates recovered coverage relative to unaged.
-const defragMinRecovery = 0.90
-
-// defragUnthrottledMin/Max bound the §4 unthrottled interference band.
-const (
-	defragUnthrottledMin = 25.0
-	defragUnthrottledMax = 40.0
-)
-
-// defragThrottledMax bounds slowdown under the paced duty cycle.
-const defragThrottledMax = 10.0
+//     recovers, after the defragmenter converges, the hugepage coverage
+//     the same workload gets on an unaged image — without a single
+//     refault (migrations re-form aligned extents, the reactive rewrite
+//     re-lands the file on them, and the promotion notification upgrades
+//     the live mapping in place).
+//   - Interference: the maintenance work costs what the paper says it
+//     costs. Unthrottled, a concurrent defragmentation steals 25–40% of a
+//     foreground mmap reader's bandwidth (§4); the duty-cycle pacer at
+//     defragThrottleBudget keeps it to a fraction of that.
 
 // defragThrottleBudget is the paced duty cycle the throttled
 // interference variant runs at.
@@ -62,7 +50,7 @@ type defragInterfVariant struct {
 }
 
 // runDefragBench runs the soak and both interference variants, packs and
-// prints the report and enforces the gates.
+// prints the report.
 func runDefragBench(o options) (*bench.Report, error) {
 	cpus := o.cpus
 	soakFile := int64(32 << 20)
@@ -143,31 +131,7 @@ func runDefragBench(o options) (*bench.Report, error) {
 		Where: map[string]string{"Part": "Interference"}, Rows: []string{"Budget"}, RowHead: "budget",
 		Cols: []bench.Col{{Head: "fg slowdown", Field: "SlowdownPct", Fmt: "%.1f%%"}},
 	})
-	// Gates.
-	unaged := soak.RecoveredCoverage() / covOr1(soak.UnagedHuge, soak.UnagedTotal)
-	if unaged < defragMinRecovery {
-		return nil, fmt.Errorf("defrag recovered %.0f%% of unaged hugepage coverage, below required %.0f%%",
-			100*unaged, 100*defragMinRecovery)
-	}
-	for _, v := range interference {
-		if v.Budget >= 1 {
-			if v.SlowdownPct < defragUnthrottledMin || v.SlowdownPct > defragUnthrottledMax {
-				return nil, fmt.Errorf("unthrottled defrag slowdown %.1f%% outside the paper's %g-%g%% band",
-					v.SlowdownPct, defragUnthrottledMin, defragUnthrottledMax)
-			}
-		} else if v.SlowdownPct > defragThrottledMax {
-			return nil, fmt.Errorf("throttled defrag slowdown %.1f%% above the %.0f%% bound",
-				v.SlowdownPct, defragThrottledMax)
-		}
-	}
 	return rep, nil
-}
-
-func covOr1(huge, total int) float64 {
-	if total == 0 || huge == 0 {
-		return 1
-	}
-	return float64(huge) / float64(total)
 }
 
 // runDefragInterference is the §4 experiment (workloads.RunInterference)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,10 +9,35 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestSingleThreadedGatesMatchBaselines runs the three contention-free
-// gates in-process against the committed baselines, so plain `go test`
-// catches counter drift without make.
-func TestSingleThreadedGatesMatchBaselines(t *testing.T) {
+// TestEveryClaimHolds holds each committed BENCH_*.json to every claim
+// about its schema, and every claim to some committed report. Then it runs
+// the three contention-free benches in-process through bench.Finish, so
+// plain `go test` catches a broken claim or counter drift without make.
+func TestEveryClaimHolds(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]bool{}
+	for _, f := range files {
+		rep, err := bench.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags[rep.Bench] = true
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			for _, v := range rep.Verdicts(nil) {
+				if !v.Holds {
+					t.Errorf("%s: %s", v.Shows, v)
+				}
+			}
+		})
+	}
+	for _, c := range bench.Claims {
+		if !tags[c.Schema] {
+			t.Errorf("%s: no committed report is %s", c.Shows, c.Schema)
+		}
+	}
 	for _, m := range modes {
 		baseline := map[string]string{"mmap": "BENCH_mmap.json", "defrag": "BENCH_defrag.json", "tier": "BENCH_tier.json"}[m.name]
 		if baseline == "" {

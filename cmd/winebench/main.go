@@ -2,20 +2,21 @@
 // regression-gated benches. Every run packs its result into one bench
 // report (internal/bench) and prints its tables from that report.
 //
-//	winebench [-quick] [-cpus N] [-size BYTES] [-seed N] [-run all|NAME,...] [-json FILE] [-check-against FILE]
+//	winebench [-quick] [-cpus N] [-seed N] [-run all|NAME,...] [-json FILE] [-check-against FILE]
 //	winebench -<mode> [mode flags] [-json FILE] [-check-against FILE]
 //
 // -run selects experiments of the paper (default all) from the names
 // `winebench -h` lists, generated from experiments.Runs; their points make
 // one paper/v1 report.
 //
-// A -<mode> flag runs one regression-gated bench instead: it prints its
-// table and enforces its hard gates. Either way the run ends in
-// bench.Finish — -json writes the report (everything is virtual time, so
-// the file is a committable baseline) and -check-against diffs the run
+// A -<mode> flag runs one regression-gated bench instead and prints its
+// tables. Either way the run ends in bench.Finish: it prints the verdicts
+// of the claims about the report (bench.Claims) and fails the run on any
+// that does not hold, -json writes the report (everything is virtual time,
+// so the file is a committable baseline) and -check-against diffs the run
 // against a committed one. `winebench -h` prints one usage line per mode,
 // generated from the modes table below, which is also where each mode is
-// described; what each gate enforces is at the top of its file.
+// described.
 //
 // -server has two more outputs: -trace captures every request span as a
 // Chrome trace-event file loadable in chrome://tracing or Perfetto, and
@@ -45,7 +46,6 @@ type options struct {
 	quick    bool
 	cpus     int
 	clients  int
-	size     int64
 	seed     uint64
 	run      string // -run: comma-separated experiment names
 	trace    string // -server: Chrome trace-event file
@@ -55,9 +55,9 @@ type options struct {
 
 // modes is the table of regression-gated benches: the flag that selects
 // each, the flags it reads (for the usage line) and its help text. A mode
-// prints its table, enforces its hard gates and returns its report;
-// bench.Finish does the rest. With several mode flags the first listed
-// wins; with none, winebench runs the -run experiments.
+// prints its tables and returns its report; bench.Finish does the rest.
+// With several mode flags the first listed wins; with none, winebench runs
+// the -run experiments.
 var modes = []struct {
 	name, args, help string
 	run              func(o options) (*bench.Report, error)
@@ -67,14 +67,14 @@ var modes = []struct {
 	{"defrag", "[-quick] [-cpus N]", "online-defragmenter recovery and interference bench", runDefragBench},
 	{"cache", "[-quick] [-clients N] [-cpus N]", "client page-cache effectiveness sweep", runCacheBench},
 	{"scaling", "[-quick]", "fxmark-style scalability suite", runScalingBench},
-	{"replicated", "[-quick] [-clients N] [-cpus N] [-size BYTES]", "replication-overhead benchmark", runReplicatedBench},
-	{"server", "[-quick] [-clients N] [-cpus N] [-size BYTES] [-trace FILE] [-metrics-out FILE]",
+	{"replicated", "[-quick] [-clients N] [-cpus N]", "replication-overhead benchmark", runReplicatedBench},
+	{"server", "[-quick] [-clients N] [-cpus N] [-trace FILE] [-metrics-out FILE]",
 		"serving-throughput baseline", runServerBench},
 }
 
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "Usage:\n  winebench [-quick] [-cpus N] [-size BYTES] [-seed N] [-run all|NAME,...] [-json FILE] [-check-against FILE]")
+	fmt.Fprintln(w, "Usage:\n  winebench [-quick] [-cpus N] [-seed N] [-run all|NAME,...] [-json FILE] [-check-against FILE]")
 	fmt.Fprintf(w, "    NAME is one of: %s\n", strings.Join(runNames(), " "))
 	for _, m := range modes {
 		fmt.Fprintf(w, "  winebench -%s %s [-seed N] [-json FILE] [-check-against FILE]\n", m.name, m.args)
@@ -86,7 +86,6 @@ func main() {
 	var o options
 	flag.BoolVar(&o.quick, "quick", false, "reduced workload sizes (seconds instead of minutes)")
 	flag.IntVar(&o.cpus, "cpus", 8, "logical CPUs per file system")
-	flag.Int64Var(&o.size, "size", 0, "device size in bytes (0 = default)")
 	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
 	flag.StringVar(&o.run, "run", "all", "comma-separated experiment list")
 	selected := make([]*bool, len(modes))
@@ -128,14 +127,14 @@ func main() {
 }
 
 // runPaper is -run: the selected experiments pack one paper/v1 report,
-// which prints as their tables in experiments.Runs order and then as the
-// verdicts of the paper's claims about them, through experiments.Print.
+// which prints as their tables in experiments.Runs order; bench.Finish
+// then prints the verdicts of the paper's claims about them.
 func runPaper(o options) (*bench.Report, error) {
 	runs, err := selectRuns(o.run)
 	if err != nil {
 		return nil, err
 	}
-	cfg := experiments.Config{Quick: o.quick, CPUs: o.cpus, DeviceSize: o.size, Seed: o.seed}.Defaults()
+	cfg := experiments.Config{Quick: o.quick, CPUs: o.cpus, Seed: o.seed}.Defaults()
 	rep, err := experiments.Pack(cfg, runs)
 	if err != nil {
 		return nil, err
@@ -144,9 +143,10 @@ func runPaper(o options) (*bench.Report, error) {
 	return rep, nil
 }
 
-// paperScope is the share of the baseline -check-against holds a run to:
-// for -run, the points of the figures it selected, so -run fig7 checks
-// against a report of every figure; for a mode, all of them.
+// paperScope is the share of the claims and of the baseline
+// -check-against a run is held to: for -run, those of the figures it
+// selected, so -run fig7 checks against a report of every figure; for a
+// mode, all of them.
 func paperScope(mode, list string) map[string]string {
 	if mode != "run" {
 		return nil
@@ -198,13 +198,10 @@ const (
 // reproducible; the span, the latency digest and LockWaitNS wobble with
 // host goroutine scheduling and are toleranced in the report.
 func runServerBench(o options) (*bench.Report, error) {
-	clients, cpus, size, seed := o.clients, o.cpus, o.size, o.seed
+	clients, cpus, seed := o.clients, o.cpus, o.seed
 	ops := serverMixOps
 	if o.quick {
 		ops = serverMixOpsQuick
-	}
-	if size == 0 {
-		size = 2 << 30
 	}
 	var tracer *trace.Tracer
 	if o.trace != "" {
@@ -217,7 +214,7 @@ func runServerBench(o options) (*bench.Report, error) {
 	}
 	var results []workloads.ServerMixResult
 	var ctxs []*sim.Ctx
-	st, err := withFreshServer(cpus, size, tracer, func(pl *fileserver.PipeListener) (err error) {
+	st, err := withFreshServer(cpus, 2<<30, tracer, func(pl *fileserver.PipeListener) (err error) {
 		results, ctxs, err = serverMixFanout(pl.Dial, clients, cpus, ops, seed)
 		return err
 	})

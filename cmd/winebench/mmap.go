@@ -17,16 +17,9 @@ import (
 // hugepage faults) versus the same sweep over a Geriatrix-aged image at
 // identical utilisation (fragmented extents, 4KiB base faults, page-walk
 // traffic on every access). WineFS and ext4-DAX run both conditions:
-// ext4-DAX shows the aging collapse the gate enforces, WineFS the
+// ext4-DAX shows the aging collapse bench.Claims holds it to, WineFS the
 // graceful-aging contrast (its aligned/unaligned allocator split keeps
 // hugepage coverage high even aged).
-
-// mmapMinUnagedCoverage gates hugepage coverage of the unaged sweeps.
-const mmapMinUnagedCoverage = 0.90
-
-// mmapMinAgedSlowdown gates how much more an aged ext4-DAX mapped read
-// must cost relative to unaged (the paper's motivating gap).
-const mmapMinAgedSlowdown = 3.0
 
 // mmapVariant is one {file system, image age} sweep.
 type mmapVariant struct {
@@ -35,8 +28,7 @@ type mmapVariant struct {
 	workloads.MmapSweepResult
 }
 
-// runMmapBench sweeps the four variants, packs and prints the report and
-// enforces the coverage and slowdown gates.
+// runMmapBench sweeps the four variants, packs and prints the report.
 func runMmapBench(o options) (*bench.Report, error) {
 	cfg := workloads.MmapSweepConfig{FileBytes: 32 << 20, Reads: 10000, Seed: o.seed}
 	devSize := int64(512 << 20)
@@ -90,16 +82,6 @@ func runMmapBench(o options) (*bench.Report, error) {
 			{Head: "aged slowdown", Field: "AgedSlowdown", Fmt: "%.1fx"},
 		},
 	})
-	for _, v := range variants {
-		if !v.Aged && v.HugeCoverage() < mmapMinUnagedCoverage {
-			return nil, fmt.Errorf("%s unaged hugepage coverage %.0f%% below required %.0f%%",
-				v.FS, 100*v.HugeCoverage(), 100*mmapMinUnagedCoverage)
-		}
-	}
-	if agedSlowdown < mmapMinAgedSlowdown {
-		return nil, fmt.Errorf("ext4-DAX aged slowdown %.2fx below required %.1fx",
-			agedSlowdown, mmapMinAgedSlowdown)
-	}
 	return rep, nil
 }
 

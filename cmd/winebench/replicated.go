@@ -1,9 +1,10 @@
 // winebench -replicated: the replication-overhead benchmark. The same
 // ServerMix fan-out runs twice — once against a plain single-node server,
 // once against a 1-primary/N-replica cluster with synchronous replication
-// — and the virtual makespans are compared. The run fails if replication
-// costs more than replicatedOverheadLimit on the ServerMix span, or if the
-// replicas do not end byte-identical to the primary.
+// — and the virtual makespans are compared; bench.Claims bounds the
+// overhead. A run whose two halves did different work, or whose replicas
+// do not end byte-identical to the primary, has no overhead to judge and
+// fails outright.
 //
 // The committed BENCH_replicated.json gates op counts and resyncs exactly
 // and the record stream and spans with the usual contention tolerance
@@ -26,24 +27,6 @@ import (
 	"repro/internal/winefs"
 	"repro/internal/workloads"
 )
-
-// replicatedOverheadLimit is the hard gate on synchronous-replication
-// overhead over the plain serving baseline, in percent of the summed
-// per-client ServerMix spans. The sum (equivalently the mean) is the
-// gated statistic because the makespan — the slowest of 8 contended
-// clients — is an extreme-value statistic whose run-to-run spread under
-// host scheduling is wider than any honest limit; the mean absorbs the
-// extremes while still charging every nanosecond replication adds.
-//
-// The limit prices the model, not a wish: sync mode charges
-// replLatencyNS + bytes·replNSPerByte (cluster) per mutating request (the modeled wait for
-// replica durability), which on the write-heavy ServerMix costs ≈55% of
-// the plain per-client span. The old 15% limit on the makespan ratio
-// only held because pre-fast-path contention inflated the plain span —
-// the replication charges hid inside lock-wait time the engine no longer
-// fabricates. 65% gates real regressions (a charge-model or batching
-// slip) without re-burying the cost.
-const replicatedOverheadLimit = 65.0
 
 // withFreshServer boots a strict-mode server on a fresh image of size
 // bytes over the in-memory transport, tracing to tracer unless it is nil,
@@ -136,16 +119,13 @@ func mixSpans(results []workloads.ServerMixResult) (totalOps, spanNS, sumNS int6
 }
 
 // runReplicatedBench measures synchronous-replication overhead on the
-// ServerMix serving baseline and gates it at replicatedOverheadLimit.
+// ServerMix serving baseline.
 func runReplicatedBench(o options) (*bench.Report, error) {
-	const nReplicas = 2
-	clients, cpus, size, seed := o.clients, o.cpus, o.size, o.seed
+	const nReplicas, size = 2, 1 << 30
+	clients, cpus, seed := o.clients, o.cpus, o.seed
 	ops := serverMixOps
 	if o.quick {
 		ops = serverMixOpsQuick
-	}
-	if size == 0 {
-		size = 1 << 30
 	}
 
 	// Plain baseline: one server, no replication.
@@ -207,8 +187,8 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		"Resyncs": st.Repl.Resyncs})
 	p.Floats(map[string]float64{"OverheadPct": overhead})
 	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Replication overhead: %d clients x %d iterations, %d sync replicas (overhead limit %.0f%%)",
-			clients, ops, nReplicas, replicatedOverheadLimit),
+		Title: fmt.Sprintf("Replication overhead: %d clients x %d iterations, %d sync replicas",
+			clients, ops, nReplicas),
 		Cols: []bench.Col{
 			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
 			{Head: "plain span", Field: "PlainSpanNS,PlainSumNS", Fmt: "%.0fns (sum %.0fns)"},
@@ -219,17 +199,10 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 			{Head: "resyncs", Field: "Resyncs", Fmt: "%.0f (baseline image per replica)"},
 		},
 	})
-	if overhead > replicatedOverheadLimit {
-		return nil, fmt.Errorf("synchronous replication costs %.2f%% on summed ServerMix spans, limit %.0f%%", overhead, replicatedOverheadLimit)
-	}
-	if st.Repl.Resyncs != nReplicas {
-		return nil, fmt.Errorf("resyncs = %d, want exactly the %d baseline transfers", st.Repl.Resyncs, nReplicas)
-	}
 	for _, rs := range st.ReplicaSide {
 		if rs.BadRecords != 0 || rs.Gaps != 0 {
 			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
 		}
 	}
-
 	return rep, nil
 }

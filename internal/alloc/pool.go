@@ -174,25 +174,25 @@ func (p *Pool) TakeAligned(need int64) (Extent, bool) {
 // march across the partition, interleaving unrelated files: the
 // fragmentation mechanism behind Figure 3's baseline curves).
 func (p *Pool) TakeNextFit(from, need int64) (Extent, bool) {
-	var hit *Extent
+	hit, found := int64(0), false
 	scan := func(lo int64, wrapAt int64) bool {
 		p.byStart.AscendFrom(lo, func(s, l int64) bool {
 			if wrapAt >= 0 && s >= wrapAt {
 				return false
 			}
 			if l >= need {
-				hit = &Extent{Start: s, Len: l}
+				hit, found = s, true
 				return false
 			}
 			return true
 		})
-		return hit != nil
+		return found
 	}
 	if !scan(from, -1) && !scan(0, from) {
 		return Extent{}, false
 	}
-	p.TakeAt(hit.Start, need)
-	return Extent{Start: hit.Start, Len: need}, true
+	p.TakeAt(hit, need)
+	return Extent{Start: hit, Len: need}, true
 }
 
 // TakeAlignedInRange carves `need` blocks starting at a hugepage-aligned
@@ -235,29 +235,28 @@ func (p *Pool) TakeAlignedInRange(lo, hi, need int64) (Extent, bool) {
 }
 
 // Carve removes [start, start+length) from the pool wherever it overlaps
-// free extents (used-state reconstruction, the defrag hold) and reports
-// the parts it removed, in address order.
-func (p *Pool) Carve(start, length int64) []Extent {
+// free extents (used-state reconstruction, the defrag hold) and appends
+// the parts it removed to into, in address order: a caller that keeps
+// into's storage carves without allocating.
+func (p *Pool) Carve(start, length int64, into []Extent) []Extent {
 	end := start + length
 	from := start
 	if fs, _, ok := p.byStart.Floor(start); ok {
 		from = fs
 	}
-	type cut struct{ s, l int64 }
-	var cuts []cut
+	first := len(into)
 	p.byStart.AscendFrom(from, func(hs, hl int64) bool {
 		if hs >= end {
 			return false
 		}
 		if hs+hl > start {
-			cuts = append(cuts, cut{hs, hl})
+			into = append(into, Extent{Start: hs, Len: hl})
 		}
 		return true
 	})
-	var removed []Extent
-	for _, c := range cuts {
-		p.remove(c.s, c.l)
-		lo, hi := c.s, c.s+c.l
+	for i := first; i < len(into); i++ {
+		lo, hi := into[i].Start, into[i].End()
+		p.remove(lo, hi-lo)
 		if lo < start {
 			p.insert(lo, start-lo)
 			lo = start
@@ -266,9 +265,9 @@ func (p *Pool) Carve(start, length int64) []Extent {
 			p.insert(end, hi-end)
 			hi = end
 		}
-		removed = append(removed, Extent{Start: lo, Len: hi - lo})
+		into[i] = Extent{Start: lo, Len: hi - lo}
 	}
-	return removed
+	return into
 }
 
 // Extents snapshots the pool's free extents in address order.

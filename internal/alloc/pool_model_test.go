@@ -197,7 +197,7 @@ func TestPoolDifferential(t *testing.T) {
 					}
 				}
 				m.set(s, need, false)
-				got, want = p.Carve(s, need), w
+				got, want = p.Carve(s, need, nil), w
 			case 10:
 				e, ok := p.First()
 				var w Extent

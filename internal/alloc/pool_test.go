@@ -109,17 +109,17 @@ func TestPoolTakeAligned(t *testing.T) {
 func TestPoolCarve(t *testing.T) {
 	p := NewPool()
 	p.Add(0, 1000)
-	p.Carve(100, 200)
+	p.Carve(100, 200, nil)
 	if p.FreeBlocks() != 800 || len(p.Extents()) != 2 {
 		t.Fatalf("free=%d holes=%d", p.FreeBlocks(), len(p.Extents()))
 	}
 	// Carving an already-carved range is a no-op.
-	p.Carve(150, 100)
+	p.Carve(150, 100, nil)
 	if p.FreeBlocks() != 800 {
 		t.Fatalf("free=%d", p.FreeBlocks())
 	}
 	// A carve straddling free and used space removes only the free part.
-	p.Carve(250, 100) // [250,350): only [300,350) is free
+	p.Carve(250, 100, nil) // [250,350): only [300,350) is free
 	if p.FreeBlocks() != 750 {
 		t.Fatalf("straddling carve: free=%d", p.FreeBlocks())
 	}

@@ -1,15 +1,17 @@
-// Package bench is the one report schema, the one baseline checker and
-// the one table printer behind every winebench result and committed
-// BENCH_*.json gate. A winebench mode or paper experiment packs the typed
-// result it already holds into Points; the field classes of its report
-// (classes.go) decide how each value is compared against the committed
-// baseline, and a Table layout (table.go) how it prints. DESIGN.md "Bench
+// Package bench is the one report schema, the one baseline checker, the
+// one claim table and the one table printer behind every winebench result
+// and committed BENCH_*.json gate. A winebench mode or paper experiment
+// packs the typed result it already holds into Points; the field classes
+// of its report (classes.go) decide how each value is compared against the
+// committed baseline, the claims about its schema (claims.go) what it must
+// show, and a Table layout (table.go) how it prints. DESIGN.md "Bench
 // reports" gives the reason for every rule below.
 package bench
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -288,12 +290,20 @@ func Check(run, base *Report, cl Classes) ([]Diff, error) {
 	return diffs, nil
 }
 
-// Finish is the epilogue of every gate: write the report if asked, then
-// check it against the committed baseline if asked, printing each diff.
-// The run is held to the baseline's points that carry every label of
-// where, so a run of some of a report's selections checks against all of
-// them; a nil where holds it to every point.
+// Finish is the epilogue of every run: print the verdicts of the claims
+// about the report's schema, write the report if asked, then check it
+// against the committed baseline if asked, printing each diff. Claims and
+// baseline are both scoped by where: the run is held to the claims and the
+// baseline's points whose figure, or labels, carry every label of where,
+// so a run of some of a report's selections is held to what it selected;
+// a nil where holds it to all of them. Any claim that does not hold or
+// cannot be evaluated fails the run, as a regression does.
 func Finish(rep *Report, jsonOut, baseline string, where map[string]string) error {
+	vs := rep.Verdicts(where)
+	if len(vs) > 0 {
+		PrintVerdicts(os.Stdout, vs)
+	}
+	claims := failed(vs)
 	if jsonOut != "" {
 		buf, err := rep.Encode()
 		if err != nil {
@@ -305,8 +315,14 @@ func Finish(rep *Report, jsonOut, baseline string, where map[string]string) erro
 		fmt.Printf("wrote BENCH report to %s\n", jsonOut)
 	}
 	if baseline == "" {
-		return nil
+		return claims
 	}
+	return errors.Join(claims, holdTo(rep, baseline, where))
+}
+
+// holdTo checks rep against the baseline file's points that carry every
+// label of where, printing each diff.
+func holdTo(rep *Report, baseline string, where map[string]string) error {
 	base, err := Load(baseline)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)

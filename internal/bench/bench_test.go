@@ -94,6 +94,33 @@ func TestCheckShapeMismatchesAreErrors(t *testing.T) {
 	}
 }
 
+// TestFinishFailsOnAClaim holds Finish's exit path: a report that breaks
+// a claim, or lacks a field a claim reads, is an error naming the claim,
+// and a report whose schema has no claims passes.
+func TestFinishFailsOnAClaim(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		doctor     func(r *Report)
+		want       string // in the error; "" wants none
+	}{
+		{"a claim fails", "BENCH_cache.json", func(r *Report) { r.Points[1].Toleranced["ReadSpeedup"] = 4.9 },
+			`"cached re-reads are ≥5× cheaper than uncached ones" (4.9 >= 5)`},
+		{"a claim reads a missing field", "BENCH_cache.json", func(r *Report) { delete(r.Points[2].Info, "HotHitRatio") },
+			`"≥95% of hot-set re-reads hit through the scans" (no HotHitRatio@Variant=HotScan in cache/v1)`},
+		{"a schema without claims", "BENCH_server.json", func(*Report) {}, ""},
+	} {
+		rep, err := Load("../../" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.doctor(rep)
+		err = Finish(rep, "", "", nil)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Finish = %v; want an error holding %q, or none for \"\"", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestFinishHoldsARunToItsSelection checks runs of some of the paper's
 // figures against the committed report of all of them: each is held to
 // the baseline's points of the figures it selected, so a selected figure

@@ -3,13 +3,15 @@
 // Each runner builds the file systems fresh on simulated devices, ages
 // them where the paper does, drives the paper's workload, and packs what
 // the paper plots as points of one paper/v1 bench report, next to the
-// layouts of the tables that print them. EXPERIMENTS.md shows what each
-// Run prints from the committed report, its tables and its claims'
-// verdicts (TestExperimentsPrintsTheReport holds it to that).
+// layouts of the tables that print them; the claims about each figure are
+// rows of bench.Claims. EXPERIMENTS.md shows what each Run prints from the
+// committed report, its tables and its claims' verdicts
+// (TestExperimentsPrintsTheReport holds it to that).
 package experiments
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/bench"
@@ -25,8 +27,6 @@ import (
 // whole suite runs in seconds (used by tests); full mode is the default
 // for cmd/winebench and the benchmarks.
 type Config struct {
-	// DeviceSize per file-system instance.
-	DeviceSize int64
 	// CPUs per file system (per-CPU journals/pools).
 	CPUs int
 	// Quick selects reduced workload sizes.
@@ -37,18 +37,14 @@ type Config struct {
 
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
-	if c.DeviceSize == 0 {
-		if c.Quick {
-			c.DeviceSize = 512 << 20
-		} else {
-			c.DeviceSize = 2 << 30
-		}
-	}
 	if c.CPUs == 0 {
 		c.CPUs = 8
 	}
 	return c
 }
+
+// deviceSize is the size of every file system's device.
+func (c Config) deviceSize() int64 { return c.scale(512<<20, 2<<30) }
 
 // scale returns q in quick mode, f otherwise.
 func (c Config) scale(q, f int64) int64 {
@@ -65,7 +61,7 @@ func (c Config) newFS(name string) (vfs.FS, *pmem.Device, *sim.Ctx, error) {
 		return nil, nil, nil, fmt.Errorf("experiments: unknown fs %q", name)
 	}
 	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(c.DeviceSize)
+	dev := pmem.New(c.deviceSize())
 	fs, err := m.Make(ctx, dev)
 	return fs, dev, ctx, err
 }
@@ -194,6 +190,15 @@ func Figures(runs []Run) []string {
 	return figs
 }
 
+// Print writes each run's tables over rep, in order: what winebench -run
+// prints before bench.Finish prints the verdicts of the claims about the
+// runs' figures. EXPERIMENTS.md holds both for each run alone.
+func Print(w io.Writer, rep *bench.Report, runs []Run) {
+	for _, r := range runs {
+		rep.Print(w, r.Tables...)
+	}
+}
+
 // packed returns the experiments behind runs, each once, a Run with Of
 // standing for the one it names.
 func packed(runs []Run) []Run {
@@ -216,7 +221,7 @@ func NewReport(cfg Config) *bench.Report {
 		quick = 1
 	}
 	return bench.New("paper/v1", map[string]float64{
-		"Quick": quick, "CPUs": float64(cfg.CPUs), "DeviceSize": float64(cfg.DeviceSize), "Seed": float64(cfg.Seed)})
+		"Quick": quick, "CPUs": float64(cfg.CPUs), "DeviceSize": float64(cfg.deviceSize()), "Seed": float64(cfg.Seed)})
 }
 
 // labels names a point of experiment fig, or the points a table shows:

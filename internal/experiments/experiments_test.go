@@ -12,9 +12,10 @@ import (
 // TestPaperReport runs the paper's evaluation once at the configuration
 // BENCH_paper.json records and holds the run to that report's points of
 // the figures it selected, so a figure that drifts, or packs no points,
-// fails here, not only in make bench-paper. Then, one subtest per figure,
-// it holds every claim on the committed report and, for a selected
-// figure, on the run. -short runs Figure 2 alone.
+// fails here, not only in make bench-paper. Then, one subtest per figure
+// with claims, it holds the run to every claim about a selected figure
+// (cmd/winebench's TestEveryClaimHolds holds the committed report to
+// them). -short runs Figure 2 alone.
 func TestPaperReport(t *testing.T) {
 	runs := Runs
 	if testing.Short() {
@@ -40,28 +41,24 @@ func TestPaperReport(t *testing.T) {
 	for _, d := range diffs {
 		t.Errorf("BENCH_paper.json: %s", d)
 	}
+	// Without -short it is held to every claim, so a claim about a figure
+	// no Run packs fails on the run.
+	var where map[string]string
+	if testing.Short() {
+		where = map[string]string{"Figure": strings.Join(selected, "|")}
+	}
+	vs := rep.Verdicts(where)
 	var figs []string
-	for _, c := range Claims {
-		if !slices.Contains(figs, c.Figure) {
-			figs = append(figs, c.Figure)
+	for _, v := range vs {
+		if !slices.Contains(figs, v.Figure) {
+			figs = append(figs, v.Figure)
 		}
 	}
 	for _, fig := range figs {
 		t.Run(fig, func(t *testing.T) {
-			for _, c := range Claims {
-				if c.Figure != fig {
-					continue
-				}
-				if v := c.Check(base); v.Err != nil || !v.Holds {
-					t.Errorf("BENCH_paper.json: %s: %s", c.Shows, v)
-				}
-				// Without -short every figure is selected, so a claim about
-				// a figure no Run packs fails on the run.
-				if testing.Short() && !slices.Contains(selected, fig) {
-					continue
-				}
-				if v := c.Check(rep); v.Err != nil || !v.Holds {
-					t.Errorf("run: %s: %s", c.Shows, v)
+			for _, v := range vs {
+				if v.Figure == fig && !v.Holds {
+					t.Errorf("run: %s: %s", v.Shows, v)
 				}
 			}
 		})
@@ -82,10 +79,11 @@ func TestFiguresResolveTable2(t *testing.T) {
 // EXPERIMENTS.md to what the committed BENCH_paper.json prints. Each Run
 // has one block there, a fenced code block between a line
 // "<!-- winebench -run NAME -->" and a line "<!-- end -->", holding what
-// Print writes for the run alone, which is what winebench -run NAME
-// prints. It packs nothing, so -short runs it too. A block that differs,
-// a run with no block and a block that names no run fail, and the
-// message holds the block that belongs there.
+// winebench -run NAME prints: Print's tables for the run alone, then
+// bench.Finish's verdicts of the claims about its figures. It packs
+// nothing, so -short runs it too. A block that differs, a run with no
+// block and a block that names no run fail, and the message holds the
+// block that belongs there.
 func TestExperimentsPrintsTheReport(t *testing.T) {
 	base, err := bench.Load("../../BENCH_paper.json")
 	if err != nil {
@@ -99,6 +97,9 @@ func TestExperimentsPrintsTheReport(t *testing.T) {
 	for _, r := range Runs {
 		var out strings.Builder
 		Print(&out, base, []Run{r})
+		if vs := base.Verdicts(map[string]string{"Figure": strings.Join(Figures([]Run{r}), "|")}); len(vs) > 0 {
+			bench.PrintVerdicts(&out, vs)
+		}
 		want = append(want, bench.Block{Name: r.Name, Text: "```\n" + strings.TrimPrefix(out.String(), "\n") + "```\n"})
 	}
 	for _, p := range bench.CheckBlocks(string(doc), "winebench -run", want) {

@@ -58,7 +58,7 @@ var recoveryTables = []bench.Table{{
 
 func recoveryPoint(cfg Config, files int, fileSize int64) (int64, error) {
 	ctx := sim.NewCtx(1, 0)
-	dev := pmem.New(cfg.DeviceSize)
+	dev := pmem.New(cfg.deviceSize())
 	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs})
 	if err != nil {
 		return 0, err
@@ -157,7 +157,7 @@ var hpcTables = []bench.Table{{
 func NUMA(cfg Config, rep *bench.Report) error {
 	cfg = cfg.Defaults()
 	run := func(aware bool) (float64, int64, error) {
-		dev := pmem.NewWithConfig(pmem.Config{Size: cfg.DeviceSize, Nodes: 2, CPUs: cfg.CPUs})
+		dev := pmem.NewWithConfig(pmem.Config{Size: cfg.deviceSize(), Nodes: 2, CPUs: cfg.CPUs})
 		ctx := sim.NewCtx(1, 0)
 		fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: cfg.CPUs, NUMAAware: aware})
 		if err != nil {
@@ -173,7 +173,7 @@ func NUMA(cfg Config, rep *bench.Report) error {
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := ff.Fallocate(filler, 0, cfg.DeviceSize/4); err != nil {
+		if err := ff.Fallocate(filler, 0, cfg.deviceSize()/4); err != nil {
 			return 0, 0, err
 		}
 

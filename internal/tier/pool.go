@@ -43,27 +43,28 @@ func (p *Pool) FreeExtents() []alloc.Extent { return locked(p, (*alloc.Pool).Ext
 // Check is the index's self-check (alloc.Pool.Check), for Audit.
 func (p *Pool) Check() error { return locked(p, (*alloc.Pool).Check) }
 
-// Alloc carves n blocks: one first-fit extent when any is large enough,
-// else whole extents front to back. Returns nil, with nothing allocated,
-// when the pool cannot cover the request.
-func (p *Pool) Alloc(n int64) []alloc.Extent {
+// Alloc carves n blocks and appends them to into: one first-fit extent
+// when any is large enough, else whole extents front to back; a caller
+// that keeps into's storage gets them without a host allocation. It
+// returns into unchanged and false, with nothing allocated, when the pool
+// cannot cover the request.
+func (p *Pool) Alloc(n int64, into []alloc.Extent) ([]alloc.Extent, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n <= 0 || n > p.free.FreeBlocks() {
-		return nil
+		return into, false
 	}
 	if e, ok := p.free.TakeNextFit(p.start, n); ok {
-		return []alloc.Extent{e}
+		return append(into, e), true
 	}
-	var out []alloc.Extent
 	for n > 0 {
 		e, _ := p.free.First()
 		e.Len = min(e.Len, n)
 		p.free.TakeAt(e.Start, e.Len)
-		out = append(out, e)
+		into = append(into, e)
 		n -= e.Len
 	}
-	return out
+	return into, true
 }
 
 // Free returns [start, start+length) to the pool, merging with its
@@ -87,5 +88,5 @@ func (p *Pool) Free(start, length int64) {
 func (p *Pool) MarkUsed(start, length int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.free.Carve(start, length)
+	p.free.Carve(start, length, nil)
 }

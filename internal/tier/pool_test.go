@@ -20,18 +20,18 @@ func TestPoolAllocFree(t *testing.T) {
 	if p.FreeBlocks() != 100 {
 		t.Fatalf("fresh pool free=%d", p.FreeBlocks())
 	}
-	a := p.Alloc(40)
+	a, _ := p.Alloc(40, nil)
 	if poolTotal(a) != 40 || p.FreeBlocks() != 60 {
 		t.Fatalf("alloc 40: got %v free=%d", a, p.FreeBlocks())
 	}
 	if a[0].Start < 1000 || a[0].End() > 1100 {
 		t.Fatalf("alloc outside region: %v", a)
 	}
-	b := p.Alloc(60)
+	b, _ := p.Alloc(60, nil)
 	if poolTotal(b) != 60 || p.FreeBlocks() != 0 {
 		t.Fatalf("alloc 60: got %v free=%d", b, p.FreeBlocks())
 	}
-	if p.Alloc(1) != nil {
+	if _, ok := p.Alloc(1, nil); ok {
 		t.Fatal("alloc from empty pool succeeded")
 	}
 	for _, e := range a {
@@ -52,7 +52,7 @@ func TestPoolAllocFree(t *testing.T) {
 func TestPoolGatherAndMarkUsed(t *testing.T) {
 	p := NewPool(0, 30)
 	// Fragment the pool: allocate all, free alternating 5-block runs.
-	all := p.Alloc(30)
+	all, _ := p.Alloc(30, nil)
 	if poolTotal(all) != 30 {
 		t.Fatal("full alloc failed")
 	}
@@ -61,7 +61,7 @@ func TestPoolGatherAndMarkUsed(t *testing.T) {
 	}
 	// 15 free blocks in three 5-block fragments; a 12-block request must
 	// gather across fragments.
-	got := p.Alloc(12)
+	got, _ := p.Alloc(12, nil)
 	if poolTotal(got) != 12 {
 		t.Fatalf("gather alloc returned %v", got)
 	}
@@ -87,7 +87,7 @@ func TestPoolGatherAndMarkUsed(t *testing.T) {
 			seen[b] = true
 		}
 	}
-	rest := p.Alloc(18)
+	rest, _ := p.Alloc(18, nil)
 	for _, e := range rest {
 		for b := e.Start; b < e.End(); b++ {
 			if seen[b] {
@@ -99,7 +99,7 @@ func TestPoolGatherAndMarkUsed(t *testing.T) {
 
 func TestPoolDoubleFreePanics(t *testing.T) {
 	p := NewPool(0, 10)
-	p.Alloc(10)
+	p.Alloc(10, nil)
 	p.Free(2, 3)
 	defer func() {
 		if recover() == nil {
@@ -120,7 +120,8 @@ func TestPoolRandomizedInvariant(t *testing.T) {
 			if n > p.FreeBlocks() {
 				n = p.FreeBlocks()
 			}
-			for _, e := range p.Alloc(n) {
+			got, _ := p.Alloc(n, nil)
+			for _, e := range got {
 				live = append(live, held{e.Start, e.Len})
 			}
 		} else if len(live) > 0 {

@@ -290,17 +290,12 @@ func (a *allocator) allocHoles(ctx *sim.Ctx, cpu int, need int64) ([]alloc.Exten
 	return coalesceFrom(out, 0), true
 }
 
-// alloc satisfies a request of `blocks` blocks (§3.4, "Allocation"):
-// the request is split into hugepage-sized pieces (served aligned) and a
-// remainder (served from holes). When wantAligned is set — large requests
-// or files carrying the alignment xattr — the remainder is rounded up to a
-// full aligned extent so the file stays hugepage-mappable.
-func (a *allocator) alloc(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool) ([]alloc.Extent, error) {
-	return a.allocTo(ctx, cpu, blocks, wantAligned, nil)
-}
-
-// allocTo is alloc appending to out (unchanged on failure, which is
-// always vfs.ErrNoSpace).
+// allocTo satisfies a request of `blocks` blocks (§3.4, "Allocation"),
+// appending the extents to out (unchanged on failure, which is always
+// vfs.ErrNoSpace): the request is split into hugepage-sized pieces (served
+// aligned) and a remainder (served from holes). When wantAligned is set —
+// large requests or files carrying the alignment xattr — the remainder is
+// rounded up to a full aligned extent so the file stays hugepage-mappable.
 func (a *allocator) allocTo(ctx *sim.Ctx, cpu int, blocks int64, wantAligned bool, out []alloc.Extent) ([]alloc.Extent, error) {
 	if blocks <= 0 {
 		return out, nil
@@ -460,7 +455,7 @@ func (g *group) carveLocked(start, length int64) {
 		g.holes.Insert(end, b+BlocksPerHuge-end)
 	}
 	g.aligned = keep
-	g.holes.Carve(start, length)
+	g.holes.Carve(start, length, nil)
 	g.publishLocked()
 }
 
@@ -493,7 +488,7 @@ func (g *group) freeRangeLocked(start, length int64) {
 // holes are carved. Returns the number of blocks captured.
 func (g *group) holdChunkLocked(base int64) int64 {
 	g.holdBase = base
-	g.holdParts = g.holes.Carve(base, BlocksPerHuge)
+	g.holdParts = g.holes.Carve(base, BlocksPerHuge, g.holdParts[:0])
 	g.publishLocked()
 	return alloc.TotalBlocks(g.holdParts)
 }
@@ -505,7 +500,7 @@ func (g *group) holdChunkLocked(base int64) int64 {
 func (g *group) releaseHoldLocked() bool {
 	parts := g.holdParts
 	total := alloc.TotalBlocks(parts)
-	g.holdParts = nil
+	g.holdParts = parts[:0] // kept for the next hold: nothing appends until then
 	g.holdBase = -1
 	for _, p := range parts {
 		g.addHoleLocked(p.Start, p.Len)

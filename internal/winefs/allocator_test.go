@@ -64,7 +64,7 @@ func TestAllocatorInvariants(t *testing.T) {
 			case 0, 1: // allocate
 				blocks := int64(op%2048) + 1
 				cpu := int(op) % 2
-				ex, err := a.alloc(ctx, cpu, blocks, op%16 == 0)
+				ex, err := a.allocTo(ctx, cpu, blocks, op%16 == 0, nil)
 				if err != nil {
 					continue
 				}

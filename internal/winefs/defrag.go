@@ -318,7 +318,7 @@ func (fs *FS) migrateOutLocked(ctx *sim.Ctx, ino *inode, base, end int64, st *De
 		if !got {
 			return false // no hole space to migrate into
 		}
-		if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag") != nil {
+		if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag", &fs.maint.move) != nil {
 			return false
 		}
 		st.MigratedBlocks += r.n

@@ -123,11 +123,12 @@ type FS struct {
 
 // maintScratch is what the maintenance passes (DefragPass, TierPass)
 // reuse from pass to pass, guarded by fs.maintMu: a pass decides what to
-// move without allocating.
+// move, and moves it, without allocating.
 type maintScratch struct {
 	inodes          []*inode     // the inode snapshot
 	pm, slow, promo []tierCand   // TierPass's candidate lists
 	chunks          []defragCand // defragCandidates' chunk tally
+	move            moveScratch  // both passes' migrations
 }
 
 // degrade switches the file system to read-only mode, recording why. It is

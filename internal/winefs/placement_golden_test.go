@@ -115,7 +115,7 @@ func groupPlacementTrace(t *testing.T, steps int, noAlignment bool) uint32 {
 		r := rng.Intn(100)
 		switch {
 		case growing && r < 30 || !growing && r < 8:
-			ex, err := a.alloc(ctx, pickCPU(), int64(rng.Intn(1500))+1, rng.Intn(8) == 0)
+			ex, err := a.allocTo(ctx, pickCPU(), int64(rng.Intn(1500))+1, rng.Intn(8) == 0, nil)
 			if err != nil {
 				crc.add(-1)
 				break
@@ -259,7 +259,7 @@ func slowPlacementTrace(steps int) uint32 {
 		r := rng.Intn(100)
 		switch {
 		case growing && r < 60 || !growing && r < 15:
-			ex := p.Alloc(int64(rng.Intn(600)) + 1)
+			ex, _ := p.Alloc(int64(rng.Intn(600))+1, nil)
 			crc.extents(1, ex)
 			out = append(out, ex...)
 		case r < 92:

@@ -33,6 +33,23 @@ import (
 // defragmenter moves whole runs, which one hugepage chunk bounds already.
 const relocateChunkBlocks = 128
 
+// moveScratch is the storage a mover keeps from move to move: relocate's
+// copy buffer and the destination list migrateRunLocked allocates into.
+// TierPass and DefragPass keep theirs in fs.maint; a caller that keeps
+// none passes a zero one.
+type moveScratch struct {
+	buf []byte
+	dst []alloc.Extent
+}
+
+// copyBuf returns n bytes of sc's buffer, grown as needed.
+func (sc *moveScratch) copyBuf(n int64) []byte {
+	if int64(cap(sc.buf)) < n {
+		sc.buf = make([]byte, n)
+	}
+	return sc.buf[:n]
+}
+
 // moverHold is how every paced mover takes an inode, and the rule it
 // keeps is that a mover never sleeps holding a lock: body runs under the
 // exclusive inode lock and ino.mu, both are released, and only then is the
@@ -56,9 +73,10 @@ func (fs *FS) moverHold(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer, body func())
 // relocate moves file blocks [fileLo, fileLo+n) of ino onto dst, which
 // the caller allocated and which totals exactly n blocks. The caller
 // holds the inode lock and ino.mu exclusively. The swap is one journal
-// transaction however many extents the range displaces. On error dst has
-// been freed and the file still reads through its old blocks.
-func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Extent, tag string) (err error) {
+// transaction however many extents the range displaces. The copy goes
+// through sc's buffer. On error dst has been freed and the file still
+// reads through its old blocks.
+func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Extent, tag string, sc *moveScratch) (err error) {
 	defer func() {
 		if err != nil {
 			for _, e := range dst {
@@ -66,7 +84,7 @@ func (fs *FS) relocate(ctx *sim.Ctx, ino *inode, fileLo, n int64, dst []alloc.Ex
 			}
 		}
 	}()
-	buf := make([]byte, n*BlockSize)
+	buf := sc.copyBuf(n * BlockSize)
 	// A media fault on the source aborts the move: the old layout stays and
 	// the application keeps getting EIO only for the poisoned bytes.
 	if _, err = fs.readRange(ctx, ino, buf, fileLo*BlockSize, false); err != nil {

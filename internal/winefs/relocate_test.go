@@ -161,7 +161,7 @@ var relocCases = []relocCase{
 			h := ino.lock().Lock(ctx)
 			ino.mu.Lock()
 			n := len(ino.extents)
-			err := fs.relocate(ctx, ino, 0, BlocksPerHuge, []alloc.Extent{{Start: huge, Len: BlocksPerHuge}}, "relocate")
+			err := fs.relocate(ctx, ino, 0, BlocksPerHuge, []alloc.Extent{{Start: huge, Len: BlocksPerHuge}}, "relocate", &moveScratch{})
 			ino.mu.Unlock()
 			h.Unlock(ctx)
 			if err != nil {

@@ -182,9 +182,10 @@ func (fs *FS) rewriteChunkLocked(ctx *sim.Ctx, ino *inode, lo int64) (moved, mor
 	// Piece by piece, relocateChunkBlocks at a time: each swap is one journal
 	// transaction, so a crash anywhere inside the chunk leaves every block
 	// mapped to an intact copy.
+	var sc moveScratch
 	for cur := lo; cur < end; cur += relocateChunkBlocks {
 		piece := alloc.Extent{Start: huge + cur - lo, Len: min(end-cur, relocateChunkBlocks)}
-		if err := fs.relocate(ctx, ino, cur, piece.Len, []alloc.Extent{piece}, "rewrite"); err != nil {
+		if err := fs.relocate(ctx, ino, cur, piece.Len, []alloc.Extent{piece}, "rewrite", &sc); err != nil {
 			// relocate freed its own piece; the rest of the hugepage was
 			// never mapped.
 			fs.alloc.free(ctx, alloc.Extent{Start: piece.End(), Len: end - cur - piece.Len})

@@ -238,24 +238,25 @@ func (fs *FS) allocSpill(ctx *sim.Ctx, blocks int64, out []alloc.Extent, pm func
 			return out, true
 		}
 	}
-	if exts := fs.allocSlow(ctx, blocks); exts != nil {
-		ctx.Counters.AllocSpillExtents += int64(len(exts))
+	if spilled, ok := fs.allocSlow(ctx, blocks, out); ok {
+		ctx.Counters.AllocSpillExtents += int64(len(spilled) - len(out))
 		ctx.Counters.AllocSpillBlocks += blocks
-		return append(out, exts...), true
+		return spilled, true
 	}
 	// Slow tier full: PM may still have room (we skipped it above the
 	// high-water mark — better some PM pressure than a spurious ENOSPC).
 	return pm(out)
 }
 
-// allocSlow carves n blocks from the slow pool (nil when it cannot cover
-// them), charging the allocator invocation when it does.
-func (fs *FS) allocSlow(ctx *sim.Ctx, n int64) []alloc.Extent {
-	exts := fs.tier.pool.Alloc(n)
-	if exts != nil {
+// allocSlow carves n blocks from the slow pool, appended to out (false,
+// out unchanged, when it cannot cover them), charging the allocator
+// invocation when it does.
+func (fs *FS) allocSlow(ctx *sim.Ctx, n int64, out []alloc.Extent) ([]alloc.Extent, bool) {
+	out, ok := fs.tier.pool.Alloc(n, out)
+	if ok {
 		ctx.Advance(allocCost)
 	}
-	return exts
+	return out, ok
 }
 
 // allocData serves a file-data allocation (the extent path) with tier
@@ -650,7 +651,7 @@ func (fs *FS) migrateExtent(ctx *sim.Ctx, c tierCand, toSlow bool, pacer *sim.Pa
 		if want <= 0 {
 			break
 		}
-		n := fs.migrateRun(ctx, c.ino, c.fileBlk+moved, want, toSlow, pacer)
+		n := fs.migrateRun(ctx, c.ino, c.fileBlk+moved, want, toSlow, pacer, &fs.maint.move)
 		if n == 0 {
 			break
 		}
@@ -663,13 +664,13 @@ func (fs *FS) migrateExtent(ctx *sim.Ctx, c tierCand, toSlow bool, pacer *sim.Pa
 // the other tier under one moverHold. Returns blocks moved (0 when the
 // layout changed underneath, the run is already on the target tier, or
 // destination space ran out).
-func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) (moved int64) {
+func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer, sc *moveScratch) (moved int64) {
 	if fs.getInode(ino.ino) != ino { // unlinked and number reused
 		return 0
 	}
 	fs.moverHold(ctx, ino, pacer, func() {
 		if ino.typ == typeFile {
-			moved = fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow)
+			moved = fs.migrateRunLocked(ctx, ino, fileLo, want, toSlow, sc)
 		}
 	})
 	return moved
@@ -679,9 +680,9 @@ func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bo
 // destination on the other tier (the slow pool, or any PM space) and cap
 // the move at relocateChunkBlocks — larger runs migrate over several calls,
 // and a paced caller drops the lock and sleeps between them (migrateRun).
-// Caller holds the inode lock and ino.mu exclusively. Returns the blocks
-// moved.
-func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool) int64 {
+// Caller holds the inode lock and ino.mu exclusively. The destination
+// list and the copy use sc's storage. Returns the blocks moved.
+func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, sc *moveScratch) int64 {
 	phys, run, found := ino.findRun(fileLo)
 	if !found || fs.isSlow(phys) == toSlow {
 		return 0
@@ -690,18 +691,15 @@ func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toS
 	if n <= 0 {
 		return 0
 	}
-	var dst []alloc.Extent
+	ok := false
 	if toSlow {
-		if dst = fs.allocSlow(ctx, n); dst == nil {
-			return 0
-		}
+		sc.dst, ok = fs.allocSlow(ctx, n, sc.dst[:0])
 	} else {
 		var err error
-		if dst, err = fs.alloc.alloc(ctx, fs.txCPU(ctx), n, false); err != nil {
-			return 0
-		}
+		sc.dst, err = fs.alloc.allocTo(ctx, fs.txCPU(ctx), n, false, sc.dst[:0])
+		ok = err == nil
 	}
-	if fs.relocate(ctx, ino, fileLo, n, dst, "tier-migrate") != nil {
+	if !ok || fs.relocate(ctx, ino, fileLo, n, sc.dst, "tier-migrate", sc) != nil {
 		return 0
 	}
 	return n
@@ -731,8 +729,9 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 	}
 	// migrateRunLocked moves at most relocateChunkBlocks per call; walk the
 	// piece so the faulting block is covered whatever its offset.
+	var sc moveScratch
 	for cur := lo; cur < end; {
-		moved := fs.migrateRunLocked(ctx, ino, cur, end-cur, false)
+		moved := fs.migrateRunLocked(ctx, ino, cur, end-cur, false, &sc)
 		if moved == 0 {
 			return false
 		}

@@ -73,7 +73,7 @@ func TestTierMigrationVsMmapRace(t *testing.T) {
 				const half = size / 2 / BlockSize
 				lo := int64(i/2%2) * half
 				for blk := lo; blk < lo+half; {
-					n := fs.migrateRun(tctx, ino, blk, lo+half-blk, true, nil)
+					n := fs.migrateRun(tctx, ino, blk, lo+half-blk, true, nil, &moveScratch{})
 					demoted += n
 					blk += max(n, 1) // 0: this block is on the slow tier already
 				}

@@ -661,7 +661,7 @@ func TestHeatFollowsData(t *testing.T) {
 	// A relocation out of the middle (a demotion) splits the extent in
 	// three: head, moved run, tail.
 	const lo, n = 100, 40
-	if moved := fs.migrateRun(ctx, ino, lo, n, true, nil); moved != n {
+	if moved := fs.migrateRun(ctx, ino, lo, n, true, nil, &moveScratch{}); moved != n {
 		t.Fatalf("demoted %d blocks, want %d", moved, n)
 	}
 	if len(ino.extents) != 3 {
@@ -693,7 +693,7 @@ func TestHeatFollowsData(t *testing.T) {
 
 	// The promotion back, of what the copy left on the slow tier.
 	for _, r := range [][2]int64{{lo, cowBlk - lo}, {cowBlk + 1, lo + n - cowBlk - 1}} {
-		if moved := fs.migrateRun(ctx, ino, r[0], r[1], false, nil); moved != r[1] {
+		if moved := fs.migrateRun(ctx, ino, r[0], r[1], false, nil, &moveScratch{}); moved != r[1] {
 			t.Fatalf("promoted %d blocks at %d, want %d", moved, r[0], r[1])
 		}
 	}
@@ -739,7 +739,7 @@ func TestHeatFollowsData(t *testing.T) {
 	// is still data nobody has read back.
 	staysDead("the demotion of /cold")
 	for fileLo := int64(0); fileLo < blocks; fileLo += relocateChunkBlocks / 2 {
-		if moved := fs.migrateRun(ctx, coldIno, fileLo, relocateChunkBlocks/2, false, nil); moved != relocateChunkBlocks/2 {
+		if moved := fs.migrateRun(ctx, coldIno, fileLo, relocateChunkBlocks/2, false, nil, &moveScratch{}); moved != relocateChunkBlocks/2 {
 			t.Fatalf("promoted %d blocks of /cold at %d, want %d", moved, fileLo, relocateChunkBlocks/2)
 		}
 	}
@@ -760,7 +760,7 @@ func TestHeatFollowsData(t *testing.T) {
 func demoteFile(t *testing.T, ctx *sim.Ctx, fs *FS, ino *inode, blocks int64) {
 	t.Helper()
 	for lo := int64(0); lo < blocks; {
-		n := fs.migrateRun(ctx, ino, lo, blocks-lo, true, nil)
+		n := fs.migrateRun(ctx, ino, lo, blocks-lo, true, nil, &moveScratch{})
 		if n == 0 {
 			t.Fatalf("demotion stalled at block %d of %d", lo, blocks)
 		}
