@@ -117,21 +117,23 @@ bench-pair:
 #               HotScan: ≥95% of hot re-reads hit through a 4-cache scan
 #   mmap        mapped reads unaged vs aged (Figure 1): ≥90% unaged hugepage
 #               coverage, aged ext4-DAX ≥3x slower
-#   defrag      §3.5 defragmenter: ≥90% coverage recovered on a live mapping,
-#               25-40% interference unthrottled (§4), ≤10% paced
+#   defrag      §3.5 defragmenter: ≥90% coverage recovered on a live mapping;
+#               the paper's §4 rows, measured nowhere else: the unthrottled
+#               pass rewrites the fragmented file and costs the foreground
+#               25-40%, ≤10% paced
 #   tier        PM+SSD at 0.5-2x PM working sets vs all-PM: ≥75% when it
 #               fits, ≥25% at 2x, cold misses charged at slow-device cost;
 #               1.5x behind 0.5x PM of never-read files keeps ≥90% of 1.5x
 #   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
 #               replicas byte-identical
-#   paper       the paper's figures, Table 2, §4 and §5.2 in quick mode
-#               (winebench -run all, ~7 s): every value exact except the
-#               multi-threaded Figure 9 Filebench/pgbench and Figure 10
-#               points, recorded as Info; CrashMonkey must find no failure.
-#               EXPERIMENTS.md prints the same report block by block: after
-#               re-recording it, paste the blocks that
-#               TestExperimentsPrintsTheReport (go test ./internal/experiments)
-#               prints
+#   paper       the paper's figures, Table 2, §4's HPC profile and §5.2 in
+#               quick mode (winebench -run all, ~7 s): every value exact
+#               except the multi-threaded Figure 9 Filebench/pgbench and
+#               Figure 10 points, recorded as Info; CrashMonkey must find no
+#               failure.
+# EXPERIMENTS.md prints every gate's committed report block by block:
+# after re-recording one, paste the blocks that
+# TestExperimentsPrintsTheReport (go test ./cmd/winebench) prints.
 GATE = $(GO) run ./cmd/winebench $(1) -check-against $(2)
 bench-json:       ; $(call GATE,-server -quick -clients 4,BENCH_server.json)
 bench-scaling:    ; $(call GATE,-scaling,BENCH_scaling.json)

@@ -191,14 +191,6 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkDefragInterference regenerates §4's defragmentation experiment:
-// foreground mmap-read slowdown while the rewriter runs.
-func BenchmarkDefragInterference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		metric(b, run(b, experiments.Defrag), "slowdown-pct", "SlowdownPct")
-	}
-}
-
 // BenchmarkHPCProfile regenerates §4's Wang-HPC-profile fragmentation
 // comparison at 50% utilisation.
 func BenchmarkHPCProfile(b *testing.B) {

@@ -1,11 +1,12 @@
 // Command agefs ages a WineFS image with the Geriatrix protocol (§5.1):
 // create/delete churn following a realistic file-size profile until the
 // target utilisation is reached in a naturally fragmented state. The mount
-// takes the CPU count and the rest of the geometry from the image.
+// takes the CPU count and the rest of the geometry from the image; the
+// protocol's settings are the constants below.
 //
 // Usage:
 //
-//	agefs -img wine.img [-util 0.75] [-churn 2.0] [-profile agrawal|wang-hpc] [-seed N]
+//	agefs -img wine.img
 package main
 
 import (
@@ -20,12 +21,16 @@ import (
 	"repro/internal/winefs"
 )
 
+// The aging run: the Agrawal file-size profile to 75% utilisation, after
+// churning twice the capacity, from seed 42.
+const (
+	targetUtil = 0.75
+	churn      = 2.0
+	seed       = 42
+)
+
 func main() {
 	img := flag.String("img", "", "image path (required)")
-	util := flag.Float64("util", 0.75, "target utilisation")
-	churn := flag.Float64("churn", 2.0, "churn volume as multiple of capacity")
-	profile := flag.String("profile", "agrawal", "aging profile: agrawal | wang-hpc")
-	seed := flag.Uint64("seed", 42, "random seed")
 	flag.Parse()
 	if *img == "" {
 		flag.Usage()
@@ -42,21 +47,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "agefs: mount: %v\n", err)
 		os.Exit(1)
 	}
-	var p geriatrix.Profile
-	switch *profile {
-	case "agrawal":
-		p = geriatrix.Agrawal()
-	case "wang-hpc":
-		p = geriatrix.WangHPC()
-	default:
-		fmt.Fprintf(os.Stderr, "agefs: unknown profile %q\n", *profile)
-		os.Exit(2)
-	}
+	p := geriatrix.Agrawal()
 	ager := geriatrix.New(fs, geriatrix.Config{
-		TargetUtil:  *util,
-		ChurnFactor: *churn,
+		TargetUtil:  targetUtil,
+		ChurnFactor: churn,
 		Profile:     p,
-		Seed:        *seed,
+		Seed:        seed,
 	})
 	st, err := ager.Run(ctx)
 	if err != nil {
@@ -73,6 +69,6 @@ func main() {
 	}
 	frac := alloc.AlignedFreeFraction(fs.FreeExtents())
 	fmt.Printf("agefs: %s profile, %.0f%% util, %.1fx churn: %d created, %d deleted, %d live files\n",
-		p.Name, st.FinalUtil*100, *churn, st.Created, st.Deleted, st.LiveFiles)
+		p.Name, st.FinalUtil*100, churn, st.Created, st.Deleted, st.LiveFiles)
 	fmt.Printf("agefs: %.1f%% of free space remains in aligned 2MiB regions\n", frac*100)
 }

@@ -1,10 +1,10 @@
 // Command mkfs creates a simulated persistent-memory device image and
-// formats it with WineFS. The consistency mode is not recorded on the
-// image: it is chosen at mount time (winefsd -relaxed).
+// formats it with WineFS, sizing the inode tables from the device. The
+// consistency mode is not recorded on the image: it is a mount option.
 //
 // Usage:
 //
-//	mkfs -img wine.img [-size 1g] [-cpus 8] [-inodes N]
+//	mkfs -img wine.img [-size 1g] [-cpus 8]
 package main
 
 import (
@@ -21,7 +21,6 @@ func main() {
 	img := flag.String("img", "", "output image path (required)")
 	size := flag.String("size", "1g", "device size (k/m/g suffixes)")
 	cpus := flag.Int("cpus", 8, "per-CPU journals and pools")
-	inodes := flag.Int64("inodes", 0, "inodes per CPU (0 = auto)")
 	flag.Parse()
 	if *img == "" {
 		flag.Usage()
@@ -34,7 +33,7 @@ func main() {
 	}
 	dev := pmem.New(bytes)
 	ctx := sim.NewCtx(1, 0)
-	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: *cpus, InodesPerCPU: *inodes})
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: *cpus})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkfs: %v\n", err)
 		os.Exit(1)

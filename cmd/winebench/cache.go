@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/bench"
 	"repro/internal/fileserver"
@@ -43,8 +42,8 @@ type cacheVariant struct {
 	Cache pagecache.Stats
 }
 
-// runCacheBench runs both variants and the HotScan point, packs the
-// report and prints it.
+// runCacheBench runs both variants and the HotScan point and packs the
+// report.
 func runCacheBench(o options) (*bench.Report, error) {
 	clients, cpus := o.clients, o.cpus
 	cfg := workloads.CachedMixConfig{Files: 24, Seed: o.seed}
@@ -91,9 +90,20 @@ func runCacheBench(o options) (*bench.Report, error) {
 	p.Floats(map[string]float64{"HotHitRatio": hs.hotHitRatio()})
 	p.AddCounters("Counters.", &hs.Counters)
 	packCache(p, &hs.Counters, hs.Cache)
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Client page cache: %d clients x %d files x %dKiB, %d re-read rounds",
-			clients, cfg.Files, workloads.CachedMixFileKB, workloads.CachedMixRounds),
+	return rep, nil
+}
+
+// cacheTables prints a -cache report. The scan-resistance title counts the
+// scan slices from the HotScan point: each is a whole cache of pages per
+// client.
+func cacheTables(rep *bench.Report) []bench.Table {
+	c := rep.Config
+	hot := map[string]string{"Variant": "HotScan"}
+	pages, _ := rep.Value("CachePages", hot)
+	scanReads, _ := rep.Value("ScanReads", hot)
+	return []bench.Table{{
+		Title: fmt.Sprintf("Client page cache: %.0f clients x %.0f files x %.0fKiB, %.0f re-read rounds",
+			c["Clients"], c["Files"], c["FileKB"], c["Rounds"]),
 		Where: map[string]string{"Variant": "Uncached|Cached"}, Rows: []string{"Variant"}, RowHead: "variant",
 		Cols: append([]bench.Col{
 			{Head: "re-reads", Field: "Reads", Fmt: "%.0f"},
@@ -102,11 +112,10 @@ func runCacheBench(o options) (*bench.Report, error) {
 			{Head: "flushed", Field: "Counters.CacheFlushBytes", Fmt: "%.0fB"},
 			{Head: "re-read speedup", Field: "ReadSpeedup", Fmt: "%.1fx"},
 		}, cacheCols...),
-	}, bench.Table{
-		Title: fmt.Sprintf("Scan resistance: %d clients, %d-page caches, hot set %d pages re-read after each of %d scan slices",
-			clients, workloads.HotScanCachePages, workloads.HotScanCachePages/2,
-			hs.ScanReads/int64(clients*workloads.HotScanCachePages)),
-		Where: map[string]string{"Variant": "HotScan"},
+	}, {
+		Title: fmt.Sprintf("Scan resistance: %.0f clients, %.0f-page caches, hot set %d pages re-read after each of %d scan slices",
+			c["Clients"], pages, int64(pages)/2, int64(scanReads)/int64(c["Clients"]*pages)),
+		Where: hot,
 		Cols: append([]bench.Col{
 			{Head: "hot-set re-reads", Field: "HotReads", Fmt: "%.0f"},
 			{Head: "hot-set hit ratio", Field: "HotHitRatio", Fmt: "%.1f%%", Scale: 100},
@@ -114,8 +123,7 @@ func runCacheBench(o options) (*bench.Report, error) {
 			{Head: "evictions", Field: "Counters.CacheEvictions", Fmt: "%.0f"},
 			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
 		}, cacheCols...),
-	})
-	return rep, nil
+	}}
 }
 
 // hotScanRun is the HotScan point: the clients' results, counters and cache

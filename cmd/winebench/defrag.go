@@ -2,11 +2,9 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/bench"
-	"repro/internal/defrag"
 	"repro/internal/fstest"
 	"repro/internal/pmem"
 	"repro/internal/sim"
@@ -33,24 +31,8 @@ import (
 // interference variant runs at.
 const defragThrottleBudget = 0.08
 
-// defragInterfVariant is one interference run at a given budget.
-type defragInterfVariant struct {
-	// Budget is the defragmenter duty cycle (1 = unthrottled).
-	Budget float64
-
-	// Work done (exact).
-	Rewrites       int64
-	MigratedBlocks int64
-
-	// Bandwidths in bytes per virtual ns (toleranced) and the derived
-	// slowdown percentage.
-	BaselineBW  float64
-	ContendedBW float64
-	SlowdownPct float64
-}
-
-// runDefragBench runs the soak and both interference variants, packs and
-// prints the report.
+// runDefragBench runs the soak and both interference variants and packs
+// the report.
 func runDefragBench(o options) (*bench.Report, error) {
 	cpus := o.cpus
 	soakFile := int64(32 << 20)
@@ -83,16 +65,6 @@ func runDefragBench(o options) (*bench.Report, error) {
 		return nil, fmt.Errorf("soak: %w", err)
 	}
 
-	// Part B: foreground interference, unthrottled then paced.
-	var interference []defragInterfVariant
-	for _, budget := range []float64{1, defragThrottleBudget} {
-		v, err := runDefragInterference(maker, cpus, devSize, fgSize, vicSize, budget)
-		if err != nil {
-			return nil, fmt.Errorf("interference budget=%g: %w", budget, err)
-		}
-		interference = append(interference, v)
-	}
-
 	rep := bench.New("defrag/v1", map[string]float64{
 		"SoakFileMB": float64(soakFile >> 20), "FgMB": float64(fgSize >> 20), "VictimMB": float64(vicSize >> 20),
 		"CPUs": float64(cpus), "Seed": float64(o.seed)})
@@ -106,14 +78,32 @@ func runDefragBench(o options) (*bench.Report, error) {
 		"SetupNS": soak.SetupNS, "DefragNS": soak.DefragNS})
 	p.Floats(map[string]float64{"RecoveredCoverage": soak.RecoveredCoverage()})
 	p.AddCounters("Counters.", &soak.Counters)
-	for _, v := range interference {
-		p := rep.Point(map[string]string{"Part": "Interference", "Budget": strconv.FormatFloat(v.Budget, 'g', -1, 64)}, 0)
-		p.Ints(map[string]int64{"Rewrites": v.Rewrites, "MigratedBlocks": v.MigratedBlocks})
-		p.Floats(map[string]float64{"BaselineBW": v.BaselineBW, "ContendedBW": v.ContendedBW, "SlowdownPct": v.SlowdownPct})
+
+	// Part B: foreground interference (§4), unthrottled then paced, each on
+	// a fresh file system.
+	for _, budget := range []float64{1, defragThrottleBudget} {
+		ctx := sim.NewCtx(1, 0)
+		fs, err := mk(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("interference budget=%g: %w", budget, err)
+		}
+		r, err := workloads.RunInterference(ctx, fs, cpus, fgSize, vicSize, budget)
+		if err != nil {
+			return nil, fmt.Errorf("interference budget=%g: %w", budget, err)
+		}
+		p := rep.Point(map[string]string{"Part": "Interference", "Budget": strconv.FormatFloat(budget, 'g', -1, 64)}, 0)
+		p.Ints(map[string]int64{"Rewrites": int64(r.Rewrites), "MigratedBlocks": r.MigratedBlocks})
+		p.Floats(map[string]float64{"BaselineBW": r.BaselineBW, "ContendedBW": r.ContendedBW, "SlowdownPct": r.SlowdownPct})
 	}
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Online defrag: %dMiB mapped file on an aged image, %dMiB foreground vs %dMiB victim",
-			soakFile>>20, fgSize>>20, vicSize>>20),
+	return rep, nil
+}
+
+// defragTables prints a -defrag report.
+func defragTables(rep *bench.Report) []bench.Table {
+	c := rep.Config
+	return []bench.Table{{
+		Title: fmt.Sprintf("Online defrag: %.0fMiB mapped file on an aged image, %.0fMiB foreground vs %.0fMiB victim",
+			c["SoakFileMB"], c["FgMB"], c["VictimMB"]),
 		Where: map[string]string{"Part": "Soak"},
 		Cols: []bench.Col{
 			{Head: "unaged hugepage coverage", Field: "UnagedHuge,UnagedTotal", Fmt: "%.0f/%.0f chunks"},
@@ -126,31 +116,15 @@ func runDefragBench(o options) (*bench.Report, error) {
 			{Head: "files rewritten", Field: "Rewrites", Fmt: "%.0f"},
 			{Head: "chunks re-promoted live", Field: "Repromoted", Fmt: "%.0f"},
 		},
-	}, bench.Table{
-		Title: "Online defrag: foreground slowdown by duty-cycle budget (1 = unthrottled)",
+	}, {
+		Title: "Online defrag (§4): mapped foreground reads beside one pass, by duty-cycle budget (1 = unthrottled)",
 		Where: map[string]string{"Part": "Interference"}, Rows: []string{"Budget"}, RowHead: "budget",
-		Cols: []bench.Col{{Head: "fg slowdown", Field: "SlowdownPct", Fmt: "%.1f%%"}},
-	})
-	return rep, nil
-}
-
-// runDefragInterference is the §4 experiment (workloads.RunInterference)
-// with the full online defragmenter as the background thread: a
-// pre-faulted foreground mapping sweeps while the maintenance thread
-// migrates and rewrites a fragmented victim, and the foreground's
-// bandwidth loss is measured against an uncontended baseline.
-func runDefragInterference(maker fstest.Maker, cpus int, devSize, fgSize, vicSize int64, budget float64) (defragInterfVariant, error) {
-	v := defragInterfVariant{Budget: budget}
-	ctx := sim.NewCtx(1, 0)
-	fs, err := maker.Make(ctx, pmem.New(devSize))
-	if err != nil {
-		return v, err
-	}
-	r, err := workloads.RunInterference(ctx, fs, cpus, fgSize, vicSize, func(bg *sim.Ctx) error {
-		st, err := defrag.New(fs.(*winefs.FS), defrag.Config{Budget: budget, MaxPasses: 1}).Run(bg)
-		v.Rewrites, v.MigratedBlocks = int64(st.Rewrites), st.MigratedBlocks
-		return err
-	})
-	v.BaselineBW, v.ContendedBW, v.SlowdownPct = r.BaselineBW, r.ContendedBW, r.SlowdownPct
-	return v, err
+		Cols: []bench.Col{
+			{Head: "fg alone", Field: "BaselineBW", Fmt: "%.2f GB/s"},
+			{Head: "fg beside the pass", Field: "ContendedBW", Fmt: "%.2f GB/s"},
+			{Head: "fg slowdown", Field: "SlowdownPct", Fmt: "%.1f%%"},
+			{Head: "files rewritten", Field: "Rewrites", Fmt: "%.0f"},
+			{Head: "blocks migrated", Field: "MigratedBlocks", Fmt: "%.0f"},
+		},
+	}}
 }

@@ -9,12 +9,13 @@
 // `winebench -h` lists, generated from experiments.Runs; their points make
 // one paper/v1 report.
 //
-// A -<mode> flag runs one regression-gated bench instead and prints its
-// tables. Either way the run ends in bench.Finish: it prints the verdicts
-// of the claims about the report (bench.Claims) and fails the run on any
-// that does not hold, -json writes the report (everything is virtual time,
-// so the file is a committable baseline) and -check-against diffs the run
-// against a committed one. `winebench -h` prints one usage line per mode,
+// A -<mode> flag runs one regression-gated bench instead. Either way the
+// run packs one report, winebench prints its tables from it, and the run
+// ends in bench.Finish: it prints the verdicts of the claims about the
+// report (bench.Claims) and fails the run on any that does not hold, -json
+// writes the report (everything is virtual time, so the file is a
+// committable baseline) and -check-against diffs the run against a
+// committed one. `winebench -h` prints one usage line per mode,
 // generated from the modes table below, which is also where each mode is
 // described.
 //
@@ -53,23 +54,28 @@ type options struct {
 	baseline string // -check-against, for modes that must refuse it
 }
 
-// modes is the table of regression-gated benches: the flag that selects
-// each, the flags it reads (for the usage line) and its help text. A mode
-// prints its tables and returns its report; bench.Finish does the rest.
-// With several mode flags the first listed wins; with none, winebench runs
-// the -run experiments.
-var modes = []struct {
+// mode is one way to run winebench: the flag that selects it, the flags
+// it reads (for the usage line), its help text, how it runs into a report
+// and the tables that print one. A mode prints nothing itself: main prints
+// its tables from the report, and bench.Finish does the rest.
+type mode struct {
 	name, args, help string
 	run              func(o options) (*bench.Report, error)
-}{
-	{"mmap", "[-quick] [-cpus N]", "zero-copy mapped-read sweep (unaged vs aged)", runMmapBench},
-	{"tier", "[-quick] [-cpus N]", "tiered-storage working-set sweep (PM+SSD vs all-PM)", runTierBench},
-	{"defrag", "[-quick] [-cpus N]", "online-defragmenter recovery and interference bench", runDefragBench},
-	{"cache", "[-quick] [-clients N] [-cpus N]", "client page-cache effectiveness sweep", runCacheBench},
-	{"scaling", "[-quick]", "fxmark-style scalability suite", runScalingBench},
-	{"replicated", "[-quick] [-clients N] [-cpus N]", "replication-overhead benchmark", runReplicatedBench},
+	tables           func(rep *bench.Report) []bench.Table
+}
+
+// modes is the table of regression-gated benches. With several mode flags
+// the first listed wins; with none, winebench runs the -run experiments.
+// A mode's committed report is BENCH_<name>.json.
+var modes = []mode{
+	{"mmap", "[-quick] [-cpus N]", "zero-copy mapped-read sweep (unaged vs aged)", runMmapBench, mmapTables},
+	{"tier", "[-quick] [-cpus N]", "tiered-storage working-set sweep (PM+SSD vs all-PM)", runTierBench, tierTables},
+	{"defrag", "[-quick] [-cpus N]", "online-defragmenter recovery and interference bench", runDefragBench, defragTables},
+	{"cache", "[-quick] [-clients N] [-cpus N]", "client page-cache effectiveness sweep", runCacheBench, cacheTables},
+	{"scaling", "[-quick]", "fxmark-style scalability suite", runScalingBench, scalingTables},
+	{"replicated", "[-quick] [-clients N] [-cpus N]", "replication-overhead benchmark", runReplicatedBench, replicatedTables},
 	{"server", "[-quick] [-clients N] [-cpus N] [-trace FILE] [-metrics-out FILE]",
-		"serving-throughput baseline", runServerBench},
+		"serving-throughput baseline", runServerBench, serverTables},
 }
 
 func usage() {
@@ -109,46 +115,49 @@ func main() {
 	}
 	defer stopProfiles()
 
-	name, run := "run", runPaper
-	for i, m := range modes {
+	m := paperMode(o.run)
+	for i := range modes {
 		if *selected[i] {
-			name, run = m.name, m.run
+			m = modes[i]
 			break
 		}
 	}
-	rep, err := run(o)
+	rep, err := m.run(o)
 	if err == nil {
-		err = bench.Finish(rep, *jsonOut, o.baseline, paperScope(name, o.run))
+		rep.Print(os.Stdout, m.tables(rep)...)
+		err = bench.Finish(rep, *jsonOut, o.baseline, paperScope(m.name, o.run))
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "winebench: %s: %v\n", name, err)
+		fmt.Fprintf(os.Stderr, "winebench: %s: %v\n", m.name, err)
 		exit(1)
 	}
 }
 
-// runPaper is -run: the selected experiments pack one paper/v1 report,
-// which prints as their tables in experiments.Runs order; bench.Finish
-// then prints the verdicts of the paper's claims about them.
+// paperMode is -run list: the selected experiments pack one paper/v1
+// report, which prints as their tables in experiments.Runs order;
+// bench.Finish then prints the verdicts of the paper's claims about them.
+func paperMode(list string) mode {
+	return mode{name: "run", run: runPaper, tables: func(*bench.Report) []bench.Table {
+		runs, _ := selectRuns(list) // runPaper has already resolved list
+		return experiments.Tables(runs)
+	}}
+}
+
+// runPaper packs the experiments -run selects.
 func runPaper(o options) (*bench.Report, error) {
 	runs, err := selectRuns(o.run)
 	if err != nil {
 		return nil, err
 	}
-	cfg := experiments.Config{Quick: o.quick, CPUs: o.cpus, Seed: o.seed}.Defaults()
-	rep, err := experiments.Pack(cfg, runs)
-	if err != nil {
-		return nil, err
-	}
-	experiments.Print(os.Stdout, rep, runs)
-	return rep, nil
+	return experiments.Pack(experiments.Config{Quick: o.quick, CPUs: o.cpus, Seed: o.seed}.Defaults(), runs)
 }
 
 // paperScope is the share of the claims and of the baseline
 // -check-against a run is held to: for -run, those of the figures it
 // selected, so -run fig7 checks against a report of every figure; for a
 // mode, all of them.
-func paperScope(mode, list string) map[string]string {
-	if mode != "run" {
+func paperScope(name, list string) map[string]string {
+	if name != "run" {
 		return nil
 	}
 	runs, _ := selectRuns(list) // runPaper has already resolved list
@@ -255,20 +264,6 @@ func runServerBench(o options) (*bench.Report, error) {
 	p.Floats(map[string]float64{"OpsPerSec": opsPerSec, "Latency.MeanNS": sum.MeanNS})
 	p.AddCounters("Counters.", &st.Counters)
 	p.AddCounters("ClientCounters.", &clientCounters)
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Serving baseline: %d clients x %d iterations (in-memory transport)", clients, ops),
-		Cols: []bench.Col{
-			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
-			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
-			{Head: "throughput", Field: "OpsPerSec", Fmt: "%.0f ops/s (virtual)"},
-			{Head: "latency p50", Field: "Latency.P50NS", Fmt: "%.0fns"},
-			{Head: "latency p90", Field: "Latency.P90NS", Fmt: "%.0fns"},
-			{Head: "latency p99", Field: "Latency.P99NS", Fmt: "%.0fns"},
-			{Head: "latency max", Field: "Latency.MaxNS", Fmt: "%.0fns"},
-			{Head: "sessions", Field: "Sessions", Fmt: "%.0f"},
-		},
-	})
-
 	if o.metrics != "" {
 		reg := metrics.NewRegistry()
 		reg.Register(metrics.CollectorFunc(func() []metrics.Family {
@@ -293,4 +288,22 @@ func runServerBench(o options) (*bench.Report, error) {
 		fmt.Printf("wrote Prometheus dump to %s\n", o.metrics)
 	}
 	return rep, nil
+}
+
+// serverTables prints a -server report.
+func serverTables(rep *bench.Report) []bench.Table {
+	return []bench.Table{{
+		Title: fmt.Sprintf("Serving baseline: %.0f clients x %.0f iterations (in-memory transport)",
+			rep.Config["Clients"], rep.Config["OpsPerClient"]),
+		Cols: []bench.Col{
+			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
+			{Head: "server ops", Field: "ServerOps", Fmt: "%.0f"},
+			{Head: "throughput", Field: "OpsPerSec", Fmt: "%.0f ops/s (virtual)"},
+			{Head: "latency p50", Field: "Latency.P50NS", Fmt: "%.0fns"},
+			{Head: "latency p90", Field: "Latency.P90NS", Fmt: "%.0fns"},
+			{Head: "latency p99", Field: "Latency.P99NS", Fmt: "%.0fns"},
+			{Head: "latency max", Field: "Latency.MaxNS", Fmt: "%.0fns"},
+			{Head: "sessions", Field: "Sessions", Fmt: "%.0f"},
+		},
+	}}
 }

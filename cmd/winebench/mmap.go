@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/bench"
@@ -28,7 +27,7 @@ type mmapVariant struct {
 	workloads.MmapSweepResult
 }
 
-// runMmapBench sweeps the four variants, packs and prints the report.
+// runMmapBench sweeps the four variants and packs the report.
 func runMmapBench(o options) (*bench.Report, error) {
 	cfg := workloads.MmapSweepConfig{FileBytes: 32 << 20, Reads: 10000, Seed: o.seed}
 	devSize := int64(512 << 20)
@@ -69,9 +68,15 @@ func runMmapBench(o options) (*bench.Report, error) {
 		}
 		p.AddCounters("Counters.", &v.Counters)
 	}
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %dMiB file, %d reads x %dB",
-			100*workloads.MmapUtil, fileMB, cfg.Reads, workloads.MmapReadSize),
+	return rep, nil
+}
+
+// mmapTables prints a -mmap report.
+func mmapTables(rep *bench.Report) []bench.Table {
+	c := rep.Config
+	return []bench.Table{{
+		Title: fmt.Sprintf("Mapped reads, unaged vs aged at %.0f%% util: %.0fMiB file, %.0f reads x %.0fB",
+			100*c["Util"], c["FileMB"], c["Reads"], c["ReadSize"]),
 		Rows: []string{"FS", "Aged"}, RowHead: "fs aged",
 		Cols: []bench.Col{
 			{Head: "read cost", Field: "NSPerRead", Fmt: "%.0fns/read"},
@@ -81,8 +86,7 @@ func runMmapBench(o options) (*bench.Report, error) {
 			{Head: "msync bytes", Field: "Counters.VMMMsyncBytes", Fmt: "%.0fB"},
 			{Head: "aged slowdown", Field: "AgedSlowdown", Fmt: "%.1fx"},
 		},
-	})
-	return rep, nil
+	}}
 }
 
 // runMmapVariant makes a fresh file system and runs one sweep on it.

@@ -13,7 +13,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/bench"
@@ -186,9 +185,20 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 		"RecordsLogged": st.Repl.RecordsLogged, "BytesLogged": st.Repl.BytesLogged,
 		"Resyncs": st.Repl.Resyncs})
 	p.Floats(map[string]float64{"OverheadPct": overhead})
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Replication overhead: %d clients x %d iterations, %d sync replicas",
-			clients, ops, nReplicas),
+	for _, rs := range st.ReplicaSide {
+		if rs.BadRecords != 0 || rs.Gaps != 0 {
+			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
+		}
+	}
+	return rep, nil
+}
+
+// replicatedTables prints a -replicated report.
+func replicatedTables(rep *bench.Report) []bench.Table {
+	c := rep.Config
+	return []bench.Table{{
+		Title: fmt.Sprintf("Replication overhead: %.0f clients x %.0f iterations, %.0f sync replicas",
+			c["Clients"], c["OpsPerClient"], c["Replicas"]),
 		Cols: []bench.Col{
 			{Head: "client ops", Field: "ClientOps", Fmt: "%.0f"},
 			{Head: "plain span", Field: "PlainSpanNS,PlainSumNS", Fmt: "%.0fns (sum %.0fns)"},
@@ -198,11 +208,5 @@ func runReplicatedBench(o options) (*bench.Report, error) {
 			{Head: "bytes logged", Field: "BytesLogged", Fmt: "%.0f"},
 			{Head: "resyncs", Field: "Resyncs", Fmt: "%.0f (baseline image per replica)"},
 		},
-	})
-	for _, rs := range st.ReplicaSide {
-		if rs.BadRecords != 0 || rs.Gaps != 0 {
-			return nil, fmt.Errorf("replica saw %d bad records, %d gaps on a clean in-memory stream", rs.BadRecords, rs.Gaps)
-		}
-	}
-	return rep, nil
+	}}
 }

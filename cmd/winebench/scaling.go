@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 
 	"repro/internal/bench"
@@ -44,7 +43,7 @@ type scalingPoint struct {
 }
 
 // runScalingBench sweeps every fxmark case over both transports and all
-// thread counts, packs the report and prints its ops/s tables. Work counters
+// thread counts and packs the report. Work counters
 // are exact at every scale; timings and allocator placement are compared
 // only up to bench's strict-timing thread count.
 func runScalingBench(o options) (*bench.Report, error) {
@@ -92,14 +91,21 @@ func runScalingBench(o options) (*bench.Report, error) {
 		p.AddCounters("Counters.", &pt.Counters)
 	}
 
+	return rep, nil
+}
+
+// scalingTables prints a -scaling report: ops/s by case and thread count,
+// one table per transport.
+func scalingTables(rep *bench.Report) []bench.Table {
+	var tables []bench.Table
 	for _, transport := range []string{"local", "server"} {
-		rep.Print(os.Stdout, bench.Table{
-			Title: fmt.Sprintf("Scalability (%s transport): virtual kops/s vs threads, %d CPUs", transport, scalingCPUs),
+		tables = append(tables, bench.Table{
+			Title: fmt.Sprintf("Scalability (%s transport): virtual kops/s vs threads, %.0f CPUs", transport, rep.Config["CPUs"]),
 			Where: map[string]string{"Transport": transport}, Rows: []string{"Case"}, RowHead: "case", Pivot: "Threads",
 			Cols: []bench.Col{{Field: "OpsPerSec", Fmt: "%.1f", Scale: 1e-3}},
 		})
 	}
-	return rep, nil
+	return tables
 }
 
 // runScalingPoint measures one (case, transport, threads) cell on a fresh

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/bench"
@@ -35,12 +34,11 @@ const tierAgedDead = 0.5
 // data the sweep reads before anything is measured.
 const tierAgedWarmup = 4
 
-// runTierBench sweeps the working-set fractions, packs and prints the
-// report. In each point
-// SetupCounters covers laying out the working set (allocation spill lives
-// here), Counters the measured sweep thread (cold-miss slow-device
-// traffic, faults) and MigrCounters the background migration thread
-// (demotions/promotions and their copy traffic).
+// runTierBench sweeps the working-set fractions and packs the report. In
+// each point SetupCounters covers laying out the working set (allocation
+// spill lives here), Counters the measured sweep thread (cold-miss
+// slow-device traffic, faults) and MigrCounters the background migration
+// thread (demotions/promotions and their copy traffic).
 func runTierBench(o options) (*bench.Report, error) {
 	cpus := o.cpus
 	devSize := int64(256 << 20)
@@ -105,9 +103,15 @@ func runTierBench(o options) (*bench.Report, error) {
 			p.AddCounters("MigrCounters.", &res.MigrCounters)
 		}
 	}
-	rep.Print(os.Stdout, bench.Table{
-		Title: fmt.Sprintf("Tiered PM+SSD vs all-in-PM: 90/10 hotspot, %d ops x %dB, %d%% reads, PM %dMiB + slow %dMiB",
-			cfg.Ops, workloads.TieredOpSize, int(100*workloads.TieredReadFrac), devSize>>20, slowSize>>20),
+	return rep, nil
+}
+
+// tierTables prints a -tier report.
+func tierTables(rep *bench.Report) []bench.Table {
+	c := rep.Config
+	return []bench.Table{{
+		Title: fmt.Sprintf("Tiered PM+SSD vs all-in-PM: 90/10 hotspot, %.0f ops x %.0fB, %.0f%% reads, PM %.0fMiB + slow %.0fMiB",
+			c["Ops"], c["OpSize"], 100*c["ReadFrac"], c["PMMB"], c["SlowMB"]),
 		Rows: []string{"Frac", "Tiered", "Dead"}, RowHead: "frac tiered dead",
 		Cols: []bench.Col{
 			{Head: "GB/s", Field: "GBps", Fmt: "%.3f"},
@@ -118,8 +122,7 @@ func runTierBench(o options) (*bench.Report, error) {
 			{Head: "demoted", Field: "MigrCounters.TierDemotedBlocks", Fmt: "%.0f"},
 			{Head: "promoted", Field: "MigrCounters.TierPromotedBlocks", Fmt: "%.0f"},
 		},
-	})
-	return rep, nil
+	}}
 }
 
 // runTierPair runs one working-set fraction on a fresh tiered mount and a

@@ -4,10 +4,14 @@
 //
 // Usage:
 //
-//	winefsd [-img wine.img] [-size 1g] [-cpus 8] [-relaxed]
+//	winefsd [-img wine.img] [-size 1g] [-cpus 8]
 //	        [-addr 127.0.0.1:7070] [-stats 127.0.0.1:7071]
 //	        [-replicas host:port,...] [-replica-of primary] [-epoch 1]
-//	        [-maint-budget 0.1] [-slow-size 4g]
+//	        [-slow-size 4g]
+//
+// The mount is strict (data and metadata consistent), and the background
+// maintenance (§3.5: defrag, rewrite, tier migration) always runs at
+// maintBudget of device bandwidth.
 //
 // Tiering: -slow-size attaches a simulated slow (SSD) tier behind the PM
 // device. The tier policy's marks are winefs constants: new data spills to
@@ -190,11 +194,14 @@ func buildTracer(traceOut string, slowNS int64) (*trace.Tracer, func(), error) {
 	return tr, func() { tr.Close() }, nil
 }
 
+// maintBudget is the background maintenance thread's duty-cycle share of
+// device bandwidth, whichever mover is copying.
+const maintBudget = 0.1
+
 func main() {
 	img := flag.String("img", "", "device image to serve (empty: fresh volatile device)")
 	size := flag.String("size", "1g", "device size when no image is given (k/m/g suffixes)")
 	cpus := flag.Int("cpus", 8, "simulated CPUs sessions are pinned across")
-	relaxed := flag.Bool("relaxed", false, "metadata-only consistency mode")
 	addr := flag.String("addr", "127.0.0.1:7070", "serving address")
 	stats := flag.String("stats", "", "HTTP stats endpoint address (empty: disabled)")
 	traceOut := flag.String("trace", "", "stream request spans as JSON Lines to this file")
@@ -204,7 +211,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a replica of this primary: apply its stream on -addr instead of serving clients")
 	epoch := flag.Uint64("epoch", 1, "primary epoch announced to replicas (bump after promoting a replica)")
 	syncRepl := flag.Bool("sync-repl", false, "acknowledged writes wait for replica durability")
-	maintBudget := flag.Float64("maint-budget", 0.1, "background maintenance (defrag, rewrite, tier migration) duty-cycle fraction of device bandwidth (0 = off, 1 = unthrottled)")
 	slowSize := flag.String("slow-size", "", "attach a simulated slow (SSD) tier of this size; new data spills to it when PM fills (empty: untiered)")
 	flag.Parse()
 
@@ -227,11 +233,6 @@ func main() {
 		}
 		fmt.Println("winefsd: smoke OK")
 		return
-	}
-
-	mode := vfs.Strict
-	if *relaxed {
-		mode = vfs.Relaxed
 	}
 
 	// Tiered storage: -slow-size attaches a simulated SSD behind the PM
@@ -259,7 +260,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "winefsd: %v\n", err)
 			os.Exit(1)
 		}
-		if fs, err = winefs.Mount(ctx, dev, winefs.Options{Mode: mode, Tier: topts}); err != nil {
+		if fs, err = winefs.Mount(ctx, dev, winefs.Options{Mode: vfs.Strict, Tier: topts}); err != nil {
 			fmt.Fprintf(os.Stderr, "winefsd: mount %s: %v\n", *img, err)
 			os.Exit(1)
 		}
@@ -270,7 +271,7 @@ func main() {
 			os.Exit(2)
 		}
 		dev = pmem.New(bytes)
-		if fs, err = winefs.Mkfs(ctx, dev, winefs.Options{CPUs: *cpus, Mode: mode, Tier: topts}); err != nil {
+		if fs, err = winefs.Mkfs(ctx, dev, winefs.Options{CPUs: *cpus, Mode: vfs.Strict, Tier: topts}); err != nil {
 			fmt.Fprintf(os.Stderr, "winefsd: mkfs: %v\n", err)
 			os.Exit(1)
 		}
@@ -316,30 +317,27 @@ func main() {
 	// CPU. Each round interleaves with client operations through the
 	// ordinary lock table; the runner's one pacer bounds the thread's share
 	// of device bandwidth, whichever mover is copying.
-	maint := defrag.New(fs, defrag.Config{Budget: *maintBudget})
-	var maintStop, maintDone chan struct{}
-	if *maintBudget > 0 {
-		maintStop, maintDone = make(chan struct{}), make(chan struct{})
-		mctx := sim.NewCtx(3, *cpus-1)
-		go func() {
-			defer close(maintDone)
-			tick := time.NewTicker(250 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-maintStop:
+	maint := defrag.New(fs, defrag.Config{Budget: maintBudget})
+	maintStop, maintDone := make(chan struct{}), make(chan struct{})
+	mctx := sim.NewCtx(3, *cpus-1)
+	go func() {
+		defer close(maintDone)
+		tick := time.NewTicker(250 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-maintStop:
+				return
+			case <-tick.C:
+				if _, err := maint.Step(mctx); err != nil {
+					// Read-only (degraded) or unmounted: nothing left
+					// for maintenance to do.
 					return
-				case <-tick.C:
-					if _, err := maint.Step(mctx); err != nil {
-						// Read-only (degraded) or unmounted: nothing left
-						// for maintenance to do.
-						return
-					}
 				}
 			}
-		}()
-		fmt.Printf("winefsd: background maintenance enabled (budget %.0f%%)\n", 100**maintBudget)
-	}
+		}
+	}()
+	fmt.Printf("winefsd: background maintenance enabled (budget %.0f%%)\n", 100*maintBudget)
 	if slowDev != nil {
 		fmt.Printf("winefsd: slow tier %s attached\n", *slowSize)
 	}
@@ -399,10 +397,8 @@ func main() {
 		if repl != nil {
 			repl.Close()
 		}
-		if maintStop != nil {
-			close(maintStop)
-			<-maintDone
-		}
+		close(maintStop)
+		<-maintDone
 		closeTracer()
 		uctx := sim.NewCtx(2, 0)
 		if err := fs.Unmount(uctx); err != nil {

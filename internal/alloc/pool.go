@@ -273,11 +273,17 @@ func (p *Pool) Carve(start, length int64, into []Extent) []Extent {
 // Extents snapshots the pool's free extents in address order.
 func (p *Pool) Extents() []Extent {
 	out := make([]Extent, 0, p.byStart.Len())
+	p.Ascend(func(e Extent) { out = append(out, e) })
+	return out
+}
+
+// Ascend calls fn on each free extent in address order, in place: a
+// caller that only reads them walks the pool without a snapshot.
+func (p *Pool) Ascend(fn func(Extent)) {
 	p.byStart.Ascend(func(s, l int64) bool {
-		out = append(out, Extent{Start: s, Len: l})
+		fn(Extent{Start: s, Len: l})
 		return true
 	})
-	return out
 }
 
 // Check verifies the two indexes and the cached count against each other:

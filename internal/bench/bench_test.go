@@ -295,7 +295,7 @@ func TestClassPins(t *testing.T) {
 		"defrag/v1": {
 			"UnagedHuge": e, "UnagedTotal": e, "AgedHuge": e, "AgedTotal": e, "DefragHuge": e, "DefragTotal": e,
 			"Passes": e, "MigratedBlocks": e, "Recovered2M": e, "Rewrites": e, "Repromoted": e,
-			"SetupNS": tol, "DefragNS": tol, "BaselineBW": tol, "ContendedBW": tol, "SlowdownPct": tol,
+			"SetupNS": tol, "DefragNS": tol, "BaselineBW": e, "ContendedBW": e, "SlowdownPct": e,
 			"RecoveredCoverage": info,
 			"Counters.*":        e, "Counters.LockWaitNS": tol,
 		},
@@ -308,7 +308,7 @@ func TestClassPins(t *testing.T) {
 			"OpsPerSec.*": e, "Faults.*": e, "VsExt4.*": info, "VsWineFS.*": info,
 			"Filebench.*": info, "PgbenchTPS": info, "WTFill": e, "WTRead": e,
 			"KIOPS": e, "ContendedKIOPS": info,
-			"RecoveryNS": e, "SmallNS": e, "LargeNS": e, "FilesRewritten": e, "SlowdownPct": info,
+			"RecoveryNS": e, "SmallNS": e, "LargeNS": e,
 			"AlignedFree": e, "RemoteFrac": e, "WriteNS": e, "CrashStates": e, "Failures": e,
 		},
 		"tier/v1": {

@@ -77,8 +77,10 @@ var known = map[string]Classes{
 		Toleranced: []string{"SetupNS", "MapNS", "SweepNS", "WriteNS", "NSPerRead", "Counters.LockWaitNS"},
 		Info:       []string{"HugeCoverage", "AgedSlowdown"},
 	},
+	// -defrag: the §4 interference runs on one goroutine, so its
+	// bandwidths and slowdown repeat bit for bit and are exact.
 	"defrag/v1": {
-		Toleranced: []string{"SetupNS", "DefragNS", "Counters.LockWaitNS", "BaselineBW", "ContendedBW", "SlowdownPct"},
+		Toleranced: []string{"SetupNS", "DefragNS", "Counters.LockWaitNS"},
 		Info:       []string{"RecoveredCoverage"},
 	},
 	// -run: the paper's figures. Derived ratios are Info, and so are the
@@ -87,7 +89,7 @@ var known = map[string]Classes{
 	// move by up to a quarter run to run, past any honest tolerance. Every
 	// other value repeats bit for bit.
 	"paper/v1": {
-		Info: []string{"VsExt4.", "VsWineFS.", "MedianRatio", "SlowdownPct", "Filebench.", "PgbenchTPS", "ContendedKIOPS"},
+		Info: []string{"VsExt4.", "VsWineFS.", "MedianRatio", "Filebench.", "PgbenchTPS", "ContendedKIOPS"},
 	},
 	"tier/v1": {
 		Toleranced: []string{"SetupNS", "SweepNS", "NSPerOp", "SetupCounters.LockWaitNS", "Counters.LockWaitNS", "MigrCounters.LockWaitNS"},

@@ -5,13 +5,12 @@
 // the paper plots as points of one paper/v1 bench report, next to the
 // layouts of the tables that print them; the claims about each figure are
 // rows of bench.Claims. EXPERIMENTS.md shows what each Run prints from the
-// committed report, its tables and its claims' verdicts
-// (TestExperimentsPrintsTheReport holds it to that).
+// committed report, its tables and its claims' verdicts (cmd/winebench's
+// TestExperimentsPrintsTheReport holds it to that).
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/bench"
@@ -135,7 +134,6 @@ var Runs = []Run{
 	{Name: "fig9", Pack: func(cfg Config, rep *bench.Report) error { return Fig9(cfg, rep, nil) }, Tables: fig9Tables, Alone: true},
 	{Name: "fig10", Pack: Fig10, Tables: fig10Tables, Alone: true},
 	{Name: "recovery", Pack: Recovery, Tables: recoveryTables},
-	{Name: "defrag", Pack: Defrag, Tables: defragTables},
 	{Name: "hpc", Pack: HPC, Tables: hpcTables},
 	{Name: "numa", Pack: NUMA, Tables: numaTables},
 	{Name: "crashmonkey", Pack: CrashMonkey, Tables: crashMonkeyTables},
@@ -190,13 +188,15 @@ func Figures(runs []Run) []string {
 	return figs
 }
 
-// Print writes each run's tables over rep, in order: what winebench -run
-// prints before bench.Finish prints the verdicts of the claims about the
-// runs' figures. EXPERIMENTS.md holds both for each run alone.
-func Print(w io.Writer, rep *bench.Report, runs []Run) {
+// Tables returns the tables of runs, in order: what winebench -run prints
+// before bench.Finish prints the verdicts of the claims about the runs'
+// figures. EXPERIMENTS.md holds both for each run alone.
+func Tables(runs []Run) []bench.Table {
+	var tables []bench.Table
 	for _, r := range runs {
-		rep.Print(w, r.Tables...)
+		tables = append(tables, r.Tables...)
 	}
+	return tables
 }
 
 // packed returns the experiments behind runs, each once, a Run with Of

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -72,37 +71,5 @@ func TestFiguresResolveTable2(t *testing.T) {
 	fig7 := Runs[slices.IndexFunc(Runs, func(r Run) bool { return r.Name == "fig7" })]
 	if got := Figures([]Run{table2, fig7}); !slices.Equal(got, []string{"fig7"}) {
 		t.Errorf("Figures(table2, fig7) = %v, want [fig7]", got)
-	}
-}
-
-// TestExperimentsPrintsTheReport holds the paper's sections of
-// EXPERIMENTS.md to what the committed BENCH_paper.json prints. Each Run
-// has one block there, a fenced code block between a line
-// "<!-- winebench -run NAME -->" and a line "<!-- end -->", holding what
-// winebench -run NAME prints: Print's tables for the run alone, then
-// bench.Finish's verdicts of the claims about its figures. It packs
-// nothing, so -short runs it too. A block that differs, a run with no
-// block and a block that names no run fail, and the message holds the
-// block that belongs there.
-func TestExperimentsPrintsTheReport(t *testing.T) {
-	base, err := bench.Load("../../BENCH_paper.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []bench.Block
-	for _, r := range Runs {
-		var out strings.Builder
-		Print(&out, base, []Run{r})
-		if vs := base.Verdicts(map[string]string{"Figure": strings.Join(Figures([]Run{r}), "|")}); len(vs) > 0 {
-			bench.PrintVerdicts(&out, vs)
-		}
-		want = append(want, bench.Block{Name: r.Name, Text: "```\n" + strings.TrimPrefix(out.String(), "\n") + "```\n"})
-	}
-	for _, p := range bench.CheckBlocks(string(doc), "winebench -run", want) {
-		t.Errorf("EXPERIMENTS.md: %s", p)
 	}
 }

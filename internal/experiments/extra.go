@@ -13,7 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/winefs"
-	"repro/internal/workloads"
 )
 
 // Recovery reproduces §5.2's crash-recovery measurement: WineFS recovers
@@ -79,40 +78,6 @@ func recoveryPoint(cfg Config, files int, fileSize int64) (int64, error) {
 	}
 	return rctx.Now(), nil
 }
-
-// Defrag reproduces the §4 experiment (workloads.RunInterference) with
-// WineFS's reactive-rewrite background thread as the rewriter, competing
-// for device bandwidth with a foreground mmap reader in virtual time: the
-// reader's bandwidth alone, then while the rewriter runs, and the
-// slowdown between the two.
-func Defrag(cfg Config, rep *bench.Report) error {
-	cfg = cfg.Defaults()
-	fs, _, ctx, err := cfg.newFS("WineFS")
-	if err != nil {
-		return err
-	}
-	rewritten := 0
-	r, err := workloads.RunInterference(ctx, fs, cfg.CPUs, cfg.scale(16<<20, 64<<20), cfg.scale(32<<20, 160<<20),
-		func(bg *sim.Ctx) error {
-			rewritten = fs.(*winefs.FS).RunRewriter(bg)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	rep.Point(labels("defrag", "Condition", "alone"), 0).Floats(map[string]float64{"GBs": r.BaselineBW})
-	rep.Point(labels("defrag", "Condition", "with rewriter"), 0).Floats(map[string]float64{
-		"GBs": r.ContendedBW, "FilesRewritten": float64(rewritten)})
-	rep.Point(labels("defrag", "Condition", "slowdown"), 0).Floats(map[string]float64{"SlowdownPct": r.SlowdownPct})
-	return nil
-}
-
-var defragTables = []bench.Table{{
-	Title: "§4: background defragmentation interference", Where: labels("defrag"),
-	Rows: []string{"Condition"}, RowHead: "condition",
-	Cols: []bench.Col{{Head: "fg mmap read GB/s", Field: "GBs", Fmt: "%.2f"}},
-	Else: []bench.Col{{Field: "SlowdownPct", Fmt: "%.1f%% (paper: 25-40%%)"}},
-}}
 
 // HPC reproduces the §4 observation: under an HPC aging profile at only
 // 50% utilisation, "only 28% of the free-space is aligned and unfragmented

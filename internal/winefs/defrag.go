@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/alloc"
 	"repro/internal/sim"
 )
 
@@ -140,7 +141,7 @@ func (g *group) defragCandidates(cursor int64, limit int, buf []defragCand) ([]d
 	// aligned chunk) means every chunk a hole touches is partially free —
 	// exactly the §3.5 targets.
 	all := buf[:0]
-	for _, h := range g.holes.Extents() {
+	g.holes.Ascend(func(h alloc.Extent) {
 		for b := h.Start / BlocksPerHuge * BlocksPerHuge; b < h.End(); b += BlocksPerHuge {
 			n := min(h.End(), b+BlocksPerHuge) - max(h.Start, b)
 			if last := len(all) - 1; last >= 0 && all[last].base == b {
@@ -149,7 +150,7 @@ func (g *group) defragCandidates(cursor int64, limit int, buf []defragCand) ([]d
 				all = append(all, defragCand{base: b, free: n})
 			}
 		}
-	}
+	})
 	if len(all) == 0 {
 		return all, 0
 	}

@@ -1,17 +1,21 @@
 package workloads
 
 import (
+	"repro/internal/defrag"
 	"repro/internal/sim"
-	"repro/internal/vfs"
+	"repro/internal/winefs"
 )
 
 // Interference is the outcome of RunInterference: the foreground's mapped
-// read bandwidth (bytes per virtual ns) alone and beside the background
-// thread, and the loss in percent.
+// read bandwidth (bytes per virtual ns) alone and beside the defragmenter,
+// the loss in percent, and the defragmenter's work.
 type Interference struct {
 	BaselineBW  float64
 	ContendedBW float64
 	SlowdownPct float64
+
+	Rewrites       int
+	MigratedBlocks int64
 }
 
 // RunInterference is the §4 experiment: "we read a fragmented 5GB file and
@@ -20,12 +24,11 @@ type Interference struct {
 // a slowdown of 25-40%". On fs, freshly made under ctx, it builds an
 // aligned, mapped, pre-faulted foreground file of fgSize and a victim of
 // vicSize fragmented by small writes (mapping it queues the reactive
-// rewrite), measures three mapped sweeps of the foreground alone, then lets
-// background run on its own context — thread 101 on the last of cpus CPUs —
+// rewrite), measures three mapped sweeps of the foreground alone, then runs
+// one pass of the online defragmenter at duty cycle budget (1 =
+// unthrottled) on its own context — thread 101 on the last of cpus CPUs —
 // and measures the same sweeps again over the same virtual-time window.
-// What the background thread is (WineFS's rewriter, the online
-// defragmenter at some budget) is the caller's.
-func RunInterference(ctx *sim.Ctx, fs vfs.FS, cpus int, fgSize, vicSize int64, background func(bg *sim.Ctx) error) (Interference, error) {
+func RunInterference(ctx *sim.Ctx, fs *winefs.FS, cpus int, fgSize, vicSize int64, budget float64) (Interference, error) {
 	var res Interference
 	// Foreground file: aligned, mapped, pre-faulted.
 	fg, err := fs.Create(ctx, "/foreground")
@@ -86,9 +89,11 @@ func RunInterference(ctx *sim.Ctx, fs vfs.FS, cpus int, fgSize, vicSize int64, b
 	// the 25-40% loss, paced they are bounded by the duty cycle.
 	bg := sim.NewCtx(101, cpus-1)
 	bg.AdvanceTo(bctx.Now())
-	if err := background(bg); err != nil {
+	st, err := defrag.New(fs, defrag.Config{Budget: budget, MaxPasses: 1}).Run(bg)
+	if err != nil {
 		return res, err
 	}
+	res.Rewrites, res.MigratedBlocks = st.Rewrites, st.MigratedBlocks
 	fgc := sim.NewCtx(102, 0)
 	fgc.AdvanceTo(bctx.Now())
 	if res.ContendedBW, err = read(fgc); err != nil {
