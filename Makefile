@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix host-layers loc knobs deadcode examples
+.PHONY: all build test check race vet bench-engine bench-pair bench-gates trajectory-check bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier bench-paper cache-race mmap-race maint-race cluster-race fault-campaign cluster-campaign crash-verdicts serve-smoke profile profile-posix host-layers loc knobs deadcode examples
 
 all: build
 
@@ -28,9 +28,6 @@ examples:
 	@for e in quickstart aging kvstore crashrecovery; do \
 		echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
 	done
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
 
 # Engine microbenchmarks + the determinism golden test: the booking,
 # charging and MMU fast paths, the cached serving path and the journaled
@@ -126,11 +123,11 @@ bench-pair:
 #               1.5x behind 0.5x PM of never-read files keeps ≥90% of 1.5x
 #   replicated  2 sync replicas on ServerMix: ≤65% summed-span overhead,
 #               replicas byte-identical
-#   paper       the paper's figures, Table 2, §4's HPC profile and §5.2 in
-#               quick mode (winebench -run all, ~7 s): every value exact
-#               except the multi-threaded Figure 9 Filebench/pgbench and
-#               Figure 10 points, recorded as Info; CrashMonkey must find no
-#               failure.
+#   paper       the paper's figures, Table 2, §4's HPC profile, §5.2 and
+#               §3.4's two design ablations in quick mode (winebench -run
+#               all, ~8 s): every value exact except the multi-threaded
+#               Figure 9 Filebench/pgbench, Figure 10 and ablation journal
+#               points, recorded as Info; CrashMonkey must find no failure.
 # EXPERIMENTS.md prints every gate's committed report block by block:
 # after re-recording one, paste the blocks that
 # TestExperimentsPrintsTheReport (go test ./cmd/winebench) prints.

@@ -199,7 +199,7 @@ func layerOf(frame string) string {
 	}
 	pkg := path[:slash+1+dot]
 	switch {
-	case pkg == "main" || pkg == "repro":
+	case pkg == "main":
 		return pkg
 	case !strings.HasPrefix(pkg, "repro/"):
 		return ""

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -13,7 +15,10 @@ import (
 // TestEveryClaimHolds holds each committed BENCH_*.json to every claim
 // about its schema, and every claim to some committed report. Then it runs
 // the three contention-free benches in-process through bench.Finish, so
-// plain `go test` catches a broken claim or counter drift without make.
+// plain `go test` catches a broken claim or counter drift without make,
+// and holds each to its committed report byte for byte: one goroutine
+// runs each, so a baseline that is not what its mode packs is stale, even
+// where its Toleranced fields are within tolerance.
 func TestEveryClaimHolds(t *testing.T) {
 	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -48,8 +53,21 @@ func TestEveryClaimHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bench.Finish(rep, "", "../../BENCH_"+m.name+".json", nil); err != nil {
+			base := "../../BENCH_" + m.name + ".json"
+			if err := bench.Finish(rep, "", base, nil); err != nil {
 				t.Error(err)
+			}
+			got, err := rep.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("BENCH_%s.json is not what -%s packs: re-record it with make bench-%s's line, -json in place of -check-against",
+					m.name, m.name, m.name)
 			}
 		})
 	}

@@ -12,8 +12,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/alloc"
+	"repro/internal/fstest"
+	"repro/internal/geriatrix"
+	"repro/internal/pmem"
+	"repro/internal/sim"
 	"repro/internal/vmm"
 )
 
@@ -23,17 +26,18 @@ func main() {
 	fmt.Printf("%-10s  %-22s  %-18s\n", "fs", "aligned free space", "mmap write bandwidth")
 
 	for _, name := range []string{"WineFS", "ext4-DAX", "NOVA"} {
-		dev := repro.NewDevice(1 << 30)
-		ctx := repro.NewThread(1, 0)
-		fs, err := repro.NewFS(ctx, dev, name)
+		dev := pmem.New(1 << 30)
+		ctx := sim.NewCtx(1, 0)
+		mk, _ := fstest.ByName(name, 8)
+		fs, err := mk.Make(ctx, dev)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := repro.Age(ctx, fs, repro.AgingConfig{
+		if _, err := geriatrix.New(fs, geriatrix.Config{
 			TargetUtil:  0.70,
 			ChurnFactor: 1.5,
 			Seed:        7,
-		}); err != nil {
+		}).Run(ctx); err != nil {
 			log.Fatal(err)
 		}
 		alignedFrac := alloc.AlignedFreeFraction(fs.FreeExtents())
@@ -51,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bench := repro.NewThread(2, 0)
+		bench := sim.NewCtx(2, 0)
 		bench.AdvanceTo(ctx.Now())
 		start := bench.Now()
 		if err := m.Touch(bench, 0, probe, true); err != nil {

@@ -10,14 +10,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/pmem"
 	"repro/internal/sim"
+	"repro/internal/winefs"
 )
 
 func main() {
-	dev := repro.NewDevice(128 << 20)
-	ctx := repro.NewThread(1, 0)
-	fs, err := repro.MkfsWineFS(ctx, dev, repro.WineFSOptions{CPUs: 2})
+	dev := pmem.New(128 << 20)
+	ctx := sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, dev, winefs.Options{CPUs: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,12 +49,12 @@ func main() {
 	fmt.Printf("crash state: the epochs before %d durable, epoch %d torn at cache-line granularity\n", last, last)
 
 	// Recover: mount rolls back the in-flight transaction.
-	rctx := repro.NewThread(2, 0)
-	rfs, err := repro.MountWineFS(rctx, crash, repro.WineFSOptions{CPUs: 2})
+	rctx := sim.NewCtx(2, 0)
+	rfs, err := winefs.Mount(rctx, crash, winefs.Options{CPUs: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep := repro.CheckWineFS(crash); !rep.OK() {
+	if rep := winefs.Check(crash); !rep.OK() {
 		log.Fatalf("fsck failed after recovery: %v", rep.Errors)
 	}
 	_, errOld := rfs.Stat(rctx, "/inbox/draft")

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/apps/pmemkv"
+	"repro/internal/fstest"
+	"repro/internal/geriatrix"
+	"repro/internal/pmem"
 	"repro/internal/sim"
 )
 
@@ -22,15 +24,16 @@ func main() {
 	fmt.Printf("PmemKV fillseq: %d records x %dB on aged file systems\n\n", records, valSize)
 
 	for _, name := range []string{"WineFS", "ext4-DAX", "NOVA"} {
-		dev := repro.NewDevice(1 << 30)
-		setup := repro.NewThread(1, 0)
-		fs, err := repro.NewFS(setup, dev, name)
+		dev := pmem.New(1 << 30)
+		setup := sim.NewCtx(1, 0)
+		mk, _ := fstest.ByName(name, 8)
+		fs, err := mk.Make(setup, dev)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := repro.Age(setup, fs, repro.AgingConfig{
+		if _, err := geriatrix.New(fs, geriatrix.Config{
 			TargetUtil: 0.75, ChurnFactor: 1, Seed: 3,
-		}); err != nil {
+		}).Run(setup); err != nil {
 			log.Fatal(err)
 		}
 

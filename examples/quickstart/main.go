@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/fstest"
+	"repro/internal/pmem"
+	"repro/internal/sim"
 	"repro/internal/vmm"
 )
 
@@ -17,9 +19,10 @@ func main() {
 	const fileSize = 16 << 20 // 16 MiB
 
 	for _, fsName := range []string{"WineFS", "xfs-DAX"} {
-		dev := repro.NewDevice(256 << 20)
-		ctx := repro.NewThread(1, 0)
-		fs, err := repro.NewFS(ctx, dev, fsName)
+		dev := pmem.New(256 << 20)
+		ctx := sim.NewCtx(1, 0)
+		mk, _ := fstest.ByName(fsName, 8)
+		fs, err := mk.Make(ctx, dev)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bench := repro.NewThread(2, 0)
+		bench := sim.NewCtx(2, 0)
 		bench.AdvanceTo(ctx.Now())
 		start := bench.Now()
 		payload := make([]byte, 1<<20)

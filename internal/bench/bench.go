@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -47,8 +48,9 @@ type Report struct {
 }
 
 // Point is one measurement. A name lives in exactly one of the three value
-// maps, chosen by its Class when the point is packed; a name missing from
-// a map reads as 0, which is what lets zero counters be omitted.
+// maps, chosen by its Class when the point is packed; an Exact name
+// missing from a map reads as 0, which is what lets zero counters be
+// omitted.
 type Point struct {
 	Labels     map[string]string  `json:",omitempty"` // identity; must equal the baseline's
 	Threads    int                `json:",omitempty"` // >0 only in a thread sweep
@@ -119,6 +121,14 @@ func (p *Point) field(name string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// nonExact returns p's Toleranced and Info fields.
+func (p *Point) nonExact() map[string]float64 {
+	m := map[string]float64{}
+	maps.Copy(m, p.Toleranced)
+	maps.Copy(m, p.Info)
+	return m
 }
 
 // Classes returns the field classes of r's schema tag.
@@ -235,12 +245,16 @@ func (d Diff) String() string {
 }
 
 // Check compares a run against a baseline of the same shape. Exact fields
-// must be equal. Toleranced fields must be within lockWaitTolerance, and
-// Placement fields too once either side exceeds placementFloor; both are
-// skipped past strictTimingThreads, and in a thread sweep a LockWaitNS
-// total is skipped while both sides are under lockWaitFloorNS. Info is
-// ignored. A different tag, config, point count or point identity means
-// the two are not comparable: an error, not a Diff.
+// must be equal; one a point lacks reads as 0, as AddCounters leaves zero
+// counters out. Any other field must be carried by both points or by
+// neither, since Print shows "-" where it is missing: a baseline recorded
+// before its mode packed a field fails. Toleranced values must be within
+// lockWaitTolerance, and Placement values too once either side exceeds
+// placementFloor; both are skipped past strictTimingThreads, and in a
+// thread sweep a LockWaitNS total is skipped while both sides are under
+// lockWaitFloorNS. Info values are not compared. A different tag, config,
+// point count or point identity means the two are not comparable: an
+// error, not a Diff.
 func Check(run, base *Report, cl Classes) ([]Diff, error) {
 	if run.Bench != base.Bench {
 		return nil, fmt.Errorf("report is %q, baseline is %q", run.Bench, base.Bench)
@@ -267,11 +281,23 @@ func Check(run, base *Report, cl Classes) ([]Diff, error) {
 				diffs = append(diffs, Diff{id, name, "= " + num(g) + ", baseline " + num(w)})
 			}
 		}
+		gn, wn := got.nonExact(), want.nonExact()
+		for _, name := range unionKeys(gn, wn) {
+			if _, ok := wn[name]; !ok {
+				diffs = append(diffs, Diff{id, name, "= " + num(gn[name]) + ", not in the baseline"})
+			} else if _, ok := gn[name]; !ok {
+				diffs = append(diffs, Diff{id, name, "missing, baseline " + num(wn[name])})
+			}
+		}
 		if got.Threads > strictTimingThreads {
 			continue
 		}
-		for _, name := range unionKeys(got.Toleranced, want.Toleranced) {
-			g, w := got.Toleranced[name], want.Toleranced[name]
+		for _, name := range sortedKeys(got.Toleranced) {
+			g := got.Toleranced[name]
+			w, ok := want.Toleranced[name]
+			if !ok {
+				continue
+			}
 			floor := 0.0
 			if cl.Of(name) == Placement {
 				floor = placementFloor

@@ -42,9 +42,11 @@ func TestCheckFieldRules(t *testing.T) {
 		{"toleranced -24%", pt(0, nil, floats{"SpanNS": 76}), pt(0, nil, floats{"SpanNS": 100}), ""},
 		{"toleranced +26%", pt(0, nil, floats{"SpanNS": 126}), pt(0, nil, floats{"SpanNS": 100}), "SpanNS"},
 		{"toleranced -26%", pt(0, nil, floats{"SpanNS": 74}), pt(0, nil, floats{"SpanNS": 100}), "SpanNS"},
-		{"toleranced 0 vs 0", pt(0, nil, floats{"SpanNS": 0}), pt(0, nil, nil), ""},
+		{"toleranced 0 vs 0", pt(0, nil, floats{"SpanNS": 0}), pt(0, nil, floats{"SpanNS": 0}), ""},
+		{"toleranced 0 not in the baseline", pt(0, nil, floats{"SpanNS": 0}), pt(0, nil, nil), "SpanNS"},
 		{"toleranced 0 baseline, non-zero run", pt(0, nil, floats{"SpanNS": 5}), pt(0, nil, floats{"SpanNS": 0}), "SpanNS"},
-		{"toleranced missing in run is 0", pt(0, nil, nil), pt(0, nil, floats{"SpanNS": 100}), "SpanNS"},
+		{"toleranced missing in run", pt(0, nil, nil), pt(0, nil, floats{"SpanNS": 100}), "SpanNS"},
+		{"toleranced missing past 16 threads", pt(32, nil, nil), pt(32, nil, floats{"SpanNS": 100}), "SpanNS"},
 		{"toleranced skipped past 16 threads", pt(32, nil, floats{"SpanNS": 900}), pt(32, nil, floats{"SpanNS": 100}), ""},
 		{"toleranced held at 16 threads", pt(16, nil, floats{"SpanNS": 900}), pt(16, nil, floats{"SpanNS": 100}), "SpanNS"},
 		{"lock wait under the floor, thread sweep", pt(2, nil, floats{"LockWaitNS": 19000}), pt(2, nil, floats{"LockWaitNS": 400}), ""},
@@ -73,6 +75,15 @@ func TestCheckFieldRules(t *testing.T) {
 	run.Points[0].Info, base.Points[0].Info = map[string]float64{"Note": 1}, map[string]float64{"Note": 99}
 	if diffs, err := Check(run, base, sweepClasses); err != nil || len(diffs) != 0 {
 		t.Errorf("info fields compared: %v %v", diffs, err)
+	}
+	// A baseline recorded before its mode packed an Info field prints "-"
+	// where a run prints a value.
+	run.Points[0].Info["Client.Sessions"] = 4
+	if diffs, err := Check(run, base, sweepClasses); err != nil || len(diffs) != 1 || diffs[0].Name != "Client.Sessions" {
+		t.Errorf("info field the baseline lacks: %v %v", diffs, err)
+	}
+	if diffs, err := Check(base, run, sweepClasses); err != nil || len(diffs) != 1 || diffs[0].Name != "Client.Sessions" {
+		t.Errorf("info field the run lacks: %v %v", diffs, err)
 	}
 }
 

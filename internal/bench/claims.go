@@ -142,6 +142,11 @@ var Claims = []Claim{
 	{"paper/v1", "numa", "the policy does not slow writes", "local writes are faster",
 		"WriteNS@Policy=on", "<=", "WriteNS@Policy=off", 0, 0},
 
+	{"paper/v1", "ablation", "no aligned pool: ≤80% of WineFS's aligned free space at 70% full", "§3.4: the aligned pool keeps aged free space hugepage-sized",
+		"AlignedFreePct@Variant=no aligned pool", "<=", "AlignedFreePct@Variant=aligned pool", 0.8, 0},
+	{"paper/v1", "ablation", "single journal: ≤half WineFS's 8-thread throughput", "§3.4: per-CPU journals let metadata operations scale",
+		"ContendedKIOPS@Variant=per-CPU journals", ">=", "ContendedKIOPS@Variant=single journal", 2, 0},
+
 	// Figure 1's motivating gap, through mapped reads: aged ext4-DAX
 	// loses its hugepages, unaged file systems keep them.
 	{"mmap/v1", "", "unaged WineFS maps ≥90% of the file with hugepages", "",

@@ -85,7 +85,8 @@ var known = map[string]Classes{
 	},
 	// -run: the paper's figures. Derived ratios are Info, and so are the
 	// throughputs of runs whose threads' bookings interleave in host order
-	// (Figure 9's Filebench and pgbench, Figure 10 above one thread): they
+	// (Figure 9's Filebench and pgbench, Figure 10 above one thread, the
+	// ablation's journal arm): they
 	// move by up to a quarter run to run, past any honest tolerance. Every
 	// other value repeats bit for bit.
 	"paper/v1": {

@@ -23,8 +23,8 @@ import (
 )
 
 // Config sizes the experiment fleet. Quick mode shrinks everything so the
-// whole suite runs in seconds (used by tests); full mode is the default
-// for cmd/winebench and the benchmarks.
+// whole suite runs in seconds (used by tests and make bench-paper); full
+// mode is cmd/winebench's default.
 type Config struct {
 	// CPUs per file system (per-CPU journals/pools).
 	CPUs int
@@ -136,6 +136,7 @@ var Runs = []Run{
 	{Name: "recovery", Pack: Recovery, Tables: recoveryTables},
 	{Name: "hpc", Pack: HPC, Tables: hpcTables},
 	{Name: "numa", Pack: NUMA, Tables: numaTables},
+	{Name: "ablation", Pack: Ablation, Tables: ablationTables, Alone: true},
 	{Name: "crashmonkey", Pack: CrashMonkey, Tables: crashMonkeyTables},
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/vfs"
 	"repro/internal/winefs"
+	"repro/internal/workloads"
 )
 
 // Recovery reproduces §5.2's crash-recovery measurement: WineFS recovers
@@ -181,6 +182,66 @@ var numaTables = []bench.Table{{
 		{Head: "remote-write fraction", Field: "RemoteFrac", Fmt: "%.0f%%", Scale: 100},
 		{Head: "write time", Field: "WriteNS", Fmt: "%.2fms", Scale: 1e-6},
 	},
+}}
+
+// The journal arm runs Figure 10's workload at ablationThreads threads of
+// ablationOps operations each, in quick and full mode alike: at Figure
+// 10's full 300 operations a thread the per-CPU throughput is bimodal run
+// to run (1.3 or 2.0 Mops/s on a 2-core host), at 100 it repeats within
+// 10%.
+const ablationThreads, ablationOps = 8, 100
+
+// Ablation turns off, one at a time, the two design choices §3.4 rests
+// on. Without the aligned-extent pool (winefs Options.AblateAlignment) an
+// aged strict WineFS keeps far less of its free space in aligned 2MiB
+// regions; with every transaction routed through one journal
+// (AblateSingleJournal), Figure 10's metadata workload on
+// ablationThreads threads queues behind it. The journal arm's threads
+// interleave in host order, so its throughput is Info, as Figure 10's is.
+func Ablation(cfg Config, rep *bench.Report) error {
+	cfg = cfg.Defaults()
+	for _, v := range []string{"aligned pool", "no aligned pool"} {
+		ctx := sim.NewCtx(1, 0)
+		fs, err := winefs.Mkfs(ctx, pmem.New(cfg.deviceSize()), winefs.Options{
+			CPUs: cfg.CPUs, Mode: vfs.Strict, AblateAlignment: v == "no aligned pool"})
+		if err != nil {
+			return err
+		}
+		if _, err := cfg.age(ctx, fs, 0.7); err != nil {
+			return fmt.Errorf("ablation %s: %w", v, err)
+		}
+		rep.Point(labels("ablation", "Variant", v), 0).
+			Floats(map[string]float64{"AlignedFreePct": alloc.AlignedFreeFraction(fs.FreeExtents()) * 100})
+	}
+	// As in Figure 10, the machine has a logical CPU per thread.
+	for _, v := range []string{"per-CPU journals", "single journal"} {
+		fs, err := winefs.Mkfs(sim.NewCtx(1, 0), pmem.New(cfg.deviceSize()), winefs.Options{
+			CPUs: max(cfg.CPUs, ablationThreads), Mode: vfs.Strict, AblateSingleJournal: v == "single journal"})
+		if err != nil {
+			return err
+		}
+		tput, err := workloads.Scalability(fs, workloads.ScalabilityConfig{
+			Threads:      ablationThreads,
+			OpsPerThread: ablationOps,
+		})
+		if err != nil {
+			return fmt.Errorf("ablation %s: %w", v, err)
+		}
+		rep.Point(labels("ablation", "Variant", v), ablationThreads).Floats(map[string]float64{"ContendedKIOPS": tput / 1000})
+	}
+	return nil
+}
+
+var ablationTables = []bench.Table{{
+	Title: "§3.4 ablation: aligned free space (%) of strict WineFS aged to 70%",
+	Where: labels("ablation", "Variant", "aligned pool|no aligned pool"),
+	Rows:  []string{"Variant"}, RowHead: "WineFS",
+	Cols: []bench.Col{{Head: "aligned free %", Field: "AlignedFreePct", Fmt: "%.1f"}},
+}, {
+	Title: fmt.Sprintf("§3.4 ablation: Figure 10's workload at %d threads (kIOPS)", ablationThreads),
+	Where: labels("ablation", "Variant", "per-CPU journals|single journal"),
+	Rows:  []string{"Variant"}, RowHead: "WineFS",
+	Cols: []bench.Col{{Head: "kIOPS", Field: "ContendedKIOPS", Fmt: "%.0f"}},
 }}
 
 // CrashMonkey explores the crash states of every ACE Seq-1 and Seq-2

@@ -41,7 +41,7 @@ type Options struct {
 	// extent records point at.
 	Tier *TierOptions
 
-	// Ablations, for the design-choice benchmarks:
+	// Ablations, for winebench -run ablation (experiments.Ablation):
 
 	// AblateAlignment disables the aligned-extent pool — every allocation
 	// is served from holes and freed space is never promoted back to
