@@ -74,7 +74,7 @@ func runDefragBench(o options) (*bench.Report, error) {
 		"AgedHuge": int64(soak.AgedHuge), "AgedTotal": int64(soak.AgedTotal),
 		"DefragHuge": int64(soak.DefragHuge), "DefragTotal": int64(soak.DefragTotal),
 		"Passes": soak.Passes, "MigratedBlocks": soak.MigratedBlocks, "Recovered2M": soak.Recovered2M,
-		"Rewrites": soak.Rewrites, "Repromoted": soak.Repromoted,
+		"Filled": soak.Filled, "Rewrites": soak.Rewrites, "Repromoted": soak.Repromoted,
 		"SetupNS": soak.SetupNS, "DefragNS": soak.DefragNS})
 	p.Floats(map[string]float64{"RecoveredCoverage": soak.RecoveredCoverage()})
 	p.AddCounters("Counters.", &soak.Counters)
@@ -112,6 +112,7 @@ func defragTables(rep *bench.Report) []bench.Table {
 			{Head: "recovered coverage", Field: "RecoveredCoverage", Fmt: "%.0f%%", Scale: 100},
 			{Head: "defrag passes", Field: "Passes", Fmt: "%.0f"},
 			{Head: "2MiB extents re-formed", Field: "Recovered2M", Fmt: "%.0f"},
+			{Head: "candidates its moves filled", Field: "Filled", Fmt: "%.0f"},
 			{Head: "blocks migrated", Field: "MigratedBlocks", Fmt: "%.0f"},
 			{Head: "files rewritten", Field: "Rewrites", Fmt: "%.0f"},
 			{Head: "chunks re-promoted live", Field: "Repromoted", Fmt: "%.0f"},

@@ -305,7 +305,7 @@ func TestClassPins(t *testing.T) {
 		},
 		"defrag/v1": {
 			"UnagedHuge": e, "UnagedTotal": e, "AgedHuge": e, "AgedTotal": e, "DefragHuge": e, "DefragTotal": e,
-			"Passes": e, "MigratedBlocks": e, "Recovered2M": e, "Rewrites": e, "Repromoted": e,
+			"Passes": e, "MigratedBlocks": e, "Recovered2M": e, "Filled": e, "Rewrites": e, "Repromoted": e,
 			"SetupNS": tol, "DefragNS": tol, "BaselineBW": e, "ContendedBW": e, "SlowdownPct": e,
 			"RecoveredCoverage": info,
 			"Counters.*":        e, "Counters.LockWaitNS": tol,

@@ -85,6 +85,7 @@ func (r *Runner) Run(ctx *sim.Ctx) (winefs.DefragStats, error) {
 		sum.Recovered2M += st.Recovered2M
 		sum.Rewrites += st.Rewrites
 		sum.SkippedBusy += st.SkippedBusy
+		sum.Filled += st.Filled
 		sum.SkippedMeta += st.SkippedMeta
 		if err != nil {
 			return sum, err

@@ -109,11 +109,15 @@ func (s *Server) revokeConflicting(sess *session, ino uint64, write bool) int {
 	}
 	s.leaseMu.Unlock()
 
-	timeout := s.cfg.RevokeTimeout
 	for i, ch := range waits {
+		// Each holder gets the whole timeout from when its wait starts. The
+		// timer is stopped once the ack arrives: an unstopped one would stay
+		// live until it fires, RevokeTimeout after every revoke.
+		timer := time.NewTimer(s.cfg.RevokeTimeout)
 		select {
 		case <-ch:
-		case <-time.After(timeout):
+			timer.Stop()
+		case <-timer.C:
 			// The holder did not flush in time. Reuse the graceful-drain
 			// path: shut its read side so its session winds down like any
 			// drained client, force-drop its leases so this (and every

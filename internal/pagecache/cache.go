@@ -75,9 +75,17 @@ type Config struct {
 	MaxPages int
 	// MaxDirty bounds the dirty set across all files; exceeding it flushes
 	// dirty pages synchronously on the writer's clock, in the order
-	// eviction would take them. Default MaxPages/8.
+	// eviction would take them. Default MaxPages/dirtyRatioDiv, Linux's
+	// vm.dirty_ratio of 20%.
 	MaxDirty int
 }
+
+// dirtyRatioDiv sets the default dirty bound to a fifth of the cache:
+// Linux's default vm.dirty_ratio is 20%, the write-back the page-cache
+// model in PAPERS.md simulates. The larger the dirty set, the more
+// rewrites of a page it absorbs before the page is written back (DESIGN.md
+// §9, "How large the dirty set is").
+const dirtyRatioDiv = 5
 
 // hitLatNS and hitNSPerByte price a cache hit (DRAM-class: no syscall,
 // no device).
@@ -91,7 +99,7 @@ func (c Config) withDefaults() Config {
 		c.MaxPages = 4096
 	}
 	if c.MaxDirty <= 0 {
-		c.MaxDirty = c.MaxPages / 8
+		c.MaxDirty = c.MaxPages / dirtyRatioDiv
 		if c.MaxDirty < 1 {
 			c.MaxDirty = 1
 		}

@@ -336,6 +336,35 @@ func TestDirtyBoundFlushes(t *testing.T) {
 	}
 }
 
+// TestDefaultDirtyBoundIsAFifth pins the default dirty bound at Linux's
+// vm.dirty_ratio of 20%: one thread may dirty a fifth of the cache's pages
+// without a write-back, and the next page it dirties writes back exactly
+// one.
+func TestDefaultDirtyBoundIsAFifth(t *testing.T) {
+	const maxPages = 100
+	c, f, ctx := memCache(t, pagecache.Config{MaxPages: maxPages}, maxPages)
+	buf := make([]byte, pagecache.PageSize)
+	write := func(page int) {
+		t.Helper()
+		if _, err := f.WriteAt(ctx, buf, int64(page)*pagecache.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = maxPages / 5
+	for page := 0; page < bound; page++ {
+		write(page)
+	}
+	if st := stats(t, c); st.DirtyPages != bound || st.FlushedBytes != 0 {
+		t.Fatalf("after dirtying %d of %d pages: %d dirty, %d bytes written back; want %d dirty and none written back",
+			bound, maxPages, st.DirtyPages, st.FlushedBytes, bound)
+	}
+	write(bound)
+	if st := stats(t, c); st.DirtyPages != bound || st.FlushedBytes != pagecache.PageSize {
+		t.Fatalf("after one more page: %d dirty, %d bytes written back; want %d dirty and one page (%d bytes) written back",
+			st.DirtyPages, st.FlushedBytes, bound, pagecache.PageSize)
+	}
+}
+
 // TestPoisonedRevokeFlushSurfacesEIO is the media-fault satellite (and part
 // of the fault-campaign make target): a revoke arrives while the client
 // holds dirty pages, the write-back hits an uncorrectable media error, and

@@ -36,6 +36,7 @@ type DefragStats struct {
 	Recovered2M    int64 // hugepage extents re-formed
 	Rewrites       int   // queued reactive rewrites drained by this pass
 	SkippedBusy    int64 // candidates abandoned (layout changed / migration failed)
+	Filled         int64 // candidates this pass's own migrations filled
 	SkippedMeta    int64 // candidates pinned by metadata blocks
 }
 
@@ -91,6 +92,7 @@ func (fs *FS) DefragPass(ctx *sim.Ctx, opt DefragOptions) (DefragStats, error) {
 	if len(fs.defragCursor) != len(fs.alloc.groups) {
 		fs.defragCursor = make([]int64, len(fs.alloc.groups))
 	}
+	fs.maint.filled = fs.maint.filled[:0]
 
 	for gi, g := range fs.alloc.groups {
 		if g.noPromote {
@@ -190,8 +192,14 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	if held <= 0 || held >= BlocksPerHuge {
 		// The layout changed between scan and hold: the chunk is now
 		// fully allocated (nothing to recover) or fully free (already
-		// promoted). Releasing an empty hold is a no-op either way.
+		// promoted). Releasing an empty hold is a no-op either way. A
+		// chunk this pass's own migrations filled is compaction working,
+		// not another thread in the way.
 		release()
+		if held <= 0 && slices.Contains(fs.maint.filled, base) {
+			st.Filled++
+			return
+		}
 		st.SkippedBusy++
 		ctx.Counters.DefragSkippedBusy++
 		return
@@ -318,6 +326,11 @@ func (fs *FS) migrateOutLocked(ctx *sim.Ctx, ino *inode, base, end int64, st *De
 		dst, got := fs.alloc.allocHoles(ctx, fs.g.cpuOfBlock(base), r.n)
 		if !got {
 			return false // no hole space to migrate into
+		}
+		for _, e := range dst {
+			for b := e.Start / BlocksPerHuge * BlocksPerHuge; b < e.End(); b += BlocksPerHuge {
+				fs.maint.filled = append(fs.maint.filled, b)
+			}
 		}
 		if fs.relocate(ctx, ino, r.fileLo, r.n, dst, "defrag", &fs.maint.move) != nil {
 			return false

@@ -456,3 +456,52 @@ func TestDefragRace8Threads(t *testing.T) {
 		t.Fatalf("fsck after race: %v", rep.Errors)
 	}
 }
+
+// TestDefragCountsChunksItFilledApart: on a quiescent image a candidate
+// whose hold comes back empty was filled by the pass's own migrations, an
+// earlier chunk's live blocks moved into its hole. That is compaction
+// working, so it counts as Filled, never as SkippedBusy, which is kept
+// for chunks another thread changed or a migration that failed.
+func TestDefragCountsChunksItFilledApart(t *testing.T) {
+	ctx := sim.NewCtx(1, 0)
+	fs, err := winefs.Mkfs(ctx, pmem.New(1<<30), winefs.Options{CPUs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512<<10)
+	const files = 384
+	for i := 0; i < files; i++ {
+		f, err := fs.Create(ctx, fmt.Sprintf("/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(ctx, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < files; i += 4 {
+		if err := fs.Unlink(ctx, fmt.Sprintf("/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := fs.DefragPass(ctx, winefs.DefragOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("scanned %d, recovered %d, filled %d, busy %d, meta %d",
+		st.ChunksScanned, st.Recovered2M, st.Filled, st.SkippedBusy, st.SkippedMeta)
+	if st.SkippedBusy != 0 || ctx.Counters.DefragSkippedBusy != 0 {
+		t.Fatalf("a quiescent pass reported %d candidates busy (counter %d), want 0",
+			st.SkippedBusy, ctx.Counters.DefragSkippedBusy)
+	}
+	if st.Filled == 0 || st.Recovered2M == 0 {
+		t.Fatalf("Filled = %d, Recovered2M = %d: the pass should both fill chunks and re-form some", st.Filled, st.Recovered2M)
+	}
+	if got := st.Recovered2M + st.Filled + st.SkippedMeta; got != st.ChunksScanned {
+		t.Fatalf("recovered %d + filled %d + meta %d = %d, want every one of %d candidates accounted for",
+			st.Recovered2M, st.Filled, st.SkippedMeta, got, st.ChunksScanned)
+	}
+	if err := fs.Audit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

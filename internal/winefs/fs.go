@@ -128,6 +128,7 @@ type maintScratch struct {
 	inodes          []*inode     // the inode snapshot
 	pm, slow, promo []tierCand   // TierPass's candidate lists
 	chunks          []defragCand // defragCandidates' chunk tally
+	filled          []int64      // chunk bases a DefragPass migrated into
 	move            moveScratch  // both passes' migrations
 }
 

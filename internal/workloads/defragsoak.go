@@ -62,6 +62,7 @@ type DefragSoakResult struct {
 	Passes         int64
 	MigratedBlocks int64
 	Recovered2M    int64
+	Filled         int64 // candidates the passes' own migrations filled
 	Rewrites       int64
 	Repromoted     int64
 
@@ -139,6 +140,7 @@ func RunDefragSoak(mk func(ctx *sim.Ctx) (*winefs.FS, error), cpus int, cfg Defr
 	res.Passes = bg.Counters.DefragPasses
 	res.MigratedBlocks = sum.MigratedBlocks
 	res.Recovered2M = sum.Recovered2M
+	res.Filled = sum.Filled
 	res.Rewrites = int64(sum.Rewrites)
 	res.Repromoted = bg.Counters.DefragRepromotions
 	res.Counters = *bg.Counters
