@@ -42,15 +42,16 @@ examples:
 # file keeps: its inode, File and lock object), the three lock modes at 0, a
 # recycling tree at a steady size at 0, a base and a hugepage fault on a
 # 4,096-extent WineFS file and on a zero-on-fault-split ext4-DAX file at 0,
-# BenchmarkFaultFragmented the first of them), the exact-vs-batched-vs-parallel
-# golden test and the calendars, range locks, extent list and the MMU's
-# flat TLB/LLC arrays against their obvious models (the calendars' and the
+# BenchmarkFaultFragmented the first of them), a slow-tier overwrite of a
+# backed page, a just-discarded one included, at 0, the
+# exact-vs-batched-vs-parallel golden test and the calendars, range locks,
+# extent list and the MMU's flat TLB/LLC arrays against their obvious models (the calendars' and the
 # extent list's with resources dropped and files unlinked mid-replay, so
 # the storage they recycle is checked too), the recycler itself and a
 # release after Drop that must miss the reused number's lock, all under
 # the race detector, and the charge-amount table.
 bench-engine:
-	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestPoisonedStoresDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty|TestUnlockAfterDropMissesTheReusedLock|TestGrowReusesZeroedStorage|TestRetentionBoundedByBytes|TestConcurrentOwners' -race ./internal/workloads/ ./internal/pmem/ ./internal/mmu/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/recycle/
+	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence|TestCachedHitsDoNotAllocate|TestFsyncDoesNotAllocate|TestDirectReadMissAllocs|TestPosixPathAllocations|TestLocksDoNotAllocate|TestFaultsDoNotAllocate|TestPoisonedStoresDoNotAllocate|TestNodeRecycling|AgainstModel|TestExtentListOrderProperty|TestUnlockAfterDropMissesTheReusedLock|TestGrowReusesZeroedStorage|TestRetentionBoundedByBytes|TestConcurrentOwners|TestSlowDeviceWritesDoNotAllocate' -race ./internal/workloads/ ./internal/pmem/ ./internal/mmu/ ./internal/sim/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/recycle/ ./internal/tier/
 	$(GO) test -run 'TestWriteAtDirtyBoundIsO1|TestRLockFlatInCalendarLength' ./internal/pagecache/ ./internal/vfs/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/pagecache/ ./internal/fileserver/ ./internal/winefs/ ./internal/vfs/ ./internal/rbtree/ ./internal/alloc/
 

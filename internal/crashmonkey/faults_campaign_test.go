@@ -212,7 +212,7 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 	// recordings and the before/after oracle states.
 	type crashUnit struct {
 		rec       *pmem.Recording
-		slowAfter *pmem.Device // slow-tier contents after the unit; nil untiered
+		slowAfter *tier.SlowDevice // slow-tier contents after the unit; nil untiered
 		pre, post string
 		op        fstest.Op // the zero Op for a migration pass
 	}
@@ -268,10 +268,10 @@ func faultRun(w Workload, seed uint64, mode FaultMode, tiered bool, res *FaultCa
 		return ""
 	}
 
-	var crash *pmem.Device     // the crash state the recovery mounts
-	var slowAfter *pmem.Device // the slow tier's contents at the crash; nil when live
-	var injured []pmem.Store   // stores whose lines are poison candidates
-	var pre, post string       // the atomicity oracle: the states around inflight
+	var crash *pmem.Device         // the crash state the recovery mounts
+	var slowAfter *tier.SlowDevice // the slow tier's contents at the crash; nil when live
+	var injured []pmem.Store       // stores whose lines are poison candidates
+	var pre, post string           // the atomicity oracle: the states around inflight
 	var inflight fstest.Op
 	switch mode {
 	case ModeTorn, ModePoisonCrash:

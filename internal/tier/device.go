@@ -4,11 +4,17 @@
 // charged at 4KiB-page granularity, the way a block device sees it.
 //
 // A tiered WineFS keeps all metadata and hot data on PM (pmem.Device) and
-// routes cold extents to a SlowDevice (winefs/tier.go).
+// routes cold extents to a SlowDevice (winefs/tier.go). The device keeps
+// its contents in 4KiB pages of host memory, its own I/O unit, and backs
+// no page that reads as zeros.
 package tier
 
 import (
-	"repro/internal/pmem"
+	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/sim"
 )
 
@@ -47,11 +53,11 @@ func DefaultSlowConfig(size int64) SlowConfig {
 	return SlowConfig{Size: size, QueueDepth: 16}
 }
 
-// SlowDevice simulates the SSD tier. Contents live in a sparse
-// chunk-backed store (reusing the PM device's host-memory management via
-// its uncharged accessors); every charged access books one of QueueDepth
-// command channels for latency + transfer time, so a queue-depth worth of
-// commands proceeds in parallel and anything beyond that waits.
+// SlowDevice simulates the SSD tier. Contents live in a table of 4KiB
+// pages of host memory, one slot per device page; every charged access
+// books one of QueueDepth command channels for latency + transfer time, so
+// a queue-depth worth of commands proceeds in parallel and anything beyond
+// that waits.
 //
 // Durability model: the device has a power-protected write buffer, so a
 // completed Write is durable and there is nothing to flush or fence. This
@@ -60,9 +66,27 @@ func DefaultSlowConfig(size int64) SlowConfig {
 // decides which copy a recovery sees.
 type SlowDevice struct {
 	cfg   SlowConfig
-	store *pmem.Device
+	pages []atomic.Pointer[page]
 	ports []*sim.Resource
 }
+
+// page is the host backing of one device page. A nil slot reads as
+// zeros, and nothing backs a page of zeros: a store of zeros into a nil
+// slot backs nothing, and a whole page stored or cleared to zeros gives
+// its page up. Pages go to the GC when given up, since a concurrent reader
+// may still hold one; Release and Restore, which run with the device idle,
+// hand theirs to pagePool.
+type page [PageSize]byte
+
+// pagePool recycles pages across devices, as pmem's chunk pool recycles
+// chunks: a bench sweep or a crash campaign builds a slow device per run,
+// and without the pool every run re-allocates and re-clears what the last
+// one just dropped. Pooled pages hold stale bytes: a page is filled whole
+// before it is published.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// zeroPage is what the zero test compares a store against.
+var zeroPage page
 
 // NewSlow creates a slow device of the given shape.
 func NewSlow(cfg SlowConfig) *SlowDevice {
@@ -73,16 +97,7 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	// The backing store is pure host memory: a zeroed cost model (non-nil,
-	// so NewWithConfig does not substitute the Optane defaults) makes its
-	// charged paths free, and SlowDevice only uses the uncharged ones.
-	d := &SlowDevice{
-		cfg: cfg,
-		store: pmem.NewWithConfig(pmem.Config{
-			Size:  cfg.Size,
-			Model: &pmem.CostModel{},
-		}),
-	}
+	d := &SlowDevice{cfg: cfg, pages: make([]atomic.Pointer[page], cfg.Size/PageSize)}
 	for i := 0; i < cfg.QueueDepth; i++ {
 		d.ports = append(d.ports, &sim.Resource{})
 	}
@@ -92,18 +107,135 @@ func NewSlow(cfg SlowConfig) *SlowDevice {
 // Size is the device capacity in bytes.
 func (d *SlowDevice) Size() int64 { return d.cfg.Size }
 
-// Release returns the backing store's chunks to the host pool.
-func (d *SlowDevice) Release() { d.store.Release() }
+// Release hands every backed page to the page pool and empties the
+// device. Call it when the device is done: it must not be used again, and
+// no access may be in flight.
+func (d *SlowDevice) Release() {
+	for i := range d.pages {
+		if p := d.pages[i].Swap(nil); p != nil {
+			pagePool.Put(p)
+		}
+	}
+}
 
 // Snapshot copies the device contents (uncharged, host-side) into a
 // device of their own, which the caller Releases. Crash harnesses pair it
 // with the PM crash state: slow writes are durable on completion, so
 // rewinding a run to an earlier point must rewind the slow store too or
 // writes from the abandoned future would leak into the recovered past.
-func (d *SlowDevice) Snapshot() *pmem.Device { return d.store.Snapshot() }
+// No store may be in flight on d.
+func (d *SlowDevice) Snapshot() *SlowDevice {
+	cp := NewSlow(d.cfg)
+	cp.Restore(d)
+	return cp
+}
 
-// Restore rewrites the device to an earlier Snapshot.
-func (d *SlowDevice) Restore(src *pmem.Device) { d.store.Restore(src) }
+// Restore rewrites the device to an earlier Snapshot: a page src does not
+// back is given up, and one it does is copied. Neither device may be in
+// use during the call.
+func (d *SlowDevice) Restore(src *SlowDevice) {
+	if src.cfg.Size != d.cfg.Size {
+		panic("tier: restoring a device of different size")
+	}
+	for i := range d.pages {
+		sp := src.pages[i].Load()
+		if sp == nil {
+			if p := d.pages[i].Swap(nil); p != nil {
+				pagePool.Put(p)
+			}
+			continue
+		}
+		p := d.pages[i].Load()
+		if p == nil {
+			p = pagePool.Get().(*page)
+			d.pages[i].Store(p)
+		}
+		*p = *sp
+	}
+}
+
+func (d *SlowDevice) checkRange(off, n int64) {
+	if off < 0 || n < 0 || off+n > d.cfg.Size {
+		panic(fmt.Sprintf("tier: access [%d,%d) outside device of size %d", off, off+n, d.cfg.Size))
+	}
+}
+
+// readAt copies the bytes at off into buf; a nil slot reads as zeros.
+func (d *SlowDevice) readAt(buf []byte, off int64) {
+	d.checkRange(off, int64(len(buf)))
+	for len(buf) > 0 {
+		in := off % PageSize
+		n := min(int64(len(buf)), PageSize-in)
+		if p := d.pages[off/PageSize].Load(); p != nil {
+			copy(buf[:n], p[in:in+n])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += n
+	}
+}
+
+// writeAt stores data at off, page by page.
+func (d *SlowDevice) writeAt(data []byte, off int64) {
+	d.checkRange(off, int64(len(data)))
+	for len(data) > 0 {
+		in := off % PageSize
+		n := min(int64(len(data)), PageSize-in)
+		storePage(&d.pages[off/PageSize], in, data[:n])
+		data = data[n:]
+		off += n
+	}
+}
+
+// zeroAt clears [off, off+n), page by page.
+func (d *SlowDevice) zeroAt(off, n int64) {
+	d.checkRange(off, n)
+	for n > 0 {
+		in := off % PageSize
+		m := min(n, PageSize-in)
+		clearPage(&d.pages[off/PageSize], in, m)
+		off += m
+		n -= m
+	}
+}
+
+// clearPage clears bytes [in, in+n) of the page in slot: a whole page is
+// given up, part of a backed one is cleared in place, and a nil slot
+// already reads as zeros.
+func clearPage(slot *atomic.Pointer[page], in, n int64) {
+	if n == PageSize {
+		slot.Store(nil)
+	} else if p := slot.Load(); p != nil {
+		clear(p[in : in+n])
+	}
+}
+
+// storePage stores b at byte in of the page in slot. Zeros go to
+// clearPage; other bytes are copied into the page, which is backed first
+// if the slot is nil. A new page is filled whole before it is published,
+// so no reader sees the stale bytes it brought from the pool.
+func storePage(slot *atomic.Pointer[page], in int64, b []byte) {
+	n := int64(len(b))
+	if bytes.Equal(b, zeroPage[:n]) {
+		clearPage(slot, in, n)
+		return
+	}
+	for {
+		if p := slot.Load(); p != nil {
+			copy(p[in:], b)
+			return
+		}
+		p := pagePool.Get().(*page)
+		clear(p[:in])
+		copy(p[in:], b)
+		clear(p[in+n:])
+		if slot.CompareAndSwap(nil, p) {
+			return
+		}
+		pagePool.Put(p)
+	}
+}
 
 // pageSpan returns the number of whole 4KiB pages the byte range
 // [off, off+n) touches — the unit the device charges in.
@@ -148,21 +280,25 @@ func (d *SlowDevice) charge(ctx *sim.Ctx, off, n int64, write bool) {
 // Read is a charged read of len(buf) bytes.
 func (d *SlowDevice) Read(ctx *sim.Ctx, buf []byte, off int64) {
 	d.charge(ctx, off, int64(len(buf)), false)
-	d.store.ReadAt(buf, off)
+	d.readAt(buf, off)
 }
 
 // Write is a charged write, durable on completion.
 func (d *SlowDevice) Write(ctx *sim.Ctx, data []byte, off int64) {
 	d.charge(ctx, off, int64(len(data)), true)
-	d.store.WriteAt(data, off)
+	d.writeAt(data, off)
 }
 
 // Zero is charged like a write of n bytes (the command still
 // transfers/updates whole pages on the device).
 func (d *SlowDevice) Zero(ctx *sim.Ctx, off, n int64) {
 	d.charge(ctx, off, n, true)
-	d.store.ZeroRange(off, n)
+	d.zeroAt(off, n)
 }
 
-// DiscardRange is uncharged: freed pages return their host backing.
-func (d *SlowDevice) DiscardRange(off, n int64) { d.store.DiscardRange(off, n) }
+// DiscardRange is uncharged and keeps the bytes: the file system frees a
+// migration's detached blocks before its commit, so a crash state from
+// before that commit still maps them, and must read them back as the unit
+// left them. A freed page gives its host backing up when it is next
+// overwritten with zeros, or when the device is released.
+func (d *SlowDevice) DiscardRange(off, n int64) { d.checkRange(off, n) }

@@ -285,7 +285,7 @@ func TestRelocateCrashSweep(t *testing.T) {
 			files := tc.setup(t, ctx, fs)
 			oldLayout := layoutOf(t, ctx, fs, files)
 
-			var slowImg *pmem.Device
+			var slowImg *tier.SlowDevice
 			if tc.slowBefore {
 				slowImg = slow.Snapshot()
 			}

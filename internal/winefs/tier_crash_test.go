@@ -1,6 +1,7 @@
 package winefs
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/pmem"
@@ -51,5 +52,72 @@ func TestTierCrashRolledBackDemotionReclaimsSlowBlocks(t *testing.T) {
 	}
 	if err := rfs.Audit(rctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTierCrashedPromotionKeepsItsData: a promotion frees the slow blocks
+// it copied from before its commit lands, so every crash state of the
+// pass short of the commit still maps /cold to them. Paired with the slow
+// tier as the pass left it, as the crash harnesses pair them, each cut
+// must mount and read /cold back whole: freeing a slow block must not
+// take its bytes.
+func TestTierCrashedPromotionKeepsItsData(t *testing.T) {
+	fs, ctx, dev, slow := mkTiered(t, 64<<20, 64<<20)
+	opts := Options{CPUs: 1, InodesPerCPU: 512, Tier: &TierOptions{Slow: slow}}
+	const fileBytes = 4 << 20
+	data := patternBuf(fileBytes, 0x3c)
+	writeFile(t, ctx, fs, "/cold", data)
+	ino := inoOf(t, ctx, fs, "/cold")
+	demoteFile(t, ctx, fs, ino, fileBytes/BlockSize)
+	if s, _ := slowBlocksOf(fs, ino); s != fileBytes/BlockSize {
+		t.Fatalf("setup: %d of /cold's %d blocks on the slow tier", s, fileBytes/BlockSize)
+	}
+	f, err := fs.Open(ctx, "/cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, fileBytes)
+	for i := 0; i < 80; i++ {
+		if _, err := f.ReadAt(ctx, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fs.SetTierMarks(0.95, 0.85, 0)
+	var st TierPassStats
+	rec, err := dev.Record(func() (err error) {
+		st, err = fs.TierPass(ctx, TierPassOptions{})
+		return err
+	})
+	defer rec.Base.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PromotedBlocks != fileBytes/BlockSize {
+		t.Fatalf("the pass promoted %d blocks, want all %d of /cold's", st.PromotedBlocks, fileBytes/BlockSize)
+	}
+
+	for cut := 0; cut <= rec.Last()+1; cut++ {
+		img := rec.Cut(cut)
+		dev.Restore(img)
+		img.Release()
+		rctx := sim.NewCtx(2, 0)
+		rfs, err := Mount(rctx, dev, opts)
+		if err != nil {
+			t.Fatalf("cut %d of %d: mount: %v", cut, rec.Last()+1, err)
+		}
+		rf, err := rfs.Open(rctx, "/cold")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if _, err := rf.ReadAt(rctx, buf, 0); err != nil {
+			t.Fatalf("cut %d: read: %v", cut, err)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("cut %d of %d: /cold does not read back as written", cut, rec.Last()+1)
+		}
+		if err := rfs.Audit(rctx); err != nil {
+			t.Fatalf("cut %d: audit: %v", cut, err)
+		}
 	}
 }
