@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fstest"
 	"repro/internal/pagecache"
+	"repro/internal/pmem"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -89,5 +90,72 @@ func BenchmarkDirectRead4K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// TestReopenAllocations pins the writer's reopen cycle srv_cached runs:
+// two caches on one server, B reading a shared file that A closes,
+// reopens, writes and fsyncs, and B's next read revoking the write lease
+// A's write took. The page cache's file state, the lease record, the
+// conflict and waiter lists, the revoke timer and the frame headers are
+// reused, and winefs hands back the inode's own File. What is left is six
+// objects: the two handles the reopen returns (the cache's and the
+// client's), the path string the server decodes, the channel the revoking
+// request waits on, and the two goroutines of the revoke protocol — the
+// server's push and the client's handler.
+func TestReopenAllocations(t *testing.T) {
+	_, pl, _ := newServerFS(t, pmem.New(64<<20), Config{})
+	cacheA := pagecache.New(dialT(t, pl), pagecache.Config{})
+	cacheB := pagecache.New(dialT(t, pl), pagecache.Config{})
+	ctxA, ctxB := sim.NewCtx(100, 0), sim.NewCtx(101, 1)
+	buf := make([]byte, pagecache.PageSize)
+	fa, err := cacheA.Create(ctxA, "/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.Append(ctxA, buf); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := cacheB.Open(ctxB, "/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fb.ReadAt(ctxB, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	revokes := func() int64 { return cacheStats(t, cacheA).Revokes + cacheStats(t, cacheB).Revokes }
+	step := func() {
+		if err := fa.Close(ctxA); err != nil {
+			t.Fatal(err)
+		}
+		if fa, err = cacheA.Open(ctxA, "/s"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fa.WriteAt(ctxA, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fa.Fsync(ctxA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fb.ReadAt(ctxB, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step() // the pools, the maps and the wire buffers reach their size
+	}
+	before := revokes()
+	const runs = 200
+	if n := testing.AllocsPerRun(runs, step); n > 6 {
+		t.Errorf("reopen, write, fsync and revoke: %v allocs, want ≤ 6", n)
+	}
+	if got := revokes() - before; got < runs {
+		t.Fatalf("%d revokes in %d steps: the cycle did not revoke every time", got, runs)
+	}
+	if err := fa.Close(ctxA); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(ctxB); err != nil {
+		t.Fatal(err)
 	}
 }

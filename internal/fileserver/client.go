@@ -159,8 +159,9 @@ func (c *Client) transportErr() error {
 // readLoop demultiplexes responses to their waiting callers. On transport
 // death every waiter is woken with ErrConnClosed.
 func (c *Client) readLoop() {
+	var hdr [frameHdrLen]byte
 	for {
-		id, code, payload, err := ReadFrame(c.conn)
+		id, code, payload, err := readFrame(c.conn, &hdr)
 		if err != nil {
 			c.mu.Lock()
 			c.closed = true

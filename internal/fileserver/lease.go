@@ -24,6 +24,7 @@ import "time"
 type fileLease struct {
 	writer  *session
 	readers map[*session]struct{}
+	next    *fileLease // the next spare record, while this one is spare
 }
 
 func (l *fileLease) empty() bool { return l.writer == nil && len(l.readers) == 0 }
@@ -37,11 +38,11 @@ func (l *fileLease) holds(sess *session) bool {
 	return ok
 }
 
-// conflictsWith lists every holder a (write?) request from sess must
-// revoke: any other session's writer always conflicts; other sessions'
-// readers conflict only with writes.
-func (l *fileLease) conflictsWith(sess *session, write bool) []*session {
-	var out []*session
+// conflictsWith appends to out every holder a (write?) request from sess
+// must revoke: any other session's writer always conflicts; other
+// sessions' readers conflict only with writes. Callers pass a stack
+// buffer, which holds up to four conflicts without growing.
+func (l *fileLease) conflictsWith(sess *session, write bool, out []*session) []*session {
 	if l.writer != nil && l.writer != sess {
 		out = append(out, l.writer)
 	}
@@ -90,17 +91,23 @@ func (s *Server) revokeConflicting(sess *session, ino uint64, write bool) int {
 		s.leaseMu.Unlock()
 		return 0
 	}
-	victims := l.conflictsWith(sess, write)
+	var vbuf [4]*session
+	victims := l.conflictsWith(sess, write, vbuf[:0])
 	if len(victims) == 0 {
 		s.leaseMu.Unlock()
 		return 0
 	}
-	waits := make([]chan struct{}, len(victims))
-	for i, v := range victims {
+	var wbuf [4]chan struct{}
+	waits := wbuf[:0]
+	for _, v := range victims {
 		ch := make(chan struct{})
-		first := len(v.revokeWaiters[ino]) == 0
-		v.revokeWaiters[ino] = append(v.revokeWaiters[ino], ch)
-		waits[i] = ch
+		ws := v.revokeWaiters[ino]
+		first := len(ws) == 0
+		if first {
+			ws, v.spareWaiters = v.spareWaiters, nil
+		}
+		v.revokeWaiters[ino] = append(ws, ch)
+		waits = append(waits, ch)
 		if first {
 			// Push outside leaseMu: a stuck transport must not wedge the
 			// whole lease table.
@@ -113,10 +120,12 @@ func (s *Server) revokeConflicting(sess *session, ino uint64, write bool) int {
 		// Each holder gets the whole timeout from when its wait starts. The
 		// timer is stopped once the ack arrives: an unstopped one would stay
 		// live until it fires, RevokeTimeout after every revoke.
-		timer := time.NewTimer(s.cfg.RevokeTimeout)
+		timer := s.revokeTimer(sess)
 		select {
 		case <-ch:
-			timer.Stop()
+			if !timer.Stop() {
+				<-timer.C // fired unread: drain it, so the next Reset starts clean
+			}
 		case <-timer.C:
 			// The holder did not flush in time. Reuse the graceful-drain
 			// path: shut its read side so its session winds down like any
@@ -134,6 +143,22 @@ func (s *Server) revokeConflicting(sess *session, ino uint64, write bool) int {
 		sess.ctx.Counters.CacheRevokes += int64(len(victims))
 	}
 	return len(victims)
+}
+
+// revokeTimer returns a timer started for RevokeTimeout. A session reuses
+// its own: its requests run one at a time under dmu, and every wait stops
+// and drains the timer before the next starts it. A wait with no session
+// (the map hook) gets a timer of its own.
+func (s *Server) revokeTimer(sess *session) *time.Timer {
+	if sess == nil {
+		return time.NewTimer(s.cfg.RevokeTimeout)
+	}
+	if sess.revokeTimer == nil {
+		sess.revokeTimer = time.NewTimer(s.cfg.RevokeTimeout)
+	} else {
+		sess.revokeTimer.Reset(s.cfg.RevokeTimeout)
+	}
+	return sess.revokeTimer
 }
 
 // pushRevoke sends the statusRevoke frame for ino to the session's client.
@@ -176,12 +201,17 @@ func (s *Server) removeHolderLocked(sess *session, ino uint64) {
 		delete(l.readers, sess)
 		if l.empty() {
 			delete(s.leases, ino)
+			l.next, s.spareLeases = s.spareLeases, l
 		}
 	}
-	for _, ch := range sess.revokeWaiters[ino] {
-		close(ch)
+	if ws := sess.revokeWaiters[ino]; ws != nil {
+		for _, ch := range ws {
+			close(ch)
+		}
+		delete(sess.revokeWaiters, ino)
+		clear(ws)
+		sess.spareWaiters = ws[:0]
 	}
-	delete(sess.revokeWaiters, ino)
 }
 
 // acquireLease grants sess a lease on ino, revoking conflicting holders
@@ -206,10 +236,15 @@ func (s *Server) acquireLease(sess *session, ino uint64, write bool) bool {
 		}
 		l := s.leases[ino]
 		if l == nil {
-			l = &fileLease{readers: make(map[*session]struct{})}
+			if l = s.spareLeases; l != nil {
+				s.spareLeases, l.next = l.next, nil
+			} else {
+				l = &fileLease{readers: make(map[*session]struct{})}
+			}
 			s.leases[ino] = l
 		}
-		if len(l.conflictsWith(sess, write)) == 0 {
+		var vbuf [4]*session
+		if len(l.conflictsWith(sess, write, vbuf[:0])) == 0 {
 			if write {
 				l.writer = sess
 				delete(l.readers, sess)

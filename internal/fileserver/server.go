@@ -106,6 +106,11 @@ type Server struct {
 	leaseMu sync.Mutex
 	leases  map[uint64]*fileLease
 	writing map[uint64]int // ino → writes between beginWrite and endWrite
+	// spareLeases chains the records whose last holder left, their readers
+	// maps emptied, for the next ino leased that has none. A record is
+	// taken from here before one is made, so live and spare records
+	// together never outnumber the live ones at the table's peak.
+	spareLeases *fileLease
 
 	// mapped, when the exported FS tracks memory mappings, gates lease
 	// grants: a locally mapped inode is never leased (DAX stores bypass
@@ -318,6 +323,12 @@ type session struct {
 	// revokeWaiters holds, per ino, the channels of requests blocked on
 	// this session acking a lease revoke. Guarded by srv.leaseMu.
 	revokeWaiters map[uint64][]chan struct{}
+	// spareWaiters is the emptied list of the last ino whose waiters were
+	// woken, for the next ino's first waiter. Guarded by srv.leaseMu.
+	spareWaiters []chan struct{}
+	// revokeTimer times this session's waits in revokeConflicting; guarded
+	// by dmu (revokeTimer in lease.go).
+	revokeTimer *time.Timer
 
 	// statsMu guards the snapshot the server's Stats() reads while the
 	// worker is live.
@@ -335,8 +346,9 @@ type session struct {
 // finish what was already pipelined and tear down.
 func (sess *session) reader() {
 	defer close(sess.reqs)
+	var hdr [frameHdrLen]byte
 	for {
-		id, code, payload, err := ReadFrame(sess.conn)
+		id, code, payload, err := readFrame(sess.conn, &hdr)
 		if err != nil {
 			return
 		}

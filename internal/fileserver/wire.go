@@ -277,7 +277,13 @@ func WriteFrame(w io.Writer, id uint64, code uint8, payload []byte) error {
 // < 9 is detected after the merged read; the connection is torn down
 // either way, so the 9 bytes over-consumed on that path don't matter.)
 func ReadFrame(r io.Reader) (id uint64, code uint8, payload []byte, err error) {
-	var hdr [13]byte
+	var hdr [frameHdrLen]byte
+	return readFrame(r, &hdr)
+}
+
+// readFrame is ReadFrame reading the header into hdr: a connection's read
+// loop owns one, where ReadFrame's own escapes to the heap on every frame.
+func readFrame(r io.Reader, hdr *[frameHdrLen]byte) (id uint64, code uint8, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}

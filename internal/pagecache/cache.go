@@ -179,6 +179,15 @@ type Cache struct {
 	// non-zero the ino is served pass-through and new opens don't lease.
 	mapped map[uint64]int
 	stats  Stats
+	// spare chains the states of inos whose last handle closed, their page
+	// and handle maps emptied but not shrunk, so reopening a file builds
+	// no state and regrows no map; at most MaxPages are kept.
+	spare  *fileState
+	nspare int
+	// closed is the state of every closed handle: pass-through, holding
+	// nothing, so a call on a closed handle reaches its closed inner file
+	// and never a spare state a later open has taken.
+	closed fileState
 }
 
 // maxKeptBatch is the largest batch write-back, in pages, whose memory the
@@ -244,6 +253,31 @@ type fileState struct {
 	// flushErr is a failed write-back, held until the next operation on
 	// the file observes it: dirty pages are never dropped silently.
 	flushErr error
+	next     *fileState // the next spare state, while this one is spare
+}
+
+// newStateLocked returns an empty fileState, a retired one when the cache
+// has one spare.
+func (c *Cache) newStateLocked() *fileState {
+	st := c.spare
+	if st == nil {
+		return &fileState{pages: make(map[int64]*page), handles: make(map[*cachedFile]struct{})}
+	}
+	c.spare, st.next = st.next, nil
+	c.nspare--
+	return st
+}
+
+// retireLocked takes back the state of an ino whose last handle closed,
+// once no handle, page or batch refers to it, and keeps it spare with its
+// emptied maps unless MaxPages states are spare already.
+func (c *Cache) retireLocked(st *fileState) {
+	if c.nspare >= c.cfg.MaxPages {
+		return
+	}
+	*st = fileState{pages: st.pages, handles: st.handles, next: c.spare}
+	c.spare = st
+	c.nspare++
 }
 
 func (st *fileState) takeErrLocked() error {
@@ -426,13 +460,8 @@ func (c *Cache) openLike(ctx *sim.Ctx, path string, create bool) (vfs.File, erro
 	c.mu.Lock()
 	st := c.files[f.Ino()]
 	if st == nil {
-		st = &fileState{
-			ino:     f.Ino(),
-			mode:    modeRead,
-			size:    f.Size(),
-			pages:   make(map[int64]*page),
-			handles: make(map[*cachedFile]struct{}),
-		}
+		st = c.newStateLocked()
+		st.ino, st.mode, st.size = f.Ino(), modeRead, f.Size()
 		c.files[st.ino] = st
 	}
 	st.refs++

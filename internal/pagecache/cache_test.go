@@ -467,3 +467,49 @@ func TestCloseFlushesAndReleases(t *testing.T) {
 		t.Fatalf("reopened file does not hold the written image")
 	}
 }
+
+// TestCloseTwiceLeavesTheReopenedFileAlone closes a handle a second time
+// after the file was reopened through another: the second Close must fail
+// with vfs.ErrClosed and leave the new handle's cached state whole.
+func TestCloseTwiceLeavesTheReopenedFileAlone(t *testing.T) {
+	lfs := newLeaseFS(t)
+	c := pagecache.New(lfs, pagecache.Config{})
+	ctx := sim.NewCtx(100, 0)
+
+	a, err := c.Create(ctx, "/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	want := make([]byte, pagecache.PageSize)
+	pattern(want, 9)
+	if _, err := a.Append(ctx, want); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := a.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	b, err := c.Open(ctx, "/f")
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	got := make([]byte, len(want))
+	if _, err := b.ReadAt(ctx, got, 0); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if err := a.Close(ctx); !errors.Is(err, vfs.ErrClosed) {
+		t.Fatalf("second close: %v, want %v", err, vfs.ErrClosed)
+	}
+	if st := stats(t, c); st.Pages != 1 {
+		t.Fatalf("second close dropped the reopened file's page: %+v", st)
+	}
+	before := stats(t, c).Hits
+	if _, err := b.ReadAt(ctx, got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("reread: err=%v, bytes match=%v", err, bytes.Equal(got, want))
+	}
+	if stats(t, c).Hits != before+1 {
+		t.Fatal("the reopened file no longer hits in the cache")
+	}
+	if err := b.Close(ctx); err != nil {
+		t.Fatalf("close reopened: %v", err)
+	}
+}

@@ -450,13 +450,21 @@ func (f *cachedFile) GetXattr(ctx *sim.Ctx, name string) ([]byte, bool) {
 }
 
 // Close implements vfs.File. The last handle on an ino flushes whatever is
-// still dirty, releases the lease and drops the cached state; a sticky
-// write-back error surfaces here rather than vanishing with the handle.
+// still dirty, releases the lease and retires the cached state; a sticky
+// write-back error surfaces here rather than vanishing with the handle. A
+// closed handle points at the cache's closed state, so closing it again
+// returns vfs.ErrClosed and touches nothing.
 func (f *cachedFile) Close(ctx *sim.Ctx) error {
 	c := f.c
 	c.flushMu.Lock()
 	c.mu.Lock()
 	st := f.st
+	if st == &c.closed {
+		c.mu.Unlock()
+		c.flushMu.Unlock()
+		return vfs.ErrClosed
+	}
+	f.st = &c.closed
 	delete(st.handles, f)
 	st.refs--
 	last := st.refs <= 0
@@ -482,6 +490,11 @@ func (f *cachedFile) Close(ctx *sim.Ctx) error {
 	}
 	c.mu.Unlock()
 	werr := c.writeBack(ctx, batch)
+	if last {
+		c.mu.Lock()
+		c.retireLocked(st) // the batch was the last thing to refer to it
+		c.mu.Unlock()
+	}
 	c.flushMu.Unlock()
 	if last && hadLease {
 		f.lf.Unlease(ctx) // best-effort; teardown reaps leases regardless

@@ -49,7 +49,7 @@ func (f *cachedFile) AttachMapping(m *mmu.Mapping) {
 // DetachMapping implements vfs.Mapper.
 func (f *cachedFile) DetachMapping(m *mmu.Mapping) {
 	f.innerMapper().DetachMapping(m)
-	f.c.mapDetach(f.st.ino)
+	f.c.mapDetach(f.Ino())
 }
 
 // MsyncRange implements vfs.Mapper by delegation (the cache holds no
@@ -64,12 +64,12 @@ func (c *Cache) mapAttach(f *cachedFile) {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.mu.Lock()
-	st := f.st
+	st, ino := f.st, f.Ino()
 	wasLeased := st.mode != modeNone
 	st.mode = modeNone
 	batch := c.collectDirtyLocked(st, nil)
-	c.attrDropInoLocked(st.ino)
-	c.mapped[st.ino]++
+	c.attrDropInoLocked(ino)
+	c.mapped[ino]++
 	c.stats.MapBypasses++
 	c.mu.Unlock()
 	// writeBack records failures as the ino's sticky flushErr; the pages

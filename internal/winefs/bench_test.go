@@ -293,14 +293,16 @@ func TestPosixPathAllocations(t *testing.T) {
 		// Across two directories: each index recycles the node the other
 		// direction freed, the dirent slots are reused.
 		{"Rename", 0, func() { check(fs.Rename(ctx, at, other)); at, other = other, at }},
-		// What a new file is: its inode, its File and its lock object.
+		// Opening a live file returns the handle its inode carries.
+		{"Open + Close of a live file", 0, func() { f, err := fs.Open(ctx, "/d/f07"); check(err); check(f.Close(ctx)) }},
+		// What a new file is: its inode and its lock object.
 		// After the unlink's Drop has handed the lock's calendars back, the
 		// unlink's own release books into the orphaned lock's own memory.
 		// The extent records and the append's calendar grow in storage dead
 		// files handed back; the directory entry's tree node, the dirent
 		// slot and the inode-map and lock-table cells are the unlinked
 		// predecessor's.
-		{"Create + first Append + Close + Unlink", 3, func() {
+		{"Create + first Append + Close + Unlink", 2, func() {
 			f, err := fs.Create(ctx, "/e/new")
 			check(err)
 			_, err = f.Append(ctx, buf[:4096])
@@ -311,7 +313,7 @@ func TestPosixPathAllocations(t *testing.T) {
 		// A whole life on names no file has: the records and calendars
 		// grow well past one array, every array from the dead files', and
 		// all of them go back at the unlink. What is left is the row above.
-		{"Create, 16 Appends, 4 Reads, Stat, Rename, Unlink", 3, func() {
+		{"Create, 16 Appends, 4 Reads, Stat, Rename, Unlink", 2, func() {
 			life++
 			name, moved := names[life%len(names)], renamed[life%len(names)]
 			f, err := fs.Create(ctx, name)

@@ -12,11 +12,11 @@ import (
 	"repro/internal/vfs"
 )
 
-// File is an open WineFS file handle.
+// File is an open WineFS file handle. It holds no state of its own, so
+// every open of an inode returns the one File the inode carries.
 type File struct {
-	fs     *FS
-	ino    *inode
-	closed bool
+	fs  *FS
+	ino *inode
 }
 
 var _ vfs.File = (*File)(nil)
@@ -32,10 +32,7 @@ func (f *File) Size() int64 {
 }
 
 // Close implements vfs.File.
-func (f *File) Close(ctx *sim.Ctx) error {
-	f.closed = true
-	return nil
-}
+func (f *File) Close(ctx *sim.Ctx) error { return nil }
 
 // findRun returns the physical block and contiguous run length backing
 // fileBlk, via binary search over the sorted extent list. Caller holds

@@ -214,6 +214,9 @@ type inode struct {
 
 	dir *dirIndex // directories only
 
+	// file is the handle every open of the inode returns (putInode).
+	file File
+
 	// mappings are the live mmaps of this file; the reactive rewriter
 	// shoots them down after swapping the extent map.
 	mappings []*mmu.Mapping
@@ -792,7 +795,7 @@ func (fs *FS) Create(ctx *sim.Ctx, path string) (vfs.File, error) {
 	if existed && (ino == nil || ino.typNow() == typeDir) {
 		return nil, vfs.ErrIsDir
 	}
-	return &File{fs: fs, ino: ino}, nil
+	return &ino.file, nil
 }
 
 // Mkdir implements vfs.FS.
@@ -866,7 +869,7 @@ func (fs *FS) Open(ctx *sim.Ctx, path string) (vfs.File, error) {
 	if ino.typNow() == typeDir {
 		return nil, vfs.ErrIsDir
 	}
-	return &File{fs: fs, ino: ino}, nil
+	return &ino.file, nil
 }
 
 // Unlink implements vfs.FS.

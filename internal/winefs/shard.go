@@ -35,7 +35,10 @@ func (fs *FS) getInode(ino uint64) *inode {
 	return sh.m[ino]
 }
 
+// putInode publishes a built inode and gives it the handle every open of
+// it returns.
 func (fs *FS) putInode(ino *inode) {
+	ino.file = File{fs: fs, ino: ino}
 	sh := fs.shardOf(ino.ino)
 	sh.mu.Lock()
 	sh.m[ino.ino] = ino
